@@ -4,19 +4,25 @@
 //!    and without the merge limit, as execution length grows. Claim: the
 //!    capped graph's size is (nearly) independent of execution length
 //!    while representing every primitive arc.
-//! 2. **Checkpointed undo** (§6 future work): wall time of returning to a
-//!    mid-execution state by replay-from-start (the paper's
-//!    implementation) vs restoring a checkpoint (the proposed
-//!    improvement), as a function of history depth.
+//! 2. **Checkpointed undo** (§6 future work): wall time of one `undo` in
+//!    a debugging [`Session`] that re-executes from process creation
+//!    (`checkpoint_every: 0`, the paper's implementation) vs one that
+//!    restores the stop's cached checkpoint (`checkpoint_every: 1`), as a
+//!    function of history depth.
+//! 3. **Checkpoint backlog**: events re-executed by backward jumps in a
+//!    session that has stopped 16 times along the run — distance from the
+//!    nearest dominated checkpoint (`CacheLookupStats::restore_distance`)
+//!    vs the from-scratch distance.
+//!
+//! 2 and 3 are measured on the shipping engine: the real `Session` and
+//! `CheckpointCache` over the `ring` workload at growing `rounds`.
 
 use std::time::Instant;
 use tracedbg_bench::{write_artifact, TextTable};
+use tracedbg_debugger::{Session, SessionConfig, Stopline};
 use tracedbg_instrument::RecorderConfig;
-use tracedbg_mpsim::machine::{
-    MachineCtx, MachineEngine, MachineOutcome, MachineProgram, MachineStatus,
-};
-use tracedbg_mpsim::{CostModel, Engine, EngineConfig, SchedPolicy};
-use tracedbg_trace::Rank;
+use tracedbg_mpsim::{Engine, EngineConfig};
+use tracedbg_trace::TraceStore;
 use tracedbg_tracegraph::TraceGraph;
 use tracedbg_workloads::ring::{self, RingConfig};
 
@@ -55,134 +61,114 @@ fn dissemination_table() -> String {
     table.render()
 }
 
-/// A counting machine for the checkpoint ablation. Snapshot is hand-rolled
-/// (two u64s) — no serialization framework needed.
-struct Ticker {
-    steps: u64,
-    done: u64,
-}
-
-impl MachineProgram for Ticker {
-    fn step(&mut self, ctx: &mut MachineCtx<'_>) -> MachineStatus {
-        if self.done >= self.steps {
-            return MachineStatus::Finished;
-        }
-        let site = ctx.site("tick.rs", 1, "tick");
-        ctx.compute(100, site);
-        self.done += 1;
-        MachineStatus::Running
-    }
-
-    fn snapshot(&self) -> Vec<u8> {
-        let mut v = self.steps.to_le_bytes().to_vec();
-        v.extend_from_slice(&self.done.to_le_bytes());
-        v
-    }
-
-    fn restore(&mut self, bytes: &[u8]) {
-        self.steps = u64::from_le_bytes(bytes[..8].try_into().unwrap());
-        self.done = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    }
-}
-
-fn machine(steps: u64) -> MachineEngine {
-    MachineEngine::new(
-        vec![
-            Box::new(Ticker { steps, done: 0 }),
-            Box::new(Ticker { steps, done: 0 }),
-        ],
-        RecorderConfig::markers_only(),
-        CostModel::default(),
-        SchedPolicy::RoundRobin,
-        None,
+/// A debugging session over a 4-rank ring of `rounds` rounds.
+fn ring_session(rounds: usize, recorder: RecorderConfig, checkpoint_every: usize) -> Session {
+    let cfg = RingConfig {
+        nprocs: 4,
+        rounds,
+        hop_cost: 100,
+        tag_stride: 0,
+    };
+    Session::launch(
+        SessionConfig {
+            recorder,
+            checkpoint_every,
+            ..Default::default()
+        },
+        Box::new(ring::factory(cfg)),
     )
+}
+
+/// The vertical stopline at `num/den` of the recorded makespan.
+fn cut(trace: &TraceStore, num: u64, den: u64) -> Stopline {
+    Stopline::vertical(trace, trace.time_bounds().1 * num / den)
 }
 
 fn undo_table() -> String {
     let mut table = TextTable::new(&[
         "history depth (events)",
-        "replay-from-start (µs)",
-        "checkpoint restore (µs)",
+        "recorder",
+        "undo by re-execution (µs)",
+        "undo by checkpoint restore (µs)",
         "speedup",
     ]);
-    for steps in [1_000u64, 10_000, 50_000] {
-        // Run to a mid-point stop, checkpoint there, then run to the end.
-        let mut e = machine(steps);
-        let half = steps; // ProcStart + computes: stop rank 0 mid-way
-        e.set_threshold(Rank(0), Some(half / 2));
-        assert!(matches!(e.run(), MachineOutcome::Stopped(_)));
-        e.clear_thresholds();
-        let cp = e.checkpoint();
-        let target = e.markers();
-        e.resume_trapped();
-        assert!(matches!(e.run(), MachineOutcome::Completed));
-
-        // Undo via replay-from-start: fresh engine, thresholds at target.
-        let t0 = Instant::now();
-        let mut replay = machine(steps);
-        for m in target.iter() {
-            replay.set_threshold(m.rank, Some(m.count));
+    for rounds in [64usize, 512, 4096] {
+        // Stoplines come from a fully traced run; markers count every
+        // event under every recording strategy, so they transfer.
+        let mut traced = ring_session(rounds, RecorderConfig::full(), 0);
+        assert!(traced.run().is_completed());
+        let trace = traced.trace();
+        let (half, three_quarters) = (cut(&trace, 1, 2), cut(&trace, 3, 4));
+        // Record, stop at 1/2, move on to 3/4, then time the undo back to
+        // the 1/2 stop.
+        let time_undo = |recorder: RecorderConfig, checkpoint_every: usize| {
+            let mut s = ring_session(rounds, recorder, checkpoint_every);
+            assert!(s.run().is_completed());
+            assert!(s.replay_to(&half).is_stopped());
+            assert!(s.replay_to(&three_quarters).is_stopped());
+            let t0 = Instant::now();
+            assert!(s.undo());
+            let elapsed = t0.elapsed().as_secs_f64();
+            assert_eq!(s.markers(), half.markers, "undo returns to the 1/2 stop");
+            elapsed
+        };
+        for (label, recorder) in [
+            ("markers only", RecorderConfig::markers_only()),
+            ("full trace", RecorderConfig::full()),
+        ] {
+            // Median of five fresh sessions each.
+            let median = |checkpoint_every: usize| {
+                let mut runs: Vec<f64> = (0..5)
+                    .map(|_| time_undo(recorder.clone(), checkpoint_every))
+                    .collect();
+                runs.sort_by(f64::total_cmp);
+                runs[2]
+            };
+            let (replay, restore) = (median(0), median(1));
+            table.row(&[
+                trace.len().to_string(),
+                label.to_string(),
+                format!("{:.1}", replay * 1e6),
+                format!("{:.1}", restore * 1e6),
+                format!("{:.1}x", replay / restore.max(1e-9)),
+            ]);
         }
-        assert!(matches!(replay.run(), MachineOutcome::Stopped(_)));
-        let replay_time = t0.elapsed();
-        assert_eq!(replay.markers().get(Rank(0)), target.get(Rank(0)));
-
-        // Undo via checkpoint restore.
-        let t0 = Instant::now();
-        e.restore(&cp);
-        let restore_time = t0.elapsed();
-        assert_eq!(e.markers(), target);
-
-        table.row(&[
-            steps.to_string(),
-            format!("{:.1}", replay_time.as_secs_f64() * 1e6),
-            format!("{:.1}", restore_time.as_secs_f64() * 1e6),
-            format!(
-                "{:.0}x",
-                replay_time.as_secs_f64() / restore_time.as_secs_f64().max(1e-9)
-            ),
-        ]);
     }
     table.render()
 }
 
-/// The session-level view: with the checkpointed `MachineSession`, how
-/// many events does a backward jump actually re-execute, as a fraction of
-/// history?
+/// How many events does a backward jump re-execute once the session has a
+/// backlog of stop checkpoints, against re-executing from process creation?
 fn session_jump_table() -> String {
-    use tracedbg_debugger::{MachineFactory, MachineSession};
     let mut table = TextTable::new(&[
         "history (events)",
         "jump target",
-        "events re-executed",
+        "re-executed from scratch",
+        "re-executed from checkpoint",
         "fraction of history",
     ]);
-    for steps in [2_000u64, 20_000] {
-        let factory: MachineFactory = Box::new(move || {
-            vec![
-                Box::new(Ticker { steps, done: 0 }) as Box<dyn MachineProgram>,
-                Box::new(Ticker { steps, done: 0 }),
-            ]
-        });
-        let mut s = MachineSession::launch(
-            factory,
-            tracedbg_instrument::RecorderConfig::markers_only(),
-            256,
-        );
+    for rounds in [256usize, 2048] {
+        let mut s = ring_session(rounds, RecorderConfig::full(), 1);
         assert!(s.run().is_completed());
-        let end = s.markers();
-        let total: u64 = end.counts().iter().sum();
-        for (label, num, den) in [("25%", 1u64, 4u64), ("50%", 1, 2), ("90%", 9, 10)] {
-            let target = tracedbg_trace::MarkerVector::from_counts(
-                end.counts().iter().map(|c| c * num / den).collect(),
-            );
-            s.steps_replayed = 0;
+        let trace = s.trace();
+        let total: u64 = s.markers().counts().iter().sum();
+        // A session's worth of stops: 16 evenly spaced stoplines, each
+        // depositing a checkpoint.
+        for i in 1..16 {
+            assert!(s.replay_to(&cut(&trace, i, 16)).is_stopped());
+        }
+        for (label, num, den) in [("30%", 3u64, 10u64), ("55%", 11, 20), ("90%", 9, 10)] {
+            let target = cut(&trace, num, den);
+            let scratch: u64 = target.markers.counts().iter().sum();
+            let before = s.checkpoint_cache().stats().restore_distance;
             assert!(s.replay_to(&target).is_stopped());
+            let replayed = s.checkpoint_cache().stats().restore_distance - before;
             table.row(&[
                 total.to_string(),
                 label.to_string(),
-                s.steps_replayed.to_string(),
-                format!("{:.4}", s.steps_replayed as f64 / total as f64),
+                scratch.to_string(),
+                replayed.to_string(),
+                format!("{:.4}", replayed as f64 / total as f64),
             ]);
         }
     }
@@ -194,14 +180,14 @@ fn main() {
     println!("ABLATION 1 — dissemination bounds the trace graph (§4.3)\n");
     println!("{d}");
     let u = undo_table();
-    println!("ABLATION 2 — undo: replay-from-start vs checkpoint restore (§6)\n");
+    println!("ABLATION 2 — session undo: re-execution vs checkpoint restore (§6)\n");
     println!("{u}");
     let j = session_jump_table();
-    println!("ABLATION 3 — checkpointed session: re-executed events per jump\n");
+    println!("ABLATION 3 — checkpoint backlog: re-executed events per jump\n");
     println!("{j}");
     let report = format!(
         "ABLATION 1 — dissemination\n\n{d}\nABLATION 2 — undo strategies\n\n{u}\n\
-         ABLATION 3 — checkpointed session jumps\n\n{j}"
+         ABLATION 3 — checkpoint backlog jumps\n\n{j}"
     );
     let p = write_artifact("ablations.txt", &report);
     println!("wrote {}", p.display());

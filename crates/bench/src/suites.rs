@@ -29,6 +29,7 @@
 //! numbers are comparable between invocations and across commits.
 
 use crate::measure::{measure, BenchRecord, Plan};
+use std::sync::atomic::{AtomicU64, Ordering};
 use tracedbg_debugger::{Session, SessionConfig, Stopline};
 use tracedbg_explore::{ExploreConfig, Explorer, Strategy};
 use tracedbg_instrument::RecorderConfig;
@@ -445,29 +446,6 @@ fn suite_checkpoint(opts: &SuiteOptions) -> Suite {
             assert_eq!(e.markers(), cp.markers());
         }));
     }
-    if wants(opts, "checkpoint", "restore_respawn") {
-        // The legacy path the task engine replaced: thread-backed ranks
-        // force restore to respawn every rank and fast-forward it
-        // through the reply log. A checkpoint taken from thread ranks
-        // is required, so a second stopped engine is built here.
-        let mut tstopped = Engine::launch(
-            EngineConfig {
-                recorder: RecorderConfig::markers_only(),
-                checkpoints: true,
-                ..Default::default()
-            },
-            ring::thread_programs(&cfg),
-        );
-        for m in target.iter() {
-            tstopped.set_threshold(m.rank, Some((m.count / 2).max(1)));
-        }
-        assert!(tstopped.run().is_stopped());
-        let tcp = tstopped.snapshot();
-        records.push(measure("restore_respawn", 1, p, || {
-            let e = Engine::restore(&tcp, ring::thread_programs(&cfg));
-            assert_eq!(e.markers(), tcp.markers());
-        }));
-    }
     if wants(opts, "checkpoint", "restore_continue") {
         records.push(measure("restore_continue", 1, p, || {
             let mut e = Engine::restore(&cp, ring::programs(&cfg));
@@ -642,7 +620,14 @@ fn suite_store(opts: &SuiteOptions) -> Suite {
     let mut binary = Vec::new();
     write_binary(&mut binary, &file).expect("in-memory write");
 
-    let dir = std::env::temp_dir().join(format!("tracedbg-bench-store-{}", std::process::id()));
+    // Unique per call, not just per process: two tests in one binary run
+    // this suite concurrently and each ingests/deletes its directory.
+    static CALL: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "tracedbg-bench-store-{}-{}",
+        std::process::id(),
+        CALL.fetch_add(1, Ordering::Relaxed)
+    ));
     let store_opts = StoreOptions {
         segment_events: 8192,
     };

@@ -15,16 +15,22 @@
 //!
 //! // A two-process program: P0 sends, P1 receives.
 //! let factory: ProgramFactory = Box::new(|| {
-//!     let p0: ProgramFn = Box::new(|ctx| {
-//!         let site = ctx.site("demo.rs", 3, "main");
-//!         ctx.send(Rank(1), Tag(7), Payload::from_i64(42), site);
+//!     let p0 = Prog::op(|_: &mut (), v| TaskOp::Send {
+//!         dst: Rank(1),
+//!         tag: Tag(7),
+//!         payload: Payload::from_i64(42),
+//!         site: v.site("demo.rs", 3, "main"),
+//!         mode: SendMode::Buffered,
 //!     });
-//!     let p1: ProgramFn = Box::new(|ctx| {
-//!         let site = ctx.site("demo.rs", 7, "main");
-//!         let m = ctx.recv_from(Rank(0), Tag(7), site);
-//!         assert_eq!(m.payload.to_i64(), Some(42));
-//!     });
-//!     vec![p0.into(), p1.into()]
+//!     let p1 = Prog::op_bind(
+//!         |_: &mut (), v| TaskOp::Recv {
+//!             src: Some(Rank(0)),
+//!             tag: Some(Tag(7)),
+//!             site: v.site("demo.rs", 7, "main"),
+//!         },
+//!         |_, m, _| assert_eq!(m.message().payload.to_i64(), Some(42)),
+//!     );
+//!     vec![RankProgram::task((), p0), RankProgram::task((), p1)]
 //! });
 //!
 //! // Debug it: run, inspect the history, replay to a stopline.
@@ -85,8 +91,8 @@ pub mod prelude {
     pub use tracedbg_lint::{lint_script, lint_trace, Diagnostic, LintConfig, Severity};
     pub use tracedbg_localize::{LocalizeConfig, LocalizeReport};
     pub use tracedbg_mpsim::{
-        CostModel, Engine, EngineConfig, EngineMetrics, Payload, ProcessCtx, ProgramFn, RunOutcome,
-        SchedPolicy,
+        CostModel, Engine, EngineConfig, EngineMetrics, Payload, Prog, RankProgram, RunOutcome,
+        SchedPolicy, SendMode, TaskOp,
     };
     pub use tracedbg_obs::{EventMetrics, MetricsReport, TimingMetrics};
     pub use tracedbg_profile::{

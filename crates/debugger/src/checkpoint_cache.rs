@@ -145,23 +145,29 @@ impl Default for CheckpointCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tracedbg_mpsim::{Engine, EngineConfig, ProgramFn, RecorderConfig};
+    use tracedbg_mpsim::{Engine, EngineConfig, Prog, RankProgram, RecorderConfig, TaskOp};
     use tracedbg_trace::Rank;
 
-    fn checkpoint_at(threshold: u64) -> EngineCheckpoint {
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = ctx.site("cc.rs", 1, "p0");
-            for _ in 0..20 {
-                ctx.compute(10, s);
-            }
+    /// One rank running twenty computes.
+    fn program() -> Vec<RankProgram> {
+        let compute = Prog::op(|_: &mut (), v| TaskOp::Compute {
+            cost_ns: 10,
+            site: v.site("cc.rs", 1, "p0"),
         });
+        vec![RankProgram::task(
+            (),
+            Prog::for_range(|_, _| (0, 20), |_, _| {}, compute),
+        )]
+    }
+
+    fn checkpoint_at(threshold: u64) -> EngineCheckpoint {
         let mut e = Engine::launch(
             EngineConfig {
                 checkpoints: true,
                 recorder: RecorderConfig::full(),
                 ..Default::default()
             },
-            vec![p0],
+            program(),
         );
         e.set_threshold(Rank(0), Some(threshold));
         assert!(e.run().is_stopped());
@@ -221,13 +227,7 @@ mod tests {
         let mut cache = CheckpointCache::new();
         cache.insert(checkpoint_at(4));
         let cp = cache.best_for(&mv(10)).unwrap();
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = ctx.site("cc.rs", 1, "p0");
-            for _ in 0..20 {
-                ctx.compute(10, s);
-            }
-        });
-        let mut e = Engine::restore(&cp, vec![p0]);
+        let mut e = Engine::restore(&cp, program());
         e.clear_thresholds();
         e.resume_trapped();
         assert!(e.run().is_completed());

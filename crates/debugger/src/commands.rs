@@ -84,6 +84,17 @@ impl CommandInterface {
             .collect()
     }
 
+    /// Parse a rank argument and check it against the session's rank
+    /// count; the `Err` is the transcript line to answer with.
+    fn rank_arg(&self, arg: &str) -> Result<Rank, String> {
+        let n = self.session.n_ranks();
+        match arg.parse::<u32>() {
+            Ok(r) if (r as usize) < n => Ok(Rank(r)),
+            Ok(r) => Err(format!("error: no such rank P{r} (0..{n})")),
+            Err(_) => Err(format!("error: bad rank {arg:?}")),
+        }
+    }
+
     fn execute_inner(&mut self, cmd: &str) -> String {
         let parts: Vec<&str> = cmd.split_whitespace().collect();
         match parts.as_slice() {
@@ -102,12 +113,17 @@ impl CommandInterface {
             ["step", spec] => {
                 // A bare rank steps one process; anything else is a set
                 // spec or a named set (p2d2's set-oriented stepping).
-                if let Ok(r) = spec.parse::<u32>() {
-                    self.session.step(Rank(r));
-                    format!(
-                        "> step {r}\nP{r} at marker {}",
-                        self.session.markers().get(Rank(r))
-                    )
+                if spec.parse::<u32>().is_ok() {
+                    match self.rank_arg(spec) {
+                        Ok(Rank(r)) => {
+                            self.session.step(Rank(r));
+                            format!(
+                                "> step {r}\nP{r} at marker {}",
+                                self.session.markers().get(Rank(r))
+                            )
+                        }
+                        Err(e) => e,
+                    }
                 } else {
                     match self.sets.parse(spec) {
                         Ok(set) => {
@@ -121,8 +137,8 @@ impl CommandInterface {
             ["markers"] => {
                 format!("> markers\n{:?}", self.session.markers())
             }
-            ["where", r] => match r.parse::<u32>() {
-                Ok(r) => {
+            ["where", r] => match self.rank_arg(r) {
+                Ok(Rank(r)) => {
                     let lines = self.session.where_is(Rank(r));
                     let body = if lines.is_empty() {
                         "  (no monitor history)".to_string()
@@ -135,14 +151,14 @@ impl CommandInterface {
                     };
                     format!("> where {r}\n{body}")
                 }
-                Err(_) => format!("error: bad rank {r:?}"),
+                Err(e) => e,
             },
-            ["probe", r, label] => match r.parse::<u32>() {
-                Ok(r) => match self.session.latest_probe(Rank(r), label) {
+            ["probe", r, label] => match self.rank_arg(r) {
+                Ok(Rank(r)) => match self.session.latest_probe(Rank(r), label) {
                     Some(v) => format!("> probe {r} {label}\nP{r} {label} = {v}"),
                     None => format!("> probe {r} {label}\n(no such probe)"),
                 },
-                Err(_) => format!("error: bad rank {r:?}"),
+                Err(e) => e,
             },
             ["stopline", "t", t] => match t.parse::<u64>() {
                 Ok(t) => {
@@ -238,12 +254,12 @@ impl CommandInterface {
                 self.session.clear_breaks();
                 "> delete breaks\ncleared".into()
             }
-            ["why", r] => match r.parse::<u32>() {
-                Ok(r) => match self.session.why(Rank(r)) {
+            ["why", r] => match self.rank_arg(r) {
+                Ok(Rank(r)) => match self.session.why(Rank(r)) {
                     Some(cause) => format!("> why {r}\n{cause:?}"),
                     None => format!("> why {r}\n(no trap recorded)"),
                 },
-                Err(_) => format!("error: bad rank {r:?}"),
+                Err(e) => e,
             },
             ["setdef", name, spec] => match self.sets.define(name, spec) {
                 Ok(()) => format!("> setdef {name} {spec}\n{}", self.sets),
@@ -253,17 +269,17 @@ impl CommandInterface {
             ["find", rest @ ..] => {
                 let store = self.session.trace();
                 let q = match rest {
-                    ["send", "to", d] => match d.parse::<u32>() {
+                    ["send", "to", d] => match self.rank_arg(d) {
                         Ok(d) => EventQuery::new().kind(EventKind::Send).msg_to(d),
-                        Err(_) => return format!("error: bad rank {d:?}"),
+                        Err(e) => return e,
                     },
-                    ["send", "from", s] => match s.parse::<u32>() {
+                    ["send", "from", s] => match self.rank_arg(s) {
                         Ok(s) => EventQuery::new().kind(EventKind::Send).msg_from(s),
-                        Err(_) => return format!("error: bad rank {s:?}"),
+                        Err(e) => return e,
                     },
-                    ["recv", "on", r] => match r.parse::<u32>() {
+                    ["recv", "on", r] => match self.rank_arg(r) {
                         Ok(r) => EventQuery::new().kind(EventKind::RecvDone).rank(r),
-                        Err(_) => return format!("error: bad rank {r:?}"),
+                        Err(e) => return e,
                     },
                     ["tag", t] => match t.parse::<i32>() {
                         Ok(t) => EventQuery::new().tag(Tag(t)),
@@ -404,21 +420,15 @@ impl CommandInterface {
 mod tests {
     use super::*;
     use crate::session::{ProgramFactory, SessionConfig};
-    use tracedbg_mpsim::{Payload, ProgramFn, RecorderConfig, Tag};
+    use crate::testprog::*;
+    use tracedbg_mpsim::RecorderConfig;
 
     fn iface() -> CommandInterface {
         let factory: ProgramFactory = Box::new(|| {
-            let p0: ProgramFn = Box::new(|ctx| {
-                let s = ctx.site("c.rs", 1, "p0");
-                ctx.compute(100, s);
-                ctx.probe("x", 42, s);
-                ctx.send(Rank(1), Tag(1), Payload::from_i64(7), s);
-            });
-            let p1: ProgramFn = Box::new(|ctx| {
-                let s = ctx.site("c.rs", 2, "p1");
-                let _ = ctx.recv_from(Rank(0), Tag(1), s);
-            });
-            vec![p0.into(), p1.into()]
+            vec![
+                rank(vec![compute(100), probe("x", |_| 42), send(1, 1, 7)]),
+                rank(vec![recv_from(0, 1)]),
+            ]
         });
         CommandInterface::new(Session::launch(
             SessionConfig {
@@ -446,6 +456,7 @@ mod tests {
         assert!(p.contains("x = 42"), "{p}");
         let missing = ci.execute("probe 0 nothere");
         assert!(missing.contains("no such probe"), "{missing}");
+        assert_eq!(ci.execute("probe 2 x"), "error: no such rank P2 (0..2)");
     }
 
     #[test]
@@ -471,6 +482,10 @@ mod tests {
         assert!(ci.execute("replay").contains("no stopline"));
         assert!(ci.execute("bogus").contains("unknown command"));
         assert!(ci.execute("step zz").contains("bad rank"));
+        // Out-of-range ranks are command errors, not index panics.
+        assert_eq!(ci.execute("step 2"), "error: no such rank P2 (0..2)");
+        assert_eq!(ci.execute("where 2"), "error: no such rank P2 (0..2)");
+        assert!(ci.execute("where zz").contains("bad rank"));
         assert!(ci
             .execute("stopline markers 1 2 3")
             .contains("3 markers given, 2 processes"));
@@ -489,6 +504,7 @@ mod tests {
         assert!(c.contains("stopped"), "{c}");
         let why = ci.execute("why 0");
         assert!(why.contains("Breakpoint"), "{why}");
+        assert_eq!(ci.execute("why 7"), "error: no such rank P7 (0..2)");
         let d = ci.execute("delete breaks");
         assert!(d.contains("cleared"), "{d}");
         let done = ci.execute("continue");
@@ -542,6 +558,10 @@ mod tests {
         assert!(!f3.contains("0 match(es)"), "{f3}");
         assert!(ci.execute("find tag 12345").contains("0 match(es)"));
         assert!(ci.execute("find nonsense").contains("error"));
+        for q in ["send to 2", "send from 2", "recv on 2"] {
+            let out = ci.execute(&format!("find {q}"));
+            assert_eq!(out, "error: no such rank P2 (0..2)", "find {q}");
+        }
     }
 
     #[test]
@@ -574,17 +594,8 @@ mod tests {
     #[test]
     fn pending_shows_lost_message() {
         // A send nobody receives shows up in `pending` at the stop.
-        let factory: ProgramFactory = Box::new(|| {
-            let p0: ProgramFn = Box::new(|ctx| {
-                let s = ctx.site("p.rs", 1, "p0");
-                ctx.send(Rank(1), Tag(9), Payload::from_i64(1), s);
-            });
-            let p1: ProgramFn = Box::new(|ctx| {
-                let s = ctx.site("p.rs", 2, "p1");
-                ctx.compute(10, s);
-            });
-            vec![p0.into(), p1.into()]
-        });
+        let factory: ProgramFactory =
+            Box::new(|| vec![rank(vec![send(1, 9, 1)]), rank(vec![compute(10)])]);
         let mut ci = CommandInterface::new(Session::launch(
             SessionConfig {
                 recorder: RecorderConfig::full(),

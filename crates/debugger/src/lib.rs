@@ -26,17 +26,17 @@
 pub mod analysis;
 pub mod checkpoint_cache;
 pub mod commands;
-pub mod machine_session;
 pub mod procset;
 pub mod schedule_replay;
 pub mod session;
 pub mod stopline;
+#[cfg(test)]
+mod testprog;
 pub mod undo;
 
 pub use analysis::HistoryReport;
 pub use checkpoint_cache::{CacheLookupStats, CheckpointCache};
 pub use commands::CommandInterface;
-pub use machine_session::{MachineFactory, MachineSession, MachineSessionStatus};
 pub use procset::ProcSets;
 pub use schedule_replay::{
     classify, replay_schedule, replay_schedule_from_checkpoint, CheckpointReplay, ScheduleReplay,

@@ -179,33 +179,22 @@ pub fn replay_schedule_from_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tracedbg_mpsim::{Payload, ProgramFn, Tag};
+    use crate::testprog::*;
     use tracedbg_trace::schedule::Decision;
     use tracedbg_trace::Rank;
 
-    /// P0 takes two wildcard receives and asserts P1 arrived first; the
+    /// P0 takes two wildcard receives and asserts P2 arrived first; the
     /// schedule decides whether that holds.
     fn racy_factory() -> ProgramFactory {
         Box::new(|| {
-            let p0: ProgramFn = Box::new(|ctx| {
-                let s = ctx.site("sr.rs", 1, "p0");
-                let _ = ctx.recv_from(Rank(1), Tag(7), s);
-                let a = ctx.recv_any(None, s);
-                assert_eq!(a.src, Rank(2), "expected P2 first");
-                let _ = ctx.recv_any(None, s);
-            });
-            let sender = |tag: i32| -> ProgramFn {
-                Box::new(move |ctx| {
-                    let s = ctx.site("sr.rs", 2, "sender");
-                    ctx.send(Rank(0), Tag(tag), Payload::from_i64(1), s);
-                })
-            };
-            vec![
-                p0.into(),
-                sender(7).into(),
-                sender(0).into(),
-                sender(0).into(),
-            ]
+            let p0 = rank(vec![
+                recv_from(1, 7),
+                recv(None, None),
+                check(|s| assert_eq!(s[1].src, Rank(2), "expected P2 first")),
+                recv(None, None),
+            ]);
+            let sender = |tag| rank(vec![send(0, tag, 1)]);
+            vec![p0, sender(7), sender(0), sender(0)]
         })
     }
 

@@ -33,7 +33,7 @@ pub struct SessionConfig {
     /// debugger stop, so `replay_to`/`undo` restore the nearest dominated
     /// checkpoint and re-execute only the delta. `0` disables
     /// checkpointing entirely (every replay re-executes from scratch, the
-    /// pre-checkpoint behavior; also skips the engine's reply logging).
+    /// pre-checkpoint behavior).
     pub checkpoint_every: usize,
 }
 
@@ -573,24 +573,20 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tracedbg_mpsim::{Payload, ProgramFn, Tag};
+    use crate::testprog::*;
 
     fn two_proc_factory() -> ProgramFactory {
         Box::new(|| {
-            let p0: ProgramFn = Box::new(|ctx| {
-                let s = ctx.site("sess.rs", 1, "p0");
-                for i in 0..5 {
-                    ctx.compute(100, s);
-                    ctx.probe("i", i, s);
-                }
-                ctx.send(Rank(1), Tag(1), Payload::from_i64(99), s);
-            });
-            let p1: ProgramFn = Box::new(|ctx| {
-                let s = ctx.site("sess.rs", 2, "p1");
-                let m = ctx.recv_from(Rank(0), Tag(1), s);
-                ctx.probe("got", m.payload.to_i64().unwrap(), s);
-            });
-            vec![p0.into(), p1.into()]
+            let mut p0 = Vec::new();
+            for i in 0..5 {
+                p0.extend([compute(100), probe("i", move |_| i)]);
+            }
+            p0.push(send(1, 1, 99));
+            let p1 = vec![
+                recv_from(0, 1),
+                probe("got", |s| s[0].payload.to_i64().unwrap()),
+            ];
+            vec![rank(p0), rank(p1)]
         })
     }
 
@@ -702,7 +698,7 @@ mod tests {
         s.replay_to(&sl);
         let w = s.where_is(Rank(0));
         assert!(!w.is_empty());
-        assert!(w[0].contains("sess.rs"), "{w:?}");
+        assert!(w[0].contains("test.rs"), "{w:?}");
     }
 
     #[test]
@@ -723,9 +719,8 @@ mod tests {
             origin: "start".into(),
         };
         s.replay_to(&sl);
-        // Break on the probe site inside p0's loop ("sess.rs" line 1 is
-        // both compute and probe's function scope? sites are per
-        // (file,line,func): p0 used one site for everything).
+        // p0 uses one site for everything, so the breakpoint covers its
+        // computes, probes and send alike.
         let armed = s.break_at_function("p0");
         assert!(armed > 0);
         // Continue: P0 traps at its next event at that site.
@@ -888,17 +883,10 @@ mod tests {
     fn replay_after_deadlock_stops_before_it() {
         // Deadlocking pair; replay to just before the fatal receives.
         let factory: ProgramFactory = Box::new(|| {
-            let p0: ProgramFn = Box::new(|ctx| {
-                let s = ctx.site("d.rs", 1, "p0");
-                ctx.compute(10, s);
-                let _ = ctx.recv_from(Rank(1), Tag(0), s);
-            });
-            let p1: ProgramFn = Box::new(|ctx| {
-                let s = ctx.site("d.rs", 2, "p1");
-                ctx.compute(10, s);
-                let _ = ctx.recv_from(Rank(0), Tag(0), s);
-            });
-            vec![p0.into(), p1.into()]
+            vec![
+                rank(vec![compute(10), recv_from(1, 0)]),
+                rank(vec![compute(10), recv_from(0, 0)]),
+            ]
         });
         let mut s = Session::launch(
             SessionConfig {
@@ -917,21 +905,14 @@ mod tests {
         assert_eq!(s.markers().counts(), &[2, 2]);
     }
 
-    #[test]
-    fn delta_replay_repins_a_blocked_receive() {
-        // Regression: a receive consumes its replay-log entry when the
-        // request is serviced, not when it matches, so a checkpoint taken
-        // while a rank is blocked in an unmatched receive has consumed one
-        // entry beyond its match count. Advancing the log by match counts
-        // alone left that rank's cursor one short, forcing its *next*
-        // receive onto an already-delivered (src, seq) — an upward
-        // `replay_to` past the checkpoint then deadlocked on a bogus
-        // cyclic wait. Long enough rings reliably stop with ranks blocked
-        // in the receive half of a forwarded hop.
+    /// A checkpointing session that has recorded a 4-rank ring, plus a
+    /// stopline maker: `frac(num, den)` is that fraction of every rank's
+    /// final marker.
+    fn recorded_ring(rounds: usize) -> (Session, impl Fn(u64, u64) -> Stopline) {
         use tracedbg_workloads::ring::{self, RingConfig};
         let cfg = RingConfig {
             nprocs: 4,
-            rounds: 8,
+            rounds,
             hop_cost: 100,
             tag_stride: 0,
         };
@@ -944,17 +925,31 @@ mod tests {
             Box::new(move || ring::programs(&cfg)),
         );
         assert!(s.run().is_completed());
-        let target = s.markers();
-        let frac = |num: u64, den: u64| Stopline {
+        let end = s.markers();
+        let frac = move |num: u64, den: u64| Stopline {
             markers: MarkerVector::from_counts(
-                target
-                    .counts()
+                end.counts()
                     .iter()
                     .map(|c| (c * num / den).max(1))
                     .collect(),
             ),
             origin: "test".into(),
         };
+        (s, frac)
+    }
+
+    #[test]
+    fn delta_replay_repins_a_blocked_receive() {
+        // Regression: a receive consumes its replay-log entry when the
+        // request is serviced, not when it matches, so a checkpoint taken
+        // while a rank is blocked in an unmatched receive has consumed one
+        // entry beyond its match count. Advancing the log by match counts
+        // alone left that rank's cursor one short, forcing its *next*
+        // receive onto an already-delivered (src, seq) — an upward
+        // `replay_to` past the checkpoint then deadlocked on a bogus
+        // cyclic wait. Long enough rings reliably stop with ranks blocked
+        // in the receive half of a forwarded hop.
+        let (mut s, frac) = recorded_ring(8);
         let quarter = frac(1, 4);
         let half = frac(1, 2);
         assert!(s.replay_to(&quarter).is_stopped());
@@ -962,5 +957,31 @@ mod tests {
         // only the delta; before the fix it deadlocked partway there.
         assert!(s.replay_to(&half).is_stopped(), "{:?}", s.status());
         assert_eq!(s.markers(), half.markers);
+    }
+
+    #[test]
+    fn jumps_replay_only_the_distance_from_the_nearest_checkpoint() {
+        // §6's logarithmic backlog on the shipping engine: after stops at
+        // 1/4, 1/2 and 3/4, a jump back and a jump forward each restore
+        // the nearest dominated checkpoint and re-execute only the delta.
+        let (mut s, frac) = recorded_ring(64);
+        let total: u64 = s.markers().counts().iter().sum();
+        for quarter in 1..=3 {
+            assert!(s.replay_to(&frac(quarter, 4)).is_stopped());
+        }
+        let replayed = |s: &mut Session, sl: &Stopline| {
+            let before = s.checkpoint_cache().stats().restore_distance;
+            assert!(s.replay_to(sl).is_stopped(), "{:?}", s.status());
+            s.checkpoint_cache().stats().restore_distance - before
+        };
+        // Back to just past 1/4, then forward to just past 3/4: each jump
+        // costs its distance from a checkpoint, not from process creation.
+        for (num, den) in [(9, 32), (25, 32)] {
+            let cost = replayed(&mut s, &frac(num, den));
+            assert!(
+                cost <= total / 16,
+                "jump to {num}/{den} re-executed {cost} of {total} events"
+            );
+        }
     }
 }

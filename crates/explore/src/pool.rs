@@ -103,7 +103,7 @@ impl PrefixCache {
     }
 
     /// Insert unless the cache is full (bounded memory: checkpoints hold
-    /// whole reply logs). First insertion wins; re-inserting under a live
+    /// whole decision logs and traces). First insertion wins; re-inserting under a live
     /// key is a no-op.
     pub fn insert(&self, key: u64, cp: EngineCheckpoint) {
         let mut e = self.entries.lock().unwrap_or_else(|e| e.into_inner());
@@ -437,22 +437,22 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tracedbg_mpsim::{Payload, ProgramFn, Rank, Tag};
+    use tracedbg_workloads::script;
 
     fn pingpong_source() -> ProgramSource {
-        Box::new(|| {
-            let p0: ProgramFn = Box::new(|ctx| {
-                let s = ctx.site("pool.rs", 1, "p0");
-                ctx.send(Rank(1), Tag(1), Payload::from_i64(1), s);
-                let _ = ctx.recv_from(Rank(1), Tag(2), s);
-            });
-            let p1: ProgramFn = Box::new(|ctx| {
-                let s = ctx.site("pool.rs", 2, "p1");
-                let _ = ctx.recv_from(Rank(0), Tag(1), s);
-                ctx.send(Rank(0), Tag(2), Payload::from_i64(2), s);
-            });
-            vec![p0.into(), p1.into()]
-        })
+        let pingpong = script::parse(
+            "fn main
+               if rank == 0
+                 send 1 tag 1 1
+                 recv from 1 tag 2 into r
+               else
+                 recv from 0 tag 1 into x
+                 send 0 tag 2 2
+               end
+             end",
+        )
+        .expect("pingpong script");
+        Box::new(move || script::programs(&pingpong, 2, "pool.sdl"))
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::accounting::Accounting;
 use crate::breakpoints::{BreakSet, TrapCause, Watch};
 use crate::config::{RecorderConfig, Strategy};
 use crate::user_monitor::UserMonitor;
-use std::collections::VecDeque;
 use tracedbg_trace::{EventKind, FlushHandle, Rank, SiteId, TraceBuffer, TraceRecord};
 
 /// What the engine must do after an instrumentation event.
@@ -28,12 +27,6 @@ pub struct Recorder {
     accounting: Accounting,
     breaks: BreakSet,
     last_trap: Option<TrapCause>,
-    /// Fast-forward mode (checkpoint restore): when set, `observe` only
-    /// advances the marker counter and fires the scripted trap markers in
-    /// order — no buffering, no breakpoint tests. The restored engine
-    /// overwrites this recorder with the checkpointed one once the process
-    /// has replayed up to the snapshot point.
-    ff_traps: Option<VecDeque<u64>>,
 }
 
 impl Recorder {
@@ -47,24 +40,7 @@ impl Recorder {
             accounting: Accounting::default(),
             breaks: BreakSet::new(),
             last_trap: None,
-            ff_traps: None,
         }
-    }
-
-    /// A recorder in fast-forward mode: `traps` is the ascending list of
-    /// markers at which the original run trapped (threshold, breakpoint or
-    /// watch — they all reach the engine as the same trap request), so the
-    /// replaying process re-issues exactly the requests of the original.
-    pub fn fast_forward(rank: Rank, config: RecorderConfig, traps: Vec<u64>) -> Self {
-        let mut r = Recorder::new(rank, config);
-        r.ff_traps = Some(traps.into());
-        r
-    }
-
-    /// Scripted fast-forward traps not yet fired (0 when not in
-    /// fast-forward mode — used as a restore self-check).
-    pub fn ff_pending(&self) -> usize {
-        self.ff_traps.as_ref().map_or(0, |t| t.len())
     }
 
     pub fn rank(&self) -> Rank {
@@ -90,17 +66,6 @@ impl Recorder {
         debug_assert_eq!(rec.rank, self.rank);
         if self.is_off() {
             return (0, Disposition::Continue);
-        }
-        if let Some(traps) = self.ff_traps.as_mut() {
-            let marker = self.monitor.counter() + 1;
-            self.monitor.force_counter(marker);
-            let disp = if traps.front() == Some(&marker) {
-                traps.pop_front();
-                Disposition::Trap
-            } else {
-                Disposition::Continue
-            };
-            return (marker, disp);
         }
         let threshold_hit = self.monitor.invoke(rec.site, rec.args[0], rec.args[1]);
         let marker = self.monitor.counter();
@@ -194,11 +159,6 @@ impl Recorder {
         &self.monitor
     }
 
-    /// Checkpoint-restore support: force the marker counter.
-    pub fn force_marker(&mut self, value: u64) {
-        self.monitor.force_counter(value);
-    }
-
     /// Toggle trace collection (the AIMS monitor toggle).
     pub fn set_tracing_enabled(&mut self, on: bool) {
         self.buffer.set_enabled(on);
@@ -217,15 +177,6 @@ impl Recorder {
     /// Peek at buffered records.
     pub fn records(&self) -> &[TraceRecord] {
         self.buffer.records()
-    }
-
-    /// Patch the message sequence number of the buffered record at
-    /// `index` (used by engines that assign sequence numbers after the
-    /// record was emitted).
-    pub fn patch_msg_seq(&mut self, index: usize, seq: u64) {
-        if let Some(m) = self.buffer.records_mut()[index].msg.as_mut() {
-            m.seq = seq;
-        }
     }
 
     /// Per-kind invocation accounting (Table 1 "Number of calls").

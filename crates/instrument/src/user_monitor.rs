@@ -139,13 +139,6 @@ impl UserMonitor {
         self.invocations
     }
 
-    /// Force the counter to an absolute value. Only used when restoring a
-    /// checkpoint: the restored process must continue generating the same
-    /// marker sequence it would have reached by re-execution.
-    pub fn force_counter(&mut self, value: u64) {
-        self.counter = value;
-    }
-
     /// Recent-call ring, for the debugger's stop reports.
     pub fn ring(&self) -> &CallRing {
         &self.ring

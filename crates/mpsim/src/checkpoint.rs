@@ -2,22 +2,13 @@
 //! prefix-shared exploration.
 //!
 //! The paper's §4.2 bounds replay cost with a "logarithmic backlog" of
-//! saved states; [`EngineCheckpoint`] is that saved state for the
-//! thread-backed engine. It captures everything the engine owns — process
-//! state machines, mailboxes, sequence counters, collective state, the
-//! scheduler (RNG + script cursor), the match recorder, replay cursors,
-//! fault-plan progress, per-rank instrumentation recorders and the
-//! decision log — plus two things that exist only for restoration:
-//!
-//! * the **reply log**: every [`crate::ops::Reply`] the engine granted,
-//!   per rank, in order. Process *threads* cannot be snapshotted, so
-//!   `Engine::restore` re-executes each program on a fresh thread and
-//!   feeds it its recorded reply stream all at once; the thread
-//!   fast-forwards to the snapshot point without a single engine
-//!   round-trip, and all ranks fast-forward in parallel.
-//! * the **trap history**: the markers at which each rank trapped, so the
-//!   fast-forwarding process re-issues exactly the trap requests of the
-//!   original run (keeping request/reply streams aligned).
+//! saved states; [`EngineCheckpoint`] is that saved state. It captures
+//! everything the engine owns — process states, each rank's frame stack
+//! and instrumentation recorder, mailboxes, sequence counters, collective
+//! state, the scheduler (RNG + script cursor), the match recorder, replay
+//! cursors, fault-plan progress and the decision log. Taking one is a
+//! clone of owned state; restoring one is another clone — nothing is
+//! re-executed.
 //!
 //! Determinism contract: a restored engine continued to the end produces
 //! a byte-identical trace to the uncheckpointed run — the property the
@@ -28,20 +19,17 @@ use crate::collective::PendingCollective;
 use crate::engine::ProcState;
 use crate::fault::FaultPlan;
 use crate::mailbox::Mailbox;
-use crate::ops::Reply;
 use crate::record::{MatchRecorder, ReplayLog};
 use crate::sched::Scheduler;
-use crate::task::TaskSnapshot;
-use tracedbg_instrument::{Recorder, RecorderConfig};
+use crate::task::TaskHarness;
+use tracedbg_instrument::Recorder;
 use tracedbg_trace::schedule::DecisionPoint;
 use tracedbg_trace::{MarkerVector, Rank, SiteTable, TraceRecord};
 
 /// A full deterministic snapshot of a running [`crate::Engine`].
 ///
-/// Cheap to take (clones of owned state, no thread interaction) and
-/// self-contained: [`crate::Engine::restore`] rebuilds a live engine from
-/// it and fresh program closures. Named `EngineCheckpoint` to keep it
-/// distinct from the state-machine backend's `machine::Checkpoint`.
+/// Cheap to take (clones of owned state) and self-contained:
+/// [`crate::Engine::restore`] rebuilds a live engine from it alone.
 #[derive(Clone)]
 pub struct EngineCheckpoint {
     pub(crate) n_ranks: usize,
@@ -53,7 +41,6 @@ pub struct EngineCheckpoint {
     pub(crate) match_rec: MatchRecorder,
     pub(crate) replay: Option<ReplayLog>,
     pub(crate) recorders: Vec<Recorder>,
-    pub(crate) recorder_cfg: RecorderConfig,
     pub(crate) sites: SiteTable,
     pub(crate) flush_pending: Vec<TraceRecord>,
     pub(crate) cost: CostModel,
@@ -62,12 +49,8 @@ pub struct EngineCheckpoint {
     pub(crate) faults: FaultPlan,
     pub(crate) ops: Vec<u64>,
     pub(crate) decision_log: Vec<DecisionPoint>,
-    pub(crate) reply_log: Vec<Vec<Reply>>,
-    pub(crate) trap_history: Vec<Vec<u64>>,
-    /// Frame snapshots of task-backed ranks (`None` for thread ranks).
-    /// Restoring a task rank clones this — the reply log and trap history
-    /// above exist only for thread ranks.
-    pub(crate) tasks: Vec<Option<TaskSnapshot>>,
+    /// Each rank's execution point (frame stack, clock, grant position).
+    pub(crate) tasks: Vec<TaskHarness>,
 }
 
 impl EngineCheckpoint {
@@ -98,13 +81,14 @@ impl EngineCheckpoint {
             .map(|r| self.match_rec.matches_of(Rank(r as u32)).len())
             .collect()
     }
-
-    /// Total granted replies captured — proportional to how much history a
-    /// restore must fast-forward through.
-    pub fn replies_len(&self) -> usize {
-        self.reply_log.iter().map(|v| v.len()).sum()
-    }
 }
+
+// The explore pool moves engines and checkpoints across worker threads.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<crate::Engine>();
+    assert_send::<EngineCheckpoint>();
+};
 
 #[cfg(test)]
 mod tests {

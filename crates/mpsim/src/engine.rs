@@ -2,12 +2,12 @@
 //!
 //! The engine owns every shared structure of a run (mailboxes, sequence
 //! counters, collective state, the match recorder) and grants execution to
-//! exactly one process at a time. A granted process runs until its next
-//! runtime operation, submits a [`Request`] and blocks; the engine services
-//! the request and schedules the next turn. Because scheduling decisions
-//! are a pure function of (program, policy seed, replay log), the run is
-//! controlled — restarting it with the same inputs regenerates the same
-//! execution, which is the foundation of the paper's replay, stopline and
+//! exactly one process at a time. A granted process is stepped inline until
+//! its next runtime operation, which it returns as a [`Request`]; the engine
+//! services the request and schedules the next turn. Because scheduling
+//! decisions are a pure function of (program, policy seed, replay log), the
+//! run is controlled — restarting it with the same inputs regenerates the
+//! same execution, which is the foundation of the paper's replay, stopline and
 //! *undo* operations.
 
 use crate::checkpoint::EngineCheckpoint;
@@ -17,15 +17,10 @@ use crate::deadlock::DeadlockReport;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::mailbox::Mailbox;
 use crate::message::{Envelope, MatchSpec};
-use crate::ops::{Reply, Request, SendMode, ShutdownSignal};
-use crate::proc::{ProcessCtx, ProgramFn};
+use crate::ops::{Reply, Request, SendMode};
 use crate::record::{MatchRecorder, RecordedMatch, ReplayLog};
 use crate::sched::{SchedPolicy, Scheduler};
-use crate::task::{Prog, TaskHarness, TaskInterp, TaskProgram};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use crate::task::{Prog, TaskEnv, TaskHarness, TaskInterp, TaskProgram};
 use tracedbg_instrument::{Recorder, RecorderConfig};
 use tracedbg_obs::{EngineMetrics, FlightRecorder, Span, SpanKind};
 use tracedbg_trace::schedule::{Decision, DecisionPoint};
@@ -45,10 +40,8 @@ pub struct EngineConfig {
     pub sites: Option<SiteTable>,
     /// Faults to inject into this run (explorer fault plane).
     pub faults: FaultPlan,
-    /// Record the per-rank reply streams and trap history needed to take
-    /// [`EngineCheckpoint`]s. Off by default: the reply log deep-copies
-    /// message payloads on the grant path, which the engine benches must
-    /// not pay unless checkpointing is actually wanted.
+    /// Allow [`EngineCheckpoint`]s to be taken of this run
+    /// ([`Engine::snapshot`], [`Engine::set_snapshot_at`]). Off by default.
     pub checkpoints: bool,
     /// Collect per-rank/per-channel [`EngineMetrics`] and a flight-recorder
     /// span ring during the run. Off by default; when off the engine holds
@@ -169,52 +162,20 @@ impl EngineObs {
     }
 }
 
-/// How one rank executes: the legacy OS thread running a `ProcessCtx`
-/// closure, or a resumable task stepped inline on the engine thread.
-///
-/// Thread ranks pay a channel round-trip per grant and respawn +
-/// fast-forward on restore; task ranks cost a struct, are granted by a
-/// direct call, and restore by cloning their frame snapshot.
-enum Backend {
-    Thread {
-        reply_tx: Sender<Reply>,
-        handle: Option<JoinHandle<()>>,
-    },
-    Task(TaskHarness),
-}
-
-impl Backend {
-    fn is_thread(&self) -> bool {
-        matches!(self, Backend::Thread { .. })
-    }
-}
-
-/// A rank's program, in either execution form. `Vec<ProgramFn>` call
-/// sites keep working through the `From` impl; task ranks are built with
-/// [`RankProgram::task`] or from any [`TaskProgram`] box.
-pub enum RankProgram {
-    /// A thread-backed `ProcessCtx` closure (the legacy backend).
-    Thread(ProgramFn),
-    /// A resumable state-machine task.
-    Task(Box<dyn TaskProgram>),
-}
+/// A rank's program: a resumable [`TaskProgram`], usually a [`Prog`] tree
+/// built with [`RankProgram::task`].
+pub struct RankProgram(Box<dyn TaskProgram>);
 
 impl RankProgram {
-    /// A task rank from a [`Prog`] tree and its initial state.
+    /// A rank from a [`Prog`] tree and its initial state.
     pub fn task<S: Clone + Send + Sync + 'static>(state: S, prog: Prog<S>) -> Self {
-        RankProgram::Task(Box::new(TaskInterp::new(state, prog)))
-    }
-}
-
-impl From<ProgramFn> for RankProgram {
-    fn from(f: ProgramFn) -> Self {
-        RankProgram::Thread(f)
+        RankProgram(Box::new(TaskInterp::new(state, prog)))
     }
 }
 
 impl From<Box<dyn TaskProgram>> for RankProgram {
     fn from(t: Box<dyn TaskProgram>) -> Self {
-        RankProgram::Task(t)
+        RankProgram(t)
     }
 }
 
@@ -222,15 +183,14 @@ impl From<Box<dyn TaskProgram>> for RankProgram {
 pub struct Engine {
     states: Vec<ProcState>,
     paused: Vec<bool>,
-    backends: Vec<Backend>,
-    req_rx: Receiver<(Rank, Request)>,
+    tasks: Vec<TaskHarness>,
     mailboxes: Vec<Mailbox>,
     /// `send_seq[src][dst]`: next sequence number on that channel.
     send_seq: Vec<Vec<u64>>,
     scheduler: Scheduler,
     match_rec: MatchRecorder,
     replay: Option<ReplayLog>,
-    recorders: Vec<Arc<Mutex<Recorder>>>,
+    recorders: Vec<Recorder>,
     sites: SiteTable,
     flush: FlushHandle,
     cost: CostModel,
@@ -247,12 +207,6 @@ pub struct Engine {
     decision_log: Vec<DecisionPoint>,
     /// Checkpoint plane (all inert unless `checkpoints` is on).
     checkpoints: bool,
-    recorder_cfg: RecorderConfig,
-    /// Every reply granted, per rank, in grant order (including the
-    /// initial `Proceed`) — the restore fast-forward script.
-    reply_log: Vec<Vec<Reply>>,
-    /// Markers at which each rank trapped, in order.
-    trap_history: Vec<Vec<u64>>,
     /// Take a snapshot when the decision log reaches this length.
     snapshot_at_decision: Option<usize>,
     pending_snapshot: Option<Box<EngineCheckpoint>>,
@@ -262,69 +216,32 @@ pub struct Engine {
 
 impl Engine {
     /// Launch `programs` (one per rank) under `config`. Processes start
-    /// ready but do not run until [`Engine::run`]. Accepts any mix of
-    /// thread closures ([`ProgramFn`]) and resumable tasks
-    /// ([`RankProgram::Task`]).
-    pub fn launch<P: Into<RankProgram>>(config: EngineConfig, programs: Vec<P>) -> Self {
-        install_quiet_shutdown_hook();
+    /// ready but do not run until [`Engine::run`].
+    pub fn launch(config: EngineConfig, programs: Vec<RankProgram>) -> Self {
+        install_quiet_panic_hook();
         let n = programs.len();
         assert!(n > 0, "need at least one process");
-        let sites = config.sites.clone().unwrap_or_default();
-        let flush = FlushHandle::new();
-        let (req_tx, req_rx) = unbounded::<(Rank, Request)>();
-        let mut backends = Vec::with_capacity(n);
-        let mut recorders = Vec::with_capacity(n);
         let mut replay = config.replay;
         if let Some(log) = replay.as_mut() {
             log.reset();
         }
-        for (i, program) in programs.into_iter().enumerate() {
-            let rank = Rank(i as u32);
-            let recorder = Arc::new(Mutex::new(Recorder::new(rank, config.recorder.clone())));
-            let backend = match program.into() {
-                RankProgram::Thread(program) => {
-                    let (reply_tx, reply_rx) = unbounded::<Reply>();
-                    let ctx = ProcessCtx::new(
-                        rank,
-                        n,
-                        config.cost,
-                        sites.clone(),
-                        Arc::clone(&recorder),
-                        req_tx.clone(),
-                        reply_rx,
-                        flush.clone(),
-                    );
-                    Backend::Thread {
-                        reply_tx,
-                        handle: Some(spawn_process(i, program, ctx)),
-                    }
-                }
-                RankProgram::Task(task) => Backend::Task(TaskHarness::new(
-                    rank,
-                    n,
-                    config.cost,
-                    sites.clone(),
-                    Arc::clone(&recorder),
-                    flush.clone(),
-                    task,
-                )),
-            };
-            recorders.push(recorder);
-            backends.push(backend);
-        }
         Engine {
             states: (0..n).map(|_| ProcState::Ready(Reply::Proceed)).collect(),
             paused: vec![false; n],
-            backends,
-            req_rx,
+            tasks: programs
+                .into_iter()
+                .map(|p| TaskHarness::new(p.0))
+                .collect(),
             mailboxes: (0..n).map(|_| Mailbox::new(n)).collect(),
             send_seq: vec![vec![0; n]; n],
             scheduler: Scheduler::new(&config.policy, n),
             match_rec: MatchRecorder::new(n),
             replay,
-            recorders,
-            sites,
-            flush,
+            recorders: (0..n)
+                .map(|i| Recorder::new(Rank(i as u32), config.recorder.clone()))
+                .collect(),
+            sites: config.sites.unwrap_or_default(),
+            flush: FlushHandle::new(),
             cost: config.cost,
             pending_coll: None,
             n_ranks: n,
@@ -333,143 +250,42 @@ impl Engine {
             ops: vec![0; n],
             decision_log: Vec::new(),
             checkpoints: config.checkpoints,
-            recorder_cfg: config.recorder,
-            reply_log: vec![Vec::new(); n],
-            trap_history: vec![Vec::new(); n],
             snapshot_at_decision: None,
             pending_snapshot: None,
             obs: config.metrics.then(|| EngineObs::new(n)),
         }
     }
 
-    /// Rebuild a live engine from a checkpoint and fresh program closures
-    /// (the same programs the checkpointed engine was launched with —
-    /// determinism of the restore depends on it).
-    ///
-    /// Task ranks restore by cloning their checkpointed frame snapshot —
-    /// no respawn, no fast-forward, no reply traffic. Threads cannot be
-    /// snapshotted, so each thread rank's program is re-executed on a
-    /// fresh thread against its recorded reply stream, preloaded in full:
-    /// every rank fast-forwards to the snapshot point in parallel, with no
-    /// engine round-trips, no scheduling, no mailbox work and no trace
-    /// buffering. The engine only drains (and discards) the re-issued
-    /// requests, then installs the checkpointed state wholesale. Restored
-    /// engines keep checkpointing enabled, so checkpoints chain.
-    pub fn restore<P: Into<RankProgram>>(cp: &EngineCheckpoint, programs: Vec<P>) -> Self {
-        install_quiet_shutdown_hook();
-        let n = cp.n_ranks;
-        assert_eq!(programs.len(), n, "restore needs one program per rank");
-        let sites = cp.sites.clone();
+    /// Rebuild a live engine from a checkpoint: every rank resumes from a
+    /// clone of its checkpointed frame stack and recorder — no
+    /// re-execution. `_programs` is unused (the checkpoint *is* the
+    /// program state); the parameter is kept so callers that pass their
+    /// launch recipe keep compiling. Restored engines keep checkpointing
+    /// enabled, so checkpoints chain.
+    pub fn restore(cp: &EngineCheckpoint, _programs: Vec<RankProgram>) -> Self {
+        install_quiet_panic_hook();
         let flush = FlushHandle::new();
         flush.accept(cp.flush_pending.clone());
-        let (req_tx, req_rx) = unbounded::<(Rank, Request)>();
-        let mut backends = Vec::with_capacity(n);
-        let mut recorders = Vec::with_capacity(n);
-        for (i, program) in programs.into_iter().enumerate() {
-            let rank = Rank(i as u32);
-            if let Some(snap) = &cp.tasks[i] {
-                // Task rank: the snapshot *is* the process state; the
-                // program argument is only a launch recipe and is unused.
-                let recorder = Arc::new(Mutex::new(cp.recorders[i].clone()));
-                let harness = TaskHarness::restore(
-                    snap,
-                    rank,
-                    n,
-                    cp.cost,
-                    sites.clone(),
-                    Arc::clone(&recorder),
-                    flush.clone(),
-                );
-                recorders.push(recorder);
-                backends.push(Backend::Task(harness));
-                continue;
-            }
-            let RankProgram::Thread(program) = program.into() else {
-                panic!("rank {i}: checkpoint holds a thread rank; restore got a task program");
-            };
-            let (reply_tx, reply_rx) = unbounded::<Reply>();
-            let recorder = Arc::new(Mutex::new(Recorder::fast_forward(
-                rank,
-                cp.recorder_cfg.clone(),
-                cp.trap_history[i].clone(),
-            )));
-            let ctx = ProcessCtx::new(
-                rank,
-                n,
-                cp.cost,
-                sites.clone(),
-                Arc::clone(&recorder),
-                req_tx.clone(),
-                reply_rx,
-                flush.clone(),
-            );
-            let handle = spawn_process(i, program, ctx);
-            // Preload the whole recorded reply stream: the thread replays
-            // against it without ever waiting on the engine.
-            for reply in &cp.reply_log[i] {
-                reply_tx.send(reply.clone()).expect("preload reply stream");
-            }
-            recorders.push(recorder);
-            backends.push(Backend::Thread {
-                reply_tx,
-                handle: Some(handle),
-            });
-        }
-        // A thread that consumes R preloaded replies makes exactly R
-        // requests before parking (or exiting): at every engine-rest point
-        // requests-made equals replies-granted for every rank, in every
-        // state. Drain exactly that many, discarding contents — the
-        // checkpointed engine state already reflects having serviced them.
-        // (Task ranks log no replies, so they contribute zero here.)
-        let want: Vec<usize> = cp.reply_log.iter().map(|v| v.len()).collect();
-        let mut seen = vec![0usize; n];
-        for _ in 0..want.iter().sum::<usize>() {
-            let (rank, _req) = req_rx.recv().expect("fast-forward request stream");
-            seen[rank.ix()] += 1;
-            assert!(
-                seen[rank.ix()] <= want[rank.ix()],
-                "{rank:?} overran its recorded history during fast-forward"
-            );
-        }
-        // Self-check, then swap the checkpointed recorder state in over
-        // the fast-forward recorders (threads keep their Arc handles).
-        for (i, arc) in recorders.iter().enumerate() {
-            if cp.tasks[i].is_some() {
-                continue; // task recorders are already exact clones
-            }
-            let mut g = arc.lock();
-            assert_eq!(g.ff_pending(), 0, "rank {i}: scripted traps left over");
-            assert_eq!(
-                g.marker(),
-                cp.recorders[i].marker(),
-                "rank {i}: marker mismatch after fast-forward"
-            );
-            *g = cp.recorders[i].clone();
-        }
         Engine {
             states: cp.states.clone(),
             paused: cp.paused.clone(),
-            backends,
-            req_rx,
+            tasks: cp.tasks.clone(),
             mailboxes: cp.mailboxes.clone(),
             send_seq: cp.send_seq.clone(),
             scheduler: cp.scheduler.clone(),
             match_rec: cp.match_rec.clone(),
             replay: cp.replay.clone(),
-            recorders,
-            sites,
+            recorders: cp.recorders.clone(),
+            sites: cp.sites.clone(),
             flush,
             cost: cp.cost,
             pending_coll: cp.pending_coll.clone(),
-            n_ranks: n,
+            n_ranks: cp.n_ranks,
             collected: cp.collected.clone(),
             faults: cp.faults.clone(),
             ops: cp.ops.clone(),
             decision_log: cp.decision_log.clone(),
             checkpoints: true,
-            recorder_cfg: cp.recorder_cfg.clone(),
-            reply_log: cp.reply_log.clone(),
-            trap_history: cp.trap_history.clone(),
             snapshot_at_decision: None,
             pending_snapshot: None,
             // Checkpoints carry no telemetry: a restored engine's metrics
@@ -533,22 +349,20 @@ impl Engine {
                 ProcState::Ready(r) => r,
                 other => unreachable!("granted non-ready process in state {other:?}"),
             };
-            if self.checkpoints && self.backends[p.ix()].is_thread() {
-                // Only thread ranks need a reply log: a task rank restores
-                // from its frame snapshot, not by re-feeding replies.
-                self.reply_log[p.ix()].push(reply.clone());
-            }
-            let (rank, req) = match &mut self.backends[p.ix()] {
-                Backend::Thread { reply_tx, .. } => {
-                    reply_tx.send(reply).expect("process thread vanished");
-                    self.req_rx.recv().expect("request channel closed")
-                }
-                // Task rank: step it inline — no channels, no context
-                // switch; the grant is a function call.
-                Backend::Task(harness) => (p, harness.resume(reply)),
-            };
-            debug_assert_eq!(rank, p, "request from a process without the turn");
-            self.service(rank, req);
+            // The grant is a function call: step the rank inline until its
+            // next request.
+            let req = self.tasks[p.ix()].resume(
+                reply,
+                &mut TaskEnv {
+                    rank: p,
+                    n_ranks: self.n_ranks,
+                    cost: self.cost,
+                    sites: &self.sites,
+                    recorder: &mut self.recorders[p.ix()],
+                    flush: &self.flush,
+                },
+            );
+            self.service(p, req);
         }
     }
 
@@ -701,7 +515,7 @@ impl Engine {
                         spec.forced = Some((m.src, m.seq));
                     }
                 }
-                let marker = self.recorders[rank.ix()].lock().marker();
+                let marker = self.recorders[rank.ix()].marker();
                 self.states[rank.ix()] = ProcState::Blocked {
                     spec,
                     t_post,
@@ -760,9 +574,6 @@ impl Engine {
                 }
             }
             Request::MarkerTrap { marker } => {
-                if self.checkpoints && self.backends[rank.ix()].is_thread() {
-                    self.trap_history[rank.ix()].push(marker);
-                }
                 self.states[rank.ix()] = ProcState::Trapped { marker };
                 if let Some(o) = self.obs.as_mut() {
                     o.record_span(Span {
@@ -778,7 +589,7 @@ impl Engine {
             Request::Finished { .. } => {
                 self.states[rank.ix()] = ProcState::Finished;
                 // Collect the finished process's trace immediately.
-                let recs = self.recorders[rank.ix()].lock().take_records();
+                let recs = self.recorders[rank.ix()].take_records();
                 self.flush.tee_records(&recs);
                 self.collected.extend(recs);
             }
@@ -872,8 +683,8 @@ impl Engine {
 
     /// Arm the marker threshold of one process (`None` disarms). The
     /// process traps at the first event whose marker reaches the value.
-    pub fn set_threshold(&self, rank: Rank, threshold: Option<u64>) {
-        self.recorders[rank.ix()].lock().set_threshold(threshold);
+    pub fn set_threshold(&mut self, rank: Rank, threshold: Option<u64>) {
+        self.recorders[rank.ix()].set_threshold(threshold);
     }
 
     /// Arm thresholds for all ranks from a marker vector. A rank with
@@ -895,9 +706,9 @@ impl Engine {
     }
 
     /// Disarm every threshold.
-    pub fn clear_thresholds(&self) {
-        for r in 0..self.n_ranks {
-            self.set_threshold(Rank(r as u32), None);
+    pub fn clear_thresholds(&mut self) {
+        for r in &mut self.recorders {
+            r.set_threshold(None);
         }
     }
 
@@ -942,7 +753,7 @@ impl Engine {
     pub fn markers(&self) -> MarkerVector {
         let mut v = MarkerVector::zero(self.n_ranks);
         for (i, r) in self.recorders.iter().enumerate() {
-            v.set(Rank(i as u32), r.lock().marker());
+            v.set(Rank(i as u32), r.marker());
         }
         v
     }
@@ -961,55 +772,52 @@ impl Engine {
 
     /// Recent `UserMonitor` ring of a process (stop reports).
     pub fn recent_calls(&self, rank: Rank) -> Vec<tracedbg_instrument::RingEntry> {
-        self.recorders[rank.ix()].lock().monitor().ring().recent()
+        self.recorders[rank.ix()].monitor().ring().recent()
     }
 
     /// Arm a source-location breakpoint on every process.
-    pub fn add_breakpoint(&self, site: tracedbg_trace::SiteId) {
-        for r in &self.recorders {
-            r.lock().add_breakpoint(site);
+    pub fn add_breakpoint(&mut self, site: tracedbg_trace::SiteId) {
+        for r in &mut self.recorders {
+            r.add_breakpoint(site);
         }
     }
 
     /// Disarm a source-location breakpoint on every process.
-    pub fn remove_breakpoint(&self, site: tracedbg_trace::SiteId) {
-        for r in &self.recorders {
-            r.lock().remove_breakpoint(site);
+    pub fn remove_breakpoint(&mut self, site: tracedbg_trace::SiteId) {
+        for r in &mut self.recorders {
+            r.remove_breakpoint(site);
         }
     }
 
     /// Arm a watchpoint on one process (or all, with `None`).
-    pub fn add_watch(&self, rank: Option<Rank>, watch: tracedbg_instrument::Watch) {
+    pub fn add_watch(&mut self, rank: Option<Rank>, watch: tracedbg_instrument::Watch) {
         match rank {
-            Some(r) => self.recorders[r.ix()].lock().add_watch(watch),
+            Some(r) => self.recorders[r.ix()].add_watch(watch),
             None => {
-                for r in &self.recorders {
-                    r.lock().add_watch(watch.clone());
+                for r in &mut self.recorders {
+                    r.add_watch(watch.clone());
                 }
             }
         }
     }
 
     /// Disarm all breakpoints and watchpoints everywhere.
-    pub fn clear_breaks(&self) {
-        for r in &self.recorders {
-            r.lock().clear_breaks();
+    pub fn clear_breaks(&mut self) {
+        for r in &mut self.recorders {
+            r.clear_breaks();
         }
     }
 
     /// Why a process's most recent trap fired.
     pub fn trap_cause(&self, rank: Rank) -> Option<tracedbg_instrument::TrapCause> {
-        self.recorders[rank.ix()].lock().last_trap().cloned()
+        self.recorders[rank.ix()].last_trap().cloned()
     }
 
     /// Pull everything traced so far (on-demand flush of every process
-    /// buffer plus previously flushed data). Safe while stopped: no process
-    /// thread runs while the engine has control.
+    /// buffer plus previously flushed data).
     pub fn collect_trace(&mut self) -> Vec<TraceRecord> {
-        for r in &self.recorders {
-            let mut g = r.lock();
-            let recs = g.take_records();
-            drop(g);
+        for r in &mut self.recorders {
+            let recs = r.take_records();
             // Records drained here bypass the flush handle, so forward
             // them to any attached streaming sink explicitly.
             self.flush.tee_records(&recs);
@@ -1061,7 +869,7 @@ impl Engine {
     pub fn invocations(&self) -> Vec<u64> {
         self.recorders
             .iter()
-            .map(|r| r.lock().monitor().invocations())
+            .map(|r| r.monitor().invocations())
             .collect()
     }
 
@@ -1123,8 +931,7 @@ impl Engine {
             scheduler: self.scheduler.clone(),
             match_rec: self.match_rec.clone(),
             replay: self.replay.clone(),
-            recorders: self.recorders.iter().map(|r| r.lock().clone()).collect(),
-            recorder_cfg: self.recorder_cfg.clone(),
+            recorders: self.recorders.clone(),
             sites: self.sites.clone(),
             flush_pending: self.flush.snapshot(),
             cost: self.cost,
@@ -1133,16 +940,7 @@ impl Engine {
             faults: self.faults.clone(),
             ops: self.ops.clone(),
             decision_log: self.decision_log.clone(),
-            reply_log: self.reply_log.clone(),
-            trap_history: self.trap_history.clone(),
-            tasks: self
-                .backends
-                .iter()
-                .map(|b| match b {
-                    Backend::Task(h) => Some(h.snapshot()),
-                    Backend::Thread { .. } => None,
-                })
-                .collect(),
+            tasks: self.tasks.clone(),
         };
         if let (Some(o), Some(t0)) = (self.obs.as_mut(), started) {
             o.metrics.snapshots += 1;
@@ -1211,7 +1009,7 @@ impl Engine {
                     m.hash(&mut h);
                 }
             }
-            self.recorders[i].lock().marker().hash(&mut h);
+            self.recorders[i].marker().hash(&mut h);
         }
         for mb in &self.mailboxes {
             for env in mb.undelivered() {
@@ -1323,36 +1121,6 @@ impl Engine {
     }
 }
 
-/// Spawn one simulated process thread (shared by `launch` and `restore`).
-fn spawn_process(i: usize, program: ProgramFn, mut ctx: ProcessCtx) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("mpsim-p{i}"))
-        .spawn(move || {
-            ctx.wait_initial_grant();
-            ctx.emit_proc_start();
-            let result =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| program(&mut ctx)));
-            match result {
-                Ok(()) => {
-                    ctx.emit_proc_end();
-                    ctx.finish();
-                }
-                Err(payload) => {
-                    if payload.downcast_ref::<ShutdownSignal>().is_some() {
-                        return; // engine teardown: exit quietly
-                    }
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic>".into());
-                    ctx.report_panic(msg);
-                }
-            }
-        })
-        .expect("spawn process thread")
-}
-
 static QUIET_PANICS: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 /// Suppress stderr noise from panics inside simulated processes. The
@@ -1363,24 +1131,16 @@ pub fn set_quiet_panics(quiet: bool) {
     QUIET_PANICS.store(quiet, std::sync::atomic::Ordering::Relaxed);
 }
 
-/// Engine teardown unwinds parked process threads with a
-/// [`ShutdownSignal`] panic; this hook keeps those intentional unwinds out
-/// of stderr while delegating real panics to the previous hook.
-fn install_quiet_shutdown_hook() {
+/// Keeps panics raised inside simulated processes out of stderr while
+/// [`set_quiet_panics`] is on; everything else goes to the previous hook.
+fn install_quiet_panic_hook() {
     static HOOK: std::sync::Once = std::sync::Once::new();
     HOOK.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<ShutdownSignal>().is_some() {
-                return;
-            }
-            // A simulated process is either a named `mpsim-p*` thread or a
-            // task being stepped inline on the engine's own thread.
-            let in_sim_proc = std::thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with("mpsim-p"))
-                || crate::task::in_task_step();
-            if in_sim_proc && QUIET_PANICS.load(std::sync::atomic::Ordering::Relaxed) {
+            if crate::task::in_task_step()
+                && QUIET_PANICS.load(std::sync::atomic::Ordering::Relaxed)
+            {
                 return;
             }
             prev(info);
@@ -1388,55 +1148,118 @@ fn install_quiet_shutdown_hook() {
     });
 }
 
-impl Drop for Engine {
-    fn drop(&mut self) {
-        // Wake every parked process thread with a shutdown grant, then
-        // join. Task ranks live inside the engine and need no teardown.
-        for (i, b) in self.backends.iter().enumerate() {
-            if let Backend::Thread { reply_tx, .. } = b {
-                if !matches!(self.states[i], ProcState::Finished | ProcState::Panicked(_)) {
-                    let _ = reply_tx.send(Reply::Shutdown);
-                }
-            }
-        }
-        for b in self.backends.iter_mut() {
-            if let Backend::Thread { handle, .. } = b {
-                if let Some(h) = handle.take() {
-                    let _ = h.join();
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Message;
     use crate::payload::Payload;
-    use tracedbg_trace::{EventKind, Tag};
+    use crate::task::{OpResult, TaskOp, TaskView};
+    use tracedbg_trace::{EventKind, SiteId, Tag};
 
     fn cfg() -> EngineConfig {
         EngineConfig::with_recorder(RecorderConfig::full())
     }
 
-    fn site_of(ctx: &ProcessCtx, f: &str) -> tracedbg_trace::SiteId {
-        ctx.site("test.rs", 1, f)
+    // A small straight-line vocabulary for test programs. The task state
+    // is the list of messages received so far.
+    type St = Vec<Message>;
+    type P = Prog<St>;
+
+    fn site(v: &TaskView<'_>) -> SiteId {
+        v.site("test.rs", 1, "test")
+    }
+
+    fn rank(items: Vec<P>) -> RankProgram {
+        RankProgram::task(St::new(), Prog::seq(items))
+    }
+
+    fn compute(cost_ns: u64) -> P {
+        Prog::op(move |_, v| TaskOp::Compute {
+            cost_ns,
+            site: site(v),
+        })
+    }
+
+    fn send_mode(dst: u32, tag: i32, value: i64, mode: SendMode) -> P {
+        Prog::op(move |_, v| TaskOp::Send {
+            dst: Rank(dst),
+            tag: Tag(tag),
+            payload: Payload::from_i64(value),
+            site: site(v),
+            mode,
+        })
+    }
+
+    fn send(dst: u32, tag: i32, value: i64) -> P {
+        send_mode(dst, tag, value, SendMode::Buffered)
+    }
+
+    fn ssend(dst: u32, tag: i32, value: i64) -> P {
+        send_mode(dst, tag, value, SendMode::Synchronous)
+    }
+
+    fn recv(src: Option<u32>, tag: Option<i32>) -> P {
+        Prog::op_bind(
+            move |_, v| TaskOp::Recv {
+                src: src.map(Rank),
+                tag: tag.map(Tag),
+                site: site(v),
+            },
+            |s: &mut St, r, _| s.push(r.message()),
+        )
+    }
+
+    fn recv_from(src: u32, tag: i32) -> P {
+        recv(Some(src), Some(tag))
+    }
+
+    fn probe(label: &'static str, value: impl Fn(&St) -> i64 + Send + Sync + 'static) -> P {
+        Prog::op(move |s, v| TaskOp::Probe {
+            label: label.into(),
+            value: value(s),
+            site: site(v),
+        })
+    }
+
+    fn check(f: impl Fn(&St) + Send + Sync + 'static) -> P {
+        Prog::act(move |s, _| f(s))
+    }
+
+    fn repeat(n: i64, body: P) -> P {
+        Prog::for_range(move |_, _| (0, n), |_, _| {}, body)
+    }
+
+    fn value(m: &Message) -> i64 {
+        m.payload.to_i64().unwrap()
+    }
+
+    fn probes(e: &mut Engine) -> Vec<i64> {
+        let store = e.trace_store();
+        store
+            .records()
+            .iter()
+            .filter(|r| r.kind == EventKind::Probe)
+            .map(|r| r.args[0])
+            .collect()
     }
 
     #[test]
     fn ping_pong_completes() {
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p0");
-            ctx.send(Rank(1), Tag(1), Payload::from_i64(42), s);
-            let m = ctx.recv_from(Rank(1), Tag(2), s);
-            assert_eq!(m.payload.to_i64(), Some(43));
-        });
-        let p1: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p1");
-            let m = ctx.recv_from(Rank(0), Tag(1), s);
-            let x = m.payload.to_i64().unwrap();
-            ctx.send(Rank(0), Tag(2), Payload::from_i64(x + 1), s);
-        });
+        let p0 = rank(vec![
+            send(1, 1, 42),
+            recv_from(1, 2),
+            check(|s| assert_eq!(value(&s[0]), 43)),
+        ]);
+        let p1 = rank(vec![
+            recv_from(0, 1),
+            Prog::op(|s: &mut St, v| TaskOp::Send {
+                dst: Rank(0),
+                tag: Tag(2),
+                payload: Payload::from_i64(value(&s[0]) + 1),
+                site: site(v),
+                mode: SendMode::Buffered,
+            }),
+        ]);
         let mut e = Engine::launch(cfg(), vec![p0, p1]);
         let out = e.run();
         assert!(out.is_completed(), "{out:?}");
@@ -1448,16 +1271,11 @@ mod tests {
     #[test]
     fn recv_before_send_blocks_then_matches() {
         // P1 posts its receive long before P0 sends.
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p0");
-            ctx.compute(1_000_000, s);
-            ctx.send(Rank(1), Tag(9), Payload::from_i64(7), s);
-        });
-        let p1: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p1");
-            let m = ctx.recv_from(Rank(0), Tag(9), s);
-            assert_eq!(m.payload.to_i64(), Some(7));
-        });
+        let p0 = rank(vec![compute(1_000_000), send(1, 9, 7)]);
+        let p1 = rank(vec![
+            recv_from(0, 9),
+            check(|s| assert_eq!(value(&s[0]), 7)),
+        ]);
         let mut e = Engine::launch(cfg(), vec![p0, p1]);
         assert!(e.run().is_completed());
         let store = e.trace_store();
@@ -1469,14 +1287,8 @@ mod tests {
 
     #[test]
     fn deadlock_detected_with_cycle() {
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p0");
-            let _ = ctx.recv_from(Rank(1), Tag(0), s);
-        });
-        let p1: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p1");
-            let _ = ctx.recv_from(Rank(0), Tag(0), s);
-        });
+        let p0 = rank(vec![recv_from(1, 0)]);
+        let p1 = rank(vec![recv_from(0, 0)]);
         let mut e = Engine::launch(cfg(), vec![p0, p1]);
         match e.run() {
             RunOutcome::Deadlock(rep) => {
@@ -1489,22 +1301,17 @@ mod tests {
 
     #[test]
     fn wildcard_recv_and_match_log() {
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p0");
-            let a = ctx.recv_any(Some(Tag(1)), s);
-            let b = ctx.recv_any(Some(Tag(1)), s);
-            let mut got = vec![a.payload.to_i64().unwrap(), b.payload.to_i64().unwrap()];
-            got.sort();
-            assert_eq!(got, vec![10, 20]);
-        });
-        let p1: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p1");
-            ctx.send(Rank(0), Tag(1), Payload::from_i64(10), s);
-        });
-        let p2: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p2");
-            ctx.send(Rank(0), Tag(1), Payload::from_i64(20), s);
-        });
+        let p0 = rank(vec![
+            recv(None, Some(1)),
+            recv(None, Some(1)),
+            check(|s| {
+                let mut got = vec![value(&s[0]), value(&s[1])];
+                got.sort();
+                assert_eq!(got, vec![10, 20]);
+            }),
+        ]);
+        let p1 = rank(vec![send(0, 1, 10)]);
+        let p2 = rank(vec![send(0, 1, 20)]);
         let mut e = Engine::launch(cfg(), vec![p0, p1, p2]);
         assert!(e.run().is_completed());
         let log = e.match_log();
@@ -1515,37 +1322,21 @@ mod tests {
     fn replay_forces_wildcard_matches() {
         // Record under one seed, replay under a different seed: the
         // wildcard receive order must follow the log, not the new seed.
-        let make = || -> Vec<ProgramFn> {
-            let p0: ProgramFn = Box::new(|ctx| {
-                let s = site_of(ctx, "p0");
-                let a = ctx.recv_any(None, s);
-                let b = ctx.recv_any(None, s);
+        let make = || {
+            let p0 = rank(vec![
+                recv(None, None),
+                recv(None, None),
                 // Report the observed order via probes.
-                ctx.probe("first", a.src.0 as i64, s);
-                ctx.probe("second", b.src.0 as i64, s);
-            });
-            let sender = |v: i64| -> ProgramFn {
-                Box::new(move |ctx| {
-                    let s = site_of(ctx, "sender");
-                    ctx.send(Rank(0), Tag(0), Payload::from_i64(v), s);
-                })
-            };
-            vec![p0, sender(1), sender(2)]
-        };
-        let order_of = |e: &mut Engine| -> Vec<i64> {
-            let store = e.trace_store();
-            store
-                .records()
-                .iter()
-                .filter(|r| r.kind == EventKind::Probe)
-                .map(|r| r.args[0])
-                .collect()
+                probe("first", |s| s[0].src.0 as i64),
+                probe("second", |s| s[1].src.0 as i64),
+            ]);
+            vec![p0, rank(vec![send(0, 0, 1)]), rank(vec![send(0, 0, 2)])]
         };
         let mut cfg1 = cfg();
         cfg1.policy = SchedPolicy::Seeded(1);
         let mut e1 = Engine::launch(cfg1, make());
         assert!(e1.run().is_completed());
-        let recorded = order_of(&mut e1);
+        let recorded = probes(&mut e1);
         let log = e1.match_log();
 
         let mut cfg2 = cfg();
@@ -1553,19 +1344,17 @@ mod tests {
         cfg2.replay = Some(log);
         let mut e2 = Engine::launch(cfg2, make());
         assert!(e2.run().is_completed());
-        let replayed = order_of(&mut e2);
+        let replayed = probes(&mut e2);
         assert_eq!(recorded, replayed, "replay must pin wildcard matches");
+    }
+
+    fn ten_computes() -> Vec<RankProgram> {
+        vec![rank(vec![repeat(10, compute(100))])]
     }
 
     #[test]
     fn threshold_trap_stops_and_resumes() {
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p0");
-            for _ in 0..10 {
-                ctx.compute(100, s);
-            }
-        });
-        let mut e = Engine::launch(cfg(), vec![p0]);
+        let mut e = Engine::launch(cfg(), ten_computes());
         e.set_threshold(Rank(0), Some(5));
         match e.run() {
             RunOutcome::Stopped(stop) => {
@@ -1583,11 +1372,7 @@ mod tests {
 
     #[test]
     fn pause_stops_run() {
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p0");
-            ctx.compute(100, s);
-        });
-        let mut e = Engine::launch(cfg(), vec![p0]);
+        let mut e = Engine::launch(cfg(), vec![rank(vec![compute(100)])]);
         e.set_paused(Rank(0), true);
         match e.run() {
             RunOutcome::Stopped(stop) => {
@@ -1602,13 +1387,8 @@ mod tests {
 
     #[test]
     fn panic_is_reported() {
-        let p0: ProgramFn = Box::new(|_ctx| {
-            panic!("boom at iteration 3");
-        });
-        let p1: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p1");
-            ctx.compute(10, s);
-        });
+        let p0 = rank(vec![check(|_| panic!("boom at iteration 3"))]);
+        let p1 = rank(vec![compute(10)]);
         let mut e = Engine::launch(cfg(), vec![p0, p1]);
         match e.run() {
             RunOutcome::Panicked { rank, message } => {
@@ -1621,17 +1401,12 @@ mod tests {
 
     #[test]
     fn ssend_rendezvous_completes_and_orders_times() {
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p0");
-            ctx.ssend(Rank(1), Tag(1), Payload::from_i64(5), s);
-            ctx.probe("after_ssend", ctx.now() as i64, s);
-        });
-        let p1: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p1");
-            ctx.compute(1_000_000, s); // keep the sender waiting
-            let m = ctx.recv_from(Rank(0), Tag(1), s);
-            assert_eq!(m.payload.to_i64(), Some(5));
-        });
+        let p0 = rank(vec![ssend(1, 1, 5)]);
+        let p1 = rank(vec![
+            compute(1_000_000), // keep the sender waiting
+            recv_from(0, 1),
+            check(|s| assert_eq!(value(&s[0]), 5)),
+        ]);
         let mut e = Engine::launch(cfg(), vec![p0, p1]);
         assert!(e.run().is_completed());
         let store = e.trace_store();
@@ -1647,13 +1422,7 @@ mod tests {
     fn ssend_cycle_deadlocks() {
         // The send-side circular dependency of §4.4: both processes in
         // synchronous sends to each other, nobody receives.
-        let mk = |peer: u32| -> ProgramFn {
-            Box::new(move |ctx| {
-                let s = site_of(ctx, "ss");
-                ctx.ssend(Rank(peer), Tag(0), Payload::from_i64(1), s);
-                let _ = ctx.recv_from(Rank(peer), Tag(0), s);
-            })
-        };
+        let mk = |peer: u32| rank(vec![ssend(peer, 0, 1), recv_from(peer, 0)]);
         let mut e = Engine::launch(cfg(), vec![mk(1), mk(0)]);
         match e.run() {
             RunOutcome::Deadlock(rep) => {
@@ -1668,13 +1437,7 @@ mod tests {
     fn buffered_sends_do_not_deadlock_same_pattern() {
         // The same exchange with buffered sends completes — the classic
         // reason "it works with small messages" bugs exist.
-        let mk = |peer: u32| -> ProgramFn {
-            Box::new(move |ctx| {
-                let s = site_of(ctx, "bs");
-                ctx.send(Rank(peer), Tag(0), Payload::from_i64(1), s);
-                let _ = ctx.recv_from(Rank(peer), Tag(0), s);
-            })
-        };
+        let mk = |peer: u32| rank(vec![send(peer, 0, 1), recv_from(peer, 0)]);
         let mut e = Engine::launch(cfg(), vec![mk(1), mk(0)]);
         assert!(e.run().is_completed());
     }
@@ -1682,25 +1445,43 @@ mod tests {
     #[test]
     fn collectives_work_end_to_end() {
         use crate::collective::ReduceOp;
-        let make = |rank: u32| -> ProgramFn {
-            Box::new(move |ctx| {
-                let s = site_of(ctx, "coll");
-                ctx.barrier(s);
-                let v = ctx.bcast(
-                    Rank(0),
-                    if rank == 0 {
-                        Payload::from_i64(7)
-                    } else {
-                        Payload::empty()
-                    },
-                    s,
-                );
-                assert_eq!(v.to_i64(), Some(7));
-                let sum = ctx.allreduce(ReduceOp::Sum, Payload::from_f64s(&[rank as f64]), s);
-                assert_eq!(sum.to_f64s().unwrap(), vec![0.0 + 1.0 + 2.0]);
-            })
+        use tracedbg_trace::CollKind;
+        let collective = |kind, payload: fn(Rank) -> Payload, op, expect: fn(Payload)| {
+            Prog::op_bind(
+                move |_: &mut St, v| TaskOp::Collective {
+                    kind,
+                    root: Rank(0),
+                    payload: payload(v.rank),
+                    op,
+                    site: site(v),
+                },
+                move |_, r: OpResult, _| expect(r.payload()),
+            )
         };
-        let mut e = Engine::launch(cfg(), vec![make(0), make(1), make(2)]);
+        let make = || {
+            rank(vec![
+                collective(CollKind::Barrier, |_| Payload::empty(), None, |_| {}),
+                collective(
+                    CollKind::Bcast,
+                    |r| {
+                        if r == Rank(0) {
+                            Payload::from_i64(7)
+                        } else {
+                            Payload::empty()
+                        }
+                    },
+                    None,
+                    |v| assert_eq!(v.to_i64(), Some(7)),
+                ),
+                collective(
+                    CollKind::AllReduce,
+                    |r| Payload::from_f64s(&[r.0 as f64]),
+                    Some(ReduceOp::Sum),
+                    |sum| assert_eq!(sum.to_f64s().unwrap(), vec![0.0 + 1.0 + 2.0]),
+                ),
+            ])
+        };
+        let mut e = Engine::launch(cfg(), vec![make(), make(), make()]);
         let out = e.run();
         assert!(out.is_completed(), "{out:?}");
         let store = e.trace_store();
@@ -1716,18 +1497,9 @@ mod tests {
 
     #[test]
     fn identical_runs_produce_identical_traces() {
-        let make = || -> Vec<ProgramFn> {
-            let p0: ProgramFn = Box::new(|ctx| {
-                let s = site_of(ctx, "p0");
-                ctx.compute(500, s);
-                ctx.send(Rank(1), Tag(3), Payload::from_i64(1), s);
-                let _ = ctx.recv_from(Rank(1), Tag(4), s);
-            });
-            let p1: ProgramFn = Box::new(|ctx| {
-                let s = site_of(ctx, "p1");
-                let _ = ctx.recv_from(Rank(0), Tag(3), s);
-                ctx.send(Rank(0), Tag(4), Payload::from_i64(2), s);
-            });
+        let make = || {
+            let p0 = rank(vec![compute(500), send(1, 3, 1), recv_from(1, 4)]);
+            let p1 = rank(vec![recv_from(0, 3), send(0, 4, 2)]);
             vec![p0, p1]
         };
         let run = || {
@@ -1740,13 +1512,8 @@ mod tests {
 
     #[test]
     fn undelivered_messages_visible() {
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p0");
-            ctx.send(Rank(1), Tag(1), Payload::from_i64(5), s);
-        });
-        let p1: ProgramFn = Box::new(|_ctx| {
-            // never receives
-        });
+        let p0 = rank(vec![send(1, 1, 5)]);
+        let p1 = rank(vec![]); // never receives
         let mut e = Engine::launch(cfg(), vec![p0, p1]);
         assert!(e.run().is_completed());
         let und = e.undelivered();
@@ -1760,20 +1527,13 @@ mod tests {
         // Record a seeded run's decisions, then re-execute them as a
         // script: the trace must be bit-identical even though the scripted
         // scheduler shares no RNG state with the recording.
-        let make = || -> Vec<ProgramFn> {
-            let p0: ProgramFn = Box::new(|ctx| {
-                let s = site_of(ctx, "p0");
-                let a = ctx.recv_any(None, s);
-                let b = ctx.recv_any(None, s);
-                ctx.probe("order", (a.src.0 * 10 + b.src.0) as i64, s);
-            });
-            let sender = |v: i64| -> ProgramFn {
-                Box::new(move |ctx| {
-                    let s = site_of(ctx, "sender");
-                    ctx.compute(100, s);
-                    ctx.send(Rank(0), Tag(0), Payload::from_i64(v), s);
-                })
-            };
+        let make = || {
+            let p0 = rank(vec![
+                recv(None, None),
+                recv(None, None),
+                probe("order", |s| (s[0].src.0 * 10 + s[1].src.0) as i64),
+            ]);
+            let sender = |v: i64| rank(vec![compute(100), send(0, 0, v)]);
             vec![p0, sender(1), sender(2)]
         };
         let mut cfg1 = cfg();
@@ -1794,20 +1554,14 @@ mod tests {
     /// The receiver matches a directed receive from P1 first; while it
     /// holds no turn, P2 and P3 queue their sends. The first wildcard then
     /// sees two candidates — a real branch point.
-    fn wildcard_fanin() -> Vec<ProgramFn> {
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p0");
-            let _ = ctx.recv_from(Rank(1), Tag(0), s);
-            let a = ctx.recv_any(None, s);
-            ctx.probe("first", a.src.0 as i64, s);
-            let _ = ctx.recv_any(None, s);
-        });
-        let sender = || -> ProgramFn {
-            Box::new(move |ctx| {
-                let s = site_of(ctx, "sender");
-                ctx.send(Rank(0), Tag(0), Payload::from_i64(1), s);
-            })
-        };
+    fn wildcard_fanin() -> Vec<RankProgram> {
+        let p0 = rank(vec![
+            recv_from(1, 0),
+            recv(None, None),
+            probe("first", |s| s[1].src.0 as i64),
+            recv(None, None),
+        ]);
+        let sender = || rank(vec![send(0, 0, 1)]);
         vec![p0, sender(), sender(), sender()]
     }
 
@@ -1838,13 +1592,7 @@ mod tests {
             c.faults = faults;
             let mut e = Engine::launch(c, wildcard_fanin());
             assert!(e.run().is_completed());
-            let store = e.trace_store();
-            store
-                .records()
-                .iter()
-                .find(|r| r.kind == EventKind::Probe)
-                .map(|r| r.args[0])
-                .unwrap()
+            probes(&mut e)[0]
         };
         assert_eq!(first_src(FaultPlan::default()), 2);
         let delayed = FaultPlan::new(vec![Fault::Delay {
@@ -1856,24 +1604,31 @@ mod tests {
         assert_eq!(first_src(delayed), 3, "delay fault must flip the match");
     }
 
+    /// P1's first operation is a fault target; P0 either waits on it
+    /// (`p0_waits`) or just computes.
+    fn launch_with_p1_fault(p0_waits: bool, fault: tracedbg_trace::Fault) -> Engine {
+        let p0 = rank(vec![if p0_waits {
+            recv_from(1, 0)
+        } else {
+            compute(10)
+        }]);
+        let p1 = rank(vec![send(0, if p0_waits { 0 } else { 9 }, 1)]);
+        let mut c = cfg();
+        c.faults = FaultPlan::new(vec![fault]);
+        Engine::launch(c, vec![p0, p1])
+    }
+
     #[test]
     fn crash_fault_starves_peer_into_deadlock() {
         use tracedbg_trace::Fault;
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p0");
-            let _ = ctx.recv_from(Rank(1), Tag(0), s);
-        });
-        let p1: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p1");
-            ctx.send(Rank(0), Tag(0), Payload::from_i64(1), s);
-        });
-        let mut c = cfg();
         // P1 crashes on its very first operation: the send never happens.
-        c.faults = FaultPlan::new(vec![Fault::Crash {
-            rank: Rank(1),
-            after_ops: 0,
-        }]);
-        let mut e = Engine::launch(c, vec![p0, p1]);
+        let mut e = launch_with_p1_fault(
+            true,
+            Fault::Crash {
+                rank: Rank(1),
+                after_ops: 0,
+            },
+        );
         match e.run() {
             RunOutcome::Deadlock(rep) => {
                 assert!(!rep.is_cyclic(), "starvation, not a cycle");
@@ -1889,40 +1644,26 @@ mod tests {
     fn crash_fault_alone_still_completes() {
         use tracedbg_trace::Fault;
         // Nobody depends on P1: its crash is not a failure.
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p0");
-            ctx.compute(10, s);
-        });
-        let p1: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p1");
-            ctx.send(Rank(0), Tag(9), Payload::from_i64(1), s);
-        });
-        let mut c = cfg();
-        c.faults = FaultPlan::new(vec![Fault::Crash {
-            rank: Rank(1),
-            after_ops: 0,
-        }]);
-        let mut e = Engine::launch(c, vec![p0, p1]);
+        let mut e = launch_with_p1_fault(
+            false,
+            Fault::Crash {
+                rank: Rank(1),
+                after_ops: 0,
+            },
+        );
         assert!(e.run().is_completed());
     }
 
     #[test]
     fn hang_fault_prevents_completion() {
         use tracedbg_trace::Fault;
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p0");
-            ctx.compute(10, s);
-        });
-        let p1: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p1");
-            ctx.send(Rank(0), Tag(9), Payload::from_i64(1), s);
-        });
-        let mut c = cfg();
-        c.faults = FaultPlan::new(vec![Fault::Hang {
-            rank: Rank(1),
-            after_ops: 0,
-        }]);
-        let mut e = Engine::launch(c, vec![p0, p1]);
+        let mut e = launch_with_p1_fault(
+            false,
+            Fault::Hang {
+                rank: Rank(1),
+                after_ops: 0,
+            },
+        );
         match e.run() {
             RunOutcome::Deadlock(rep) => {
                 assert!(rep.waits.iter().any(|w| w.waiter == Rank(1)));
@@ -1960,16 +1701,7 @@ mod tests {
 
     #[test]
     fn snapshot_of_a_stop_restores_traps_and_continues_identically() {
-        let make = || -> Vec<ProgramFn> {
-            let p0: ProgramFn = Box::new(|ctx| {
-                let s = site_of(ctx, "p0");
-                for _ in 0..10 {
-                    ctx.compute(100, s);
-                }
-            });
-            vec![p0]
-        };
-        let mut e = Engine::launch(ckpt_cfg(), make());
+        let mut e = Engine::launch(ckpt_cfg(), ten_computes());
         e.set_threshold(Rank(0), Some(5));
         assert!(e.run().is_stopped());
         let cp = e.snapshot();
@@ -1980,7 +1712,7 @@ mod tests {
         let want = e.collect_trace();
         let want_digest = e.digest();
         // A restored stop *is* the stop: same trap, then same run.
-        let mut r = Engine::restore(&cp, make());
+        let mut r = Engine::restore(&cp, ten_computes());
         assert!(r.is_trapped(Rank(0)));
         match r.run() {
             RunOutcome::Stopped(st) => assert_eq!(st.traps, vec![Marker::new(0u32, 5)]),
@@ -1995,27 +1727,18 @@ mod tests {
 
     #[test]
     fn restored_engine_chains_further_checkpoints() {
-        let make = || -> Vec<ProgramFn> {
-            let p0: ProgramFn = Box::new(|ctx| {
-                let s = site_of(ctx, "p0");
-                for _ in 0..10 {
-                    ctx.compute(100, s);
-                }
-            });
-            vec![p0]
-        };
-        let mut e = Engine::launch(ckpt_cfg(), make());
+        let mut e = Engine::launch(ckpt_cfg(), ten_computes());
         e.set_threshold(Rank(0), Some(3));
         assert!(e.run().is_stopped());
         let cp1 = e.snapshot();
-        let mut r1 = Engine::restore(&cp1, make());
+        let mut r1 = Engine::restore(&cp1, ten_computes());
         assert!(r1.checkpoints_enabled());
         r1.set_threshold(Rank(0), Some(7));
         r1.resume_trapped();
         assert!(r1.run().is_stopped());
         let cp2 = r1.snapshot();
         assert_eq!(cp2.markers().get(Rank(0)), 7);
-        let mut r2 = Engine::restore(&cp2, make());
+        let mut r2 = Engine::restore(&cp2, ten_computes());
         r2.clear_thresholds();
         r2.resume_trapped();
         assert!(r2.run().is_completed());
@@ -2025,34 +1748,29 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires EngineConfig.checkpoints")]
     fn snapshot_requires_opt_in() {
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p0");
-            ctx.compute(1, s);
-        });
-        let mut e = Engine::launch(cfg(), vec![p0]);
+        let mut e = Engine::launch(cfg(), vec![rank(vec![compute(1)])]);
         let _ = e.snapshot();
     }
 
     #[test]
     fn restore_replays_through_faults_identically() {
         use tracedbg_trace::Fault;
-        // Crash P1 after one op: the straight and restored runs must agree
-        // on the resulting starvation deadlock and trace.
-        let make = || wildcard_fanin();
+        // Crash P2 on its first op: the straight and restored runs must
+        // agree on the resulting starvation deadlock and trace.
         let faults = FaultPlan::new(vec![Fault::Crash {
             rank: Rank(2),
             after_ops: 0,
         }]);
         let mut c = ckpt_cfg();
         c.faults = faults.clone();
-        let mut straight = Engine::launch(c.clone(), make());
+        let mut straight = Engine::launch(c.clone(), wildcard_fanin());
         let straight_out = straight.run();
         let want = straight.collect_trace();
-        let mut e = Engine::launch(c, make());
+        let mut e = Engine::launch(c, wildcard_fanin());
         e.set_snapshot_at(4);
         let _ = e.run();
         let cp = e.take_pending_snapshot().expect("snapshot");
-        let mut r = Engine::restore(&cp, make());
+        let mut r = Engine::restore(&cp, wildcard_fanin());
         let r_out = r.run();
         assert_eq!(
             format!("{straight_out:?}"),
@@ -2067,14 +1785,8 @@ mod tests {
     fn trap_on_recv_post_stops_before_blocking() {
         // Threshold at the RecvPost marker: process stops *before* the
         // engine parks it in the mailbox wait.
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p0");
-            let _ = ctx.recv_from(Rank(1), Tag(0), s); // would deadlock
-        });
-        let p1: ProgramFn = Box::new(|ctx| {
-            let s = site_of(ctx, "p1");
-            ctx.compute(10, s);
-        });
+        let p0 = rank(vec![recv_from(1, 0)]); // would deadlock
+        let p1 = rank(vec![compute(10)]);
         let mut e = Engine::launch(cfg(), vec![p0, p1]);
         // P0 events: ProcStart(1), RecvPost(2)
         e.set_threshold(Rank(0), Some(2));

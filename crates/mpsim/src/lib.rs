@@ -6,10 +6,9 @@
 //! [`task::Prog`] tree) that yield a [`task::TaskOp`] at every
 //! send/recv/collective boundary (an MPI-flavoured vocabulary: tagged
 //! sends, blocking receives with `ANY_SOURCE`/`ANY_TAG` wildcards,
-//! collectives); a legacy thread-per-rank backend ([`ProcessCtx`])
-//! remains as a parity baseline. A turn-taking [`Engine`] grants execution to
-//! exactly one process at a time, which makes a run a pure function of the
-//! program and the scheduling seed — precisely the controlled-execution
+//! collectives). A turn-taking [`Engine`] steps exactly one process at a
+//! time, inline on its own thread, which makes a run a pure function of
+//! the program and the scheduling seed — precisely the controlled-execution
 //! property the paper's replay machinery requires.
 //!
 //! Debugger integration points:
@@ -26,13 +25,12 @@
 //! * when no process can run and none trapped, the engine produces a
 //!   [`DeadlockReport`] with the wait-for cycle (the Figure 5 scenario);
 //! * the engine itself can be checkpointed: [`EngineCheckpoint`] captures
-//!   the full deterministic state of a run and [`Engine::restore`] rebuilds
-//!   a live engine from it by fast-forwarding fresh process threads through
-//!   their recorded reply streams — O(delta) replay for undo, stoplines and
-//!   prefix-shared schedule exploration (see [`checkpoint`]);
-//! * [`machine`] provides an alternative *state-machine* process backend
-//!   whose whole state can be checkpointed and restored — the paper's §6
-//!   future-work extension ("periodically checkpointing program states").
+//!   the full deterministic state of a run — every rank's frame stack
+//!   included — and [`Engine::restore`] rebuilds a live engine from it by
+//!   cloning, with nothing re-executed: O(delta) replay for undo, stoplines
+//!   and prefix-shared schedule exploration, and the paper's §6 wish
+//!   ("periodically checkpointing program states") under every scheduler
+//!   (see [`checkpoint`]).
 
 pub mod checkpoint;
 pub mod clock;
@@ -40,12 +38,10 @@ pub mod collective;
 pub mod deadlock;
 pub mod engine;
 pub mod fault;
-pub mod machine;
 pub mod mailbox;
 pub mod message;
 pub mod ops;
 pub mod payload;
-pub mod proc;
 pub mod record;
 pub mod sched;
 pub mod task;
@@ -59,7 +55,6 @@ pub use mailbox::{Candidate, Mailbox};
 pub use message::{Envelope, MatchSpec, Message};
 pub use ops::SendMode;
 pub use payload::Payload;
-pub use proc::{ProcessCtx, ProgramFn};
 pub use record::{MatchRecorder, RecordedMatch, ReplayLog};
 pub use sched::SchedPolicy;
 pub use task::{OpResult, Prog, TaskInterp, TaskOp, TaskProgram, TaskView};

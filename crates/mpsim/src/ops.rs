@@ -1,10 +1,11 @@
-//! The rendezvous protocol between process threads and the engine.
+//! The grant protocol between rank tasks and the engine.
 //!
-//! A process thread runs only while it holds the turn. It releases the turn
-//! by sending a [`Request`] and blocks until the engine returns a [`Reply`]
-//! — which the engine does when (a) the request can be satisfied and (b)
-//! the scheduler grants the process its next turn. This single-running-
-//! process discipline is what makes execution controlled and replayable.
+//! A rank runs only while it holds the turn. It releases the turn by
+//! returning a [`Request`] from its step and stays suspended until the
+//! engine hands it a [`Reply`] — which the engine does when (a) the
+//! request can be satisfied and (b) the scheduler grants the rank its next
+//! turn. This single-running-process discipline is what makes execution
+//! controlled and replayable.
 
 use crate::message::{Envelope, MatchSpec};
 use crate::payload::Payload;
@@ -57,11 +58,8 @@ pub enum Request {
     Panicked { message: String },
 }
 
-/// The engine's grant back to a process.
-///
-/// `Clone` because checkpointing logs the reply stream per rank: restoring
-/// a checkpoint re-feeds each process thread its recorded replies so it
-/// fast-forwards deterministically to the snapshot point.
+/// The engine's grant back to a process (`Clone` because a ready rank's
+/// pending reply is part of every checkpoint).
 #[derive(Clone, Debug)]
 pub enum Reply {
     /// Initial grant / resume after a trap or a send.
@@ -74,12 +72,7 @@ pub enum Reply {
     RecvDone { env: Envelope, t_done: u64 },
     /// A collective completed; `result` is this rank's share.
     CollDone { result: Payload, t_done: u64 },
-    /// The engine is being torn down: unwind quietly.
-    Shutdown,
 }
-
-/// Panic payload used to unwind a process thread on [`Reply::Shutdown`].
-pub struct ShutdownSignal;
 
 #[cfg(test)]
 mod tests {

@@ -1,22 +1,18 @@
 //! Resumable rank tasks: state-machine processes multiplexed on the
 //! engine's own thread.
 //!
-//! The thread-per-rank backend ([`crate::proc::ProcessCtx`]) caps rank
-//! counts at a few dozen and makes every checkpoint restore pay thread
-//! respawn plus reply-log fast-forward. This module is the scalable
-//! alternative: a rank is a [`TaskProgram`] — a poll-able state machine
-//! that yields a [`TaskOp`] at every send/recv/collective boundary — and
-//! the engine drives it *inline* on the granting thread. Per-rank cost is
-//! a struct, not a thread; a checkpoint of a task rank is a clone of its
-//! frame stack ([`TaskSnapshot`]), so restore is a memcpy instead of
-//! respawn + fast-forward.
+//! A rank is a [`TaskProgram`] — a poll-able state machine that yields a
+//! [`TaskOp`] at every send/recv/collective boundary — and the engine
+//! drives it *inline*: a grant is a function call. Per-rank cost is a
+//! struct, not a thread, so runs scale to thousands of ranks, and a
+//! checkpoint of a rank is a clone of its frame stack, so restore is a
+//! memcpy.
 //!
-//! Semantics contract: a task rank produces **byte-identical traces** to
-//! the same program written against `ProcessCtx` at a fixed seed. The
-//! [`TaskHarness`] replicates every emission rule of `proc.rs` exactly —
-//! record field layout, clock arithmetic, marker peeking, trap points
-//! (including the RecvPost trap that fires *before* the receive is
-//! submitted), `instr_off` short-circuits, and panic capture.
+//! The [`TaskHarness`] owns the emission rules that make traces
+//! reproducible byte for byte: record field layout, clock arithmetic,
+//! marker peeking, trap points (including the RecvPost trap that fires
+//! *before* the receive is submitted), the instrumentation-off
+//! short-circuits, and panic capture.
 //!
 //! Most programs are written as a [`Prog`] syntax tree (sequence /
 //! act / op / scope / if / loops / dynamic generation) interpreted by
@@ -26,10 +22,9 @@
 
 use crate::clock::CostModel;
 use crate::collective::ReduceOp;
-use crate::message::Message;
+use crate::message::{MatchSpec, Message};
 use crate::ops::{Reply, Request, SendMode};
 use crate::payload::Payload;
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use tracedbg_instrument::{Disposition, Recorder};
@@ -71,24 +66,27 @@ impl OpResult {
     }
 }
 
-/// One operation a task yields at. Mirrors the `ProcessCtx` surface
-/// one-to-one; the harness turns each into the exact record/request
-/// sequence the thread backend emits.
+/// One operation a task yields at; the harness turns each into its trace
+/// record(s) and, for communication, a request to the engine.
 #[derive(Clone)]
 pub enum TaskOp {
-    /// `ProcessCtx::compute`.
+    /// A block of local computation costing `cost_ns` of simulated time.
     Compute { cost_ns: u64, site: SiteId },
-    /// `ProcessCtx::probe`.
+    /// A named value snapshot the debugger can inspect when stepping (the
+    /// stand-in for reading locals through ptrace).
     Probe {
         label: String,
         value: i64,
         site: SiteId,
     },
-    /// `ProcessCtx::scope` entry (emitted by [`Prog::scope`] frames).
+    /// Instrumented function entry (emitted by [`Prog::scope`] frames): the
+    /// `UserMonitor` call gcc's `-p` would insert in the prologue.
     Enter { site: SiteId, args: [i64; 2] },
-    /// `ProcessCtx::scope` exit.
+    /// Instrumented function exit.
     Exit { site: SiteId },
-    /// `ProcessCtx::send` / `ssend`.
+    /// Point-to-point send. `Buffered` completes locally (`MPI_Send` with
+    /// buffering); `Synchronous` blocks until the matching receive takes
+    /// the message (`MPI_Ssend`).
     Send {
         dst: Rank,
         tag: Tag,
@@ -96,13 +94,14 @@ pub enum TaskOp {
         site: SiteId,
         mode: SendMode,
     },
-    /// `ProcessCtx::recv` (both components optional, as in `recv_any`).
+    /// Blocking receive; `None` components are the `MPI_ANY_SOURCE` /
+    /// `MPI_ANY_TAG` wildcards.
     Recv {
         src: Option<Rank>,
         tag: Option<Tag>,
         site: SiteId,
     },
-    /// `ProcessCtx::collective` and its wrappers.
+    /// Collective operation; blocks until every rank has entered it.
     Collective {
         kind: CollKind,
         root: Rank,
@@ -110,9 +109,10 @@ pub enum TaskOp {
         op: Option<ReduceOp>,
         site: SiteId,
     },
-    /// `ProcessCtx::set_tracing`.
+    /// Toggle trace collection for this rank (markers keep advancing).
     SetTracing(bool),
-    /// `ProcessCtx::flush_trace`.
+    /// On-demand flush of this rank's trace buffer (§2.1's extension of
+    /// the AIMS monitor).
     FlushTrace,
     /// No operation: the program had nothing to emit at this step (used
     /// by conditional emitters); the harness advances immediately.
@@ -122,8 +122,8 @@ pub enum TaskOp {
 }
 
 /// Read-only view a task gets while deciding its next op: identity plus
-/// the shared site table (interning through it preserves the exact site
-/// numbering of the thread backend).
+/// the shared site table (site ids are interned in first-use order, which
+/// the golden traces pin).
 pub struct TaskView<'a> {
     pub rank: Rank,
     pub n_ranks: usize,
@@ -132,13 +132,12 @@ pub struct TaskView<'a> {
 }
 
 impl TaskView<'_> {
-    /// Intern a source site (see `ProcessCtx::site`).
+    /// Intern a source location (cache the id outside hot loops).
     pub fn site(&self, file: &str, line: u32, func: &str) -> SiteId {
         self.sites.site(file, line, func)
     }
 
-    /// Site attributed to the innermost open scope (see
-    /// `ProcessCtx::site_here`).
+    /// Intern a location using the innermost open function scope's name.
     pub fn site_here(&self, file: &str, line: u32) -> SiteId {
         let func = self
             .fn_stack
@@ -189,7 +188,7 @@ enum Node<S> {
         emit: EmitFn<S>,
         bind: Option<BindFn<S>>,
     },
-    /// `ProcessCtx::scope`: FnEnter, body, FnExit.
+    /// An instrumented function scope: FnEnter, body, FnExit.
     Scope { enter: EnterFn<S>, body: Prog<S> },
     /// Two-way branch.
     If {
@@ -523,7 +522,6 @@ enum Await {
         t0: u64,
         bytes: u32,
         site: SiteId,
-        src: Rank,
         dst: Rank,
         tag: Tag,
     },
@@ -559,9 +557,8 @@ enum Then {
 }
 
 thread_local! {
-    /// True while a task is being stepped inline on this thread — lets the
-    /// engine's quiet-panic hook recognize simulated-process panics that
-    /// do not happen on an `mpsim-p*` thread.
+    /// True while a task is being stepped on this thread — lets the
+    /// engine's quiet-panic hook recognize simulated-process panics.
     static IN_TASK_STEP: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -570,100 +567,48 @@ pub(crate) fn in_task_step() -> bool {
     IN_TASK_STEP.with(|f| f.get())
 }
 
-/// Drives one task rank: owns the rank-local state `ProcessCtx` would own
-/// (clock, fn stack, recorder handle) and converts the ops the program
-/// yields into the engine's request/reply protocol, one grant at a time.
-pub(crate) struct TaskHarness {
-    rank: Rank,
-    n_ranks: usize,
-    clock: u64,
-    cost: CostModel,
-    sites: SiteTable,
-    recorder: Arc<Mutex<Recorder>>,
-    flush: FlushHandle,
-    fn_stack: Vec<SiteId>,
-    instr_off: bool,
-    program: Box<dyn TaskProgram>,
-    waiting: Await,
+/// What the engine lends a rank for the duration of one grant: its
+/// identity, the run-wide cost model / site table / flush sink, and the
+/// rank's instrumentation recorder.
+pub(crate) struct TaskEnv<'a> {
+    pub rank: Rank,
+    pub n_ranks: usize,
+    pub cost: CostModel,
+    pub sites: &'a SiteTable,
+    pub recorder: &'a mut Recorder,
+    pub flush: &'a FlushHandle,
 }
 
-/// The checkpointable execution point of a task rank. Restoring is a
-/// clone of this plus a recorder clone — no respawn, no fast-forward.
+/// Drives one task rank: owns the rank-local execution point (clock, open
+/// scopes, program frames, position in the grant protocol) and converts
+/// the ops the program yields into the engine's request/reply protocol,
+/// one grant at a time. The harness *is* the rank's checkpoint: cloning it
+/// yields an independent copy at the same execution point.
 #[derive(Clone)]
-pub(crate) struct TaskSnapshot {
+pub(crate) struct TaskHarness {
     clock: u64,
+    /// Sites of the function scopes currently open (innermost last).
     fn_stack: Vec<SiteId>,
     program: Box<dyn TaskProgram>,
     waiting: Await,
 }
 
 impl TaskHarness {
-    pub(crate) fn new(
-        rank: Rank,
-        n_ranks: usize,
-        cost: CostModel,
-        sites: SiteTable,
-        recorder: Arc<Mutex<Recorder>>,
-        flush: FlushHandle,
-        program: Box<dyn TaskProgram>,
-    ) -> Self {
-        let instr_off = recorder.lock().is_off();
+    pub(crate) fn new(program: Box<dyn TaskProgram>) -> Self {
         TaskHarness {
-            rank,
-            n_ranks,
             clock: 0,
-            cost,
-            sites,
-            recorder,
-            flush,
             fn_stack: Vec::new(),
-            instr_off,
             program,
             waiting: Await::Initial,
         }
     }
 
-    pub(crate) fn snapshot(&self) -> TaskSnapshot {
-        TaskSnapshot {
-            clock: self.clock,
-            fn_stack: self.fn_stack.clone(),
-            program: self.program.snapshot(),
-            waiting: self.waiting.clone(),
-        }
-    }
-
-    pub(crate) fn restore(
-        snap: &TaskSnapshot,
-        rank: Rank,
-        n_ranks: usize,
-        cost: CostModel,
-        sites: SiteTable,
-        recorder: Arc<Mutex<Recorder>>,
-        flush: FlushHandle,
-    ) -> Self {
-        let instr_off = recorder.lock().is_off();
-        TaskHarness {
-            rank,
-            n_ranks,
-            clock: snap.clock,
-            cost,
-            sites,
-            recorder,
-            flush,
-            fn_stack: snap.fn_stack.clone(),
-            instr_off,
-            program: snap.program.snapshot(),
-            waiting: snap.waiting.clone(),
-        }
-    }
-
     /// Step the task with the engine's grant until it issues its next
-    /// request. Panics inside the program become `Request::Panicked`,
-    /// mirroring the thread backend's catch-all (no `ProcEnd` is emitted
-    /// for a panicking rank there either).
-    pub(crate) fn resume(&mut self, reply: Reply) -> Request {
+    /// request. A panic inside the program becomes `Request::Panicked`
+    /// (no `ProcEnd` is emitted for a panicking rank).
+    pub(crate) fn resume(&mut self, reply: Reply, env: &mut TaskEnv<'_>) -> Request {
         IN_TASK_STEP.with(|f| f.set(true));
-        let out = catch_unwind(AssertUnwindSafe(|| self.step(reply)));
+        let out = catch_unwind(AssertUnwindSafe(|| self.step(reply, env)));
         IN_TASK_STEP.with(|f| f.set(false));
         match out {
             Ok(req) => req,
@@ -678,48 +623,51 @@ impl TaskHarness {
         }
     }
 
-    /// Observe an instrumentation record exactly as `ProcessCtx::observe`
-    /// does; returns the marker when the recorder demands a trap.
-    fn observe(&mut self, rec: TraceRecord) -> Option<u64> {
-        if self.instr_off {
-            return None;
+    /// Observe an instrumentation record. `Ok(then)` carries on; when the
+    /// recorder demands a trap the task parks with `then` as its
+    /// continuation and `Err` is the trap request.
+    fn after_observe(
+        &mut self,
+        env: &mut TaskEnv<'_>,
+        rec: TraceRecord,
+        then: Then,
+    ) -> Result<Then, Request> {
+        if env.recorder.is_off() {
+            return Ok(then);
         }
-        let (marker, disposition) = self.recorder.lock().observe(rec);
-        self.clock += self.cost.event_overhead;
+        let (marker, disposition) = env.recorder.observe(rec);
+        self.clock += env.cost.event_overhead;
         match disposition {
-            Disposition::Trap => Some(marker),
-            _ => None,
+            Disposition::Trap => {
+                self.waiting = Await::Trap(then);
+                Err(Request::MarkerTrap { marker })
+            }
+            Disposition::Continue => Ok(then),
         }
     }
 
-    fn step(&mut self, reply: Reply) -> Request {
-        let mut then = match std::mem::replace(&mut self.waiting, Await::Initial) {
+    fn step(&mut self, reply: Reply, env: &mut TaskEnv<'_>) -> Request {
+        let rank = env.rank;
+        let resumed = match std::mem::replace(&mut self.waiting, Await::Initial) {
             Await::Initial => {
                 match reply {
                     Reply::Proceed => {}
                     other => panic!("unexpected initial grant: {other:?}"),
                 }
-                let rec = TraceRecord::basic(self.rank, EventKind::ProcStart, 0, self.clock);
-                match self.observe(rec) {
-                    Some(marker) => {
-                        self.waiting = Await::Trap(Then::Advance(OpResult::None));
-                        return Request::MarkerTrap { marker };
-                    }
-                    None => Then::Advance(OpResult::None),
-                }
+                let rec = TraceRecord::basic(rank, EventKind::ProcStart, 0, self.clock);
+                self.after_observe(env, rec, Then::Advance(OpResult::None))
             }
             Await::Trap(t) => {
                 match reply {
                     Reply::Proceed => {}
                     other => panic!("unexpected reply to trap: {other:?}"),
                 }
-                t
+                Ok(t)
             }
             Await::SendDone {
                 t0,
                 bytes,
                 site,
-                src,
                 dst,
                 tag,
             } => {
@@ -728,42 +676,30 @@ impl TaskHarness {
                     other => panic!("unexpected reply to send: {other:?}"),
                 };
                 self.clock = t_done;
-                let rec = TraceRecord::basic(self.rank, EventKind::Send, 0, t0)
+                let rec = TraceRecord::basic(rank, EventKind::Send, 0, t0)
                     .with_span(t0, t_done)
                     .with_site(site)
                     .with_msg(MsgInfo {
-                        src,
+                        src: rank,
                         dst,
                         tag,
                         bytes,
                         seq,
                     });
-                match self.observe(rec) {
-                    Some(marker) => {
-                        self.waiting = Await::Trap(Then::Advance(OpResult::None));
-                        return Request::MarkerTrap { marker };
-                    }
-                    None => Then::Advance(OpResult::None),
-                }
+                self.after_observe(env, rec, Then::Advance(OpResult::None))
             }
             Await::RecvDone { t_post, site } => {
-                let (env, t_done) = match reply {
+                let (env_msg, t_done) = match reply {
                     Reply::RecvDone { env, t_done } => (env, t_done),
                     other => panic!("unexpected reply to recv: {other:?}"),
                 };
                 self.clock = t_done;
-                let rec = TraceRecord::basic(self.rank, EventKind::RecvDone, 0, t_post)
+                let rec = TraceRecord::basic(rank, EventKind::RecvDone, 0, t_post)
                     .with_span(t_post, t_done)
                     .with_site(site)
-                    .with_msg(env.msg_info());
-                let msg: Message = env.into();
-                match self.observe(rec) {
-                    Some(marker) => {
-                        self.waiting = Await::Trap(Then::Advance(OpResult::Message(msg)));
-                        return Request::MarkerTrap { marker };
-                    }
-                    None => Then::Advance(OpResult::Message(msg)),
-                }
+                    .with_msg(env_msg.msg_info());
+                let msg: Message = env_msg.into();
+                self.after_observe(env, rec, Then::Advance(OpResult::Message(msg)))
             }
             Await::CollDone {
                 kind,
@@ -776,39 +712,37 @@ impl TaskHarness {
                     other => panic!("unexpected reply to collective: {other:?}"),
                 };
                 self.clock = t_done;
-                let rec = TraceRecord::basic(self.rank, EventKind::Collective(kind), 0, t_enter)
+                let rec = TraceRecord::basic(rank, EventKind::Collective(kind), 0, t_enter)
                     .with_span(t_enter, t_done)
                     .with_site(site)
                     .with_msg(MsgInfo {
                         src: root,
-                        dst: self.rank,
+                        dst: rank,
                         tag: Tag(-1),
                         bytes: result.len() as u32,
                         seq: 0,
                     });
-                match self.observe(rec) {
-                    Some(marker) => {
-                        self.waiting = Await::Trap(Then::Advance(OpResult::Payload(result)));
-                        return Request::MarkerTrap { marker };
-                    }
-                    None => Then::Advance(OpResult::Payload(result)),
-                }
+                self.after_observe(env, rec, Then::Advance(OpResult::Payload(result)))
             }
             Await::Finished => panic!("task granted after Finished"),
+        };
+        let mut then = match resumed {
+            Ok(then) => then,
+            Err(request) => return request,
         };
         loop {
             match then {
                 Then::Advance(input) => {
                     let op = {
                         let view = TaskView {
-                            rank: self.rank,
-                            n_ranks: self.n_ranks,
-                            sites: &self.sites,
+                            rank,
+                            n_ranks: env.n_ranks,
+                            sites: env.sites,
                             fn_stack: &self.fn_stack,
                         };
                         self.program.next(input, &view)
                     };
-                    match self.perform(op) {
+                    match self.perform(op, env) {
                         Ok(next) => then = next,
                         Err(request) => return request,
                     }
@@ -825,7 +759,7 @@ impl TaskHarness {
                 } => {
                     self.waiting = Await::RecvDone { t_post, site };
                     return Request::Recv {
-                        spec: crate::message::MatchSpec::new(src, tag),
+                        spec: MatchSpec::new(src, tag),
                         t_post,
                     };
                 }
@@ -840,51 +774,42 @@ impl TaskHarness {
     /// Execute one op. `Ok(then)` continues the inner loop; `Err(req)`
     /// suspends the task (with `self.waiting` already set) and hands the
     /// request to the engine.
-    fn perform(&mut self, op: TaskOp) -> Result<Then, Request> {
+    fn perform(&mut self, op: TaskOp, env: &mut TaskEnv<'_>) -> Result<Then, Request> {
+        let rank = env.rank;
         match op {
             TaskOp::Nop => Ok(Then::Advance(OpResult::None)),
             TaskOp::Compute { cost_ns, site } => {
                 let t0 = self.clock;
                 self.clock += cost_ns;
-                let t1 = self.clock;
-                let rec = TraceRecord::basic(self.rank, EventKind::Compute, 0, t0)
-                    .with_span(t0, t1)
+                let rec = TraceRecord::basic(rank, EventKind::Compute, 0, t0)
+                    .with_span(t0, self.clock)
                     .with_site(site);
-                self.after_observe(rec, Then::Advance(OpResult::None))
+                self.after_observe(env, rec, Then::Advance(OpResult::None))
             }
             TaskOp::Probe { label, value, site } => {
-                let rec = TraceRecord::basic(self.rank, EventKind::Probe, 0, self.clock)
+                let rec = TraceRecord::basic(rank, EventKind::Probe, 0, self.clock)
                     .with_site(site)
                     .with_args(value, 0)
                     .with_label(label);
-                self.after_observe(rec, Then::Advance(OpResult::None))
+                self.after_observe(env, rec, Then::Advance(OpResult::None))
             }
             TaskOp::Enter { site, args } => {
-                if self.instr_off {
+                if env.recorder.is_off() {
                     return Ok(Then::Advance(OpResult::None));
                 }
-                let rec = TraceRecord::basic(self.rank, EventKind::FnEnter, 0, self.clock)
+                let rec = TraceRecord::basic(rank, EventKind::FnEnter, 0, self.clock)
                     .with_site(site)
                     .with_args(args[0], args[1]);
-                match self.observe(rec) {
-                    Some(marker) => {
-                        self.waiting = Await::Trap(Then::PushScope { site });
-                        Err(Request::MarkerTrap { marker })
-                    }
-                    None => {
-                        self.fn_stack.push(site);
-                        Ok(Then::Advance(OpResult::None))
-                    }
-                }
+                self.after_observe(env, rec, Then::PushScope { site })
             }
             TaskOp::Exit { site } => {
-                if self.instr_off {
+                if env.recorder.is_off() {
                     return Ok(Then::Advance(OpResult::None));
                 }
                 self.fn_stack.pop();
                 let rec =
-                    TraceRecord::basic(self.rank, EventKind::FnExit, 0, self.clock).with_site(site);
-                self.after_observe(rec, Then::Advance(OpResult::None))
+                    TraceRecord::basic(rank, EventKind::FnExit, 0, self.clock).with_site(site);
+                self.after_observe(env, rec, Then::Advance(OpResult::None))
             }
             TaskOp::Send {
                 dst,
@@ -893,19 +818,17 @@ impl TaskHarness {
                 site,
                 mode,
             } => {
-                assert!(dst.ix() < self.n_ranks, "send to nonexistent {dst:?}");
+                assert!(dst.ix() < env.n_ranks, "send to nonexistent {dst:?}");
                 let t0 = self.clock;
-                let bytes = payload.len() as u32;
-                let send_marker = if self.instr_off {
+                let send_marker = if env.recorder.is_off() {
                     0
                 } else {
-                    self.recorder.lock().marker() + 1
+                    env.recorder.marker() + 1
                 };
                 self.waiting = Await::SendDone {
                     t0,
-                    bytes,
+                    bytes: payload.len() as u32,
                     site,
-                    src: self.rank,
                     dst,
                     tag,
                 };
@@ -920,31 +843,26 @@ impl TaskHarness {
                 })
             }
             TaskOp::Recv { src, tag, site } => {
+                // The RecvPost trap fires *before* the receive is
+                // submitted: a stop there leaves the rank runnable, not
+                // parked in the mailbox wait.
                 let t_post = self.clock;
-                let rec = TraceRecord::basic(self.rank, EventKind::RecvPost, 0, t_post)
+                let rec = TraceRecord::basic(rank, EventKind::RecvPost, 0, t_post)
                     .with_site(site)
                     .with_args(
                         src.map(|r| r.0 as i64).unwrap_or(-1),
                         tag.map(|t| t.0 as i64).unwrap_or(-1),
                     );
-                match self.observe(rec) {
-                    Some(marker) => {
-                        self.waiting = Await::Trap(Then::SubmitRecv {
-                            src,
-                            tag,
-                            t_post,
-                            site,
-                        });
-                        Err(Request::MarkerTrap { marker })
-                    }
-                    None => {
-                        self.waiting = Await::RecvDone { t_post, site };
-                        Err(Request::Recv {
-                            spec: crate::message::MatchSpec::new(src, tag),
-                            t_post,
-                        })
-                    }
-                }
+                self.after_observe(
+                    env,
+                    rec,
+                    Then::SubmitRecv {
+                        src,
+                        tag,
+                        t_post,
+                        site,
+                    },
+                )
             }
             TaskOp::Collective {
                 kind,
@@ -969,36 +887,17 @@ impl TaskHarness {
                 })
             }
             TaskOp::SetTracing(on) => {
-                self.recorder.lock().set_tracing_enabled(on);
+                env.recorder.set_tracing_enabled(on);
                 Ok(Then::Advance(OpResult::None))
             }
             TaskOp::FlushTrace => {
-                self.recorder.lock().flush_into(&self.flush);
+                env.recorder.flush_into(env.flush);
                 Ok(Then::Advance(OpResult::None))
             }
             TaskOp::Done => {
-                let rec = TraceRecord::basic(self.rank, EventKind::ProcEnd, 0, self.clock);
-                match self.observe(rec) {
-                    Some(marker) => {
-                        self.waiting = Await::Trap(Then::SubmitFinished);
-                        Err(Request::MarkerTrap { marker })
-                    }
-                    None => {
-                        self.waiting = Await::Finished;
-                        Err(Request::Finished { t_end: self.clock })
-                    }
-                }
+                let rec = TraceRecord::basic(rank, EventKind::ProcEnd, 0, self.clock);
+                self.after_observe(env, rec, Then::SubmitFinished)
             }
-        }
-    }
-
-    fn after_observe(&mut self, rec: TraceRecord, then: Then) -> Result<Then, Request> {
-        match self.observe(rec) {
-            Some(marker) => {
-                self.waiting = Await::Trap(then);
-                Err(Request::MarkerTrap { marker })
-            }
-            None => Ok(then),
         }
     }
 }

@@ -1,10 +1,14 @@
 //! Engine edge cases: self-sends, wildcards, scale, empty payloads,
 //! flush-on-demand, and trap interactions.
 
+mod common;
+
+use common::*;
 use tracedbg_mpsim::{
-    CostModel, Engine, EngineConfig, Payload, ProgramFn, RecorderConfig, RunOutcome, SchedPolicy,
+    CostModel, Engine, EngineConfig, Payload, Prog, RankProgram, RecorderConfig, RunOutcome,
+    SchedPolicy, SendMode, TaskOp,
 };
-use tracedbg_trace::{EventKind, Marker, Rank, Tag};
+use tracedbg_trace::{CollKind, EventKind, Marker, Rank, Tag};
 
 fn cfg() -> EngineConfig {
     EngineConfig::with_recorder(RecorderConfig::full())
@@ -14,12 +18,11 @@ fn cfg() -> EngineConfig {
 fn self_send_and_receive() {
     // The buggy Strassen sends to rank 0 itself; the runtime must treat
     // self-sends as ordinary buffered messages.
-    let p0: ProgramFn = Box::new(|ctx| {
-        let s = ctx.site("e.rs", 1, "selfie");
-        ctx.send(Rank(0), Tag(1), Payload::from_i64(9), s);
-        let m = ctx.recv_from(Rank(0), Tag(1), s);
-        assert_eq!(m.payload.to_i64(), Some(9));
-    });
+    let p0 = rank(vec![
+        send(0, 1, 9),
+        recv_from(0, 1),
+        check(|s| assert_eq!(value(&s[0]), 9)),
+    ]);
     let mut e = Engine::launch(cfg(), vec![p0]);
     assert!(e.run().is_completed());
     let store = e.trace_store();
@@ -29,33 +32,32 @@ fn self_send_and_receive() {
 
 #[test]
 fn any_tag_receive_takes_oldest() {
-    let p0: ProgramFn = Box::new(|ctx| {
-        let s = ctx.site("e.rs", 2, "p0");
-        ctx.send(Rank(1), Tag(9), Payload::from_i64(1), s);
-        ctx.send(Rank(1), Tag(5), Payload::from_i64(2), s);
-    });
-    let p1: ProgramFn = Box::new(|ctx| {
-        let s = ctx.site("e.rs", 3, "p1");
-        let a = ctx.recv(Some(Rank(0)), None, s);
-        let b = ctx.recv(Some(Rank(0)), None, s);
-        assert_eq!(a.tag, Tag(9), "ANY_TAG takes the queue head");
-        assert_eq!(b.tag, Tag(5));
-    });
+    let p0 = rank(vec![send(1, 9, 1), send(1, 5, 2)]);
+    let p1 = rank(vec![
+        recv(Some(0), None),
+        recv(Some(0), None),
+        check(|s| {
+            assert_eq!(s[0].tag, Tag(9), "ANY_TAG takes the queue head");
+            assert_eq!(s[1].tag, Tag(5));
+        }),
+    ]);
     let mut e = Engine::launch(cfg(), vec![p0, p1]);
     assert!(e.run().is_completed());
 }
 
 #[test]
 fn empty_payload_messages() {
-    let p0: ProgramFn = Box::new(|ctx| {
-        let s = ctx.site("e.rs", 4, "p0");
-        ctx.send(Rank(1), Tag(0), Payload::empty(), s);
-    });
-    let p1: ProgramFn = Box::new(|ctx| {
-        let s = ctx.site("e.rs", 5, "p1");
-        let m = ctx.recv_from(Rank(0), Tag(0), s);
-        assert!(m.payload.is_empty());
-    });
+    let p0 = rank(vec![Prog::op(|_, v| TaskOp::Send {
+        dst: Rank(1),
+        tag: Tag(0),
+        payload: Payload::empty(),
+        site: site(v),
+        mode: SendMode::Buffered,
+    })]);
+    let p1 = rank(vec![
+        recv_from(0, 0),
+        check(|s| assert!(s[0].payload.is_empty())),
+    ]);
     let mut e = Engine::launch(cfg(), vec![p0, p1]);
     assert!(e.run().is_completed());
 }
@@ -63,22 +65,12 @@ fn empty_payload_messages() {
 #[test]
 fn sixteen_rank_all_to_one() {
     // Scale check: 15 senders funnel into one wildcard receiver.
-    let recv: ProgramFn = Box::new(|ctx| {
-        let s = ctx.site("e.rs", 6, "sink");
-        let mut sum = 0i64;
-        for _ in 0..15 {
-            let m = ctx.recv_any(Some(Tag(1)), s);
-            sum += m.payload.to_i64().unwrap();
-        }
-        assert_eq!(sum, (1..16).sum::<i64>());
-    });
-    let mut progs: Vec<ProgramFn> = vec![recv];
-    for r in 1..16u32 {
-        progs.push(Box::new(move |ctx| {
-            let s = ctx.site("e.rs", 7, "source");
-            ctx.compute((r as u64) * 1000, s);
-            ctx.send(Rank(0), Tag(1), Payload::from_i64(r as i64), s);
-        }));
+    let mut progs = vec![rank(vec![
+        repeat(15, recv(None, Some(1))),
+        check(|s| assert_eq!(sum(s), (1..16).sum::<i64>())),
+    ])];
+    for r in 1..16 {
+        progs.push(rank(vec![compute(r * 1000), send(0, 1, r as i64)]));
     }
     let mut e = Engine::launch(cfg(), progs);
     assert!(e.run().is_completed());
@@ -87,12 +79,11 @@ fn sixteen_rank_all_to_one() {
 
 #[test]
 fn flush_on_demand_mid_run() {
-    let p0: ProgramFn = Box::new(|ctx| {
-        let s = ctx.site("e.rs", 8, "p0");
-        ctx.compute(100, s);
-        ctx.flush_trace();
-        ctx.compute(100, s);
-    });
+    let p0 = rank(vec![
+        compute(100),
+        Prog::op(|_, _| TaskOp::FlushTrace),
+        compute(100),
+    ]);
     let mut e = Engine::launch(cfg(), vec![p0]);
     assert!(e.run().is_completed());
     // Both the flushed and the end-of-run records survive collection.
@@ -102,15 +93,14 @@ fn flush_on_demand_mid_run() {
 
 #[test]
 fn tracing_toggle_inside_program() {
-    let p0: ProgramFn = Box::new(|ctx| {
-        let s = ctx.site("e.rs", 9, "p0");
-        ctx.compute(1, s);
-        ctx.set_tracing(false);
-        ctx.compute(2, s);
-        ctx.compute(3, s);
-        ctx.set_tracing(true);
-        ctx.compute(4, s);
-    });
+    let p0 = rank(vec![
+        compute(1),
+        Prog::op(|_, _| TaskOp::SetTracing(false)),
+        compute(2),
+        compute(3),
+        Prog::op(|_, _| TaskOp::SetTracing(true)),
+        compute(4),
+    ]);
     let mut e = Engine::launch(cfg(), vec![p0]);
     assert!(e.run().is_completed());
     let store = e.trace_store();
@@ -124,14 +114,19 @@ fn tracing_toggle_inside_program() {
 fn trap_mid_collective_sequence() {
     // One rank traps before entering the barrier; the others wait inside
     // the collective — a Stopped outcome, not a deadlock.
-    let mk = |_r: u32| -> ProgramFn {
-        Box::new(move |ctx| {
-            let s = ctx.site("e.rs", 10, "coll");
-            ctx.compute(10, s);
-            ctx.barrier(s);
-        })
+    let mk = || {
+        rank(vec![
+            compute(10),
+            Prog::op(|_, v| TaskOp::Collective {
+                kind: CollKind::Barrier,
+                root: Rank(0),
+                payload: Payload::empty(),
+                op: None,
+                site: site(v),
+            }),
+        ])
     };
-    let mut e = Engine::launch(cfg(), vec![mk(0), mk(1), mk(2)]);
+    let mut e = Engine::launch(cfg(), vec![mk(), mk(), mk()]);
     // P0: ProcStart(1) compute(2) barrier(3)... trap at 2.
     e.set_threshold(Rank(0), Some(2));
     match e.run() {
@@ -145,21 +140,14 @@ fn trap_mid_collective_sequence() {
 
 #[test]
 fn seeded_policy_is_reproducible_end_to_end() {
-    let make = || -> Vec<ProgramFn> {
-        (0..4u32)
+    let make = || -> Vec<RankProgram> {
+        (0..4)
             .map(|r| {
-                let p: ProgramFn = Box::new(move |ctx| {
-                    let s = ctx.site("e.rs", 11, "n");
-                    if r == 0 {
-                        for _ in 0..3 {
-                            let _ = ctx.recv_any(None, s);
-                        }
-                    } else {
-                        ctx.compute((r as u64) * 7, s);
-                        ctx.send(Rank(0), Tag(0), Payload::from_i64(r as i64), s);
-                    }
-                });
-                p
+                if r == 0 {
+                    rank(vec![repeat(3, recv(None, None))])
+                } else {
+                    rank(vec![compute(r * 7), send(0, 0, r as i64)])
+                }
             })
             .collect()
     };
@@ -180,14 +168,8 @@ fn seeded_policy_is_reproducible_end_to_end() {
 
 #[test]
 fn zero_cost_model_still_causal() {
-    let p0: ProgramFn = Box::new(|ctx| {
-        let s = ctx.site("e.rs", 12, "p0");
-        ctx.send(Rank(1), Tag(1), Payload::from_i64(1), s);
-    });
-    let p1: ProgramFn = Box::new(|ctx| {
-        let s = ctx.site("e.rs", 13, "p1");
-        let _ = ctx.recv_from(Rank(0), Tag(1), s);
-    });
+    let p0 = rank(vec![send(1, 1, 1)]);
+    let p1 = rank(vec![recv_from(0, 1)]);
     let mut e = Engine::launch(
         EngineConfig {
             cost: CostModel::free(),
@@ -205,25 +187,26 @@ fn zero_cost_model_still_causal() {
 
 #[test]
 fn engine_run_after_completion_is_idempotent() {
-    let p0: ProgramFn = Box::new(|ctx| {
-        let s = ctx.site("e.rs", 14, "p0");
-        ctx.compute(1, s);
-    });
-    let mut e = Engine::launch(cfg(), vec![p0]);
+    let mut e = Engine::launch(cfg(), vec![rank(vec![compute(1)])]);
     assert!(e.run().is_completed());
     assert!(e.run().is_completed(), "second run() reports completion");
 }
 
+/// Nested function scopes, and probe sites resolved relative to the
+/// enclosing scope (`site_here`).
 #[test]
 fn fn_scope_and_probe_macros() {
-    use tracedbg_mpsim::{fn_scope, probe};
-    let p0: ProgramFn = Box::new(|ctx| {
-        let result = fn_scope!(ctx, "outer", [7, 8], {
-            probe!(ctx, "inside", 42);
-            fn_scope!(ctx, "inner", [1, 0], { 5 + 5 })
-        });
-        assert_eq!(result, 10);
-    });
+    let p0 = rank(vec![Prog::scope(
+        |_, v| (v.site("e.rs", 1, "outer"), [7, 8]),
+        Prog::seq(vec![
+            Prog::op(|_, v| TaskOp::Probe {
+                label: "inside".into(),
+                value: 42,
+                site: v.site_here("e.rs", 2),
+            }),
+            Prog::scope(|_, v| (v.site("e.rs", 3, "inner"), [1, 0]), compute(1)),
+        ]),
+    )]);
     let mut e = Engine::launch(cfg(), vec![p0]);
     assert!(e.run().is_completed());
     let store = e.trace_store();
@@ -235,9 +218,9 @@ fn fn_scope_and_probe_macros() {
         .find(|r| r.kind == EventKind::Probe)
         .unwrap();
     assert_eq!(probe_rec.args[0], 42);
-    // probe! resolves the enclosing scope's function name via site_here.
+    // site_here resolves the enclosing scope's function name.
     assert_eq!(store.sites().func_name(probe_rec.site), "outer");
-    // fn_scope! captured the first two args.
+    // The scope captured its two args.
     let enter = store
         .records()
         .iter()

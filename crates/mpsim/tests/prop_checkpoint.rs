@@ -5,45 +5,12 @@
 //! same trace records. This is the determinism contract the debugger's
 //! O(delta) replay and the explorer's prefix forking both stand on.
 
+mod common;
+
+use common::{fanin_programs, FANIN_NPROCS as NPROCS};
 use proptest::prelude::*;
-use tracedbg_mpsim::{
-    Engine, EngineConfig, FaultPlan, Payload, ProgramFn, Rank, RecorderConfig, SchedPolicy, Tag,
-};
+use tracedbg_mpsim::{Engine, EngineConfig, FaultPlan, Rank, RecorderConfig, SchedPolicy};
 use tracedbg_trace::schedule::Fault;
-
-const NPROCS: usize = 4;
-
-/// Fan-in workload with genuine wildcard nondeterminism: every worker
-/// sends `rounds` messages to rank 0, which receives them in whatever
-/// order the scheduler picks and then releases the workers.
-fn fanin_programs(rounds: u64) -> Vec<ProgramFn> {
-    let p0: ProgramFn = Box::new(move |ctx| {
-        let s = ctx.site("prop.rs", 1, "collector");
-        let mut sum = 0i64;
-        for _ in 0..(NPROCS as u64 - 1) * rounds {
-            let m = ctx.recv_any(None, s);
-            sum += m.payload.to_i64().unwrap_or(0);
-        }
-        ctx.probe("sum", sum, s);
-        for r in 1..NPROCS {
-            ctx.send(Rank(r as u32), Tag(9), Payload::from_i64(sum), s);
-        }
-    });
-    let mut progs = vec![p0];
-    for r in 1..NPROCS {
-        let worker: ProgramFn = Box::new(move |ctx| {
-            let s = ctx.site("prop.rs", 2, "worker");
-            for round in 0..rounds {
-                ctx.compute(50, s);
-                let v = (r as i64) * 100 + round as i64;
-                ctx.send(Rank(0), Tag(0), Payload::from_i64(v), s);
-            }
-            let _ = ctx.recv_from(Rank(0), Tag(9), s);
-        });
-        progs.push(worker);
-    }
-    progs
-}
 
 /// An optional single-fault plan hitting a worker (never the collector,
 /// so runs stay short): crash, hang, or a delivery delay into rank 0.

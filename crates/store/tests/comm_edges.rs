@@ -3,58 +3,22 @@
 //! every rank — the contract the localize graph differ leans on when one
 //! side of the diff is a store directory.
 
-use std::path::PathBuf;
-use tracedbg_mpsim::{Engine, EngineConfig, Payload, ProgramFn, Rank, RecorderConfig, Tag};
+mod common;
+
+use common::{fanin_programs, scratch_dir};
+use tracedbg_mpsim::{Engine, EngineConfig, Rank, RecorderConfig, Tag};
 use tracedbg_store::{ingest_store, DiskStore, StoreOptions};
 use tracedbg_trace::{EdgeDir, TraceSource, TraceStore};
 
-fn scratch_dir(label: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "tracedbg-comm-edges-{label}-{}",
-        std::process::id()
-    ))
-}
-
 /// A small fan-in with wildcard receives and two tags, so edges carry
 /// distinct (dir, peer, tag) keys at every rank.
-fn programs() -> Vec<ProgramFn> {
-    const NPROCS: usize = 4;
-    let p0: ProgramFn = Box::new(move |ctx| {
-        let s = ctx.site("edges.rs", 1, "collector");
-        for _ in 0..(NPROCS - 1) * 2 {
-            let _ = ctx.recv_any(None, s);
-        }
-        for r in 1..NPROCS {
-            ctx.send(Rank(r as u32), Tag(9), Payload::from_i64(0), s);
-        }
-    });
-    let mut progs = vec![p0];
-    for _ in 1..NPROCS {
-        let worker: ProgramFn = Box::new(move |ctx| {
-            let s = ctx.site("edges.rs", 2, "worker");
-            for round in 0..2i64 {
-                ctx.compute(50, s);
-                ctx.send(
-                    Rank(0),
-                    Tag((round % 2) as i32),
-                    Payload::from_i64(round),
-                    s,
-                );
-            }
-            let _ = ctx.recv_from(Rank(0), Tag(9), s);
-        });
-        progs.push(worker);
-    }
-    progs
-}
-
 fn reference() -> TraceStore {
     let mut e = Engine::launch(
         EngineConfig {
             recorder: RecorderConfig::full(),
             ..Default::default()
         },
-        programs(),
+        fanin_programs(2, 2),
     );
     let _ = e.run();
     e.trace_store()

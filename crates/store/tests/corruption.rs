@@ -6,20 +6,12 @@
 //! the query results byte-identical (flips of genuinely unused padding
 //! would be the only way to land there; the format has none).
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
+
+use common::scratch_dir;
+use std::path::Path;
 use tracedbg_store::{ingest_records, DiskStore, StoreError, StoreOptions};
 use tracedbg_trace::{EventKind, MsgInfo, Rank, Select, SiteTable, Tag, TraceRecord, TraceSource};
-
-static CASE: AtomicU64 = AtomicU64::new(0);
-
-fn scratch_dir(label: &str) -> PathBuf {
-    let n = CASE.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "tracedbg-store-corrupt-{}-{label}-{n}",
-        std::process::id()
-    ))
-}
 
 /// A small deterministic trace with every record shape: spans, messages,
 /// labels, several ranks, tags, and kinds — across two segments.

@@ -7,58 +7,14 @@
 //! `ingest_store` conversion and the streaming `TraceSink` the engine
 //! writes through while the run executes.
 
+mod common;
+
+use common::{fanin_programs, scratch_dir, NPROCS};
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use tracedbg_mpsim::{
-    Engine, EngineConfig, FaultPlan, Payload, ProgramFn, Rank, RecorderConfig, SchedPolicy, Tag,
-};
+use tracedbg_mpsim::{Engine, EngineConfig, FaultPlan, Rank, RecorderConfig, SchedPolicy, Tag};
 use tracedbg_store::{ingest_store, DiskStore, SharedWriter, StoreOptions, StoreWriter};
 use tracedbg_trace::schedule::Fault;
 use tracedbg_trace::{EventKind, TraceRecord, TraceSource, TraceStore};
-
-const NPROCS: usize = 4;
-
-static CASE: AtomicU64 = AtomicU64::new(0);
-
-fn scratch_dir(label: &str) -> PathBuf {
-    let n = CASE.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "tracedbg-store-prop-{}-{label}-{n}",
-        std::process::id()
-    ))
-}
-
-/// Fan-in with wildcard nondeterminism plus per-round tags, so the tag
-/// index has several distinct keys to discriminate.
-fn fanin_programs(rounds: u64) -> Vec<ProgramFn> {
-    let p0: ProgramFn = Box::new(move |ctx| {
-        let s = ctx.site("prop.rs", 1, "collector");
-        let mut sum = 0i64;
-        for _ in 0..(NPROCS as u64 - 1) * rounds {
-            let m = ctx.recv_any(None, s);
-            sum += m.payload.to_i64().unwrap_or(0);
-        }
-        ctx.probe("sum", sum, s);
-        for r in 1..NPROCS {
-            ctx.send(Rank(r as u32), Tag(9), Payload::from_i64(sum), s);
-        }
-    });
-    let mut progs = vec![p0];
-    for r in 1..NPROCS {
-        let worker: ProgramFn = Box::new(move |ctx| {
-            let s = ctx.site("prop.rs", 2, "worker");
-            for round in 0..rounds {
-                ctx.compute(50, s);
-                let v = (r as i64) * 100 + round as i64;
-                ctx.send(Rank(0), Tag((round % 3) as i32), Payload::from_i64(v), s);
-            }
-            let _ = ctx.recv_from(Rank(0), Tag(9), s);
-        });
-        progs.push(worker);
-    }
-    progs
-}
 
 fn arb_faults() -> impl Strategy<Value = Vec<Fault>> {
     let w = 1u32..NPROCS as u32;
@@ -196,7 +152,7 @@ proptest! {
     #[test]
     fn disk_queries_match_linear_scan(
         seed in 0u64..1024,
-        rounds in 1u64..4,
+        rounds in 1i64..4,
         segment_events in 4usize..64,
         faults in arb_faults(),
     ) {
@@ -212,7 +168,7 @@ proptest! {
         // runs; nothing is re-fed afterwards.
         let stream_dir = scratch_dir("stream");
         let shared = SharedWriter::new(StoreWriter::create(&stream_dir, opts).unwrap());
-        let mut engine = Engine::launch(cfg(), fanin_programs(rounds));
+        let mut engine = Engine::launch(cfg(), fanin_programs(rounds, 3));
         engine.attach_trace_sink(Box::new(shared.clone()));
         let _ = engine.run();
         let reference = engine.trace_store();

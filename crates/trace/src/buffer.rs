@@ -144,13 +144,6 @@ impl TraceBuffer {
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
     }
-
-    /// Mutable access to buffered records (the engine patches fields it
-    /// only learns after the record is emitted, e.g. send sequence
-    /// numbers).
-    pub fn records_mut(&mut self) -> &mut [TraceRecord] {
-        &mut self.records
-    }
 }
 
 #[cfg(test)]

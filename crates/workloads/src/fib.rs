@@ -31,7 +31,7 @@ pub fn fib_call_count(n: u64) -> u64 {
 }
 
 /// Task state: the instrumented site plus explicit arg/value stacks that
-/// replace the thread backend's native call stack.
+/// stand in for a native call stack.
 #[derive(Clone)]
 struct FibState {
     site: SiteId,

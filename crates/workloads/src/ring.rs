@@ -1,14 +1,7 @@
 //! A token ring: deterministic pattern for replay/trace tests.
-//!
-//! The ring is the first workload ported to the resumable task engine:
-//! `programs()` builds [`RankProgram::task`] ranks, and the retained
-//! thread variant (`thread_programs`) exists so the equivalence test can
-//! pin byte-identical traces across both backends.
 
 use tracedbg_mpsim::task::TaskOp;
-use tracedbg_mpsim::{
-    Payload, ProcessCtx, Prog, ProgramFn, Rank, RankProgram, SendMode, SiteId, Tag,
-};
+use tracedbg_mpsim::{Payload, Prog, Rank, RankProgram, SendMode, SiteId, Tag};
 
 const TAG_TOKEN: Tag = Tag(20);
 
@@ -35,35 +28,6 @@ impl Default for RingConfig {
             tag_stride: 0,
         }
     }
-}
-
-fn node(ctx: &mut ProcessCtx, cfg: &RingConfig, rank: usize) {
-    let site = ctx.site("ring.c", 12, "ring");
-    let cfg = *cfg;
-    ctx.scope(site, [rank as i64, cfg.rounds as i64], move |ctx| {
-        let next = Rank(((rank + 1) % cfg.nprocs) as u32);
-        let prev = Rank(((rank + cfg.nprocs - 1) % cfg.nprocs) as u32);
-        for round in 0..cfg.rounds {
-            // Every rank derives the same per-round tag, so the token
-            // still matches deterministically.
-            let tag = if cfg.tag_stride > 1 {
-                Tag(TAG_TOKEN.0 + (round % cfg.tag_stride) as i32)
-            } else {
-                TAG_TOKEN
-            };
-            if rank == 0 {
-                // Rank 0 injects the token, then waits for it to return.
-                ctx.compute(cfg.hop_cost, site);
-                ctx.send(next, tag, Payload::from_i64(round as i64), site);
-                let tok = ctx.recv_from(prev, tag, site);
-                assert_eq!(tok.payload.to_i64(), Some(round as i64));
-            } else {
-                let tok = ctx.recv_from(prev, tag, site);
-                ctx.compute(cfg.hop_cost, site);
-                ctx.send(next, tag, tok.payload, site);
-            }
-        }
-    });
 }
 
 /// Per-rank task state: config + identity, plus the loop cursor and the
@@ -154,7 +118,7 @@ fn node_prog() -> Prog<RingState> {
     ])
 }
 
-/// Build the ring programs (task-backed).
+/// Build the ring programs.
 pub fn programs(cfg: &RingConfig) -> Vec<RankProgram> {
     assert!(cfg.nprocs >= 2);
     let prog = node_prog();
@@ -170,18 +134,6 @@ pub fn programs(cfg: &RingConfig) -> Vec<RankProgram> {
                 },
                 prog.clone(),
             )
-        })
-        .collect()
-}
-
-/// The legacy thread-backed ring, kept for backend-equivalence tests.
-pub fn thread_programs(cfg: &RingConfig) -> Vec<ProgramFn> {
-    assert!(cfg.nprocs >= 2);
-    (0..cfg.nprocs)
-        .map(|r| {
-            let c = *cfg;
-            let p: ProgramFn = Box::new(move |ctx| node(ctx, &c, r));
-            p
         })
         .collect()
 }
@@ -257,27 +209,5 @@ mod tests {
         assert_eq!(tags, vec![20, 21, 22, 23]);
         // Each tag carries exactly rounds/stride of the traffic.
         assert_eq!(sends, cfg.rounds * cfg.nprocs);
-    }
-
-    /// The tentpole's acceptance bar: the task backend must trace
-    /// byte-identically to the thread backend at a fixed seed.
-    #[test]
-    fn task_ring_matches_thread_ring_trace() {
-        let cfg = RingConfig::default();
-        let collect = |mut e: Engine| {
-            let store = e.trace_store();
-            format!("{:?}", store.records())
-        };
-        let mut et = Engine::launch(
-            EngineConfig::with_recorder(RecorderConfig::full()),
-            thread_programs(&cfg),
-        );
-        assert!(et.run().is_completed());
-        let mut ek = Engine::launch(
-            EngineConfig::with_recorder(RecorderConfig::full()),
-            programs(&cfg),
-        );
-        assert!(ek.run().is_completed());
-        assert_eq!(collect(et), collect(ek));
     }
 }

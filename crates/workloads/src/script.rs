@@ -511,8 +511,8 @@ enum SFrame {
 }
 
 /// A resumable script interpreter: one rank's run-time state, poll-able
-/// by the engine. Where the old thread-backed interpreter recursed down
-/// the statement tree, this one keeps an explicit stack of [`SFrame`]s,
+/// by the engine. Instead of recursing down the statement tree it keeps
+/// an explicit stack of [`SFrame`]s,
 /// yields a [`TaskOp`] at every communication/instrumentation point, and
 /// clones into an [`EngineCheckpoint`](tracedbg_mpsim::EngineCheckpoint)
 /// as plain data. Runtime errors panic the task (reported through the

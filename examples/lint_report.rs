@@ -27,17 +27,23 @@ fn main() {
     // 2. A buggy program: P0 leaks a send nobody receives, and P1 posts a
     //    receive for a tag that is never sent.
     let buggy = trace_of(Box::new(|| {
-        let p0: ProgramFn = Box::new(|ctx| {
-            let site = ctx.site("buggy.rs", 4, "main");
-            ctx.send(Rank(1), Tag(7), Payload::from_i64(1), site);
-            // Wrong tag: nobody ever receives this one.
-            ctx.send(Rank(1), Tag(9), Payload::from_i64(2), site);
+        let send = |tag: i32, value: i64| {
+            Prog::op(move |_: &mut (), v| TaskOp::Send {
+                dst: Rank(1),
+                tag: Tag(tag),
+                payload: Payload::from_i64(value),
+                site: v.site("buggy.rs", 4, "main"),
+                mode: SendMode::Buffered,
+            })
+        };
+        // Wrong tag on the second send: nobody ever receives that one.
+        let p0 = Prog::seq(vec![send(7, 1), send(9, 2)]);
+        let p1 = Prog::op(|_: &mut (), v| TaskOp::Recv {
+            src: Some(Rank(0)),
+            tag: Some(Tag(7)),
+            site: v.site("buggy.rs", 11, "main"),
         });
-        let p1: ProgramFn = Box::new(|ctx| {
-            let site = ctx.site("buggy.rs", 11, "main");
-            let _ = ctx.recv_from(Rank(0), Tag(7), site);
-        });
-        vec![p0.into(), p1.into()]
+        vec![RankProgram::task((), p0), RankProgram::task((), p1)]
     }));
     let diags = lint_trace(&buggy, &cfg);
     println!("\nbuggy trace:");

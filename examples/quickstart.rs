@@ -5,6 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use tracedbg::mpsim::TaskView;
 use tracedbg::prelude::*;
 
 fn main() {
@@ -12,26 +13,63 @@ fn main() {
     //    Three processes: P0 scatters a value, P1/P2 square it and send it
     //    back.
     let factory: ProgramFactory = Box::new(|| {
-        let p0: ProgramFn = Box::new(|ctx| {
-            let site = ctx.site("quickstart.rs", 20, "main");
-            for w in 1..=2u32 {
-                ctx.send(Rank(w), Tag(1), Payload::from_i64(w as i64 + 10), site);
-            }
-            for _ in 0..2 {
-                let m = ctx.recv_any(Some(Tag(2)), site);
-                println!("master got {} from P{}", m.payload.to_i64().unwrap(), m.src);
-            }
-        });
-        let worker = |_w: u32| -> ProgramFn {
-            Box::new(move |ctx| {
-                let site = ctx.site("quickstart.rs", 32, "worker");
-                let m = ctx.recv_from(Rank(0), Tag(1), site);
-                let x = m.payload.to_i64().unwrap();
-                ctx.compute(50_000, site); // simulated work
-                ctx.send(Rank(0), Tag(2), Payload::from_i64(x * x), site);
-            })
-        };
-        vec![p0.into(), worker(1).into(), worker(2).into()]
+        let site = |v: &TaskView<'_>| v.site("quickstart.rs", 20, "main");
+        let master = Prog::seq(vec![
+            Prog::for_range(
+                |_, _| (1, 3),
+                |w: &mut i64, i| *w = i,
+                Prog::op(move |w: &mut i64, v| TaskOp::Send {
+                    dst: Rank(*w as u32),
+                    tag: Tag(1),
+                    payload: Payload::from_i64(*w + 10),
+                    site: site(v),
+                    mode: SendMode::Buffered,
+                }),
+            ),
+            Prog::for_range(
+                |_, _| (0, 2),
+                |_, _| {},
+                Prog::op_bind(
+                    move |_, v| TaskOp::Recv {
+                        src: None,
+                        tag: Some(Tag(2)),
+                        site: site(v),
+                    },
+                    |_, m, _| {
+                        let m = m.message();
+                        println!("master got {} from P{}", m.payload.to_i64().unwrap(), m.src);
+                    },
+                ),
+            ),
+        ]);
+        let site = |v: &TaskView<'_>| v.site("quickstart.rs", 32, "worker");
+        let worker = Prog::seq(vec![
+            Prog::op_bind(
+                move |_, v| TaskOp::Recv {
+                    src: Some(Rank(0)),
+                    tag: Some(Tag(1)),
+                    site: site(v),
+                },
+                |x: &mut i64, m, _| *x = m.message().payload.to_i64().unwrap(),
+            ),
+            // simulated work
+            Prog::op(move |_, v| TaskOp::Compute {
+                cost_ns: 50_000,
+                site: site(v),
+            }),
+            Prog::op(move |x: &mut i64, v| TaskOp::Send {
+                dst: Rank(0),
+                tag: Tag(2),
+                payload: Payload::from_i64(*x * *x),
+                site: site(v),
+                mode: SendMode::Buffered,
+            }),
+        ]);
+        vec![
+            RankProgram::task(0i64, master),
+            RankProgram::task(0i64, worker.clone()),
+            RankProgram::task(0i64, worker),
+        ]
     });
 
     // 2. Debug it in a session.

@@ -56,15 +56,24 @@ fn main() {
 
     // 4. Deadlock detection: a circular receive chain.
     let factory: ProgramFactory = Box::new(|| {
-        let mk = |me: u32, wait_on: u32| -> ProgramFn {
-            Box::new(move |ctx| {
-                let site = ctx.site("cycle.rs", 5, "node");
-                ctx.compute(10_000, site);
-                let _ = ctx.recv_from(Rank(wait_on), Tag(0), site);
-                let _ = me;
-            })
+        let node = |wait_on: u32| {
+            let site = |v: &tracedbg::mpsim::TaskView<'_>| v.site("cycle.rs", 5, "node");
+            RankProgram::task(
+                (),
+                Prog::seq(vec![
+                    Prog::op(move |_, v| TaskOp::Compute {
+                        cost_ns: 10_000,
+                        site: site(v),
+                    }),
+                    Prog::op(move |_, v| TaskOp::Recv {
+                        src: Some(Rank(wait_on)),
+                        tag: Some(Tag(0)),
+                        site: site(v),
+                    }),
+                ]),
+            )
         };
-        vec![mk(0, 1).into(), mk(1, 2).into(), mk(2, 0).into()]
+        vec![node(1), node(2), node(0)]
     });
     let mut session = Session::launch(SessionConfig::default(), factory);
     let status = session.run();

@@ -15,6 +15,24 @@ cargo build --offline --release
 echo "==> cargo test -q"
 cargo test --offline -q
 
+echo "==> flake: bench-lib and store test binaries, 20 consecutive green runs"
+# Tests that share scratch state only fail some of the time; one pass of
+# `cargo test` cannot tell. Fail on the first red run.
+for i in $(seq 1 20); do
+  cargo test --offline -q -p tracedbg-bench --lib >/dev/null 2>&1 \
+    || { echo "flake stage: tracedbg-bench --lib failed on run $i" >&2; exit 1; }
+  cargo test --offline -q -p tracedbg-store >/dev/null 2>&1 \
+    || { echo "flake stage: tracedbg-store failed on run $i" >&2; exit 1; }
+done
+
+echo "==> benchmark crate: builds and passes against the current public API, untouched"
+# benchmark/ is a separate workspace with its own lockfile: a removed
+# public item or a changed dependency graph must fail here, not in the
+# benchmark pipeline.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+git diff --exit-code -- benchmark BENCHMARK.json
+
 echo "==> lint smoke: seed workloads must be clean"
 ./target/release/tracedbg run ring --trace target/verify_ring.trc >/dev/null
 ./target/release/tracedbg lint target/verify_ring.trc

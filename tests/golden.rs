@@ -24,7 +24,7 @@ fn golden_dir() -> PathBuf {
 
 /// Run deterministically and render the canonical text trace. Workloads
 /// that deadlock by design (`strassen-bug`) still trace deterministically.
-fn canonical_trace<P: Into<tracedbg::mpsim::RankProgram>>(programs: Vec<P>) -> String {
+fn canonical_trace(programs: Vec<tracedbg::mpsim::RankProgram>) -> String {
     let mut e = Engine::launch(
         EngineConfig::with_recorder(RecorderConfig::full()),
         programs,
@@ -41,7 +41,7 @@ fn canonical_trace<P: Into<tracedbg::mpsim::RankProgram>>(programs: Vec<P>) -> S
     String::from_utf8(buf).expect("trace text is UTF-8")
 }
 
-fn check<P: Into<tracedbg::mpsim::RankProgram>>(name: &str, programs: Vec<P>) {
+fn check(name: &str, programs: Vec<tracedbg::mpsim::RankProgram>) {
     let text = canonical_trace(programs);
     let path = golden_dir().join(format!("{name}.trc"));
     if std::env::var_os("BLESS").is_some() {

@@ -21,6 +21,18 @@ use tracedbg::trace::TraceSource;
 /// Small segments so even modest goldens span several files.
 const SEGMENT_EVENTS: usize = 32;
 
+/// A scratch directory unique per call (pid + process-wide counter), so
+/// concurrent tests in this binary never share one.
+fn scratch_dir(label: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static CALL: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "tracedbg-golden-{label}-{}-{}",
+        std::process::id(),
+        CALL.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
 }
@@ -57,7 +69,7 @@ fn render(file: &TraceFile) -> String {
 /// text → store → text is the identity on every golden trace.
 #[test]
 fn golden_traces_roundtrip_through_the_store() {
-    let scratch = std::env::temp_dir().join(format!("tracedbg-golden-rt-{}", std::process::id()));
+    let scratch = scratch_dir("rt");
     for name in golden_names() {
         let (text, file) = read_golden(&name);
         let n_ranks = file.n_ranks;
@@ -131,10 +143,7 @@ fn committed_store_goldens_stay_compatible() {
         );
         // Writer determinism: rebuilding from the text produces the
         // committed directory byte-for-byte.
-        let scratch = std::env::temp_dir().join(format!(
-            "tracedbg-golden-fresh-{}-{name}",
-            std::process::id()
-        ));
+        let scratch = scratch_dir(&format!("fresh-{name}"));
         ingest_store(
             &mem,
             &scratch,

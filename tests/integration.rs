@@ -10,6 +10,18 @@ use tracedbg::workloads::master_worker::{self, completion_order, PoolConfig};
 use tracedbg::workloads::ring::{self, RingConfig};
 use tracedbg::workloads::strassen::{self, StrassenConfig, Variant};
 
+/// A scratch directory unique per call (pid + process-wide counter), so
+/// concurrent tests in this binary never share one.
+fn scratch_dir(label: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static CALL: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "tracedbg-integration-{label}-{}-{}",
+        std::process::id(),
+        CALL.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 fn strassen_session(variant: Variant) -> Session {
     let cfg = StrassenConfig::figures(variant);
     Session::launch(
@@ -334,21 +346,32 @@ fn crash_postmortem_replay() {
     // of the crash ... by setting a stopline and replaying, the user can
     // have the execution stop before the problem occurs."
     let factory: ProgramFactory = Box::new(|| {
-        let p0: ProgramFn = Box::new(|ctx| {
-            let s = ctx.site("crash.rs", 4, "main");
-            for i in 0..10i64 {
-                ctx.probe("i", i, s);
-                ctx.compute(1_000, s);
-                if i == 7 {
-                    panic!("index out of bounds at iteration {i}");
-                }
-            }
+        // for i in 0..10 { probe i; compute; crash at i == 7 }
+        let p0 = Prog::for_range(
+            |_, _| (0, 10),
+            |i: &mut i64, k| *i = k,
+            Prog::seq(vec![
+                Prog::op(|i: &mut i64, v| TaskOp::Probe {
+                    label: "i".into(),
+                    value: *i,
+                    site: v.site("crash.rs", 4, "main"),
+                }),
+                Prog::op(|_, v| TaskOp::Compute {
+                    cost_ns: 1_000,
+                    site: v.site("crash.rs", 4, "main"),
+                }),
+                Prog::act(|i, _| {
+                    if *i == 7 {
+                        panic!("index out of bounds at iteration {i}");
+                    }
+                }),
+            ]),
+        );
+        let p1 = Prog::op(|_: &mut (), v| TaskOp::Compute {
+            cost_ns: 500,
+            site: v.site("crash.rs", 20, "bystander"),
         });
-        let p1: ProgramFn = Box::new(|ctx| {
-            let s = ctx.site("crash.rs", 20, "bystander");
-            ctx.compute(500, s);
-        });
-        vec![p0.into(), p1.into()]
+        vec![RankProgram::task(0i64, p0), RankProgram::task((), p1)]
     });
     let mut session = Session::launch(
         SessionConfig {
@@ -538,7 +561,7 @@ fn stats_stream_identically_from_every_trace_plane() {
         live
     );
 
-    let dir = std::env::temp_dir().join(format!("tracedbg-stats-plane-{}", std::process::id()));
+    let dir = scratch_dir("stats-plane");
     let _ = std::fs::remove_dir_all(&dir);
     tracedbg::store::ingest_records(
         store.records(),

@@ -309,8 +309,8 @@ proptest! {
     /// hang, or message delay — restore it, and run both the original
     /// and the restored engine to the end: outcome, state digest, and
     /// faulted-rank set must be identical. Task frames are cloned on
-    /// restore (no respawn, no reply fast-forward), so any divergence
-    /// here is a checkpoint-plane bug, not scheduling noise.
+    /// restore and nothing is re-executed, so any divergence here is a
+    /// checkpoint-plane bug, not scheduling noise.
     #[test]
     fn wide_snapshot_restore_is_identical_under_faults(
         fault_sel in 0usize..3,
