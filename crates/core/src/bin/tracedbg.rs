@@ -39,7 +39,7 @@
 //! `break <func|file:line>`, `watch <label> == <v>`, `undo`, ...); with
 //! `-e` commands it runs non-interactively.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use tracedbg::prelude::*;
 use tracedbg::profile::{perfetto_json, CriticalPath, ProfileInput, ProfileReport, WaitAnalysis};
@@ -290,6 +290,27 @@ fn load_trace_file(path: &str) -> Result<TraceFile, String> {
     }
 }
 
+/// Write a run's trace to `path` (binary for `.tbin`, text otherwise).
+/// The encoders emit one small write per field, so the file is buffered;
+/// the explicit flush is what surfaces a write error.
+fn write_trace_file(path: &str, store: &TraceStore) -> Result<(), String> {
+    let file = TraceFile::new(
+        store.records().to_vec(),
+        store.sites().clone(),
+        store.n_ranks(),
+    );
+    let write = || -> std::io::Result<()> {
+        let mut w = BufWriter::new(std::fs::File::create(path)?);
+        if path.ends_with(".tbin") {
+            write_binary(&mut w, &file)?;
+        } else {
+            write_text(&mut w, &file)?;
+        }
+        w.flush()
+    };
+    write().map_err(|e| format!("cannot write {path}: {e}"))
+}
+
 fn cmd_run(opts: &Opts) -> Result<(), String> {
     let name = opts
         .positional
@@ -334,17 +355,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     let report = HistoryReport::analyze(&store);
     println!("{report}");
     if let Some(out) = opts.flag("trace") {
-        let file = TraceFile::new(
-            store.records().to_vec(),
-            store.sites().clone(),
-            store.n_ranks(),
-        );
-        let mut w = std::fs::File::create(out).map_err(|e| e.to_string())?;
-        if out.ends_with(".tbin") {
-            write_binary(&mut w, &file).map_err(|e| e.to_string())?;
-        } else {
-            write_text(&mut w, &file).map_err(|e| e.to_string())?;
-        }
+        write_trace_file(out, &store)?;
         println!("trace written to {out}");
     }
     Ok(())
@@ -1080,18 +1091,7 @@ fn cmd_replay(opts: &Opts) -> Result<ExitCode, String> {
         );
     }
     if let Some(out) = opts.flag("trace") {
-        let store = replay.trace();
-        let file = TraceFile::new(
-            store.records().to_vec(),
-            store.sites().clone(),
-            store.n_ranks(),
-        );
-        let mut w = std::fs::File::create(out).map_err(|e| e.to_string())?;
-        if out.ends_with(".tbin") {
-            write_binary(&mut w, &file).map_err(|e| e.to_string())?;
-        } else {
-            write_text(&mut w, &file).map_err(|e| e.to_string())?;
-        }
+        write_trace_file(out, &replay.trace())?;
         if !opts.has("json") {
             println!("trace written to {out}");
         }
@@ -1553,7 +1553,29 @@ fn json_string(s: &str) -> String {
     out
 }
 
+/// A reader that closes stdout early (`tracedbg run … | head -1`) ends
+/// the output; it is not an error. The Rust runtime starts with SIGPIPE
+/// ignored, which turns the next `println!` into a panic and exit code
+/// 101; restoring the default disposition makes the write end the
+/// process quietly, like any Unix filter.
+#[cfg(unix)]
+fn die_quietly_on_closed_stdout() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal` is the C library's; SIG_DFL is a valid disposition
+    // for SIGPIPE, and this runs first thing in `main`, before any other
+    // thread exists or any handler could have been installed.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
 fn main() -> ExitCode {
+    #[cfg(unix)]
+    die_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         eprintln!(

@@ -61,11 +61,18 @@ impl CheckpointCache {
         }
     }
 
+    /// Is a checkpoint with exactly these markers already cached? Ask
+    /// before paying for a snapshot: a replay that lands exactly on a
+    /// cached stop has nothing new to deposit.
+    pub fn contains(&self, markers: &MarkerVector) -> bool {
+        self.entries.iter().any(|(m, _)| m == markers)
+    }
+
     /// Deposit a checkpoint. Re-stopping at already-cached markers is a
-    /// no-op (a replay landing exactly on a cached stop re-records it).
+    /// no-op.
     pub fn insert(&mut self, cp: EngineCheckpoint) {
         let markers = cp.markers();
-        if self.entries.iter().any(|(m, _)| *m == markers) {
+        if self.contains(&markers) {
             return;
         }
         self.entries.push((markers, Arc::new(cp)));

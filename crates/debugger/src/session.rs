@@ -205,16 +205,19 @@ impl Session {
         if !self.replaying {
             self.recorded_log = Some(self.engine.match_log());
         }
-        self.undo.push(self.engine.markers());
+        let markers = self.engine.markers();
         // Deposit a checkpoint at (every Nth) stop: only Stopped states are
-        // replay/undo targets, and only they can make further progress.
+        // replay/undo targets, and only they can make further progress. A
+        // stop the cache already holds (a replay landed exactly on it)
+        // takes no snapshot at all.
         if self.status.is_stopped() && self.engine.checkpoints_enabled() {
             self.stop_count += 1;
             let every = self.cfg.checkpoint_every;
-            if every > 0 && self.stop_count % every == 0 {
+            if every > 0 && self.stop_count % every == 0 && !self.ckpts.contains(&markers) {
                 self.ckpts.insert(self.engine.snapshot());
             }
         }
+        self.undo.push(markers);
         &self.status
     }
 
@@ -838,9 +841,13 @@ mod tests {
         let at_step = s.markers();
         s.step(Rank(0));
         // The stop after the first step was checkpointed; undoing to it is
-        // an exact cache hit (no re-execution), and the session reports
-        // the same stopped state.
+        // an exact cache hit (no re-execution, and no fresh snapshot of a
+        // stop the cache already holds), and the session reports the same
+        // stopped state.
+        let snapshots = s.telemetry().engine.snapshots;
+        assert!(snapshots >= 2, "both steps were checkpointed");
         assert!(s.undo());
+        assert_eq!(s.telemetry().engine.snapshots, snapshots);
         assert_eq!(s.markers(), at_step);
         assert!(s.status().is_stopped());
         // The restored incarnation keeps working: step again, finish.

@@ -745,7 +745,7 @@ impl Explorer {
         for (i, p) in points.iter().enumerate().skip(from) {
             if p.is_branch() {
                 let mut explored: Vec<Decision> = vec![p.chosen];
-                for &alt in &p.alternatives {
+                for alt in p.alternatives.iter() {
                     if alt == p.chosen {
                         continue;
                     }

@@ -177,10 +177,7 @@ fn finish(
     let snapshot_ns = engine.snapshot_ns();
     let metrics = engine.take_metrics().map(Box::new);
     let store = engine.trace_store();
-    let digest = {
-        let recs: Vec<_> = store.records().to_vec();
-        trace_digest(&recs)
-    };
+    let digest = trace_digest(store.records());
     RunResult {
         class,
         detail,

@@ -4,9 +4,10 @@
 //! The paper's §4.2 bounds replay cost with a "logarithmic backlog" of
 //! saved states; [`EngineCheckpoint`] is that saved state. It captures
 //! everything the engine owns — process states, each rank's frame stack
-//! and instrumentation recorder, mailboxes, sequence counters, collective
-//! state, the scheduler (RNG + script cursor), the match recorder, replay
-//! cursors, fault-plan progress and the decision log. Taking one is a
+//! and instrumentation recorder, mailboxes (with their per-channel
+//! sequence counters), collective state, the scheduler (RNG + script
+//! cursor), the match recorder, replay cursors, fault-plan progress and
+//! the decision log. Taking one is a
 //! clone of owned state; restoring one is another clone — nothing is
 //! re-executed.
 //!
@@ -36,7 +37,6 @@ pub struct EngineCheckpoint {
     pub(crate) states: Vec<ProcState>,
     pub(crate) paused: Vec<bool>,
     pub(crate) mailboxes: Vec<Mailbox>,
-    pub(crate) send_seq: Vec<Vec<u64>>,
     pub(crate) scheduler: Scheduler,
     pub(crate) match_rec: MatchRecorder,
     pub(crate) replay: Option<ReplayLog>,

@@ -23,7 +23,7 @@ use crate::sched::{SchedPolicy, Scheduler};
 use crate::task::{Prog, TaskEnv, TaskHarness, TaskInterp, TaskProgram};
 use tracedbg_instrument::{Recorder, RecorderConfig};
 use tracedbg_obs::{EngineMetrics, FlightRecorder, Span, SpanKind};
-use tracedbg_trace::schedule::{Decision, DecisionPoint};
+use tracedbg_trace::schedule::{Alternatives, Decision, DecisionPoint, RankSet};
 use tracedbg_trace::{FlushHandle, Marker, MarkerVector, Rank, SiteTable, TraceRecord, TraceStore};
 
 /// Engine construction parameters.
@@ -125,6 +125,13 @@ pub(crate) enum ProcState {
     Panicked(String),
 }
 
+impl ProcState {
+    /// May the scheduler grant this process the next turn?
+    fn grantable(&self, paused: bool) -> bool {
+        matches!(self, ProcState::Ready(_)) && !paused
+    }
+}
+
 /// The engine's telemetry plane (present only when
 /// `EngineConfig::metrics` is on). Everything in `metrics` derives from
 /// the executed event sequence alone; `snapshot_ns` is the one wall-clock
@@ -181,12 +188,19 @@ impl From<Box<dyn TaskProgram>> for RankProgram {
 
 /// A complete simulated run.
 pub struct Engine {
+    /// Every transition goes through [`Engine::set_state`] (and every
+    /// pause through [`Engine::set_paused`]), which keep `ready` in step.
     states: Vec<ProcState>,
     paused: Vec<bool>,
+    /// The ranks the scheduler may grant the next turn: `Ready` and not
+    /// paused. Maintained at every state and pause transition, so a turn
+    /// costs O(ranks/64) instead of a scan over every `ProcState`.
+    ready: RankSet,
+    /// Run the delivery sweep on the next [`Engine::run`] (set by the two
+    /// operations that can leave a deliverable receive undelivered).
+    resweep: bool,
     tasks: Vec<TaskHarness>,
     mailboxes: Vec<Mailbox>,
-    /// `send_seq[src][dst]`: next sequence number on that channel.
-    send_seq: Vec<Vec<u64>>,
     scheduler: Scheduler,
     match_rec: MatchRecorder,
     replay: Option<ReplayLog>,
@@ -228,12 +242,13 @@ impl Engine {
         Engine {
             states: (0..n).map(|_| ProcState::Ready(Reply::Proceed)).collect(),
             paused: vec![false; n],
+            ready: RankSet::from_ranks(n, (0..n).map(Rank::from)),
+            resweep: false,
             tasks: programs
                 .into_iter()
                 .map(|p| TaskHarness::new(p.0))
                 .collect(),
-            mailboxes: (0..n).map(|_| Mailbox::new(n)).collect(),
-            send_seq: vec![vec![0; n]; n],
+            mailboxes: vec![Mailbox::new(); n],
             scheduler: Scheduler::new(&config.policy, n),
             match_rec: MatchRecorder::new(n),
             replay,
@@ -266,12 +281,15 @@ impl Engine {
         install_quiet_panic_hook();
         let flush = FlushHandle::new();
         flush.accept(cp.flush_pending.clone());
-        Engine {
+        let mut engine = Engine {
             states: cp.states.clone(),
             paused: cp.paused.clone(),
+            ready: RankSet::new(cp.n_ranks),
+            // A snapshot can land between a match becoming possible and
+            // its decision being committed; the sweep re-delivers it.
+            resweep: true,
             tasks: cp.tasks.clone(),
             mailboxes: cp.mailboxes.clone(),
-            send_seq: cp.send_seq.clone(),
             scheduler: cp.scheduler.clone(),
             match_rec: cp.match_rec.clone(),
             replay: cp.replay.clone(),
@@ -292,7 +310,35 @@ impl Engine {
             // would cover only its own incarnation. Callers that want
             // telemetry after a restore opt back in via `enable_metrics`.
             obs: None,
-        }
+        };
+        engine.ready = engine.scan_ready();
+        engine
+    }
+
+    /// Move `rank` to `state` — the one writer of `states` — and return
+    /// the state it left.
+    fn set_state(&mut self, rank: Rank, state: ProcState) -> ProcState {
+        self.ready
+            .set(rank, state.grantable(self.paused[rank.ix()]));
+        std::mem::replace(&mut self.states[rank.ix()], state)
+    }
+
+    /// The ready set recomputed from scratch: what `ready` must equal.
+    fn scan_ready(&self) -> RankSet {
+        let grantable = |&i: &usize| self.states[i].grantable(self.paused[i]);
+        RankSet::from_ranks(
+            self.n_ranks,
+            (0..self.n_ranks).filter(grantable).map(Rank::from),
+        )
+    }
+
+    /// Does some blocked receive have a message it could match? Never at
+    /// a rest point of a run that was neither restored nor re-pinned.
+    fn has_deliverable_receive(&self) -> bool {
+        self.states.iter().enumerate().any(|(i, s)| match s {
+            ProcState::Blocked { spec, .. } => !self.mailboxes[i].candidates(spec).is_empty(),
+            _ => false,
+        })
     }
 
     pub fn n_ranks(&self) -> usize {
@@ -306,32 +352,26 @@ impl Engine {
     /// Run until completion, deadlock, panic, or a debugger stop.
     pub fn run(&mut self) -> RunOutcome {
         // Re-deliver any receive that was mid-match when a checkpoint was
-        // taken (a snapshot can land between a match becoming possible and
-        // its decision being committed). In an uncheckpointed engine this
-        // sweep is a provable no-op: at every rest point a blocked receive
-        // with candidates has already been delivered.
-        for r in 0..self.n_ranks {
-            self.try_match(Rank(r as u32));
+        // taken, or that a delta replay log just re-pinned. Everywhere
+        // else the sweep would be a no-op — at every rest point a blocked
+        // receive with candidates has already been delivered — so a
+        // `step` in a wide session does not pay for it.
+        if std::mem::take(&mut self.resweep) {
+            for r in 0..self.n_ranks {
+                self.try_match(Rank(r as u32));
+            }
         }
+        debug_assert!(!self.has_deliverable_receive());
         loop {
-            let runnable: Vec<Rank> = self
-                .states
-                .iter()
-                .enumerate()
-                .filter(|(i, s)| matches!(s, ProcState::Ready(_)) && !self.paused[*i])
-                .map(|(i, _)| Rank(i as u32))
-                .collect();
-            if runnable.is_empty() {
+            debug_assert_eq!(self.ready, self.scan_ready());
+            if self.ready.is_empty() {
                 return self.stall_outcome();
             }
             self.maybe_snapshot();
-            let p = self.scheduler.pick(&runnable);
+            let p = self.scheduler.pick(&self.ready);
             self.decision_log.push(DecisionPoint {
                 chosen: Decision::Turn { rank: p },
-                alternatives: runnable
-                    .iter()
-                    .map(|&r| Decision::Turn { rank: r })
-                    .collect(),
+                alternatives: Alternatives::Turns(self.ready.clone()),
             });
             if let Some(o) = self.obs.as_mut() {
                 o.turn_count += 1;
@@ -345,7 +385,7 @@ impl Engine {
                     c: 0,
                 });
             }
-            let reply = match std::mem::replace(&mut self.states[p.ix()], ProcState::Running) {
+            let reply = match self.set_state(p, ProcState::Running) {
                 ProcState::Ready(r) => r,
                 other => unreachable!("granted non-ready process in state {other:?}"),
             };
@@ -438,7 +478,7 @@ impl Engine {
             self.ops[rank.ix()] += 1;
             if let Some((after_ops, kind)) = self.faults.silence_for(rank) {
                 if self.ops[rank.ix()] > after_ops {
-                    self.states[rank.ix()] = ProcState::Faulted(kind);
+                    self.set_state(rank, ProcState::Faulted(kind));
                     if let Some(o) = self.obs.as_mut() {
                         // The process already emitted its RecvPost trace
                         // record before asking for service, so the swallowed
@@ -472,8 +512,7 @@ impl Engine {
                 site,
                 mode,
             } => {
-                let seq = self.send_seq[rank.ix()][dst.ix()];
-                self.send_seq[rank.ix()][dst.ix()] += 1;
+                let seq = self.mailboxes[dst.ix()].next_seq(rank);
                 let t_done = self.cost.send_done(t0);
                 let bytes = payload.len() as u64;
                 let arrival =
@@ -490,8 +529,8 @@ impl Engine {
                     payload,
                 };
                 self.mailboxes[dst.ix()].push(env);
-                let depth = self.mailboxes[dst.ix()].pending() as u64;
                 if let Some(o) = self.obs.as_mut() {
+                    let depth = self.mailboxes[dst.ix()].pending() as u64;
                     o.metrics.msgs_sent[rank.ix()] += 1;
                     o.metrics.bytes_sent[rank.ix()] += bytes;
                     o.metrics.channel_msgs[rank.ix()][dst.ix()] += 1;
@@ -499,13 +538,14 @@ impl Engine {
                     let hwm = &mut o.metrics.queue_hwm[dst.ix()];
                     *hwm = (*hwm).max(depth);
                 }
-                self.states[rank.ix()] = match mode {
+                let state = match mode {
                     SendMode::Buffered => ProcState::Ready(Reply::SendDone { seq, t_done }),
                     SendMode::Synchronous => ProcState::BlockedSend {
                         dst,
                         marker: send_marker,
                     },
                 };
+                self.set_state(rank, state);
                 self.try_match(dst);
             }
             Request::Recv { mut spec, t_post } => {
@@ -516,11 +556,14 @@ impl Engine {
                     }
                 }
                 let marker = self.recorders[rank.ix()].marker();
-                self.states[rank.ix()] = ProcState::Blocked {
-                    spec,
-                    t_post,
-                    marker,
-                };
+                self.set_state(
+                    rank,
+                    ProcState::Blocked {
+                        spec,
+                        t_post,
+                        marker,
+                    },
+                );
                 if let Some(o) = self.obs.as_mut() {
                     o.metrics.recvs[rank.ix()] += 1;
                     o.block_turn[rank.ix()] = Some(o.turn_count);
@@ -558,23 +601,26 @@ impl Engine {
                     "collective mismatch: {:?} entered {kind:?} while {:?} in progress",
                     rank, pc.kind
                 );
-                self.states[rank.ix()] = ProcState::InCollective;
                 let complete = pc.join(CollEntry {
                     rank,
                     payload,
                     t_enter,
                 });
+                self.set_state(rank, ProcState::InCollective);
                 if complete {
                     let pc = self.pending_coll.take().unwrap();
                     let t_done = pc.completion_time(self.cost.latency);
                     let results = pc.results();
                     for (i, result) in results.into_iter().enumerate() {
-                        self.states[i] = ProcState::Ready(Reply::CollDone { result, t_done });
+                        self.set_state(
+                            Rank::from(i),
+                            ProcState::Ready(Reply::CollDone { result, t_done }),
+                        );
                     }
                 }
             }
             Request::MarkerTrap { marker } => {
-                self.states[rank.ix()] = ProcState::Trapped { marker };
+                self.set_state(rank, ProcState::Trapped { marker });
                 if let Some(o) = self.obs.as_mut() {
                     o.record_span(Span {
                         decision: self.decision_log.len() as u64,
@@ -587,14 +633,14 @@ impl Engine {
                 }
             }
             Request::Finished { .. } => {
-                self.states[rank.ix()] = ProcState::Finished;
+                self.set_state(rank, ProcState::Finished);
                 // Collect the finished process's trace immediately.
                 let recs = self.recorders[rank.ix()].take_records();
                 self.flush.tee_records(&recs);
                 self.collected.extend(recs);
             }
             Request::Panicked { message } => {
-                self.states[rank.ix()] = ProcState::Panicked(message);
+                self.set_state(rank, ProcState::Panicked(message));
                 if let Some(o) = self.obs.as_mut() {
                     o.record_span(Span {
                         decision: self.decision_log.len() as u64,
@@ -627,14 +673,16 @@ impl Engine {
                 src: candidates[pick].src,
                 seq: candidates[pick].seq,
             },
-            alternatives: candidates
-                .iter()
-                .map(|c| Decision::Match {
-                    dst,
-                    src: c.src,
-                    seq: c.seq,
-                })
-                .collect(),
+            alternatives: Alternatives::Matches(
+                candidates
+                    .iter()
+                    .map(|c| Decision::Match {
+                        dst,
+                        src: c.src,
+                        seq: c.seq,
+                    })
+                    .collect(),
+            ),
         });
         let env = self.mailboxes[dst.ix()].take(candidates[pick]);
         self.match_rec.record(
@@ -670,13 +718,16 @@ impl Engine {
         if env.synchronous {
             let sender = env.src;
             if matches!(self.states[sender.ix()], ProcState::BlockedSend { .. }) {
-                self.states[sender.ix()] = ProcState::Ready(Reply::SendDone {
-                    seq: env.seq,
-                    t_done,
-                });
+                self.set_state(
+                    sender,
+                    ProcState::Ready(Reply::SendDone {
+                        seq: env.seq,
+                        t_done,
+                    }),
+                );
             }
         }
-        self.states[dst.ix()] = ProcState::Ready(Reply::RecvDone { env, t_done });
+        self.set_state(dst, ProcState::Ready(Reply::RecvDone { env, t_done }));
     }
 
     // ---- debugger interface ----
@@ -702,7 +753,9 @@ impl Engine {
 
     /// Clear every debugger pause.
     pub fn clear_pauses(&mut self) {
-        self.paused.fill(false);
+        for r in 0..self.n_ranks {
+            self.set_paused(Rank::from(r), false);
+        }
     }
 
     /// Disarm every threshold.
@@ -715,23 +768,19 @@ impl Engine {
     /// Resume all trapped processes (thresholds stay as set; clear them
     /// first to avoid immediately re-trapping).
     pub fn resume_trapped(&mut self) {
-        for s in self.states.iter_mut() {
-            if matches!(s, ProcState::Trapped { .. }) {
-                *s = ProcState::Ready(Reply::Proceed);
-            }
+        for r in 0..self.n_ranks {
+            self.resume_rank(Rank::from(r));
         }
     }
 
     /// Resume a single trapped process (single-process `step`/`continue`).
     /// Returns `false` if the process was not trapped.
     pub fn resume_rank(&mut self, rank: Rank) -> bool {
-        let s = &mut self.states[rank.ix()];
-        if matches!(s, ProcState::Trapped { .. }) {
-            *s = ProcState::Ready(Reply::Proceed);
-            true
-        } else {
-            false
+        let trapped = self.is_trapped(rank);
+        if trapped {
+            self.set_state(rank, ProcState::Ready(Reply::Proceed));
         }
+        trapped
     }
 
     /// Is this process currently stopped at a trap?
@@ -747,6 +796,8 @@ impl Engine {
     /// Pause / unpause a process (debugger-initiated, turn-level).
     pub fn set_paused(&mut self, rank: Rank, paused: bool) {
         self.paused[rank.ix()] = paused;
+        self.ready
+            .set(rank, self.states[rank.ix()].grantable(paused));
     }
 
     /// Current execution markers of every process.
@@ -927,7 +978,6 @@ impl Engine {
             states: self.states.clone(),
             paused: self.paused.clone(),
             mailboxes: self.mailboxes.clone(),
-            send_seq: self.send_seq.clone(),
             scheduler: self.scheduler.clone(),
             match_rec: self.match_rec.clone(),
             replay: self.replay.clone(),
@@ -1011,12 +1061,14 @@ impl Engine {
             }
             self.recorders[i].marker().hash(&mut h);
         }
-        for mb in &self.mailboxes {
+        for (dst, mb) in self.mailboxes.iter().enumerate() {
             for env in mb.undelivered() {
                 (env.src.ix(), env.dst.ix(), env.tag.0, env.seq, env.arrival).hash(&mut h);
             }
+            for (src, sent) in mb.sent_counts() {
+                (src.ix(), dst, sent).hash(&mut h);
+            }
         }
-        self.send_seq.hash(&mut h);
         self.ops.hash(&mut h);
         self.decision_log.len().hash(&mut h);
         self.match_rec.total().hash(&mut h);
@@ -1066,6 +1118,8 @@ impl Engine {
             }
         }
         self.replay = Some(log);
+        // A re-pinned receive may name a message that is already queued.
+        self.resweep = true;
     }
 
     /// Swap the scheduler's script with the cursor pre-advanced past a
@@ -1580,6 +1634,7 @@ mod tests {
             "first wildcard has two candidates, second has one"
         );
         assert_eq!(branchy[0].alternatives.len(), 2);
+        assert!(matches!(branchy[0].alternatives, Alternatives::Matches(_)));
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! Per-process mailboxes with MPI non-overtaking matching.
 //!
-//! Each destination owns one FIFO queue per source. Matching scans a
-//! source's queue in send order and takes the *first* envelope the spec
-//! admits; together with per-source FIFO order this enforces the standard's
-//! non-overtaking rule (two messages from the same sender that both match a
-//! receive are received in send order) — the property the paper leans on to
-//! match send and receive arcs uniquely in the trace graph (§3.2).
+//! Each destination owns one FIFO queue per source that has ever sent to
+//! it. Matching scans a source's queue in send order and takes the *first*
+//! envelope the spec admits; together with per-source FIFO order this
+//! enforces the standard's non-overtaking rule (two messages from the same
+//! sender that both match a receive are received in send order) — the
+//! property the paper leans on to match send and receive arcs uniquely in
+//! the trace graph (§3.2).
+//!
+//! Channels are created by their first message, so a mailbox's size — and
+//! the cost of cloning it into a checkpoint — follows the communication
+//! pattern (4 sources in a stencil, log n in a butterfly), not the rank
+//! count.
 
 use crate::message::{Envelope, MatchSpec};
 use std::collections::VecDeque;
@@ -21,39 +27,85 @@ pub struct Candidate {
     pub seq: u64,
 }
 
-/// The incoming-message store of one destination process.
+/// One `src → dst` channel: its undelivered messages and the sequence
+/// number its next message will carry.
 #[derive(Clone, Debug)]
+struct Channel {
+    src: Rank,
+    next_seq: u64,
+    queue: VecDeque<Envelope>,
+}
+
+/// The incoming-message store of one destination process.
+#[derive(Clone, Debug, Default)]
 pub struct Mailbox {
-    /// Indexed by source rank.
-    queues: Vec<VecDeque<Envelope>>,
+    /// The channels that have carried a message, ascending by source.
+    channels: Vec<Channel>,
+    /// Undelivered messages over all channels.
+    pending: usize,
 }
 
 impl Mailbox {
-    pub fn new(n_ranks: usize) -> Self {
-        Mailbox {
-            queues: (0..n_ranks).map(|_| VecDeque::new()).collect(),
-        }
+    pub fn new() -> Self {
+        Mailbox::default()
+    }
+
+    fn channel(&self, src: Rank) -> Option<&Channel> {
+        let i = self.channels.binary_search_by_key(&src, |c| c.src).ok()?;
+        Some(&self.channels[i])
+    }
+
+    /// The channel from `src`, opened on first use.
+    fn channel_mut(&mut self, src: Rank) -> &mut Channel {
+        let i = match self.channels.binary_search_by_key(&src, |c| c.src) {
+            Ok(i) => i,
+            Err(i) => {
+                let fresh = Channel {
+                    src,
+                    next_seq: 0,
+                    queue: VecDeque::new(),
+                };
+                self.channels.insert(i, fresh);
+                i
+            }
+        };
+        &mut self.channels[i]
+    }
+
+    /// Allocate the sequence number of the next message from `src`.
+    pub fn next_seq(&mut self, src: Rank) -> u64 {
+        let ch = self.channel_mut(src);
+        ch.next_seq += 1;
+        ch.next_seq - 1
+    }
+
+    /// `(source, messages sent so far)` of every channel, ascending by
+    /// source.
+    pub fn sent_counts(&self) -> impl Iterator<Item = (Rank, u64)> + '_ {
+        self.channels.iter().map(|c| (c.src, c.next_seq))
     }
 
     /// Deposit a sent message.
     pub fn push(&mut self, env: Envelope) {
-        self.queues[env.src.ix()].push_back(env);
+        self.channel_mut(env.src).queue.push_back(env);
+        self.pending += 1;
     }
 
     /// All envelopes a spec could match right now: for each source, the
-    /// first admitted envelope in that source's queue (non-overtaking).
+    /// first admitted envelope in that source's queue (non-overtaking),
+    /// ascending by source. A spec naming its source looks at that one
+    /// channel only.
     pub fn candidates(&self, spec: &MatchSpec) -> Vec<Candidate> {
+        let channels = match spec.src {
+            Some(src) => self.channel(src).map_or(&[][..], std::slice::from_ref),
+            None => &self.channels,
+        };
         let mut out = Vec::new();
-        for (s, q) in self.queues.iter().enumerate() {
-            if let Some(src) = spec.src {
-                if src.ix() != s {
-                    continue;
-                }
-            }
-            for (pos, env) in q.iter().enumerate() {
+        for ch in channels {
+            for (pos, env) in ch.queue.iter().enumerate() {
                 if spec.admits(env) {
                     out.push(Candidate {
-                        src: Rank(s as u32),
+                        src: ch.src,
                         pos,
                         arrival: env.arrival,
                         seq: env.seq,
@@ -67,27 +119,30 @@ impl Mailbox {
 
     /// Remove and return the envelope at a candidate position.
     pub fn take(&mut self, c: Candidate) -> Envelope {
-        self.queues[c.src.ix()]
+        self.pending -= 1;
+        self.channel_mut(c.src)
+            .queue
             .remove(c.pos)
             .expect("candidate position vanished")
     }
 
     /// Number of undelivered messages.
     pub fn pending(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.pending
     }
 
     /// Snapshot of undelivered envelopes (for unmatched-send reports).
     pub fn undelivered(&self) -> Vec<&Envelope> {
-        self.queues.iter().flatten().collect()
+        self.channels.iter().flat_map(|c| &c.queue).collect()
     }
 
     /// Drain everything (checkpoint restore support).
     pub fn drain_all(&mut self) -> Vec<Envelope> {
         let mut out = Vec::new();
-        for q in &mut self.queues {
-            out.extend(q.drain(..));
+        for ch in &mut self.channels {
+            out.extend(ch.queue.drain(..));
         }
+        self.pending = 0;
         out
     }
 }
@@ -114,7 +169,7 @@ mod tests {
 
     #[test]
     fn fifo_per_source_same_tag() {
-        let mut mb = Mailbox::new(2);
+        let mut mb = Mailbox::new();
         mb.push(env(1, 5, 0, 10));
         mb.push(env(1, 5, 1, 20));
         let spec = MatchSpec::exact(Rank(1), Tag(5));
@@ -130,7 +185,7 @@ mod tests {
     #[test]
     fn tag_skipping_is_allowed() {
         // A later message with a *different* tag may be received first.
-        let mut mb = Mailbox::new(2);
+        let mut mb = Mailbox::new();
         mb.push(env(1, 5, 0, 10));
         mb.push(env(1, 6, 1, 20));
         let spec6 = MatchSpec::exact(Rank(1), Tag(6));
@@ -143,7 +198,7 @@ mod tests {
 
     #[test]
     fn wildcard_source_sees_one_candidate_per_source() {
-        let mut mb = Mailbox::new(3);
+        let mut mb = Mailbox::new();
         mb.push(env(1, 5, 0, 30));
         mb.push(env(1, 5, 1, 40));
         mb.push(env(2, 5, 0, 10));
@@ -156,7 +211,7 @@ mod tests {
 
     #[test]
     fn any_tag_takes_queue_head() {
-        let mut mb = Mailbox::new(2);
+        let mut mb = Mailbox::new();
         mb.push(env(1, 9, 0, 10));
         mb.push(env(1, 5, 1, 20));
         let spec = MatchSpec::new(Some(Rank(1)), None);
@@ -166,7 +221,7 @@ mod tests {
 
     #[test]
     fn forced_match_skips_to_pinned_seq() {
-        let mut mb = Mailbox::new(2);
+        let mut mb = Mailbox::new();
         mb.push(env(1, 5, 0, 10));
         mb.push(env(1, 5, 1, 20));
         let mut spec = MatchSpec::any();
@@ -180,7 +235,7 @@ mod tests {
 
     #[test]
     fn pending_and_undelivered() {
-        let mut mb = Mailbox::new(2);
+        let mut mb = Mailbox::new();
         assert_eq!(mb.pending(), 0);
         mb.push(env(0, 1, 0, 5));
         mb.push(env(1, 1, 0, 5));

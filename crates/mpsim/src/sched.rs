@@ -11,7 +11,7 @@
 use crate::mailbox::Candidate;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use tracedbg_trace::schedule::Decision;
+use tracedbg_trace::schedule::{Decision, RankSet};
 use tracedbg_trace::Rank;
 
 /// Scheduling policy.
@@ -36,7 +36,6 @@ pub struct Scheduler {
     policy_is_random: bool,
     rng: ChaCha8Rng,
     last: usize,
-    n: usize,
     script: Vec<Decision>,
     cursor: usize,
     diverged: bool,
@@ -53,7 +52,6 @@ impl Scheduler {
             policy_is_random,
             rng: ChaCha8Rng::seed_from_u64(seed),
             last: n_ranks.saturating_sub(1),
-            n: n_ranks,
             script,
             cursor: 0,
             diverged: false,
@@ -91,8 +89,37 @@ impl Scheduler {
         }
     }
 
-    /// Choose the next process among `runnable` (must be non-empty).
-    pub fn pick(&mut self, runnable: &[Rank]) -> Rank {
+    /// Choose the next process from the non-empty `ready` set: the
+    /// scripted rank if it is ready; under the seeded policy the
+    /// `gen_range(0..len)`-th ready rank in ascending order; otherwise the
+    /// first ready rank strictly after `last` in cyclic order.
+    pub fn pick(&mut self, ready: &RankSet) -> Rank {
+        if let Some(d) = self.scripted_next() {
+            match d {
+                Decision::Turn { rank } if ready.contains(rank) => {
+                    self.cursor += 1;
+                    self.last = rank.ix();
+                    return rank;
+                }
+                _ => self.diverged = true,
+            }
+        }
+        if self.policy_is_random {
+            let i = self.rng.gen_range(0..ready.len());
+            ready.nth(i).expect("index drawn below the set's size")
+        } else {
+            let r = ready
+                .next_cyclic(Rank(self.last as u32))
+                .expect("pick from an empty ready set");
+            self.last = r.ix();
+            r
+        }
+    }
+
+    /// The scan over a runnable slice that [`Scheduler::pick`] replaced —
+    /// kept as the oracle of the equivalence property test.
+    #[cfg(test)]
+    fn pick_by_scan(&mut self, runnable: &[Rank], n: usize) -> Rank {
         assert!(!runnable.is_empty());
         if let Some(d) = self.scripted_next() {
             match d {
@@ -111,7 +138,7 @@ impl Scheduler {
             // First runnable strictly after `last` in cyclic order.
             let mut best: Option<(usize, Rank)> = None;
             for &r in runnable {
-                let dist = (r.ix() + self.n - (self.last + 1) % self.n) % self.n;
+                let dist = (r.ix() + n - (self.last + 1) % n) % n;
                 match best {
                     Some((d, _)) if d <= dist => {}
                     _ => best = Some((dist, r)),
@@ -157,6 +184,11 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn set(n: usize, ranks: impl IntoIterator<Item = u32>) -> RankSet {
+        RankSet::from_ranks(n, ranks.into_iter().map(Rank))
+    }
 
     fn cand(src: u32, arrival: u64, seq: u64) -> Candidate {
         Candidate {
@@ -170,7 +202,7 @@ mod tests {
     #[test]
     fn round_robin_cycles_fairly() {
         let mut s = Scheduler::new(&SchedPolicy::RoundRobin, 4);
-        let all: Vec<Rank> = (0..4u32).map(Rank).collect();
+        let all = set(4, 0..4);
         let picks: Vec<u32> = (0..8).map(|_| s.pick(&all).0).collect();
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
@@ -178,14 +210,14 @@ mod tests {
     #[test]
     fn round_robin_skips_non_runnable() {
         let mut s = Scheduler::new(&SchedPolicy::RoundRobin, 4);
-        assert_eq!(s.pick(&[Rank(2), Rank(3)]), Rank(2));
-        assert_eq!(s.pick(&[Rank(1), Rank(3)]), Rank(3));
-        assert_eq!(s.pick(&[Rank(1), Rank(2)]), Rank(1));
+        assert_eq!(s.pick(&set(4, [2, 3])), Rank(2));
+        assert_eq!(s.pick(&set(4, [1, 3])), Rank(3));
+        assert_eq!(s.pick(&set(4, [1, 2])), Rank(1));
     }
 
     #[test]
     fn seeded_is_reproducible() {
-        let all: Vec<Rank> = (0..6u32).map(Rank).collect();
+        let all = set(6, 0..6);
         let run = |seed| {
             let mut s = Scheduler::new(&SchedPolicy::Seeded(seed), 6);
             (0..20).map(|_| s.pick(&all).0).collect::<Vec<_>>()
@@ -212,7 +244,7 @@ mod tests {
             },
         ];
         let mut s = Scheduler::new(&SchedPolicy::Scripted(script), 3);
-        let all: Vec<Rank> = (0..3u32).map(Rank).collect();
+        let all = set(3, 0..3);
         assert_eq!(s.pick(&all), Rank(2));
         let cands = vec![cand(2, 10, 0), cand(1, 20, 5)];
         assert_eq!(s.pick_candidate(Rank(0), &cands), 1);
@@ -231,10 +263,77 @@ mod tests {
         ];
         let mut s = Scheduler::new(&SchedPolicy::Scripted(script), 3);
         // P2 is not runnable: the script cannot be honoured.
-        assert_eq!(s.pick(&[Rank(0), Rank(1)]), Rank(0));
+        assert_eq!(s.pick(&set(3, [0, 1])), Rank(0));
         assert!(s.diverged());
         // The rest of the script is ignored; fallback stays deterministic.
-        assert_eq!(s.pick(&[Rank(0), Rank(1)]), Rank(1));
+        assert_eq!(s.pick(&set(3, [0, 1])), Rank(1));
         assert_eq!(s.cursor(), 0);
+    }
+
+    /// One generated case: a rank count, a policy, and the ready set of
+    /// each successive turn (as raw draws, reduced modulo `n` on use).
+    fn arb_case() -> impl Strategy<Value = (usize, SchedPolicy, Vec<Vec<u32>>)> {
+        let turn = prop_oneof![
+            // Sparse, dense and single-rank ready sets.
+            proptest::collection::vec(any::<u32>(), 1..4),
+            proptest::collection::vec(any::<u32>(), 1..200),
+        ];
+        (
+            1usize..131,
+            0u32..3,
+            any::<u64>(),
+            proptest::collection::vec(any::<u32>(), 0..12),
+            proptest::collection::vec(turn, 1..24),
+        )
+            .prop_map(|(n, policy, seed, script, turns)| {
+                let policy = match policy {
+                    0 => SchedPolicy::RoundRobin,
+                    1 => SchedPolicy::Seeded(seed),
+                    // Scripts name ranks that are often not ready
+                    // (divergence), end early (exhaustion), and now and
+                    // then hold a Match where a Turn is due.
+                    _ => SchedPolicy::Scripted(
+                        script
+                            .iter()
+                            .map(|&x| {
+                                let rank = Rank(x % n as u32);
+                                if x % 11 == 0 {
+                                    Decision::Match {
+                                        dst: rank,
+                                        src: rank,
+                                        seq: 0,
+                                    }
+                                } else {
+                                    Decision::Turn { rank }
+                                }
+                            })
+                            .collect(),
+                    ),
+                };
+                (n, policy, turns)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// The bitset pick is the slice scan it replaced: same rank every
+        /// turn, same cursor and divergence flag, for every policy, across
+        /// the 64- and 128-rank word boundaries.
+        #[test]
+        fn bitset_pick_equals_reference_scan(case in arb_case()) {
+            let (n, policy, turns) = case;
+            let mut fast = Scheduler::new(&policy, n);
+            let mut reference = Scheduler::new(&policy, n);
+            for draws in &turns {
+                let ready = set(n, draws.iter().map(|x| x % n as u32));
+                let runnable: Vec<Rank> = ready.iter().collect();
+                let got = fast.pick(&ready);
+                prop_assert_eq!(got, reference.pick_by_scan(&runnable, n));
+                prop_assert!(ready.contains(got));
+                prop_assert_eq!(fast.cursor(), reference.cursor());
+                prop_assert_eq!(fast.diverged(), reference.diverged());
+            }
+        }
     }
 }

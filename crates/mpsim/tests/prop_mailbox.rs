@@ -30,7 +30,7 @@ proptest! {
 
     #[test]
     fn non_overtaking_invariant(ops in proptest::collection::vec(arb_op(), 1..80)) {
-        let mut mb = Mailbox::new(4);
+        let mut mb = Mailbox::new();
         let mut next_seq = [0u64; 4];
         let mut arrival = 0u64;
         // Last delivered seq per (src, tag).
@@ -91,7 +91,7 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..40),
         src in 0u32..4,
     ) {
-        let mut mb = Mailbox::new(4);
+        let mut mb = Mailbox::new();
         let mut next_seq = [0u64; 4];
         for (i, op) in ops.iter().enumerate() {
             if let Op::Push { src, tag } = op {

@@ -113,18 +113,26 @@ pub fn diff_traces(left: &TraceStore, right: &TraceStore, mode: DiffMode) -> Vec
 /// observable execution; the explorer uses this to prune equivalent
 /// schedules and the golden corpus uses it as a cheap identity check.
 pub fn trace_digest(records: &[TraceRecord]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
+    use std::fmt::Write;
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
     for rec in records {
-        for b in rec.to_string().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h ^= b'\n' as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+        // `Display` streams straight into the hash: no `String` per record.
+        writeln!(h, "{rec}").expect("hashing cannot fail");
     }
-    h
+    h.0
+}
+
+/// FNV-1a as a formatting sink.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

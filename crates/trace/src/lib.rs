@@ -42,7 +42,9 @@ pub use ids::{ChannelId, Rank, SiteId, Tag, ANY_SOURCE, ANY_TAG};
 pub use loc::{SiteTable, SourceLoc};
 pub use marker::{Marker, MarkerVector};
 pub use query::EventQuery;
-pub use schedule::{ArtifactMeta, Decision, DecisionPoint, Fault, ScheduleArtifact};
+pub use schedule::{
+    Alternatives, ArtifactMeta, Decision, DecisionPoint, Fault, RankSet, ScheduleArtifact,
+};
 pub use source::{
     materialize, CommEdge, EdgeDir, EventIter, Select, SourceError, TraceSink, TraceSource,
 };

@@ -281,9 +281,18 @@ rm -rf target/verify_wide && mkdir -p target/verify_wide
 ./target/release/tracedbg run ring --procs 1024 --trace target/verify_wide/b.trc >/dev/null
 cmp -s target/verify_wide/a.trc target/verify_wide/b.trc \
   || { echo "1024-rank ring trace is not deterministic" >&2; exit 1; }
-# The wide generators run end to end from the CLI.
-./target/release/tracedbg run stencil --procs 1024 >/dev/null
-./target/release/tracedbg run butterfly --procs 1024 >/dev/null
+# Same for the stencil, the shape whose ready set churns on every turn.
+./target/release/tracedbg run stencil --procs 1024 --trace target/verify_wide/sa.trc >/dev/null
+./target/release/tracedbg run stencil --procs 1024 --trace target/verify_wide/sb.trc >/dev/null
+cmp -s target/verify_wide/sa.trc target/verify_wide/sb.trc \
+  || { echo "1024-rank stencil trace is not deterministic" >&2; exit 1; }
+# The butterfly runs end to end from the CLI inside a 768 MiB address
+# space: a run's memory follows its events, not ranks x turns.
+( ulimit -v 786432; ./target/release/tracedbg run butterfly --procs 1024 >/dev/null ) \
+  || { echo "1024-rank butterfly does not fit in 768 MiB" >&2; exit 1; }
+# ... and a record costs the same at 1024 ranks as at 64 (release only:
+# debug builds re-scan every rank per turn to check the ready set).
+cargo test --offline --release -q --test width_scaling
 # Checkpointed undo at width matches from-scratch replay, transcript for
 # transcript — the 4-rank checkpoint audit above, at 1024 ranks.
 wide_undo() {

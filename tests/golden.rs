@@ -161,3 +161,32 @@ fn golden_script_pingpong() {
         script::programs(&parsed, 4, "examples/scripts/pingpong.script"),
     );
 }
+
+/// `trace_digest` streams each record's `Display` into FNV-1a; its value
+/// is pinned to the definition it replaced — FNV-1a over the
+/// `to_string()` bytes of every record, newline-terminated — on every
+/// golden trace, because explorer pruning and committed reports key on it.
+#[test]
+fn trace_digest_equals_fnv_over_display_strings() {
+    use tracedbg::trace::file::read_text;
+    use tracedbg::trace::trace_digest;
+    let mut seen = 0;
+    for entry in std::fs::read_dir(golden_dir()).expect("golden dir") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().and_then(|e| e.to_str()) != Some("trc") {
+            continue;
+        }
+        let file = std::fs::File::open(&path).expect("open golden");
+        let trace = read_text(std::io::BufReader::new(file)).expect("golden parses");
+        let mut want = 0xcbf2_9ce4_8422_2325u64;
+        for rec in &trace.records {
+            for b in rec.to_string().bytes().chain(std::iter::once(b'\n')) {
+                want = (want ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(trace_digest(&trace.records), want, "{}", path.display());
+        assert!(!trace.records.is_empty(), "{}", path.display());
+        seen += 1;
+    }
+    assert!(seen >= 11, "golden corpus went missing: {seen} traces");
+}

@@ -624,3 +624,33 @@ fn profile_report_blames_the_planted_rank_through_the_facade() {
         cfg.bug_rank
     );
 }
+
+/// `tracedbg run … | head -1`: a reader that closes stdout after one line
+/// ends the output — the CLI must not panic (exit code 101) over it.
+#[test]
+fn closed_stdout_ends_the_cli_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tracedbg"))
+        .args(["run", "ring", "--procs", "64"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn tracedbg");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("first line");
+    assert!(first.starts_with("outcome:"), "{first:?}");
+    // Close the pipe while the rest of the report is still to be printed.
+    drop(stdout);
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    let status = child.wait().expect("wait");
+    assert_ne!(status.code(), Some(101), "panicked: {stderr}");
+    assert!(stderr.is_empty(), "expected a quiet exit, got: {stderr}");
+}
