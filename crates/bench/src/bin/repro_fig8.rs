@@ -44,8 +44,8 @@ fn main() {
         .collect();
     let selected = recvs[recvs.len() / 2];
 
-    let past = Frontier::past_of(&store, &hb, selected);
-    let future = Frontier::future_of(&store, &hb, selected);
+    let past = Frontier::past_of(&hb, selected);
+    let future = Frontier::future_of(&hb, selected);
     let region = ConcurrencyRegion::of(&hb, selected);
 
     // Property check over every event in the trace.
@@ -60,21 +60,21 @@ fn main() {
         match region.classify_event(&store, id) {
             Region::Past => {
                 assert!(
-                    hb.happens_before(&store, id, selected),
+                    hb.happens_before(id, selected),
                     "event {id:?} classified past but not hb-before"
                 );
                 n_past += 1;
             }
             Region::Future => {
                 assert!(
-                    hb.happens_before(&store, selected, id),
+                    hb.happens_before(selected, id),
                     "event {id:?} classified future but not hb-after"
                 );
                 n_future += 1;
             }
             Region::Concurrent => {
                 assert!(
-                    hb.concurrent(&store, selected, id),
+                    hb.concurrent(selected, id),
                     "event {id:?} classified concurrent but ordered"
                 );
                 n_conc += 1;

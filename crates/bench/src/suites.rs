@@ -2,8 +2,8 @@
 //! trajectory tracks.
 //!
 //! * `parse` — trace file parse (text + binary) and digesting;
-//! * `causality` — message matching and vector-clock happens-before
-//!   construction;
+//! * `causality` — message matching, happens-before index construction
+//!   (narrow ring and 400-rank stencil) and wildcard race detection;
 //! * `replay` — golden-trace replay: match-log pinning, scripted-schedule
 //!   re-execution, and replay-to-marker (the §6 O(history) observation);
 //! * `engine` — turn-taking engine throughput under the §2
@@ -41,6 +41,7 @@ use tracedbg_trace::file::{read_binary, read_text, write_binary, write_text, Tra
 use tracedbg_trace::schedule::{Decision, ScheduleArtifact};
 use tracedbg_trace::{trace_digest, EventQuery, MarkerVector, Rank, Tag, TraceStore};
 use tracedbg_tracegraph::MessageMatching;
+use tracedbg_workloads::master_worker::{self, PoolConfig};
 use tracedbg_workloads::planted::{planted_wildcard_factory, PlantedConfig};
 use tracedbg_workloads::racy::{wildcard_race_factory, RacyConfig};
 use tracedbg_workloads::ring::{self, RingConfig};
@@ -91,15 +92,19 @@ fn resolved_jobs(opts: &SuiteOptions) -> usize {
 
 /// A recorded ring run: the parse/causality corpus.
 fn ring_store(rounds: usize) -> TraceStore {
-    let cfg = RingConfig {
+    recorded(ring::programs(&RingConfig {
         nprocs: 4,
         rounds,
         hop_cost: 100,
         tag_stride: 0,
-    };
+    }))
+}
+
+/// The full trace of one completed run.
+fn recorded(programs: Vec<tracedbg_mpsim::RankProgram>) -> TraceStore {
     let mut e = Engine::launch(
         EngineConfig::with_recorder(RecorderConfig::full()),
-        ring::programs(&cfg),
+        programs,
     );
     assert!(e.run().is_completed());
     e.trace_store()
@@ -173,6 +178,45 @@ fn suite_causality(opts: &SuiteOptions) -> Suite {
             let hb = tracedbg_causality::HbIndex::build(&store, &matching);
             assert_eq!(hb.n_ranks(), store.n_ranks());
         }));
+    }
+    // What every `run`/`analyze`/`lint` of a wide trace pays for the
+    // index: the 20x20 stencil of the `wide_stencil` benchmark workload
+    // (~20k events, no wildcard receive, so nothing ever queries it).
+    if wants(opts, "causality", "hb_index_stencil_400") {
+        let store = recorded(wide::stencil_programs(&wide::StencilConfig {
+            p: 20,
+            steps: 4,
+        }));
+        let matching = MessageMatching::build(&store);
+        records.push(measure(
+            "hb_index_stencil_400",
+            1,
+            plan(opts, 2, 7, 4),
+            || {
+                let hb = tracedbg_causality::HbIndex::build(&store, &matching);
+                assert_eq!(hb.n_ranks(), 400);
+            },
+        ));
+    }
+    // Index + race detection where every receive of one rank is a
+    // wildcard race: 2000 tasks farmed out to 7 workers (~16k events).
+    if wants(opts, "causality", "races_master_worker") {
+        let store = recorded(master_worker::programs(&PoolConfig {
+            nprocs: 8,
+            tasks: 2000,
+            ..PoolConfig::default()
+        }));
+        let matching = MessageMatching::build(&store);
+        records.push(measure(
+            "races_master_worker",
+            1,
+            plan(opts, 2, 7, 4),
+            || {
+                let hb = tracedbg_causality::HbIndex::build(&store, &matching);
+                let races = tracedbg_causality::detect_races(&store, &matching, &hb);
+                assert!(races.len() >= 1000);
+            },
+        ));
     }
     Suite {
         name: "causality",
@@ -896,6 +940,6 @@ mod tests {
         };
         let suites = run_suites(&opts);
         assert_eq!(suites.len(), 1);
-        assert_eq!(suites[0].records.len(), 2);
+        assert_eq!(suites[0].records.len(), 4);
     }
 }

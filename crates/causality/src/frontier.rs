@@ -8,7 +8,10 @@
 //! set of earliest events of the future (future frontier)."
 //!
 //! Figure 8 draws both frontiers around a user-selected event; the region
-//! between them is the set of events concurrent with the selection.
+//! between them is the set of events concurrent with the selection. Each
+//! frontier is one cone walk from that event ([`HbIndex::past_markers`],
+//! [`HbIndex::future_markers`]) — nothing is precomputed for the events
+//! the user did not select.
 
 use crate::hb::{HbIndex, NO_SUCC};
 use tracedbg_trace::{EventId, Marker, MarkerVector, Rank, TraceStore};
@@ -24,40 +27,22 @@ pub struct Frontier {
 impl Frontier {
     /// The most recent event of each rank that happens before (or is) `e`
     /// — the **past frontier**.
-    pub fn past_of(store: &TraceStore, hb: &HbIndex, e: EventId) -> Frontier {
-        let _ = store;
-        let past = hb.past_markers(e);
-        Frontier {
-            entries: past
-                .iter()
-                .enumerate()
-                .map(|(r, &m)| {
-                    if m == 0 {
-                        None
-                    } else {
-                        Some(Marker::new(r as u32, m))
-                    }
-                })
-                .collect(),
-        }
+    pub fn past_of(hb: &HbIndex, e: EventId) -> Frontier {
+        Frontier::from_markers(hb.past_markers(e), 0)
     }
 
     /// The earliest event of each rank that `e` happens before (or is) —
     /// the **future frontier**.
-    pub fn future_of(store: &TraceStore, hb: &HbIndex, e: EventId) -> Frontier {
-        let fut = hb.future_markers(e);
-        let _ = store;
+    pub fn future_of(hb: &HbIndex, e: EventId) -> Frontier {
+        Frontier::from_markers(hb.future_markers(e), NO_SUCC)
+    }
+
+    fn from_markers(markers: Vec<u64>, none: u64) -> Frontier {
         Frontier {
-            entries: fut
+            entries: markers
                 .iter()
                 .enumerate()
-                .map(|(r, &m)| {
-                    if m == NO_SUCC {
-                        None
-                    } else {
-                        Some(Marker::new(r as u32, m))
-                    }
-                })
+                .map(|(r, &m)| (m != none).then(|| Marker::new(r as u32, m)))
                 .collect(),
         }
     }
@@ -196,11 +181,8 @@ mod tests {
         TraceStore::build(recs, SiteTable::new(), 3)
     }
 
-    fn setup() -> (TraceStore, HbIndex) {
-        let s = store();
-        let mm = MessageMatching::build(&s);
-        let hb = HbIndex::build(&s, &mm);
-        (s, hb)
+    fn index(s: &TraceStore) -> HbIndex<'_> {
+        HbIndex::build(s, &MessageMatching::build(s))
     }
 
     fn ev(store: &TraceStore, rank: u32, marker: u64) -> EventId {
@@ -211,9 +193,10 @@ mod tests {
 
     #[test]
     fn past_frontier_of_recv() {
-        let (s, hb) = setup();
+        let s = store();
+        let hb = index(&s);
         let recv = ev(&s, 1, 2);
-        let f = Frontier::past_of(&s, &hb, recv);
+        let f = Frontier::past_of(&hb, recv);
         assert_eq!(f.marker_of(Rank(0)), Some(Marker::new(0u32, 2)));
         assert_eq!(f.marker_of(Rank(1)), Some(Marker::new(1u32, 2)));
         assert_eq!(f.marker_of(Rank(2)), None);
@@ -224,9 +207,10 @@ mod tests {
 
     #[test]
     fn future_frontier_of_send() {
-        let (s, hb) = setup();
+        let s = store();
+        let hb = index(&s);
         let send = ev(&s, 0, 2);
-        let f = Frontier::future_of(&s, &hb, send);
+        let f = Frontier::future_of(&hb, send);
         assert_eq!(f.marker_of(Rank(0)), Some(Marker::new(0u32, 2)));
         assert_eq!(f.marker_of(Rank(1)), Some(Marker::new(1u32, 2)));
         assert_eq!(f.marker_of(Rank(2)), None);
@@ -239,15 +223,17 @@ mod tests {
 
     #[test]
     fn frontier_as_stopline_vector() {
-        let (s, hb) = setup();
+        let s = store();
+        let hb = index(&s);
         let recv = ev(&s, 1, 2);
-        let v = Frontier::past_of(&s, &hb, recv).as_marker_vector();
+        let v = Frontier::past_of(&hb, recv).as_marker_vector();
         assert_eq!(v.counts(), &[2, 2, 0]);
     }
 
     #[test]
     fn concurrency_region_classification() {
-        let (s, hb) = setup();
+        let s = store();
+        let hb = index(&s);
         // Select P1's recv (marker 2).
         let region = ConcurrencyRegion::of(&hb, ev(&s, 1, 2));
         use Region::*;
@@ -261,7 +247,8 @@ mod tests {
 
     #[test]
     fn concurrent_events_listed() {
-        let (s, hb) = setup();
+        let s = store();
+        let hb = index(&s);
         let region = ConcurrencyRegion::of(&hb, ev(&s, 1, 2));
         let conc = region.concurrent_events(&s);
         // P0 m3 and P2 m1

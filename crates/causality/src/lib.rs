@@ -11,6 +11,6 @@ pub mod vclock;
 pub use cut::{cut_of_time, verify_cut, CutViolation};
 pub use deadlock::{detect_circular_waits, CircularWait};
 pub use frontier::{ConcurrencyRegion, Frontier};
-pub use hb::HbIndex;
+pub use hb::{collective_instances, HbIndex, NonCausalTrace};
 pub use race::{detect_races, MessageRace};
 pub use vclock::VectorClock;

@@ -6,13 +6,24 @@
 //!
 //! A wildcard (`MPI_ANY_SOURCE`) receive races when some *other* send
 //! could have been delivered to it instead of the one that was: the
-//! alternative send targets the same destination with an admissible tag
-//! and is not causally ordered after the receive's completion (if it were,
-//! it could never have arrived in time in any execution).
+//! alternative send targets the same destination with an admissible tag,
+//! was not consumed by an earlier receive, and is not causally ordered
+//! after the receive's completion (if it were, it could never have
+//! arrived in time in any execution).
+//!
+//! Only ranks that completed a wildcard receive cost anything. On such a
+//! rank the receives are walked in *reverse* program order: the causal
+//! future of an earlier receive contains that of every later one, so one
+//! future cone is extended from receive to receive instead of rebuilt,
+//! and the sends still available to a receive are a running set — a send
+//! enters it when the walk passes the receive that consumed it and leaves
+//! it for good once the cone swallows it.
 
 use crate::hb::HbIndex;
+use std::cmp::Reverse;
+use std::collections::VecDeque;
 use tracedbg_trace::{EventId, EventKind, Rank, TraceStore};
-use tracedbg_tracegraph::MessageMatching;
+use tracedbg_tracegraph::{MatchedMessage, MessageMatching};
 
 /// One racing wildcard receive.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,82 +36,111 @@ pub struct MessageRace {
     pub alternatives: Vec<EventId>,
 }
 
+/// The completed wildcard-source receives of one rank in program order:
+/// each one's match and the tag it asked for (negative = any).
+fn wildcard_receives(
+    store: &TraceStore,
+    matching: &MessageMatching,
+    rank: Rank,
+) -> Vec<(MatchedMessage, i64)> {
+    let mut out = Vec::new();
+    // Remember the wildcard flag and tag of each pending post. Posts
+    // complete in post order (non-overtaking), so a FIFO pairs each done
+    // with its own post even when several receives are outstanding.
+    let mut pending: VecDeque<(bool, i64)> = VecDeque::new();
+    for &id in store.by_rank(rank) {
+        let rec = store.record(id);
+        match rec.kind {
+            EventKind::RecvPost => pending.push_back((rec.args[0] < 0, rec.args[1])),
+            EventKind::RecvDone => {
+                if let Some((true, want_tag)) = pending.pop_front() {
+                    if let Some(&matched) = matching.match_of_recv(id) {
+                        out.push((matched, want_tag));
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
 /// Find all message races in a trace.
 ///
 /// For each `RecvDone` whose `RecvPost` used a wildcard source, collect
 /// alternative sends: different source, same destination, admissible tag,
 /// not happening-after the receive, and not consumed by an *earlier*
-/// receive on the same destination.
+/// receive on the same destination. Races are listed by rank, then in
+/// program order; alternatives in canonical event order.
 pub fn detect_races(
     store: &TraceStore,
     matching: &MessageMatching,
     hb: &HbIndex,
 ) -> Vec<MessageRace> {
     let mut races = Vec::new();
-    // All sends, by destination.
-    let sends: Vec<EventId> = store.of_kind(EventKind::Send);
+    // Sends by destination, grouped when the first wildcard receive shows.
+    let mut sends_to: Option<Vec<Vec<EventId>>> = None;
     for r in 0..store.n_ranks() {
         let rank = Rank(r as u32);
-        let lane = store.by_rank(rank);
-        // Walk posts and dones in program order, remembering the wildcard
-        // flag and tag of each pending post. Posts complete in post order
-        // (non-overtaking), so a FIFO pairs each done with its own post
-        // even when several receives are outstanding at once.
-        let mut pending: std::collections::VecDeque<(bool, i64)> =
-            std::collections::VecDeque::new();
-        for &id in lane {
-            let rec = store.record(id);
-            match rec.kind {
-                EventKind::RecvPost => {
-                    pending.push_back((rec.args[0] < 0, rec.args[1]));
+        let wildcards = wildcard_receives(store, matching, rank);
+        if wildcards.is_empty() {
+            continue;
+        }
+        let sends_to = sends_to.get_or_insert_with(|| {
+            let mut by_dst = vec![Vec::new(); store.n_ranks()];
+            for id in store.ids() {
+                let rec = store.record(id);
+                if rec.kind == EventKind::Send {
+                    let dst = rec.msg.expect("send record without msg info").dst;
+                    by_dst[dst.ix()].push(id);
                 }
-                EventKind::RecvDone => {
-                    let Some((wildcard_src, want_tag)) = pending.pop_front() else {
-                        continue;
-                    };
-                    if !wildcard_src {
-                        continue;
-                    }
-                    let Some(m) = matching.match_of_recv(id) else {
-                        continue;
-                    };
-                    let actual_src = m.info.src;
-                    let mut alternatives = Vec::new();
-                    for &s in &sends {
-                        let srec = store.record(s);
-                        let info = srec.msg.unwrap();
-                        if info.dst != rank || info.src == actual_src {
-                            continue;
-                        }
-                        if want_tag >= 0 && info.tag.0 as i64 != want_tag {
-                            continue;
-                        }
-                        // A send causally after the receive's completion
-                        // could never have raced with it.
-                        if hb.happens_before(store, id, s) {
-                            continue;
-                        }
-                        // A send whose own receive happens before this
-                        // receive was already consumed earlier; it was not
-                        // available.
-                        if let Some(other) = matching.match_of_send(s) {
-                            if hb.happens_before(store, other.recv, id) || other.recv == id {
-                                continue;
-                            }
-                        }
-                        alternatives.push(s);
-                    }
-                    if !alternatives.is_empty() {
-                        races.push(MessageRace {
-                            recv: id,
-                            actual_send: m.send,
-                            alternatives,
-                        });
-                    }
-                }
-                _ => {}
+            }
+            by_dst
+        });
+        // This rank's incoming sends keyed by the lane position of the
+        // receive that consumed them (both events are on this rank, so
+        // "consumed earlier" is program order), latest first; the never
+        // received lead.
+        let mut incoming: Vec<(u32, EventId)> = sends_to[r]
+            .iter()
+            .map(|&s| match matching.match_of_send(s) {
+                Some(m) if store.record(m.recv).rank == rank => (hb.lane_pos(m.recv), s),
+                _ => (u32::MAX, s),
+            })
+            .collect();
+        incoming.sort_by_key(|&(consumed_at, _)| Reverse(consumed_at));
+        let mut incoming = incoming.into_iter().peekable();
+
+        let mut future = hb.future_cone();
+        // Sends not consumed at or before the receive under the walk and
+        // not causally after it.
+        let mut available: Vec<EventId> = Vec::new();
+        let first = races.len();
+        for &(matched, want_tag) in wildcards.iter().rev() {
+            let recv = matched.recv;
+            future.extend(recv);
+            while let Some((_, s)) = incoming.next_if(|&(at, _)| at > hb.lane_pos(recv)) {
+                available.push(s);
+            }
+            available.retain(|&s| !future.contains(s));
+            let mut alternatives: Vec<EventId> = available
+                .iter()
+                .copied()
+                .filter(|&s| {
+                    let info = store.record(s).msg.expect("send record without msg info");
+                    info.src != matched.info.src && (want_tag < 0 || info.tag.0 as i64 == want_tag)
+                })
+                .collect();
+            if !alternatives.is_empty() {
+                alternatives.sort_unstable();
+                races.push(MessageRace {
+                    recv,
+                    actual_send: matched.send,
+                    alternatives,
+                });
             }
         }
+        races[first..].reverse();
     }
     races
 }

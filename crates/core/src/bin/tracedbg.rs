@@ -279,6 +279,19 @@ fn load_store(path: &str) -> Result<TraceStore, String> {
     Ok(tf.into_store())
 }
 
+/// [`load_store`] for the verbs that reason about causality (`analyze`,
+/// `report`, `lint`). A trace file is external input: one whose receives
+/// cannot all be ordered after their sends is not a recording of any run
+/// and is refused here, before it is analyzed as if it were one.
+fn load_causal_store(path: &str) -> Result<TraceStore, String> {
+    let store = load_store(path)?;
+    let matching = MessageMatching::build(&store);
+    HbIndex::build(&store, &matching)
+        .check_causal()
+        .map_err(|e| format!("{path}: {e}"))?;
+    Ok(store)
+}
+
 /// Read a trace file (text or binary) without building the in-memory
 /// index — `ingest` only needs the raw records.
 fn load_trace_file(path: &str) -> Result<TraceFile, String> {
@@ -461,7 +474,7 @@ fn cmd_analyze(opts: &Opts) -> Result<(), String> {
         }
         return Ok(());
     }
-    let store = load_store(path)?;
+    let store = load_causal_store(path)?;
     let report = HistoryReport::analyze(&store);
     println!("{report}");
     println!();
@@ -481,7 +494,7 @@ fn cmd_report(opts: &Opts) -> Result<(), String> {
         .positional
         .first()
         .ok_or("usage: tracedbg report <trace.trc> [--o out.html]")?;
-    let store = load_store(path)?;
+    let store = load_causal_store(path)?;
     let analysis = HistoryReport::analyze(&store).to_string();
     let html = tracedbg::viz::render_html_report(&store, &analysis, path);
     let out = opts.flag("o").unwrap_or("trace_report.html");
@@ -624,7 +637,7 @@ fn cmd_lint(opts: &Opts) -> Result<ExitCode, String> {
     {
         lint::lint_script(&parsed, nprocs, &file, &cfg)
     } else {
-        let store = load_store(input)?;
+        let store = load_causal_store(input)?;
         match opts.flag("script") {
             Some(spec) => {
                 // Accept bare paths too: `--script foo.script` means

@@ -62,7 +62,7 @@ impl Stopline {
     /// Stop at the selected event in its process and at the last point
     /// that could have affected it everywhere else.
     pub fn past_frontier(store: &TraceStore, hb: &HbIndex, event: EventId) -> Stopline {
-        let f = Frontier::past_of(store, hb, event);
+        let f = Frontier::past_of(hb, event);
         let rec = store.record(event);
         Stopline {
             markers: f.inclusive_cut(),
@@ -74,7 +74,7 @@ impl Stopline {
     /// selected event (processes never affected run to their final
     /// marker).
     pub fn future_frontier(store: &TraceStore, hb: &HbIndex, event: EventId) -> Stopline {
-        let f = Frontier::future_of(store, hb, event);
+        let f = Frontier::future_of(hb, event);
         let rec = store.record(event);
         Stopline {
             markers: f.exclusive_cut(&store.final_markers()),

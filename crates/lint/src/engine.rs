@@ -20,7 +20,7 @@ use tracedbg_workloads::script::Script;
 pub struct TraceCx<'a> {
     pub store: &'a TraceStore,
     pub matching: MessageMatching,
-    pub hb: HbIndex,
+    pub hb: HbIndex<'a>,
     /// Static analysis of the script that produced this trace, when the
     /// caller knows the source (enables TDL008 divergence checking).
     pub analysis: Option<tracedbg_analysis::Analysis>,

@@ -9,7 +9,7 @@
 use crate::diag::{Diagnostic, RuleId, Severity};
 use crate::engine::{TraceCx, TraceRule};
 use std::collections::BTreeSet;
-use tracedbg_causality::{detect_circular_waits, detect_races};
+use tracedbg_causality::{collective_instances, detect_circular_waits, detect_races};
 use tracedbg_trace::{EventId, EventKind, Rank};
 
 pub const UNRECEIVED_SEND: RuleId = RuleId("TDL001");
@@ -204,10 +204,10 @@ impl TraceRule for ImpossibleReceive {
 
 /// TDL004: aligned collective instances must agree across ranks.
 ///
-/// Collectives are aligned the same way [`tracedbg_causality::HbIndex`]
-/// aligns them: the i-th collective record on each rank belongs to
-/// instance i. A kind mismatch or a rank that never reaches an instance
-/// other ranks completed is reported once, at the first bad instance.
+/// Collectives are aligned by [`collective_instances`]: the i-th
+/// collective record on each rank belongs to instance i. A kind mismatch
+/// or a rank that never reaches an instance other ranks completed is
+/// reported once, at the first bad instance.
 struct CollectiveMismatch;
 
 impl TraceRule for CollectiveMismatch {
@@ -221,32 +221,15 @@ impl TraceRule for CollectiveMismatch {
         "ranks disagree on the kind or count of a collective operation"
     }
     fn check(&self, cx: &TraceCx<'_>, out: &mut Vec<Diagnostic>) {
-        let n_ranks = cx.store.n_ranks();
-        if n_ranks == 0 {
-            return;
-        }
-        let lanes: Vec<Vec<EventId>> = (0..n_ranks)
-            .map(|r| {
-                cx.store
-                    .by_rank(Rank(r as u32))
-                    .iter()
-                    .copied()
-                    .filter(|&id| matches!(cx.store.record(id).kind, EventKind::Collective(_)))
-                    .collect()
-            })
-            .collect();
-        let max_len = lanes.iter().map(Vec::len).max().unwrap_or(0);
-        for i in 0..max_len {
-            let mut present: Vec<(u32, EventId)> = Vec::new();
-            let mut absent: BTreeSet<u32> = BTreeSet::new();
-            for (r, lane) in lanes.iter().enumerate() {
-                match lane.get(i) {
-                    Some(&id) => present.push((r as u32, id)),
-                    None => {
-                        absent.insert(r as u32);
-                    }
-                }
-            }
+        for (i, instance) in collective_instances(cx.store).iter().enumerate() {
+            let present: Vec<(u32, EventId)> = instance
+                .iter()
+                .map(|&id| (cx.store.record(id).rank.0, id))
+                .collect();
+            let entered: BTreeSet<u32> = present.iter().map(|&(r, _)| r).collect();
+            let absent: BTreeSet<u32> = (0..cx.store.n_ranks() as u32)
+                .filter(|r| !entered.contains(r))
+                .collect();
             if !absent.is_empty() {
                 let events = present.iter().map(|&(_, id)| id.0);
                 out.push(

@@ -16,13 +16,11 @@
 //! Everything lands in a sealed, digest-checked [`ProfileReport`] and an
 //! optional Perfetto/Chrome trace-event export ([`perfetto_json`]).
 
-mod frontier;
 mod path;
 mod perfetto;
 mod report;
 mod wait;
 
-pub use frontier::causal_past_markers;
 pub use path::CriticalPath;
 pub use perfetto::perfetto_json;
 pub use report::{
@@ -30,8 +28,8 @@ pub use report::{
     PATH_CAP, PROFILE_VERSION, WAITS_CAP,
 };
 pub use wait::{
-    collective_instances, WaitAnalysis, WaitInterval, WAIT_AT_COLLECTIVE, WAIT_FAULT_STALL,
-    WAIT_LATE_RECEIVER, WAIT_LATE_SENDER,
+    WaitAnalysis, WaitInterval, WAIT_AT_COLLECTIVE, WAIT_FAULT_STALL, WAIT_LATE_RECEIVER,
+    WAIT_LATE_SENDER,
 };
 
 use tracedbg_trace::TraceStore;
@@ -194,19 +192,6 @@ mod tests {
         assert_eq!(r.blame_ranking()[0], 0, "sender is the top blame");
         let back = ProfileReport::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
-    }
-
-    #[test]
-    fn frontier_matches_hbindex_past_markers() {
-        let store = late_sender_store();
-        let matching = MessageMatching::build(&store);
-        let p = CriticalPath::build(&store, &matching);
-        let t = p.terminal().unwrap();
-        let hb = tracedbg_causality::HbIndex::build(&store, &matching);
-        assert_eq!(
-            causal_past_markers(&store, &matching, t),
-            hb.past_markers(t)
-        );
     }
 
     #[test]

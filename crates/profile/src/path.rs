@@ -15,7 +15,7 @@
 //! the run, so `critical_path_len = Σ contributions ≤ makespan` holds by
 //! construction (and is property-tested, not just argued).
 
-use crate::wait::collective_instances;
+use tracedbg_causality::collective_instances;
 use tracedbg_trace::{EventId, Rank, TraceStore};
 use tracedbg_tracegraph::MessageMatching;
 

@@ -8,10 +8,10 @@
 //! report serialized with `digest` zeroed) makes that contract checkable
 //! with a `grep`. The report deliberately has **no** `jobs` field.
 
-use crate::frontier::causal_past_markers;
 use crate::path::CriticalPath;
 use crate::wait::WaitAnalysis;
 use serde::{Deserialize, Serialize};
+use tracedbg_causality::HbIndex;
 use tracedbg_obs::fnv1a64;
 use tracedbg_trace::{SiteId, SiteTable, TraceStore};
 use tracedbg_tracegraph::MessageMatching;
@@ -272,7 +272,7 @@ impl ProfileReport {
             .collect();
 
         let frontier_markers = match path.terminal() {
-            Some(t) => causal_past_markers(store, &matching, t),
+            Some(t) => HbIndex::build(store, &matching).past_markers(t),
             None => vec![0; n],
         };
 

@@ -20,7 +20,8 @@
 //! so the per-pair costs never double-count.
 
 use std::collections::BTreeMap;
-use tracedbg_trace::{EventId, EventKind, Rank, SiteId, TraceStore};
+use tracedbg_causality::collective_instances;
+use tracedbg_trace::{EventId, Rank, SiteId, TraceStore};
 use tracedbg_tracegraph::MessageMatching;
 
 /// Wait-state kind tags (stable strings — they appear in the report JSON).
@@ -188,23 +189,4 @@ impl WaitAnalysis {
     pub fn total_cost(&self) -> u64 {
         self.waits.iter().map(WaitInterval::cost).sum()
     }
-}
-
-/// Group collective records into synchronization instances: the i-th
-/// collective record on each rank belongs to instance i.
-pub fn collective_instances(store: &TraceStore) -> Vec<Vec<EventId>> {
-    let mut instances: Vec<Vec<EventId>> = Vec::new();
-    for r in 0..store.n_ranks() {
-        let mut i = 0usize;
-        for &id in store.by_rank(Rank(r as u32)) {
-            if matches!(store.record(id).kind, EventKind::Collective(_)) {
-                if instances.len() <= i {
-                    instances.resize(i + 1, Vec::new());
-                }
-                instances[i].push(id);
-                i += 1;
-            }
-        }
-    }
-    instances
 }

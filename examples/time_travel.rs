@@ -37,8 +37,8 @@ fn main() {
     );
 
     // Figure 8: past and future frontiers around the selection.
-    let past = Frontier::past_of(&trace, &hb, selected);
-    let future = Frontier::future_of(&trace, &hb, selected);
+    let past = Frontier::past_of(&hb, selected);
+    let future = Frontier::future_of(&hb, selected);
     let region = ConcurrencyRegion::of(&hb, selected);
     println!(
         "concurrency region: {} events are concurrent with the selection",

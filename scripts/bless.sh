@@ -4,6 +4,7 @@
 #   tests/golden/store/<name>    — on-disk store format (pins the v1 byte layout)
 #   tests/golden/localize/*.json — localization reports on the planted corpus
 #   tests/golden/profile/*.json  — profiling reports on the planted corpus
+#   tests/golden/analysis/*.txt  — `analyze` / `lint` stdout for every golden trace
 # Review the resulting diff before committing — a blessed drift is a
 # semantic change to the runtime or a break of store-format compatibility.
 set -euo pipefail

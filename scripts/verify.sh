@@ -286,13 +286,17 @@ cmp -s target/verify_wide/a.trc target/verify_wide/b.trc \
 ./target/release/tracedbg run stencil --procs 1024 --trace target/verify_wide/sb.trc >/dev/null
 cmp -s target/verify_wide/sa.trc target/verify_wide/sb.trc \
   || { echo "1024-rank stencil trace is not deterministic" >&2; exit 1; }
-# The butterfly runs end to end from the CLI inside a 768 MiB address
-# space: a run's memory follows its events, not ranks x turns.
-( ulimit -v 786432; ./target/release/tracedbg run butterfly --procs 1024 >/dev/null ) \
-  || { echo "1024-rank butterfly does not fit in 768 MiB" >&2; exit 1; }
-# ... and a record costs the same at 1024 ranks as at 64 (release only:
-# debug builds re-scan every rank per turn to check the ready set).
-cargo test --offline --release -q --test width_scaling
+# The butterfly runs end to end from the CLI inside a 128 MiB address
+# space, and so does `lint` of the 1024-rank stencil trace: the memory of
+# a run and of its history analysis follows events, not events x ranks.
+( ulimit -v 131072; ./target/release/tracedbg run butterfly --procs 1024 >/dev/null ) \
+  || { echo "1024-rank butterfly does not fit in 128 MiB" >&2; exit 1; }
+( ulimit -v 131072; ./target/release/tracedbg lint target/verify_wide/sa.trc >/dev/null ) \
+  || { echo "lint of a 1024-rank stencil trace does not fit in 128 MiB" >&2; exit 1; }
+# ... and a record costs the same to run and to analyze at 1024 ranks as
+# at 64, and race detection is linear in the wildcard receives (release
+# only; one thread, because the rows are timings).
+cargo test --offline --release -q --test width_scaling -- --test-threads 1
 # Checkpointed undo at width matches from-scratch replay, transcript for
 # transcript — the 4-rank checkpoint audit above, at 1024 ranks.
 wide_undo() {

@@ -190,3 +190,45 @@ fn trace_digest_equals_fnv_over_display_strings() {
     }
     assert!(seen >= 11, "golden corpus went missing: {seen} traces");
 }
+
+/// What `tracedbg analyze` and `tracedbg lint` print for every golden
+/// trace, byte-for-byte. The corpus in `tests/golden/analysis/` was
+/// written by the last build whose happens-before index was the dense
+/// events × ranks tables, so this pins the race findings, the TDL
+/// diagnostics and their order across the move to on-demand cones.
+#[test]
+fn golden_analyze_and_lint_output() {
+    use std::process::Command;
+    let mut seen = 0;
+    for entry in std::fs::read_dir(golden_dir()).expect("golden dir") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().and_then(|e| e.to_str()) != Some("trc") {
+            continue;
+        }
+        let name = path.file_stem().unwrap().to_str().unwrap();
+        for verb in ["analyze", "lint"] {
+            // `lint` exits 1 on error diagnostics; stdout is what is pinned.
+            let out = Command::new(env!("CARGO_BIN_EXE_tracedbg"))
+                .arg(verb)
+                .arg(&path)
+                .output()
+                .expect("spawn tracedbg");
+            assert!(out.stderr.is_empty(), "{name} {verb}: {:?}", out.stderr);
+            let want_path = golden_dir().join(format!("analysis/{name}.{verb}.txt"));
+            if std::env::var_os("BLESS").is_some() {
+                std::fs::write(&want_path, &out.stdout).unwrap();
+                continue;
+            }
+            let want = std::fs::read(&want_path)
+                .unwrap_or_else(|e| panic!("missing {}: {e}", want_path.display()));
+            assert!(
+                out.stdout == want,
+                "{name}: `tracedbg {verb}` output drifted from {}:\n{}",
+                want_path.display(),
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
+        seen += 1;
+    }
+    assert!(seen >= 11, "golden corpus went missing: {seen} traces");
+}

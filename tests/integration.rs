@@ -213,7 +213,7 @@ fn frontier_stoplines_on_lu_are_consistent_and_replayable() {
     // Concurrency region is consistent with the frontier markers.
     let region = ConcurrencyRegion::of(&hb, recv);
     for id in region.concurrent_events(&trace) {
-        let f = Frontier::past_of(&trace, &hb, recv);
+        let f = Frontier::past_of(&hb, recv);
         let rec = trace.record(id);
         if let Some(m) = f.marker_of(rec.rank) {
             assert!(rec.marker > m.count, "concurrent event inside the past");
@@ -653,4 +653,69 @@ fn closed_stdout_ends_the_cli_quietly() {
     let status = child.wait().expect("wait");
     assert_ne!(status.code(), Some(101), "panicked: {stderr}");
     assert!(stderr.is_empty(), "expected a quiet exit, got: {stderr}");
+}
+
+/// A hand-edited trace in which each rank receives the other's message
+/// before sending its own is not a recording of any run. The verbs that
+/// reason about causality must refuse it with one error line and the
+/// bad-input exit code — never a panic (101).
+#[test]
+fn non_causal_trace_is_a_typed_error_not_a_panic() {
+    use std::process::Command;
+    use tracedbg::causality::NonCausalTrace;
+    const TRACE: &str = "#tracedbg v1\n#ranks 2\nS 0 1 x.c|main\n\
+        R 0 RP 1 0 0 0 1 1\n\
+        R 0 RD 2 0 10 0 0 0 M 1 0 1 8 0\n\
+        R 0 SN 3 10 20 0 0 0 M 0 1 1 8 0\n\
+        R 1 RP 1 0 0 0 0 1\n\
+        R 1 RD 2 0 10 0 0 0 M 0 1 1 8 0\n\
+        R 1 SN 3 10 20 0 0 0 M 1 0 1 8 0\n";
+    let store = read_text(TRACE.as_bytes()).expect("parses").into_store();
+    let mm = MessageMatching::build(&store);
+    let hb = HbIndex::build(&store, &mm);
+    assert_eq!(
+        hb.check_causal(),
+        Err(NonCausalTrace {
+            rank: Rank(0),
+            marker: 2
+        })
+    );
+    // The cone walks terminate on it all the same.
+    for e in store.ids() {
+        assert_eq!(hb.past_markers(e).len(), 2);
+        assert_eq!(hb.future_markers(e).len(), 2);
+    }
+    let _ = HistoryReport::analyze(&store);
+
+    let dir = scratch_dir("noncausal");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (path, html) = (dir.join("cyclic.trc"), dir.join("report.html"));
+    std::fs::write(&path, TRACE).unwrap();
+    for verb in ["analyze", "lint", "report"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tracedbg"))
+            .arg(verb)
+            .arg(&path)
+            .arg("--o")
+            .arg(&html)
+            .output()
+            .expect("spawn tracedbg");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{verb}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{verb}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ")
+                && stderr.contains("not a causal trace")
+                && stderr.contains("rank 0 marker 2"),
+            "{verb}: {stderr}"
+        );
+    }
+    for verb in ["view", "stats"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tracedbg"))
+            .arg(verb)
+            .arg(&path)
+            .output()
+            .expect("spawn tracedbg");
+        assert!(out.status.success(), "{verb}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,7 +12,12 @@
 //! incremental ready set, which is exactly the cost this test rules out.
 
 use std::time::Instant;
+use tracedbg::causality::{detect_races, HbIndex};
+use tracedbg::debugger::HistoryReport;
 use tracedbg::mpsim::{Engine, EngineConfig, RankProgram, RecorderConfig};
+use tracedbg::trace::TraceStore;
+use tracedbg::tracegraph::MessageMatching;
+use tracedbg::workloads::master_worker::{self, PoolConfig};
 use tracedbg::workloads::ring;
 use tracedbg::workloads::wide::{self, ButterflyConfig, StencilConfig};
 
@@ -29,6 +34,26 @@ fn ns_per_record(programs: impl Fn() -> Vec<RankProgram>) -> f64 {
             assert!(engine.run().is_completed());
             let ns = started.elapsed().as_nanos() as f64;
             ns / engine.collect_trace().len() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn record(programs: Vec<RankProgram>) -> TraceStore {
+    let mut engine = Engine::launch(
+        EngineConfig::with_recorder(RecorderConfig::full()),
+        programs,
+    );
+    assert!(engine.run().is_completed());
+    engine.trace_store()
+}
+
+/// Best-of-5 wall nanoseconds of `f`.
+fn best_ns<T>(mut f: impl FnMut() -> T) -> f64 {
+    (0..5)
+        .map(|_| {
+            let started = Instant::now();
+            std::hint::black_box(f());
+            started.elapsed().as_nanos() as f64
         })
         .fold(f64::INFINITY, f64::min)
 }
@@ -62,4 +87,65 @@ fn a_record_costs_the_same_at_1024_ranks_as_at_64() {
         wide <= 3.0 * narrow,
         "a stencil record costs {wide:.0} ns at 1024 ranks against {narrow:.0} ns at 64"
     );
+}
+
+/// The history analysis (matching, happens-before index, race and
+/// circular-wait detection) of a trace without wildcard receives asks the
+/// happens-before relation nothing, so it must cost per record what it
+/// costs on a narrow run — the dense events × ranks index made a stencil
+/// record ~40× dearer to analyze at 1024 ranks than at 64.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn analyzing_a_record_costs_the_same_at_1024_ranks_as_at_64() {
+    let cells = [64, 256, 1024].map(|n| {
+        let store = record(stencil(n));
+        best_ns(|| HistoryReport::analyze(&store).races.len()) / store.len() as f64
+    });
+    eprintln!(
+        "analyze    ns/record at 64/256/1024 ranks: {:.0} / {:.0} / {:.0}",
+        cells[0], cells[1], cells[2]
+    );
+    let [narrow, _, wide] = cells;
+    assert!(
+        wide <= 3.0 * narrow,
+        "analyzing a stencil record costs {wide:.0} ns at 1024 ranks against {narrow:.0} ns at 64"
+    );
+}
+
+/// Race detection is linear in events on the shape that stresses it: one
+/// master completing thousands of wildcard receives, every one of them a
+/// race among the workers. Rescanning every send (or re-deriving the
+/// receive's causal future) per wildcard receive made this quadratic.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn race_detection_is_linear_in_the_wildcard_receives() {
+    let cells = [4000, 8000, 16000].map(|tasks| {
+        let store = record(master_worker::programs(&PoolConfig {
+            nprocs: 8,
+            tasks,
+            ..PoolConfig::default()
+        }));
+        let matching = MessageMatching::build(&store);
+        let mut races = 0;
+        let ns = best_ns(|| {
+            let hb = HbIndex::build(&store, &matching);
+            races = detect_races(&store, &matching, &hb).len();
+        });
+        assert!(races >= tasks / 2, "{races} races over {tasks} tasks");
+        (ns, store.len())
+    });
+    eprintln!(
+        "races      ns/record at 4000/8000/16000 tasks on 8 ranks: {:.0} / {:.0} / {:.0}",
+        cells[0].0 / cells[0].1 as f64,
+        cells[1].0 / cells[1].1 as f64,
+        cells[2].0 / cells[2].1 as f64
+    );
+    for pair in cells.windows(2) {
+        assert!(
+            pair[1].0 <= 2.5 * pair[0].0,
+            "doubling the tasks took race detection from {:.0} to {:.0} ns",
+            pair[0].0,
+            pair[1].0
+        );
+    }
 }
