@@ -11,7 +11,8 @@
 //! * `checkpoint` — snapshot/restore plane: checkpoint capture, engine
 //!   restoration, restored-run determinism, and query site pre-resolution;
 //! * `explore` — explorer schedule-search throughput at `jobs = 1` vs
-//!   `jobs = N` (the parallel-speedup comparison);
+//!   `jobs = N` (the parallel-speedup comparison), and a 4000-run search
+//!   of a 16-rank workload (the frontier-and-batch-cost row);
 //! * `explore_dpor` — exhaustive systematic search with static
 //!   independence facts off vs on (the sleep-set DPOR payoff), at
 //!   `jobs = 1` and `jobs = 4`;
@@ -558,6 +559,31 @@ fn suite_explore(opts: &SuiteOptions) -> Suite {
                 report.findings.iter().any(|f| f.class == "panic"),
                 "the seeded race must be found on every measured run"
             );
+        }));
+    }
+    // The two rows above are millisecond searches that never grow a
+    // frontier; this one is the `hunt_planted` shape — 16 ranks, ≈ 54
+    // untaken alternatives per absorbed run, drains far wider than an
+    // execution window — where frontier and batch costs show.
+    let name = "explore_planted16_4000_jobs1";
+    if wants(opts, "explore", name) {
+        let runs = if opts.quick { 400 } else { 4000 };
+        records.push(measure(name, 1, plan(opts, 1, 5, 1), || {
+            let planted = PlantedConfig {
+                nprocs: 16,
+                ..Default::default()
+            };
+            let cfg = ExploreConfig {
+                workload: "planted-wildcard".to_string(),
+                seed: 7,
+                runs,
+                ..Default::default()
+            };
+            let source: tracedbg_explore::ProgramSource =
+                Box::new(planted_wildcard_factory(planted));
+            let report = Explorer::new(cfg, source).explore();
+            assert_eq!(report.runs_executed, runs);
+            assert!(report.findings.iter().any(|f| f.class == "panic"));
         }));
     }
     Suite {

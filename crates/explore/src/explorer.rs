@@ -1,16 +1,16 @@
 //! The exploration strategies, finding pipeline, and report.
 
 use crate::oracle::{self, Violation};
-use crate::pool::{PrefixCache, RunTask, WorkerLoad, WorkerPool};
+use crate::pool::{run_batch_traced, run_windowed, PrefixCache, RunTask, WorkerLoad, WorkerPool};
 use crate::runner::{
-    execute, execute_metered, execute_task, ProgramSource, RunResult, CLASS_COMPLETED,
-    CLASS_DEADLOCK, CLASS_DIVERGENCE, CLASS_PANIC,
+    execute, execute_metered, ProgramSource, RunResult, CLASS_COMPLETED, CLASS_DEADLOCK,
+    CLASS_DIVERGENCE, CLASS_PANIC,
 };
 use crate::shrink::ddmin;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -286,9 +286,39 @@ impl ObsAcc {
 /// only pays off once a real chunk of execution is skipped.
 const MIN_SHARED_PREFIX: usize = 3;
 
-/// Queue entry of the systematic search: (schedule prefix, substitution
-/// depth along the path, decisions asleep at the end of the prefix).
-type SleepEntry = (Vec<Decision>, usize, Vec<Decision>);
+/// Queue entry of the systematic search: replay `parent[..cut]`, then take
+/// `alt`. `parent` is the chosen-decision sequence of the absorbed run the
+/// entry branches off, built once and shared by every entry that run
+/// pushed; the script itself is materialized only when the entry is
+/// dequeued ([`FrontierEntry::script`]), so the frontier — hundreds of
+/// thousands of entries of which at most `runs` are ever dequeued — costs
+/// a few words per alternative instead of a schedule prefix each.
+struct FrontierEntry {
+    parent: Arc<[Decision]>,
+    cut: usize,
+    alt: Decision,
+    /// Substitutions along the path, this one included.
+    depth: usize,
+    /// Decisions asleep at the end of the prefix (empty without facts).
+    sleep: Vec<Decision>,
+}
+
+impl FrontierEntry {
+    /// The schedule prefix this entry stands for.
+    fn script(&self) -> Vec<Decision> {
+        let mut script = Vec::with_capacity(self.cut + 1);
+        script.extend_from_slice(&self.parent[..self.cut]);
+        script.push(self.alt);
+        script
+    }
+}
+
+/// What the search remembers of a dequeued entry while its run executes.
+struct Dequeued {
+    prefix_len: usize,
+    depth: usize,
+    sleep: Vec<Decision>,
+}
 
 fn hash_decisions(d: &[Decision]) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -337,15 +367,10 @@ impl Explorer {
         }
     }
 
-    /// Dispatch a batch of tasks, sequentially or on the persistent
-    /// worker pool, returning `(tasks, results, load)` with results in
-    /// task order.
-    fn run_tasks(
-        &mut self,
-        tasks: Vec<RunTask>,
-    ) -> (Arc<Vec<RunTask>>, Vec<RunResult>, WorkerLoad) {
+    /// Execute one window of tasks, sequentially or on the persistent
+    /// worker pool, returning the results in task order.
+    fn run_window(&mut self, tasks: &Arc<Vec<RunTask>>) -> Vec<RunResult> {
         let jobs = self.effective_jobs();
-        let tasks = Arc::new(tasks);
         // Usable concurrency: a pool that would spawn zero workers (more
         // jobs than cores) is just the sequential loop with extra
         // bookkeeping, so run the plain loop instead.
@@ -354,25 +379,23 @@ impl Explorer {
                 .map(|p| p.get())
                 .unwrap_or(1),
         );
-        if threads <= 1 || tasks.len() <= 1 {
-            let t0 = Instant::now();
-            let results = tasks
-                .iter()
-                .map(|t| execute_task(&self.source, t, &self.prefix_cache))
-                .collect();
-            let load = vec![(tasks.len() as u64, t0.elapsed().as_nanos() as u64)];
-            return (tasks, results, load);
+        let (results, load) = if threads <= 1 || tasks.len() <= 1 {
+            run_batch_traced(&self.source, tasks, 1, &self.prefix_cache)
+        } else {
+            self.pool
+                .get_or_insert_with(|| {
+                    WorkerPool::new(
+                        jobs,
+                        Arc::clone(&self.source),
+                        Arc::clone(&self.prefix_cache),
+                    )
+                })
+                .run(Arc::clone(tasks))
+        };
+        if let Some(obs) = self.obs.as_mut() {
+            obs.add_load(&load);
         }
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(
-                jobs,
-                Arc::clone(&self.source),
-                Arc::clone(&self.prefix_cache),
-            ));
-        }
-        let pool = self.pool.as_ref().expect("pool just created");
-        let (results, load) = pool.run(Arc::clone(&tasks));
-        (tasks, results, load)
+        results
     }
 
     /// Run the exploration to completion and report.
@@ -594,15 +617,19 @@ impl Explorer {
     /// points, and depth-first order would burn the whole run budget
     /// permuting the (usually equivalent) tail of the schedule.
     ///
-    /// Parallel shape: the FIFO queue is drained into batches (prefix
-    /// pruning and budget accounting happen at batch-formation time,
-    /// exactly where the sequential loop did them at dequeue time), each
-    /// batch runs on the worker pool, and results are absorbed — oracles,
-    /// digest pruning, queue extensions — in task order. Extensions of
-    /// batch item `k` therefore enqueue before extensions of item `k+1`,
-    /// which is precisely the sequential FIFO order.
+    /// Parallel shape: the FIFO queue is drained into one batch — scripts
+    /// are materialized, prefixes pruned and the budget accounted at
+    /// dequeue time, exactly where a sequential loop would — and
+    /// prefix-checkpoint roles are assigned over the whole drain. The
+    /// batch then executes and is absorbed window by window
+    /// ([`run_windowed`]): oracles, digest pruning and queue extensions
+    /// happen in task order, so extensions of item `k` enqueue before
+    /// extensions of item `k+1` — precisely the sequential FIFO order —
+    /// and a run's trace and decision log are dropped as soon as its
+    /// window is absorbed. A drain never sees its own extensions, which
+    /// is what makes the window size invisible in the report.
     fn systematic(&mut self, base: &RunResult) {
-        let mut queue: VecDeque<SleepEntry> = VecDeque::new();
+        let mut queue: VecDeque<FrontierEntry> = VecDeque::new();
         Self::push_extensions(
             &base.points,
             0,
@@ -613,52 +640,56 @@ impl Explorer {
             &mut queue,
         );
         loop {
-            let mut batch: Vec<SleepEntry> = Vec::new();
+            let mut scripts: Vec<Vec<Decision>> = Vec::new();
+            let mut batch: Vec<Dequeued> = Vec::new();
             while self.runs_executed + batch.len() < self.cfg.runs {
-                let Some((prefix, depth, sleep)) = queue.pop_front() else {
+                let Some(entry) = queue.pop_front() else {
                     break;
                 };
+                let script = entry.script();
                 // Prefix-level pruning: an already-visited substitution
                 // leads to an already-explored subtree.
-                if !self.prefixes.insert(hash_decisions(&prefix)) {
+                if !self.prefixes.insert(hash_decisions(&script)) {
                     self.pruned += 1;
                     if let Some(obs) = self.obs.as_mut() {
                         obs.prefix_pruned += 1;
                     }
                     continue;
                 }
-                batch.push((prefix, depth, sleep));
+                batch.push(Dequeued {
+                    prefix_len: script.len(),
+                    depth: entry.depth,
+                    sleep: entry.sleep,
+                });
+                scripts.push(script);
             }
             if batch.is_empty() {
                 break;
             }
-            let tasks = self.assign_prefix_roles(&batch);
+            let tasks = self.assign_prefix_roles(scripts);
             self.prefix_groups += tasks.iter().filter(|t| t.snapshot_at.is_some()).count();
-            let (_tasks, results, load) = self.run_tasks(tasks);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.add_load(&load);
-            }
-            for ((prefix, depth, sleep), res) in batch.into_iter().zip(results) {
-                self.absorb(&res, &[], "systematic");
+            run_windowed(self, tasks, Self::run_window, |ex, i, _task, res| {
+                ex.absorb(&res, &[], "systematic");
                 // Only branch on decisions *after* the substitution:
                 // earlier alternatives are someone else's subtree (the
                 // sleep-set-style part of the reduction).
-                if depth < self.cfg.preemptions && !res.diverged {
+                let from = &batch[i];
+                if from.depth < ex.cfg.preemptions && !res.diverged {
                     Self::push_extensions(
                         &res.points,
-                        prefix.len(),
-                        depth,
-                        &sleep,
-                        self.cfg.independence.as_ref(),
-                        &mut self.sleep_skipped,
+                        from.prefix_len,
+                        from.depth,
+                        &from.sleep,
+                        ex.cfg.independence.as_ref(),
+                        &mut ex.sleep_skipped,
                         &mut queue,
                     );
                 }
-            }
+            });
         }
     }
 
-    /// Turn a batch of schedule prefixes into run tasks, assigning
+    /// Turn a drained batch of schedule prefixes into run tasks, assigning
     /// prefix-checkpoint roles: sibling prefixes (identical up to their
     /// final decision) share one engine execution of that common prefix.
     /// The first sibling of each group becomes the *producer* —
@@ -669,30 +700,30 @@ impl Explorer {
     ///
     /// Role assignment depends only on the batch and on which keys earlier
     /// batches cached — both deterministic — so the task list is identical
-    /// for every worker count.
-    fn assign_prefix_roles(&self, batch: &[SleepEntry]) -> Vec<RunTask> {
-        let mut group_size: std::collections::HashMap<u64, usize> =
-            std::collections::HashMap::new();
-        for (prefix, _, _) in batch {
-            if prefix.len() > MIN_SHARED_PREFIX {
-                *group_size
-                    .entry(hash_decisions(&prefix[..prefix.len() - 1]))
-                    .or_default() += 1;
-            }
+    /// for every worker count. It covers the whole drain, not one
+    /// execution window: a producer and its consumers may land in
+    /// different windows, and a consumer that finds no checkpoint yet runs
+    /// from scratch to the same result.
+    fn assign_prefix_roles(&self, scripts: Vec<Vec<Decision>>) -> Vec<RunTask> {
+        let shared_key = |script: &[Decision]| {
+            (script.len() > MIN_SHARED_PREFIX).then(|| hash_decisions(&script[..script.len() - 1]))
+        };
+        let mut group_size: HashMap<u64, usize> = HashMap::new();
+        for key in scripts.iter().filter_map(|s| shared_key(s)) {
+            *group_size.entry(key).or_default() += 1;
         }
         let mut producing: HashSet<u64> = HashSet::new();
-        batch
-            .iter()
-            .map(|(prefix, _, _)| {
-                let mut task = RunTask::plain(SchedPolicy::Scripted(prefix.clone()), Vec::new());
+        scripts
+            .into_iter()
+            .map(|script| {
+                let key = shared_key(&script);
+                let shared = script.len() - 1;
+                let mut task = RunTask::plain(SchedPolicy::Scripted(script), Vec::new());
                 task.metrics = self.cfg.metrics;
-                if prefix.len() <= MIN_SHARED_PREFIX {
+                let Some(key) = key else {
                     return task;
-                }
-                let shared = prefix.len() - 1;
-                let key = hash_decisions(&prefix[..shared]);
-                let cached = self.prefix_cache.contains(key);
-                if cached {
+                };
+                if self.prefix_cache.contains(key) {
                     task.prefix_key = Some(key);
                 } else if group_size[&key] >= 2 {
                     task.prefix_key = Some(key);
@@ -707,7 +738,9 @@ impl Explorer {
     }
 
     /// For every branch point at index >= `from`, enqueue each untaken
-    /// alternative as (replayed prefix + alternative).
+    /// alternative as (replayed prefix + alternative). The replayed prefix
+    /// is not copied: every entry pushed here holds one shared handle on
+    /// this run's chosen decisions plus the index to cut them at.
     ///
     /// With independence facts, this is where the DPOR reduction lives
     /// (sleep sets plus a source-set-style skip, adapted to the
@@ -739,8 +772,9 @@ impl Explorer {
         entry_sleep: &[Decision],
         facts: Option<&IndependenceFacts>,
         sleep_skipped: &mut u64,
-        queue: &mut VecDeque<SleepEntry>,
+        queue: &mut VecDeque<FrontierEntry>,
     ) {
+        let parent: Arc<[Decision]> = points.iter().map(|p| p.chosen).collect();
         let mut asleep: Vec<Decision> = entry_sleep.to_vec();
         for (i, p) in points.iter().enumerate().skip(from) {
             if p.is_branch() {
@@ -766,9 +800,13 @@ impl Explorer {
                             .collect(),
                         None => Vec::new(),
                     };
-                    let mut prefix: Vec<Decision> = points[..i].iter().map(|q| q.chosen).collect();
-                    prefix.push(alt);
-                    queue.push_back((prefix, depth + 1, child_sleep));
+                    queue.push_back(FrontierEntry {
+                        parent: Arc::clone(&parent),
+                        cut: i,
+                        alt,
+                        depth: depth + 1,
+                        sleep: child_sleep,
+                    });
                     explored.push(alt);
                 }
             }
@@ -785,38 +823,28 @@ impl Explorer {
     ///
     /// Each walk's scheduling seed and fault plan derive purely from the
     /// base seed and the walk index — a private ChaCha8 stream per run, so
-    /// the task list is the same however many workers execute it.
+    /// the task list is the same however many workers execute it. Like a
+    /// systematic drain it executes window by window, each result absorbed
+    /// and dropped before the next window is dispatched.
     fn random_walk(&mut self) {
-        let jobs = self.effective_jobs();
-        let mut i = 0u64;
-        while self.runs_executed < self.cfg.runs {
-            let remaining = self.cfg.runs - self.runs_executed;
-            // Chunk the budget so results (each holding a full trace) are
-            // absorbed and dropped before the next chunk is dispatched.
-            let chunk = remaining.min((jobs * 4).max(8));
-            let tasks: Vec<RunTask> = (0..chunk)
-                .map(|_| {
-                    i += 1;
-                    let seed = splitmix64(self.cfg.seed.wrapping_add(i));
-                    let faults = if self.cfg.inject_faults && i.is_multiple_of(2) {
-                        let mut rng = ChaCha8Rng::seed_from_u64(splitmix64(seed));
-                        self.gen_faults(&mut rng)
-                    } else {
-                        Vec::new()
-                    };
-                    let mut task = RunTask::plain(SchedPolicy::Seeded(seed), faults);
-                    task.metrics = self.cfg.metrics;
-                    task
-                })
-                .collect();
-            let (tasks, results, load) = self.run_tasks(tasks);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.add_load(&load);
-            }
-            for (task, res) in tasks.iter().zip(results) {
-                self.absorb(&res, &task.faults, "random");
-            }
-        }
+        let remaining = self.cfg.runs.saturating_sub(self.runs_executed) as u64;
+        let tasks: Vec<RunTask> = (1..=remaining)
+            .map(|i| {
+                let seed = splitmix64(self.cfg.seed.wrapping_add(i));
+                let faults = if self.cfg.inject_faults && i.is_multiple_of(2) {
+                    let mut rng = ChaCha8Rng::seed_from_u64(splitmix64(seed));
+                    self.gen_faults(&mut rng)
+                } else {
+                    Vec::new()
+                };
+                let mut task = RunTask::plain(SchedPolicy::Seeded(seed), faults);
+                task.metrics = self.cfg.metrics;
+                task
+            })
+            .collect();
+        run_windowed(self, tasks, Self::run_window, |ex, _, task, res| {
+            ex.absorb(&res, &task.faults, "random")
+        });
     }
 
     /// A small random fault plan: delays dominate (they stay within MPI
@@ -927,5 +955,44 @@ impl Explorer {
             confirmed,
             artifact,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tracedbg_workloads::racy::{wildcard_race_factory, RacyConfig};
+
+    /// The frontier holds no materialized prefix: every entry pushed for
+    /// one absorbed run borrows that run's chosen decisions through the
+    /// same `Arc`, and its script is exactly "replay up to the branch
+    /// point, then take the alternative".
+    #[test]
+    fn entries_of_one_absorbed_run_share_one_prefix_allocation() {
+        let source: ProgramSource = Box::new(wildcard_race_factory(RacyConfig {
+            nprocs: 5,
+            ..Default::default()
+        }));
+        let base = execute(&source, SchedPolicy::RoundRobin, &[]);
+        let mut queue = VecDeque::new();
+        let mut skipped = 0;
+        Explorer::push_extensions(&base.points, 0, 0, &[], None, &mut skipped, &mut queue);
+        assert!(queue.len() > 4, "a 5-rank race has alternatives to push");
+        let parent = Arc::clone(&queue[0].parent);
+        assert_eq!(&parent[..], &base.decisions[..]);
+        assert_eq!(
+            Arc::strong_count(&parent),
+            queue.len() + 1,
+            "one allocation, one handle per entry"
+        );
+        for e in &queue {
+            assert!(Arc::ptr_eq(&e.parent, &parent));
+            let script = e.script();
+            assert_eq!(script.len(), e.cut + 1);
+            assert_eq!(&script[..e.cut], &base.decisions[..e.cut]);
+            assert_eq!(script[e.cut], e.alt);
+            assert_ne!(e.alt, base.decisions[e.cut], "only untaken alternatives");
+            assert!(base.points[e.cut].alternatives.iter().any(|a| a == e.alt));
+        }
     }
 }

@@ -23,9 +23,10 @@
 //!
 //! Exploration runs fan out over a worker pool ([`pool::run_batch`]);
 //! every run drives a private `mpsim` engine, batches are formed and
-//! their results absorbed in deterministic task order, so `jobs = N`
-//! reports exactly the findings of `jobs = 1` at the same seed — search
-//! throughput scales with cores without sacrificing reproducibility.
+//! their results absorbed in deterministic task order — one fixed-size
+//! window at a time ([`pool::run_windowed`]) — so `jobs = N` reports
+//! exactly the findings of `jobs = 1` at the same seed: search throughput
+//! scales with cores without sacrificing reproducibility.
 
 pub mod explorer;
 pub mod oracle;
@@ -35,7 +36,9 @@ pub mod shrink;
 
 pub use explorer::{ExploreConfig, ExploreReport, Explorer, Finding, Strategy};
 pub use oracle::Violation;
-pub use pool::{run_batch, run_batch_traced, PrefixCache, RunTask, WorkerLoad};
+pub use pool::{
+    run_batch, run_batch_traced, run_windowed, PrefixCache, RunTask, WorkerLoad, WINDOW,
+};
 pub use runner::{execute_metered, execute_task, ProgramSource, RunResult};
 
 // The telemetry vocabulary explorers export through.

@@ -158,8 +158,6 @@ fn finish(
             false,
         ),
     };
-    let decisions = engine.schedule_log();
-    let points = engine.decision_points().to_vec();
     let diverged = engine.schedule_diverged();
     let fault_fired = !engine.faulted().is_empty();
     if let Some((key, cache)) = deposit {
@@ -176,7 +174,9 @@ fn finish(
     };
     let snapshot_ns = engine.snapshot_ns();
     let metrics = engine.take_metrics().map(Box::new);
-    let store = engine.trace_store();
+    // The engine is done: take its trace and decision log, don't copy them.
+    let (store, points) = engine.into_trace_and_decisions();
+    let decisions = points.iter().map(|p| p.chosen).collect();
     let digest = trace_digest(store.records());
     RunResult {
         class,

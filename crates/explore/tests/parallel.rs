@@ -209,3 +209,99 @@ fn fault_injection_stays_deterministic_across_jobs() {
     );
     assert_reports_identical(&seq, &par);
 }
+
+#[test]
+fn window_boundaries_do_not_leak_into_the_report() {
+    // Drained batches execute in windows of `WINDOW` tasks. Budgets of
+    // baseline-only, one short of a window, one task short of a full
+    // window, exactly one window, and several windows must all report at
+    // `jobs = 4` exactly what they report at `jobs = 1` — on a 16-rank
+    // workload whose drains are far wider than a window.
+    use tracedbg_workloads::planted::{planted_wildcard_factory, PlantedConfig};
+    assert_eq!(tracedbg_explore::WINDOW, 256, "budgets below straddle it");
+    let run = |runs, jobs| {
+        let cfg = PlantedConfig {
+            nprocs: 16,
+            ..Default::default()
+        };
+        let source: tracedbg_explore::ProgramSource = Box::new(planted_wildcard_factory(cfg));
+        let cfg = ExploreConfig {
+            workload: "planted-wildcard".to_string(),
+            seed: 7,
+            runs,
+            jobs,
+            ..Default::default()
+        };
+        Explorer::new(cfg, source).explore()
+    };
+    for runs in [1, 255, 256, 257, 1000] {
+        let seq = run(runs, 1);
+        let par = run(runs, 4);
+        assert_eq!(seq.runs_executed, runs, "the budget is spent exactly");
+        assert_reports_identical(&seq, &par);
+        if runs > 1 {
+            assert!(seq.findings.iter().any(|f| f.class == "panic"));
+            assert!(seq.prefix_groups > 0, "budget {runs}: siblings share");
+        }
+    }
+}
+
+#[test]
+fn producer_and_consumers_may_land_in_different_windows() {
+    // Prefix-checkpoint roles are assigned over a whole drain, windows cut
+    // it afterwards: the last task of window 0 produces a checkpoint, the
+    // first two tasks of window 1 consume it. Sequentially the consumers
+    // fork from the deposited checkpoint; with workers they may or may not
+    // find it — the results are the from-scratch results either way, in
+    // task order.
+    use tracedbg_explore::{
+        execute_task, run_batch_traced, run_windowed, PrefixCache, RunTask, WINDOW,
+    };
+    use tracedbg_mpsim::SchedPolicy;
+    let source: tracedbg_explore::ProgramSource =
+        Box::new(wildcard_race_factory(RacyConfig::default()));
+    let script = tracedbg_explore::runner::execute(&source, SchedPolicy::RoundRobin, &[]).decisions;
+    let key = 0x5eed;
+    let tasks = || -> Vec<RunTask> {
+        (0..WINDOW + 2)
+            .map(|i| {
+                if i < WINDOW - 1 {
+                    return RunTask::plain(SchedPolicy::Seeded(i as u64), Vec::new());
+                }
+                let mut t = RunTask::plain(SchedPolicy::Scripted(script.clone()), Vec::new());
+                t.prefix_key = Some(key);
+                t.snapshot_at = (i == WINDOW - 1).then_some(script.len() - 1);
+                t
+            })
+            .collect()
+    };
+    let digests = |jobs: usize, cache: &PrefixCache| {
+        let mut seen: Vec<(usize, u64)> = Vec::new();
+        let mut windows = 0;
+        run_windowed(
+            &mut seen,
+            tasks(),
+            |_, window| {
+                windows += 1;
+                assert!(window.len() <= WINDOW);
+                run_batch_traced(&source, window, jobs, cache).0
+            },
+            |seen, i, _, res| seen.push((i, res.digest)),
+        );
+        assert_eq!(windows, 2);
+        seen
+    };
+    let scratch: Vec<(usize, u64)> = tasks()
+        .iter()
+        .map(|t| {
+            let plain = RunTask::plain(t.policy.clone(), Vec::new());
+            execute_task(&source, &plain, &PrefixCache::new()).digest
+        })
+        .enumerate()
+        .collect();
+    let cache = PrefixCache::new();
+    assert_eq!(digests(1, &cache), scratch, "absorbed in task order");
+    assert_eq!(cache.len(), 1, "window 0's producer deposited");
+    assert_eq!(cache.hits(), 2, "window 1's consumers forked from it");
+    assert_eq!(digests(4, &PrefixCache::new()), scratch);
+}

@@ -36,7 +36,7 @@ pub mod report;
 
 use std::collections::BTreeSet;
 use tracedbg_explore::{
-    execute_metered, run_batch_traced, PrefixCache, ProgramSource, RunResult, RunTask,
+    execute_metered, run_batch_traced, run_windowed, PrefixCache, ProgramSource, RunResult, RunTask,
 };
 use tracedbg_mpsim::{Engine, EngineConfig, FaultPlan, RecorderConfig, SchedPolicy};
 use tracedbg_obs::{mad_score, median, EngineMetrics};
@@ -234,15 +234,21 @@ pub fn localize_with_trace(
             t
         })
         .collect();
+    //    Only the first completed run of each trace digest is kept; the
+    //    rest are dropped as their window is absorbed.
     let cache = PrefixCache::new();
-    let (results, _) = run_batch_traced(source, &tasks, cfg.jobs.max(1), &cache);
-    let mut passing: Vec<&RunResult> = Vec::new();
+    let mut passing: Vec<RunResult> = Vec::new();
     let mut seen = BTreeSet::new();
-    for res in &results {
-        if res.class == CLASS_COMPLETED && seen.insert(res.digest) {
-            passing.push(res);
-        }
-    }
+    run_windowed(
+        &mut passing,
+        tasks,
+        |_, window| run_batch_traced(source, window, cfg.jobs.max(1), &cache).0,
+        |passing, _, _, res| {
+            if res.class == CLASS_COMPLETED && seen.insert(res.digest) {
+                passing.push(res);
+            }
+        },
+    );
     if passing.is_empty() {
         let mut r = LocalizeReport::new(&artifact.workload, VERDICT_NO_REFERENCE, failure);
         r.seal();
@@ -261,7 +267,7 @@ pub fn localize_with_trace(
         .map(|p| common_prefix(&failing.decisions, &p.decisions))
         .collect();
     let k = prefixes.iter().copied().max().unwrap_or(0);
-    let nearest = passing[prefixes.iter().position(|&p| p == k).unwrap()];
+    let nearest = &passing[prefixes.iter().position(|&p| p == k).unwrap()];
     let render = |log: &[Decision], i: usize| {
         log.get(i)
             .map(|d| d.to_string())

@@ -867,6 +867,12 @@ impl Engine {
     /// Pull everything traced so far (on-demand flush of every process
     /// buffer plus previously flushed data).
     pub fn collect_trace(&mut self) -> Vec<TraceRecord> {
+        self.gather_trace();
+        self.collected.clone()
+    }
+
+    /// Move every process buffer and everything flushed into `collected`.
+    fn gather_trace(&mut self) {
         for r in &mut self.recorders {
             let recs = r.take_records();
             // Records drained here bypass the flush handle, so forward
@@ -875,7 +881,6 @@ impl Engine {
             self.collected.extend(recs);
         }
         self.collected.extend(self.flush.drain());
-        self.collected.clone()
     }
 
     /// Attach a streaming trace sink: every record is forwarded to it at
@@ -895,6 +900,19 @@ impl Engine {
     pub fn trace_store(&mut self) -> TraceStore {
         let recs = self.collect_trace();
         TraceStore::build(recs, self.sites.clone(), self.n_ranks)
+    }
+
+    /// Consume a finished engine into what an exploration run keeps of
+    /// it — the trace as [`Engine::trace_store`] builds it and the decision
+    /// log as [`Engine::decision_points`] shows it — moving both out
+    /// instead of cloning them, trimmed of their growth slack (a caller
+    /// that keeps thousands of these should keep `len`, not `capacity`).
+    pub fn into_trace_and_decisions(mut self) -> (TraceStore, Vec<DecisionPoint>) {
+        self.gather_trace();
+        self.collected.shrink_to_fit();
+        self.decision_log.shrink_to_fit();
+        let store = TraceStore::build(self.collected, self.sites, self.n_ranks);
+        (store, self.decision_log)
     }
 
     /// The receive-match history of this run, for replaying it later.

@@ -108,31 +108,56 @@ pub fn diff_traces(left: &TraceStore, right: &TraceStore, mode: DiffMode) -> Vec
     out
 }
 
-/// A stable 64-bit digest of a record sequence (FNV-1a over each record's
-/// canonical display form). Two runs with equal digests produced the same
-/// observable execution; the explorer uses this to prune equivalent
-/// schedules and the golden corpus uses it as a cheap identity check.
+/// A 64-bit digest of a record sequence, hashed field by field over
+/// exactly what a record's `Display` form prints: kind code, rank, marker,
+/// `t_start`, `t_end`, the message's `src`/`dst`/`tag`/`seq` and the label
+/// bytes. `site`, `args` and `msg.bytes` are *not* part of it — two runs
+/// that differ only there are the same observable execution.
+///
+/// Only the equivalence classes matter: the explorer prunes schedules
+/// whose digest it has seen, `localize` keeps one passing reference per
+/// digest, and confirm runs compare two digests of one process. The value
+/// itself is written nowhere, so the mixing function is free to change;
+/// the set of hashed fields is not (`tests/golden.rs` pins it).
 pub fn trace_digest(records: &[TraceRecord]) -> u64 {
-    use std::fmt::Write;
-    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
     for rec in records {
-        // `Display` streams straight into the hash: no `String` per record.
-        writeln!(h, "{rec}").expect("hashing cannot fail");
+        // Word 0 carries the kind code and which optional parts follow,
+        // so a record's word sequence is self-delimiting.
+        let code = rec.kind.code().as_bytes();
+        h = mix(
+            h,
+            code[0] as u64
+                | (code[1] as u64) << 8
+                | (rec.msg.is_some() as u64) << 16
+                | (rec.label.is_some() as u64) << 17
+                | (rec.rank.0 as u64) << 32,
+        );
+        h = mix(h, rec.marker);
+        h = mix(h, rec.t_start);
+        h = mix(h, rec.t_end);
+        if let Some(m) = &rec.msg {
+            h = mix(h, m.src.0 as u64 | (m.dst.0 as u64) << 32);
+            h = mix(h, m.tag.0 as u32 as u64);
+            h = mix(h, m.seq);
+        }
+        if let Some(label) = &rec.label {
+            h = mix(h, label.len() as u64);
+            for chunk in label.as_bytes().chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                h = mix(h, u64::from_le_bytes(word));
+            }
+        }
     }
-    h.0
+    // The multiply only carries differences upward; fold them back down.
+    h ^ (h >> 32)
 }
 
-/// FNV-1a as a formatting sink.
-struct Fnv1a(u64);
-
-impl std::fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
-    }
+/// One word of the digest: rotate, xor, multiply (the FxHash step).
+#[inline]
+fn mix(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
 #[cfg(test)]

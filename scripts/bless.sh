@@ -5,6 +5,7 @@
 #   tests/golden/localize/*.json — localization reports on the planted corpus
 #   tests/golden/profile/*.json  — profiling reports on the planted corpus
 #   tests/golden/analysis/*.txt  — `analyze` / `lint` stdout for every golden trace
+#   tests/golden/explore/*.json  — `explore --json --jobs 1` reports (six search shapes)
 # Review the resulting diff before committing — a blessed drift is a
 # semantic change to the runtime or a break of store-format compatibility.
 set -euo pipefail

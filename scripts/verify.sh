@@ -273,7 +273,7 @@ for class in racy-wildcard-panic racy-deadlock-deadlock; do
     || { echo "checkpointed replay of $art was not byte-identical" >&2; exit 1; }
 done
 
-echo "==> wide-rank smoke: 1024 ranks run, undo via checkpoints, artifact restore"
+echo "==> wide-rank smoke: 1024 ranks run, memory ceilings, undo via checkpoints, artifact restore"
 rm -rf target/verify_wide && mkdir -p target/verify_wide
 # Two recordings of a 1024-rank ring must be byte-identical — determinism
 # does not degrade with width on the task engine.
@@ -293,6 +293,33 @@ cmp -s target/verify_wide/sa.trc target/verify_wide/sb.trc \
   || { echo "1024-rank butterfly does not fit in 128 MiB" >&2; exit 1; }
 ( ulimit -v 131072; ./target/release/tracedbg lint target/verify_wide/sa.trc >/dev/null ) \
   || { echo "lint of a 1024-rank stencil trace does not fit in 128 MiB" >&2; exit 1; }
+# A hunt costs its runs, not its frontier: 4000 runs of the 16-rank
+# planted search find the bug (exit 1) inside a 64 MiB address space —
+# frontier entries share their parent run's decisions and one window of
+# run results is alive at a time (with a schedule prefix per entry and a
+# whole drain of results held, the same command aborted at 128 MiB).
+rm -rf target/verify_ceiling
+hunt_status=0
+( ulimit -v 65536; ./target/release/tracedbg explore planted-wildcard --procs 16 \
+    --runs 4000 --seed 7 --jobs 1 --out target/verify_ceiling/planted >/dev/null ) \
+  || hunt_status=$?
+[ "$hunt_status" -eq 1 ] \
+  || { echo "16-rank 4000-run explore under 64 MiB: exit $hunt_status, want 1" >&2; exit 1; }
+# Its artifact localizes against 2000 references inside 96 MiB (measured
+# floor 68 MiB: ~1870 of them are distinct traces, and those are kept) ...
+hunt_art=$(ls target/verify_ceiling/planted/planted-wildcard-panic-*.sched.json | head -n 1)
+( ulimit -v 98304; ./target/release/tracedbg localize --schedule "$hunt_art" \
+    --runs 2000 --jobs 1 --json >/dev/null ) \
+  || { echo "localize --runs 2000 of the planted artifact does not fit in 96 MiB" >&2; exit 1; }
+# ... and where most references repeat a trace already seen (234 distinct
+# of 2000 on the racy script) the harvest keeps one per trace: 32 MiB
+# (measured floor 16 MiB; holding all 2000 needed more than 32).
+./target/release/tracedbg explore sdl:racy-wildcard --procs 8 --runs 600 --dpor \
+    --seed 7 --jobs 1 --out target/verify_ceiling/script >/dev/null || true
+script_art=$(ls target/verify_ceiling/script/sdl-racy-wildcard-panic-*.sched.json | head -n 1)
+( ulimit -v 32768; ./target/release/tracedbg localize --schedule "$script_art" \
+    --runs 2000 --jobs 1 --json >/dev/null ) \
+  || { echo "localize --runs 2000 of the racy-script artifact does not fit in 32 MiB" >&2; exit 1; }
 # ... and a record costs the same to run and to analyze at 1024 ranks as
 # at 64, and race detection is linear in the wildcard receives (release
 # only; one thread, because the rows are timings).

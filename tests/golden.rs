@@ -162,14 +162,59 @@ fn golden_script_pingpong() {
     );
 }
 
-/// `trace_digest` streams each record's `Display` into FNV-1a; its value
-/// is pinned to the definition it replaced — FNV-1a over the
-/// `to_string()` bytes of every record, newline-terminated — on every
-/// golden trace, because explorer pruning and committed reports key on it.
+/// `trace_digest` exists to tell observably different executions apart:
+/// two records digest equal exactly when their `Display` forms are equal.
+/// Checked over every record of every golden trace (all pairs, through a
+/// map each way) and over single-field mutations of each: every field
+/// `Display` prints flips the digest, and `site`, `args` and `msg.bytes` —
+/// which it does not print — must not, because hashing one of them would
+/// silently change what the explorer prunes and `localize` keeps.
 #[test]
-fn trace_digest_equals_fnv_over_display_strings() {
+fn trace_digest_separates_exactly_what_display_separates() {
+    use std::collections::HashMap;
     use tracedbg::trace::file::read_text;
-    use tracedbg::trace::trace_digest;
+    use tracedbg::trace::{trace_digest, MsgInfo, SiteId, TraceRecord};
+    type Mutation = (&'static str, fn(&mut TraceRecord));
+    let printed: [Mutation; 10] = [
+        ("kind", |r| {
+            r.kind = if r.kind == EventKind::Probe {
+                EventKind::Compute
+            } else {
+                EventKind::Probe
+            }
+        }),
+        ("rank", |r| r.rank.0 += 1),
+        ("marker", |r| r.marker += 1),
+        ("t_start", |r| r.t_start += 1 << 40),
+        ("t_end", |r| r.t_end += 1),
+        ("msg.src", |r| with_msg(r).src.0 += 1),
+        ("msg.dst", |r| with_msg(r).dst.0 += 1 << 20),
+        ("msg.tag", |r| with_msg(r).tag.0 -= 1),
+        ("msg.seq", |r| with_msg(r).seq += 1 << 33),
+        ("label", |r| r.label.get_or_insert_default().push('x')),
+    ];
+    let unprinted: [Mutation; 3] = [
+        ("site", |r| r.site = SiteId(r.site.0 ^ 1)),
+        ("args", |r| r.args[1] += 1),
+        ("msg.bytes", |r| {
+            if let Some(m) = r.msg.as_mut() {
+                m.bytes += 1
+            }
+        }),
+    ];
+    fn with_msg(r: &mut TraceRecord) -> &mut MsgInfo {
+        r.msg.get_or_insert(MsgInfo {
+            src: Rank(0),
+            dst: Rank(0),
+            tag: Tag(0),
+            bytes: 0,
+            seq: 0,
+        })
+    }
+    let one = |r: &TraceRecord| trace_digest(std::slice::from_ref(r));
+
+    let mut by_text: HashMap<String, u64> = HashMap::new();
+    let mut by_digest: HashMap<u64, String> = HashMap::new();
     let mut seen = 0;
     for entry in std::fs::read_dir(golden_dir()).expect("golden dir") {
         let path = entry.expect("dir entry").path();
@@ -178,17 +223,135 @@ fn trace_digest_equals_fnv_over_display_strings() {
         }
         let file = std::fs::File::open(&path).expect("open golden");
         let trace = read_text(std::io::BufReader::new(file)).expect("golden parses");
-        let mut want = 0xcbf2_9ce4_8422_2325u64;
+        assert!(!trace.records.is_empty(), "{}", path.display());
         for rec in &trace.records {
-            for b in rec.to_string().bytes().chain(std::iter::once(b'\n')) {
-                want = (want ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            let (text, digest) = (rec.to_string(), one(rec));
+            // Equal text => equal digest, and equal digest => equal text,
+            // against every record seen so far in any golden.
+            assert_eq!(*by_text.entry(text.clone()).or_insert(digest), digest);
+            assert_eq!(*by_digest.entry(digest).or_insert(text.clone()), text);
+            for (field, mutate) in printed {
+                let mut m = rec.clone();
+                mutate(&mut m);
+                assert_ne!(m.to_string(), text, "{field} is printed");
+                assert_ne!(one(&m), digest, "{field} must flip the digest of {text}");
+            }
+            for (field, mutate) in unprinted {
+                let mut m = rec.clone();
+                mutate(&mut m);
+                assert_eq!(m.to_string(), text, "{field} is not printed");
+                assert_eq!(one(&m), digest, "{field} must not reach the digest");
             }
         }
-        assert_eq!(trace_digest(&trace.records), want, "{}", path.display());
-        assert!(!trace.records.is_empty(), "{}", path.display());
+        // Sequences: order and length are part of the execution.
+        let whole = trace_digest(&trace.records);
+        let mut swapped = trace.records.clone();
+        swapped.swap(0, 1);
+        assert_ne!(trace_digest(&swapped), whole, "{}", path.display());
+        assert_ne!(trace_digest(&trace.records[1..]), whole);
         seen += 1;
     }
     assert!(seen >= 11, "golden corpus went missing: {seen} traces");
+    assert!(by_text.len() > 500, "{} distinct records", by_text.len());
+}
+
+/// `tracedbg explore … --json` reports, byte for byte. The corpus in
+/// `tests/golden/explore/` was written at `--jobs 1` by the last build
+/// whose frontier held materialized prefixes and whose drains executed as
+/// one batch, so it pins budget accounting, both prune counters, prefix
+/// roles, sleep-set skips, findings and shrunk artifacts across the move
+/// to shared-prefix entries and windowed execution — at `--jobs 4` too,
+/// where the only byte allowed to differ is the `jobs` field itself.
+#[test]
+fn golden_explore_reports() {
+    use std::process::Command;
+    const CORPUS: [(&str, &[&str]); 6] = [
+        (
+            "planted-wildcard",
+            &["planted-wildcard", "--procs", "16", "--runs", "4000"],
+        ),
+        (
+            "sdl-racy-wildcard",
+            &[
+                "sdl:racy-wildcard",
+                "--procs",
+                "8",
+                "--runs",
+                "6000",
+                "--dpor",
+            ],
+        ),
+        (
+            "sdl-pairs",
+            &["sdl:pairs", "--procs", "6", "--runs", "1500", "--dpor"],
+        ),
+        (
+            "racy-deadlock",
+            &[
+                "racy-deadlock",
+                "--procs",
+                "5",
+                "--runs",
+                "257",
+                "--strategy",
+                "systematic",
+            ],
+        ),
+        (
+            "planted-orphan",
+            &[
+                "planted-orphan",
+                "--procs",
+                "8",
+                "--runs",
+                "900",
+                "--faults",
+            ],
+        ),
+        (
+            "planted-pipeline",
+            &[
+                "planted-pipeline",
+                "--procs",
+                "8",
+                "--runs",
+                "700",
+                "--preemptions",
+                "3",
+            ],
+        ),
+    ];
+    let scratch = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden_explore");
+    for (name, args) in CORPUS {
+        let want_path = golden_dir().join(format!("explore/{name}.json"));
+        for jobs in ["1", "4"] {
+            // Exit status is 1 when there are findings; stdout is pinned.
+            let out = Command::new(env!("CARGO_BIN_EXE_tracedbg"))
+                .arg("explore")
+                .args(args)
+                .args(["--json", "--seed", "9", "--jobs", jobs, "--out"])
+                .arg(scratch.join(format!("{name}-j{jobs}")))
+                .output()
+                .expect("spawn tracedbg");
+            assert!(out.stderr.is_empty(), "{name}: {:?}", out.stderr);
+            let got = String::from_utf8(out.stdout)
+                .expect("report is UTF-8")
+                .replacen(&format!("\"jobs\":{jobs}"), "\"jobs\":1", 1);
+            if std::env::var_os("BLESS").is_some() {
+                if jobs == "1" {
+                    std::fs::write(&want_path, &got).unwrap();
+                }
+                continue;
+            }
+            let want = std::fs::read_to_string(&want_path)
+                .unwrap_or_else(|e| panic!("missing {}: {e}", want_path.display()));
+            assert!(
+                got == want,
+                "{name}: `tracedbg explore --jobs {jobs}` drifted from {}:\n{got}",
+                want_path.display()
+            );
+        }
+    }
 }
 
 /// What `tracedbg analyze` and `tracedbg lint` print for every golden
