@@ -229,6 +229,63 @@ impl Analysis {
         serde_json::to_string(&report).expect("analysis report serializes")
     }
 
+    /// Human rendering of a static analysis: the communication graph with
+    /// lattice values, then the derived facts the other consumers use.
+    pub fn render(&self, workload: &str) -> String {
+        let mut out = String::new();
+        let g = &self.graph;
+        out.push_str(&format!(
+            "static analysis of {workload} ({} procs, graph {}, values {})\n",
+            g.nprocs,
+            if g.complete { "complete" } else { "partial" },
+            if g.exact { "exact" } else { "approximate" },
+        ));
+        out.push_str("--- communication sites ---\n");
+        for (i, s) in g.sites.iter().enumerate() {
+            let desc = match &s.op {
+                SiteOp::Send { dst, tag } => format!("send -> {{{}}} tag {tag}", dst.render()),
+                SiteOp::Recv { src, tag, wildcard } => {
+                    let t = match tag {
+                        Some(t) => format!(" tag {t}"),
+                        None => " any tag".to_string(),
+                    };
+                    let w = if *wildcard { " (wildcard)" } else { "" };
+                    format!("recv <- {{{}}}{t}{w}", src.render())
+                }
+                SiteOp::Barrier => "barrier".to_string(),
+            };
+            out.push_str(&format!(
+                "rank {} {}:{} ({})  {desc}  [{} partner(s)]\n",
+                s.rank, g.file, s.line, s.func, self.may_match.partners[i]
+            ));
+        }
+        out.push_str(&format!(
+            "--- may-match: {} send/recv pair(s) ---\n",
+            self.may_match.pairs.len()
+        ));
+        let indep = self.independence.pairs();
+        out.push_str(&format!(
+            "independent rank pairs: {}\n",
+            if indep.is_empty() {
+                "none".to_string()
+            } else {
+                indep
+                    .iter()
+                    .map(|(x, y)| format!("({x},{y})"))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            }
+        ));
+        let dead = self.deadlocked_ranks();
+        if dead.is_empty() {
+            out.push_str("static deadlock: none\n");
+        } else {
+            let set: Vec<String> = dead.iter().map(|r| r.to_string()).collect();
+            out.push_str(&format!("static deadlock: rank(s) {}\n", set.join(", ")));
+        }
+        out
+    }
+
     /// Graphviz rendering: one cluster per rank, sites as nodes, may-match
     /// pairs as edges.
     pub fn to_dot(&self, workload: &str) -> String {

@@ -842,12 +842,7 @@ fn suite_localize(opts: &SuiteOptions) -> Suite {
     }
     if wants(opts, "localize", "graph_diff") {
         let source: tracedbg_explore::ProgramSource = Box::new(planted_wildcard_factory(cfg));
-        let failing = tracedbg_explore::execute_metered(
-            &source,
-            SchedPolicy::Scripted(artifact.decisions.clone()),
-            &artifact.faults,
-            false,
-        );
+        let failing = tracedbg_explore::execute_artifact(&source, &artifact, false);
         let passing =
             tracedbg_explore::execute_metered(&source, SchedPolicy::RoundRobin, &[], false);
         records.push(measure("graph_diff", 1, plan(opts, 2, 5, 20), || {

@@ -28,32 +28,31 @@
 //! tracedbg workloads
 //! ```
 //!
-//! Workloads: `strassen`, `strassen-bug`, `lu`, `ring`, `pool`,
-//! `racy-wildcard`, `racy-deadlock`, `fib:<n>`, `random:<transfers>`,
-//! `script:<path>`, `sdl:<name>` (builtin scripts — `tracedbg workloads`
-//! lists them; script-backed specs are the ones `analyze` and
-//! `explore --dpor` can reason about statically).
+//! `tracedbg workloads` lists the workloads; the script-backed ones
+//! (`script:<path>`, `sdl:<name>`) are those `analyze`, `lint` and
+//! `explore --dpor` can reason about statically. What a positional
+//! argument means — workload or recorded trace — is decided in one place,
+//! [`input`].
 //!
 //! `debug` opens the p2d2-style command loop (`run`, `analyze`,
 //! `stopline t <ns>`, `replay`, `step <rank>`, `probe <rank> <label>`,
 //! `break <func|file:line>`, `watch <label> == <v>`, `undo`, ...); with
 //! `-e` commands it runs non-interactively.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+#[path = "tracedbg/input.rs"]
+mod input;
+#[path = "tracedbg/replay.rs"]
+mod replay;
+
+use input::{load_artifact, write_trace_file, Input, TraceInput};
+use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use tracedbg::prelude::*;
-use tracedbg::profile::{perfetto_json, CriticalPath, ProfileInput, ProfileReport, WaitAnalysis};
-use tracedbg::trace::file::{read_binary, write_binary};
-use tracedbg::trace::file::{read_text, write_text, TraceFile};
 use tracedbg::tracegraph::{ActionGraph, Profile};
 use tracedbg::viz::{dot, vcg};
-use tracedbg::viz::{render_wait_blame, ProfileSummary, WaitKindRow, WaitRankRow};
-use tracedbg::viz::{ChannelRow, SuspectRow, SuspectSummary};
-use tracedbg::workloads::{
-    heat, lu, master_worker, planted, racy, random_comm, ring, script, scripts, strassen, wide,
-};
+use tracedbg::workloads::{catalog, scripts, Workload};
 
-struct Opts {
+pub struct Opts {
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
 }
@@ -83,7 +82,7 @@ impl Opts {
         Opts { positional, flags }
     }
 
-    fn flag(&self, name: &str) -> Option<&str> {
+    pub fn flag(&self, name: &str) -> Option<&str> {
         self.flags
             .iter()
             .find(|(n, _)| n == name)
@@ -91,14 +90,17 @@ impl Opts {
     }
 
     /// Was the flag given at all (with or without a value)?
-    fn has(&self, name: &str) -> bool {
+    pub fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|(n, _)| n == name)
     }
 
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.flag(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// The flag's value parsed, `default` when the flag is absent. A
+    /// value that does not parse is an error, never the default.
+    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.flag(name) {
+            Some(v) => v.parse().map_err(|_| format!("--{name}: bad value {v:?}")),
+            None => Ok(default),
+        }
     }
 
     fn commands(&self) -> Vec<String> {
@@ -110,229 +112,72 @@ impl Opts {
     }
 }
 
-fn workload_factory(
-    name: &str,
-    seed: u64,
-    procs: usize,
-) -> Result<(ProgramFactory, usize), String> {
-    let f: (ProgramFactory, usize) = match name {
-        "strassen" | "strassen-bug" => {
-            let cfg = strassen::StrassenConfig {
-                n: 32,
-                nprocs: procs.max(2),
-                variant: if name == "strassen-bug" {
-                    strassen::Variant::JresBug
-                } else {
-                    strassen::Variant::Correct
-                },
-                seed,
-                cutoff: 8,
-            };
-            let n = cfg.nprocs;
-            (Box::new(strassen::factory(cfg)), n)
-        }
-        "lu" => {
-            let cfg = lu::LuConfig {
-                nprocs: procs.max(2),
-                ..Default::default()
-            };
-            let n = cfg.nprocs;
-            (Box::new(lu::factory(cfg)), n)
-        }
-        "ring" => {
-            let cfg = ring::RingConfig {
-                nprocs: procs.max(2),
-                ..Default::default()
-            };
-            let n = cfg.nprocs;
-            (Box::new(ring::factory(cfg)), n)
-        }
-        "heat" => {
-            let cfg = heat::HeatConfig {
-                nprocs: procs.max(2),
-                ..Default::default()
-            };
-            let n = cfg.nprocs;
-            (Box::new(heat::factory(cfg)), n)
-        }
-        "pool" => {
-            let cfg = master_worker::PoolConfig {
-                nprocs: procs.max(2),
-                ..Default::default()
-            };
-            let n = cfg.nprocs;
-            (Box::new(master_worker::factory(cfg)), n)
-        }
-        "planted-wildcard" | "planted-orphan" | "planted-pipeline" => {
-            // The localization corpus: each workload carries a known
-            // planted bug at `bug_rank` (see `workloads::planted`).
-            let cfg = planted::PlantedConfig {
-                nprocs: procs.clamp(4, 16),
-                ..Default::default()
-            };
-            let n = cfg.nprocs;
-            match name {
-                "planted-wildcard" => (Box::new(planted::planted_wildcard_factory(cfg)), n),
-                "planted-orphan" => (Box::new(planted::planted_orphan_factory(cfg)), n),
-                _ => (Box::new(planted::planted_pipeline_factory(cfg)), n),
-            }
-        }
-        "stencil" => {
-            // --procs is the total rank count; the grid side is its
-            // (floored) square root, so 1024 procs = the 32x32 grid.
-            let p = (procs.max(4) as f64).sqrt().floor() as usize;
-            let cfg = wide::StencilConfig {
-                p: p.max(2),
-                ..Default::default()
-            };
-            let n = cfg.p * cfg.p;
-            (Box::new(wide::stencil_factory(cfg)), n)
-        }
-        "butterfly" => {
-            let n = procs.max(2).next_power_of_two();
-            let cfg = wide::ButterflyConfig { nprocs: n };
-            (Box::new(wide::butterfly_factory(cfg)), n)
-        }
-        "racy-wildcard" | "racy-deadlock" => {
-            let cfg = racy::RacyConfig {
-                nprocs: procs.clamp(3, 16),
-                ..Default::default()
-            };
-            let n = cfg.nprocs;
-            if name == "racy-wildcard" {
-                (Box::new(racy::wildcard_race_factory(cfg)), n)
-            } else {
-                (Box::new(racy::orphan_deadlock_factory(cfg)), n)
-            }
-        }
-        other => {
-            if let Some(n) = other.strip_prefix("fib:") {
-                let n: u64 = n.parse().map_err(|_| format!("bad fib input {n:?}"))?;
-                (
-                    Box::new(move || vec![tracedbg::workloads::fib::program(n)]),
-                    1,
-                )
-            } else if let Some(t) = other.strip_prefix("random:") {
-                let t: usize = t.parse().map_err(|_| format!("bad transfer count {t:?}"))?;
-                let nprocs = procs.max(2);
-                let pat = random_comm::generate(seed, nprocs, t);
-                (Box::new(move || random_comm::programs(&pat, seed)), nprocs)
-            } else if other.starts_with("script:") || other.starts_with("sdl:") {
-                let (parsed, file, nprocs) = script_workload(other, procs, false)?
-                    .expect("prefixed specs always resolve to a script");
-                (
-                    Box::new(move || script::programs(&parsed, nprocs, &file)),
-                    nprocs,
-                )
-            } else {
-                return Err(format!(
-                    "unknown workload {other:?} (try `tracedbg workloads`)"
-                ));
-            }
-        }
-    };
-    Ok(f)
-}
-
-/// Resolve a script-backed workload spec — `script:<path>`, `sdl:<name>`,
-/// or (with `allow_bare`) a bare builtin script name — to its parsed
-/// script, the file label its trace sites carry, and the process count it
-/// runs with. `Ok(None)` means the spec names a native workload instead.
-fn script_workload(
-    name: &str,
-    procs: usize,
-    allow_bare: bool,
-) -> Result<Option<(script::Script, String, usize)>, String> {
-    if let Some(path) = name.strip_prefix("script:") {
-        let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let parsed = script::parse(&src).map_err(|e| e.to_string())?;
-        return Ok(Some((parsed, path.to_string(), procs.max(2))));
-    }
-    let explicit = name.starts_with("sdl:");
-    if !explicit && !allow_bare {
-        return Ok(None);
-    }
-    let bare = name.strip_prefix("sdl:").unwrap_or(name);
-    match scripts::builtin(bare) {
-        Some(b) => Ok(Some((b.parse(), b.file(), procs.max(b.min_procs)))),
-        None if explicit => Err(format!(
-            "unknown builtin script {bare:?} (try `tracedbg workloads`)"
-        )),
-        None => Ok(None),
-    }
-}
-
-/// Read a recorded trace from any of its on-disk forms: text (`.trc`),
-/// binary (`.tbin`), or an indexed store directory (`tracedbg ingest`),
-/// which is materialized through the [`TraceSource`] trait.
-fn load_store(path: &str) -> Result<TraceStore, String> {
-    if std::path::Path::new(path).is_dir() {
-        let disk = DiskStore::open(std::path::Path::new(path)).map_err(|e| e.to_string())?;
-        return materialize(&disk).map_err(|e| e.to_string());
-    }
-    let f = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let tf = if path.ends_with(".tbin") {
-        read_binary(BufReader::new(f)).map_err(|e| format!("{path}: {e}"))?
+/// Exit status of the verbs whose status is a verdict (`lint`, `explore`,
+/// `replay`, `localize`).
+pub fn success_if(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
     } else {
-        read_text(BufReader::new(f)).map_err(|e| format!("{path}: {e}"))?
-    };
-    Ok(tf.into_store())
-}
-
-/// [`load_store`] for the verbs that reason about causality (`analyze`,
-/// `report`, `lint`). A trace file is external input: one whose receives
-/// cannot all be ordered after their sends is not a recording of any run
-/// and is refused here, before it is analyzed as if it were one.
-fn load_causal_store(path: &str) -> Result<TraceStore, String> {
-    let store = load_store(path)?;
-    let matching = MessageMatching::build(&store);
-    HbIndex::build(&store, &matching)
-        .check_causal()
-        .map_err(|e| format!("{path}: {e}"))?;
-    Ok(store)
-}
-
-/// Read a trace file (text or binary) without building the in-memory
-/// index — `ingest` only needs the raw records.
-fn load_trace_file(path: &str) -> Result<TraceFile, String> {
-    let f = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    if path.ends_with(".tbin") {
-        read_binary(BufReader::new(f)).map_err(|e| format!("{path}: {e}"))
-    } else {
-        read_text(BufReader::new(f)).map_err(|e| format!("{path}: {e}"))
+        ExitCode::FAILURE
     }
 }
 
-/// Write a run's trace to `path` (binary for `.tbin`, text otherwise).
-/// The encoders emit one small write per field, so the file is buffered;
-/// the explicit flush is what surfaces a write error.
-fn write_trace_file(path: &str, store: &TraceStore) -> Result<(), String> {
-    let file = TraceFile::new(
-        store.records().to_vec(),
-        store.sites().clone(),
-        store.n_ranks(),
-    );
-    let write = || -> std::io::Result<()> {
-        let mut w = BufWriter::new(std::fs::File::create(path)?);
-        if path.ends_with(".tbin") {
-            write_binary(&mut w, &file)?;
-        } else {
-            write_text(&mut w, &file)?;
-        }
-        w.flush()
-    };
-    write().map_err(|e| format!("cannot write {path}: {e}"))
+/// Run `f` with the simulated processes' panic backtraces kept off
+/// stderr: a replayed artifact usually records a failure, and its panics
+/// are the expected outcome.
+pub fn quietly<T>(f: impl FnOnce() -> T) -> T {
+    tracedbg::mpsim::set_quiet_panics(true);
+    let out = f();
+    tracedbg::mpsim::set_quiet_panics(false);
+    out
 }
 
-fn cmd_run(opts: &Opts) -> Result<(), String> {
-    let name = opts
-        .positional
-        .first()
-        .ok_or("usage: tracedbg run <workload>")?;
-    let seed = opts.num("seed", 42u64);
-    let procs = opts.num("procs", 8usize);
-    let (factory, _n) = workload_factory(name, seed, procs)?;
-    let mut session = Session::launch(SessionConfig::default(), factory);
+/// Print a sealed report — its JSON with `--json`, else its rendering —
+/// and write the JSON to `--out FILE` when asked.
+fn emit_report(
+    opts: &Opts,
+    to_json: impl Fn() -> String,
+    render: impl FnOnce() -> String,
+) -> Result<(), String> {
+    if opts.has("json") {
+        println!("{}", to_json());
+    } else {
+        print!("{}", render());
+    }
+    if let Some(out) = opts.flag("out") {
+        std::fs::write(out, to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
+        if !opts.has("json") {
+            println!("report written to {out}");
+        }
+    }
+    Ok(())
+}
+
+/// The positional workload of `run`/`debug`/`explore`, resolved with the
+/// verb's `--seed` and `--procs`.
+fn workload_arg(opts: &Opts, usage: &str) -> Result<(String, u64, Workload), String> {
+    let name = opts.positional.first().ok_or(usage)?;
+    let seed = opts.num("seed", 42u64)?;
+    let workload = Input::workload(name, seed, opts.num("procs", 8usize)?)?;
+    Ok((name.clone(), seed, workload))
+}
+
+/// Run a workload once under the full recorder with telemetry on (the
+/// `profile` and `stats` verbs).
+fn run_metered(workload: &Workload) -> (Engine, RunOutcome) {
+    let cfg = EngineConfig {
+        recorder: RecorderConfig::full(),
+        metrics: true,
+        ..Default::default()
+    };
+    let mut engine = Engine::launch(cfg, (workload.factory)());
+    let outcome = engine.run();
+    (engine, outcome)
+}
+
+fn cmd_run(opts: &Opts) -> Result<ExitCode, String> {
+    let (_, _, workload) = workload_arg(opts, "usage: tracedbg run <workload>")?;
+    let mut session = Session::launch(SessionConfig::default(), workload.factory);
     // --store: stream records into an indexed on-disk store *while the
     // run executes* — the sink rides the monitor's flush path, nothing is
     // re-read from memory afterwards.
@@ -341,7 +186,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
             let w = StoreWriter::create(
                 std::path::Path::new(dir),
                 StoreOptions {
-                    segment_events: opts.num("segment-events", 65536usize),
+                    segment_events: opts.num("segment-events", 65536usize)?,
                 },
             )
             .map_err(|e| e.to_string())?;
@@ -371,15 +216,15 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         write_trace_file(out, &store)?;
         println!("trace written to {out}");
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_view(opts: &Opts) -> Result<(), String> {
+fn cmd_view(opts: &Opts) -> Result<ExitCode, String> {
     let path = opts
         .positional
         .first()
         .ok_or("usage: tracedbg view <trace.trc>")?;
-    let store = load_store(path)?;
+    let store = Input::trace("view", path)?.into_store()?;
     let matching = MessageMatching::build(&store);
     let mut model = TimelineModel::build(&store, &matching, false);
     if let Some(win) = opts.flag("window") {
@@ -389,92 +234,57 @@ fn cmd_view(opts: &Opts) -> Result<(), String> {
             .ok_or("bad --window, expected lo:hi")?;
         model = model.window(lo, hi);
     }
-    let width = opts.num("width", 120usize);
+    let width = opts.num("width", 120usize)?;
     println!("{}", render_ascii(&model, width));
     if let Some(svg_path) = opts.flag("svg") {
         std::fs::write(svg_path, render_svg(&model, 1100.0)).map_err(|e| e.to_string())?;
         println!("svg written to {svg_path}");
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Human rendering of a static analysis: the communication graph with
-/// lattice values, then the derived facts the other consumers use.
-fn render_analysis(workload: &str, a: &tracedbg::analysis::Analysis) -> String {
-    use tracedbg::analysis::SiteOp;
-    let mut out = String::new();
-    let g = &a.graph;
-    out.push_str(&format!(
-        "static analysis of {workload} ({} procs, graph {}, values {})\n",
-        g.nprocs,
-        if g.complete { "complete" } else { "partial" },
-        if g.exact { "exact" } else { "approximate" },
-    ));
-    out.push_str("--- communication sites ---\n");
-    for (i, s) in g.sites.iter().enumerate() {
-        let desc = match &s.op {
-            SiteOp::Send { dst, tag } => format!("send -> {{{}}} tag {tag}", dst.render()),
-            SiteOp::Recv { src, tag, wildcard } => {
-                let t = match tag {
-                    Some(t) => format!(" tag {t}"),
-                    None => " any tag".to_string(),
-                };
-                let w = if *wildcard { " (wildcard)" } else { "" };
-                format!("recv <- {{{}}}{t}{w}", src.render())
-            }
-            SiteOp::Barrier => "barrier".to_string(),
-        };
-        out.push_str(&format!(
-            "rank {} {}:{} ({})  {desc}  [{} partner(s)]\n",
-            s.rank, g.file, s.line, s.func, a.may_match.partners[i]
-        ));
-    }
-    out.push_str(&format!(
-        "--- may-match: {} send/recv pair(s) ---\n",
-        a.may_match.pairs.len()
-    ));
-    let indep = a.independence.pairs();
-    out.push_str(&format!(
-        "independent rank pairs: {}\n",
-        if indep.is_empty() {
-            "none".to_string()
-        } else {
-            indep
-                .iter()
-                .map(|(x, y)| format!("({x},{y})"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        }
-    ));
-    let dead = a.deadlocked_ranks();
-    if dead.is_empty() {
-        out.push_str("static deadlock: none\n");
-    } else {
-        let set: Vec<String> = dead.iter().map(|r| r.to_string()).collect();
-        out.push_str(&format!("static deadlock: rank(s) {}\n", set.join(", ")));
-    }
-    out
+/// The input of `analyze`/`lint`: a script-backed workload (static front
+/// end) or a recorded trace (post-mortem front end).
+const SCRIPT_OR_TRACE: &str = "trace.trc | trace.tbin | store-dir | script:<path> | sdl:<name>";
+
+/// The parsed script and file label of a script-backed workload; a native
+/// workload has no source for `verb` to reason about.
+fn script_of(
+    verb: &str,
+    spec: &str,
+    workload: Workload,
+) -> Result<(tracedbg::workloads::Script, String, usize), String> {
+    let (parsed, file) = workload.script.ok_or_else(|| {
+        format!("{verb} takes {SCRIPT_OR_TRACE}, not the native workload {spec:?}")
+    })?;
+    Ok((parsed, file, workload.nprocs))
 }
 
-fn cmd_analyze(opts: &Opts) -> Result<(), String> {
+fn cmd_analyze(opts: &Opts) -> Result<ExitCode, String> {
     let path = opts.positional.first().ok_or(
         "usage: tracedbg analyze <trace.trc | script:path | sdl:name> \
          [--procs N] [--json | --dot]",
     )?;
     // Script-backed specs get the static analysis; anything else is a
-    // recorded trace and gets the history analyzer.
-    if let Some((parsed, file, nprocs)) = script_workload(path, opts.num("procs", 8usize), true)? {
-        let a = tracedbg::analysis::analyze(&parsed, nprocs, &file);
-        if opts.has("json") {
-            println!("{}", a.to_json(path));
-        } else if opts.has("dot") {
-            println!("{}", a.to_dot(path));
-        } else {
-            print!("{}", render_analysis(path, &a));
+    // recorded trace and gets the history analyzer. Here (only) a bare
+    // builtin-script name reads as that script: `ring` is `sdl:ring`.
+    let spec = scripts::builtin(path).map_or(path.clone(), |b| b.file());
+    let trace = match Input::resolve(&spec, 0, opts.num("procs", 8usize)?)? {
+        Input::Workload(w) => {
+            let (parsed, file, nprocs) = script_of("analyze", path, w)?;
+            let a = tracedbg::analysis::analyze(&parsed, nprocs, &file);
+            if opts.has("json") {
+                println!("{}", a.to_json(path));
+            } else if opts.has("dot") {
+                println!("{}", a.to_dot(path));
+            } else {
+                print!("{}", a.render(path));
+            }
+            return Ok(ExitCode::SUCCESS);
         }
-        return Ok(());
-    }
-    let store = load_causal_store(path)?;
+        Input::Trace(t) => t,
+    };
+    let store = trace.into_causal_store(path)?;
     let report = HistoryReport::analyze(&store);
     println!("{report}");
     println!();
@@ -486,29 +296,29 @@ fn cmd_analyze(opts: &Opts) -> Result<(), String> {
         println!("\n--- function profile (simulated time) ---");
         print!("{profile}");
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_report(opts: &Opts) -> Result<(), String> {
+fn cmd_report(opts: &Opts) -> Result<ExitCode, String> {
     let path = opts
         .positional
         .first()
         .ok_or("usage: tracedbg report <trace.trc> [--o out.html]")?;
-    let store = load_causal_store(path)?;
+    let store = Input::trace("report", path)?.into_causal_store(path)?;
     let analysis = HistoryReport::analyze(&store).to_string();
     let html = tracedbg::viz::render_html_report(&store, &analysis, path);
     let out = opts.flag("o").unwrap_or("trace_report.html");
     std::fs::write(out, html).map_err(|e| e.to_string())?;
     println!("report written to {out}");
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_graph(opts: &Opts) -> Result<(), String> {
+fn cmd_graph(opts: &Opts) -> Result<ExitCode, String> {
     let path = opts
         .positional
         .first()
         .ok_or("usage: tracedbg graph <trace.trc> --kind comm|call|trace")?;
-    let store = load_store(path)?;
+    let store = Input::trace("graph", path)?.into_store()?;
     let kind = opts.flag("kind").unwrap_or("comm");
     let format = opts.flag("format").unwrap_or("dot");
     let out = match (kind, format) {
@@ -521,7 +331,7 @@ fn cmd_graph(opts: &Opts) -> Result<(), String> {
             vcg::comm_graph_vcg(&CommGraph::build(&store, &mm))
         }
         ("call", fmt) => {
-            let rank = Rank(opts.num("rank", 0u32));
+            let rank = Rank(opts.num("rank", 0u32)?);
             let tg = TraceGraph::build(&store);
             let cg = CallGraph::project(&tg, rank);
             if fmt == "vcg" {
@@ -541,31 +351,25 @@ fn cmd_graph(opts: &Opts) -> Result<(), String> {
         (k, f) => return Err(format!("unknown kind/format {k}/{f}")),
     };
     println!("{out}");
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_debug(opts: &Opts) -> Result<(), String> {
-    let name = opts
-        .positional
-        .first()
-        .ok_or("usage: tracedbg debug <workload>")?;
-    let seed = opts.num("seed", 42u64);
-    let procs = opts.num("procs", 8usize);
-    let (factory, _) = workload_factory(name, seed, procs)?;
+fn cmd_debug(opts: &Opts) -> Result<ExitCode, String> {
+    let (_, _, workload) = workload_arg(opts, "usage: tracedbg debug <workload>")?;
     let cfg = SessionConfig {
         // Checkpoint every Nth stop for O(delta) undo/replay; 0 disables
         // the cache and every replay re-executes from scratch.
-        checkpoint_every: opts.num("checkpoint-every", 1usize),
+        checkpoint_every: opts.num("checkpoint-every", 1usize)?,
         ..SessionConfig::default()
     };
-    let session = Session::launch(cfg, factory);
+    let session = Session::launch(cfg, workload.factory);
     let mut ci = CommandInterface::new(session);
     let scripted = opts.commands();
     if !scripted.is_empty() {
         for cmd in scripted {
             println!("{}", ci.execute(&cmd));
         }
-        return Ok(());
+        return Ok(ExitCode::SUCCESS);
     }
     println!("tracedbg interactive debugger — 'help' for commands, 'quit' to exit");
     let stdin = std::io::stdin();
@@ -597,7 +401,7 @@ fn cmd_debug(opts: &Opts) -> Result<(), String> {
             cmd => println!("{}", ci.execute(cmd)),
         }
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `tracedbg lint` — run the correctness checker over a recorded trace
@@ -632,31 +436,24 @@ fn cmd_lint(opts: &Opts) -> Result<ExitCode, String> {
         Some(spec) => lint::LintConfig::from_spec(spec),
         None => lint::LintConfig::default(),
     };
-    let diags = if let Some((parsed, file, nprocs)) =
-        script_workload(input, opts.num("procs", 8usize), false)?
-    {
-        lint::lint_script(&parsed, nprocs, &file, &cfg)
-    } else {
-        let store = load_causal_store(input)?;
-        match opts.flag("script") {
-            Some(spec) => {
-                // Accept bare paths too: `--script foo.script` means
-                // `--script script:foo.script`.
-                let norm = if spec.starts_with("script:")
-                    || spec.starts_with("sdl:")
-                    || scripts::builtin(spec).is_some()
-                {
-                    spec.to_string()
-                } else {
-                    format!("script:{spec}")
-                };
-                let (parsed, file, _) = script_workload(&norm, store.n_ranks(), true)?
-                    .expect("normalized spec always resolves");
-                // The analysis must model exactly the traced execution:
-                // its rank count, not the spec's default.
-                lint::lint_trace_with_script(&store, &parsed, store.n_ranks(), &file, &cfg)
+    let diags = match Input::resolve(input, 0, opts.num("procs", 8usize)?)? {
+        Input::Workload(w) => {
+            let (parsed, file, nprocs) = script_of("lint", input, w)?;
+            lint::lint_script(&parsed, nprocs, &file, &cfg)
+        }
+        Input::Trace(t) => {
+            let store = t.into_causal_store(input)?;
+            match opts.flag("script") {
+                Some(spec) => {
+                    let spec = script_flag_spec(spec);
+                    let w = Input::workload(&spec, 0, store.n_ranks())?;
+                    let (parsed, file, _) = script_of("lint --script", &spec, w)?;
+                    // The analysis must model exactly the traced execution:
+                    // its rank count, not the spec's default.
+                    lint::lint_trace_with_script(&store, &parsed, store.n_ranks(), &file, &cfg)
+                }
+                None => lint::lint_trace(&store, &cfg),
             }
-            None => lint::lint_trace(&store, &cfg),
         }
     };
     if opts.has("json") {
@@ -664,11 +461,18 @@ fn cmd_lint(opts: &Opts) -> Result<ExitCode, String> {
     } else {
         print!("{}", report::render_human(&diags));
     }
-    Ok(if report::has_errors(&diags) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    })
+    Ok(success_if(!report::has_errors(&diags)))
+}
+
+/// The spec `lint --script` names: `script:`/`sdl:` forms as they are, a
+/// bare builtin name as that builtin, and anything else as a path —
+/// `--script foo.script` means `--script script:foo.script`.
+fn script_flag_spec(spec: &str) -> String {
+    match scripts::builtin(spec) {
+        Some(b) => b.file(),
+        None if spec.starts_with("script:") || spec.starts_with("sdl:") => spec.to_string(),
+        None => format!("script:{spec}"),
+    }
 }
 
 /// `tracedbg explore` — search the schedule space (and optionally the
@@ -677,24 +481,22 @@ fn cmd_lint(opts: &Opts) -> Result<ExitCode, String> {
 /// `tracedbg replay --schedule` re-executes deterministically. Exits
 /// non-zero when any violation was found, mirroring `lint`.
 fn cmd_explore(opts: &Opts) -> Result<ExitCode, String> {
-    let name = opts.positional.first().ok_or(
+    let (name, seed, workload) = workload_arg(
+        opts,
         "usage: tracedbg explore <workload> [--runs N] [--seed N] [--procs N] \
          [--preemptions K] [--faults] [--strategy random|systematic|both] \
          [--dpor] [--jobs N] [--out DIR] [--json] [--metrics [FILE]] [--progress]",
     )?;
-    let seed = opts.num("seed", 42u64);
-    let procs = opts.num("procs", 8usize);
-    let runs = opts.num("runs", 64usize);
-    let (factory, _n) = workload_factory(name, seed, procs)?;
+    let runs = opts.num("runs", 64usize)?;
     // --dpor: prove rank independence statically and let the systematic
     // search skip interleavings that only permute commuting decisions.
     // Only script-backed workloads have a source to analyze.
     let independence = if opts.has("dpor") {
-        let (parsed, file, nprocs) = script_workload(name, procs, false)?.ok_or(
+        let (parsed, file) = workload.script.as_ref().ok_or(
             "--dpor needs a script-backed workload (script:<path> or sdl:<name>) \
              so the static analysis has a source to prove independence from",
         )?;
-        Some(tracedbg::analysis::analyze(&parsed, nprocs, &file).independence)
+        Some(tracedbg::analysis::analyze(parsed, workload.nprocs, file).independence)
     } else {
         None
     };
@@ -702,19 +504,19 @@ fn cmd_explore(opts: &Opts) -> Result<ExitCode, String> {
         workload: name.clone(),
         seed,
         runs,
-        preemptions: opts.num("preemptions", 2usize),
+        preemptions: opts.num("preemptions", 2usize)?,
         inject_faults: opts.has("faults"),
         strategy: opts.flag("strategy").unwrap_or("both").parse()?,
         // 0 = one worker per available core; findings are identical for
         // every job count at a fixed seed.
-        jobs: opts.num("jobs", 0usize),
+        jobs: opts.num("jobs", 0usize)?,
         metrics: opts.has("metrics"),
         progress: opts.has("progress"),
         independence,
         ..Default::default()
     };
     let started = std::time::Instant::now();
-    let (report, metrics) = Explorer::new(cfg, factory).explore_traced();
+    let (report, metrics) = Explorer::new(cfg, workload.factory).explore_traced();
     let wall_ms = started.elapsed().as_millis() as u64;
     if opts.has("json") {
         println!("{}", report.to_json());
@@ -751,16 +553,7 @@ fn cmd_explore(opts: &Opts) -> Result<ExitCode, String> {
             wall_ms,
             version: env!("CARGO_PKG_VERSION").to_string(),
         };
-        let safe: String = name
-            .chars()
-            .map(|c| {
-                if c.is_alphanumeric() || c == '-' {
-                    c
-                } else {
-                    '-'
-                }
-            })
-            .collect();
+        let safe = name.replace(|c: char| !c.is_alphanumeric() && c != '-', "-");
         for (i, f) in report.findings.iter().enumerate() {
             let path = format!("{out_dir}/{safe}-{}-{i}.sched.json", f.class);
             let mut artifact = f.artifact.clone();
@@ -772,46 +565,7 @@ fn cmd_explore(opts: &Opts) -> Result<ExitCode, String> {
             }
         }
     }
-    Ok(if found {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    })
-}
-
-/// Convert a [`ProfileReport`] into the viz crate's renderer rows.
-fn profile_view(r: &ProfileReport) -> (ProfileSummary, Vec<WaitRankRow>, Vec<WaitKindRow>) {
-    let summary = ProfileSummary {
-        workload: r.workload.clone(),
-        procs: r.procs,
-        events: r.events,
-        makespan: r.makespan,
-        critical_path_len: r.critical_path_len,
-        busy_total: r.busy_total,
-        wait_total: r.wait_total,
-        flight_dropped: r.flight_dropped,
-    };
-    let ranks = r
-        .ranks
-        .iter()
-        .map(|p| WaitRankRow {
-            rank: p.rank,
-            busy: p.busy,
-            wait: p.wait,
-            blamed: p.blamed,
-            path: p.path,
-        })
-        .collect();
-    let kinds = r
-        .wait_kinds
-        .iter()
-        .map(|k| WaitKindRow {
-            kind: k.kind.clone(),
-            count: k.count,
-            cost: k.cost,
-        })
-        .collect();
-    (summary, ranks, kinds)
+    Ok(success_if(!found))
 }
 
 /// `tracedbg profile` — critical-path profiling and wait-state analysis
@@ -826,108 +580,50 @@ fn profile_view(r: &ProfileReport) -> (ProfileSummary, Vec<WaitRankRow>, Vec<Wai
 /// critical-path track). The report is a pure function of the trace, so
 /// it is byte-identical for every `--jobs N` and every input plane that
 /// delivers the same records.
-fn cmd_profile(opts: &Opts) -> Result<(), String> {
+fn cmd_profile(opts: &Opts) -> Result<ExitCode, String> {
     const USAGE: &str = "usage: tracedbg profile (<workload> | <trace.trc|trace.tbin|store-dir> \
          | --schedule <file.sched.json>) [--seed N] [--procs N] [--jobs N] [--out FILE] \
          [--json] [--perfetto FILE]";
     // Accepted for CLI symmetry with explore/localize; the report never
     // depends on it.
-    let _jobs = opts.num("jobs", 1usize);
-    let source: String;
-    let workload: String;
-    let procs: usize;
-    let seed: u64;
-    let flight_dropped: u64;
-    let store: TraceStore;
-    if let Some(path) = opts.flag("schedule") {
-        let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let artifact = ScheduleArtifact::from_json(&json).map_err(|e| format!("{path}: {e}"))?;
-        let (factory, _n) = workload_factory(&artifact.workload, artifact.seed, artifact.procs)?;
-        // The artifact usually records a failure; its panics are expected.
-        tracedbg::mpsim::set_quiet_panics(true);
-        let mut session = Session::launch(
-            SessionConfig {
-                policy: SchedPolicy::Scripted(artifact.decisions.clone()),
-                faults: tracedbg::mpsim::FaultPlan::new(artifact.faults.clone()),
-                ..SessionConfig::default()
-            },
-            factory,
-        );
-        session.run();
-        tracedbg::mpsim::set_quiet_panics(false);
-        flight_dropped = session.engine().flight_dropped();
-        store = session.trace();
-        source = "schedule".into();
-        workload = artifact.workload.clone();
-        procs = artifact.procs;
-        seed = artifact.seed;
-    } else {
-        let name = opts.positional.first().ok_or(USAGE)?;
-        if std::path::Path::new(name).exists() {
-            source = if std::path::Path::new(name).is_dir() {
-                "store"
-            } else {
-                "trace"
-            }
-            .into();
-            store = load_store(name)?;
-            workload = name.clone();
-            procs = store.n_ranks();
-            seed = 0;
-            flight_dropped = 0;
+    let _jobs = opts.num("jobs", 1usize)?;
+    let (source, workload, procs, seed, flight_dropped, store) =
+        if let Some(path) = opts.flag("schedule") {
+            let (a, w) = load_artifact(path)?;
+            let mut session = Session::launch(SessionConfig::for_artifact(&a), w.factory);
+            quietly(|| session.run());
+            let (lost, store) = (session.engine().flight_dropped(), session.trace());
+            ("schedule", a.workload, a.procs, a.seed, lost, store)
         } else {
-            seed = opts.num("seed", 42u64);
-            let procs_req = opts.num("procs", 8usize);
-            let (factory, _n) = workload_factory(name, seed, procs_req)?;
-            let mut engine = Engine::launch(
-                EngineConfig {
-                    recorder: RecorderConfig::full(),
-                    metrics: true,
-                    ..Default::default()
-                },
-                factory(),
-            );
-            engine.run();
-            flight_dropped = engine.flight_dropped();
-            store = engine.trace_store();
-            source = "workload".into();
-            workload = name.clone();
-            procs = store.n_ranks();
-        }
-    }
+            let name = opts.positional.first().ok_or(USAGE)?;
+            let seed = opts.num("seed", 42u64)?;
+            match Input::resolve(name, seed, opts.num("procs", 8usize)?)? {
+                Input::Trace(trace) => {
+                    let plane = match trace {
+                        TraceInput::Mem(_) => "trace",
+                        TraceInput::Disk(_) => "store",
+                    };
+                    let store = trace.into_store()?;
+                    (plane, name.clone(), store.n_ranks(), 0, 0, store)
+                }
+                Input::Workload(w) => {
+                    let (mut engine, _) = run_metered(&w);
+                    let (lost, store) = (engine.flight_dropped(), engine.trace_store());
+                    ("workload", name.clone(), store.n_ranks(), seed, lost, store)
+                }
+            }
+        };
     let report = ProfileReport::build(
         &store,
         ProfileInput {
-            source: &source,
+            source,
             workload: &workload,
             procs,
             seed,
             flight_dropped,
         },
     );
-    if opts.has("json") {
-        println!("{}", report.to_json());
-    } else {
-        let (summary, ranks, kinds) = profile_view(&report);
-        print!("{}", render_wait_blame(&summary, &ranks, &kinds));
-        if !report.path_sites.is_empty() {
-            println!("critical path by site:");
-            for s in report.path_sites.iter().take(4) {
-                println!(
-                    "  {:>4}.{}% {}",
-                    s.share_millis / 10,
-                    s.share_millis % 10,
-                    s.site
-                );
-            }
-        }
-    }
-    if let Some(out) = opts.flag("out") {
-        std::fs::write(out, report.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
-        if !opts.has("json") {
-            println!("report written to {out}");
-        }
-    }
+    emit_report(opts, || report.to_json(), || report.render())?;
     if let Some(out) = opts.flag("perfetto") {
         let matching = MessageMatching::build(&store);
         let waits = WaitAnalysis::build(&store, &matching);
@@ -938,43 +634,31 @@ fn cmd_profile(opts: &Opts) -> Result<(), String> {
             println!("perfetto trace written to {out}");
         }
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `tracedbg stats` — run a workload once with engine telemetry on and
 /// show the AIMS-statistics-style per-rank profile (message volume, wait
 /// turns); `--metrics` additionally writes the machine-readable
 /// [`MetricsReport`] JSON.
-fn cmd_stats(opts: &Opts) -> Result<(), String> {
+fn cmd_stats(opts: &Opts) -> Result<ExitCode, String> {
     let name = opts.positional.first().ok_or(
         "usage: tracedbg stats <workload | trace.trc | store-dir> \
          [--seed N] [--procs N] [--metrics [FILE]]",
     )?;
-    // Recorded-trace mode: stream the statistics off any trace plane
-    // through `TraceSource` — a store directory is never materialized.
-    if std::path::Path::new(name).exists() {
-        let stats = if std::path::Path::new(name).is_dir() {
-            let disk = DiskStore::open(std::path::Path::new(name)).map_err(|e| e.to_string())?;
-            TraceStats::from_source(&disk).map_err(|e| e.to_string())?
-        } else {
-            TraceStats::from_source(&load_store(name)?).map_err(|e| e.to_string())?
-        };
-        print!("{stats}");
-        return Ok(());
-    }
-    let seed = opts.num("seed", 42u64);
-    let procs = opts.num("procs", 8usize);
-    let (factory, _n) = workload_factory(name, seed, procs)?;
+    let seed = opts.num("seed", 42u64)?;
+    let workload = match Input::resolve(name, seed, opts.num("procs", 8usize)?)? {
+        // Recorded-trace mode: stream the statistics off any trace plane
+        // through `TraceSource` — a store directory is never materialized.
+        Input::Trace(trace) => {
+            let stats = TraceStats::from_source(trace.source()).map_err(|e| e.to_string())?;
+            print!("{stats}");
+            return Ok(ExitCode::SUCCESS);
+        }
+        Input::Workload(w) => w,
+    };
     let started = std::time::Instant::now();
-    let mut engine = Engine::launch(
-        EngineConfig {
-            recorder: RecorderConfig::full(),
-            metrics: true,
-            ..Default::default()
-        },
-        factory(),
-    );
-    let outcome = engine.run();
+    let (mut engine, outcome) = run_metered(&workload);
     let wall_ms = started.elapsed().as_millis() as u64;
     println!("outcome: {outcome:?}");
     let snapshot_ns = engine.snapshot_ns();
@@ -1005,332 +689,7 @@ fn cmd_stats(opts: &Opts) -> Result<(), String> {
         std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("metrics written to {path}");
     }
-    Ok(())
-}
-
-/// `tracedbg replay --schedule` — re-execute an explorer artifact. The
-/// artifact names its workload; every scheduling decision and injected
-/// fault comes from the file, so the outcome is reproducible run-to-run.
-/// Exits zero iff the replay reproduced the artifact's recorded outcome.
-fn cmd_replay(opts: &Opts) -> Result<ExitCode, String> {
-    let path = opts
-        .flag("schedule")
-        .ok_or("usage: tracedbg replay --schedule <file.sched.json> [--trace out.trc] [--json]")?;
-    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let artifact = ScheduleArtifact::from_json(&json).map_err(|e| format!("{path}: {e}"))?;
-    let (factory, _n) = workload_factory(&artifact.workload, artifact.seed, artifact.procs)?;
-    if let Some(report_path) = opts.flag("to-suspect") {
-        return replay_to_suspect(&artifact, factory, report_path, opts);
-    }
-    if let Some(report_path) = opts.flag("to-critical-path") {
-        return replay_to_critical_path(&artifact, factory, report_path, opts);
-    }
-    if opts.has("from-checkpoint") {
-        // Checkpointed re-execution: snapshot mid-schedule, restore, and
-        // check the continued run is byte-identical to the straight one —
-        // the restore-determinism audit for a failure artifact.
-        tracedbg::mpsim::set_quiet_panics(true);
-        let ck = replay_schedule_from_checkpoint(&artifact, factory);
-        tracedbg::mpsim::set_quiet_panics(false);
-        if opts.has("json") {
-            println!(
-                "{{\"workload\":{},\"class\":{},\"restored_class\":{},\"snapshot_decisions\":{},\"reproduced\":{}}}",
-                json_string(&artifact.workload),
-                json_string(&ck.class),
-                json_string(&ck.restored_class),
-                ck.snapshot_decisions
-                    .map_or("null".to_string(), |n| n.to_string()),
-                ck.reproduced,
-            );
-        } else {
-            println!("replaying {artifact} (from checkpoint)");
-            println!("straight outcome: {} ({})", ck.class, ck.detail);
-            match ck.snapshot_decisions {
-                Some(n) => println!(
-                    "restored outcome: {} (snapshot at {n} decision(s))",
-                    ck.restored_class
-                ),
-                None => println!(
-                    "restored outcome: {} (run ended before the snapshot point; \
-                     compared against a straight re-execution)",
-                    ck.restored_class
-                ),
-            }
-            println!(
-                "{}",
-                if ck.reproduced {
-                    "reproduced: restored run is byte-identical to the straight run"
-                } else {
-                    "did NOT reproduce: restored run diverged from the straight run"
-                }
-            );
-        }
-        return Ok(if ck.reproduced {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        });
-    }
-    // The replayed failure is the expected outcome; keep panic backtraces
-    // of the simulated processes off stderr.
-    tracedbg::mpsim::set_quiet_panics(true);
-    let mut replay = replay_schedule(&artifact, factory);
-    tracedbg::mpsim::set_quiet_panics(false);
-    let expected = artifact.failure.as_deref().unwrap_or("completed");
-    let reproduced = replay.class == expected && !replay.diverged;
-    if opts.has("json") {
-        println!(
-            "{{\"workload\":{},\"class\":{},\"expected\":{},\"detail\":{},\"diverged\":{},\"reproduced\":{}}}",
-            json_string(&artifact.workload),
-            json_string(&replay.class),
-            json_string(expected),
-            json_string(&replay.detail),
-            replay.diverged,
-            reproduced,
-        );
-    } else {
-        println!("replaying {artifact}");
-        println!("outcome: {} ({})", replay.class, replay.detail);
-        if replay.diverged {
-            println!("WARNING: schedule diverged — this run does not reproduce the artifact");
-        }
-        println!(
-            "{}",
-            if reproduced {
-                format!("reproduced recorded failure class '{expected}'")
-            } else {
-                format!("did NOT reproduce '{expected}'")
-            }
-        );
-    }
-    if let Some(out) = opts.flag("trace") {
-        write_trace_file(out, &replay.trace())?;
-        if !opts.has("json") {
-            println!("trace written to {out}");
-        }
-    }
-    Ok(if reproduced {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
-/// `tracedbg replay --to-suspect` — re-execute a failing schedule and
-/// stop every process at the divergence frontier a `tracedbg localize`
-/// report recorded: the point where the failing run first left the
-/// passing envelope. The failing execution runs once to record its match
-/// log (pinning wildcard choices) and seed the checkpoint cache, then the
-/// stopline replay jumps to the frontier and prints where each top
-/// suspect is stopped.
-fn replay_to_suspect(
-    artifact: &ScheduleArtifact,
-    factory: ProgramFactory,
-    report_path: &str,
-    opts: &Opts,
-) -> Result<ExitCode, String> {
-    let rjson = std::fs::read_to_string(report_path)
-        .map_err(|e| format!("cannot read {report_path}: {e}"))?;
-    let report = tracedbg::localize::LocalizeReport::from_json(&rjson)?;
-    let d = report.divergence.as_ref().ok_or_else(|| {
-        format!(
-            "{report_path}: verdict {:?} has no divergence frontier to replay to",
-            report.verdict
-        )
-    })?;
-    let stopline = Stopline {
-        markers: MarkerVector::from_counts(d.markers.clone()),
-        origin: format!("localize divergence at decision {}", d.index),
-    };
-    tracedbg::mpsim::set_quiet_panics(true);
-    let mut session = Session::launch(
-        SessionConfig {
-            policy: SchedPolicy::Scripted(artifact.decisions.clone()),
-            faults: tracedbg::mpsim::FaultPlan::new(artifact.faults.clone()),
-            ..SessionConfig::default()
-        },
-        factory,
-    );
-    session.run();
-    let status = format!("{:?}", session.replay_to(&stopline));
-    tracedbg::mpsim::set_quiet_panics(false);
-    let markers = session.markers();
-    let reached = markers.counts() == d.markers.as_slice();
-    let join = |v: &[u64]| {
-        v.iter()
-            .map(|m| m.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    if opts.has("json") {
-        println!(
-            "{{\"origin\":{},\"target\":[{}],\"markers\":[{}],\"reached\":{},\"status\":{}}}",
-            json_string(&stopline.origin),
-            join(&d.markers),
-            join(markers.counts()),
-            reached,
-            json_string(&status),
-        );
-    } else {
-        println!("replaying {artifact}");
-        println!("stopline: {} -> markers {:?}", stopline.origin, d.markers);
-        println!("status: {status}");
-        for s in report.suspects.iter().take(2) {
-            println!("suspect P{} (score {}):", s.rank, s.score);
-            for line in session.where_is(Rank(s.rank)) {
-                println!("  {line}");
-            }
-        }
-        println!(
-            "{}",
-            if reached {
-                "stopped at the divergence frontier"
-            } else {
-                "did NOT reach the divergence frontier"
-            }
-        );
-    }
-    Ok(if reached {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
-/// `tracedbg replay --to-critical-path` — re-execute a failing schedule
-/// and stop every process at the causal frontier of the critical path's
-/// terminal event, as recorded by `tracedbg profile`. Every rank halts at
-/// the last execution marker in the terminal's causal past, so the
-/// stopped state shows exactly what the makespan-bounding chain was
-/// waiting on.
-fn replay_to_critical_path(
-    artifact: &ScheduleArtifact,
-    factory: ProgramFactory,
-    report_path: &str,
-    opts: &Opts,
-) -> Result<ExitCode, String> {
-    let rjson = std::fs::read_to_string(report_path)
-        .map_err(|e| format!("cannot read {report_path}: {e}"))?;
-    let report = ProfileReport::from_json(&rjson)?;
-    if report.frontier_markers.is_empty() {
-        return Err(format!(
-            "{report_path}: profile of an empty trace has no critical-path frontier"
-        ));
-    }
-    let stopline = Stopline {
-        markers: MarkerVector::from_counts(report.frontier_markers.clone()),
-        origin: format!(
-            "critical-path terminal ({}ns path)",
-            report.critical_path_len
-        ),
-    };
-    tracedbg::mpsim::set_quiet_panics(true);
-    let mut session = Session::launch(
-        SessionConfig {
-            policy: SchedPolicy::Scripted(artifact.decisions.clone()),
-            faults: tracedbg::mpsim::FaultPlan::new(artifact.faults.clone()),
-            ..SessionConfig::default()
-        },
-        factory,
-    );
-    session.run();
-    let status = format!("{:?}", session.replay_to(&stopline));
-    tracedbg::mpsim::set_quiet_panics(false);
-    let markers = session.markers();
-    let reached = markers.counts() == report.frontier_markers.as_slice();
-    let join = |v: &[u64]| {
-        v.iter()
-            .map(|m| m.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    if opts.has("json") {
-        println!(
-            "{{\"origin\":{},\"target\":[{}],\"markers\":[{}],\"reached\":{},\"status\":{}}}",
-            json_string(&stopline.origin),
-            join(&report.frontier_markers),
-            join(markers.counts()),
-            reached,
-            json_string(&status),
-        );
-    } else {
-        println!("replaying {artifact}");
-        println!(
-            "stopline: {} -> markers {:?}",
-            stopline.origin, report.frontier_markers
-        );
-        println!("status: {status}");
-        if let Some(step) = report.path.last() {
-            println!(
-                "critical path ends at P{} marker {} ({})",
-                step.rank, step.marker, step.site
-            );
-            for line in session.where_is(Rank(step.rank)) {
-                println!("  {line}");
-            }
-        }
-        println!(
-            "{}",
-            if reached {
-                "stopped at the critical-path frontier"
-            } else {
-                "did NOT reach the critical-path frontier"
-            }
-        );
-    }
-    Ok(if reached {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
-/// Convert a [`tracedbg::localize::LocalizeReport`] into the viz crate's
-/// renderer rows (viz stays a leaf crate and takes plain structs).
-fn suspect_view(
-    r: &tracedbg::localize::LocalizeReport,
-) -> (SuspectSummary, Vec<SuspectRow>, Vec<ChannelRow>) {
-    let summary = SuspectSummary {
-        workload: r.workload.clone(),
-        verdict: r.verdict.clone(),
-        failure: r.failure.clone(),
-        passing_runs: r.passing_runs,
-        divergence: r
-            .divergence
-            .as_ref()
-            .map(|d| (d.index, d.chosen.clone(), d.expected.clone())),
-        markers: r
-            .divergence
-            .as_ref()
-            .map(|d| d.markers.clone())
-            .unwrap_or_default(),
-    };
-    let suspects = r
-        .suspects
-        .iter()
-        .map(|s| SuspectRow {
-            rank: s.rank,
-            score: s.score,
-            divergence: s.divergence,
-            graph: s.graph,
-            anomaly: s.anomaly,
-            blame: s.blame,
-            evidence: s.evidence.clone(),
-        })
-        .collect();
-    let channels = r
-        .channels
-        .iter()
-        .map(|c| ChannelRow {
-            src: c.src,
-            dst: c.dst,
-            tag: c.tag,
-            missing: c.missing,
-            extra: c.extra,
-            reordered: c.reordered,
-        })
-        .collect();
-    (summary, suspects, channels)
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `tracedbg localize` — differential fault localization: replay a
@@ -1345,88 +704,63 @@ fn cmd_localize(opts: &Opts) -> Result<ExitCode, String> {
     const USAGE: &str = "usage: tracedbg localize (--schedule <file.sched.json> | <workload>) \
          [--runs N] [--seed N] [--jobs N] [--procs N] [--explore-runs N] \
          [--trace <trc|store-dir>] [--out FILE] [--json]";
-    let artifact = if let Some(path) = opts.flag("schedule") {
-        let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        ScheduleArtifact::from_json(&json).map_err(|e| format!("{path}: {e}"))?
+    let (artifact, workload) = if let Some(path) = opts.flag("schedule") {
+        load_artifact(path)?
     } else {
         // Workload mode: explore on the fly, localize the first finding.
-        let name = opts.positional.first().ok_or(USAGE)?;
-        let seed = opts.num("seed", 42u64);
-        let procs = opts.num("procs", 8usize);
-        let (factory, _n) = workload_factory(name, seed, procs)?;
+        let (name, seed, workload) = workload_arg(opts, USAGE)?;
         let cfg = ExploreConfig {
             workload: name.clone(),
             seed,
-            runs: opts.num("explore-runs", 64usize),
+            runs: opts.num("explore-runs", 64usize)?,
             ..Default::default()
         };
-        let report = Explorer::new(cfg, factory).explore();
+        let report = Explorer::new(cfg, workload.factory).explore();
         let finding = report.findings.first().ok_or_else(|| {
             format!("exploration found no failures in {name} — nothing to localize")
         })?;
-        finding.artifact.clone()
+        let artifact = finding.artifact.clone();
+        let workload = Input::workload(&artifact.workload, artifact.seed, artifact.procs)?;
+        (artifact, workload)
     };
-    let (factory, _n) = workload_factory(&artifact.workload, artifact.seed, artifact.procs)?;
     let lcfg = tracedbg::localize::LocalizeConfig {
-        runs: opts.num("runs", 8usize),
-        seed: opts.num("seed", 0u64),
-        jobs: opts.num("jobs", 1usize),
+        runs: opts.num("runs", 8usize)?,
+        seed: opts.num("seed", 0u64)?,
+        jobs: opts.num("jobs", 1usize)?,
     };
     // Resolve the failing-trace override up front so IO errors surface
     // before any simulated processes run.
-    let failing_trace: Option<Box<dyn TraceSource>> = match opts.flag("trace") {
-        Some(p) if std::path::Path::new(p).is_dir() => Some(Box::new(
-            DiskStore::open(std::path::Path::new(p)).map_err(|e| e.to_string())?,
-        )),
-        Some(p) => Some(Box::new(load_store(p)?)),
+    let failing_trace = match opts.flag("trace") {
+        Some(p) => Some(Input::trace("localize --trace", p)?),
         None => None,
     };
-    tracedbg::mpsim::set_quiet_panics(true);
-    let report = tracedbg::localize::localize_with_trace(
-        &factory,
-        &artifact,
-        &lcfg,
-        failing_trace.as_deref(),
-    );
-    tracedbg::mpsim::set_quiet_panics(false);
-    if opts.has("json") {
-        println!("{}", report.to_json());
-    } else {
-        let (summary, suspects, channels) = suspect_view(&report);
-        print!("{}", render_suspects(&summary, &suspects, &channels));
-    }
-    if let Some(out) = opts.flag("out") {
-        std::fs::write(out, report.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
-        if !opts.has("json") {
-            println!("report written to {out}");
-        }
-    }
-    Ok(
-        if report.verdict == tracedbg::localize::VERDICT_NO_REFERENCE {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        },
-    )
+    let failing_source = failing_trace.as_ref().map(|t| t.source());
+    let report = quietly(|| {
+        tracedbg::localize::localize_with_trace(&workload.factory, &artifact, &lcfg, failing_source)
+    });
+    emit_report(opts, || report.to_json(), || report.render())?;
+    Ok(success_if(
+        report.verdict != tracedbg::localize::VERDICT_NO_REFERENCE,
+    ))
 }
 
 /// `tracedbg ingest` — convert a recorded trace file into the indexed
 /// on-disk store format `tracedbg query` (and every trace-consuming
 /// command) reads.
-fn cmd_ingest(opts: &Opts) -> Result<(), String> {
+fn cmd_ingest(opts: &Opts) -> Result<ExitCode, String> {
     let path = opts.positional.first().ok_or(
         "usage: tracedbg ingest <trace.trc | trace.tbin> --out <dir> [--segment-events N]",
     )?;
     let out = opts.flag("out").ok_or("ingest needs --out <dir>")?;
-    let tf = load_trace_file(path)?;
+    let store = Input::trace("ingest", path)?.into_store()?;
     let started = std::time::Instant::now();
     let summary = tracedbg::store::ingest_records(
-        &tf.records,
-        &tf.sites,
-        tf.n_ranks,
+        store.records(),
+        store.sites(),
+        store.n_ranks(),
         std::path::Path::new(out),
         StoreOptions {
-            segment_events: opts.num("segment-events", 65536usize),
+            segment_events: opts.num("segment-events", 65536usize)?,
         },
     )
     .map_err(|e| e.to_string())?;
@@ -1438,23 +772,23 @@ fn cmd_ingest(opts: &Opts) -> Result<(), String> {
         summary.bytes,
         started.elapsed().as_secs_f64() * 1e3,
     );
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `tracedbg query` — indexed queries over an ingested store directory.
 /// Events stream from the store's cursors; the trace is never
 /// materialized, so multi-million-event stores answer in milliseconds.
-fn cmd_query(opts: &Opts) -> Result<(), String> {
+fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
     const USAGE: &str = "usage: tracedbg query <dir> \
          [--rank N | --tag T | --kind CODE | --window lo:hi] \
          [--limit N] [--count] [--stats]";
     let dir = opts.positional.first().ok_or(USAGE)?;
-    let disk = DiskStore::open(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
+    let disk = Input::store("query", dir)?;
     if opts.has("stats") {
         // Streaming one-pass statistics through the TraceSource trait.
         let stats = tracedbg::trace::TraceStats::from_source(&disk).map_err(|e| e.to_string())?;
         print!("{stats}");
-        return Ok(());
+        return Ok(ExitCode::SUCCESS);
     }
     let mut selectors = Vec::new();
     if let Some(r) = opts.flag("rank") {
@@ -1492,7 +826,7 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
         disk.n_events(),
         disk.n_ranks(),
     );
-    let limit = opts.num("limit", 20usize);
+    let limit = opts.num("limit", 20usize)?;
     let count_only = opts.has("count");
     let mut shown = 0usize;
     let mut total = 0usize;
@@ -1511,7 +845,7 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
         println!("  ... ({} more; raise --limit)", total - shown);
     }
     println!("{total} match(es)");
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `tracedbg bench` — the in-tree perf harness. Runs the fixed-iteration
@@ -1520,12 +854,12 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
 /// runs/sec at jobs=1 vs jobs=N), prints a human table per suite, and
 /// writes `BENCH_<suite>.json` files into `--out` (default the current
 /// directory) for the perf trajectory.
-fn cmd_bench(opts: &Opts) -> Result<(), String> {
+fn cmd_bench(opts: &Opts) -> Result<ExitCode, String> {
     let suite_opts = tracedbg_bench::suites::SuiteOptions {
         quick: opts.has("quick"),
         filter: opts.flag("filter").map(|s| s.to_string()),
         // 0 = one worker per available core for the explore_jobsN point.
-        jobs: opts.num("jobs", 0usize),
+        jobs: opts.num("jobs", 0usize)?,
     };
     let out_dir = std::path::Path::new(opts.flag("out").unwrap_or("."));
     let suites = tracedbg_bench::suites::run_suites(&suite_opts);
@@ -1544,26 +878,12 @@ fn cmd_bench(opts: &Opts) -> Result<(), String> {
             .map_err(|e| format!("cannot write BENCH_{}.json: {e}", s.name))?;
         println!("wrote {}\n", path.display());
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Minimal JSON string encoder for the hand-rolled `replay --json` output.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// A JSON string literal, for the hand-assembled `replay --json` objects.
+pub fn json_string(s: &str) -> String {
+    serde_json::to_string(s).expect("a string serializes")
 }
 
 /// A reader that closes stdout early (`tracedbg run … | head -1`) ends
@@ -1607,165 +927,183 @@ fn main() -> ExitCode {
         "report" => cmd_report(&opts),
         "graph" => cmd_graph(&opts),
         "debug" => cmd_debug(&opts),
-        "lint" => {
-            return match cmd_lint(&opts) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        "explore" => {
-            return match cmd_explore(&opts) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        "localize" => {
-            return match cmd_localize(&opts) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        "replay" => {
-            return match cmd_replay(&opts) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
+        "lint" => cmd_lint(&opts),
+        "explore" => cmd_explore(&opts),
+        "localize" => cmd_localize(&opts),
+        "replay" => replay::cmd_replay(&opts),
         "profile" => cmd_profile(&opts),
         "stats" => cmd_stats(&opts),
         "bench" => cmd_bench(&opts),
         "workloads" => {
-            println!(
-                "strassen       distributed Strassen multiply (8 procs, correct)\n\
-                 strassen-bug   the paper's jres bug: deadlocks ranks 0 and 7\n\
-                 lu             LU/SSOR wavefront pipeline\n\
-                 ring           token ring\n\
-                 pool           master/worker with wildcard receives\n\
-                 heat           1-D heat diffusion: halo exchange + allreduce\n\
-                 stencil        2-D halo exchange on a sqrt(procs) x sqrt(procs) grid\n\
-                 butterfly      log2-stage allreduce over next_power_of_two(procs) ranks\n\
-                 racy-wildcard  wildcard-receive race (explore finds the panic)\n\
-                 racy-deadlock  orphaned receive (explore finds the deadlock)\n\
-                 planted-wildcard  localization corpus: racy wildcard, bug planted at rank 2\n\
-                 planted-orphan    localization corpus: orphaned receive at rank 2\n\
-                 planted-pipeline  localization corpus: delay-sensitive merge stage at rank 2\n\
-                 fib:<n>        recursive Fibonacci (Table 1 driver)\n\
-                 random:<n>     seeded random transfer pattern\n\
-                 script:<path>  interpreted mini-language program (SPMD)\n\
-                 sdl:<name>     builtin script (statically analyzable):"
-            );
-            for b in scripts::builtins() {
-                println!(
-                    "   sdl:{:<18} {} (min {} procs)",
-                    b.name, b.description, b.min_procs
-                );
-            }
-            Ok(())
+            print!("{}", catalog::listing());
+            Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown command {other:?}")),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
     fn opts_parses_flags_values_and_positionals() {
-        let o = Opts::parse(&args(&[
-            "ring", "--seed", "7", "--json", "--procs", "4", "-e", "run",
-        ]));
+        let args = ["ring", "--seed", "7", "--json", "--procs", "4", "-e", "run"];
+        let o = Opts::parse(&args.map(String::from));
         assert_eq!(o.positional, vec!["ring"]);
         assert_eq!(o.flag("seed"), Some("7"));
-        assert_eq!(o.num("procs", 0usize), 4);
+        assert_eq!(o.num("procs", 0usize), Ok(4));
         assert!(o.has("json"));
         assert_eq!(o.flag("json"), None, "bare flag carries no value");
         assert_eq!(o.commands(), vec!["run"]);
         assert!(!o.has("faults"));
-        assert_eq!(o.num("runs", 64usize), 64, "missing flag falls back");
+        assert_eq!(o.num("runs", 64usize), Ok(64), "missing flag falls back");
+        let bad = Opts::parse(&["--runs", "lots"].map(String::from));
+        let err = bad.num("runs", 64usize).unwrap_err();
+        assert_eq!(err, "--runs: bad value \"lots\"", "never the default");
+    }
+
+    fn nprocs(spec: &str, procs: usize) -> usize {
+        let w = Input::workload(spec, 1, procs).expect(spec);
+        assert_eq!((w.factory)().len(), w.nprocs, "{spec}: factory/nprocs");
+        w.nprocs
     }
 
     #[test]
     fn workload_factory_resolves_known_names() {
-        for name in [
-            "strassen",
-            "strassen-bug",
-            "lu",
-            "ring",
-            "heat",
-            "pool",
-            "stencil",
-            "butterfly",
-            "racy-wildcard",
-            "racy-deadlock",
-            "planted-wildcard",
-            "planted-orphan",
-            "planted-pipeline",
-            "fib:6",
-            "random:4",
-            "sdl:ring",
-            "sdl:pairs",
-            "sdl:racy-wildcard",
-            "sdl:racy-deadlock",
-        ] {
-            let (factory, n) = workload_factory(name, 1, 4).expect(name);
-            assert_eq!(factory().len(), n, "{name}: factory/proc-count agree");
+        // `tracedbg workloads` and the resolver read one table: every
+        // printed name resolves (a prefix form with its placeholder filled
+        // in; `script:` needs a file, see the resolver test) ...
+        for line in catalog::listing().lines() {
+            let name = line.split_whitespace().next().unwrap();
+            match name.split_once(":<") {
+                None => nprocs(name, 4),
+                Some(("script", _)) => continue,
+                Some(("sdl", _)) => nprocs("sdl:pairs", 4),
+                Some((prefix, _)) => nprocs(&format!("{prefix}:6"), 4),
+            };
         }
-        assert!(workload_factory("no-such-workload", 1, 4).is_err());
-        assert!(workload_factory("fib:x", 1, 4).is_err());
-        assert!(workload_factory("sdl:no-such-script", 1, 4).is_err());
+        // ... and nothing resolves that is not printed.
+        for miss in [
+            "no-such-workload",
+            "./ring",
+            "Ring",
+            "ring.trc",
+            "fib",
+            "sdl",
+        ] {
+            assert!(!catalog::is_workload(miss), "{miss}");
+            assert_eq!(
+                Input::workload(miss, 1, 4).err().expect(miss),
+                format!("unknown workload {miss:?} (try `tracedbg workloads`)")
+            );
+        }
+        let err = |spec| Input::workload(spec, 1, 4).err().expect(spec);
+        assert_eq!(err("fib:x"), "bad fib input \"x\"");
+        assert_eq!(err("random:many"), "bad transfer count \"many\"");
+        assert!(err("sdl:no-such-script").starts_with("unknown builtin script"));
     }
 
     #[test]
     fn sdl_workloads_clamp_to_min_procs() {
-        let (_, n) = workload_factory("sdl:racy-wildcard", 1, 1).unwrap();
-        assert_eq!(n, 3, "racy builtin needs a master and two workers");
-        let (_, n) = workload_factory("sdl:ring", 1, 1).unwrap();
-        assert_eq!(n, 2);
-    }
-
-    #[test]
-    fn script_workload_resolves_bare_names_only_when_allowed() {
-        // `ring` is a native workload; only `analyze` treats the bare
-        // name as the builtin script.
-        assert!(script_workload("ring", 4, false).unwrap().is_none());
-        let (_, file, n) = script_workload("ring", 4, true).unwrap().unwrap();
-        assert_eq!(file, "sdl:ring");
-        assert_eq!(n, 4);
-        let (_, file, n) = script_workload("sdl:pairs", 1, false).unwrap().unwrap();
-        assert_eq!(file, "sdl:pairs");
-        assert_eq!(n, 2, "clamped to the builtin's minimum");
+        assert_eq!(nprocs("sdl:racy-wildcard", 1), 3, "a master, two workers");
+        assert_eq!(nprocs("sdl:ring", 1), 2);
     }
 
     #[test]
     fn racy_workloads_enforce_a_minimum_of_three_procs() {
-        let (_, n) = workload_factory("racy-wildcard", 1, 1).unwrap();
-        assert_eq!(n, 3);
-        let (_, n) = workload_factory("racy-deadlock", 1, 12).unwrap();
-        assert_eq!(n, 12);
+        assert_eq!(nprocs("racy-wildcard", 1), 3);
+        assert_eq!(nprocs("racy-deadlock", 12), 12);
+    }
+
+    #[test]
+    fn script_workload_resolves_bare_names_only_when_allowed() {
+        // `ring` is a native workload; only `analyze` and `lint --script`
+        // read the bare name as the builtin script.
+        let ring = Input::workload("ring", 1, 4).unwrap();
+        let err = script_of("lint", "ring", ring).unwrap_err();
+        assert_eq!(
+            err,
+            format!("lint takes {SCRIPT_OR_TRACE}, not the native workload \"ring\"")
+        );
+        let pairs = Input::workload("sdl:pairs", 1, 1).unwrap();
+        let (_, file, n) = script_of("lint", "sdl:pairs", pairs).unwrap();
+        assert_eq!((file.as_str(), n), ("sdl:pairs", 2), "clamped to min_procs");
+        for (flag, spec) in [
+            ("ring", "sdl:ring"),
+            ("sdl:pairs", "sdl:pairs"),
+            ("script:a.script", "script:a.script"),
+            ("foo.script", "script:foo.script"),
+        ] {
+            assert_eq!(script_flag_spec(flag), spec);
+        }
+    }
+
+    /// One rule for "workload or file": a listed name or prefix form is the
+    /// workload, anything else is a path, on whichever plane it is. (That
+    /// the name wins whatever the working directory holds is
+    /// `tests/integration.rs::a_name_is_the_workload_whatever_the_cwd_holds`.)
+    #[test]
+    fn a_spec_resolves_to_one_variant_for_every_verb() {
+        let dir = std::env::temp_dir().join(format!("tracedbg-resolve-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("empty-dir")).unwrap();
+        let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let store = run_metered(&Input::workload("ring", 1, 2).unwrap())
+            .0
+            .trace_store();
+        write_trace_file(&at("t.trc"), &store).unwrap();
+        write_trace_file(&at("t.tbin"), &store).unwrap();
+        let opts = StoreOptions { segment_events: 64 };
+        let (records, sites) = (store.records(), store.sites());
+        tracedbg::store::ingest_records(records, sites, 2, at("st").as_ref(), opts).unwrap();
+        std::fs::write(at("a.script"), scripts::builtin("ring").unwrap().source).unwrap();
+
+        let resolve = |spec: &str| match Input::resolve(spec, 1, 4)? {
+            Input::Workload(w) if w.script.is_some() => Ok("script"),
+            Input::Workload(_) => Ok("native"),
+            Input::Trace(TraceInput::Mem(s)) if s.len() == store.len() => Ok("mem"),
+            Input::Trace(TraceInput::Mem(_)) => Ok("mem, but not the trace written"),
+            Input::Trace(TraceInput::Disk(_)) => Ok("disk"),
+        };
+        for (spec, want) in [
+            ("ring".to_string(), Ok("native")),
+            ("fib:6".to_string(), Ok("native")),
+            ("random:4".to_string(), Ok("native")),
+            ("sdl:ring".to_string(), Ok("script")),
+            (format!("script:{}", at("a.script")), Ok("script")),
+            (at("t.trc"), Ok("mem")),
+            (at("t.tbin"), Ok("mem")),
+            (at("st"), Ok("disk")),
+            // A workload that cannot be built is an error, not a path.
+            ("fib:x".to_string(), Err("bad fib input")),
+            ("sdl:nope".to_string(), Err("unknown builtin script")),
+            (
+                "script:nope.script".to_string(),
+                Err("cannot read nope.script"),
+            ),
+            ("./ring".to_string(), Err("cannot open ./ring")),
+            ("Ring".to_string(), Err("cannot open Ring")),
+            (at("empty-dir"), Err(&at("empty-dir/manifest.tds"))),
+        ] {
+            match (resolve(&spec), want) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want, "{spec}"),
+                (Err::<_, String>(e), Err(want)) => assert!(e.starts_with(want), "{spec}: {e}"),
+                (got, want) => panic!("{spec}: {got:?}, want {want:?}"),
+            }
+        }
+        // (`view ring`, `query ring`: what a verb that reads a trace says to
+        // a workload is pinned by the integration test named above.)
+        assert!(Input::store("query", &at("st")).is_ok());
+        assert!(
+            Input::store("query", &at("t.trc")).is_err(),
+            "a file is not a store"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -105,8 +105,7 @@ pub mod prelude {
     };
     pub use tracedbg_tracegraph::{CallGraph, CommGraph, MessageMatching, TraceGraph};
     pub use tracedbg_viz::{
-        render_ascii, render_rank_profile, render_suspects, render_svg, render_wait_blame, NtvView,
-        TimelineModel, VkView,
+        render_ascii, render_rank_profile, render_svg, NtvView, TimelineModel, VkView,
     };
 }
 

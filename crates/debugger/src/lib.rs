@@ -39,7 +39,7 @@ pub use checkpoint_cache::{CacheLookupStats, CheckpointCache};
 pub use commands::CommandInterface;
 pub use procset::ProcSets;
 pub use schedule_replay::{
-    classify, replay_schedule, replay_schedule_from_checkpoint, CheckpointReplay, ScheduleReplay,
+    replay_schedule, replay_schedule_from_checkpoint, CheckpointReplay, ScheduleReplay,
 };
 pub use session::{ProgramFactory, Session, SessionConfig, SessionStatus, SessionTelemetry};
 pub use stopline::Stopline;

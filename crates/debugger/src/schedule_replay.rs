@@ -9,17 +9,14 @@
 //! is a pure function of the artifact — the debugger's §4.2 replay
 //! guarantee extended from wildcard matches to whole schedules.
 
-use crate::session::{ProgramFactory, Session, SessionConfig, SessionStatus};
-use tracedbg_mpsim::{Engine, EngineConfig, FaultPlan, RecorderConfig, RunOutcome, SchedPolicy};
+use crate::session::{ProgramFactory, Session, SessionConfig};
+use tracedbg_mpsim::{Engine, EngineConfig, RecorderConfig};
 use tracedbg_trace::schedule::ScheduleArtifact;
 use tracedbg_trace::TraceStore;
 
 /// Outcome classes an artifact can reproduce. `failure_class` strings in
 /// artifacts use these names.
-pub const CLASS_COMPLETED: &str = "completed";
-pub const CLASS_DEADLOCK: &str = "deadlock";
-pub const CLASS_PANIC: &str = "panic";
-pub const CLASS_STOPPED: &str = "stopped";
+pub use tracedbg_mpsim::{CLASS_COMPLETED, CLASS_DEADLOCK, CLASS_PANIC, CLASS_STOPPED};
 
 /// The result of replaying one schedule artifact.
 pub struct ScheduleReplay {
@@ -43,47 +40,17 @@ impl ScheduleReplay {
     }
 }
 
-/// Classify a session status into an artifact failure class.
-pub fn classify(status: &SessionStatus) -> (String, String) {
-    match status {
-        SessionStatus::Completed | SessionStatus::Idle => {
-            (CLASS_COMPLETED.into(), "run completed".into())
-        }
-        SessionStatus::Deadlocked(rep) => {
-            let detail = if rep.is_cyclic() {
-                format!("cyclic wait: {:?}", rep.cycle)
-            } else {
-                format!(
-                    "stalled: {} process(es) waiting with no cycle",
-                    rep.waits.len()
-                )
-            };
-            (CLASS_DEADLOCK.into(), detail)
-        }
-        SessionStatus::Panicked { rank, message } => {
-            (CLASS_PANIC.into(), format!("{rank:?} panicked: {message}"))
-        }
-        SessionStatus::Stopped { traps, paused } => (
-            CLASS_STOPPED.into(),
-            format!("{} trap(s), {} paused", traps.len(), paused.len()),
-        ),
-    }
-}
-
 /// Re-execute an artifact's schedule against a freshly-built program.
 ///
 /// The caller resolves the artifact's `workload`/`procs`/`seed` fields to a
 /// program factory (the CLI owns workload names; the debugger does not).
 pub fn replay_schedule(artifact: &ScheduleArtifact, factory: ProgramFactory) -> ScheduleReplay {
     let cfg = SessionConfig {
-        policy: SchedPolicy::Scripted(artifact.decisions.clone()),
         recorder: RecorderConfig::full(),
-        faults: FaultPlan::new(artifact.faults.clone()),
-        ..Default::default()
+        ..SessionConfig::for_artifact(artifact)
     };
     let mut session = Session::launch(cfg, factory);
-    session.run();
-    let (class, detail) = classify(session.status());
+    let (class, detail) = session.run_with(|o| (o.class().to_string(), o.detail()));
     let diverged = session.engine().schedule_diverged();
     ScheduleReplay {
         session,
@@ -111,18 +78,6 @@ pub struct CheckpointReplay {
     pub reproduced: bool,
 }
 
-fn status_of(outcome: RunOutcome) -> SessionStatus {
-    match outcome {
-        RunOutcome::Completed => SessionStatus::Completed,
-        RunOutcome::Deadlock(d) => SessionStatus::Deadlocked(d),
-        RunOutcome::Stopped(s) => SessionStatus::Stopped {
-            traps: s.traps,
-            paused: s.paused,
-        },
-        RunOutcome::Panicked { rank, message } => SessionStatus::Panicked { rank, message },
-    }
-}
-
 /// Replay an artifact through a mid-schedule checkpoint.
 ///
 /// Runs the scripted schedule with a snapshot armed at half the decision
@@ -135,38 +90,26 @@ pub fn replay_schedule_from_checkpoint(
     factory: ProgramFactory,
 ) -> CheckpointReplay {
     let cfg = EngineConfig {
-        policy: SchedPolicy::Scripted(artifact.decisions.clone()),
         recorder: RecorderConfig::full(),
-        faults: FaultPlan::new(artifact.faults.clone()),
         checkpoints: true,
-        ..Default::default()
+        ..EngineConfig::for_artifact(artifact)
     };
     let mut engine = Engine::launch(cfg.clone(), factory());
     engine.set_snapshot_at(artifact.decisions.len() / 2);
     let outcome = engine.run();
-    let (class, detail) = classify(&status_of(outcome));
+    let (class, detail) = (outcome.class().to_string(), outcome.detail());
     let straight_digest = engine.digest();
     let straight_trace = engine.collect_trace();
-    let (restored_class, snapshot_decisions, reproduced) = match engine.take_pending_snapshot() {
-        Some(cp) => {
-            let mut restored = Engine::restore(&cp, factory());
-            let (rc, _) = classify(&status_of(restored.run()));
-            let ok = rc == class
-                && restored.digest() == straight_digest
-                && restored.collect_trace() == straight_trace;
-            (rc, Some(cp.decision_len()), ok)
-        }
-        None => {
-            // The run never reached the snapshot point; fall back to a
-            // straight re-execution so the command still checks something.
-            let mut rerun = Engine::launch(cfg, factory());
-            let (rc, _) = classify(&status_of(rerun.run()));
-            let ok = rc == class
-                && rerun.digest() == straight_digest
-                && rerun.collect_trace() == straight_trace;
-            (rc, None, ok)
-        }
+    // A run that never reached the snapshot point falls back to a straight
+    // re-execution, so the command still checks something.
+    let (mut second, snapshot_decisions) = match engine.take_pending_snapshot() {
+        Some(cp) => (Engine::restore(&cp, factory()), Some(cp.decision_len())),
+        None => (Engine::launch(cfg, factory()), None),
     };
+    let restored_class = second.run().class().to_string();
+    let reproduced = restored_class == class
+        && second.digest() == straight_digest
+        && second.collect_trace() == straight_trace;
     CheckpointReplay {
         class,
         detail,
@@ -198,9 +141,10 @@ mod tests {
         })
     }
 
-    #[test]
-    fn artifact_schedule_decides_the_outcome() {
-        // Record the deterministic run (P2 matches first: completes).
+    /// The recorded deterministic run (P2 matches first: completes), and
+    /// the same schedule with the branchy wildcard match flipped from P2 to
+    /// P3, where the assertion in P0 must fire.
+    fn good_and_bad_artifacts() -> (ScheduleArtifact, ScheduleArtifact) {
         let mut rec = Session::launch(
             SessionConfig {
                 recorder: RecorderConfig::full(),
@@ -209,30 +153,23 @@ mod tests {
             racy_factory(),
         );
         assert!(rec.run().is_completed());
-        let decisions = rec.engine().schedule_log();
-
         let mut good = ScheduleArtifact::new("test-racy", 4, 0);
-        good.decisions = decisions.clone();
-        let replay = replay_schedule(&good, racy_factory());
-        assert_eq!(replay.class, CLASS_COMPLETED);
-        assert!(!replay.diverged);
-
-        // Flip the branchy wildcard match from P2 to P3: the assertion in
-        // P0 must now fire, and the replay must classify it as a panic.
+        good.decisions = rec.engine().schedule_log();
         let mut bad = good.clone();
+        let on_p2 = |d: &Decision| {
+            matches!(
+                d,
+                Decision::Match {
+                    dst: Rank(0),
+                    src: Rank(2),
+                    ..
+                }
+            )
+        };
         let flip = bad
             .decisions
             .iter()
-            .position(|d| {
-                matches!(
-                    d,
-                    Decision::Match {
-                        dst: Rank(0),
-                        src: Rank(2),
-                        ..
-                    }
-                )
-            })
+            .position(on_p2)
             .expect("recorded run matches P2 on the wildcard");
         bad.decisions[flip] = Decision::Match {
             dst: Rank(0),
@@ -243,6 +180,15 @@ mod tests {
         // execution changes); truncate to the flipped prefix — the
         // round-robin tail completes the schedule.
         bad.decisions.truncate(flip + 1);
+        (good, bad)
+    }
+
+    #[test]
+    fn artifact_schedule_decides_the_outcome() {
+        let (good, bad) = good_and_bad_artifacts();
+        let replay = replay_schedule(&good, racy_factory());
+        assert_eq!(replay.class, CLASS_COMPLETED);
+        assert!(!replay.diverged);
         let replay = replay_schedule(&bad, racy_factory());
         assert_eq!(replay.class, CLASS_PANIC);
         assert!(
@@ -254,46 +200,12 @@ mod tests {
 
     #[test]
     fn checkpointed_replay_reproduces_completion_and_panic() {
-        // Record a completing run, then flip the wildcard to a panicking
-        // one (same recipe as above); both must reproduce through a
-        // mid-schedule checkpoint.
-        let mut rec = Session::launch(
-            SessionConfig {
-                recorder: RecorderConfig::full(),
-                ..Default::default()
-            },
-            racy_factory(),
-        );
-        assert!(rec.run().is_completed());
-        let mut good = ScheduleArtifact::new("test-racy", 4, 0);
-        good.decisions = rec.engine().schedule_log();
-
+        // Both outcomes must reproduce through a mid-schedule checkpoint.
+        let (good, bad) = good_and_bad_artifacts();
         let cr = replay_schedule_from_checkpoint(&good, racy_factory());
         assert_eq!(cr.class, CLASS_COMPLETED);
         assert!(cr.reproduced, "restored run diverged from straight run");
         assert!(cr.snapshot_decisions.is_some());
-
-        let mut bad = good.clone();
-        let flip = bad
-            .decisions
-            .iter()
-            .position(|d| {
-                matches!(
-                    d,
-                    Decision::Match {
-                        dst: Rank(0),
-                        src: Rank(2),
-                        ..
-                    }
-                )
-            })
-            .unwrap();
-        bad.decisions[flip] = Decision::Match {
-            dst: Rank(0),
-            src: Rank(3),
-            seq: 0,
-        };
-        bad.decisions.truncate(flip + 1);
         let cr = replay_schedule_from_checkpoint(&bad, racy_factory());
         assert_eq!(cr.class, CLASS_PANIC);
         assert_eq!(cr.restored_class, CLASS_PANIC);

@@ -12,13 +12,14 @@ use crate::stopline::Stopline;
 use crate::undo::UndoStack;
 use tracedbg_mpsim::DeadlockReport;
 use tracedbg_mpsim::{
-    CostModel, Engine, EngineCheckpoint, EngineConfig, EngineMetrics, FaultPlan, RankProgram,
-    RecorderConfig, ReplayLog, RunOutcome, SchedPolicy,
+    CostModel, Engine, EngineCheckpoint, EngineConfig, EngineMetrics, FaultPlan, RecorderConfig,
+    ReplayLog, RunOutcome, SchedPolicy,
 };
-use tracedbg_trace::{Marker, MarkerVector, Rank, SiteTable, TraceRecord, TraceStore};
+use tracedbg_trace::{
+    Marker, MarkerVector, Rank, ScheduleArtifact, SiteTable, TraceRecord, TraceStore,
+};
 
-/// Recreates the target program for each (re-)execution.
-pub type ProgramFactory = Box<dyn Fn() -> Vec<RankProgram> + Send + Sync>;
+pub use tracedbg_mpsim::ProgramFactory;
 
 /// Session construction parameters.
 #[derive(Clone, Debug)]
@@ -49,6 +50,36 @@ impl Default for SessionConfig {
     }
 }
 
+impl SessionConfig {
+    /// A session that re-runs a schedule artifact
+    /// ([`EngineConfig::for_artifact`]); the recorder stays the caller's.
+    pub fn for_artifact(artifact: &ScheduleArtifact) -> Self {
+        let run = EngineConfig::for_artifact(artifact);
+        SessionConfig {
+            policy: run.policy,
+            faults: run.faults,
+            ..Default::default()
+        }
+    }
+
+    /// The engine configuration of one incarnation of the target. The
+    /// session's `live` incarnations are checkpointable (per
+    /// `checkpoint_every`) and metered — telemetry feeds the `stats`
+    /// command and its cost is noise next to a human at the prompt.
+    fn engine(&self, sites: &SiteTable, replay: Option<ReplayLog>, live: bool) -> EngineConfig {
+        EngineConfig {
+            cost: self.cost,
+            policy: self.policy.clone(),
+            recorder: self.recorder.clone(),
+            replay,
+            sites: Some(sites.clone()),
+            faults: self.faults.clone(),
+            checkpoints: live && self.checkpoint_every > 0,
+            metrics: live,
+        }
+    }
+}
+
 /// Where the session currently stands.
 #[derive(Debug)]
 pub enum SessionStatus {
@@ -65,6 +96,20 @@ pub enum SessionStatus {
         rank: Rank,
         message: String,
     },
+}
+
+impl From<RunOutcome> for SessionStatus {
+    fn from(outcome: RunOutcome) -> Self {
+        match outcome {
+            RunOutcome::Completed => SessionStatus::Completed,
+            RunOutcome::Deadlock(d) => SessionStatus::Deadlocked(d),
+            RunOutcome::Stopped(s) => SessionStatus::Stopped {
+                traps: s.traps,
+                paused: s.paused,
+            },
+            RunOutcome::Panicked { rank, message } => SessionStatus::Panicked { rank, message },
+        }
+    }
 }
 
 impl SessionStatus {
@@ -127,22 +172,7 @@ impl Session {
     /// Launch the target program (processes created, nothing run yet).
     pub fn launch(cfg: SessionConfig, factory: ProgramFactory) -> Self {
         let sites = SiteTable::new();
-        let engine = Engine::launch(
-            EngineConfig {
-                cost: cfg.cost,
-                policy: cfg.policy.clone(),
-                recorder: cfg.recorder.clone(),
-                replay: None,
-                sites: Some(sites.clone()),
-                faults: cfg.faults.clone(),
-                checkpoints: cfg.checkpoint_every > 0,
-                // The debugger is interactive: telemetry is always on (it
-                // feeds the `stats` command) and its cost is noise next to
-                // a human at the prompt.
-                metrics: true,
-            },
-            factory(),
-        );
+        let engine = Engine::launch(cfg.engine(&sites, None, true), factory());
         let n = engine.n_ranks();
         Session {
             factory,
@@ -160,6 +190,11 @@ impl Session {
             restore_ns: 0,
             retired_snapshot_ns: 0,
         }
+    }
+
+    /// A fresh engine on the target program, from process creation.
+    fn incarnation(&self, replay: Option<ReplayLog>, live: bool) -> Engine {
+        Engine::launch(self.cfg.engine(&self.sites, replay, live), (self.factory)())
     }
 
     pub fn n_ranks(&self) -> usize {
@@ -190,16 +225,16 @@ impl Session {
     /// Run until the next stop/completion/deadlock, recording the stop on
     /// the undo stack.
     pub fn run(&mut self) -> &SessionStatus {
+        self.run_with(|_| ());
+        &self.status
+    }
+
+    /// [`Session::run`], handing the engine's outcome to `read` before it
+    /// becomes the session's status.
+    pub(crate) fn run_with<T>(&mut self, read: impl FnOnce(&RunOutcome) -> T) -> T {
         let outcome = self.engine.run();
-        self.status = match outcome {
-            RunOutcome::Completed => SessionStatus::Completed,
-            RunOutcome::Deadlock(d) => SessionStatus::Deadlocked(d),
-            RunOutcome::Stopped(s) => SessionStatus::Stopped {
-                traps: s.traps,
-                paused: s.paused,
-            },
-            RunOutcome::Panicked { rank, message } => SessionStatus::Panicked { rank, message },
-        };
+        let seen = read(&outcome);
+        self.status = outcome.into();
         // Keep the freshest full match log for replay (only from recording
         // incarnations — a replay's log is just the forced history again).
         if !self.replaying {
@@ -218,7 +253,7 @@ impl Session {
             }
         }
         self.undo.push(markers);
-        &self.status
+        seen
     }
 
     /// Resume every trapped process and run on (breakpoint thresholds are
@@ -289,19 +324,7 @@ impl Session {
         log.reset();
         let mine = self.trace();
         let final_markers = mine.final_markers();
-        let mut other = Engine::launch(
-            EngineConfig {
-                cost: self.cfg.cost,
-                policy: self.cfg.policy.clone(),
-                recorder: self.cfg.recorder.clone(),
-                replay: Some(log),
-                sites: Some(self.sites.clone()),
-                faults: self.cfg.faults.clone(),
-                checkpoints: false,
-                metrics: false,
-            },
-            (self.factory)(),
-        );
+        let mut other = self.incarnation(Some(log), false);
         // Stop the verification run exactly where this session's history
         // ends, so partial histories (stopped sessions) compare cleanly.
         other.arm_stopline(&final_markers);
@@ -348,19 +371,7 @@ impl Session {
             .unwrap_or_else(|| self.engine.match_log());
         log.reset();
         self.retire_engine_metrics();
-        self.engine = Engine::launch(
-            EngineConfig {
-                cost: self.cfg.cost,
-                policy: self.cfg.policy.clone(),
-                recorder: self.cfg.recorder.clone(),
-                replay: Some(log),
-                sites: Some(self.sites.clone()),
-                faults: self.cfg.faults.clone(),
-                checkpoints: self.cfg.checkpoint_every > 0,
-                metrics: true,
-            },
-            (self.factory)(),
-        );
+        self.engine = self.incarnation(Some(log), true);
         self.replaying = true;
         self.engine.arm_stopline(&stopline.markers);
         self.run()
@@ -440,19 +451,7 @@ impl Session {
     /// recording run).
     pub fn restart(&mut self) -> &SessionStatus {
         self.retire_engine_metrics();
-        self.engine = Engine::launch(
-            EngineConfig {
-                cost: self.cfg.cost,
-                policy: self.cfg.policy.clone(),
-                recorder: self.cfg.recorder.clone(),
-                replay: None,
-                sites: Some(self.sites.clone()),
-                faults: self.cfg.faults.clone(),
-                checkpoints: self.cfg.checkpoint_every > 0,
-                metrics: true,
-            },
-            (self.factory)(),
-        );
+        self.engine = Engine::launch(self.cfg.engine(&self.sites, None, true), (self.factory)());
         self.replaying = false;
         self.undo = UndoStack::new();
         self.status = SessionStatus::Idle;

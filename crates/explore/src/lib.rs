@@ -39,7 +39,7 @@ pub use oracle::Violation;
 pub use pool::{
     run_batch, run_batch_traced, run_windowed, PrefixCache, RunTask, WorkerLoad, WINDOW,
 };
-pub use runner::{execute_metered, execute_task, ProgramSource, RunResult};
+pub use runner::{execute_artifact, execute_metered, execute_task, ProgramSource, RunResult};
 
 // The telemetry vocabulary explorers export through.
 pub use tracedbg_obs::MetricsReport;

@@ -2,22 +2,16 @@
 
 use crate::pool::{PrefixCache, RunTask};
 use tracedbg_instrument::RecorderConfig;
-use tracedbg_mpsim::{
-    Engine, EngineConfig, EngineMetrics, FaultPlan, RankProgram, RunOutcome, SchedPolicy,
-};
-use tracedbg_trace::schedule::{Decision, DecisionPoint, Fault};
+use tracedbg_mpsim::{Engine, EngineConfig, EngineMetrics, FaultPlan, RunOutcome, SchedPolicy};
+use tracedbg_trace::schedule::{Decision, DecisionPoint, Fault, ScheduleArtifact};
 use tracedbg_trace::{trace_digest, TraceStore};
 
 /// Recreates the target program for each run (the explorer executes it
 /// many times).
-pub type ProgramSource = Box<dyn Fn() -> Vec<RankProgram> + Send + Sync>;
+pub use tracedbg_mpsim::ProgramFactory as ProgramSource;
 
-/// Outcome classes. These are the `failure` strings written into schedule
-/// artifacts; `tracedbg replay` compares against them.
-pub const CLASS_COMPLETED: &str = "completed";
-pub const CLASS_DEADLOCK: &str = "deadlock";
-pub const CLASS_PANIC: &str = "panic";
-pub const CLASS_STOPPED: &str = "stopped";
+/// The engine's outcome classes, plus the two only an oracle can assign.
+pub use tracedbg_mpsim::{CLASS_COMPLETED, CLASS_DEADLOCK, CLASS_PANIC, CLASS_STOPPED};
 pub const CLASS_LINT: &str = "lint";
 pub const CLASS_DIVERGENCE: &str = "divergence";
 
@@ -75,6 +69,16 @@ pub fn execute_metered(
     );
     let outcome = engine.run();
     finish(engine, outcome, None)
+}
+
+/// Re-execute a schedule artifact — its decisions and its faults.
+pub fn execute_artifact(
+    source: &ProgramSource,
+    artifact: &ScheduleArtifact,
+    metrics: bool,
+) -> RunResult {
+    let script = EngineConfig::for_artifact(artifact).policy;
+    execute_metered(source, script, &artifact.faults, metrics)
 }
 
 /// Execute one [`RunTask`], honoring its prefix-checkpoint role.
@@ -136,28 +140,6 @@ fn finish(
     outcome: RunOutcome,
     deposit: Option<(u64, &PrefixCache)>,
 ) -> RunResult {
-    let (class, detail, cyclic) = match &outcome {
-        RunOutcome::Completed => (CLASS_COMPLETED, "run completed".to_string(), false),
-        RunOutcome::Deadlock(rep) => {
-            let detail = if rep.is_cyclic() {
-                format!("cyclic wait: {:?}", rep.cycle)
-            } else {
-                format!(
-                    "stalled: {} process(es) waiting with no cycle",
-                    rep.waits.len()
-                )
-            };
-            (CLASS_DEADLOCK, detail, rep.is_cyclic())
-        }
-        RunOutcome::Panicked { rank, message } => {
-            (CLASS_PANIC, format!("{rank:?} panicked: {message}"), false)
-        }
-        RunOutcome::Stopped(s) => (
-            CLASS_STOPPED,
-            format!("{} trap(s), {} paused", s.traps.len(), s.paused.len()),
-            false,
-        ),
-    };
     let diverged = engine.schedule_diverged();
     let fault_fired = !engine.faulted().is_empty();
     if let Some((key, cache)) = deposit {
@@ -179,9 +161,9 @@ fn finish(
     let decisions = points.iter().map(|p| p.chosen).collect();
     let digest = trace_digest(store.records());
     RunResult {
-        class,
-        detail,
-        cyclic,
+        class: outcome.class(),
+        detail: outcome.detail(),
+        cyclic: outcome.is_cyclic(),
         decisions,
         points,
         digest,

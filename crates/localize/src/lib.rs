@@ -33,12 +33,14 @@
 
 pub mod graph;
 pub mod report;
+mod suspects;
 
 use std::collections::BTreeSet;
 use tracedbg_explore::{
-    execute_metered, run_batch_traced, run_windowed, PrefixCache, ProgramSource, RunResult, RunTask,
+    execute_artifact, run_batch_traced, run_windowed, PrefixCache, ProgramSource, RunResult,
+    RunTask,
 };
-use tracedbg_mpsim::{Engine, EngineConfig, FaultPlan, RecorderConfig, SchedPolicy};
+use tracedbg_mpsim::{Engine, EngineConfig, RecorderConfig, SchedPolicy};
 use tracedbg_obs::{mad_score, median, EngineMetrics};
 use tracedbg_trace::schedule::{Decision, ScheduleArtifact};
 use tracedbg_trace::TraceSource;
@@ -109,11 +111,9 @@ fn common_prefix(a: &[Decision], b: &[Decision]) -> usize {
 fn divergence_markers(source: &ProgramSource, artifact: &ScheduleArtifact, k: usize) -> Vec<u64> {
     let mut engine = Engine::launch(
         EngineConfig {
-            policy: SchedPolicy::Scripted(artifact.decisions.clone()),
             recorder: RecorderConfig::full(),
-            faults: FaultPlan::new(artifact.faults.clone()),
             checkpoints: true,
-            ..Default::default()
+            ..EngineConfig::for_artifact(artifact)
         },
         source(),
     );
@@ -206,12 +206,7 @@ pub fn localize_with_trace(
     failing_trace: Option<&dyn TraceSource>,
 ) -> LocalizeReport {
     // 1. Reproduce the failure under the artifact's script + faults.
-    let failing = execute_metered(
-        source,
-        SchedPolicy::Scripted(artifact.decisions.clone()),
-        &artifact.faults,
-        true,
-    );
+    let failing = execute_artifact(source, artifact, true);
     let failure = format!("{}: {}", failing.class, failing.detail);
     if failing.class == CLASS_COMPLETED {
         let mut r = LocalizeReport::new(&artifact.workload, VERDICT_CLEAN, failure);

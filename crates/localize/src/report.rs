@@ -157,10 +157,10 @@ impl LocalizeReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn sample() -> LocalizeReport {
+    pub(crate) fn sample() -> LocalizeReport {
         let mut r = LocalizeReport::new("planted-wildcard", VERDICT_LOCALIZED, "panic: x".into());
         r.passing_runs = 3;
         r.divergence = Some(Divergence {

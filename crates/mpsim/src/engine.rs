@@ -24,7 +24,9 @@ use crate::task::{Prog, TaskEnv, TaskHarness, TaskInterp, TaskProgram};
 use tracedbg_instrument::{Recorder, RecorderConfig};
 use tracedbg_obs::{EngineMetrics, FlightRecorder, Span, SpanKind};
 use tracedbg_trace::schedule::{Alternatives, Decision, DecisionPoint, RankSet};
-use tracedbg_trace::{FlushHandle, Marker, MarkerVector, Rank, SiteTable, TraceRecord, TraceStore};
+use tracedbg_trace::{
+    FlushHandle, Marker, MarkerVector, Rank, ScheduleArtifact, SiteTable, TraceRecord, TraceStore,
+};
 
 /// Engine construction parameters.
 #[derive(Clone, Debug, Default)]
@@ -57,7 +59,26 @@ impl EngineConfig {
             ..Default::default()
         }
     }
+
+    /// Re-run a schedule artifact: the scheduler follows its recorded
+    /// decisions and the engine injects its recorded faults. Everything
+    /// else (recorder, checkpoints, telemetry) is the caller's to set.
+    pub fn for_artifact(artifact: &ScheduleArtifact) -> Self {
+        EngineConfig {
+            policy: SchedPolicy::Scripted(artifact.decisions.clone()),
+            faults: FaultPlan::new(artifact.faults.clone()),
+            ..Default::default()
+        }
+    }
 }
+
+/// Outcome classes ([`RunOutcome::class`]). These are the `failure`
+/// strings written into schedule artifacts; `tracedbg replay` compares
+/// against them.
+pub const CLASS_COMPLETED: &str = "completed";
+pub const CLASS_DEADLOCK: &str = "deadlock";
+pub const CLASS_PANIC: &str = "panic";
+pub const CLASS_STOPPED: &str = "stopped";
 
 /// Why `Engine::run` returned.
 #[derive(Debug)]
@@ -73,6 +94,39 @@ pub enum RunOutcome {
 }
 
 impl RunOutcome {
+    /// The outcome's class, one of the `CLASS_*` strings.
+    pub fn class(&self) -> &'static str {
+        match self {
+            RunOutcome::Completed => CLASS_COMPLETED,
+            RunOutcome::Deadlock(_) => CLASS_DEADLOCK,
+            RunOutcome::Stopped(_) => CLASS_STOPPED,
+            RunOutcome::Panicked { .. } => CLASS_PANIC,
+        }
+    }
+
+    /// Human-readable outcome detail (deadlock cycle, panic message, …).
+    pub fn detail(&self) -> String {
+        match self {
+            RunOutcome::Completed => "run completed".to_string(),
+            RunOutcome::Deadlock(rep) if rep.is_cyclic() => {
+                format!("cyclic wait: {:?}", rep.cycle)
+            }
+            RunOutcome::Deadlock(rep) => format!(
+                "stalled: {} process(es) waiting with no cycle",
+                rep.waits.len()
+            ),
+            RunOutcome::Stopped(s) => {
+                format!("{} trap(s), {} paused", s.traps.len(), s.paused.len())
+            }
+            RunOutcome::Panicked { rank, message } => format!("{rank:?} panicked: {message}"),
+        }
+    }
+
+    /// Is this a deadlock with a genuine circular wait?
+    pub fn is_cyclic(&self) -> bool {
+        matches!(self, RunOutcome::Deadlock(rep) if rep.is_cyclic())
+    }
+
     pub fn is_completed(&self) -> bool {
         matches!(self, RunOutcome::Completed)
     }
@@ -172,6 +226,10 @@ impl EngineObs {
 /// A rank's program: a resumable [`TaskProgram`], usually a [`Prog`] tree
 /// built with [`RankProgram::task`].
 pub struct RankProgram(Box<dyn TaskProgram>);
+
+/// Recreates the target program for each (re-)execution: replay and undo
+/// re-run it from the start, the explorer runs it many times.
+pub type ProgramFactory = Box<dyn Fn() -> Vec<RankProgram> + Send + Sync>;
 
 impl RankProgram {
     /// A rank from a [`Prog`] tree and its initial state.

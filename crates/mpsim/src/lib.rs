@@ -49,7 +49,10 @@ pub mod task;
 pub use checkpoint::EngineCheckpoint;
 pub use clock::CostModel;
 pub use deadlock::{DeadlockReport, WaitForEdge};
-pub use engine::{set_quiet_panics, Engine, EngineConfig, RankProgram, RunOutcome, StopReason};
+pub use engine::{
+    set_quiet_panics, Engine, EngineConfig, ProgramFactory, RankProgram, RunOutcome, StopReason,
+    CLASS_COMPLETED, CLASS_DEADLOCK, CLASS_PANIC, CLASS_STOPPED,
+};
 pub use fault::{FaultKind, FaultPlan};
 pub use mailbox::{Candidate, Mailbox};
 pub use message::{Envelope, MatchSpec, Message};

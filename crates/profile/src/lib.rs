@@ -20,6 +20,7 @@ mod path;
 mod perfetto;
 mod report;
 mod wait;
+mod waitblame;
 
 pub use path::CriticalPath;
 pub use perfetto::perfetto_json;

@@ -90,7 +90,7 @@ pub struct SiteShare {
 }
 
 /// Output of `tracedbg profile`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ProfileReport {
     pub version: u32,
     /// Input plane: `workload`, `schedule`, `trace`, or `store`.

@@ -1,47 +1,24 @@
 //! The per-event frame codec.
 //!
-//! A frame body carries one [`TraceRecord`] in exactly the field layout of
-//! the `.tbin` record encoding (`tracedbg_trace::file`), so the two
-//! formats stay convertible without re-quantizing anything. Inside a
+//! A frame body carries one [`TraceRecord`] in the `.tbin` record layout,
+//! written and read by the one codec of that layout
+//! (`tracedbg_trace::file::{write_record, read_record}`). Inside a
 //! segment, each frame is length-prefixed (`u32` body length, then the
 //! body) so a cursor can skip records without decoding them.
 
 use crate::error::StoreError;
 use crate::layout::{Builder, Cursor};
-use tracedbg_trace::{EventKind, MsgInfo, Rank, SiteId, Tag, TraceRecord};
+use tracedbg_trace::file::{read_record, write_record, ReadError};
+use tracedbg_trace::TraceRecord;
 
-pub(crate) fn kind_code(kind: EventKind) -> u8 {
-    EventKind::all()
-        .iter()
-        .position(|k| *k == kind)
-        .expect("kind in table") as u8
-}
+pub(crate) use tracedbg_trace::file::kind_code_u8 as kind_code;
 
 /// Append one record's frame (length prefix + body) to `out`.
 pub fn encode_frame(out: &mut Builder, r: &TraceRecord) {
-    let mut body = Builder::new();
-    body.u32(r.rank.0);
-    body.u8(kind_code(r.kind));
-    body.u64(r.marker);
-    body.u64(r.t_start);
-    body.u64(r.t_end);
-    body.u32(r.site.0);
-    body.i64(r.args[0]);
-    body.i64(r.args[1]);
-    let flags = (r.msg.is_some() as u8) | ((r.label.is_some() as u8) << 1);
-    body.u8(flags);
-    if let Some(m) = &r.msg {
-        body.u32(m.src.0);
-        body.u32(m.dst.0);
-        body.u32(m.tag.0 as u32);
-        body.u32(m.bytes);
-        body.u64(m.seq);
-    }
-    if let Some(l) = &r.label {
-        body.string(l);
-    }
-    out.u32(body.buf.len() as u32);
-    out.bytes(&body.buf);
+    let mut body = Vec::new();
+    write_record(&mut body, r).expect("writing to a Vec cannot fail");
+    out.u32(body.len() as u32);
+    out.bytes(&body);
 }
 
 /// Decode one frame (length prefix + body) from the cursor.
@@ -50,71 +27,25 @@ pub fn decode_frame(c: &mut Cursor<'_>, path: &std::path::Path) -> Result<TraceR
     if len > c.remaining() {
         return Err(StoreError::truncated(path, "frame body"));
     }
-    let body = c.take(len, "frame body")?;
-    let mut b = Cursor::new(body, path);
-    let rec = decode_body(&mut b, path)?;
-    if b.remaining() != 0 {
+    let mut body = c.take(len, "frame body")?;
+    let rec = read_record(&mut body, 0).map_err(|e| match e {
+        ReadError::Io(_) => StoreError::truncated(path, "frame body"),
+        ReadError::Parse(_, msg) => StoreError::mismatch(path, msg),
+    })?;
+    if !body.is_empty() {
         return Err(StoreError::mismatch(
             path,
-            format!("frame body has {} trailing bytes", b.remaining()),
+            format!("frame body has {} trailing bytes", body.len()),
         ));
     }
     Ok(rec)
-}
-
-fn decode_body(b: &mut Cursor<'_>, path: &std::path::Path) -> Result<TraceRecord, StoreError> {
-    let rank = Rank(b.u32("record rank")?);
-    let code = b.u8("record kind")?;
-    let kind = EventKind::all()
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| StoreError::mismatch(path, format!("bad kind code {code}")))?;
-    let marker = b.u64("record marker")?;
-    let t_start = b.u64("record t_start")?;
-    let t_end = b.u64("record t_end")?;
-    let site = SiteId(b.u32("record site")?);
-    let a0 = b.i64("record arg0")?;
-    let a1 = b.i64("record arg1")?;
-    let flags = b.u8("record flags")?;
-    if flags & !3 != 0 {
-        return Err(StoreError::mismatch(
-            path,
-            format!("bad record flags {flags:#04x}"),
-        ));
-    }
-    let msg = if flags & 1 != 0 {
-        Some(MsgInfo {
-            src: Rank(b.u32("msg src")?),
-            dst: Rank(b.u32("msg dst")?),
-            tag: Tag(b.u32("msg tag")? as i32),
-            bytes: b.u32("msg bytes")?,
-            seq: b.u64("msg seq")?,
-        })
-    } else {
-        None
-    };
-    let label = if flags & 2 != 0 {
-        Some(b.string("record label")?)
-    } else {
-        None
-    };
-    Ok(TraceRecord {
-        rank,
-        kind,
-        marker,
-        t_start,
-        t_end,
-        site,
-        msg,
-        args: [a0, a1],
-        label,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::path::PathBuf;
+    use tracedbg_trace::{EventKind, MsgInfo, Rank, SiteId, Tag};
 
     fn sample() -> Vec<TraceRecord> {
         vec![

@@ -5,7 +5,7 @@
 //! * a compact, line-oriented **text format** (`.trc`) in the spirit of the
 //!   AIMS trace files the paper consumed — easy to diff, grep, and feed to
 //!   the visualizers;
-//! * a **JSON-lines format** (`.jsonl`) for interchange with other tools.
+//! * a fixed-field little-endian **binary format** (`.tbin`).
 //!
 //! Both carry the site table inline so a trace file is self-contained.
 
@@ -228,64 +228,13 @@ pub fn read_text<R: BufRead>(r: R) -> Result<TraceFile, ReadError> {
     })
 }
 
-/// Write the JSON-lines format: a header object then one record per line.
-pub fn write_jsonl<W: Write>(w: &mut W, file: &TraceFile) -> io::Result<()> {
-    #[derive(serde::Serialize)]
-    struct Header<'a> {
-        format: &'static str,
-        n_ranks: usize,
-        sites: &'a [SourceLoc],
-    }
-    let sites = file.sites.snapshot();
-    let header = Header {
-        format: "tracedbg-v1",
-        n_ranks: file.n_ranks,
-        sites: &sites,
-    };
-    serde_json::to_writer(&mut *w, &header)?;
-    writeln!(w)?;
-    for r in &file.records {
-        serde_json::to_writer(&mut *w, r)?;
-        writeln!(w)?;
-    }
-    Ok(())
-}
-
-/// Read the JSON-lines format.
-pub fn read_jsonl<R: BufRead>(r: R) -> Result<TraceFile, ReadError> {
-    #[derive(serde::Deserialize)]
-    struct Header {
-        #[allow(dead_code)]
-        format: String,
-        n_ranks: usize,
-        sites: Vec<SourceLoc>,
-    }
-    let mut lines = r.lines();
-    let first = lines.next().ok_or_else(|| parse_err(1, "empty file"))??;
-    let header: Header =
-        serde_json::from_str(&first).map_err(|e| parse_err(1, format!("bad header: {e}")))?;
-    let mut records = Vec::new();
-    for (i, line) in lines.enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rec: TraceRecord = serde_json::from_str(&line)
-            .map_err(|e| parse_err(i + 2, format!("bad record: {e}")))?;
-        records.push(rec);
-    }
-    Ok(TraceFile {
-        records,
-        sites: SiteTable::from_snapshot(header.sites),
-        n_ranks: header.n_ranks,
-    })
-}
-
 // ------------------------------------------------------------- binary
 
 const BIN_MAGIC: &[u8; 6] = b"TDBG1\n";
 
-fn kind_code_u8(kind: EventKind) -> u8 {
+/// The one-byte code of an event kind in the binary record layout (its
+/// index in [`EventKind::all`]).
+pub fn kind_code_u8(kind: EventKind) -> u8 {
     EventKind::all()
         .iter()
         .position(|k| *k == kind)
@@ -365,26 +314,34 @@ pub fn write_binary<W: Write>(w: &mut W, file: &TraceFile) -> io::Result<()> {
     }
     w_u64(w, file.records.len() as u64)?;
     for r in &file.records {
-        w_u32(w, r.rank.0)?;
-        w.write_all(&[kind_code_u8(r.kind)])?;
-        w_u64(w, r.marker)?;
-        w_u64(w, r.t_start)?;
-        w_u64(w, r.t_end)?;
-        w_u32(w, r.site.0)?;
-        w_u64(w, r.args[0] as u64)?;
-        w_u64(w, r.args[1] as u64)?;
-        let flags = (r.msg.is_some() as u8) | ((r.label.is_some() as u8) << 1);
-        w.write_all(&[flags])?;
-        if let Some(m) = &r.msg {
-            w_u32(w, m.src.0)?;
-            w_u32(w, m.dst.0)?;
-            w_u32(w, m.tag.0 as u32)?;
-            w_u32(w, m.bytes)?;
-            w_u64(w, m.seq)?;
-        }
-        if let Some(l) = &r.label {
-            w_str(w, l)?;
-        }
+        write_record(w, r)?;
+    }
+    Ok(())
+}
+
+/// Write one record in the binary record layout — the body of a `.tbin`
+/// record and of a store frame alike, so the two formats stay convertible
+/// without re-quantizing anything.
+pub fn write_record<W: Write>(w: &mut W, r: &TraceRecord) -> io::Result<()> {
+    w_u32(w, r.rank.0)?;
+    w.write_all(&[kind_code_u8(r.kind)])?;
+    w_u64(w, r.marker)?;
+    w_u64(w, r.t_start)?;
+    w_u64(w, r.t_end)?;
+    w_u32(w, r.site.0)?;
+    w_u64(w, r.args[0] as u64)?;
+    w_u64(w, r.args[1] as u64)?;
+    let flags = (r.msg.is_some() as u8) | ((r.label.is_some() as u8) << 1);
+    w.write_all(&[flags])?;
+    if let Some(m) = &r.msg {
+        w_u32(w, m.src.0)?;
+        w_u32(w, m.dst.0)?;
+        w_u32(w, m.tag.0 as u32)?;
+        w_u32(w, m.bytes)?;
+        w_u64(w, m.seq)?;
+    }
+    if let Some(l) = &r.label {
+        w_str(w, l)?;
     }
     Ok(())
 }
@@ -409,47 +366,57 @@ pub fn read_binary<R: io::Read>(r: R) -> Result<TraceFile, ReadError> {
     let n_records = br.u64()? as usize;
     let mut records = Vec::with_capacity(n_records.min(1 << 24));
     for i in 0..n_records {
-        let rank = Rank(br.u32()?);
-        let kind = kind_from_u8(br.u8()?, i)?;
-        let marker = br.u64()?;
-        let t_start = br.u64()?;
-        let t_end = br.u64()?;
-        let site = SiteId(br.u32()?);
-        let a0 = br.i64()?;
-        let a1 = br.i64()?;
-        let flags = br.u8()?;
-        let msg = if flags & 1 != 0 {
-            Some(MsgInfo {
-                src: Rank(br.u32()?),
-                dst: Rank(br.u32()?),
-                tag: Tag(br.u32()? as i32),
-                bytes: br.u32()?,
-                seq: br.u64()?,
-            })
-        } else {
-            None
-        };
-        let label = if flags & 2 != 0 {
-            Some(br.string()?)
-        } else {
-            None
-        };
-        records.push(TraceRecord {
-            rank,
-            kind,
-            marker,
-            t_start,
-            t_end,
-            site,
-            msg,
-            args: [a0, a1],
-            label,
-        });
+        records.push(read_record(&mut br.r, i)?);
     }
     Ok(TraceFile {
         records,
         sites: SiteTable::from_snapshot(sites),
         n_ranks,
+    })
+}
+
+/// Read one record of the binary record layout ([`write_record`]);
+/// `index` labels its errors. Only flag bits 1 (message) and 2 (label)
+/// are defined: any other is refused, never ignored.
+pub fn read_record<R: io::Read>(r: R, index: usize) -> Result<TraceRecord, ReadError> {
+    let mut br = BinReader { r };
+    let rank = Rank(br.u32()?);
+    let kind = kind_from_u8(br.u8()?, index)?;
+    let marker = br.u64()?;
+    let t_start = br.u64()?;
+    let t_end = br.u64()?;
+    let site = SiteId(br.u32()?);
+    let args = [br.i64()?, br.i64()?];
+    let flags = br.u8()?;
+    if flags & !3 != 0 {
+        return Err(parse_err(index, format!("bad record flags {flags:#04x}")));
+    }
+    let msg = if flags & 1 != 0 {
+        Some(MsgInfo {
+            src: Rank(br.u32()?),
+            dst: Rank(br.u32()?),
+            tag: Tag(br.u32()? as i32),
+            bytes: br.u32()?,
+            seq: br.u64()?,
+        })
+    } else {
+        None
+    };
+    let label = if flags & 2 != 0 {
+        Some(br.string()?)
+    } else {
+        None
+    };
+    Ok(TraceRecord {
+        rank,
+        kind,
+        marker,
+        t_start,
+        t_end,
+        site,
+        msg,
+        args,
+        label,
     })
 }
 
@@ -492,16 +459,6 @@ mod tests {
         assert_eq!(back.records, f.records);
         assert_eq!(back.sites.len(), 1);
         assert_eq!(back.sites.resolve(SiteId(0)).unwrap().func, "MatrSend");
-    }
-
-    #[test]
-    fn jsonl_roundtrip() {
-        let f = sample();
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, &f).unwrap();
-        let back = read_jsonl(io::Cursor::new(&buf)).unwrap();
-        assert_eq!(back.n_ranks, 8);
-        assert_eq!(back.records, f.records);
     }
 
     #[test]
@@ -562,11 +519,24 @@ mod tests {
         let f = sample();
         let mut buf = Vec::new();
         write_binary(&mut buf, &f).unwrap();
+        let whole = buf.clone();
         buf.truncate(buf.len() / 2);
         assert!(matches!(
             read_binary(io::Cursor::new(&buf)),
             Err(ReadError::Io(_))
         ));
+        // An undefined flag bit (only 1 = msg and 2 = label exist) is a
+        // typed error naming the record, as in the store's frame decoder.
+        // The last record is label-only: its flag byte precedes the
+        // length-prefixed label.
+        let mut bad = whole;
+        let flag_at = bad.len() - (4 + "jres value at loop".len()) - 1;
+        assert_eq!(bad[flag_at], 0x02);
+        bad[flag_at] = 0x07;
+        match read_binary(io::Cursor::new(&bad)) {
+            Err(ReadError::Parse(2, msg)) => assert!(msg.contains("0x07"), "{msg}"),
+            other => panic!("expected a flags error at record 2, got {other:?}"),
+        }
     }
 
     #[test]

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 use std::io::Cursor;
-use tracedbg_trace::file::{
-    read_binary, read_jsonl, read_text, write_binary, write_jsonl, write_text, TraceFile,
-};
+use tracedbg_trace::file::{read_binary, read_text, write_binary, write_text, TraceFile};
 use tracedbg_trace::{EventKind, MsgInfo, Rank, SiteId, SiteTable, Tag, TraceRecord};
 
 fn arb_kind() -> impl Strategy<Value = EventKind> {
@@ -119,15 +117,6 @@ proptest! {
         prop_assert_eq!(back.n_ranks, f.n_ranks);
         prop_assert_eq!(back.records, f.records.clone());
         prop_assert_eq!(back.sites.snapshot(), f.sites.snapshot());
-    }
-
-    #[test]
-    fn jsonl_roundtrip(f in arb_file()) {
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, &f).unwrap();
-        let back = read_jsonl(Cursor::new(&buf)).unwrap();
-        prop_assert_eq!(back.n_ranks, f.n_ranks);
-        prop_assert_eq!(back.records, f.records.clone());
     }
 
     #[test]

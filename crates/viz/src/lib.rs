@@ -21,19 +21,15 @@ pub mod dot;
 pub mod html;
 pub mod ntv;
 pub mod profile;
-pub mod suspects;
 pub mod svg;
 pub mod timeline;
 pub mod vcg;
 pub mod vk;
-pub mod waitblame;
 
 pub use ascii::render_ascii;
 pub use html::render_html_report;
 pub use ntv::NtvView;
 pub use profile::render_rank_profile;
-pub use suspects::{render_suspects, ChannelRow, SuspectRow, SuspectSummary};
 pub use svg::render_svg;
 pub use timeline::{Bar, BarKind, MsgLine, Overlay, TimelineModel};
 pub use vk::VkView;
-pub use waitblame::{render_wait_blame, ProfileSummary, WaitKindRow, WaitRankRow};

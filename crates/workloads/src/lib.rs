@@ -15,7 +15,11 @@
 //!   exercises nondeterminism control and race detection;
 //! * [`racy`] — intentionally schedule-sensitive patterns (wildcard race,
 //!   orphaned receive) that `tracedbg explore` is expected to break.
+//!
+//! [`catalog`] is the name table over all of them: what `tracedbg run
+//! <name>` resolves and what `tracedbg workloads` lists.
 
+pub mod catalog;
 pub mod fib;
 pub mod heat;
 pub mod lu;
@@ -30,6 +34,7 @@ pub mod scripts;
 pub mod strassen;
 pub mod wide;
 
+pub use catalog::Workload;
 pub use matrix::Matrix;
 pub use racy::RacyConfig;
 pub use script::{InstrumentLevel, Script};

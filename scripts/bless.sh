@@ -6,6 +6,8 @@
 #   tests/golden/profile/*.json  — profiling reports on the planted corpus
 #   tests/golden/analysis/*.txt  — `analyze` / `lint` stdout for every golden trace
 #   tests/golden/explore/*.json  — `explore --json --jobs 1` reports (six search shapes)
+#   tests/golden/cli/*.txt       — stdout, stderr and exit code of one invocation per
+#                                  verb × input form, plus the error surface
 # Review the resulting diff before committing — a blessed drift is a
 # semantic change to the runtime or a break of store-format compatibility.
 set -euo pipefail

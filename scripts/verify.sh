@@ -12,6 +12,50 @@ cargo clippy --offline --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --offline --release
 
+echo "==> cli surface: every error is one line on stderr and exit 1; flag values and names mean one thing"
+bin=$PWD/target/release/tracedbg
+rm -rf target/verify_cli && mkdir -p target/verify_cli
+"$bin" explore planted-wildcard --procs 4 --runs 48 --seed 7 --out target/verify_cli >/dev/null || true
+cli_art=$(ls target/verify_cli/planted-wildcard-panic-*.sched.json | head -n 1)
+head -c 100 "$cli_art" > target/verify_cli/truncated.sched.json
+"$bin" localize --schedule "$cli_art" --out target/verify_cli/report.json >/dev/null
+sed 's/"version":2/"version":99/' target/verify_cli/report.json > target/verify_cli/v99.json
+# expect_error <what the one stderr line must contain> <args...>
+expect_error() {
+  local want=$1 status=0; shift
+  "$bin" "$@" >target/verify_cli/stdout 2>target/verify_cli/stderr || status=$?
+  if [ "$status" -ne 1 ] || [ -s target/verify_cli/stdout ] \
+      || [ "$(wc -l < target/verify_cli/stderr)" -ne 1 ] \
+      || ! grep -q "^error: .*$want" target/verify_cli/stderr \
+      || grep -q panicked target/verify_cli/stderr; then
+    echo "tracedbg $*: want exit 1, empty stdout and one 'error: ...$want' line; got exit $status:" >&2
+    cat target/verify_cli/stdout target/verify_cli/stderr >&2
+    exit 1
+  fi
+}
+expect_error 'unknown command' frobnicate
+expect_error 'unknown workload "no-such-workload"' run no-such-workload
+expect_error 'unknown builtin script "nope"' run sdl:nope
+expect_error 'cannot open tests/golden/nope.trc' view tests/golden/nope.trc
+expect_error 'tests/golden/store/nope/manifest.tds' query tests/golden/store/nope
+expect_error 'usage: tracedbg replay' replay
+expect_error 'bad schedule artifact' replay --schedule target/verify_cli/truncated.sched.json
+expect_error 'version 99 unsupported' replay --schedule "$cli_art" --to-suspect target/verify_cli/v99.json
+# A flag value that does not parse is an error, not the default ...
+expect_error '--procs: bad value "abc"' run ring --procs abc
+expect_error '--runs: bad value "lots"' explore ring --runs lots
+# ... and a name `tracedbg workloads` lists is that workload whatever the
+# working directory holds: `./ring` is the (empty) stray file.
+touch target/verify_cli/ring
+# (Captured, not piped into `grep -q`: see the analyze stage.)
+by_name=$(cd target/verify_cli && "$bin" stats ring --procs 4)
+by_path=$(cd target/verify_cli && "$bin" stats ./ring)
+printf '%s' "$by_name" | grep -q '^outcome: Completed' \
+  || { echo "a stray file named ring hijacked 'stats ring'" >&2; exit 1; }
+printf '%s' "$by_path" | grep -q '0 events, 0 ranks' \
+  || { echo "'stats ./ring' did not read the file ./ring" >&2; exit 1; }
+expect_error 'view takes trace.trc | trace.tbin | store-dir, not the workload "ring"' view ring
+
 echo "==> cargo test -q"
 cargo test --offline -q
 

@@ -395,3 +395,143 @@ fn golden_analyze_and_lint_output() {
     }
     assert!(seen >= 11, "golden corpus went missing: {seen} traces");
 }
+
+/// The whole CLI surface, byte for byte: stdout, stderr and exit code of
+/// one representative invocation per verb × input form, plus the error
+/// surface. Every command runs from the repository root with relative
+/// paths; the only masked text is the scratch directory (`$SCRATCH`).
+/// The corpus in `tests/golden/cli/` was written by the last build whose
+/// `tracedbg.rs` resolved its input verb by verb, so it pins every byte
+/// across the move to one resolver, one artifact constructor and
+/// self-rendering reports.
+#[test]
+fn golden_cli_transcripts() {
+    use std::process::Command;
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let scratch = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden_cli");
+    let _ = std::fs::remove_dir_all(&scratch);
+    std::fs::create_dir_all(&scratch).unwrap();
+    let scratch_str = scratch.to_str().expect("scratch path is UTF-8").to_string();
+    let run = |args: &str| {
+        let argv: Vec<String> = args
+            .split('|')
+            .map(|a| a.replace("$SCRATCH", &scratch_str))
+            .collect();
+        Command::new(env!("CARGO_BIN_EXE_tracedbg"))
+            .args(&argv)
+            .current_dir(&root)
+            .output()
+            .expect("spawn tracedbg")
+    };
+    // `name`, then the `|`-separated argument vector; `-` names a setup
+    // step whose output is not pinned (it prints a wall time).
+    const ART: &str = "$SCRATCH/explore/planted-wildcard-panic-0.sched.json";
+    let cases: Vec<(&str, String)> = [
+        ("workloads", "workloads"),
+        ("view-trc", "view|tests/golden/ring.trc|--width|80"),
+        ("view-store", "view|tests/golden/store/ring|--width|80"),
+        ("graph-comm", "graph|tests/golden/strassen.trc|--kind|comm"),
+        (
+            "graph-call-vcg",
+            "graph|tests/golden/strassen.trc|--kind|call|--rank|0|--format|vcg",
+        ),
+        ("stats-trc", "stats|tests/golden/pool.trc"),
+        ("stats-store", "stats|tests/golden/store/pool"),
+        ("stats-workload", "stats|pool|--procs|4"),
+        ("query-rank", "query|tests/golden/store/lu|--rank|1|--limit|3"),
+        ("query-stats", "query|tests/golden/store/lu|--stats"),
+        ("profile-trc", "profile|tests/golden/heat.trc"),
+        ("profile-workload-json", "profile|planted-wildcard|--procs|8|--json"),
+        ("analyze-sdl", "analyze|sdl:pairs"),
+        ("analyze-bare-builtin", "analyze|ring"),
+        ("lint-sdl", "lint|sdl:racy-deadlock"),
+        (
+            "lint-trc-script",
+            "lint|tests/golden/script-pingpong.trc|--script|examples/scripts/pingpong.script",
+        ),
+        (
+            "explore",
+            "explore|planted-wildcard|--procs|8|--runs|200|--jobs|1|--seed|9|--out|$SCRATCH/explore",
+        ),
+        ("localize-schedule", "localize|--schedule|ART|--out|$SCRATCH/localize.json"),
+        ("localize-schedule-json", "localize|--schedule|ART|--json"),
+        ("replay", "replay|--schedule|ART|--trace|$SCRATCH/fail.trc"),
+        ("-", "ingest|$SCRATCH/fail.trc|--out|$SCRATCH/fail-store"),
+        ("localize-trace-trc", "localize|--schedule|ART|--trace|$SCRATCH/fail.trc"),
+        ("localize-trace-store", "localize|--schedule|ART|--trace|$SCRATCH/fail-store"),
+        ("profile-schedule", "profile|--schedule|ART|--out|$SCRATCH/profile.json"),
+        ("replay-json", "replay|--schedule|ART|--json"),
+        ("replay-from-checkpoint", "replay|--schedule|ART|--from-checkpoint"),
+        ("replay-to-suspect", "replay|--schedule|ART|--to-suspect|$SCRATCH/localize.json"),
+        (
+            "replay-to-suspect-json",
+            "replay|--schedule|ART|--to-suspect|$SCRATCH/localize.json|--json",
+        ),
+        (
+            "replay-to-critical-path",
+            "replay|--schedule|ART|--to-critical-path|$SCRATCH/profile.json",
+        ),
+        (
+            "replay-to-critical-path-json",
+            "replay|--schedule|ART|--to-critical-path|$SCRATCH/profile.json|--json",
+        ),
+        (
+            "debug-scripted",
+            "debug|ring|--procs|4|-e|run|-e|stopline t 500000|-e|replay|-e|step 1|-e|where 1|-e|undo|-e|markers",
+        ),
+        ("err-unknown-verb", "frobnicate"),
+        ("err-unknown-workload", "run|no-such-workload"),
+        ("err-unknown-builtin", "run|sdl:nope"),
+        ("err-missing-trace", "view|tests/golden/nope.trc"),
+        ("err-missing-store", "query|tests/golden/store/nope"),
+        ("err-replay-no-schedule", "replay"),
+        ("err-truncated-artifact", "replay|--schedule|$SCRATCH/truncated.sched.json"),
+        ("err-report-version", "replay|--schedule|ART|--to-suspect|$SCRATCH/v99.json"),
+    ]
+    .into_iter()
+    .map(|(name, args)| (name, args.replace("ART", ART)))
+    .collect();
+    let mut drifted = Vec::new();
+    for (name, args) in &cases {
+        // The two hostile inputs derive from files earlier cases wrote.
+        if *name == "err-truncated-artifact" {
+            let art = std::fs::read(ART.replace("$SCRATCH", &scratch_str)).expect("artifact");
+            // A fixed cut: the file's length varies with its wall-clock stamp.
+            std::fs::write(scratch.join("truncated.sched.json"), &art[..100]).unwrap();
+        }
+        if *name == "err-report-version" {
+            let report = std::fs::read_to_string(scratch.join("localize.json")).expect("report");
+            assert!(report.contains("\"version\":2"), "{report}");
+            let v99 = report.replacen("\"version\":2", "\"version\":99", 1);
+            std::fs::write(scratch.join("v99.json"), v99).unwrap();
+        }
+        let out = run(args);
+        if *name == "-" {
+            assert!(out.status.success(), "setup step `{args}` failed");
+            continue;
+        }
+        let got = format!(
+            "$ tracedbg {}\n[exit {}]\n--- stdout ---\n{}--- stderr ---\n{}",
+            args.replace('|', " "),
+            out.status.code().expect("exit code"),
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        )
+        .replace(&scratch_str, "$SCRATCH");
+        let want_path = golden_dir().join(format!("cli/{name}.txt"));
+        if std::env::var_os("BLESS").is_some() {
+            std::fs::create_dir_all(want_path.parent().unwrap()).unwrap();
+            std::fs::write(&want_path, &got).unwrap();
+            continue;
+        }
+        let want = std::fs::read_to_string(&want_path)
+            .unwrap_or_else(|e| panic!("missing {}: {e}", want_path.display()));
+        if got != want {
+            drifted.push(format!(
+                "{name}: drifted from {}:\n{got}",
+                want_path.display()
+            ));
+        }
+    }
+    assert!(drifted.is_empty(), "{}", drifted.join("\n"));
+}

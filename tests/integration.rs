@@ -719,3 +719,109 @@ fn non_causal_trace_is_a_typed_error_not_a_panic() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Run the CLI in `cwd`; `(exit code, stdout, stderr)`.
+fn tracedbg_in(cwd: &std::path::Path, args: &[&str]) -> (Option<i32>, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tracedbg"))
+        .args(args)
+        .current_dir(cwd)
+        .output()
+        .expect("spawn tracedbg");
+    let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+    (out.status.code(), text(&out.stdout), text(&out.stderr))
+}
+
+/// A flag value that does not parse is an error naming the flag — never
+/// silently the default (`run ring --procs abc` used to run 8 ranks).
+#[test]
+fn a_flag_value_that_does_not_parse_is_an_error() {
+    let cwd = std::env::temp_dir();
+    for (args, flag, value) in [
+        (&["run", "ring", "--procs", "abc"][..], "procs", "abc"),
+        (&["explore", "ring", "--runs", "lots"], "runs", "lots"),
+        (&["stats", "pool", "--seed", "-1"], "seed", "-1"),
+        (
+            &["debug", "ring", "--checkpoint-every", "often", "-e", "run"],
+            "checkpoint-every",
+            "often",
+        ),
+        (
+            &["localize", "planted-wildcard", "--jobs", "1.5"],
+            "jobs",
+            "1.5",
+        ),
+    ] {
+        let (code, stdout, stderr) = tracedbg_in(&cwd, args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert_eq!(stdout, "", "{args:?}");
+        assert_eq!(
+            stderr,
+            format!("error: --{flag}: bad value {value:?}\n"),
+            "{args:?}"
+        );
+    }
+    // A value that parses still does what it did.
+    let (code, stdout, _) = tracedbg_in(&cwd, &["run", "ring", "--procs", "3"]);
+    assert_eq!(code, Some(0));
+    assert!(stdout.contains("received per rank: [3, 3, 3]"), "{stdout}");
+}
+
+/// One rule for "workload or file", for every verb: a name `tracedbg
+/// workloads` lists is the workload whatever the working directory holds,
+/// and `./name` is the file. (`stats` and `profile` used to ask the
+/// filesystem first: a stray file `ring` made `stats ring` print `0
+/// events, 0 ranks`.)
+#[test]
+fn a_name_is_the_workload_whatever_the_cwd_holds() {
+    let dir = scratch_dir("strays");
+    std::fs::create_dir_all(dir.join("heat")).unwrap();
+    std::fs::write(dir.join("ring"), "").unwrap();
+    let (_, clean, _) = tracedbg_in(&std::env::temp_dir(), &["stats", "ring", "--procs", "4"]);
+    assert!(clean.starts_with("outcome: Completed\n"), "{clean}");
+    // The stray file and directory change nothing for any verb ...
+    for verb in ["stats", "profile"] {
+        for name in ["ring", "heat"] {
+            let (code, here, stderr) = tracedbg_in(&dir, &[verb, name, "--procs", "4"]);
+            let (_, elsewhere, _) =
+                tracedbg_in(&std::env::temp_dir(), &[verb, name, "--procs", "4"]);
+            assert_eq!((code, stderr.as_str()), (Some(0), ""), "{verb} {name}");
+            assert_eq!(here, elsewhere, "{verb} {name}");
+        }
+    }
+    let (code, out, _) = tracedbg_in(&dir, &["run", "ring", "--procs", "4"]);
+    assert!(
+        code == Some(0) && out.starts_with("outcome: Completed"),
+        "{out}"
+    );
+    // ... `./` names the file (an empty trace; a directory with no store) ...
+    let (code, out, _) = tracedbg_in(&dir, &["stats", "./ring"]);
+    assert!(
+        code == Some(0) && out.contains("0 events, 0 ranks"),
+        "{out}"
+    );
+    let (code, _, stderr) = tracedbg_in(&dir, &["stats", "./heat"]);
+    assert!(
+        code == Some(1) && stderr.starts_with("error: ./heat/manifest.tds"),
+        "{stderr}"
+    );
+    // ... and a verb that cannot take the workload says what it does take,
+    // in one line, instead of `cannot open ring`.
+    for (args, says) in [
+        (["view", "ring"], "view takes trace.trc | trace.tbin | store-dir, not the workload"),
+        (["lint", "ring"], "lint takes trace.trc | trace.tbin | store-dir | script:<path> | sdl:<name>, not the native workload"),
+        (["analyze", "heat"], "analyze takes trace.trc | trace.tbin | store-dir | script:<path> | sdl:<name>, not the native workload"),
+        (["query", "ring"], "query takes store-dir, not the workload"),
+    ] {
+        let (code, stdout, stderr) = tracedbg_in(&dir, &args);
+        assert_eq!((code, stdout.as_str()), (Some(1), ""), "{args:?}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.starts_with(&format!("error: {says}")), "{args:?}: {stderr}");
+    }
+    // `analyze ring` stays the builtin script of that name.
+    let (code, out, _) = tracedbg_in(&dir, &["analyze", "ring", "--procs", "3"]);
+    assert!(
+        code == Some(0) && out.starts_with("static analysis of ring (3 procs"),
+        "{out}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
