@@ -68,7 +68,7 @@ pub fn measure(name: &str, jobs: usize, plan: Plan, mut f: impl FnMut()) -> Benc
     for _ in 0..plan.warmup {
         f();
     }
-    let mut per_iter_ns: Vec<u64> = (0..plan.samples)
+    let per_iter_ns = (0..plan.samples)
         .map(|_| {
             let t0 = Instant::now();
             for _ in 0..plan.iters {
@@ -77,6 +77,38 @@ pub fn measure(name: &str, jobs: usize, plan: Plan, mut f: impl FnMut()) -> Benc
             (t0.elapsed().as_nanos() as u64) / plan.iters
         })
         .collect();
+    record(name, jobs, plan, per_iter_ns)
+}
+
+/// [`measure`] for work that needs a fresh input every iteration: `setup`
+/// builds it untimed, only `f` consuming it is on the clock.
+pub fn measure_after<S>(
+    name: &str,
+    jobs: usize,
+    plan: Plan,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(S),
+) -> BenchRecord {
+    assert!(plan.samples > 0 && plan.iters > 0, "empty measurement plan");
+    for _ in 0..plan.warmup {
+        f(setup());
+    }
+    let per_iter_ns = (0..plan.samples)
+        .map(|_| {
+            let mut ns = 0;
+            for _ in 0..plan.iters {
+                let input = setup();
+                let t0 = Instant::now();
+                f(input);
+                ns += t0.elapsed().as_nanos() as u64;
+            }
+            ns / plan.iters
+        })
+        .collect();
+    record(name, jobs, plan, per_iter_ns)
+}
+
+fn record(name: &str, jobs: usize, plan: Plan, mut per_iter_ns: Vec<u64>) -> BenchRecord {
     let (median_ns, p10_ns, p90_ns) = trimmed_percentiles(&mut per_iter_ns);
     BenchRecord {
         name: name.to_string(),

@@ -16,9 +16,11 @@
 //! * `explore_dpor` — exhaustive systematic search with static
 //!   independence facts off vs on (the sleep-set DPOR payoff), at
 //!   `jobs = 1` and `jobs = 4`;
-//! * `store` — the on-disk indexed trace store: ingest throughput,
-//!   cold-open latency, and each indexed query against the
-//!   `read_binary`+scan baseline it must beat;
+//! * `store` — the on-disk indexed trace store: ingest throughput (and
+//!   its push / finish halves at 80k events), cold-open latency, each
+//!   indexed query on a warm handle and on a fresh one (what a CLI child
+//!   pays) against the parse-and-scan baselines, reading everything
+//!   through the store against reading the `.tbin`, and the checksum;
 //! * `localize` — differential fault localization: the full
 //!   replay-harvest-rank pipeline at `jobs = 1` vs `jobs = N`, plus the
 //!   event-graph differ in isolation;
@@ -29,7 +31,7 @@
 //! Every suite runs a fixed iteration plan (see [`crate::measure`]), so
 //! numbers are comparable between invocations and across commits.
 
-use crate::measure::{measure, BenchRecord, Plan};
+use crate::measure::{measure, measure_after, BenchRecord, Plan};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tracedbg_debugger::{Session, SessionConfig, Stopline};
 use tracedbg_explore::{ExploreConfig, Explorer, Strategy};
@@ -37,14 +39,17 @@ use tracedbg_instrument::RecorderConfig;
 use tracedbg_localize::{diff_channels, diff_ranks, localize, LocalizeConfig, VERDICT_LOCALIZED};
 use tracedbg_mpsim::{Engine, EngineConfig, SchedPolicy};
 use tracedbg_profile::{perfetto_json, CriticalPath, ProfileInput, ProfileReport, WaitAnalysis};
-use tracedbg_store::{ingest_records, DiskStore, StoreOptions};
+use tracedbg_store::{ingest_records, DiskStore, StoreOptions, StoreWriter};
 use tracedbg_trace::file::{read_binary, read_text, write_binary, write_text, TraceFile};
 use tracedbg_trace::schedule::{Decision, ScheduleArtifact};
-use tracedbg_trace::{trace_digest, EventQuery, MarkerVector, Rank, Tag, TraceStore};
+use tracedbg_trace::{
+    materialize, trace_digest, EventQuery, MarkerVector, Rank, Tag, TraceSource, TraceStore,
+};
 use tracedbg_tracegraph::MessageMatching;
 use tracedbg_workloads::master_worker::{self, PoolConfig};
 use tracedbg_workloads::planted::{planted_wildcard_factory, PlantedConfig};
 use tracedbg_workloads::racy::{wildcard_race_factory, RacyConfig};
+use tracedbg_workloads::random_comm;
 use tracedbg_workloads::ring::{self, RingConfig};
 use tracedbg_workloads::wide;
 
@@ -661,13 +666,25 @@ fn suite_explore_dpor(opts: &SuiteOptions) -> Suite {
     }
 }
 
-/// The on-disk indexed trace store vs the `read_binary`+scan baseline.
+/// The on-disk indexed trace store vs the parse-and-scan baselines.
 ///
-/// Corpus: a 16-rank, 512-round ring with `tag_stride: 64`, so both zone
-/// indexes have real selectivity (1/16 of events per rank lane, 1/64 of
-/// the traffic per tag). The `*_scan` baselines re-parse the binary trace
-/// and linearly filter — the path every consumer used before the store —
-/// and each `*_indexed` benchmark asserts it saw exactly the same events.
+/// Corpus: a 32-rank, 256-round ring with `tag_stride: 64`, so both zone
+/// indexes have real selectivity (1/32 of events per rank lane, 1/64 of
+/// the traffic per tag), as a store directory and as the `.tbin` of the
+/// same run next to it. Three kinds of row per selection:
+///
+/// * `*_indexed` — the selection on a **warm handle**: an earlier call
+///   already loaded and verified every segment and index section it
+///   touches. What a long-lived session pays per query; no `tracedbg`
+///   child is ever in this state.
+/// * `*_cold` — a fresh `DiskStore::open` plus the selection inside the
+///   timed closure: what a CLI child pays (read, checksum, decode).
+/// * `*_scan` / `scan_file` — the path every consumer used before the
+///   store: parse the whole binary trace (from memory / from the file on
+///   disk) and filter linearly. `scan_file` is the honest baseline of the
+///   cold rows.
+///
+/// Every store row asserts it saw exactly the events the scan sees.
 fn suite_store(opts: &SuiteOptions) -> Suite {
     let mut records = Vec::new();
     let cfg = RingConfig {
@@ -676,12 +693,7 @@ fn suite_store(opts: &SuiteOptions) -> Suite {
         hop_cost: 100,
         tag_stride: 64,
     };
-    let mut e = Engine::launch(
-        EngineConfig::with_recorder(RecorderConfig::full()),
-        ring::programs(&cfg),
-    );
-    assert!(e.run().is_completed());
-    let store = e.trace_store();
+    let store = recorded(ring::programs(&cfg));
     let file = TraceFile::new(
         store.records().to_vec(),
         store.sites().clone(),
@@ -698,6 +710,12 @@ fn suite_store(opts: &SuiteOptions) -> Suite {
         std::process::id(),
         CALL.fetch_add(1, Ordering::Relaxed)
     ));
+    let tbin = dir.with_extension("tbin");
+    std::fs::write(&tbin, &binary).expect("bench .tbin write");
+    let read_tbin = || {
+        let f = std::fs::File::open(&tbin).expect("bench .tbin open");
+        read_binary(f).expect("parse")
+    };
     let store_opts = StoreOptions {
         segment_events: 8192,
     };
@@ -734,6 +752,40 @@ fn suite_store(opts: &SuiteOptions) -> Suite {
         )
         .expect("bench store rebuild");
     }
+    if wants(opts, "store", "push_80k") || wants(opts, "store", "finish_80k") {
+        // `ingest` split where the CLI splits it: `push` runs under the
+        // live tee while the engine executes (frame encode, and the
+        // segment write with its checksum when 65,536 frames are full),
+        // `finish` after it (tail segment, canonical sort, index,
+        // manifest). Corpus: the benchmark's `deep_random` shape, 80,016
+        // events in the default segment size, in its own directory.
+        let big = recorded(random_comm::programs(
+            &random_comm::generate(3, 8, 16_000),
+            3,
+        ));
+        let big_dir = dir.with_extension("80k");
+        let create = || StoreWriter::create(&big_dir, StoreOptions::default()).expect("create");
+        let push_all = |mut w: StoreWriter| {
+            for r in big.records() {
+                w.push(r).expect("push");
+            }
+            w
+        };
+        let p = plan(opts, 1, 5, 2);
+        if wants(opts, "store", "push_80k") {
+            records.push(measure_after("push_80k", 1, p, create, |w| {
+                push_all(w);
+            }));
+        }
+        if wants(opts, "store", "finish_80k") {
+            let pushed = || push_all(create());
+            records.push(measure_after("finish_80k", 1, p, pushed, |w| {
+                let s = w.finish(big.sites(), big.n_ranks()).expect("finish");
+                assert_eq!(s.n_events, big.len() as u64);
+            }));
+        }
+        let _ = std::fs::remove_dir_all(&big_dir);
+    }
     if wants(opts, "store", "cold_open") {
         // Manifest + index directory + segment headers only: the lazy
         // reader's promise is that this stays in the sub-millisecond range
@@ -746,6 +798,7 @@ fn suite_store(opts: &SuiteOptions) -> Suite {
     }
 
     let disk = DiskStore::open(&dir).expect("open");
+    let open = || DiskStore::open(&dir).expect("open");
     let rank = Rank(7);
     let tag = Tag(20 + 11);
     let p = plan(opts, 4, 9, 8);
@@ -757,6 +810,12 @@ fn suite_store(opts: &SuiteOptions) -> Suite {
             assert_eq!(n, n_rank);
         }));
     }
+    if wants(opts, "store", "query_rank_cold") {
+        records.push(measure("query_rank_cold", 1, p, || {
+            let n = open().by_rank(rank).expect("cursor").count();
+            assert_eq!(n, n_rank);
+        }));
+    }
     if wants(opts, "store", "query_rank_scan") {
         records.push(measure("query_rank_scan", 1, p, || {
             let tf = read_binary(binary.as_slice()).expect("parse");
@@ -764,10 +823,26 @@ fn suite_store(opts: &SuiteOptions) -> Suite {
             assert_eq!(n, n_rank);
         }));
     }
+    if wants(opts, "store", "scan_file") {
+        records.push(measure("scan_file", 1, p, || {
+            let n = read_tbin()
+                .records
+                .iter()
+                .filter(|r| r.rank == rank)
+                .count();
+            assert_eq!(n, n_rank);
+        }));
+    }
     let n_tag = disk.by_tag(tag).expect("cursor").count();
     if wants(opts, "store", "query_tag_indexed") {
         records.push(measure("query_tag_indexed", 1, p, || {
             let n = disk.by_tag(tag).expect("cursor").count();
+            assert_eq!(n, n_tag);
+        }));
+    }
+    if wants(opts, "store", "query_tag_cold") {
+        records.push(measure("query_tag_cold", 1, p, || {
+            let n = open().by_tag(tag).expect("cursor").count();
             assert_eq!(n, n_tag);
         }));
     }
@@ -783,12 +858,33 @@ fn suite_store(opts: &SuiteOptions) -> Suite {
         }));
     }
     let (t_lo, t_hi) = disk.time_bounds();
-    let (w_lo, w_hi) = (t_lo, t_lo + (t_hi - t_lo) / 100);
+    let width = (t_hi - t_lo) / 100;
+    let (w_lo, w_hi) = (t_lo, t_lo + width);
     let n_win = disk.by_time_window(w_lo, w_hi).expect("cursor").count();
     if wants(opts, "store", "query_window_indexed") {
         records.push(measure("query_window_indexed", 1, p, || {
             let n = disk.by_time_window(w_lo, w_hi).expect("cursor").count();
             assert_eq!(n, n_win);
+        }));
+    }
+    if wants(opts, "store", "query_window_cold") {
+        records.push(measure("query_window_cold", 1, p, || {
+            let n = open().by_time_window(w_lo, w_hi).expect("cursor").count();
+            assert_eq!(n, n_win);
+        }));
+    }
+    if wants(opts, "store", "query_window_late_cold") {
+        // The same width three quarters into the run: everything before
+        // it is read and verified but skipped on its span, not decoded.
+        let late_lo = t_lo + (t_hi - t_lo) / 4 * 3;
+        let late = |d: &DiskStore| {
+            d.by_time_window(late_lo, late_lo + width)
+                .expect("cursor")
+                .count()
+        };
+        let n_late = late(&disk);
+        records.push(measure("query_window_late_cold", 1, p, || {
+            assert_eq!(late(&open()), n_late);
         }));
     }
     if wants(opts, "store", "query_window_scan") {
@@ -802,8 +898,42 @@ fn suite_store(opts: &SuiteOptions) -> Suite {
             assert_eq!(n, n_win);
         }));
     }
+    // Reading everything: through the store against the flat file, from
+    // memory (`scan_all_warm` vs `read_binary`) and as a CLI child does
+    // it, from disk into the in-memory index (`materialize_cold` vs
+    // `materialize_file`).
+    let n_all = file.records.len();
+    if wants(opts, "store", "read_binary") {
+        records.push(measure("read_binary", 1, p, || {
+            let tf = read_binary(binary.as_slice()).expect("parse");
+            assert_eq!(tf.records.len(), n_all);
+        }));
+    }
+    if wants(opts, "store", "scan_all_warm") {
+        records.push(measure("scan_all_warm", 1, p, || {
+            assert_eq!(disk.events().expect("events").len(), n_all);
+        }));
+    }
+    if wants(opts, "store", "materialize_cold") {
+        records.push(measure("materialize_cold", 1, p, || {
+            assert_eq!(materialize(&open()).expect("materialize").len(), n_all);
+        }));
+    }
+    if wants(opts, "store", "materialize_file") {
+        records.push(measure("materialize_file", 1, p, || {
+            assert_eq!(read_tbin().into_store().len(), n_all);
+        }));
+    }
+    if wants(opts, "store", "crc32_1mib") {
+        let mib: Vec<u8> = binary.iter().copied().cycle().take(1 << 20).collect();
+        let want = tracedbg_store::crc::crc32(&mib);
+        records.push(measure("crc32_1mib", 1, p, || {
+            assert_eq!(tracedbg_store::crc::crc32(std::hint::black_box(&mib)), want);
+        }));
+    }
     drop(disk);
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&tbin);
     Suite {
         name: "store",
         records,

@@ -44,7 +44,7 @@ mod input;
 #[path = "tracedbg/replay.rs"]
 mod replay;
 
-use input::{load_artifact, write_trace_file, Input, TraceInput};
+use input::{causal_indexes, load_artifact, write_trace_file, Input, TraceInput};
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use tracedbg::prelude::*;
@@ -284,8 +284,9 @@ fn cmd_analyze(opts: &Opts) -> Result<ExitCode, String> {
         }
         Input::Trace(t) => t,
     };
-    let store = trace.into_causal_store(path)?;
-    let report = HistoryReport::analyze(&store);
+    let store = trace.into_store()?;
+    let (matching, hb) = causal_indexes(&store, path)?;
+    let report = HistoryReport::from_indexes(&store, matching, &hb);
     println!("{report}");
     println!();
     let actions = ActionGraph::build(&store);
@@ -304,8 +305,9 @@ fn cmd_report(opts: &Opts) -> Result<ExitCode, String> {
         .positional
         .first()
         .ok_or("usage: tracedbg report <trace.trc> [--o out.html]")?;
-    let store = Input::trace("report", path)?.into_causal_store(path)?;
-    let analysis = HistoryReport::analyze(&store).to_string();
+    let store = Input::trace("report", path)?.into_store()?;
+    let (matching, hb) = causal_indexes(&store, path)?;
+    let analysis = HistoryReport::from_indexes(&store, matching, &hb).to_string();
     let html = tracedbg::viz::render_html_report(&store, &analysis, path);
     let out = opts.flag("o").unwrap_or("trace_report.html");
     std::fs::write(out, html).map_err(|e| e.to_string())?;
@@ -442,18 +444,28 @@ fn cmd_lint(opts: &Opts) -> Result<ExitCode, String> {
             lint::lint_script(&parsed, nprocs, &file, &cfg)
         }
         Input::Trace(t) => {
-            let store = t.into_causal_store(input)?;
-            match opts.flag("script") {
+            let store = t.into_store()?;
+            let (matching, hb) = causal_indexes(&store, input)?;
+            // Told which script produced the trace, the rules also hold
+            // its static analysis against what was recorded (TDL008).
+            let analysis = match opts.flag("script") {
                 Some(spec) => {
                     let spec = script_flag_spec(spec);
                     let w = Input::workload(&spec, 0, store.n_ranks())?;
                     let (parsed, file, _) = script_of("lint --script", &spec, w)?;
                     // The analysis must model exactly the traced execution:
                     // its rank count, not the spec's default.
-                    lint::lint_trace_with_script(&store, &parsed, store.n_ranks(), &file, &cfg)
+                    Some(tracedbg::analysis::analyze(&parsed, store.n_ranks(), &file))
                 }
-                None => lint::lint_trace(&store, &cfg),
-            }
+                None => None,
+            };
+            let cx = lint::TraceCx {
+                store: &store,
+                matching,
+                hb,
+                analysis,
+            };
+            lint::lint_trace_cx(cx, &cfg)
         }
     };
     if opts.has("json") {
@@ -814,6 +826,9 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
             .split_once(':')
             .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
             .ok_or("bad --window, expected lo:hi")?;
+        if lo > hi {
+            return Err(format!("bad --window {win}: lo > hi"));
+        }
         selectors.push(Select::TimeWindow(lo, hi));
     }
     if selectors.len() > 1 {

@@ -98,20 +98,22 @@ impl TraceInput {
             TraceInput::Disk(disk) => materialize(disk.as_ref()).map_err(|e| e.to_string()),
         }
     }
+}
 
-    /// [`TraceInput::into_store`] for the verbs that reason about
-    /// causality (`analyze`, `report`, `lint`). A trace file is external
-    /// input: one whose receives cannot all be ordered after their sends
-    /// is not a recording of any run and is refused here, before it is
-    /// analyzed as if it were one.
-    pub fn into_causal_store(self, path: &str) -> Result<TraceStore, String> {
-        let store = self.into_store()?;
-        let matching = MessageMatching::build(&store);
-        HbIndex::build(&store, &matching)
-            .check_causal()
-            .map_err(|e| format!("{path}: {e}"))?;
-        Ok(store)
-    }
+/// The matching and happens-before index of a recorded trace, for the
+/// verbs that reason about causality (`analyze`, `report`, `lint`): built
+/// once here, checked, and handed on to the analysis. A trace file is
+/// external input: one whose receives cannot all be ordered after their
+/// sends is not a recording of any run and is refused here, before it is
+/// analyzed as if it were one.
+pub fn causal_indexes<'a>(
+    store: &'a TraceStore,
+    path: &str,
+) -> Result<(MessageMatching, HbIndex<'a>), String> {
+    let matching = MessageMatching::build(store);
+    let hb = HbIndex::build(store, &matching);
+    hb.check_causal().map_err(|e| format!("{path}: {e}"))?;
+    Ok((matching, hb))
 }
 
 /// Read an explorer artifact (`--schedule <file.sched.json>`) and resolve

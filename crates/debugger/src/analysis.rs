@@ -32,7 +32,14 @@ impl HistoryReport {
     pub fn analyze(store: &TraceStore) -> Self {
         let matching = MessageMatching::build(store);
         let hb = HbIndex::build(store, &matching);
-        let races = detect_races(store, &matching, &hb);
+        Self::from_indexes(store, matching, &hb)
+    }
+
+    /// [`HistoryReport::analyze`] for a caller that already built the
+    /// trace's matching and happens-before index (to check the trace is
+    /// causal before reporting on it).
+    pub fn from_indexes(store: &TraceStore, matching: MessageMatching, hb: &HbIndex<'_>) -> Self {
+        let races = detect_races(store, &matching, hb);
         let circular_waits = detect_circular_waits(store, &matching);
         let intertwined = find_intertwined(store, &matching);
         let received_counts = matching.received_counts(store.n_ranks(), store);

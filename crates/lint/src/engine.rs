@@ -154,7 +154,10 @@ pub fn lint_trace_with_script(
     lint_trace_cx(TraceCx::build_with_analysis(store, Some(analysis)), cfg)
 }
 
-fn lint_trace_cx(cx: TraceCx<'_>, cfg: &LintConfig) -> Vec<Diagnostic> {
+/// Run every enabled trace rule over a context the caller built — the
+/// entry point for one that already holds the trace's matching and
+/// happens-before index and should not pay for them twice.
+pub fn lint_trace_cx(cx: TraceCx<'_>, cfg: &LintConfig) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for rule in trace_rules::all() {
         if cfg.is_enabled(rule.id()) {

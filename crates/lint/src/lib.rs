@@ -9,4 +9,7 @@ pub mod trace_rules;
 
 pub use config::LintConfig;
 pub use diag::{Diagnostic, RuleId, Severity};
-pub use engine::{lint_script, lint_source, lint_trace, lint_trace_with_script, rule_catalog};
+pub use engine::{
+    lint_script, lint_source, lint_trace, lint_trace_cx, lint_trace_with_script, rule_catalog,
+    TraceCx,
+};

@@ -7,36 +7,65 @@
 //! body) so a cursor can skip records without decoding them.
 
 use crate::error::StoreError;
-use crate::layout::{Builder, Cursor};
+use std::path::Path;
 use tracedbg_trace::file::{read_record, write_record, ReadError};
 use tracedbg_trace::TraceRecord;
 
 pub(crate) use tracedbg_trace::file::kind_code_u8 as kind_code;
 
-/// Append one record's frame (length prefix + body) to `out`.
-pub fn encode_frame(out: &mut Builder, r: &TraceRecord) {
-    let mut body = Vec::new();
-    write_record(&mut body, r).expect("writing to a Vec cannot fail");
-    out.u32(body.len() as u32);
-    out.bytes(&body);
+/// Append one record's frame (length prefix + body) to `out`: the body
+/// is written in place and the prefix patched once its length is known.
+pub fn encode_frame(out: &mut Vec<u8>, r: &TraceRecord) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    write_record(out, r).expect("writing to a Vec cannot fail");
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Decode one frame (length prefix + body) from the cursor.
-pub fn decode_frame(c: &mut Cursor<'_>, path: &std::path::Path) -> Result<TraceRecord, StoreError> {
-    let len = c.u32("frame length")? as usize;
-    if len > c.remaining() {
-        return Err(StoreError::truncated(path, "frame body"));
+/// Why a frame did not decode. Decoding runs once per event and knows
+/// no file name; [`FrameError::at`] adds it when there is an error.
+#[derive(Debug)]
+pub(crate) enum FrameError {
+    /// The payload ended before this part of the frame.
+    Truncated(&'static str),
+    /// The body is not one well-formed record.
+    Mismatch(String),
+}
+
+impl FrameError {
+    /// The store error for a frame of the segment file `path`.
+    pub(crate) fn at(self, path: &Path) -> StoreError {
+        match self {
+            FrameError::Truncated(what) => StoreError::truncated(path, what),
+            FrameError::Mismatch(what) => StoreError::mismatch(path, what),
+        }
     }
-    let mut body = c.take(len, "frame body")?;
+}
+
+/// The body of the frame whose length prefix starts `buf`.
+#[inline]
+pub(crate) fn frame_body(buf: &[u8]) -> Result<&[u8], FrameError> {
+    let len = buf.get(..4).ok_or(FrameError::Truncated("frame length"))?;
+    let len = u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize;
+    buf[4..]
+        .get(..len)
+        .ok_or(FrameError::Truncated("frame body"))
+}
+
+/// Decode a frame body: exactly one record, nothing after it. (Forced
+/// inline for the same reason as `DiskStore::body_memo`.)
+#[inline(always)]
+pub(crate) fn decode_body(mut body: &[u8]) -> Result<TraceRecord, FrameError> {
     let rec = read_record(&mut body, 0).map_err(|e| match e {
-        ReadError::Io(_) => StoreError::truncated(path, "frame body"),
-        ReadError::Parse(_, msg) => StoreError::mismatch(path, msg),
+        ReadError::Io(_) => FrameError::Truncated("frame body"),
+        ReadError::Parse(_, msg) => FrameError::Mismatch(msg),
     })?;
     if !body.is_empty() {
-        return Err(StoreError::mismatch(
-            path,
-            format!("frame body has {} trailing bytes", body.len()),
-        ));
+        return Err(FrameError::Mismatch(format!(
+            "frame body has {} trailing bytes",
+            body.len()
+        )));
     }
     Ok(rec)
 }
@@ -44,7 +73,6 @@ pub fn decode_frame(c: &mut Cursor<'_>, path: &std::path::Path) -> Result<TraceR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
     use tracedbg_trace::{EventKind, MsgInfo, Rank, SiteId, Tag};
 
     fn sample() -> Vec<TraceRecord> {
@@ -65,34 +93,43 @@ mod tests {
         ]
     }
 
+    fn decode_frame(buf: &[u8]) -> Result<TraceRecord, FrameError> {
+        decode_body(frame_body(buf)?)
+    }
+
     #[test]
     fn roundtrip_every_shape() {
-        let path = PathBuf::from("seg");
+        // Frames back to back, as in a segment payload: each prefix is
+        // patched in place and delimits exactly its own body.
+        let mut buf = Vec::new();
+        let mut starts = Vec::new();
         for rec in sample() {
-            let mut b = Builder::new();
-            encode_frame(&mut b, &rec);
-            let mut c = Cursor::new(&b.buf, &path);
-            let back = decode_frame(&mut c, &path).unwrap();
-            assert_eq!(back, rec);
-            assert_eq!(c.remaining(), 0);
+            starts.push(buf.len());
+            encode_frame(&mut buf, &rec);
+        }
+        starts.push(buf.len());
+        for (i, rec) in sample().into_iter().enumerate() {
+            let body = frame_body(&buf[starts[i]..]).unwrap();
+            assert_eq!(starts[i] + 4 + body.len(), starts[i + 1]);
+            assert_eq!(decode_body(body).unwrap(), rec);
         }
     }
 
     #[test]
     fn truncated_and_trailing_bytes_error() {
-        let path = PathBuf::from("seg");
-        let mut b = Builder::new();
-        encode_frame(&mut b, &sample()[1]);
-        for cut in [0, 3, 4, 10, b.buf.len() - 1] {
-            let mut c = Cursor::new(&b.buf[..cut], &path);
-            assert!(decode_frame(&mut c, &path).is_err(), "cut at {cut}");
+        let mut buf = Vec::new();
+        encode_frame(&mut buf, &sample()[1]);
+        for cut in [0, 3, 4, 10, buf.len() - 1] {
+            assert!(
+                matches!(decode_frame(&buf[..cut]), Err(FrameError::Truncated(_))),
+                "cut at {cut}"
+            );
         }
         // A frame longer than its body declares is a mismatch.
-        let mut long = b.buf.clone();
+        let mut long = buf.clone();
         let len = u32::from_le_bytes([long[0], long[1], long[2], long[3]]);
         long[0..4].copy_from_slice(&(len + 1).to_le_bytes());
         long.push(0);
-        let mut c = Cursor::new(&long, &path);
-        assert!(decode_frame(&mut c, &path).is_err());
+        assert!(matches!(decode_frame(&long), Err(FrameError::Mismatch(_))));
     }
 }

@@ -22,6 +22,7 @@ use crate::layout::{
 };
 use crate::{crc::crc32, reader::DiskStore};
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use tracedbg_trace::{SiteTable, TraceRecord, TraceSink, TraceStore};
@@ -67,9 +68,11 @@ pub struct StoreWriter {
     dir: PathBuf,
     opts: StoreOptions,
     keys: Vec<EventKey>,
-    /// Offsets (relative to payload start) of the current segment's frames.
-    cur_offsets: Vec<u32>,
-    cur_payload: Builder,
+    /// The current segment's offset table as it goes to disk: one `u32`
+    /// per frame, relative to the payload start.
+    cur_offsets: Builder,
+    /// The current segment's payload; frames are encoded straight into it.
+    cur_payload: Vec<u8>,
     /// Arrival id of the current segment's first event.
     cur_first: u64,
     /// (first_event, frame_count) of every flushed segment.
@@ -97,8 +100,8 @@ impl StoreWriter {
                 segment_events: opts.segment_events.max(1),
             },
             keys: Vec::new(),
-            cur_offsets: Vec::new(),
-            cur_payload: Builder::new(),
+            cur_offsets: Builder::new(),
+            cur_payload: Vec::new(),
             cur_first: 0,
             segs: Vec::new(),
             bytes: 0,
@@ -116,7 +119,7 @@ impl StoreWriter {
 
     /// Append one record (arrival order).
     pub fn push(&mut self, rec: &TraceRecord) -> Result<(), StoreError> {
-        self.cur_offsets.push(self.cur_payload.buf.len() as u32);
+        self.cur_offsets.u32(self.cur_payload.len() as u32);
         encode_frame(&mut self.cur_payload, rec);
         self.keys.push(EventKey {
             t_start: rec.t_start,
@@ -126,40 +129,46 @@ impl StoreWriter {
             tag: rec.msg.as_ref().map(|m| m.tag.0),
             kind: kind_code(rec.kind),
         });
-        if self.cur_offsets.len() >= self.opts.segment_events {
+        if self.cur_frames() >= self.opts.segment_events {
             self.flush_segment()?;
         }
         Ok(())
     }
 
+    /// Frames in the current (unflushed) segment.
+    fn cur_frames(&self) -> usize {
+        self.cur_offsets.buf.len() / 4
+    }
+
     fn flush_segment(&mut self) -> Result<(), StoreError> {
-        if self.cur_offsets.is_empty() {
+        let frames = self.cur_frames() as u32;
+        if frames == 0 {
             return Ok(());
         }
         let seg_ix = self.segs.len() as u32;
-        let frames = self.cur_offsets.len() as u32;
-        let mut offsets = Builder::new();
-        for &o in &self.cur_offsets {
-            offsets.u32(o);
-        }
-        let mut f = Builder::new();
-        f.bytes(&SEGMENT_MAGIC);
-        f.u32(VERSION);
-        f.u32(seg_ix);
-        f.u32(frames);
-        f.u64(self.cur_payload.buf.len() as u64);
-        f.u32(crc32(&self.cur_payload.buf));
-        f.u32(crc32(&offsets.buf));
-        f.u64(self.cur_first);
-        f.bytes(&offsets.buf);
-        f.bytes(&self.cur_payload.buf);
+        let mut header = Builder::new();
+        header.bytes(&SEGMENT_MAGIC);
+        header.u32(VERSION);
+        header.u32(seg_ix);
+        header.u32(frames);
+        header.u64(self.cur_payload.len() as u64);
+        header.u32(crc32(&self.cur_payload));
+        header.u32(crc32(&self.cur_offsets.buf));
+        header.u64(self.cur_first);
+        // Three writes of the parts as they stand; no second image of the
+        // payload is assembled.
         let path = self.dir.join(segment_file(seg_ix));
-        std::fs::write(&path, &f.buf).map_err(|e| StoreError::io(&path, e))?;
-        self.bytes += f.buf.len() as u64;
+        let parts = [&header.buf, &self.cur_offsets.buf, &self.cur_payload];
+        let write = || -> std::io::Result<()> {
+            let mut f = std::fs::File::create(&path)?;
+            parts.iter().try_for_each(|part| f.write_all(part))
+        };
+        write().map_err(|e| StoreError::io(&path, e))?;
+        self.bytes += parts.iter().map(|part| part.len() as u64).sum::<u64>();
         self.segs.push((self.cur_first, frames));
         self.cur_first += frames as u64;
-        self.cur_offsets.clear();
-        self.cur_payload = Builder::new();
+        self.cur_offsets.buf.clear();
+        self.cur_payload.clear();
         Ok(())
     }
 

@@ -134,6 +134,14 @@ fn assert_equivalent(disk: &DiskStore, reference: &TraceStore) {
         (mid, mid),
         (hi + 1, hi + 100), // beyond the end: empty
         (0, 0),
+        // Late: everything before it is skipped on its peeked span, not
+        // decoded, and must be skipped exactly as the linear scan does.
+        (hi - (hi - lo) / 8, hi),
+        (hi, hi),
+        // Inverted (`lo > hi`): by the same rule, the events that start
+        // no later than the second bound and end no earlier than the first.
+        (hi, lo),
+        (mid + 1, mid),
     ];
     for (wlo, whi) in windows {
         assert_eq!(

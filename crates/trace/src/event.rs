@@ -99,11 +99,12 @@ impl EventKind {
         })
     }
 
-    /// All kinds, for exhaustive property tests.
-    pub fn all() -> Vec<EventKind> {
+    /// All kinds; a kind's position here is its one-byte code in the
+    /// binary record layout, so the order is part of the file formats.
+    pub const ALL: [EventKind; 15] = {
         use CollKind::*;
         use EventKind::*;
-        vec![
+        [
             ProcStart,
             ProcEnd,
             FnEnter,
@@ -120,6 +121,11 @@ impl EventKind {
             Collective(Gather),
             Collective(Scatter),
         ]
+    };
+
+    /// All kinds, for exhaustive property tests.
+    pub fn all() -> Vec<EventKind> {
+        Self::ALL.to_vec()
     }
 }
 

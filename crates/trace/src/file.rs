@@ -233,16 +233,17 @@ pub fn read_text<R: BufRead>(r: R) -> Result<TraceFile, ReadError> {
 const BIN_MAGIC: &[u8; 6] = b"TDBG1\n";
 
 /// The one-byte code of an event kind in the binary record layout (its
-/// index in [`EventKind::all`]).
+/// index in [`EventKind::ALL`]).
+#[inline]
 pub fn kind_code_u8(kind: EventKind) -> u8 {
-    EventKind::all()
+    EventKind::ALL
         .iter()
         .position(|k| *k == kind)
         .expect("kind in table") as u8
 }
 
 fn kind_from_u8(code: u8, ln: usize) -> Result<EventKind, ReadError> {
-    EventKind::all()
+    EventKind::ALL
         .get(code as usize)
         .copied()
         .ok_or_else(|| parse_err(ln, format!("bad kind code {code}")))
@@ -262,31 +263,36 @@ fn w_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
     w.write_all(b)
 }
 
-struct BinReader<R> {
-    r: R,
+/// The message `read_exact` reports at end of input; a slice that ends
+/// early is the same failure.
+fn eof() -> ReadError {
+    ReadError::Io(io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "failed to fill whole buffer",
+    ))
 }
 
-impl<R: io::Read> BinReader<R> {
+/// A checked little-endian reader over bytes already in memory.
+struct BinReader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> BinReader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], ReadError> {
+        if self.buf.len() < n {
+            return Err(eof());
+        }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
+    }
+
     fn u32(&mut self) -> Result<u32, ReadError> {
-        let mut b = [0u8; 4];
-        self.r.read_exact(&mut b)?;
-        Ok(u32::from_le_bytes(b))
+        Ok(u32_at(self.take(4)?, 0))
     }
 
     fn u64(&mut self) -> Result<u64, ReadError> {
-        let mut b = [0u8; 8];
-        self.r.read_exact(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn i64(&mut self) -> Result<i64, ReadError> {
-        Ok(self.u64()? as i64)
-    }
-
-    fn u8(&mut self) -> Result<u8, ReadError> {
-        let mut b = [0u8; 1];
-        self.r.read_exact(&mut b)?;
-        Ok(b[0])
+        Ok(u64_at(self.take(8)?, 0))
     }
 
     fn string(&mut self) -> Result<String, ReadError> {
@@ -294,10 +300,21 @@ impl<R: io::Read> BinReader<R> {
         if len > 1 << 24 {
             return Err(parse_err(0, format!("string length {len} unreasonable")));
         }
-        let mut b = vec![0u8; len];
-        self.r.read_exact(&mut b)?;
-        String::from_utf8(b).map_err(|_| parse_err(0, "invalid UTF-8"))
+        let b = self.take(len)?;
+        String::from_utf8(b.to_vec()).map_err(|_| parse_err(0, "invalid UTF-8"))
     }
+}
+
+/// The `u32` at `b[at..at + 4]`; the caller has checked the length.
+#[inline]
+fn u32_at(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().expect("four bytes"))
+}
+
+/// The `u64` at `b[at..at + 8]`; the caller has checked the length.
+#[inline]
+fn u64_at(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().expect("eight bytes"))
 }
 
 /// Write the compact binary format (`.tbin`). Fixed little-endian fields;
@@ -318,6 +335,15 @@ pub fn write_binary<W: Write>(w: &mut W, file: &TraceFile) -> io::Result<()> {
     }
     Ok(())
 }
+
+/// Byte length of a record's fixed prefix: rank `u32`, kind `u8`, marker,
+/// `t_start`, `t_end` `u64`, site `u32`, two `i64` args, flags `u8`.
+const RECORD_FIXED_LEN: usize = 50;
+/// Byte offset of `t_start` in a record; `t_end` follows it.
+const RECORD_SPAN_AT: usize = 13;
+/// Byte length of the optional message block: src, dst, tag, bytes `u32`,
+/// seq `u64`.
+const RECORD_MSG_LEN: usize = 24;
 
 /// Write one record in the binary record layout — the body of a `.tbin`
 /// record and of a store frame alike, so the two formats stay convertible
@@ -346,12 +372,14 @@ pub fn write_record<W: Write>(w: &mut W, r: &TraceRecord) -> io::Result<()> {
     Ok(())
 }
 
-/// Read the binary format.
-pub fn read_binary<R: io::Read>(r: R) -> Result<TraceFile, ReadError> {
-    let mut br = BinReader { r };
-    let mut magic = [0u8; 6];
-    br.r.read_exact(&mut magic)?;
-    if &magic != BIN_MAGIC {
+/// Read the binary format. The input is read to its end first and parsed
+/// from memory: records decode from a slice, not through one small
+/// `read` per field.
+pub fn read_binary<R: io::Read>(mut r: R) -> Result<TraceFile, ReadError> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    let mut br = BinReader { buf: &bytes };
+    if br.take(BIN_MAGIC.len())? != BIN_MAGIC {
         return Err(parse_err(0, "not a tracedbg binary trace (bad magic)"));
     }
     let n_ranks = br.u32()? as usize;
@@ -364,9 +392,11 @@ pub fn read_binary<R: io::Read>(r: R) -> Result<TraceFile, ReadError> {
         sites.push(SourceLoc::new(file, line, func));
     }
     let n_records = br.u64()? as usize;
-    let mut records = Vec::with_capacity(n_records.min(1 << 24));
+    // No record is shorter than its fixed prefix, which bounds the count
+    // a hostile header can make this reserve for.
+    let mut records = Vec::with_capacity(n_records.min(br.buf.len() / RECORD_FIXED_LEN));
     for i in 0..n_records {
-        records.push(read_record(&mut br.r, i)?);
+        records.push(read_record(&mut br.buf, i)?);
     }
     Ok(TraceFile {
         records,
@@ -375,29 +405,34 @@ pub fn read_binary<R: io::Read>(r: R) -> Result<TraceFile, ReadError> {
     })
 }
 
-/// Read one record of the binary record layout ([`write_record`]);
-/// `index` labels its errors. Only flag bits 1 (message) and 2 (label)
-/// are defined: any other is refused, never ignored.
-pub fn read_record<R: io::Read>(r: R, index: usize) -> Result<TraceRecord, ReadError> {
-    let mut br = BinReader { r };
-    let rank = Rank(br.u32()?);
-    let kind = kind_from_u8(br.u8()?, index)?;
-    let marker = br.u64()?;
-    let t_start = br.u64()?;
-    let t_end = br.u64()?;
-    let site = SiteId(br.u32()?);
-    let args = [br.i64()?, br.i64()?];
-    let flags = br.u8()?;
+/// Read one record of the binary record layout ([`write_record`]) off
+/// the front of `buf`, advancing it; `index` labels its errors. Only
+/// flag bits 1 (message) and 2 (label) are defined: any other is
+/// refused, never ignored.
+pub fn read_record(buf: &mut &[u8], index: usize) -> Result<TraceRecord, ReadError> {
+    let mut br = BinReader { buf };
+    if br.buf.len() < RECORD_FIXED_LEN {
+        // Fields are validated in layout order: a short record whose kind
+        // byte is present and undefined is a bad kind, not an early end.
+        if let Some(&code) = br.buf.get(4) {
+            kind_from_u8(code, index)?;
+        }
+        return Err(eof());
+    }
+    let fixed = br.take(RECORD_FIXED_LEN)?;
+    let kind = kind_from_u8(fixed[4], index)?;
+    let flags = fixed[49];
     if flags & !3 != 0 {
         return Err(parse_err(index, format!("bad record flags {flags:#04x}")));
     }
     let msg = if flags & 1 != 0 {
+        let m = br.take(RECORD_MSG_LEN)?;
         Some(MsgInfo {
-            src: Rank(br.u32()?),
-            dst: Rank(br.u32()?),
-            tag: Tag(br.u32()? as i32),
-            bytes: br.u32()?,
-            seq: br.u64()?,
+            src: Rank(u32_at(m, 0)),
+            dst: Rank(u32_at(m, 4)),
+            tag: Tag(u32_at(m, 8) as i32),
+            bytes: u32_at(m, 12),
+            seq: u64_at(m, 16),
         })
     } else {
         None
@@ -407,17 +442,28 @@ pub fn read_record<R: io::Read>(r: R, index: usize) -> Result<TraceRecord, ReadE
     } else {
         None
     };
+    *buf = br.buf;
     Ok(TraceRecord {
-        rank,
+        rank: Rank(u32_at(fixed, 0)),
         kind,
-        marker,
-        t_start,
-        t_end,
-        site,
+        marker: u64_at(fixed, 5),
+        t_start: u64_at(fixed, RECORD_SPAN_AT),
+        t_end: u64_at(fixed, RECORD_SPAN_AT + 8),
+        site: SiteId(u32_at(fixed, 29)),
         msg,
-        args,
+        args: [u64_at(fixed, 33) as i64, u64_at(fixed, 41) as i64],
         label,
     })
+}
+
+/// `(t_start, t_end)` of the record starting at `body[0]`, read at their
+/// fixed offsets without decoding the record; `None` when `body` is too
+/// short to hold them. Says nothing about whether the record is valid —
+/// [`read_record`] remains the check.
+#[inline]
+pub fn peek_span(body: &[u8]) -> Option<(u64, u64)> {
+    let span = body.get(RECORD_SPAN_AT..RECORD_SPAN_AT + 16)?;
+    Some((u64_at(span, 0), u64_at(span, 8)))
 }
 
 #[cfg(test)]
@@ -536,6 +582,25 @@ mod tests {
         match read_binary(io::Cursor::new(&bad)) {
             Err(ReadError::Parse(2, msg)) => assert!(msg.contains("0x07"), "{msg}"),
             other => panic!("expected a flags error at record 2, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn peeked_span_is_the_decoded_span() {
+        for rec in sample().records {
+            let mut body = Vec::new();
+            write_record(&mut body, &rec).unwrap();
+            assert_eq!(peek_span(&body), Some((rec.t_start, rec.t_end)));
+            let mut rest = body.as_slice();
+            assert_eq!(read_record(&mut rest, 0).unwrap(), rec);
+            assert!(rest.is_empty(), "decoding consumes exactly the record");
+            // Too short for the span: no peek; for the record: an early
+            // end, not a panic.
+            assert_eq!(peek_span(&body[..28]), None);
+            for cut in [0, 4, 5, 28, 49, body.len() - 1] {
+                let mut short = &body[..cut];
+                assert!(matches!(read_record(&mut short, 0), Err(ReadError::Io(_))));
+            }
         }
     }
 

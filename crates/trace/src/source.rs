@@ -216,8 +216,15 @@ pub trait TraceSource {
     }
 }
 
+/// Collect a selection, allocating once for as many events as the
+/// source promises (`collect::<Result<Vec<_>, _>>()` sees no lower bound
+/// through its error adapter and regrows the vector as it goes).
 fn collect(iter: EventIter<'_>) -> Result<Vec<TraceRecord>, SourceError> {
-    iter.collect()
+    let mut out = Vec::with_capacity(iter.size_hint().0);
+    for rec in iter {
+        out.push(rec?);
+    }
+    Ok(out)
 }
 
 /// A streaming consumer of trace records (the write side of a store).

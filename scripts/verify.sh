@@ -38,6 +38,7 @@ expect_error 'unknown workload "no-such-workload"' run no-such-workload
 expect_error 'unknown builtin script "nope"' run sdl:nope
 expect_error 'cannot open tests/golden/nope.trc' view tests/golden/nope.trc
 expect_error 'tests/golden/store/nope/manifest.tds' query tests/golden/store/nope
+expect_error 'bad --window 5:1: lo > hi' query tests/golden/store/lu --window 5:1 --count
 expect_error 'usage: tracedbg replay' replay
 expect_error 'bad schedule artifact' replay --schedule target/verify_cli/truncated.sched.json
 expect_error 'version 99 unsupported' replay --schedule "$cli_art" --to-suspect target/verify_cli/v99.json
@@ -75,7 +76,7 @@ echo "==> benchmark crate: builds and passes against the current public API, unt
 # benchmark pipeline.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
-git diff --exit-code -- benchmark BENCHMARK.json
+git diff --exit-code -- benchmark BENCHMARK.json tests/golden/store
 
 echo "==> lint smoke: seed workloads must be clean"
 ./target/release/tracedbg run ring --trace target/verify_ring.trc >/dev/null
@@ -103,6 +104,68 @@ diff <(./target/release/tracedbg view target/verify_ring.trc) \
   || { echo "run --store tee diverged from the recorded trace" >&2; exit 1; }
 # Corruption robustness: typed-error battery incl. the byte-flip fuzz loop.
 cargo test --offline -q -p tracedbg-store --test corruption >/dev/null
+# At the benchmark's size (80,016 events: one full 65,536-frame segment
+# and a tail) the three planes of one run — the .tbin, the store the live
+# tee wrote, the store `ingest` builds from the .tbin — must render
+# byte-identically under every analysis verb.
+big=target/verify_store_big
+rm -rf "$big" && mkdir -p "$big"
+./target/release/tracedbg run random:16000 --procs 8 --seed 3 --store "$big/tee" >/dev/null
+./target/release/tracedbg run random:16000 --procs 8 --seed 3 --trace "$big/x.tbin" >/dev/null
+./target/release/tracedbg ingest "$big/x.tbin" --out "$big/ingested" >/dev/null
+./target/release/tracedbg ingest "$big/x.tbin" --out "$big/again" >/dev/null
+render() { # <verb> <plane> <args...>: the verb's stdout, provenance normalized
+  local verb=$1 plane=$2; shift 2
+  ./target/release/tracedbg "$verb" "$plane" "$@" \
+    | sed 's/"source":"[a-z]*"/"source":"x"/; s/"workload":"[^"]*"/"workload":"x"/; s/"digest":[0-9]*/"digest":0/'
+}
+for verb in stats lint "view --width 120" "profile --json"; do
+  # shellcheck disable=SC2086  # $verb carries its flags
+  set -- $verb
+  want=$(render "$1" "$big/x.tbin" "${@:2}")
+  [ -n "$want" ] || { echo "$verb of the 80k-event .tbin printed nothing" >&2; exit 1; }
+  for plane in tee ingested; do
+    [ "$(render "$1" "$big/$plane" "${@:2}")" = "$want" ] \
+      || { echo "$verb diverged between x.tbin and the $plane store at 80k events" >&2; exit 1; }
+  done
+done
+# The two stores index the same events in different arrival orders (the
+# tee sees flush batches, `ingest` the canonical file), so their segment
+# and index bytes differ by design; what must agree is the manifest, the
+# total size, every selection's count, and `ingest` with itself, file by
+# file.
+cmp -s "$big/tee/manifest.tds" "$big/ingested/manifest.tds" \
+  || { echo "tee and ingest disagree on the manifest" >&2; exit 1; }
+[ "$(cat "$big"/tee/*.tds | wc -c)" -eq "$(cat "$big"/ingested/*.tds | wc -c)" ] \
+  || { echo "tee and ingest wrote different totals" >&2; exit 1; }
+for sel in "--rank 3" "--tag 2" "--kind RD" "--window 0:1000000" "--window 140000000:150000000"; do
+  # shellcheck disable=SC2086
+  a=$(./target/release/tracedbg query "$big/tee" $sel --count | tail -n 1)
+  # shellcheck disable=SC2086
+  b=$(./target/release/tracedbg query "$big/ingested" $sel --count | tail -n 1)
+  [ -n "$a" ] && [ "$a" = "$b" ] \
+    || { echo "query $sel: tee says '$a', ingest says '$b'" >&2; exit 1; }
+done
+for f in "$big"/ingested/*.tds; do
+  cmp -s "$f" "$big/again/$(basename "$f")" \
+    || { echo "two ingests of one .tbin differ in $(basename "$f")" >&2; exit 1; }
+done
+# Advisory, like the perf gate: the indexed plane should not lose to the
+# flat file it indexes (best of five walls each, ms).
+wall_ms() {
+  local best=999999 t0 t1 i
+  for i in 1 2 3 4 5; do
+    t0=$(date +%s%N); "$@" >/dev/null; t1=$(date +%s%N)
+    [ $(( (t1 - t0) / 1000 )) -lt "$best" ] && best=$(( (t1 - t0) / 1000 ))
+  done
+  awk -v us="$best" 'BEGIN { printf "%.1f", us / 1000 }'
+}
+store_ms=$(wall_ms ./target/release/tracedbg stats "$big/tee")
+tbin_ms=$(wall_ms ./target/release/tracedbg stats "$big/x.tbin")
+echo "    stats at 80k events: store dir ${store_ms} ms, .tbin ${tbin_ms} ms"
+if awk -v s="$store_ms" -v t="$tbin_ms" 'BEGIN { exit !(s > t) }'; then
+  echo "WARNING: stats over the store is slower than over the .tbin (advisory)" >&2
+fi
 
 echo "==> analyze smoke: static analysis renders, JSON schema keys, DPOR findings identity"
 ./target/release/tracedbg analyze sdl:ring --procs 4 >/dev/null

@@ -484,6 +484,10 @@ fn golden_cli_transcripts() {
         ("err-unknown-builtin", "run|sdl:nope"),
         ("err-missing-trace", "view|tests/golden/nope.trc"),
         ("err-missing-store", "query|tests/golden/store/nope"),
+        (
+            "err-window-inverted",
+            "query|tests/golden/store/lu|--window|5:1|--count",
+        ),
         ("err-replay-no-schedule", "replay"),
         ("err-truncated-artifact", "replay|--schedule|$SCRATCH/truncated.sched.json"),
         ("err-report-version", "replay|--schedule|ART|--to-suspect|$SCRATCH/v99.json"),
