@@ -1,20 +1,25 @@
 //! The static communication graph: every send/recv/barrier site each rank
 //! can reach, with peer values abstracted into a small lattice.
 //!
-//! The walker mirrors the abstract interpreter in
-//! `crates/lint/src/script_rules.rs` but strengthens it where soundness
-//! matters for may-matching: loops with unknown or oversized bounds are
-//! iterated to an *environment fixpoint* (variables assigned in the body
-//! widen to unknown) instead of being walked once, so a value that changes
-//! across iterations can never masquerade as a constant peer. Environment
-//! facts are must-facts — a variable is either known to hold one value on
-//! every path reaching a statement, or it is unknown — which is what makes
-//! pruning a decidable branch sound.
+//! One abstract walk serves every static consumer. It executes `main` as
+//! one rank, evaluating expressions with the interpreter's own
+//! [`Scope`](tracedbg_workloads::script::Scope) over the variables it can
+//! track, and hands each communication statement it reaches — in program
+//! order, with the peer value it evaluated — to a visitor: the site joiner
+//! below, the linter's per-rank operation sequence, the first-communication
+//! scan (a visitor that stops every path at its first visit). Environment
+//! facts are must-facts — a variable is in the environment only while it
+//! is known to hold one value on every path reaching a statement — which
+//! is what makes pruning a decidable branch sound. Loops with unknown or
+//! oversized bounds are iterated to an *environment fixpoint* (variables
+//! assigned in the body drop out) instead of being walked once, so a value
+//! that changes across iterations can never masquerade as a constant peer.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use tracedbg_workloads::script::{Cond, Expr, Script, Stmt, StmtKind};
+use std::ops::ControlFlow;
+use tracedbg_workloads::script::{Expr, Scope, Script, Stmt, StmtKind};
 
-pub(crate) const STEP_CAP: usize = 100_000;
+const STEP_CAP: usize = 100_000;
 const LOOP_CAP: i64 = 4096;
 const DEPTH_CAP: usize = 32;
 /// Peer sets wider than this collapse to ⊤.
@@ -141,36 +146,43 @@ pub struct CommGraph {
 
 impl CommGraph {
     pub fn build(script: &Script, nprocs: usize, file: &str) -> Self {
+        Self::build_with(script, nprocs, file, |_, _| {})
+    }
+
+    /// [`build`](Self::build), additionally handing `tap` every
+    /// communication statement the graph's walk visits as `(rank, visit)`:
+    /// rank by rank, each rank's visits in program order.
+    pub fn build_with<'s>(
+        script: &'s Script,
+        nprocs: usize,
+        file: &str,
+        mut tap: impl FnMut(usize, Visit<'s>),
+    ) -> Self {
         let mut sites = Vec::new();
         let mut complete = true;
         let mut exact = true;
         let mut entry = Vec::with_capacity(nprocs);
         for rank in 0..nprocs {
-            let mut w = SiteWalker {
-                script,
-                rank,
-                sites: BTreeMap::new(),
-                complete: true,
-                exact: true,
-                steps: 0,
-            };
-            let mut env = seed_env(rank, nprocs);
-            if let Some(main) = script.functions.get("main") {
-                w.walk("main", main, &mut env, 0);
-            }
-            complete &= w.complete;
-            exact &= w.exact;
-            sites.extend(w.sites.into_values());
+            let mut joined = BTreeMap::new();
+            let all = walk_main(script, rank, nprocs, |v| {
+                join_site(&mut joined, rank, &v);
+                tap(rank, v);
+                ControlFlow::Continue(())
+            });
+            complete &= all.complete;
+            exact &= all.exact;
+            sites.extend(joined.into_values());
 
-            let mut scan = EntryScan { script, steps: 0 };
-            let mut found = BTreeSet::new();
-            let outcome = match script.functions.get("main") {
-                Some(main) => scan.scan(main, &mut seed_env(rank, nprocs), 0, &mut found),
-                None => EntryOutcome::FallThrough,
-            };
+            // The rank's first communication: stop every path where it
+            // first communicates.
+            let mut lines = BTreeSet::new();
+            let first = walk_main(script, rank, nprocs, |v| {
+                lines.insert(v.line);
+                ControlFlow::Break(())
+            });
             entry.push(RankEntry {
-                lines: found.into_iter().collect(),
-                certain: outcome == EntryOutcome::Comm,
+                lines: lines.into_iter().collect(),
+                certain: first.stopped && first.complete && !first.aborts,
             });
         }
         let index = sites
@@ -195,161 +207,216 @@ impl CommGraph {
     }
 }
 
+/// Join one visit into its (rank, line) site: a line revisited by a later
+/// loop iteration or another path widens the site's peer set.
+fn join_site(sites: &mut BTreeMap<u32, CommSite>, rank: usize, v: &Visit<'_>) {
+    let site = sites.entry(v.line).or_insert_with(|| CommSite {
+        rank,
+        line: v.line,
+        func: v.func.to_string(),
+        op: match v.op {
+            VisitOp::Send { tag, .. } => SiteOp::Send {
+                dst: Peers::empty(),
+                tag,
+            },
+            VisitOp::Recv { src, tag } => SiteOp::Recv {
+                src: Peers::empty(),
+                tag,
+                wildcard: src == Src::Any,
+            },
+            VisitOp::Barrier => SiteOp::Barrier,
+        },
+    });
+    match (&mut site.op, v.op) {
+        (SiteOp::Send { dst, .. }, VisitOp::Send { dst: peer, .. }) => dst.join_value(peer),
+        (SiteOp::Recv { src, .. }, VisitOp::Recv { src: peer, .. }) => src.join_value(match peer {
+            Src::Known(r) => Some(r),
+            Src::Any | Src::Unknown => None,
+        }),
+        _ => {}
+    }
+}
+
 // ------------------------------------------------ abstract interpretation
 
-type Env = HashMap<String, Option<i64>>;
-
-fn seed_env(rank: usize, nprocs: usize) -> Env {
-    let mut env = Env::new();
-    env.insert("rank".to_string(), Some(rank as i64));
-    env.insert("nprocs".to_string(), Some(nprocs as i64));
-    env
+/// One communication statement as the abstract walk reached it.
+#[derive(Clone, Copy, Debug)]
+pub struct Visit<'s> {
+    pub line: u32,
+    pub func: &'s str,
+    pub op: VisitOp,
 }
 
-fn eval(env: &Env, e: &Expr) -> Option<i64> {
-    match e {
-        Expr::Const(n) => Some(*n),
-        Expr::Var(name) => env.get(name).copied().flatten(),
-        Expr::Add(a, b) => Some(eval(env, a)?.wrapping_add(eval(env, b)?)),
-        Expr::Sub(a, b) => Some(eval(env, a)?.wrapping_sub(eval(env, b)?)),
-        Expr::Mul(a, b) => Some(eval(env, a)?.wrapping_mul(eval(env, b)?)),
-        Expr::Mod(a, b) => {
-            let (a, b) = (eval(env, a)?, eval(env, b)?);
-            (b != 0).then(|| a.rem_euclid(b))
-        }
-    }
+/// What a visited statement does, with the peer as the walk evaluated it.
+#[derive(Clone, Copy, Debug)]
+pub enum VisitOp {
+    /// `dst` is `None` when the walk could not track the expression.
+    Send {
+        dst: Option<i64>,
+        tag: i32,
+    },
+    Recv {
+        src: Src,
+        tag: Option<i32>,
+    },
+    Barrier,
 }
 
-fn eval_cond(env: &Env, c: &Cond) -> Option<bool> {
-    let (a, b) = match c {
-        Cond::Eq(a, b) | Cond::Ne(a, b) | Cond::Lt(a, b) => (eval(env, a)?, eval(env, b)?),
-    };
-    Some(match c {
-        Cond::Eq(..) => a == b,
-        Cond::Ne(..) => a != b,
-        Cond::Lt(..) => a < b,
-    })
+/// The source a visited receive names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Src {
+    /// `recv from any` — matches any sender.
+    Any,
+    Known(i64),
+    /// An expression the walk could not track.
+    Unknown,
 }
 
-/// Join environments from two paths: variables that disagree widen to
-/// unknown, so surviving facts hold on *every* path.
+/// The variables known to hold one value on every path reaching a
+/// statement; anything absent is unknown.
+type Env = HashMap<String, i64>;
+
+/// Join the environments of two paths: only facts both agree on survive.
 fn merge_env(a: &Env, b: &Env) -> Env {
-    let mut out = Env::new();
-    for (k, &va) in a {
-        let vb = b.get(k).copied().flatten();
-        out.insert(k.clone(), if va == vb { va } else { None });
-    }
-    for (k, _) in b.iter() {
-        out.entry(k.clone()).or_insert(None);
-    }
-    out
+    a.iter()
+        .filter(|(k, v)| b.get(*k) == Some(v))
+        .map(|(k, v)| (k.clone(), *v))
+        .collect()
 }
 
-fn loop_is_enumerable(lo: i64, hi: i64) -> bool {
-    (hi as i128 - lo as i128) <= LOOP_CAP as i128
+/// What a walk of `main` established besides its visits.
+struct Walked {
+    /// The visitor stopped every path.
+    stopped: bool,
+    /// Every reachable statement was covered: no step/depth cap hit,
+    /// widening converged.
+    complete: bool,
+    /// Additionally every value was tracked exactly: no unknown peer,
+    /// undecidable branch or widened loop.
+    exact: bool,
+    /// Some path reached a `call` of a function the script does not
+    /// define, where the runtime aborts the rank; the walk steps over it,
+    /// so what it visits past that point over-approximates.
+    aborts: bool,
 }
 
-struct SiteWalker<'a> {
-    script: &'a Script,
+#[cfg(test)]
+thread_local! {
+    /// Walks of `main` started on this thread.
+    static WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Walk `main` as `rank` of `nprocs`. `visit` sees every communication
+/// statement in program order and may stop the path it is on; paths it
+/// stops feed nothing into the environment of what follows them.
+fn walk_main<'s>(
+    script: &'s Script,
     rank: usize,
-    sites: BTreeMap<u32, CommSite>,
+    nprocs: usize,
+    visit: impl FnMut(Visit<'s>) -> ControlFlow<()>,
+) -> Walked {
+    #[cfg(test)]
+    WALKS.with(|w| w.set(w.get() + 1));
+    let mut w = Walker {
+        script,
+        rank,
+        nprocs,
+        visit,
+        complete: true,
+        exact: true,
+        aborts: false,
+        steps: 0,
+    };
+    let stopped = match script.functions.get("main") {
+        Some(main) => w.walk("main", main, &mut Env::new(), 0).is_break(),
+        None => false,
+    };
+    Walked {
+        stopped,
+        complete: w.complete,
+        exact: w.exact,
+        aborts: w.aborts,
+    }
+}
+
+struct Walker<'s, V> {
+    script: &'s Script,
+    rank: usize,
+    nprocs: usize,
+    visit: V,
     complete: bool,
     exact: bool,
+    aborts: bool,
     steps: usize,
 }
 
-impl<'a> SiteWalker<'a> {
-    fn record(&mut self, line: u32, func: &str, op: SiteOp) {
-        match self.sites.entry(line) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(CommSite {
-                    rank: self.rank,
-                    line,
-                    func: func.to_string(),
-                    op,
-                });
-            }
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                // Same source line revisited (loop iteration / other path):
-                // join the lattice values.
-                match (&mut e.get_mut().op, op) {
-                    (SiteOp::Send { dst, .. }, SiteOp::Send { dst: new, .. }) => match new {
-                        Peers::Top => *dst = Peers::Top,
-                        Peers::Set(vals) => {
-                            for v in vals {
-                                dst.join_value(Some(v));
-                            }
-                        }
-                    },
-                    (SiteOp::Recv { src, .. }, SiteOp::Recv { src: new, .. }) => match new {
-                        Peers::Top => *src = Peers::Top,
-                        Peers::Set(vals) => {
-                            for v in vals {
-                                src.join_value(Some(v));
-                            }
-                        }
-                    },
-                    _ => {}
-                }
-            }
+impl<'s, V: FnMut(Visit<'s>) -> ControlFlow<()>> Walker<'s, V> {
+    /// This rank's view of `env`; "no value" (an untracked variable, a
+    /// zero divisor) is all the walk needs to know of the reason.
+    fn scope<'e>(&self, env: &'e Env) -> Scope<impl Fn(&str) -> Option<i64> + 'e> {
+        Scope {
+            rank: self.rank,
+            nprocs: self.nprocs,
+            var: move |v: &str| env.get(v).copied(),
         }
     }
 
-    fn walk(&mut self, func: &str, stmts: &[Stmt], env: &mut Env, depth: usize) {
+    fn eval(&self, env: &Env, e: &Expr) -> Option<i64> {
+        self.scope(env).eval(e).ok()
+    }
+
+    /// A peer expression; one the walk cannot track costs exactness.
+    fn peer(&mut self, env: &Env, e: &Expr) -> Option<i64> {
+        let v = self.eval(env, e);
+        self.exact &= v.is_some();
+        v
+    }
+
+    /// `Break` when the visitor stopped every path through `stmts`.
+    fn walk(
+        &mut self,
+        func: &'s str,
+        stmts: &'s [Stmt],
+        env: &mut Env,
+        depth: usize,
+    ) -> ControlFlow<()> {
         for s in stmts {
             self.steps += 1;
             if self.steps > STEP_CAP {
                 self.complete = false;
                 self.exact = false;
-                return;
+                return ControlFlow::Continue(());
             }
+            let line = s.line;
             match &s.kind {
                 StmtKind::Let { var, value } => {
-                    let v = eval(env, value);
-                    env.insert(var.clone(), v);
+                    match self.eval(env, value) {
+                        Some(v) => env.insert(var.clone(), v),
+                        None => env.remove(var),
+                    };
                 }
                 StmtKind::Compute { .. } | StmtKind::Trace { .. } => {}
                 StmtKind::Send { dst, tag, .. } => {
-                    let v = eval(env, dst);
-                    if v.is_none() {
-                        self.exact = false;
-                    }
-                    let mut peers = Peers::empty();
-                    peers.join_value(v);
-                    self.record(
-                        s.line,
-                        func,
-                        SiteOp::Send {
-                            dst: peers,
-                            tag: *tag,
-                        },
-                    );
+                    let op = VisitOp::Send {
+                        dst: self.peer(env, dst),
+                        tag: *tag,
+                    };
+                    (self.visit)(Visit { line, func, op })?;
                 }
                 StmtKind::Recv { src, tag, var } => {
-                    let (peers, wildcard) = match src {
-                        None => (Peers::Top, true),
-                        Some(e) => {
-                            let v = eval(env, e);
-                            if v.is_none() {
-                                self.exact = false;
-                            }
-                            let mut p = Peers::empty();
-                            p.join_value(v);
-                            (p, false)
-                        }
+                    let src = match src {
+                        None => Src::Any,
+                        Some(e) => self.peer(env, e).map_or(Src::Unknown, Src::Known),
                     };
-                    self.record(
-                        s.line,
-                        func,
-                        SiteOp::Recv {
-                            src: peers,
-                            tag: *tag,
-                            wildcard,
-                        },
-                    );
-                    // The payload and observed sender are data-dependent.
-                    env.insert(var.clone(), None);
-                    env.insert(format!("{var}_src"), None);
+                    let op = VisitOp::Recv { src, tag: *tag };
+                    (self.visit)(Visit { line, func, op })?;
+                    // The payload and the observed sender are data-dependent.
+                    env.remove(var);
+                    env.remove(&format!("{var}_src"));
+                }
+                StmtKind::Barrier => {
+                    let op = VisitOp::Barrier;
+                    (self.visit)(Visit { line, func, op })?;
                 }
                 StmtKind::Call { func: callee } => {
                     if depth >= DEPTH_CAP {
@@ -358,134 +425,9 @@ impl<'a> SiteWalker<'a> {
                         self.exact = false;
                         continue;
                     }
-                    if let Some(body) = self.script.functions.get(callee) {
-                        self.walk(callee, body, env, depth + 1);
-                    }
-                    // Undefined callee: the runtime aborts here, so any
-                    // sites we collect past this point over-approximate.
-                }
-                StmtKind::Loop {
-                    var,
-                    from,
-                    to,
-                    body,
-                } => match (eval(env, from), eval(env, to)) {
-                    (Some(lo), Some(hi)) if loop_is_enumerable(lo, hi) => {
-                        for i in lo..hi {
-                            env.insert(var.clone(), Some(i));
-                            self.walk(func, body, env, depth);
-                            if self.steps > STEP_CAP {
-                                self.complete = false;
-                                self.exact = false;
-                                return;
-                            }
-                        }
-                    }
-                    _ => {
-                        // Unknown or oversized bounds: widen body-assigned
-                        // variables to a fixpoint, then walk once more so
-                        // every site's lattice is joined under an
-                        // environment that over-approximates all
-                        // iterations.
-                        self.exact = false;
-                        let mut cur = env.clone();
-                        cur.insert(var.clone(), None);
-                        let mut converged = false;
-                        for _ in 0..WIDEN_CAP {
-                            let mut probe = cur.clone();
-                            self.walk(func, body, &mut probe, depth);
-                            if self.steps > STEP_CAP {
-                                return;
-                            }
-                            let widened = merge_env(&cur, &probe);
-                            if widened == cur {
-                                converged = true;
-                                break;
-                            }
-                            cur = widened;
-                        }
-                        if !converged {
-                            self.complete = false;
-                        }
-                        *env = merge_env(env, &cur);
-                    }
-                },
-                StmtKind::If { cond, then, els } => match eval_cond(env, cond) {
-                    Some(true) => self.walk(func, then, env, depth),
-                    Some(false) => self.walk(func, els, env, depth),
-                    None => {
-                        self.exact = false;
-                        let mut then_env = env.clone();
-                        let mut els_env = env.clone();
-                        self.walk(func, then, &mut then_env, depth);
-                        self.walk(func, els, &mut els_env, depth);
-                        *env = merge_env(&then_env, &els_env);
-                    }
-                },
-                StmtKind::Barrier => {
-                    self.record(s.line, func, SiteOp::Barrier);
-                }
-            }
-        }
-    }
-}
-
-// ------------------------------------------------- entry (first-comm) scan
-
-/// What a statement sequence does before its first communication op.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum EntryOutcome {
-    /// Every path performs a communication op inside the sequence.
-    Comm,
-    /// Some path may reach the end without communicating.
-    FallThrough,
-    /// The scan gave up (caps, undefined call); the rank must not be
-    /// trusted by the deadlock fixpoint.
-    Opaque,
-}
-
-struct EntryScan<'a> {
-    script: &'a Script,
-    steps: usize,
-}
-
-impl<'a> EntryScan<'a> {
-    fn scan(
-        &mut self,
-        stmts: &[Stmt],
-        env: &mut Env,
-        depth: usize,
-        found: &mut BTreeSet<u32>,
-    ) -> EntryOutcome {
-        use EntryOutcome::*;
-        for s in stmts {
-            self.steps += 1;
-            if self.steps > STEP_CAP {
-                return Opaque;
-            }
-            match &s.kind {
-                StmtKind::Let { var, value } => {
-                    let v = eval(env, value);
-                    env.insert(var.clone(), v);
-                }
-                StmtKind::Compute { .. } | StmtKind::Trace { .. } => {}
-                StmtKind::Send { .. } | StmtKind::Recv { .. } | StmtKind::Barrier => {
-                    found.insert(s.line);
-                    return Comm;
-                }
-                StmtKind::Call { func: callee } => {
-                    if depth >= DEPTH_CAP {
-                        return Opaque;
-                    }
                     match self.script.functions.get(callee) {
-                        // An undefined callee aborts the runtime; treat the
-                        // whole rank as opaque rather than guess.
-                        None => return Opaque,
-                        Some(body) => match self.scan(body, env, depth + 1, found) {
-                            Comm => return Comm,
-                            Opaque => return Opaque,
-                            FallThrough => {}
-                        },
+                        Some(body) => self.walk(callee, body, env, depth + 1)?,
+                        None => self.aborts = true,
                     }
                 }
                 StmtKind::Loop {
@@ -493,91 +435,74 @@ impl<'a> EntryScan<'a> {
                     from,
                     to,
                     body,
-                } => match (eval(env, from), eval(env, to)) {
-                    (Some(lo), Some(hi)) if loop_is_enumerable(lo, hi) => {
-                        let mut stopped = None;
-                        for i in lo..hi {
-                            env.insert(var.clone(), Some(i));
-                            match self.scan(body, env, depth, found) {
-                                Comm => {
-                                    stopped = Some(Comm);
+                } => {
+                    match (self.eval(env, from), self.eval(env, to)) {
+                        (Some(lo), Some(hi)) if hi as i128 - lo as i128 <= LOOP_CAP as i128 => {
+                            for i in lo..hi {
+                                env.insert(var.clone(), i);
+                                self.walk(func, body, env, depth)?;
+                                if self.steps > STEP_CAP {
+                                    return ControlFlow::Continue(());
+                                }
+                            }
+                        }
+                        _ => {
+                            // Unknown or oversized bounds: drop the
+                            // variables the body assigns until the
+                            // environment is a fixpoint, so the last pass
+                            // joins every site under an environment that
+                            // over-approximates all iterations. The loop
+                            // may run zero times, so it never stops a
+                            // path, and an iteration the visitor stopped
+                            // feeds no next one.
+                            self.exact = false;
+                            let mut cur = env.clone();
+                            cur.remove(var);
+                            let mut converged = false;
+                            for _ in 0..WIDEN_CAP {
+                                let mut probe = cur.clone();
+                                if self.walk(func, body, &mut probe, depth).is_break() {
+                                    probe = cur.clone();
+                                }
+                                if self.steps > STEP_CAP {
+                                    return ControlFlow::Continue(());
+                                }
+                                let widened = merge_env(&cur, &probe);
+                                if widened == cur {
+                                    converged = true;
                                     break;
                                 }
-                                Opaque => {
-                                    stopped = Some(Opaque);
-                                    break;
-                                }
-                                FallThrough => {}
+                                cur = widened;
                             }
-                            if self.steps > STEP_CAP {
-                                stopped = Some(Opaque);
-                                break;
-                            }
-                        }
-                        if let Some(o) = stopped {
-                            return o;
+                            self.complete &= converged;
+                            *env = merge_env(env, &cur);
                         }
                     }
-                    _ => {
-                        // The loop may run zero times, so it can never
-                        // *prove* a communication; widen and collect
-                        // candidates from the body.
-                        let mut cur = env.clone();
-                        cur.insert(var.clone(), None);
-                        let mut converged = false;
-                        for _ in 0..WIDEN_CAP {
-                            let mut probe = cur.clone();
-                            match self.scan(body, &mut probe, depth, found) {
-                                Opaque => return Opaque,
-                                // Paths that communicated never fall
-                                // through; only fall-through environments
-                                // feed the continuation.
-                                Comm => probe = cur.clone(),
-                                FallThrough => {}
-                            }
-                            let widened = merge_env(&cur, &probe);
-                            if widened == cur {
-                                converged = true;
-                                break;
-                            }
-                            cur = widened;
-                        }
-                        if !converged {
-                            return Opaque;
-                        }
-                        *env = merge_env(env, &cur);
-                    }
-                },
-                StmtKind::If { cond, then, els } => match eval_cond(env, cond) {
-                    Some(true) => match self.scan(then, env, depth, found) {
-                        Comm => return Comm,
-                        Opaque => return Opaque,
-                        FallThrough => {}
-                    },
-                    Some(false) => match self.scan(els, env, depth, found) {
-                        Comm => return Comm,
-                        Opaque => return Opaque,
-                        FallThrough => {}
-                    },
-                    None => {
-                        let mut then_env = env.clone();
-                        let mut els_env = env.clone();
-                        let t = self.scan(then, &mut then_env, depth, found);
-                        let e = self.scan(els, &mut els_env, depth, found);
-                        match (t, e) {
-                            (Opaque, _) | (_, Opaque) => return Opaque,
-                            (Comm, Comm) => return Comm,
-                            // Only the branch that can fall through feeds
-                            // the continuation environment.
-                            (Comm, FallThrough) => *env = els_env,
-                            (FallThrough, Comm) => *env = then_env,
-                            (FallThrough, FallThrough) => *env = merge_env(&then_env, &els_env),
+                }
+                StmtKind::If { cond, then, els } => {
+                    let decided = self.scope(env).test(cond).ok();
+                    match decided {
+                        Some(true) => self.walk(func, then, env, depth)?,
+                        Some(false) => self.walk(func, els, env, depth)?,
+                        None => {
+                            self.exact = false;
+                            let (mut then_env, mut els_env) = (env.clone(), env.clone());
+                            let t = self.walk(func, then, &mut then_env, depth);
+                            let e = self.walk(func, els, &mut els_env, depth);
+                            // Only a branch that falls through feeds what
+                            // follows.
+                            *env = match (t.is_break(), e.is_break()) {
+                                (true, true) => return ControlFlow::Break(()),
+                                (true, false) => els_env,
+                                (false, true) => then_env,
+                                (false, false) => merge_env(&then_env, &els_env),
+                            };
                         }
                     }
-                },
+                }
             }
         }
-        FallThrough
+        ControlFlow::Continue(())
     }
 }
 
@@ -666,6 +591,73 @@ mod tests {
         // First comm is the unconditional recv; certain.
         assert!(g.entry[0].certain);
         assert_eq!(g.entry[0].lines, vec![2]);
+    }
+
+    /// `tests/golden/scripts/<name>.script`: one script per answer the
+    /// static copies of the semantics used to get wrong.
+    fn fixture(name: &str, nprocs: usize) -> CommGraph {
+        let path = format!(
+            "{}/../../tests/golden/scripts/{name}.script",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        graph(
+            &std::fs::read_to_string(path).expect("fixture script"),
+            nprocs,
+        )
+    }
+
+    fn peers_at(g: &CommGraph, rank: usize, line: u32) -> String {
+        match &g.sites[g.site_at(rank, line).expect("site")].op {
+            SiteOp::Send { dst: peers, .. } | SiteOp::Recv { src: peers, .. } => peers.render(),
+            SiteOp::Barrier => unreachable!("no fixture has a barrier"),
+        }
+    }
+
+    #[test]
+    fn modulo_truncates_like_the_runtime() {
+        // `( rank - 1 ) % nprocs` on rank 0 is -1: what `run` dies of.
+        let g = fixture("left-neighbour", 4);
+        assert!(g.complete && g.exact);
+        assert_eq!(peers_at(&g, 0, 8), "-1");
+        assert_eq!(peers_at(&g, 1, 8), "0");
+    }
+
+    #[test]
+    fn a_receive_rebinds_its_status_variable() {
+        let g = fixture("status-src", 2);
+        assert_eq!(peers_at(&g, 0, 7), "*", "`v_src` is the sender, not 9");
+    }
+
+    #[test]
+    fn a_trip_count_past_64_bits_is_widened_not_overflowed() {
+        let g = fixture("wide-loop", 2);
+        assert!(g.complete && !g.exact);
+        assert_eq!(peers_at(&g, 0, 8), "0");
+        assert_eq!(peers_at(&g, 0, 9), "0");
+    }
+
+    #[test]
+    fn builtins_win_over_bindings() {
+        // `let rank = 0` binds a variable nothing can read.
+        let g = fixture("shadowed-rank", 3);
+        assert!(g.complete && g.exact);
+        assert_eq!(peers_at(&g, 1, 9), "1");
+        assert_eq!(peers_at(&g, 2, 9), "2");
+    }
+
+    #[test]
+    fn a_build_walks_each_rank_once_for_sites_and_once_for_entry() {
+        let script = parse(
+            "fn main\n  loop i 0 3\n    send i tag 9 0\n  end\n  recv from any tag 9 into x\nend\n",
+        )
+        .unwrap();
+        let before = WALKS.get();
+        let mut visits = vec![0; 4];
+        let g = CommGraph::build_with(&script, 4, "test.sdl", |rank, _| visits[rank] += 1);
+        assert_eq!(WALKS.get() - before, 2 * 4);
+        // The tap sees the site walk only: the entry walk stops at line 3.
+        assert_eq!(visits, vec![4; 4]);
+        assert_eq!(g.entry[0].lines, vec![3]);
     }
 
     #[test]

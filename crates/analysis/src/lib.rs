@@ -1,16 +1,17 @@
 //! Static communication analysis over workload scripts.
 //!
-//! Whole-program reasoning for the same SDL surface the script lints walk:
-//! a per-rank communication graph with peer/tag lattice values, a sound
-//! may-match over-approximation of every dynamic send/recv match, and
-//! rank-level independence facts the explorer's sleep sets consume to skip
-//! interleavings that only permute commuting decisions (see DESIGN.md
-//! §11).
+//! Whole-program reasoning over the script DSL, and the one abstract walk
+//! of it (`graph`; the script lints consume its visits rather than walk
+//! themselves): a per-rank communication graph with peer/tag lattice
+//! values, a sound may-match over-approximation of every dynamic send/recv
+//! match, and rank-level independence facts the explorer's sleep sets
+//! consume to skip interleavings that only permute commuting decisions
+//! (see DESIGN.md §11).
 
 pub mod graph;
 pub mod independence;
 
-pub use graph::{CommGraph, CommSite, Peers, RankEntry, SiteOp};
+pub use graph::{CommGraph, CommSite, Peers, RankEntry, SiteOp, Src, Visit, VisitOp};
 pub use independence::{IndependenceFacts, MayMatch};
 
 use serde::Serialize;
@@ -29,13 +30,19 @@ pub struct Analysis {
 /// sites, and must equal the file string the engine's site table records
 /// for trace-side consumers to correlate.
 pub fn analyze(script: &Script, nprocs: usize, file: &str) -> Analysis {
-    let graph = CommGraph::build(script, nprocs, file);
-    let may_match = MayMatch::build(&graph);
-    let independence = IndependenceFacts::build(&graph, &may_match);
-    Analysis {
-        graph,
-        may_match,
-        independence,
+    CommGraph::build(script, nprocs, file).into()
+}
+
+/// Everything derived from a communication graph.
+impl From<CommGraph> for Analysis {
+    fn from(graph: CommGraph) -> Self {
+        let may_match = MayMatch::build(&graph);
+        let independence = IndependenceFacts::build(&graph, &may_match);
+        Analysis {
+            graph,
+            may_match,
+            independence,
+        }
     }
 }
 
@@ -63,45 +70,47 @@ impl Analysis {
     /// possible sender for each of those receives is itself in B. Sound —
     /// only `certain` entry analyses over a `complete` graph participate.
     pub fn deadlocked_ranks(&self) -> Vec<usize> {
-        if !self.graph.complete {
+        let g = &self.graph;
+        if !g.complete {
             return Vec::new();
         }
-        let mut blocked: Vec<usize> = (0..self.graph.nprocs)
-            .filter(|&r| {
-                let e = &self.graph.entry[r];
-                e.certain
-                    && !e.lines.is_empty()
-                    && e.lines.iter().all(|&line| {
-                        self.graph
-                            .site_at(r, line)
-                            .map(|i| matches!(self.graph.sites[i].op, SiteOp::Recv { .. }))
-                            .unwrap_or(false)
-                    })
-            })
-            .collect();
-        loop {
-            let snapshot = blocked.clone();
-            let before = blocked.len();
-            blocked.retain(|&r| {
-                self.graph.entry[r].lines.iter().all(|&line| {
-                    let idx = match self.graph.site_at(r, line) {
-                        Some(i) => i,
-                        None => return false,
-                    };
-                    // Every rank that might feed this entry receive must
-                    // itself be blocked for r to stay blocked.
-                    self.may_match
-                        .recv_senders
-                        .get(&idx)
-                        .map(|senders| senders.iter().all(|s| snapshot.contains(s)))
-                        .unwrap_or(true) // no sender at all: never matched
-                })
-            });
-            if blocked.len() == before {
-                break;
+        // Blocked until shown otherwise: the ranks that certainly begin
+        // with a receive. `waiters[s]` are those with an entry receive
+        // that rank `s` may feed.
+        let mut blocked = vec![false; g.nprocs];
+        let mut waiters = vec![Vec::new(); g.nprocs];
+        for (r, e) in g.entry.iter().enumerate() {
+            if !e.certain || e.lines.is_empty() {
+                continue;
+            }
+            let recv_at = |&line: &u32| {
+                g.site_at(r, line)
+                    .filter(|&i| matches!(g.sites[i].op, SiteOp::Recv { .. }))
+            };
+            let Some(recvs) = e.lines.iter().map(recv_at).collect::<Option<Vec<usize>>>() else {
+                continue;
+            };
+            blocked[r] = true;
+            for senders in recvs
+                .iter()
+                .filter_map(|i| self.may_match.recv_senders.get(i))
+            {
+                for &s in senders {
+                    waiters[s].push(r);
+                }
             }
         }
-        blocked
+        // A rank that can run unblocks every rank it may feed, and so on;
+        // a receive nobody feeds never unblocks its rank.
+        let mut runnable: Vec<usize> = (0..g.nprocs).filter(|&r| !blocked[r]).collect();
+        while let Some(s) = runnable.pop() {
+            for &r in &waiters[s] {
+                if std::mem::take(&mut blocked[r]) {
+                    runnable.push(r);
+                }
+            }
+        }
+        (0..g.nprocs).filter(|&r| blocked[r]).collect()
     }
 
     /// Ranks whose send sites may feed the recv site at `recv_idx`.
@@ -355,6 +364,20 @@ mod tests {
         let src = "fn main\n  if rank == 0\n    recv from 1 tag 9 into x\n  end\nend\n";
         let a = run(src, 2);
         assert_eq!(a.deadlocked_ranks(), vec![0]);
+    }
+
+    #[test]
+    fn a_long_chain_of_entry_receives_unblocks_from_its_head() {
+        // Every rank but 0 begins with a receive from its left neighbour;
+        // rank 0 sends first, so nobody is deadlocked — at any width.
+        let src = "fn main\n  if rank == 0\n    send 1 tag 1 0\n  else\n    recv from ( rank - 1 ) tag 1 into x\n    if rank < ( nprocs - 1 )\n      send ( rank + 1 ) tag 1 x\n    end\n  end\nend\n";
+        assert!(run(src, 300).deadlocked_ranks().is_empty());
+        // Cut the head off and the whole chain is.
+        let headless = src.replace("send 1 tag 1 0", "compute 1");
+        assert_eq!(
+            run(&headless, 300).deadlocked_ranks(),
+            (1..300).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //! scheduler does — seeded match races, injected delays, crashes, hangs
 //! — every message the engine actually matches must fall inside the
 //! statically computed may-match relation, and ranks the analysis calls
-//! independent must never exchange a message.
+//! independent must never exchange a message. Underneath that sits the
+//! evaluator: on generated arithmetic the value the analysis folds a peer
+//! expression to is the value the engine computes for it, rank by rank.
 
 use proptest::prelude::*;
 use proptest::strategy::FnStrategy;
-use tracedbg_analysis::analyze;
+use tracedbg_analysis::{analyze, Peers, SiteOp};
 use tracedbg_mpsim::{Engine, EngineConfig, FaultPlan, RecorderConfig, SchedPolicy};
 use tracedbg_trace::{Fault, Rank};
 use tracedbg_tracegraph::MessageMatching;
-use tracedbg_workloads::script::programs;
+use tracedbg_workloads::script::{parse, programs};
 use tracedbg_workloads::scripts::{builtin, builtins};
 
 #[derive(Clone, Debug)]
@@ -146,6 +148,76 @@ proptest! {
                 "{}: ranks {:?} are declared independent yet communicated",
                 case.name, key,
             );
+        }
+    }
+}
+
+/// A peer expression over `rank`, `nprocs`, constants -8..=8 and `+ - * %`,
+/// nested up to `depth` deep — negative intermediates and zero divisors
+/// included.
+fn gen_expr(rng: &mut TestRng, depth: u32) -> String {
+    if depth == 0 || rng.below(4) == 0 {
+        return match rng.below(4) {
+            0 => "rank".to_string(),
+            1 => "nprocs".to_string(),
+            // The grammar has no unary minus.
+            _ => match rng.below(17) as i64 - 8 {
+                c if c < 0 => format!("( 0 - {} )", -c),
+                c => c.to_string(),
+            },
+        };
+    }
+    let op = ["+", "-", "*", "%"][rng.below(4) as usize];
+    format!(
+        "( {} {op} {} )",
+        gen_expr(rng, depth - 1),
+        gen_expr(rng, depth - 1)
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Static = dynamic on the evaluator. Every rank probes `E`, then
+    /// sends to it: the probe records what the engine computed before an
+    /// out-of-range value can kill the rank with `bad rank`, and a rank
+    /// with no probe died evaluating `E` — of `modulo by zero`, the only
+    /// way a closed expression has no value. The analysis must report
+    /// exactly that value as the send's one destination, and ⊤ exactly on
+    /// the ranks that died.
+    #[test]
+    fn folded_peer_equals_the_value_the_engine_computes(
+        case in FnStrategy::new(|rng: &mut TestRng| {
+            (gen_expr(rng, 4), 2 + rng.below(4) as usize)
+        })
+    ) {
+        tracedbg_mpsim::set_quiet_panics(true);
+        let (expr, nprocs) = case;
+        let src = format!("fn main\n  trace \"p\" {expr}\n  send {expr} tag 1 0\nend\n");
+        let parsed = parse(&src).expect("generated script parses");
+        let a = analyze(&parsed, nprocs, "diff.sdl");
+
+        let mut engine = Engine::launch(
+            EngineConfig::with_recorder(RecorderConfig::full()),
+            programs(&parsed, nprocs, "diff.sdl"),
+        );
+        let _ = engine.run();
+        let store = engine.trace_store();
+        for rank in 0..nprocs {
+            let probed = store
+                .records()
+                .iter()
+                .find(|r| r.rank == Rank(rank as u32) && r.label.as_deref() == Some("p"))
+                .map(|r| r.args[0]);
+            let site = a.graph.site_at(rank, 3).expect("every rank reaches the send");
+            let SiteOp::Send { dst, .. } = &a.graph.sites[site].op else {
+                unreachable!("line 3 is the send");
+            };
+            let want = match probed {
+                Some(v) => Peers::Set([v].into()),
+                None => Peers::Top,
+            };
+            prop_assert_eq!(dst, &want, "`{}` on rank {} of {}", expr, rank, nprocs);
         }
     }
 }

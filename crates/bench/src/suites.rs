@@ -15,7 +15,8 @@
 //!   of a 16-rank workload (the frontier-and-batch-cost row);
 //! * `explore_dpor` — exhaustive systematic search with static
 //!   independence facts off vs on (the sleep-set DPOR payoff), at
-//!   `jobs = 1` and `jobs = 4`;
+//!   `jobs = 1` and `jobs = 4`; the static analysis that computes the
+//!   facts, and `lint_script` on top of it, at width;
 //! * `store` — the on-disk indexed trace store: ingest throughput (and
 //!   its push / finish halves at 80k events), cold-open latency, each
 //!   indexed query on a warm handle and on a fresh one (what a CLI child
@@ -658,6 +659,32 @@ fn suite_explore_dpor(opts: &SuiteOptions) -> Suite {
                 if dpor { &reduced } else { &full }.runs_executed
             );
             assert!(r.findings.is_empty(), "pairs is clean under every schedule");
+        }));
+    }
+    // What the facts cost to compute, and what linting a script costs on
+    // top of that: every script rule reads the analysis's one walk, so the
+    // lint rows track the analyze row at each width instead of multiplying
+    // it (`sdl:ring`: two sites per rank, so the work is linear in ranks).
+    let ring = tracedbg_workloads::scripts::builtin("ring").expect("built-in script");
+    let (ring_script, ring_file) = (ring.parse(), ring.file());
+    let p = plan(opts, 1, 7, 1);
+    if wants(opts, "explore_dpor", "static_analyze_ring_2048") {
+        records.push(measure("static_analyze_ring_2048", 1, p, || {
+            let a = tracedbg_analysis::analyze(&ring_script, 2048, &ring_file);
+            assert_eq!(a.graph.sites.len(), 2 * 2048);
+        }));
+    }
+    for (name, nprocs) in [
+        ("lint_script_ring_512", 512),
+        ("lint_script_ring_2048", 2048),
+    ] {
+        if !wants(opts, "explore_dpor", name) {
+            continue;
+        }
+        records.push(measure(name, 1, p, || {
+            let diags =
+                tracedbg_lint::lint_script(&ring_script, nprocs, &ring_file, &Default::default());
+            assert!(diags.is_empty(), "the ring lints clean at every width");
         }));
     }
     Suite {

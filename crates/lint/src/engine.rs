@@ -11,6 +11,7 @@
 use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Loc, RuleId, Severity};
 use crate::{script_rules, trace_rules};
+use tracedbg_analysis::{CommGraph, Visit};
 use tracedbg_causality::HbIndex;
 use tracedbg_trace::{EventId, TraceStore};
 use tracedbg_tracegraph::MessageMatching;
@@ -56,12 +57,43 @@ impl<'a> TraceCx<'a> {
     }
 }
 
-/// Everything a script rule may consult.
+/// Everything a script rule may consult, built once per `lint_script`:
+/// one abstract walk of each rank's program, seen two ways.
 pub struct ScriptCx<'a> {
     pub script: &'a Script,
     pub nprocs: usize,
     /// File name used in diagnostics.
     pub file: &'a str,
+    /// Per rank, the communication statements the walk visited, in program
+    /// order, with the peer values it evaluated. A statement it reached
+    /// more than once (loop iterations, passes of a widened loop) appears
+    /// once per visit.
+    pub ops: Vec<Vec<Visit<'a>>>,
+    /// The site graph joined from the same visits, and what follows from
+    /// it: may-match, independence, entry receives.
+    pub analysis: tracedbg_analysis::Analysis,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `ScriptCx`s built on this thread.
+    static CONTEXTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl<'a> ScriptCx<'a> {
+    pub fn build(script: &'a Script, nprocs: usize, file: &'a str) -> Self {
+        #[cfg(test)]
+        CONTEXTS.with(|c| c.set(c.get() + 1));
+        let mut ops = vec![Vec::new(); nprocs];
+        let graph = CommGraph::build_with(script, nprocs, file, |rank, v| ops[rank].push(v));
+        ScriptCx {
+            script,
+            nprocs,
+            file,
+            ops,
+            analysis: graph.into(),
+        }
+    }
 }
 
 /// A post-mortem checker over a recorded trace.
@@ -175,11 +207,7 @@ pub fn lint_script(
     file: &str,
     cfg: &LintConfig,
 ) -> Vec<Diagnostic> {
-    let cx = ScriptCx {
-        script,
-        nprocs,
-        file,
-    };
+    let cx = ScriptCx::build(script, nprocs, file);
     let mut diags = Vec::new();
     for rule in script_rules::all() {
         if cfg.is_enabled(rule.id()) {
@@ -187,4 +215,27 @@ pub fn lint_script(
         }
     }
     finish(diags)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Work count, not a timing: with every rule enabled `lint_script`
+    /// builds one context — and a context is one visiting walk per rank
+    /// (`tracedbg-analysis` pins that half next to its walk counter), where
+    /// four rules used to walk every rank themselves and three more to run
+    /// the whole analysis.
+    #[test]
+    fn every_rule_reads_the_one_walk() {
+        let ring = tracedbg_workloads::scripts::builtin("ring").expect("builtin");
+        let (script, file) = (ring.parse(), ring.file());
+        let before = CONTEXTS.get();
+        assert!(lint_script(&script, 4, &file, &LintConfig::default()).is_empty());
+        assert_eq!(CONTEXTS.get() - before, 1);
+        // What the rules read is that walk: each rank's send and receive.
+        let cx = ScriptCx::build(&script, 4, &file);
+        assert!(cx.ops.iter().all(|ops| ops.len() == 2), "{:?}", cx.ops);
+        assert_eq!(cx.analysis.graph.sites.len(), 8);
+    }
 }

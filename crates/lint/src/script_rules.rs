@@ -1,17 +1,20 @@
 //! Pre-execution rules over workload scripts (`SDL...`).
 //!
-//! The script DSL is simple enough that an abstract interpreter can walk
-//! each rank's program with constant propagation: `let`-bound values and
-//! loop indices are tracked exactly, values read from messages become
-//! "unknown", and both branches of an undecidable `if` are explored. The
-//! result is a per-rank sequence of abstract communication operations that
-//! the rules inspect — so tag typos, out-of-range ranks, and guaranteed
-//! deadlocks are reported before the engine ever runs.
+//! The rules interpret nothing themselves. `lint_script` has
+//! `tracedbg-analysis` walk each rank's program once ([`ScriptCx`]) and the
+//! rules read the two products of that walk: the per-rank sequence of
+//! communication statements it visited, in program order with the peer
+//! values it evaluated (`cx.ops`), and the whole-program analysis joined
+//! from the same visits (`cx.analysis`: site graph, may-match relation,
+//! entry receives). So tag typos, out-of-range ranks and guaranteed
+//! deadlocks are reported before the engine ever runs, by the semantics
+//! the engine runs.
 
 use crate::diag::{Diagnostic, Loc, RuleId, Severity};
 use crate::engine::{ScriptCx, ScriptRule};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use tracedbg_workloads::script::{Cond, Expr, Script, Stmt, StmtKind};
+use std::collections::{BTreeMap, BTreeSet};
+use tracedbg_analysis::{Src, Visit, VisitOp};
+use tracedbg_workloads::script::{Script, Stmt, StmtKind};
 
 pub const UNDEFINED_CALL: RuleId = RuleId("SDL101");
 pub const RANK_OUT_OF_BOUNDS: RuleId = RuleId("SDL102");
@@ -38,224 +41,11 @@ pub fn all() -> Vec<Box<dyn ScriptRule>> {
     ]
 }
 
-// ------------------------------------------------- abstract interpretation
-
-/// Source specification of an abstract receive.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SrcSpec {
-    /// `recv from any` — matches any sender.
-    Wildcard,
-    Known(i64),
-    /// Depends on a value the interpreter cannot track.
-    Unknown,
-}
-
-#[derive(Clone, Debug)]
-enum AbsOpKind {
-    Send { dst: Option<i64>, tag: i32 },
-    Recv { src: SrcSpec, tag: Option<i32> },
-    Barrier,
-}
-
-#[derive(Clone, Debug)]
-struct AbsOp {
-    line: u32,
-    func: String,
-    kind: AbsOpKind,
-}
-
-/// Abstract execution result for one `nprocs` configuration.
-struct Summary {
-    per_rank: Vec<Vec<AbsOp>>,
-    /// True when every value was tracked exactly: no unknown branches,
-    /// no truncated loops, no unresolved calls. Deadlock detection only
-    /// trusts exact summaries.
-    exact: bool,
-}
-
-type Env = HashMap<String, Option<i64>>;
-
-const STEP_CAP: usize = 100_000;
-const LOOP_CAP: i64 = 4096;
-const DEPTH_CAP: usize = 32;
-
-struct Walker<'a> {
-    script: &'a Script,
-    ops: Vec<AbsOp>,
-    exact: bool,
-    steps: usize,
-}
-
-fn eval(env: &Env, e: &Expr) -> Option<i64> {
-    match e {
-        Expr::Const(n) => Some(*n),
-        Expr::Var(name) => env.get(name).copied().flatten(),
-        Expr::Add(a, b) => Some(eval(env, a)?.wrapping_add(eval(env, b)?)),
-        Expr::Sub(a, b) => Some(eval(env, a)?.wrapping_sub(eval(env, b)?)),
-        Expr::Mul(a, b) => Some(eval(env, a)?.wrapping_mul(eval(env, b)?)),
-        Expr::Mod(a, b) => {
-            let (a, b) = (eval(env, a)?, eval(env, b)?);
-            (b != 0).then(|| a.rem_euclid(b))
-        }
-    }
-}
-
-fn eval_cond(env: &Env, c: &Cond) -> Option<bool> {
-    let (a, b) = match c {
-        Cond::Eq(a, b) | Cond::Ne(a, b) | Cond::Lt(a, b) => (eval(env, a)?, eval(env, b)?),
-    };
-    Some(match c {
-        Cond::Eq(..) => a == b,
-        Cond::Ne(..) => a != b,
-        Cond::Lt(..) => a < b,
-    })
-}
-
-/// Join two environments after exploring both sides of an undecidable
-/// branch: variables that disagree become unknown.
-fn merge_env(a: &Env, b: &Env) -> Env {
-    let mut out = Env::new();
-    for (k, &va) in a {
-        let vb = b.get(k).copied().flatten();
-        out.insert(k.clone(), if va == vb { va } else { None });
-    }
-    for (k, _) in b.iter() {
-        out.entry(k.clone()).or_insert(None);
-    }
-    out
-}
-
-impl<'a> Walker<'a> {
-    fn walk(&mut self, func: &str, stmts: &[Stmt], env: &mut Env, depth: usize) {
-        for s in stmts {
-            self.steps += 1;
-            if self.steps > STEP_CAP {
-                self.exact = false;
-                return;
-            }
-            match &s.kind {
-                StmtKind::Let { var, value } => {
-                    let v = eval(env, value);
-                    env.insert(var.clone(), v);
-                }
-                StmtKind::Compute { .. } | StmtKind::Trace { .. } => {}
-                StmtKind::Send { dst, tag, .. } => {
-                    self.ops.push(AbsOp {
-                        line: s.line,
-                        func: func.to_string(),
-                        kind: AbsOpKind::Send {
-                            dst: eval(env, dst),
-                            tag: *tag,
-                        },
-                    });
-                }
-                StmtKind::Recv { src, tag, var } => {
-                    let spec = match src {
-                        None => SrcSpec::Wildcard,
-                        Some(e) => match eval(env, e) {
-                            Some(v) => SrcSpec::Known(v),
-                            None => SrcSpec::Unknown,
-                        },
-                    };
-                    self.ops.push(AbsOp {
-                        line: s.line,
-                        func: func.to_string(),
-                        kind: AbsOpKind::Recv {
-                            src: spec,
-                            tag: *tag,
-                        },
-                    });
-                    // The received payload is data-dependent.
-                    env.insert(var.clone(), None);
-                }
-                StmtKind::Call { func: callee } => {
-                    if depth >= DEPTH_CAP {
-                        self.exact = false;
-                        continue;
-                    }
-                    if let Some(body) = self.script.functions.get(callee) {
-                        self.walk(callee, body, env, depth + 1);
-                    }
-                    // Undefined callee: SDL101 reports it; the runtime
-                    // would abort here, so nothing else to model.
-                }
-                StmtKind::Loop {
-                    var,
-                    from,
-                    to,
-                    body,
-                } => {
-                    match (eval(env, from), eval(env, to)) {
-                        (Some(lo), Some(hi)) if hi - lo <= LOOP_CAP => {
-                            for i in lo..hi {
-                                env.insert(var.clone(), Some(i));
-                                self.walk(func, body, env, depth);
-                                if self.steps > STEP_CAP {
-                                    return;
-                                }
-                            }
-                        }
-                        _ => {
-                            // Unknown or oversized bounds: explore the body
-                            // once with an unknown index so send/recv sites
-                            // are still seen, but give up on exactness.
-                            self.exact = false;
-                            env.insert(var.clone(), None);
-                            self.walk(func, body, env, depth);
-                        }
-                    }
-                }
-                StmtKind::If { cond, then, els } => match eval_cond(env, cond) {
-                    Some(true) => self.walk(func, then, env, depth),
-                    Some(false) => self.walk(func, els, env, depth),
-                    None => {
-                        self.exact = false;
-                        let mut then_env = env.clone();
-                        let mut els_env = env.clone();
-                        self.walk(func, then, &mut then_env, depth);
-                        self.walk(func, els, &mut els_env, depth);
-                        *env = merge_env(&then_env, &els_env);
-                    }
-                },
-                StmtKind::Barrier => {
-                    self.ops.push(AbsOp {
-                        line: s.line,
-                        func: func.to_string(),
-                        kind: AbsOpKind::Barrier,
-                    });
-                }
-            }
-        }
-    }
-}
-
-fn summarize(script: &Script, nprocs: usize) -> Summary {
-    let mut per_rank = Vec::with_capacity(nprocs);
-    let mut exact = true;
-    for rank in 0..nprocs {
-        let mut w = Walker {
-            script,
-            ops: Vec::new(),
-            exact: true,
-            steps: 0,
-        };
-        let mut env = Env::new();
-        env.insert("rank".to_string(), Some(rank as i64));
-        env.insert("nprocs".to_string(), Some(nprocs as i64));
-        if let Some(main) = script.functions.get("main") {
-            w.walk("main", main, &mut env, 0);
-        }
-        exact &= w.exact;
-        per_rank.push(w.ops);
-    }
-    Summary { per_rank, exact }
-}
-
-fn loc(cx: &ScriptCx<'_>, op: &AbsOp) -> Loc {
+fn loc(cx: &ScriptCx<'_>, line: u32, func: &str) -> Loc {
     Loc {
         file: cx.file.to_string(),
-        line: op.line,
-        func: op.func.clone(),
+        line,
+        func: func.to_string(),
     }
 }
 
@@ -357,18 +147,16 @@ impl ScriptRule for RankOutOfBounds {
         "a send/receive names a rank outside 0..nprocs"
     }
     fn check(&self, cx: &ScriptCx<'_>, out: &mut Vec<Diagnostic>) {
-        let summary = summarize(cx.script, cx.nprocs);
         let n = cx.nprocs as i64;
         // Dedupe by (line, offending value); the same line trips on
         // every rank that executes it.
         let mut seen: BTreeSet<(u32, i64)> = BTreeSet::new();
-        for (rank, ops) in summary.per_rank.iter().enumerate() {
+        for (rank, ops) in cx.ops.iter().enumerate() {
             for op in ops {
-                let (value, what) = match op.kind {
-                    AbsOpKind::Send { dst: Some(d), .. } if d < 0 || d >= n => (d, "send to"),
-                    AbsOpKind::Recv {
-                        src: SrcSpec::Known(s),
-                        ..
+                let (value, what) = match op.op {
+                    VisitOp::Send { dst: Some(d), .. } if d < 0 || d >= n => (d, "send to"),
+                    VisitOp::Recv {
+                        src: Src::Known(s), ..
                     } if s < 0 || s >= n => (s, "receive from"),
                     _ => continue,
                 };
@@ -383,7 +171,7 @@ impl ScriptRule for RankOutOfBounds {
                             ),
                         )
                         .with_rank(rank as u32)
-                        .with_loc(loc(cx, op))
+                        .with_loc(loc(cx, op.line, op.func))
                         .with_suggestion("clamp the expression or fix the rank arithmetic"),
                     );
                 }
@@ -397,86 +185,88 @@ impl ScriptRule for RankOutOfBounds {
 ///
 /// Sends are modeled as buffered (the engine's semantics), so the
 /// guaranteed deadlocks are receive cycles, receives with no matching
-/// send left, and barriers some rank never reaches. Only exact summaries
-/// (no unknown values, no wildcard receives) are simulated, so a report
-/// is never a false alarm.
+/// send left, and barriers some rank never reaches. The visit sequences
+/// are simulated only when the walk was exact (every value tracked, no
+/// undecidable branch, no widened loop — then each visit is one operation
+/// the rank performs) and no receive is a wildcard, so a report is never a
+/// false alarm.
 struct GuaranteedDeadlock;
 
 impl GuaranteedDeadlock {
-    fn simulate(per_rank: &[Vec<AbsOp>]) -> Option<Vec<(usize, AbsOp)>> {
+    /// Round by round, every rank in turn performs its next operation if
+    /// it can; `None` when all finish, else where each unfinished rank is
+    /// stuck. Only a rank that might move is tried — all of them at the
+    /// start and after a barrier, then one that just moved or was just
+    /// sent to — so a round costs its operations, not the rank count.
+    fn simulate<'s>(per_rank: &[Vec<Visit<'s>>]) -> Option<Vec<(usize, Visit<'s>)>> {
         let nprocs = per_rank.len();
         let mut pos = vec![0usize; nprocs];
         let mut mail: BTreeMap<(i64, usize, i32), usize> = BTreeMap::new();
+        let mut now: BTreeSet<usize> = (0..nprocs).collect();
         loop {
             // A barrier completes only when every rank is at one.
             if (0..nprocs).all(|r| {
                 matches!(
-                    per_rank[r].get(pos[r]).map(|op| &op.kind),
-                    Some(AbsOpKind::Barrier)
+                    per_rank[r].get(pos[r]).map(|op| op.op),
+                    Some(VisitOp::Barrier)
                 )
             }) {
                 for p in &mut pos {
                     *p += 1;
                 }
+                now = (0..nprocs).collect();
                 continue;
             }
-            let mut progressed = false;
-            for r in 0..nprocs {
-                let Some(op) = per_rank[r].get(pos[r]) else {
-                    continue;
-                };
-                match op.kind {
-                    AbsOpKind::Send { dst: Some(d), tag } => {
-                        if (0..nprocs as i64).contains(&d) {
-                            *mail.entry((r as i64, d as usize, tag)).or_insert(0) += 1;
-                        }
+            let mut next = BTreeSet::new();
+            while let Some(r) = now.pop_first() {
+                let moved = match per_rank[r].get(pos[r]).map(|op| op.op) {
+                    Some(VisitOp::Send { dst: Some(d), tag }) => {
                         // Out-of-range destination: the message vanishes
                         // (SDL102 already reported the real problem).
-                        pos[r] += 1;
-                        progressed = true;
-                    }
-                    AbsOpKind::Recv {
-                        src: SrcSpec::Known(s),
-                        tag: Some(t),
-                    } => {
-                        if let Some(count) = mail.get_mut(&(s, r, t)) {
-                            if *count > 0 {
-                                *count -= 1;
-                                pos[r] += 1;
-                                progressed = true;
-                            }
+                        if (0..nprocs as i64).contains(&d) {
+                            let d = d as usize;
+                            *mail.entry((r as i64, d, tag)).or_insert(0) += 1;
+                            // `d`'s turn is later this round, or past.
+                            if d > r { &mut now } else { &mut next }.insert(d);
                         }
+                        true
                     }
-                    AbsOpKind::Recv {
-                        src: SrcSpec::Known(s),
-                        tag: None,
-                    } => {
-                        let key = mail
-                            .iter()
-                            .find(|(&(src, dst, _), &c)| src == s && dst == r && c > 0)
-                            .map(|(&k, _)| k);
-                        if let Some(k) = key {
-                            *mail.get_mut(&k).unwrap() -= 1;
-                            pos[r] += 1;
-                            progressed = true;
+                    Some(VisitOp::Recv {
+                        src: Src::Known(s),
+                        tag,
+                    }) => {
+                        // Any tag: the lowest one waiting on the channel.
+                        let (lo, hi) = tag.map_or((i32::MIN, i32::MAX), |t| (t, t));
+                        let mut channel = mail.range_mut((s, r, lo)..=(s, r, hi));
+                        match channel.find(|(_, count)| **count > 0) {
+                            Some((_, count)) => {
+                                *count -= 1;
+                                true
+                            }
+                            None => false,
                         }
                     }
                     // Wildcard/unknown receives never reach the simulator
                     // (the rule bails out below), sends with unknown
                     // destinations likewise.
-                    _ => {}
+                    _ => false,
+                };
+                if moved {
+                    pos[r] += 1;
+                    next.insert(r);
                 }
             }
-            if !progressed {
+            if next.is_empty() {
                 if (0..nprocs).all(|r| pos[r] >= per_rank[r].len()) {
                     return None; // everyone finished
                 }
                 return Some(
                     (0..nprocs)
-                        .filter_map(|r| per_rank[r].get(pos[r]).map(|op| (r, op.clone())))
+                        .filter_map(|r| per_rank[r].get(pos[r]).map(|&op| (r, op)))
                         .collect(),
                 );
             }
+            now = next;
         }
     }
 }
@@ -492,38 +282,25 @@ impl ScriptRule for GuaranteedDeadlock {
         "the script deadlocks for this nprocs under every schedule"
     }
     fn check(&self, cx: &ScriptCx<'_>, out: &mut Vec<Diagnostic>) {
-        let summary = summarize(cx.script, cx.nprocs);
-        if !summary.exact {
+        let wildcard = |op: &Visit<'_>| matches!(op.op, VisitOp::Recv { src: Src::Any, .. });
+        if !cx.analysis.graph.exact || cx.ops.iter().flatten().any(wildcard) {
             return;
         }
-        let analyzable = summary.per_rank.iter().flatten().all(|op| {
-            !matches!(
-                op.kind,
-                AbsOpKind::Send { dst: None, .. }
-                    | AbsOpKind::Recv {
-                        src: SrcSpec::Wildcard | SrcSpec::Unknown,
-                        ..
-                    }
-            )
-        });
-        if !analyzable {
-            return;
-        }
-        let Some(blocked) = Self::simulate(&summary.per_rank) else {
+        let Some(blocked) = Self::simulate(&cx.ops) else {
             return;
         };
         let detail: Vec<String> = blocked
             .iter()
             .map(|(r, op)| {
-                let what = match &op.kind {
-                    AbsOpKind::Recv {
-                        src: SrcSpec::Known(s),
+                let what = match op.op {
+                    VisitOp::Recv {
+                        src: Src::Known(s),
                         tag,
                     } => match tag {
                         Some(t) => format!("receiving from rank {s} tag {t}"),
                         None => format!("receiving from rank {s}"),
                     },
-                    AbsOpKind::Barrier => "waiting at a barrier".to_string(),
+                    VisitOp::Barrier => "waiting at a barrier".to_string(),
                     _ => "blocked".to_string(),
                 };
                 format!("rank {r} {what} (line {})", op.line)
@@ -541,7 +318,7 @@ impl ScriptRule for GuaranteedDeadlock {
                 ),
             )
             .with_rank(first.0 as u32)
-            .with_loc(loc(cx, &first.1))
+            .with_loc(loc(cx, first.1.line, first.1.func))
             .with_suggestion("no schedule can complete this pattern; fix the blocked operations"),
         );
     }
@@ -562,24 +339,22 @@ impl ScriptRule for TagNeverSent {
         "a tag appears only on sends or only on receives (likely typo)"
     }
     fn check(&self, cx: &ScriptCx<'_>, out: &mut Vec<Diagnostic>) {
-        let summary = summarize(cx.script, cx.nprocs);
-        let ops: Vec<&AbsOp> = summary.per_rank.iter().flatten().collect();
-        let mut send_tags: BTreeMap<i32, &AbsOp> = BTreeMap::new();
-        let mut recv_tags: BTreeMap<i32, &AbsOp> = BTreeMap::new();
+        let mut send_tags: BTreeMap<i32, &Visit<'_>> = BTreeMap::new();
+        let mut recv_tags: BTreeMap<i32, &Visit<'_>> = BTreeMap::new();
         let mut any_tag_recv = false;
-        for op in &ops {
-            match op.kind {
-                AbsOpKind::Send { tag, .. } => {
+        for op in cx.ops.iter().flatten() {
+            match op.op {
+                VisitOp::Send { tag, .. } => {
                     send_tags.entry(tag).or_insert(op);
                 }
-                AbsOpKind::Recv { tag: Some(t), .. } => {
+                VisitOp::Recv { tag: Some(t), .. } => {
                     recv_tags.entry(t).or_insert(op);
                 }
-                AbsOpKind::Recv { tag: None, .. } => any_tag_recv = true,
-                AbsOpKind::Barrier => {}
+                VisitOp::Recv { tag: None, .. } => any_tag_recv = true,
+                VisitOp::Barrier => {}
             }
         }
-        let nearest = |tags: &BTreeMap<i32, &AbsOp>, t: i32| {
+        let nearest = |tags: &BTreeMap<i32, &Visit<'_>>, t: i32| {
             tags.keys()
                 .min_by_key(|&&k| (k - t).unsigned_abs())
                 .copied()
@@ -592,7 +367,7 @@ impl ScriptRule for TagNeverSent {
                         self.severity(),
                         format!("receives wait for tag {t}, but no send uses that tag"),
                     )
-                    .with_loc(loc(cx, op));
+                    .with_loc(loc(cx, op.line, op.func));
                     if let Some(n) = nearest(&send_tags, t) {
                         d = d.with_suggestion(format!("sends use tag {n} — did you mean {n}?"));
                     }
@@ -610,7 +385,7 @@ impl ScriptRule for TagNeverSent {
                         self.severity(),
                         format!("messages with tag {t} are sent, but no receive accepts it"),
                     )
-                    .with_loc(loc(cx, op));
+                    .with_loc(loc(cx, op.line, op.func));
                     if let Some(n) = nearest(&recv_tags, t) {
                         d = d.with_suggestion(format!("receives use tag {n} — did you mean {n}?"));
                     }
@@ -621,18 +396,9 @@ impl ScriptRule for TagNeverSent {
     }
 }
 
-// Rules SDL107-SDL109 consume the whole-program static analysis from
-// `tracedbg-analysis` (may-match relation over the communication graph)
-// instead of the local walker above, so they see through wildcard receives
+// Rules SDL107-SDL109 read the may-match relation over the site graph
+// instead of the visit sequences, so they see through wildcard receives
 // and loop-carried peer expressions the simulator must give up on.
-
-fn analysis_loc(cx: &ScriptCx<'_>, site: &tracedbg_analysis::CommSite) -> Loc {
-    Loc {
-        file: cx.file.to_string(),
-        line: site.line,
-        func: site.func.clone(),
-    }
-}
 
 /// SDL107: the may-match wait-for graph proves a set of ranks deadlocked
 /// at startup — every rank in the set must receive first, and every
@@ -650,7 +416,7 @@ impl ScriptRule for StaticDeadlock {
         "a set of ranks provably deadlocks: each begins with a receive only the others could feed"
     }
     fn check(&self, cx: &ScriptCx<'_>, out: &mut Vec<Diagnostic>) {
-        let a = tracedbg_analysis::analyze(cx.script, cx.nprocs, cx.file);
+        let a = &cx.analysis;
         let blocked = a.deadlocked_ranks();
         if blocked.is_empty() {
             return;
@@ -671,7 +437,7 @@ impl ScriptRule for StaticDeadlock {
         .with_suggestion("break the wait cycle: some rank in the set must send first");
         if let Some(&line) = a.graph.entry[first].lines.first() {
             if let Some(i) = a.graph.site_at(first, line) {
-                d = d.with_loc(analysis_loc(cx, &a.graph.sites[i]));
+                d = d.with_loc(loc(cx, line, &a.graph.sites[i].func));
             }
         }
         out.push(d);
@@ -693,7 +459,7 @@ impl ScriptRule for UnmatchedSite {
         "a send/receive site has no possible partner in the may-match relation"
     }
     fn check(&self, cx: &ScriptCx<'_>, out: &mut Vec<Diagnostic>) {
-        let a = tracedbg_analysis::analyze(cx.script, cx.nprocs, cx.file);
+        let a = &cx.analysis;
         // A partial walk may simply not have seen the partner site; only a
         // complete graph makes "no partner" a sound claim.
         if !a.graph.complete {
@@ -731,7 +497,7 @@ impl ScriptRule for UnmatchedSite {
                     format!("rank {}: {what} (no may-match partner)", site.rank),
                 )
                 .with_rank(site.rank as u32)
-                .with_loc(analysis_loc(cx, site))
+                .with_loc(loc(cx, site.line, &site.func))
                 .with_suggestion("check the peer expression and tag against the other side"),
             );
         }
@@ -754,7 +520,7 @@ impl ScriptRule for RacingWildcard {
         "a wildcard receive has two or more statically racing senders"
     }
     fn check(&self, cx: &ScriptCx<'_>, out: &mut Vec<Diagnostic>) {
-        let a = tracedbg_analysis::analyze(cx.script, cx.nprocs, cx.file);
+        let a = &cx.analysis;
         let mut seen_lines: BTreeSet<u32> = BTreeSet::new();
         for (i, site) in a.graph.sites.iter().enumerate() {
             let tracedbg_analysis::SiteOp::Recv { wildcard: true, .. } = site.op else {
@@ -777,7 +543,7 @@ impl ScriptRule for RacingWildcard {
                     ),
                 )
                 .with_rank(site.rank as u32)
-                .with_loc(analysis_loc(cx, site))
+                .with_loc(loc(cx, site.line, &site.func))
                 .with_suggestion(
                     "name the source rank explicitly, or make the handling order-insensitive",
                 ),
@@ -800,11 +566,10 @@ impl ScriptRule for SelfMessage {
         "a rank sends a message to itself"
     }
     fn check(&self, cx: &ScriptCx<'_>, out: &mut Vec<Diagnostic>) {
-        let summary = summarize(cx.script, cx.nprocs);
         let mut seen_lines: BTreeSet<u32> = BTreeSet::new();
-        for (rank, ops) in summary.per_rank.iter().enumerate() {
+        for (rank, ops) in cx.ops.iter().enumerate() {
             for op in ops {
-                if let AbsOpKind::Send { dst: Some(d), .. } = op.kind {
+                if let VisitOp::Send { dst: Some(d), .. } = op.op {
                     if d == rank as i64 && seen_lines.insert(op.line) {
                         out.push(
                             Diagnostic::new(
@@ -813,7 +578,7 @@ impl ScriptRule for SelfMessage {
                                 format!("rank {rank} sends a message to itself"),
                             )
                             .with_rank(rank as u32)
-                            .with_loc(loc(cx, op))
+                            .with_loc(loc(cx, op.line, op.func))
                             .with_suggestion(
                                 "self-messages usually indicate off-by-one rank arithmetic",
                             ),

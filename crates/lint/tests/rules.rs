@@ -315,6 +315,68 @@ fn clean_script_has_no_errors() {
     }
 }
 
+// ------------------------------ static = dynamic (tests/golden/scripts/)
+//
+// One script per answer the linter's own interpreter used to get wrong;
+// what each does at run time is in its header comment and checked by
+// verify.sh's analyze stage.
+
+fn lint_fixture(name: &str, nprocs: usize) -> Vec<Diagnostic> {
+    let path = format!(
+        "{}/../../tests/golden/scripts/{name}.script",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    lint_src(
+        &std::fs::read_to_string(path).expect("fixture script"),
+        nprocs,
+    )
+}
+
+#[test]
+fn modulo_truncates_like_the_runtime() {
+    let diags = lint_fixture("left-neighbour", 4);
+    let d = find(&diags, "SDL102");
+    assert_eq!(d.rank, Some(0));
+    assert_eq!(d.loc.as_ref().unwrap().line, 8);
+    assert_eq!(
+        d.message,
+        "rank 0 would receive from rank -1, but only ranks 0..4 exist"
+    );
+}
+
+#[test]
+fn a_receive_rebinds_its_status_variable() {
+    for nprocs in [2, 4, 8] {
+        let diags = lint_fixture("status-src", nprocs);
+        assert!(diags.is_empty(), "at {nprocs} procs: {diags:?}");
+    }
+}
+
+#[test]
+fn a_trip_count_past_64_bits_neither_panics_nor_hides_what_follows() {
+    let diags = lint_fixture("wide-loop", 4);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    let d = find(&diags, "SDL105");
+    assert_eq!(d.message, "rank 0 sends a message to itself");
+    assert_eq!(d.loc.as_ref().unwrap().line, 8);
+}
+
+#[test]
+fn builtins_win_over_bindings() {
+    // `let rank = 0` binds nothing `send rank …` can read: rank 1 sends to
+    // itself and rank 0 waits forever, as at run time.
+    let diags = lint_fixture("shadowed-rank", 2);
+    assert_eq!(
+        find(&diags, "SDL105").message,
+        "rank 1 sends a message to itself"
+    );
+    assert_eq!(
+        find(&diags, "SDL103").message,
+        "guaranteed deadlock with 2 processes: rank 0 receiving from rank 1 tag 1 (line 6)"
+    );
+    assert!(has(&diags, "SDL107"), "{diags:?}");
+}
+
 // ---------------------------------------------------------- configuration
 
 #[test]

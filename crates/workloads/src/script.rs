@@ -487,6 +487,77 @@ pub fn parse(src: &str) -> Result<Script, ScriptError> {
     Ok(Script { functions })
 }
 
+// -------------------------------------------------------------- semantics
+
+/// Why an expression has no value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NoValue<'e> {
+    /// A variable the scope has no value for: never bound (a script error
+    /// at run time), or holding data a static walk does not track.
+    Unknown(&'e str),
+    ModuloByZero,
+}
+
+impl std::fmt::Display for NoValue<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            NoValue::Unknown(v) => write!(f, "undefined variable {v:?}"),
+            NoValue::ModuloByZero => f.write_str("modulo by zero"),
+        }
+    }
+}
+
+/// What an expression sees on one rank — the one definition of SDL
+/// arithmetic, shared by the interpreter and the static analysis, so what
+/// `lint` / `analyze` predict is what `run` does.
+///
+/// Values are 64-bit and `+ - *` wrap; `%` truncates toward zero like
+/// Rust's and C's (`( 0 - 1 ) % 4` is -1, not 3), and a zero divisor is
+/// [`NoValue::ModuloByZero`]. `rank` and `nprocs` are builtins that win
+/// over any binding of the same name: `let rank = 0`, a loop index or a
+/// `recv … into` called `rank` binds a variable nothing can read.
+pub struct Scope<F> {
+    pub rank: usize,
+    pub nprocs: usize,
+    /// The value bound to a user variable, if one is known.
+    pub var: F,
+}
+
+impl<F: Fn(&str) -> Option<i64>> Scope<F> {
+    pub fn eval<'e>(&self, e: &'e Expr) -> Result<i64, NoValue<'e>> {
+        Ok(match e {
+            Expr::Const(n) => *n,
+            Expr::Var(v) => match v.as_str() {
+                "rank" => self.rank as i64,
+                "nprocs" => self.nprocs as i64,
+                _ => (self.var)(v).ok_or(NoValue::Unknown(v))?,
+            },
+            Expr::Add(a, b) => self.eval(a)?.wrapping_add(self.eval(b)?),
+            Expr::Sub(a, b) => self.eval(a)?.wrapping_sub(self.eval(b)?),
+            Expr::Mul(a, b) => self.eval(a)?.wrapping_mul(self.eval(b)?),
+            Expr::Mod(a, b) => {
+                // Divisor first: a zero divisor is the error reported even
+                // when the dividend has no value either.
+                let d = self.eval(b)?;
+                if d == 0 {
+                    return Err(NoValue::ModuloByZero);
+                }
+                self.eval(a)?.wrapping_rem(d)
+            }
+        })
+    }
+
+    pub fn test<'e>(&self, c: &'e Cond) -> Result<bool, NoValue<'e>> {
+        let (Cond::Eq(a, b) | Cond::Ne(a, b) | Cond::Lt(a, b)) = c;
+        let (a, b) = (self.eval(a)?, self.eval(b)?);
+        Ok(match c {
+            Cond::Eq(..) => a == b,
+            Cond::Ne(..) => a != b,
+            Cond::Lt(..) => a < b,
+        })
+    }
+}
+
 // ------------------------------------------------------------- execution
 
 /// One suspended activation in the script task's explicit call/loop stack.
@@ -529,35 +600,25 @@ struct ScriptTask {
 }
 
 impl ScriptTask {
-    fn eval(&self, e: &Expr, line: u32, view: &TaskView<'_>) -> i64 {
-        match e {
-            Expr::Const(n) => *n,
-            Expr::Var(v) => match v.as_str() {
-                "rank" => view.rank.0 as i64,
-                "nprocs" => view.n_ranks as i64,
-                _ => *self.vars.get(v).unwrap_or_else(|| {
-                    panic!("{}", err(line, format!("undefined variable {v:?}")))
-                }),
-            },
-            Expr::Add(a, b) => self.eval(a, line, view) + self.eval(b, line, view),
-            Expr::Sub(a, b) => self.eval(a, line, view) - self.eval(b, line, view),
-            Expr::Mul(a, b) => self.eval(a, line, view) * self.eval(b, line, view),
-            Expr::Mod(a, b) => {
-                let d = self.eval(b, line, view);
-                if d == 0 {
-                    panic!("{}", err(line, "modulo by zero"));
-                }
-                self.eval(a, line, view) % d
-            }
+    fn scope<'a>(&'a self, view: &TaskView<'_>) -> Scope<impl Fn(&str) -> Option<i64> + 'a> {
+        Scope {
+            rank: view.rank.0 as usize,
+            nprocs: view.n_ranks,
+            var: |v: &str| self.vars.get(v).copied(),
         }
     }
 
+    /// At run time an expression without a value kills the rank.
+    fn eval(&self, e: &Expr, line: u32, view: &TaskView<'_>) -> i64 {
+        self.scope(view)
+            .eval(e)
+            .unwrap_or_else(|why| panic!("{}", err(line, why.to_string())))
+    }
+
     fn test(&self, c: &Cond, line: u32, view: &TaskView<'_>) -> bool {
-        match c {
-            Cond::Eq(a, b) => self.eval(a, line, view) == self.eval(b, line, view),
-            Cond::Ne(a, b) => self.eval(a, line, view) != self.eval(b, line, view),
-            Cond::Lt(a, b) => self.eval(a, line, view) < self.eval(b, line, view),
-        }
+        self.scope(view)
+            .test(c)
+            .unwrap_or_else(|why| panic!("{}", err(line, why.to_string())))
     }
 
     /// Execute one statement: control flow pushes frames and returns
@@ -1042,6 +1103,70 @@ end
         let mut me = probe("me");
         me.sort();
         assert_eq!(me, vec![0, 1]);
+        assert_eq!(probe("world"), vec![2, 2]);
+    }
+
+    /// The evaluator on rank 2 of 4 with `x = 7` bound.
+    fn eval(expr: &str) -> Result<i64, String> {
+        let script = parse(&format!("fn main\n  let v = {expr}\nend\n")).expect("parse");
+        let StmtKind::Let { value, .. } = &script.functions["main"][0].kind else {
+            unreachable!("the statement is a let");
+        };
+        let scope = Scope {
+            rank: 2,
+            nprocs: 4,
+            var: |v: &str| (v == "x").then_some(7),
+        };
+        scope.eval(value).map_err(|why| why.to_string())
+    }
+
+    #[test]
+    fn arithmetic_wraps_and_modulo_truncates() {
+        assert_eq!(eval("( 0 - 1 ) % 4"), Ok(-1), "truncating, not Euclidean");
+        assert_eq!(eval("7 % ( 0 - 4 )"), Ok(3));
+        assert_eq!(eval("( rank - 3 ) % nprocs"), Ok(-1));
+        assert_eq!(eval("9223372036854775807 + 1"), Ok(i64::MIN));
+        assert_eq!(eval("( 0 - 9223372036854775807 ) - 2"), Ok(i64::MAX));
+        assert_eq!(eval("9223372036854775807 * 2"), Ok(-2));
+        // i64::MIN % -1 overflows in hardware; it is 0.
+        assert_eq!(
+            eval("( ( 0 - 9223372036854775807 ) - 1 ) % ( 0 - 1 )"),
+            Ok(0)
+        );
+    }
+
+    #[test]
+    fn values_an_expression_cannot_have() {
+        assert_eq!(eval("x % ( rank - 2 )"), Err("modulo by zero".into()));
+        assert_eq!(eval("y + 1"), Err("undefined variable \"y\"".into()));
+        // The divisor is evaluated first, so its error wins.
+        assert_eq!(eval("y % 0"), Err("modulo by zero".into()));
+        assert_eq!(eval("1 % y"), Err("undefined variable \"y\"".into()));
+    }
+
+    #[test]
+    fn builtins_win_over_bindings() {
+        let src = r#"
+fn main
+  let rank = 40
+  loop nprocs 7 8
+    trace "me" rank
+    trace "world" nprocs
+  end
+end
+"#;
+        let store = run_script(src, 2);
+        let probe = |label: &str| -> Vec<i64> {
+            let mut v: Vec<i64> = store
+                .records()
+                .iter()
+                .filter(|r| r.label.as_deref() == Some(label))
+                .map(|r| r.args[0])
+                .collect();
+            v.sort();
+            v
+        };
+        assert_eq!(probe("me"), vec![0, 1]);
         assert_eq!(probe("world"), vec![2, 2]);
     }
 

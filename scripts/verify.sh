@@ -167,7 +167,7 @@ if awk -v s="$store_ms" -v t="$tbin_ms" 'BEGIN { exit !(s > t) }'; then
   echo "WARNING: stats over the store is slower than over the .tbin (advisory)" >&2
 fi
 
-echo "==> analyze smoke: static analysis renders, JSON schema keys, DPOR findings identity"
+echo "==> analyze smoke: static analysis renders, JSON schema keys, static = dynamic on the SDL fixtures, one-definition gates, DPOR findings identity"
 ./target/release/tracedbg analyze sdl:ring --procs 4 >/dev/null
 # Capture instead of piping into `grep -q`: an early-exiting reader would
 # hit the writer with a broken pipe mid-print.
@@ -182,6 +182,79 @@ for wl in sdl:ring sdl:racy-wildcard; do
       || { echo "analyze $wl --json is missing $key" >&2; exit 1; }
   done
 done
+# Static = dynamic: what `lint` / `analyze` say of a script is what `run`
+# does. One fixture per answer the static copies of the SDL semantics used
+# to get wrong (tests/golden/scripts/*.script, each says what it pins).
+sdl_fixture() { # <verb> <name>: stdout+stderr in $out, exit status in $status
+  status=0
+  out=$(./target/release/tracedbg "$1" "script:tests/golden/scripts/$2.script" --procs 4 2>&1) || status=$?
+}
+for f in left-neighbour status-src wide-loop shadowed-rank; do
+  sdl_fixture analyze "$f"
+  [ "$status" -eq 0 ] || { echo "analyze $f.script: exit $status" >&2; exit 1; }
+done
+# (a) `%` truncates: rank 0's left neighbour is -1, statically and at run time.
+sdl_fixture lint left-neighbour
+{ [ "$status" -eq 1 ] && printf '%s' "$out" | grep -q 'SDL102.*receive from rank -1'; } \
+  || { echo "lint left-neighbour.script did not report rank -1 (exit $status)" >&2; exit 1; }
+sdl_fixture analyze left-neighbour
+printf '%s' "$out" | grep -q 'rank 0 .*recv <- {-1}' \
+  || { echo "analyze left-neighbour.script does not show {-1}" >&2; exit 1; }
+sdl_fixture run left-neighbour
+printf '%s' "$out" | grep -q 'recv from bad rank -1' \
+  || { echo "run left-neighbour.script did not die of bad rank -1" >&2; exit 1; }
+# (b) a receive rebinds `v_src`: clean, and it runs to completion.
+sdl_fixture lint status-src
+{ [ "$status" -eq 0 ] && [ "$out" = "clean: no diagnostics" ]; } \
+  || { echo "lint status-src.script is not clean: $out" >&2; exit 1; }
+sdl_fixture run status-src
+printf '%s' "$out" | grep -q '^outcome: Completed' \
+  || { echo "run status-src.script did not complete" >&2; exit 1; }
+# (c) a trip count past 64 bits: no panic, and the self-send after the
+# loop is still seen (never `run`: it would not end).
+sdl_fixture lint wide-loop
+{ [ "$status" -eq 0 ] && printf '%s' "$out" | grep -q 'SDL105.*rank 0 sends a message to itself'; } \
+  || { echo "lint wide-loop.script lost the send after the loop (exit $status)" >&2; exit 1; }
+# (d) builtins win over bindings: rank 1 sends to itself, rank 0 deadlocks.
+sdl_fixture lint shadowed-rank
+{ [ "$status" -eq 1 ] && printf '%s' "$out" | grep -q 'SDL105.*rank 1 sends a message to itself' \
+    && printf '%s' "$out" | grep -q 'SDL107.*rank(s) 0 '; } \
+  || { echo "lint shadowed-rank.script honoured the shadowing let (exit $status)" >&2; exit 1; }
+sdl_fixture run shadowed-rank
+{ printf '%s' "$out" | grep -q '^outcome: Deadlocked' \
+    && printf '%s' "$out" | grep -q 'LOST: P1 -> P1'; } \
+  || { echo "run shadowed-rank.script did not self-send and deadlock" >&2; exit 1; }
+# No lint / analyze of any script in the tree panics (exit 101).
+for spec in sdl:ring sdl:pairs sdl:racy-wildcard sdl:racy-deadlock \
+    script:examples/scripts/pingpong.script; do
+  for verb in lint analyze; do
+    status=0
+    ./target/release/tracedbg "$verb" "$spec" --procs 4 >/dev/null 2>&1 || status=$?
+    [ "$status" -le 1 ] || { echo "$verb $spec: exit $status" >&2; exit 1; }
+  done
+done
+# One definition of the SDL semantics at each level, by count over
+# non-test sources: the evaluator in workloads::script, the abstract walk
+# in analysis::graph, no interpreter or private analysis left in the rules.
+count() { # <pattern> <path...>: matching lines
+  local pat=$1; shift
+  { grep -rhE -- "$pat" "$@" || true; } | wc -l
+}
+gate() { # <what> <count> <op> <bound>
+  [ "$2" "$3" "$4" ] || { echo "semantics gate: $1 is $2, want $3 $4" >&2; exit 1; }
+}
+src=(crates/*/src)
+# (the pretty-printer's `=> format!` arm is not an evaluator)
+gate "evaluating Expr::Mod arms" "$(count 'Expr::Mod\(a, b\) => [^f]' "${src[@]}")" -eq 1
+gate "fn merge_env" "$(count 'fn merge_env' "${src[@]}")" -eq 1
+gate "fn eval_cond" "$(count 'fn eval_cond' "${src[@]}")" -le 1
+for cap in STEP_CAP LOOP_CAP DEPTH_CAP; do
+  gate "$cap definitions" "$(count "const $cap:" "${src[@]}")" -eq 1
+done
+gate "StmtKind::Loop arms in lint + analysis" "$(count 'StmtKind::Loop' crates/lint/src crates/analysis/src)" -le 2
+gate "private walks in script_rules.rs" "$(count 'summarize\(|tracedbg_analysis::analyze\(' crates/lint/src/script_rules.rs)" -eq 0
+gate "rem_euclid in lint + analysis" "$(count 'rem_euclid' crates/lint/src crates/analysis/src)" -eq 0
+gate "script_rules.rs lines" "$(wc -l < crates/lint/src/script_rules.rs)" -le 650
 # Sleep-set DPOR must report exactly the findings of the full search on
 # the racy script workloads (same classes, same counts), at any --jobs.
 for wl in sdl:racy-wildcard sdl:racy-deadlock; do

@@ -444,7 +444,22 @@ fn golden_cli_transcripts() {
         ("profile-workload-json", "profile|planted-wildcard|--procs|8|--json"),
         ("analyze-sdl", "analyze|sdl:pairs"),
         ("analyze-bare-builtin", "analyze|ring"),
+        ("analyze-sdl-json", "analyze|sdl:pairs|--json"),
         ("lint-sdl", "lint|sdl:racy-deadlock"),
+        ("lint-sdl-ring-8", "lint|sdl:ring|--procs|8"),
+        ("lint-sdl-pairs-8", "lint|sdl:pairs|--procs|8"),
+        ("lint-sdl-racy-wildcard-8", "lint|sdl:racy-wildcard|--procs|8"),
+        ("lint-sdl-racy-deadlock-8", "lint|sdl:racy-deadlock|--procs|8"),
+        // Static = dynamic: `run` of the first dies of `recv from bad rank
+        // -1`, `run` of the second completes.
+        (
+            "lint-script-left-neighbour",
+            "lint|script:tests/golden/scripts/left-neighbour.script|--procs|4",
+        ),
+        (
+            "lint-script-status-src",
+            "lint|script:tests/golden/scripts/status-src.script|--procs|4",
+        ),
         (
             "lint-trc-script",
             "lint|tests/golden/script-pingpong.trc|--script|examples/scripts/pingpong.script",
