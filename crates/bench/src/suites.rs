@@ -314,7 +314,7 @@ fn suite_replay(opts: &SuiteOptions) -> Suite {
         assert!(src.run().is_stopped());
         let cp = src.snapshot();
         records.push(measure("replay_to_marker_ckpt", 1, p, || {
-            let mut e = Engine::restore(&cp, ring::programs(&cfg));
+            let mut e = Engine::restore(&cp, Vec::new());
             e.clear_thresholds();
             for m in target.iter() {
                 e.set_threshold(m.rank, Some((m.count / 2).max(1)));
@@ -493,13 +493,13 @@ fn suite_checkpoint(opts: &SuiteOptions) -> Suite {
     let want_digest = stopped.digest();
     if wants(opts, "checkpoint", "restore") {
         records.push(measure("restore", 1, p, || {
-            let e = Engine::restore(&cp, ring::programs(&cfg));
+            let e = Engine::restore(&cp, Vec::new());
             assert_eq!(e.markers(), cp.markers());
         }));
     }
     if wants(opts, "checkpoint", "restore_continue") {
         records.push(measure("restore_continue", 1, p, || {
-            let mut e = Engine::restore(&cp, ring::programs(&cfg));
+            let mut e = Engine::restore(&cp, Vec::new());
             e.clear_thresholds();
             e.resume_trapped();
             assert!(e.run().is_completed());
@@ -999,9 +999,12 @@ fn suite_localize(opts: &SuiteOptions) -> Suite {
     }
     if wants(opts, "localize", "graph_diff") {
         let source: tracedbg_explore::ProgramSource = Box::new(planted_wildcard_factory(cfg));
-        let failing = tracedbg_explore::execute_artifact(&source, &artifact, false);
-        let passing =
-            tracedbg_explore::execute_metered(&source, SchedPolicy::RoundRobin, &[], false);
+        let failing = tracedbg_explore::runner::execute(
+            &source,
+            EngineConfig::for_artifact(&artifact).policy,
+            &artifact.faults,
+        );
+        let passing = tracedbg_explore::runner::execute(&source, SchedPolicy::RoundRobin, &[]);
         records.push(measure("graph_diff", 1, plan(opts, 2, 5, 20), || {
             let ranks = diff_ranks(&failing.store, &passing.store).expect("in-memory diff");
             assert!(

@@ -234,7 +234,7 @@ mod tests {
         let mut cache = CheckpointCache::new();
         cache.insert(checkpoint_at(4));
         let cp = cache.best_for(&mv(10)).unwrap();
-        let mut e = Engine::restore(&cp, program());
+        let mut e = Engine::restore(&cp, Vec::new());
         e.clear_thresholds();
         e.resume_trapped();
         assert!(e.run().is_completed());

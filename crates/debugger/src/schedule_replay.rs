@@ -103,7 +103,7 @@ pub fn replay_schedule_from_checkpoint(
     // A run that never reached the snapshot point falls back to a straight
     // re-execution, so the command still checks something.
     let (mut second, snapshot_decisions) = match engine.take_pending_snapshot() {
-        Some(cp) => (Engine::restore(&cp, factory()), Some(cp.decision_len())),
+        Some(cp) => (Engine::restore(&cp, Vec::new()), Some(cp.decision_len())),
         None => (Engine::launch(cfg, factory()), None),
     };
     let restored_class = second.run().class().to_string();

@@ -395,7 +395,7 @@ impl Session {
     ) -> &SessionStatus {
         self.retire_engine_metrics();
         let t0 = std::time::Instant::now();
-        self.engine = Engine::restore(cp, (self.factory)());
+        self.engine = Engine::restore(cp, Vec::new());
         // A restored engine comes up with telemetry off; re-enable before
         // `set_replay_delta` so the delta length lands in the histogram.
         self.engine.enable_metrics();
@@ -496,11 +496,6 @@ impl Session {
                 )
             })
             .collect()
-    }
-
-    /// The undo stack (stop history).
-    pub fn undo_stack(&self) -> &UndoStack {
-        &self.undo
     }
 
     /// The checkpoint backlog (empty when `checkpoint_every` is 0).

@@ -1,16 +1,16 @@
 //! The exploration strategies, finding pipeline, and report.
 
 use crate::oracle::{self, Violation};
-use crate::pool::{run_batch_traced, run_windowed, PrefixCache, RunTask, WorkerLoad, WorkerPool};
+use crate::pool::{run_windowed, RunTask, WorkerPool};
 use crate::runner::{
-    execute, execute_metered, ProgramSource, RunResult, CLASS_COMPLETED, CLASS_DEADLOCK,
+    execute, execute_task, ProgramSource, RunResult, CLASS_COMPLETED, CLASS_DEADLOCK,
     CLASS_DIVERGENCE, CLASS_PANIC,
 };
 use crate::shrink::ddmin;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -83,8 +83,7 @@ pub struct ExploreConfig {
     /// Collect engine + explorer telemetry
     /// ([`Explorer::explore_traced`] then returns a [`MetricsReport`]).
     /// Event-derived counters are byte-identical across `jobs` at a fixed
-    /// seed; metered runs never fork from prefix checkpoints, so metrics
-    /// mode trades some shared-prefix speedup for whole-run counters.
+    /// seed.
     pub metrics: bool,
     /// Print a throttled progress heartbeat to stderr while exploring.
     pub progress: bool,
@@ -150,9 +149,6 @@ pub struct ExploreReport {
     pub pruned: usize,
     /// Branch points (real choices) in the deterministic baseline run.
     pub baseline_branches: usize,
-    /// Sibling-schedule groups that shared one checkpointed prefix
-    /// execution (systematic mode). Deterministic for a fixed seed.
-    pub prefix_groups: usize,
     /// Systematic alternatives skipped by sleep sets (DPOR). Deterministic
     /// for a fixed seed at every `jobs` count.
     pub sleep_skipped: u64,
@@ -224,12 +220,6 @@ pub struct Explorer {
     prefixes: HashSet<u64>,
     findings: Vec<Finding>,
     classes_found: HashSet<String>,
-    /// Shared-prefix checkpoints for sibling schedules (systematic mode).
-    prefix_cache: Arc<PrefixCache>,
-    prefix_groups: usize,
-    /// Persistent worker pool, spun up on the first parallel batch and
-    /// reused for every batch after it (see [`WorkerPool`]).
-    pool: Option<WorkerPool>,
     /// Alternatives skipped because they were asleep (sleep-set DPOR).
     sleep_skipped: u64,
     /// Telemetry accumulator (`cfg.metrics`).
@@ -240,8 +230,7 @@ pub struct Explorer {
 
 /// Everything the explorer accumulates for a [`MetricsReport`]. The event
 /// half (engine counters, prune/oracle counts) is fed exclusively from the
-/// deterministic absorb order; the timing half (worker load, snapshot
-/// time) is honest wall-clock data.
+/// deterministic absorb order; the timing half is the pool's worker load.
 struct ObsAcc {
     /// Metered engine runs merged into `engine` (budgeted exploration
     /// runs; shrink/confirm aux runs are not metered).
@@ -252,9 +241,6 @@ struct ObsAcc {
     /// Oracle verdicts per class, every trigger (not just first-per-class
     /// findings).
     oracle_triggers: BTreeMap<String, u64>,
-    /// Per-worker (tasks, busy ns) summed over batches.
-    worker_load: WorkerLoad,
-    snapshot_ns: u64,
 }
 
 impl ObsAcc {
@@ -265,26 +251,9 @@ impl ObsAcc {
             digest_pruned: 0,
             prefix_pruned: 0,
             oracle_triggers: BTreeMap::new(),
-            worker_load: Vec::new(),
-            snapshot_ns: 0,
         })
     }
-
-    fn add_load(&mut self, load: &WorkerLoad) {
-        if self.worker_load.len() < load.len() {
-            self.worker_load.resize(load.len(), (0, 0));
-        }
-        for (acc, l) in self.worker_load.iter_mut().zip(load) {
-            acc.0 += l.0;
-            acc.1 += l.1;
-        }
-    }
 }
-
-/// Don't bother checkpointing shared prefixes shorter than this: even a
-/// task-frame restore clones per-rank state and recorder buffers, which
-/// only pays off once a real chunk of execution is skipped.
-const MIN_SHARED_PREFIX: usize = 3;
 
 /// Queue entry of the systematic search: replay `parent[..cut]`, then take
 /// `alt`. `parent` is the chosen-decision sequence of the absorbed run the
@@ -348,54 +317,10 @@ impl Explorer {
             prefixes: HashSet::new(),
             findings: Vec::new(),
             classes_found: HashSet::new(),
-            prefix_cache: Arc::new(PrefixCache::new()),
-            prefix_groups: 0,
-            pool: None,
             sleep_skipped: 0,
             obs,
             last_progress: Instant::now(),
         }
-    }
-
-    /// The resolved worker-thread count (never 0).
-    fn effective_jobs(&self) -> usize {
-        match self.cfg.jobs {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
-    }
-
-    /// Execute one window of tasks, sequentially or on the persistent
-    /// worker pool, returning the results in task order.
-    fn run_window(&mut self, tasks: &Arc<Vec<RunTask>>) -> Vec<RunResult> {
-        let jobs = self.effective_jobs();
-        // Usable concurrency: a pool that would spawn zero workers (more
-        // jobs than cores) is just the sequential loop with extra
-        // bookkeeping, so run the plain loop instead.
-        let threads = jobs.min(
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
-        );
-        let (results, load) = if threads <= 1 || tasks.len() <= 1 {
-            run_batch_traced(&self.source, tasks, 1, &self.prefix_cache)
-        } else {
-            self.pool
-                .get_or_insert_with(|| {
-                    WorkerPool::new(
-                        jobs,
-                        Arc::clone(&self.source),
-                        Arc::clone(&self.prefix_cache),
-                    )
-                })
-                .run(Arc::clone(tasks))
-        };
-        if let Some(obs) = self.obs.as_mut() {
-            obs.add_load(&load);
-        }
-        results
     }
 
     /// Run the exploration to completion and report.
@@ -406,7 +331,15 @@ impl Explorer {
     /// [`Explorer::explore`], additionally returning a [`MetricsReport`]
     /// when the config opted into telemetry (`cfg.metrics`). The
     /// [`ExploreReport`] is identical either way.
-    pub fn explore_traced(mut self) -> (ExploreReport, Option<MetricsReport>) {
+    pub fn explore_traced(self) -> (ExploreReport, Option<MetricsReport>) {
+        let source = Arc::clone(&self.source);
+        std::thread::scope(|scope| {
+            let pool = WorkerPool::new(scope, self.cfg.jobs, &source);
+            self.explore_on(&pool)
+        })
+    }
+
+    fn explore_on(mut self, pool: &WorkerPool) -> (ExploreReport, Option<MetricsReport>) {
         let started = Instant::now();
         // Failing runs are the point here; keep their panics off stderr.
         tracedbg_mpsim::set_quiet_panics(true);
@@ -416,30 +349,28 @@ impl Explorer {
         let baseline_branches = base.points.iter().filter(|p| p.is_branch()).count();
         self.conformance_check(&base);
         match self.cfg.strategy {
-            Strategy::Systematic | Strategy::Both => self.systematic(&base),
+            Strategy::Systematic | Strategy::Both => self.systematic(pool, &base),
             Strategy::Random => {}
         }
         match self.cfg.strategy {
-            Strategy::Random | Strategy::Both => self.random_walk(),
+            Strategy::Random | Strategy::Both => self.random_walk(pool),
             Strategy::Systematic => {}
         }
         tracedbg_mpsim::set_quiet_panics(false);
-        let jobs = self.effective_jobs();
         let metrics = self
             .obs
             .take()
-            .map(|acc| self.metrics_report(*acc, jobs, started.elapsed()));
+            .map(|acc| self.metrics_report(*acc, pool, started.elapsed()));
         let report = ExploreReport {
             workload: self.cfg.workload,
             procs: self.procs,
             seed: self.cfg.seed,
             strategy: self.cfg.strategy.as_str().to_string(),
-            jobs,
+            jobs: pool.jobs(),
             runs_executed: self.runs_executed,
             aux_runs: self.aux_runs,
             pruned: self.pruned,
             baseline_branches,
-            prefix_groups: self.prefix_groups,
             sleep_skipped: self.sleep_skipped,
             independence_pairs: self
                 .cfg
@@ -455,7 +386,7 @@ impl Explorer {
     /// Assemble the [`MetricsReport`] from the accumulator. The `event`
     /// section is built purely from absorb-order state; everything
     /// wall-clock-shaped goes in `timing`.
-    fn metrics_report(&self, acc: ObsAcc, jobs: usize, elapsed: Duration) -> MetricsReport {
+    fn metrics_report(&self, acc: ObsAcc, pool: &WorkerPool, elapsed: Duration) -> MetricsReport {
         let event = EventMetrics {
             runs: acc.runs,
             engine: acc.engine,
@@ -464,7 +395,6 @@ impl Explorer {
                 aux_runs: self.aux_runs as u64,
                 digest_pruned: acc.digest_pruned,
                 prefix_pruned: acc.prefix_pruned,
-                prefix_groups: self.prefix_groups as u64,
                 runs_skipped_by_sleep_sets: self.sleep_skipped,
                 independence_pairs: self
                     .cfg
@@ -484,12 +414,13 @@ impl Explorer {
         let timing = TimingMetrics {
             wall_ms,
             walks_per_sec: self.runs_executed as u64 * 1000 / wall_ms,
-            snapshot_ns: acc.snapshot_ns,
-            workers: acc
-                .worker_load
-                .iter()
+            // Explored runs take no snapshots.
+            snapshot_ns: 0,
+            workers: pool
+                .load()
+                .into_iter()
                 .enumerate()
-                .map(|(w, &(tasks, busy_ns))| {
+                .map(|(w, (tasks, busy_ns))| {
                     let busy_ms = busy_ns / 1_000_000;
                     WorkerStat {
                         worker: w as u64,
@@ -499,8 +430,6 @@ impl Explorer {
                     }
                 })
                 .collect(),
-            prefix_cache_hits: self.prefix_cache.hits() as u64,
-            prefix_cache_len: self.prefix_cache.len() as u64,
             checkpoint_cache: None,
             commands: Vec::new(),
         };
@@ -509,7 +438,7 @@ impl Explorer {
             &self.cfg.workload,
             self.procs as u64,
             self.cfg.seed,
-            jobs as u64,
+            pool.jobs() as u64,
             event,
             timing,
         )
@@ -522,7 +451,12 @@ impl Explorer {
         faults: &[Fault],
         strategy: &'static str,
     ) -> RunResult {
-        let res = execute_metered(&self.source, policy, faults, self.cfg.metrics);
+        let task = RunTask {
+            policy,
+            faults: faults.to_vec(),
+            metrics: self.cfg.metrics,
+        };
+        let res = execute_task(&self.source, &task);
         self.absorb(&res, faults, strategy);
         res
     }
@@ -538,7 +472,6 @@ impl Explorer {
             if let Some(m) = &res.metrics {
                 obs.runs += 1;
                 obs.engine.merge(m);
-                obs.snapshot_ns += res.snapshot_ns;
             }
         }
         if self.digests.insert(res.digest) {
@@ -619,8 +552,7 @@ impl Explorer {
     ///
     /// Parallel shape: the FIFO queue is drained into one batch — scripts
     /// are materialized, prefixes pruned and the budget accounted at
-    /// dequeue time, exactly where a sequential loop would — and
-    /// prefix-checkpoint roles are assigned over the whole drain. The
+    /// dequeue time, exactly where a sequential loop would. The
     /// batch then executes and is absorbed window by window
     /// ([`run_windowed`]): oracles, digest pruning and queue extensions
     /// happen in task order, so extensions of item `k` enqueue before
@@ -628,7 +560,7 @@ impl Explorer {
     /// and a run's trace and decision log are dropped as soon as its
     /// window is absorbed. A drain never sees its own extensions, which
     /// is what makes the window size invisible in the report.
-    fn systematic(&mut self, base: &RunResult) {
+    fn systematic(&mut self, pool: &WorkerPool, base: &RunResult) {
         let mut queue: VecDeque<FrontierEntry> = VecDeque::new();
         Self::push_extensions(
             &base.points,
@@ -640,7 +572,7 @@ impl Explorer {
             &mut queue,
         );
         loop {
-            let mut scripts: Vec<Vec<Decision>> = Vec::new();
+            let mut tasks: Vec<RunTask> = Vec::new();
             let mut batch: Vec<Dequeued> = Vec::new();
             while self.runs_executed + batch.len() < self.cfg.runs {
                 let Some(entry) = queue.pop_front() else {
@@ -661,80 +593,34 @@ impl Explorer {
                     depth: entry.depth,
                     sleep: entry.sleep,
                 });
-                scripts.push(script);
+                tasks.push(RunTask {
+                    policy: SchedPolicy::Scripted(script),
+                    faults: Vec::new(),
+                    metrics: self.cfg.metrics,
+                });
             }
             if batch.is_empty() {
                 break;
             }
-            let tasks = self.assign_prefix_roles(scripts);
-            self.prefix_groups += tasks.iter().filter(|t| t.snapshot_at.is_some()).count();
-            run_windowed(self, tasks, Self::run_window, |ex, i, _task, res| {
-                ex.absorb(&res, &[], "systematic");
+            run_windowed(pool, tasks, |i, _task, res| {
+                self.absorb(&res, &[], "systematic");
                 // Only branch on decisions *after* the substitution:
                 // earlier alternatives are someone else's subtree (the
                 // sleep-set-style part of the reduction).
                 let from = &batch[i];
-                if from.depth < ex.cfg.preemptions && !res.diverged {
+                if from.depth < self.cfg.preemptions && !res.diverged {
                     Self::push_extensions(
                         &res.points,
                         from.prefix_len,
                         from.depth,
                         &from.sleep,
-                        ex.cfg.independence.as_ref(),
-                        &mut ex.sleep_skipped,
+                        self.cfg.independence.as_ref(),
+                        &mut self.sleep_skipped,
                         &mut queue,
                     );
                 }
             });
         }
-    }
-
-    /// Turn a drained batch of schedule prefixes into run tasks, assigning
-    /// prefix-checkpoint roles: sibling prefixes (identical up to their
-    /// final decision) share one engine execution of that common prefix.
-    /// The first sibling of each group becomes the *producer* —
-    /// checkpointing at the shared depth — and the rest *fork* from the
-    /// cached checkpoint, re-executing only their own last decision
-    /// onward. Groups whose prefix is already cached (a batch straddling
-    /// the budget, say) get consumers only.
-    ///
-    /// Role assignment depends only on the batch and on which keys earlier
-    /// batches cached — both deterministic — so the task list is identical
-    /// for every worker count. It covers the whole drain, not one
-    /// execution window: a producer and its consumers may land in
-    /// different windows, and a consumer that finds no checkpoint yet runs
-    /// from scratch to the same result.
-    fn assign_prefix_roles(&self, scripts: Vec<Vec<Decision>>) -> Vec<RunTask> {
-        let shared_key = |script: &[Decision]| {
-            (script.len() > MIN_SHARED_PREFIX).then(|| hash_decisions(&script[..script.len() - 1]))
-        };
-        let mut group_size: HashMap<u64, usize> = HashMap::new();
-        for key in scripts.iter().filter_map(|s| shared_key(s)) {
-            *group_size.entry(key).or_default() += 1;
-        }
-        let mut producing: HashSet<u64> = HashSet::new();
-        scripts
-            .into_iter()
-            .map(|script| {
-                let key = shared_key(&script);
-                let shared = script.len() - 1;
-                let mut task = RunTask::plain(SchedPolicy::Scripted(script), Vec::new());
-                task.metrics = self.cfg.metrics;
-                let Some(key) = key else {
-                    return task;
-                };
-                if self.prefix_cache.contains(key) {
-                    task.prefix_key = Some(key);
-                } else if group_size[&key] >= 2 {
-                    task.prefix_key = Some(key);
-                    if producing.insert(key) {
-                        // First sibling of an uncached group produces.
-                        task.snapshot_at = Some(shared);
-                    }
-                }
-                task
-            })
-            .collect()
     }
 
     /// For every branch point at index >= `from`, enqueue each untaken
@@ -826,7 +712,7 @@ impl Explorer {
     /// the task list is the same however many workers execute it. Like a
     /// systematic drain it executes window by window, each result absorbed
     /// and dropped before the next window is dispatched.
-    fn random_walk(&mut self) {
+    fn random_walk(&mut self, pool: &WorkerPool) {
         let remaining = self.cfg.runs.saturating_sub(self.runs_executed) as u64;
         let tasks: Vec<RunTask> = (1..=remaining)
             .map(|i| {
@@ -837,13 +723,15 @@ impl Explorer {
                 } else {
                     Vec::new()
                 };
-                let mut task = RunTask::plain(SchedPolicy::Seeded(seed), faults);
-                task.metrics = self.cfg.metrics;
-                task
+                RunTask {
+                    policy: SchedPolicy::Seeded(seed),
+                    faults,
+                    metrics: self.cfg.metrics,
+                }
             })
             .collect();
-        run_windowed(self, tasks, Self::run_window, |ex, _, task, res| {
-            ex.absorb(&res, &task.faults, "random")
+        run_windowed(pool, tasks, |_, task, res| {
+            self.absorb(&res, &task.faults, "random")
         });
     }
 
@@ -926,11 +814,13 @@ impl Explorer {
         // panic is metered so its flight-recorder dump — the last engine
         // decisions before the failure — rides along in the artifact.
         let meter_confirm = class == CLASS_DEADLOCK || class == CLASS_PANIC;
-        let c1 = execute_metered(
+        let c1 = execute_task(
             &self.source,
-            SchedPolicy::Scripted(shrunk.clone()),
-            &kept,
-            meter_confirm,
+            &RunTask {
+                policy: SchedPolicy::Scripted(shrunk.clone()),
+                faults: kept.clone(),
+                metrics: meter_confirm,
+            },
         );
         let c2 = execute(&self.source, SchedPolicy::Scripted(shrunk.clone()), &kept);
         aux += 2;

@@ -21,7 +21,7 @@
 //! and saved as a [`ScheduleArtifact`] that `tracedbg replay --schedule`
 //! re-executes deterministically.
 //!
-//! Exploration runs fan out over a worker pool ([`pool::run_batch`]);
+//! Exploration runs fan out over a worker pool ([`pool::WorkerPool`]);
 //! every run drives a private `mpsim` engine, batches are formed and
 //! their results absorbed in deterministic task order — one fixed-size
 //! window at a time ([`pool::run_windowed`]) — so `jobs = N` reports
@@ -36,10 +36,8 @@ pub mod shrink;
 
 pub use explorer::{ExploreConfig, ExploreReport, Explorer, Finding, Strategy};
 pub use oracle::Violation;
-pub use pool::{
-    run_batch, run_batch_traced, run_windowed, PrefixCache, RunTask, WorkerLoad, WINDOW,
-};
-pub use runner::{execute_artifact, execute_metered, execute_task, ProgramSource, RunResult};
+pub use pool::{run_windowed, RunTask, WorkerLoad, WINDOW};
+pub use runner::{execute_task, ProgramSource, RunResult};
 
 // The telemetry vocabulary explorers export through.
 pub use tracedbg_obs::MetricsReport;

@@ -1,227 +1,40 @@
 //! The exploration worker pool.
 //!
-//! [`run_batch`] fans a deterministically-ordered batch of exploration
-//! tasks out over worker threads. Each task is executed by [`execute`],
-//! which launches a private `mpsim` engine — workers never share runtime
-//! state, so N concurrent runs are as isolated as N sequential ones (and
-//! running them concurrently doubles as a stress test of that isolation).
+//! [`WorkerPool`] fans a deterministically-ordered batch of exploration
+//! tasks out over its executors. Each task is executed by
+//! [`execute_task`], which launches a private `mpsim` engine — executors
+//! never share runtime state, so N concurrent runs are as isolated as N
+//! sequential ones (and running them concurrently doubles as a stress
+//! test of that isolation).
 //!
 //! Determinism contract: the *content* of every result depends only on its
-//! task (policy + fault plan), never on which worker ran it or when, and
+//! task (policy + fault plan), never on which executor ran it or when, and
 //! results are returned **in task order**. The explorer forms batches and
 //! absorbs results sequentially, so `jobs = N` observes the exact state
 //! transitions of `jobs = 1` — the property the parallel-determinism
 //! regression tests pin down.
 
 use crate::runner::{execute_task, ProgramSource, RunResult};
-use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use tracedbg_mpsim::{EngineCheckpoint, SchedPolicy};
+use std::thread::Scope;
+use tracedbg_mpsim::SchedPolicy;
 use tracedbg_trace::schedule::Fault;
 
-/// One unit of exploration work: a scheduling policy plus a fault plan,
-/// optionally participating in prefix-checkpoint sharing.
+/// One unit of exploration work: a scheduling policy plus a fault plan.
 pub struct RunTask {
     pub policy: SchedPolicy,
     pub faults: Vec<Fault>,
-    /// Producer role: checkpoint the engine when its decision log reaches
-    /// this depth and deposit it in the batch's [`PrefixCache`] under
-    /// `prefix_key`. `None` for ordinary runs.
-    pub snapshot_at: Option<usize>,
-    /// The shared-prefix identity of this task (hash of all decisions but
-    /// the last). Consumers (`snapshot_at: None`) fork from the cached
-    /// checkpoint when one is present instead of re-executing the prefix.
-    pub prefix_key: Option<u64>,
-    /// Collect engine telemetry for this run. Metered consumers run from
-    /// scratch instead of forking (see [`execute_task`]), keeping
-    /// event-derived counters independent of cache state and job count.
+    /// Collect engine telemetry for this run.
     pub metrics: bool,
 }
 
-impl RunTask {
-    /// A plain run: no checkpoint production or consumption, no telemetry.
-    pub fn plain(policy: SchedPolicy, faults: Vec<Fault>) -> Self {
-        RunTask {
-            policy,
-            faults,
-            snapshot_at: None,
-            prefix_key: None,
-            metrics: false,
-        }
-    }
-}
-
-/// Shared-prefix checkpoint store for one exploration.
-///
-/// Systematic search enqueues sibling schedules that differ only in their
-/// final decision; one sibling per group runs as the *producer*
-/// (checkpointing at the shared-prefix depth) and the rest *fork* from the
-/// restored checkpoint, re-executing only their divergent suffix. The
-/// cache is shared across batches and workers; entries are immutable once
-/// inserted, so a consumer either sees a fully-built checkpoint or falls
-/// back to a from-scratch run — either way the result content is
-/// identical (the restore determinism contract), keeping `jobs = N`
-/// findings equal to `jobs = 1`.
-pub struct PrefixCache {
-    entries: Mutex<HashMap<u64, Arc<EngineCheckpoint>>>,
-    cap: usize,
-    hits: AtomicUsize,
-}
-
-impl PrefixCache {
-    pub fn new() -> Self {
-        Self::with_capacity(64)
-    }
-
-    pub fn with_capacity(cap: usize) -> Self {
-        PrefixCache {
-            entries: Mutex::new(HashMap::new()),
-            cap: cap.max(1),
-            hits: AtomicUsize::new(0),
-        }
-    }
-
-    pub fn get(&self, key: u64) -> Option<Arc<EngineCheckpoint>> {
-        let hit = self
-            .entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-            .cloned();
-        if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    pub fn contains(&self, key: u64) -> bool {
-        self.entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains_key(&key)
-    }
-
-    /// Insert unless the cache is full (bounded memory: checkpoints hold
-    /// whole decision logs and traces). First insertion wins; re-inserting under a live
-    /// key is a no-op.
-    pub fn insert(&self, key: u64, cp: EngineCheckpoint) {
-        let mut e = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if e.len() < self.cap {
-            e.entry(key).or_insert_with(|| Arc::new(cp));
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Consumer forks served from the cache so far.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for PrefixCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Per-worker share of one batch: `(tasks executed, busy nanoseconds)`,
-/// indexed by worker. Pure timing telemetry — which worker ran which task
-/// is scheduler-dependent, so nothing event-deterministic may derive from
-/// it (results themselves are returned in task order regardless).
+/// Per-executor share of the work: `(tasks executed, busy nanoseconds)`,
+/// indexed by executor. Pure timing telemetry — which executor ran which
+/// task is scheduler-dependent, so nothing event-deterministic may derive
+/// from it (results themselves are returned in task order regardless).
 pub type WorkerLoad = Vec<(u64, u64)>;
-
-/// Execute every task and return the results in task order.
-///
-/// With `jobs <= 1` (or a single task) this degenerates to a plain
-/// sequential loop; otherwise `min(jobs, tasks.len())` workers pull tasks
-/// from a shared cursor and park each result in its task's slot.
-pub fn run_batch(
-    source: &ProgramSource,
-    tasks: &[RunTask],
-    jobs: usize,
-    cache: &PrefixCache,
-) -> Vec<RunResult> {
-    run_batch_traced(source, tasks, jobs, cache).0
-}
-
-/// [`run_batch`] plus per-worker load accounting (the sequential path
-/// reports all work under worker 0).
-pub fn run_batch_traced(
-    source: &ProgramSource,
-    tasks: &[RunTask],
-    jobs: usize,
-    cache: &PrefixCache,
-) -> (Vec<RunResult>, WorkerLoad) {
-    let n = tasks.len();
-    if n == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    let jobs = jobs.clamp(1, n);
-    if jobs == 1 {
-        let t0 = std::time::Instant::now();
-        let results = tasks
-            .iter()
-            .map(|t| execute_task(source, t, cache))
-            .collect();
-        let load = vec![(n as u64, t0.elapsed().as_nanos() as u64)];
-        return (results, load);
-    }
-    // Never oversubscribe: workers beyond the machine's cores only add
-    // context switches to CPU-bound engine runs. Load accounting keeps
-    // `jobs` rows; the unspawned workers simply report zero.
-    let threads = jobs.min(
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1),
-    );
-    if threads == 1 {
-        let t0 = std::time::Instant::now();
-        let results = tasks
-            .iter()
-            .map(|t| execute_task(source, t, cache))
-            .collect();
-        let mut load = vec![(0, 0); jobs];
-        load[0] = (n as u64, t0.elapsed().as_nanos() as u64);
-        return (results, load);
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let mut load: Vec<(u64, u64)> = vec![(0, 0); jobs];
-    std::thread::scope(|scope| {
-        for my_load in load.iter_mut().take(threads) {
-            let cursor = &cursor;
-            let slots = &slots;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let t0 = std::time::Instant::now();
-                let res = execute_task(source, &tasks[i], cache);
-                my_load.0 += 1;
-                my_load.1 += t0.elapsed().as_nanos() as u64;
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
-            });
-        }
-    });
-    let results = slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every slot is filled before the scope ends")
-        })
-        .collect();
-    (results, load)
-}
 
 /// Tasks executed between two absorb phases. Big enough that dispatching
 /// a window costs nothing next to running it (8 was 40 % slower at
@@ -233,19 +46,15 @@ pub const WINDOW: usize = 256;
 /// The one execute-and-absorb loop behind the systematic search, the
 /// random walk and the `localize` reference harvest.
 ///
-/// `tasks` run in windows of [`WINDOW`]: `run` executes one window and
-/// returns its results in task order, then every result is handed to
-/// `absorb` — by value, in task order, with its task and the task's index
-/// in `tasks` — before the next window is dispatched. What `absorb` does
-/// not keep is dropped there, so no more than one window of results is
-/// ever alive. `ctx` is threaded through both callbacks so they can share
-/// one `&mut` (the explorer runs windows on its own pool and absorbs into
-/// its own state).
-pub fn run_windowed<C>(
-    ctx: &mut C,
+/// `tasks` run on `pool` in windows of [`WINDOW`]; every result of a
+/// window is handed to `absorb` — by value, in task order, with its task
+/// and the task's index in `tasks` — before the next window is
+/// dispatched. What `absorb` does not keep is dropped there, so no more
+/// than one window of results is ever alive.
+pub fn run_windowed(
+    pool: &WorkerPool,
     tasks: Vec<RunTask>,
-    mut run: impl FnMut(&mut C, &Arc<Vec<RunTask>>) -> Vec<RunResult>,
-    mut absorb: impl FnMut(&mut C, usize, &RunTask, RunResult),
+    mut absorb: impl FnMut(usize, &RunTask, RunResult),
 ) {
     let mut rest = tasks.into_iter();
     let mut base = 0;
@@ -254,26 +63,20 @@ pub fn run_windowed<C>(
         if window.is_empty() {
             return;
         }
-        let results = run(ctx, &window);
-        assert_eq!(results.len(), window.len(), "one result per task");
+        let results = pool.run(Arc::clone(&window));
         for (i, (task, res)) in window.iter().zip(results).enumerate() {
-            absorb(ctx, base + i, task, res);
+            absorb(base + i, task, res);
         }
         base += window.len();
     }
 }
 
-// ---------------------------------------------------------------------------
-// Persistent worker pool
-// ---------------------------------------------------------------------------
-
 /// One batch in flight on a [`WorkerPool`].
 struct Batch {
     tasks: Arc<Vec<RunTask>>,
     cursor: AtomicUsize,
-    slots: Vec<Mutex<Option<RunResult>>>,
-    /// Per-executor (tasks, busy ns); index 0 is the calling thread.
-    loads: Vec<Mutex<(u64, u64)>>,
+    /// Per task: its result, or the panic that ended it.
+    slots: Vec<Mutex<Option<std::thread::Result<RunResult>>>>,
 }
 
 struct PoolState {
@@ -285,15 +88,17 @@ struct PoolState {
     shutdown: bool,
 }
 
-struct PoolShared {
-    source: Arc<ProgramSource>,
-    cache: Arc<PrefixCache>,
+struct PoolShared<'a> {
+    source: &'a ProgramSource,
     state: Mutex<PoolState>,
     work_cv: Condvar,
     done_cv: Condvar,
+    /// Per-executor (tasks, busy ns) over every batch so far; index 0 is
+    /// the calling thread.
+    loads: Vec<Mutex<(u64, u64)>>,
 }
 
-impl PoolShared {
+impl PoolShared<'_> {
     /// Pull tasks off the batch cursor until it runs dry, executing each
     /// and parking the result in its slot.
     fn drain(&self, batch: &Batch, executor: usize) {
@@ -304,9 +109,14 @@ impl PoolShared {
                 return;
             }
             let t0 = std::time::Instant::now();
-            let res = execute_task(&self.source, &batch.tasks[i], &self.cache);
+            // A task that unwinds (a factory `assert!`, an engine bug) is
+            // accounted like any other, or `open` would never reach 0 and
+            // `run` would wait forever; `run` re-raises it on its caller.
+            let res = catch_unwind(AssertUnwindSafe(|| {
+                execute_task(self.source, &batch.tasks[i])
+            }));
             {
-                let mut l = batch.loads[executor]
+                let mut l = self.loads[executor]
                     .lock()
                     .unwrap_or_else(|e| e.into_inner());
                 l.0 += 1;
@@ -322,47 +132,38 @@ impl PoolShared {
     }
 }
 
-/// A persistent exploration worker pool.
+/// The exploration worker pool — the one type that fans a batch out.
 ///
-/// The old shape — `std::thread::scope` per batch — respawned every
-/// worker thread for every batch, and an exploration is *many* small
-/// batches (each systematic wave and each random-walk chunk is one).
-/// That fixed per-batch thread cost is exactly what made `jobs = N`
-/// lose to `jobs = 1` on small workloads. Here workers are spawned
-/// once and parked on a condvar between batches, and the **calling
-/// thread participates as executor 0**, so a batch costs one
-/// `notify_all` instead of N spawns — and on a single-core box the
-/// caller simply drains the cursor inline while the parked workers
-/// stay out of the way.
-///
-/// The determinism contract of [`run_batch`] is unchanged: result
-/// content depends only on the task, and results come back in task
-/// order.
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    jobs: usize,
-    workers: Vec<std::thread::JoinHandle<()>>,
+/// An exploration is *many* small batches (each window of a systematic
+/// drain or of the random walk is one), so workers are spawned once, on
+/// the caller's [`Scope`], and parked on a condvar between batches, and
+/// the **calling thread participates as executor 0**: a batch costs one
+/// `notify_all`, not N spawns. A pool of one executor spawns no thread
+/// at all — `jobs = 1`, or any `jobs` on a single-core box, is the
+/// caller draining the cursor inline.
+pub struct WorkerPool<'scope> {
+    shared: Arc<PoolShared<'scope>>,
 }
 
-impl WorkerPool {
-    /// A pool with `jobs` executors: the calling thread plus up to
-    /// `jobs - 1` parked worker threads. Threads beyond the machine's
-    /// available parallelism are never spawned — engine runs are CPU
-    /// bound, so oversubscribing cores buys nothing but context
-    /// switches (and is how `jobs = N` used to lose to `jobs = 1` on
-    /// small boxes). Load accounting still reports `jobs` rows; the
-    /// unspawned executors simply stay at zero.
-    pub fn new(jobs: usize, source: Arc<ProgramSource>, cache: Arc<PrefixCache>) -> Self {
-        let jobs = jobs.max(1);
-        let spawn = (jobs - 1).min(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .saturating_sub(1),
-        );
+impl<'scope> WorkerPool<'scope> {
+    /// A pool with `jobs` executors (`0` = one per available core): the
+    /// calling thread plus up to `jobs - 1` worker threads parked on
+    /// `scope`. Threads beyond the machine's available parallelism are
+    /// never spawned — engine runs are CPU bound, so oversubscribing
+    /// cores buys nothing but context switches (and is how `jobs = N`
+    /// used to lose to `jobs = 1` on small boxes). Load accounting still
+    /// reports `jobs` rows; the unspawned executors simply stay at zero.
+    pub fn new(
+        scope: &'scope Scope<'scope, '_>,
+        jobs: usize,
+        source: &'scope ProgramSource,
+    ) -> Self {
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        let jobs = if jobs == 0 { cores } else { jobs };
         let shared = Arc::new(PoolShared {
             source,
-            cache,
             state: Mutex::new(PoolState {
                 batch: None,
                 epoch: 0,
@@ -371,58 +172,59 @@ impl WorkerPool {
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
+            loads: (0..jobs).map(|_| Mutex::new((0, 0))).collect(),
         });
-        let workers = (1..=spawn)
-            .map(|executor| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    let mut seen = 0u64;
-                    loop {
-                        let batch = {
-                            let mut g = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-                            loop {
-                                if g.shutdown {
-                                    return;
-                                }
-                                if g.epoch != seen {
-                                    if let Some(b) = &g.batch {
-                                        seen = g.epoch;
-                                        break Arc::clone(b);
-                                    }
-                                }
-                                g = shared.work_cv.wait(g).unwrap_or_else(|e| e.into_inner());
+        for executor in 1..jobs.min(cores) {
+            let shared = Arc::clone(&shared);
+            scope.spawn(move || {
+                let mut seen = 0u64;
+                loop {
+                    let batch = {
+                        let mut g = shared.state.lock().unwrap_or_else(|e| e.into_inner());
+                        loop {
+                            if g.shutdown {
+                                return;
                             }
-                        };
-                        shared.drain(&batch, executor);
-                    }
-                })
-            })
-            .collect();
-        WorkerPool {
-            shared,
-            jobs,
-            workers,
+                            if g.epoch != seen {
+                                if let Some(b) = &g.batch {
+                                    seen = g.epoch;
+                                    break Arc::clone(b);
+                                }
+                            }
+                            g = shared.work_cv.wait(g).unwrap_or_else(|e| e.into_inner());
+                        }
+                    };
+                    shared.drain(&batch, executor);
+                }
+            });
         }
+        WorkerPool { shared }
     }
 
-    /// Number of executors (calling thread included).
+    /// Number of executors (calling thread included; never 0).
     pub fn jobs(&self) -> usize {
-        self.jobs
+        self.shared.loads.len()
     }
 
-    /// Execute every task and return the results in task order, plus
-    /// per-executor load. The caller drains alongside the workers and
-    /// returns only when every slot is filled.
-    pub fn run(&self, tasks: Arc<Vec<RunTask>>) -> (Vec<RunResult>, WorkerLoad) {
+    /// Per-executor load summed over every batch run so far.
+    pub fn load(&self) -> WorkerLoad {
+        self.shared
+            .loads
+            .iter()
+            .map(|m| *m.lock().unwrap_or_else(|e| e.into_inner()))
+            .collect()
+    }
+
+    /// Execute every task and return the results in task order. The
+    /// caller drains alongside the workers and returns only when every
+    /// slot is filled; if a task panicked, the first such panic in task
+    /// order is re-raised here, with the pool idle and reusable.
+    pub fn run(&self, tasks: Arc<Vec<RunTask>>) -> Vec<RunResult> {
         let n = tasks.len();
-        if n == 0 {
-            return (Vec::new(), Vec::new());
-        }
         let batch = Arc::new(Batch {
             tasks,
             cursor: AtomicUsize::new(0),
             slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            loads: (0..self.jobs).map(|_| Mutex::new((0, 0))).collect(),
         });
         {
             let mut g = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -442,7 +244,7 @@ impl WorkerPool {
         }
         g.batch = None;
         drop(g);
-        let results = batch
+        batch
             .slots
             .iter()
             .map(|m| {
@@ -450,27 +252,19 @@ impl WorkerPool {
                     .unwrap_or_else(|e| e.into_inner())
                     .take()
                     .expect("open == 0 means every slot is filled")
+                    .unwrap_or_else(|panic| resume_unwind(panic))
             })
-            .collect();
-        let load = batch
-            .loads
-            .iter()
-            .map(|m| *m.lock().unwrap_or_else(|e| e.into_inner()))
-            .collect();
-        (results, load)
+            .collect()
     }
 }
 
-impl Drop for WorkerPool {
+impl Drop for WorkerPool<'_> {
+    /// Release the parked workers; the scope they were spawned on joins
+    /// them.
     fn drop(&mut self) {
-        {
-            let mut g = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            g.shutdown = true;
-            self.shared.work_cv.notify_all();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        let mut g = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+        g.shutdown = true;
+        self.shared.work_cv.notify_all();
     }
 }
 
@@ -495,17 +289,29 @@ mod tests {
         Box::new(move || script::programs(&pingpong, 2, "pool.sdl"))
     }
 
-    #[test]
-    fn parallel_batch_matches_sequential_order_and_content() {
-        let source = pingpong_source();
-        let tasks: Vec<RunTask> = (0..16)
-            .map(|i| RunTask::plain(SchedPolicy::Seeded(i), Vec::new()))
-            .collect();
-        let cache = PrefixCache::new();
-        let seq = run_batch(&source, &tasks, 1, &cache);
-        let par = run_batch(&source, &tasks, 4, &cache);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
+    fn seeded(seeds: std::ops::Range<u64>) -> Vec<RunTask> {
+        seeds
+            .map(|i| RunTask {
+                policy: SchedPolicy::Seeded(i),
+                faults: Vec::new(),
+                metrics: false,
+            })
+            .collect()
+    }
+
+    /// The reference every pool result is compared with: a plain loop.
+    fn scratch(source: &ProgramSource, tasks: &[RunTask]) -> Vec<RunResult> {
+        tasks.iter().map(|t| execute_task(source, t)).collect()
+    }
+
+    /// One batch on a fresh pool of `jobs` executors.
+    fn run_on(jobs: usize, source: &ProgramSource, tasks: Vec<RunTask>) -> Vec<RunResult> {
+        std::thread::scope(|scope| WorkerPool::new(scope, jobs, source).run(Arc::new(tasks)))
+    }
+
+    fn assert_same_runs(a: &[RunResult], b: &[RunResult]) {
+        assert_eq!(a.len(), b.len());
+        for (a, b) in a.iter().zip(b) {
             assert_eq!(a.digest, b.digest, "same task, same trace digest");
             assert_eq!(a.class, b.class);
             assert_eq!(a.decisions, b.decisions);
@@ -513,10 +319,16 @@ mod tests {
     }
 
     #[test]
+    fn parallel_batch_matches_sequential_order_and_content() {
+        let source = pingpong_source();
+        let seq = scratch(&source, &seeded(0..16));
+        assert_same_runs(&seq, &run_on(4, &source, seeded(0..16)));
+    }
+
+    #[test]
     fn oversized_job_count_is_clamped() {
         let source = pingpong_source();
-        let tasks = vec![RunTask::plain(SchedPolicy::RoundRobin, Vec::new())];
-        let out = run_batch(&source, &tasks, 64, &PrefixCache::new());
+        let out = run_on(64, &source, seeded(0..1));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].class, crate::runner::CLASS_COMPLETED);
     }
@@ -524,45 +336,41 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let source = pingpong_source();
-        assert!(run_batch(&source, &[], 8, &PrefixCache::new()).is_empty());
+        assert!(run_on(8, &source, Vec::new()).is_empty());
     }
 
     #[test]
-    fn producer_then_consumer_forks_match_scratch_runs() {
-        // Record a schedule, then replay it as a sibling group: the
-        // producer checkpoints the shared prefix, the consumer forks from
-        // it, and both match the from-scratch execution exactly.
+    fn one_executor_pool_runs_inline_in_task_order() {
+        // jobs = 1 is the caller draining the cursor: every factory call
+        // comes from the calling thread, one per task, in task order.
+        let pingpong = pingpong_source();
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&calls);
+        let source: ProgramSource = Box::new(move || {
+            log.lock().unwrap().push(std::thread::current().id());
+            pingpong()
+        });
+        let seq = scratch(&source, &seeded(0..9));
+        calls.lock().unwrap().clear();
+        std::thread::scope(|scope| {
+            let pool = WorkerPool::new(scope, 1, &source);
+            assert_eq!(pool.jobs(), 1);
+            assert_same_runs(&seq, &pool.run(Arc::new(seeded(0..9))));
+            assert_eq!(pool.load().len(), 1);
+            assert_eq!(pool.load()[0].0, 9);
+        });
+        let calls = calls.lock().unwrap();
+        assert_eq!(calls.len(), 9);
+        assert!(calls.iter().all(|&id| id == std::thread::current().id()));
+    }
+
+    #[test]
+    fn zero_jobs_means_one_executor_per_core() {
         let source = pingpong_source();
-        let base = crate::runner::execute(&source, SchedPolicy::RoundRobin, &[]);
-        let script = base.decisions.clone();
-        assert!(script.len() >= 2, "need a prefix to share");
-        let shared = script.len() - 1;
-        let key = 0xfeed_beefu64;
-        let cache = PrefixCache::new();
-        let tasks = vec![
-            RunTask {
-                policy: SchedPolicy::Scripted(script.clone()),
-                faults: Vec::new(),
-                snapshot_at: Some(shared),
-                prefix_key: Some(key),
-                metrics: false,
-            },
-            RunTask {
-                policy: SchedPolicy::Scripted(script.clone()),
-                faults: Vec::new(),
-                snapshot_at: None,
-                prefix_key: Some(key),
-                metrics: false,
-            },
-        ];
-        let out = run_batch(&source, &tasks, 1, &cache);
-        assert_eq!(cache.len(), 1, "producer deposited the prefix");
-        assert_eq!(cache.hits(), 1, "consumer forked from it");
-        for r in &out {
-            assert_eq!(r.class, base.class);
-            assert_eq!(r.digest, base.digest, "forked run must match scratch");
-            assert_eq!(r.decisions, base.decisions);
-        }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        std::thread::scope(|scope| {
+            assert_eq!(WorkerPool::new(scope, 0, &source).jobs(), cores);
+        });
     }
 
     #[test]
@@ -570,66 +378,84 @@ mod tests {
         // The pool is the reuse-across-batches path: three consecutive
         // batches on one pool must match the sequential results, in
         // order, and account for every task exactly once.
-        let source = Arc::new(pingpong_source());
-        let cache = Arc::new(PrefixCache::new());
-        let pool = WorkerPool::new(3, Arc::clone(&source), Arc::clone(&cache));
-        assert_eq!(pool.jobs(), 3);
-        for round in 0..3u64 {
-            let tasks: Vec<RunTask> = (0..11)
-                .map(|i| RunTask::plain(SchedPolicy::Seeded(round * 100 + i), Vec::new()))
-                .collect();
-            let seq = run_batch(&source, &tasks, 1, &cache);
-            let (par, load) = pool.run(Arc::new(tasks));
-            assert_eq!(par.len(), seq.len());
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.digest, b.digest);
-                assert_eq!(a.class, b.class);
-                assert_eq!(a.decisions, b.decisions);
+        let source = pingpong_source();
+        std::thread::scope(|scope| {
+            let pool = WorkerPool::new(scope, 3, &source);
+            assert_eq!(pool.jobs(), 3);
+            for round in 0..3u64 {
+                let seeds = round * 100..round * 100 + 11;
+                let seq = scratch(&source, &seeded(seeds.clone()));
+                assert_same_runs(&seq, &pool.run(Arc::new(seeded(seeds))));
+                let load = pool.load();
+                assert_eq!(load.len(), 3, "one load row per executor");
+                assert_eq!(load.iter().map(|(t, _)| t).sum::<u64>(), 11 * (round + 1));
             }
-            assert_eq!(load.len(), 3, "one load row per executor");
-            assert_eq!(load.iter().map(|(t, _)| t).sum::<u64>(), 11);
-        }
+        });
     }
 
     #[test]
     fn pool_drop_joins_idle_workers() {
-        let source = Arc::new(pingpong_source());
-        let cache = Arc::new(PrefixCache::new());
-        let pool = WorkerPool::new(4, source, cache);
-        // Never ran a batch: drop must still shut the workers down
-        // promptly instead of leaving them parked forever.
-        drop(pool);
+        let source = pingpong_source();
+        // Never ran a batch: drop must still release the workers instead
+        // of leaving the scope waiting on them forever.
+        std::thread::scope(|scope| drop(WorkerPool::new(scope, 4, &source)));
     }
 
     #[test]
     fn worker_load_accounts_for_every_task() {
         let source = pingpong_source();
-        let tasks: Vec<RunTask> = (0..10)
-            .map(|i| RunTask::plain(SchedPolicy::Seeded(i), Vec::new()))
-            .collect();
-        let cache = PrefixCache::new();
-        let (seq, seq_load) = run_batch_traced(&source, &tasks, 1, &cache);
-        assert_eq!(seq.len(), 10);
-        assert_eq!(seq_load.len(), 1, "sequential path is one worker");
-        assert_eq!(seq_load[0].0, 10);
-        let (par, par_load) = run_batch_traced(&source, &tasks, 3, &cache);
-        assert_eq!(par.len(), 10);
-        assert_eq!(par_load.len(), 3);
-        assert_eq!(par_load.iter().map(|(t, _)| t).sum::<u64>(), 10);
+        for jobs in [1, 3] {
+            std::thread::scope(|scope| {
+                let pool = WorkerPool::new(scope, jobs, &source);
+                assert_eq!(pool.run(Arc::new(seeded(0..10))).len(), 10);
+                let load = pool.load();
+                assert_eq!(load.len(), jobs);
+                assert_eq!(load.iter().map(|(t, _)| t).sum::<u64>(), 10);
+            });
+        }
+    }
+
+    #[test]
+    fn panicking_task_is_reraised_on_the_caller_not_hung() {
+        // The 5th factory call panics. Every other task still completes
+        // and is accounted, the batch goes quiescent, and the panic
+        // surfaces from `run`; leaving the scope then proves the workers
+        // were released.
+        for jobs in [1, 3] {
+            let pingpong = pingpong_source();
+            let calls = AtomicUsize::new(0);
+            let source: ProgramSource = Box::new(move || {
+                if calls.fetch_add(1, Ordering::Relaxed) == 4 {
+                    panic!("factory boom");
+                }
+                pingpong()
+            });
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                std::thread::scope(|scope| {
+                    let pool = WorkerPool::new(scope, jobs, &source);
+                    let raised =
+                        catch_unwind(AssertUnwindSafe(|| pool.run(Arc::new(seeded(0..12)))));
+                    assert_eq!(pool.load().iter().map(|(t, _)| t).sum::<u64>(), 12);
+                    // The pool survives the panic and runs the next batch.
+                    assert_eq!(pool.run(Arc::new(seeded(0..3))).len(), 3);
+                    resume_unwind(raised.err().expect("the batch must panic"));
+                })
+            }));
+            let payload = caught.expect_err("the panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"factory boom"));
+        }
     }
 
     #[test]
     fn metered_tasks_report_metrics_without_changing_content() {
         let source = pingpong_source();
-        let plain = run_batch(
-            &source,
-            &[RunTask::plain(SchedPolicy::RoundRobin, Vec::new())],
-            1,
-            &PrefixCache::new(),
-        );
-        let mut metered_task = RunTask::plain(SchedPolicy::RoundRobin, Vec::new());
-        metered_task.metrics = true;
-        let metered = run_batch(&source, &[metered_task], 1, &PrefixCache::new());
+        let task = |metrics| RunTask {
+            policy: SchedPolicy::RoundRobin,
+            faults: Vec::new(),
+            metrics,
+        };
+        let plain = run_on(1, &source, vec![task(false)]);
+        let metered = run_on(1, &source, vec![task(true)]);
         assert!(plain[0].metrics.is_none());
         assert!(plain[0].flight.is_empty());
         let m = metered[0]
@@ -640,40 +466,5 @@ mod tests {
         assert!(!metered[0].flight.is_empty());
         assert_eq!(metered[0].digest, plain[0].digest, "telemetry is passive");
         assert_eq!(metered[0].decisions, plain[0].decisions);
-    }
-
-    #[test]
-    fn metered_consumer_skips_fork_but_matches_forked_content() {
-        // Same producer/consumer setup as above, but the consumer is
-        // metered: it must NOT fork (metrics cover whole runs only) and
-        // still produce identical run content.
-        let source = pingpong_source();
-        let base = crate::runner::execute(&source, SchedPolicy::RoundRobin, &[]);
-        let script = base.decisions.clone();
-        let shared = script.len() - 1;
-        let key = 0xabcdu64;
-        let cache = PrefixCache::new();
-        let producer = RunTask {
-            policy: SchedPolicy::Scripted(script.clone()),
-            faults: Vec::new(),
-            snapshot_at: Some(shared),
-            prefix_key: Some(key),
-            metrics: true,
-        };
-        let consumer = RunTask {
-            policy: SchedPolicy::Scripted(script.clone()),
-            faults: Vec::new(),
-            snapshot_at: None,
-            prefix_key: Some(key),
-            metrics: true,
-        };
-        let out = run_batch(&source, &[producer, consumer], 1, &cache);
-        assert_eq!(cache.len(), 1, "producer still deposits");
-        assert_eq!(cache.hits(), 0, "metered consumer ran from scratch");
-        for r in &out {
-            assert_eq!(r.digest, base.digest);
-            let m = r.metrics.as_ref().expect("both runs metered");
-            assert_eq!(m.turns, out[0].metrics.as_ref().unwrap().turns);
-        }
     }
 }

@@ -32,7 +32,6 @@ fn assert_reports_identical(a: &ExploreReport, b: &ExploreReport) {
     assert_eq!(a.aux_runs, b.aux_runs, "shrink/confirm accounting");
     assert_eq!(a.pruned, b.pruned, "pruning decisions");
     assert_eq!(a.baseline_branches, b.baseline_branches);
-    assert_eq!(a.prefix_groups, b.prefix_groups, "prefix-sharing roles");
     assert_eq!(a.sleep_skipped, b.sleep_skipped, "DPOR skip accounting");
     assert_eq!(a.independence_pairs, b.independence_pairs);
     assert_eq!(a.findings.len(), b.findings.len(), "finding count");
@@ -65,10 +64,6 @@ fn racy_wildcard_findings_identical_at_jobs_1_and_4() {
     assert!(
         seq.findings.iter().any(|f| f.class == "panic"),
         "the wildcard race must be found"
-    );
-    assert!(
-        seq.prefix_groups > 0,
-        "systematic siblings must share checkpointed prefixes"
     );
     assert_eq!(par.jobs, 4);
     assert_reports_identical(&seq, &par);
@@ -139,8 +134,8 @@ fn metered_exploration_event_metrics_identical_across_jobs() {
         .expect("race found");
     let flight = panic_finding.artifact.flight.as_ref().expect("flight dump");
     assert!(flight.iter().any(|l| l.contains("panic")), "{flight:?}");
-    // The metered run (no prefix forking) and the plain run agree on the
-    // explorer-observable outcome anyway.
+    // The metered run and the plain run agree on the explorer-observable
+    // outcome.
     let plain = explore("racy-wildcard", 1, Strategy::Both);
     assert_eq!(plain.runs_executed, seq_report.runs_executed);
     assert_eq!(plain.findings.len(), seq_report.findings.len());
@@ -241,67 +236,42 @@ fn window_boundaries_do_not_leak_into_the_report() {
         assert_reports_identical(&seq, &par);
         if runs > 1 {
             assert!(seq.findings.iter().any(|f| f.class == "panic"));
-            assert!(seq.prefix_groups > 0, "budget {runs}: siblings share");
         }
     }
 }
 
 #[test]
-fn producer_and_consumers_may_land_in_different_windows() {
-    // Prefix-checkpoint roles are assigned over a whole drain, windows cut
-    // it afterwards: the last task of window 0 produces a checkpoint, the
-    // first two tasks of window 1 consume it. Sequentially the consumers
-    // fork from the deposited checkpoint; with workers they may or may not
-    // find it — the results are the from-scratch results either way, in
-    // task order.
-    use tracedbg_explore::{
-        execute_task, run_batch_traced, run_windowed, PrefixCache, RunTask, WINDOW,
-    };
+fn windows_are_absorbed_in_task_order_at_every_job_count() {
+    // A task list one window and two tasks long runs as two batches on
+    // one pool; whatever the executor count, `absorb` sees every result
+    // once, in task order, with its index — the plain `execute` loop.
+    use tracedbg_explore::pool::WorkerPool;
+    use tracedbg_explore::{execute_task, run_windowed, RunTask, WINDOW};
     use tracedbg_mpsim::SchedPolicy;
     let source: tracedbg_explore::ProgramSource =
         Box::new(wildcard_race_factory(RacyConfig::default()));
-    let script = tracedbg_explore::runner::execute(&source, SchedPolicy::RoundRobin, &[]).decisions;
-    let key = 0x5eed;
     let tasks = || -> Vec<RunTask> {
         (0..WINDOW + 2)
-            .map(|i| {
-                if i < WINDOW - 1 {
-                    return RunTask::plain(SchedPolicy::Seeded(i as u64), Vec::new());
-                }
-                let mut t = RunTask::plain(SchedPolicy::Scripted(script.clone()), Vec::new());
-                t.prefix_key = Some(key);
-                t.snapshot_at = (i == WINDOW - 1).then_some(script.len() - 1);
-                t
+            .map(|i| RunTask {
+                policy: SchedPolicy::Seeded(i as u64),
+                faults: Vec::new(),
+                metrics: false,
             })
             .collect()
     };
-    let digests = |jobs: usize, cache: &PrefixCache| {
-        let mut seen: Vec<(usize, u64)> = Vec::new();
-        let mut windows = 0;
-        run_windowed(
-            &mut seen,
-            tasks(),
-            |_, window| {
-                windows += 1;
-                assert!(window.len() <= WINDOW);
-                run_batch_traced(&source, window, jobs, cache).0
-            },
-            |seen, i, _, res| seen.push((i, res.digest)),
-        );
-        assert_eq!(windows, 2);
-        seen
-    };
     let scratch: Vec<(usize, u64)> = tasks()
         .iter()
-        .map(|t| {
-            let plain = RunTask::plain(t.policy.clone(), Vec::new());
-            execute_task(&source, &plain, &PrefixCache::new()).digest
-        })
+        .map(|t| execute_task(&source, t).digest)
         .enumerate()
         .collect();
-    let cache = PrefixCache::new();
-    assert_eq!(digests(1, &cache), scratch, "absorbed in task order");
-    assert_eq!(cache.len(), 1, "window 0's producer deposited");
-    assert_eq!(cache.hits(), 2, "window 1's consumers forked from it");
-    assert_eq!(digests(4, &PrefixCache::new()), scratch);
+    for jobs in [0, 1, 4] {
+        let mut seen: Vec<(usize, u64)> = Vec::new();
+        std::thread::scope(|scope| {
+            let pool = WorkerPool::new(scope, jobs, &source);
+            run_windowed(&pool, tasks(), |i, _, res| seen.push((i, res.digest)));
+            let executed: u64 = pool.load().iter().map(|(tasks, _)| tasks).sum();
+            assert_eq!(executed, (WINDOW + 2) as u64, "every task ran once");
+        });
+        assert_eq!(seen, scratch, "jobs {jobs}: absorbed in task order");
+    }
 }

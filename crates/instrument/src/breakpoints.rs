@@ -101,10 +101,6 @@ impl BreakSet {
         self.sites.len()
     }
 
-    pub fn n_watches(&self) -> usize {
-        self.watches.len()
-    }
-
     /// Test a non-probe event at `site`.
     #[inline]
     pub fn test_site(&self, site: SiteId) -> Option<TrapCause> {

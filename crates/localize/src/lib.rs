@@ -36,10 +36,8 @@ pub mod report;
 mod suspects;
 
 use std::collections::BTreeSet;
-use tracedbg_explore::{
-    execute_artifact, run_batch_traced, run_windowed, PrefixCache, ProgramSource, RunResult,
-    RunTask,
-};
+use tracedbg_explore::pool::WorkerPool;
+use tracedbg_explore::{execute_task, run_windowed, ProgramSource, RunResult, RunTask};
 use tracedbg_mpsim::{Engine, EngineConfig, RecorderConfig, SchedPolicy};
 use tracedbg_obs::{mad_score, median, EngineMetrics};
 use tracedbg_trace::schedule::{Decision, ScheduleArtifact};
@@ -68,8 +66,8 @@ pub struct LocalizeConfig {
     pub runs: usize,
     /// Seed for the reference schedules.
     pub seed: u64,
-    /// Worker threads for the reference harvest. Never affects report
-    /// bytes.
+    /// Worker threads for the reference harvest (`0` = available
+    /// parallelism). Never affects report bytes.
     pub jobs: usize,
 }
 
@@ -206,7 +204,14 @@ pub fn localize_with_trace(
     failing_trace: Option<&dyn TraceSource>,
 ) -> LocalizeReport {
     // 1. Reproduce the failure under the artifact's script + faults.
-    let failing = execute_artifact(source, artifact, true);
+    let failing = execute_task(
+        source,
+        &RunTask {
+            policy: EngineConfig::for_artifact(artifact).policy,
+            faults: artifact.faults.clone(),
+            metrics: true,
+        },
+    );
     let failure = format!("{}: {}", failing.class, failing.detail);
     if failing.class == CLASS_COMPLETED {
         let mut r = LocalizeReport::new(&artifact.workload, VERDICT_CLEAN, failure);
@@ -224,26 +229,25 @@ pub fn localize_with_trace(
             } else {
                 SchedPolicy::Seeded(splitmix64(cfg.seed.wrapping_add(i as u64)))
             };
-            let mut t = RunTask::plain(policy, Vec::new());
-            t.metrics = true;
-            t
+            RunTask {
+                policy,
+                faults: Vec::new(),
+                metrics: true,
+            }
         })
         .collect();
     //    Only the first completed run of each trace digest is kept; the
     //    rest are dropped as their window is absorbed.
-    let cache = PrefixCache::new();
     let mut passing: Vec<RunResult> = Vec::new();
     let mut seen = BTreeSet::new();
-    run_windowed(
-        &mut passing,
-        tasks,
-        |_, window| run_batch_traced(source, window, cfg.jobs.max(1), &cache).0,
-        |passing, _, _, res| {
+    std::thread::scope(|scope| {
+        let pool = WorkerPool::new(scope, cfg.jobs, source);
+        run_windowed(&pool, tasks, |_, _, res| {
             if res.class == CLASS_COMPLETED && seen.insert(res.digest) {
                 passing.push(res);
             }
-        },
-    );
+        });
+    });
     if passing.is_empty() {
         let mut r = LocalizeReport::new(&artifact.workload, VERDICT_NO_REFERENCE, failure);
         r.seal();

@@ -35,34 +35,31 @@ fn pipeline_artifact(cfg: &PlantedConfig) -> ScheduleArtifact {
     a
 }
 
-/// Run the same localization with `jobs = 1` and `jobs = 4` and demand
-/// byte-identical JSON.
+/// Run the same localization with `jobs = 1`, `jobs = 4` and `jobs = 0`
+/// (one executor per core) and demand byte-identical JSON.
 fn check_jobs_invariance(src: &tracedbg_explore::ProgramSource, a: &ScheduleArtifact, seed: u64) {
     tracedbg_mpsim::set_quiet_panics(true);
-    let serial = localize(
-        src,
-        a,
-        &LocalizeConfig {
-            runs: 4,
+    let at = |jobs| {
+        localize(
+            src,
+            a,
+            &LocalizeConfig {
+                runs: 4,
+                seed,
+                jobs,
+            },
+        )
+    };
+    let serial = at(1);
+    for jobs in [4, 0] {
+        prop_assert_eq!(
+            serial.to_json(),
+            at(jobs).to_json(),
+            "seed {}: report must not depend on job count {}",
             seed,
-            jobs: 1,
-        },
-    );
-    let parallel = localize(
-        src,
-        a,
-        &LocalizeConfig {
-            runs: 4,
-            seed,
-            jobs: 4,
-        },
-    );
-    prop_assert_eq!(
-        serial.to_json(),
-        parallel.to_json(),
-        "seed {}: report must not depend on job count",
-        seed
-    );
+            jobs
+        );
+    }
     prop_assert!(serial.digest_ok());
 }
 

@@ -331,10 +331,11 @@ impl Engine {
 
     /// Rebuild a live engine from a checkpoint: every rank resumes from a
     /// clone of its checkpointed frame stack and recorder — no
-    /// re-execution. `_programs` is unused (the checkpoint *is* the
-    /// program state); the parameter is kept so callers that pass their
-    /// launch recipe keep compiling. Restored engines keep checkpointing
-    /// enabled, so checkpoints chain.
+    /// re-execution. `_programs` is ignored (the checkpoint *is* the
+    /// program state), so pass `Vec::new()` rather than building programs
+    /// to be dropped; the parameter stays only because `benchmark/`
+    /// compiles against this signature. Restored engines keep
+    /// checkpointing enabled, so checkpoints chain.
     pub fn restore(cp: &EngineCheckpoint, _programs: Vec<RankProgram>) -> Self {
         install_quiet_panic_hook();
         let flush = FlushHandle::new();
@@ -1159,14 +1160,6 @@ impl Engine {
             .collect()
     }
 
-    /// Install (or clear) a replay log mid-session. Unlike the launch
-    /// path, cursors are left exactly where the caller set them — the
-    /// debugger pins a restored run with cursors advanced past the
-    /// checkpoint's matches.
-    pub fn set_replay(&mut self, log: Option<ReplayLog>) {
-        self.replay = log;
-    }
-
     /// Install a replay log on a restored engine so that only the delta
     /// ahead of the checkpoint is forced. Cursors advance past each rank's
     /// made matches — plus, for a rank checkpointed while *blocked in an
@@ -1196,13 +1189,6 @@ impl Engine {
         self.replay = Some(log);
         // A re-pinned receive may name a message that is already queued.
         self.resweep = true;
-    }
-
-    /// Swap the scheduler's script with the cursor pre-advanced past a
-    /// shared prefix (explorer prefix forking; see
-    /// [`crate::sched::Scheduler::set_script`]).
-    pub fn set_script(&mut self, script: Vec<Decision>, cursor: usize) {
-        self.scheduler.set_script(script, cursor);
     }
 
     // ---- telemetry interface ----
@@ -1824,7 +1810,7 @@ mod tests {
         assert_eq!(cp.decision_len(), 5);
         assert_eq!(e.collect_trace(), want, "snapshotting must not perturb");
         // Restore the prefix and run the rest: identical trace and state.
-        let mut r = Engine::restore(&cp, wildcard_fanin());
+        let mut r = Engine::restore(&cp, Vec::new());
         assert!(r.run().is_completed());
         assert_eq!(r.collect_trace(), want, "restored run diverged");
         assert_eq!(r.digest(), want_digest);
@@ -1843,7 +1829,7 @@ mod tests {
         let want = e.collect_trace();
         let want_digest = e.digest();
         // A restored stop *is* the stop: same trap, then same run.
-        let mut r = Engine::restore(&cp, ten_computes());
+        let mut r = Engine::restore(&cp, Vec::new());
         assert!(r.is_trapped(Rank(0)));
         match r.run() {
             RunOutcome::Stopped(st) => assert_eq!(st.traps, vec![Marker::new(0u32, 5)]),
@@ -1862,14 +1848,14 @@ mod tests {
         e.set_threshold(Rank(0), Some(3));
         assert!(e.run().is_stopped());
         let cp1 = e.snapshot();
-        let mut r1 = Engine::restore(&cp1, ten_computes());
+        let mut r1 = Engine::restore(&cp1, Vec::new());
         assert!(r1.checkpoints_enabled());
         r1.set_threshold(Rank(0), Some(7));
         r1.resume_trapped();
         assert!(r1.run().is_stopped());
         let cp2 = r1.snapshot();
         assert_eq!(cp2.markers().get(Rank(0)), 7);
-        let mut r2 = Engine::restore(&cp2, ten_computes());
+        let mut r2 = Engine::restore(&cp2, Vec::new());
         r2.clear_thresholds();
         r2.resume_trapped();
         assert!(r2.run().is_completed());
@@ -1901,7 +1887,7 @@ mod tests {
         e.set_snapshot_at(4);
         let _ = e.run();
         let cp = e.take_pending_snapshot().expect("snapshot");
-        let mut r = Engine::restore(&cp, wildcard_fanin());
+        let mut r = Engine::restore(&cp, Vec::new());
         let r_out = r.run();
         assert_eq!(
             format!("{straight_out:?}"),

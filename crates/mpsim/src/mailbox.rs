@@ -135,16 +135,6 @@ impl Mailbox {
     pub fn undelivered(&self) -> Vec<&Envelope> {
         self.channels.iter().flat_map(|c| &c.queue).collect()
     }
-
-    /// Drain everything (checkpoint restore support).
-    pub fn drain_all(&mut self) -> Vec<Envelope> {
-        let mut out = Vec::new();
-        for ch in &mut self.channels {
-            out.extend(ch.queue.drain(..));
-        }
-        self.pending = 0;
-        out
-    }
 }
 
 #[cfg(test)]
@@ -241,8 +231,5 @@ mod tests {
         mb.push(env(1, 1, 0, 5));
         assert_eq!(mb.pending(), 2);
         assert_eq!(mb.undelivered().len(), 2);
-        let drained = mb.drain_all();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(mb.pending(), 0);
     }
 }

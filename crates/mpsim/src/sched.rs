@@ -69,17 +69,6 @@ impl Scheduler {
         self.cursor
     }
 
-    /// Swap in a (typically longer) script with the cursor already advanced
-    /// past a shared prefix — the explorer forks a checkpointed prefix into
-    /// sibling schedules this way. `last` and the RNG are untouched: every
-    /// schedule sharing the prefix reached this state identically.
-    pub fn set_script(&mut self, script: Vec<Decision>, cursor: usize) {
-        assert!(cursor <= script.len());
-        self.script = script;
-        self.cursor = cursor;
-        self.diverged = false;
-    }
-
     /// Next scripted decision, unless the script diverged or ran out.
     fn scripted_next(&self) -> Option<Decision> {
         if self.diverged {

@@ -177,8 +177,6 @@ pub struct ExploreEvent {
     pub digest_pruned: u64,
     /// Sibling schedules skipped by prefix-hash pruning.
     pub prefix_pruned: u64,
-    /// Sibling groups that shared a prefix checkpoint.
-    pub prefix_groups: u64,
     /// Systematic alternatives never enqueued because a sleeping
     /// (independence-proven) decision covered them (DPOR sleep sets).
     pub runs_skipped_by_sleep_sets: u64,
@@ -207,8 +205,6 @@ pub struct TimingMetrics {
     pub snapshot_ns: u64,
     /// Per-worker load; worker 0 is the sequential path.
     pub workers: Vec<WorkerStat>,
-    pub prefix_cache_hits: u64,
-    pub prefix_cache_len: u64,
     /// Debugger checkpoint-cache behaviour; absent outside the debugger.
     pub checkpoint_cache: Option<CacheStats>,
     /// Per-command timing, sorted by command name; debugger only.
@@ -321,7 +317,6 @@ mod tests {
                     aux_runs: 2,
                     digest_pruned: 3,
                     prefix_pruned: 1,
-                    prefix_groups: 2,
                     runs_skipped_by_sleep_sets: 5,
                     independence_pairs: 4,
                     oracle_triggers: vec![ClassCount {

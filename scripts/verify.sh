@@ -288,20 +288,22 @@ for class in racy-wildcard-panic racy-deadlock-deadlock; do
     || { echo "schedule $art did not reproduce its failure" >&2; exit 1; }
 done
 
-echo "==> parallel determinism smoke: --jobs 4 reports exactly the --jobs 1 findings"
+echo "==> parallel determinism smoke: --jobs 4 and --jobs 0 report exactly the --jobs 1 findings"
 for wl in racy-wildcard racy-deadlock; do
   seq=$(./target/release/tracedbg explore "$wl" --procs 3 --runs 48 --seed 7 \
       --jobs 1 --json --out target/verify_explore_j1 || true)
-  par=$(./target/release/tracedbg explore "$wl" --procs 3 --runs 48 --seed 7 \
-      --jobs 4 --json --out target/verify_explore_j4 || true)
-  # Reports differ only in the resolved jobs field; findings must be
-  # byte-identical.
+  # Reports differ only in the resolved jobs field (0 = one executor per
+  # core); findings must be byte-identical.
   seq_norm=$(printf '%s' "$seq" | sed 's/"jobs":[0-9]*/"jobs":0/')
-  par_norm=$(printf '%s' "$par" | sed 's/"jobs":[0-9]*/"jobs":0/')
-  if [ -z "$seq" ] || [ "$seq_norm" != "$par_norm" ]; then
-    echo "explore $wl: --jobs 4 diverged from --jobs 1" >&2
-    exit 1
-  fi
+  for jobs in 4 0; do
+    par=$(./target/release/tracedbg explore "$wl" --procs 3 --runs 48 --seed 7 \
+        --jobs "$jobs" --json --out "target/verify_explore_j$jobs" || true)
+    par_norm=$(printf '%s' "$par" | sed 's/"jobs":[0-9]*/"jobs":0/')
+    if [ -z "$seq" ] || [ "$seq_norm" != "$par_norm" ]; then
+      echo "explore $wl: --jobs $jobs diverged from --jobs 1" >&2
+      exit 1
+    fi
+  done
 done
 
 echo "==> localize smoke: explore -> localize -> replay-to-suspect, .trc and store-dir feeds"
@@ -313,13 +315,13 @@ if ./target/release/tracedbg explore planted-wildcard --procs 4 --runs 48 --seed
 fi
 art=$(ls target/verify_localize/planted-wildcard-panic-*.sched.json | head -n 1)
 # The report must be byte-identical across --jobs (it has no jobs field).
-for jobs in 1 4; do
+for jobs in 1 4 0; do
   ./target/release/tracedbg localize --schedule "$art" --jobs "$jobs" --json \
     > "target/verify_localize/report_j${jobs}.json" \
     || { echo "localize --jobs $jobs failed on $art" >&2; exit 1; }
+  cmp -s target/verify_localize/report_j1.json "target/verify_localize/report_j${jobs}.json" \
+    || { echo "localize report at --jobs $jobs diverged from --jobs 1" >&2; exit 1; }
 done
-cmp -s target/verify_localize/report_j1.json target/verify_localize/report_j4.json \
-  || { echo "localize report diverged across --jobs" >&2; exit 1; }
 grep -q '"verdict":"localized"' target/verify_localize/report_j1.json \
   || { echo "localize did not localize the planted bug" >&2; exit 1; }
 # Graph-diff feeds: the recorded failing trace — as a .trc file and as an

@@ -258,8 +258,9 @@ fn trace_digest_separates_exactly_what_display_separates() {
 /// `tracedbg explore … --json` reports, byte for byte. The corpus in
 /// `tests/golden/explore/` was written at `--jobs 1` by the last build
 /// whose frontier held materialized prefixes and whose drains executed as
-/// one batch, so it pins budget accounting, both prune counters, prefix
-/// roles, sleep-set skips, findings and shrunk artifacts across the move
+/// one batch (re-blessed once since, to drop the prefix-fork counter and
+/// nothing else), so it pins budget accounting, both prune counters,
+/// sleep-set skips, findings and shrunk artifacts across the move
 /// to shared-prefix entries and windowed execution — at `--jobs 4` too,
 /// where the only byte allowed to differ is the `jobs` field itself.
 #[test]

@@ -11,7 +11,8 @@
 //! ```
 
 use std::path::PathBuf;
-use tracedbg::explore::{execute_metered, ProgramSource};
+use tracedbg::explore::runner::execute;
+use tracedbg::explore::ProgramSource;
 use tracedbg::mpsim::{Rank, SchedPolicy};
 use tracedbg::profile::{ProfileInput, ProfileReport};
 use tracedbg::trace::schedule::{Decision, Fault, ScheduleArtifact};
@@ -66,11 +67,10 @@ fn profile_reports_match_the_committed_goldens() {
     let bless = std::env::var_os("BLESS").is_some();
     tracedbg::mpsim::set_quiet_panics(true);
     for (name, src, artifact) in corpus() {
-        let run = execute_metered(
+        let run = execute(
             &src,
             SchedPolicy::Scripted(artifact.decisions.clone()),
             &artifact.faults,
-            false,
         );
         let report = ProfileReport::build(
             &run.store,

@@ -356,7 +356,7 @@ proptest! {
             // restore in this case.
             continue;
         };
-        let mut restored = Engine::restore(&cp, butterfly_programs(&cfg));
+        let mut restored = Engine::restore(&cp, Vec::new());
         let restored_out = restored.run();
         prop_assert_eq!(
             format!("{straight_out:?}"),

@@ -38,7 +38,7 @@ fn task_restore_continues_to_the_same_digest() {
     stopped.resume_trapped();
     assert!(stopped.run().is_completed());
 
-    let mut restored = Engine::restore(&cp, ring::programs(&CFG));
+    let mut restored = Engine::restore(&cp, Vec::new());
     restored.clear_thresholds();
     restored.resume_trapped();
     assert!(restored.run().is_completed());
