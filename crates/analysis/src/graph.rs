@@ -403,7 +403,12 @@ impl<'s, V: FnMut(Visit<'s>) -> ControlFlow<()>> Walker<'s, V> {
                     };
                     (self.visit)(Visit { line, func, op })?;
                 }
-                StmtKind::Recv { src, tag, var } => {
+                StmtKind::Recv {
+                    src,
+                    tag,
+                    var,
+                    src_var,
+                } => {
                     let src = match src {
                         None => Src::Any,
                         Some(e) => self.peer(env, e).map_or(Src::Unknown, Src::Known),
@@ -412,7 +417,7 @@ impl<'s, V: FnMut(Visit<'s>) -> ControlFlow<()>> Walker<'s, V> {
                     (self.visit)(Visit { line, func, op })?;
                     // The payload and the observed sender are data-dependent.
                     env.remove(var);
-                    env.remove(&format!("{var}_src"));
+                    env.remove(src_var);
                 }
                 StmtKind::Barrier => {
                     let op = VisitOp::Barrier;
@@ -425,7 +430,7 @@ impl<'s, V: FnMut(Visit<'s>) -> ControlFlow<()>> Walker<'s, V> {
                         self.exact = false;
                         continue;
                     }
-                    match self.script.functions.get(callee) {
+                    match self.script.functions.get(callee.as_str()) {
                         Some(body) => self.walk(callee, body, env, depth + 1)?,
                         None => self.aborts = true,
                     }

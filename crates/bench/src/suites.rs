@@ -592,6 +592,33 @@ fn suite_explore(opts: &SuiteOptions) -> Suite {
             assert!(report.findings.iter().any(|f| f.class == "panic"));
         }));
     }
+    // One run, interpreted against native: the same 8-rank wildcard race
+    // under round robin makes the same 29 decisions either way, so the
+    // ratio of the two rows is what interpreting the script costs a
+    // re-execution (verify.sh gates it).
+    let racy = tracedbg_workloads::scripts::builtin("racy-wildcard").expect("built-in script");
+    let (racy_script, racy_file) = (racy.parse(), racy.file());
+    let native = wildcard_race_factory(RacyConfig {
+        nprocs: 8,
+        ..Default::default()
+    });
+    let mut run_row = |name, programs: &dyn Fn() -> Vec<tracedbg_mpsim::RankProgram>| {
+        if !wants(opts, "explore", name) {
+            return;
+        }
+        records.push(measure(name, 1, plan(opts, 50, 9, 400), || {
+            let mut e = Engine::launch(
+                EngineConfig::with_recorder(RecorderConfig::off()),
+                programs(),
+            );
+            assert!(e.run().is_completed());
+            assert_eq!(e.decision_points().len(), 29);
+        }));
+    };
+    run_row("run_sdl_racy_wildcard_8", &|| {
+        tracedbg_workloads::script::programs(&racy_script, 8, &racy_file)
+    });
+    run_row("run_native_racy_wildcard_8", &native);
     Suite {
         name: "explore",
         records,
@@ -995,6 +1022,35 @@ fn suite_localize(opts: &SuiteOptions) -> Suite {
             };
             let report = localize(&source, &artifact, &lcfg);
             assert_eq!(report.verdict, VERDICT_LOCALIZED);
+        }));
+    }
+    // The `hunt_planted` shape: 16 ranks, 2000 reference runs, nearly all
+    // of them distinct passing traces — where what the harvest keeps of a
+    // run, and what a metered run costs, show.
+    let name = "localize_planted16_2000_jobs1";
+    if wants(opts, "localize", name) {
+        let wide = PlantedConfig {
+            nprocs: 16,
+            ..Default::default()
+        };
+        let mut artifact = ScheduleArtifact::new("planted-wildcard", wide.nprocs, 0);
+        artifact.decisions = vec![Decision::Turn {
+            rank: Rank(wide.bug_rank),
+        }];
+        let runs = if opts.quick { 200 } else { 2000 };
+        records.push(measure(name, 1, plan(opts, 1, 5, 1), || {
+            let source: tracedbg_explore::ProgramSource = Box::new(planted_wildcard_factory(wide));
+            let lcfg = LocalizeConfig {
+                runs,
+                seed: 0,
+                jobs: 1,
+            };
+            let report = localize(&source, &artifact, &lcfg);
+            assert_eq!(report.verdict, VERDICT_LOCALIZED);
+            assert!(
+                report.passing_runs * 2 > runs,
+                "most references are distinct"
+            );
         }));
     }
     if wants(opts, "localize", "graph_diff") {

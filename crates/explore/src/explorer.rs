@@ -832,8 +832,8 @@ impl Explorer {
         artifact.faults = kept;
         artifact.decisions = shrunk;
         artifact.failure = Some(class.clone());
-        if c1.class == class && !c1.flight.is_empty() {
-            artifact.flight = Some(c1.flight);
+        if c1.class == class {
+            artifact.flight = c1.flight.map(|ring| ring.dump());
         }
         self.findings.push(Finding {
             class,

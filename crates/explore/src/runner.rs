@@ -3,6 +3,7 @@
 use crate::pool::RunTask;
 use tracedbg_instrument::RecorderConfig;
 use tracedbg_mpsim::{Engine, EngineConfig, EngineMetrics, FaultPlan, SchedPolicy};
+use tracedbg_obs::FlightRecorder;
 use tracedbg_trace::schedule::{Decision, DecisionPoint, Fault};
 use tracedbg_trace::{trace_digest, TraceStore};
 
@@ -37,9 +38,9 @@ pub struct RunResult {
     pub fault_fired: bool,
     /// Engine telemetry, when the run was metered (`RunTask::metrics`).
     pub metrics: Option<Box<EngineMetrics>>,
-    /// Flight-recorder dump of the run's last decisions; empty unless the
-    /// run was metered.
-    pub flight: Vec<String>,
+    /// Flight recorder of the run's last decisions, unrendered
+    /// ([`FlightRecorder::dump`]); present when the run was metered.
+    pub flight: Option<FlightRecorder>,
 }
 
 /// Execute the program once under `policy` + `faults` and summarize.
@@ -70,12 +71,10 @@ pub fn execute_task(source: &ProgramSource, task: &RunTask) -> RunResult {
     let outcome = engine.run();
     let diverged = engine.schedule_diverged();
     let fault_fired = !engine.faulted().is_empty();
-    let flight = if engine.metrics_enabled() {
-        engine.flight_dump()
-    } else {
-        Vec::new()
-    };
-    let metrics = engine.take_metrics().map(Box::new);
+    let (metrics, flight) = engine
+        .take_telemetry()
+        .map(|(metrics, flight)| (Box::new(metrics), flight))
+        .unzip();
     // The engine is done: take its trace and decision log, don't copy them.
     let (store, points) = engine.into_trace_and_decisions();
     let decisions = points.iter().map(|p| p.chosen).collect();

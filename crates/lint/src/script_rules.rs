@@ -88,7 +88,7 @@ fn for_each_stmt<'s>(script: &'s Script, mut f: impl FnMut(&'s str, &'s Stmt)) {
             }
         }
     }
-    for (name, body) in &script.functions {
+    for (name, body) in script.functions.iter() {
         rec(name, body, &mut f);
     }
 }
@@ -111,8 +111,10 @@ impl ScriptRule for UndefinedCall {
         let mut seen: BTreeSet<(u32, &str)> = BTreeSet::new();
         for_each_stmt(cx.script, |func, s| {
             if let StmtKind::Call { func: callee } = &s.kind {
-                if !cx.script.functions.contains_key(callee) && seen.insert((s.line, callee)) {
-                    let known: Vec<&str> = cx.script.functions.keys().map(String::as_str).collect();
+                if !cx.script.functions.contains_key(callee.as_str())
+                    && seen.insert((s.line, callee))
+                {
+                    let known: Vec<&str> = cx.script.functions.keys().map(|f| &**f).collect();
                     out.push(
                         Diagnostic::new(
                             self.id(),

@@ -281,9 +281,7 @@ fn sdl105_self_message() {
 fn sdl106_missing_main() {
     // `script::parse` refuses a source without `fn main`, so this guards
     // programmatically-built scripts (and future parser relaxations).
-    let empty = script::Script {
-        functions: Default::default(),
-    };
+    let empty = script::Script::default();
     let diags = lint_script(&empty, 2, "empty.script", &LintConfig::default());
     let d = find(&diags, "SDL106");
     assert_eq!(d.severity, Severity::Error);

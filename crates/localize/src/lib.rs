@@ -126,37 +126,72 @@ fn divergence_markers(source: &ProgramSource, artifact: &ScheduleArtifact, k: us
 /// A named per-rank counter extractor over engine metrics.
 type CounterGet = (&'static str, fn(&EngineMetrics, usize) -> u64);
 
+/// The per-rank counters the anomaly component compares.
+const COUNTERS: [CounterGet; 5] = [
+    ("blocked_turns", |m, r| {
+        m.blocked_turns.get(r).copied().unwrap_or(0)
+    }),
+    ("queue_hwm", |m, r| m.queue_hwm.get(r).copied().unwrap_or(0)),
+    ("msgs_sent", |m, r| m.msgs_sent.get(r).copied().unwrap_or(0)),
+    ("recvs", |m, r| m.recvs.get(r).copied().unwrap_or(0)),
+    ("bytes_sent", |m, r| {
+        m.bytes_sent.get(r).copied().unwrap_or(0)
+    }),
+];
+
+/// What the reference harvest keeps of the passing runs: everything the
+/// report reads, folded in as each run arrives, so a run's trace, decision
+/// points and channel matrices die with its window.
+struct Harvest {
+    /// Distinct passing traces seen.
+    runs: usize,
+    /// Deepest common decision prefix with the failing run.
+    prefix: usize,
+    /// The first run reaching `prefix`: the nearest passing neighbor.
+    nearest: Option<RunResult>,
+    /// One sample per passing run of every counter on every rank, at
+    /// `counter * nprocs + rank`.
+    samples: Vec<Vec<u64>>,
+}
+
+impl Harvest {
+    fn absorb(&mut self, failing: &[Decision], nprocs: usize, res: RunResult) {
+        self.runs += 1;
+        if let Some(m) = res.metrics.as_deref() {
+            for (c, (_, get)) in COUNTERS.iter().enumerate() {
+                for r in 0..nprocs {
+                    self.samples[c * nprocs + r].push(get(m, r));
+                }
+            }
+        }
+        let prefix = common_prefix(failing, &res.decisions);
+        if self.nearest.is_none() || prefix > self.prefix {
+            self.prefix = prefix;
+            self.nearest = Some(res);
+        }
+    }
+}
+
 /// Per-rank anomaly scores (summed milli-MADs) of the failing run's
-/// counters against the passing sample, with evidence strings for
-/// counters at least two MADs out.
+/// counters against the passing `samples` (laid out as in [`Harvest`]),
+/// with evidence strings for counters at least two MADs out.
 fn anomaly_scores(
     failing: &EngineMetrics,
-    passing: &[&EngineMetrics],
+    samples: &[Vec<u64>],
     nprocs: usize,
 ) -> (Vec<u64>, Vec<Vec<String>>) {
-    const COUNTERS: [CounterGet; 5] = [
-        ("blocked_turns", |m, r| {
-            m.blocked_turns.get(r).copied().unwrap_or(0)
-        }),
-        ("queue_hwm", |m, r| m.queue_hwm.get(r).copied().unwrap_or(0)),
-        ("msgs_sent", |m, r| m.msgs_sent.get(r).copied().unwrap_or(0)),
-        ("recvs", |m, r| m.recvs.get(r).copied().unwrap_or(0)),
-        ("bytes_sent", |m, r| {
-            m.bytes_sent.get(r).copied().unwrap_or(0)
-        }),
-    ];
     let mut scores = vec![0u64; nprocs];
     let mut evidence = vec![Vec::new(); nprocs];
-    for (name, get) in COUNTERS {
+    for (c, (name, get)) in COUNTERS.iter().enumerate() {
         for r in 0..nprocs {
-            let sample: Vec<u64> = passing.iter().map(|m| get(m, r)).collect();
+            let sample = &samples[c * nprocs + r];
             let x = get(failing, r);
-            let s = mad_score(x, &sample);
+            let s = mad_score(x, sample);
             scores[r] += s;
             if s >= 2000 {
                 evidence[r].push(format!(
                     "{name} {x} vs passing median {} ({}.{:03} MADs out)",
-                    median(&sample),
+                    median(sample),
                     s / 1000,
                     s % 1000
                 ));
@@ -236,37 +271,36 @@ pub fn localize_with_trace(
             }
         })
         .collect();
-    //    Only the first completed run of each trace digest is kept; the
-    //    rest are dropped as their window is absorbed.
-    let mut passing: Vec<RunResult> = Vec::new();
+    //    Only the first completed run of each trace digest counts, and
+    //    of those only what the report reads outlives its window.
+    let nprocs = artifact
+        .procs
+        .max(failing.store.n_ranks())
+        .max(failing.metrics.as_ref().map_or(0, |m| m.nprocs()));
+    let mut harvest = Harvest {
+        runs: 0,
+        prefix: 0,
+        nearest: None,
+        samples: vec![Vec::new(); COUNTERS.len() * nprocs],
+    };
     let mut seen = BTreeSet::new();
     std::thread::scope(|scope| {
         let pool = WorkerPool::new(scope, cfg.jobs, source);
         run_windowed(&pool, tasks, |_, _, res| {
             if res.class == CLASS_COMPLETED && seen.insert(res.digest) {
-                passing.push(res);
+                harvest.absorb(&failing.decisions, nprocs, res);
             }
         });
     });
-    if passing.is_empty() {
-        let mut r = LocalizeReport::new(&artifact.workload, VERDICT_NO_REFERENCE, failure);
-        r.seal();
-        return r;
-    }
-
-    let nprocs = artifact
-        .procs
-        .max(failing.store.n_ranks())
-        .max(failing.metrics.as_ref().map_or(0, |m| m.nprocs()));
 
     // 3. First divergence: deepest common decision prefix; the first run
     //    reaching it is the nearest passing neighbor.
-    let prefixes: Vec<usize> = passing
-        .iter()
-        .map(|p| common_prefix(&failing.decisions, &p.decisions))
-        .collect();
-    let k = prefixes.iter().copied().max().unwrap_or(0);
-    let nearest = &passing[prefixes.iter().position(|&p| p == k).unwrap()];
+    let k = harvest.prefix;
+    let Some(nearest) = harvest.nearest else {
+        let mut r = LocalizeReport::new(&artifact.workload, VERDICT_NO_REFERENCE, failure);
+        r.seal();
+        return r;
+    };
     let render = |log: &[Decision], i: usize| {
         log.get(i)
             .map(|d| d.to_string())
@@ -312,12 +346,10 @@ pub fn localize_with_trace(
     let channel_diffs = diff_channels(failing_src, &nearest.store).unwrap_or_default();
 
     // 5. Telemetry anomaly vs the passing sample.
-    let passing_metrics: Vec<&EngineMetrics> = passing
-        .iter()
-        .filter_map(|p| p.metrics.as_deref())
-        .collect();
     let (mut mad_scores, mad_evidence) = match failing.metrics.as_deref() {
-        Some(fm) if !passing_metrics.is_empty() => anomaly_scores(fm, &passing_metrics, nprocs),
+        Some(fm) if harvest.samples.iter().any(|s| !s.is_empty()) => {
+            anomaly_scores(fm, &harvest.samples, nprocs)
+        }
         _ => (vec![0; nprocs], vec![Vec::new(); nprocs]),
     };
 
@@ -394,7 +426,7 @@ pub fn localize_with_trace(
     });
 
     let mut report = LocalizeReport::new(&artifact.workload, VERDICT_LOCALIZED, failure);
-    report.passing_runs = passing.len();
+    report.passing_runs = harvest.runs;
     report.divergence = Some(divergence);
     report.suspects = suspects;
     report.channels = channels;

@@ -1214,15 +1214,15 @@ impl Engine {
 
     /// Detach the collected metrics, leaving telemetry disabled.
     pub fn take_metrics(&mut self) -> Option<EngineMetrics> {
-        self.obs.take().map(|o| o.metrics)
+        self.take_telemetry().map(|(metrics, _)| metrics)
     }
 
-    /// Rendered flight-recorder dump: the last spans leading to the
-    /// current state, oldest first. Empty when telemetry is disabled.
-    pub fn flight_dump(&self) -> Vec<String> {
-        self.obs
-            .as_deref()
-            .map_or_else(Vec::new, |o| o.flight.dump())
+    /// Detach the collected metrics and the flight recorder — the last
+    /// spans leading to the current state, unrendered
+    /// ([`FlightRecorder::dump`] renders them) — leaving telemetry
+    /// disabled.
+    pub fn take_telemetry(&mut self) -> Option<(EngineMetrics, FlightRecorder)> {
+        self.obs.take().map(|o| (o.metrics, o.flight))
     }
 
     /// Exact flight-recorder spans lost to ring overflow (0 when

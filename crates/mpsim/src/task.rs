@@ -139,12 +139,8 @@ impl TaskView<'_> {
 
     /// Intern a location using the innermost open function scope's name.
     pub fn site_here(&self, file: &str, line: u32) -> SiteId {
-        let func = self
-            .fn_stack
-            .last()
-            .map(|s| self.sites.func_name(*s))
-            .unwrap_or_else(|| "main".into());
-        self.sites.site(file, line, &func)
+        self.sites
+            .site_in_scope(file, line, self.fn_stack.last().copied())
     }
 }
 

@@ -7,12 +7,14 @@
 
 use crate::ids::SiteId;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 /// A source location of an instrumented construct.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SourceLoc {
     pub file: String,
     pub line: u32,
@@ -42,10 +44,70 @@ impl fmt::Display for SourceLoc {
     }
 }
 
+/// A location as borrowed parts: what the index hashes and compares, so
+/// looking one up builds no `SourceLoc`.
+trait LocKey {
+    fn parts(&self) -> (&str, u32, &str);
+}
+
+impl LocKey for SourceLoc {
+    fn parts(&self) -> (&str, u32, &str) {
+        (&self.file, self.line, &self.func)
+    }
+}
+
+impl LocKey for (&str, u32, &str) {
+    fn parts(&self) -> (&str, u32, &str) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn LocKey + 'a> for SourceLoc {
+    fn borrow(&self) -> &(dyn LocKey + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn LocKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state)
+    }
+}
+
+impl PartialEq for dyn LocKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn LocKey + '_ {}
+
+// The same hash as the borrowed form, as `Borrow` requires.
+impl Hash for SourceLoc {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state)
+    }
+}
+
 #[derive(Default)]
 struct Inner {
     sites: Vec<SourceLoc>,
     index: HashMap<SourceLoc, SiteId>,
+}
+
+impl Inner {
+    /// The id `(file, line, func)` was interned under, if it was.
+    fn get(&self, file: &str, line: u32, func: &str) -> Option<SiteId> {
+        self.index.get(&(file, line, func) as &dyn LocKey).copied()
+    }
+
+    /// Give a location not yet in the table the next id.
+    fn insert(&mut self, loc: SourceLoc) -> SiteId {
+        let id = SiteId(self.sites.len() as u32);
+        self.sites.push(loc.clone());
+        self.index.insert(loc, id);
+        id
+    }
 }
 
 /// Thread-safe interner mapping [`SourceLoc`]s to dense [`SiteId`]s.
@@ -65,18 +127,32 @@ impl SiteTable {
     /// Intern a location, returning its stable id.
     pub fn intern(&self, loc: SourceLoc) -> SiteId {
         let mut g = self.inner.lock().unwrap();
-        if let Some(&id) = g.index.get(&loc) {
-            return id;
-        }
-        let id = SiteId(g.sites.len() as u32);
-        g.sites.push(loc.clone());
-        g.index.insert(loc, id);
-        id
+        g.get(&loc.file, loc.line, &loc.func)
+            .unwrap_or_else(|| g.insert(loc))
     }
 
-    /// Convenience: intern a `(file, line, func)` triple.
+    /// Intern a `(file, line, func)` triple. Allocates only the first
+    /// time the triple is seen.
     pub fn site(&self, file: &str, line: u32, func: &str) -> SiteId {
-        self.intern(SourceLoc::new(file, line, func))
+        let mut g = self.inner.lock().unwrap();
+        g.get(file, line, func)
+            .unwrap_or_else(|| g.insert(SourceLoc::new(file, line, func)))
+    }
+
+    /// Intern `(file, line, f)` where `f` is the function of site `scope`
+    /// (`"?"` if the table does not know it), or `"main"` outside every
+    /// scope.
+    pub fn site_in_scope(&self, file: &str, line: u32, scope: Option<SiteId>) -> SiteId {
+        let mut g = self.inner.lock().unwrap();
+        let func = match scope {
+            None => "main",
+            Some(s) => g.sites.get(s.ix()).map_or("?", |l| l.func.as_str()),
+        };
+        if let Some(id) = g.get(file, line, func) {
+            return id;
+        }
+        let loc = SourceLoc::new(file, line, func);
+        g.insert(loc)
     }
 
     /// Resolve an id back to its location (None for [`SiteId::UNKNOWN`] or
@@ -183,6 +259,20 @@ mod tests {
         assert_eq!(loc.func, "ssor");
         assert!(t.resolve(SiteId::UNKNOWN).is_none());
         assert_eq!(t.func_name(SiteId::UNKNOWN), "?");
+    }
+
+    #[test]
+    fn site_in_scope_names_the_enclosing_function() {
+        let t = SiteTable::new();
+        let scope = t.site("lu.f", 10, "ssor");
+        let inner = t.site_in_scope("lu.f", 12, Some(scope));
+        assert_eq!(inner, t.site("lu.f", 12, "ssor"));
+        assert_eq!(t.site_in_scope("lu.f", 12, Some(scope)), inner);
+        let top = t.site_in_scope("lu.f", 1, None);
+        assert_eq!(t.resolve(top).unwrap().func, "main");
+        let lost = t.site_in_scope("lu.f", 1, Some(SiteId::UNKNOWN));
+        assert_eq!(t.resolve(lost).unwrap().func, "?");
+        assert_eq!(t.len(), 4);
     }
 
     #[test]

@@ -74,6 +74,10 @@ pub enum Cond {
 pub struct Stmt {
     pub line: u32,
     pub kind: StmtKind,
+    /// First of the site slots the parser gave this statement (a `call`
+    /// owns two: itself and the callee's scope). Dense over the script, so
+    /// a rank caches the `SiteId`s it looked up in a flat table.
+    slot: u32,
 }
 
 #[derive(Clone, Debug, PartialEq)]
@@ -89,6 +93,9 @@ pub enum StmtKind {
         src: Option<Expr>,
         tag: Option<i32>,
         var: String,
+        /// `<var>_src`, the name the sender's rank is bound under —
+        /// spelled out by the parser so binding a message builds no string.
+        src_var: String,
     },
     /// `trace "label" expr?` — an instrumentation probe (what the
     /// source-to-source pass inserts).
@@ -100,22 +107,29 @@ pub enum StmtKind {
         var: String,
         from: Expr,
         to: Expr,
-        body: Vec<Stmt>,
+        body: Arc<[Stmt]>,
     },
     /// `if cond ... else ... end`
     If {
         cond: Cond,
-        then: Vec<Stmt>,
-        els: Vec<Stmt>,
+        then: Arc<[Stmt]>,
+        els: Arc<[Stmt]>,
     },
     /// `barrier`
     Barrier,
 }
 
 /// A parsed script: named functions, entry point `main`.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The function table and every statement body (a function's, a `loop`'s,
+/// an `if` branch) are shared and immutable once parsed, so cloning a
+/// script, or pushing an interpreter frame over one of its bodies, copies
+/// a pointer.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Script {
-    pub functions: BTreeMap<String, Vec<Stmt>>,
+    pub functions: Arc<BTreeMap<Arc<str>, Arc<[Stmt]>>>,
+    /// Site slots the parser handed out (see [`Stmt`]).
+    site_slots: u32,
 }
 
 /// Parse / runtime errors.
@@ -262,22 +276,50 @@ enum FrameKind {
     Fn(String),
     Loop { var: String, from: Expr, to: Expr },
     IfThen(Cond),
-    IfElse { cond: Cond, then: Vec<Stmt> },
+    IfElse { cond: Cond, then: Arc<[Stmt]> },
 }
 
-fn push_to(stack: &mut [Frame], line: u32, kind: StmtKind) -> Result<(), ScriptError> {
-    stack
-        .last_mut()
-        .ok_or_else(|| err(line, "statement outside a function"))?
-        .stmts
-        .push(Stmt { line, kind });
-    Ok(())
+/// The parser's open blocks, innermost last, and the site slots it has
+/// handed out.
+#[derive(Default)]
+struct Parser {
+    stack: Vec<Frame>,
+    site_slots: u32,
+}
+
+impl Parser {
+    fn open(&mut self, line: u32, kind: FrameKind) {
+        self.stack.push(Frame {
+            stmts: Vec::new(),
+            kind,
+            line,
+        });
+    }
+
+    /// Append the statement that began on `line` to the innermost open
+    /// block; `at` is the line being parsed, where a statement with no
+    /// block to go into is reported.
+    fn push(&mut self, at: u32, line: u32, kind: StmtKind) -> Result<(), ScriptError> {
+        let (what, slots) = match kind {
+            StmtKind::Loop { .. } | StmtKind::If { .. } => ("block", 1),
+            StmtKind::Call { .. } => ("statement", 2),
+            _ => ("statement", 1),
+        };
+        let slot = self.site_slots;
+        self.site_slots += slots;
+        self.stack
+            .last_mut()
+            .ok_or_else(|| err(at, format!("{what} outside a function")))?
+            .stmts
+            .push(Stmt { line, kind, slot });
+        Ok(())
+    }
 }
 
 /// Parse a whole script.
 pub fn parse(src: &str) -> Result<Script, ScriptError> {
     let mut functions = BTreeMap::new();
-    let mut stack: Vec<Frame> = Vec::new();
+    let mut p = Parser::default();
     for (ix, raw) in src.lines().enumerate() {
         let lno = ix as u32 + 1;
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -288,78 +330,49 @@ pub fn parse(src: &str) -> Result<Script, ScriptError> {
         let head = tokens[0].as_str();
         match head {
             "fn" => {
-                if stack.iter().any(|f| matches!(f.kind, FrameKind::Fn(_))) {
+                if p.stack.iter().any(|f| matches!(f.kind, FrameKind::Fn(_))) {
                     return Err(err(lno, "nested fn"));
                 }
                 let name = tokens
                     .get(1)
                     .ok_or_else(|| err(lno, "fn needs a name"))?
                     .clone();
-                stack.push(Frame {
-                    stmts: Vec::new(),
-                    kind: FrameKind::Fn(name),
-                    line: lno,
-                });
+                p.open(lno, FrameKind::Fn(name));
             }
             "end" => {
-                let frame = stack.pop().ok_or_else(|| err(lno, "stray end"))?;
-                match frame.kind {
+                let frame = p.stack.pop().ok_or_else(|| err(lno, "stray end"))?;
+                let body: Arc<[Stmt]> = frame.stmts.into();
+                let kind = match frame.kind {
                     FrameKind::Fn(name) => {
-                        functions.insert(name, frame.stmts);
+                        functions.insert(Arc::from(name), body);
+                        continue;
                     }
-                    FrameKind::Loop { var, from, to } => {
-                        let kind = StmtKind::Loop {
-                            var,
-                            from,
-                            to,
-                            body: frame.stmts,
-                        };
-                        let line = frame.line;
-                        stack
-                            .last_mut()
-                            .ok_or_else(|| err(lno, "block outside a function"))?
-                            .stmts
-                            .push(Stmt { line, kind });
-                    }
-                    FrameKind::IfThen(cond) => {
-                        let kind = StmtKind::If {
-                            cond,
-                            then: frame.stmts,
-                            els: Vec::new(),
-                        };
-                        let line = frame.line;
-                        stack
-                            .last_mut()
-                            .ok_or_else(|| err(lno, "block outside a function"))?
-                            .stmts
-                            .push(Stmt { line, kind });
-                    }
-                    FrameKind::IfElse { cond, then } => {
-                        let kind = StmtKind::If {
-                            cond,
-                            then,
-                            els: frame.stmts,
-                        };
-                        let line = frame.line;
-                        stack
-                            .last_mut()
-                            .ok_or_else(|| err(lno, "block outside a function"))?
-                            .stmts
-                            .push(Stmt { line, kind });
-                    }
-                }
+                    FrameKind::Loop { var, from, to } => StmtKind::Loop {
+                        var,
+                        from,
+                        to,
+                        body,
+                    },
+                    FrameKind::IfThen(cond) => StmtKind::If {
+                        cond,
+                        then: body,
+                        els: Arc::from([]),
+                    },
+                    FrameKind::IfElse { cond, then } => StmtKind::If {
+                        cond,
+                        then,
+                        els: body,
+                    },
+                };
+                p.push(lno, frame.line, kind)?;
             }
             "else" => {
-                let frame = stack.pop().ok_or_else(|| err(lno, "stray else"))?;
+                let frame = p.stack.pop().ok_or_else(|| err(lno, "stray else"))?;
                 match frame.kind {
-                    FrameKind::IfThen(cond) => stack.push(Frame {
-                        stmts: Vec::new(),
-                        kind: FrameKind::IfElse {
-                            cond,
-                            then: frame.stmts,
-                        },
-                        line: frame.line,
-                    }),
+                    FrameKind::IfThen(cond) => {
+                        let then = frame.stmts.into();
+                        p.open(frame.line, FrameKind::IfElse { cond, then });
+                    }
                     _ => return Err(err(lno, "else without if")),
                 }
             }
@@ -372,19 +385,11 @@ pub fn parse(src: &str) -> Result<Script, ScriptError> {
                 let mut it = tokens[2..].to_vec().into_iter().peekable();
                 let from = parse_expr(&mut it, lno)?;
                 let to = parse_expr(&mut it, lno)?;
-                stack.push(Frame {
-                    stmts: Vec::new(),
-                    kind: FrameKind::Loop { var, from, to },
-                    line: lno,
-                });
+                p.open(lno, FrameKind::Loop { var, from, to });
             }
             "if" => {
                 let cond = parse_cond(tokens[1..].to_vec(), lno)?;
-                stack.push(Frame {
-                    stmts: Vec::new(),
-                    kind: FrameKind::IfThen(cond),
-                    line: lno,
-                });
+                p.open(lno, FrameKind::IfThen(cond));
             }
             "let" => {
                 // let x = expr
@@ -397,12 +402,12 @@ pub fn parse(src: &str) -> Result<Script, ScriptError> {
                 }
                 let mut it = tokens[3..].to_vec().into_iter().peekable();
                 let value = parse_expr(&mut it, lno)?;
-                push_to(&mut stack, lno, StmtKind::Let { var, value })?;
+                p.push(lno, lno, StmtKind::Let { var, value })?;
             }
             "compute" => {
                 let mut it = tokens[1..].to_vec().into_iter().peekable();
                 let cost = parse_expr(&mut it, lno)?;
-                push_to(&mut stack, lno, StmtKind::Compute { cost })?;
+                p.push(lno, lno, StmtKind::Compute { cost })?;
             }
             "send" => {
                 // send <dst-expr> tag <n> <value-expr>
@@ -418,7 +423,7 @@ pub fn parse(src: &str) -> Result<Script, ScriptError> {
                     .ok_or_else(|| err(lno, "send needs a numeric tag"))?;
                 let mut val_it = tokens[tag_pos + 2..].to_vec().into_iter().peekable();
                 let value = parse_expr(&mut val_it, lno)?;
-                push_to(&mut stack, lno, StmtKind::Send { dst, tag, value })?;
+                p.push(lno, lno, StmtKind::Send { dst, tag, value })?;
             }
             "recv" => {
                 // recv from <src-expr|any> [tag <n>] into <var>
@@ -450,7 +455,14 @@ pub fn parse(src: &str) -> Result<Script, ScriptError> {
                     .get(into_pos + 1)
                     .ok_or_else(|| err(lno, "recv needs a variable after 'into'"))?
                     .clone();
-                push_to(&mut stack, lno, StmtKind::Recv { src, tag, var })?;
+                let src_var = format!("{var}_src");
+                let kind = StmtKind::Recv {
+                    src,
+                    tag,
+                    var,
+                    src_var,
+                };
+                p.push(lno, lno, kind)?;
             }
             "trace" => {
                 // trace "label" [expr]
@@ -465,26 +477,29 @@ pub fn parse(src: &str) -> Result<Script, ScriptError> {
                 } else {
                     None
                 };
-                push_to(&mut stack, lno, StmtKind::Trace { label, value })?;
+                p.push(lno, lno, StmtKind::Trace { label, value })?;
             }
             "call" => {
                 let func = tokens
                     .get(1)
                     .ok_or_else(|| err(lno, "call needs a function name"))?
                     .clone();
-                push_to(&mut stack, lno, StmtKind::Call { func })?;
+                p.push(lno, lno, StmtKind::Call { func })?;
             }
-            "barrier" => push_to(&mut stack, lno, StmtKind::Barrier)?,
+            "barrier" => p.push(lno, lno, StmtKind::Barrier)?,
             other => return Err(err(lno, format!("unknown statement {other:?}"))),
         }
     }
-    if let Some(f) = stack.last() {
+    if let Some(f) = p.stack.last() {
         return Err(err(f.line, "unclosed block"));
     }
     if !functions.contains_key("main") {
         return Err(err(0, "no 'fn main'"));
     }
-    Ok(Script { functions })
+    Ok(Script {
+        functions: Arc::new(functions),
+        site_slots: p.site_slots,
+    })
 }
 
 // -------------------------------------------------------------- semantics
@@ -561,24 +576,23 @@ impl<F: Fn(&str) -> Option<i64>> Scope<F> {
 // ------------------------------------------------------------- execution
 
 /// One suspended activation in the script task's explicit call/loop stack.
+/// A frame borrows the parsed script through shared handles and plain
+/// indices; it copies no statement.
 #[derive(Clone)]
 enum SFrame {
-    /// A statement block of function `func` with a cursor.
-    Block {
-        stmts: Arc<Vec<Stmt>>,
-        func: Arc<str>,
-        idx: usize,
-    },
-    /// A `loop` mid-flight (bounds were evaluated at entry).
+    /// A statement block with a cursor.
+    Block { stmts: Arc<[Stmt]>, idx: usize },
+    /// The `loop` at `stmts[at]` mid-flight (bounds were evaluated at
+    /// entry).
     Loop {
-        var: String,
+        stmts: Arc<[Stmt]>,
+        at: usize,
         cur: i64,
         end: i64,
-        body: Arc<Vec<Stmt>>,
-        func: Arc<str>,
     },
-    /// Emit `FnExit` for this scope once the frames above are done.
-    ScopeExit { site: SiteId },
+    /// An open call of `func`, whose statements the frames above run: emit
+    /// `FnExit` for `site` once they are done.
+    Call { site: SiteId, func: Arc<str> },
 }
 
 /// A resumable script interpreter: one rank's run-time state, poll-able
@@ -590,13 +604,29 @@ enum SFrame {
 /// engine as a process panic, message unchanged).
 #[derive(Clone)]
 struct ScriptTask {
-    script: Arc<Script>,
+    functions: Arc<BTreeMap<Arc<str>, Arc<[Stmt]>>>,
     file: Arc<str>,
     vars: BTreeMap<String, i64>,
     stack: Vec<SFrame>,
-    /// A posted `recv` waiting to bind its message: `(var, line)`.
-    pending_recv: Option<(String, u32)>,
+    /// The `SiteId` this rank found for each site slot on its first visit
+    /// (`UNKNOWN` until then). The first visit asks the shared table at
+    /// the point every visit used to, so first-use interning order — which
+    /// the golden traces pin — is what it was.
+    sites: Vec<SiteId>,
+    /// A posted `recv` waits to bind its message: the statement the top
+    /// block just stepped past.
+    pending_recv: bool,
     started: bool,
+}
+
+/// Bind `var`, overwriting in place when it already exists.
+fn assign(vars: &mut BTreeMap<String, i64>, var: &str, v: i64) {
+    match vars.get_mut(var) {
+        Some(slot) => *slot = v,
+        None => {
+            vars.insert(var.to_string(), v);
+        }
+    }
 }
 
 impl ScriptTask {
@@ -621,14 +651,56 @@ impl ScriptTask {
             .unwrap_or_else(|why| panic!("{}", err(line, why.to_string())))
     }
 
-    /// Execute one statement: control flow pushes frames and returns
-    /// `None`; anything the engine must see returns its op.
-    fn exec(&mut self, s: &Stmt, func: &Arc<str>, view: &TaskView<'_>) -> Option<TaskOp> {
-        let site = view.site(&self.file, s.line, func);
+    /// The site of `line` under site slot `slot`: asked of the shared
+    /// table on this rank's first visit, read from the rank's cache after.
+    /// A call's scope site is in `callee`; any other is in the function
+    /// whose statements are running, the innermost open call.
+    fn site(&mut self, slot: u32, line: u32, callee: Option<&str>, view: &TaskView<'_>) -> SiteId {
+        let cached = self.sites[slot as usize];
+        if cached != SiteId::UNKNOWN {
+            return cached;
+        }
+        let func = callee.unwrap_or_else(|| {
+            self.stack
+                .iter()
+                .rev()
+                .find_map(|f| match f {
+                    SFrame::Call { func, .. } => Some(&**func),
+                    _ => None,
+                })
+                .expect("statements run inside a call of main")
+        });
+        let site = view.site(&self.file, line, func);
+        self.sites[slot as usize] = site;
+        site
+    }
+
+    /// Handles on function `name` and its body; calling a function the
+    /// script does not define kills the rank.
+    fn function(&self, name: &str, line: u32) -> (Arc<str>, Arc<[Stmt]>) {
+        let (func, body) = self
+            .functions
+            .get_key_value(name)
+            .unwrap_or_else(|| panic!("{}", err(line, format!("unknown function {name:?}"))));
+        (Arc::clone(func), Arc::clone(body))
+    }
+
+    /// Open a call: the function's body runs, then its scope exits.
+    fn enter(&mut self, site: SiteId, (func, stmts): (Arc<str>, Arc<[Stmt]>)) -> TaskOp {
+        self.stack.push(SFrame::Call { site, func });
+        self.stack.push(SFrame::Block { stmts, idx: 0 });
+        TaskOp::Enter { site, args: [0, 0] }
+    }
+
+    /// Execute statement `at` of `stmts`: control flow pushes frames and
+    /// returns `None`; anything the engine must see returns its op.
+    fn exec(&mut self, stmts: &Arc<[Stmt]>, at: usize, view: &TaskView<'_>) -> Option<TaskOp> {
+        let s = &stmts[at];
+        let site = self.site(s.slot, s.line, None, view);
         match &s.kind {
             StmtKind::Let { var, value } => {
                 let v = self.eval(value, s.line, view);
-                self.vars.insert(var.clone(), v);
+                assign(&mut self.vars, var, v);
                 None
             }
             StmtKind::Compute { cost } => Some(TaskOp::Compute {
@@ -649,7 +721,7 @@ impl ScriptTask {
                     mode: SendMode::Buffered,
                 })
             }
-            StmtKind::Recv { src, tag, var } => {
+            StmtKind::Recv { src, tag, .. } => {
                 let src_rank = match src {
                     Some(e) => {
                         let r = self.eval(e, s.line, view);
@@ -660,7 +732,7 @@ impl ScriptTask {
                     }
                     None => None,
                 };
-                self.pending_recv = Some((var.clone(), s.line));
+                self.pending_recv = true;
                 Some(TaskOp::Recv {
                     src: src_rank,
                     tag: tag.map(Tag),
@@ -676,40 +748,18 @@ impl ScriptTask {
                 site,
             }),
             StmtKind::Call { func: callee } => {
-                let body = self
-                    .script
-                    .functions
-                    .get(callee)
-                    .unwrap_or_else(|| {
-                        panic!("{}", err(s.line, format!("unknown function {callee:?}")))
-                    })
-                    .clone();
-                let fsite = view.site(&self.file, s.line, callee);
-                self.stack.push(SFrame::ScopeExit { site: fsite });
-                self.stack.push(SFrame::Block {
-                    stmts: Arc::new(body),
-                    func: Arc::from(callee.as_str()),
-                    idx: 0,
-                });
-                Some(TaskOp::Enter {
-                    site: fsite,
-                    args: [0, 0],
-                })
+                let function = self.function(callee, s.line);
+                let fsite = self.site(s.slot + 1, s.line, Some(callee), view);
+                Some(self.enter(fsite, function))
             }
-            StmtKind::Loop {
-                var,
-                from,
-                to,
-                body,
-            } => {
-                let a = self.eval(from, s.line, view);
-                let b = self.eval(to, s.line, view);
+            StmtKind::Loop { from, to, .. } => {
+                let cur = self.eval(from, s.line, view);
+                let end = self.eval(to, s.line, view);
                 self.stack.push(SFrame::Loop {
-                    var: var.clone(),
-                    cur: a,
-                    end: b,
-                    body: Arc::new(body.clone()),
-                    func: func.clone(),
+                    stmts: Arc::clone(stmts),
+                    at,
+                    cur,
+                    end,
                 });
                 None
             }
@@ -720,8 +770,7 @@ impl ScriptTask {
                     els
                 };
                 self.stack.push(SFrame::Block {
-                    stmts: Arc::new(branch.clone()),
-                    func: func.clone(),
+                    stmts: Arc::clone(branch),
                     idx: 0,
                 });
                 None
@@ -739,72 +788,74 @@ impl ScriptTask {
 
 impl TaskProgram for ScriptTask {
     fn next(&mut self, input: OpResult, view: &TaskView<'_>) -> TaskOp {
-        if let Some((var, line)) = self.pending_recv.take() {
+        if std::mem::take(&mut self.pending_recv) {
+            let Some(SFrame::Block { stmts, idx }) = self.stack.last() else {
+                unreachable!("a recv is posted from a block");
+            };
+            let s = &stmts[*idx - 1];
+            let StmtKind::Recv { var, src_var, .. } = &s.kind else {
+                unreachable!("the block stepped past the recv it posted");
+            };
             let m = input.message();
             let v = m
                 .payload
                 .to_i64()
-                .unwrap_or_else(|| panic!("{}", err(line, "non-integer payload")));
-            self.vars.insert(var.clone(), v);
+                .unwrap_or_else(|| panic!("{}", err(s.line, "non-integer payload")));
+            assign(&mut self.vars, var, v);
             // The sender's rank is observable, like MPI_STATUS.
-            self.vars.insert(format!("{var}_src"), m.src.0 as i64);
+            assign(&mut self.vars, src_var, m.src.0 as i64);
         }
         if !self.started {
             self.started = true;
             let fsite = view.site(&self.file, 0, "main");
-            let main = self.script.functions["main"].clone();
-            self.stack.push(SFrame::ScopeExit { site: fsite });
-            self.stack.push(SFrame::Block {
-                stmts: Arc::new(main),
-                func: Arc::from("main"),
-                idx: 0,
-            });
-            return TaskOp::Enter {
-                site: fsite,
-                args: [0, 0],
-            };
+            let main = self.function("main", 0);
+            return self.enter(fsite, main);
         }
         loop {
-            let Some(top) = self.stack.last_mut() else {
+            let Some(top) = self.stack.pop() else {
                 return TaskOp::Done;
             };
             match top {
-                SFrame::ScopeExit { site } => {
-                    let site = *site;
-                    self.stack.pop();
-                    return TaskOp::Exit { site };
-                }
+                SFrame::Call { site, .. } => return TaskOp::Exit { site },
                 SFrame::Loop {
-                    var,
+                    stmts,
+                    at,
                     cur,
                     end,
-                    body,
-                    func,
                 } => {
                     if cur < end {
-                        let i = *cur;
-                        *cur += 1;
-                        let var = var.clone();
-                        let frame = SFrame::Block {
-                            stmts: body.clone(),
-                            func: func.clone(),
-                            idx: 0,
+                        let StmtKind::Loop { var, body, .. } = &stmts[at].kind else {
+                            unreachable!("a loop frame points at its loop");
                         };
-                        self.vars.insert(var, i);
-                        self.stack.push(frame);
-                    } else {
-                        self.stack.pop();
+                        assign(&mut self.vars, var, cur);
+                        let body = Arc::clone(body);
+                        self.stack.push(SFrame::Loop {
+                            stmts,
+                            at,
+                            cur: cur + 1,
+                            end,
+                        });
+                        self.stack.push(SFrame::Block {
+                            stmts: body,
+                            idx: 0,
+                        });
                     }
                 }
-                SFrame::Block { stmts, func, idx } => {
-                    if *idx >= stmts.len() {
-                        self.stack.pop();
+                SFrame::Block { stmts, idx } => {
+                    if idx >= stmts.len() {
                         continue;
                     }
-                    let s = stmts[*idx].clone();
-                    *idx += 1;
-                    let func = func.clone();
-                    if let Some(op) = self.exec(&s, &func, view) {
+                    // The statement is read through the popped frame's
+                    // handle; the frame goes back under whatever the
+                    // statement pushed.
+                    let under = self.stack.len();
+                    let op = self.exec(&stmts, idx, view);
+                    let resume = SFrame::Block {
+                        stmts,
+                        idx: idx + 1,
+                    };
+                    self.stack.insert(under, resume);
+                    if let Some(op) = op {
                         return op;
                     }
                 }
@@ -822,16 +873,16 @@ impl TaskProgram for ScriptTask {
 /// engine as a process panic).
 pub fn programs(script: &Script, nprocs: usize, file: &str) -> Vec<RankProgram> {
     assert!(nprocs >= 1);
-    let script = Arc::new(script.clone());
     let file: Arc<str> = Arc::from(file);
     (0..nprocs)
         .map(|_| {
             let task: Box<dyn TaskProgram> = Box::new(ScriptTask {
-                script: script.clone(),
-                file: file.clone(),
+                functions: Arc::clone(&script.functions),
+                file: Arc::clone(&file),
                 vars: BTreeMap::new(),
                 stack: Vec::new(),
-                pending_recv: None,
+                sites: vec![SiteId::UNKNOWN; script.site_slots as usize],
+                pending_recv: false,
                 started: false,
             });
             RankProgram::from(task)
@@ -844,7 +895,7 @@ pub fn programs(script: &Script, nprocs: usize, file: &str) -> Vec<RankProgram> 
 /// Pretty-print a script back to source text.
 pub fn print_script(s: &Script) -> String {
     let mut out = String::new();
-    for (name, body) in &s.functions {
+    for (name, body) in s.functions.iter() {
         let _ = writeln!(out, "fn {name}");
         print_block(&mut out, body, 1);
         let _ = writeln!(out, "end");
@@ -895,7 +946,7 @@ fn print_block(out: &mut String, stmts: &[Stmt], depth: usize) {
                     print_expr(value)
                 );
             }
-            StmtKind::Recv { src, tag, var } => {
+            StmtKind::Recv { src, tag, var, .. } => {
                 let src_s = src.as_ref().map(print_expr).unwrap_or_else(|| "any".into());
                 match tag {
                     Some(t) => {
@@ -946,17 +997,21 @@ fn print_block(out: &mut String, stmts: &[Stmt], depth: usize) {
     }
 }
 
+/// A `trace` statement the instrumenter inserts. What it builds is only
+/// ever printed, so its statements own no site slot.
+fn probe(line: u32, label: String) -> Stmt {
+    Stmt {
+        line,
+        kind: StmtKind::Trace { label, value: None },
+        slot: 0,
+    }
+}
+
 fn instrument_block(stmts: &[Stmt], level: InstrumentLevel, func: &str) -> Vec<Stmt> {
     let mut out = Vec::new();
     for s in stmts {
         if level == InstrumentLevel::Statements && !matches!(s.kind, StmtKind::Trace { .. }) {
-            out.push(Stmt {
-                line: s.line,
-                kind: StmtKind::Trace {
-                    label: format!("@{func}:{}", s.line),
-                    value: None,
-                },
-            });
+            out.push(probe(s.line, format!("@{func}:{}", s.line)));
         }
         let kind = match &s.kind {
             StmtKind::Loop {
@@ -968,16 +1023,16 @@ fn instrument_block(stmts: &[Stmt], level: InstrumentLevel, func: &str) -> Vec<S
                 var: var.clone(),
                 from: from.clone(),
                 to: to.clone(),
-                body: instrument_block(body, level, func),
+                body: instrument_block(body, level, func).into(),
             },
             StmtKind::If { cond, then, els } => StmtKind::If {
                 cond: cond.clone(),
-                then: instrument_block(then, level, func),
-                els: instrument_block(els, level, func),
+                then: instrument_block(then, level, func).into(),
+                els: instrument_block(els, level, func).into(),
             },
             other => other.clone(),
         };
-        out.push(Stmt { line: s.line, kind });
+        out.push(Stmt { kind, ..*s });
     }
     out
 }
@@ -987,31 +1042,19 @@ fn instrument_block(stmts: &[Stmt], level: InstrumentLevel, func: &str) -> Vec<S
 /// runs like any hand-written script).
 pub fn instrument_source(src: &str, level: InstrumentLevel) -> Result<String, ScriptError> {
     let script = parse(src)?;
-    let mut out = Script {
-        functions: BTreeMap::new(),
-    };
-    for (name, body) in &script.functions {
-        let mut new_body = Vec::new();
+    let mut functions = BTreeMap::new();
+    for (name, body) in script.functions.iter() {
         // Function-entry instrumentation (both levels), like the mcount →
         // UserMonitor call in the prologue.
-        new_body.push(Stmt {
-            line: 0,
-            kind: StmtKind::Trace {
-                label: format!("enter {name}"),
-                value: None,
-            },
-        });
+        let mut new_body = vec![probe(0, format!("enter {name}"))];
         new_body.extend(instrument_block(body, level, name));
-        new_body.push(Stmt {
-            line: 0,
-            kind: StmtKind::Trace {
-                label: format!("exit {name}"),
-                value: None,
-            },
-        });
-        out.functions.insert(name.clone(), new_body);
+        new_body.push(probe(0, format!("exit {name}")));
+        functions.insert(name.clone(), new_body.into());
     }
-    Ok(print_script(&out))
+    Ok(print_script(&Script {
+        functions: Arc::new(functions),
+        site_slots: 0,
+    }))
 }
 
 #[cfg(test)]
@@ -1066,6 +1109,76 @@ end
         let mut sorted = replies.clone();
         sorted.sort();
         assert_eq!(sorted, vec![22, 24, 26]);
+    }
+
+    #[test]
+    fn clones_and_programs_share_the_parsed_bodies() {
+        let script = parse(PINGPONG).unwrap();
+        let copy = script.clone();
+        assert!(Arc::ptr_eq(&script.functions, &copy.functions));
+        let nested = |s: &Script| match &s.functions["main"][0].kind {
+            StmtKind::If { then, .. } => match &then[0].kind {
+                StmtKind::Loop { body, .. } => body.clone(),
+                other => panic!("expected the send loop, got {other:?}"),
+            },
+            other => panic!("expected main's if, got {other:?}"),
+        };
+        assert!(Arc::ptr_eq(
+            &script.functions["worker"],
+            &copy.functions["worker"]
+        ));
+        assert!(Arc::ptr_eq(&nested(&script), &nested(&copy)));
+        // Each rank's task holds the script's own function table.
+        let before = Arc::strong_count(&script.functions);
+        let ranks = programs(&script, 4, "test.script");
+        assert_eq!(Arc::strong_count(&script.functions), before + 4);
+        drop(ranks);
+        assert_eq!(Arc::strong_count(&script.functions), before);
+    }
+
+    /// Sites are interned in first-use order across ranks, and a rank asks
+    /// the shared table on its first visit to a statement only. Here the
+    /// two ranks reach the branches of the `if` in opposite orders; the
+    /// table is the one every earlier build produced.
+    #[test]
+    fn first_use_site_order_is_pinned() {
+        let src = "\
+fn tick
+  trace \"tick\" rank
+end
+fn main
+  loop i 0 2
+    if ( ( i + rank ) % 2 ) == 0
+      let a = i
+      call tick
+    else
+      compute 10
+    end
+  end
+  barrier
+end
+";
+        let script = parse(src).expect("parse");
+        let mut e = Engine::launch(
+            EngineConfig::with_recorder(RecorderConfig::full()),
+            programs(&script, 2, "order.script"),
+        );
+        assert!(e.run().is_completed());
+        let sites: Vec<String> = e.sites().snapshot().iter().map(|l| l.to_string()).collect();
+        assert_eq!(
+            sites,
+            [
+                "order.script:0:main",
+                "order.script:5:main",
+                "order.script:6:main",
+                "order.script:7:main",
+                "order.script:8:main",
+                "order.script:8:tick",
+                "order.script:2:tick",
+                "order.script:10:main",
+                "order.script:13:main",
+            ]
+        );
     }
 
     #[test]

@@ -1,0 +1,78 @@
+//! The script interpreter executes the parsed script; it does not copy it.
+//! A statement the engine never sees (`let`, `if`, a loop turn) allocates
+//! nothing once its variables exist, and a whole run of the interpreted
+//! `racy-wildcard` stays within a small multiple of the native one.
+//!
+//! Allocations are counted per thread, so the tests of this binary may run
+//! side by side.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use tracedbg_instrument::RecorderConfig;
+use tracedbg_mpsim::{Engine, EngineConfig};
+use tracedbg_workloads::{script, scripts};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every request goes to `System` unchanged; the count is a
+// const-initialized thread-local `Cell`, which neither allocates nor has a
+// destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `Engine::run` makes on `nprocs` ranks of `script`, round
+/// robin, with the recorder off.
+fn allocs_of_run(script: &script::Script, nprocs: usize) -> u64 {
+    let mut engine = Engine::launch(
+        EngineConfig::with_recorder(RecorderConfig::off()),
+        script::programs(script, nprocs, "alloc.script"),
+    );
+    let before = ALLOCS.with(Cell::get);
+    let outcome = engine.run();
+    let after = ALLOCS.with(Cell::get);
+    assert!(outcome.is_completed(), "{outcome:?}");
+    after - before
+}
+
+#[test]
+fn a_loop_of_local_statements_allocates_nothing_per_iteration() {
+    let allocs = |iterations: u32| {
+        let src = format!(
+            "fn main\n  let odd = 0\n  loop i 0 {iterations}\n    let sq = i * i\n    \
+             if ( i % 2 ) == 1\n      let odd = odd + 1\n    else\n      let even = i\n    end\n  \
+             end\n  trace \"odd\" odd\nend\n"
+        );
+        allocs_of_run(&script::parse(&src).expect("parse"), 1)
+    };
+    assert_eq!(
+        allocs(100),
+        allocs(10_000),
+        "allocations grew with iterations"
+    );
+}
+
+#[test]
+fn an_interpreted_run_allocates_like_a_native_one() {
+    let racy = scripts::builtin("racy-wildcard").expect("built-in script");
+    // Round robin lets worker 1 report first, so the run completes.
+    let n = allocs_of_run(&racy.parse(), 8);
+    assert!(n <= 200, "Engine::run allocated {n} times");
+}

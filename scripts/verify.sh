@@ -545,6 +545,23 @@ for suite in engine checkpoint; do
   fi
 done
 
+# One ratio of two rows measured back to back, so it holds on any machine:
+# an interpreted run of the 8-rank wildcard race may cost at most 1.8x the
+# native run that makes the same 29 decisions (2.76x before the
+# interpreter stopped copying its script).
+./target/release/tracedbg bench --filter explore/run_ --out target/verify_bench_gate >/dev/null
+median() {
+  tr '{' '\n' <target/verify_bench_gate/BENCH_explore.json \
+    | sed -n 's/.*"name":"'"$1"'".*"median_ns":\([0-9]*\).*/\1/p'
+}
+sdl_ns=$(median run_sdl_racy_wildcard_8)
+native_ns=$(median run_native_racy_wildcard_8)
+awk -v s="$sdl_ns" -v n="$native_ns" 'BEGIN {
+  if (n <= 0) { print "perf gate: no run_native_racy_wildcard_8 row" > "/dev/stderr"; exit 1 }
+  printf "sdl/native run ratio: %.2f (%d ns / %d ns)\n", s / n, s, n
+  exit !(s / n <= 1.8)
+}' || { echo "an interpreted run costs more than 1.8x the native one" >&2; exit 1; }
+
 echo "==> bench smoke: --quick must exit 0 and emit schema-valid BENCH_*.json"
 rm -rf target/verify_bench
 ./target/release/tracedbg bench --quick --out target/verify_bench >/dev/null

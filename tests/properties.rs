@@ -367,3 +367,97 @@ proptest! {
         prop_assert_eq!(restored.faulted(), straight.faulted(), "faulted set diverged");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Script-rank snapshot/restore identity: an interpreter frame is indices
+// and shared handles into the parsed script, a posted `recv` is a flag,
+// and a rank's site cache rides along — all of it must survive a
+// checkpoint at any point.
+// ---------------------------------------------------------------------------
+
+/// Every built-in SDL script, the example script (the one with a callee)
+/// and the runnable golden scripts, as `(file label, source)`.
+fn runnable_scripts() -> Vec<(String, String)> {
+    use tracedbg::workloads::scripts;
+    let mut out: Vec<(String, String)> = scripts::builtins()
+        .iter()
+        .map(|b| (b.file(), b.source.to_string()))
+        .collect();
+    let root = env!("CARGO_MANIFEST_DIR");
+    for dir in ["/../../tests/golden/scripts", "/../../examples/scripts"] {
+        let mut paths: Vec<_> = std::fs::read_dir(format!("{root}{dir}"))
+            .expect("script directory")
+            .map(|e| e.expect("directory entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "script"))
+            // Its loop does not fit in 64 bits; its header says never to run it.
+            .filter(|p| p.file_stem().is_some_and(|s| s != "wide-loop"))
+            .collect();
+        paths.sort();
+        for p in paths {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            out.push((name, std::fs::read_to_string(&p).expect("script source")));
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 32,
+        .. ProptestConfig::default()
+    })]
+
+    /// Run a script under a seeded schedule, then once more per decision
+    /// index with a snapshot armed there — inside loops, inside a callee,
+    /// between a `recv` post and its binding, wherever the schedule puts
+    /// it — restore the snapshot and run it out: outcome and trace bytes
+    /// equal the from-scratch run's.
+    #[test]
+    fn script_snapshot_restore_is_identical_at_every_decision(
+        which in 0usize..64,
+        nprocs in 3usize..7,
+        sched in 0u64..10_000,
+    ) {
+        use tracedbg::workloads::script;
+
+        let scripts = runnable_scripts();
+        prop_assert!(scripts.len() >= 8, "builtins, golden and example scripts found");
+        let (file, source) = &scripts[which % scripts.len()];
+        let parsed = script::parse(source).expect("script parses");
+        let launch = || {
+            Engine::launch(
+                EngineConfig {
+                    policy: SchedPolicy::Seeded(sched),
+                    recorder: RecorderConfig::full(),
+                    checkpoints: true,
+                    ..Default::default()
+                },
+                script::programs(&parsed, nprocs, file),
+            )
+        };
+        let finish = |mut e: Engine| {
+            let outcome = format!("{:?}", e.run());
+            let store = e.trace_store();
+            let trace = TraceFile::new(
+                store.records().to_vec(),
+                store.sites().clone(),
+                store.n_ranks(),
+            );
+            let mut bytes = Vec::new();
+            write_text(&mut bytes, &trace).unwrap();
+            (outcome, bytes, e.decision_points().len())
+        };
+        let (outcome, bytes, decisions) = finish(launch());
+        for k in 0..decisions {
+            let mut snapped = launch();
+            snapped.set_snapshot_at(k);
+            let _ = snapped.run();
+            let cp = snapped
+                .take_pending_snapshot()
+                .expect("the same schedule reaches every decision index again");
+            let (restored_outcome, restored_bytes, _) = finish(Engine::restore(&cp, Vec::new()));
+            prop_assert_eq!(&restored_outcome, &outcome, "{} restored at {}", file, k);
+            prop_assert!(restored_bytes == bytes, "{file}: trace diverged restoring at {k}");
+        }
+    }
+}
