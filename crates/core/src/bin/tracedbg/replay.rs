@@ -96,8 +96,19 @@ pub fn cmd_replay(opts: &Opts) -> Result<ExitCode, String> {
     Ok(success_if(reproduced))
 }
 
-fn read_report(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+/// Load a sealed report (`parse` checks its schema version), refusing one
+/// whose digest no longer covers its contents.
+fn read_report<R>(
+    path: &str,
+    parse: fn(&str) -> Result<R, String>,
+    digest_ok: fn(&R) -> bool,
+) -> Result<R, String> {
+    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let report = parse(&json)?;
+    if !digest_ok(&report) {
+        return Err(format!("{path}: report digest does not match its contents"));
+    }
+    Ok(report)
 }
 
 fn print_where(session: &Session, rank: u32) {
@@ -116,7 +127,11 @@ fn replay_to_suspect(
     report_path: &str,
     opts: &Opts,
 ) -> Result<ExitCode, String> {
-    let report = LocalizeReport::from_json(&read_report(report_path)?)?;
+    let report = read_report(
+        report_path,
+        LocalizeReport::from_json,
+        LocalizeReport::digest_ok,
+    )?;
     let d = report.divergence.as_ref().ok_or_else(|| {
         format!(
             "{report_path}: verdict {:?} has no divergence frontier to replay to",
@@ -144,7 +159,11 @@ fn replay_to_critical_path(
     report_path: &str,
     opts: &Opts,
 ) -> Result<ExitCode, String> {
-    let report = ProfileReport::from_json(&read_report(report_path)?)?;
+    let report = read_report(
+        report_path,
+        ProfileReport::from_json,
+        ProfileReport::digest_ok,
+    )?;
     if report.frontier_markers.is_empty() {
         return Err(format!(
             "{report_path}: profile of an empty trace has no critical-path frontier"

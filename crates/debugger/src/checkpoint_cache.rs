@@ -17,7 +17,6 @@
 //! newest half is kept intact and the older half keeps every other entry,
 //! so long sessions retain exponentially-spaced restore points.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tracedbg_mpsim::EngineCheckpoint;
 use tracedbg_trace::MarkerVector;
@@ -39,10 +38,7 @@ pub struct CacheLookupStats {
 pub struct CheckpointCache {
     entries: Vec<(MarkerVector, Arc<EngineCheckpoint>)>,
     max_len: usize,
-    /// Lookup telemetry (atomics: `best_for` takes `&self`).
-    hits: AtomicU64,
-    misses: AtomicU64,
-    restore_distance: AtomicU64,
+    stats: CacheLookupStats,
 }
 
 impl CheckpointCache {
@@ -55,9 +51,7 @@ impl CheckpointCache {
         CheckpointCache {
             entries: Vec::new(),
             max_len: max_len.max(4),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            restore_distance: AtomicU64::new(0),
+            stats: CacheLookupStats::default(),
         }
     }
 
@@ -83,7 +77,7 @@ impl CheckpointCache {
 
     /// The best checkpoint to restore for a replay to `target`: dominated
     /// by the target on every rank, maximizing progress already made.
-    pub fn best_for(&self, target: &MarkerVector) -> Option<Arc<EngineCheckpoint>> {
+    pub fn best_for(&mut self, target: &MarkerVector) -> Option<Arc<EngineCheckpoint>> {
         let best = self
             .entries
             .iter()
@@ -91,15 +85,14 @@ impl CheckpointCache {
             .max_by_key(|(m, _)| m.counts().iter().sum::<u64>());
         match best {
             Some((m, cp)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.stats.hits += 1;
                 let target_sum: u64 = target.counts().iter().sum();
                 let cp_sum: u64 = m.counts().iter().sum();
-                self.restore_distance
-                    .fetch_add(target_sum.saturating_sub(cp_sum), Ordering::Relaxed);
+                self.stats.restore_distance += target_sum.saturating_sub(cp_sum);
                 Some(Arc::clone(cp))
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.stats.misses += 1;
                 None
             }
         }
@@ -109,11 +102,7 @@ impl CheckpointCache {
     /// counters describe the cache's whole lifetime, not one generation of
     /// entries.
     pub fn stats(&self) -> CacheLookupStats {
-        CacheLookupStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            restore_distance: self.restore_distance.load(Ordering::Relaxed),
-        }
+        self.stats
     }
 
     pub fn len(&self) -> usize {

@@ -98,8 +98,6 @@ pub fn replay_schedule_from_checkpoint(
     engine.set_snapshot_at(artifact.decisions.len() / 2);
     let outcome = engine.run();
     let (class, detail) = (outcome.class().to_string(), outcome.detail());
-    let straight_digest = engine.digest();
-    let straight_trace = engine.collect_trace();
     // A run that never reached the snapshot point falls back to a straight
     // re-execution, so the command still checks something.
     let (mut second, snapshot_decisions) = match engine.take_pending_snapshot() {
@@ -108,8 +106,8 @@ pub fn replay_schedule_from_checkpoint(
     };
     let restored_class = second.run().class().to_string();
     let reproduced = restored_class == class
-        && second.digest() == straight_digest
-        && second.collect_trace() == straight_trace;
+        && second.digest() == engine.digest()
+        && second.collect_trace() == engine.collect_trace();
     CheckpointReplay {
         class,
         detail,

@@ -4,16 +4,18 @@
 //! undo re-execute it from the start — §6: "our current implementation of
 //! replay and undo is done in straightforward manner by re-executing until
 //! an execution marker threshold is encountered"), the engine incarnation
-//! currently running it, the recorded receive-match log, and the undo
-//! stack of stop states.
+//! currently running it, the recorded receive-match log, the checkpoint
+//! backlog §6 asks for, and the undo stack of stop states.
 
 use crate::checkpoint_cache::{CacheLookupStats, CheckpointCache};
 use crate::stopline::Stopline;
 use crate::undo::UndoStack;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 use tracedbg_mpsim::DeadlockReport;
 use tracedbg_mpsim::{
-    CostModel, Engine, EngineCheckpoint, EngineConfig, EngineMetrics, FaultPlan, RecorderConfig,
-    ReplayLog, RunOutcome, SchedPolicy,
+    CostModel, Engine, EngineConfig, EngineMetrics, FaultPlan, RecorderConfig, ReplayLog,
+    RunOutcome, SchedPolicy,
 };
 use tracedbg_trace::{
     Marker, MarkerVector, Rank, ScheduleArtifact, SiteTable, TraceRecord, TraceStore,
@@ -66,12 +68,12 @@ impl SessionConfig {
     /// session's `live` incarnations are checkpointable (per
     /// `checkpoint_every`) and metered — telemetry feeds the `stats`
     /// command and its cost is noise next to a human at the prompt.
-    fn engine(&self, sites: &SiteTable, replay: Option<ReplayLog>, live: bool) -> EngineConfig {
+    fn engine(&self, sites: &SiteTable, live: bool) -> EngineConfig {
         EngineConfig {
             cost: self.cost,
             policy: self.policy.clone(),
             recorder: self.recorder.clone(),
-            replay,
+            replay: None,
             sites: Some(sites.clone()),
             faults: self.faults.clone(),
             checkpoints: live && self.checkpoint_every > 0,
@@ -136,10 +138,10 @@ pub struct Session {
     engine: Engine,
     status: SessionStatus,
     undo: UndoStack,
-    /// Match log recorded by the most recent from-scratch run.
-    recorded_log: Option<ReplayLog>,
-    /// Is the current engine incarnation a replay?
-    replaying: bool,
+    /// The match log the current incarnation replays: taken from the
+    /// recording incarnation when its first replay is requested, shared
+    /// with every engine and checkpoint since. `None` while recording.
+    recorded_log: Option<Arc<ReplayLog>>,
     /// Logarithmic backlog of stop-state checkpoints (§6): replay targets
     /// restore the nearest dominated entry instead of starting over.
     ckpts: CheckpointCache,
@@ -148,7 +150,7 @@ pub struct Session {
     /// Engine metrics folded in from retired incarnations (replay and
     /// restart replace the engine; its telemetry is absorbed here first).
     retired_metrics: EngineMetrics,
-    /// Checkpoint restores performed by `replay_from_checkpoint`.
+    /// Checkpoint restores performed by `replay_to`.
     restores: u64,
     /// Wall-clock nanoseconds those restores took.
     restore_ns: u64,
@@ -172,7 +174,7 @@ impl Session {
     /// Launch the target program (processes created, nothing run yet).
     pub fn launch(cfg: SessionConfig, factory: ProgramFactory) -> Self {
         let sites = SiteTable::new();
-        let engine = Engine::launch(cfg.engine(&sites, None, true), factory());
+        let engine = Engine::launch(cfg.engine(&sites, true), factory());
         let n = engine.n_ranks();
         Session {
             factory,
@@ -182,7 +184,6 @@ impl Session {
             status: SessionStatus::Idle,
             undo: UndoStack::new(),
             recorded_log: None,
-            replaying: false,
             ckpts: CheckpointCache::new(),
             stop_count: 0,
             retired_metrics: EngineMetrics::new(n),
@@ -193,8 +194,8 @@ impl Session {
     }
 
     /// A fresh engine on the target program, from process creation.
-    fn incarnation(&self, replay: Option<ReplayLog>, live: bool) -> Engine {
-        Engine::launch(self.cfg.engine(&self.sites, replay, live), (self.factory)())
+    fn incarnation(&self, live: bool) -> Engine {
+        Engine::launch(self.cfg.engine(&self.sites, live), (self.factory)())
     }
 
     pub fn n_ranks(&self) -> usize {
@@ -234,12 +235,13 @@ impl Session {
     pub(crate) fn run_with<T>(&mut self, read: impl FnOnce(&RunOutcome) -> T) -> T {
         let outcome = self.engine.run();
         let seen = read(&outcome);
-        self.status = outcome.into();
-        // Keep the freshest full match log for replay (only from recording
-        // incarnations — a replay's log is just the forced history again).
-        if !self.replaying {
-            self.recorded_log = Some(self.engine.match_log());
-        }
+        self.record_stop(outcome.into());
+        seen
+    }
+
+    /// Make `status` the session's, with the bookkeeping every stop gets.
+    fn record_stop(&mut self, status: SessionStatus) {
+        self.status = status;
         let markers = self.engine.markers();
         // Deposit a checkpoint at (every Nth) stop: only Stopped states are
         // replay/undo targets, and only they can make further progress. A
@@ -253,7 +255,6 @@ impl Session {
             }
         }
         self.undo.push(markers);
-        seen
     }
 
     /// Resume every trapped process and run on (breakpoint thresholds are
@@ -266,50 +267,49 @@ impl Session {
         self.run()
     }
 
+    fn ranks(&self) -> impl Iterator<Item = Rank> {
+        (0..self.engine.n_ranks()).map(Rank::from)
+    }
+
     /// Single-step one process by one instrumentation event; all other
     /// processes hold (the paper's antidote to the fatal "step over" —
     /// execution cannot run away).
     pub fn step(&mut self, rank: Rank) -> &SessionStatus {
-        let cur = self.engine.markers().get(rank);
-        self.engine.set_threshold(rank, Some(cur + 1));
-        for r in 0..self.engine.n_ranks() {
-            if r != rank.ix() {
-                self.engine.set_paused(Rank(r as u32), true);
-            }
-        }
-        self.engine.resume_rank(rank);
-        self.run();
-        for r in 0..self.engine.n_ranks() {
-            self.engine.set_paused(Rank(r as u32), false);
-        }
-        self.engine.set_threshold(rank, None);
-        &self.status
+        self.step_set(&BTreeSet::from([rank]))
+    }
+
+    /// Step every non-finished process by one event.
+    pub fn step_all(&mut self) -> &SessionStatus {
+        let live = self.ranks().filter(|&r| !self.engine.is_finished(r));
+        self.step_set(&live.collect())
     }
 
     /// Step every process in a set by one event while the rest hold —
     /// p2d2's set-oriented stepping.
-    pub fn step_set(&mut self, ranks: &std::collections::BTreeSet<Rank>) -> &SessionStatus {
+    pub fn step_set(&mut self, ranks: &BTreeSet<Rank>) -> &SessionStatus {
         let markers = self.engine.markers();
-        for r in 0..self.engine.n_ranks() {
-            let rank = Rank(r as u32);
+        for rank in self.ranks() {
             if ranks.contains(&rank) {
-                if !self.engine.is_finished(rank) {
-                    self.engine.set_threshold(rank, Some(markers.get(rank) + 1));
-                }
+                self.engine.set_threshold(rank, Some(markers.get(rank) + 1));
                 self.engine.resume_rank(rank);
             } else {
                 self.engine.set_paused(rank, true);
             }
         }
         self.run();
-        for r in 0..self.engine.n_ranks() {
-            let rank = Rank(r as u32);
-            self.engine.set_paused(rank, false);
-            if ranks.contains(&rank) {
-                self.engine.set_threshold(rank, None);
-            }
+        self.engine.clear_pauses();
+        for &rank in ranks {
+            self.engine.set_threshold(rank, None);
         }
         &self.status
+    }
+
+    /// The match log replays of this session are forced by.
+    fn recorded_log(&self) -> Arc<ReplayLog> {
+        match &self.recorded_log {
+            Some(log) => Arc::clone(log),
+            None => Arc::new(self.engine.match_log()),
+        }
     }
 
     /// Verify replay fidelity (§4.2's "identical event causality"): re-run
@@ -317,34 +317,16 @@ impl Session {
     /// engine and diff its trace against this session's history so far.
     /// Returns the divergences (empty = faithful). Requires a recorded run.
     pub fn verify_replay(&mut self) -> Vec<tracedbg_trace::Divergence> {
-        let mut log = self
-            .recorded_log
-            .clone()
-            .unwrap_or_else(|| self.engine.match_log());
-        log.reset();
         let mine = self.trace();
         let final_markers = mine.final_markers();
-        let mut other = self.incarnation(Some(log), false);
+        let mut other = self.incarnation(false);
+        other.set_replay(self.recorded_log());
         // Stop the verification run exactly where this session's history
         // ends, so partial histories (stopped sessions) compare cleanly.
         other.arm_stopline(&final_markers);
         let _ = other.run();
         let theirs = other.trace_store();
         tracedbg_trace::diff_traces(&mine, &theirs, tracedbg_trace::DiffMode::Exact)
-    }
-
-    /// Step every non-finished process by one event.
-    pub fn step_all(&mut self) -> &SessionStatus {
-        let markers = self.engine.markers();
-        for m in markers.iter() {
-            if !self.engine.is_finished(m.rank) {
-                self.engine.set_threshold(m.rank, Some(m.count + 1));
-            }
-        }
-        self.engine.resume_trapped();
-        self.run();
-        self.engine.clear_thresholds();
-        &self.status
     }
 
     /// Current execution markers.
@@ -358,23 +340,64 @@ impl Session {
     }
 
     /// Arm a stopline and (re-)execute to it under nondeterminism control:
-    /// the §4.1/§4.2 replay. The program restarts from scratch; wildcard
-    /// receives are forced to their recorded matches; every process stops
-    /// when its `UserMonitor` counter reaches the stopline marker.
+    /// the §4.1/§4.2 replay. The program resumes from the nearest
+    /// checkpoint the stopline dominates — re-executing only the delta —
+    /// or, when there is none, from process creation; wildcard receives are
+    /// forced to their recorded matches; every process stops when its
+    /// `UserMonitor` counter reaches the stopline marker.
     pub fn replay_to(&mut self, stopline: &Stopline) -> &SessionStatus {
-        if let Some(cp) = self.ckpts.best_for(&stopline.markers) {
-            return self.replay_from_checkpoint(&cp, stopline);
-        }
-        let mut log = self
-            .recorded_log
-            .clone()
-            .unwrap_or_else(|| self.engine.match_log());
-        log.reset();
+        let log = self.recorded_log();
+        self.recorded_log = Some(Arc::clone(&log));
         self.retire_engine_metrics();
-        self.engine = self.incarnation(Some(log), true);
-        self.replaying = true;
+        match self.ckpts.best_for(&stopline.markers) {
+            Some(cp) => {
+                let t0 = std::time::Instant::now();
+                self.engine = Engine::restore(&cp, Vec::new());
+                self.restores += 1;
+                self.restore_ns += t0.elapsed().as_nanos() as u64;
+                // A restored engine comes up with telemetry off, and with
+                // whatever was armed when the snapshot was taken; a fresh
+                // incarnation has neither.
+                self.engine.enable_metrics();
+                self.engine.clear_thresholds();
+                self.engine.clear_pauses();
+                self.engine.clear_breaks();
+            }
+            None => self.engine = self.incarnation(true),
+        }
+        self.engine.set_replay(log);
+        // Ranks already at their target hold: an exact-hit restore is the
+        // stop itself, no re-execution at all. The holds drop once the
+        // stop is reached, so stepping/continuing from here behaves like
+        // any other stop (resume_rank does not clear pause flags).
         self.engine.arm_stopline(&stopline.markers);
-        self.run()
+        let outcome = self.engine.run();
+        self.engine.clear_pauses();
+        self.record_stop(self.stop_reached(stopline, outcome));
+        &self.status
+    }
+
+    /// What a replay to `stopline` reports: a function of the stop
+    /// reached, not of the origin it ran from. A rank a checkpoint holds at
+    /// its target may be past the trap a from-scratch run stops it in (its
+    /// receive already posted, say); it is at the stopline all the same.
+    fn stop_reached(&self, stopline: &Stopline, outcome: RunOutcome) -> SessionStatus {
+        let at = self.engine.markers();
+        let reached = |m: &Marker| at.get(m.rank) == m.count && !self.engine.is_finished(m.rank);
+        let (paused, traps): (Vec<Marker>, Vec<Marker>) = stopline
+            .markers
+            .iter()
+            .filter(reached)
+            .partition(|m| m.count == 0);
+        let stalled = matches!(outcome, RunOutcome::Stopped(_) | RunOutcome::Deadlock(_));
+        if stalled && !(traps.is_empty() && paused.is_empty()) {
+            SessionStatus::Stopped {
+                traps,
+                paused: paused.iter().map(|m| m.rank).collect(),
+            }
+        } else {
+            outcome.into()
+        }
     }
 
     /// Fold the outgoing engine incarnation's telemetry into the
@@ -384,51 +407,6 @@ impl Session {
         if let Some(m) = self.engine.take_metrics() {
             self.retired_metrics.merge(&m);
         }
-    }
-
-    /// The O(delta) replay path: restore a dominated checkpoint and
-    /// re-execute only from its markers to the stopline's.
-    fn replay_from_checkpoint(
-        &mut self,
-        cp: &EngineCheckpoint,
-        stopline: &Stopline,
-    ) -> &SessionStatus {
-        self.retire_engine_metrics();
-        let t0 = std::time::Instant::now();
-        self.engine = Engine::restore(cp, Vec::new());
-        // A restored engine comes up with telemetry off; re-enable before
-        // `set_replay_delta` so the delta length lands in the histogram.
-        self.engine.enable_metrics();
-        // Pin the remaining wildcard matches from the recorded history:
-        // the engine advances the log's cursors past everything the
-        // checkpoint already consumed, so only the delta is forced.
-        if let Some(log) = self.recorded_log.clone() {
-            self.engine.set_replay_delta(log);
-        }
-        self.restores += 1;
-        self.restore_ns += t0.elapsed().as_nanos() as u64;
-        // The snapshot carries whatever thresholds/pauses were armed when
-        // it was taken; replace them with the stopline's.
-        self.engine.clear_thresholds();
-        self.engine.clear_pauses();
-        let cur = cp.markers();
-        for m in stopline.markers.iter() {
-            if cur.get(m.rank) < m.count {
-                self.engine.set_threshold(m.rank, Some(m.count));
-                self.engine.resume_rank(m.rank);
-            } else if !self.engine.is_finished(m.rank) {
-                // Already at (or past) the target: hold — an exact-hit
-                // restore is the stop itself, no re-execution at all.
-                self.engine.set_paused(m.rank, true);
-            }
-        }
-        self.replaying = true;
-        self.run();
-        // Drop the at-target holds now that the stop is reported, so
-        // stepping/continuing from here behaves like any other stop
-        // (resume_rank does not clear pause flags).
-        self.engine.clear_pauses();
-        &self.status
     }
 
     /// Parallel undo (§4.2): replay to the stop state preceding the most
@@ -451,8 +429,8 @@ impl Session {
     /// recording run).
     pub fn restart(&mut self) -> &SessionStatus {
         self.retire_engine_metrics();
-        self.engine = Engine::launch(self.cfg.engine(&self.sites, None, true), (self.factory)());
-        self.replaying = false;
+        self.engine = self.incarnation(true);
+        self.recorded_log = None;
         self.undo = UndoStack::new();
         self.status = SessionStatus::Idle;
         // A fresh recording run replaces the history the cached
@@ -820,6 +798,34 @@ mod tests {
         assert!(slow.checkpoint_cache().is_empty());
         // Full histories agree byte for byte.
         assert_eq!(fast.trace().records(), slow.trace().records());
+    }
+
+    #[test]
+    fn transcript_is_the_same_from_every_replay_origin() {
+        // Stepping a rank past the trap it was replayed into (its receive
+        // posted) leaves checkpoints whose ranks are at the stopline but no
+        // longer trapped; `undo` must still answer with the stop reached,
+        // as the from-scratch session (`checkpoint_every: 0`) does.
+        use tracedbg_workloads::random_comm;
+        let transcript = |checkpoint_every: usize| {
+            let pat = random_comm::generate(3, 8, 400);
+            let session = Session::launch(
+                SessionConfig {
+                    checkpoint_every,
+                    ..Default::default()
+                },
+                Box::new(move || random_comm::programs(&pat, 3)),
+            );
+            let steps: Vec<String> = (0..8).map(|r| format!("step {r}")).collect();
+            let mut script = vec!["run", "stopline t 20000", "replay"];
+            script.extend(steps.iter().map(String::as_str));
+            script.extend(["undo", "undo", "undo", "markers"]);
+            crate::CommandInterface::new(session).script(&script)
+        };
+        let scratch = transcript(0);
+        assert_eq!(scratch.matches("\nstopped: traps [P0@").count(), 4);
+        assert_eq!(transcript(1), scratch);
+        assert_eq!(transcript(3), scratch);
     }
 
     #[test]

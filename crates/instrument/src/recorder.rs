@@ -5,7 +5,7 @@ use crate::accounting::Accounting;
 use crate::breakpoints::{BreakSet, TrapCause, Watch};
 use crate::config::{RecorderConfig, Strategy};
 use crate::user_monitor::UserMonitor;
-use tracedbg_trace::{EventKind, FlushHandle, Rank, SiteId, TraceBuffer, TraceRecord};
+use tracedbg_trace::{EventKind, Rank, SiteId, TraceBuffer, TraceRecord};
 
 /// What the engine must do after an instrumentation event.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -164,12 +164,7 @@ impl Recorder {
         self.buffer.set_enabled(on);
     }
 
-    /// On-demand flush into the run-wide sink.
-    pub fn flush_into(&mut self, handle: &FlushHandle) {
-        self.buffer.flush_into(handle);
-    }
-
-    /// Drain all buffered records (end of run).
+    /// Drain all buffered records (on-demand flush, end of run).
     pub fn take_records(&mut self) -> Vec<TraceRecord> {
         self.buffer.take()
     }
@@ -265,12 +260,12 @@ mod tests {
 
     #[test]
     fn flush_on_demand() {
-        let h = FlushHandle::new();
         let mut r = Recorder::new(Rank(0), RecorderConfig::full());
         r.observe(rec(EventKind::Compute));
-        r.flush_into(&h);
-        assert_eq!(h.pending(), 1);
+        assert_eq!(r.take_records().len(), 1);
         assert_eq!(r.records().len(), 0);
+        r.observe(rec(EventKind::Compute));
+        assert_eq!(r.take_records()[0].marker, 2, "markers run on");
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! everything the engine owns — process states, each rank's frame stack
 //! and instrumentation recorder, mailboxes (with their per-channel
 //! sequence counters), collective state, the scheduler (RNG + script
-//! cursor), the match recorder, replay cursors, fault-plan progress and
-//! the decision log. Taking one is a
-//! clone of owned state; restoring one is another clone — nothing is
-//! re-executed.
+//! cursor), per-rank match counts, fault-plan progress, the collected
+//! trace and the decision log; the replay log is immutable and shared, not
+//! copied. Taking one is a clone of owned state; restoring one is another
+//! clone — nothing is re-executed.
 //!
 //! Determinism contract: a restored engine continued to the end produces
 //! a byte-identical trace to the uncheckpointed run — the property the
@@ -20,34 +20,46 @@ use crate::collective::PendingCollective;
 use crate::engine::ProcState;
 use crate::fault::FaultPlan;
 use crate::mailbox::Mailbox;
-use crate::record::{MatchRecorder, ReplayLog};
+use crate::record::ReplayLog;
 use crate::sched::Scheduler;
 use crate::task::TaskHarness;
+use std::sync::Arc;
 use tracedbg_instrument::Recorder;
 use tracedbg_trace::schedule::DecisionPoint;
 use tracedbg_trace::{MarkerVector, Rank, SiteTable, TraceRecord};
 
-/// A full deterministic snapshot of a running [`crate::Engine`].
+/// A full deterministic snapshot of a running [`crate::Engine`] — the
+/// engine keeps its own state in one, so taking a checkpoint is cloning it
+/// and no field can be left out.
 ///
-/// Cheap to take (clones of owned state) and self-contained:
-/// [`crate::Engine::restore`] rebuilds a live engine from it alone.
+/// Self-contained: [`crate::Engine::restore`] rebuilds a live engine from
+/// it alone.
 #[derive(Clone)]
 pub struct EngineCheckpoint {
     pub(crate) n_ranks: usize,
+    /// Every transition goes through `Engine::set_state` (and every pause
+    /// through `Engine::set_paused`), which keep the ready set in step.
     pub(crate) states: Vec<ProcState>,
     pub(crate) paused: Vec<bool>,
     pub(crate) mailboxes: Vec<Mailbox>,
     pub(crate) scheduler: Scheduler,
-    pub(crate) match_rec: MatchRecorder,
-    pub(crate) replay: Option<ReplayLog>,
+    /// Receive matches made per rank: each rank's position in `replay`.
+    pub(crate) matched: Vec<u32>,
+    pub(crate) replay: Option<Arc<ReplayLog>>,
     pub(crate) recorders: Vec<Recorder>,
     pub(crate) sites: SiteTable,
-    pub(crate) flush_pending: Vec<TraceRecord>,
     pub(crate) cost: CostModel,
     pub(crate) pending_coll: Option<PendingCollective>,
+    /// Trace records that left their rank's buffer (finished, flushed or
+    /// gathered), in arrival order; `engine::flush_rank` is the one writer.
     pub(crate) collected: Vec<TraceRecord>,
     pub(crate) faults: FaultPlan,
+    /// Runtime operations (send/recv/collective) submitted per rank, for
+    /// fault thresholds.
     pub(crate) ops: Vec<u64>,
+    /// Every scheduling decision of the run with its alternatives — the
+    /// raw material of schedule artifacts and systematic exploration, and
+    /// the run's one record of nondeterminism.
     pub(crate) decision_log: Vec<DecisionPoint>,
     /// Each rank's execution point (frame stack, clock, grant position).
     pub(crate) tasks: Vec<TaskHarness>,
@@ -72,14 +84,6 @@ impl EngineCheckpoint {
     /// sibling schedules with the script cursor set to this length).
     pub fn decision_len(&self) -> usize {
         self.decision_log.len()
-    }
-
-    /// Receive matches recorded per rank at the snapshot point — where a
-    /// replay log's cursors must stand so only the delta is pinned.
-    pub fn match_counts(&self) -> Vec<usize> {
-        (0..self.n_ranks)
-            .map(|r| self.match_rec.matches_of(Rank(r as u32)).len())
-            .collect()
     }
 }
 

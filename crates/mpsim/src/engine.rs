@@ -1,7 +1,8 @@
 //! The turn-taking engine.
 //!
 //! The engine owns every shared structure of a run (mailboxes, sequence
-//! counters, collective state, the match recorder) and grants execution to
+//! counters, collective state, the decision log, the collected trace) and
+//! grants execution to
 //! exactly one process at a time. A granted process is stepped inline until
 //! its next runtime operation, which it returns as a [`Request`]; the engine
 //! services the request and schedules the next turn. Because scheduling
@@ -18,14 +19,15 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::mailbox::Mailbox;
 use crate::message::{Envelope, MatchSpec};
 use crate::ops::{Reply, Request, SendMode};
-use crate::record::{MatchRecorder, RecordedMatch, ReplayLog};
+use crate::record::ReplayLog;
 use crate::sched::{SchedPolicy, Scheduler};
 use crate::task::{Prog, TaskEnv, TaskHarness, TaskInterp, TaskProgram};
+use std::sync::Arc;
 use tracedbg_instrument::{Recorder, RecorderConfig};
 use tracedbg_obs::{EngineMetrics, FlightRecorder, Span, SpanKind};
 use tracedbg_trace::schedule::{Alternatives, Decision, DecisionPoint, RankSet};
 use tracedbg_trace::{
-    FlushHandle, Marker, MarkerVector, Rank, ScheduleArtifact, SiteTable, TraceRecord, TraceStore,
+    Marker, MarkerVector, Rank, ScheduleArtifact, SiteTable, TraceRecord, TraceSink, TraceStore,
 };
 
 /// Engine construction parameters.
@@ -34,7 +36,8 @@ pub struct EngineConfig {
     pub cost: CostModel,
     pub policy: SchedPolicy,
     pub recorder: RecorderConfig,
-    /// Force receive matches from a previous run (§4.2 replay).
+    /// Force receive matches from a previous run (§4.2 replay): the log
+    /// [`Engine::set_replay`] is called with at launch.
     pub replay: Option<ReplayLog>,
     /// Share a site table across engine incarnations so source-location
     /// ids stay stable between a recording run and its replays (the
@@ -213,14 +216,6 @@ impl EngineObs {
             snapshot_ns: 0,
         })
     }
-
-    /// Record a flight span and keep the exact overflow count visible in
-    /// the metrics (so `MetricsReport` consumers never have to parse the
-    /// dump's "... N earlier spans dropped" text note).
-    fn record_span(&mut self, span: Span) {
-        self.flight.record(span);
-        self.metrics.flight_dropped = self.flight.dropped();
-    }
 }
 
 /// A rank's program: a resumable [`TaskProgram`], usually a [`Prog`] tree
@@ -246,37 +241,18 @@ impl From<Box<dyn TaskProgram>> for RankProgram {
 
 /// A complete simulated run.
 pub struct Engine {
-    /// Every transition goes through [`Engine::set_state`] (and every
-    /// pause through [`Engine::set_paused`]), which keep `ready` in step.
-    states: Vec<ProcState>,
-    paused: Vec<bool>,
+    /// The run's deterministic state — what a checkpoint is a clone of.
+    st: EngineCheckpoint,
     /// The ranks the scheduler may grant the next turn: `Ready` and not
     /// paused. Maintained at every state and pause transition, so a turn
     /// costs O(ranks/64) instead of a scan over every `ProcState`.
     ready: RankSet,
-    /// Run the delivery sweep on the next [`Engine::run`] (set by the two
-    /// operations that can leave a deliverable receive undelivered).
+    /// Run the delivery sweep on the next [`Engine::run`] (set by
+    /// [`Engine::restore`], which can leave a deliverable receive
+    /// undelivered).
     resweep: bool,
-    tasks: Vec<TaskHarness>,
-    mailboxes: Vec<Mailbox>,
-    scheduler: Scheduler,
-    match_rec: MatchRecorder,
-    replay: Option<ReplayLog>,
-    recorders: Vec<Recorder>,
-    sites: SiteTable,
-    flush: FlushHandle,
-    cost: CostModel,
-    pending_coll: Option<PendingCollective>,
-    n_ranks: usize,
-    /// Trace records collected from finished/flushed buffers.
-    collected: Vec<TraceRecord>,
-    faults: FaultPlan,
-    /// Runtime operations (send/recv/collective) submitted per rank, for
-    /// fault thresholds.
-    ops: Vec<u64>,
-    /// Every scheduling decision of this run with its alternatives — the
-    /// raw material of schedule artifacts and systematic exploration.
-    decision_log: Vec<DecisionPoint>,
+    /// Streaming sink that sees every record as it enters `collected`.
+    tee: Option<Box<dyn TraceSink>>,
     /// Checkpoint plane (all inert unless `checkpoints` is on).
     checkpoints: bool,
     /// Take a snapshot when the decision log reaches this length.
@@ -293,40 +269,43 @@ impl Engine {
         install_quiet_panic_hook();
         let n = programs.len();
         assert!(n > 0, "need at least one process");
-        let mut replay = config.replay;
-        if let Some(log) = replay.as_mut() {
-            log.reset();
-        }
-        Engine {
+        let st = EngineCheckpoint {
+            n_ranks: n,
             states: (0..n).map(|_| ProcState::Ready(Reply::Proceed)).collect(),
             paused: vec![false; n],
-            ready: RankSet::from_ranks(n, (0..n).map(Rank::from)),
-            resweep: false,
             tasks: programs
                 .into_iter()
                 .map(|p| TaskHarness::new(p.0))
                 .collect(),
             mailboxes: vec![Mailbox::new(); n],
             scheduler: Scheduler::new(&config.policy, n),
-            match_rec: MatchRecorder::new(n),
-            replay,
+            matched: vec![0; n],
+            replay: None,
             recorders: (0..n)
                 .map(|i| Recorder::new(Rank(i as u32), config.recorder.clone()))
                 .collect(),
             sites: config.sites.unwrap_or_default(),
-            flush: FlushHandle::new(),
             cost: config.cost,
             pending_coll: None,
-            n_ranks: n,
             collected: Vec::new(),
             faults: config.faults,
             ops: vec![0; n],
             decision_log: Vec::new(),
+        };
+        let mut engine = Engine {
+            st,
+            ready: RankSet::from_ranks(n, (0..n).map(Rank::from)),
+            resweep: false,
+            tee: None,
             checkpoints: config.checkpoints,
             snapshot_at_decision: None,
             pending_snapshot: None,
             obs: config.metrics.then(|| EngineObs::new(n)),
+        };
+        if let Some(log) = config.replay {
+            engine.set_replay(Arc::new(log));
         }
+        engine
     }
 
     /// Rebuild a live engine from a checkpoint: every rank resumes from a
@@ -338,30 +317,13 @@ impl Engine {
     /// checkpointing enabled, so checkpoints chain.
     pub fn restore(cp: &EngineCheckpoint, _programs: Vec<RankProgram>) -> Self {
         install_quiet_panic_hook();
-        let flush = FlushHandle::new();
-        flush.accept(cp.flush_pending.clone());
         let mut engine = Engine {
-            states: cp.states.clone(),
-            paused: cp.paused.clone(),
+            st: cp.clone(),
             ready: RankSet::new(cp.n_ranks),
             // A snapshot can land between a match becoming possible and
             // its decision being committed; the sweep re-delivers it.
             resweep: true,
-            tasks: cp.tasks.clone(),
-            mailboxes: cp.mailboxes.clone(),
-            scheduler: cp.scheduler.clone(),
-            match_rec: cp.match_rec.clone(),
-            replay: cp.replay.clone(),
-            recorders: cp.recorders.clone(),
-            sites: cp.sites.clone(),
-            flush,
-            cost: cp.cost,
-            pending_coll: cp.pending_coll.clone(),
-            n_ranks: cp.n_ranks,
-            collected: cp.collected.clone(),
-            faults: cp.faults.clone(),
-            ops: cp.ops.clone(),
-            decision_log: cp.decision_log.clone(),
+            tee: None,
             checkpoints: true,
             snapshot_at_decision: None,
             pending_snapshot: None,
@@ -374,49 +336,79 @@ impl Engine {
         engine
     }
 
+    /// With telemetry on, record a flight span at the current decision
+    /// index and keep the exact overflow count visible in the metrics (so
+    /// `MetricsReport` consumers never have to parse the dump's "... N
+    /// earlier spans dropped" text note).
+    fn span(&mut self, kind: SpanKind, sim_time: u64, [a, b, c]: [u64; 3]) {
+        if let Some(o) = self.obs.as_mut() {
+            o.flight.record(Span {
+                decision: self.st.decision_log.len() as u64,
+                sim_time,
+                kind,
+                a,
+                b,
+                c,
+            });
+            o.metrics.flight_dropped = o.flight.dropped();
+        }
+    }
+
     /// Move `rank` to `state` — the one writer of `states` — and return
     /// the state it left.
     fn set_state(&mut self, rank: Rank, state: ProcState) -> ProcState {
         self.ready
-            .set(rank, state.grantable(self.paused[rank.ix()]));
-        std::mem::replace(&mut self.states[rank.ix()], state)
+            .set(rank, state.grantable(self.st.paused[rank.ix()]));
+        std::mem::replace(&mut self.st.states[rank.ix()], state)
     }
 
     /// The ready set recomputed from scratch: what `ready` must equal.
     fn scan_ready(&self) -> RankSet {
-        let grantable = |&i: &usize| self.states[i].grantable(self.paused[i]);
+        let grantable = |&i: &usize| self.st.states[i].grantable(self.st.paused[i]);
         RankSet::from_ranks(
-            self.n_ranks,
-            (0..self.n_ranks).filter(grantable).map(Rank::from),
+            self.st.n_ranks,
+            (0..self.st.n_ranks).filter(grantable).map(Rank::from),
         )
     }
 
+    /// `spec` as `rank`'s next match must satisfy it: narrowed to the
+    /// recorded message while a replay log still covers that match.
+    fn pinned(&self, rank: Rank, mut spec: MatchSpec) -> MatchSpec {
+        let made = self.st.matched[rank.ix()];
+        if let Some(m) = self.st.replay.as_ref().and_then(|log| log.pin(rank, made)) {
+            spec.forced = Some((m.src, m.seq));
+        }
+        spec
+    }
+
     /// Does some blocked receive have a message it could match? Never at
-    /// a rest point of a run that was neither restored nor re-pinned.
+    /// a rest point of a run that was not just restored.
     fn has_deliverable_receive(&self) -> bool {
-        self.states.iter().enumerate().any(|(i, s)| match s {
-            ProcState::Blocked { spec, .. } => !self.mailboxes[i].candidates(spec).is_empty(),
+        self.st.states.iter().enumerate().any(|(i, s)| match s {
+            ProcState::Blocked { spec, .. } => {
+                let spec = self.pinned(Rank::from(i), *spec);
+                !self.st.mailboxes[i].candidates(&spec).is_empty()
+            }
             _ => false,
         })
     }
 
     pub fn n_ranks(&self) -> usize {
-        self.n_ranks
+        self.st.n_ranks
     }
 
     pub fn sites(&self) -> &SiteTable {
-        &self.sites
+        &self.st.sites
     }
 
     /// Run until completion, deadlock, panic, or a debugger stop.
     pub fn run(&mut self) -> RunOutcome {
         // Re-deliver any receive that was mid-match when a checkpoint was
-        // taken, or that a delta replay log just re-pinned. Everywhere
-        // else the sweep would be a no-op — at every rest point a blocked
-        // receive with candidates has already been delivered — so a
-        // `step` in a wide session does not pay for it.
+        // taken. Everywhere else the sweep would be a no-op — at every rest
+        // point a blocked receive with candidates has already been
+        // delivered — so a `step` in a wide session does not pay for it.
         if std::mem::take(&mut self.resweep) {
-            for r in 0..self.n_ranks {
+            for r in 0..self.st.n_ranks {
                 self.try_match(Rank(r as u32));
             }
         }
@@ -427,38 +419,32 @@ impl Engine {
                 return self.stall_outcome();
             }
             self.maybe_snapshot();
-            let p = self.scheduler.pick(&self.ready);
-            self.decision_log.push(DecisionPoint {
+            let p = self.st.scheduler.pick(&self.ready);
+            self.st.decision_log.push(DecisionPoint {
                 chosen: Decision::Turn { rank: p },
                 alternatives: Alternatives::Turns(self.ready.clone()),
             });
             if let Some(o) = self.obs.as_mut() {
                 o.turn_count += 1;
                 o.metrics.turns += 1;
-                o.record_span(Span {
-                    decision: self.decision_log.len() as u64,
-                    sim_time: 0,
-                    kind: SpanKind::Turn,
-                    a: p.0 as u64,
-                    b: 0,
-                    c: 0,
-                });
             }
+            self.span(SpanKind::Turn, 0, [p.0 as u64, 0, 0]);
             let reply = match self.set_state(p, ProcState::Running) {
                 ProcState::Ready(r) => r,
                 other => unreachable!("granted non-ready process in state {other:?}"),
             };
             // The grant is a function call: step the rank inline until its
             // next request.
-            let req = self.tasks[p.ix()].resume(
+            let req = self.st.tasks[p.ix()].resume(
                 reply,
                 &mut TaskEnv {
                     rank: p,
-                    n_ranks: self.n_ranks,
-                    cost: self.cost,
-                    sites: &self.sites,
-                    recorder: &mut self.recorders[p.ix()],
-                    flush: &self.flush,
+                    n_ranks: self.st.n_ranks,
+                    cost: self.st.cost,
+                    sites: &self.st.sites,
+                    recorder: &mut self.st.recorders[p.ix()],
+                    tee: &mut self.tee,
+                    collected: &mut self.st.collected,
                 },
             );
             self.service(p, req);
@@ -467,10 +453,16 @@ impl Engine {
 
     /// Classify the no-runnable-process situation.
     fn stall_outcome(&mut self) -> RunOutcome {
-        if let Some((i, msg)) = self.states.iter().enumerate().find_map(|(i, s)| match s {
-            ProcState::Panicked(m) => Some((i, m.clone())),
-            _ => None,
-        }) {
+        if let Some((i, msg)) = self
+            .st
+            .states
+            .iter()
+            .enumerate()
+            .find_map(|(i, s)| match s {
+                ProcState::Panicked(m) => Some((i, m.clone())),
+                _ => None,
+            })
+        {
             return RunOutcome::Panicked {
                 rank: Rank(i as u32),
                 message: msg,
@@ -479,7 +471,7 @@ impl Engine {
         // A crash-faulted process counts as gone: the fault itself is not a
         // violation; what matters is whether the peers could still finish.
         // A hang-faulted process, by contrast, keeps the run incomplete.
-        if self.states.iter().all(|s| {
+        if self.st.states.iter().all(|s| {
             matches!(
                 s,
                 ProcState::Finished | ProcState::Faulted(FaultKind::Crash)
@@ -487,20 +479,13 @@ impl Engine {
         }) {
             return RunOutcome::Completed;
         }
-        let traps: Vec<Marker> = self
-            .states
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                ProcState::Trapped { marker } => Some(Marker::new(i as u32, *marker)),
-                _ => None,
-            })
-            .collect();
+        let traps = self.trapped();
         let paused: Vec<Rank> = self
+            .st
             .paused
             .iter()
             .enumerate()
-            .filter(|(i, p)| **p && matches!(self.states[*i], ProcState::Ready(_)))
+            .filter(|(i, p)| **p && matches!(self.st.states[*i], ProcState::Ready(_)))
             .map(|(i, _)| Rank(i as u32))
             .collect();
         if !traps.is_empty() || !paused.is_empty() {
@@ -508,11 +493,15 @@ impl Engine {
         }
         // Genuine stall: everyone is blocked, in a collective, or finished.
         let blocked: Vec<(Rank, MatchSpec, u64)> = self
+            .st
             .states
             .iter()
             .enumerate()
             .filter_map(|(i, s)| match s {
-                ProcState::Blocked { spec, marker, .. } => Some((Rank(i as u32), *spec, *marker)),
+                ProcState::Blocked { spec, marker, .. } => {
+                    let rank = Rank(i as u32);
+                    Some((rank, self.pinned(rank, *spec), *marker))
+                }
                 ProcState::BlockedSend { dst, marker } => {
                     Some((Rank(i as u32), MatchSpec::new(Some(*dst), None), *marker))
                 }
@@ -534,9 +523,9 @@ impl Engine {
             req,
             Request::Send { .. } | Request::Recv { .. } | Request::Collective { .. }
         ) {
-            self.ops[rank.ix()] += 1;
-            if let Some((after_ops, kind)) = self.faults.silence_for(rank) {
-                if self.ops[rank.ix()] > after_ops {
+            self.st.ops[rank.ix()] += 1;
+            if let Some((after_ops, kind)) = self.st.faults.silence_for(rank) {
+                if self.st.ops[rank.ix()] > after_ops {
                     self.set_state(rank, ProcState::Faulted(kind));
                     if let Some(o) = self.obs.as_mut() {
                         // The process already emitted its RecvPost trace
@@ -548,15 +537,9 @@ impl Engine {
                         if matches!(req, Request::Recv { .. }) {
                             o.metrics.recvs[rank.ix()] += 1;
                         }
-                        o.record_span(Span {
-                            decision: self.decision_log.len() as u64,
-                            sim_time: 0,
-                            kind: SpanKind::Fault,
-                            a: rank.0 as u64,
-                            b: self.ops[rank.ix()],
-                            c: 0,
-                        });
                     }
+                    let ops = self.st.ops[rank.ix()];
+                    self.span(SpanKind::Fault, 0, [rank.0 as u64, ops, 0]);
                     return;
                 }
             }
@@ -571,11 +554,11 @@ impl Engine {
                 site,
                 mode,
             } => {
-                let seq = self.mailboxes[dst.ix()].next_seq(rank);
-                let t_done = self.cost.send_done(t0);
+                let seq = self.st.mailboxes[dst.ix()].next_seq(rank);
+                let t_done = self.st.cost.send_done(t0);
                 let bytes = payload.len() as u64;
-                let arrival =
-                    self.cost.arrival(t_done, payload.len()) + self.faults.delay(rank, dst, seq);
+                let arrival = self.st.cost.arrival(t_done, payload.len())
+                    + self.st.faults.delay(rank, dst, seq);
                 let env = Envelope {
                     src: rank,
                     dst,
@@ -587,9 +570,9 @@ impl Engine {
                     synchronous: mode == SendMode::Synchronous,
                     payload,
                 };
-                self.mailboxes[dst.ix()].push(env);
+                self.st.mailboxes[dst.ix()].push(env);
                 if let Some(o) = self.obs.as_mut() {
-                    let depth = self.mailboxes[dst.ix()].pending() as u64;
+                    let depth = self.st.mailboxes[dst.ix()].pending() as u64;
                     o.metrics.msgs_sent[rank.ix()] += 1;
                     o.metrics.bytes_sent[rank.ix()] += bytes;
                     o.metrics.channel_msgs[rank.ix()][dst.ix()] += 1;
@@ -607,14 +590,8 @@ impl Engine {
                 self.set_state(rank, state);
                 self.try_match(dst);
             }
-            Request::Recv { mut spec, t_post } => {
-                // Replay pinning: narrow this receive to the recorded match.
-                if let Some(log) = self.replay.as_mut() {
-                    if let Some(m) = log.next_for(rank) {
-                        spec.forced = Some((m.src, m.seq));
-                    }
-                }
-                let marker = self.recorders[rank.ix()].marker();
+            Request::Recv { spec, t_post } => {
+                let marker = self.st.recorders[rank.ix()].marker();
                 self.set_state(
                     rank,
                     ProcState::Blocked {
@@ -630,19 +607,9 @@ impl Engine {
                 self.try_match(rank);
                 // Still blocked: log the wait the flight recorder will show
                 // if the run never delivers it (the deadlock picture).
-                let decision = self.decision_log.len() as u64;
-                if let (Some(o), ProcState::Blocked { spec, t_post, .. }) =
-                    (self.obs.as_mut(), &self.states[rank.ix()])
-                {
+                if let ProcState::Blocked { spec, t_post, .. } = self.st.states[rank.ix()] {
                     let from = spec.src.map_or(u64::MAX, |s| s.0 as u64);
-                    o.record_span(Span {
-                        decision,
-                        sim_time: *t_post,
-                        kind: SpanKind::Block,
-                        a: rank.0 as u64,
-                        b: from,
-                        c: 0,
-                    });
+                    self.span(SpanKind::Block, t_post, [rank.0 as u64, from, 0]);
                 }
             }
             Request::Collective {
@@ -653,8 +620,9 @@ impl Engine {
                 t_enter,
             } => {
                 let pc = self
+                    .st
                     .pending_coll
-                    .get_or_insert_with(|| PendingCollective::new(kind, root, op, self.n_ranks));
+                    .get_or_insert_with(|| PendingCollective::new(kind, root, op, self.st.n_ranks));
                 assert_eq!(
                     pc.kind, kind,
                     "collective mismatch: {:?} entered {kind:?} while {:?} in progress",
@@ -667,8 +635,8 @@ impl Engine {
                 });
                 self.set_state(rank, ProcState::InCollective);
                 if complete {
-                    let pc = self.pending_coll.take().unwrap();
-                    let t_done = pc.completion_time(self.cost.latency);
+                    let pc = self.st.pending_coll.take().unwrap();
+                    let t_done = pc.completion_time(self.st.cost.latency);
                     let results = pc.results();
                     for (i, result) in results.into_iter().enumerate() {
                         self.set_state(
@@ -680,53 +648,38 @@ impl Engine {
             }
             Request::MarkerTrap { marker } => {
                 self.set_state(rank, ProcState::Trapped { marker });
-                if let Some(o) = self.obs.as_mut() {
-                    o.record_span(Span {
-                        decision: self.decision_log.len() as u64,
-                        sim_time: 0,
-                        kind: SpanKind::Trap,
-                        a: rank.0 as u64,
-                        b: marker,
-                        c: 0,
-                    });
-                }
+                self.span(SpanKind::Trap, 0, [rank.0 as u64, marker, 0]);
             }
             Request::Finished { .. } => {
                 self.set_state(rank, ProcState::Finished);
                 // Collect the finished process's trace immediately.
-                let recs = self.recorders[rank.ix()].take_records();
-                self.flush.tee_records(&recs);
-                self.collected.extend(recs);
+                flush_rank(
+                    &mut self.st.recorders[rank.ix()],
+                    &mut self.tee,
+                    &mut self.st.collected,
+                );
             }
             Request::Panicked { message } => {
                 self.set_state(rank, ProcState::Panicked(message));
-                if let Some(o) = self.obs.as_mut() {
-                    o.record_span(Span {
-                        decision: self.decision_log.len() as u64,
-                        sim_time: 0,
-                        kind: SpanKind::Panic,
-                        a: rank.0 as u64,
-                        b: 0,
-                        c: 0,
-                    });
-                }
+                self.span(SpanKind::Panic, 0, [rank.0 as u64, 0, 0]);
             }
         }
     }
 
     /// If `dst` is blocked in a receive that can now match, deliver.
     fn try_match(&mut self, dst: Rank) {
-        let (spec, t_post) = match &self.states[dst.ix()] {
-            ProcState::Blocked { spec, t_post, .. } => (*spec, *t_post),
+        let (spec, t_post) = match &self.st.states[dst.ix()] {
+            // Replay pinning: narrow this receive to the recorded match.
+            ProcState::Blocked { spec, t_post, .. } => (self.pinned(dst, *spec), *t_post),
             _ => return,
         };
-        let candidates = self.mailboxes[dst.ix()].candidates(&spec);
+        let candidates = self.st.mailboxes[dst.ix()].candidates(&spec);
         if candidates.is_empty() {
             return;
         }
         self.maybe_snapshot();
-        let pick = self.scheduler.pick_candidate(dst, &candidates);
-        self.decision_log.push(DecisionPoint {
+        let pick = self.st.scheduler.pick_candidate(dst, &candidates);
+        self.st.decision_log.push(DecisionPoint {
             chosen: Decision::Match {
                 dst,
                 src: candidates[pick].src,
@@ -743,16 +696,9 @@ impl Engine {
                     .collect(),
             ),
         });
-        let env = self.mailboxes[dst.ix()].take(candidates[pick]);
-        self.match_rec.record(
-            dst,
-            RecordedMatch {
-                src: env.src,
-                tag: env.tag,
-                seq: env.seq,
-            },
-        );
-        let t_done = self.cost.recv_done(t_post, env.arrival);
+        let env = self.st.mailboxes[dst.ix()].take(candidates[pick]);
+        self.st.matched[dst.ix()] += 1;
+        let t_done = self.st.cost.recv_done(t_post, env.arrival);
         if let Some(o) = self.obs.as_mut() {
             // Latency in turns since the receive was posted. A receive
             // posted and matched within the same turn scores 0; the stamp
@@ -763,20 +709,14 @@ impl Engine {
             o.metrics.matches += 1;
             o.metrics.blocked_turns[dst.ix()] += latency;
             o.metrics.match_latency.record(latency);
-            o.record_span(Span {
-                decision: self.decision_log.len() as u64,
-                sim_time: t_done,
-                kind: SpanKind::Match,
-                a: dst.0 as u64,
-                b: env.src.0 as u64,
-                c: env.seq,
-            });
         }
+        let ids = [dst.0 as u64, env.src.0 as u64, env.seq];
+        self.span(SpanKind::Match, t_done, ids);
         // A synchronous sender rendezvouses here: it completes at the
         // same instant the receive does.
         if env.synchronous {
             let sender = env.src;
-            if matches!(self.states[sender.ix()], ProcState::BlockedSend { .. }) {
+            if matches!(self.st.states[sender.ix()], ProcState::BlockedSend { .. }) {
                 self.set_state(
                     sender,
                     ProcState::Ready(Reply::SendDone {
@@ -794,16 +734,18 @@ impl Engine {
     /// Arm the marker threshold of one process (`None` disarms). The
     /// process traps at the first event whose marker reaches the value.
     pub fn set_threshold(&mut self, rank: Rank, threshold: Option<u64>) {
-        self.recorders[rank.ix()].set_threshold(threshold);
+        self.st.recorders[rank.ix()].set_threshold(threshold);
     }
 
-    /// Arm thresholds for all ranks from a marker vector. A rank with
-    /// count 0 means "stop before the first event": that rank is paused
-    /// outright (there is no marker state 0 to trap on).
+    /// Arm a stopline: a rank behind its marker gets it as threshold (and
+    /// leaves the trap it may be in), a rank already there is paused. On a
+    /// fresh engine only count 0 — "stop before the first event" — is
+    /// already there: there is no marker state 0 to trap on.
     pub fn arm_stopline(&mut self, markers: &MarkerVector) {
         for m in markers.iter() {
-            if m.count > 0 {
+            if self.st.recorders[m.rank.ix()].marker() < m.count {
                 self.set_threshold(m.rank, Some(m.count));
+                self.resume_rank(m.rank);
             } else {
                 self.set_paused(m.rank, true);
             }
@@ -812,14 +754,14 @@ impl Engine {
 
     /// Clear every debugger pause.
     pub fn clear_pauses(&mut self) {
-        for r in 0..self.n_ranks {
+        for r in 0..self.st.n_ranks {
             self.set_paused(Rank::from(r), false);
         }
     }
 
     /// Disarm every threshold.
     pub fn clear_thresholds(&mut self) {
-        for r in &mut self.recorders {
+        for r in &mut self.st.recorders {
             r.set_threshold(None);
         }
     }
@@ -827,7 +769,7 @@ impl Engine {
     /// Resume all trapped processes (thresholds stay as set; clear them
     /// first to avoid immediately re-trapping).
     pub fn resume_trapped(&mut self) {
-        for r in 0..self.n_ranks {
+        for r in 0..self.st.n_ranks {
             self.resume_rank(Rank::from(r));
         }
     }
@@ -844,33 +786,30 @@ impl Engine {
 
     /// Is this process currently stopped at a trap?
     pub fn is_trapped(&self, rank: Rank) -> bool {
-        matches!(self.states[rank.ix()], ProcState::Trapped { .. })
+        matches!(self.st.states[rank.ix()], ProcState::Trapped { .. })
     }
 
     /// Has this process finished?
     pub fn is_finished(&self, rank: Rank) -> bool {
-        matches!(self.states[rank.ix()], ProcState::Finished)
+        matches!(self.st.states[rank.ix()], ProcState::Finished)
     }
 
     /// Pause / unpause a process (debugger-initiated, turn-level).
     pub fn set_paused(&mut self, rank: Rank, paused: bool) {
-        self.paused[rank.ix()] = paused;
+        self.st.paused[rank.ix()] = paused;
         self.ready
-            .set(rank, self.states[rank.ix()].grantable(paused));
+            .set(rank, self.st.states[rank.ix()].grantable(paused));
     }
 
     /// Current execution markers of every process.
     pub fn markers(&self) -> MarkerVector {
-        let mut v = MarkerVector::zero(self.n_ranks);
-        for (i, r) in self.recorders.iter().enumerate() {
-            v.set(Rank(i as u32), r.marker());
-        }
-        v
+        self.st.markers()
     }
 
     /// Ranks currently stopped at traps.
     pub fn trapped(&self) -> Vec<Marker> {
-        self.states
+        self.st
+            .states
             .iter()
             .enumerate()
             .filter_map(|(i, s)| match s {
@@ -882,19 +821,19 @@ impl Engine {
 
     /// Recent `UserMonitor` ring of a process (stop reports).
     pub fn recent_calls(&self, rank: Rank) -> Vec<tracedbg_instrument::RingEntry> {
-        self.recorders[rank.ix()].monitor().ring().recent()
+        self.st.recorders[rank.ix()].monitor().ring().recent()
     }
 
     /// Arm a source-location breakpoint on every process.
     pub fn add_breakpoint(&mut self, site: tracedbg_trace::SiteId) {
-        for r in &mut self.recorders {
+        for r in &mut self.st.recorders {
             r.add_breakpoint(site);
         }
     }
 
     /// Disarm a source-location breakpoint on every process.
     pub fn remove_breakpoint(&mut self, site: tracedbg_trace::SiteId) {
-        for r in &mut self.recorders {
+        for r in &mut self.st.recorders {
             r.remove_breakpoint(site);
         }
     }
@@ -902,9 +841,9 @@ impl Engine {
     /// Arm a watchpoint on one process (or all, with `None`).
     pub fn add_watch(&mut self, rank: Option<Rank>, watch: tracedbg_instrument::Watch) {
         match rank {
-            Some(r) => self.recorders[r.ix()].add_watch(watch),
+            Some(r) => self.st.recorders[r.ix()].add_watch(watch),
             None => {
-                for r in &mut self.recorders {
+                for r in &mut self.st.recorders {
                     r.add_watch(watch.clone());
                 }
             }
@@ -913,33 +852,23 @@ impl Engine {
 
     /// Disarm all breakpoints and watchpoints everywhere.
     pub fn clear_breaks(&mut self) {
-        for r in &mut self.recorders {
+        for r in &mut self.st.recorders {
             r.clear_breaks();
         }
     }
 
     /// Why a process's most recent trap fired.
     pub fn trap_cause(&self, rank: Rank) -> Option<tracedbg_instrument::TrapCause> {
-        self.recorders[rank.ix()].last_trap().cloned()
+        self.st.recorders[rank.ix()].last_trap().cloned()
     }
 
-    /// Pull everything traced so far (on-demand flush of every process
-    /// buffer plus previously flushed data).
-    pub fn collect_trace(&mut self) -> Vec<TraceRecord> {
-        self.gather_trace();
-        self.collected.clone()
-    }
-
-    /// Move every process buffer and everything flushed into `collected`.
-    fn gather_trace(&mut self) {
-        for r in &mut self.recorders {
-            let recs = r.take_records();
-            // Records drained here bypass the flush handle, so forward
-            // them to any attached streaming sink explicitly.
-            self.flush.tee_records(&recs);
-            self.collected.extend(recs);
+    /// Everything traced so far, in arrival order (an on-demand flush of
+    /// every process buffer behind what already arrived).
+    pub fn collect_trace(&mut self) -> &[TraceRecord] {
+        for r in &mut self.st.recorders {
+            flush_rank(r, &mut self.tee, &mut self.st.collected);
         }
-        self.collected.extend(self.flush.drain());
+        &self.st.collected
     }
 
     /// Attach a streaming trace sink: every record is forwarded to it at
@@ -947,18 +876,18 @@ impl Engine {
     /// exactly once; call [`Engine::detach_trace_sink`] after the final
     /// [`Engine::collect_trace`] to get it back and finish it.
     pub fn attach_trace_sink(&mut self, sink: Box<dyn tracedbg_trace::TraceSink>) {
-        self.flush.set_tee(sink);
+        self.tee = Some(sink);
     }
 
     /// Detach the streaming sink attached by [`Engine::attach_trace_sink`].
     pub fn detach_trace_sink(&mut self) -> Option<Box<dyn tracedbg_trace::TraceSink>> {
-        self.flush.take_tee()
+        self.tee.take()
     }
 
     /// Collected trace as a queryable store.
     pub fn trace_store(&mut self) -> TraceStore {
-        let recs = self.collect_trace();
-        TraceStore::build(recs, self.sites.clone(), self.n_ranks)
+        let recs = self.collect_trace().to_vec();
+        TraceStore::build(recs, self.st.sites.clone(), self.st.n_ranks)
     }
 
     /// Consume a finished engine into what an exploration run keeps of
@@ -967,21 +896,23 @@ impl Engine {
     /// instead of cloning them, trimmed of their growth slack (a caller
     /// that keeps thousands of these should keep `len`, not `capacity`).
     pub fn into_trace_and_decisions(mut self) -> (TraceStore, Vec<DecisionPoint>) {
-        self.gather_trace();
-        self.collected.shrink_to_fit();
-        self.decision_log.shrink_to_fit();
-        let store = TraceStore::build(self.collected, self.sites, self.n_ranks);
-        (store, self.decision_log)
+        self.collect_trace();
+        self.st.collected.shrink_to_fit();
+        self.st.decision_log.shrink_to_fit();
+        let store = TraceStore::build(self.st.collected, self.st.sites, self.st.n_ranks);
+        (store, self.st.decision_log)
     }
 
-    /// The receive-match history of this run, for replaying it later.
+    /// The receive-match history of this run, for replaying it later: the
+    /// `Match` decisions of the decision log, by receiver.
     pub fn match_log(&self) -> ReplayLog {
-        self.match_rec.clone().into_log()
+        ReplayLog::from_decisions(self.st.n_ranks, &self.st.decision_log)
     }
 
     /// Undelivered messages per destination (unmatched sends, §4.4).
     pub fn undelivered(&self) -> Vec<(Rank, Vec<Envelope>)> {
-        self.mailboxes
+        self.st
+            .mailboxes
             .iter()
             .enumerate()
             .map(|(i, mb)| {
@@ -995,7 +926,8 @@ impl Engine {
 
     /// Per-process monitor invocation counts (Table 1 accounting).
     pub fn invocations(&self) -> Vec<u64> {
-        self.recorders
+        self.st
+            .recorders
             .iter()
             .map(|r| r.monitor().invocations())
             .collect()
@@ -1006,22 +938,23 @@ impl Engine {
     /// Every scheduling decision of the run so far, with the alternatives
     /// that were available at each point.
     pub fn decision_points(&self) -> &[DecisionPoint] {
-        &self.decision_log
+        &self.st.decision_log
     }
 
     /// Just the chosen decisions — the schedule this run followed.
     pub fn schedule_log(&self) -> Vec<Decision> {
-        self.decision_log.iter().map(|d| d.chosen).collect()
+        self.st.decision_log.iter().map(|d| d.chosen).collect()
     }
 
     /// Under a scripted policy: did the script fail to apply at some point?
     pub fn schedule_diverged(&self) -> bool {
-        self.scheduler.diverged()
+        self.st.scheduler.diverged()
     }
 
     /// Processes silenced by injected faults.
     pub fn faulted(&self) -> Vec<(Rank, FaultKind)> {
-        self.states
+        self.st
+            .states
             .iter()
             .enumerate()
             .filter_map(|(i, s)| match s {
@@ -1050,25 +983,7 @@ impl Engine {
             "snapshot() requires EngineConfig.checkpoints"
         );
         let started = self.obs.is_some().then(std::time::Instant::now);
-        let cp = EngineCheckpoint {
-            n_ranks: self.n_ranks,
-            states: self.states.clone(),
-            paused: self.paused.clone(),
-            mailboxes: self.mailboxes.clone(),
-            scheduler: self.scheduler.clone(),
-            match_rec: self.match_rec.clone(),
-            replay: self.replay.clone(),
-            recorders: self.recorders.clone(),
-            sites: self.sites.clone(),
-            flush_pending: self.flush.snapshot(),
-            cost: self.cost,
-            pending_coll: self.pending_coll.clone(),
-            collected: self.collected.clone(),
-            faults: self.faults.clone(),
-            ops: self.ops.clone(),
-            decision_log: self.decision_log.clone(),
-            tasks: self.tasks.clone(),
-        };
+        let cp = self.st.clone();
         if let (Some(o), Some(t0)) = (self.obs.as_mut(), started) {
             o.metrics.snapshots += 1;
             o.snapshot_ns += t0.elapsed().as_nanos() as u64;
@@ -1095,7 +1010,7 @@ impl Engine {
 
     fn maybe_snapshot(&mut self) {
         if let Some(k) = self.snapshot_at_decision {
-            if self.decision_log.len() == k && self.pending_snapshot.is_none() {
+            if self.st.decision_log.len() == k && self.pending_snapshot.is_none() {
                 self.pending_snapshot = Some(Box::new(self.snapshot()));
             }
         }
@@ -1107,7 +1022,7 @@ impl Engine {
     pub fn digest(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        for (i, s) in self.states.iter().enumerate() {
+        for (i, s) in self.st.states.iter().enumerate() {
             (i as u64).hash(&mut h);
             match s {
                 ProcState::Ready(_) => 0u8.hash(&mut h),
@@ -1136,9 +1051,9 @@ impl Engine {
                     m.hash(&mut h);
                 }
             }
-            self.recorders[i].marker().hash(&mut h);
+            self.st.recorders[i].marker().hash(&mut h);
         }
-        for (dst, mb) in self.mailboxes.iter().enumerate() {
+        for (dst, mb) in self.st.mailboxes.iter().enumerate() {
             for env in mb.undelivered() {
                 (env.src.ix(), env.dst.ix(), env.tag.0, env.seq, env.arrival).hash(&mut h);
             }
@@ -1146,49 +1061,29 @@ impl Engine {
                 (src.ix(), dst, sent).hash(&mut h);
             }
         }
-        self.ops.hash(&mut h);
-        self.decision_log.len().hash(&mut h);
-        self.match_rec.total().hash(&mut h);
+        self.st.ops.hash(&mut h);
+        self.st.decision_log.len().hash(&mut h);
+        self.st.matched.hash(&mut h);
         h.finish()
     }
 
-    /// Receive matches recorded so far, per rank — where replay-log
-    /// cursors must stand to pin only the delta after a restore.
-    pub fn match_counts(&self) -> Vec<usize> {
-        (0..self.n_ranks)
-            .map(|r| self.match_rec.matches_of(Rank(r as u32)).len())
-            .collect()
-    }
-
-    /// Install a replay log on a restored engine so that only the delta
-    /// ahead of the checkpoint is forced. Cursors advance past each rank's
-    /// made matches — plus, for a rank checkpointed while *blocked in an
-    /// unmatched receive*, the entry for that receive: a recv consumes its
-    /// log entry when the request is serviced, not when it matches, so
-    /// that entry is re-pinned onto the blocked spec instead of leaking to
-    /// the rank's next receive.
-    pub fn set_replay_delta(&mut self, mut log: ReplayLog) {
-        log.reset();
-        let made = self.match_counts();
-        log.advance_to(&made);
+    /// Force this run's remaining receive matches from `log` (§4.2
+    /// replay). Valid at launch and on a restored engine: the log is
+    /// indexed by the matches each rank has made, which the engine and its
+    /// checkpoints carry, so whatever lies behind this state is skipped.
+    pub fn set_replay(&mut self, log: Arc<ReplayLog>) {
         if let Some(o) = self.obs.as_mut() {
-            // Delta length: recorded receives still ahead of this state —
-            // the work the coming replay actually re-pins.
-            let total: usize = (0..self.n_ranks).map(|r| log.len_for(Rank(r as u32))).sum();
-            let delta = total.saturating_sub(made.iter().sum::<usize>());
-            o.metrics.replay_delta.record(delta as u64);
+            // Recorded matches still ahead of this state: the work the
+            // coming replay actually pins.
+            let ahead: usize = (0..self.st.n_ranks)
+                .map(|r| {
+                    log.len_for(Rank::from(r))
+                        .saturating_sub(self.st.matched[r] as usize)
+                })
+                .sum();
+            o.metrics.replay_delta.record(ahead as u64);
         }
-        for r in 0..self.n_ranks {
-            let rank = Rank(r as u32);
-            if let ProcState::Blocked { spec, .. } = &mut self.states[r] {
-                if let Some(m) = log.next_for(rank) {
-                    spec.forced = Some((m.src, m.seq));
-                }
-            }
-        }
-        self.replay = Some(log);
-        // A re-pinned receive may name a message that is already queued.
-        self.resweep = true;
+        self.st.replay = Some(log);
     }
 
     // ---- telemetry interface ----
@@ -1198,7 +1093,7 @@ impl Engine {
     /// already collecting.
     pub fn enable_metrics(&mut self) {
         if self.obs.is_none() {
-            self.obs = Some(EngineObs::new(self.n_ranks));
+            self.obs = Some(EngineObs::new(self.st.n_ranks));
         }
     }
 
@@ -1235,6 +1130,24 @@ impl Engine {
     pub fn snapshot_ns(&self) -> u64 {
         self.obs.as_deref().map_or(0, |o| o.snapshot_ns)
     }
+}
+
+/// Move a rank's buffered records into the run's collection, past the
+/// streaming sink — the one way a trace record leaves its rank's buffer
+/// (program flush, rank finish, debugger gather), so the sink sees each
+/// record exactly once, in the order `collected` holds them.
+pub(crate) fn flush_rank(
+    recorder: &mut Recorder,
+    tee: &mut Option<Box<dyn TraceSink>>,
+    collected: &mut Vec<TraceRecord>,
+) {
+    let mut records = recorder.take_records();
+    if let Some(sink) = tee {
+        for r in &records {
+            sink.accept(r);
+        }
+    }
+    collected.append(&mut records);
 }
 
 static QUIET_PANICS: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
@@ -1621,7 +1534,7 @@ mod tests {
         let run = || {
             let mut e = Engine::launch(cfg(), make());
             assert!(e.run().is_completed());
-            e.collect_trace()
+            e.collect_trace().to_vec()
         };
         assert_eq!(run(), run(), "determinism: same program, same trace");
     }
@@ -1800,8 +1713,8 @@ mod tests {
     fn snapshot_mid_run_restore_and_continue_is_byte_identical() {
         let mut straight = Engine::launch(ckpt_cfg(), wildcard_fanin());
         assert!(straight.run().is_completed());
-        let want = straight.collect_trace();
         let want_digest = straight.digest();
+        let want = straight.collect_trace();
         // Same run, but snapshot when the decision log reaches depth 5.
         let mut e = Engine::launch(ckpt_cfg(), wildcard_fanin());
         e.set_snapshot_at(5);
@@ -1826,8 +1739,8 @@ mod tests {
         e.clear_thresholds();
         e.resume_trapped();
         assert!(e.run().is_completed());
-        let want = e.collect_trace();
         let want_digest = e.digest();
+        let want = e.collect_trace();
         // A restored stop *is* the stop: same trap, then same run.
         let mut r = Engine::restore(&cp, Vec::new());
         assert!(r.is_trapped(Rank(0)));
@@ -1882,6 +1795,7 @@ mod tests {
         c.faults = faults.clone();
         let mut straight = Engine::launch(c.clone(), wildcard_fanin());
         let straight_out = straight.run();
+        let straight_faulted = straight.faulted();
         let want = straight.collect_trace();
         let mut e = Engine::launch(c, wildcard_fanin());
         e.set_snapshot_at(4);
@@ -1895,7 +1809,7 @@ mod tests {
             "outcome must match"
         );
         assert_eq!(r.collect_trace(), want);
-        assert_eq!(r.faulted(), straight.faulted());
+        assert_eq!(r.faulted(), straight_faulted);
     }
 
     #[test]

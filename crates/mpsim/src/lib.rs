@@ -17,8 +17,9 @@
 //!   [`Recorder`](tracedbg_instrument::Recorder); when a debugger-armed
 //!   marker threshold fires the process traps and the engine returns
 //!   control ([`RunOutcome::Stopped`]);
-//! * wildcard receive matches are recorded ([`MatchRecorder`]) and can be
-//!   forced on a later run ([`ReplayLog`]) — §4.2's nondeterminism control;
+//! * receive matches are recorded in the decision log
+//!   ([`Engine::match_log`]) and can be forced on a later run
+//!   ([`ReplayLog`]) — §4.2's nondeterminism control;
 //! * a seeded perturbation mode randomizes scheduling and wildcard choice,
 //!   standing in for the timing variation of a real cluster, so replay has
 //!   genuine nondeterminism to defeat;
@@ -58,7 +59,7 @@ pub use mailbox::{Candidate, Mailbox};
 pub use message::{Envelope, MatchSpec, Message};
 pub use ops::SendMode;
 pub use payload::Payload;
-pub use record::{MatchRecorder, RecordedMatch, ReplayLog};
+pub use record::{RecordedMatch, ReplayLog};
 pub use sched::SchedPolicy;
 pub use task::{OpResult, Prog, TaskInterp, TaskOp, TaskProgram, TaskView};
 

@@ -1,4 +1,4 @@
-//! Recording and forcing of receive matches (§4.2).
+//! Forcing of receive matches (§4.2).
 //!
 //! "In a replay, the behavior of nondeterministic statements (such as
 //! statements using the MPI_ANY_SOURCE wild card) can be controlled by p2d2
@@ -6,97 +6,55 @@
 //! the replay has identical event causality with the original program
 //! execution."
 //!
-//! The engine always records, for each completed receive, the matched
-//! `(source, tag, sequence)` triple in program order. A [`ReplayLog`] built
-//! from that recording pins each receive of the re-execution to the same
-//! message.
+//! The engine's decision log is its one record of nondeterminism; a
+//! [`ReplayLog`] is the per-receiver view of that log's `Match` decisions.
+//! It is immutable: a re-execution asks it which message a receiver's
+//! `k`-th match was ([`ReplayLog::pin`]) and keeps the count `k` itself, so
+//! one log is shared by every engine, checkpoint and session that replays
+//! the run.
 
 use serde::{Deserialize, Serialize};
-use tracedbg_trace::{Rank, Tag};
+use tracedbg_trace::schedule::{Decision, DecisionPoint};
+use tracedbg_trace::Rank;
 
 /// One recorded receive match.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecordedMatch {
     pub src: Rank,
-    pub tag: Tag,
     /// Per-(src, receiver) send sequence number.
     pub seq: u64,
 }
 
-/// Accumulates matches during a recorded run, per receiver in program order.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct MatchRecorder {
-    per_rank: Vec<Vec<RecordedMatch>>,
-}
-
-impl MatchRecorder {
-    pub fn new(n_ranks: usize) -> Self {
-        MatchRecorder {
-            per_rank: vec![Vec::new(); n_ranks],
-        }
-    }
-
-    pub fn record(&mut self, receiver: Rank, m: RecordedMatch) {
-        self.per_rank[receiver.ix()].push(m);
-    }
-
-    pub fn matches_of(&self, receiver: Rank) -> &[RecordedMatch] {
-        &self.per_rank[receiver.ix()]
-    }
-
-    pub fn total(&self) -> usize {
-        self.per_rank.iter().map(|v| v.len()).sum()
-    }
-
-    /// Freeze into a replayable log.
-    pub fn into_log(self) -> ReplayLog {
-        ReplayLog {
-            per_rank: self.per_rank,
-            cursor: Vec::new(),
-        }
-    }
-}
-
-/// A frozen match history driving a replay.
+/// A run's match history, per receiver in program order.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ReplayLog {
     per_rank: Vec<Vec<RecordedMatch>>,
-    #[serde(skip)]
-    cursor: Vec<usize>,
 }
 
 impl ReplayLog {
-    /// Prepare cursors for a fresh replay.
-    pub fn reset(&mut self) {
-        self.cursor = vec![0; self.per_rank.len()];
+    /// The `Match` decisions of a run's decision log, by receiver.
+    pub fn from_decisions(n_ranks: usize, decisions: &[DecisionPoint]) -> Self {
+        let mut per_rank = vec![Vec::new(); n_ranks];
+        for d in decisions {
+            if let Decision::Match { dst, src, seq } = d.chosen {
+                per_rank[dst.ix()].push(RecordedMatch { src, seq });
+            }
+        }
+        ReplayLog { per_rank }
     }
 
-    /// The forced match for `receiver`'s next receive, advancing the
-    /// cursor. `None` when the log is exhausted for that rank (the replay
-    /// ran past the recorded history — receives become free again).
-    pub fn next_for(&mut self, receiver: Rank) -> Option<RecordedMatch> {
-        if self.cursor.is_empty() {
-            self.reset();
-        }
-        let c = &mut self.cursor[receiver.ix()];
-        let m = self.per_rank[receiver.ix()].get(*c).copied();
-        if m.is_some() {
-            *c += 1;
-        }
-        m
+    /// The message `receiver`'s next receive must match, given how many
+    /// matches it has made. `None` once the replay runs past the recorded
+    /// history — receives become free again.
+    pub fn pin(&self, receiver: Rank, matches_made: u32) -> Option<RecordedMatch> {
+        self.per_rank[receiver.ix()]
+            .get(matches_made as usize)
+            .copied()
     }
 
     /// Recorded receive count for a rank.
     pub fn len_for(&self, receiver: Rank) -> usize {
         self.per_rank[receiver.ix()].len()
-    }
-
-    /// Position the cursors as if `counts[r]` matches were already consumed
-    /// per rank — a restored checkpoint pins only the *delta* of receives
-    /// still ahead of the snapshot point.
-    pub fn advance_to(&mut self, counts: &[usize]) {
-        assert_eq!(counts.len(), self.per_rank.len());
-        self.cursor = counts.to_vec();
     }
 
     pub fn n_ranks(&self) -> usize {
@@ -107,50 +65,51 @@ impl ReplayLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tracedbg_trace::schedule::{Alternatives, RankSet};
+
+    fn chose(chosen: Decision) -> DecisionPoint {
+        let alternatives = match chosen {
+            Decision::Turn { .. } => Alternatives::Turns(RankSet::new(2)),
+            Decision::Match { .. } => Alternatives::Matches([chosen].into()),
+        };
+        DecisionPoint {
+            chosen,
+            alternatives,
+        }
+    }
+
+    fn matched(dst: u32, src: u32, seq: u64) -> DecisionPoint {
+        chose(Decision::Match {
+            dst: Rank(dst),
+            src: Rank(src),
+            seq,
+        })
+    }
 
     #[test]
     fn record_and_replay_in_order() {
-        let mut rec = MatchRecorder::new(2);
-        rec.record(
-            Rank(1),
-            RecordedMatch {
-                src: Rank(0),
-                tag: Tag(5),
-                seq: 0,
-            },
+        let log = ReplayLog::from_decisions(
+            2,
+            &[
+                chose(Decision::Turn { rank: Rank(0) }),
+                matched(1, 0, 0),
+                chose(Decision::Turn { rank: Rank(1) }),
+                matched(1, 0, 1),
+            ],
         );
-        rec.record(
-            Rank(1),
-            RecordedMatch {
-                src: Rank(0),
-                tag: Tag(5),
-                seq: 1,
-            },
-        );
-        assert_eq!(rec.total(), 2);
-        let mut log = rec.into_log();
-        log.reset();
-        assert_eq!(log.next_for(Rank(1)).unwrap().seq, 0);
-        assert_eq!(log.next_for(Rank(1)).unwrap().seq, 1);
-        assert!(log.next_for(Rank(1)).is_none(), "exhausted");
-        assert!(log.next_for(Rank(0)).is_none(), "rank 0 recorded nothing");
+        assert_eq!(log.len_for(Rank(1)), 2);
+        assert_eq!(log.pin(Rank(1), 0).unwrap().seq, 0);
+        assert_eq!(log.pin(Rank(1), 1).unwrap().seq, 1);
+        assert!(log.pin(Rank(1), 2).is_none(), "exhausted");
+        assert!(log.pin(Rank(0), 0).is_none(), "rank 0 recorded nothing");
     }
 
     #[test]
     fn serde_roundtrip() {
-        let mut rec = MatchRecorder::new(1);
-        rec.record(
-            Rank(0),
-            RecordedMatch {
-                src: Rank(0),
-                tag: Tag(1),
-                seq: 9,
-            },
-        );
-        let log = rec.into_log();
+        let log = ReplayLog::from_decisions(1, &[matched(0, 0, 9)]);
         let json = serde_json::to_string(&log).unwrap();
-        let mut back: ReplayLog = serde_json::from_str(&json).unwrap();
+        let back: ReplayLog = serde_json::from_str(&json).unwrap();
         assert_eq!(back.n_ranks(), 1);
-        assert_eq!(back.next_for(Rank(0)).unwrap().seq, 9);
+        assert_eq!(back.pin(Rank(0), 0).unwrap().seq, 9);
     }
 }

@@ -29,7 +29,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use tracedbg_instrument::{Disposition, Recorder};
 use tracedbg_trace::{
-    CollKind, EventKind, FlushHandle, MsgInfo, Rank, SiteId, SiteTable, Tag, TraceRecord,
+    CollKind, EventKind, MsgInfo, Rank, SiteId, SiteTable, Tag, TraceRecord, TraceSink,
 };
 
 // ---------------------------------------------------------------------------
@@ -564,15 +564,17 @@ pub(crate) fn in_task_step() -> bool {
 }
 
 /// What the engine lends a rank for the duration of one grant: its
-/// identity, the run-wide cost model / site table / flush sink, and the
-/// rank's instrumentation recorder.
+/// identity, the run-wide cost model and site table, the rank's
+/// instrumentation recorder, and — for `TaskOp::FlushTrace` — the run's
+/// trace collection and streaming sink.
 pub(crate) struct TaskEnv<'a> {
     pub rank: Rank,
     pub n_ranks: usize,
     pub cost: CostModel,
     pub sites: &'a SiteTable,
     pub recorder: &'a mut Recorder,
-    pub flush: &'a FlushHandle,
+    pub tee: &'a mut Option<Box<dyn TraceSink>>,
+    pub collected: &'a mut Vec<TraceRecord>,
 }
 
 /// Drives one task rank: owns the rank-local execution point (clock, open
@@ -887,7 +889,7 @@ impl TaskHarness {
                 Ok(Then::Advance(OpResult::None))
             }
             TaskOp::FlushTrace => {
-                env.recorder.flush_into(env.flush);
+                crate::engine::flush_rank(env.recorder, env.tee, env.collected);
                 Ok(Then::Advance(OpResult::None))
             }
             TaskOp::Done => {

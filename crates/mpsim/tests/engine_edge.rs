@@ -92,6 +92,50 @@ fn flush_on_demand_mid_run() {
 }
 
 #[test]
+fn live_tee_sees_each_record_once_in_arrival_order() {
+    use std::sync::{Arc, Mutex};
+    struct Seen(Arc<Mutex<Vec<(u32, u64)>>>);
+    impl tracedbg_trace::TraceSink for Seen {
+        fn accept(&mut self, r: &tracedbg_trace::TraceRecord) {
+            self.0.lock().unwrap().push((r.rank.0, r.marker));
+        }
+    }
+    // P0 flushes mid-run and stops in a trap; P1 runs to its end first.
+    let p0 = rank(vec![
+        compute(100),
+        Prog::op(|_, _| TaskOp::FlushTrace),
+        compute(100),
+        compute(100),
+    ]);
+    let p1 = rank(vec![compute(100)]);
+    let mut e = Engine::launch(cfg(), vec![p0, p1]);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    e.attach_trace_sink(Box::new(Seen(seen.clone())));
+    e.set_threshold(Rank(0), Some(3));
+    assert!(e.run().is_stopped());
+    // A program flush and a rank's finish reach the sink as they happen; a
+    // gather adds what is still buffered, and gathering twice adds nothing.
+    let flushed_and_finished = vec![(0, 1), (0, 2), (1, 1), (1, 2), (1, 3)];
+    assert_eq!(*seen.lock().unwrap(), flushed_and_finished);
+    assert_eq!(e.collect_trace().len(), 6);
+    assert_eq!(e.collect_trace().len(), 6);
+    e.clear_thresholds();
+    e.resume_trapped();
+    assert!(e.run().is_completed());
+    let arrival: Vec<(u32, u64)> = e
+        .collect_trace()
+        .iter()
+        .map(|r| (r.rank.0, r.marker))
+        .collect();
+    assert_eq!(
+        arrival,
+        [flushed_and_finished, vec![(0, 3), (0, 4), (0, 5)]].concat()
+    );
+    assert!(e.detach_trace_sink().is_some());
+    assert_eq!(*seen.lock().unwrap(), arrival, "each record exactly once");
+}
+
+#[test]
 fn tracing_toggle_inside_program() {
     let p0 = rank(vec![
         compute(1),
@@ -161,7 +205,7 @@ fn seeded_policy_is_reproducible_end_to_end() {
             make(),
         );
         assert!(e.run().is_completed());
-        e.collect_trace()
+        e.collect_trace().to_vec()
     };
     assert_eq!(run(12), run(12), "same seed, same trace");
 }

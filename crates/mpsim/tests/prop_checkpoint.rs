@@ -3,14 +3,20 @@
 //! restored into a fresh engine, and driven to the end must be
 //! byte-identical to the straight run — same outcome, same state digest,
 //! same trace records. This is the determinism contract the debugger's
-//! O(delta) replay and the explorer's prefix forking both stand on.
+//! O(delta) replay stands on; its other half is that a restored engine
+//! may be handed the recorded match log at any depth and follows it as a
+//! replay from launch would.
 
 mod common;
 
-use common::{fanin_programs, FANIN_NPROCS as NPROCS};
+use common::{fanin_programs, probe, rank, recv, send, FANIN_NPROCS as NPROCS};
 use proptest::prelude::*;
-use tracedbg_mpsim::{Engine, EngineConfig, FaultPlan, Rank, RecorderConfig, SchedPolicy};
-use tracedbg_trace::schedule::Fault;
+use std::sync::Arc;
+use tracedbg_mpsim::{
+    Engine, EngineConfig, FaultPlan, Rank, RecorderConfig, ReplayLog, SchedPolicy,
+};
+use tracedbg_trace::schedule::{Alternatives, Decision, DecisionPoint, Fault};
+use tracedbg_trace::EventKind;
 
 /// An optional single-fault plan hitting a worker (never the collector,
 /// so runs stay short): crash, hang, or a delivery delay into rank 0.
@@ -74,4 +80,112 @@ proptest! {
             prop_assert_eq!(r_trace, s_trace, "restored trace must be byte-identical");
         }
     }
+
+    #[test]
+    fn restored_engine_follows_a_log_installed_at_any_depth(
+        rec_seed in 0u64..1024,
+        other_seed in 0u64..1024,
+        rounds in 1u64..4,
+        k in 0usize..40,
+        checkpoint_the_recording in any::<bool>(),
+    ) {
+        let launch = |seed| {
+            let cfg = EngineConfig {
+                policy: SchedPolicy::Seeded(seed),
+                recorder: RecorderConfig::full(),
+                checkpoints: true,
+                ..Default::default()
+            };
+            Engine::launch(cfg, fanin_programs(rounds))
+        };
+        let mut recording = launch(rec_seed);
+        prop_assert!(recording.run().is_completed());
+        let log = Arc::new(recording.match_log());
+        // The engine to checkpoint is in a state the log is a history of:
+        // the recording itself (what a session's first replay restores), or
+        // a replay of it under another schedule (what later ones do). The
+        // reference is that same engine given the log at launch.
+        let (seed, logged) = if checkpoint_the_recording {
+            (rec_seed, false)
+        } else {
+            (other_seed, true)
+        };
+        let mut reference = launch(seed);
+        reference.set_replay(log.clone());
+        let want_out = format!("{:?}", reference.run());
+        let want_digest = reference.digest();
+        let mut snap = launch(seed);
+        if logged {
+            snap.set_replay(log.clone());
+        }
+        snap.set_snapshot_at(k);
+        let _ = snap.run();
+        if let Some(cp) = snap.take_pending_snapshot() {
+            let mut restored = Engine::restore(&cp, Vec::new());
+            restored.set_replay(log.clone());
+            prop_assert_eq!(format!("{:?}", restored.run()), want_out);
+            prop_assert_eq!(restored.digest(), want_digest);
+            prop_assert_eq!(restored.collect_trace(), reference.collect_trace());
+        }
+    }
+}
+
+/// The first source rank 0 received from, as its probe reported it.
+fn first_source(e: &mut Engine) -> i64 {
+    let probe = e
+        .collect_trace()
+        .iter()
+        .find(|r| r.kind == EventKind::Probe);
+    probe.expect("rank 0 probes").args[0]
+}
+
+#[test]
+fn a_receive_blocked_at_the_checkpoint_is_pinned_by_a_log_installed_later() {
+    // The state the deleted cursor rule was for: round-robin grants P0
+    // first, so at decision depth 1 it is blocked in its first wildcard
+    // receive and nothing has been sent — a state every log is a history
+    // of. Left alone, round-robin delivers P1's message first; the log says
+    // P2's.
+    let programs = || {
+        let p0 = rank(vec![
+            recv(None, None),
+            recv(None, None),
+            probe("first", |s| s[0].src.0 as i64),
+        ]);
+        vec![p0, rank(vec![send(0, 0, 1)]), rank(vec![send(0, 0, 2)])]
+    };
+    let matched = |src| {
+        let chosen = Decision::Match {
+            dst: Rank(0),
+            src: Rank(src),
+            seq: 0,
+        };
+        DecisionPoint {
+            chosen,
+            alternatives: Alternatives::Matches([chosen].into()),
+        }
+    };
+    let log = ReplayLog::from_decisions(3, &[matched(2), matched(1)]);
+    let cfg = |replay| EngineConfig {
+        recorder: RecorderConfig::full(),
+        checkpoints: true,
+        replay,
+        ..Default::default()
+    };
+    let mut free = Engine::launch(cfg(None), programs());
+    free.set_snapshot_at(1);
+    assert!(free.run().is_completed());
+    assert_eq!(
+        free.decision_points()[0].chosen,
+        Decision::Turn { rank: Rank(0) }
+    );
+    assert_eq!(first_source(&mut free), 1, "the log must matter");
+    let cp = free.take_pending_snapshot().expect("snapshot at depth 1");
+    let mut restored = Engine::restore(&cp, Vec::new());
+    restored.set_replay(Arc::new(log.clone()));
+    assert!(restored.run().is_completed());
+    assert_eq!(first_source(&mut restored), 2);
+    let mut from_launch = Engine::launch(cfg(Some(log)), programs());
+    assert!(from_launch.run().is_completed());
+    assert_eq!(restored.collect_trace(), from_launch.collect_trace());
 }

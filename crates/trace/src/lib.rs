@@ -34,7 +34,7 @@ pub mod schedule;
 pub mod source;
 pub mod stats;
 
-pub use buffer::{FlushHandle, TraceBuffer};
+pub use buffer::TraceBuffer;
 pub use diff::{diff_traces, trace_digest, DiffMode, Divergence};
 pub use event::{CollKind, EventKind, MsgInfo, TraceRecord};
 pub use history::{EventId, TraceStore};

@@ -255,6 +255,11 @@ gate "StmtKind::Loop arms in lint + analysis" "$(count 'StmtKind::Loop' crates/l
 gate "private walks in script_rules.rs" "$(count 'summarize\(|tracedbg_analysis::analyze\(' crates/lint/src/script_rules.rs)" -eq 0
 gate "rem_euclid in lint + analysis" "$(count 'rem_euclid' crates/lint/src crates/analysis/src)" -eq 0
 gate "script_rules.rs lines" "$(wc -l < crates/lint/src/script_rules.rs)" -le 650
+# One record of a run's nondeterminism (the decision log) and one way a
+# trace record leaves its rank's buffer: the second copies stay deleted.
+for gone in MatchRecorder FlushHandle advance_to next_for set_replay_delta; do
+  gate "$gone under crates/*/src" "$(count "\\b$gone\\b" "${src[@]}")" -eq 0
+done
 # Sleep-set DPOR must report exactly the findings of the full search on
 # the racy script workloads (same classes, same counts), at any --jobs.
 for wl in sdl:racy-wildcard sdl:racy-deadlock; do
@@ -433,20 +438,34 @@ if [ -e target/verify_metrics/plain/metrics.json ]; then
   exit 1
 fi
 
-echo "==> checkpoint smoke: undo twice via checkpoints matches from-scratch replay"
+echo "==> checkpoint smoke: undo via checkpoints prints the from-scratch transcript, status lines included"
 ckpt_undo_script() {
   ./target/release/tracedbg debug ring --procs 4 --checkpoint-every "$1" \
     -e run -e "stopline markers 10 10 10 10" -e replay \
     -e "stopline markers 6 6 6 6" -e replay \
     -e undo -e undo -e markers
 }
-fast=$(ckpt_undo_script 1)
-slow=$(ckpt_undo_script 0)
-if [ -z "$fast" ] || [ "$fast" != "$slow" ]; then
-  echo "checkpointed undo transcript diverged from from-scratch replay:" >&2
-  diff <(printf '%s\n' "$slow") <(printf '%s\n' "$fast") >&2 || true
-  exit 1
-fi
+# Every rank is stepped out of the trap the replay stopped it in, so the
+# checkpoints the undos restore hold ranks that are at their marker but no
+# longer trapped (benchmark/README.md finding 4).
+ckpt_step_script() {
+  ./target/release/tracedbg debug random:400 --procs 8 --seed 3 --checkpoint-every "$1" \
+    -e run -e "stopline t 20000" -e replay \
+    -e "step 0" -e "step 1" -e "step 2" -e "step 3" \
+    -e "step 4" -e "step 5" -e "step 6" -e "step 7" \
+    -e undo -e undo -e undo -e markers
+}
+for script in ckpt_undo_script ckpt_step_script; do
+  slow=$($script 0)
+  for every in 1 3; do
+    fast=$($script "$every")
+    if [ -z "$fast" ] || [ "$fast" != "$slow" ]; then
+      echo "$script: --checkpoint-every $every transcript diverged from from-scratch replay:" >&2
+      diff <(printf '%s\n' "$slow") <(printf '%s\n' "$fast") >&2 || true
+      exit 1
+    fi
+  done
+done
 # Restore determinism on failure artifacts: snapshot mid-schedule, restore,
 # and require the continued run byte-identical to the straight one.
 for class in racy-wildcard-panic racy-deadlock-deadlock; do

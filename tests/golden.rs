@@ -507,13 +507,17 @@ fn golden_cli_transcripts() {
         ("err-replay-no-schedule", "replay"),
         ("err-truncated-artifact", "replay|--schedule|$SCRATCH/truncated.sched.json"),
         ("err-report-version", "replay|--schedule|ART|--to-suspect|$SCRATCH/v99.json"),
+        (
+            "err-report-digest",
+            "replay|--schedule|ART|--to-critical-path|$SCRATCH/tampered.json",
+        ),
     ]
     .into_iter()
     .map(|(name, args)| (name, args.replace("ART", ART)))
     .collect();
     let mut drifted = Vec::new();
     for (name, args) in &cases {
-        // The two hostile inputs derive from files earlier cases wrote.
+        // The hostile inputs derive from files earlier cases wrote.
         if *name == "err-truncated-artifact" {
             let art = std::fs::read(ART.replace("$SCRATCH", &scratch_str)).expect("artifact");
             // A fixed cut: the file's length varies with its wall-clock stamp.
@@ -524,6 +528,12 @@ fn golden_cli_transcripts() {
             assert!(report.contains("\"version\":2"), "{report}");
             let v99 = report.replacen("\"version\":2", "\"version\":99", 1);
             std::fs::write(scratch.join("v99.json"), v99).unwrap();
+        }
+        if *name == "err-report-digest" {
+            let report = std::fs::read_to_string(scratch.join("profile.json")).expect("report");
+            assert!(report.contains("\"makespan\":254800"), "{report}");
+            let tampered = report.replacen("\"makespan\":254800", "\"makespan\":254801", 1);
+            std::fs::write(scratch.join("tampered.json"), tampered).unwrap();
         }
         let out = run(args);
         if *name == "-" {
