@@ -37,20 +37,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, t0.elapsed())
 }
 
-/// Median wall time of `n` runs.
-pub fn median_time(n: usize, mut f: impl FnMut()) -> Duration {
-    assert!(n > 0);
-    let mut times: Vec<Duration> = (0..n)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed()
-        })
-        .collect();
-    times.sort();
-    times[times.len() / 2]
-}
-
 /// A simple aligned text table.
 pub struct TextTable {
     header: Vec<String>,

@@ -47,6 +47,7 @@ use tracedbg_trace::{
     materialize, trace_digest, EventQuery, MarkerVector, Rank, Tag, TraceSource, TraceStore,
 };
 use tracedbg_tracegraph::MessageMatching;
+use tracedbg_workloads::fib;
 use tracedbg_workloads::master_worker::{self, PoolConfig};
 use tracedbg_workloads::planted::{planted_wildcard_factory, PlantedConfig};
 use tracedbg_workloads::racy::{wildcard_race_factory, RacyConfig};
@@ -396,9 +397,32 @@ fn suite_engine(opts: &SuiteOptions) -> Suite {
             assert!(e.run().is_completed());
         }));
     }
+    // What the interpreter and the engine cost with no recording at all,
+    // and the Table 1 pair (`repro_table1` times the same two runs).
+    let wp = plan(opts, 1, 5, 1);
+    if wants(opts, "engine", "interp_random16000_8_off") {
+        let pat = random_comm::generate(7, 8, 16_000);
+        records.push(measure("interp_random16000_8_off", 1, wp, || {
+            let cfg = EngineConfig::with_recorder(RecorderConfig::off());
+            let mut e = Engine::launch(cfg, random_comm::programs(&pat, 7));
+            assert!(e.run().is_completed());
+        }));
+    }
+    for (name, rcfg) in [
+        ("fib27_off", RecorderConfig::off()),
+        ("fib27_markers", RecorderConfig::markers_only()),
+    ] {
+        if !wants(opts, "engine", name) {
+            continue;
+        }
+        records.push(measure(name, 1, wp, || {
+            let cfg = EngineConfig::with_recorder(rcfg.clone());
+            let mut e = Engine::launch(cfg, vec![fib::program(27)]);
+            assert!(e.run().is_completed());
+        }));
+    }
     // The wide set: thousand-rank workloads that only fit because ranks
     // are resumable tasks, not OS threads. One pass each per iteration.
-    let wp = plan(opts, 1, 5, 1);
     if wants(opts, "engine", "wide_ring_1024") {
         let cfg = wide::wide_ring_config(1024, 1);
         records.push(measure("wide_ring_1024", 1, wp, || {

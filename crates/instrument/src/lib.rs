@@ -23,13 +23,11 @@
 //! paper's claim that `UserMonitor` overhead is small for typical programs
 //! and only significant for pathological call densities (Table 1).
 
-pub mod accounting;
 pub mod breakpoints;
 pub mod config;
 pub mod recorder;
 pub mod user_monitor;
 
-pub use accounting::Accounting;
 pub use breakpoints::{BreakSet, TrapCause, Watch, WatchCond};
 pub use config::{ConstructFilter, RecorderConfig, Strategy};
 pub use recorder::{Disposition, Recorder};

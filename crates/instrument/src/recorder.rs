@@ -1,7 +1,6 @@
 //! The per-process recorder: marker counting, threshold traps, and
 //! strategy-dependent trace emission.
 
-use crate::accounting::Accounting;
 use crate::breakpoints::{BreakSet, TrapCause, Watch};
 use crate::config::{RecorderConfig, Strategy};
 use crate::user_monitor::UserMonitor;
@@ -24,7 +23,6 @@ pub struct Recorder {
     config: RecorderConfig,
     monitor: UserMonitor,
     buffer: TraceBuffer,
-    accounting: Accounting,
     breaks: BreakSet,
     last_trap: Option<TrapCause>,
 }
@@ -37,7 +35,6 @@ impl Recorder {
             config,
             monitor: UserMonitor::new(cap),
             buffer: TraceBuffer::new(),
-            accounting: Accounting::default(),
             breaks: BreakSet::new(),
             last_trap: None,
         }
@@ -70,7 +67,6 @@ impl Recorder {
         let threshold_hit = self.monitor.invoke(rec.site, rec.args[0], rec.args[1]);
         let marker = self.monitor.counter();
         rec.marker = marker;
-        self.accounting.count(rec.kind);
         // Breakpoint / watchpoint tests (cheap when nothing is armed).
         let mut cause = if threshold_hit {
             Some(TrapCause::Threshold(marker))
@@ -173,11 +169,6 @@ impl Recorder {
     pub fn records(&self) -> &[TraceRecord] {
         self.buffer.records()
     }
-
-    /// Per-kind invocation accounting (Table 1 "Number of calls").
-    pub fn accounting(&self) -> &Accounting {
-        &self.accounting
-    }
 }
 
 #[cfg(test)]
@@ -277,16 +268,5 @@ mod tests {
         r.observe(rec(EventKind::Compute));
         assert_eq!(r.records().len(), 1);
         assert_eq!(r.marker(), 2, "markers advance even while untraced");
-    }
-
-    #[test]
-    fn accounting_counts_by_kind() {
-        let mut r = Recorder::new(Rank(0), RecorderConfig::full());
-        r.observe(rec(EventKind::FnEnter));
-        r.observe(rec(EventKind::FnEnter));
-        r.observe(rec(EventKind::Send));
-        assert_eq!(r.accounting().of(EventKind::FnEnter), 2);
-        assert_eq!(r.accounting().of(EventKind::Send), 1);
-        assert_eq!(r.accounting().total(), 3);
     }
 }

@@ -30,42 +30,57 @@ pub struct RingEntry {
 /// debugger when a process stops ("where was I, and with what arguments?").
 #[derive(Clone, Debug)]
 pub struct CallRing {
-    entries: Vec<Option<RingEntry>>,
+    /// Slots `..pos` hold pushed entries, and so does the rest once
+    /// `wrapped`; until then the rest is filler that is never read.
+    entries: Box<[RingEntry]>,
     pos: usize,
+    wrapped: bool,
 }
 
 impl CallRing {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring capacity must be positive");
+        let filler = RingEntry {
+            site: SiteId(0),
+            args: [0; 2],
+            marker: 0,
+        };
         CallRing {
-            entries: vec![None; capacity],
+            entries: vec![filler; capacity].into_boxed_slice(),
             pos: 0,
+            wrapped: false,
         }
     }
 
     #[inline]
     pub fn push(&mut self, e: RingEntry) {
-        self.entries[self.pos] = Some(e);
-        self.pos = (self.pos + 1) % self.entries.len();
+        self.entries[self.pos] = e;
+        self.pos += 1;
+        if self.pos == self.entries.len() {
+            self.pos = 0;
+            self.wrapped = true;
+        }
     }
 
     /// Most recent entries, newest first.
     pub fn recent(&self) -> Vec<RingEntry> {
-        let n = self.entries.len();
-        let mut out = Vec::new();
-        for i in 0..n {
-            let ix = (self.pos + n - 1 - i) % n;
-            if let Some(e) = self.entries[ix] {
-                out.push(e);
-            }
-        }
-        out
+        let (newer, older) = self.entries.split_at(self.pos);
+        let older = if self.wrapped { older } else { &[] };
+        newer
+            .iter()
+            .rev()
+            .chain(older.iter().rev())
+            .copied()
+            .collect()
     }
 
     /// The single most recent entry.
     pub fn last(&self) -> Option<RingEntry> {
-        let n = self.entries.len();
-        self.entries[(self.pos + n - 1) % n]
+        match self.pos.checked_sub(1) {
+            Some(ix) => Some(self.entries[ix]),
+            None if self.wrapped => self.entries.last().copied(),
+            None => None,
+        }
     }
 
     pub fn capacity(&self) -> usize {
@@ -80,7 +95,6 @@ pub struct UserMonitor {
     counter: u64,
     threshold: u64,
     ring: CallRing,
-    invocations: u64,
 }
 
 impl UserMonitor {
@@ -89,7 +103,6 @@ impl UserMonitor {
             counter: 0,
             threshold: NO_THRESHOLD,
             ring: CallRing::new(ring_capacity),
-            invocations: 0,
         }
     }
 
@@ -98,7 +111,6 @@ impl UserMonitor {
     #[inline]
     pub fn invoke(&mut self, site: SiteId, a0: i64, a1: i64) -> bool {
         self.counter += 1;
-        self.invocations += 1;
         self.ring.push(RingEntry {
             site,
             args: [a0, a1],
@@ -134,9 +146,10 @@ impl UserMonitor {
         }
     }
 
-    /// Total monitor invocations (Table 1's "Number of calls" row).
+    /// Total monitor invocations (Table 1's "Number of calls" row): every
+    /// invocation bumps the marker counter once.
     pub fn invocations(&self) -> u64 {
-        self.invocations
+        self.counter
     }
 
     /// Recent-call ring, for the debugger's stop reports.
@@ -201,6 +214,18 @@ mod tests {
         let recent = m.ring().recent();
         assert_eq!(recent.len(), 1);
         assert_eq!(recent[0].args, [7, 8]);
+    }
+
+    #[test]
+    fn ring_exactly_full_reads_back_from_the_last_slot() {
+        let mut m = UserMonitor::new(3);
+        assert_eq!(m.ring().last(), None);
+        for i in 0..3 {
+            m.invoke(SiteId(i), 0, 0);
+        }
+        let sites: Vec<u32> = m.ring().recent().iter().map(|e| e.site.0).collect();
+        assert_eq!(sites, [2, 1, 0]);
+        assert_eq!(m.ring().last().unwrap().marker, 3);
     }
 
     #[test]

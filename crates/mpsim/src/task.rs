@@ -206,8 +206,16 @@ enum Node<S> {
     Gen(GenFn<S>),
 }
 
+/// What a [`Prog`] handle points at.
+struct Tree<S> {
+    node: Node<S>,
+    /// Most frames the interpreter stacks while running `node`, not
+    /// counting what a `Gen` inside it builds at run time.
+    depth: usize,
+}
+
 /// A shareable program tree node (cheap to clone: one `Arc`).
-pub struct Prog<S>(Arc<Node<S>>);
+pub struct Prog<S>(Arc<Tree<S>>);
 
 impl<S> Clone for Prog<S> {
     fn clone(&self) -> Self {
@@ -215,21 +223,35 @@ impl<S> Clone for Prog<S> {
     }
 }
 
+impl<S> Prog<S> {
+    fn new(node: Node<S>) -> Self {
+        let depth = match &node {
+            Node::Act(_) | Node::Op { .. } | Node::Gen(_) => 0,
+            Node::Seq(items) => items.iter().map(|p| p.0.depth + 1).max().unwrap_or(0),
+            // `ScopeExit` under the pending body, then under its frames.
+            Node::Scope { body, .. } => 1 + body.0.depth.max(1),
+            Node::If { then, els, .. } => then.0.depth.max(els.0.depth),
+            Node::For { body, .. } | Node::While { body, .. } => 1 + body.0.depth,
+        };
+        Prog(Arc::new(Tree { node, depth }))
+    }
+}
+
 impl<S: Send + Sync + 'static> Prog<S> {
     pub fn seq(items: Vec<Prog<S>>) -> Self {
-        Prog(Arc::new(Node::Seq(items)))
+        Prog::new(Node::Seq(items))
     }
 
     pub fn act(f: impl Fn(&mut S, &TaskView<'_>) + Send + Sync + 'static) -> Self {
-        Prog(Arc::new(Node::Act(Arc::new(f))))
+        Prog::new(Node::Act(Arc::new(f)))
     }
 
     /// Yield the op computed by `emit`, discarding its result.
     pub fn op(f: impl Fn(&mut S, &TaskView<'_>) -> TaskOp + Send + Sync + 'static) -> Self {
-        Prog(Arc::new(Node::Op {
+        Prog::new(Node::Op {
             emit: Arc::new(f),
             bind: None,
-        }))
+        })
     }
 
     /// Yield the op computed by `emit`; `bind` receives its result.
@@ -237,20 +259,20 @@ impl<S: Send + Sync + 'static> Prog<S> {
         emit: impl Fn(&mut S, &TaskView<'_>) -> TaskOp + Send + Sync + 'static,
         bind: impl Fn(&mut S, OpResult, &TaskView<'_>) + Send + Sync + 'static,
     ) -> Self {
-        Prog(Arc::new(Node::Op {
+        Prog::new(Node::Op {
             emit: Arc::new(emit),
             bind: Some(Arc::new(bind)),
-        }))
+        })
     }
 
     pub fn scope(
         enter: impl Fn(&mut S, &TaskView<'_>) -> (SiteId, [i64; 2]) + Send + Sync + 'static,
         body: Prog<S>,
     ) -> Self {
-        Prog(Arc::new(Node::Scope {
+        Prog::new(Node::Scope {
             enter: Arc::new(enter),
             body,
-        }))
+        })
     }
 
     pub fn if_else(
@@ -258,11 +280,11 @@ impl<S: Send + Sync + 'static> Prog<S> {
         then: Prog<S>,
         els: Prog<S>,
     ) -> Self {
-        Prog(Arc::new(Node::If {
+        Prog::new(Node::If {
             cond: Arc::new(cond),
             then,
             els,
-        }))
+        })
     }
 
     pub fn when(
@@ -278,27 +300,27 @@ impl<S: Send + Sync + 'static> Prog<S> {
         at: impl Fn(&mut S, i64) + Send + Sync + 'static,
         body: Prog<S>,
     ) -> Self {
-        Prog(Arc::new(Node::For {
+        Prog::new(Node::For {
             range: Arc::new(range),
             at: Arc::new(at),
             body,
-        }))
+        })
     }
 
     pub fn while_loop(
         cond: impl Fn(&S, &TaskView<'_>) -> bool + Send + Sync + 'static,
         body: Prog<S>,
     ) -> Self {
-        Prog(Arc::new(Node::While {
+        Prog::new(Node::While {
             cond: Arc::new(cond),
             body,
-        }))
+        })
     }
 
     /// Defer construction: `f` runs when execution reaches this node and
     /// the subtree it returns is executed in place.
     pub fn gen(f: impl Fn(&mut S, &TaskView<'_>) -> Prog<S> + Send + Sync + 'static) -> Self {
-        Prog(Arc::new(Node::Gen(Arc::new(f))))
+        Prog::new(Node::Gen(Arc::new(f)))
     }
 }
 
@@ -349,8 +371,10 @@ pub struct TaskInterp<S> {
 
 impl<S: Clone + Send + Sync + 'static> TaskInterp<S> {
     pub fn new(state: S, prog: Prog<S>) -> Self {
+        let mut stack = Vec::with_capacity(prog.0.depth.max(1));
+        stack.push(Frame::Pending(prog));
         TaskInterp {
-            stack: vec![Frame::Pending(prog)],
+            stack,
             state,
             pending_bind: None,
         }
@@ -358,19 +382,28 @@ impl<S: Clone + Send + Sync + 'static> TaskInterp<S> {
 
     /// Enter `node`, descending through control nodes until something
     /// yields an op (`Some`) or completes silently (`None`, with any
-    /// remaining work pushed as frames).
+    /// remaining work pushed as frames). The tree is walked by reference:
+    /// a handle is cloned only into a frame that is pushed.
     fn enter(
         stack: &mut Vec<Frame<S>>,
         pending_bind: &mut Option<BindFn<S>>,
         state: &mut S,
-        mut node: Prog<S>,
+        mut node: &Prog<S>,
         view: &TaskView<'_>,
     ) -> Option<TaskOp> {
         loop {
-            match &*node.0.clone() {
-                Node::Seq(_) => {
-                    stack.push(Frame::Seq { node, idx: 0 });
-                    return None;
+            match &node.0.node {
+                Node::Seq(items) => {
+                    // An empty sequence is done; the first child of any
+                    // other is entered here, over the frame for the rest.
+                    let (first, rest) = items.split_first()?;
+                    if !rest.is_empty() {
+                        stack.push(Frame::Seq {
+                            node: node.clone(),
+                            idx: 1,
+                        });
+                    }
+                    node = first;
                 }
                 Node::Act(f) => {
                     f(state, view);
@@ -391,27 +424,26 @@ impl<S: Clone + Send + Sync + 'static> TaskInterp<S> {
                     return Some(TaskOp::Enter { site, args });
                 }
                 Node::If { cond, then, els } => {
-                    node = if cond(state, view) {
-                        then.clone()
-                    } else {
-                        els.clone()
-                    };
+                    node = if cond(state, view) { then } else { els };
                 }
                 Node::For { range, .. } => {
                     let (start, end) = range(state, view);
-                    stack.push(Frame::For {
-                        node,
-                        cur: start,
-                        end,
-                    });
+                    if start < end {
+                        stack.push(Frame::For {
+                            node: node.clone(),
+                            cur: start,
+                            end,
+                        });
+                    }
                     return None;
                 }
                 Node::While { .. } => {
-                    stack.push(Frame::While { node });
+                    stack.push(Frame::While { node: node.clone() });
                     return None;
                 }
                 Node::Gen(f) => {
-                    node = f(state, view);
+                    let made = f(state, view);
+                    return Self::enter(stack, pending_bind, state, &made, view);
                 }
             }
         }
@@ -429,64 +461,52 @@ impl<S: Clone + Send + Sync + 'static> TaskProgram for TaskInterp<S> {
             bind(state, input, view);
         }
         loop {
-            let Some(top) = stack.last_mut() else {
+            let Some(top) = stack.pop() else {
                 return TaskOp::Done;
             };
-            match top {
+            // A frame's child is entered through the popped handle; the
+            // frame goes back under whatever the child pushed, and only
+            // while it has more to run (a frame on the stack is live).
+            let under = stack.len();
+            let op = match top {
                 Frame::Seq { node, idx } => {
-                    let Node::Seq(items) = &*node.0 else {
+                    let Node::Seq(items) = &node.0.node else {
                         unreachable!("Seq frame holds non-Seq node")
                     };
-                    if *idx >= items.len() {
-                        stack.pop();
-                        continue;
+                    let op = Self::enter(stack, pending_bind, state, &items[idx], view);
+                    if idx + 1 < items.len() {
+                        stack.insert(under, Frame::Seq { node, idx: idx + 1 });
                     }
-                    let child = items[*idx].clone();
-                    *idx += 1;
-                    if let Some(op) = Self::enter(stack, pending_bind, state, child, view) {
-                        return op;
-                    }
+                    op
                 }
                 Frame::For { node, cur, end } => {
-                    if *cur >= *end {
-                        stack.pop();
-                        continue;
-                    }
-                    let i = *cur;
-                    *cur += 1;
-                    let Node::For { at, body, .. } = &*node.0.clone() else {
+                    let Node::For { at, body, .. } = &node.0.node else {
                         unreachable!("For frame holds non-For node")
                     };
-                    at(state, i);
-                    if let Some(op) = Self::enter(stack, pending_bind, state, body.clone(), view) {
-                        return op;
+                    at(state, cur);
+                    let op = Self::enter(stack, pending_bind, state, body, view);
+                    if cur + 1 < end {
+                        let cur = cur + 1;
+                        stack.insert(under, Frame::For { node, cur, end });
                     }
+                    op
                 }
                 Frame::While { node } => {
-                    let Node::While { cond, body } = &*node.0.clone() else {
+                    let Node::While { cond, body } = &node.0.node else {
                         unreachable!("While frame holds non-While node")
                     };
                     if !cond(state, view) {
-                        stack.pop();
                         continue;
                     }
-                    if let Some(op) = Self::enter(stack, pending_bind, state, body.clone(), view) {
-                        return op;
-                    }
+                    let op = Self::enter(stack, pending_bind, state, body, view);
+                    stack.insert(under, Frame::While { node });
+                    op
                 }
-                Frame::Pending(_) => {
-                    let Some(Frame::Pending(node)) = stack.pop() else {
-                        unreachable!()
-                    };
-                    if let Some(op) = Self::enter(stack, pending_bind, state, node, view) {
-                        return op;
-                    }
-                }
-                Frame::ScopeExit { site } => {
-                    let site = *site;
-                    stack.pop();
-                    return TaskOp::Exit { site };
-                }
+                Frame::Pending(node) => Self::enter(stack, pending_bind, state, &node, view),
+                Frame::ScopeExit { site } => return TaskOp::Exit { site },
+            };
+            if let Some(op) = op {
+                return op;
             }
         }
     }
@@ -899,6 +919,9 @@ impl TaskHarness {
         }
     }
 }
+
+#[cfg(test)]
+mod prop_interp;
 
 #[cfg(test)]
 mod tests {

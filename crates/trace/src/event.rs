@@ -99,6 +99,24 @@ impl EventKind {
         })
     }
 
+    /// This kind's position in [`EventKind::ALL`] (pinned by
+    /// `file::tests::kind_codes_are_dense_and_stable`).
+    #[inline]
+    pub const fn index(self) -> usize {
+        match self {
+            EventKind::ProcStart => 0,
+            EventKind::ProcEnd => 1,
+            EventKind::FnEnter => 2,
+            EventKind::FnExit => 3,
+            EventKind::Send => 4,
+            EventKind::RecvPost => 5,
+            EventKind::RecvDone => 6,
+            EventKind::Compute => 7,
+            EventKind::Probe => 8,
+            EventKind::Collective(coll) => 9 + coll as usize,
+        }
+    }
+
     /// All kinds; a kind's position here is its one-byte code in the
     /// binary record layout, so the order is part of the file formats.
     pub const ALL: [EventKind; 15] = {

@@ -236,10 +236,7 @@ const BIN_MAGIC: &[u8; 6] = b"TDBG1\n";
 /// index in [`EventKind::ALL`]).
 #[inline]
 pub fn kind_code_u8(kind: EventKind) -> u8 {
-    EventKind::ALL
-        .iter()
-        .position(|k| *k == kind)
-        .expect("kind in table") as u8
+    kind.index() as u8
 }
 
 fn kind_from_u8(code: u8, ln: usize) -> Result<EventKind, ReadError> {

@@ -6,10 +6,10 @@
 //! fib(35). The closed form for the number of calls is
 //! [`fib_call_count`].
 //!
-//! Task-backed via [`Prog::gen`]: the recursion is re-grown at run time,
-//! with explicit argument/value stacks in [`FibState`] standing in for the
-//! call stack — which is what lets a checkpoint capture a recursion
-//! mid-flight as plain data.
+//! Task-backed: the call tree is built once and the recursion re-enters
+//! it through [`Prog::gen`], with explicit argument/value stacks in
+//! [`FibState`] standing in for the call stack — which is what lets a
+//! checkpoint capture a recursion mid-flight as plain data.
 
 use tracedbg_mpsim::task::TaskOp;
 use tracedbg_mpsim::{Prog, RankProgram};
@@ -30,11 +30,13 @@ pub fn fib_call_count(n: u64) -> u64 {
     2 * fib_plain(n + 1) - 1
 }
 
-/// Task state: the instrumented site plus explicit arg/value stacks that
-/// stand in for a native call stack.
+/// Task state: the instrumented site, the call tree the recursion
+/// re-enters, plus explicit arg/value stacks that stand in for a native
+/// call stack.
 #[derive(Clone)]
 struct FibState {
     site: SiteId,
+    call: Prog<FibState>,
     args: Vec<u64>,
     vals: Vec<u64>,
 }
@@ -42,48 +44,49 @@ struct FibState {
 /// One instrumented call: expects its argument on top of `args`, pops it
 /// and pushes `fib(n)` onto `vals`. Each call enters a function scope
 /// carrying `n` as the first monitored argument (the §2.2 contract).
+/// A node cannot hold a handle to the tree it is part of, so the two
+/// recursive calls fetch it from the state ([`FibState::call`]).
 fn fib_call() -> Prog<FibState> {
+    let recurse = || Prog::gen(|s: &mut FibState, _| s.call.clone());
     Prog::scope(
         |s: &mut FibState, _| (s.site, [*s.args.last().unwrap() as i64, 0]),
-        Prog::gen(|s: &mut FibState, _| {
-            let n = *s.args.last().unwrap();
-            if n < 2 {
+        Prog::if_else(
+            |s: &FibState, _| *s.args.last().unwrap() < 2,
+            Prog::act(|s: &mut FibState, _| {
+                let n = s.args.pop().unwrap();
+                s.vals.push(n);
+            }),
+            Prog::seq(vec![
                 Prog::act(|s: &mut FibState, _| {
-                    let n = s.args.pop().unwrap();
-                    s.vals.push(n);
-                })
-            } else {
-                Prog::seq(vec![
-                    Prog::act(|s: &mut FibState, _| {
-                        let n = *s.args.last().unwrap();
-                        s.args.push(n - 1);
-                    }),
-                    fib_call(),
-                    Prog::act(|s: &mut FibState, _| {
-                        let n = *s.args.last().unwrap();
-                        s.args.push(n - 2);
-                    }),
-                    fib_call(),
-                    Prog::act(|s: &mut FibState, _| {
-                        let b = s.vals.pop().unwrap();
-                        let a = s.vals.pop().unwrap();
-                        s.args.pop();
-                        s.vals.push(a + b);
-                    }),
-                ])
-            }
-        }),
+                    let n = *s.args.last().unwrap();
+                    s.args.push(n - 1);
+                }),
+                recurse(),
+                Prog::act(|s: &mut FibState, _| {
+                    let n = *s.args.last().unwrap();
+                    s.args.push(n - 2);
+                }),
+                recurse(),
+                Prog::act(|s: &mut FibState, _| {
+                    let b = s.vals.pop().unwrap();
+                    let a = s.vals.pop().unwrap();
+                    s.args.pop();
+                    s.vals.push(a + b);
+                }),
+            ]),
+        ),
     )
 }
 
 /// A single-process program computing `fib(n)` under instrumentation.
 pub fn program(n: u64) -> RankProgram {
+    let call = fib_call();
     let prog = Prog::seq(vec![
         Prog::act(move |s: &mut FibState, v| {
             s.site = v.site("fib.c", 11, "fib");
             s.args.push(n);
         }),
-        fib_call(),
+        call.clone(),
         Prog::op(|s: &mut FibState, v| {
             let check_site = v.site("fib.c", 30, "main");
             TaskOp::Probe {
@@ -96,6 +99,7 @@ pub fn program(n: u64) -> RankProgram {
     RankProgram::task(
         FibState {
             site: SiteId(0),
+            call,
             args: Vec::new(),
             vals: Vec::new(),
         },

@@ -3,13 +3,22 @@
 //! nothing once its variables exist, and a whole run of the interpreted
 //! `racy-wildcard` stays within a small multiple of the native one.
 //!
+//! The same two budgets for native ranks (`Prog` trees under `TaskInterp`):
+//! a loop turn that yields nothing allocates nothing, and one explored run
+//! of `planted-wildcard` — what `explore` and `localize` repeat thousands
+//! of times per hunt — stays under a fixed count, so the next per-run
+//! allocation fails here instead of drifting a benchmark.
+//!
 //! Allocations are counted per thread, so the tests of this binary may run
 //! side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tracedbg_instrument::RecorderConfig;
-use tracedbg_mpsim::{Engine, EngineConfig};
+use tracedbg_mpsim::task::TaskOp;
+use tracedbg_mpsim::{Engine, EngineConfig, Prog, RankProgram, SchedPolicy};
+use tracedbg_trace::SiteId;
+use tracedbg_workloads::planted::{planted_wildcard_factory, PlantedConfig};
 use tracedbg_workloads::{script, scripts};
 
 struct Counting;
@@ -38,18 +47,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations `Engine::run` makes on `nprocs` ranks of `script`, round
-/// robin, with the recorder off.
-fn allocs_of_run(script: &script::Script, nprocs: usize) -> u64 {
-    let mut engine = Engine::launch(
-        EngineConfig::with_recorder(RecorderConfig::off()),
-        script::programs(script, nprocs, "alloc.script"),
-    );
+/// Allocations `Engine::run` makes on `programs`, round robin, with the
+/// recorder off.
+fn allocs_of_run(programs: Vec<RankProgram>) -> u64 {
+    let mut engine = Engine::launch(EngineConfig::with_recorder(RecorderConfig::off()), programs);
     let before = ALLOCS.with(Cell::get);
     let outcome = engine.run();
     let after = ALLOCS.with(Cell::get);
     assert!(outcome.is_completed(), "{outcome:?}");
     after - before
+}
+
+fn allocs_of_script(script: &script::Script, nprocs: usize) -> u64 {
+    allocs_of_run(script::programs(script, nprocs, "alloc.script"))
 }
 
 #[test]
@@ -60,7 +70,7 @@ fn a_loop_of_local_statements_allocates_nothing_per_iteration() {
              if ( i % 2 ) == 1\n      let odd = odd + 1\n    else\n      let even = i\n    end\n  \
              end\n  trace \"odd\" odd\nend\n"
         );
-        allocs_of_run(&script::parse(&src).expect("parse"), 1)
+        allocs_of_script(&script::parse(&src).expect("parse"), 1)
     };
     assert_eq!(
         allocs(100),
@@ -73,6 +83,52 @@ fn a_loop_of_local_statements_allocates_nothing_per_iteration() {
 fn an_interpreted_run_allocates_like_a_native_one() {
     let racy = scripts::builtin("racy-wildcard").expect("built-in script");
     // Round robin lets worker 1 report first, so the run completes.
-    let n = allocs_of_run(&racy.parse(), 8);
+    let n = allocs_of_script(&racy.parse(), 8);
     assert!(n <= 200, "Engine::run allocated {n} times");
+}
+
+#[test]
+fn a_native_loop_turn_that_yields_nothing_allocates_nothing() {
+    let allocs = |iterations: i64| {
+        let body = Prog::when(
+            |_: &i64, _| false,
+            Prog::op(|_: &mut i64, _| TaskOp::Compute {
+                cost_ns: 1,
+                site: SiteId(0),
+            }),
+        );
+        let prog = Prog::for_range(move |_, _| (0, iterations), |s, i| *s = i, body);
+        allocs_of_run(vec![RankProgram::task(0i64, prog)])
+    };
+    assert_eq!(
+        allocs(10),
+        allocs(10_000),
+        "allocations grew with iterations"
+    );
+}
+
+#[test]
+fn one_explored_run_of_planted_wildcard_stays_within_its_allocation_budget() {
+    let source = planted_wildcard_factory(PlantedConfig {
+        nprocs: 16,
+        ..Default::default()
+    });
+    let before = ALLOCS.with(Cell::get);
+    // `explore::runner::execute_task`, minus the digest and the summary,
+    // on a schedule where the planted rank does not report first.
+    let mut engine = Engine::launch(
+        EngineConfig {
+            policy: SchedPolicy::Seeded(0),
+            recorder: RecorderConfig::full(),
+            ..Default::default()
+        },
+        source(),
+    );
+    let outcome = engine.run();
+    let (store, points) = engine.into_trace_and_decisions();
+    let after = ALLOCS.with(Cell::get);
+    assert!(outcome.is_completed(), "{outcome:?}");
+    assert!(!store.records().is_empty() && !points.is_empty());
+    let n = after - before;
+    assert!(n <= 225, "one explored run allocated {n} times");
 }
