@@ -218,8 +218,8 @@ impl EngineObs {
     }
 }
 
-/// A rank's program: a resumable [`TaskProgram`], usually a [`Prog`] tree
-/// built with [`RankProgram::task`].
+/// A rank's program: a [`Prog`] tree and its initial state, built with
+/// [`RankProgram::task`].
 pub struct RankProgram(Box<dyn TaskProgram>);
 
 /// Recreates the target program for each (re-)execution: replay and undo
@@ -230,12 +230,6 @@ impl RankProgram {
     /// A rank from a [`Prog`] tree and its initial state.
     pub fn task<S: Clone + Send + Sync + 'static>(state: S, prog: Prog<S>) -> Self {
         RankProgram(Box::new(TaskInterp::new(state, prog)))
-    }
-}
-
-impl From<Box<dyn TaskProgram>> for RankProgram {
-    fn from(t: Box<dyn TaskProgram>) -> Self {
-        RankProgram(t)
     }
 }
 

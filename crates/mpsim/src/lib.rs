@@ -2,8 +2,8 @@
 //!
 //! `mpsim` plays the role of MPI/PVM plus the process-control half of p2d2
 //! in the paper's architecture. Simulated processes are resumable
-//! state-machine tasks ([`task::TaskProgram`], usually written as a
-//! [`task::Prog`] tree) that yield a [`task::TaskOp`] at every
+//! state-machine tasks ([`task::Prog`] trees run by [`task::TaskInterp`])
+//! that yield a [`task::TaskOp`] at every
 //! send/recv/collective boundary (an MPI-flavoured vocabulary: tagged
 //! sends, blocking receives with `ANY_SOURCE`/`ANY_TAG` wildcards,
 //! collectives). A turn-taking [`Engine`] steps exactly one process at a
@@ -61,7 +61,7 @@ pub use ops::SendMode;
 pub use payload::Payload;
 pub use record::{RecordedMatch, ReplayLog};
 pub use sched::SchedPolicy;
-pub use task::{OpResult, Prog, TaskInterp, TaskOp, TaskProgram, TaskView};
+pub use task::{OpResult, Prog, TaskInterp, TaskOp, TaskView};
 
 // Re-export the vocabulary crates so workloads depend only on mpsim.
 pub use tracedbg_instrument::{Recorder, RecorderConfig, Strategy};

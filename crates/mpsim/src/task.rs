@@ -1,12 +1,11 @@
 //! Resumable rank tasks: state-machine processes multiplexed on the
 //! engine's own thread.
 //!
-//! A rank is a [`TaskProgram`] — a poll-able state machine that yields a
-//! [`TaskOp`] at every send/recv/collective boundary — and the engine
-//! drives it *inline*: a grant is a function call. Per-rank cost is a
-//! struct, not a thread, so runs scale to thousands of ranks, and a
-//! checkpoint of a rank is a clone of its frame stack, so restore is a
-//! memcpy.
+//! A rank is a poll-able state machine that yields a [`TaskOp`] at every
+//! send/recv/collective boundary, and the engine drives it *inline*: a
+//! grant is a function call. Per-rank cost is a struct, not a thread, so
+//! runs scale to thousands of ranks, and a checkpoint of a rank is a clone
+//! of its frame stack, so restore is a memcpy.
 //!
 //! The [`TaskHarness`] owns the emission rules that make traces
 //! reproducible byte for byte: record field layout, clock arithmetic,
@@ -14,11 +13,12 @@
 //! *before* the receive is submitted), the instrumentation-off
 //! short-circuits, and panic capture.
 //!
-//! Most programs are written as a [`Prog`] syntax tree (sequence /
-//! act / op / scope / if / loops / dynamic generation) interpreted by
-//! [`TaskInterp`], whose explicit frame stack is what makes mid-program
-//! snapshots cheap: nodes are `Arc`-shared, so cloning an interpreter
-//! clones a few pointers plus the user state `S`.
+//! Every program is a [`Prog`] syntax tree (sequence / act / op / scope /
+//! if / loops / dynamic generation) interpreted by [`TaskInterp`], whose
+//! explicit frame stack is what makes mid-program snapshots cheap: nodes
+//! are `Arc`-shared, so cloning an interpreter clones a few pointers plus
+//! the user state `S`. Native workloads build their trees by hand; a
+//! script is lowered to one when it is parsed.
 
 use crate::clock::CostModel;
 use crate::collective::ReduceOp;
@@ -128,19 +128,12 @@ pub struct TaskView<'a> {
     pub rank: Rank,
     pub n_ranks: usize,
     sites: &'a SiteTable,
-    fn_stack: &'a [SiteId],
 }
 
 impl TaskView<'_> {
     /// Intern a source location (cache the id outside hot loops).
     pub fn site(&self, file: &str, line: u32, func: &str) -> SiteId {
         self.sites.site(file, line, func)
-    }
-
-    /// Intern a location using the innermost open function scope's name.
-    pub fn site_here(&self, file: &str, line: u32) -> SiteId {
-        self.sites
-            .site_in_scope(file, line, self.fn_stack.last().copied())
     }
 }
 
@@ -150,7 +143,8 @@ impl TaskView<'_> {
 ///
 /// `snapshot` must return an independent deep copy positioned at the same
 /// execution point — this is what makes checkpoint/restore a memcpy.
-pub trait TaskProgram: Send + Sync {
+/// [`TaskInterp`] is the one implementation: every rank is a [`Prog`].
+pub(crate) trait TaskProgram: Send + Sync {
     fn next(&mut self, input: OpResult, view: &TaskView<'_>) -> TaskOp;
     fn snapshot(&self) -> Box<dyn TaskProgram>;
 }
@@ -361,8 +355,8 @@ impl<S> Clone for Frame<S> {
     }
 }
 
-/// Interprets a [`Prog`] tree as a [`TaskProgram`]. The whole execution
-/// point is `(stack, state, pending_bind)` — all cheap to clone.
+/// Interprets a [`Prog`] tree as a rank the engine can poll. The whole
+/// execution point is `(stack, state, pending_bind)` — all cheap to clone.
 pub struct TaskInterp<S> {
     stack: Vec<Frame<S>>,
     state: S,
@@ -559,8 +553,6 @@ enum Await {
 enum Then {
     /// Hand `OpResult` to the program and keep stepping.
     Advance(OpResult),
-    /// FnEnter was recorded; push the scope site, then advance.
-    PushScope { site: SiteId },
     /// RecvPost was recorded (and trapped); now submit the receive.
     SubmitRecv {
         src: Option<Rank>,
@@ -597,16 +589,14 @@ pub(crate) struct TaskEnv<'a> {
     pub collected: &'a mut Vec<TraceRecord>,
 }
 
-/// Drives one task rank: owns the rank-local execution point (clock, open
-/// scopes, program frames, position in the grant protocol) and converts
-/// the ops the program yields into the engine's request/reply protocol,
-/// one grant at a time. The harness *is* the rank's checkpoint: cloning it
-/// yields an independent copy at the same execution point.
+/// Drives one task rank: owns the rank-local execution point (clock,
+/// program frames, position in the grant protocol) and converts the ops
+/// the program yields into the engine's request/reply protocol, one grant
+/// at a time. The harness *is* the rank's checkpoint: cloning it yields an
+/// independent copy at the same execution point.
 #[derive(Clone)]
 pub(crate) struct TaskHarness {
     clock: u64,
-    /// Sites of the function scopes currently open (innermost last).
-    fn_stack: Vec<SiteId>,
     program: Box<dyn TaskProgram>,
     waiting: Await,
 }
@@ -615,7 +605,6 @@ impl TaskHarness {
     pub(crate) fn new(program: Box<dyn TaskProgram>) -> Self {
         TaskHarness {
             clock: 0,
-            fn_stack: Vec::new(),
             program,
             waiting: Await::Initial,
         }
@@ -756,7 +745,6 @@ impl TaskHarness {
                             rank,
                             n_ranks: env.n_ranks,
                             sites: env.sites,
-                            fn_stack: &self.fn_stack,
                         };
                         self.program.next(input, &view)
                     };
@@ -764,10 +752,6 @@ impl TaskHarness {
                         Ok(next) => then = next,
                         Err(request) => return request,
                     }
-                }
-                Then::PushScope { site } => {
-                    self.fn_stack.push(site);
-                    then = Then::Advance(OpResult::None);
                 }
                 Then::SubmitRecv {
                     src,
@@ -818,13 +802,12 @@ impl TaskHarness {
                 let rec = TraceRecord::basic(rank, EventKind::FnEnter, 0, self.clock)
                     .with_site(site)
                     .with_args(args[0], args[1]);
-                self.after_observe(env, rec, Then::PushScope { site })
+                self.after_observe(env, rec, Then::Advance(OpResult::None))
             }
             TaskOp::Exit { site } => {
                 if env.recorder.is_off() {
                     return Ok(Then::Advance(OpResult::None));
                 }
-                self.fn_stack.pop();
                 let rec =
                     TraceRecord::basic(rank, EventKind::FnExit, 0, self.clock).with_site(site);
                 self.after_observe(env, rec, Then::Advance(OpResult::None))
@@ -935,12 +918,10 @@ mod tests {
 
     fn dummy_view_run(prog: Prog<St>) -> Vec<i64> {
         let sites = SiteTable::new();
-        let fn_stack = Vec::new();
         let view = TaskView {
             rank: Rank(0),
             n_ranks: 1,
             sites: &sites,
-            fn_stack: &fn_stack,
         };
         let mut interp = TaskInterp::new(St::default(), prog);
         loop {
@@ -1008,12 +989,10 @@ mod tests {
     #[test]
     fn interp_snapshot_resumes_independently() {
         let sites = SiteTable::new();
-        let fn_stack = Vec::new();
         let view = TaskView {
             rank: Rank(0),
             n_ranks: 1,
             sites: &sites,
-            fn_stack: &fn_stack,
         };
         let prog = Prog::for_range(
             |_, _| (0, 5),

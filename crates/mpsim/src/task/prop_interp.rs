@@ -212,7 +212,7 @@ proptest! {
         eval(&shape, &mut want_state, &mut want);
 
         let sites = SiteTable::new();
-        let view = TaskView { rank: Rank(0), n_ranks: 1, sites: &sites, fn_stack: &[] };
+        let view = TaskView { rank: Rank(0), n_ranks: 1, sites: &sites };
         let mut interp = TaskInterp::new(start, build(&shape));
         let mut got = Vec::new();
         while let Some(op) = seen(interp.next(OpResult::None, &view)) {

@@ -236,8 +236,7 @@ fn engine_run_after_completion_is_idempotent() {
     assert!(e.run().is_completed(), "second run() reports completion");
 }
 
-/// Nested function scopes, and probe sites resolved relative to the
-/// enclosing scope (`site_here`).
+/// Nested function scopes, and a probe sited in the scope around it.
 #[test]
 fn fn_scope_and_probe_macros() {
     let p0 = rank(vec![Prog::scope(
@@ -246,7 +245,7 @@ fn fn_scope_and_probe_macros() {
             Prog::op(|_, v| TaskOp::Probe {
                 label: "inside".into(),
                 value: 42,
-                site: v.site_here("e.rs", 2),
+                site: v.site("e.rs", 2, "outer"),
             }),
             Prog::scope(|_, v| (v.site("e.rs", 3, "inner"), [1, 0]), compute(1)),
         ]),
@@ -262,7 +261,6 @@ fn fn_scope_and_probe_macros() {
         .find(|r| r.kind == EventKind::Probe)
         .unwrap();
     assert_eq!(probe_rec.args[0], 42);
-    // site_here resolves the enclosing scope's function name.
     assert_eq!(store.sites().func_name(probe_rec.site), "outer");
     // The scope captured its two args.
     let enter = store

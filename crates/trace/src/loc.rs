@@ -139,22 +139,6 @@ impl SiteTable {
             .unwrap_or_else(|| g.insert(SourceLoc::new(file, line, func)))
     }
 
-    /// Intern `(file, line, f)` where `f` is the function of site `scope`
-    /// (`"?"` if the table does not know it), or `"main"` outside every
-    /// scope.
-    pub fn site_in_scope(&self, file: &str, line: u32, scope: Option<SiteId>) -> SiteId {
-        let mut g = self.inner.lock().unwrap();
-        let func = match scope {
-            None => "main",
-            Some(s) => g.sites.get(s.ix()).map_or("?", |l| l.func.as_str()),
-        };
-        if let Some(id) = g.get(file, line, func) {
-            return id;
-        }
-        let loc = SourceLoc::new(file, line, func);
-        g.insert(loc)
-    }
-
     /// Resolve an id back to its location (None for [`SiteId::UNKNOWN`] or
     /// ids from another table).
     pub fn resolve(&self, id: SiteId) -> Option<SourceLoc> {
@@ -259,20 +243,6 @@ mod tests {
         assert_eq!(loc.func, "ssor");
         assert!(t.resolve(SiteId::UNKNOWN).is_none());
         assert_eq!(t.func_name(SiteId::UNKNOWN), "?");
-    }
-
-    #[test]
-    fn site_in_scope_names_the_enclosing_function() {
-        let t = SiteTable::new();
-        let scope = t.site("lu.f", 10, "ssor");
-        let inner = t.site_in_scope("lu.f", 12, Some(scope));
-        assert_eq!(inner, t.site("lu.f", 12, "ssor"));
-        assert_eq!(t.site_in_scope("lu.f", 12, Some(scope)), inner);
-        let top = t.site_in_scope("lu.f", 1, None);
-        assert_eq!(t.resolve(top).unwrap().func, "main");
-        let lost = t.site_in_scope("lu.f", 1, Some(SiteId::UNKNOWN));
-        assert_eq!(t.resolve(lost).unwrap().func, "?");
-        assert_eq!(t.len(), 4);
     }
 
     #[test]

@@ -35,9 +35,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use tracedbg_mpsim::task::TaskOp;
-use tracedbg_mpsim::{
-    OpResult, Payload, Rank, RankProgram, SendMode, SiteId, Tag, TaskProgram, TaskView,
-};
+use tracedbg_mpsim::{Payload, Prog, Rank, RankProgram, SendMode, SiteId, Tag, TaskView};
 use tracedbg_trace::CollKind;
 
 /// Where the source-to-source pass inserts `trace` statements.
@@ -122,14 +120,61 @@ pub enum StmtKind {
 /// A parsed script: named functions, entry point `main`.
 ///
 /// The function table and every statement body (a function's, a `loop`'s,
-/// an `if` branch) are shared and immutable once parsed, so cloning a
-/// script, or pushing an interpreter frame over one of its bodies, copies
-/// a pointer.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// an `if` branch) are shared and immutable once parsed, and so is the
+/// [`Prog`] tree `parse` lowers them to, which is what a rank runs:
+/// cloning a script, or building its ranks, copies pointers.
+#[derive(Clone)]
 pub struct Script {
     pub functions: Arc<BTreeMap<Arc<str>, Arc<[Stmt]>>>,
     /// Site slots the parser handed out (see [`Stmt`]).
     site_slots: u32,
+    /// Each rank's root: the scope of `main`.
+    main: Prog<ScriptState>,
+    /// The lowered body of each function, in `functions` order.
+    bodies: Arc<[Prog<ScriptState>]>,
+}
+
+impl Script {
+    /// The script of `functions`, lowered: each function's body once,
+    /// whoever calls it, and a root that enters `main` under the site
+    /// `(file, 0, "main")`.
+    fn lower(functions: BTreeMap<Arc<str>, Arc<[Stmt]>>, site_slots: u32) -> Script {
+        let bodies: Arc<[Prog<ScriptState>]> = functions
+            .iter()
+            .map(|(func, body)| Lowering(&functions, func).block(body))
+            .collect();
+        let main = match functions.keys().position(|f| &**f == "main") {
+            Some(ix) => Prog::scope(
+                |st: &mut ScriptState, v| (v.site(&st.file, 0, "main"), [0, 0]),
+                bodies[ix].clone(),
+            ),
+            None => Prog::act(|st: &mut ScriptState, v| {
+                v.site(&st.file, 0, "main");
+                die(0, "unknown function \"main\"")
+            }),
+        };
+        Script {
+            functions: Arc::new(functions),
+            site_slots,
+            main,
+            bodies,
+        }
+    }
+}
+
+impl Default for Script {
+    /// The script with no functions; a rank of it dies looking for `main`.
+    fn default() -> Self {
+        Script::lower(BTreeMap::new(), 0)
+    }
+}
+
+impl std::fmt::Debug for Script {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Script")
+            .field("functions", &self.functions)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Parse / runtime errors.
@@ -496,10 +541,7 @@ pub fn parse(src: &str) -> Result<Script, ScriptError> {
     if !functions.contains_key("main") {
         return Err(err(0, "no 'fn main'"));
     }
-    Ok(Script {
-        functions: Arc::new(functions),
-        site_slots: p.site_slots,
-    })
+    Ok(Script::lower(functions, p.site_slots))
 }
 
 // -------------------------------------------------------------- semantics
@@ -575,48 +617,18 @@ impl<F: Fn(&str) -> Option<i64>> Scope<F> {
 
 // ------------------------------------------------------------- execution
 
-/// One suspended activation in the script task's explicit call/loop stack.
-/// A frame borrows the parsed script through shared handles and plain
-/// indices; it copies no statement.
+/// One rank's state while it runs the lowered script: its variables, the
+/// `SiteId` it found for each site slot on its first visit (`UNKNOWN`
+/// until then), the file its sites are interned under, and the lowered
+/// body of every function. A node cannot hold the tree it is part of, so
+/// a `call` fetches its callee's body from here (the recursion idiom of
+/// `fib`).
 #[derive(Clone)]
-enum SFrame {
-    /// A statement block with a cursor.
-    Block { stmts: Arc<[Stmt]>, idx: usize },
-    /// The `loop` at `stmts[at]` mid-flight (bounds were evaluated at
-    /// entry).
-    Loop {
-        stmts: Arc<[Stmt]>,
-        at: usize,
-        cur: i64,
-        end: i64,
-    },
-    /// An open call of `func`, whose statements the frames above run: emit
-    /// `FnExit` for `site` once they are done.
-    Call { site: SiteId, func: Arc<str> },
-}
-
-/// A resumable script interpreter: one rank's run-time state, poll-able
-/// by the engine. Instead of recursing down the statement tree it keeps
-/// an explicit stack of [`SFrame`]s,
-/// yields a [`TaskOp`] at every communication/instrumentation point, and
-/// clones into an [`EngineCheckpoint`](tracedbg_mpsim::EngineCheckpoint)
-/// as plain data. Runtime errors panic the task (reported through the
-/// engine as a process panic, message unchanged).
-#[derive(Clone)]
-struct ScriptTask {
-    functions: Arc<BTreeMap<Arc<str>, Arc<[Stmt]>>>,
-    file: Arc<str>,
+struct ScriptState {
     vars: BTreeMap<String, i64>,
-    stack: Vec<SFrame>,
-    /// The `SiteId` this rank found for each site slot on its first visit
-    /// (`UNKNOWN` until then). The first visit asks the shared table at
-    /// the point every visit used to, so first-use interning order — which
-    /// the golden traces pin — is what it was.
     sites: Vec<SiteId>,
-    /// A posted `recv` waits to bind its message: the statement the top
-    /// block just stepped past.
-    pending_recv: bool,
-    started: bool,
+    file: Arc<str>,
+    bodies: Arc<[Prog<ScriptState>]>,
 }
 
 /// Bind `var`, overwriting in place when it already exists.
@@ -629,7 +641,12 @@ fn assign(vars: &mut BTreeMap<String, i64>, var: &str, v: i64) {
     }
 }
 
-impl ScriptTask {
+/// A run-time script error kills the rank; the engine reports the panic.
+fn die(line: u32, message: impl Into<String>) -> ! {
+    panic!("{}", err(line, message))
+}
+
+impl ScriptState {
     fn scope<'a>(&'a self, view: &TaskView<'_>) -> Scope<impl Fn(&str) -> Option<i64> + 'a> {
         Scope {
             rank: view.rank.0 as usize,
@@ -642,251 +659,188 @@ impl ScriptTask {
     fn eval(&self, e: &Expr, line: u32, view: &TaskView<'_>) -> i64 {
         self.scope(view)
             .eval(e)
-            .unwrap_or_else(|why| panic!("{}", err(line, why.to_string())))
+            .unwrap_or_else(|why| die(line, why.to_string()))
     }
 
     fn test(&self, c: &Cond, line: u32, view: &TaskView<'_>) -> bool {
         self.scope(view)
             .test(c)
-            .unwrap_or_else(|why| panic!("{}", err(line, why.to_string())))
+            .unwrap_or_else(|why| die(line, why.to_string()))
     }
 
-    /// The site of `line` under site slot `slot`: asked of the shared
-    /// table on this rank's first visit, read from the rank's cache after.
-    /// A call's scope site is in `callee`; any other is in the function
-    /// whose statements are running, the innermost open call.
-    fn site(&mut self, slot: u32, line: u32, callee: Option<&str>, view: &TaskView<'_>) -> SiteId {
-        let cached = self.sites[slot as usize];
-        if cached != SiteId::UNKNOWN {
-            return cached;
+    /// The peer rank `e` names for a `send` (`what` = "send to") or a
+    /// `recv` ("recv from"); a rank outside the run kills this one.
+    fn peer(&self, e: &Expr, what: &str, line: u32, view: &TaskView<'_>) -> Rank {
+        let r = self.eval(e, line, view);
+        if r < 0 || r as usize >= view.n_ranks {
+            die(line, format!("{what} bad rank {r}"));
         }
-        let func = callee.unwrap_or_else(|| {
-            self.stack
-                .iter()
-                .rev()
-                .find_map(|f| match f {
-                    SFrame::Call { func, .. } => Some(&**func),
-                    _ => None,
-                })
-                .expect("statements run inside a call of main")
-        });
-        let site = view.site(&self.file, line, func);
-        self.sites[slot as usize] = site;
-        site
+        Rank(r as u32)
     }
 
-    /// Handles on function `name` and its body; calling a function the
-    /// script does not define kills the rank.
-    fn function(&self, name: &str, line: u32) -> (Arc<str>, Arc<[Stmt]>) {
-        let (func, body) = self
-            .functions
-            .get_key_value(name)
-            .unwrap_or_else(|| panic!("{}", err(line, format!("unknown function {name:?}"))));
-        (Arc::clone(func), Arc::clone(body))
+    /// The site of `line` in `func` under site slot `slot`: asked of the
+    /// shared table on this rank's first visit, read from its cache after.
+    fn site(&mut self, slot: u32, line: u32, func: &str, view: &TaskView<'_>) -> SiteId {
+        let cached = &mut self.sites[slot as usize];
+        if *cached == SiteId::UNKNOWN {
+            *cached = view.site(&self.file, line, func);
+        }
+        *cached
+    }
+}
+
+/// Lowers the statements of one function (`.1`, of the script's function
+/// table `.0`) to the nodes that run them. Each statement first interns
+/// its own site, where a visit of the rank always has, so first-use
+/// interning order (which the golden traces pin) holds: a `let`, an `if`
+/// or a `loop` too, though they emit no record, and a `call` before its
+/// callee's scope site.
+struct Lowering<'a>(&'a BTreeMap<Arc<str>, Arc<[Stmt]>>, &'a Arc<str>);
+
+impl Lowering<'_> {
+    fn block(&self, stmts: &[Stmt]) -> Prog<ScriptState> {
+        let mut nodes = Vec::with_capacity(stmts.len());
+        for s in stmts {
+            self.stmt(s, &mut nodes);
+        }
+        Prog::seq(nodes)
     }
 
-    /// Open a call: the function's body runs, then its scope exits.
-    fn enter(&mut self, site: SiteId, (func, stmts): (Arc<str>, Arc<[Stmt]>)) -> TaskOp {
-        self.stack.push(SFrame::Call { site, func });
-        self.stack.push(SFrame::Block { stmts, idx: 0 });
-        TaskOp::Enter { site, args: [0, 0] }
-    }
-
-    /// Execute statement `at` of `stmts`: control flow pushes frames and
-    /// returns `None`; anything the engine must see returns its op.
-    fn exec(&mut self, stmts: &Arc<[Stmt]>, at: usize, view: &TaskView<'_>) -> Option<TaskOp> {
-        let s = &stmts[at];
-        let site = self.site(s.slot, s.line, None, view);
+    /// Append the nodes of `s` to those of its block.
+    fn stmt(&self, s: &Stmt, nodes: &mut Vec<Prog<ScriptState>>) {
+        let (slot, line, func) = (s.slot, s.line, Arc::clone(self.1));
+        let site = move |st: &mut ScriptState, v: &TaskView<'_>| st.site(slot, line, &func, v);
         match &s.kind {
             StmtKind::Let { var, value } => {
-                let v = self.eval(value, s.line, view);
-                assign(&mut self.vars, var, v);
-                None
+                let (var, value) = (var.clone(), value.clone());
+                nodes.push(Prog::act(move |st, v| {
+                    site(st, v);
+                    let x = st.eval(&value, line, v);
+                    assign(&mut st.vars, &var, x);
+                }));
             }
-            StmtKind::Compute { cost } => Some(TaskOp::Compute {
-                cost_ns: self.eval(cost, s.line, view).max(0) as u64,
-                site,
-            }),
+            StmtKind::Compute { cost } => {
+                let cost = cost.clone();
+                nodes.push(Prog::op(move |st, v| TaskOp::Compute {
+                    site: site(st, v),
+                    cost_ns: st.eval(&cost, line, v).max(0) as u64,
+                }));
+            }
             StmtKind::Send { dst, tag, value } => {
-                let d = self.eval(dst, s.line, view);
-                if d < 0 || d as usize >= view.n_ranks {
-                    panic!("{}", err(s.line, format!("send to bad rank {d}")));
-                }
-                let v = self.eval(value, s.line, view);
-                Some(TaskOp::Send {
-                    dst: Rank(d as u32),
-                    tag: Tag(*tag),
-                    payload: Payload::from_i64(v),
-                    site,
+                let (dst, tag, value) = (dst.clone(), Tag(*tag), value.clone());
+                nodes.push(Prog::op(move |st, v| TaskOp::Send {
+                    site: site(st, v),
+                    dst: st.peer(&dst, "send to", line, v),
+                    tag,
+                    payload: Payload::from_i64(st.eval(&value, line, v)),
                     mode: SendMode::Buffered,
-                })
+                }));
             }
-            StmtKind::Recv { src, tag, .. } => {
-                let src_rank = match src {
-                    Some(e) => {
-                        let r = self.eval(e, s.line, view);
-                        if r < 0 || r as usize >= view.n_ranks {
-                            panic!("{}", err(s.line, format!("recv from bad rank {r}")));
-                        }
-                        Some(Rank(r as u32))
-                    }
-                    None => None,
-                };
-                self.pending_recv = true;
-                Some(TaskOp::Recv {
-                    src: src_rank,
-                    tag: tag.map(Tag),
-                    site,
-                })
+            StmtKind::Recv {
+                src,
+                tag,
+                var,
+                src_var,
+            } => {
+                let (src, tag) = (src.clone(), tag.map(Tag));
+                let (var, src_var) = (var.clone(), src_var.clone());
+                nodes.push(Prog::op_bind(
+                    move |st, v| TaskOp::Recv {
+                        site: site(st, v),
+                        src: src.as_ref().map(|e| st.peer(e, "recv from", line, v)),
+                        tag,
+                    },
+                    move |st, input, _| {
+                        let m = input.message();
+                        let Some(x) = m.payload.to_i64() else {
+                            die(line, "non-integer payload")
+                        };
+                        assign(&mut st.vars, &var, x);
+                        // The sender's rank is observable, like MPI_STATUS.
+                        assign(&mut st.vars, &src_var, m.src.0 as i64);
+                    },
+                ));
             }
-            StmtKind::Trace { label, value } => Some(TaskOp::Probe {
-                label: label.clone(),
-                value: match value {
-                    Some(e) => self.eval(e, s.line, view),
-                    None => 0,
-                },
-                site,
-            }),
+            StmtKind::Trace { label, value } => {
+                let (label, value) = (label.clone(), value.clone());
+                nodes.push(Prog::op(move |st, v| TaskOp::Probe {
+                    site: site(st, v),
+                    value: value.as_ref().map_or(0, |e| st.eval(e, line, v)),
+                    label: label.clone(),
+                }));
+            }
             StmtKind::Call { func: callee } => {
-                let function = self.function(callee, s.line);
-                let fsite = self.site(s.slot + 1, s.line, Some(callee), view);
-                Some(self.enter(fsite, function))
-            }
-            StmtKind::Loop { from, to, .. } => {
-                let cur = self.eval(from, s.line, view);
-                let end = self.eval(to, s.line, view);
-                self.stack.push(SFrame::Loop {
-                    stmts: Arc::clone(stmts),
-                    at,
-                    cur,
-                    end,
+                let callee: Arc<str> = Arc::from(callee.as_str());
+                nodes.push(match self.0.keys().position(|f| *f == callee) {
+                    Some(ix) => Prog::scope(
+                        move |st, v| {
+                            site(st, v);
+                            (st.site(slot + 1, line, &callee, v), [0, 0])
+                        },
+                        Prog::gen(move |st: &mut ScriptState, _| st.bodies[ix].clone()),
+                    ),
+                    // Reaching the call kills the rank; parsing it does not.
+                    None => Prog::act(move |st, v| {
+                        site(st, v);
+                        die(line, format!("unknown function {callee:?}"))
+                    }),
                 });
-                None
+            }
+            StmtKind::Loop {
+                var,
+                from,
+                to,
+                body,
+            } => {
+                let (var, from, to) = (var.clone(), from.clone(), to.clone());
+                nodes.push(Prog::act(move |st, v| {
+                    site(st, v);
+                }));
+                // The bounds are evaluated once, `from` first; the variable
+                // is set before each turn and keeps its last value after.
+                nodes.push(Prog::for_range(
+                    move |st, v| (st.eval(&from, line, v), st.eval(&to, line, v)),
+                    move |st, i| assign(&mut st.vars, &var, i),
+                    self.block(body),
+                ));
             }
             StmtKind::If { cond, then, els } => {
-                let branch = if self.test(cond, s.line, view) {
-                    then
-                } else {
-                    els
-                };
-                self.stack.push(SFrame::Block {
-                    stmts: Arc::clone(branch),
-                    idx: 0,
-                });
-                None
+                let cond = cond.clone();
+                nodes.push(Prog::act(move |st, v| {
+                    site(st, v);
+                }));
+                nodes.push(Prog::if_else(
+                    move |st, v| st.test(&cond, line, v),
+                    self.block(then),
+                    self.block(els),
+                ));
             }
-            StmtKind::Barrier => Some(TaskOp::Collective {
+            StmtKind::Barrier => nodes.push(Prog::op(move |st, v| TaskOp::Collective {
                 kind: CollKind::Barrier,
                 root: Rank(0),
                 payload: Payload::empty(),
                 op: None,
-                site,
-            }),
+                site: site(st, v),
+            })),
         }
-    }
-}
-
-impl TaskProgram for ScriptTask {
-    fn next(&mut self, input: OpResult, view: &TaskView<'_>) -> TaskOp {
-        if std::mem::take(&mut self.pending_recv) {
-            let Some(SFrame::Block { stmts, idx }) = self.stack.last() else {
-                unreachable!("a recv is posted from a block");
-            };
-            let s = &stmts[*idx - 1];
-            let StmtKind::Recv { var, src_var, .. } = &s.kind else {
-                unreachable!("the block stepped past the recv it posted");
-            };
-            let m = input.message();
-            let v = m
-                .payload
-                .to_i64()
-                .unwrap_or_else(|| panic!("{}", err(s.line, "non-integer payload")));
-            assign(&mut self.vars, var, v);
-            // The sender's rank is observable, like MPI_STATUS.
-            assign(&mut self.vars, src_var, m.src.0 as i64);
-        }
-        if !self.started {
-            self.started = true;
-            let fsite = view.site(&self.file, 0, "main");
-            let main = self.function("main", 0);
-            return self.enter(fsite, main);
-        }
-        loop {
-            let Some(top) = self.stack.pop() else {
-                return TaskOp::Done;
-            };
-            match top {
-                SFrame::Call { site, .. } => return TaskOp::Exit { site },
-                SFrame::Loop {
-                    stmts,
-                    at,
-                    cur,
-                    end,
-                } => {
-                    if cur < end {
-                        let StmtKind::Loop { var, body, .. } = &stmts[at].kind else {
-                            unreachable!("a loop frame points at its loop");
-                        };
-                        assign(&mut self.vars, var, cur);
-                        let body = Arc::clone(body);
-                        self.stack.push(SFrame::Loop {
-                            stmts,
-                            at,
-                            cur: cur + 1,
-                            end,
-                        });
-                        self.stack.push(SFrame::Block {
-                            stmts: body,
-                            idx: 0,
-                        });
-                    }
-                }
-                SFrame::Block { stmts, idx } => {
-                    if idx >= stmts.len() {
-                        continue;
-                    }
-                    // The statement is read through the popped frame's
-                    // handle; the frame goes back under whatever the
-                    // statement pushed.
-                    let under = self.stack.len();
-                    let op = self.exec(&stmts, idx, view);
-                    let resume = SFrame::Block {
-                        stmts,
-                        idx: idx + 1,
-                    };
-                    self.stack.insert(under, resume);
-                    if let Some(op) = op {
-                        return op;
-                    }
-                }
-            }
-        }
-    }
-
-    fn snapshot(&self) -> Box<dyn TaskProgram> {
-        Box::new(self.clone())
     }
 }
 
 /// Build one engine program per rank, all running the same script (SPMD,
-/// like `mpirun`). Runtime errors panic the process (reported through the
-/// engine as a process panic).
+/// like `mpirun`). Every rank starts at the root `parse` lowered, with no
+/// variables and an empty site cache; nothing is lowered here. Runtime
+/// errors panic the process (reported through the engine as a process
+/// panic).
 pub fn programs(script: &Script, nprocs: usize, file: &str) -> Vec<RankProgram> {
     assert!(nprocs >= 1);
-    let file: Arc<str> = Arc::from(file);
+    let state = ScriptState {
+        vars: BTreeMap::new(),
+        sites: vec![SiteId::UNKNOWN; script.site_slots as usize],
+        file: Arc::from(file),
+        bodies: Arc::clone(&script.bodies),
+    };
     (0..nprocs)
-        .map(|_| {
-            let task: Box<dyn TaskProgram> = Box::new(ScriptTask {
-                functions: Arc::clone(&script.functions),
-                file: Arc::clone(&file),
-                vars: BTreeMap::new(),
-                stack: Vec::new(),
-                sites: vec![SiteId::UNKNOWN; script.site_slots as usize],
-                pending_recv: false,
-                started: false,
-            });
-            RankProgram::from(task)
-        })
+        .map(|_| RankProgram::task(state.clone(), script.main.clone()))
         .collect()
 }
 
@@ -1051,10 +1005,7 @@ pub fn instrument_source(src: &str, level: InstrumentLevel) -> Result<String, Sc
         new_body.push(probe(0, format!("exit {name}")));
         functions.insert(name.clone(), new_body.into());
     }
-    Ok(print_script(&Script {
-        functions: Arc::new(functions),
-        site_slots: 0,
-    }))
+    Ok(print_script(&Script::lower(functions, 0)))
 }
 
 #[cfg(test)]
@@ -1111,29 +1062,25 @@ end
         assert_eq!(sorted, vec![22, 24, 26]);
     }
 
+    /// `parse` lowers a script once: a clone shares the parsed and the
+    /// lowered bodies, and `programs` builds no tree — every rank runs the
+    /// script's own lowered bodies.
     #[test]
     fn clones_and_programs_share_the_parsed_bodies() {
         let script = parse(PINGPONG).unwrap();
         let copy = script.clone();
         assert!(Arc::ptr_eq(&script.functions, &copy.functions));
-        let nested = |s: &Script| match &s.functions["main"][0].kind {
-            StmtKind::If { then, .. } => match &then[0].kind {
-                StmtKind::Loop { body, .. } => body.clone(),
-                other => panic!("expected the send loop, got {other:?}"),
-            },
-            other => panic!("expected main's if, got {other:?}"),
-        };
-        assert!(Arc::ptr_eq(
-            &script.functions["worker"],
-            &copy.functions["worker"]
-        ));
-        assert!(Arc::ptr_eq(&nested(&script), &nested(&copy)));
-        // Each rank's task holds the script's own function table.
-        let before = Arc::strong_count(&script.functions);
+        assert!(Arc::ptr_eq(&script.bodies, &copy.bodies));
+        let before = Arc::strong_count(&script.bodies);
         let ranks = programs(&script, 4, "test.script");
-        assert_eq!(Arc::strong_count(&script.functions), before + 4);
+        assert_eq!(Arc::strong_count(&script.bodies), before + 4);
+        assert_eq!(
+            Arc::strong_count(&script.functions),
+            2,
+            "ranks hold no statement"
+        );
         drop(ranks);
-        assert_eq!(Arc::strong_count(&script.functions), before);
+        assert_eq!(Arc::strong_count(&script.bodies), before);
     }
 
     /// Sites are interned in first-use order across ranks, and a rank asks

@@ -1,7 +1,9 @@
-//! The script interpreter executes the parsed script; it does not copy it.
-//! A statement the engine never sees (`let`, `if`, a loop turn) allocates
-//! nothing once its variables exist, and a whole run of the interpreted
-//! `racy-wildcard` stays within a small multiple of the native one.
+//! A script is lowered once, when it is parsed; a rank executes the
+//! lowered tree and does not copy it. A statement the engine never sees
+//! (`let`, `if`, a loop turn) allocates nothing once its variables exist,
+//! building the ranks costs the same for a short script as for a long one,
+//! and building plus running the interpreted 8-rank `racy-wildcard` stays
+//! within a fixed count.
 //!
 //! The same two budgets for native ranks (`Prog` trees under `TaskInterp`):
 //! a loop turn that yields nothing allocates nothing, and one explored run
@@ -79,12 +81,34 @@ fn a_loop_of_local_statements_allocates_nothing_per_iteration() {
     );
 }
 
+/// Allocations `script::programs` makes building `nprocs` ranks.
+fn allocs_of_programs(script: &script::Script, nprocs: usize) -> (u64, Vec<RankProgram>) {
+    let before = ALLOCS.with(Cell::get);
+    let ranks = script::programs(script, nprocs, "alloc.script");
+    (ALLOCS.with(Cell::get) - before, ranks)
+}
+
+/// `parse` lowers the script; `programs`, which every explored run calls,
+/// only hands each rank its state, whatever the script's length.
+#[test]
+fn building_the_ranks_costs_the_same_for_any_script_length() {
+    let allocs = |statements: usize| {
+        let src = format!("fn main\n{}end\n", "  compute 1\n".repeat(statements));
+        allocs_of_programs(&script::parse(&src).expect("parse"), 4).0
+    };
+    assert_eq!(allocs(2), allocs(200), "programs allocated per statement");
+}
+
 #[test]
 fn an_interpreted_run_allocates_like_a_native_one() {
     let racy = scripts::builtin("racy-wildcard").expect("built-in script");
+    let (built, ranks) = allocs_of_programs(&racy.parse(), 8);
     // Round robin lets worker 1 report first, so the run completes.
-    let n = allocs_of_script(&racy.parse(), 8);
-    assert!(n <= 200, "Engine::run allocated {n} times");
+    let ran = allocs_of_run(ranks);
+    assert!(
+        built + ran <= 106,
+        "programs allocated {built} times and Engine::run {ran}"
+    );
 }
 
 #[test]

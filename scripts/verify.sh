@@ -60,11 +60,11 @@ expect_error 'view takes trace.trc | trace.tbin | store-dir, not the workload "r
 echo "==> cargo test -q"
 cargo test --offline -q
 
-echo "==> flake: bench-lib and store test binaries, the engine width gate, 20 consecutive green runs"
-# Tests that share scratch state, and a timing gate whose margin a faster
-# narrow run shrinks (a stencil record at 1024 ranks <= 3x one at 64), only
-# fail some of the time; one pass of `cargo test` cannot tell. Fail on the
-# first red run.
+echo "==> flake: bench-lib and store test binaries, the engine and race width gates, 20 consecutive green runs"
+# Tests that share scratch state, and timing gates with thin margins (a
+# stencil record at 1024 ranks <= 3x one at 64; race detection on 2x the
+# wildcard receives <= 2.5x), only fail some of the time; one pass of
+# `cargo test` cannot tell. Fail on the first red run.
 for i in $(seq 1 20); do
   cargo test --offline -q -p tracedbg-bench --lib >/dev/null 2>&1 \
     || { echo "flake stage: tracedbg-bench --lib failed on run $i" >&2; exit 1; }
@@ -73,6 +73,9 @@ for i in $(seq 1 20); do
   cargo test --offline --release -q --test width_scaling a_record_costs_the_same \
       -- --test-threads 1 >/dev/null 2>&1 \
     || { echo "flake stage: width_scaling engine gate failed on run $i" >&2; exit 1; }
+  cargo test --offline --release -q --test width_scaling race_detection_is_linear \
+      -- --test-threads 1 >/dev/null 2>&1 \
+    || { echo "flake stage: width_scaling race gate failed on run $i" >&2; exit 1; }
 done
 
 echo "==> benchmark crate: builds and passes against the current public API, untouched"
@@ -273,6 +276,13 @@ interp=$(sed -n '/^    fn enter(/,/^    fn snapshot(/p' crates/mpsim/src/task.rs
 [ -n "$interp" ] || { echo "semantics gate: TaskInterp::{enter, next} not found" >&2; exit 1; }
 gate "handle clones of a node being read in TaskInterp::{enter, next}" \
   "$(printf '%s' "$interp" | grep -c '\.0\.clone()' || true)" -eq 0
+# One rank interpreter: a script is lowered to a `Prog` tree when it is
+# parsed, so the second interpreter and the scope stack only it could read
+# stay deleted, and `TaskInterp` is the one `TaskProgram`.
+for gone in SFrame ScriptTask site_here site_in_scope PushScope fn_stack; do
+  gate "$gone under crates/*/src" "$(count "\\b$gone\\b" "${src[@]}")" -eq 0
+done
+gate "impls of TaskProgram" "$(count 'impl\b.*\bTaskProgram for\b' "${src[@]}")" -eq 1
 # Sleep-set DPOR must report exactly the findings of the full search on
 # the racy script workloads (same classes, same counts), at any --jobs.
 for wl in sdl:racy-wildcard sdl:racy-deadlock; do

@@ -162,6 +162,18 @@ fn golden_script_pingpong() {
     );
 }
 
+/// Recursion, calls in loops and in calls, zero-trip loops, `if`s without
+/// `else`, a barrier, a `recv` rebinding a variable and a call to an
+/// undefined function: the script's header lists what each pins.
+#[test]
+fn golden_script_interp_corners() {
+    let file = "tests/golden/scripts/interp-corners.script";
+    let text = std::fs::read_to_string(golden_dir().join("scripts/interp-corners.script"))
+        .expect("interp-corners script exists");
+    let parsed = script::parse(&text).expect("interp-corners script parses");
+    check("script-interp-corners", script::programs(&parsed, 4, file));
+}
+
 /// `trace_digest` exists to tell observably different executions apart:
 /// two records digest equal exactly when their `Display` forms are equal.
 /// Checked over every record of every golden trace (all pairs, through a

@@ -21,21 +21,39 @@ use tracedbg::workloads::master_worker::{self, PoolConfig};
 use tracedbg::workloads::ring;
 use tracedbg::workloads::wide::{self, ButterflyConfig, StencilConfig};
 
-/// Best-of-5 wall nanoseconds per trace record of launch + run.
-fn ns_per_record(programs: impl Fn() -> Vec<RankProgram>) -> f64 {
-    (0..5)
-        .map(|_| {
-            let programs = programs();
-            let started = Instant::now();
-            let mut engine = Engine::launch(
-                EngineConfig::with_recorder(RecorderConfig::full()),
-                programs,
-            );
-            assert!(engine.run().is_completed());
-            let ns = started.elapsed().as_nanos() as f64;
-            ns / engine.collect_trace().len() as f64
-        })
-        .fold(f64::INFINITY, f64::min)
+/// Wall nanoseconds of `f`.
+fn timed<T>(f: impl FnOnce() -> T) -> f64 {
+    let started = Instant::now();
+    std::hint::black_box(f());
+    started.elapsed().as_nanos() as f64
+}
+
+/// The best of five `sample`s of each cell. The cells take turns inside
+/// every round, so a slow spell of the machine hits every size alike
+/// instead of the one it happened to be measuring.
+fn interleaved_best<C, const N: usize>(
+    cells: &[C; N],
+    mut sample: impl FnMut(&C) -> f64,
+) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..5 {
+        for (best, cell) in best.iter_mut().zip(cells) {
+            *best = best.min(sample(cell));
+        }
+    }
+    best
+}
+
+/// Wall nanoseconds per trace record of launch + run.
+fn ns_per_record(programs: Vec<RankProgram>) -> f64 {
+    let started = Instant::now();
+    let mut engine = Engine::launch(
+        EngineConfig::with_recorder(RecorderConfig::full()),
+        programs,
+    );
+    assert!(engine.run().is_completed());
+    let ns = started.elapsed().as_nanos() as f64;
+    ns / engine.collect_trace().len() as f64
 }
 
 fn record(programs: Vec<RankProgram>) -> TraceStore {
@@ -45,17 +63,6 @@ fn record(programs: Vec<RankProgram>) -> TraceStore {
     );
     assert!(engine.run().is_completed());
     engine.trace_store()
-}
-
-/// Best-of-5 wall nanoseconds of `f`.
-fn best_ns<T>(mut f: impl FnMut() -> T) -> f64 {
-    (0..5)
-        .map(|_| {
-            let started = Instant::now();
-            std::hint::black_box(f());
-            started.elapsed().as_nanos() as f64
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 fn stencil(n: usize) -> Vec<RankProgram> {
@@ -71,7 +78,7 @@ fn stencil(n: usize) -> Vec<RankProgram> {
 fn a_record_costs_the_same_at_1024_ranks_as_at_64() {
     const WIDTHS: [usize; 3] = [64, 256, 1024];
     let row = |name: &str, programs: &dyn Fn(usize) -> Vec<RankProgram>| {
-        let cells = WIDTHS.map(|n| ns_per_record(|| programs(n)));
+        let cells = interleaved_best(&WIDTHS, |&n| ns_per_record(programs(n)));
         eprintln!(
             "{name:<10} ns/record at 64/256/1024 ranks: {:.0} / {:.0} / {:.0}",
             cells[0], cells[1], cells[2]
@@ -97,9 +104,9 @@ fn a_record_costs_the_same_at_1024_ranks_as_at_64() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
 fn analyzing_a_record_costs_the_same_at_1024_ranks_as_at_64() {
-    let cells = [64, 256, 1024].map(|n| {
-        let store = record(stencil(n));
-        best_ns(|| HistoryReport::analyze(&store).races.len()) / store.len() as f64
+    let stores = [64, 256, 1024].map(|n| record(stencil(n)));
+    let cells = interleaved_best(&stores, |store| {
+        timed(|| HistoryReport::analyze(store).races.len()) / store.len() as f64
     });
     eprintln!(
         "analyze    ns/record at 64/256/1024 ranks: {:.0} / {:.0} / {:.0}",
@@ -119,33 +126,38 @@ fn analyzing_a_record_costs_the_same_at_1024_ranks_as_at_64() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
 fn race_detection_is_linear_in_the_wildcard_receives() {
-    let cells = [4000, 8000, 16000].map(|tasks| {
+    let pools = [4000, 8000, 16000].map(|tasks| {
         let store = record(master_worker::programs(&PoolConfig {
             nprocs: 8,
             tasks,
             ..PoolConfig::default()
         }));
         let matching = MessageMatching::build(&store);
-        let mut races = 0;
-        let ns = best_ns(|| {
-            let hb = HbIndex::build(&store, &matching);
-            races = detect_races(&store, &matching, &hb).len();
-        });
-        assert!(races >= tasks / 2, "{races} races over {tasks} tasks");
-        (ns, store.len())
+        (tasks, store, matching)
+    });
+    let races = |store: &TraceStore, matching: &MessageMatching| {
+        let hb = HbIndex::build(store, matching);
+        detect_races(store, matching, &hb).len()
+    };
+    for (tasks, store, matching) in &pools {
+        let n = races(store, matching);
+        assert!(n >= tasks / 2, "{n} races over {tasks} tasks");
+    }
+    let cells = interleaved_best(&pools, |(_, store, matching)| {
+        timed(|| races(store, matching))
     });
     eprintln!(
         "races      ns/record at 4000/8000/16000 tasks on 8 ranks: {:.0} / {:.0} / {:.0}",
-        cells[0].0 / cells[0].1 as f64,
-        cells[1].0 / cells[1].1 as f64,
-        cells[2].0 / cells[2].1 as f64
+        cells[0] / pools[0].1.len() as f64,
+        cells[1] / pools[1].1.len() as f64,
+        cells[2] / pools[2].1.len() as f64
     );
     for pair in cells.windows(2) {
         assert!(
-            pair[1].0 <= 2.5 * pair[0].0,
+            pair[1] <= 2.5 * pair[0],
             "doubling the tasks took race detection from {:.0} to {:.0} ns",
-            pair[0].0,
-            pair[1].0
+            pair[0],
+            pair[1]
         );
     }
 }
