@@ -9,7 +9,9 @@
 //! * `engine` — turn-taking engine throughput under the §2
 //!   instrumentation strategies;
 //! * `checkpoint` — snapshot/restore plane: checkpoint capture, engine
-//!   restoration, restored-run determinism, and query site pre-resolution;
+//!   restoration, restored-run determinism, the same at a mid-run stop of
+//!   the 400-rank stencil and the 80k-event random pattern (plus a
+//!   debugger `step` there), and query site pre-resolution;
 //! * `explore` — explorer schedule-search throughput at `jobs = 1` vs
 //!   `jobs = N` (the parallel-speedup comparison), and a 4000-run search
 //!   of a 16-rank workload (the frontier-and-batch-cost row);
@@ -532,6 +534,59 @@ fn suite_checkpoint(opts: &SuiteOptions) -> Suite {
                 want_digest,
                 "restored run must be byte-identical"
             );
+        }));
+    }
+    // The benchmark's wide and deep debuggees stopped half-way through
+    // every rank's history: what saving a debugger stop, returning to one
+    // and stepping from one cost at width and at depth.
+    let stopped_mid = |programs: &dyn Fn() -> Vec<tracedbg_mpsim::RankProgram>| {
+        let mut straight = Engine::launch(EngineConfig::default(), programs());
+        assert!(straight.run().is_completed());
+        let mut e = Engine::launch(
+            EngineConfig {
+                checkpoints: true,
+                ..Default::default()
+            },
+            programs(),
+        );
+        for m in straight.markers().iter() {
+            e.set_threshold(m.rank, Some((m.count / 2).max(1)));
+        }
+        assert!(e.run().is_stopped());
+        e
+    };
+    let stencil400 = || wide::stencil_programs(&wide::StencilConfig { p: 20, steps: 4 });
+    if wants(opts, "checkpoint", "snapshot_stencil400_mid")
+        || wants(opts, "checkpoint", "restore_stencil400_mid")
+    {
+        let mut e = stopped_mid(&stencil400);
+        records.push(measure("snapshot_stencil400_mid", 1, p, || {
+            assert_eq!(e.snapshot().n_ranks(), 400);
+        }));
+        let cp = e.snapshot();
+        records.push(measure("restore_stencil400_mid", 1, p, || {
+            assert_eq!(Engine::restore(&cp, Vec::new()).n_ranks(), 400);
+        }));
+    }
+    if wants(opts, "checkpoint", "step_stencil400") {
+        // `step r` of a session at a mid-run stopline, checkpoint deposit
+        // included, cycling through the first eight ranks.
+        let mut s = Session::launch(SessionConfig::default(), Box::new(stencil400));
+        assert!(s.run().is_completed());
+        let trace = s.trace();
+        let half = Stopline::vertical(&trace, trace.time_bounds().1 / 2);
+        assert!(s.replay_to(&half).is_stopped());
+        let mut next = 0;
+        records.push(measure("step_stencil400", 1, p, || {
+            next += 1;
+            assert!(s.step(Rank(next % 8)).is_stopped());
+        }));
+    }
+    if wants(opts, "checkpoint", "snapshot_random16000_mid") {
+        let pat = random_comm::generate(3, 8, 16_000);
+        let mut e = stopped_mid(&|| random_comm::programs(&pat, 3));
+        records.push(measure("snapshot_random16000_mid", 1, p, || {
+            assert_eq!(e.snapshot().n_ranks(), 8);
         }));
     }
     if wants(opts, "checkpoint", "query_by_function") {

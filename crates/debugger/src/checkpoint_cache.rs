@@ -15,7 +15,11 @@
 //!
 //! Thinning mirrors the undo stack: when the cache outgrows its bound the
 //! newest half is kept intact and the older half keeps every other entry,
-//! so long sessions retain exponentially-spaced restore points.
+//! so long sessions retain exponentially-spaced restore points. An entry
+//! shares every rank and log chunk that did not change with its
+//! neighbours, but still costs tens of kilobytes at a few hundred ranks,
+//! so without the bound a session would grow with every stop
+//! (EXPERIMENTS.md §3).
 
 use std::sync::Arc;
 use tracedbg_mpsim::EngineCheckpoint;
@@ -62,10 +66,11 @@ impl CheckpointCache {
         self.entries.iter().any(|(m, _)| m == markers)
     }
 
-    /// Deposit a checkpoint. Re-stopping at already-cached markers is a
-    /// no-op.
-    pub fn insert(&mut self, cp: EngineCheckpoint) {
-        let markers = cp.markers();
+    /// Deposit a checkpoint taken at `markers` (its
+    /// [`EngineCheckpoint::markers`], which the caller already holds).
+    /// Re-stopping at already-cached markers is a no-op.
+    pub fn insert(&mut self, markers: MarkerVector, cp: EngineCheckpoint) {
+        debug_assert_eq!(markers, cp.markers());
         if self.contains(&markers) {
             return;
         }
@@ -174,11 +179,16 @@ mod tests {
         MarkerVector::from_counts(vec![c])
     }
 
+    /// Deposit the checkpoint of a stop at `threshold`.
+    fn insert_at(cache: &mut CheckpointCache, threshold: u64) {
+        cache.insert(mv(threshold), checkpoint_at(threshold));
+    }
+
     #[test]
     fn best_for_picks_deepest_dominated() {
         let mut cache = CheckpointCache::new();
         for t in [3, 6, 9] {
-            cache.insert(checkpoint_at(t));
+            insert_at(&mut cache, t);
         }
         let best = cache.best_for(&mv(7)).expect("6 is dominated by 7");
         assert_eq!(best.markers(), mv(6));
@@ -190,8 +200,8 @@ mod tests {
     #[test]
     fn duplicate_markers_are_not_stored_twice() {
         let mut cache = CheckpointCache::new();
-        cache.insert(checkpoint_at(5));
-        cache.insert(checkpoint_at(5));
+        insert_at(&mut cache, 5);
+        insert_at(&mut cache, 5);
         assert_eq!(cache.len(), 1);
     }
 
@@ -199,7 +209,7 @@ mod tests {
     fn compaction_bounds_size_and_keeps_newest() {
         let mut cache = CheckpointCache::with_capacity(4);
         for t in 1..=12 {
-            cache.insert(checkpoint_at(t));
+            insert_at(&mut cache, t);
         }
         assert!(cache.len() <= 5, "len {}", cache.len());
         // The newest checkpoint always survives thinning.
@@ -209,7 +219,7 @@ mod tests {
     #[test]
     fn lookup_stats_track_hits_misses_and_distance() {
         let mut cache = CheckpointCache::new();
-        cache.insert(checkpoint_at(3));
+        insert_at(&mut cache, 3);
         assert!(cache.best_for(&mv(2)).is_none());
         assert!(cache.best_for(&mv(7)).is_some());
         let st = cache.stats();
@@ -221,7 +231,7 @@ mod tests {
     #[test]
     fn restored_cache_entry_is_runnable() {
         let mut cache = CheckpointCache::new();
-        cache.insert(checkpoint_at(4));
+        insert_at(&mut cache, 4);
         let cp = cache.best_for(&mv(10)).unwrap();
         let mut e = Engine::restore(&cp, Vec::new());
         e.clear_thresholds();

@@ -17,9 +17,7 @@ use tracedbg_mpsim::{
     CostModel, Engine, EngineConfig, EngineMetrics, FaultPlan, RecorderConfig, ReplayLog,
     RunOutcome, SchedPolicy,
 };
-use tracedbg_trace::{
-    Marker, MarkerVector, Rank, ScheduleArtifact, SiteTable, TraceRecord, TraceStore,
-};
+use tracedbg_trace::{Marker, MarkerVector, Rank, ScheduleArtifact, SiteTable, TraceStore};
 
 pub use tracedbg_mpsim::ProgramFactory;
 
@@ -251,7 +249,7 @@ impl Session {
             self.stop_count += 1;
             let every = self.cfg.checkpoint_every;
             if every > 0 && self.stop_count % every == 0 && !self.ckpts.contains(&markers) {
-                self.ckpts.insert(self.engine.snapshot());
+                self.ckpts.insert(markers.clone(), self.engine.snapshot());
             }
         }
         self.undo.push(markers);
@@ -288,13 +286,10 @@ impl Session {
     /// p2d2's set-oriented stepping.
     pub fn step_set(&mut self, ranks: &BTreeSet<Rank>) -> &SessionStatus {
         let markers = self.engine.markers();
-        for rank in self.ranks() {
-            if ranks.contains(&rank) {
-                self.engine.set_threshold(rank, Some(markers.get(rank) + 1));
-                self.engine.resume_rank(rank);
-            } else {
-                self.engine.set_paused(rank, true);
-            }
+        self.engine.pause_all_but(ranks.iter().copied());
+        for &rank in ranks {
+            self.engine.set_threshold(rank, Some(markers.get(rank) + 1));
+            self.engine.resume_rank(rank);
         }
         self.run();
         self.engine.clear_pauses();
@@ -441,16 +436,13 @@ impl Session {
     }
 
     /// The most recent probe value with this label on a rank, from the
-    /// trace collected so far — the stand-in for inspecting a local
-    /// variable at a stop (Figure 7's `jres`).
-    pub fn latest_probe(&mut self, rank: Rank, label: &str) -> Option<i64> {
-        let store = self.trace();
-        store
-            .by_rank(rank)
-            .iter()
-            .rev()
-            .map(|&id| store.record(id).clone())
-            .find(|r: &TraceRecord| {
+    /// trace recorded so far — the stand-in for inspecting a local
+    /// variable at a stop (Figure 7's `jres`). Reads the rank's own records
+    /// newest first, without building the whole history.
+    pub fn latest_probe(&self, rank: Rank, label: &str) -> Option<i64> {
+        self.engine
+            .records_newest_first(rank)
+            .find(|r| {
                 r.kind == tracedbg_trace::EventKind::Probe && r.label.as_deref() == Some(label)
             })
             .map(|r| r.args[0])
@@ -582,6 +574,54 @@ mod tests {
         assert_eq!(s.latest_probe(Rank(1), "got"), Some(99));
         assert_eq!(s.latest_probe(Rank(0), "i"), Some(4));
         assert_eq!(s.latest_probe(Rank(0), "nope"), None);
+    }
+
+    #[test]
+    fn latest_probe_answers_what_the_whole_history_answers_at_every_stop() {
+        use tracedbg_trace::EventKind;
+        use tracedbg_workloads::master_worker::{self, PoolConfig};
+        let cfg = PoolConfig::default();
+        let mut s = Session::launch(
+            SessionConfig {
+                recorder: RecorderConfig::full(),
+                ..Default::default()
+            },
+            Box::new(move || master_worker::programs(&cfg)),
+        );
+        assert!(s.run().is_completed());
+        // The answer as the sorted whole history gives it. Building the
+        // history gathers every buffer, so the next stop's answers come
+        // from a buffer and the collected log alike.
+        let from_history = |s: &mut Session, rank: Rank, label: &str| {
+            let store = s.trace();
+            let latest = store.by_rank(rank).iter().rev().map(|&id| store.record(id));
+            latest
+                .filter(|r| r.kind == EventKind::Probe && r.label.as_deref() == Some(label))
+                .map(|r| r.args[0])
+                .next()
+        };
+        s.replay_to(&Stopline {
+            markers: MarkerVector::from_counts(vec![1; cfg.nprocs]),
+            origin: "start".into(),
+        });
+        let mut answered = 0;
+        loop {
+            for rank in (0..cfg.nprocs).map(Rank::from) {
+                for label in ["completed_by", "nope"] {
+                    let got = s.latest_probe(rank, label);
+                    assert_eq!(got, from_history(&mut s, rank, label), "{rank:?} {label}");
+                    answered += usize::from(got.is_some());
+                }
+            }
+            if !s.status().is_stopped() {
+                break;
+            }
+            s.step_all();
+        }
+        assert!(s.status().is_completed());
+        assert!(s.engine().is_finished(Rank(0)));
+        assert_eq!(s.latest_probe(Rank(0), "completed_by"), Some(1));
+        assert!(answered > 20, "{answered} stops saw a probe");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!    instruction-count idea: the counter value names the state),
 //! 2. performs the `UserMonitor` bookkeeping — remembering the call site and
 //!    the first two integer arguments in a small ring,
-//! 3. tests the counter against the **debugger-set threshold** and reports a
+//! 3. tests the counter against the **debugger-set threshold** (an
+//!    [`Armed`] the engine lends it, beside breakpoints) and reports a
 //!    [`Disposition::Trap`] when it fires (this is how stoplines, replay and
 //!    undo stop a process at an exact past state), and
 //! 4. appends a [`TraceRecord`](tracedbg_trace::TraceRecord) to the
@@ -28,7 +29,7 @@ pub mod config;
 pub mod recorder;
 pub mod user_monitor;
 
-pub use breakpoints::{BreakSet, TrapCause, Watch, WatchCond};
+pub use breakpoints::{Armed, BreakSet, TrapCause, Watch, WatchCond};
 pub use config::{ConstructFilter, RecorderConfig, Strategy};
 pub use recorder::{Disposition, Recorder};
 pub use user_monitor::{CallRing, RingEntry, UserMonitor, NO_THRESHOLD};

@@ -88,12 +88,13 @@ impl CallRing {
     }
 }
 
-/// Per-process `UserMonitor` state: the execution-marker counter, the
-/// debugger-set threshold, and the recent-call ring.
+/// Per-process `UserMonitor` state: the execution-marker counter and the
+/// recent-call ring. The threshold the counter is tested against is the
+/// debugger's, kept in the process's [`Armed`](crate::Armed) state and
+/// passed to each call.
 #[derive(Clone, Debug)]
 pub struct UserMonitor {
     counter: u64,
-    threshold: u64,
     ring: CallRing,
 }
 
@@ -101,49 +102,31 @@ impl UserMonitor {
     pub fn new(ring_capacity: usize) -> Self {
         UserMonitor {
             counter: 0,
-            threshold: NO_THRESHOLD,
             ring: CallRing::new(ring_capacity),
         }
     }
 
     /// The monitor call itself. Returns `true` when the counter has reached
-    /// the armed threshold (a debugger trap).
+    /// `threshold` (a debugger trap; [`NO_THRESHOLD`] when none is armed).
+    /// The test is `>=`: a process keeps trapping until the debugger
+    /// disarms it. This is the replay/stopline mechanism: "the debugger
+    /// ... stores the execution markers in the UserMonitor threshold
+    /// variables" (§4.1).
     #[inline]
-    pub fn invoke(&mut self, site: SiteId, a0: i64, a1: i64) -> bool {
+    pub fn invoke(&mut self, site: SiteId, a0: i64, a1: i64, threshold: u64) -> bool {
         self.counter += 1;
         self.ring.push(RingEntry {
             site,
             args: [a0, a1],
             marker: self.counter,
         });
-        self.counter >= self.threshold
+        self.counter >= threshold
     }
 
     /// Current marker counter (number of instrumentation events executed).
     #[inline]
     pub fn counter(&self) -> u64 {
         self.counter
-    }
-
-    /// Arm a trap: the monitor reports a trap at the first event with
-    /// `counter >= threshold`. This is the replay/stopline mechanism: "the
-    /// debugger ... stores the execution markers in the UserMonitor
-    /// threshold variables" (§4.1).
-    pub fn set_threshold(&mut self, threshold: u64) {
-        self.threshold = threshold;
-    }
-
-    /// Disarm the trap.
-    pub fn clear_threshold(&mut self) {
-        self.threshold = NO_THRESHOLD;
-    }
-
-    pub fn threshold(&self) -> Option<u64> {
-        if self.threshold == NO_THRESHOLD {
-            None
-        } else {
-            Some(self.threshold)
-        }
     }
 
     /// Total monitor invocations (Table 1's "Number of calls" row): every
@@ -171,8 +154,8 @@ mod tests {
     #[test]
     fn counter_increments() {
         let mut m = UserMonitor::default();
-        assert!(!m.invoke(SiteId(0), 1, 2));
-        assert!(!m.invoke(SiteId(1), 3, 4));
+        assert!(!m.invoke(SiteId(0), 1, 2, NO_THRESHOLD));
+        assert!(!m.invoke(SiteId(1), 3, 4, NO_THRESHOLD));
         assert_eq!(m.counter(), 2);
         assert_eq!(m.invocations(), 2);
     }
@@ -180,23 +163,20 @@ mod tests {
     #[test]
     fn threshold_traps_exactly_once_armed() {
         let mut m = UserMonitor::default();
-        m.set_threshold(3);
-        assert!(!m.invoke(SiteId(0), 0, 0));
-        assert!(!m.invoke(SiteId(0), 0, 0));
-        assert!(m.invoke(SiteId(0), 0, 0), "3rd event must trap");
+        assert!(!m.invoke(SiteId(0), 0, 0, 3));
+        assert!(!m.invoke(SiteId(0), 0, 0, 3));
+        assert!(m.invoke(SiteId(0), 0, 0, 3), "3rd event must trap");
         // Threshold is >= so subsequent events keep trapping until cleared —
         // the debugger clears it on stop.
-        assert!(m.invoke(SiteId(0), 0, 0));
-        m.clear_threshold();
-        assert!(!m.invoke(SiteId(0), 0, 0));
-        assert_eq!(m.threshold(), None);
+        assert!(m.invoke(SiteId(0), 0, 0, 3));
+        assert!(!m.invoke(SiteId(0), 0, 0, NO_THRESHOLD));
     }
 
     #[test]
     fn ring_keeps_newest_first() {
         let mut m = UserMonitor::new(3);
         for i in 0..5 {
-            m.invoke(SiteId(i), i as i64, 0);
+            m.invoke(SiteId(i), i as i64, 0, NO_THRESHOLD);
         }
         let recent = m.ring().recent();
         assert_eq!(recent.len(), 3);
@@ -210,7 +190,7 @@ mod tests {
     #[test]
     fn ring_partial_fill() {
         let mut m = UserMonitor::new(8);
-        m.invoke(SiteId(9), 7, 8);
+        m.invoke(SiteId(9), 7, 8, NO_THRESHOLD);
         let recent = m.ring().recent();
         assert_eq!(recent.len(), 1);
         assert_eq!(recent[0].args, [7, 8]);
@@ -221,7 +201,7 @@ mod tests {
         let mut m = UserMonitor::new(3);
         assert_eq!(m.ring().last(), None);
         for i in 0..3 {
-            m.invoke(SiteId(i), 0, 0);
+            m.invoke(SiteId(i), 0, 0, NO_THRESHOLD);
         }
         let sites: Vec<u32> = m.ring().recent().iter().map(|e| e.site.0).collect();
         assert_eq!(sites, [2, 1, 0]);

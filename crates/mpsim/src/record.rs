@@ -33,7 +33,10 @@ pub struct ReplayLog {
 
 impl ReplayLog {
     /// The `Match` decisions of a run's decision log, by receiver.
-    pub fn from_decisions(n_ranks: usize, decisions: &[DecisionPoint]) -> Self {
+    pub fn from_decisions<'a>(
+        n_ranks: usize,
+        decisions: impl IntoIterator<Item = &'a DecisionPoint>,
+    ) -> Self {
         let mut per_rank = vec![Vec::new(); n_ranks];
         for d in decisions {
             if let Decision::Match { dst, src, seq } = d.chosen {

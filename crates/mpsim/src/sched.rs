@@ -11,6 +11,7 @@
 use crate::mailbox::Candidate;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 use tracedbg_trace::schedule::{Decision, RankSet};
 use tracedbg_trace::Rank;
 
@@ -30,13 +31,14 @@ pub enum SchedPolicy {
     Scripted(Vec<Decision>),
 }
 
-/// Instantiated scheduler state.
+/// Instantiated scheduler state. The script is shared, so a checkpoint of
+/// the scheduler copies a cursor, not the schedule.
 #[derive(Clone)]
 pub struct Scheduler {
     policy_is_random: bool,
     rng: ChaCha8Rng,
     last: usize,
-    script: Vec<Decision>,
+    script: Option<Arc<[Decision]>>,
     cursor: usize,
     diverged: bool,
 }
@@ -44,9 +46,9 @@ pub struct Scheduler {
 impl Scheduler {
     pub fn new(policy: &SchedPolicy, n_ranks: usize) -> Self {
         let (policy_is_random, seed, script) = match policy {
-            SchedPolicy::RoundRobin => (false, 0, Vec::new()),
-            SchedPolicy::Seeded(s) => (true, *s, Vec::new()),
-            SchedPolicy::Scripted(d) => (false, 0, d.clone()),
+            SchedPolicy::RoundRobin => (false, 0, None),
+            SchedPolicy::Seeded(s) => (true, *s, None),
+            SchedPolicy::Scripted(d) => (false, 0, Some(Arc::from(d.as_slice()))),
         };
         Scheduler {
             policy_is_random,
@@ -74,7 +76,7 @@ impl Scheduler {
         if self.diverged {
             None
         } else {
-            self.script.get(self.cursor).copied()
+            self.script.as_ref()?.get(self.cursor).copied()
         }
     }
 

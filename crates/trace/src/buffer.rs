@@ -6,17 +6,20 @@
 //! demand". [`TraceBuffer`] is that monitor-side buffer: each simulated
 //! process appends records locally (no cross-process synchronization on the
 //! hot path) and whoever owns the run's collection — the engine — drains it
-//! with [`TraceBuffer::take`], on demand or at the end of the run.
+//! with [`TraceBuffer::take`], on demand or at the end of the run. The
+//! records sit in a [`ChunkLog`], so a full chunk is handed over (and
+//! shared with any checkpoint of the run) without being copied.
 //!
 //! "The size of trace file can be controlled by ... toggling the collection
 //! on and off in the monitor" — see [`TraceBuffer::set_enabled`].
 
+use crate::chunk_log::ChunkLog;
 use crate::event::TraceRecord;
 
 /// A per-process append-only record buffer.
 #[derive(Clone, Debug, Default)]
 pub struct TraceBuffer {
-    records: Vec<TraceRecord>,
+    records: ChunkLog<TraceRecord>,
     enabled: bool,
     /// Records dropped while collection was toggled off.
     suppressed: u64,
@@ -25,7 +28,7 @@ pub struct TraceBuffer {
 impl TraceBuffer {
     pub fn new() -> Self {
         TraceBuffer {
-            records: Vec::new(),
+            records: ChunkLog::new(),
             enabled: true,
             suppressed: 0,
         }
@@ -66,12 +69,18 @@ impl TraceBuffer {
     }
 
     /// Drain the buffer (on-demand flush, end-of-run collection).
-    pub fn take(&mut self) -> Vec<TraceRecord> {
+    pub fn take(&mut self) -> ChunkLog<TraceRecord> {
         std::mem::take(&mut self.records)
     }
 
+    /// Move the records buffered since the last seal into a shared chunk
+    /// ([`ChunkLog::seal`]): a copy of the buffer then shares every record.
+    pub fn seal(&mut self) {
+        self.records.seal();
+    }
+
     /// Peek at buffered records without draining.
-    pub fn records(&self) -> &[TraceRecord] {
+    pub fn records(&self) -> &ChunkLog<TraceRecord> {
         &self.records
     }
 }

@@ -15,6 +15,8 @@
 //! * [`TraceBuffer`] / [`TraceStore`] — per-process collection with
 //!   on-demand flush (the paper's extension of the AIMS monitor for *during
 //!   execution* use) and a merged, queryable whole-program history;
+//! * [`ChunkLog`] — the append-only log a run keeps its history in, whose
+//!   copies (checkpoints) share every sealed chunk;
 //! * text and JSON trace file formats ([`file`]).
 //!
 //! Everything here is deliberately independent of the runtime: the trace is
@@ -22,6 +24,7 @@
 //! and the visualizers consume it without linking the engine.
 
 pub mod buffer;
+pub mod chunk_log;
 pub mod diff;
 pub mod event;
 pub mod file;
@@ -35,6 +38,7 @@ pub mod source;
 pub mod stats;
 
 pub use buffer::TraceBuffer;
+pub use chunk_log::ChunkLog;
 pub use diff::{diff_traces, trace_digest, DiffMode, Divergence};
 pub use event::{CollKind, EventKind, MsgInfo, TraceRecord};
 pub use history::{EventId, TraceStore};

@@ -60,11 +60,12 @@ expect_error 'view takes trace.trc | trace.tbin | store-dir, not the workload "r
 echo "==> cargo test -q"
 cargo test --offline -q
 
-echo "==> flake: bench-lib and store test binaries, the engine and race width gates, 20 consecutive green runs"
+echo "==> flake: bench-lib and store test binaries, the engine, race and step width gates, 20 consecutive green runs"
 # Tests that share scratch state, and timing gates with thin margins (a
 # stencil record at 1024 ranks <= 3x one at 64; race detection on 2x the
-# wildcard receives <= 2.5x), only fail some of the time; one pass of
-# `cargo test` cannot tell. Fail on the first red run.
+# wildcard receives <= 2.5x; a debugger step at 1024 ranks <= 3x one at
+# 64), only fail some of the time; one pass of `cargo test` cannot tell.
+# Fail on the first red run.
 for i in $(seq 1 20); do
   cargo test --offline -q -p tracedbg-bench --lib >/dev/null 2>&1 \
     || { echo "flake stage: tracedbg-bench --lib failed on run $i" >&2; exit 1; }
@@ -76,6 +77,9 @@ for i in $(seq 1 20); do
   cargo test --offline --release -q --test width_scaling race_detection_is_linear \
       -- --test-threads 1 >/dev/null 2>&1 \
     || { echo "flake stage: width_scaling race gate failed on run $i" >&2; exit 1; }
+  cargo test --offline --release -q --test width_scaling a_step_costs_the_same \
+      -- --test-threads 1 >/dev/null 2>&1 \
+    || { echo "flake stage: width_scaling step gate failed on run $i" >&2; exit 1; }
 done
 
 echo "==> benchmark crate: builds and passes against the current public API, untouched"
@@ -283,6 +287,17 @@ for gone in SFrame ScriptTask site_here site_in_scope PushScope fn_stack; do
   gate "$gone under crates/*/src" "$(count "\\b$gone\\b" "${src[@]}")" -eq 0
 done
 gate "impls of TaskProgram" "$(count 'impl\b.*\bTaskProgram for\b' "${src[@]}")" -eq 1
+# A checkpoint shares what did not change: its ranks sit behind `Arc`s in
+# blocks (`RankTable<RankCell>`), not in per-rank vectors it would copy,
+# and the run's history is a `ChunkLog`, not a `Vec` (test modules aside).
+gate "per-rank vectors of ranks in checkpoint.rs" \
+  "$(count 'Vec<(Recorder|TaskHarness|Mailbox)>' crates/mpsim/src/checkpoint.rs)" -eq 0
+nontest() { # <files...>: each file up to its first top-level #[cfg(test)]
+  local f
+  for f in "$@"; do sed '/^#\[cfg(test)\]/,$d' "$f"; done
+}
+gate "decision_log/collected held in a Vec" \
+  "$(nontest $(find crates/*/src -name '*.rs') | { grep -cE '(decision_log|collected): Vec<' || true; })" -eq 0
 # Sleep-set DPOR must report exactly the findings of the full search on
 # the racy script workloads (same classes, same counts), at any --jobs.
 for wl in sdl:racy-wildcard sdl:racy-deadlock; do

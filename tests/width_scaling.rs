@@ -1,5 +1,6 @@
 //! Engine cost follows events, not ranks: the per-record cost of a run
-//! must not grow with the width of the run.
+//! must not grow with the width of the run, and a debugger `step` or
+//! `undo` must not grow with the width or the length of the run.
 //!
 //! The stencil is the shape where width used to show — almost every rank
 //! is ready on almost every turn, so a per-turn scan of all ranks (and a
@@ -11,14 +12,15 @@
 //! debug build re-scans every rank after every turn to check the
 //! incremental ready set, which is exactly the cost this test rules out.
 
+use std::cell::RefCell;
 use std::time::Instant;
 use tracedbg::causality::{detect_races, HbIndex};
-use tracedbg::debugger::HistoryReport;
+use tracedbg::debugger::{HistoryReport, Session, SessionConfig, Stopline};
 use tracedbg::mpsim::{Engine, EngineConfig, RankProgram, RecorderConfig};
-use tracedbg::trace::TraceStore;
+use tracedbg::trace::{Rank, TraceStore};
 use tracedbg::tracegraph::MessageMatching;
 use tracedbg::workloads::master_worker::{self, PoolConfig};
-use tracedbg::workloads::ring;
+use tracedbg::workloads::ring::{self, RingConfig};
 use tracedbg::workloads::wide::{self, ButterflyConfig, StencilConfig};
 
 /// Wall nanoseconds of `f`.
@@ -160,4 +162,102 @@ fn race_detection_is_linear_in_the_wildcard_receives() {
             pair[1]
         );
     }
+}
+
+/// A checkpointing session over `programs` that has recorded one run, and
+/// that run's trace.
+fn recorded_session(
+    recorder: RecorderConfig,
+    programs: impl Fn() -> Vec<RankProgram> + Send + Sync + 'static,
+) -> (Session, TraceStore) {
+    let mut s = Session::launch(
+        SessionConfig {
+            recorder,
+            ..SessionConfig::default()
+        },
+        Box::new(programs),
+    );
+    assert!(s.run().is_completed());
+    let trace = s.trace();
+    (s, trace)
+}
+
+/// The vertical stopline at `num/den` of the recorded makespan.
+fn cut(trace: &TraceStore, num: u64, den: u64) -> Stopline {
+    Stopline::vertical(trace, trace.time_bounds().1 * num / den)
+}
+
+/// A `step` moves one rank, so with checkpoints that share the ranks and
+/// history that did not move, stepping (its checkpoint deposit included)
+/// must not cost more at 1024 ranks than at 64 — it cost ~30× more while a
+/// checkpoint deep-copied every rank and the whole history.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn a_step_costs_the_same_at_1024_ranks_as_at_64() {
+    let sessions = [64, 256, 1024].map(|n| {
+        let (mut session, trace) = recorded_session(RecorderConfig::default(), move || stencil(n));
+        assert!(session.replay_to(&cut(&trace, 1, 2)).is_stopped());
+        RefCell::new((session, 0u32))
+    });
+    // Each sample steps the next of the first eight ranks.
+    let cells = interleaved_best(&sessions, |cell| {
+        let (session, next) = &mut *cell.borrow_mut();
+        *next += 1;
+        timed(|| session.step(Rank(*next % 8)).is_stopped())
+    });
+    eprintln!(
+        "step       us at 64/256/1024 ranks: {:.1} / {:.1} / {:.1}",
+        cells[0] / 1e3,
+        cells[1] / 1e3,
+        cells[2] / 1e3
+    );
+    let [narrow, _, wide] = cells;
+    assert!(
+        wide <= 3.0 * narrow,
+        "a step costs {wide:.0} ns at 1024 ranks against {narrow:.0} ns at 64"
+    );
+}
+
+/// Ablation 2 (EXPERIMENTS.md): an `undo` that restores the checkpoint of
+/// the stop it returns to costs the same after 65k recorded events as
+/// after 1k — a restore copies a pointer per block of ranks and per log,
+/// not the history (after 65k events it was 60–70× dearer while a
+/// checkpoint copied the history).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn an_undo_by_restore_costs_the_same_at_65k_events_as_at_1k() {
+    let sessions = [64usize, 4096].map(|rounds| {
+        let cfg = RingConfig {
+            nprocs: 4,
+            rounds,
+            hop_cost: 100,
+            tag_stride: 0,
+        };
+        let (mut session, trace) = recorded_session(RecorderConfig::full(), ring::factory(cfg));
+        let three_quarters = cut(&trace, 3, 4);
+        assert!(session.replay_to(&cut(&trace, 1, 2)).is_stopped());
+        assert!(session.replay_to(&three_quarters).is_stopped());
+        RefCell::new((session, three_quarters))
+    });
+    let cells = interleaved_best(&sessions, |cell| {
+        let (session, three_quarters) = &mut *cell.borrow_mut();
+        // Twenty round trips: to the 3/4 stop, then `undo` back to the 1/2
+        // one, each a cache hit.
+        (0..20)
+            .map(|_| {
+                assert!(session.replay_to(three_quarters).is_stopped());
+                timed(|| assert!(session.undo()))
+            })
+            .sum()
+    });
+    eprintln!(
+        "undo       us at 1k/65k events: {:.1} / {:.1}",
+        cells[0] / 20e3,
+        cells[1] / 20e3
+    );
+    let [short, long] = cells;
+    assert!(
+        long <= 1.2 * short,
+        "an undo costs {long:.0} ns after 65k events against {short:.0} ns after 1k"
+    );
 }
