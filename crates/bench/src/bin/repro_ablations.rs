@@ -7,7 +7,7 @@
 //! 2. **Checkpointed undo** (§6 future work): wall time of one `undo` in
 //!    a debugging [`Session`] that re-executes from process creation
 //!    (`checkpoint_every: 0`, the paper's implementation) vs one that
-//!    restores the stop's cached checkpoint (`checkpoint_every: 1`), as a
+//!    restores the stop's checkpoint (`checkpoint_every: 1`), as a
 //!    function of history depth.
 //! 3. **Checkpoint backlog**: events re-executed by backward jumps in a
 //!    session that has stopped 16 times along the run — distance from the
@@ -15,7 +15,7 @@
 //!    vs the from-scratch distance.
 //!
 //! 2 and 3 are measured on the shipping engine: the real `Session` and
-//! `CheckpointCache` over the `ring` workload at growing `rounds`.
+//! its backlog of stops over the `ring` workload at growing `rounds`.
 
 use std::time::Instant;
 use tracedbg_bench::{write_artifact, TextTable};
@@ -160,9 +160,9 @@ fn session_jump_table() -> String {
         for (label, num, den) in [("30%", 3u64, 10u64), ("55%", 11, 20), ("90%", 9, 10)] {
             let target = cut(&trace, num, den);
             let scratch: u64 = target.markers.counts().iter().sum();
-            let before = s.checkpoint_cache().stats().restore_distance;
+            let before = s.telemetry().cache.restore_distance;
             assert!(s.replay_to(&target).is_stopped());
-            let replayed = s.checkpoint_cache().stats().restore_distance - before;
+            let replayed = s.telemetry().cache.restore_distance - before;
             table.row(&[
                 total.to_string(),
                 label.to_string(),

@@ -327,7 +327,7 @@ fn suite_replay(opts: &SuiteOptions) -> Suite {
         }));
     }
     // Debugger-level undo: bounce between two stoplines and undo, with the
-    // checkpoint cache off (`undo_scratch`: every hop replays from scratch)
+    // checkpoints off (`undo_scratch`: every hop replays from scratch)
     // vs on (`undo_ckpt`: every hop restores a dominated checkpoint).
     let half = Stopline {
         markers: MarkerVector::from_counts(

@@ -188,8 +188,7 @@ fn replay_to_critical_path(
 /// Re-execute a failing schedule and stop every process at a report's
 /// marker frontier — `(markers, stopline origin, frontier name)`. The
 /// failing execution runs once to record its match log (pinning wildcard
-/// choices) and seed the checkpoint cache, then the stopline replay jumps
-/// to the frontier; `epilogue` prints what the report wants shown of the
+/// choices), then the stopline replay jumps to the frontier; `epilogue` prints what the report wants shown of the
 /// stopped session. Exits zero iff the frontier was reached exactly.
 fn replay_to_stopline(
     artifact: &ScheduleArtifact,

@@ -362,7 +362,7 @@ impl CommandInterface {
             }
             ["stats"] => {
                 // The debugger's telemetry view: command timing, checkpoint
-                // cache behaviour, and engine metrics across incarnations.
+                // lookups, and engine metrics across incarnations.
                 let tel = self.session.telemetry();
                 let mut out = String::from("> stats");
                 out.push_str(&format!(

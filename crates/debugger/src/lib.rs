@@ -14,17 +14,19 @@
 //!   state at the previous debugger stop, implemented — as §6 says — "in
 //!   straightforward manner by re-executing until an execution marker
 //!   threshold is encountered";
-//! * **O(delta) replay** ([`CheckpointCache`]) — every stop may deposit an
-//!   engine checkpoint; `replay_to`/`undo` restore the nearest dominated
-//!   snapshot and re-execute only the remaining delta instead of starting
-//!   from process creation (§6's "logarithmic backlog" of saved states);
+//! * **O(delta) replay** — the session keeps one backlog of its stops
+//!   (§6's "logarithmic backlog" of saved states): each entry is a stop's
+//!   markers, the undo target, and may carry the engine checkpoint taken
+//!   there; `replay_to`/`undo` restore the nearest dominated checkpoint
+//!   and re-execute only the remaining delta instead of starting from
+//!   process creation ([`SessionTelemetry::cache`] counts the lookups);
 //! * **communication supervision** ([`HistoryReport`]) — unmatched
 //!   sends/receives, circular-wait deadlocks, message races (§4.4);
 //! * a text **command interface** ([`commands::CommandInterface`]) used by
 //!   the scripted debugging sessions in the figure-reproduction harnesses.
 
 pub mod analysis;
-pub mod checkpoint_cache;
+mod backlog;
 pub mod commands;
 pub mod procset;
 pub mod schedule_replay;
@@ -32,10 +34,9 @@ pub mod session;
 pub mod stopline;
 #[cfg(test)]
 mod testprog;
-pub mod undo;
 
 pub use analysis::HistoryReport;
-pub use checkpoint_cache::{CacheLookupStats, CheckpointCache};
+pub use backlog::CacheLookupStats;
 pub use commands::CommandInterface;
 pub use procset::ProcSets;
 pub use schedule_replay::{
@@ -43,4 +44,3 @@ pub use schedule_replay::{
 };
 pub use session::{ProgramFactory, Session, SessionConfig, SessionStatus, SessionTelemetry};
 pub use stopline::Stopline;
-pub use undo::UndoStack;

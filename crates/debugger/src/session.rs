@@ -4,18 +4,17 @@
 //! undo re-execute it from the start — §6: "our current implementation of
 //! replay and undo is done in straightforward manner by re-executing until
 //! an execution marker threshold is encountered"), the engine incarnation
-//! currently running it, the recorded receive-match log, the checkpoint
-//! backlog §6 asks for, and the undo stack of stop states.
+//! currently running it, the recorded receive-match log, and the backlog of
+//! its stops — the undo targets, with the checkpoints §6 asks for.
 
-use crate::checkpoint_cache::{CacheLookupStats, CheckpointCache};
+use crate::backlog::{Backlog, CacheLookupStats};
 use crate::stopline::Stopline;
-use crate::undo::UndoStack;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use tracedbg_mpsim::DeadlockReport;
 use tracedbg_mpsim::{
-    CostModel, Engine, EngineConfig, EngineMetrics, FaultPlan, RecorderConfig, ReplayLog,
-    RunOutcome, SchedPolicy,
+    CostModel, Engine, EngineCheckpoint, EngineConfig, EngineMetrics, FaultPlan, RecorderConfig,
+    ReplayLog, RunOutcome, SchedPolicy,
 };
 use tracedbg_trace::{Marker, MarkerVector, Rank, ScheduleArtifact, SiteTable, TraceStore};
 
@@ -30,11 +29,12 @@ pub struct SessionConfig {
     /// Faults to inject into every incarnation of the target (explorer
     /// schedule replays carry the fault plan of the run they reproduce).
     pub faults: FaultPlan,
-    /// Deposit an [`EngineCheckpoint`] in the session's cache every Nth
-    /// debugger stop, so `replay_to`/`undo` restore the nearest dominated
-    /// checkpoint and re-execute only the delta. `0` disables
-    /// checkpointing entirely (every replay re-executes from scratch, the
-    /// pre-checkpoint behavior).
+    /// Take an [`EngineCheckpoint`] at every Nth debugger stop that leaves
+    /// the program stopped, kept with that stop in the session's backlog,
+    /// so `replay_to`/`undo` restore the nearest dominated checkpoint and
+    /// re-execute only the delta. `0` disables checkpointing entirely
+    /// (every replay re-executes from scratch, the pre-checkpoint
+    /// behavior).
     pub checkpoint_every: usize,
 }
 
@@ -135,16 +135,14 @@ pub struct Session {
     sites: SiteTable,
     engine: Engine,
     status: SessionStatus,
-    undo: UndoStack,
+    /// Every stop since launch or restart, thinned to a logarithmic
+    /// backlog (§6): the undo targets, and the checkpoints replays restore
+    /// the nearest dominated one of instead of starting over.
+    backlog: Backlog,
     /// The match log the current incarnation replays: taken from the
     /// recording incarnation when its first replay is requested, shared
     /// with every engine and checkpoint since. `None` while recording.
     recorded_log: Option<Arc<ReplayLog>>,
-    /// Logarithmic backlog of stop-state checkpoints (§6): replay targets
-    /// restore the nearest dominated entry instead of starting over.
-    ckpts: CheckpointCache,
-    /// Stops seen since launch/restart (drives `checkpoint_every`).
-    stop_count: usize,
     /// Engine metrics folded in from retired incarnations (replay and
     /// restart replace the engine; its telemetry is absorbed here first).
     retired_metrics: EngineMetrics,
@@ -157,11 +155,12 @@ pub struct Session {
 }
 
 /// The session's telemetry snapshot: engine metrics summed over every
-/// incarnation, plus checkpoint-cache and restore behaviour.
+/// incarnation, plus checkpoint lookup and restore behaviour.
 #[derive(Clone, Debug)]
 pub struct SessionTelemetry {
     pub engine: EngineMetrics,
     pub cache: CacheLookupStats,
+    /// Stops in the backlog that hold a checkpoint.
     pub cache_len: usize,
     pub restores: u64,
     pub restore_ns: u64,
@@ -176,14 +175,12 @@ impl Session {
         let n = engine.n_ranks();
         Session {
             factory,
+            backlog: Backlog::new(cfg.checkpoint_every),
             cfg,
             sites,
             engine,
             status: SessionStatus::Idle,
-            undo: UndoStack::new(),
             recorded_log: None,
-            ckpts: CheckpointCache::new(),
-            stop_count: 0,
             retired_metrics: EngineMetrics::new(n),
             restores: 0,
             restore_ns: 0,
@@ -221,8 +218,8 @@ impl Session {
         self.engine.detach_trace_sink()
     }
 
-    /// Run until the next stop/completion/deadlock, recording the stop on
-    /// the undo stack.
+    /// Run until the next stop/completion/deadlock, recording the stop in
+    /// the backlog.
     pub fn run(&mut self) -> &SessionStatus {
         self.run_with(|_| ());
         &self.status
@@ -240,19 +237,12 @@ impl Session {
     /// Make `status` the session's, with the bookkeeping every stop gets.
     fn record_stop(&mut self, status: SessionStatus) {
         self.status = status;
-        let markers = self.engine.markers();
-        // Deposit a checkpoint at (every Nth) stop: only Stopped states are
-        // replay/undo targets, and only they can make further progress. A
-        // stop the cache already holds (a replay landed exactly on it)
-        // takes no snapshot at all.
-        if self.status.is_stopped() && self.engine.checkpoints_enabled() {
-            self.stop_count += 1;
-            let every = self.cfg.checkpoint_every;
-            if every > 0 && self.stop_count % every == 0 && !self.ckpts.contains(&markers) {
-                self.ckpts.insert(markers.clone(), self.engine.snapshot());
-            }
-        }
-        self.undo.push(markers);
+        // Only a Stopped state can make further progress, so only it may
+        // take a checkpoint.
+        let engine = &mut self.engine;
+        let stopped = self.status.is_stopped();
+        self.backlog
+            .record(engine.markers(), stopped, || engine.snapshot());
     }
 
     /// Resume every trapped process and run on (breakpoint thresholds are
@@ -341,10 +331,20 @@ impl Session {
     /// forced to their recorded matches; every process stops when its
     /// `UserMonitor` counter reaches the stopline marker.
     pub fn replay_to(&mut self, stopline: &Stopline) -> &SessionStatus {
+        let origin = self.backlog.best_for(&stopline.markers);
+        self.replay_from(origin, stopline)
+    }
+
+    /// [`Session::replay_to`] from `origin`, or from process creation.
+    fn replay_from(
+        &mut self,
+        origin: Option<Arc<EngineCheckpoint>>,
+        stopline: &Stopline,
+    ) -> &SessionStatus {
         let log = self.recorded_log();
         self.recorded_log = Some(Arc::clone(&log));
         self.retire_engine_metrics();
-        match self.ckpts.best_for(&stopline.markers) {
+        match origin {
             Some(cp) => {
                 let t0 = std::time::Instant::now();
                 self.engine = Engine::restore(&cp, Vec::new());
@@ -375,10 +375,11 @@ impl Session {
     /// What a replay to `stopline` reports: a function of the stop
     /// reached, not of the origin it ran from. A rank a checkpoint holds at
     /// its target may be past the trap a from-scratch run stops it in (its
-    /// receive already posted, say); it is at the stopline all the same.
+    /// receive already posted, or its last event done and the rank
+    /// finished); it is at the stopline all the same.
     fn stop_reached(&self, stopline: &Stopline, outcome: RunOutcome) -> SessionStatus {
         let at = self.engine.markers();
-        let reached = |m: &Marker| at.get(m.rank) == m.count && !self.engine.is_finished(m.rank);
+        let reached = |m: &Marker| at.get(m.rank) == m.count;
         let (paused, traps): (Vec<Marker>, Vec<Marker>) = stopline
             .markers
             .iter()
@@ -409,14 +410,14 @@ impl Session {
     ///
     /// Returns `false` when there is no earlier stop to return to.
     pub fn undo(&mut self) -> bool {
-        let Some(target) = self.undo.undo_target() else {
+        let Some((markers, origin)) = self.backlog.undo() else {
             return false;
         };
         let sl = Stopline {
-            markers: target,
+            markers,
             origin: "undo".into(),
         };
-        self.replay_to(&sl);
+        self.replay_from(origin, &sl);
         true
     }
 
@@ -426,12 +427,10 @@ impl Session {
         self.retire_engine_metrics();
         self.engine = self.incarnation(true);
         self.recorded_log = None;
-        self.undo = UndoStack::new();
         self.status = SessionStatus::Idle;
-        // A fresh recording run replaces the history the cached
+        // A fresh recording run replaces the history the stops and their
         // checkpoints were taken from; drop them.
-        self.ckpts.clear();
-        self.stop_count = 0;
+        self.backlog.clear();
         &self.status
     }
 
@@ -468,14 +467,9 @@ impl Session {
             .collect()
     }
 
-    /// The checkpoint backlog (empty when `checkpoint_every` is 0).
-    pub fn checkpoint_cache(&self) -> &CheckpointCache {
-        &self.ckpts
-    }
-
     /// The session's telemetry: engine metrics summed across every
-    /// incarnation so far, plus checkpoint-cache lookup and restore cost
-    /// figures (the replay-cost visibility §6's checkpointing asks for).
+    /// incarnation so far, plus checkpoint lookup and restore cost figures
+    /// (the replay-cost visibility §6's checkpointing asks for).
     pub fn telemetry(&self) -> SessionTelemetry {
         let mut engine = self.retired_metrics.clone();
         if let Some(m) = self.engine.metrics() {
@@ -483,8 +477,8 @@ impl Session {
         }
         SessionTelemetry {
             engine,
-            cache: self.ckpts.stats(),
-            cache_len: self.ckpts.len(),
+            cache: self.backlog.stats,
+            cache_len: self.backlog.checkpoints(),
             restores: self.restores,
             restore_ns: self.restore_ns,
             snapshot_ns: self.retired_snapshot_ns + self.engine.snapshot_ns(),
@@ -832,10 +826,10 @@ mod tests {
         let slow_states = script(&mut slow);
         assert_eq!(fast_states, slow_states);
         assert!(
-            !fast.checkpoint_cache().is_empty(),
-            "fast path must actually cache"
+            fast.telemetry().cache_len > 0,
+            "fast path must actually checkpoint"
         );
-        assert!(slow.checkpoint_cache().is_empty());
+        assert_eq!(slow.telemetry().cache_len, 0);
         // Full histories agree byte for byte.
         assert_eq!(fast.trace().records(), slow.trace().records());
     }
@@ -881,8 +875,8 @@ mod tests {
         let at_step = s.markers();
         s.step(Rank(0));
         // The stop after the first step was checkpointed; undoing to it is
-        // an exact cache hit (no re-execution, and no fresh snapshot of a
-        // stop the cache already holds), and the session reports the same
+        // an exact hit (no re-execution, and no fresh snapshot of a stop
+        // the backlog already holds), and the session reports the same
         // stopped state.
         let snapshots = s.telemetry().engine.snapshots;
         assert!(snapshots >= 2, "both steps were checkpointed");
@@ -894,6 +888,34 @@ mod tests {
         s.step(Rank(0));
         assert_eq!(s.markers().get(Rank(0)), at_step.get(Rank(0)) + 1);
         assert!(s.continue_all().is_completed());
+    }
+
+    #[test]
+    fn undo_restores_from_the_stop_it_undoes() {
+        // Replay to 10s, back to 6s, then undo twice: the first undo
+        // restores the 10s stop exactly; the second returns to the end of
+        // the run from the 6s stop it undoes, which it looks up before
+        // dropping that stop.
+        use tracedbg_workloads::ring::{self, RingConfig};
+        let session = Session::launch(
+            SessionConfig::default(),
+            Box::new(ring::factory(RingConfig::default())),
+        );
+        let mut ci = crate::CommandInterface::new(session);
+        ci.script(&[
+            "run",
+            "stopline markers 10 10 10 10",
+            "replay",
+            "stopline markers 6 6 6 6",
+            "replay",
+            "undo",
+        ]);
+        let snapshots = ci.session().telemetry().engine.snapshots;
+        assert_eq!(snapshots, 2, "the stop undone to keeps its checkpoint");
+        ci.execute("undo");
+        let tel = ci.session().telemetry();
+        assert_eq!((tel.cache.hits, tel.cache.misses), (2, 2));
+        assert_eq!(tel.restores, 2);
     }
 
     #[test]
@@ -909,7 +931,7 @@ mod tests {
         s.replay_to(&sl); // scratch replay: metrics absorbed, new engine
         s.step(Rank(0));
         s.step(Rank(0));
-        assert!(s.undo(), "undo restores a cached checkpoint");
+        assert!(s.undo(), "undo restores a checkpoint from the backlog");
         let tel = s.telemetry();
         assert!(
             tel.engine.turns > turns_first_run,
@@ -1017,9 +1039,9 @@ mod tests {
             assert!(s.replay_to(&frac(quarter, 4)).is_stopped());
         }
         let replayed = |s: &mut Session, sl: &Stopline| {
-            let before = s.checkpoint_cache().stats().restore_distance;
+            let before = s.telemetry().cache.restore_distance;
             assert!(s.replay_to(sl).is_stopped(), "{:?}", s.status());
-            s.checkpoint_cache().stats().restore_distance - before
+            s.telemetry().cache.restore_distance - before
         };
         // Back to just past 1/4, then forward to just past 3/4: each jump
         // costs its distance from a checkpoint, not from process creation.

@@ -125,12 +125,6 @@ impl BreakSet {
         }
     }
 
-    pub fn remove_site(&mut self, site: SiteId) {
-        if let Ok(at) = self.sites.binary_search(&site) {
-            self.sites.remove(at);
-        }
-    }
-
     pub fn add_watch(&mut self, mut watch: Watch) {
         watch.id = self.next_id;
         self.next_id += 1;
@@ -201,8 +195,6 @@ mod tests {
             Some(TrapCause::Breakpoint(SiteId(5)))
         );
         assert_eq!(b.test_site(SiteId(6)), None);
-        b.remove_site(SiteId(5));
-        assert_eq!(b.test_site(SiteId(5)), None);
     }
 
     #[test]

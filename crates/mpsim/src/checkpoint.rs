@@ -45,21 +45,50 @@ use tracedbg_trace::{ChunkLog, MarkerVector, Rank, SiteTable, TraceRecord};
 /// Ranks per [`RankTable`] block.
 const BLOCK: usize = 64;
 
-/// The entries of `BLOCK` consecutive ranks: the engine's own, or behind
-/// an `Arc` that checkpoints share until the engine next writes to one of
-/// them.
+/// A value the engine owns, or behind an `Arc` that checkpoints share until
+/// the engine next writes to it. A block of a [`RankTable`] is one over a
+/// `Vec`, a rank ([`RankCell`]) one over its [`RankState`], held inline so
+/// an engine that never snapshots allocates nothing per rank.
 #[derive(Clone)]
-enum Block<T> {
-    Own(Vec<T>),
-    Shared(Arc<Vec<T>>),
+pub(crate) enum CowCell<T> {
+    Own(T),
+    Shared(Arc<T>),
 }
 
-impl<T> Block<T> {
+impl<T: Clone> CowCell<T> {
+    /// The value to write to, copied out of the checkpoints that share it.
+    /// With [`RankTable::get_mut`] the one way to write to a rank.
     #[inline]
-    fn entries(&self) -> &[T] {
+    pub(crate) fn make_mut(&mut self) -> &mut T {
+        if let CowCell::Shared(shared) = self {
+            *self = CowCell::Own(T::clone(shared));
+        }
         match self {
-            Block::Own(entries) => entries,
-            Block::Shared(entries) => entries,
+            CowCell::Own(value) => value,
+            CowCell::Shared(_) => unreachable!("copied out above"),
+        }
+    }
+}
+
+impl<T> CowCell<T> {
+    /// The value behind an `Arc`, passed through `seal` on the way if the
+    /// engine owned it.
+    fn share(self, seal: impl FnOnce(T) -> T) -> Self {
+        match self {
+            CowCell::Own(value) => CowCell::Shared(Arc::new(seal(value))),
+            shared => shared,
+        }
+    }
+}
+
+impl<T> std::ops::Deref for CowCell<T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        match self {
+            CowCell::Own(value) => value,
+            CowCell::Shared(value) => value,
         }
     }
 }
@@ -72,14 +101,14 @@ impl<T> Block<T> {
 /// share it (for `ranks`, that copies each [`RankCell`]'s `Arc`, not the
 /// rank behind it).
 #[derive(Clone)]
-pub(crate) struct RankTable<T>(Vec<Block<T>>);
+pub(crate) struct RankTable<T>(Vec<CowCell<Vec<T>>>);
 
 impl<T: Clone> RankTable<T> {
     pub(crate) fn new(entries: impl IntoIterator<Item = T>) -> Self {
         let mut entries = entries.into_iter().peekable();
         let mut blocks = Vec::new();
         while entries.peek().is_some() {
-            blocks.push(Block::Own(entries.by_ref().take(BLOCK).collect()));
+            blocks.push(CowCell::Own(entries.by_ref().take(BLOCK).collect()));
         }
         RankTable(blocks)
     }
@@ -88,28 +117,19 @@ impl<T: Clone> RankTable<T> {
     /// shares it.
     #[inline]
     pub(crate) fn get_mut(&mut self, i: usize) -> &mut T {
-        let block = &mut self.0[i / BLOCK];
-        if let Block::Shared(shared) = block {
-            *block = Block::Own(Vec::clone(shared));
-        }
-        match block {
-            Block::Own(entries) => &mut entries[i % BLOCK],
-            Block::Shared(_) => unreachable!("un-shared above"),
-        }
+        &mut self.0[i / BLOCK].make_mut()[i % BLOCK]
     }
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
-        self.0.iter().flat_map(Block::entries)
+        self.0.iter().flat_map(|block| block.iter())
     }
 
     /// Move every block the engine owns behind an `Arc`, so clones share
     /// it, passing each entry through `share_entry` on the way.
     fn share(&mut self, mut share_entry: impl FnMut(T) -> T) {
         for block in &mut self.0 {
-            if let Block::Own(entries) = block {
-                let entries = std::mem::take(entries).into_iter().map(&mut share_entry);
-                *block = Block::Shared(Arc::new(entries.collect()));
-            }
+            let taken = std::mem::replace(block, CowCell::Own(Vec::new()));
+            *block = taken.share(|entries| entries.into_iter().map(&mut share_entry).collect());
         }
     }
 }
@@ -119,7 +139,7 @@ impl<T> Index<usize> for RankTable<T> {
 
     #[inline]
     fn index(&self, i: usize) -> &T {
-        &self.0[i / BLOCK].entries()[i % BLOCK]
+        &self.0[i / BLOCK][i % BLOCK]
     }
 }
 
@@ -133,54 +153,9 @@ pub(crate) struct RankState {
     pub mailbox: Mailbox,
 }
 
-/// A rank's [`RankState`]: the engine's own, or behind an `Arc` that
-/// checkpoints share until the engine next writes to the rank.
-#[derive(Clone)]
-#[allow(clippy::large_enum_variant)] // inline: an engine that never snapshots allocates nothing per rank
-pub(crate) enum RankCell {
-    Own(RankState),
-    Shared(Arc<RankState>),
-}
-
-impl RankCell {
-    /// The rank's state to write to, copied out of the checkpoints that
-    /// share it. With [`RankTable::get_mut`] the one way to write to a
-    /// rank.
-    #[inline]
-    pub(crate) fn make_mut(&mut self) -> &mut RankState {
-        if let RankCell::Shared(shared) = self {
-            *self = RankCell::Own(RankState::clone(shared));
-        }
-        match self {
-            RankCell::Own(rank) => rank,
-            RankCell::Shared(_) => unreachable!("copied out above"),
-        }
-    }
-
-    /// The rank behind an `Arc`, its trace buffer sealed first so a later
-    /// copy of the rank shares every record instead of copying it.
-    fn share(self) -> Self {
-        match self {
-            RankCell::Own(mut rank) => {
-                rank.recorder.seal_records();
-                RankCell::Shared(Arc::new(rank))
-            }
-            shared => shared,
-        }
-    }
-}
-
-impl std::ops::Deref for RankCell {
-    type Target = RankState;
-
-    #[inline]
-    fn deref(&self) -> &RankState {
-        match self {
-            RankCell::Own(rank) => rank,
-            RankCell::Shared(rank) => rank,
-        }
-    }
-}
+/// A rank's [`RankState`]: the engine's own, or shared with checkpoints
+/// until the engine next writes to the rank.
+pub(crate) type RankCell = CowCell<RankState>;
 
 /// A full deterministic snapshot of a running [`crate::Engine`] — the
 /// engine keeps its own state in one, so taking a checkpoint is cloning it
@@ -228,7 +203,7 @@ impl EngineCheckpoint {
     }
 
     /// Execution markers at the snapshot point (the cache key the
-    /// debugger's checkpoint cache dominates against).
+    /// debugger's backlog of stops dominates against).
     pub fn markers(&self) -> MarkerVector {
         let mut v = MarkerVector::zero(self.n_ranks);
         for (i, r) in self.ranks.iter().enumerate() {
@@ -243,7 +218,14 @@ impl EngineCheckpoint {
     pub(crate) fn share(&mut self) {
         self.states.share(|state| state);
         self.armed.share(|armed| armed);
-        self.ranks.share(RankCell::share);
+        // A rank's trace buffer is sealed before it is shared, so a later
+        // copy of the rank shares every record instead of copying it.
+        self.ranks.share(|rank| {
+            rank.share(|mut rank| {
+                rank.recorder.seal_records();
+                rank
+            })
+        });
         self.collected.seal();
         self.decision_log.seal();
     }

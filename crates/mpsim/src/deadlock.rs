@@ -57,32 +57,27 @@ impl DeadlockReport {
 }
 
 /// Find a cycle among specific-source waits (wildcards cannot close a
-/// cycle: they can be satisfied by any future sender).
+/// cycle: they can be satisfied by any future sender). Of several, the one
+/// through the lowest rank, so the report does not depend on map order.
 fn find_cycle(waits: &[WaitForEdge]) -> Vec<Rank> {
-    use std::collections::HashMap;
-    let edge: HashMap<Rank, Rank> = waits
+    use std::collections::BTreeMap;
+    let edge: BTreeMap<Rank, Rank> = waits
         .iter()
         .filter_map(|w| w.awaited.map(|a| (w.waiter, a)))
         .collect();
-    // Walk from each node; a walk that returns to a visited-on-this-walk
-    // node inside the blocked set is a cycle.
+    // In rank order, the first waiter whose waits lead back to it.
     for &start in edge.keys() {
-        let mut path = vec![start];
-        let mut cur = start;
-        #[allow(clippy::while_let_loop)] // the None arm documents "walked out of the blocked set"
-        loop {
-            match edge.get(&cur) {
-                Some(&next) => {
-                    if let Some(pos) = path.iter().position(|&r| r == next) {
-                        let mut cyc = path[pos..].to_vec();
-                        cyc.sort();
-                        return cyc;
-                    }
-                    path.push(next);
-                    cur = next;
-                }
-                None => break, // walked out of the blocked set
-            }
+        let mut cycle = vec![start];
+        let mut cur = edge[&start];
+        // Stop on leaving the blocked set, or in a cycle `start` is not on.
+        while cur != start && cycle.len() <= edge.len() {
+            let Some(&next) = edge.get(&cur) else { break };
+            cycle.push(cur);
+            cur = next;
+        }
+        if cur == start {
+            cycle.sort();
+            return cycle;
         }
     }
     Vec::new()
@@ -163,6 +158,23 @@ mod tests {
         ];
         let rep = DeadlockReport::analyze(&blocked);
         assert_eq!(rep.cycle, vec![Rank(0), Rank(1), Rank(2)]);
+    }
+
+    #[test]
+    fn of_two_cycles_the_one_through_the_lowest_rank_is_reported() {
+        let waits = |edges: &[(u32, u32)]| -> Vec<_> {
+            edges
+                .iter()
+                .map(|&(w, a)| (Rank(w), spec(Some(a)), 1))
+                .collect()
+        };
+        let two = waits(&[(0, 1), (1, 0), (2, 3), (3, 2)]);
+        for _ in 0..64 {
+            assert_eq!(DeadlockReport::analyze(&two).cycle, vec![Rank(0), Rank(1)]);
+        }
+        // Rank 0 waits into the {5, 6} cycle; {1, 2} is still the lower.
+        let tail = waits(&[(0, 5), (5, 6), (6, 5), (2, 1), (1, 2)]);
+        assert_eq!(DeadlockReport::analyze(&tail).cycle, vec![Rank(1), Rank(2)]);
     }
 
     #[test]

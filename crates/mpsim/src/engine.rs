@@ -845,13 +845,6 @@ impl Engine {
         }
     }
 
-    /// Disarm a source-location breakpoint on every process.
-    pub fn remove_breakpoint(&mut self, site: tracedbg_trace::SiteId) {
-        for r in 0..self.st.n_ranks {
-            self.st.armed.get_mut(r).breaks.remove_site(site);
-        }
-    }
-
     /// Arm a watchpoint on one process (or all, with `None`).
     pub fn add_watch(&mut self, rank: Option<Rank>, watch: tracedbg_instrument::Watch) {
         match rank {
@@ -1132,11 +1125,6 @@ impl Engine {
         if self.obs.is_none() {
             self.obs = Some(EngineObs::new(self.st.n_ranks));
         }
-    }
-
-    /// Is telemetry being collected?
-    pub fn metrics_enabled(&self) -> bool {
-        self.obs.is_some()
     }
 
     /// Event-derived metrics collected so far (None when disabled).

@@ -221,7 +221,7 @@ pub struct WorkerStat {
     pub util_pct: u64,
 }
 
-/// Hit/miss behaviour of the debugger's checkpoint cache.
+/// Hit/miss behaviour of the debugger's checkpoint lookups.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     pub hits: u64,

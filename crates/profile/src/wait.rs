@@ -184,9 +184,4 @@ impl WaitAnalysis {
             self.waits.push(w);
         }
     }
-
-    /// Total idle ns over all classified waits.
-    pub fn total_cost(&self) -> u64 {
-        self.waits.iter().map(WaitInterval::cost).sum()
-    }
 }

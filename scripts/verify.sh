@@ -298,6 +298,17 @@ nontest() { # <files...>: each file up to its first top-level #[cfg(test)]
 }
 gate "decision_log/collected held in a Vec" \
   "$(nontest $(find crates/*/src -name '*.rs') | { grep -cE '(decision_log|collected): Vec<' || true; })" -eq 0
+# A value is the engine's own or shared with checkpoints through one
+# generic cell: a block of ranks and a rank are that cell over a `Vec` and
+# over a `RankState`, not two enums.
+gate "own-or-shared enums in checkpoint.rs" \
+  "$(count 'Shared\(Arc<' crates/mpsim/src/checkpoint.rs)" -eq 1
+# One backlog of stops: the undo targets and the checkpoints replays
+# restore are one list with one thinning, not an undo stack and a cache.
+for gone in UndoStack CheckpointCache; do
+  gate "$gone under crates/*/src" "$(count "\\b$gone\\b" "${src[@]}")" -eq 0
+done
+gate "fn compact in crates/debugger/src" "$(count 'fn compact\b' crates/debugger/src)" -le 1
 # Sleep-set DPOR must report exactly the findings of the full search on
 # the racy script workloads (same classes, same counts), at any --jobs.
 for wl in sdl:racy-wildcard sdl:racy-deadlock; do
