@@ -36,7 +36,7 @@
 
 use crate::measure::{measure, measure_after, BenchRecord, Plan};
 use std::sync::atomic::{AtomicU64, Ordering};
-use tracedbg_debugger::{Session, SessionConfig, Stopline};
+use tracedbg_debugger::{HistoryReport, Session, SessionConfig, Stopline};
 use tracedbg_explore::{ExploreConfig, Explorer, Strategy};
 use tracedbg_instrument::RecorderConfig;
 use tracedbg_localize::{diff_channels, diff_ranks, localize, LocalizeConfig, VERDICT_LOCALIZED};
@@ -227,6 +227,37 @@ fn suite_causality(opts: &SuiteOptions) -> Suite {
                 assert!(races.len() >= 1000);
             },
         ));
+    }
+    // What every `tracedbg run` pays after the engine stops, on the
+    // `deep_random` benchmark shape (`random:16000 --procs 8 --seed 3`,
+    // 80,016 records): the hand-over of the collected log into a store,
+    // the matching, and the whole §4.4 history report.
+    let random16000 = ["trace_handover", "message_matching", "history_report"]
+        .iter()
+        .any(|row| wants(opts, "causality", &format!("{row}_random16000")));
+    if random16000 {
+        let mut engine = Engine::launch(
+            EngineConfig::with_recorder(RecorderConfig::full()),
+            random_comm::programs(&random_comm::generate(3, 8, 16_000), 3),
+        );
+        assert!(engine.run().is_completed());
+        let store = engine.trace_store();
+        let p = plan(opts, 2, 9, 4);
+        if wants(opts, "causality", "trace_handover_random16000") {
+            records.push(measure("trace_handover_random16000", 1, p, || {
+                assert_eq!(engine.trace_store().len(), 80_016);
+            }));
+        }
+        if wants(opts, "causality", "message_matching_random16000") {
+            records.push(measure("message_matching_random16000", 1, p, || {
+                assert!(MessageMatching::build(&store).is_clean());
+            }));
+        }
+        if wants(opts, "causality", "history_report_random16000") {
+            records.push(measure("history_report_random16000", 1, p, || {
+                assert!(HistoryReport::analyze(&store).is_clean());
+            }));
+        }
     }
     Suite {
         name: "causality",
@@ -1256,6 +1287,6 @@ mod tests {
         };
         let suites = run_suites(&opts);
         assert_eq!(suites.len(), 1);
-        assert_eq!(suites[0].records.len(), 4);
+        assert_eq!(suites[0].records.len(), 7);
     }
 }

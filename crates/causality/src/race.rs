@@ -22,7 +22,7 @@
 use crate::hb::HbIndex;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
-use tracedbg_trace::{EventId, EventKind, Rank, TraceStore};
+use tracedbg_trace::{EventId, EventKind, Rank, Tag, TraceStore};
 use tracedbg_tracegraph::{MatchedMessage, MessageMatching};
 
 /// One racing wildcard receive.
@@ -34,6 +34,14 @@ pub struct MessageRace {
     pub actual_send: EventId,
     /// Other sends that could have matched it instead.
     pub alternatives: Vec<EventId>,
+}
+
+/// A send, with what decides whether a receive could have taken it.
+#[derive(Clone, Copy)]
+struct Sent {
+    send: EventId,
+    src: Rank,
+    tag: Tag,
 }
 
 /// The completed wildcard-source receives of one rank in program order:
@@ -78,8 +86,10 @@ pub fn detect_races(
     hb: &HbIndex,
 ) -> Vec<MessageRace> {
     let mut races = Vec::new();
-    // Sends by destination, grouped when the first wildcard receive shows.
-    let mut sends_to: Option<Vec<Vec<EventId>>> = None;
+    // Sends by destination in event order, with their source and tag,
+    // grouped when the first wildcard receive shows. The matching lists
+    // every send once, so no record is read for this.
+    let mut sends_to: Option<Vec<Vec<Sent>>> = None;
     for r in 0..store.n_ranks() {
         let rank = Rank(r as u32);
         let wildcards = wildcard_receives(store, matching, rank);
@@ -88,12 +98,17 @@ pub fn detect_races(
         }
         let sends_to = sends_to.get_or_insert_with(|| {
             let mut by_dst = vec![Vec::new(); store.n_ranks()];
-            for id in store.ids() {
-                let rec = store.record(id);
-                if rec.kind == EventKind::Send {
-                    let dst = rec.msg.expect("send record without msg info").dst;
-                    by_dst[dst.ix()].push(id);
-                }
+            let matched = matching.matched.iter().map(|m| (m.send, m.info));
+            let lost = matching.unmatched_sends.iter().map(|u| (u.send, u.info));
+            for (send, info) in matched.chain(lost) {
+                by_dst[info.dst.ix()].push(Sent {
+                    send,
+                    src: info.src,
+                    tag: info.tag,
+                });
+            }
+            for sends in &mut by_dst {
+                sends.sort_unstable_by_key(|s| s.send);
             }
             by_dst
         });
@@ -101,11 +116,11 @@ pub fn detect_races(
         // receive that consumed them (both events are on this rank, so
         // "consumed earlier" is program order), latest first; the never
         // received lead.
-        let mut incoming: Vec<(u32, EventId)> = sends_to[r]
+        let mut incoming: Vec<(u32, Sent)> = sends_to[r]
             .iter()
-            .map(|&s| match matching.match_of_send(s) {
-                Some(m) if store.record(m.recv).rank == rank => (hb.lane_pos(m.recv), s),
-                _ => (u32::MAX, s),
+            .map(|&sent| match matching.match_of_send(sent.send) {
+                Some(m) if hb.rank_of(m.recv) == rank => (hb.lane_pos(m.recv), sent),
+                _ => (u32::MAX, sent),
             })
             .collect();
         incoming.sort_by_key(|&(consumed_at, _)| Reverse(consumed_at));
@@ -114,22 +129,21 @@ pub fn detect_races(
         let mut future = hb.future_cone();
         // Sends not consumed at or before the receive under the walk and
         // not causally after it.
-        let mut available: Vec<EventId> = Vec::new();
+        let mut available: Vec<Sent> = Vec::new();
         let first = races.len();
         for &(matched, want_tag) in wildcards.iter().rev() {
             let recv = matched.recv;
             future.extend(recv);
-            while let Some((_, s)) = incoming.next_if(|&(at, _)| at > hb.lane_pos(recv)) {
-                available.push(s);
+            while let Some((_, sent)) = incoming.next_if(|&(at, _)| at > hb.lane_pos(recv)) {
+                available.push(sent);
             }
-            available.retain(|&s| !future.contains(s));
+            available.retain(|s| !future.contains(s.send));
             let mut alternatives: Vec<EventId> = available
                 .iter()
-                .copied()
-                .filter(|&s| {
-                    let info = store.record(s).msg.expect("send record without msg info");
-                    info.src != matched.info.src && (want_tag < 0 || info.tag.0 as i64 == want_tag)
+                .filter(|s| {
+                    s.src != matched.info.src && (want_tag < 0 || s.tag.0 as i64 == want_tag)
                 })
+                .map(|s| s.send)
                 .collect();
             if !alternatives.is_empty() {
                 alternatives.sort_unstable();

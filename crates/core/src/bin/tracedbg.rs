@@ -198,9 +198,9 @@ fn cmd_run(opts: &Opts) -> Result<ExitCode, String> {
     };
     let status = session.run();
     println!("outcome: {status:?}");
-    let store = session.trace();
+    // The last flush reaches the sink before the session is consumed.
+    let store = session.into_trace();
     if let Some((shared, dir)) = streaming {
-        session.detach_trace_sink();
         let summary = shared
             .finish(store.sites(), store.n_ranks())
             .map_err(|e| e.to_string())?;

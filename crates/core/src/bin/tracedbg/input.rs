@@ -11,7 +11,7 @@
 use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 use tracedbg::prelude::*;
-use tracedbg::trace::file::{read_binary, read_text, write_binary, write_text, TraceFile};
+use tracedbg::trace::file::{read_binary, read_text, TraceRef};
 use tracedbg::workloads::{catalog, Workload};
 
 /// A resolved positional argument.
@@ -125,21 +125,18 @@ pub fn load_artifact(path: &str) -> Result<(ScheduleArtifact, Workload), String>
     Ok((artifact, workload))
 }
 
-/// Write a run's trace to `path` (binary for `.tbin`, text otherwise).
-/// The encoders emit one small write per field, so the file is buffered;
-/// the explicit flush is what surfaces a write error.
+/// Write a run's trace to `path` (binary for `.tbin`, text otherwise),
+/// straight from the store's records. The encoders emit one small write
+/// per field, so the file is buffered; the explicit flush is what surfaces
+/// a write error.
 pub fn write_trace_file(path: &str, store: &TraceStore) -> Result<(), String> {
-    let file = TraceFile::new(
-        store.records().to_vec(),
-        store.sites().clone(),
-        store.n_ranks(),
-    );
+    let trace = TraceRef::of_store(store);
     let write = || -> std::io::Result<()> {
         let mut w = BufWriter::new(std::fs::File::create(path)?);
         if path.ends_with(".tbin") {
-            write_binary(&mut w, &file)?;
+            trace.write_binary(&mut w)?;
         } else {
-            write_text(&mut w, &file)?;
+            trace.write_text(&mut w)?;
         }
         w.flush()
     };

@@ -324,6 +324,12 @@ impl Session {
         self.engine.trace_store()
     }
 
+    /// [`Session::trace`] for a caller that is done with the session: the
+    /// records move into the store instead of being cloned.
+    pub fn into_trace(self) -> TraceStore {
+        self.engine.into_trace_store()
+    }
+
     /// Arm a stopline and (re-)execute to it under nondeterminism control:
     /// the §4.1/§4.2 replay. The program resumes from the nearest
     /// checkpoint the stopline dominates — re-executing only the delta —

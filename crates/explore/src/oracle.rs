@@ -1,7 +1,8 @@
 //! Failure oracles: decide whether a run is a violation worth keeping.
 
 use crate::runner::{RunResult, CLASS_DEADLOCK, CLASS_LINT, CLASS_PANIC};
-use tracedbg_lint::{lint_trace, LintConfig, Severity};
+use std::sync::OnceLock;
+use tracedbg_lint::{lint_trace, trace_rules, LintConfig, Severity};
 
 /// A confirmed oracle violation.
 #[derive(Clone, Debug)]
@@ -38,6 +39,17 @@ impl Violation {
     }
 }
 
+/// The trace rules that can report an error: a rule reports at its own
+/// severity, and the oracle keeps errors only, so the others need not run.
+fn error_rules() -> &'static LintConfig {
+    static ERRORS: OnceLock<LintConfig> = OnceLock::new();
+    ERRORS.get_or_init(|| {
+        let rules = trace_rules::all();
+        let errors = rules.iter().filter(|r| r.severity() == Severity::Error);
+        LintConfig::new().only(errors.map(|r| r.id().as_str()))
+    })
+}
+
 /// Check one run against the outcome- and trace-level oracles.
 ///
 /// Lint only runs on completed, fault-free runs: a crashed or hung process
@@ -59,7 +71,7 @@ pub fn check(run: &RunResult, lint_oracle: bool) -> Option<Violation> {
         _ => {}
     }
     if lint_oracle && run.class == crate::runner::CLASS_COMPLETED && !run.fault_fired {
-        let diags = lint_trace(&run.store, &LintConfig::default());
+        let diags = lint_trace(&run.store, error_rules());
         let errors: Vec<_> = diags
             .iter()
             .filter(|d| d.severity == Severity::Error)

@@ -304,8 +304,8 @@ fn finish(e: &mut Engine) -> Ending {
     e.clear_pauses();
     e.resume_trapped();
     let outcome = format!("{:?}", e.run());
-    let trace = e.collect_trace().to_vec();
-    let decisions = e.decision_points().to_vec();
+    let trace = e.collect_trace().clone().into_vec();
+    let decisions = e.decision_points().clone().into_vec();
     (armed, outcome, e.digest(), trace, decisions)
 }
 

@@ -909,22 +909,29 @@ impl Engine {
         self.tee.take()
     }
 
-    /// Collected trace as a queryable store.
+    /// Collected trace as a queryable store: the ranks' flushes merged into
+    /// canonical order, each record cloned once into the store.
     pub fn trace_store(&mut self) -> TraceStore {
-        let recs = self.collect_trace().to_vec();
-        TraceStore::build(recs, self.st.sites.clone(), self.st.n_ranks)
+        self.collect_trace();
+        TraceStore::from_log(&self.st.collected, self.st.sites.clone(), self.st.n_ranks)
+    }
+
+    /// [`Engine::trace_store`] for a caller that is done with the engine:
+    /// each record is moved into the store instead of cloned. A sink still
+    /// attached sees the last flush before the engine is dropped.
+    pub fn into_trace_store(mut self) -> TraceStore {
+        self.collect_trace();
+        TraceStore::from_log_owned(self.st.collected, self.st.sites, self.st.n_ranks)
     }
 
     /// Consume a finished engine into what an exploration run keeps of
-    /// it — the trace as [`Engine::trace_store`] builds it and the decision
-    /// log as [`Engine::decision_points`] shows it — moving both out
-    /// instead of cloning them, trimmed of their growth slack (a caller
+    /// it — the trace as [`Engine::into_trace_store`] builds it and the
+    /// decision log as [`Engine::decision_points`] shows it — moving both
+    /// out instead of cloning them, trimmed of their growth slack (a caller
     /// that keeps thousands of these should keep `len`, not `capacity`).
     pub fn into_trace_and_decisions(mut self) -> (TraceStore, Vec<DecisionPoint>) {
-        self.collect_trace();
-        let records = self.st.collected.into_vec();
-        let store = TraceStore::build(records, self.st.sites, self.st.n_ranks);
-        (store, self.st.decision_log.into_vec())
+        let decisions = std::mem::take(&mut self.st.decision_log).into_vec();
+        (self.into_trace_store(), decisions)
     }
 
     /// The receive-match history of this run, for replaying it later: the
@@ -1560,7 +1567,7 @@ mod tests {
         let run = || {
             let mut e = Engine::launch(cfg(), make());
             assert!(e.run().is_completed());
-            e.collect_trace().to_vec()
+            e.collect_trace().clone().into_vec()
         };
         assert_eq!(run(), run(), "determinism: same program, same trace");
     }

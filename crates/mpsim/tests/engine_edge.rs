@@ -205,7 +205,7 @@ fn seeded_policy_is_reproducible_end_to_end() {
             make(),
         );
         assert!(e.run().is_completed());
-        e.collect_trace().to_vec()
+        e.collect_trace().clone().into_vec()
     };
     assert_eq!(run(12), run(12), "same seed, same trace");
 }

@@ -21,12 +21,16 @@ use std::sync::Arc;
 /// Entries a tail holds before it is sealed.
 const CHUNK: usize = 256;
 
+/// A sealed chunk and the number of entries up to and including it, so a
+/// lookup by index is a binary search over the chunk list.
+type Chunk<T> = (usize, Arc<Vec<T>>);
+
 /// An append-only sequence of sealed, shared chunks and one open tail.
 pub struct ChunkLog<T> {
-    /// Sealed chunks in order (`None` until the first seal); each chunk,
-    /// and the list itself, is shared with every copy of the log taken
-    /// since.
-    sealed: Option<Arc<Vec<Arc<Vec<T>>>>>,
+    /// Sealed chunks in order, each with its cumulative end (`None` until
+    /// the first seal); each chunk, and the list itself, is shared with
+    /// every copy of the log taken since.
+    sealed: Option<Arc<Vec<Chunk<T>>>>,
     /// Entries in `sealed`.
     sealed_len: usize,
     /// Entries appended since the last seal.
@@ -35,7 +39,7 @@ pub struct ChunkLog<T> {
 
 /// Iterator over a [`ChunkLog`]'s entries, oldest first.
 pub type Iter<'a, T> = std::iter::Chain<
-    std::iter::FlatMap<std::slice::Iter<'a, Arc<Vec<T>>>, &'a [T], fn(&'a Arc<Vec<T>>) -> &'a [T]>,
+    std::iter::FlatMap<std::slice::Iter<'a, Chunk<T>>, &'a [T], fn(&'a Chunk<T>) -> &'a [T]>,
     std::slice::Iter<'a, T>,
 >;
 
@@ -56,7 +60,7 @@ impl<T> ChunkLog<T> {
         self.len() == 0
     }
 
-    fn chunks(&self) -> &[Arc<Vec<T>>] {
+    fn chunks(&self) -> &[Chunk<T>] {
         self.sealed.as_deref().map_or(&[], Vec::as_slice)
     }
 
@@ -78,7 +82,8 @@ impl<T> ChunkLog<T> {
         if !self.tail.is_empty() {
             let chunk = Arc::new(std::mem::take(&mut self.tail));
             self.sealed_len += chunk.len();
-            Arc::make_mut(self.sealed.get_or_insert_with(Default::default)).push(chunk);
+            let end = self.sealed_len;
+            Arc::make_mut(self.sealed.get_or_insert_with(Default::default)).push((end, chunk));
         }
     }
 
@@ -92,8 +97,10 @@ impl<T> ChunkLog<T> {
         } = other;
         if let Some(sealed) = sealed {
             self.seal();
+            let base = self.sealed_len;
             let mine = Arc::make_mut(self.sealed.get_or_insert_with(Default::default));
-            mine.extend(Arc::try_unwrap(sealed).unwrap_or_else(|shared| Vec::clone(&shared)));
+            let theirs = Arc::try_unwrap(sealed).unwrap_or_else(|shared| Vec::clone(&shared));
+            mine.extend(theirs.into_iter().map(|(end, chunk)| (base + end, chunk)));
             self.sealed_len += sealed_len;
         }
         if self.tail.is_empty() {
@@ -117,22 +124,27 @@ impl<T> ChunkLog<T> {
 
     /// Entries oldest first.
     pub fn iter(&self) -> Iter<'_, T> {
-        let chunk: fn(&Arc<Vec<T>>) -> &[T] = |c| c.as_slice();
+        let chunk: fn(&Chunk<T>) -> &[T] = |(_, c)| c.as_slice();
         self.chunks().iter().flat_map(chunk).chain(self.tail.iter())
     }
 
+    /// The entries as the slices they are stored in, oldest first: each
+    /// sealed chunk, then the tail. Empty slices are left out.
+    pub fn slices(&self) -> impl Iterator<Item = &[T]> {
+        let chunks = self.chunks().iter().map(|(_, c)| c.as_slice());
+        chunks
+            .chain(std::iter::once(self.tail.as_slice()))
+            .filter(|s| !s.is_empty())
+    }
+
+    /// The entry at `index`: a binary search over the chunks' ends.
     pub fn get(&self, index: usize) -> Option<&T> {
         if index >= self.sealed_len {
             return self.tail.get(index - self.sealed_len);
         }
-        let mut start = 0;
-        for chunk in self.chunks() {
-            if index < start + chunk.len() {
-                return chunk.get(index - start);
-            }
-            start += chunk.len();
-        }
-        None
+        let chunks = self.chunks();
+        let (end, chunk) = &chunks[chunks.partition_point(|(end, _)| *end <= index)];
+        chunk.get(index + chunk.len() - end)
     }
 }
 
@@ -152,7 +164,7 @@ impl<T: Clone> ChunkLog<T> {
         };
         let mut out = Vec::with_capacity(sealed_len + tail.len());
         let sealed = Arc::try_unwrap(sealed).unwrap_or_else(|shared| Vec::clone(&shared));
-        for chunk in sealed {
+        for (_, chunk) in sealed {
             match Arc::try_unwrap(chunk) {
                 Ok(mut owned) => out.append(&mut owned),
                 Err(shared) => out.extend_from_slice(&shared),
@@ -162,10 +174,21 @@ impl<T: Clone> ChunkLog<T> {
         out
     }
 
-    pub fn to_vec(&self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.len());
-        out.extend(self.iter().cloned());
-        out
+    /// The entries as the vectors they are stored in, oldest first, for a
+    /// caller that takes them apart itself: a chunk no copy of the log
+    /// shares is moved out, a shared one cloned. Empty vectors are left out.
+    pub fn into_parts(self) -> Vec<Vec<T>> {
+        let ChunkLog { sealed, tail, .. } = self;
+        let sealed = sealed.map_or_else(Vec::new, |sealed| {
+            Arc::try_unwrap(sealed).unwrap_or_else(|shared| Vec::clone(&shared))
+        });
+        let mut parts: Vec<Vec<T>> = sealed
+            .into_iter()
+            .map(|(_, chunk)| Arc::try_unwrap(chunk).unwrap_or_else(|shared| Vec::clone(&shared)))
+            .collect();
+        parts.push(tail);
+        parts.retain(|part| !part.is_empty());
+        parts
     }
 }
 
@@ -282,7 +305,7 @@ mod tests {
         let mut log = log_of(10);
         let at = log.tail.as_ptr();
         log.seal();
-        assert_eq!(log.chunks()[0].as_ptr(), at);
+        assert_eq!(log.chunks()[0].1.as_ptr(), at);
         log.seal();
         assert_eq!(log.chunks().len(), 1, "an empty tail seals nothing");
     }
@@ -292,16 +315,40 @@ mod tests {
         let mut a = log_of(5);
         let mut b: ChunkLog<usize> = (5..5 + 2 * CHUNK + 3).collect();
         b.seal();
-        let adopted = Arc::clone(&b.chunks()[0]);
+        let adopted = Arc::clone(&b.chunks()[0].1);
         a.append(b);
         assert!(a.iter().copied().eq(0..5 + 2 * CHUNK + 3));
-        assert!(a.chunks().iter().any(|c| Arc::ptr_eq(c, &adopted)));
+        assert!(a.chunks().iter().any(|(_, c)| Arc::ptr_eq(c, &adopted)));
         // A tail-only log is moved over, then extended past a chunk.
         let mut c = ChunkLog::new();
         c.append(log_of(3));
         c.append((3..CHUNK + 40).collect());
         assert!(c.iter().copied().eq(0..CHUNK + 40));
         assert!(c.tail.len() <= CHUNK);
+    }
+
+    #[test]
+    fn lookups_find_every_entry_across_partial_adopted_chunks() {
+        // Chunks of 3, 10, CHUNK and 1 entries (each sealed early, as a
+        // rank's flush seals its buffer), adopted behind a tail of 7.
+        let mut log: ChunkLog<usize> = (0..7).collect();
+        let mut next = 7;
+        for len in [3, 10, CHUNK, 1] {
+            let mut part: ChunkLog<usize> = (next..next + len).collect();
+            part.seal();
+            log.append(part);
+            next += len;
+        }
+        log.push(next);
+        assert_eq!(log.len(), next + 1);
+        for i in 0..log.len() {
+            assert_eq!(log.get(i), Some(&i), "entry {i}");
+        }
+        assert_eq!(log.get(log.len()), None);
+        let lens: Vec<usize> = log.slices().map(<[usize]>::len).collect();
+        assert_eq!(lens, [7, 3, 10, CHUNK, 1, 1]);
+        let parts = log.clone().into_parts();
+        assert!(parts.concat().into_iter().eq(0..next + 1));
     }
 
     #[test]
@@ -313,7 +360,7 @@ mod tests {
         shared.seal();
         let keep = shared.clone();
         assert_eq!(shared.into_vec(), (0..2 * CHUNK + 1).collect::<Vec<_>>());
-        assert_eq!(keep.to_vec(), (0..2 * CHUNK + 1).collect::<Vec<_>>());
+        assert_eq!(keep.into_vec(), (0..2 * CHUNK + 1).collect::<Vec<_>>());
     }
 
     #[test]

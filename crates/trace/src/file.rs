@@ -35,6 +35,106 @@ impl TraceFile {
     pub fn into_store(self) -> crate::TraceStore {
         crate::TraceStore::build(self.records, self.sites, self.n_ranks)
     }
+
+    /// The file's contents, borrowed for writing.
+    pub fn borrowed(&self) -> TraceRef<'_> {
+        TraceRef {
+            records: &self.records,
+            sites: &self.sites,
+            n_ranks: self.n_ranks,
+        }
+    }
+}
+
+/// What a trace file stores, borrowed from wherever it lives: the writers
+/// encode from it, so writing a store's trace copies no record.
+#[derive(Clone, Copy, Debug)]
+pub struct TraceRef<'a> {
+    pub records: &'a [TraceRecord],
+    pub sites: &'a SiteTable,
+    pub n_ranks: usize,
+}
+
+impl<'a> TraceRef<'a> {
+    /// A store's records, in its canonical order, with its sites.
+    pub fn of_store(store: &'a crate::TraceStore) -> Self {
+        TraceRef {
+            records: store.records(),
+            sites: store.sites(),
+            n_ranks: store.n_ranks(),
+        }
+    }
+
+    /// Write the text format.
+    ///
+    /// Layout:
+    /// ```text
+    /// #tracedbg v1
+    /// #ranks <n>
+    /// S <id> <line> <file>|<func>
+    /// R <rank> <code> <marker> <t0> <t1> <site|-> <a> <b> [M <src> <dst> <tag> <bytes> <seq>] [L <label>]
+    /// ```
+    pub fn write_text<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        writeln!(w, "#tracedbg v1")?;
+        writeln!(w, "#ranks {}", self.n_ranks)?;
+        for (i, s) in self.sites.snapshot().iter().enumerate() {
+            writeln!(w, "S {} {} {}|{}", i, s.line, s.file, s.func)?;
+        }
+        for r in self.records {
+            write!(
+                w,
+                "R {} {} {} {} {} ",
+                r.rank.0,
+                r.kind.code(),
+                r.marker,
+                r.t_start,
+                r.t_end
+            )?;
+            if r.site == SiteId::UNKNOWN {
+                write!(w, "- ")?;
+            } else {
+                write!(w, "{} ", r.site.0)?;
+            }
+            write!(w, "{} {}", r.args[0], r.args[1])?;
+            if let Some(m) = &r.msg {
+                write!(
+                    w,
+                    " M {} {} {} {} {}",
+                    m.src.0, m.dst.0, m.tag.0, m.bytes, m.seq
+                )?;
+            }
+            // Labels are written trimmed; a label that is empty after trimming
+            // is unrepresentable in a line-oriented format and reads back as
+            // absent.
+            if let Some(l) = &r.label {
+                let l = l.trim_end();
+                if !l.is_empty() {
+                    write!(w, " L {l}")?;
+                }
+            }
+            writeln!(w)?;
+        }
+        Ok(())
+    }
+
+    /// Write the compact binary format (`.tbin`). Fixed little-endian fields;
+    /// roughly 4–6× denser than the text format on message-heavy traces.
+    pub fn write_binary<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        w.write_all(BIN_MAGIC)?;
+        w_u32(w, self.n_ranks as u32)?;
+        let sites = self.sites.snapshot();
+        w_u32(w, sites.len() as u32)?;
+        for s in &sites {
+            w_u32(w, s.line)?;
+            w_str(w, &s.file)?;
+            w_str(w, &s.func)?;
+        }
+        w_u64(w, self.records.len() as u64)?;
+        for r in self.records {
+            write_record(w, r)?;
+        }
+        Ok(())
+    }
 }
 
 /// Errors from reading a trace file.
@@ -62,56 +162,9 @@ impl From<io::Error> for ReadError {
     }
 }
 
-/// Write the text format.
-///
-/// Layout:
-/// ```text
-/// #tracedbg v1
-/// #ranks <n>
-/// S <id> <line> <file>|<func>
-/// R <rank> <code> <marker> <t0> <t1> <site|-> <a> <b> [M <src> <dst> <tag> <bytes> <seq>] [L <label>]
-/// ```
+/// Write the text format ([`TraceRef::write_text`]).
 pub fn write_text<W: Write>(w: &mut W, file: &TraceFile) -> io::Result<()> {
-    writeln!(w, "#tracedbg v1")?;
-    writeln!(w, "#ranks {}", file.n_ranks)?;
-    for (i, s) in file.sites.snapshot().iter().enumerate() {
-        writeln!(w, "S {} {} {}|{}", i, s.line, s.file, s.func)?;
-    }
-    for r in &file.records {
-        write!(
-            w,
-            "R {} {} {} {} {} ",
-            r.rank.0,
-            r.kind.code(),
-            r.marker,
-            r.t_start,
-            r.t_end
-        )?;
-        if r.site == SiteId::UNKNOWN {
-            write!(w, "- ")?;
-        } else {
-            write!(w, "{} ", r.site.0)?;
-        }
-        write!(w, "{} {}", r.args[0], r.args[1])?;
-        if let Some(m) = &r.msg {
-            write!(
-                w,
-                " M {} {} {} {} {}",
-                m.src.0, m.dst.0, m.tag.0, m.bytes, m.seq
-            )?;
-        }
-        // Labels are written trimmed; a label that is empty after trimming
-        // is unrepresentable in a line-oriented format and reads back as
-        // absent.
-        if let Some(l) = &r.label {
-            let l = l.trim_end();
-            if !l.is_empty() {
-                write!(w, " L {l}")?;
-            }
-        }
-        writeln!(w)?;
-    }
-    Ok(())
+    file.borrowed().write_text(w)
 }
 
 fn parse_err(ln: usize, msg: impl Into<String>) -> ReadError {
@@ -314,23 +367,9 @@ fn u64_at(b: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(b[at..at + 8].try_into().expect("eight bytes"))
 }
 
-/// Write the compact binary format (`.tbin`). Fixed little-endian fields;
-/// roughly 4–6× denser than the text format on message-heavy traces.
+/// Write the binary format ([`TraceRef::write_binary`]).
 pub fn write_binary<W: Write>(w: &mut W, file: &TraceFile) -> io::Result<()> {
-    w.write_all(BIN_MAGIC)?;
-    w_u32(w, file.n_ranks as u32)?;
-    let sites = file.sites.snapshot();
-    w_u32(w, sites.len() as u32)?;
-    for s in &sites {
-        w_u32(w, s.line)?;
-        w_str(w, &s.file)?;
-        w_str(w, &s.func)?;
-    }
-    w_u64(w, file.records.len() as u64)?;
-    for r in &file.records {
-        write_record(w, r)?;
-    }
-    Ok(())
+    file.borrowed().write_binary(w)
 }
 
 /// Byte length of a record's fixed prefix: rank `u32`, kind `u8`, marker,

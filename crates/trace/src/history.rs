@@ -6,11 +6,14 @@
 //! slicing a rank's timeline, and finding the latest event of each process
 //! at or before a wall of simulated time (the vertical-stopline query).
 
+use crate::chunk_log::ChunkLog;
 use crate::event::{EventKind, TraceRecord};
 use crate::ids::Rank;
 use crate::loc::SiteTable;
 use crate::marker::{Marker, MarkerVector};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
 
 /// Index of an event in a [`TraceStore`]'s canonical order.
@@ -33,25 +36,188 @@ pub struct TraceStore {
     n_ranks: usize,
 }
 
+/// A record's place in the canonical order; records with equal keys keep
+/// the order they arrived in.
+type Key = (u64, Rank, u64);
+
+fn canonical_key(r: &TraceRecord) -> Key {
+    (r.t_start, r.rank, r.marker)
+}
+
+/// A maximal ascending stretch of the arriving records, as the merge's
+/// heap holds it: the key and place (`part`, `ix`) of its next record, how
+/// many records it has left, and its position among the runs, which
+/// breaks ties so that equal keys keep their arrival order.
+struct Run {
+    head: Key,
+    order: usize,
+    part: usize,
+    ix: usize,
+    left: usize,
+}
+
+impl Run {
+    fn heap_key(&self) -> (Key, usize) {
+        (self.head, self.order)
+    }
+}
+
+/// Reversed, so that `BinaryHeap` (a max-heap) yields the smallest head.
+impl Ord for Run {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.heap_key().cmp(&self.heap_key())
+    }
+}
+
+impl PartialOrd for Run {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Run {
+    fn eq(&self, other: &Self) -> bool {
+        self.heap_key() == other.heap_key()
+    }
+}
+
+impl Eq for Run {}
+
+/// The records of `parts`, read in order as one sequence, in canonical
+/// order — the one place that order is made. The sequence is cut into its
+/// maximal ascending runs (a run's records are already in order: a rank's
+/// flush, or a file that was written sorted), and the runs are merged by
+/// a heap keyed on (head key, run position), so equal keys keep arrival
+/// order exactly as a stable sort would. The result is allocated once at
+/// its final length and each record is handed over by `take(part, ix)`
+/// once, in output order; there is no scratch copy of the records.
+///
+/// `None` when there is nothing to merge: at most one part, already in
+/// order, which the caller keeps as it is. `n_ranks` sizes the list of
+/// runs: a run's trace arrives as about one flush per rank.
+fn canonical_order<P: AsRef<[TraceRecord]>>(
+    parts: &mut [P],
+    n_ranks: usize,
+    mut take: impl FnMut(&mut P, usize) -> TraceRecord,
+) -> Option<Vec<TraceRecord>> {
+    let total = parts.iter().map(|part| part.as_ref().len()).sum();
+    let mut runs: Vec<Run> = Vec::with_capacity(n_ranks.min(total));
+    for (p, part) in parts.iter().enumerate() {
+        for (ix, rec) in part.as_ref().iter().enumerate() {
+            let key = canonical_key(rec);
+            match runs.last_mut() {
+                Some(run) if run.head <= key => {
+                    run.head = key;
+                    run.left += 1;
+                }
+                _ => runs.push(Run {
+                    head: key,
+                    order: runs.len(),
+                    part: p,
+                    ix,
+                    left: 1,
+                }),
+            }
+        }
+    }
+    if parts.len() <= 1 && runs.len() <= 1 {
+        return None;
+    }
+    // The scan left each run's last key in `head`; rewind to its first.
+    for run in &mut runs {
+        run.head = canonical_key(&parts[run.part].as_ref()[run.ix]);
+    }
+    let mut heap = BinaryHeap::from(runs);
+    let mut out = Vec::with_capacity(total);
+    while let Some(mut run) = heap.peek_mut() {
+        out.push(take(&mut parts[run.part], run.ix));
+        run.left -= 1;
+        if run.left == 0 {
+            PeekMut::pop(run);
+            continue;
+        }
+        run.ix += 1;
+        while run.ix == parts[run.part].as_ref().len() {
+            run.part += 1;
+            run.ix = 0;
+        }
+        run.head = canonical_key(&parts[run.part].as_ref()[run.ix]);
+    }
+    Some(out)
+}
+
+/// Move a record out of a part the merge is consuming, leaving only its
+/// plain fields behind: the label's allocation changes hands, not its text.
+fn steal(rec: &mut TraceRecord) -> TraceRecord {
+    TraceRecord {
+        label: rec.label.take(),
+        ..*rec
+    }
+}
+
 impl TraceStore {
     /// Build a store from raw records.
     ///
     /// Records are put in the canonical order `(t_start, rank, marker)`;
-    /// `n_ranks` is inferred from the records if 0 is passed.
+    /// `n_ranks` is inferred from the records if 0 is passed. Records that
+    /// already are in that order are kept where they are.
     pub fn build(mut records: Vec<TraceRecord>, sites: SiteTable, n_ranks: usize) -> Self {
-        records.sort_by_key(|r| (r.t_start, r.rank, r.marker));
+        if let Some(merged) =
+            canonical_order(std::slice::from_mut(&mut records), n_ranks, |part, ix| {
+                steal(&mut part[ix])
+            })
+        {
+            records = merged;
+        }
+        Self::from_canonical(records, sites, n_ranks)
+    }
+
+    /// Build a store from a log of records in arrival order, cloning each
+    /// record once into the store (the log stays the caller's).
+    pub fn from_log(log: &ChunkLog<TraceRecord>, sites: SiteTable, n_ranks: usize) -> Self {
+        let mut parts: Vec<&[TraceRecord]> = log.slices().collect();
+        let records = canonical_order(&mut parts, n_ranks, |part, ix| part[ix].clone())
+            .unwrap_or_else(|| parts.concat());
+        Self::from_canonical(records, sites, n_ranks)
+    }
+
+    /// [`TraceStore::from_log`] for a caller that is done with the log:
+    /// each record is moved into the store, not cloned (a chunk the log
+    /// shares with a copy of it is cloned first).
+    pub fn from_log_owned(log: ChunkLog<TraceRecord>, sites: SiteTable, n_ranks: usize) -> Self {
+        let mut parts = log.into_parts();
+        let records = canonical_order(&mut parts, n_ranks, |part, ix| steal(&mut part[ix]))
+            .unwrap_or_else(|| parts.pop().unwrap_or_default());
+        Self::from_canonical(records, sites, n_ranks)
+    }
+
+    /// Index records that are in canonical order.
+    fn from_canonical(records: Vec<TraceRecord>, sites: SiteTable, n_ranks: usize) -> Self {
         // Use the declared rank count, but never less than the records
-        // actually reference (robustness against undersized headers).
-        let inferred = records.iter().map(|r| r.rank.ix() + 1).max().unwrap_or(0);
-        let n_ranks = n_ranks.max(inferred);
-        let mut per_rank: Vec<Vec<EventId>> = vec![Vec::new(); n_ranks];
+        // actually reference (robustness against undersized headers). A
+        // lane starts with room for an even share of the records.
+        let share = records.len() / n_ranks.max(1);
+        let mut per_rank: Vec<Vec<EventId>> =
+            (0..n_ranks).map(|_| Vec::with_capacity(share)).collect();
+        let mut in_marker_order = true;
         for (i, r) in records.iter().enumerate() {
-            per_rank[r.rank.ix()].push(EventId(i as u32));
+            let rank = r.rank.ix();
+            if rank >= per_rank.len() {
+                per_rank.resize_with(rank + 1, Vec::new);
+            }
+            let lane = &mut per_rank[rank];
+            if let Some(last) = lane.last() {
+                in_marker_order &= records[last.ix()].marker <= r.marker;
+            }
+            lane.push(EventId(i as u32));
         }
         // Within a rank, canonical order must agree with program order.
-        for lane in &mut per_rank {
-            lane.sort_by_key(|id| records[id.ix()].marker);
+        if !in_marker_order {
+            for lane in &mut per_rank {
+                lane.sort_by_key(|id| records[id.ix()].marker);
+            }
         }
+        let n_ranks = per_rank.len();
         TraceStore {
             records,
             per_rank,
@@ -222,6 +388,24 @@ mod tests {
             .map(|id| s.record(*id).marker)
             .collect();
         assert_eq!(p0, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_lane_follows_markers_where_time_disagrees() {
+        let recs = vec![
+            mk(0, Compute, 2, 0, 5),
+            mk(0, Compute, 1, 3, 4),
+            mk(2, Probe, 1, 1, 1),
+        ];
+        let s = TraceStore::build(recs, SiteTable::new(), 0);
+        assert_eq!(s.n_ranks(), 3);
+        let lane: Vec<u64> = s
+            .by_rank(Rank(0))
+            .iter()
+            .map(|id| s.record(*id).marker)
+            .collect();
+        assert_eq!(lane, [1, 2]);
+        assert!(s.by_rank(Rank(1)).is_empty());
     }
 
     #[test]

@@ -28,51 +28,101 @@ pub struct TraceStats {
     pub makespan: u64,
 }
 
+/// Ranks counted in a plain array; a higher rank (a trace file can name
+/// any `u32`) is counted in a map instead of sizing the array to it.
+const DENSE_RANKS: usize = 1 << 16;
+
+/// The counts of one pass, kept in arrays while the records stream by and
+/// turned into [`TraceStats`]' maps once at the end.
+struct Tally {
+    stats: TraceStats,
+    per_kind: [usize; EventKind::ALL.len()],
+    per_rank: Vec<usize>,
+    high_ranks: BTreeMap<u32, usize>,
+    t_lo: u64,
+    t_hi: u64,
+}
+
+impl Tally {
+    fn new() -> Self {
+        Tally {
+            stats: TraceStats::default(),
+            per_kind: [0; EventKind::ALL.len()],
+            per_rank: Vec::new(),
+            high_ranks: BTreeMap::new(),
+            t_lo: u64::MAX,
+            t_hi: 0,
+        }
+    }
+
+    fn fold(&mut self, r: &TraceRecord) {
+        let s = &mut self.stats;
+        s.n_events += 1;
+        self.per_kind[r.kind.index()] += 1;
+        match r.rank.ix() {
+            ix if ix < DENSE_RANKS => {
+                if ix >= self.per_rank.len() {
+                    self.per_rank.resize(ix + 1, 0);
+                }
+                self.per_rank[ix] += 1;
+            }
+            _ => *self.high_ranks.entry(r.rank.0).or_insert(0) += 1,
+        }
+        self.t_lo = self.t_lo.min(r.t_start);
+        self.t_hi = self.t_hi.max(r.t_end);
+        match r.kind {
+            EventKind::Send => {
+                s.sends += 1;
+                if let Some(m) = &r.msg {
+                    s.bytes_sent += m.bytes as u64;
+                }
+            }
+            EventKind::RecvDone => s.messages_delivered += 1,
+            _ => {}
+        }
+    }
+
+    fn seal(self) -> TraceStats {
+        let mut s = self.stats;
+        s.per_kind = EventKind::ALL
+            .iter()
+            .zip(self.per_kind)
+            .filter(|&(_, n)| n > 0)
+            .map(|(k, n)| (k.code(), n))
+            .collect();
+        s.per_rank = (0u32..)
+            .zip(self.per_rank)
+            .filter(|&(_, n)| n > 0)
+            .chain(self.high_ranks)
+            .collect();
+        s.n_ranks = s.per_rank.len();
+        s.makespan = if s.n_events == 0 {
+            0
+        } else {
+            self.t_hi - self.t_lo
+        };
+        s
+    }
+}
+
 impl TraceStats {
     /// Compute statistics from records.
     pub fn compute(records: &[TraceRecord]) -> Self {
-        let mut s = TraceStats::default();
-        let mut span = (u64::MAX, 0u64);
+        let mut tally = Tally::new();
         for r in records {
-            s.fold(r, &mut span);
+            tally.fold(r);
         }
-        s.seal(span);
-        s
+        tally.seal()
     }
 
     /// Compute statistics by streaming any [`TraceSource`] — one pass,
     /// constant memory: an on-disk store is never materialized.
     pub fn from_source(src: &dyn TraceSource) -> Result<Self, SourceError> {
-        let mut s = TraceStats::default();
-        let mut span = (u64::MAX, 0u64);
+        let mut tally = Tally::new();
         for rec in src.select(Select::All)? {
-            s.fold(&rec?, &mut span);
+            tally.fold(&rec?);
         }
-        s.seal(span);
-        Ok(s)
-    }
-
-    fn fold(&mut self, r: &TraceRecord, (t_lo, t_hi): &mut (u64, u64)) {
-        self.n_events += 1;
-        *self.per_kind.entry(r.kind.code()).or_insert(0) += 1;
-        *self.per_rank.entry(r.rank.0).or_insert(0) += 1;
-        *t_lo = (*t_lo).min(r.t_start);
-        *t_hi = (*t_hi).max(r.t_end);
-        match r.kind {
-            EventKind::Send => {
-                self.sends += 1;
-                if let Some(m) = &r.msg {
-                    self.bytes_sent += m.bytes as u64;
-                }
-            }
-            EventKind::RecvDone => self.messages_delivered += 1,
-            _ => {}
-        }
-    }
-
-    fn seal(&mut self, (t_lo, t_hi): (u64, u64)) {
-        self.n_ranks = self.per_rank.len();
-        self.makespan = if self.n_events == 0 { 0 } else { t_hi - t_lo };
+        Ok(tally.seal())
     }
 
     /// Messages delivered *to* a given rank.
@@ -149,6 +199,19 @@ mod tests {
         assert_eq!(TraceStats::received_by(&recs, Rank(1)), 1);
         assert_eq!(TraceStats::sent_by(&recs, Rank(0)), 1);
         assert_eq!(TraceStats::sent_by(&recs, Rank(1)), 0);
+    }
+
+    #[test]
+    fn ranks_past_the_array_are_counted_too() {
+        let recs = vec![
+            TraceRecord::basic(u32::MAX, EventKind::Compute, 1, 5),
+            TraceRecord::basic(3u32, EventKind::Compute, 1, 5),
+            TraceRecord::basic(u32::MAX, EventKind::Probe, 2, 7),
+        ];
+        let s = TraceStats::compute(&recs);
+        assert_eq!(s.n_ranks, 2);
+        assert_eq!(s.per_rank, BTreeMap::from([(3, 1), (u32::MAX, 2)]));
+        assert_eq!(s.per_kind, BTreeMap::from([("CP", 2), ("PR", 1)]));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! the debugger surfaces them.
 
 use crate::matching::MessageMatching;
+use std::collections::BTreeSet;
 use tracedbg_trace::{EventId, Rank, TraceStore};
 
 /// Two messages on one channel received in the opposite of send order.
@@ -24,33 +25,53 @@ pub struct Intertwining {
 /// Find all intertwined pairs: same (src, dst), send order and receive
 /// order inverted. With the runtime's non-overtaking matching this can
 /// only happen across different tags.
+///
+/// Each channel's messages are put in send (`seq`) order and swept from
+/// the last: a set of the later messages, ordered by receive marker,
+/// yields exactly the overtakers of each one, so a channel of `m` messages
+/// with `k` inversions costs O(m log m + k log k), not a test of every
+/// pair. Pairs come out by channel and first-sent event, overtakers in
+/// send order.
 pub fn find_intertwined(store: &TraceStore, matching: &MessageMatching) -> Vec<Intertwining> {
-    use std::collections::HashMap;
-    /// (send seq, recv completion marker, send event) per channel.
-    type ChannelMsgs = Vec<(u64, u64, EventId)>;
-    let mut per_channel: HashMap<(Rank, Rank), ChannelMsgs> = HashMap::new();
-    for m in &matching.matched {
-        let recv_marker = store.record(m.recv).marker;
-        per_channel
-            .entry((m.info.src, m.info.dst))
-            .or_default()
-            .push((m.info.seq, recv_marker, m.send));
-    }
+    // (src, dst, send seq, recv completion marker, send event) per message.
+    let mut msgs: Vec<(Rank, Rank, u64, u64, EventId)> = matching
+        .matched
+        .iter()
+        .map(|m| {
+            let recv_marker = store.record(m.recv).marker;
+            (m.info.src, m.info.dst, m.info.seq, recv_marker, m.send)
+        })
+        .collect();
+    msgs.sort_unstable();
     let mut out = Vec::new();
-    for ((src, dst), mut msgs) in per_channel {
-        msgs.sort_by_key(|(seq, _, _)| *seq);
-        for i in 0..msgs.len() {
-            for j in i + 1..msgs.len() {
-                // j was sent after i; intertwined if received before i.
-                if msgs[j].1 < msgs[i].1 {
-                    out.push(Intertwining {
-                        src,
-                        dst,
-                        first_sent: msgs[i].2,
-                        overtaker: msgs[j].2,
-                    });
-                }
+    let mut later: BTreeSet<(u64, usize)> = BTreeSet::new();
+    let mut overtakers: Vec<usize> = Vec::new();
+    let mut start = 0;
+    while start < msgs.len() {
+        let (src, dst) = (msgs[start].0, msgs[start].1);
+        let len = msgs[start..].partition_point(|m| (m.0, m.1) == (src, dst));
+        let channel = &msgs[start..start + len];
+        start += len;
+        if channel.windows(2).all(|w| w[0].3 <= w[1].3) {
+            continue; // received in send order
+        }
+        later.clear();
+        let mut min_later = u64::MAX;
+        for (i, &(_, _, _, recv_marker, first_sent)) in channel.iter().enumerate().rev() {
+            // Sent after i and received before it.
+            if min_later < recv_marker {
+                overtakers.clear();
+                overtakers.extend(later.range(..(recv_marker, 0)).map(|&(_, j)| j));
+                overtakers.sort_unstable();
+                out.extend(overtakers.iter().map(|&j| Intertwining {
+                    src,
+                    dst,
+                    first_sent,
+                    overtaker: channel[j].4,
+                }));
             }
+            later.insert((recv_marker, i));
+            min_later = min_later.min(recv_marker);
         }
     }
     out.sort_by_key(|i| (i.src, i.dst, i.first_sent));

@@ -6,14 +6,14 @@
 //!
 //! In this trace format the runtime stamps each message with its per-
 //! `(src, dst)` sequence number, so the unique key `(src, dst, seq)` pairs
-//! a `Send` record with its `RecvDone` record directly. The ledger of
-//! sends that were never received and receives that never completed is
-//! exactly what §4.4's history analysis reports ("the user is informed
-//! about the unmatched send/receives") and what Figure 6 visualizes as the
-//! missed message.
+//! a `Send` record with its `RecvDone` record directly: both sides are
+//! sorted by that key and joined, with no hashing. The ledger of sends that
+//! were never received and receives that never completed is exactly what
+//! §4.4's history analysis reports ("the user is informed about the
+//! unmatched send/receives") and what Figure 6 visualizes as the missed
+//! message.
 
-use std::collections::HashMap;
-use tracedbg_trace::{EventId, EventKind, MsgInfo, Rank, TraceStore};
+use tracedbg_trace::{EventId, EventKind, MsgInfo, Rank, TraceRecord, TraceStore};
 
 /// A send paired with its receive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,53 +45,98 @@ pub struct MessageMatching {
     pub matched: Vec<MatchedMessage>,
     pub unmatched_sends: Vec<UnmatchedSend>,
     pub unmatched_recvs: Vec<UnmatchedRecv>,
-    /// recv event id -> index into `matched`.
-    by_recv: HashMap<EventId, usize>,
-    /// send event id -> index into `matched`.
-    by_send: HashMap<EventId, usize>,
+    /// Per event id, the index into `matched` of the message the event
+    /// sent or received ([`NO_MATCH`] for any other event).
+    match_ix: Vec<u32>,
+}
+
+/// The `match_ix` entry of an event in no matched message.
+const NO_MATCH: u32 = u32::MAX;
+
+/// A message's channel and sequence number, `((src << 32) | dst, seq)`,
+/// and the event that carries it.
+type Keyed = (u64, u64, EventId);
+
+fn keyed(rec: &TraceRecord, id: EventId, what: &str) -> Keyed {
+    let m = rec
+        .msg
+        .unwrap_or_else(|| panic!("{what} record without msg info"));
+    (((m.src.0 as u64) << 32) | m.dst.0 as u64, m.seq, id)
 }
 
 impl MessageMatching {
     /// Match all sends and receives of a trace.
+    ///
+    /// A receive matches the send with its `(src, dst, seq)`; of two
+    /// receives with one key the earlier matches, and of two sends with one
+    /// key the later is the one a receive can match — the earlier is
+    /// shadowed and reported unmatched, since a trace file may hold
+    /// anything.
     pub fn build(store: &TraceStore) -> Self {
-        let mut sends: HashMap<(Rank, Rank, u64), EventId> = HashMap::new();
-        let mut out = MessageMatching::default();
-        for id in store.ids() {
-            let rec = store.record(id);
-            if rec.kind == EventKind::Send {
-                let m = rec.msg.expect("send record without msg info");
-                sends.insert((m.src, m.dst, m.seq), id);
+        let mut sends: Vec<Keyed> = Vec::new();
+        let mut recvs: Vec<Keyed> = Vec::new();
+        for (id, rec) in store.ids().zip(store.records()) {
+            match rec.kind {
+                EventKind::Send => sends.push(keyed(rec, id, "send")),
+                EventKind::RecvDone => recvs.push(keyed(rec, id, "recv")),
+                _ => {}
             }
         }
-        // Pair receives; count completed receives per post by walking each
-        // rank's lane (RecvPost followed by its RecvDone in program order).
-        for id in store.ids() {
-            let rec = store.record(id);
-            if rec.kind != EventKind::RecvDone {
+        // Receives are reported in event order: keep it before sorting.
+        let recv_order: Vec<EventId> = recvs.iter().map(|r| r.2).collect();
+        sends.sort_unstable();
+        recvs.sort_unstable();
+        // Join the two sorted lists; `match_ix` holds a receive's send for
+        // now.
+        let mut match_ix = vec![NO_MATCH; store.len()];
+        let mut unmatched: Vec<EventId> = Vec::new();
+        let mut r = 0;
+        for (i, &(chan, seq, send)) in sends.iter().enumerate() {
+            if sends
+                .get(i + 1)
+                .is_some_and(|next| (next.0, next.1) == (chan, seq))
+            {
+                unmatched.push(send);
                 continue;
             }
-            let m = rec.msg.expect("recv record without msg info");
-            if let Some(send_id) = sends.remove(&(m.src, m.dst, m.seq)) {
-                let ix = out.matched.len();
-                out.matched.push(MatchedMessage {
-                    send: send_id,
-                    recv: id,
-                    info: m,
-                });
-                out.by_recv.insert(id, ix);
-                out.by_send.insert(send_id, ix);
+            while recvs
+                .get(r)
+                .is_some_and(|recv| (recv.0, recv.1) < (chan, seq))
+            {
+                r += 1;
+            }
+            match recvs.get(r) {
+                Some(&(c, s, recv)) if (c, s) == (chan, seq) => match_ix[recv.ix()] = send.0,
+                _ => unmatched.push(send),
             }
         }
-        // Remaining sends are unmatched.
-        let mut rest: Vec<UnmatchedSend> = sends
-            .into_values()
-            .map(|send_id| UnmatchedSend {
-                send: send_id,
-                info: store.record(send_id).msg.unwrap(),
+        let mut out = MessageMatching::default();
+        for recv in recv_order {
+            let send = match_ix[recv.ix()];
+            if send == NO_MATCH {
+                continue;
+            }
+            let ix = out.matched.len() as u32;
+            out.matched.push(MatchedMessage {
+                send: EventId(send),
+                recv,
+                info: store
+                    .record(recv)
+                    .msg
+                    .expect("a keyed receive has msg info"),
+            });
+            match_ix[recv.ix()] = ix;
+            match_ix[send as usize] = ix;
+        }
+        out.match_ix = match_ix;
+        unmatched.sort_unstable();
+        out.unmatched_sends = unmatched
+            .into_iter()
+            .map(|send| UnmatchedSend {
+                send,
+                info: store.record(send).msg.expect("a keyed send has msg info"),
             })
             .collect();
-        rest.sort_by_key(|u| u.send);
-        out.unmatched_sends = rest;
         // Receive posts not followed by a completion on the same rank: a
         // post is completed iff the next Recv* event after it in that
         // rank's lane is a RecvDone.
@@ -134,14 +179,22 @@ impl MessageMatching {
         });
     }
 
+    /// The matched message `event` sent or received.
+    fn match_of(&self, event: EventId) -> Option<&MatchedMessage> {
+        match self.match_ix.get(event.ix()) {
+            Some(&ix) if ix != NO_MATCH => Some(&self.matched[ix as usize]),
+            _ => None,
+        }
+    }
+
     /// The match containing this receive event, if any.
     pub fn match_of_recv(&self, recv: EventId) -> Option<&MatchedMessage> {
-        self.by_recv.get(&recv).map(|&i| &self.matched[i])
+        self.match_of(recv).filter(|m| m.recv == recv)
     }
 
     /// The match containing this send event, if any.
     pub fn match_of_send(&self, send: EventId) -> Option<&MatchedMessage> {
-        self.by_send.get(&send).map(|&i| &self.matched[i])
+        self.match_of(send).filter(|m| m.send == send)
     }
 
     /// Is the trace fully matched (no lost messages, no blocked receives)?
@@ -246,6 +299,36 @@ mod tests {
         assert_eq!(mm.match_of_send(m.send), Some(&mm.matched[0]));
         assert_eq!(mm.match_of_recv(m.recv), Some(&mm.matched[0]));
         assert_eq!(mm.match_of_recv(m.send), None);
+    }
+
+    #[test]
+    fn a_send_shadowed_by_a_repeated_key_is_reported_unmatched() {
+        // Two sends carry (0 -> 1, seq 0), and so do two receives. The
+        // later send is matched, to the earlier receive; the earlier send
+        // is reported lost, in send order with a genuinely lost send (seq
+        // 1).
+        let recs = vec![
+            send(0, 1, 0, msg(0, 1, 5, 0)),
+            send(0, 2, 1, msg(0, 1, 5, 0)),
+            send(0, 3, 2, msg(0, 1, 5, 1)),
+            recv_post(1, 1, 3, 0),
+            recv_done(1, 2, 4, msg(0, 1, 5, 0)),
+            recv_post(1, 3, 5, 0),
+            recv_done(1, 4, 6, msg(0, 1, 5, 0)),
+        ];
+        let store = TraceStore::build(recs, SiteTable::new(), 2);
+        let mm = MessageMatching::build(&store);
+        assert_eq!(mm.matched.len(), 1);
+        assert_eq!(store.record(mm.matched[0].send).marker, 2);
+        assert_eq!(store.record(mm.matched[0].recv).marker, 2);
+        let lost: Vec<u64> = mm
+            .unmatched_sends
+            .iter()
+            .map(|u| store.record(u.send).marker)
+            .collect();
+        assert_eq!(lost, [1, 3]);
+        let shadowed = mm.unmatched_sends[0].send;
+        assert_eq!(mm.match_of_send(shadowed), None);
     }
 
     #[test]

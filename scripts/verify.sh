@@ -309,6 +309,17 @@ for gone in UndoStack CheckpointCache; do
   gate "$gone under crates/*/src" "$(count "\\b$gone\\b" "${src[@]}")" -eq 0
 done
 gate "fn compact in crates/debugger/src" "$(count 'fn compact\b' crates/debugger/src)" -le 1
+# A record is handled once after the run: one merge puts a trace in
+# canonical order (`TraceStore`'s `canonical_order`, no record sort
+# beside it), matching joins sorted channel keys instead of hashing, and
+# `write_trace_file` encodes from the store instead of a copy of it.
+gate "HashMap in crates/tracegraph/src/matching.rs" \
+  "$(count 'HashMap' crates/tracegraph/src/matching.rs)" -eq 0
+gate "record sorts by t_start under crates/*/src" \
+  "$(count 'sort_by_key\(\|r\| \(r\.t_start' "${src[@]}")" -eq 0
+write_trace=$(sed -n '/^pub fn write_trace_file(/,/^}/p' crates/core/src/bin/tracedbg/input.rs)
+[ -n "$write_trace" ] || { echo "semantics gate: write_trace_file not found" >&2; exit 1; }
+gate "to_vec in write_trace_file" "$(printf '%s' "$write_trace" | grep -c 'to_vec' || true)" -eq 0
 # Sleep-set DPOR must report exactly the findings of the full search on
 # the racy script workloads (same classes, same counts), at any --jobs.
 for wl in sdl:racy-wildcard sdl:racy-deadlock; do

@@ -17,8 +17,8 @@ use std::time::Instant;
 use tracedbg::causality::{detect_races, HbIndex};
 use tracedbg::debugger::{HistoryReport, Session, SessionConfig, Stopline};
 use tracedbg::mpsim::{Engine, EngineConfig, RankProgram, RecorderConfig};
-use tracedbg::trace::{Rank, TraceStore};
-use tracedbg::tracegraph::MessageMatching;
+use tracedbg::trace::{EventKind, MsgInfo, Rank, SiteTable, Tag, TraceRecord, TraceStore};
+use tracedbg::tracegraph::{find_intertwined, MessageMatching};
 use tracedbg::workloads::master_worker::{self, PoolConfig};
 use tracedbg::workloads::ring::{self, RingConfig};
 use tracedbg::workloads::wide::{self, ButterflyConfig, StencilConfig};
@@ -162,6 +162,56 @@ fn race_detection_is_linear_in_the_wildcard_receives() {
             pair[1]
         );
     }
+}
+
+/// One channel, rank 0 to rank 1, of `m` messages whose receives complete
+/// in swapped pairs — the second of each pair first, as a tag-selective
+/// receive takes them — so half the messages are intertwined.
+fn swapped_channel(m: u64) -> TraceStore {
+    let info = |seq: u64| MsgInfo {
+        src: Rank(0),
+        dst: Rank(1),
+        tag: Tag((seq % 2) as i32),
+        bytes: 8,
+        seq,
+    };
+    let records = (0..m)
+        .flat_map(|i| {
+            [
+                TraceRecord::basic(0u32, EventKind::Send, i + 1, i).with_msg(info(i)),
+                TraceRecord::basic(1u32, EventKind::RecvDone, i + 1, m + i).with_msg(info(i ^ 1)),
+            ]
+        })
+        .collect();
+    TraceStore::build(records, SiteTable::new(), 2)
+}
+
+/// The intertwined-message report (§4.4) enumerates each channel's
+/// inversions; testing every pair of a channel's messages made doubling
+/// the channel cost 4x.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn intertwined_messages_are_found_in_time_linear_in_the_channel() {
+    let channels = [8000, 16000].map(|m| {
+        let store = swapped_channel(m);
+        let matching = MessageMatching::build(&store);
+        assert_eq!(find_intertwined(&store, &matching).len() as u64, m / 2);
+        (store, matching)
+    });
+    let cells = interleaved_best(&channels, |(store, matching)| {
+        timed(|| find_intertwined(store, matching).len())
+    });
+    eprintln!(
+        "intertwined us on one channel of 8000/16000 messages: {:.0} / {:.0}",
+        cells[0] / 1e3,
+        cells[1] / 1e3
+    );
+    assert!(
+        cells[1] <= 2.5 * cells[0],
+        "doubling the channel took the intertwined report from {:.0} to {:.0} ns",
+        cells[0],
+        cells[1]
+    );
 }
 
 /// A checkpointing session over `programs` that has recorded one run, and
