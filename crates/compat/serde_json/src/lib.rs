@@ -139,6 +139,10 @@ pub fn to_writer<W: Write, T: Serialize + ?Sized>(mut w: W, value: &T) -> Result
 
 // ---------------------------------------------------------------- parsing
 
+/// Deepest nesting the parser, which recurses per level, accepts (real
+/// artifacts and reports nest fewer than 10 levels).
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -188,13 +192,17 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
+    /// A value inside `depth` open arrays and objects.
+    fn parse_value(&mut self, depth: usize) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
             Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(self.fail(&format!("nesting deeper than {MAX_DEPTH}")))
+            }
             Some(b'[') => {
                 self.pos += 1;
                 let mut items = Vec::new();
@@ -204,7 +212,7 @@ impl<'a> Parser<'a> {
                     return Ok(Value::Array(items));
                 }
                 loop {
-                    items.push(self.parse_value()?);
+                    items.push(self.parse_value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -229,7 +237,7 @@ impl<'a> Parser<'a> {
                     let key = self.parse_string()?;
                     self.skip_ws();
                     self.expect(b':')?;
-                    let val = self.parse_value()?;
+                    let val = self.parse_value(depth + 1)?;
                     pairs.push((key, val));
                     self.skip_ws();
                     match self.peek() {
@@ -279,6 +287,9 @@ impl<'a> Parser<'a> {
                                     return Err(self.fail("lone surrogate"));
                                 }
                                 let lo = self.parse_hex4()?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(self.fail("lone surrogate"));
+                                }
                                 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                             } else {
                                 hi
@@ -371,7 +382,7 @@ const fn utf8_width(b: u8) -> usize {
 /// Parse a [`Value`] from JSON text.
 pub fn value_from_str(s: &str) -> Result<Value, Error> {
     let mut p = Parser::new(s);
-    let v = p.parse_value()?;
+    let v = p.parse_value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.fail("trailing characters"));
@@ -429,6 +440,28 @@ mod tests {
     fn unicode_escapes() {
         let v = value_from_str(r#""aé😀b""#).unwrap();
         assert_eq!(v.as_str().unwrap(), "aé😀b");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(value_from_str(&deep(64)).is_ok());
+        assert!(value_from_str(&deep(MAX_DEPTH)).is_ok());
+        let err = value_from_str(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.to_string(), "nesting deeper than 128 at byte 128");
+        // Far past the stack's reach: a typed error, not an abort.
+        assert!(value_from_str(&"[".repeat(100_000)).is_err());
+        assert!(value_from_str(&"{\"a\":".repeat(100_000)).is_err());
+        let mixed = format!("{}1{}", "[{\"k\":".repeat(40), "}]".repeat(40));
+        assert!(value_from_str(&mixed).is_ok());
+    }
+
+    #[test]
+    fn a_bad_low_surrogate_is_an_error() {
+        // A high surrogate followed by a `\u` escape outside the low range.
+        assert!(value_from_str("\"\\ud800\\u0041\"").is_err());
+        let v = value_from_str("\"\\ud83d\\ude00\"").unwrap();
+        assert_eq!(v.as_str().unwrap(), "\u{1F600}");
     }
 
     #[test]

@@ -133,20 +133,23 @@ pub fn quietly<T>(f: impl FnOnce() -> T) -> T {
 }
 
 /// Print a sealed report — its JSON with `--json`, else its rendering —
-/// and write the JSON to `--out FILE` when asked.
+/// and write the JSON to `--out FILE` when asked. The report is encoded
+/// once if either wants it, else not at all.
 fn emit_report(
     opts: &Opts,
-    to_json: impl Fn() -> String,
+    to_json: impl FnOnce() -> String,
     render: impl FnOnce() -> String,
 ) -> Result<(), String> {
-    if opts.has("json") {
-        println!("{}", to_json());
+    let (json, out) = (opts.has("json"), opts.flag("out"));
+    let text = (json || out.is_some()).then(to_json).unwrap_or_default();
+    if json {
+        println!("{text}");
     } else {
         print!("{}", render());
     }
-    if let Some(out) = opts.flag("out") {
-        std::fs::write(out, to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
-        if !opts.has("json") {
+    if let Some(out) = out {
+        std::fs::write(out, &text).map_err(|e| format!("cannot write {out}: {e}"))?;
+        if !json {
             println!("report written to {out}");
         }
     }

@@ -116,11 +116,16 @@ pub fn causal_indexes<'a>(
     Ok((matching, hb))
 }
 
+/// Read a JSON file the command line names (an artifact or a report).
+pub fn read_file(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
 /// Read an explorer artifact (`--schedule <file.sched.json>`) and resolve
 /// the workload it names, with the seed and process count it records.
 pub fn load_artifact(path: &str) -> Result<(ScheduleArtifact, Workload), String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let artifact = ScheduleArtifact::from_json(&json).map_err(|e| format!("{path}: {e}"))?;
+    let artifact =
+        ScheduleArtifact::from_json(&read_file(path)?).map_err(|e| format!("{path}: {e}"))?;
     let workload = Input::workload(&artifact.workload, artifact.seed, artifact.procs)?;
     Ok((artifact, workload))
 }

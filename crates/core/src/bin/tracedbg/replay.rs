@@ -2,10 +2,11 @@
 //! straight replay, the checkpointed replay, and the two stopline replays
 //! (`--to-suspect`, `--to-critical-path`).
 
-use crate::input::{load_artifact, write_trace_file};
+use crate::input::{load_artifact, read_file, write_trace_file};
 use crate::{json_string, quietly, success_if, Opts};
 use std::process::ExitCode;
 use tracedbg::localize::LocalizeReport;
+use tracedbg::obs::sealed;
 use tracedbg::prelude::*;
 use tracedbg::workloads::Workload;
 
@@ -96,21 +97,6 @@ pub fn cmd_replay(opts: &Opts) -> Result<ExitCode, String> {
     Ok(success_if(reproduced))
 }
 
-/// Load a sealed report (`parse` checks its schema version), refusing one
-/// whose digest no longer covers its contents.
-fn read_report<R>(
-    path: &str,
-    parse: fn(&str) -> Result<R, String>,
-    digest_ok: fn(&R) -> bool,
-) -> Result<R, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let report = parse(&json)?;
-    if !digest_ok(&report) {
-        return Err(format!("{path}: report digest does not match its contents"));
-    }
-    Ok(report)
-}
-
 fn print_where(session: &Session, rank: u32) {
     for line in session.where_is(Rank(rank)) {
         println!("  {line}");
@@ -127,11 +113,7 @@ fn replay_to_suspect(
     report_path: &str,
     opts: &Opts,
 ) -> Result<ExitCode, String> {
-    let report = read_report(
-        report_path,
-        LocalizeReport::from_json,
-        LocalizeReport::digest_ok,
-    )?;
+    let report: LocalizeReport = sealed::load(&read_file(report_path)?, report_path)?;
     let d = report.divergence.as_ref().ok_or_else(|| {
         format!(
             "{report_path}: verdict {:?} has no divergence frontier to replay to",
@@ -140,7 +122,7 @@ fn replay_to_suspect(
     })?;
     let origin = format!("localize divergence at decision {}", d.index);
     let target = (d.markers.as_slice(), origin, "divergence");
-    replay_to_stopline(artifact, factory, opts, target, |session| {
+    replay_to_stopline(artifact, factory, opts, report_path, target, |session| {
         for s in report.suspects.iter().take(2) {
             println!("suspect P{} (score {}):", s.rank, s.score);
             print_where(session, s.rank);
@@ -159,22 +141,13 @@ fn replay_to_critical_path(
     report_path: &str,
     opts: &Opts,
 ) -> Result<ExitCode, String> {
-    let report = read_report(
-        report_path,
-        ProfileReport::from_json,
-        ProfileReport::digest_ok,
-    )?;
-    if report.frontier_markers.is_empty() {
-        return Err(format!(
-            "{report_path}: profile of an empty trace has no critical-path frontier"
-        ));
-    }
+    let report: ProfileReport = sealed::load(&read_file(report_path)?, report_path)?;
     let origin = format!(
         "critical-path terminal ({}ns path)",
         report.critical_path_len
     );
     let target = (report.frontier_markers.as_slice(), origin, "critical-path");
-    replay_to_stopline(artifact, factory, opts, target, |session| {
+    replay_to_stopline(artifact, factory, opts, report_path, target, |session| {
         if let Some(step) = report.path.last() {
             println!(
                 "critical path ends at P{} marker {} ({})",
@@ -186,17 +159,27 @@ fn replay_to_critical_path(
 }
 
 /// Re-execute a failing schedule and stop every process at a report's
-/// marker frontier — `(markers, stopline origin, frontier name)`. The
-/// failing execution runs once to record its match log (pinning wildcard
-/// choices), then the stopline replay jumps to the frontier; `epilogue` prints what the report wants shown of the
-/// stopped session. Exits zero iff the frontier was reached exactly.
+/// marker frontier — `(markers, stopline origin, frontier name)`. A
+/// frontier that does not name every process of the artifact is from
+/// another run and is refused. The failing execution runs once to record
+/// its match log (pinning wildcard choices), then the stopline replay
+/// jumps to the frontier; `epilogue` prints what the report wants shown of
+/// the stopped session. Exits zero iff the frontier was reached exactly.
 fn replay_to_stopline(
     artifact: &ScheduleArtifact,
     factory: ProgramFactory,
     opts: &Opts,
+    report_path: &str,
     (target, origin, frontier): (&[u64], String, &str),
     epilogue: impl FnOnce(&Session),
 ) -> Result<ExitCode, String> {
+    if target.len() != artifact.procs {
+        return Err(format!(
+            "{report_path}: {} markers given, {} processes",
+            target.len(),
+            artifact.procs
+        ));
+    }
     let stopline = Stopline {
         markers: MarkerVector::from_counts(target.to_vec()),
         origin,

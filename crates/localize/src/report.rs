@@ -4,12 +4,12 @@
 //! the failing run and its passing reference set — never from wall-clock
 //! time, worker identity, or job count. `tracedbg localize --jobs N` must
 //! produce a byte-identical report for every `N`; the `digest` field
-//! (FNV-1a over the report serialized with `digest` zeroed) makes that
-//! contract checkable with a `grep`, exactly like `MetricsReport`'s
-//! `event_digest`. The report deliberately has **no** `jobs` field.
+//! (FNV-1a over the report serialized with `digest` zeroed, sealed and
+//! checked by `tracedbg_obs::sealed`) makes that contract checkable with a
+//! `grep`. The report deliberately has **no** `jobs` field.
 
 use serde::{Deserialize, Serialize};
-use tracedbg_obs::fnv1a64;
+use tracedbg_obs::sealed::{self, Sealed};
 
 /// Schema version of [`LocalizeReport`]. v2 added the wait-state blame
 /// component to [`Suspect`].
@@ -123,15 +123,12 @@ impl LocalizeReport {
 
     /// Compute and store `digest` over the rest of the report.
     pub fn seal(&mut self) {
-        self.digest = 0;
-        self.digest = fnv1a64(self.to_json().as_bytes());
+        sealed::seal(self);
     }
 
     /// Does `digest` match the rest of the report?
     pub fn digest_ok(&self) -> bool {
-        let mut probe = self.clone();
-        probe.seal();
-        probe.digest == self.digest
+        sealed::digest_ok(self)
     }
 
     /// The top suspect's rank, if any.
@@ -143,16 +140,20 @@ impl LocalizeReport {
         serde_json::to_string(self).expect("LocalizeReport serializes")
     }
 
+    /// Parse a report, refusing another schema version or a broken digest.
     pub fn from_json(s: &str) -> Result<Self, String> {
-        let r: LocalizeReport =
-            serde_json::from_str(s).map_err(|e| format!("bad LocalizeReport: {e:?}"))?;
-        if r.version != LOCALIZE_VERSION {
-            return Err(format!(
-                "LocalizeReport version {} unsupported (expected {})",
-                r.version, LOCALIZE_VERSION
-            ));
-        }
-        Ok(r)
+        sealed::load(s, Self::NAME)
+    }
+}
+
+impl Sealed for LocalizeReport {
+    const NAME: &'static str = "LocalizeReport";
+    const VERSION: u32 = LOCALIZE_VERSION;
+    fn version(&self) -> u32 {
+        self.version
+    }
+    fn digest(&mut self) -> &mut u64 {
+        &mut self.digest
     }
 }
 

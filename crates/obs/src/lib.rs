@@ -4,8 +4,9 @@
 //! blocking time, intrusion overhead — alongside the trace itself, and
 //! the NTV/VK views render them. This crate is that statistics plane:
 //! counters, high-water gauges, fixed log-2-bucket [`Histogram`]s, a
-//! bounded [`FlightRecorder`] span ring, and the [`MetricsReport`] JSON
-//! schema every `tracedbg` surface exports through.
+//! bounded [`FlightRecorder`] span ring, the [`MetricsReport`] JSON
+//! schema every `tracedbg` surface exports through, and the [`sealed`]
+//! envelope every digest-sealed report is written and loaded through.
 //!
 //! Design constraints (see DESIGN.md §10):
 //!
@@ -22,12 +23,14 @@ pub mod hist;
 pub mod mad;
 pub mod metrics;
 pub mod report;
+pub mod sealed;
 
 pub use flight::{FlightRecorder, Span, SpanKind, FLIGHT_CAP};
 pub use hist::{Histogram, HIST_BUCKETS};
 pub use mad::{mad, mad_score, median, SCORE_CAP};
 pub use metrics::EngineMetrics;
 pub use report::{
-    event_digest, fnv1a64, CacheStats, ClassCount, CommandStat, EventMetrics, ExploreEvent,
-    MetricsReport, TimingMetrics, WorkerStat, METRICS_SCHEMA_VERSION, METRICS_VERSION,
+    event_digest, CacheStats, ClassCount, CommandStat, EventMetrics, ExploreEvent, MetricsReport,
+    TimingMetrics, WorkerStat, METRICS_SCHEMA_VERSION, METRICS_VERSION,
 };
+pub use sealed::fnv1a64;

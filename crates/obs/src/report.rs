@@ -13,23 +13,19 @@
 //!   excluded from the digest.
 
 use crate::metrics::EngineMetrics;
-use serde::{Deserialize, Serialize, Value};
+use crate::sealed::fnv1a64;
+use serde::{Deserialize, Serialize};
 
 /// Schema version of [`MetricsReport`].
 pub const METRICS_VERSION: u32 = 1;
 
 /// Schema revision of the report *shape*. Bumped whenever fields are
-/// added; consumers (profile, the future `serve` daemon) use it to gate
-/// feature probes while `extra` keeps unknown future fields intact.
+/// added, so a consumer can tell which fields to expect.
 pub const METRICS_SCHEMA_VERSION: u32 = 2;
 
-/// Top-level telemetry export.
-///
-/// Serialization is hand-written (not derived) so a report produced by a
-/// *newer* schema round-trips through an older binary: fields this
-/// version does not know land in `extra` and are re-emitted verbatim,
-/// after the known fields, in their original order.
-#[derive(Clone, Debug)]
+/// Top-level telemetry export. Write-only: nothing in the tree decodes a
+/// metrics report.
+#[derive(Clone, Debug, Serialize)]
 pub struct MetricsReport {
     pub version: u32,
     /// [`METRICS_SCHEMA_VERSION`] of the producer.
@@ -46,76 +42,6 @@ pub struct MetricsReport {
     pub event_digest: String,
     /// Wall-clock facts; nondeterministic, excluded from the digest.
     pub timing: TimingMetrics,
-    /// Fields from a newer schema, preserved across a round trip.
-    pub extra: Vec<(String, Value)>,
-}
-
-/// Keys [`MetricsReport`] owns; anything else goes to `extra`.
-const REPORT_KEYS: [&str; 10] = [
-    "version",
-    "schema_version",
-    "source",
-    "workload",
-    "procs",
-    "seed",
-    "jobs",
-    "event",
-    "event_digest",
-    "timing",
-];
-
-impl Serialize for MetricsReport {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("version".to_string(), self.version.to_value()),
-            ("schema_version".to_string(), self.schema_version.to_value()),
-            ("source".to_string(), self.source.to_value()),
-            ("workload".to_string(), self.workload.to_value()),
-            ("procs".to_string(), self.procs.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("jobs".to_string(), self.jobs.to_value()),
-            ("event".to_string(), self.event.to_value()),
-            ("event_digest".to_string(), self.event_digest.to_value()),
-            ("timing".to_string(), self.timing.to_value()),
-        ];
-        fields.extend(self.extra.iter().cloned());
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for MetricsReport {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::msg("MetricsReport: expected object"))?;
-        let field = |key: &str| -> Result<&Value, serde::Error> {
-            obj.iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| serde::Error::msg(format!("MetricsReport: missing field {key}")))
-        };
-        Ok(MetricsReport {
-            version: u32::from_value(field("version")?)?,
-            // Reports predating the field are schema revision 1.
-            schema_version: match obj.iter().find(|(k, _)| k == "schema_version") {
-                Some((_, v)) => u32::from_value(v)?,
-                None => 1,
-            },
-            source: String::from_value(field("source")?)?,
-            workload: String::from_value(field("workload")?)?,
-            procs: u64::from_value(field("procs")?)?,
-            seed: u64::from_value(field("seed")?)?,
-            jobs: u64::from_value(field("jobs")?)?,
-            event: EventMetrics::from_value(field("event")?)?,
-            event_digest: String::from_value(field("event_digest")?)?,
-            timing: TimingMetrics::from_value(field("timing")?)?,
-            extra: obj
-                .iter()
-                .filter(|(k, _)| !REPORT_KEYS.contains(&k.as_str()))
-                .cloned()
-                .collect(),
-        })
-    }
 }
 
 impl MetricsReport {
@@ -141,16 +67,11 @@ impl MetricsReport {
             event,
             event_digest: digest,
             timing,
-            extra: Vec::new(),
         }
     }
 
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("MetricsReport serializes")
-    }
-
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| format!("bad MetricsReport: {e:?}"))
     }
 }
 
@@ -249,16 +170,6 @@ pub fn event_digest(event: &EventMetrics) -> String {
     format!("{:016x}", fnv1a64(json.as_bytes()))
 }
 
-/// FNV-1a over raw bytes — stable, dependency-free.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,58 +259,16 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        let back = MetricsReport::from_json(&json).unwrap();
-        assert_eq!(back.event, report.event);
-        assert_eq!(back.event_digest, report.event_digest);
-    }
-
-    #[test]
-    fn unknown_fields_round_trip() {
-        // A report written by a hypothetical newer schema: two fields
-        // this version has never heard of. Parsing must keep them and
-        // re-serialization must emit them unchanged — the forward-compat
-        // contract profile/serve consumers rely on.
-        let mut report = MetricsReport::new(
-            "stats",
-            "ring",
-            2,
-            7,
-            1,
-            sample_event(),
-            TimingMetrics::default(),
+        // The top-level keys, in the order consumers have always read.
+        let head = format!(
+            "{{\"version\":1,\"schema_version\":2,\"source\":\"explore\",\"workload\":\"ring\",\
+             \"procs\":4,\"seed\":42,\"jobs\":4,\"event\":{}",
+            serde_json::to_string(&report.event).unwrap()
         );
-        report.extra = vec![
-            (
-                "gpu_ms".to_string(),
-                Value::Object(vec![("kernel".to_string(), Value::UInt(42))]),
-            ),
-            ("notes".to_string(), Value::Str("from v3".to_string())),
-        ];
-        let json = report.to_json();
-        assert!(json.contains("\"gpu_ms\":{\"kernel\":42}"), "{json}");
-        let back = MetricsReport::from_json(&json).unwrap();
-        assert_eq!(back.extra, report.extra, "unknown fields preserved");
-        assert_eq!(back.to_json(), json, "byte-identical round trip");
-        assert_eq!(back.schema_version, METRICS_SCHEMA_VERSION);
-    }
-
-    #[test]
-    fn schema_version_defaults_to_one_for_old_reports() {
-        let report = MetricsReport::new(
-            "stats",
-            "ring",
-            2,
-            7,
-            1,
-            sample_event(),
-            TimingMetrics::default(),
-        );
-        let json = report.to_json();
-        assert!(json.contains("\"schema_version\":2"), "{json}");
-        // Strip the field the way a v1 producer would never emit it.
-        let old = json.replace("\"schema_version\":2,", "");
-        let back = MetricsReport::from_json(&old).unwrap();
-        assert_eq!(back.schema_version, 1);
+        assert!(json.starts_with(&head), "{json}");
+        // The digest covers exactly the `event` section's encoding.
+        let tail = format!(",\"event_digest\":\"{}\",\"timing\":", report.event_digest);
+        assert!(json[head.len()..].starts_with(&tail), "{json}");
     }
 
     #[test]

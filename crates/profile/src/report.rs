@@ -5,14 +5,15 @@
 //! count — so `tracedbg profile --jobs N` is byte-identical for every `N`
 //! and for every input plane (`.trc` text, `.tbin`, DiskStore directory)
 //! that delivers the same records. The `digest` field (FNV-1a over the
-//! report serialized with `digest` zeroed) makes that contract checkable
-//! with a `grep`. The report deliberately has **no** `jobs` field.
+//! report serialized with `digest` zeroed, sealed and checked by
+//! `tracedbg_obs::sealed`) makes that contract checkable with a `grep`.
+//! The report deliberately has **no** `jobs` field.
 
 use crate::path::CriticalPath;
 use crate::wait::WaitAnalysis;
 use serde::{Deserialize, Serialize};
 use tracedbg_causality::HbIndex;
-use tracedbg_obs::fnv1a64;
+use tracedbg_obs::sealed::{self, Sealed};
 use tracedbg_trace::{SiteId, SiteTable, TraceStore};
 use tracedbg_tracegraph::MessageMatching;
 
@@ -305,15 +306,12 @@ impl ProfileReport {
 
     /// Compute and store `digest` over the rest of the report.
     pub fn seal(&mut self) {
-        self.digest = 0;
-        self.digest = fnv1a64(self.to_json().as_bytes());
+        sealed::seal(self);
     }
 
     /// Does `digest` match the rest of the report?
     pub fn digest_ok(&self) -> bool {
-        let mut probe = self.clone();
-        probe.seal();
-        probe.digest == self.digest
+        sealed::digest_ok(self)
     }
 
     /// Ranks sorted by blamed cost, highest first (ties toward lower
@@ -333,15 +331,19 @@ impl ProfileReport {
         serde_json::to_string(self).expect("ProfileReport serializes")
     }
 
+    /// Parse a report, refusing another schema version or a broken digest.
     pub fn from_json(s: &str) -> Result<Self, String> {
-        let r: ProfileReport =
-            serde_json::from_str(s).map_err(|e| format!("bad ProfileReport: {e:?}"))?;
-        if r.version != PROFILE_VERSION {
-            return Err(format!(
-                "ProfileReport version {} unsupported (expected {})",
-                r.version, PROFILE_VERSION
-            ));
-        }
-        Ok(r)
+        sealed::load(s, Self::NAME)
+    }
+}
+
+impl Sealed for ProfileReport {
+    const NAME: &'static str = "ProfileReport";
+    const VERSION: u32 = PROFILE_VERSION;
+    fn version(&self) -> u32 {
+        self.version
+    }
+    fn digest(&mut self) -> &mut u64 {
+        &mut self.digest
     }
 }

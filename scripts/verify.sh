@@ -20,6 +20,8 @@ cli_art=$(ls target/verify_cli/planted-wildcard-panic-*.sched.json | head -n 1)
 head -c 100 "$cli_art" > target/verify_cli/truncated.sched.json
 "$bin" localize --schedule "$cli_art" --out target/verify_cli/report.json >/dev/null
 sed 's/"version":2/"version":99/' target/verify_cli/report.json > target/verify_cli/v99.json
+head -c 200000 /dev/zero | tr '\0' '[' > target/verify_cli/deep.json
+"$bin" profile ring --procs 32 --out target/verify_cli/ring32.json >/dev/null
 # expect_error <what the one stderr line must contain> <args...>
 expect_error() {
   local want=$1 status=0; shift
@@ -42,6 +44,10 @@ expect_error 'bad --window 5:1: lo > hi' query tests/golden/store/lu --window 5:
 expect_error 'usage: tracedbg replay' replay
 expect_error 'bad schedule artifact' replay --schedule target/verify_cli/truncated.sched.json
 expect_error 'version 99 unsupported' replay --schedule "$cli_art" --to-suspect target/verify_cli/v99.json
+# Hostile JSON is refused, not a stack overflow (exit 134) or a panic (101).
+expect_error 'nesting deeper than 128' replay --schedule target/verify_cli/deep.json
+expect_error 'nesting deeper than 128' replay --schedule "$cli_art" --to-suspect target/verify_cli/deep.json
+expect_error '32 markers given, 4 processes' replay --schedule "$cli_art" --to-critical-path target/verify_cli/ring32.json
 # A flag value that does not parse is an error, not the default ...
 expect_error '--procs: bad value "abc"' run ring --procs abc
 expect_error '--runs: bad value "lots"' explore ring --runs lots
@@ -320,6 +326,14 @@ gate "record sorts by t_start under crates/*/src" \
 write_trace=$(sed -n '/^pub fn write_trace_file(/,/^}/p' crates/core/src/bin/tracedbg/input.rs)
 [ -n "$write_trace" ] || { echo "semantics gate: write_trace_file not found" >&2; exit 1; }
 gate "to_vec in write_trace_file" "$(printf '%s' "$write_trace" | grep -c 'to_vec' || true)" -eq 0
+# One report envelope: sealing, checking and loading a report live in
+# `tracedbg_obs::sealed`; no report hashes itself, checks its digest on a
+# clone of itself, or decodes a metrics report.
+gate "fnv1a64( in non-test code outside crates/obs/src" \
+  "$(nontest $(find crates/*/src -name '*.rs' -not -path 'crates/obs/src/*') | { grep -c 'fnv1a64(' || true; })" -eq 0
+gate "impl Deserialize for MetricsReport" "$(count 'impl Deserialize for MetricsReport' "${src[@]}")" -eq 0
+gate "report.rs files cloning self" \
+  "$(nontest $(find crates/*/src -name report.rs) | { grep -c 'self\.clone()' || true; })" -eq 0
 # Sleep-set DPOR must report exactly the findings of the full search on
 # the racy script workloads (same classes, same counts), at any --jobs.
 for wl in sdl:racy-wildcard sdl:racy-deadlock; do

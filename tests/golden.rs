@@ -523,6 +523,13 @@ fn golden_cli_transcripts() {
             "err-report-digest",
             "replay|--schedule|ART|--to-critical-path|$SCRATCH/tampered.json",
         ),
+        // A sealed report of another run: 32 frontier markers, 8 processes.
+        ("-", "profile|ring|--procs|32|--out|$SCRATCH/ring32.json"),
+        (
+            "err-report-width",
+            "replay|--schedule|ART|--to-critical-path|$SCRATCH/ring32.json",
+        ),
+        ("err-deep-json", "replay|--schedule|ART|--to-suspect|$SCRATCH/deep.json"),
     ]
     .into_iter()
     .map(|(name, args)| (name, args.replace("ART", ART)))
@@ -546,6 +553,10 @@ fn golden_cli_transcripts() {
             assert!(report.contains("\"makespan\":254800"), "{report}");
             let tampered = report.replacen("\"makespan\":254800", "\"makespan\":254801", 1);
             std::fs::write(scratch.join("tampered.json"), tampered).unwrap();
+        }
+        if *name == "err-deep-json" {
+            // Nesting past any stack: a parse error, not an abort.
+            std::fs::write(scratch.join("deep.json"), "[".repeat(200_000)).unwrap();
         }
         let out = run(args);
         if *name == "-" {
