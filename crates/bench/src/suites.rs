@@ -7,7 +7,8 @@
 //! * `replay` — golden-trace replay: match-log pinning, scripted-schedule
 //!   re-execution, and replay-to-marker (the §6 O(history) observation);
 //! * `engine` — turn-taking engine throughput under the §2
-//!   instrumentation strategies;
+//!   instrumentation strategies, and with metrics off vs on (a 4-rank
+//!   ring and a 4096-rank stencil);
 //! * `checkpoint` — snapshot/restore plane: checkpoint capture, engine
 //!   restoration, restored-run determinism, the same at a mid-run stop of
 //!   the 400-rank stencil and the 80k-event random pattern (plus a
@@ -491,6 +492,28 @@ fn suite_engine(opts: &SuiteOptions) -> Suite {
                     ..Default::default()
                 },
                 wide::butterfly_programs(&cfg),
+            );
+            assert!(e.run().is_completed());
+        }));
+    }
+    // The obs pair at width: a 4096-rank stencil uses 4 channels per rank,
+    // so metering must cost per event, not per ranks² (DESIGN.md §10).
+    for (name, metrics) in [
+        ("stencil4096_metrics_off", false),
+        ("stencil4096_metrics_on", true),
+    ] {
+        if !wants(opts, "engine", name) {
+            continue;
+        }
+        let cfg = wide::StencilConfig { p: 64, steps: 1 };
+        records.push(measure(name, 1, wp, || {
+            let mut e = Engine::launch(
+                EngineConfig {
+                    recorder: RecorderConfig::full(),
+                    metrics,
+                    ..Default::default()
+                },
+                wide::stencil_programs(&cfg),
             );
             assert!(e.run().is_completed());
         }));

@@ -569,10 +569,7 @@ impl Engine {
                 mailbox.push(env);
                 if let Some(o) = self.obs.as_mut() {
                     let depth = mailbox.pending() as u64;
-                    o.metrics.msgs_sent[rank.ix()] += 1;
-                    o.metrics.bytes_sent[rank.ix()] += bytes;
-                    o.metrics.channel_msgs[rank.ix()][dst.ix()] += 1;
-                    o.metrics.channel_bytes[rank.ix()][dst.ix()] += bytes;
+                    o.metrics.count_send(rank.ix(), dst.0, bytes);
                     let hwm = &mut o.metrics.queue_hwm[dst.ix()];
                     *hwm = (*hwm).max(depth);
                 }

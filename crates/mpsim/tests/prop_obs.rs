@@ -9,6 +9,7 @@ mod common;
 
 use common::{fanin_programs, FANIN_NPROCS as NPROCS};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use tracedbg_mpsim::{Engine, EngineConfig, FaultPlan, Rank, RecorderConfig, SchedPolicy};
 use tracedbg_trace::schedule::{Decision, Fault};
 use tracedbg_trace::EventKind;
@@ -58,12 +59,16 @@ proptest! {
         let mut msgs = vec![0u64; NPROCS];
         let mut bytes = vec![0u64; NPROCS];
         let mut recvs = vec![0u64; NPROCS];
+        let mut channels = BTreeMap::<(usize, u32), (u64, u64)>::new();
         for rec in store.records() {
             match rec.kind {
                 EventKind::Send => {
                     let info = rec.msg.as_ref().expect("send records carry MsgInfo");
                     msgs[rec.rank.ix()] += 1;
                     bytes[rec.rank.ix()] += info.bytes as u64;
+                    let c = channels.entry((rec.rank.ix(), info.dst.0)).or_default();
+                    c.0 += 1;
+                    c.1 += info.bytes as u64;
                 }
                 EventKind::RecvPost => recvs[rec.rank.ix()] += 1,
                 _ => {}
@@ -72,10 +77,19 @@ proptest! {
         prop_assert_eq!(&m.msgs_sent, &msgs, "per-rank sends vs trace");
         prop_assert_eq!(&m.bytes_sent, &bytes, "per-rank bytes vs trace");
         prop_assert_eq!(&m.recvs, &recvs, "per-rank receive posts vs trace");
-        // Channel matrix rows sum to the per-rank totals.
-        for r in 0..NPROCS {
-            prop_assert_eq!(m.channel_msgs[r].iter().sum::<u64>(), msgs[r]);
-            prop_assert_eq!(m.channel_bytes[r].iter().sum::<u64>(), bytes[r]);
+        // Every channel's row entry is its recount from the trace, and a
+        // row lists its channels in `dst` order with no zero entries.
+        let rows: BTreeMap<(usize, u32), (u64, u64)> = m
+            .channels()
+            .iter()
+            .enumerate()
+            .flat_map(|(src, row)| row.iter().map(move |&(dst, n, b)| ((src, dst), (n, b))))
+            .collect();
+        prop_assert_eq!(&rows, &channels, "per-channel messages and bytes vs trace");
+        prop_assert_eq!(m.channels().len(), NPROCS);
+        for row in m.channels() {
+            prop_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "row not dst-sorted: {:?}", row);
+            prop_assert!(row.iter().all(|c| c.1 > 0), "zero entry in {:?}", row);
         }
 
         // --- recount from the schedule log: turns, matches, blocking ---

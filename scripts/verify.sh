@@ -66,11 +66,13 @@ expect_error 'view takes trace.trc | trace.tbin | store-dir, not the workload "r
 echo "==> cargo test -q"
 cargo test --offline -q
 
-echo "==> flake: bench-lib and store test binaries, the engine, race and step width gates, 20 consecutive green runs"
+echo "==> flake: bench-lib and store test binaries, the engine, race, step, launch and metering width gates, 20 consecutive green runs"
 # Tests that share scratch state, and timing gates with thin margins (a
 # stencil record at 1024 ranks <= 3x one at 64; race detection on 2x the
 # wildcard receives <= 2.5x; a debugger step at 1024 ranks <= 3x one at
-# 64), only fail some of the time; one pass of `cargo test` cannot tell.
+# 64; a session launch at 4096 ranks <= 6x one at 1024; a metered
+# 1024-rank run <= 1.15x an unmetered one), only fail some of the time;
+# one pass of `cargo test` cannot tell.
 # Fail on the first red run.
 for i in $(seq 1 20); do
   cargo test --offline -q -p tracedbg-bench --lib >/dev/null 2>&1 \
@@ -86,6 +88,9 @@ for i in $(seq 1 20); do
   cargo test --offline --release -q --test width_scaling a_step_costs_the_same \
       -- --test-threads 1 >/dev/null 2>&1 \
     || { echo "flake stage: width_scaling step gate failed on run $i" >&2; exit 1; }
+  cargo test --offline --release -q --test width_scaling \
+      -- a_session_launch_grows a_metered_run_costs --test-threads 1 >/dev/null 2>&1 \
+    || { echo "flake stage: width_scaling launch or metering gate failed on run $i" >&2; exit 1; }
 done
 
 echo "==> benchmark crate: builds and passes against the current public API, untouched"
@@ -334,6 +339,10 @@ gate "fnv1a64( in non-test code outside crates/obs/src" \
 gate "impl Deserialize for MetricsReport" "$(count 'impl Deserialize for MetricsReport' "${src[@]}")" -eq 0
 gate "report.rs files cloning self" \
   "$(nontest $(find crates/*/src -name report.rs) | { grep -c 'self\.clone()' || true; })" -eq 0
+# Engine metrics grow with the channels a run used: no ranks × ranks
+# table is built in the telemetry plane or the engine.
+gate "vec![vec![ in non-test crates/obs/src + crates/mpsim/src" \
+  "$(nontest $(find crates/obs/src crates/mpsim/src -name '*.rs') | { grep -cF 'vec![vec![' || true; })" -eq 0
 # Sleep-set DPOR must report exactly the findings of the full search on
 # the racy script workloads (same classes, same counts), at any --jobs.
 for wl in sdl:racy-wildcard sdl:racy-deadlock; do
@@ -487,8 +496,9 @@ echo "==> metrics smoke: schema keys, cross-jobs digest identity, disabled-path 
 rm -rf target/verify_metrics && mkdir -p target/verify_metrics
 ./target/release/tracedbg stats ring --procs 4 \
   --metrics target/verify_metrics/stats.json >/dev/null
-for key in '"version"' '"source"' '"workload"' '"procs"' '"seed"' '"jobs"' \
-    '"event"' '"event_digest"' '"timing"' '"engine"' '"wall_ms"'; do
+for key in '"version"' '"schema_version":3' '"source"' '"workload"' '"procs"' \
+    '"seed"' '"jobs"' '"event"' '"event_digest"' '"timing"' '"engine"' '"channels"' \
+    '"wall_ms"'; do
   grep -q "$key" target/verify_metrics/stats.json \
     || { echo "stats metrics report is missing $key" >&2; exit 1; }
 done
@@ -568,6 +578,14 @@ cmp -s target/verify_wide/sa.trc target/verify_wide/sb.trc \
   || { echo "1024-rank butterfly does not fit in 128 MiB" >&2; exit 1; }
 ( ulimit -v 131072; ./target/release/tracedbg lint target/verify_wide/sa.trc >/dev/null ) \
   || { echo "lint of a 1024-rank stencil trace does not fit in 128 MiB" >&2; exit 1; }
+# A metered run's channel counters cover the channels it used: `run`
+# (a live session, always metered) and `stats --metrics` of a 4096-rank
+# stencil fit in 256 MiB (with ranks × ranks counters both aborted there).
+( ulimit -v 262144; ./target/release/tracedbg run stencil --procs 4096 >/dev/null ) \
+  || { echo "4096-rank stencil run does not fit in 256 MiB" >&2; exit 1; }
+( ulimit -v 262144; ./target/release/tracedbg stats stencil --procs 4096 \
+    --metrics target/verify_wide/stats4096.json >/dev/null ) \
+  || { echo "4096-rank stencil stats --metrics does not fit in 256 MiB" >&2; exit 1; }
 # A hunt costs its runs, not its frontier: 4000 runs of the 16-rank
 # planted search find the bug (exit 1) inside a 64 MiB address space —
 # frontier entries share their parent run's decisions and one window of

@@ -98,6 +98,64 @@ fn a_record_costs_the_same_at_1024_ranks_as_at_64() {
     );
 }
 
+/// A launch costs the ranks it creates: a session is always metered, and
+/// while its channel counters were ranks × ranks matrices (one in the
+/// engine, one for retired incarnations) a 4096-rank launch cost about 30×
+/// a 1024-rank one on a 2-CPU VM.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn a_session_launch_grows_with_the_ranks_not_their_square() {
+    let cells = interleaved_best(&[1024, 4096], |&n| {
+        timed(|| Session::launch(SessionConfig::default(), Box::new(move || stencil(n))))
+    });
+    eprintln!(
+        "launch     us at 1024/4096 ranks: {:.0} / {:.0}",
+        cells[0] / 1e3,
+        cells[1] / 1e3
+    );
+    let [narrow, wide] = cells;
+    assert!(
+        wide <= 6.0 * narrow,
+        "a session launch costs {wide:.0} ns at 4096 ranks against {narrow:.0} ns at 1024"
+    );
+}
+
+/// Metering a run costs per event: the channel counters are bumped on the
+/// send path, and a run that uses 4 channels per rank does not pay for
+/// all ranks² of them (1.3–1.4× an unmetered run at 1024 ranks while it
+/// did, on a 2-CPU VM).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn a_metered_run_costs_at_most_15_percent_more_at_1024_ranks() {
+    // A sample is four runs back to back: the margin is thinner than the
+    // other gates', and a longer sample averages out short bursts of a
+    // shared machine (five single runs failed about 1 time in 10).
+    let [off, on] = interleaved_best(&[false, true], |&metrics| {
+        timed(|| {
+            for _ in 0..4 {
+                let mut engine = Engine::launch(
+                    EngineConfig {
+                        recorder: RecorderConfig::full(),
+                        metrics,
+                        ..Default::default()
+                    },
+                    stencil(1024),
+                );
+                assert!(engine.run().is_completed());
+            }
+        }) / 4.0
+    });
+    eprintln!(
+        "metrics    ms off/on at 1024 ranks: {:.2} / {:.2}",
+        off / 1e6,
+        on / 1e6
+    );
+    assert!(
+        on <= 1.15 * off,
+        "a metered 1024-rank run costs {on:.0} ns against {off:.0} ns unmetered"
+    );
+}
+
 /// The history analysis (matching, happens-before index, race and
 /// circular-wait detection) of a trace without wildcard receives asks the
 /// happens-before relation nothing, so it must cost per record what it
