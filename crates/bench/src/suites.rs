@@ -940,12 +940,12 @@ fn suite_store(opts: &SuiteOptions) -> Suite {
         .expect("bench store rebuild");
     }
     if wants(opts, "store", "push_80k") || wants(opts, "store", "finish_80k") {
-        // `ingest` split where the CLI splits it: `push` runs under the
-        // live tee while the engine executes (frame encode, and the
-        // segment write with its checksum when 65,536 frames are full),
-        // `finish` after it (tail segment, canonical sort, index,
-        // manifest). Corpus: the benchmark's `deep_random` shape, 80,016
-        // events in the default segment size, in its own directory.
+        // The collecting writer an engine tee pushes into: `push` copies
+        // each record, `finish` writes the collected slice in the one
+        // pass `ingest` and `run --store` make (canonical check, frames
+        // with their running checksum, index, manifest). Corpus: the
+        // benchmark's `deep_random` shape, 80,016 events in the default
+        // segment size, in its own directory.
         let big = recorded(random_comm::programs(
             &random_comm::generate(3, 8, 16_000),
             3,

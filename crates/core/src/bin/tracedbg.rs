@@ -181,10 +181,10 @@ fn run_metered(workload: &Workload) -> (Engine, RunOutcome) {
 fn cmd_run(opts: &Opts) -> Result<ExitCode, String> {
     let (_, _, workload) = workload_arg(opts, "usage: tracedbg run <workload>")?;
     let mut session = Session::launch(SessionConfig::default(), workload.factory);
-    // --store: stream records into an indexed on-disk store *while the
-    // run executes* — the sink rides the monitor's flush path, nothing is
-    // re-read from memory afterwards.
-    let streaming = match opts.flag("store") {
+    // --store: the directory is reset before the run, so a bad path fails
+    // before the debuggee runs; the store is written from the finished
+    // trace, as --trace is.
+    let store_dir = match opts.flag("store") {
         Some(dir) => {
             let w = StoreWriter::create(
                 std::path::Path::new(dir),
@@ -193,19 +193,16 @@ fn cmd_run(opts: &Opts) -> Result<ExitCode, String> {
                 },
             )
             .map_err(|e| e.to_string())?;
-            let shared = SharedWriter::new(w);
-            session.attach_trace_sink(Box::new(shared.clone()));
-            Some((shared, dir.to_string()))
+            Some((w, dir))
         }
         None => None,
     };
     let status = session.run();
     println!("outcome: {status:?}");
-    // The last flush reaches the sink before the session is consumed.
     let store = session.into_trace();
-    if let Some((shared, dir)) = streaming {
-        let summary = shared
-            .finish(store.sites(), store.n_ranks())
+    if let Some((w, dir)) = store_dir {
+        let summary = w
+            .write_records(store.records(), store.sites(), store.n_ranks())
             .map_err(|e| e.to_string())?;
         println!(
             "store written to {dir} ({} events, {} segments, {} bytes)",

@@ -48,24 +48,58 @@ fn fold(t: usize, w: u32) -> u32 {
         ^ (TABLES[t + 1][((w >> 16) & 0xff) as usize] ^ TABLES[t][(w >> 24) as usize])
 }
 
+/// A CRC-32 folded over its input one chunk at a time: the writer checks
+/// a segment's payload as it streams to disk. Any split of the input, empty
+/// chunks included, gives the one-shot [`crc32`] of the whole.
+#[derive(Clone, Copy, Debug)]
+pub struct Crc32 {
+    /// The register before the final inversion.
+    c: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32 { c: !0 }
+    }
+}
+
+impl Crc32 {
+    pub fn new() -> Self {
+        Crc32::default()
+    }
+
+    /// Fold the next chunk of the input.
+    pub fn update(&mut self, data: &[u8]) {
+        let word =
+            |b: &[u8], at: usize| u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
+        let mut c = self.c;
+        let mut blocks = data.chunks_exact(16);
+        for b in &mut blocks {
+            // Only the first word waits for the running CRC. The other
+            // twelve bytes are looked up while the previous block still
+            // finishes, and the first word is folded in last: the chain
+            // from block to block is one lookup and two xors deep, not
+            // sixteen xors in a row — worth a factor of two.
+            let rest = (fold(8, word(b, 4)) ^ fold(4, word(b, 8))) ^ fold(0, word(b, 12));
+            c = fold(12, word(b, 0) ^ c) ^ rest;
+        }
+        for &b in blocks.remainder() {
+            c = TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        self.c = c;
+    }
+
+    /// The CRC of everything folded so far.
+    pub fn value(&self) -> u32 {
+        !self.c
+    }
+}
+
 /// CRC-32 of `data` in one shot.
 pub fn crc32(data: &[u8]) -> u32 {
-    let word = |b: &[u8], at: usize| u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
-    let mut c = !0u32;
-    let mut blocks = data.chunks_exact(16);
-    for b in &mut blocks {
-        // Only the first word waits for the running CRC. The other twelve
-        // bytes are looked up while the previous block still finishes,
-        // and the first word is folded in last: the chain from block to
-        // block is one lookup and two xors deep, not sixteen xors in a
-        // row — worth a factor of two.
-        let rest = (fold(8, word(b, 4)) ^ fold(4, word(b, 8))) ^ fold(0, word(b, 12));
-        c = fold(12, word(b, 0) ^ c) ^ rest;
-    }
-    for &b in blocks.remainder() {
-        c = TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-    }
-    !c
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.value()
 }
 
 #[cfg(test)]
@@ -115,6 +149,25 @@ mod tests {
     }
 
     proptest! {
+        /// Any split of any input — empty chunks and chunks shorter than
+        /// one sixteen-byte block included — folds to the one-shot value.
+        #[test]
+        fn running_equals_one_shot(
+            bytes in proptest::collection::vec(any::<u8>(), 0..=1024),
+            cuts in proptest::collection::vec(0usize..=1024, 0..12),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut crc = Crc32::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                crc.update(&bytes[at..cut]);
+                crc.update(&[]);
+                at = cut;
+            }
+            prop_assert_eq!(crc.value(), crc32(&bytes));
+        }
+
         /// Up to 4096 random bytes, hashed at every start offset 0..16 of
         /// a larger allocation: every tail remainder and every
         /// misalignment of the sixteen-byte blocks against the allocation.

@@ -10,11 +10,11 @@
 //!
 //! Three entry points:
 //!
-//! * [`StoreWriter`] / [`SharedWriter`] — streaming ingestion; the engine
-//!   tees its flush path through the sink, so the store is built *while
-//!   the run executes*;
-//! * [`ingest_store`] / [`ingest_records`] — one-shot conversion of an
-//!   existing trace;
+//! * [`ingest_store`] / [`ingest_records`] / [`StoreWriter::write_records`]
+//!   — write a finished trace in one streaming pass, in canonical order,
+//!   so one trace always gives one store image; [`StoreWriter::push`] and
+//!   [`SharedWriter`] (an engine tee) collect records one at a time and
+//!   hand them to the same writer when they finish;
 //! * [`DiskStore`] — the reader: cheap [`DiskStore::open`], lazy
 //!   CRC-verified segment loads, cursor-based queries, and a
 //!   [`TraceSource`](tracedbg_trace::TraceSource) impl so every consumer

@@ -57,6 +57,24 @@ struct DirEntry {
     crc: u32,
 }
 
+impl DirEntry {
+    /// The section's size in bytes; `None` if the declared width times
+    /// the item count overflows (a hostile entry, refused at open).
+    fn byte_len(&self) -> Option<u64> {
+        u64::from(self.entry_bytes).checked_mul(self.n_items)
+    }
+
+    fn overflow(&self, path: &Path) -> StoreError {
+        StoreError::mismatch(
+            path,
+            format!(
+                "section (kind {}, key {}) declares {} items of {} bytes",
+                self.kind, self.key, self.n_items, self.entry_bytes
+            ),
+        )
+    }
+}
+
 /// A fully loaded, CRC-verified segment: the file as read, nothing
 /// copied out of it.
 struct LoadedSeg {
@@ -288,7 +306,7 @@ impl DiskStore {
                 offset: d.u64("entry offset")?,
                 crc: d.u32("entry crc")?,
             };
-            let size = e.entry_bytes as u64 * e.n_items;
+            let size = e.byte_len().ok_or_else(|| e.overflow(&idx_path))?;
             let end = e
                 .offset
                 .checked_add(size)
@@ -344,7 +362,8 @@ impl DiskStore {
         let mut f = std::fs::File::open(&idx_path).map_err(|e| StoreError::io(&idx_path, e))?;
         f.seek(SeekFrom::Start(e.offset))
             .map_err(|err| StoreError::io(&idx_path, err))?;
-        let mut buf = vec![0u8; (e.entry_bytes as u64 * e.n_items) as usize];
+        let len = e.byte_len().ok_or_else(|| e.overflow(&idx_path))?;
+        let mut buf = vec![0u8; len as usize];
         f.read_exact(&mut buf)
             .map_err(|err| StoreError::from_read(&idx_path, "index section", err))?;
         let got = crc32(&buf);

@@ -237,6 +237,48 @@ fn frame_count_mismatch_is_a_typed_error() {
     std::fs::remove_dir_all(&golden).unwrap();
 }
 
+/// Give the first per-rank section of `index.tds` 2^62 items of 4 bytes
+/// and the checksum of no bytes, and re-seal the directory: width times
+/// count wraps to 0 in 64 bits, so every check a careless size would
+/// pass, passes. (`tests/integration.rs` makes the same edit to hold the
+/// CLI to exit code 1.)
+fn hostile_item_count(index: &mut [u8]) {
+    let entries = u32_at(index, 16) as usize;
+    let dir = 20..20 + 33 * entries;
+    let at = dir
+        .clone()
+        .step_by(33)
+        .find(|&at| index[at] == 1)
+        .expect("a rank section");
+    index[at + 13..at + 21].copy_from_slice(&(1u64 << 62).to_le_bytes());
+    index[at + 29..at + 33].copy_from_slice(&crc32(&[]).to_le_bytes());
+    let dir_crc = crc32(&index[dir.clone()]);
+    index[dir.end..dir.end + 4].copy_from_slice(&dir_crc.to_le_bytes());
+}
+
+#[test]
+fn an_overflowing_section_size_is_refused_at_open() {
+    let golden = scratch_dir("golden-overflow");
+    build_golden(&golden);
+    let dir = scratch_dir("overflow");
+    copy_dir(&golden, &dir);
+    let p = dir.join("index.tds");
+    let mut bytes = std::fs::read(&p).unwrap();
+    hostile_item_count(&mut bytes);
+    std::fs::write(&p, &bytes).unwrap();
+    let err = DiskStore::open(&dir).map(drop).unwrap_err();
+    assert!(
+        matches!(err, StoreError::Mismatch { .. }),
+        "hostile item count gave {err}"
+    );
+    assert!(
+        err.to_string().contains("4611686018427387904 items"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&golden).unwrap();
+}
+
 /// The fuzz loop: flip every byte of every store file, one at a time.
 /// Each mutation must produce a typed error or leave every query result
 /// byte-identical — never a panic, never silently different data.

@@ -3,16 +3,23 @@
 //! and arbitrary segment sizes, every store query — `events`, `by_rank`,
 //! `by_tag`, `by_construct`, `by_time_window` — must return a sequence
 //! byte-identical to the same selection over the in-memory reference
-//! [`TraceStore`]. Both ingestion paths are pinned: the one-shot
-//! `ingest_store` conversion and the streaming `TraceSink` the engine
-//! writes through while the run executes.
+//! [`TraceStore`]. Every way of writing a store gives one image per
+//! trace: the records the engine tees into a [`SharedWriter`], the
+//! finished store through `ingest_store`, and any shuffle of its records
+//! through `ingest_records` are written byte for byte alike. A store an
+//! older writer left in arrival order (a committed fixture) still answers
+//! every selection.
 
 mod common;
 
 use common::{fanin_programs, scratch_dir, NPROCS};
 use proptest::prelude::*;
+use std::path::Path;
 use tracedbg_mpsim::{Engine, EngineConfig, FaultPlan, Rank, RecorderConfig, SchedPolicy, Tag};
-use tracedbg_store::{ingest_store, DiskStore, SharedWriter, StoreOptions, StoreWriter};
+use tracedbg_store::{
+    ingest_records, ingest_store, DiskStore, SharedWriter, StoreOptions, StoreWriter,
+};
+use tracedbg_trace::file::read_text;
 use tracedbg_trace::schedule::Fault;
 use tracedbg_trace::{EventKind, TraceRecord, TraceSource, TraceStore};
 
@@ -154,6 +161,29 @@ fn assert_equivalent(disk: &DiskStore, reference: &TraceStore) {
     }
 }
 
+/// Every file of a store directory, by name.
+fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let p = e.unwrap().path();
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&p).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+fn assert_same_files(a: &Path, b: &Path, what: &str) {
+    let (a, b) = (files(a), files(b));
+    let names = |f: &[(String, Vec<u8>)]| f.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+    assert_eq!(names(&a), names(&b), "{what}: different files");
+    for ((name, x), (_, y)) in a.iter().zip(&b) {
+        assert!(x == y, "{what}: {name} differs");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -172,8 +202,8 @@ proptest! {
         };
         let opts = StoreOptions { segment_events };
 
-        // Streaming path: the engine writes through the sink while it
-        // runs; nothing is re-fed afterwards.
+        // The tee: the engine pushes each record it flushes, in arrival
+        // order; the store is written when the writer finishes.
         let stream_dir = scratch_dir("stream");
         let shared = SharedWriter::new(StoreWriter::create(&stream_dir, opts).unwrap());
         let mut engine = Engine::launch(cfg(), fanin_programs(rounds, 3));
@@ -186,14 +216,77 @@ proptest! {
         assert_equivalent(&streamed, &reference);
         streamed.verify().unwrap();
 
-        // One-shot path: ingest the already-built reference store.
+        // One-shot path: ingest the already-built reference store. One
+        // trace, one image: the tee wrote the same bytes.
         let ingest_dir = scratch_dir("ingest");
         let ingested = ingest_store(&reference, &ingest_dir, opts).unwrap();
         assert_equivalent(&ingested, &reference);
+        assert_same_files(&stream_dir, &ingest_dir, "tee vs ingest_store");
 
         drop(streamed);
         drop(ingested);
         let _ = std::fs::remove_dir_all(&stream_dir);
         let _ = std::fs::remove_dir_all(&ingest_dir);
     }
+
+    /// The records of a trace in any order write the store their
+    /// canonical order writes.
+    #[test]
+    fn any_shuffle_writes_the_canonical_image(
+        seed in 0u64..1024,
+        rounds in 1i64..4,
+        segment_events in 4usize..64,
+        shuffle in any::<u64>(),
+    ) {
+        let cfg = EngineConfig {
+            policy: SchedPolicy::Seeded(seed),
+            recorder: RecorderConfig::full(),
+            ..Default::default()
+        };
+        let mut engine = Engine::launch(cfg, fanin_programs(rounds, 3));
+        let _ = engine.run();
+        let reference = engine.trace_store();
+        let mut records = reference.records().to_vec();
+        // Fisher-Yates over a xorshift stream.
+        let mut x = shuffle | 1;
+        for i in (1..records.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            records.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        let opts = StoreOptions { segment_events };
+        let (sites, n_ranks) = (reference.sites(), reference.n_ranks());
+        let canonical_dir = scratch_dir("canonical");
+        let shuffled_dir = scratch_dir("shuffled");
+        ingest_records(reference.records(), sites, n_ranks, &canonical_dir, opts).unwrap();
+        ingest_records(&records, sites, n_ranks, &shuffled_dir, opts).unwrap();
+        assert_same_files(&canonical_dir, &shuffled_dir, "shuffled vs canonical");
+        let _ = std::fs::remove_dir_all(&canonical_dir);
+        let _ = std::fs::remove_dir_all(&shuffled_dir);
+    }
+}
+
+/// `fixtures/ring-tee` is the store `tracedbg run ring --procs 4 --store`
+/// wrote when the tee wrote frames in arrival order: its ids are not
+/// canonical positions, so every selection goes through the reader's
+/// permutation. It must keep answering as the golden ring trace does.
+#[test]
+fn an_arrival_order_store_answers_as_its_trace() {
+    let manifest = env!("CARGO_MANIFEST_DIR");
+    let fixture = Path::new(manifest).join("tests/fixtures/ring-tee");
+    let golden = Path::new(manifest).join("../../tests/golden/ring.trc");
+    let text = std::fs::read_to_string(golden).unwrap();
+    let reference = read_text(text.as_bytes()).unwrap().into_store();
+    let disk = DiskStore::open(&fixture).unwrap();
+    let by_id: Vec<TraceRecord> = (0..disk.n_events())
+        .map(|id| disk.fetch(id).unwrap())
+        .collect();
+    assert_ne!(
+        by_id,
+        reference.records(),
+        "the fixture's canonical order is the identity: it covers nothing"
+    );
+    assert_equivalent(&disk, &reference);
+    disk.verify().unwrap();
 }

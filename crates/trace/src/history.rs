@@ -38,9 +38,11 @@ pub struct TraceStore {
 
 /// A record's place in the canonical order; records with equal keys keep
 /// the order they arrived in.
-type Key = (u64, Rank, u64);
+pub type Key = (u64, Rank, u64);
 
-fn canonical_key(r: &TraceRecord) -> Key {
+/// The key of the canonical order, `(t_start, rank, marker)`: total,
+/// because a rank's markers are unique.
+pub fn canonical_key(r: &TraceRecord) -> Key {
     (r.t_start, r.rank, r.marker)
 }
 

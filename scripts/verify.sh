@@ -106,7 +106,7 @@ echo "==> lint smoke: seed workloads must be clean"
 ./target/release/tracedbg lint target/verify_ring.trc
 ./target/release/tracedbg lint script:examples/scripts/pingpong.script --procs 4
 
-echo "==> store smoke: ingest/query round-trip, run --store tee, corruption battery"
+echo "==> store smoke: ingest/query round-trip, run --store, corruption battery"
 rm -rf target/verify_store target/verify_store_run
 ./target/release/tracedbg ingest target/verify_ring.trc --out target/verify_store >/dev/null
 # The store must render exactly the trace it was built from.
@@ -119,21 +119,21 @@ for sel in "--rank 0" "--tag 20" "--kind SN" "--window 0:100000"; do
     | grep -q 'match(es)' \
     || { echo "store query $sel failed" >&2; exit 1; }
 done
-# The streaming sink path: a store teed off a live run renders the same
+# `run --store`: the store written from a run's trace renders the same
 # trace as the one recorded to .trc (the engine is deterministic).
 ./target/release/tracedbg run ring --store target/verify_store_run >/dev/null
 diff <(./target/release/tracedbg view target/verify_ring.trc) \
      <(./target/release/tracedbg view target/verify_store_run) >/dev/null \
-  || { echo "run --store tee diverged from the recorded trace" >&2; exit 1; }
+  || { echo "run --store diverged from the recorded trace" >&2; exit 1; }
 # Corruption robustness: typed-error battery incl. the byte-flip fuzz loop.
 cargo test --offline -q -p tracedbg-store --test corruption >/dev/null
 # At the benchmark's size (80,016 events: one full 65,536-frame segment
-# and a tail) the three planes of one run — the .tbin, the store the live
-# tee wrote, the store `ingest` builds from the .tbin — must render
+# and a tail) the three planes of one run — the .tbin, the store `run
+# --store` wrote, the store `ingest` builds from the .tbin — must render
 # byte-identically under every analysis verb.
 big=target/verify_store_big
 rm -rf "$big" && mkdir -p "$big"
-./target/release/tracedbg run random:16000 --procs 8 --seed 3 --store "$big/tee" >/dev/null
+./target/release/tracedbg run random:16000 --procs 8 --seed 3 --store "$big/run" >/dev/null
 ./target/release/tracedbg run random:16000 --procs 8 --seed 3 --trace "$big/x.tbin" >/dev/null
 ./target/release/tracedbg ingest "$big/x.tbin" --out "$big/ingested" >/dev/null
 ./target/release/tracedbg ingest "$big/x.tbin" --out "$big/again" >/dev/null
@@ -147,27 +147,26 @@ for verb in stats lint "view --width 120" "profile --json"; do
   set -- $verb
   want=$(render "$1" "$big/x.tbin" "${@:2}")
   [ -n "$want" ] || { echo "$verb of the 80k-event .tbin printed nothing" >&2; exit 1; }
-  for plane in tee ingested; do
+  for plane in run ingested; do
     [ "$(render "$1" "$big/$plane" "${@:2}")" = "$want" ] \
       || { echo "$verb diverged between x.tbin and the $plane store at 80k events" >&2; exit 1; }
   done
 done
-# The two stores index the same events in different arrival orders (the
-# tee sees flush batches, `ingest` the canonical file), so their segment
-# and index bytes differ by design; what must agree is the manifest, the
-# total size, every selection's count, and `ingest` with itself, file by
-# file.
-cmp -s "$big/tee/manifest.tds" "$big/ingested/manifest.tds" \
-  || { echo "tee and ingest disagree on the manifest" >&2; exit 1; }
-[ "$(cat "$big"/tee/*.tds | wc -c)" -eq "$(cat "$big"/ingested/*.tds | wc -c)" ] \
-  || { echo "tee and ingest wrote different totals" >&2; exit 1; }
+# One trace, one store image: `run --store` and `ingest` both write the
+# finished trace in canonical order, so the two stores are the same
+# bytes, file by file (a file only one of them wrote fails the `cmp`);
+# every selection's count agrees, and so does `ingest` with itself.
+for f in "$big"/ingested/*.tds "$big"/run/*.tds; do
+  cmp -s "$big/run/$(basename "$f")" "$big/ingested/$(basename "$f")" \
+    || { echo "run --store and ingest differ in $(basename "$f")" >&2; exit 1; }
+done
 for sel in "--rank 3" "--tag 2" "--kind RD" "--window 0:1000000" "--window 140000000:150000000"; do
   # shellcheck disable=SC2086
-  a=$(./target/release/tracedbg query "$big/tee" $sel --count | tail -n 1)
+  a=$(./target/release/tracedbg query "$big/run" $sel --count | tail -n 1)
   # shellcheck disable=SC2086
   b=$(./target/release/tracedbg query "$big/ingested" $sel --count | tail -n 1)
   [ -n "$a" ] && [ "$a" = "$b" ] \
-    || { echo "query $sel: tee says '$a', ingest says '$b'" >&2; exit 1; }
+    || { echo "query $sel: run --store says '$a', ingest says '$b'" >&2; exit 1; }
 done
 for f in "$big"/ingested/*.tds; do
   cmp -s "$f" "$big/again/$(basename "$f")" \
@@ -183,7 +182,7 @@ wall_ms() {
   done
   awk -v us="$best" 'BEGIN { printf "%.1f", us / 1000 }'
 }
-store_ms=$(wall_ms ./target/release/tracedbg stats "$big/tee")
+store_ms=$(wall_ms ./target/release/tracedbg stats "$big/run")
 tbin_ms=$(wall_ms ./target/release/tracedbg stats "$big/x.tbin")
 echo "    stats at 80k events: store dir ${store_ms} ms, .tbin ${tbin_ms} ms"
 if awk -v s="$store_ms" -v t="$tbin_ms" 'BEGIN { exit !(s > t) }'; then
@@ -349,6 +348,14 @@ gate "vec![vec![ in non-test crates/obs/src + crates/mpsim/src" \
 gate "label: Option<String> in crates/trace/src/event.rs" \
   "$(count 'label: Option<String>' crates/trace/src/event.rs)" -eq 0
 gate "fn steal in crates/trace/src/history.rs" "$(count 'fn steal\b' crates/trace/src/history.rs)" -eq 0
+# A store is written once, after the run, from the finished trace: the
+# writer keeps no per-event key table and spills no segment of its own,
+# and the CLI tees nothing into a store while the debuggee runs.
+gate "struct EventKey in crates/store/src/writer.rs" \
+  "$(count 'struct EventKey\b' crates/store/src/writer.rs)" -eq 0
+gate "fn flush_segment in crates/store/src/writer.rs" \
+  "$(count 'fn flush_segment\b' crates/store/src/writer.rs)" -eq 0
+gate "SharedWriter in crates/core/src/bin" "$(count 'SharedWriter' crates/core/src/bin)" -eq 0
 taskop=$(sed -n '/^pub enum TaskOp {/,/^}/p' crates/mpsim/src/task.rs)
 [ -n "$taskop" ] || { echo "semantics gate: enum TaskOp not found" >&2; exit 1; }
 gate "label: String in TaskOp" "$(printf '%s' "$taskop" | grep -c 'label: String' || true)" -eq 0

@@ -656,6 +656,50 @@ fn closed_stdout_ends_the_cli_quietly() {
     assert!(stderr.is_empty(), "expected a quiet exit, got: {stderr}");
 }
 
+/// A store whose index directory declares 2^62 four-byte items for a
+/// section (the size wraps to 0 in 64 bits, and the checksums are
+/// re-sealed to match) is refused with one error line and the bad-input
+/// exit code, never the capacity-overflow panic (101) of a query. The
+/// typed error itself is `crates/store/tests/corruption.rs`'s case.
+#[test]
+fn a_hostile_store_index_is_a_typed_error_not_a_panic() {
+    use std::process::Command;
+    use tracedbg::store::crc::crc32;
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/ring.trc");
+    let text = std::fs::read_to_string(golden).unwrap();
+    let store = read_text(text.as_bytes()).unwrap().into_store();
+    let dir = scratch_dir("hostile-index");
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = StoreOptions::default();
+    let (records, sites) = (store.records(), store.sites());
+    tracedbg::store::ingest_records(records, sites, store.n_ranks(), &dir, opts).unwrap();
+    let path = dir.join("index.tds");
+    let mut index = std::fs::read(&path).unwrap();
+    let entries = u32::from_le_bytes(index[16..20].try_into().unwrap()) as usize;
+    let dir_bytes = 20..20 + 33 * entries;
+    let rank0 = dir_bytes
+        .clone()
+        .step_by(33)
+        .find(|&at| index[at] == 1)
+        .unwrap();
+    index[rank0 + 13..rank0 + 21].copy_from_slice(&(1u64 << 62).to_le_bytes());
+    index[rank0 + 29..rank0 + 33].copy_from_slice(&crc32(&[]).to_le_bytes());
+    let dir_crc = crc32(&index[dir_bytes.clone()]);
+    index[dir_bytes.end..dir_bytes.end + 4].copy_from_slice(&dir_crc.to_le_bytes());
+    std::fs::write(&path, &index).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_tracedbg"))
+        .arg("query")
+        .arg(&dir)
+        .args(["--rank", "0"])
+        .output()
+        .expect("spawn tracedbg");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("4611686018427387904 items"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A hand-edited trace in which each rank receives the other's message
 /// before sending its own is not a recording of any run. The verbs that
 /// reason about causality must refuse it with one error line and the
