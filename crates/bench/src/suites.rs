@@ -15,7 +15,7 @@
 //!   debugger `step` there), and query site pre-resolution;
 //! * `explore` — explorer schedule-search throughput at `jobs = 1` vs
 //!   `jobs = N` (the parallel-speedup comparison), and a 4000-run search
-//!   of a 16-rank workload (the frontier-and-batch-cost row);
+//!   of a 16-rank workload at both (the frontier-and-window-cost rows);
 //! * `explore_dpor` — exhaustive systematic search with static
 //!   independence facts off vs on (the sleep-set DPOR payoff), at
 //!   `jobs = 1` and `jobs = 4`; the static analysis that computes the
@@ -701,13 +701,19 @@ fn suite_explore(opts: &SuiteOptions) -> Suite {
         }));
     }
     // The two rows above are millisecond searches that never grow a
-    // frontier; this one is the `hunt_planted` shape — 16 ranks, ≈ 54
-    // untaken alternatives per absorbed run, drains far wider than an
-    // execution window — where frontier and batch costs show.
-    let name = "explore_planted16_4000_jobs1";
-    if wants(opts, "explore", name) {
+    // frontier; these are the `hunt_planted` shape — 16 ranks, ≈ 54
+    // untaken alternatives per absorbed run, a frontier far wider than an
+    // execution window — where frontier and window costs show: at
+    // `jobs = 1` one task per window, at `jobs = N` windows of 256.
+    for (name, jobs) in [
+        ("explore_planted16_4000_jobs1", 1usize),
+        ("explore_planted16_4000_jobsN", n_jobs),
+    ] {
+        if !wants(opts, "explore", name) {
+            continue;
+        }
         let runs = if opts.quick { 400 } else { 4000 };
-        records.push(measure(name, 1, plan(opts, 1, 5, 1), || {
+        records.push(measure(name, jobs, plan(opts, 1, 5, 1), || {
             let planted = PlantedConfig {
                 nprocs: 16,
                 ..Default::default()
@@ -716,6 +722,7 @@ fn suite_explore(opts: &SuiteOptions) -> Suite {
                 workload: "planted-wildcard".to_string(),
                 seed: 7,
                 runs,
+                jobs,
                 ..Default::default()
             };
             let source: tracedbg_explore::ProgramSource =

@@ -255,31 +255,47 @@ impl ObsAcc {
     }
 }
 
-/// Queue entry of the systematic search: replay `parent[..cut]`, then take
-/// `alt`. `parent` is the chosen-decision sequence of the absorbed run the
-/// entry branches off, built once and shared by every entry that run
-/// pushed; the script itself is materialized only when the entry is
-/// dequeued ([`FrontierEntry::script`]), so the frontier — hundreds of
-/// thousands of entries of which at most `runs` are ever dequeued — costs
-/// a few words per alternative instead of a schedule prefix each.
+/// The systematic search's queue: one [`Expansion`] per absorbed run that
+/// may still branch, in absorb order. It hands out the runs' untaken
+/// alternatives front to back — the order a queue holding one entry per
+/// alternative would dequeue them in — and builds an alternative's script
+/// only when it is dequeued, so the frontier costs one decision log per
+/// absorbed run, not an entry per alternative (of which at most `runs`
+/// are ever dequeued).
+#[derive(Default)]
+struct Frontier {
+    runs: VecDeque<Expansion>,
+    /// Reused by the skip count in [`Frontier::push`].
+    scratch: Vec<Decision>,
+}
+
+/// One absorbed run's untaken alternatives, walked by a cursor.
+struct Expansion {
+    /// The run's decisions with their alternatives, moved out of its
+    /// [`RunResult`].
+    points: Vec<DecisionPoint>,
+    /// Substitutions along the run's path; its alternatives add one.
+    depth: usize,
+    /// Cursor: the point to visit next and the index of its next
+    /// alternative.
+    point: usize,
+    alt: usize,
+    /// Decisions asleep at `point` (empty without facts).
+    asleep: Vec<Decision>,
+    /// `point`'s chosen decision and the alternatives of it handed out so
+    /// far (kept only with facts: they are what a child's sleep set
+    /// inherits).
+    explored: Vec<Decision>,
+}
+
+/// A dequeued alternative: replay a run up to a branch point, then take
+/// the alternative (the last decision of `script`).
 struct FrontierEntry {
-    parent: Arc<[Decision]>,
-    cut: usize,
-    alt: Decision,
+    script: Vec<Decision>,
     /// Substitutions along the path, this one included.
     depth: usize,
     /// Decisions asleep at the end of the prefix (empty without facts).
     sleep: Vec<Decision>,
-}
-
-impl FrontierEntry {
-    /// The schedule prefix this entry stands for.
-    fn script(&self) -> Vec<Decision> {
-        let mut script = Vec::with_capacity(self.cut + 1);
-        script.extend_from_slice(&self.parent[..self.cut]);
-        script.push(self.alt);
-        script
-    }
 }
 
 /// What the search remembers of a dequeued entry while its run executes.
@@ -287,6 +303,143 @@ struct Dequeued {
     prefix_len: usize,
     depth: usize,
     sleep: Vec<Decision>,
+}
+
+impl Frontier {
+    /// Enqueue the alternatives of a run whose path made `depth`
+    /// substitutions: every untaken alternative at each branch point at
+    /// index >= `from`, replayed prefix + alternative. `entry_sleep` is
+    /// the sleep set the run's own entry carried. Returns how many
+    /// alternatives sleep sets skip — counted here, when the run is
+    /// enqueued, so the count covers alternatives the budget never
+    /// reaches, by a walk that allocates nothing once `scratch` has grown.
+    ///
+    /// With independence facts, this is where the DPOR reduction lives
+    /// (sleep sets plus a source-set-style skip, adapted to the
+    /// breadth-first prefix queue).
+    ///
+    /// *Source-set skip*: an alternative independent of the point's chosen
+    /// decision is not enqueued at all. Nothing dependent with it executes
+    /// here, so it stays enabled and is offered again at the first later
+    /// point whose chosen decision depends on it (a rank's own next
+    /// decision is always dependent); substituting it earlier only
+    /// commutes it across an independent segment, which yields a
+    /// Mazurkiewicz-equivalent run the digest pruner would discard after
+    /// paying for the execution.
+    ///
+    /// *Sleep sets* (Godefroid-style): a decision is *asleep* when an
+    /// already-enqueued sibling subtree covers every behavior reachable
+    /// through it. Each enqueued alternative inherits the sleeping
+    /// decisions it is independent of, plus its earlier siblings;
+    /// executing a dependent decision wakes a sleeper.
+    ///
+    /// Both skips count into `sleep_skipped`. Without facts every sleep
+    /// set is empty, no alternative is provably independent, and this
+    /// reduces exactly to the full search.
+    fn push(
+        &mut self,
+        points: Vec<DecisionPoint>,
+        from: usize,
+        depth: usize,
+        entry_sleep: Vec<Decision>,
+        facts: Option<&IndependenceFacts>,
+    ) -> u64 {
+        let mut skipped = 0;
+        if let Some(f) = facts {
+            let asleep = &mut self.scratch;
+            asleep.clear();
+            asleep.extend_from_slice(&entry_sleep);
+            for p in points.iter().skip(from) {
+                if p.is_branch() {
+                    skipped += p
+                        .alternatives
+                        .iter()
+                        .filter(|alt| {
+                            *alt != p.chosen
+                                && (f.independent(alt, &p.chosen) || asleep.contains(alt))
+                        })
+                        .count() as u64;
+                }
+                asleep.retain(|u| f.independent(u, &p.chosen));
+            }
+        }
+        self.runs.push_back(Expansion {
+            points,
+            depth,
+            point: from,
+            alt: 0,
+            asleep: entry_sleep,
+            explored: Vec::new(),
+        });
+        skipped
+    }
+
+    /// The next alternative in FIFO order, or `None` once every enqueued
+    /// run is exhausted.
+    fn pop(&mut self, facts: Option<&IndependenceFacts>) -> Option<FrontierEntry> {
+        loop {
+            let run = self.runs.front_mut()?;
+            if let Some(entry) = run.next(facts) {
+                return Some(entry);
+            }
+            self.runs.pop_front();
+        }
+    }
+}
+
+impl Expansion {
+    /// Advance the cursor to the next alternative [`Frontier::push`] did
+    /// not count as skipped, and build its entry.
+    fn next(&mut self, facts: Option<&IndependenceFacts>) -> Option<FrontierEntry> {
+        while let Some(p) = self.points.get(self.point) {
+            if p.is_branch() {
+                if self.alt == 0 && facts.is_some() {
+                    self.explored.clear();
+                    self.explored.push(p.chosen);
+                }
+                for (k, alt) in p.alternatives.iter().enumerate().skip(self.alt) {
+                    if alt == p.chosen
+                        || facts.is_some_and(|f| f.independent(&alt, &p.chosen))
+                        || self.asleep.contains(&alt)
+                    {
+                        continue;
+                    }
+                    self.alt = k + 1;
+                    let sleep = match facts {
+                        Some(f) => {
+                            let sleep = self
+                                .asleep
+                                .iter()
+                                .chain(self.explored.iter())
+                                .filter(|u| f.independent(u, &alt))
+                                .copied()
+                                .collect();
+                            self.explored.push(alt);
+                            sleep
+                        }
+                        None => Vec::new(),
+                    };
+                    let mut script = Vec::with_capacity(self.point + 1);
+                    script.extend(self.points[..self.point].iter().map(|p| p.chosen));
+                    script.push(alt);
+                    return Some(FrontierEntry {
+                        script,
+                        depth: self.depth + 1,
+                        sleep,
+                    });
+                }
+            }
+            if !self.asleep.is_empty() {
+                match facts {
+                    Some(f) => self.asleep.retain(|u| f.independent(u, &p.chosen)),
+                    None => self.asleep.clear(),
+                }
+            }
+            self.point += 1;
+            self.alt = 0;
+        }
+        None
+    }
 }
 
 fn hash_decisions(d: &[Decision]) -> u64 {
@@ -349,7 +502,7 @@ impl Explorer {
         let baseline_branches = base.points.iter().filter(|p| p.is_branch()).count();
         self.conformance_check(&base);
         match self.cfg.strategy {
-            Strategy::Systematic | Strategy::Both => self.systematic(pool, &base),
+            Strategy::Systematic | Strategy::Both => self.systematic(pool, base),
             Strategy::Random => {}
         }
         match self.cfg.strategy {
@@ -550,38 +703,37 @@ impl Explorer {
     /// points, and depth-first order would burn the whole run budget
     /// permuting the (usually equivalent) tail of the schedule.
     ///
-    /// Parallel shape: the FIFO queue is drained into one batch — scripts
-    /// are materialized, prefixes pruned and the budget accounted at
-    /// dequeue time, exactly where a sequential loop would. The
-    /// batch then executes and is absorbed window by window
-    /// ([`run_windowed`]): oracles, digest pruning and queue extensions
-    /// happen in task order, so extensions of item `k` enqueue before
-    /// extensions of item `k+1` — precisely the sequential FIFO order —
-    /// and a run's trace and decision log are dropped as soon as its
-    /// window is absorbed. A drain never sees its own extensions, which
-    /// is what makes the window size invisible in the report.
-    fn systematic(&mut self, pool: &WorkerPool, base: &RunResult) {
-        let mut queue: VecDeque<FrontierEntry> = VecDeque::new();
-        Self::push_extensions(
-            &base.points,
+    /// Parallel shape: the loop dequeues one window ([`WorkerPool::window`])
+    /// of entries — prefixes pruned and the budget accounted at dequeue
+    /// time, exactly where a one-run-at-a-time loop would — then runs it
+    /// and absorbs it in task order ([`run_windowed`]): oracles, digest
+    /// pruning and queue extensions happen in task order, so extensions of
+    /// item `k` enqueue before extensions of item `k+1`, and a run's trace
+    /// is dropped as soon as it is absorbed. Extensions always go to the
+    /// back of the FIFO, behind every entry still queued, so the dequeue
+    /// order and the absorb order are those of one run at a time, wherever
+    /// the windows are cut — which is what makes the window size invisible
+    /// in the report.
+    fn systematic(&mut self, pool: &WorkerPool, base: RunResult) {
+        let window = pool.window();
+        let mut frontier = Frontier::default();
+        self.sleep_skipped += frontier.push(
+            base.points,
             0,
             0,
-            &[],
+            Vec::new(),
             self.cfg.independence.as_ref(),
-            &mut self.sleep_skipped,
-            &mut queue,
         );
         loop {
-            let mut tasks: Vec<RunTask> = Vec::new();
-            let mut batch: Vec<Dequeued> = Vec::new();
-            while self.runs_executed + batch.len() < self.cfg.runs {
-                let Some(entry) = queue.pop_front() else {
+            let mut tasks = Vec::with_capacity(window);
+            let mut batch: Vec<Dequeued> = Vec::with_capacity(window);
+            while tasks.len() < window && self.runs_executed + tasks.len() < self.cfg.runs {
+                let Some(entry) = frontier.pop(self.cfg.independence.as_ref()) else {
                     break;
                 };
-                let script = entry.script();
                 // Prefix-level pruning: an already-visited substitution
                 // leads to an already-explored subtree.
-                if !self.prefixes.insert(hash_decisions(&script)) {
+                if !self.prefixes.insert(hash_decisions(&entry.script)) {
                     self.pruned += 1;
                     if let Some(obs) = self.obs.as_mut() {
                         obs.prefix_pruned += 1;
@@ -589,17 +741,17 @@ impl Explorer {
                     continue;
                 }
                 batch.push(Dequeued {
-                    prefix_len: script.len(),
+                    prefix_len: entry.script.len(),
                     depth: entry.depth,
                     sleep: entry.sleep,
                 });
                 tasks.push(RunTask {
-                    policy: SchedPolicy::Scripted(script),
+                    policy: SchedPolicy::Scripted(entry.script),
                     faults: Vec::new(),
                     metrics: self.cfg.metrics,
                 });
             }
-            if batch.is_empty() {
+            if tasks.is_empty() {
                 break;
             }
             run_windowed(pool, tasks, |i, _task, res| {
@@ -607,101 +759,17 @@ impl Explorer {
                 // Only branch on decisions *after* the substitution:
                 // earlier alternatives are someone else's subtree (the
                 // sleep-set-style part of the reduction).
-                let from = &batch[i];
+                let from = &mut batch[i];
                 if from.depth < self.cfg.preemptions && !res.diverged {
-                    Self::push_extensions(
-                        &res.points,
+                    self.sleep_skipped += frontier.push(
+                        res.points,
                         from.prefix_len,
                         from.depth,
-                        &from.sleep,
+                        std::mem::take(&mut from.sleep),
                         self.cfg.independence.as_ref(),
-                        &mut self.sleep_skipped,
-                        &mut queue,
                     );
                 }
             });
-        }
-    }
-
-    /// For every branch point at index >= `from`, enqueue each untaken
-    /// alternative as (replayed prefix + alternative). The replayed prefix
-    /// is not copied: every entry pushed here holds one shared handle on
-    /// this run's chosen decisions plus the index to cut them at.
-    ///
-    /// With independence facts, this is where the DPOR reduction lives
-    /// (sleep sets plus a source-set-style skip, adapted to the
-    /// breadth-first prefix queue).
-    ///
-    /// *Source-set skip*: an alternative independent of the point's chosen
-    /// decision is not enqueued at all. Nothing dependent with it executes
-    /// here, so it stays enabled and is offered again at the first later
-    /// point whose chosen decision depends on it (a rank's own next
-    /// decision is always dependent); substituting it earlier only
-    /// commutes it across an independent segment, which yields a
-    /// Mazurkiewicz-equivalent run the digest pruner would discard after
-    /// paying for the execution.
-    ///
-    /// *Sleep sets* (Godefroid-style): a decision is *asleep* when an
-    /// already-enqueued sibling subtree covers every behavior reachable
-    /// through it. Each enqueued alternative inherits the sleeping
-    /// decisions it is independent of, plus its earlier siblings;
-    /// executing a dependent decision wakes a sleeper.
-    ///
-    /// Both skips count into `sleep_skipped`. Without facts every sleep
-    /// set is empty, no alternative is provably independent, and this
-    /// reduces exactly to the full search.
-    #[allow(clippy::too_many_arguments)]
-    fn push_extensions(
-        points: &[DecisionPoint],
-        from: usize,
-        depth: usize,
-        entry_sleep: &[Decision],
-        facts: Option<&IndependenceFacts>,
-        sleep_skipped: &mut u64,
-        queue: &mut VecDeque<FrontierEntry>,
-    ) {
-        let parent: Arc<[Decision]> = points.iter().map(|p| p.chosen).collect();
-        let mut asleep: Vec<Decision> = entry_sleep.to_vec();
-        for (i, p) in points.iter().enumerate().skip(from) {
-            if p.is_branch() {
-                let mut explored: Vec<Decision> = vec![p.chosen];
-                for alt in p.alternatives.iter() {
-                    if alt == p.chosen {
-                        continue;
-                    }
-                    if facts.is_some_and(|f| f.independent(&alt, &p.chosen)) {
-                        *sleep_skipped += 1;
-                        continue;
-                    }
-                    if asleep.contains(&alt) {
-                        *sleep_skipped += 1;
-                        continue;
-                    }
-                    let child_sleep: Vec<Decision> = match facts {
-                        Some(f) => asleep
-                            .iter()
-                            .chain(explored.iter())
-                            .filter(|u| f.independent(u, &alt))
-                            .copied()
-                            .collect(),
-                        None => Vec::new(),
-                    };
-                    queue.push_back(FrontierEntry {
-                        parent: Arc::clone(&parent),
-                        cut: i,
-                        alt,
-                        depth: depth + 1,
-                        sleep: child_sleep,
-                    });
-                    explored.push(alt);
-                }
-            }
-            if !asleep.is_empty() {
-                match facts {
-                    Some(f) => asleep.retain(|u| f.independent(u, &p.chosen)),
-                    None => asleep.clear(),
-                }
-            }
         }
     }
 
@@ -709,44 +777,44 @@ impl Explorer {
     ///
     /// Each walk's scheduling seed and fault plan derive purely from the
     /// base seed and the walk index — a private ChaCha8 stream per run, so
-    /// the task list is the same however many workers execute it. Like a
-    /// systematic drain it executes window by window, each result absorbed
-    /// and dropped before the next window is dispatched.
+    /// the task sequence is the same however many workers execute it. Like
+    /// the systematic search it builds one window of tasks at a time, and
+    /// each result is absorbed and dropped before the next window is built.
     fn random_walk(&mut self, pool: &WorkerPool) {
         let remaining = self.cfg.runs.saturating_sub(self.runs_executed) as u64;
-        let tasks: Vec<RunTask> = (1..=remaining)
-            .map(|i| {
-                let seed = splitmix64(self.cfg.seed.wrapping_add(i));
-                let faults = if self.cfg.inject_faults && i.is_multiple_of(2) {
-                    let mut rng = ChaCha8Rng::seed_from_u64(splitmix64(seed));
-                    self.gen_faults(&mut rng)
-                } else {
-                    Vec::new()
-                };
-                RunTask {
-                    policy: SchedPolicy::Seeded(seed),
-                    faults,
-                    metrics: self.cfg.metrics,
-                }
-            })
-            .collect();
+        let (base_seed, procs) = (self.cfg.seed, self.procs);
+        let (inject_faults, metrics) = (self.cfg.inject_faults, self.cfg.metrics);
+        let tasks = (1..=remaining).map(move |i| {
+            let seed = splitmix64(base_seed.wrapping_add(i));
+            let faults = if inject_faults && i.is_multiple_of(2) {
+                let mut rng = ChaCha8Rng::seed_from_u64(splitmix64(seed));
+                Self::gen_faults(procs, &mut rng)
+            } else {
+                Vec::new()
+            };
+            RunTask {
+                policy: SchedPolicy::Seeded(seed),
+                faults,
+                metrics,
+            }
+        });
         run_windowed(pool, tasks, |_, task, res| {
             self.absorb(&res, &task.faults, "random")
         });
     }
 
-    /// A small random fault plan: delays dominate (they stay within MPI
-    /// legality), with occasional crash/hang injections.
-    fn gen_faults(&self, rng: &mut ChaCha8Rng) -> Vec<Fault> {
+    /// A small random fault plan over `procs` ranks: delays dominate (they
+    /// stay within MPI legality), with occasional crash/hang injections.
+    fn gen_faults(procs: usize, rng: &mut ChaCha8Rng) -> Vec<Fault> {
         let n = 1 + rng.gen_range(0..2);
         (0..n)
             .map(|_| {
-                let rank = Rank(rng.gen_range(0..self.procs) as u32);
+                let rank = Rank(rng.gen_range(0..procs) as u32);
                 match rng.gen_range(0..4) {
                     0 | 1 => {
-                        let mut dst = rng.gen_range(0..self.procs);
+                        let mut dst = rng.gen_range(0..procs);
                         if dst == rank.ix() {
-                            dst = (dst + 1) % self.procs;
+                            dst = (dst + 1) % procs;
                         }
                         Fault::Delay {
                             src: rank,
@@ -851,38 +919,180 @@ impl Explorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tracedbg_workloads::planted::{planted_wildcard_factory, PlantedConfig};
     use tracedbg_workloads::racy::{wildcard_race_factory, RacyConfig};
+    use tracedbg_workloads::script::programs;
+    use tracedbg_workloads::scripts::builtin;
 
-    /// The frontier holds no materialized prefix: every entry pushed for
-    /// one absorbed run borrows that run's chosen decisions through the
-    /// same `Arc`, and its script is exactly "replay up to the branch
-    /// point, then take the alternative".
+    /// One alternative as the search sees it: `(cut, alt, depth, sleep)`.
+    type Alt = (usize, Decision, usize, Vec<Decision>);
+
+    /// The eager frontier the lazy one replaced, kept as its reference:
+    /// for every branch point at index >= `from`, enqueue each untaken
+    /// alternative at once, counting sleep-set skips as it goes.
+    fn push_extensions(
+        points: &[DecisionPoint],
+        from: usize,
+        depth: usize,
+        entry_sleep: &[Decision],
+        facts: Option<&IndependenceFacts>,
+        sleep_skipped: &mut u64,
+        queue: &mut VecDeque<Alt>,
+    ) {
+        let mut asleep: Vec<Decision> = entry_sleep.to_vec();
+        for (i, p) in points.iter().enumerate().skip(from) {
+            if p.is_branch() {
+                let mut explored: Vec<Decision> = vec![p.chosen];
+                for alt in p.alternatives.iter() {
+                    if alt == p.chosen {
+                        continue;
+                    }
+                    if facts.is_some_and(|f| f.independent(&alt, &p.chosen)) {
+                        *sleep_skipped += 1;
+                        continue;
+                    }
+                    if asleep.contains(&alt) {
+                        *sleep_skipped += 1;
+                        continue;
+                    }
+                    let child_sleep: Vec<Decision> = match facts {
+                        Some(f) => asleep
+                            .iter()
+                            .chain(explored.iter())
+                            .filter(|u| f.independent(u, &alt))
+                            .copied()
+                            .collect(),
+                        None => Vec::new(),
+                    };
+                    queue.push_back((i, alt, depth + 1, child_sleep));
+                    explored.push(alt);
+                }
+            }
+            if !asleep.is_empty() {
+                match facts {
+                    Some(f) => asleep.retain(|u| f.independent(u, &p.chosen)),
+                    None => asleep.clear(),
+                }
+            }
+        }
+    }
+
+    /// Drive the eager and the lazy frontier in lockstep through a
+    /// two-preemption breadth-first search of `source` (no budget, no
+    /// pruning), executing each of the first `limit` dequeued
+    /// alternatives once and extending both queues with its run. Every
+    /// dequeued alternative and the final skip counts must agree. Returns
+    /// how many were compared, the largest depth and the largest sleep set
+    /// seen, and the skip count.
+    fn lockstep(
+        source: &ProgramSource,
+        facts: Option<&IndependenceFacts>,
+        limit: usize,
+    ) -> (usize, usize, usize, u64) {
+        let base = execute(source, SchedPolicy::RoundRobin, &[]);
+        let (mut eager, mut eager_skipped) = (VecDeque::new(), 0);
+        push_extensions(
+            &base.points,
+            0,
+            0,
+            &[],
+            facts,
+            &mut eager_skipped,
+            &mut eager,
+        );
+        let mut lazy = Frontier::default();
+        let mut lazy_skipped = lazy.push(base.points, 0, 0, Vec::new(), facts);
+        let (mut compared, mut deepest, mut widest) = (0, 0, 0);
+        while compared < limit {
+            let want = eager.pop_front();
+            let got = lazy.pop(facts);
+            let Some((cut, alt, depth, sleep)) = want else {
+                assert!(got.is_none(), "the lazy frontier outlived the eager one");
+                break;
+            };
+            let got = got.expect("the lazy frontier ran dry first");
+            assert_eq!(got.script.len(), cut + 1, "entry {compared}: cut");
+            assert_eq!(got.script[cut], alt, "entry {compared}: alternative");
+            assert_eq!(got.depth, depth, "entry {compared}: depth");
+            assert_eq!(got.sleep, sleep, "entry {compared}: sleep set");
+            compared += 1;
+            deepest = deepest.max(depth);
+            widest = widest.max(sleep.len());
+            if depth < 2 {
+                let res = execute(source, SchedPolicy::Scripted(got.script), &[]);
+                if !res.diverged {
+                    push_extensions(
+                        &res.points,
+                        cut + 1,
+                        depth,
+                        &sleep,
+                        facts,
+                        &mut eager_skipped,
+                        &mut eager,
+                    );
+                    lazy_skipped += lazy.push(res.points, cut + 1, depth, got.sleep, facts);
+                }
+            }
+        }
+        assert_eq!(lazy_skipped, eager_skipped, "sleep-set skips");
+        (compared, deepest, widest, lazy_skipped)
+    }
+
+    /// [`lockstep`] over a script with the facts `--dpor` derives for it.
+    fn sdl_lockstep(
+        script: &tracedbg_workloads::script::Script,
+        nprocs: usize,
+        file: &str,
+    ) -> (usize, usize, usize, u64) {
+        let facts = tracedbg_analysis::analyze(script, nprocs, file).independence;
+        assert!(facts.pair_count() > 0, "{file}: independent ranks");
+        let (script, file) = (script.clone(), file.to_string());
+        let source: ProgramSource = Box::new(move || programs(&script, nprocs, &file));
+        lockstep(&source, Some(&facts), 2000)
+    }
+
     #[test]
-    fn entries_of_one_absorbed_run_share_one_prefix_allocation() {
-        let source: ProgramSource = Box::new(wildcard_race_factory(RacyConfig {
+    fn the_lazy_frontier_dequeues_what_the_eager_one_did() {
+        let racy: ProgramSource = Box::new(wildcard_race_factory(RacyConfig {
             nprocs: 5,
             ..Default::default()
         }));
-        let base = execute(&source, SchedPolicy::RoundRobin, &[]);
-        let mut queue = VecDeque::new();
-        let mut skipped = 0;
-        Explorer::push_extensions(&base.points, 0, 0, &[], None, &mut skipped, &mut queue);
-        assert!(queue.len() > 4, "a 5-rank race has alternatives to push");
-        let parent = Arc::clone(&queue[0].parent);
-        assert_eq!(&parent[..], &base.decisions[..]);
-        assert_eq!(
-            Arc::strong_count(&parent),
-            queue.len() + 1,
-            "one allocation, one handle per entry"
+        let (n, deepest, _, _) = lockstep(&racy, None, 2000);
+        assert!(n > 100 && deepest == 2, "racy-wildcard: {n} entries");
+
+        let planted: ProgramSource = Box::new(planted_wildcard_factory(PlantedConfig {
+            nprocs: 16,
+            ..Default::default()
+        }));
+        let (n, deepest, _, _) = lockstep(&planted, None, 1500);
+        assert!(n == 1500 && deepest == 2, "planted-wildcard: {n} entries");
+
+        // The sleep-set path: the pairs program with its independence
+        // facts skips every cross-pair alternative at its point (the
+        // source-set skip) and so never forms a non-empty sleep set; a
+        // star, whose leaves all talk to rank 0 and never to each other,
+        // does — a second leaf enqueued at a point sleeps on the first.
+        let b = builtin("pairs").expect("built-in script");
+        let (n, deepest, _, skipped) = sdl_lockstep(&b.parse(), 6, &b.file());
+        assert!(n > 100 && deepest == 2, "sdl:pairs: {n} entries");
+        assert!(skipped > 0, "sdl:pairs: source-set skips");
+        let star = tracedbg_workloads::script::parse(
+            "fn main
+               if rank == 0
+                 recv from 1 tag 1 into v
+                 recv from 2 tag 1 into v
+                 recv from 3 tag 1 into v
+               else
+                 send 0 tag 1 rank
+               end
+             end",
+        )
+        .expect("star script");
+        let (n, deepest, widest, skipped) = sdl_lockstep(&star, 4, "star.sdl");
+        assert!(n > 20 && deepest == 2, "star: {n} entries");
+        assert!(
+            widest > 0 && skipped > 0,
+            "sleep sets were kept and skipped"
         );
-        for e in &queue {
-            assert!(Arc::ptr_eq(&e.parent, &parent));
-            let script = e.script();
-            assert_eq!(script.len(), e.cut + 1);
-            assert_eq!(&script[..e.cut], &base.decisions[..e.cut]);
-            assert_eq!(script[e.cut], e.alt);
-            assert_ne!(e.alt, base.decisions[e.cut], "only untaken alternatives");
-            assert!(base.points[e.cut].alternatives.iter().any(|a| a == e.alt));
-        }
     }
 }

@@ -22,11 +22,17 @@
 //! re-executes deterministically.
 //!
 //! Exploration runs fan out over a worker pool ([`pool::WorkerPool`]);
-//! every run drives a private `mpsim` engine, batches are formed and
-//! their results absorbed in deterministic task order — one fixed-size
-//! window at a time ([`pool::run_windowed`]) — so `jobs = N` reports
-//! exactly the findings of `jobs = 1` at the same seed: search throughput
-//! scales with cores without sacrificing reproducibility.
+//! every run drives a private `mpsim` engine, and tasks are formed and
+//! their results absorbed in deterministic task order, one window at a
+//! time ([`pool::run_windowed`]) — so `jobs = N` reports exactly the
+//! findings of `jobs = 1` at the same seed: search throughput scales with
+//! cores without sacrificing reproducibility.
+//!
+//! Memory follows the window, not the frontier: the systematic queue
+//! holds one decision log per absorbed run and builds a schedule only
+//! when it dequeues it, and the window is [`WINDOW`] tasks on a pool
+//! with worker threads but one task on a pool without (`jobs = 1`, or a
+//! one-core box), so a sequential search keeps one run result alive.
 
 pub mod explorer;
 pub mod oracle;

@@ -36,30 +36,33 @@ pub struct RunTask {
 /// from it (results themselves are returned in task order regardless).
 pub type WorkerLoad = Vec<(u64, u64)>;
 
-/// Tasks executed between two absorb phases. Big enough that dispatching
-/// a window costs nothing next to running it (8 was 40 % slower at
+/// Tasks a pool with worker threads executes between two absorb phases
+/// ([`WorkerPool::window`]). Big enough that handing a window to the
+/// workers costs nothing next to running it (8 was 40 % slower at
 /// `--jobs 2`), small enough that one window of [`RunResult`]s — a trace
 /// and a decision log each, ≈ 19 KB on a 16-rank workload — stays a few
-/// megabytes whatever the run budget is.
+/// megabytes whatever the run budget is. A pool without worker threads
+/// hands nothing over, so its window is one task.
 pub const WINDOW: usize = 256;
 
 /// The one execute-and-absorb loop behind the systematic search, the
 /// random walk and the `localize` reference harvest.
 ///
-/// `tasks` run on `pool` in windows of [`WINDOW`]; every result of a
-/// window is handed to `absorb` — by value, in task order, with its task
-/// and the task's index in `tasks` — before the next window is
-/// dispatched. What `absorb` does not keep is dropped there, so no more
-/// than one window of results is ever alive.
+/// `tasks` is pulled one window ([`WorkerPool::window`]) at a time and
+/// the window runs on `pool`; every result of it is handed to `absorb` —
+/// by value, in task order, with its task and the task's index in
+/// `tasks` — before the next window is pulled. What `absorb` does not
+/// keep is dropped there, so no more than one window of tasks and one of
+/// results is ever alive.
 pub fn run_windowed(
     pool: &WorkerPool,
-    tasks: Vec<RunTask>,
+    tasks: impl IntoIterator<Item = RunTask>,
     mut absorb: impl FnMut(usize, &RunTask, RunResult),
 ) {
     let mut rest = tasks.into_iter();
     let mut base = 0;
     loop {
-        let window: Arc<Vec<RunTask>> = Arc::new(rest.by_ref().take(WINDOW).collect());
+        let window: Arc<Vec<RunTask>> = Arc::new(rest.by_ref().take(pool.window()).collect());
         if window.is_empty() {
             return;
         }
@@ -134,15 +137,17 @@ impl PoolShared<'_> {
 
 /// The exploration worker pool — the one type that fans a batch out.
 ///
-/// An exploration is *many* small batches (each window of a systematic
-/// drain or of the random walk is one), so workers are spawned once, on
+/// An exploration is *many* small batches (each window of the systematic
+/// search or of the random walk is one), so workers are spawned once, on
 /// the caller's [`Scope`], and parked on a condvar between batches, and
 /// the **calling thread participates as executor 0**: a batch costs one
 /// `notify_all`, not N spawns. A pool of one executor spawns no thread
 /// at all — `jobs = 1`, or any `jobs` on a single-core box, is the
-/// caller draining the cursor inline.
+/// caller draining the cursor inline, one task per window.
 pub struct WorkerPool<'scope> {
     shared: Arc<PoolShared<'scope>>,
+    /// Worker threads actually spawned (the calling thread not counted).
+    threads: usize,
 }
 
 impl<'scope> WorkerPool<'scope> {
@@ -174,7 +179,8 @@ impl<'scope> WorkerPool<'scope> {
             done_cv: Condvar::new(),
             loads: (0..jobs).map(|_| Mutex::new((0, 0))).collect(),
         });
-        for executor in 1..jobs.min(cores) {
+        let threads = jobs.min(cores) - 1;
+        for executor in 1..=threads {
             let shared = Arc::clone(&shared);
             scope.spawn(move || {
                 let mut seen = 0u64;
@@ -198,12 +204,24 @@ impl<'scope> WorkerPool<'scope> {
                 }
             });
         }
-        WorkerPool { shared }
+        WorkerPool { shared, threads }
     }
 
     /// Number of executors (calling thread included; never 0).
     pub fn jobs(&self) -> usize {
         self.shared.loads.len()
+    }
+
+    /// Tasks to run between two absorb phases: [`WINDOW`] when worker
+    /// threads share the work, one when the calling thread is the only
+    /// executor — it has nothing to hand over, so a longer window would
+    /// only keep more results alive.
+    pub fn window(&self) -> usize {
+        if self.threads == 0 {
+            1
+        } else {
+            WINDOW
+        }
     }
 
     /// Per-executor load summed over every batch run so far.
@@ -370,6 +388,20 @@ mod tests {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         std::thread::scope(|scope| {
             assert_eq!(WorkerPool::new(scope, 0, &source).jobs(), cores);
+        });
+    }
+
+    #[test]
+    fn the_window_follows_the_spawned_threads() {
+        // One task per window where the caller is the only executor;
+        // `WINDOW` wherever a worker thread was actually spawned.
+        let source = pingpong_source();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threaded = if cores > 1 { WINDOW } else { 1 };
+        std::thread::scope(|scope| {
+            assert_eq!(WorkerPool::new(scope, 1, &source).window(), 1);
+            assert_eq!(WorkerPool::new(scope, 4, &source).window(), threaded);
+            assert_eq!(WorkerPool::new(scope, 0, &source).window(), threaded);
         });
     }
 

@@ -207,14 +207,21 @@ fn fault_injection_stays_deterministic_across_jobs() {
 
 #[test]
 fn window_boundaries_do_not_leak_into_the_report() {
-    // Drained batches execute in windows of `WINDOW` tasks. Budgets of
-    // baseline-only, one short of a window, one task short of a full
-    // window, exactly one window, and several windows must all report at
-    // `jobs = 4` exactly what they report at `jobs = 1` — on a 16-rank
-    // workload whose drains are far wider than a window.
+    // A pool without worker threads (`jobs = 1`) runs windows of one task;
+    // a threaded pool windows of `WINDOW`. Budgets of baseline-only, one
+    // short of a window, one task short of a full window, exactly one
+    // window, and several windows must all report at `jobs` 2 and 4
+    // exactly what they report at `jobs = 1` — on a 16-rank workload whose
+    // frontier is far wider than a window, and on a script explored with
+    // sleep sets (`--dpor`), whose skip count covers alternatives the
+    // budget never reaches and whose systematic phase (407 runs) ends
+    // inside the second window.
+    use tracedbg_analysis::analyze;
     use tracedbg_workloads::planted::{planted_wildcard_factory, PlantedConfig};
+    use tracedbg_workloads::script::programs;
+    use tracedbg_workloads::scripts::builtin;
     assert_eq!(tracedbg_explore::WINDOW, 256, "budgets below straddle it");
-    let run = |runs, jobs| {
+    let planted = |runs, jobs| {
         let cfg = PlantedConfig {
             nprocs: 16,
             ..Default::default()
@@ -229,13 +236,43 @@ fn window_boundaries_do_not_leak_into_the_report() {
         };
         Explorer::new(cfg, source).explore()
     };
+    let dpor = |runs, jobs| {
+        let b = builtin("pairs").expect("built-in script");
+        let (script, file) = (b.parse(), b.file());
+        let independence = Some(analyze(&script, 8, &file).independence);
+        let source: tracedbg_explore::ProgramSource = Box::new(move || programs(&script, 8, &file));
+        let cfg = ExploreConfig {
+            workload: "sdl:pairs".to_string(),
+            seed: 7,
+            runs,
+            jobs,
+            independence,
+            ..Default::default()
+        };
+        Explorer::new(cfg, source).explore()
+    };
     for runs in [1, 255, 256, 257, 1000] {
-        let seq = run(runs, 1);
-        let par = run(runs, 4);
-        assert_eq!(seq.runs_executed, runs, "the budget is spent exactly");
-        assert_reports_identical(&seq, &par);
-        if runs > 1 {
-            assert!(seq.findings.iter().any(|f| f.class == "panic"));
+        for (name, run) in [
+            (
+                "planted-wildcard",
+                &planted as &dyn Fn(usize, usize) -> ExploreReport,
+            ),
+            ("sdl:pairs --dpor", &dpor),
+        ] {
+            let seq = run(runs, 1);
+            assert_eq!(
+                seq.runs_executed, runs,
+                "{name}: the budget is spent exactly"
+            );
+            if name == "planted-wildcard" && runs > 1 {
+                assert!(seq.findings.iter().any(|f| f.class == "panic"));
+            }
+            if name == "sdl:pairs --dpor" {
+                assert!(seq.sleep_skipped > 0, "sleep sets skip alternatives");
+            }
+            for jobs in [2, 4] {
+                assert_reports_identical(&seq, &run(runs, jobs));
+            }
         }
     }
 }

@@ -356,6 +356,20 @@ gate "struct EventKey in crates/store/src/writer.rs" \
 gate "fn flush_segment in crates/store/src/writer.rs" \
   "$(count 'fn flush_segment\b' crates/store/src/writer.rs)" -eq 0
 gate "SharedWriter in crates/core/src/bin" "$(count 'SharedWriter' crates/core/src/bin)" -eq 0
+# Exploration holds one window of work, not its frontier: the systematic
+# queue hands out alternatives lazily (the eager `push_extensions` lives
+# on only as a test reference), and the one task buffer explorer.rs
+# builds is cut at the pool's window; the random walk hands run_windowed
+# an iterator, never a materialized task list.
+explorer=$(nontest crates/explore/src/explorer.rs)
+gate "fn push_extensions in non-test explorer.rs" \
+  "$(printf '%s' "$explorer" | grep -c 'fn push_extensions' || true)" -eq 0
+gate "Vec<RunTask> in non-test explorer.rs" \
+  "$(printf '%s' "$explorer" | grep -c 'Vec<RunTask>' || true)" -eq 0
+gate "task buffers in explorer.rs" \
+  "$(printf '%s' "$explorer" | grep -c 'Vec::with_capacity(window)' || true)" -eq 2
+gate "window-bound task loops in explorer.rs" \
+  "$(printf '%s' "$explorer" | grep -c 'while tasks.len() < window' || true)" -eq 1
 taskop=$(sed -n '/^pub enum TaskOp {/,/^}/p' crates/mpsim/src/task.rs)
 [ -n "$taskop" ] || { echo "semantics gate: enum TaskOp not found" >&2; exit 1; }
 gate "label: String in TaskOp" "$(printf '%s' "$taskop" | grep -c 'label: String' || true)" -eq 0
@@ -408,6 +422,24 @@ for wl in racy-wildcard racy-deadlock; do
       exit 1
     fi
   done
+done
+
+# The 48-run searches above never fill a window. A 16-rank 1000-run
+# search runs 1000 windows of one task at --jobs 1 (no worker thread) and
+# cuts windows of 256 at --jobs 2 and 4; its reports must be cmp-equal
+# but for the jobs field.
+wdir=target/verify_explore_windows
+rm -rf "$wdir" && mkdir -p "$wdir"
+for jobs in 1 2 4; do
+  { ./target/release/tracedbg explore planted-wildcard --procs 16 --runs 1000 --seed 7 \
+      --jobs "$jobs" --json --out "$wdir/art$jobs" || true; } \
+    | sed 's/"jobs":[0-9]*/"jobs":0/' >"$wdir/report$jobs.json"
+done
+grep -q '"runs_executed":1000' "$wdir/report1.json" \
+  || { echo "explore planted-wildcard: no 1000-run report" >&2; exit 1; }
+for jobs in 2 4; do
+  cmp "$wdir/report1.json" "$wdir/report$jobs.json" \
+    || { echo "explore planted-wildcard --runs 1000: --jobs $jobs diverged from --jobs 1" >&2; exit 1; }
 done
 
 echo "==> localize smoke: explore -> localize -> replay-to-suspect, .trc and store-dir feeds"
