@@ -193,6 +193,14 @@ impl Session {
         Engine::launch(self.cfg.engine(&self.sites, live), (self.factory)())
     }
 
+    /// Replace the engine with a fresh live incarnation that records into
+    /// the retired one's log buffers.
+    fn reincarnate(&mut self) {
+        let fresh = self.incarnation(true);
+        let retired = std::mem::replace(&mut self.engine, fresh);
+        self.engine.reuse_log_buffers(retired);
+    }
+
     pub fn n_ranks(&self) -> usize {
         self.engine.n_ranks()
     }
@@ -325,9 +333,15 @@ impl Session {
     }
 
     /// [`Session::trace`] for a caller that is done with the session: the
-    /// records move into the store instead of being cloned.
+    /// records move into the store and are reordered there instead of
+    /// being cloned. The stops' checkpoints are dropped first, so the only
+    /// records copied are those a checkpoint held elsewhere still shares.
     pub fn into_trace(self) -> TraceStore {
-        self.engine.into_trace_store()
+        let Session {
+            engine, backlog, ..
+        } = self;
+        drop(backlog);
+        engine.into_trace_store()
     }
 
     /// Arm a stopline and (re-)execute to it under nondeterminism control:
@@ -364,7 +378,7 @@ impl Session {
                 self.engine.clear_pauses();
                 self.engine.clear_breaks();
             }
-            None => self.engine = self.incarnation(true),
+            None => self.reincarnate(),
         }
         self.engine.set_replay(log);
         // Ranks already at their target hold: an exact-hit restore is the
@@ -431,7 +445,7 @@ impl Session {
     /// recording run).
     pub fn restart(&mut self) -> &SessionStatus {
         self.retire_engine_metrics();
-        self.engine = self.incarnation(true);
+        self.reincarnate();
         self.recorded_log = None;
         self.status = SessionStatus::Idle;
         // A fresh recording run replaces the history the stops and their
@@ -588,9 +602,8 @@ mod tests {
             Box::new(move || master_worker::programs(&cfg)),
         );
         assert!(s.run().is_completed());
-        // The answer as the sorted whole history gives it. Building the
-        // history gathers every buffer, so the next stop's answers come
-        // from a buffer and the collected log alike.
+        // The answer as the sorted whole history gives it, against the
+        // run's log read backwards.
         let from_history = |s: &mut Session, rank: Rank, label: &str| {
             let store = s.trace();
             let latest = store.by_rank(rank).iter().rev().map(|&id| store.record(id));

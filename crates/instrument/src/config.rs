@@ -16,7 +16,7 @@ pub enum Strategy {
     /// mechanism").
     CommOnly,
     /// §2.2 — `UserMonitor` only: the marker counter, threshold test and
-    /// call ring run, but nothing is written to the trace buffer. This is
+    /// call ring run, but no trace record is kept. This is
     /// the cheapest mode that still supports replay/undo.
     MarkersOnly,
     /// No instrumentation at all (the Table 1 baseline). Marker counters do

@@ -17,8 +17,8 @@
 //!    [`Armed`] the engine lends it, beside breakpoints) and reports a
 //!    [`Disposition::Trap`] when it fires (this is how stoplines, replay and
 //!    undo stop a process at an exact past state), and
-//! 4. appends a [`TraceRecord`](tracedbg_trace::TraceRecord) to the
-//!    per-process buffer if the active [`Strategy`] selects the construct.
+//! 4. hands back the [`TraceRecord`](tracedbg_trace::TraceRecord) for the
+//!    run's log if the active [`Strategy`] selects the construct.
 //!
 //! The hot path is a handful of arithmetic ops and one branch, mirroring the
 //! paper's claim that `UserMonitor` overhead is small for typical programs

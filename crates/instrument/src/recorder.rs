@@ -4,7 +4,7 @@
 use crate::breakpoints::{Armed, TrapCause, WatchMemory};
 use crate::config::{RecorderConfig, Strategy};
 use crate::user_monitor::{UserMonitor, NO_THRESHOLD};
-use tracedbg_trace::{ChunkLog, EventKind, Rank, TraceBuffer, TraceRecord};
+use tracedbg_trace::{EventKind, Rank, TraceRecord};
 
 /// What the engine must do after an instrumentation event.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -17,15 +17,17 @@ pub enum Disposition {
 }
 
 /// What one simulated process has recorded: its marker counter and call
-/// ring, its trace buffer, what its change watchpoints last saw, and why
-/// it last trapped. What the debugger has armed on it is an [`Armed`] that
-/// each observation reads.
+/// ring, whether its trace collection is on, what its change watchpoints
+/// last saw, and why it last trapped. The records it keeps go straight
+/// to the run's one log, in the order they are recorded. What the
+/// debugger has armed on it is an [`Armed`] that each observation reads.
 #[derive(Clone)]
 pub struct Recorder {
     rank: Rank,
     config: RecorderConfig,
     monitor: UserMonitor,
-    buffer: TraceBuffer,
+    /// The AIMS monitor toggle: records are kept only while it is on.
+    tracing: bool,
     watched: WatchMemory,
     last_trap: Option<TrapCause>,
 }
@@ -37,7 +39,7 @@ impl Recorder {
             rank,
             config,
             monitor: UserMonitor::new(cap),
-            buffer: TraceBuffer::new(),
+            tracing: true,
             watched: WatchMemory::default(),
             last_trap: None,
         }
@@ -59,13 +61,18 @@ impl Recorder {
 
     /// Observe one instrumentation event.
     ///
-    /// `rec.marker` is filled in from the monitor counter; the record is
-    /// buffered if the strategy selects it. Returns [`Disposition::Trap`]
-    /// when the threshold, a breakpoint or a watchpoint `armed` holds fires.
-    pub fn observe(&mut self, mut rec: TraceRecord, armed: &Armed) -> (u64, Disposition) {
+    /// `rec.marker` is filled in from the monitor counter. Returns the
+    /// marker, [`Disposition::Trap`] when the threshold, a breakpoint or a
+    /// watchpoint `armed` holds fires, and the record when the strategy and
+    /// the toggle keep it — the caller appends it to the run's log.
+    pub fn observe(
+        &mut self,
+        mut rec: TraceRecord,
+        armed: &Armed,
+    ) -> (u64, Disposition, Option<TraceRecord>) {
         debug_assert_eq!(rec.rank, self.rank);
         if self.is_off() {
-            return (0, Disposition::Continue);
+            return (0, Disposition::Continue, None);
         }
         let threshold = armed.threshold.unwrap_or(NO_THRESHOLD);
         let threshold_hit = self
@@ -89,17 +96,16 @@ impl Recorder {
                 armed.breaks.test_site(rec.site)
             };
         }
-        let keep = match self.config.strategy {
-            Strategy::Full => self.config.filter.selects(rec.kind, rec.site),
-            Strategy::CommOnly => {
-                rec.kind.is_comm() || matches!(rec.kind, EventKind::ProcStart | EventKind::ProcEnd)
-            }
-            Strategy::MarkersOnly => false,
-            Strategy::Off => false,
-        };
-        if keep {
-            self.buffer.push(rec);
-        }
+        let keep = self.tracing
+            && match self.config.strategy {
+                Strategy::Full => self.config.filter.selects(rec.kind, rec.site),
+                Strategy::CommOnly => {
+                    rec.kind.is_comm()
+                        || matches!(rec.kind, EventKind::ProcStart | EventKind::ProcEnd)
+                }
+                Strategy::MarkersOnly => false,
+                Strategy::Off => false,
+            };
         let disp = match cause {
             Some(c) => {
                 self.last_trap = Some(c);
@@ -107,7 +113,7 @@ impl Recorder {
             }
             None => Disposition::Continue,
         };
-        (marker, disp)
+        (marker, disp, keep.then_some(rec))
     }
 
     /// Why the most recent trap fired.
@@ -126,25 +132,10 @@ impl Recorder {
         &self.monitor
     }
 
-    /// Toggle trace collection (the AIMS monitor toggle).
+    /// Toggle trace collection (the AIMS monitor toggle); markers keep
+    /// advancing while it is off.
     pub fn set_tracing_enabled(&mut self, on: bool) {
-        self.buffer.set_enabled(on);
-    }
-
-    /// Drain all buffered records (on-demand flush, end of run).
-    pub fn take_records(&mut self) -> ChunkLog<TraceRecord> {
-        self.buffer.take()
-    }
-
-    /// Seal the buffered records into a shared chunk, so copies of this
-    /// recorder share them ([`TraceBuffer::seal`]).
-    pub fn seal_records(&mut self) {
-        self.buffer.seal();
-    }
-
-    /// Peek at buffered records.
-    pub fn records(&self) -> &ChunkLog<TraceRecord> {
-        self.buffer.records()
+        self.tracing = on;
     }
 }
 
@@ -153,9 +144,12 @@ mod tests {
     use super::*;
     use tracedbg_trace::{MsgInfo, Tag};
 
-    /// Observe with nothing armed.
-    fn observe(r: &mut Recorder, rec: TraceRecord) -> (u64, Disposition) {
-        r.observe(rec, &Armed::default())
+    /// Observe with nothing armed, appending what is kept to `kept`.
+    fn observe(r: &mut Recorder, rec: TraceRecord, kept: &mut Vec<TraceRecord>) -> u64 {
+        let (marker, disposition, rec) = r.observe(rec, &Armed::default());
+        assert_eq!(disposition, Disposition::Continue);
+        kept.extend(rec);
+        marker
     }
 
     fn rec(kind: EventKind) -> TraceRecord {
@@ -175,23 +169,28 @@ mod tests {
     #[test]
     fn full_strategy_records_everything_and_assigns_markers() {
         let mut r = Recorder::new(Rank(0), RecorderConfig::full());
-        let (m1, d1) = observe(&mut r, rec(EventKind::FnEnter));
-        let (m2, _) = observe(&mut r, rec(EventKind::Send));
+        let mut kept = Vec::new();
+        let m1 = observe(&mut r, rec(EventKind::FnEnter), &mut kept);
+        let m2 = observe(&mut r, rec(EventKind::Send), &mut kept);
         assert_eq!((m1, m2), (1, 2));
-        assert_eq!(d1, Disposition::Continue);
-        assert_eq!(r.records().len(), 2);
-        assert_eq!(r.records()[0].marker, 1);
-        assert_eq!(r.records()[1].marker, 2);
+        assert_eq!(kept.len(), 2);
+        assert_eq!(kept[0].marker, 1);
+        assert_eq!(kept[1].marker, 2);
     }
 
     #[test]
     fn comm_only_drops_function_events() {
         let mut r = Recorder::new(Rank(0), RecorderConfig::comm_only());
-        observe(&mut r, rec(EventKind::FnEnter));
-        observe(&mut r, rec(EventKind::Send));
-        observe(&mut r, rec(EventKind::Compute));
-        observe(&mut r, rec(EventKind::RecvDone));
-        assert_eq!(r.records().len(), 2);
+        let mut kept = Vec::new();
+        for kind in [
+            EventKind::FnEnter,
+            EventKind::Send,
+            EventKind::Compute,
+            EventKind::RecvDone,
+        ] {
+            observe(&mut r, rec(kind), &mut kept);
+        }
+        assert_eq!(kept.len(), 2);
         // but markers advance for all events
         assert_eq!(r.marker(), 4);
     }
@@ -199,10 +198,11 @@ mod tests {
     #[test]
     fn markers_only_records_nothing_but_counts() {
         let mut r = Recorder::new(Rank(0), RecorderConfig::markers_only());
+        let mut kept = Vec::new();
         for _ in 0..5 {
-            observe(&mut r, rec(EventKind::FnEnter));
+            observe(&mut r, rec(EventKind::FnEnter), &mut kept);
         }
-        assert_eq!(r.records().len(), 0);
+        assert!(kept.is_empty());
         assert_eq!(r.marker(), 5);
         assert_eq!(r.monitor().invocations(), 5);
     }
@@ -210,9 +210,9 @@ mod tests {
     #[test]
     fn off_strategy_is_inert() {
         let mut r = Recorder::new(Rank(0), RecorderConfig::off());
-        let (m, d) = observe(&mut r, rec(EventKind::FnEnter));
-        assert_eq!(m, 0);
-        assert_eq!(d, Disposition::Continue);
+        let mut kept = Vec::new();
+        assert_eq!(observe(&mut r, rec(EventKind::FnEnter), &mut kept), 0);
+        assert!(kept.is_empty());
         assert_eq!(r.marker(), 0);
         assert!(r.is_off());
     }
@@ -232,7 +232,7 @@ mod tests {
             r.observe(rec(EventKind::FnEnter), &armed).1,
             Disposition::Continue
         );
-        let (m, d) = r.observe(rec(EventKind::FnEnter), &armed);
+        let (m, d, _) = r.observe(rec(EventKind::FnEnter), &armed);
         assert_eq!(m, 3);
         assert_eq!(d, Disposition::Trap);
         assert_eq!(r.last_trap(), Some(&TrapCause::Threshold(3)));
@@ -243,24 +243,26 @@ mod tests {
         );
     }
 
+    /// Nothing waits in the recorder for a flush: a kept record is handed
+    /// over by the observation that records it.
     #[test]
     fn flush_on_demand() {
         let mut r = Recorder::new(Rank(0), RecorderConfig::full());
-        observe(&mut r, rec(EventKind::Compute));
-        assert_eq!(r.take_records().len(), 1);
-        assert_eq!(r.records().len(), 0);
-        observe(&mut r, rec(EventKind::Compute));
-        assert_eq!(r.take_records()[0].marker, 2, "markers run on");
+        let (_, _, first) = r.observe(rec(EventKind::Compute), &Armed::default());
+        assert_eq!(first.map(|k| k.marker), Some(1));
+        let (_, _, second) = r.observe(rec(EventKind::Compute), &Armed::default());
+        assert_eq!(second.map(|k| k.marker), Some(2), "markers run on");
     }
 
     #[test]
     fn toggling_suppresses_records() {
         let mut r = Recorder::new(Rank(0), RecorderConfig::full());
+        let mut kept = Vec::new();
         r.set_tracing_enabled(false);
-        observe(&mut r, rec(EventKind::Compute));
+        observe(&mut r, rec(EventKind::Compute), &mut kept);
         r.set_tracing_enabled(true);
-        observe(&mut r, rec(EventKind::Compute));
-        assert_eq!(r.records().len(), 1);
+        observe(&mut r, rec(EventKind::Compute), &mut kept);
+        assert_eq!(kept.len(), 1);
         assert_eq!(r.marker(), 2, "markers advance even while untraced");
     }
 }

@@ -184,8 +184,8 @@ pub struct EngineCheckpoint {
     pub(crate) sites: SiteTable,
     pub(crate) cost: CostModel,
     pub(crate) pending_coll: Option<PendingCollective>,
-    /// Trace records that left their rank's buffer (finished, flushed or
-    /// gathered), in arrival order; `engine::flush_rank` is the one writer.
+    /// Every kept trace record, in the order the ranks recorded them; a
+    /// rank's grant (`TaskHarness::after_observe`) is the one writer.
     pub(crate) collected: ChunkLog<TraceRecord>,
     pub(crate) faults: FaultPlan,
     /// Runtime operations (send/recv/collective) submitted per rank, for
@@ -218,14 +218,7 @@ impl EngineCheckpoint {
     pub(crate) fn share(&mut self) {
         self.states.share(|state| state);
         self.armed.share(|armed| armed);
-        // A rank's trace buffer is sealed before it is shared, so a later
-        // copy of the rank shares every record instead of copying it.
-        self.ranks.share(|rank| {
-            rank.share(|mut rank| {
-                rank.recorder.seal_records();
-                rank
-            })
-        });
+        self.ranks.share(|rank| rank.share(|rank| rank));
         self.collected.seal();
         self.decision_log.seal();
     }
@@ -237,8 +230,7 @@ impl EngineCheckpoint {
     }
 
     /// A copy that shares nothing an engine may write with `self`: every
-    /// rank's state copied, and both run logs copied entry by entry (a
-    /// rank's sealed trace chunks, which nothing writes, stay shared). The
+    /// rank's state copied, and both run logs copied entry by entry. The
     /// oracle the copy-on-write property test compares shared checkpoints
     /// against.
     #[cfg(test)]

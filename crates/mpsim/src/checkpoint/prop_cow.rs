@@ -6,7 +6,7 @@
 //! a debugger drives it: thresholds, a breakpoint and a watchpoint armed
 //! and cleared, single ranks stepped while the rest hold (which delivers
 //! into and out of mailboxes the snapshot shares), more snapshots taken
-//! along the way, every buffer gathered, and the run finished. Then each
+//! along the way, the trace gathered, and the run finished. Then each
 //! snapshot is restored twice, one copy after the other, and each copy is
 //! run on, first with what was armed still armed and then disarmed to the
 //! end: both must go exactly where the restored oracle goes — where the
@@ -74,7 +74,8 @@ fn probe() -> Prog<St> {
 
 /// A `p`×`p` five-point stencil: every step each rank computes, sends its
 /// value to each neighbour and receives one from each, inside a scope;
-/// every third rank flushes its trace buffer each step.
+/// every third rank asks for a trace flush each step (a no-op: its
+/// records are already collected).
 fn stencil(p: usize, steps: i64) -> Vec<RankProgram> {
     let peer = |s: &St| s.peers[s.i as usize];
     let each_peer = |body: Prog<St>| {
@@ -332,8 +333,8 @@ struct Driven {
 /// What a debugger does to a stopped engine after a snapshot: disarm the
 /// stop's thresholds, arm a breakpoint and a watchpoint, step ranks alone
 /// while the rest hold (each armed and disarmed in turn), snapshot with
-/// the breakpoint and watchpoint still armed, step on, disarm, gather every
-/// buffer, and run to the end, snapshotting once more `later` decisions on
+/// the breakpoint and watchpoint still armed, step on, disarm, gather the
+/// trace, and run to the end, snapshotting once more `later` decisions on
 /// (which may fall between a message's arrival and its match).
 fn drive(e: &mut Engine, steps: &[u32], later: usize) -> Driven {
     let n = e.n_ranks() as u32;

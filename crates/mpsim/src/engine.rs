@@ -645,13 +645,6 @@ impl Engine {
             }
             Request::Finished { .. } => {
                 self.set_state(rank, ProcState::Finished);
-                // Collect the finished process's trace immediately (it was
-                // granted this turn, so no checkpoint shares it any more).
-                flush_rank(
-                    &mut self.st.ranks.get_mut(rank.ix()).make_mut().recorder,
-                    &mut self.tee,
-                    &mut self.st.collected,
-                );
             }
             Request::Panicked { message } => {
                 self.set_state(rank, ProcState::Panicked(message));
@@ -868,35 +861,26 @@ impl Engine {
         self.st.ranks[rank.ix()].recorder.last_trap().cloned()
     }
 
-    /// Everything traced so far, in arrival order (an on-demand flush of
-    /// every process buffer behind what already arrived; a rank with
-    /// nothing buffered is not touched, so it stays shared with any
-    /// checkpoint).
+    /// Everything traced so far, in the order it was recorded: the run's
+    /// one log, which every kept record enters when it is recorded.
     pub fn collect_trace(&mut self) -> &ChunkLog<TraceRecord> {
-        for r in 0..self.st.n_ranks {
-            if !self.st.ranks[r].recorder.records().is_empty() {
-                flush_rank(
-                    &mut self.st.ranks.get_mut(r).make_mut().recorder,
-                    &mut self.tee,
-                    &mut self.st.collected,
-                );
-            }
-        }
         &self.st.collected
     }
 
-    /// One rank's trace records so far, newest first: those still in its
-    /// buffer, then those already collected. Nothing is flushed or copied.
+    /// One rank's trace records so far, newest first: the run's log read
+    /// backwards. Nothing is copied.
     pub fn records_newest_first(&self, rank: Rank) -> impl Iterator<Item = &TraceRecord> {
-        let buffered = self.st.ranks[rank.ix()].recorder.records().iter().rev();
-        let collected = self.st.collected.iter().rev();
-        buffered.chain(collected.filter(move |r| r.rank == rank))
+        self.st
+            .collected
+            .iter()
+            .rev()
+            .filter(move |r| r.rank == rank)
     }
 
-    /// Attach a streaming trace sink: every record is forwarded to it at
-    /// flush/collect time, in arrival order. The sink sees each record
-    /// exactly once; call [`Engine::detach_trace_sink`] after the final
-    /// [`Engine::collect_trace`] to get it back and finish it.
+    /// Attach a streaming trace sink: it sees every record from now on as
+    /// it is recorded, exactly once, in the order
+    /// [`Engine::collect_trace`] holds them; call
+    /// [`Engine::detach_trace_sink`] to get it back and finish it.
     pub fn attach_trace_sink(&mut self, sink: Box<dyn tracedbg_trace::TraceSink>) {
         self.tee = Some(sink);
     }
@@ -906,18 +890,41 @@ impl Engine {
         self.tee.take()
     }
 
-    /// Collected trace as a queryable store: the ranks' flushes merged into
-    /// canonical order, each record copied once into the store.
+    /// Collected trace as a queryable store: the log gathered into
+    /// canonical order, each record copied once into the store, the log
+    /// left as it is (a debugger stop goes on running).
     pub fn trace_store(&mut self) -> TraceStore {
-        self.collect_trace();
         TraceStore::from_log(&self.st.collected, self.st.sites.clone(), self.st.n_ranks)
     }
 
-    /// [`Engine::trace_store`] for a caller that is done with the engine.
-    /// A sink still attached sees the last flush before the engine is
-    /// dropped.
-    pub fn into_trace_store(mut self) -> TraceStore {
-        self.trace_store()
+    /// [`Engine::trace_store`] for a caller that is done with the engine:
+    /// everything but the log is dropped, the log's `Vec` is taken (only
+    /// chunks a live checkpoint still shares are copied) and put in
+    /// canonical order where it lies.
+    pub fn into_trace_store(self) -> TraceStore {
+        let (log, sites, n_ranks) = self.into_log();
+        TraceStore::from_owned_log(log, sites, n_ranks)
+    }
+
+    /// The run's log, site table and width; the rest of the engine (ranks,
+    /// decision log, a pending snapshot) is dropped on return.
+    fn into_log(mut self) -> (ChunkLog<TraceRecord>, SiteTable, usize) {
+        drop(std::mem::take(&mut self.st.decision_log));
+        let log = std::mem::take(&mut self.st.collected);
+        (log, self.st.sites.clone(), self.st.n_ranks)
+    }
+
+    /// Record into the log buffers of `retired`, an engine this one
+    /// replaces before running, emptied ([`ChunkLog::into_buffer`]): a
+    /// fresh incarnation of a long run then grows into memory the process
+    /// holds instead of faulting its logs in again.
+    pub fn reuse_log_buffers(&mut self, mut retired: Engine) {
+        let trace = std::mem::take(&mut retired.st.collected).into_buffer();
+        let decisions = std::mem::take(&mut retired.st.decision_log).into_buffer();
+        if self.st.collected.is_empty() && self.st.decision_log.is_empty() {
+            self.st.collected = ChunkLog::with_buffer(trace);
+            self.st.decision_log = ChunkLog::with_buffer(decisions);
+        }
     }
 
     /// Consume a finished engine into what an exploration run keeps of
@@ -1160,23 +1167,16 @@ impl Engine {
     }
 }
 
-/// Move a rank's buffered records into the run's collection, past the
-/// streaming sink — the one way a trace record leaves its rank's buffer
-/// (program flush, rank finish, debugger gather), so the sink sees each
-/// record exactly once, in the order `collected` holds them. The buffer's
-/// sealed chunks are adopted by `collected`, not copied.
-pub(crate) fn flush_rank(
-    recorder: &mut Recorder,
-    tee: &mut Option<Box<dyn TraceSink>>,
-    collected: &mut ChunkLog<TraceRecord>,
-) {
-    let records = recorder.take_records();
-    if let Some(sink) = tee {
-        for r in &records {
-            sink.accept(r);
-        }
+/// The logs go first: a long run's are a `Vec` each, megabytes, and
+/// freeing them before the ranks' small blocks keeps the allocator from
+/// handing them back to the system only for the next engine of the
+/// process to fault them in again (a metered 1024-rank run read 1.2–1.3×
+/// an unmetered one in `tests/width_scaling.rs` when they went last).
+impl Drop for Engine {
+    fn drop(&mut self) {
+        drop(std::mem::take(&mut self.st.collected));
+        drop(std::mem::take(&mut self.st.decision_log));
     }
-    collected.append(records);
 }
 
 static QUIET_PANICS: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);

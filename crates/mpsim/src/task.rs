@@ -114,8 +114,9 @@ pub enum TaskOp {
     },
     /// Toggle trace collection for this rank (markers keep advancing).
     SetTracing(bool),
-    /// On-demand flush of this rank's trace buffer (§2.1's extension of
-    /// the AIMS monitor).
+    /// On-demand flush of this rank's trace (§2.1's extension of the AIMS
+    /// monitor): accepted and does nothing, since a kept record is
+    /// collected when it is recorded.
     FlushTrace,
     /// No operation: the program had nothing to emit at this step (used
     /// by conditional emitters); the harness advances immediately.
@@ -580,8 +581,9 @@ pub(crate) fn in_task_step() -> bool {
 
 /// What the engine lends a rank for the duration of one grant: its
 /// identity, the run-wide cost model and site table, the rank's
-/// instrumentation recorder and what the debugger armed on it, and — for
-/// `TaskOp::FlushTrace` — the run's trace collection and streaming sink.
+/// instrumentation recorder and what the debugger armed on it, and the
+/// run's trace log and streaming sink, which see each kept record as it is
+/// recorded.
 pub(crate) struct TaskEnv<'a> {
     pub rank: Rank,
     pub n_ranks: usize,
@@ -646,7 +648,13 @@ impl TaskHarness {
         if env.recorder.is_off() {
             return Ok(then);
         }
-        let (marker, disposition) = env.recorder.observe(rec, env.armed);
+        let (marker, disposition, kept) = env.recorder.observe(rec, env.armed);
+        if let Some(rec) = kept {
+            if let Some(sink) = env.tee {
+                sink.accept(&rec);
+            }
+            env.collected.push(rec);
+        }
         self.clock += env.cost.event_overhead;
         match disposition {
             Disposition::Trap => {
@@ -783,7 +791,9 @@ impl TaskHarness {
     fn perform(&mut self, op: TaskOp, env: &mut TaskEnv<'_>) -> Result<Then, Request> {
         let rank = env.rank;
         match op {
-            TaskOp::Nop => Ok(Then::Advance(OpResult::None)),
+            // A kept record is collected when it is recorded: a flush has
+            // nothing left to do.
+            TaskOp::Nop | TaskOp::FlushTrace => Ok(Then::Advance(OpResult::None)),
             TaskOp::Compute { cost_ns, site } => {
                 let t0 = self.clock;
                 self.clock += cost_ns;
@@ -893,10 +903,6 @@ impl TaskHarness {
             }
             TaskOp::SetTracing(on) => {
                 env.recorder.set_tracing_enabled(on);
-                Ok(Then::Advance(OpResult::None))
-            }
-            TaskOp::FlushTrace => {
-                crate::engine::flush_rank(env.recorder, env.tee, env.collected);
                 Ok(Then::Advance(OpResult::None))
             }
             TaskOp::Done => {

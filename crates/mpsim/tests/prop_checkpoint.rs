@@ -81,6 +81,47 @@ proptest! {
         }
     }
 
+    /// The consuming hand-over of a run that was snapshotted, restored
+    /// and continued is the straight run's trace, record for record —
+    /// whether or not the checkpoint, which shares the log's first chunk,
+    /// is still held (and then it restores to that trace once more).
+    #[test]
+    fn a_restored_run_hands_over_the_straight_runs_trace(
+        seed in 0u64..1024,
+        rounds in 1u64..4,
+        k in 0usize..24,
+        faults in arb_faults(),
+        hold_checkpoint in any::<bool>(),
+    ) {
+        let cfg = || EngineConfig {
+            policy: SchedPolicy::Seeded(seed),
+            recorder: RecorderConfig::full(),
+            faults: FaultPlan::new(faults.clone()),
+            checkpoints: true,
+            ..Default::default()
+        };
+        let mut straight = Engine::launch(cfg(), fanin_programs(rounds));
+        let _ = straight.run();
+        let want = straight.into_trace_store();
+        let mut snap = Engine::launch(cfg(), fanin_programs(rounds));
+        snap.set_snapshot_at(k);
+        let _ = snap.run();
+        let Some(cp) = snap.take_pending_snapshot() else {
+            prop_assert_eq!(snap.into_trace_store().records(), want.records());
+            return;
+        };
+        let mut restored = Engine::restore(&cp, Vec::new());
+        let _ = restored.run();
+        let held = hold_checkpoint.then_some(cp);
+        prop_assert_eq!(restored.into_trace_store().records(), want.records());
+        prop_assert_eq!(snap.into_trace_store().records(), want.records());
+        if let Some(cp) = held {
+            let mut again = Engine::restore(&cp, Vec::new());
+            let _ = again.run();
+            prop_assert_eq!(again.into_trace_store().records(), want.records());
+        }
+    }
+
     #[test]
     fn restored_engine_follows_a_log_installed_at_any_depth(
         rec_seed in 0u64..1024,

@@ -10,16 +10,13 @@
 //! copied if a clone shares it), so a checkpoint of a run costs a pointer
 //! per log, and restoring one another, whatever the run's length.
 //!
-//! The tail grows geometrically up to a fixed chunk size and is sealed
-//! when full, so a short log (one rank's 50 records) is one plain `Vec`
-//! and allocates nothing beyond it.
+//! The tail grows geometrically and only [`ChunkLog::seal`] cuts it, so a
+//! log no checkpoint was taken of is one plain `Vec`, and
+//! [`ChunkLog::into_vec`] hands that `Vec` over without copying it.
 
 use std::fmt;
 use std::ops::Index;
 use std::sync::Arc;
-
-/// Entries a tail holds before it is sealed.
-const CHUNK: usize = 256;
 
 /// A sealed chunk and the number of entries up to and including it, so a
 /// lookup by index is a binary search over the chunk list.
@@ -67,12 +64,6 @@ impl<T> ChunkLog<T> {
     /// Append one entry.
     #[inline]
     pub fn push(&mut self, entry: T) {
-        if self.tail.len() == CHUNK {
-            // A log that filled a chunk will fill the next: allocate it
-            // whole instead of growing it again.
-            self.seal();
-            self.tail.reserve_exact(CHUNK);
-        }
         self.tail.push(entry);
     }
 
@@ -87,54 +78,30 @@ impl<T> ChunkLog<T> {
         }
     }
 
-    /// Append every entry of `other`, in order. Its sealed chunks are
-    /// adopted, not copied; only its tail's entries are moved one by one.
-    pub fn append(&mut self, other: ChunkLog<T>) {
-        let ChunkLog {
-            sealed,
-            sealed_len,
-            tail,
-        } = other;
-        if let Some(sealed) = sealed {
-            self.seal();
-            let base = self.sealed_len;
-            let mine = Arc::make_mut(self.sealed.get_or_insert_with(Default::default));
-            let theirs = Arc::try_unwrap(sealed).unwrap_or_else(|shared| Vec::clone(&shared));
-            mine.extend(theirs.into_iter().map(|(end, chunk)| (base + end, chunk)));
-            self.sealed_len += sealed_len;
+    /// An empty log whose tail grows into `buffer`'s allocation, so a log
+    /// that replaces another ([`ChunkLog::into_buffer`]) records into memory
+    /// the process already holds.
+    pub fn with_buffer(mut buffer: Vec<T>) -> Self {
+        buffer.clear();
+        ChunkLog {
+            sealed: None,
+            sealed_len: 0,
+            tail: buffer,
         }
-        if self.tail.is_empty() {
-            self.tail = tail;
-            return;
-        }
-        let mut tail = tail;
-        if self.tail.len() + tail.len() <= CHUNK {
-            self.tail.append(&mut tail);
-            return;
-        }
-        let mut rest = tail.into_iter();
-        while rest.len() > 0 {
-            if self.tail.len() == CHUNK {
-                self.seal();
-            }
-            let room = CHUNK - self.tail.len();
-            self.tail.extend(rest.by_ref().take(room));
-        }
+    }
+
+    /// The open tail's allocation, emptied. Sealed chunks are let go: a
+    /// copy that shares them keeps them.
+    pub fn into_buffer(self) -> Vec<T> {
+        let mut tail = self.tail;
+        tail.clear();
+        tail
     }
 
     /// Entries oldest first.
     pub fn iter(&self) -> Iter<'_, T> {
         let chunk: fn(&Chunk<T>) -> &[T] = |(_, c)| c.as_slice();
         self.chunks().iter().flat_map(chunk).chain(self.tail.iter())
-    }
-
-    /// The entries as the slices they are stored in, oldest first: each
-    /// sealed chunk, then the tail. Empty slices are left out.
-    pub fn slices(&self) -> impl Iterator<Item = &[T]> {
-        let chunks = self.chunks().iter().map(|(_, c)| c.as_slice());
-        chunks
-            .chain(std::iter::once(self.tail.as_slice()))
-            .filter(|s| !s.is_empty())
     }
 
     /// The entry at `index`: a binary search over the chunks' ends.
@@ -150,8 +117,9 @@ impl<T> ChunkLog<T> {
 
 impl<T: Clone> ChunkLog<T> {
     /// The entries as one `Vec`, exactly as long as the log. A log that
-    /// never sealed a chunk gives up its tail without copying it; a chunk
-    /// no copy of the log shares is moved out, not cloned.
+    /// never sealed a chunk gives up its tail without copying it; otherwise
+    /// the first chunk, when no copy of the log shares it, becomes the
+    /// result, and only the entries behind it are moved into it.
     pub fn into_vec(self) -> Vec<T> {
         let ChunkLog {
             sealed,
@@ -162,15 +130,24 @@ impl<T: Clone> ChunkLog<T> {
             tail.shrink_to_fit();
             return tail;
         };
-        let mut out = Vec::with_capacity(sealed_len + tail.len());
+        let total = sealed_len + tail.len();
+        let mut out = Vec::new();
         let sealed = Arc::try_unwrap(sealed).unwrap_or_else(|shared| Vec::clone(&shared));
         for (_, chunk) in sealed {
             match Arc::try_unwrap(chunk) {
-                Ok(mut owned) => out.append(&mut owned),
-                Err(shared) => out.extend_from_slice(&shared),
+                Ok(owned) if out.is_empty() => out = owned,
+                chunk => {
+                    out.reserve_exact(total - out.len());
+                    match chunk {
+                        Ok(mut owned) => out.append(&mut owned),
+                        Err(shared) => out.extend_from_slice(&shared),
+                    }
+                }
             }
         }
+        out.reserve_exact(total - out.len());
         out.append(&mut tail);
+        out.shrink_to_fit();
         out
     }
 }
@@ -241,21 +218,30 @@ impl<T: fmt::Debug> fmt::Debug for ChunkLog<T> {
 mod tests {
     use super::*;
 
+    /// Longer than any slack a tail of a few entries has.
+    const N: usize = 300;
+
     fn log_of(n: usize) -> ChunkLog<usize> {
         (0..n).collect()
     }
 
     #[test]
     fn push_iterate_and_index_across_chunks() {
-        let log = log_of(3 * CHUNK + 7);
-        assert_eq!(log.len(), 3 * CHUNK + 7);
-        assert!(log.iter().copied().eq(0..3 * CHUNK + 7));
-        assert!(log.iter().rev().copied().eq((0..3 * CHUNK + 7).rev()));
-        for i in [0, CHUNK - 1, CHUNK, 2 * CHUNK + 3, 3 * CHUNK + 6] {
+        let mut log = ChunkLog::new();
+        for i in 0..3 * N + 7 {
+            if i % N == 0 {
+                log.seal();
+            }
+            log.push(i);
+        }
+        assert_eq!(log.len(), 3 * N + 7);
+        assert!(log.iter().copied().eq(0..3 * N + 7));
+        assert!(log.iter().rev().copied().eq((0..3 * N + 7).rev()));
+        for i in [0, N - 1, N, 2 * N + 3, 3 * N + 6] {
             assert_eq!(log[i], i);
         }
-        assert_eq!(log.get(3 * CHUNK + 7), None);
-        assert_eq!(log.iter().next_back(), Some(&(3 * CHUNK + 6)));
+        assert_eq!(log.get(3 * N + 7), None);
+        assert_eq!(log.iter().next_back(), Some(&(3 * N + 6)));
     }
 
     #[test]
@@ -263,13 +249,14 @@ mod tests {
         let log = log_of(51);
         assert!(log.sealed.is_none());
         assert!(log.tail.capacity() < 2 * 51);
-        let full = log_of(CHUNK);
-        assert_eq!(full.tail.capacity(), CHUNK, "a full tail has no slack");
+        let long = log_of(10 * N);
+        assert!(long.sealed.is_none(), "only a seal cuts a chunk");
+        assert_eq!(long.tail.len(), 10 * N);
     }
 
     #[test]
     fn a_clone_of_a_sealed_log_shares_every_entry_and_diverges_on_append() {
-        let mut log = log_of(CHUNK + 10);
+        let mut log = log_of(N + 10);
         log.seal();
         let copy = log.clone();
         assert!(copy.tail.is_empty());
@@ -278,9 +265,9 @@ mod tests {
             copy.sealed.as_ref().unwrap()
         ));
         log.push(usize::MAX);
-        assert_eq!(copy.len(), CHUNK + 10);
-        assert_eq!(copy, log_of(CHUNK + 10));
-        assert_eq!(log[CHUNK + 10], usize::MAX);
+        assert_eq!(copy.len(), N + 10);
+        assert_eq!(copy, log_of(N + 10));
+        assert_eq!(log[N + 10], usize::MAX);
     }
 
     #[test]
@@ -294,32 +281,15 @@ mod tests {
     }
 
     #[test]
-    fn append_adopts_sealed_chunks_and_keeps_order() {
-        let mut a = log_of(5);
-        let mut b: ChunkLog<usize> = (5..5 + 2 * CHUNK + 3).collect();
-        b.seal();
-        let adopted = Arc::clone(&b.chunks()[0].1);
-        a.append(b);
-        assert!(a.iter().copied().eq(0..5 + 2 * CHUNK + 3));
-        assert!(a.chunks().iter().any(|(_, c)| Arc::ptr_eq(c, &adopted)));
-        // A tail-only log is moved over, then extended past a chunk.
-        let mut c = ChunkLog::new();
-        c.append(log_of(3));
-        c.append((3..CHUNK + 40).collect());
-        assert!(c.iter().copied().eq(0..CHUNK + 40));
-        assert!(c.tail.len() <= CHUNK);
-    }
-
-    #[test]
-    fn lookups_find_every_entry_across_partial_adopted_chunks() {
-        // Chunks of 3, 10, CHUNK and 1 entries (each sealed early, as a
-        // rank's flush seals its buffer), adopted behind a tail of 7.
-        let mut log: ChunkLog<usize> = (0..7).collect();
-        let mut next = 7;
-        for len in [3, 10, CHUNK, 1] {
-            let mut part: ChunkLog<usize> = (next..next + len).collect();
-            part.seal();
-            log.append(part);
+    fn lookups_find_every_entry_across_uneven_chunks() {
+        // Chunks of 7, 3, 10, N and 1 entries, then a tail of 1.
+        let mut log = ChunkLog::new();
+        let mut next = 0;
+        for len in [7, 3, 10, N, 1] {
+            for i in next..next + len {
+                log.push(i);
+            }
+            log.seal();
             next += len;
         }
         log.push(next);
@@ -328,26 +298,39 @@ mod tests {
             assert_eq!(log.get(i), Some(&i), "entry {i}");
         }
         assert_eq!(log.get(log.len()), None);
-        let lens: Vec<usize> = log.slices().map(<[usize]>::len).collect();
-        assert_eq!(lens, [7, 3, 10, CHUNK, 1, 1]);
+        let lens: Vec<usize> = log.chunks().iter().map(|(_, c)| c.len()).collect();
+        assert_eq!(lens, [7, 3, 10, N, 1]);
     }
 
     #[test]
     fn into_vec_trims_an_unsealed_tail_and_concatenates_chunks() {
-        let v = log_of(20).into_vec();
-        assert_eq!(v, (0..20).collect::<Vec<_>>());
-        assert_eq!(v.capacity(), 20);
-        let mut shared = log_of(2 * CHUNK + 1);
+        let v = log_of(21).into_vec();
+        assert_eq!(v, (0..21).collect::<Vec<_>>());
+        assert_eq!(v.capacity(), 21);
+
+        let mut log = log_of(N);
+        log.seal();
+        for i in N..2 * N {
+            log.push(i);
+        }
+        log.seal();
+        log.push(2 * N);
+        let v = log.into_vec();
+        assert_eq!(v, (0..=2 * N).collect::<Vec<_>>());
+        assert_eq!(v.capacity(), 2 * N + 1);
+
+        let mut shared = log_of(2 * N + 1);
         shared.seal();
         let keep = shared.clone();
-        assert_eq!(shared.into_vec(), (0..2 * CHUNK + 1).collect::<Vec<_>>());
-        assert_eq!(keep.into_vec(), (0..2 * CHUNK + 1).collect::<Vec<_>>());
+        assert_eq!(shared.into_vec(), (0..2 * N + 1).collect::<Vec<_>>());
+        assert_eq!(keep, log_of(2 * N + 1), "the copy is untouched");
+        assert_eq!(keep.into_vec(), (0..2 * N + 1).collect::<Vec<_>>());
     }
 
     #[test]
     fn equality_ignores_chunking() {
-        let mut a = log_of(CHUNK + 3);
-        let b = log_of(CHUNK + 3);
+        let mut a = log_of(N + 3);
+        let b = log_of(N + 3);
         a.seal();
         assert_eq!(a, b);
         assert_eq!(format!("{:?}", log_of(3)), "[0, 1, 2]");

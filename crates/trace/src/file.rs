@@ -13,7 +13,7 @@ use crate::event::{EventKind, MsgInfo, TraceRecord};
 use crate::ids::{Rank, SiteId, Tag};
 use crate::label::Label;
 use crate::loc::{SiteTable, SourceLoc};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Everything a trace file stores.
 #[derive(Debug)]
@@ -411,37 +411,113 @@ pub fn write_record<W: Write>(w: &mut W, r: &TraceRecord) -> io::Result<()> {
     Ok(())
 }
 
-/// Read the binary format. The input is read to its end first and parsed
-/// from memory: records decode from a slice, not through one small
-/// `read` per field.
-pub fn read_binary<R: io::Read>(mut r: R) -> Result<TraceFile, ReadError> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    let mut br = BinReader { buf: &bytes };
-    if br.take(BIN_MAGIC.len())? != BIN_MAGIC {
-        return Err(parse_err(0, "not a tracedbg binary trace (bad magic)"));
-    }
-    let n_ranks = br.u32()? as usize;
-    let n_sites = br.u32()? as usize;
-    let mut sites = Vec::with_capacity(n_sites.min(1 << 20));
-    for _ in 0..n_sites {
-        let line = br.u32()?;
-        let file = br.str(0)?;
-        let func = br.str(0)?;
-        sites.push(SourceLoc::new(file, line, func));
-    }
-    let n_records = br.u64()? as usize;
-    // No record is shorter than its fixed prefix, which bounds the count
-    // a hostile header can make this reserve for.
-    let mut records = Vec::with_capacity(n_records.min(br.buf.len() / RECORD_FIXED_LEN));
+/// Read the binary format. The input is decoded a block at a time
+/// through one reused buffer ([`Blocks`]): records decode from a slice,
+/// not through one small `read` per field, and the file is never held
+/// whole beside the records decoded from it.
+pub fn read_binary<R: Read>(r: R) -> Result<TraceFile, ReadError> {
+    let mut input = Blocks::new(r);
+    let (n_ranks, sites, n_records) = input.decode(|buf| {
+        let mut br = BinReader { buf };
+        if br.take(BIN_MAGIC.len())? != BIN_MAGIC {
+            return Err(parse_err(0, "not a tracedbg binary trace (bad magic)"));
+        }
+        let n_ranks = br.u32()? as usize;
+        let n_sites = br.u32()? as usize;
+        let mut sites = Vec::with_capacity(n_sites.min(1 << 20));
+        for _ in 0..n_sites {
+            let line = br.u32()?;
+            let file = br.str(0)?;
+            let func = br.str(0)?;
+            sites.push(SourceLoc::new(file, line, func));
+        }
+        let n_records = br.u64()? as usize;
+        *buf = br.buf;
+        Ok((n_ranks, sites, n_records))
+    })?;
+    let mut records = Vec::new();
     for i in 0..n_records {
-        records.push(read_record(&mut br.buf, i)?);
+        let rec = input.decode(|buf| read_record(buf, i))?;
+        if records.len() == records.capacity() {
+            // Grow geometrically up to the declared count, but never past
+            // what the bytes read so far can hold (no record is shorter
+            // than its fixed prefix), so a hostile count reserves no more
+            // than the input backs.
+            let cap = (2 * records.len())
+                .max(1024)
+                .min(n_records)
+                .min(input.read / RECORD_FIXED_LEN);
+            records.reserve_exact(cap - records.len());
+        }
+        records.push(rec);
     }
     Ok(TraceFile {
         records,
         sites: SiteTable::from_snapshot(sites),
         n_ranks,
     })
+}
+
+/// Bytes one refill of [`Blocks`] reads at least.
+const BLOCK: usize = 64 * 1024;
+
+/// An input decoded a block at a time: one buffer, reused, holds what was
+/// read and not yet decoded — a block, and the start of an item the
+/// block's end cut.
+struct Blocks<R> {
+    r: R,
+    buf: Vec<u8>,
+    /// Bytes of `buf` already decoded.
+    at: usize,
+    /// Bytes read from `r` so far.
+    read: usize,
+    /// `r` is at its end.
+    done: bool,
+}
+
+impl<R: Read> Blocks<R> {
+    fn new(r: R) -> Self {
+        Blocks {
+            r,
+            buf: Vec::new(),
+            at: 0,
+            read: 0,
+            done: false,
+        }
+    }
+
+    /// Decode one item off the front of the undecoded input, advancing
+    /// past it. An item `decode` runs out of bytes for is decoded again
+    /// after a refill; once the input is at its end, whatever `decode`
+    /// returns stands, exactly as if the whole input had been in memory.
+    fn decode<T>(
+        &mut self,
+        mut decode: impl FnMut(&mut &[u8]) -> Result<T, ReadError>,
+    ) -> Result<T, ReadError> {
+        loop {
+            let mut rest = &self.buf[self.at..];
+            match decode(&mut rest) {
+                Err(ReadError::Io(_)) if !self.done => self.refill()?,
+                out => {
+                    self.at = self.buf.len() - rest.len();
+                    return out;
+                }
+            }
+        }
+    }
+
+    /// Drop the decoded bytes and read a block more, or as much again as
+    /// is left, so an item longer than a block takes a number of refills
+    /// logarithmic in its length.
+    fn refill(&mut self) -> io::Result<()> {
+        self.buf.drain(..self.at);
+        self.at = 0;
+        let want = BLOCK.max(self.buf.len());
+        let got = (&mut self.r).take(want as u64).read_to_end(&mut self.buf)?;
+        self.read += got;
+        self.done = got < want;
+        Ok(())
+    }
 }
 
 /// Read one record of the binary record layout ([`write_record`]) off
@@ -543,6 +619,34 @@ mod tests {
                 .with_label(Label::new("jres value at loop")),
         ];
         TraceFile::new(recs, sites, 8)
+    }
+
+    /// Records cut by a block's end, a label longer than a block, and a
+    /// truncation anywhere in a long file decode as from one slice.
+    #[test]
+    fn a_file_longer_than_a_block_decodes_across_refills() {
+        let long = Label::new(&"x".repeat(3 * BLOCK));
+        let mut recs: Vec<TraceRecord> = (0..4000u64)
+            .map(|i| {
+                let rec = sample().records[i as usize % 3];
+                TraceRecord {
+                    marker: i + 1,
+                    ..rec
+                }
+            })
+            .collect();
+        recs[2500] = recs[2500].with_label(long);
+        let file = TraceFile::new(recs, sample().sites, 8);
+        let mut whole = Vec::new();
+        write_binary(&mut whole, &file).unwrap();
+        assert!(whole.len() > 5 * BLOCK);
+        let back = read_binary(io::Cursor::new(&whole)).unwrap();
+        assert_eq!(back.records, file.records);
+        assert_eq!(back.records.capacity(), file.records.len());
+        for cut in [BLOCK - 3, BLOCK + 17, 2 * BLOCK, whole.len() - 1] {
+            let got = read_binary(io::Cursor::new(&whole[..cut]));
+            assert!(matches!(got, Err(ReadError::Io(_))), "cut at {cut}");
+        }
     }
 
     #[test]

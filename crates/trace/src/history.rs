@@ -12,8 +12,6 @@ use crate::ids::Rank;
 use crate::loc::SiteTable;
 use crate::marker::{Marker, MarkerVector};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
 
 /// Index of an event in a [`TraceStore`]'s canonical order.
@@ -46,120 +44,159 @@ pub fn canonical_key(r: &TraceRecord) -> Key {
     (r.t_start, r.rank, r.marker)
 }
 
-/// A maximal ascending stretch of the arriving records, as the merge's
-/// heap holds it: the key and place (`part`, `ix`) of its next record, how
-/// many records it has left, and its position among the runs, which
-/// breaks ties so that equal keys keep their arrival order.
-struct Run {
-    head: Key,
-    order: usize,
-    part: usize,
-    ix: usize,
-    left: usize,
+/// A permutation to canonical order: entry `i` of `order` holds, in the
+/// bits of `mask`, the arrival index of the record that goes to place `i`.
+struct Permutation {
+    order: Vec<u64>,
+    mask: u64,
 }
 
-impl Run {
-    fn heap_key(&self) -> (Key, usize) {
-        (self.head, self.order)
+impl Permutation {
+    /// The arrival index of the record that goes to `place`.
+    fn arrival(&self, place: usize) -> usize {
+        (self.order[place] & self.mask) as usize
     }
-}
 
-/// Reversed, so that `BinaryHeap` (a max-heap) yields the smallest head.
-impl Ord for Run {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.heap_key().cmp(&self.heap_key())
-    }
-}
-
-impl PartialOrd for Run {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Run {
-    fn eq(&self, other: &Self) -> bool {
-        self.heap_key() == other.heap_key()
-    }
-}
-
-impl Eq for Run {}
-
-/// The records of `parts`, read in order as one sequence, in canonical
-/// order — the one place that order is made. The sequence is cut into its
-/// maximal ascending runs (a run's records are already in order: a rank's
-/// flush, or a file that was written sorted), and the runs are merged by
-/// a heap keyed on (head key, run position), so equal keys keep arrival
-/// order exactly as a stable sort would. The result is allocated once at
-/// its final length and each record is copied into it once, in output
-/// order; there is no scratch copy of the records.
-///
-/// `None` when there is nothing to merge: at most one part, already in
-/// order, which the caller keeps as it is. `n_ranks` sizes the list of
-/// runs: a run's trace arrives as about one flush per rank.
-fn canonical_order(parts: &[&[TraceRecord]], n_ranks: usize) -> Option<Vec<TraceRecord>> {
-    let total = parts.iter().map(|part| part.len()).sum();
-    let mut runs: Vec<Run> = Vec::with_capacity(n_ranks.min(total));
-    for (p, part) in parts.iter().enumerate() {
-        for (ix, rec) in part.iter().enumerate() {
-            let key = canonical_key(rec);
-            match runs.last_mut() {
-                Some(run) if run.head <= key => {
-                    run.head = key;
-                    run.left += 1;
-                }
-                _ => runs.push(Run {
-                    head: key,
-                    order: runs.len(),
-                    part: p,
-                    ix,
-                    left: 1,
-                }),
+    /// Move each record of `records` to its place by following the
+    /// permutation's cycles: one record is held aside per cycle, and a
+    /// place filled is marked by pointing it at itself.
+    fn apply(mut self, records: &mut [TraceRecord]) {
+        for start in 0..records.len() {
+            let mut from = self.arrival(start);
+            if from == start {
+                continue;
             }
+            let held = records[start];
+            let mut place = start;
+            while from != start {
+                records[place] = records[from];
+                self.order[place] = place as u64;
+                place = from;
+                from = self.arrival(place);
+            }
+            records[place] = held;
+            self.order[place] = place as u64;
         }
     }
-    if parts.len() <= 1 && runs.len() <= 1 {
+}
+
+/// The permutation that puts records, read in arrival order, into the
+/// stable canonical order — the one place that order is made. `None` when
+/// the records already are in order. `at` looks a record up by arrival
+/// index.
+///
+/// Arrival index stands in for the marker, which is right for an engine's
+/// log: within one rank, the two orders agree. `by_marker` orders records
+/// that need not agree (a decoded file) by marker within a `(t_start,
+/// rank)` too.
+///
+/// Each record becomes an 8-byte key `(t_start - t_min, rank, arrival)`,
+/// each field as wide as the records need (one pass finds the widths, one
+/// packs), and the keys are sorted, so no term of the cost grows with the
+/// rank count. Records whose
+/// three fields do not fit 64 bits are sorted as indices, reading `at`
+/// (and a merge buffer as long). Scratch is at most 16 bytes a record.
+fn canonical_permutation<'a>(
+    records: impl Iterator<Item = &'a TraceRecord> + Clone,
+    at: impl Fn(usize) -> &'a TraceRecord,
+    by_marker: bool,
+) -> Option<Permutation> {
+    if ascending(records.clone().map(canonical_key)) {
         return None;
     }
-    // The scan left each run's last key in `head`; rewind to its first.
-    for run in &mut runs {
-        run.head = canonical_key(&parts[run.part][run.ix]);
+    let (mut n, mut t_min, mut t_max, mut top) = (0u64, u64::MAX, 0, 0);
+    for r in records.clone() {
+        n += 1;
+        t_min = t_min.min(r.t_start);
+        t_max = t_max.max(r.t_start);
+        top = top.max(r.rank.0);
     }
-    let mut heap = BinaryHeap::from(runs);
-    let mut out = Vec::with_capacity(total);
-    while let Some(mut run) = heap.peek_mut() {
-        out.push(parts[run.part][run.ix]);
-        run.left -= 1;
-        if run.left == 0 {
-            PeekMut::pop(run);
-            continue;
-        }
-        run.ix += 1;
-        while run.ix == parts[run.part].len() {
-            run.part += 1;
-            run.ix = 0;
-        }
-        run.head = canonical_key(&parts[run.part][run.ix]);
+    let bits = |x: u64| u64::BITS - x.leading_zeros();
+    let (ix_bits, rank_bits) = (bits(n - 1), bits(top.into()));
+    if bits(t_max - t_min) + rank_bits + ix_bits >= u64::BITS {
+        let mut order: Vec<u64> = (0..n).collect();
+        order.sort_by_key(|&i| {
+            let r = at(i as usize);
+            (r.t_start, r.rank, if by_marker { r.marker } else { 0 })
+        });
+        return Some(Permutation {
+            order,
+            mask: u64::MAX,
+        });
     }
-    Some(out)
+    let mut order = Vec::with_capacity(n as usize);
+    order.extend(records.enumerate().map(|(i, r)| {
+        (r.t_start - t_min) << (rank_bits + ix_bits) | u64::from(r.rank.0) << ix_bits | i as u64
+    }));
+    order.sort_unstable();
+    let mask = (1 << ix_bits) - 1;
+    if by_marker {
+        let marker = |key: &u64| at((key & mask) as usize).marker;
+        let mut start = 0;
+        while let Some(&first) = order.get(start) {
+            let len = order[start..]
+                .iter()
+                .take_while(|key| *key >> ix_bits == first >> ix_bits)
+                .count();
+            let tie = &mut order[start..start + len];
+            if !ascending(tie.iter().map(marker)) {
+                tie.sort_by_key(marker);
+            }
+            start += len;
+        }
+    }
+    Some(Permutation { order, mask })
+}
+
+/// Does `keys` never go down?
+fn ascending<K: PartialOrd>(mut keys: impl Iterator<Item = K>) -> bool {
+    let Some(mut prev) = keys.next() else {
+        return true;
+    };
+    keys.all(|key| {
+        let up = prev <= key;
+        prev = key;
+        up
+    })
 }
 
 impl TraceStore {
-    /// Build a store from raw records.
+    /// Build a store from raw records in any order (a decoded file),
+    /// reordered in place.
     ///
-    /// Records are put in the canonical order `(t_start, rank, marker)`;
-    /// `n_ranks` is inferred from the records if 0 is passed. Records that
-    /// already are in that order are kept where they are.
-    pub fn build(records: Vec<TraceRecord>, sites: SiteTable, n_ranks: usize) -> Self {
-        let records = canonical_order(&[&records], n_ranks).unwrap_or(records);
+    /// Records are put in the canonical order `(t_start, rank, marker)`
+    /// (equal keys keep their order); `n_ranks` is inferred from the
+    /// records if 0 is passed. Records that already are in that order are
+    /// kept where they are. Besides the records, this holds at most 16
+    /// bytes per record while it reorders them.
+    pub fn build(mut records: Vec<TraceRecord>, sites: SiteTable, n_ranks: usize) -> Self {
+        if let Some(order) = canonical_permutation(records.iter(), |i| &records[i], true) {
+            order.apply(&mut records);
+        }
         Self::from_canonical(records, sites, n_ranks)
     }
 
-    /// Build a store from a log of records in arrival order, copying each
-    /// record once into the store.
+    /// Build a store from an engine's log — records in the order they
+    /// were recorded, so each rank's in marker order — left as it is: the
+    /// records are gathered through the permutation into the store's
+    /// vector, each copied once (a debugger stop, which runs on).
     pub fn from_log(log: &ChunkLog<TraceRecord>, sites: SiteTable, n_ranks: usize) -> Self {
-        let parts: Vec<&[TraceRecord]> = log.slices().collect();
-        let records = canonical_order(&parts, n_ranks).unwrap_or_else(|| parts.concat());
+        let mut records = Vec::with_capacity(log.len());
+        match canonical_permutation(log.iter(), |i| &log[i], false) {
+            Some(order) => records.extend((0..log.len()).map(|place| log[order.arrival(place)])),
+            None => records.extend(log.iter().copied()),
+        }
+        Self::from_canonical(records, sites, n_ranks)
+    }
+
+    /// [`TraceStore::from_log`] for a caller that is done with the log:
+    /// its `Vec` is taken ([`ChunkLog::into_vec`]) and reordered in place,
+    /// so besides the records only the permutation's scratch is held.
+    pub fn from_owned_log(log: ChunkLog<TraceRecord>, sites: SiteTable, n_ranks: usize) -> Self {
+        let mut records = log.into_vec();
+        if let Some(order) = canonical_permutation(records.iter(), |i| &records[i], false) {
+            order.apply(&mut records);
+        }
         Self::from_canonical(records, sites, n_ranks)
     }
 

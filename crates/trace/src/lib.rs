@@ -13,18 +13,18 @@
 //!   simulated times, and (for message-passing constructs) the message tag
 //!   and endpoints, exactly the schema of §3; a fixed-width `Copy` value
 //!   whose probe name is an interned [`Label`];
-//! * [`TraceBuffer`] / [`TraceStore`] — per-process collection with
-//!   on-demand flush (the paper's extension of the AIMS monitor for *during
-//!   execution* use) and a merged, queryable whole-program history;
-//! * [`ChunkLog`] — the append-only log a run keeps its history in, whose
-//!   copies (checkpoints) share every sealed chunk;
+//! * [`ChunkLog`] — the append-only log a run records its trace into as
+//!   it goes (so the debugger has the trace *during* execution, the
+//!   paper's extension of the AIMS monitor), whose copies (checkpoints)
+//!   share every sealed chunk;
+//! * [`TraceStore`] — that log put in canonical order: a queryable
+//!   whole-program history;
 //! * text and JSON trace file formats ([`file`]).
 //!
 //! Everything here is deliberately independent of the runtime: the trace is
 //! plain data, so the analyses (`tracedbg-tracegraph`, `tracedbg-causality`)
 //! and the visualizers consume it without linking the engine.
 
-pub mod buffer;
 pub mod chunk_log;
 pub mod diff;
 pub mod event;
@@ -39,7 +39,6 @@ pub mod schedule;
 pub mod source;
 pub mod stats;
 
-pub use buffer::TraceBuffer;
 pub use chunk_log::ChunkLog;
 pub use diff::{diff_traces, trace_digest, DiffMode, Divergence};
 pub use event::{CollKind, EventKind, MsgInfo, TraceRecord};

@@ -11,8 +11,9 @@
 //! filter.
 //!
 //! [`TraceSink`] is the write-side counterpart: a streaming consumer the
-//! engine's flush path tees into, so a run can be persisted while it
-//! executes instead of being collected and dumped post-mortem.
+//! engine tees each record into as it is recorded, so a run can be
+//! persisted while it executes instead of being collected and dumped
+//! post-mortem.
 //!
 //! Ordering contract, shared by every implementation:
 //!
@@ -229,9 +230,9 @@ fn collect(iter: EventIter<'_>) -> Result<Vec<TraceRecord>, SourceError> {
 
 /// A streaming consumer of trace records (the write side of a store).
 ///
-/// The engine's flush path tees every record through the attached sink in
-/// flush order; implementations must tolerate records arriving out of
-/// canonical order and establish their own order on finish.
+/// The engine tees every record through the attached sink in the order
+/// the ranks record them; implementations must tolerate records arriving
+/// out of canonical order and establish their own order on finish.
 pub trait TraceSink: Send {
     fn accept(&mut self, rec: &TraceRecord);
 }

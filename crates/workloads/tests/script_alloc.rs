@@ -90,7 +90,8 @@ fn a_loop_of_local_statements_allocates_nothing_per_iteration() {
 
 /// A probe's label is interned when the script is parsed, so recording a
 /// probe allocates nothing of its own: what a recorded loop of probes
-/// allocates is the trace's growth, a chunk at a time.
+/// allocates is the growth of the run's one log, which doubles — about
+/// log2(10,000 / 100) ≈ 7 more reallocations for 99 times the probes.
 #[test]
 fn a_recorded_probe_allocates_nothing_of_its_own() {
     let allocs = |iterations: u32| {
@@ -101,7 +102,7 @@ fn a_recorded_probe_allocates_nothing_of_its_own() {
     };
     let (few, many) = (allocs(100), allocs(10_000));
     assert!(
-        (many - few) * 64 < 10_000 - 100,
+        many - few <= 8,
         "{} allocations for 9,900 more probes",
         many - few
     );
@@ -183,5 +184,5 @@ fn one_explored_run_of_planted_wildcard_stays_within_its_allocation_budget() {
     assert!(outcome.is_completed(), "{outcome:?}");
     assert!(!store.records().is_empty() && !points.is_empty());
     let n = after - before;
-    assert!(n <= 220, "one explored run allocated {n} times");
+    assert!(n <= 200, "one explored run allocated {n} times");
 }

@@ -319,10 +319,10 @@ for gone in UndoStack CheckpointCache; do
   gate "$gone under crates/*/src" "$(count "\\b$gone\\b" "${src[@]}")" -eq 0
 done
 gate "fn compact in crates/debugger/src" "$(count 'fn compact\b' crates/debugger/src)" -le 1
-# A record is handled once after the run: one merge puts a trace in
-# canonical order (`TraceStore`'s `canonical_order`, no record sort
-# beside it), matching joins sorted channel keys instead of hashing, and
-# `write_trace_file` encodes from the store instead of a copy of it.
+# A record is handled once after the run: one permutation puts a trace
+# in canonical order (`TraceStore`'s `canonical_permutation`, no record
+# sort beside it), matching joins sorted channel keys instead of hashing,
+# and `write_trace_file` encodes from the store instead of a copy of it.
 gate "HashMap in crates/tracegraph/src/matching.rs" \
   "$(count 'HashMap' crates/tracegraph/src/matching.rs)" -eq 0
 gate "record sorts by t_start under crates/*/src" \
@@ -348,6 +348,15 @@ gate "vec![vec![ in non-test crates/obs/src + crates/mpsim/src" \
 gate "label: Option<String> in crates/trace/src/event.rs" \
   "$(count 'label: Option<String>' crates/trace/src/event.rs)" -eq 0
 gate "fn steal in crates/trace/src/history.rs" "$(count 'fn steal\b' crates/trace/src/history.rs)" -eq 0
+# A trace exists once: a kept record goes straight into the run's one log
+# (no per-rank buffer, flush or take), and that log is one `Vec` until a
+# checkpoint seals it (no chunk cap).
+gate "TraceBuffer under crates/*/src" "$(count '\bTraceBuffer\b' "${src[@]}")" -eq 0
+for gone in flush_rank take_records; do
+  gate "fn $gone under crates/*/src" "$(count "fn $gone\\b" "${src[@]}")" -eq 0
+done
+gate "const CHUNK in crates/trace/src/chunk_log.rs" \
+  "$(count 'const CHUNK\b' crates/trace/src/chunk_log.rs)" -eq 0
 # A store is written once, after the run, from the finished trace: the
 # writer keeps no per-event key table and spills no segment of its own,
 # and the CLI tees nothing into a store while the debuggee runs.
