@@ -19,7 +19,7 @@ use tracedbg_mpsim::{EngineMetrics, SchedPolicy};
 use tracedbg_obs::{
     ClassCount, EventMetrics, ExploreEvent, MetricsReport, TimingMetrics, WorkerStat,
 };
-use tracedbg_trace::schedule::{Decision, DecisionPoint, Fault, ScheduleArtifact};
+use tracedbg_trace::schedule::{Decision, DecisionPoint, Fault, ReadySets, ScheduleArtifact};
 use tracedbg_trace::Rank;
 
 /// Which part of the schedule space to search.
@@ -261,12 +261,16 @@ impl ObsAcc {
 /// alternative would dequeue them in — and builds an alternative's script
 /// only when it is dequeued, so the frontier costs one decision log per
 /// absorbed run, not an entry per alternative (of which at most `runs`
-/// are ever dequeued).
-#[derive(Default)]
+/// are ever dequeued). A `Turn` point's alternatives are rebuilt from the
+/// log's ready-set deltas by walking it forward ([`ReadySets`]).
 struct Frontier {
     runs: VecDeque<Expansion>,
+    /// The front run's ready sets, rebuilt from its first point as far as
+    /// its cursor has gone: only the front run's cursor moves.
+    front: ReadySets,
     /// Reused by the skip count in [`Frontier::push`].
     scratch: Vec<Decision>,
+    skip_walk: ReadySets,
 }
 
 /// One absorbed run's untaken alternatives, walked by a cursor.
@@ -306,6 +310,15 @@ struct Dequeued {
 }
 
 impl Frontier {
+    fn new(n_ranks: usize) -> Self {
+        Frontier {
+            runs: VecDeque::new(),
+            front: ReadySets::new(n_ranks),
+            scratch: Vec::new(),
+            skip_walk: ReadySets::new(n_ranks),
+        }
+    }
+
     /// Enqueue the alternatives of a run whose path made `depth`
     /// substitutions: every untaken alternative at each branch point at
     /// index >= `from`, replayed prefix + alternative. `entry_sleep` is
@@ -349,11 +362,13 @@ impl Frontier {
             let asleep = &mut self.scratch;
             asleep.clear();
             asleep.extend_from_slice(&entry_sleep);
-            for p in points.iter().skip(from) {
+            let walk = &mut self.skip_walk;
+            walk.reset();
+            for (i, p) in points.iter().enumerate().skip(from) {
+                walk.advance_through(&points, i);
                 if p.is_branch() {
-                    skipped += p
-                        .alternatives
-                        .iter()
+                    skipped += walk
+                        .alternatives(p)
                         .filter(|alt| {
                             *alt != p.chosen
                                 && (f.independent(alt, &p.chosen) || asleep.contains(alt))
@@ -379,25 +394,32 @@ impl Frontier {
     fn pop(&mut self, facts: Option<&IndependenceFacts>) -> Option<FrontierEntry> {
         loop {
             let run = self.runs.front_mut()?;
-            if let Some(entry) = run.next(facts) {
+            if let Some(entry) = run.next(facts, &mut self.front) {
                 return Some(entry);
             }
             self.runs.pop_front();
+            self.front.reset();
         }
     }
 }
 
 impl Expansion {
     /// Advance the cursor to the next alternative [`Frontier::push`] did
-    /// not count as skipped, and build its entry.
-    fn next(&mut self, facts: Option<&IndependenceFacts>) -> Option<FrontierEntry> {
+    /// not count as skipped, and build its entry. `ready` has walked this
+    /// run's points up to the cursor.
+    fn next(
+        &mut self,
+        facts: Option<&IndependenceFacts>,
+        ready: &mut ReadySets,
+    ) -> Option<FrontierEntry> {
         while let Some(p) = self.points.get(self.point) {
+            ready.advance_through(&self.points, self.point);
             if p.is_branch() {
                 if self.alt == 0 && facts.is_some() {
                     self.explored.clear();
                     self.explored.push(p.chosen);
                 }
-                for (k, alt) in p.alternatives.iter().enumerate().skip(self.alt) {
+                for (k, alt) in ready.alternatives(p).enumerate().skip(self.alt) {
                     if alt == p.chosen
                         || facts.is_some_and(|f| f.independent(&alt, &p.chosen))
                         || self.asleep.contains(&alt)
@@ -716,7 +738,7 @@ impl Explorer {
     /// in the report.
     fn systematic(&mut self, pool: &WorkerPool, base: RunResult) {
         let window = pool.window();
-        let mut frontier = Frontier::default();
+        let mut frontier = Frontier::new(self.procs);
         self.sleep_skipped += frontier.push(
             base.points,
             0,
@@ -930,7 +952,9 @@ mod tests {
     /// The eager frontier the lazy one replaced, kept as its reference:
     /// for every branch point at index >= `from`, enqueue each untaken
     /// alternative at once, counting sleep-set skips as it goes.
+    #[allow(clippy::too_many_arguments)]
     fn push_extensions(
+        n_ranks: usize,
         points: &[DecisionPoint],
         from: usize,
         depth: usize,
@@ -940,10 +964,12 @@ mod tests {
         queue: &mut VecDeque<Alt>,
     ) {
         let mut asleep: Vec<Decision> = entry_sleep.to_vec();
+        let mut ready = ReadySets::new(n_ranks);
         for (i, p) in points.iter().enumerate().skip(from) {
+            ready.advance_through(points, i);
             if p.is_branch() {
                 let mut explored: Vec<Decision> = vec![p.chosen];
-                for alt in p.alternatives.iter() {
+                for alt in ready.alternatives(p) {
                     if alt == p.chosen {
                         continue;
                     }
@@ -990,8 +1016,10 @@ mod tests {
         limit: usize,
     ) -> (usize, usize, usize, u64) {
         let base = execute(source, SchedPolicy::RoundRobin, &[]);
+        let n_ranks = source().len();
         let (mut eager, mut eager_skipped) = (VecDeque::new(), 0);
         push_extensions(
+            n_ranks,
             &base.points,
             0,
             0,
@@ -1000,7 +1028,7 @@ mod tests {
             &mut eager_skipped,
             &mut eager,
         );
-        let mut lazy = Frontier::default();
+        let mut lazy = Frontier::new(n_ranks);
         let mut lazy_skipped = lazy.push(base.points, 0, 0, Vec::new(), facts);
         let (mut compared, mut deepest, mut widest) = (0, 0, 0);
         while compared < limit {
@@ -1022,6 +1050,7 @@ mod tests {
                 let res = execute(source, SchedPolicy::Scripted(got.script), &[]);
                 if !res.diverged {
                     push_extensions(
+                        n_ranks,
                         &res.points,
                         cut + 1,
                         depth,

@@ -39,7 +39,7 @@ use crate::task::TaskHarness;
 use std::ops::Index;
 use std::sync::Arc;
 use tracedbg_instrument::{Armed, Recorder};
-use tracedbg_trace::schedule::DecisionPoint;
+use tracedbg_trace::schedule::{DecisionPoint, ReadyChanges};
 use tracedbg_trace::{ChunkLog, MarkerVector, Rank, SiteTable, TraceRecord};
 
 /// Ranks per [`RankTable`] block.
@@ -195,6 +195,10 @@ pub struct EngineCheckpoint {
     /// raw material of schedule artifacts and systematic exploration, and
     /// the run's one record of nondeterminism.
     pub(crate) decision_log: ChunkLog<DecisionPoint>,
+    /// The ready set the log's last `Turn` point stored and the ranks
+    /// whose ready bit changed since: what the next `Turn` point's delta
+    /// is made of, so a restored engine continues the log's chain.
+    pub(crate) ready_changes: ReadyChanges,
 }
 
 impl EngineCheckpoint {

@@ -25,7 +25,9 @@ use crate::task::{Prog, TaskEnv, TaskHarness, TaskInterp, TaskProgram};
 use std::sync::Arc;
 use tracedbg_instrument::{Armed, Recorder, RecorderConfig};
 use tracedbg_obs::{EngineMetrics, FlightRecorder, Span, SpanKind};
-use tracedbg_trace::schedule::{Alternatives, Decision, DecisionPoint, RankSet};
+use tracedbg_trace::schedule::{
+    Alternatives, Decision, DecisionPoint, RankSet, ReadyChanges, ReadyDelta,
+};
 use tracedbg_trace::{
     ChunkLog, Marker, MarkerVector, Rank, ScheduleArtifact, SiteTable, TraceRecord, TraceSink,
     TraceStore,
@@ -235,9 +237,14 @@ pub struct Engine {
     waiting: RankSet,
     /// The ranks the scheduler may grant the next turn: `waiting` and not
     /// paused. Both sets are maintained at every state and pause
-    /// transition, so a turn — and clearing every pause — costs
-    /// O(ranks/64) instead of a scan over every `ProcState`.
+    /// transition (each change of a `ready` bit also goes to
+    /// `st.ready_changes`), so a turn costs what changed instead of a scan over
+    /// every `ProcState`.
     ready: RankSet,
+    /// `ready` as the decision log's `Turn` deltas rebuild it: what the
+    /// debug check at every turn compares `ready` against.
+    #[cfg(debug_assertions)]
+    rebuilt: tracedbg_trace::ReadySets,
     /// Run the delivery sweep on the next [`Engine::run`] (set by
     /// [`Engine::restore`], which can leave a deliverable receive
     /// undelivered).
@@ -282,12 +289,14 @@ impl Engine {
             faults: config.faults,
             ops: vec![0; n],
             decision_log: ChunkLog::new(),
+            ready_changes: ReadyChanges::new(n),
         };
-        let all = RankSet::from_ranks(n, (0..n).map(Rank::from));
         let mut engine = Engine {
             st,
-            waiting: all.clone(),
-            ready: all,
+            waiting: RankSet::full(n),
+            ready: RankSet::full(n),
+            #[cfg(debug_assertions)]
+            rebuilt: tracedbg_trace::ReadySets::new(n),
             resweep: false,
             tee: None,
             checkpoints: config.checkpoints,
@@ -315,6 +324,12 @@ impl Engine {
             st: cp.clone(),
             waiting: RankSet::new(cp.n_ranks),
             ready: RankSet::new(cp.n_ranks),
+            #[cfg(debug_assertions)]
+            rebuilt: {
+                let mut sets = tracedbg_trace::ReadySets::new(cp.n_ranks);
+                cp.decision_log.iter().for_each(|p| sets.advance(p));
+                sets
+            },
             // A snapshot can land between a match becoming possible and
             // its decision being committed; the sweep re-delivers it.
             resweep: true,
@@ -354,18 +369,30 @@ impl Engine {
     fn set_state(&mut self, rank: Rank, state: ProcState) -> ProcState {
         let waiting = matches!(state, ProcState::Ready(_));
         self.waiting.set(rank, waiting);
-        self.ready.set(rank, waiting && !self.st.paused[rank.ix()]);
+        self.set_ready(rank, waiting && !self.st.paused[rank.ix()]);
         std::mem::replace(self.st.states.get_mut(rank.ix()), state)
+    }
+
+    /// Put `rank` in or out of `ready`, noting a change for the next
+    /// `Turn` point's delta.
+    fn set_ready(&mut self, rank: Rank, ready: bool) {
+        if self.ready.set(rank, ready) {
+            self.st.ready_changes.push(rank);
+        }
     }
 
     /// `(waiting, ready)` recomputed from scratch: what the two sets must
     /// equal.
     fn scan_ready(&self) -> (RankSet, RankSet) {
         let n = self.st.n_ranks;
-        let waiting = (0..n).filter(|&i| matches!(self.st.states[i], ProcState::Ready(_)));
-        let waiting = RankSet::from_ranks(n, waiting.map(Rank::from));
-        let ready = waiting.iter().filter(|r| !self.st.paused[r.ix()]);
-        let ready = RankSet::from_ranks(n, ready);
+        let (mut waiting, mut ready) = (RankSet::new(n), RankSet::new(n));
+        let states = self.st.states.iter().zip(&self.st.paused);
+        for (i, (s, &held)) in states.enumerate() {
+            if matches!(s, ProcState::Ready(_)) {
+                waiting.set(Rank::from(i), true);
+                ready.set(Rank::from(i), !held);
+            }
+        }
         (waiting, ready)
     }
 
@@ -421,10 +448,19 @@ impl Engine {
             }
             self.maybe_snapshot();
             let p = self.st.scheduler.pick(&self.ready);
-            self.st.decision_log.push(DecisionPoint {
+            let point = DecisionPoint {
                 chosen: Decision::Turn { rank: p },
-                alternatives: Alternatives::Turns(self.ready.clone()),
-            });
+                alternatives: Alternatives::Turns(ReadyDelta::new(
+                    &self.ready,
+                    &mut self.st.ready_changes,
+                )),
+            };
+            #[cfg(debug_assertions)]
+            {
+                self.rebuilt.advance(&point);
+                debug_assert_eq!(self.rebuilt.ready(), &self.ready, "the Turn deltas");
+            }
+            self.st.decision_log.push(point);
             if let Some(o) = self.obs.as_mut() {
                 o.turn_count += 1;
                 o.metrics.turns += 1;
@@ -751,16 +787,22 @@ impl Engine {
     /// Clear every debugger pause.
     pub fn clear_pauses(&mut self) {
         self.st.paused.fill(false);
-        self.ready = self.waiting.clone();
+        self.ready.clone_from(&self.waiting);
+        self.st.ready_changes.push_all();
     }
 
     /// Pause every process but `running`, whose pause flags stay as they
     /// are: the "rest hold" half of stepping a set of processes.
     pub fn pause_all_but(&mut self, running: impl IntoIterator<Item = Rank>) {
-        let was = std::mem::replace(&mut self.st.paused, vec![true; self.st.n_ranks]);
-        self.ready = RankSet::new(self.st.n_ranks);
-        for r in running {
-            self.set_paused(r, was[r.ix()]);
+        let kept: Vec<(Rank, bool)> = running
+            .into_iter()
+            .map(|r| (r, self.st.paused[r.ix()]))
+            .collect();
+        self.st.paused.fill(true);
+        self.ready.clear();
+        self.st.ready_changes.push_all();
+        for (r, paused) in kept {
+            self.set_paused(r, paused);
         }
     }
 
@@ -802,7 +844,7 @@ impl Engine {
     /// Pause / unpause a process (debugger-initiated, turn-level).
     pub fn set_paused(&mut self, rank: Rank, paused: bool) {
         self.st.paused[rank.ix()] = paused;
-        self.ready.set(rank, self.waiting.contains(rank) && !paused);
+        self.set_ready(rank, self.waiting.contains(rank) && !paused);
     }
 
     /// Current execution markers of every process.
@@ -1442,6 +1484,33 @@ mod tests {
         }
         e.set_paused(Rank(0), false);
         assert!(e.run().is_completed());
+    }
+
+    #[test]
+    fn a_pause_reaches_the_turn_deltas() {
+        use tracedbg_trace::ReadySets;
+        let three = || {
+            (0..3)
+                .map(|_| rank(vec![compute(10), compute(10)]))
+                .collect()
+        };
+        let mut e = Engine::launch(cfg(), three());
+        e.set_paused(Rank(1), true);
+        assert!(e.run().is_stopped());
+        let held = e.decision_points().len();
+        e.set_paused(Rank(1), false);
+        assert!(e.run().is_completed());
+        let mut sets = ReadySets::new(3);
+        for (i, p) in e.decision_points().iter().enumerate() {
+            sets.advance(p);
+            let Decision::Turn { rank } = p.chosen else {
+                continue;
+            };
+            assert!(sets.ready().contains(rank), "point {i}");
+            assert_eq!(sets.ready().len(), p.alternatives.len(), "point {i}");
+            assert_eq!(sets.ready().contains(Rank(1)), i >= held, "point {i}: P1");
+        }
+        assert!(e.decision_points().len() > held, "P1 ran after the release");
     }
 
     #[test]

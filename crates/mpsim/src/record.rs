@@ -68,11 +68,14 @@ impl ReplayLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tracedbg_trace::schedule::{Alternatives, RankSet};
+    use tracedbg_trace::schedule::{Alternatives, RankSet, ReadyChanges, ReadyDelta};
 
     fn chose(chosen: Decision) -> DecisionPoint {
         let alternatives = match chosen {
-            Decision::Turn { .. } => Alternatives::Turns(RankSet::new(2)),
+            Decision::Turn { .. } => Alternatives::Turns(ReadyDelta::new(
+                &RankSet::full(2),
+                &mut ReadyChanges::new(2),
+            )),
             Decision::Match { .. } => Alternatives::Matches([chosen].into()),
         };
         DecisionPoint {

@@ -6,6 +6,7 @@
 use tracedbg_mpsim::{
     Label, Message, Payload, Prog, Rank, RankProgram, SendMode, SiteId, Tag, TaskOp, TaskView,
 };
+use tracedbg_trace::CollKind;
 
 pub type St = Vec<Message>;
 pub type P = Prog<St>;
@@ -62,6 +63,17 @@ pub fn probe(label: &'static str, value: impl Fn(&St) -> i64 + Send + Sync + 'st
     Prog::op(move |s, v| TaskOp::Probe {
         label,
         value: value(s),
+        site: site(v),
+    })
+}
+
+/// A barrier across every rank: it readies them all in one turn.
+pub fn barrier() -> P {
+    Prog::op(|_, v| TaskOp::Collective {
+        kind: CollKind::Barrier,
+        root: Rank(0),
+        payload: Payload::empty(),
+        op: None,
         site: site(v),
     })
 }

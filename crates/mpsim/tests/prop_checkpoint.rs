@@ -9,13 +9,15 @@
 
 mod common;
 
-use common::{fanin_programs, probe, rank, recv, send, FANIN_NPROCS as NPROCS};
+use common::{
+    barrier, compute, fanin_programs, probe, rank, recv, repeat, send, FANIN_NPROCS as NPROCS, P,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 use tracedbg_mpsim::{
-    Engine, EngineConfig, FaultPlan, Rank, RecorderConfig, ReplayLog, SchedPolicy,
+    Engine, EngineConfig, FaultPlan, Rank, RankProgram, RecorderConfig, ReplayLog, SchedPolicy,
 };
-use tracedbg_trace::schedule::{Alternatives, Decision, DecisionPoint, Fault};
+use tracedbg_trace::schedule::{Alternatives, Decision, DecisionPoint, Fault, ReadySets};
 use tracedbg_trace::EventKind;
 
 /// An optional single-fault plan hitting a worker (never the collector,
@@ -106,9 +108,11 @@ proptest! {
         let mut snap = Engine::launch(cfg(), fanin_programs(rounds));
         snap.set_snapshot_at(k);
         let _ = snap.run();
+        // (No early `return` here: a proptest body runs inside the loop
+        // over cases, so one would end the test at its first case.)
         let Some(cp) = snap.take_pending_snapshot() else {
             prop_assert_eq!(snap.into_trace_store().records(), want.records());
-            return;
+            continue;
         };
         let mut restored = Engine::restore(&cp, Vec::new());
         let _ = restored.run();
@@ -167,6 +171,95 @@ proptest! {
             prop_assert_eq!(format!("{:?}", restored.run()), want_out);
             prop_assert_eq!(restored.digest(), want_digest);
             prop_assert_eq!(restored.collect_trace(), reference.collect_trace());
+        }
+    }
+}
+
+/// A fan-in over `n` ranks (one or three words of ready set): every
+/// worker sends `rounds` messages to rank 0, which takes them by wildcard,
+/// then every rank meets in a barrier, which readies them all in one turn.
+fn wide_fanin(n: u32, rounds: u64) -> Vec<RankProgram> {
+    let collector = vec![
+        repeat((n as i64 - 1) * rounds as i64, recv(None, None)),
+        barrier(),
+        compute(10),
+    ];
+    let mut progs = vec![rank(collector)];
+    for r in 1..n as i64 {
+        let mut worker: Vec<P> = (0..rounds as i64)
+            .flat_map(|round| [compute(50 + r as u64 % 7), send(0, 0, r * 100 + round)])
+            .collect();
+        worker.extend([barrier(), compute(10)]);
+        progs.push(rank(worker));
+    }
+    progs
+}
+
+/// Every point's alternatives as [`ReadySets`] rebuilds them walking the
+/// log forward from point 0; each must contain the chosen decision and be
+/// as long as the point says.
+fn rebuilt(n: usize, points: &[DecisionPoint]) -> Vec<Vec<Decision>> {
+    let mut sets = ReadySets::new(n);
+    points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            sets.advance(p);
+            let alts: Vec<Decision> = sets.alternatives(p).collect();
+            assert!(alts.contains(&p.chosen), "point {i}: {p:?} not in {alts:?}");
+            assert_eq!(alts.len(), p.alternatives.len(), "point {i}: stored length");
+            alts
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// A `Turn` point stores only the ready set's change since the last
+    /// one, so the chain must survive a snapshot: a run snapshotted at any
+    /// decision, restored (the checkpoint held or dropped) and continued
+    /// rebuilds the straight run's alternatives point for point.
+    #[test]
+    fn a_restored_run_rebuilds_the_straight_runs_alternatives(
+        seed in 0u64..1024,
+        width in 0usize..3,
+        rounds in 1u64..3,
+        per_mille in 0usize..1000,
+        hold_checkpoint in any::<bool>(),
+    ) {
+        let n = [4u32, 70, 130][width];
+        let cfg = || EngineConfig {
+            policy: SchedPolicy::Seeded(seed),
+            checkpoints: true,
+            ..Default::default()
+        };
+        let mut straight = Engine::launch(cfg(), wide_fanin(n, rounds));
+        prop_assert!(straight.run().is_completed());
+        let (_, want) = straight.into_trace_and_decisions();
+        let want_alts = rebuilt(n as usize, &want);
+        let k = want.len() * per_mille / 1000;
+        let mut snap = Engine::launch(cfg(), wide_fanin(n, rounds));
+        snap.set_snapshot_at(k);
+        prop_assert!(snap.run().is_completed());
+        let cp = snap.take_pending_snapshot();
+        let (_, got) = snap.into_trace_and_decisions();
+        prop_assert_eq!(rebuilt(n as usize, &got), want_alts.clone());
+        let Some(cp) = cp else {
+            continue;
+        };
+        let mut restored = Engine::restore(&cp, Vec::new());
+        let held = hold_checkpoint.then_some(cp);
+        prop_assert!(restored.run().is_completed());
+        let (_, got) = restored.into_trace_and_decisions();
+        let chosen = |points: &[DecisionPoint]| points.iter().map(|p| p.chosen).collect::<Vec<_>>();
+        prop_assert_eq!(chosen(&got), chosen(&want));
+        prop_assert_eq!(rebuilt(n as usize, &got), want_alts.clone());
+        if let Some(cp) = held {
+            let mut again = Engine::restore(&cp, Vec::new());
+            prop_assert!(again.run().is_completed());
+            let (_, got) = again.into_trace_and_decisions();
+            prop_assert_eq!(rebuilt(n as usize, &got), want_alts);
         }
     }
 }

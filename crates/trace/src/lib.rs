@@ -49,7 +49,8 @@ pub use loc::{SiteTable, SourceLoc};
 pub use marker::{Marker, MarkerVector};
 pub use query::EventQuery;
 pub use schedule::{
-    Alternatives, ArtifactMeta, Decision, DecisionPoint, Fault, RankSet, ScheduleArtifact,
+    Alternatives, ArtifactMeta, Decision, DecisionPoint, Fault, RankSet, ReadyChanges, ReadyDelta,
+    ReadySets, ScheduleArtifact,
 };
 pub use source::{
     materialize, CommEdge, EdgeDir, EventIter, Select, SourceError, TraceSink, TraceSource,

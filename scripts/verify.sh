@@ -308,6 +308,11 @@ nontest() { # <files...>: each file up to its first top-level #[cfg(test)]
 }
 gate "decision_log/collected held in a Vec" \
   "$(nontest $(find crates/*/src -name '*.rs') | { grep -cE '(decision_log|collected): Vec<' || true; })" -eq 0
+# A decision point costs what changed: a `Turn` point stores the ready
+# set's delta (`ReadyDelta`), never a copy of the set, and the explorer
+# rebuilds the sets walking the log forward (`ReadySets`).
+gate "Turn points holding a RankSet under crates/*/src" \
+  "$(count 'Turns\((RankSet|self\.ready)' "${src[@]}")" -eq 0
 # A value is the engine's own or shared with checkpoints through one
 # generic cell: a block of ranks and a rank are that cell over a `Vec` and
 # over a `RankState`, not two enums.
@@ -635,14 +640,20 @@ cmp -s target/verify_wide/sa.trc target/verify_wide/sb.trc \
   || { echo "1024-rank butterfly does not fit in 128 MiB" >&2; exit 1; }
 ( ulimit -v 131072; ./target/release/tracedbg lint target/verify_wide/sa.trc >/dev/null ) \
   || { echo "lint of a 1024-rank stencil trace does not fit in 128 MiB" >&2; exit 1; }
-# A metered run's channel counters cover the channels it used: `run`
-# (a live session, always metered) and `stats --metrics` of a 4096-rank
-# stencil fit in 256 MiB (with ranks × ranks counters both aborted there).
-( ulimit -v 262144; ./target/release/tracedbg run stencil --procs 4096 >/dev/null ) \
-  || { echo "4096-rank stencil run does not fit in 256 MiB" >&2; exit 1; }
-( ulimit -v 262144; ./target/release/tracedbg stats stencil --procs 4096 \
+# A metered run's channel counters cover the channels it used, and a
+# decision point stores what changed in the ready set, not the set: `run`
+# (a live session, always metered) of a 4096-rank stencil fits in 80 MiB
+# (floor ≈ 52 MiB; with a ready set copied into every `Turn` point it
+# needed more than 112), `stats --metrics` of it in 128 MiB (with ranks ×
+# ranks counters both aborted at 256), and `run` of a 16384-rank stencil
+# in 256 MiB (floor ≈ 190 MiB; with the copied sets it peaked at 1.2 GB).
+( ulimit -v 81920; ./target/release/tracedbg run stencil --procs 4096 >/dev/null ) \
+  || { echo "4096-rank stencil run does not fit in 80 MiB" >&2; exit 1; }
+( ulimit -v 131072; ./target/release/tracedbg stats stencil --procs 4096 \
     --metrics target/verify_wide/stats4096.json >/dev/null ) \
-  || { echo "4096-rank stencil stats --metrics does not fit in 256 MiB" >&2; exit 1; }
+  || { echo "4096-rank stencil stats --metrics does not fit in 128 MiB" >&2; exit 1; }
+( ulimit -v 262144; ./target/release/tracedbg run stencil --procs 16384 >/dev/null ) \
+  || { echo "16384-rank stencil run does not fit in 256 MiB" >&2; exit 1; }
 # A hunt costs its runs, not its frontier: 4000 runs of the 16-rank
 # planted search find the bug (exit 1) inside a 64 MiB address space —
 # frontier entries share their parent run's decisions and one window of
