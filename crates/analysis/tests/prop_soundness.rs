@@ -3,65 +3,24 @@
 //! scheduler does — seeded match races, injected delays, crashes, hangs
 //! — every message the engine actually matches must fall inside the
 //! statically computed may-match relation, and ranks the analysis calls
-//! independent must never exchange a message. Underneath that sits the
-//! evaluator: on generated arithmetic the value the analysis folds a peer
-//! expression to is the value the engine computes for it, rank by rank.
+//! independent must never exchange a message. The cases are random SDL
+//! programs and corpus scripts under faults, from the one generator of
+//! cases (`tests/oracle/cases.rs`). Underneath that sits the evaluator: on
+//! generated arithmetic the value the analysis folds a peer expression to
+//! is the value the engine computes for it, rank by rank.
 
+#[path = "../../../tests/oracle/cases.rs"]
+mod cases;
+
+use cases::arb_case;
 use proptest::prelude::*;
 use proptest::strategy::FnStrategy;
 use tracedbg_analysis::{analyze, Peers, SiteOp};
-use tracedbg_mpsim::{Engine, EngineConfig, FaultPlan, RecorderConfig, SchedPolicy};
-use tracedbg_trace::{Fault, Label, Rank};
+use tracedbg_mpsim::{Engine, EngineConfig, RecorderConfig, SchedPolicy};
+use tracedbg_trace::{Label, Rank};
 use tracedbg_tracegraph::MessageMatching;
 use tracedbg_workloads::script::{parse, programs};
-use tracedbg_workloads::scripts::{builtin, builtins};
-
-#[derive(Clone, Debug)]
-struct Case {
-    name: &'static str,
-    nprocs: usize,
-    seed: u64,
-    faults: Vec<Fault>,
-}
-
-fn rank_below(rng: &mut TestRng, nprocs: usize) -> Rank {
-    Rank(rng.below(nprocs as u64) as u32)
-}
-
-/// Random case: builtin script, process count near its minimum, seed for
-/// the match-racing scheduler, and 0–2 injected faults (delay/crash/hang)
-/// targeting in-range ranks.
-fn case_strategy() -> impl Strategy<Value = Case> {
-    FnStrategy::new(|rng: &mut TestRng| {
-        let b = builtins()[rng.below(builtins().len() as u64) as usize];
-        let nprocs = b.min_procs + rng.below(3) as usize;
-        let seed = rng.next_u64();
-        let faults = (0..rng.below(3))
-            .map(|_| match rng.below(3) {
-                0 => Fault::Delay {
-                    src: rank_below(rng, nprocs),
-                    dst: rank_below(rng, nprocs),
-                    nth: rng.below(3),
-                    extra_ns: (1 + rng.below(4)) * 1_000_000,
-                },
-                1 => Fault::Crash {
-                    rank: rank_below(rng, nprocs),
-                    after_ops: rng.below(8),
-                },
-                _ => Fault::Hang {
-                    rank: rank_below(rng, nprocs),
-                    after_ops: rng.below(8),
-                },
-            })
-            .collect();
-        Case {
-            name: b.name,
-            nprocs,
-            seed,
-            faults,
-        }
-    })
-}
+use tracedbg_workloads::scripts::builtins;
 
 /// Non-vacuity guard for the property below: a fault-free run of every
 /// builtin actually produces matched messages, so the quantifier ranges
@@ -93,23 +52,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn dynamic_matches_stay_inside_static_may_match(case in case_strategy()) {
+    fn dynamic_matches_stay_inside_static_may_match(case in arb_case()) {
         tracedbg_mpsim::set_quiet_panics(true);
-        let b = builtin(case.name).unwrap();
-        let parsed = b.parse();
-        let file = b.file();
-        let a = analyze(&parsed, case.nprocs, &file);
-        prop_assert!(a.graph.complete, "builtin scripts analyze completely");
+        let parsed = parse(&case.source).expect("the case parses");
+        let a = analyze(&parsed, case.procs, &case.file);
+        prop_assert!(a.graph.complete, "cases analyze completely: {}", case);
 
-        let mut engine = Engine::launch(
-            EngineConfig {
-                policy: SchedPolicy::Seeded(case.seed),
-                recorder: RecorderConfig::full(),
-                faults: FaultPlan::new(case.faults.clone()),
-                ..Default::default()
-            },
-            programs(&parsed, case.nprocs, &file),
-        );
+        let mut engine = Engine::launch(case.config(), programs(&parsed, case.procs, &case.file));
         // Faulted/racy runs may panic, deadlock, or complete — soundness
         // must hold for the matches of *any* outcome.
         let _ = engine.run();
@@ -122,31 +71,30 @@ proptest! {
             let sloc = store.sites().resolve(store.record(m.send).site);
             let rloc = store.sites().resolve(store.record(m.recv).site);
             let (Some(sloc), Some(rloc)) = (sloc, rloc) else {
-                prop_assert!(false, "scripted sites always resolve");
+                prop_assert!(false, "scripted sites always resolve: {}", case);
                 unreachable!();
             };
             prop_assert_eq!(&sloc.file, &a.graph.file);
             prop_assert_eq!(&rloc.file, &a.graph.file);
             prop_assert!(
                 a.may_match_lines(src, sloc.line, dst, rloc.line),
-                "{}@{} procs, seed {}, faults {:?}: dynamic match \
-                 {}:{} -> {}:{} escapes the static may-match relation",
-                case.name, case.nprocs, case.seed, case.faults,
-                src, sloc.line, dst, rloc.line,
+                "dynamic match {}:{} -> {}:{} escapes the static may-match \
+                 relation, case {}",
+                src, sloc.line, dst, rloc.line, case,
             );
             prop_assert!(
                 a.may_match.rank_may_comm(src, dst),
-                "{}: ranks {} -> {} exchanged a message the rank-level \
-                 comm relation excludes",
-                case.name, src, dst,
+                "ranks {} -> {} exchanged a message the rank-level comm \
+                 relation excludes, case {}",
+                src, dst, case,
             );
             // Independence soundness: independent rank pairs never
             // exchange messages in any execution.
             let key = (src.min(dst), src.max(dst));
             prop_assert!(
                 !a.independence.pairs().contains(&key),
-                "{}: ranks {:?} are declared independent yet communicated",
-                case.name, key,
+                "ranks {:?} are declared independent yet communicated, case {}",
+                key, case,
             );
         }
     }

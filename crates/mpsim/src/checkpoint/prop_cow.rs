@@ -16,7 +16,14 @@
 //! five-point stencil (more than one block of ranks from 65 on, so a
 //! write in one block is checked against the blocks beside it), a seeded 8-rank transfer pattern of 400 messages
 //! with wildcard receives, and a 16-rank wildcard fan-in with a planted
-//! ordering bug, each under an optional crash, hang or delay fault.
+//! ordering bug, each under zero to two crash, hang or delay faults on
+//! the first eight ranks (drawn by the one fault-plan generator in test
+//! code, `tests/oracle/faults.rs`).
+
+/// The one generator of fault plans in test code, shared with the
+/// determinism oracle.
+#[path = "../../../../tests/oracle/faults.rs"]
+mod faults;
 
 use super::*;
 use crate::engine::{Engine, EngineConfig, RankProgram};
@@ -25,6 +32,7 @@ use crate::ops::SendMode;
 use crate::payload::Payload;
 use crate::sched::SchedPolicy;
 use crate::task::{Prog, TaskOp, TaskView};
+use faults::faults_on;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -268,28 +276,6 @@ fn planted_wildcard(n: usize) -> Vec<RankProgram> {
     ranks(n, peers, &prog)
 }
 
-/// An optional single fault on one of the first eight workers.
-fn arb_faults() -> impl Strategy<Value = Vec<Fault>> {
-    let w = 1u32..8;
-    prop_oneof![
-        Just(Vec::new()),
-        (w.clone(), 0u64..12).prop_map(|(r, k)| vec![Fault::Crash {
-            rank: Rank(r),
-            after_ops: k,
-        }]),
-        (w.clone(), 0u64..12).prop_map(|(r, k)| vec![Fault::Hang {
-            rank: Rank(r),
-            after_ops: k,
-        }]),
-        (w, 0u64..3, 1u64..5_000).prop_map(|(src, nth, extra_ns)| vec![Fault::Delay {
-            src: Rank(src),
-            dst: Rank(0),
-            nth,
-            extra_ns,
-        }]),
-    ]
-}
-
 /// How a run goes on from a state: where it stops with what was armed
 /// still armed, then how it ends disarmed, its digest, trace and decision
 /// log.
@@ -443,7 +429,7 @@ proptest! {
     fn stencil_checkpoints_are_isolated(
         p in 4usize..=10,
         seed in 0u64..1024,
-        faults in arb_faults(),
+        faults in faults_on(8),
         depth in arb_depth(),
         drive in arb_drive(),
     ) {
@@ -455,7 +441,7 @@ proptest! {
     fn random_pattern_checkpoints_are_isolated(
         pattern in 0u64..1024,
         seed in 0u64..1024,
-        faults in arb_faults(),
+        faults in faults_on(8),
         depth in arb_depth(),
         drive in arb_drive(),
     ) {
@@ -466,7 +452,7 @@ proptest! {
     #[test]
     fn planted_wildcard_checkpoints_are_isolated(
         seed in 0u64..1024,
-        faults in arb_faults(),
+        faults in faults_on(8),
         depth in arb_depth(),
         drive in arb_drive(),
     ) {

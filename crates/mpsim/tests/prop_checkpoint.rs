@@ -8,40 +8,20 @@
 //! replay from launch would.
 
 mod common;
+#[path = "../../../tests/oracle/faults.rs"]
+mod faults;
 
 use common::{
     barrier, compute, fanin_programs, probe, rank, recv, repeat, send, FANIN_NPROCS as NPROCS, P,
 };
+use faults::faults_on;
 use proptest::prelude::*;
 use std::sync::Arc;
 use tracedbg_mpsim::{
     Engine, EngineConfig, FaultPlan, Rank, RankProgram, RecorderConfig, ReplayLog, SchedPolicy,
 };
-use tracedbg_trace::schedule::{Alternatives, Decision, DecisionPoint, Fault, ReadySets};
+use tracedbg_trace::schedule::{Alternatives, Decision, DecisionPoint, ReadySets};
 use tracedbg_trace::EventKind;
-
-/// An optional single-fault plan hitting a worker (never the collector,
-/// so runs stay short): crash, hang, or a delivery delay into rank 0.
-fn arb_faults() -> impl Strategy<Value = Vec<Fault>> {
-    let w = 1u32..NPROCS as u32;
-    prop_oneof![
-        Just(Vec::new()),
-        (w.clone(), 0u64..6).prop_map(|(r, k)| vec![Fault::Crash {
-            rank: Rank(r),
-            after_ops: k,
-        }]),
-        (w.clone(), 0u64..6).prop_map(|(r, k)| vec![Fault::Hang {
-            rank: Rank(r),
-            after_ops: k,
-        }]),
-        (w, 0u64..4, 1u64..500).prop_map(|(src, nth, extra_ns)| vec![Fault::Delay {
-            src: Rank(src),
-            dst: Rank(0),
-            nth,
-            extra_ns,
-        }]),
-    ]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
@@ -51,7 +31,7 @@ proptest! {
         seed in 0u64..1024,
         rounds in 1u64..4,
         k in 0usize..24,
-        faults in arb_faults(),
+        faults in faults_on(NPROCS as u32),
     ) {
         let cfg = || EngineConfig {
             policy: SchedPolicy::Seeded(seed),
@@ -92,7 +72,7 @@ proptest! {
         seed in 0u64..1024,
         rounds in 1u64..4,
         k in 0usize..24,
-        faults in arb_faults(),
+        faults in faults_on(NPROCS as u32),
         hold_checkpoint in any::<bool>(),
     ) {
         let cfg = || EngineConfig {

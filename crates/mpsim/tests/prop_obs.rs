@@ -6,30 +6,16 @@
 //! a counting bug.
 
 mod common;
+#[path = "../../../tests/oracle/faults.rs"]
+mod faults;
 
 use common::{fanin_programs, FANIN_NPROCS as NPROCS};
+use faults::faults_on;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use tracedbg_mpsim::{Engine, EngineConfig, FaultPlan, Rank, RecorderConfig, SchedPolicy};
-use tracedbg_trace::schedule::{Decision, Fault};
+use tracedbg_mpsim::{Engine, EngineConfig, FaultPlan, RecorderConfig, SchedPolicy};
+use tracedbg_trace::schedule::Decision;
 use tracedbg_trace::EventKind;
-
-fn arb_faults() -> impl Strategy<Value = Vec<Fault>> {
-    let w = 1u32..NPROCS as u32;
-    prop_oneof![
-        Just(Vec::new()),
-        (w.clone(), 0u64..6).prop_map(|(r, k)| vec![Fault::Hang {
-            rank: Rank(r),
-            after_ops: k,
-        }]),
-        (w, 0u64..4, 1u64..500).prop_map(|(src, nth, extra_ns)| vec![Fault::Delay {
-            src: Rank(src),
-            dst: Rank(0),
-            nth,
-            extra_ns,
-        }]),
-    ]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
@@ -38,7 +24,7 @@ proptest! {
     fn metrics_equal_independent_recounts(
         seed in 0u64..1024,
         rounds in 1u64..4,
-        faults in arb_faults(),
+        faults in faults_on(NPROCS as u32),
     ) {
         let mut engine = Engine::launch(
             EngineConfig {

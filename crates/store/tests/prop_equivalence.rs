@@ -1,137 +1,53 @@
 //! Query-equivalence battery: the on-disk store is a pure index, never a
-//! filter. For arbitrary seeded workloads (with crash/hang/delay faults)
-//! and arbitrary segment sizes, every store query — `events`, `by_rank`,
-//! `by_tag`, `by_construct`, `by_time_window` — must return a sequence
-//! byte-identical to the same selection over the in-memory reference
-//! [`TraceStore`]. Every way of writing a store gives one image per
-//! trace: the records the engine tees into a [`SharedWriter`], the
-//! finished store through `ingest_store`, and any shuffle of its records
-//! through `ingest_records` are written byte for byte alike. A store an
-//! older writer left in arrival order (a committed fixture) still answers
-//! every selection.
+//! filter. For generated cases (random SDL programs and corpus scripts
+//! under crash/hang/delay faults, from the one generator of cases in
+//! `tests/oracle/cases.rs`) and arbitrary segment sizes, every store query
+//! — `events`, `by_rank`, `by_tag`, `by_construct`, `by_time_window` —
+//! must return a sequence byte-identical to the same selection over the
+//! in-memory reference [`TraceStore`]. Every way of writing a store gives
+//! one image per trace: the records the engine tees into a
+//! [`SharedWriter`], the finished store through `ingest_store`, and any
+//! shuffle of its records through `ingest_records` are written byte for
+//! byte alike. A store an older writer left in arrival order (a committed
+//! fixture) still answers every selection.
 
+#[path = "../../../tests/oracle/cases.rs"]
+mod cases;
 mod common;
 
-use common::{fanin_programs, scratch_dir, NPROCS};
+use cases::arb_case;
+use common::scratch_dir;
 use proptest::prelude::*;
 use std::path::Path;
-use tracedbg_mpsim::{Engine, EngineConfig, FaultPlan, Rank, RecorderConfig, SchedPolicy, Tag};
+use tracedbg_mpsim::{Engine, Rank, Tag};
 use tracedbg_store::{
     ingest_records, ingest_store, DiskStore, SharedWriter, StoreOptions, StoreWriter,
 };
 use tracedbg_trace::file::read_text;
-use tracedbg_trace::schedule::Fault;
-use tracedbg_trace::{EventKind, TraceRecord, TraceSource, TraceStore};
+use tracedbg_trace::{EventKind, Select, TraceRecord, TraceSource, TraceStore};
 
-fn arb_faults() -> impl Strategy<Value = Vec<Fault>> {
-    let w = 1u32..NPROCS as u32;
-    prop_oneof![
-        Just(Vec::new()),
-        (w.clone(), 0u64..6).prop_map(|(r, k)| vec![Fault::Crash {
-            rank: Rank(r),
-            after_ops: k,
-        }]),
-        (w.clone(), 0u64..6).prop_map(|(r, k)| vec![Fault::Hang {
-            rank: Rank(r),
-            after_ops: k,
-        }]),
-        (w, 0u64..4, 1u64..500).prop_map(|(src, nth, extra_ns)| vec![Fault::Delay {
-            src: Rank(src),
-            dst: Rank(0),
-            nth,
-            extra_ns,
-        }]),
-    ]
-}
-
-/// Reference answers computed by linear scan over the in-memory store.
-fn ref_by_rank(store: &TraceStore, rank: Rank) -> Vec<TraceRecord> {
-    if rank.ix() >= store.n_ranks() {
-        return Vec::new();
-    }
-    store
-        .by_rank(rank)
-        .iter()
-        .map(|id| *store.record(*id))
-        .collect()
-}
-
-fn ref_by_tag(store: &TraceStore, tag: Tag) -> Vec<TraceRecord> {
-    store
-        .records()
-        .iter()
-        .filter(|r| r.msg.as_ref().is_some_and(|m| m.tag == tag))
-        .cloned()
-        .collect()
-}
-
-fn ref_by_kind(store: &TraceStore, kind: EventKind) -> Vec<TraceRecord> {
-    store
-        .records()
-        .iter()
-        .filter(|r| r.kind == kind)
-        .cloned()
-        .collect()
-}
-
-fn ref_window(store: &TraceStore, lo: u64, hi: u64) -> Vec<TraceRecord> {
-    store
-        .records()
-        .iter()
-        .filter(|r| r.t_start <= hi && r.t_end >= lo)
-        .cloned()
-        .collect()
-}
-
-fn assert_equivalent(disk: &DiskStore, reference: &TraceStore) {
-    assert_eq!(disk.n_events(), reference.len() as u64);
-    assert_eq!(disk.n_ranks(), reference.n_ranks());
-    assert_eq!(disk.time_bounds(), reference.time_bounds());
-    assert_eq!(
-        disk.sites().snapshot(),
-        reference.sites().snapshot(),
-        "site tables diverged"
+/// Every selection of `disk` equals the linear scan of `reference`.
+fn assert_equivalent(disk: &DiskStore, reference: &TraceStore, what: &str) {
+    let got = (disk.n_events(), disk.n_ranks(), disk.time_bounds());
+    let want = (
+        reference.len() as u64,
+        reference.n_ranks(),
+        reference.time_bounds(),
     );
-    let src: &dyn TraceSource = disk;
-    assert_eq!(
-        src.events().unwrap(),
-        reference.records().to_vec(),
-        "full canonical scan diverged"
-    );
-    // One rank past the end: empty, not an error.
-    for r in 0..=reference.n_ranks() {
-        let rank = Rank(r as u32);
-        assert_eq!(
-            src.by_rank(rank).unwrap(),
-            ref_by_rank(reference, rank),
-            "by_rank({}) diverged",
-            r
-        );
-    }
+    assert_eq!(got, want, "{what}: events, ranks, time bounds");
+    let same_sites = disk.sites().snapshot() == reference.sites().snapshot();
+    assert!(same_sites, "{what}: site tables diverged");
+    // One rank past the end and an absent tag: empty, not an error.
+    let ranks = (0..=reference.n_ranks() as u32).map(|r| Select::Rank(Rank(r)));
     let mut tags: Vec<Tag> = reference
         .records()
         .iter()
-        .filter_map(|r| r.msg.as_ref().map(|m| m.tag))
+        .filter_map(|r| r.msg.map(|m| m.tag))
         .collect();
     tags.sort();
     tags.dedup();
-    tags.push(Tag(12345)); // absent tag: empty, not an error
-    for tag in tags {
-        assert_eq!(
-            src.by_tag(tag).unwrap(),
-            ref_by_tag(reference, tag),
-            "by_tag({}) diverged",
-            tag.0
-        );
-    }
-    for kind in EventKind::all() {
-        assert_eq!(
-            src.by_construct(kind).unwrap(),
-            ref_by_kind(reference, kind),
-            "by_construct({}) diverged",
-            kind.code()
-        );
-    }
+    let tags = tags.into_iter().chain([Tag(12345)]).map(Select::Tag);
+    let kinds = EventKind::all().into_iter().map(Select::Kind);
     let (lo, hi) = reference.time_bounds();
     let mid = lo + (hi - lo) / 2;
     let windows = [
@@ -150,14 +66,34 @@ fn assert_equivalent(disk: &DiskStore, reference: &TraceStore) {
         (hi, lo),
         (mid + 1, mid),
     ];
-    for (wlo, whi) in windows {
-        assert_eq!(
-            src.by_time_window(wlo, whi).unwrap(),
-            ref_window(reference, wlo, whi),
-            "by_time_window({}, {}) diverged",
-            wlo,
-            whi
-        );
+    let windows = windows.map(|(a, b)| Select::TimeWindow(a, b));
+    let src: &dyn TraceSource = disk;
+    for sel in [Select::All]
+        .into_iter()
+        .chain(ranks)
+        .chain(tags)
+        .chain(kinds)
+        .chain(windows)
+    {
+        let got: Result<Vec<_>, _> = src.select(sel).unwrap().collect();
+        let want: Vec<_> = reference
+            .records()
+            .iter()
+            .filter(|r| selects(sel, r))
+            .copied()
+            .collect();
+        assert_eq!(got.unwrap(), want, "{what}: {sel:?} diverged");
+    }
+}
+
+/// Whether the linear scan of a selection keeps `r`.
+fn selects(sel: Select, r: &TraceRecord) -> bool {
+    match sel {
+        Select::All => true,
+        Select::Rank(rank) => r.rank == rank,
+        Select::Tag(tag) => r.msg.is_some_and(|m| m.tag == tag),
+        Select::Kind(kind) => r.kind == kind,
+        Select::TimeWindow(lo, hi) => r.t_start <= hi && r.t_end >= lo,
     }
 }
 
@@ -189,39 +125,33 @@ proptest! {
 
     #[test]
     fn disk_queries_match_linear_scan(
-        seed in 0u64..1024,
-        rounds in 1i64..4,
+        case in arb_case(),
         segment_events in 4usize..64,
-        faults in arb_faults(),
     ) {
-        let cfg = || EngineConfig {
-            policy: SchedPolicy::Seeded(seed),
-            recorder: RecorderConfig::full(),
-            faults: FaultPlan::new(faults.clone()),
-            ..Default::default()
-        };
+        tracedbg_mpsim::set_quiet_panics(true);
         let opts = StoreOptions { segment_events };
+        let what = format!("segments of {segment_events}, case {case}");
 
         // The tee: the engine pushes each record it flushes, in arrival
         // order; the store is written when the writer finishes.
         let stream_dir = scratch_dir("stream");
         let shared = SharedWriter::new(StoreWriter::create(&stream_dir, opts).unwrap());
-        let mut engine = Engine::launch(cfg(), fanin_programs(rounds, 3));
+        let mut engine = Engine::launch(case.config(), case.programs());
         engine.attach_trace_sink(Box::new(shared.clone()));
         let _ = engine.run();
         let reference = engine.trace_store();
         engine.detach_trace_sink();
         shared.finish(reference.sites(), reference.n_ranks()).unwrap();
         let streamed = DiskStore::open(&stream_dir).unwrap();
-        assert_equivalent(&streamed, &reference);
+        assert_equivalent(&streamed, &reference, &format!("tee, {what}"));
         streamed.verify().unwrap();
 
         // One-shot path: ingest the already-built reference store. One
         // trace, one image: the tee wrote the same bytes.
         let ingest_dir = scratch_dir("ingest");
         let ingested = ingest_store(&reference, &ingest_dir, opts).unwrap();
-        assert_equivalent(&ingested, &reference);
-        assert_same_files(&stream_dir, &ingest_dir, "tee vs ingest_store");
+        assert_equivalent(&ingested, &reference, &format!("ingest_store, {what}"));
+        assert_same_files(&stream_dir, &ingest_dir, &format!("tee vs ingest_store, {what}"));
 
         drop(streamed);
         drop(ingested);
@@ -233,17 +163,12 @@ proptest! {
     /// canonical order writes.
     #[test]
     fn any_shuffle_writes_the_canonical_image(
-        seed in 0u64..1024,
-        rounds in 1i64..4,
+        case in arb_case(),
         segment_events in 4usize..64,
         shuffle in any::<u64>(),
     ) {
-        let cfg = EngineConfig {
-            policy: SchedPolicy::Seeded(seed),
-            recorder: RecorderConfig::full(),
-            ..Default::default()
-        };
-        let mut engine = Engine::launch(cfg, fanin_programs(rounds, 3));
+        tracedbg_mpsim::set_quiet_panics(true);
+        let mut engine = Engine::launch(case.config(), case.programs());
         let _ = engine.run();
         let reference = engine.trace_store();
         let mut records = reference.records().to_vec();
@@ -261,7 +186,8 @@ proptest! {
         let shuffled_dir = scratch_dir("shuffled");
         ingest_records(reference.records(), sites, n_ranks, &canonical_dir, opts).unwrap();
         ingest_records(&records, sites, n_ranks, &shuffled_dir, opts).unwrap();
-        assert_same_files(&canonical_dir, &shuffled_dir, "shuffled vs canonical");
+        let what = format!("shuffle {shuffle} vs canonical, segments of {segment_events}, case {case}");
+        assert_same_files(&canonical_dir, &shuffled_dir, &what);
         let _ = std::fs::remove_dir_all(&canonical_dir);
         let _ = std::fs::remove_dir_all(&shuffled_dir);
     }
@@ -287,6 +213,6 @@ fn an_arrival_order_store_answers_as_its_trace() {
         reference.records(),
         "the fixture's canonical order is the identity: it covers nothing"
     );
-    assert_equivalent(&disk, &reference);
+    assert_equivalent(&disk, &reference, "ring-tee");
     disk.verify().unwrap();
 }

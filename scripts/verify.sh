@@ -370,6 +370,10 @@ gate "struct EventKey in crates/store/src/writer.rs" \
 gate "fn flush_segment in crates/store/src/writer.rs" \
   "$(count 'fn flush_segment\b' crates/store/src/writer.rs)" -eq 0
 gate "SharedWriter in crates/core/src/bin" "$(count 'SharedWriter' crates/core/src/bin)" -eq 0
+# One generator of fault plans in test code: the determinism oracle's,
+# which the property tests of other crates include by `#[path]`.
+gate "files outside tests/oracle/faults.rs defining fn arb_faults" \
+  "$({ grep -rlE --include='*.rs' 'fn arb_faults\b' crates tests || true; } | { grep -vcx 'tests/oracle/faults.rs' || true; })" -eq 0
 # Exploration holds one window of work, not its frontier: the systematic
 # queue hands out alternatives lazily (the eager `push_extensions` lives
 # on only as a test reference), and the one task buffer explorer.rs

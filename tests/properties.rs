@@ -22,6 +22,10 @@ use tracedbg::trace::file::{read_text, write_text, TraceFile};
 use tracedbg::tracegraph::TraceGraph;
 use tracedbg::workloads::random_comm;
 
+/// The corpus scripts come from the one generator of cases.
+#[path = "oracle/cases.rs"]
+mod cases;
+
 fn run_pattern(
     seed: u64,
     nprocs: usize,
@@ -375,32 +379,6 @@ proptest! {
 // checkpoint at any point.
 // ---------------------------------------------------------------------------
 
-/// Every built-in SDL script, the example script (the one with a callee)
-/// and the runnable golden scripts, as `(file label, source)`.
-fn runnable_scripts() -> Vec<(String, String)> {
-    use tracedbg::workloads::scripts;
-    let mut out: Vec<(String, String)> = scripts::builtins()
-        .iter()
-        .map(|b| (b.file(), b.source.to_string()))
-        .collect();
-    let root = env!("CARGO_MANIFEST_DIR");
-    for dir in ["/../../tests/golden/scripts", "/../../examples/scripts"] {
-        let mut paths: Vec<_> = std::fs::read_dir(format!("{root}{dir}"))
-            .expect("script directory")
-            .map(|e| e.expect("directory entry").path())
-            .filter(|p| p.extension().is_some_and(|x| x == "script"))
-            // Its loop does not fit in 64 bits; its header says never to run it.
-            .filter(|p| p.file_stem().is_some_and(|s| s != "wide-loop"))
-            .collect();
-        paths.sort();
-        for p in paths {
-            let name = p.file_name().unwrap().to_string_lossy().into_owned();
-            out.push((name, std::fs::read_to_string(&p).expect("script source")));
-        }
-    }
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 32,
@@ -420,7 +398,7 @@ proptest! {
     ) {
         use tracedbg::workloads::script;
 
-        let scripts = runnable_scripts();
+        let scripts = cases::corpus();
         prop_assert!(scripts.len() >= 8, "builtins, golden and example scripts found");
         let (file, source) = &scripts[which % scripts.len()];
         let parsed = script::parse(source).expect("script parses");
