@@ -872,9 +872,11 @@ fn suite_explore_dpor(opts: &SuiteOptions) -> Suite {
 /// same run next to it. Three kinds of row per selection:
 ///
 /// * `*_indexed` — the selection on a **warm handle**: an earlier call
-///   already loaded and verified every segment and index section it
-///   touches. What a long-lived session pays per query; no `tracedbg`
-///   child is ever in this state.
+///   already loaded the index sections it reads. Segments are never
+///   cached (a read streams each one it touches through one buffer), so
+///   since the streaming reader these rows cost a cold walk of the
+///   segments less the section loads; before it they measured a
+///   segment cache that no `tracedbg` child ever had warm.
 /// * `*_cold` — a fresh `DiskStore::open` plus the selection inside the
 ///   timed closure: what a CLI child pays (read, checksum, decode).
 /// * `*_scan` / `scan_file` — the path every consumer used before the
@@ -1096,8 +1098,9 @@ fn suite_store(opts: &SuiteOptions) -> Suite {
             assert_eq!(n, n_win);
         }));
     }
-    // Reading everything: through the store against the flat file, from
-    // memory (`scan_all_warm` vs `read_binary`) and as a CLI child does
+    // Reading everything: through the store against the flat file, on a
+    // warm handle (`scan_all_warm`, which streams the segments from the
+    // page cache, vs `read_binary` from memory) and as a CLI child does
     // it, from disk into the in-memory index (`materialize_cold` vs
     // `materialize_file`).
     let n_all = file.records.len();

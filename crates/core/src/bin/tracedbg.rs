@@ -710,7 +710,7 @@ fn cmd_stats(opts: &Opts) -> Result<ExitCode, String> {
 /// schedules, and rank suspect processes by decision-log divergence,
 /// event-graph diff, and telemetry anomaly. `--trace` supplies the
 /// failing trace from a recorded `.trc`/`.tbin` file or an ingested
-/// store directory (read through `TraceSource`, never materialized).
+/// store directory (materialized once: the differ reads every rank).
 /// Exits non-zero only when no passing reference could be found.
 fn cmd_localize(opts: &Opts) -> Result<ExitCode, String> {
     const USAGE: &str = "usage: tracedbg localize (--schedule <file.sched.json> | <workload>) \
@@ -741,12 +741,14 @@ fn cmd_localize(opts: &Opts) -> Result<ExitCode, String> {
         jobs: opts.num("jobs", 1usize)?,
     };
     // Resolve the failing-trace override up front so IO errors surface
-    // before any simulated processes run.
+    // before any simulated processes run. The graph differ asks for every
+    // rank's edges twice; a store directory would be walked once per
+    // question, so it is materialized here, once.
     let failing_trace = match opts.flag("trace") {
-        Some(p) => Some(Input::trace("localize --trace", p)?),
+        Some(p) => Some(Input::trace("localize --trace", p)?.into_store()?),
         None => None,
     };
-    let failing_source = failing_trace.as_ref().map(|t| t.source());
+    let failing_source = failing_trace.as_ref().map(|t| t as &dyn TraceSource);
     let report = quietly(|| {
         tracedbg::localize::localize_with_trace(&workload.factory, &artifact, &lcfg, failing_source)
     });

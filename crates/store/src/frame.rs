@@ -54,7 +54,8 @@ pub(crate) fn frame_body(buf: &[u8]) -> Result<&[u8], FrameError> {
 }
 
 /// Decode a frame body: exactly one record, nothing after it. (Forced
-/// inline for the same reason as `DiskStore::body_memo`.)
+/// inline: as a call it costs a copy of the record per event on the
+/// readers' per-frame paths.)
 #[inline(always)]
 pub(crate) fn decode_body(mut body: &[u8]) -> Result<TraceRecord, FrameError> {
     let rec = read_record(&mut body, 0).map_err(|e| match e {

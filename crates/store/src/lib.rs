@@ -15,8 +15,9 @@
 //!   so one trace always gives one store image; [`StoreWriter::push`] and
 //!   [`SharedWriter`] (an engine tee) collect records one at a time and
 //!   hand them to the same writer when they finish;
-//! * [`DiskStore`] — the reader: cheap [`DiskStore::open`], lazy
-//!   CRC-verified segment loads, cursor-based queries, and a
+//! * [`DiskStore`] — the reader: cheap [`DiskStore::open`], segments
+//!   streamed and CRC-verified as they are read (never held whole),
+//!   cursor-based queries, and a
 //!   [`TraceSource`](tracedbg_trace::TraceSource) impl so every consumer
 //!   of the in-memory reference store works against disk unchanged.
 //!

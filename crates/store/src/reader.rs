@@ -3,28 +3,36 @@
 //! [`DiskStore::open`] is cheap by design: it reads the manifest in full
 //! (small — run metadata plus the site table), the index *directory* (a
 //! few dozen fixed-width entries), and each segment's 40-byte header.
-//! Everything else — index sections, segment payloads — is loaded lazily
-//! on first touch and CRC-verified at that point, so opening a
-//! multi-million-event store costs well under a millisecond while no
-//! corruption can ever reach a caller as silent garbage.
+//! Everything else — index sections, segment payloads — is read on
+//! demand and CRC-verified as it is read, so opening a multi-million-event
+//! store costs well under a millisecond while no corruption can ever
+//! reach a caller as silent garbage.
 //!
-//! Queries return [`EventCursor`]s that decode one frame at a time;
-//! nothing materializes the whole trace unless the caller collects it.
-//! A loaded segment is the buffer `fs::read` returned — offsets and
-//! frames are read from it in place — so a cold selection costs one read
-//! and one checksum pass per segment it touches plus one decode per
-//! event it returns.
+//! A segment is never held whole. Every read of one — a cursor's, a
+//! [`DiskStore::fetch`], [`DiskStore::verify`], `events()` — is one walk
+//! front to back through a single 64 KiB buffer: the offset table and
+//! the payload are read in step, each folded into its checksum as it
+//! passes, and only the frames the reader asked for are kept (a cursor
+//! copies their encoded bytes out; `events()` and `verify()` decode
+//! frames straight out of the buffer). Nothing a walk read reaches a
+//! caller before the walk's end has checked both checksums and the
+//! table's order: verify, then yield. A cursor walks the segments its ids
+//! fall in, in file order, one segment at a time when its list visits
+//! them in that order (every list of a canonical-order store does) and
+//! all at once otherwise, and yields in list order — so a selection costs
+//! one sequential read and checksum pass per segment it touches, the
+//! bytes of its own frames, and one decode per event it returns.
 
-use crate::crc::crc32;
+use crate::crc::{crc32, Crc32};
 use crate::error::StoreError;
 use crate::frame::{decode_body, frame_body, kind_code, FrameError};
 use crate::layout::{
     segment_file, Cursor, DIR_ENTRY_LEN, INDEX_FILE, INDEX_MAGIC, MANIFEST_FILE, MANIFEST_MAGIC,
     SEC_CANON, SEC_KIND, SEC_RANK, SEC_TAG, SEC_TIME, SEGMENT_HEADER_LEN, SEGMENT_MAGIC, VERSION,
 };
-use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Seek, SeekFrom};
-use std::ops::Range;
+use std::collections::HashMap;
+use std::fs::File;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use tracedbg_trace::file::peek_span;
@@ -33,8 +41,12 @@ use tracedbg_trace::{
     TraceSource,
 };
 
-/// How many decoded segments the in-memory cache keeps (FIFO).
-const SEGMENT_CACHE_CAP: usize = 16;
+/// The one buffer every walk over a file reads through.
+const WALK_BUF: usize = 64 * 1024;
+/// The offset table's share of a segment walk's buffer; the payload
+/// gets the rest. A table entry is 4 bytes, a frame some 80: one refill
+/// of the table lasts about as long as twelve of the payload.
+const TABLE_SHARE: usize = 8 * 1024;
 
 /// Metadata of one segment, from the manifest + its validated header.
 #[derive(Clone, Debug)]
@@ -44,6 +56,13 @@ struct SegMeta {
     payload_len: u64,
     payload_crc: u32,
     offsets_crc: u32,
+}
+
+impl SegMeta {
+    /// One past the last arrival id in the segment.
+    fn end_event(&self) -> u64 {
+        self.first_event + self.frames as u64
+    }
 }
 
 /// One index directory entry.
@@ -75,34 +94,8 @@ impl DirEntry {
     }
 }
 
-/// A fully loaded, CRC-verified segment: the file as read, nothing
-/// copied out of it.
-struct LoadedSeg {
-    bytes: Vec<u8>,
-    /// Where the payload lies in `bytes`; the offset table (validated at
-    /// load: ascending, inside the payload) sits between header and it.
-    payload: Range<usize>,
-}
-
-impl LoadedSeg {
-    /// The payload from frame `i`'s length prefix on, for `i` below the
-    /// segment's frame count.
-    fn frame(&self, i: usize) -> &[u8] {
-        let at = SEGMENT_HEADER_LEN + 4 * i;
-        let b = &self.bytes[at..at + 4];
-        let off = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
-        &self.bytes[self.payload.start + off..self.payload.end]
-    }
-}
-
 type IdsList = Arc<Vec<u32>>;
 type TimeSamples = Arc<Vec<(u64, u64)>>;
-
-#[derive(Default)]
-struct SegCache {
-    map: HashMap<u32, Arc<LoadedSeg>>,
-    fifo: VecDeque<u32>,
-}
 
 /// An open on-disk trace store.
 pub struct DiskStore {
@@ -114,13 +107,35 @@ pub struct DiskStore {
     sites: SiteTable,
     segs: Vec<SegMeta>,
     index: Vec<DirEntry>,
-    seg_cache: Mutex<SegCache>,
     sections: Mutex<HashMap<(u8, i64), IdsList>>,
     time_samples: Mutex<Option<TimeSamples>>,
 }
 
 fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
     std::fs::read(path).map_err(|e| StoreError::io(path, e))
+}
+
+/// A buffer to stream index section `e` through: the section's size up
+/// to a walk buffer's (a store has a section per rank, most of them
+/// small), never less than one entry.
+fn section_buffer(e: &DirEntry) -> Vec<u8> {
+    let len = e.byte_len().unwrap_or(0).max(e.entry_bytes.into());
+    vec![0; len.min(WALK_BUF as u64) as usize]
+}
+
+/// Fill `buf` from `file` at offset `at`.
+fn read_at(file: &File, at: u64, buf: &mut [u8]) -> std::io::Result<()> {
+    #[cfg(unix)]
+    {
+        std::os::unix::fs::FileExt::read_exact_at(file, buf, at)
+    }
+    #[cfg(not(unix))]
+    {
+        use std::io::{Seek, SeekFrom};
+        let mut f = file;
+        f.seek(SeekFrom::Start(at))?;
+        f.read_exact(buf)
+    }
 }
 
 fn check_magic(path: &Path, c: &mut Cursor<'_>, want: [u8; 4]) -> Result<(), StoreError> {
@@ -332,7 +347,6 @@ impl DiskStore {
             sites: SiteTable::from_snapshot(sites),
             segs,
             index,
-            seg_cache: Mutex::new(SegCache::default()),
             sections: Mutex::new(HashMap::new()),
             time_samples: Mutex::new(None),
         })
@@ -357,16 +371,25 @@ impl DiskStore {
 
     // ---- section loading ----
 
-    fn read_section_bytes(&self, e: &DirEntry) -> Result<Vec<u8>, StoreError> {
+    /// Stream index section `e` through `buf`, one `e.entry_bytes`-wide
+    /// entry at a time into `each`, and check its checksum after the
+    /// last: nothing `each` saw may be trusted unless this returns Ok.
+    fn stream_section(
+        &self,
+        e: &DirEntry,
+        buf: &mut [u8],
+        mut each: impl FnMut(&[u8]),
+    ) -> Result<(), StoreError> {
         let idx_path = self.dir.join(INDEX_FILE);
-        let mut f = std::fs::File::open(&idx_path).map_err(|e| StoreError::io(&idx_path, e))?;
-        f.seek(SeekFrom::Start(e.offset))
-            .map_err(|err| StoreError::io(&idx_path, err))?;
+        let file = File::open(&idx_path).map_err(|e| StoreError::io(&idx_path, e))?;
         let len = e.byte_len().ok_or_else(|| e.overflow(&idx_path))?;
-        let mut buf = vec![0u8; len as usize];
-        f.read_exact(&mut buf)
-            .map_err(|err| StoreError::from_read(&idx_path, "index section", err))?;
-        let got = crc32(&buf);
+        let width = e.entry_bytes as usize;
+        let mut r = Region::new(buf, e.offset, len, "index section");
+        while width > 0 && r.fill(&file, &idx_path, width)? {
+            each(&r.bytes()[..width]);
+            r.consume(width);
+        }
+        let got = r.crc.value();
         if got != e.crc {
             return Err(StoreError::crc(
                 &idx_path,
@@ -375,7 +398,7 @@ impl DiskStore {
                 got,
             ));
         }
-        Ok(buf)
+        Ok(())
     }
 
     fn find_entry(&self, kind: u8, key: i64) -> Option<&DirEntry> {
@@ -404,17 +427,21 @@ impl DiskStore {
                         format!("id section has entry width {}", e.entry_bytes),
                     ));
                 }
-                let bytes = self.read_section_bytes(e)?;
+                // The item count was held to the file's size at open.
                 let mut ids = Vec::with_capacity(e.n_items as usize);
-                for ch in bytes.chunks_exact(4) {
-                    let id = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+                let mut stray = None;
+                self.stream_section(e, &mut section_buffer(e), |b| {
+                    let id = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
                     if id as u64 >= self.n_events {
-                        return Err(StoreError::mismatch(
-                            &idx_path,
-                            format!("index references event {id}, store has {}", self.n_events),
-                        ));
+                        stray.get_or_insert(id);
                     }
                     ids.push(id);
+                })?;
+                if let Some(id) = stray {
+                    return Err(StoreError::mismatch(
+                        &idx_path,
+                        format!("index references event {id}, store has {}", self.n_events),
+                    ));
                 }
                 Arc::new(ids)
             }
@@ -441,18 +468,21 @@ impl DiskStore {
                         format!("time section has entry width {}", e.entry_bytes),
                     ));
                 }
-                let bytes = self.read_section_bytes(e)?;
                 let mut v = Vec::with_capacity(e.n_items as usize);
-                for ch in bytes.chunks_exact(16) {
-                    let t = u64::from_le_bytes(ch[0..8].try_into().unwrap());
-                    let pos = u64::from_le_bytes(ch[8..16].try_into().unwrap());
+                let mut stray = None;
+                self.stream_section(e, &mut section_buffer(e), |b| {
+                    let t = u64::from_le_bytes(b[0..8].try_into().unwrap());
+                    let pos = u64::from_le_bytes(b[8..16].try_into().unwrap());
                     if pos >= self.n_events {
-                        return Err(StoreError::mismatch(
-                            &idx_path,
-                            format!("time sample points at position {pos} of {}", self.n_events),
-                        ));
+                        stray.get_or_insert(pos);
                     }
                     v.push((t, pos));
+                })?;
+                if let Some(pos) = stray {
+                    return Err(StoreError::mismatch(
+                        &idx_path,
+                        format!("time sample points at position {pos} of {}", self.n_events),
+                    ));
                 }
                 Arc::new(v)
             }
@@ -461,122 +491,204 @@ impl DiskStore {
         Ok(samples)
     }
 
-    // ---- segment loading ----
+    /// Whether the canonical order is the arrival order — always so for
+    /// a store this crate writes — checked by streaming the section
+    /// through `buf`, so that `events()` never holds the list. `false`
+    /// on anything unexpected: the caller then goes through the list and
+    /// its errors.
+    fn canonical_is_arrival_order(&self, buf: &mut [u8]) -> bool {
+        if let Some(ids) = self.sections.lock().unwrap().get(&(SEC_CANON, 0)) {
+            return ids.len() as u64 == self.n_events
+                && ids.iter().enumerate().all(|(i, &id)| i == id as usize);
+        }
+        let Some(e) = self.find_entry(SEC_CANON, 0) else {
+            return false;
+        };
+        if e.entry_bytes != 4 || e.n_items != self.n_events {
+            return false;
+        }
+        let (mut next, mut same) = (0u32, true);
+        let streamed = self.stream_section(e, buf, |b| {
+            same &= u32::from_le_bytes([b[0], b[1], b[2], b[3]]) == next;
+            next = next.wrapping_add(1);
+        });
+        streamed.is_ok() && same
+    }
+
+    // ---- segment walks ----
 
     fn segment_path(&self, seg_ix: u32) -> PathBuf {
         self.dir.join(segment_file(seg_ix))
     }
 
-    fn load_segment(&self, seg_ix: u32) -> Result<Arc<LoadedSeg>, StoreError> {
-        {
-            let cache = self.seg_cache.lock().unwrap();
-            if let Some(s) = cache.map.get(&seg_ix) {
-                return Ok(s.clone());
+    /// The segment holding arrival id `id` (below `n_events`): the last
+    /// one starting at or before it, right even if a manifest lists an
+    /// empty segment.
+    fn segment_of(&self, id: u64) -> usize {
+        self.segs.partition_point(|s| s.first_event <= id) - 1
+    }
+
+    /// Stream segment `seg_ix` through `buf` and keep the frames `frames`
+    /// (indices within the segment, ascending and distinct): their bytes
+    /// are appended to `kept`, and one [`Kept`] per frame to `spans`. A
+    /// frame's length prefix is held to the payload before a byte of its
+    /// body is kept, and `kept` grows by at most the payload's length.
+    /// With a `window`, a frame whose body is in the buffer as it passes
+    /// and whose span ends before the window (and does not start after
+    /// it) is not kept but marked [`Kept::SKIPPED`]: the window cursor
+    /// would skip it on that same peek. What the walk kept is only good
+    /// if it returns Ok.
+    fn keep_frames(
+        &self,
+        seg_ix: u32,
+        frames: impl Iterator<Item = u32>,
+        window: Option<(u64, u64)>,
+        buf: &mut [u8],
+        kept: &mut Vec<u8>,
+        spans: &mut Vec<Kept>,
+    ) -> Result<(), StoreError> {
+        let mut w = SegWalk::open(self, seg_ix, buf)?;
+        let payload_len = w.payload_len;
+        w.kept_cap = kept.len().saturating_add(payload_len as usize);
+        // The payload from `run_at` up to `keep_end` is kept from
+        // `kept[run_kept]` on: what the walk has passed of it already,
+        // the rest as the walk moves on. The walk moves on only when a
+        // frame's prefix lies past the buffer or a kept frame starts past
+        // a gap, so frames back to back cost one copy per buffer, and a
+        // frame passed over costs no copy at all. Every offset is at or
+        // past the walk's position unless the table runs backwards.
+        let (mut run_at, mut run_kept, mut keep_end) = (0u64, kept.len(), 0u64);
+        for f in frames {
+            w.skip_to(f)?;
+            let o = w.next_offset()?;
+            if o >= payload_len || o < w.pos {
+                // Out of bounds, or behind the walk: the table check
+                // fails the walk.
+                spans.push(Kept::LOST);
+                continue;
             }
-        }
-        let meta = &self.segs[seg_ix as usize];
-        let path = self.segment_path(seg_ix);
-        let bytes = read_file(&path)?;
-        let mut c = Cursor::new(&bytes, &path);
-        c.take(SEGMENT_HEADER_LEN, "segment header")?;
-        let offsets = c.take(4 * meta.frames as usize, "segment offset table")?;
-        let got = crc32(offsets);
-        if got != meta.offsets_crc {
-            return Err(StoreError::crc(
-                &path,
-                "segment offset table",
-                meta.offsets_crc,
-                got,
-            ));
-        }
-        let payload_start = c.pos();
-        let payload = c.take(meta.payload_len as usize, "segment payload")?;
-        let got = crc32(payload);
-        if got != meta.payload_crc {
-            return Err(StoreError::crc(
-                &path,
-                "segment payload",
-                meta.payload_crc,
-                got,
-            ));
-        }
-        let mut prev = 0u32;
-        for (i, ch) in offsets.chunks_exact(4).enumerate() {
-            let o = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
-            if o as u64 >= meta.payload_len.max(1) || (i > 0 && o <= prev) {
-                return Err(StoreError::mismatch(
-                    &path,
-                    format!("frame offset {o} out of order or out of bounds"),
-                ));
+            if payload_len - o < 4 {
+                spans.push(Kept::NO_LENGTH);
+                continue;
             }
-            prev = o;
-        }
-        let payload = payload_start..payload_start + payload.len();
-        let loaded = Arc::new(LoadedSeg { bytes, payload });
-        let mut cache = self.seg_cache.lock().unwrap();
-        if !cache.map.contains_key(&seg_ix) {
-            while cache.fifo.len() >= SEGMENT_CACHE_CAP {
-                if let Some(old) = cache.fifo.pop_front() {
-                    cache.map.remove(&old);
+            if (o - w.pos) as usize + 4 > w.payload.bytes().len() {
+                w.advance(o, keep_end, kept)?;
+                w.payload.fill(&w.file, &w.path, 4)?;
+            }
+            let d = (o - w.pos) as usize;
+            let ahead = w.payload.bytes();
+            let len = u32::from_le_bytes([ahead[d], ahead[d + 1], ahead[d + 2], ahead[d + 3]]);
+            let len = len as u64;
+            if len > payload_len - o - 4 {
+                spans.push(Kept::PAST_END);
+                continue;
+            }
+            if let Some((lo, hi)) = window {
+                let body = ahead.get(d + 4..d + 4 + len as usize);
+                let span = body.and_then(peek_span);
+                if matches!(span, Some((t_start, t_end)) if t_start <= hi && t_end < lo) {
+                    spans.push(Kept::SKIPPED);
+                    continue;
                 }
             }
-            cache.fifo.push_back(seg_ix);
-            cache.map.insert(seg_ix, loaded.clone());
+            if o > keep_end {
+                w.advance(o, keep_end, kept)?;
+                (run_at, run_kept) = (o, kept.len());
+            }
+            keep_end = keep_end.max(o + 4 + len);
+            spans.push(Kept((run_kept + (o - run_at) as usize) as u64));
         }
-        Ok(loaded)
+        w.advance(keep_end, keep_end, kept)?;
+        w.finish()
     }
 
-    /// Decode the event with arrival id `id`.
-    pub fn fetch(&self, id: u64) -> Result<TraceRecord, StoreError> {
-        let mut memo = None;
-        let (body, seg_ix) = self.body_memo(id, &mut memo)?;
-        decode_body(body).map_err(|e| self.frame_error(seg_ix, e))
-    }
-
-    /// The body of event `id`'s frame and the index of its segment,
-    /// through a caller-held segment memo. Index selections visit ids in
-    /// ascending arrival order, so consecutive calls almost always land
-    /// in the same segment; the memo skips the segment binary search and
-    /// the shared cache lock on those hits. Inlined into the cursor's
-    /// `next` by force: as calls, this and `decode_body` each cost a copy
-    /// of the record per event (43 → 30 ns per event, measured at 112 bytes).
-    #[inline(always)]
-    fn body_memo<'m>(
+    /// Decode every frame of segment `seg_ix`, in frame order, into
+    /// `each(arrival id, record)`. Frames laid back to back, as the
+    /// writer lays them, are decoded straight out of the walk buffer; a
+    /// segment laid out any other way, one with a frame larger than the
+    /// buffer, or one that fails a check is walked again through
+    /// [`DiskStore::keep_frames`], which gives the answer and the error.
+    /// So `each` may see a segment's first frames twice, always in order
+    /// from its first; a record it sees is only good if this returns Ok.
+    fn each_frame(
         &self,
-        id: u64,
-        memo: &'m mut Option<SegMemo>,
-    ) -> Result<(&'m [u8], u32), StoreError> {
-        let hit = memo
-            .as_ref()
-            .is_some_and(|m| id >= m.first_event && id < m.end_event);
-        if !hit {
-            *memo = Some(self.seg_memo(id)?);
+        seg_ix: u32,
+        walk: &mut WalkBufs,
+        mut each: impl FnMut(u64, TraceRecord),
+    ) -> Result<(), StoreError> {
+        walk.ready();
+        let meta = &self.segs[seg_ix as usize];
+        let first = meta.first_event;
+        if self.decode_in_place(seg_ix, &mut walk.buf, &mut |i, rec| each(first + i, rec)) {
+            return Ok(());
         }
-        let m = memo.as_ref().expect("memo covers id");
-        match frame_body(m.seg.frame((id - m.first_event) as usize)) {
-            Ok(body) => Ok((body, m.seg_ix)),
-            Err(e) => Err(self.frame_error(m.seg_ix, e)),
+        let frames = 0..meta.frames;
+        self.keep_frames(
+            seg_ix,
+            frames,
+            None,
+            &mut walk.buf,
+            &mut walk.kept,
+            &mut walk.spans,
+        )?;
+        for (i, span) in walk.spans.iter().enumerate() {
+            let rec = span
+                .body(&walk.kept)
+                .and_then(decode_body)
+                .map_err(|e| self.frame_error(seg_ix, e))?;
+            each(first + i as u64, rec);
         }
+        Ok(())
     }
 
-    /// Load (or fetch cached) the segment holding event `id`.
-    fn seg_memo(&self, id: u64) -> Result<SegMemo, StoreError> {
-        if id >= self.n_events {
+    /// [`DiskStore::each_frame`]'s fast path: `true` if every frame lay
+    /// where the one before it ended, fit the buffer and decoded, and the
+    /// segment passed its checks.
+    fn decode_in_place(
+        &self,
+        seg_ix: u32,
+        buf: &mut [u8],
+        each: &mut impl FnMut(u64, TraceRecord),
+    ) -> bool {
+        let Ok(mut w) = SegWalk::open(self, seg_ix, buf) else {
+            return false;
+        };
+        let room = w.payload.buf.len();
+        for i in 0..w.frames {
+            if !matches!(w.next_offset(), Ok(o) if o == w.pos) {
+                return false;
+            }
+            if !matches!(w.payload.fill(&w.file, &w.path, 4), Ok(true)) {
+                return false;
+            }
+            let b = w.payload.bytes();
+            let frame = 4 + u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
+            if frame > room || !matches!(w.payload.fill(&w.file, &w.path, frame), Ok(true)) {
+                return false;
+            }
+            let Ok(rec) = frame_body(w.payload.bytes()).and_then(decode_body) else {
+                return false;
+            };
+            w.payload.consume(frame);
+            w.pos += frame as u64;
+            each(i as u64, rec);
+        }
+        w.finish().is_ok()
+    }
+
+    /// Decode the event with arrival id `id`: one walk of its segment.
+    pub fn fetch(&self, id: u64) -> Result<TraceRecord, StoreError> {
+        let Some(ix) = u32::try_from(id)
+            .ok()
+            .filter(|&i| (i as u64) < self.n_events)
+        else {
             return Err(StoreError::mismatch(
                 &self.dir,
                 format!("event id {id} out of range ({} events)", self.n_events),
             ));
-        }
-        // The last segment starting at or before `id`: right even if a
-        // manifest lists an empty segment.
-        let seg_ix = self.segs.partition_point(|s| s.first_event <= id) - 1;
-        let meta = &self.segs[seg_ix];
-        Ok(SegMemo {
-            first_event: meta.first_event,
-            end_event: meta.first_event + meta.frames as u64,
-            seg_ix: seg_ix as u32,
-            seg: self.load_segment(seg_ix as u32)?,
-        })
+        };
+        let mut cursor = EventCursor::new(self, Arc::new(vec![ix]), None, None);
+        cursor.next().expect("a cursor over one id yields once")
     }
 
     /// Name the file only once there is an error to report: the hot path
@@ -586,10 +698,28 @@ impl DiskStore {
         e.at(&self.segment_path(seg_ix))
     }
 
+    /// Whether `ids` visits the segments in file order, each in one run.
+    fn in_file_order(&self, ids: &[u32]) -> bool {
+        let (mut lo, mut hi) = (0u64, 0u64);
+        for &id in ids {
+            let id = id as u64;
+            if id >= lo && id < hi {
+                continue;
+            }
+            if id < lo {
+                return false;
+            }
+            let meta = &self.segs[self.segment_of(id)];
+            (lo, hi) = (meta.first_event, meta.end_event());
+        }
+        true
+    }
+
     // ---- queries ----
 
     /// Stream the events matching `sel` (see [`Select`] for the order
-    /// contract). Decoding is lazy: one frame per `next()`.
+    /// contract). Segments are walked as the cursor reaches them, and
+    /// each frame is decoded as it is yielded.
     pub fn cursor(&self, sel: Select) -> Result<EventCursor<'_>, StoreError> {
         let ids = match sel {
             Select::All | Select::TimeWindow(..) => self.ids_section(SEC_CANON, 0)?,
@@ -602,27 +732,17 @@ impl DiskStore {
             Select::TimeWindow(lo, hi) => Some((lo, hi)),
             _ => None,
         };
-        let mut end = ids.len();
+        let mut end = None;
         if let Some((_, hi)) = window {
             // Sparse cutoff: the first sample past `hi` bounds the
             // canonical prefix that can possibly start within the
             // window; the cursor still early-stops exactly.
             let samples = self.time_section()?;
             if let Some(&(_, pos)) = samples.get(samples.partition_point(|&(t, _)| t <= hi)) {
-                end = end.min(pos as usize);
+                end = Some(pos as usize);
             }
         }
-        Ok(EventCursor {
-            store: self,
-            ids,
-            pos: 0,
-            end,
-            window,
-            done: false,
-            memo: None,
-            #[cfg(test)]
-            decoded: 0,
-        })
+        Ok(EventCursor::new(self, ids, end, window))
     }
 
     /// One rank's events, program (marker) order.
@@ -645,10 +765,10 @@ impl DiskStore {
         self.cursor(Select::TimeWindow(lo, hi))
     }
 
-    /// Full integrity pass: every section and every segment is loaded,
-    /// CRC-checked, decoded, and cross-checked against the manifest.
-    /// Expensive by design — this is the corruption audit, not the query
-    /// path.
+    /// Full integrity pass: every section is loaded and CRC-checked,
+    /// every segment walked, checked and decoded, and everything
+    /// cross-checked against the manifest. Expensive by design — this is
+    /// the corruption audit, not the query path.
     pub fn verify(&self) -> Result<(), StoreError> {
         let idx_path = self.dir.join(INDEX_FILE);
         // Canonical order must be a permutation of all arrival ids.
@@ -702,40 +822,320 @@ impl DiskStore {
                 ),
             ));
         }
-        // Time samples must agree with the records they point at.
-        let samples = self.time_section()?;
-        for &(t, pos) in samples.iter() {
-            let rec = self.fetch(canon[pos as usize] as u64)?;
-            if rec.t_start != t {
+        // Every frame of every segment must decode, and the time samples
+        // must agree with the records they point at: `(arrival id,
+        // t_start, canonical position)`, checked as the frames pass.
+        let mut samples: Vec<(u64, u64, u64)> = self
+            .time_section()?
+            .iter()
+            .map(|&(t, pos)| (canon[pos as usize] as u64, t, pos))
+            .collect();
+        samples.sort_unstable();
+        let mut walk = WalkBufs::default();
+        // The first sample whose id is not below the last record seen;
+        // a segment walked a second time starts it over.
+        let (mut next, mut last) = (0, None);
+        for seg_ix in 0..self.segs.len() as u32 {
+            let mut off = None;
+            self.each_frame(seg_ix, &mut walk, |id, rec| {
+                if last.is_some_and(|l| id <= l) {
+                    next = samples.partition_point(|s| s.0 < id);
+                }
+                last = Some(id);
+                while samples.get(next).is_some_and(|s| s.0 < id) {
+                    next += 1;
+                }
+                while let Some(&(_, t, pos)) = samples.get(next).filter(|s| s.0 == id) {
+                    if rec.t_start != t && off.is_none() {
+                        off = Some((pos, t, rec.t_start));
+                    }
+                    next += 1;
+                }
+            })?;
+            if let Some((pos, t, got)) = off {
                 return Err(StoreError::mismatch(
                     &idx_path,
-                    format!(
-                        "time sample at position {pos} says t_start {t}, record says {}",
-                        rec.t_start
-                    ),
+                    format!("time sample at position {pos} says t_start {t}, record says {got}"),
                 ));
-            }
-        }
-        // Every frame of every segment must decode.
-        for seg_ix in 0..self.segs.len() as u32 {
-            let seg = self.load_segment(seg_ix)?;
-            for i in 0..self.segs[seg_ix as usize].frames as usize {
-                frame_body(seg.frame(i))
-                    .and_then(decode_body)
-                    .map_err(|e| self.frame_error(seg_ix, e))?;
             }
         }
         Ok(())
     }
 }
 
-/// The cursor's cached current segment (see [`DiskStore::body_memo`]).
-struct SegMemo {
-    first_event: u64,
-    /// One past the last arrival id in the segment.
-    end_event: u64,
-    seg_ix: u32,
-    seg: Arc<LoadedSeg>,
+/// Where a kept frame starts in a walk's kept bytes — its length
+/// prefix, then its body, both kept — or why its prefix gives it no body.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Kept(u64);
+
+impl Kept {
+    /// Fewer than four payload bytes from the frame's offset on.
+    const NO_LENGTH: Kept = Kept(u64::MAX);
+    /// The length prefix runs past the end of the payload.
+    const PAST_END: Kept = Kept(u64::MAX - 1);
+    /// The offset breaks the table's order; the walk that met it fails.
+    const LOST: Kept = Kept(u64::MAX - 2);
+    /// Not kept: the frame ends before the cursor's window.
+    const SKIPPED: Kept = Kept(u64::MAX - 3);
+
+    /// The frame's body in `kept`: what [`frame_body`] gives for the
+    /// payload from the frame's offset on.
+    #[inline]
+    fn body(self, kept: &[u8]) -> Result<&[u8], FrameError> {
+        match self {
+            Kept::NO_LENGTH => Err(FrameError::Truncated("frame length")),
+            Kept::PAST_END => Err(FrameError::Truncated("frame body")),
+            Kept::LOST => Err(FrameError::Mismatch("frame offset out of order".into())),
+            Kept::SKIPPED => Err(FrameError::Mismatch("frame skipped on its span".into())),
+            Kept(at) => frame_body(&kept[at as usize..]),
+        }
+    }
+}
+
+/// The buffers a reader walks segments with: the one walk buffer, the
+/// bytes of the frames it keeps, and where each one's body lies.
+#[derive(Default)]
+struct WalkBufs {
+    buf: Vec<u8>,
+    kept: Vec<u8>,
+    spans: Vec<Kept>,
+}
+
+impl WalkBufs {
+    fn ready(&mut self) {
+        if self.buf.is_empty() {
+            self.buf = vec![0; WALK_BUF];
+        }
+        self.kept.clear();
+        self.spans.clear();
+    }
+}
+
+/// One stretch of a file read front to back through a slice of a walk
+/// buffer, folded into its checksum as its bytes arrive.
+struct Region<'b> {
+    buf: &'b mut [u8],
+    /// The bytes read and not yet consumed are `buf[lo..hi]`.
+    lo: usize,
+    hi: usize,
+    /// File offset of the first byte not yet read, and how many are left.
+    at: u64,
+    left: u64,
+    crc: Crc32,
+    what: &'static str,
+}
+
+impl<'b> Region<'b> {
+    fn new(buf: &'b mut [u8], at: u64, len: u64, what: &'static str) -> Self {
+        Region {
+            buf,
+            lo: 0,
+            hi: 0,
+            at,
+            left: len,
+            crc: Crc32::new(),
+            what,
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.lo..self.hi]
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.lo += n;
+    }
+
+    /// Have at least `n` (at most the buffer's length) unconsumed bytes
+    /// at hand, reading as far on as the buffer allows; `false` if the
+    /// stretch ends first.
+    #[inline]
+    fn fill(&mut self, file: &File, path: &Path, n: usize) -> Result<bool, StoreError> {
+        if self.hi - self.lo >= n {
+            return Ok(true);
+        }
+        self.read_more(file, path, n)
+    }
+
+    #[inline(never)]
+    fn read_more(&mut self, file: &File, path: &Path, n: usize) -> Result<bool, StoreError> {
+        if self.left == 0 {
+            return Ok(false);
+        }
+        self.buf.copy_within(self.lo..self.hi, 0);
+        (self.hi, self.lo) = (self.hi - self.lo, 0);
+        let k = ((self.buf.len() - self.hi) as u64).min(self.left) as usize;
+        let fresh = &mut self.buf[self.hi..self.hi + k];
+        read_at(file, self.at, fresh).map_err(|e| StoreError::from_read(path, self.what, e))?;
+        self.crc.update(fresh);
+        self.hi += k;
+        self.at += k as u64;
+        self.left -= k as u64;
+        Ok(self.hi - self.lo >= n)
+    }
+}
+
+/// One segment streamed once, front to back: its offset table and its
+/// payload read in step through one buffer, each folded into its
+/// checksum as it passes, a frame's offset read just before the payload
+/// reaches the frame. The checks that need the whole segment — both
+/// checksums and the table's order — are [`SegWalk::finish`]'s.
+struct SegWalk<'b> {
+    file: File,
+    path: PathBuf,
+    frames: u32,
+    payload_len: u64,
+    offsets_crc: u32,
+    payload_crc: u32,
+    table: Region<'b>,
+    payload: Region<'b>,
+    /// Payload position of the first unconsumed payload byte.
+    pos: u64,
+    /// Offsets read so far, the last of them, and the first one that
+    /// broke the order (ascending, inside the payload).
+    read: u32,
+    last: u32,
+    disorder: Option<u32>,
+    /// The most `advance` lets its `kept` grow to.
+    kept_cap: usize,
+}
+
+impl<'b> SegWalk<'b> {
+    fn open(store: &DiskStore, seg_ix: u32, buf: &'b mut [u8]) -> Result<Self, StoreError> {
+        let meta = &store.segs[seg_ix as usize];
+        let path = store.segment_path(seg_ix);
+        let file = File::open(&path).map_err(|e| StoreError::io(&path, e))?;
+        let (table_buf, payload_buf) = buf.split_at_mut(TABLE_SHARE);
+        let table_at = SEGMENT_HEADER_LEN as u64;
+        let table_len = 4 * meta.frames as u64;
+        Ok(SegWalk {
+            file,
+            path,
+            frames: meta.frames,
+            payload_len: meta.payload_len,
+            offsets_crc: meta.offsets_crc,
+            payload_crc: meta.payload_crc,
+            table: Region::new(table_buf, table_at, table_len, "segment offset table"),
+            payload: Region::new(
+                payload_buf,
+                table_at + table_len,
+                meta.payload_len,
+                "segment payload",
+            ),
+            pos: 0,
+            read: 0,
+            last: 0,
+            disorder: None,
+            kept_cap: usize::MAX,
+        })
+    }
+
+    /// The next frame's offset (below the frame count), held to the
+    /// order as it passes; a break is [`SegWalk::finish`]'s error.
+    #[inline]
+    fn next_offset(&mut self) -> Result<u64, StoreError> {
+        if !self.table.fill(&self.file, &self.path, 4)? {
+            return Err(StoreError::truncated(&self.path, "segment offset table"));
+        }
+        let b = self.table.bytes();
+        let o = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        self.table.consume(4);
+        self.check(o);
+        Ok(o as u64)
+    }
+
+    /// Read the offsets of the frames before frame `f`, holding each to
+    /// the order, a buffer's worth at a time.
+    fn skip_to(&mut self, f: u32) -> Result<(), StoreError> {
+        while self.read < f {
+            if !self.table.fill(&self.file, &self.path, 4)? {
+                return Err(StoreError::truncated(&self.path, "segment offset table"));
+            }
+            let n = (self.table.bytes().len() / 4).min((f - self.read) as usize);
+            let (lo, hi) = (self.table.lo, self.table.lo + 4 * n);
+            for i in (lo..hi).step_by(4) {
+                let b = &self.table.buf[i..i + 4];
+                self.check(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+            }
+            self.table.consume(4 * n);
+        }
+        Ok(())
+    }
+
+    /// Count offset `o` read and hold it to the order: ascending, inside
+    /// the payload.
+    #[inline(always)]
+    fn check(&mut self, o: u32) {
+        let out = o as u64 >= self.payload_len.max(1) || (self.read > 0 && o <= self.last);
+        if out && self.disorder.is_none() {
+            self.disorder = Some(o);
+        }
+        self.read += 1;
+        self.last = o;
+    }
+
+    /// Move the payload on to position `to` (at most its length),
+    /// appending what passes below `keep_end` to `kept`.
+    #[inline]
+    fn advance(&mut self, to: u64, keep_end: u64, kept: &mut Vec<u8>) -> Result<(), StoreError> {
+        while self.pos < to {
+            if !self.payload.fill(&self.file, &self.path, 1)? {
+                return Err(StoreError::truncated(&self.path, "segment payload"));
+            }
+            let n = (self.payload.hi - self.payload.lo).min((to - self.pos) as usize);
+            if self.pos < keep_end {
+                let k = n.min((keep_end - self.pos) as usize);
+                if kept.capacity() - kept.len() < k {
+                    self.grow(kept, k);
+                }
+                kept.extend_from_slice(&self.payload.bytes()[..k]);
+            }
+            self.payload.consume(n);
+            self.pos += n as u64;
+        }
+        Ok(())
+    }
+
+    /// Make room for `k` more kept bytes: double, but never past what
+    /// the payload can fill.
+    #[cold]
+    fn grow(&self, kept: &mut Vec<u8>, k: usize) {
+        let cap = self.kept_cap.saturating_sub(kept.len()).max(k);
+        kept.reserve_exact(kept.capacity().max(k).min(cap));
+    }
+
+    /// Read the rest of the segment and make the checks that need all of
+    /// it, in the order a reader reports them: the offset table's
+    /// checksum, the payload's, the table's order.
+    fn finish(mut self) -> Result<(), StoreError> {
+        self.skip_to(self.frames)?;
+        self.advance(self.payload_len, 0, &mut Vec::new())?;
+        let got = self.table.crc.value();
+        if got != self.offsets_crc {
+            return Err(StoreError::crc(
+                &self.path,
+                "segment offset table",
+                self.offsets_crc,
+                got,
+            ));
+        }
+        let got = self.payload.crc.value();
+        if got != self.payload_crc {
+            return Err(StoreError::crc(
+                &self.path,
+                "segment payload",
+                self.payload_crc,
+                got,
+            ));
+        }
+        if let Some(o) = self.disorder {
+            return Err(StoreError::mismatch(
+                &self.path,
+                format!("frame offset {o} out of order or out of bounds"),
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// A lazy iterator over a selection's events.
@@ -749,19 +1149,130 @@ pub struct EventCursor<'a> {
     /// early stop once `t_start` passes `hi`.
     window: Option<(u64, u64)>,
     done: bool,
-    memo: Option<SegMemo>,
+    /// Whether `ids[..end]` visits the segments in file order: then a
+    /// batch is one segment's run of ids, else everything left.
+    in_file_order: bool,
+    batch: Batch,
     /// Frames fully decoded so far: what the work-count tests pin.
     #[cfg(test)]
     decoded: usize,
 }
 
-impl EventCursor<'_> {
+/// The ids a cursor walked for at once and what the walks kept.
+#[derive(Default)]
+struct Batch {
+    /// The batch answers the list from `start` up to `end`.
+    start: usize,
+    end: usize,
+    /// Its distinct ids, ascending, when its run of the list is not:
+    /// `walk.spans[k]` is the frame of `ids[k]`, or of the list's
+    /// `start + k`th id when `ids` is empty.
+    ids: Vec<u32>,
+    walk: WalkBufs,
+    /// Segments whose walk failed, and the error, given to the first of
+    /// their ids the cursor reaches.
+    failed: Vec<(usize, Option<StoreError>)>,
+    /// Where the last lookup in `ids` landed: the next usually follows.
+    hint: usize,
+}
+
+impl<'a> EventCursor<'a> {
+    fn new(
+        store: &'a DiskStore,
+        ids: IdsList,
+        end: Option<usize>,
+        window: Option<(u64, u64)>,
+    ) -> Self {
+        let end = end.map_or(ids.len(), |e| e.min(ids.len()));
+        EventCursor {
+            store,
+            in_file_order: store.in_file_order(&ids[..end]),
+            ids,
+            pos: 0,
+            end,
+            window,
+            done: false,
+            batch: Batch::default(),
+            #[cfg(test)]
+            decoded: 0,
+        }
+    }
+
     /// Ids this cursor will visit (before any window filtering).
     pub fn remaining_ids(&self) -> usize {
         if self.done {
             0
         } else {
             self.end - self.pos
+        }
+    }
+
+    /// Walk the segments of the next batch of ids, from `pos` on.
+    fn next_batch(&mut self) {
+        let store = self.store;
+        let b = &mut self.batch;
+        let mut list = &self.ids[self.pos..self.end];
+        if self.in_file_order {
+            let meta = &store.segs[store.segment_of(list[0] as u64)];
+            let run = list
+                .iter()
+                .position(|&id| !(meta.first_event..meta.end_event()).contains(&(id as u64)));
+            list = &list[..run.unwrap_or(list.len())];
+        }
+        (b.start, b.end, b.hint) = (self.pos, self.pos + list.len(), 0);
+        // A list that ascends is its own lookup table; any other is
+        // sorted once for the walks.
+        b.ids.clear();
+        if !list.windows(2).all(|p| p[0] < p[1]) {
+            b.ids.extend_from_slice(list);
+            b.ids.sort_unstable();
+            b.ids.dedup();
+        }
+        let sel = if b.ids.is_empty() { list } else { &b.ids[..] };
+        b.walk.ready();
+        b.failed.clear();
+        // One walk per segment, in file order.
+        let mut at = 0;
+        while at < sel.len() {
+            let seg_ix = store.segment_of(sel[at] as u64);
+            let meta = &store.segs[seg_ix];
+            let n = sel[at..].partition_point(|&id| (id as u64) < meta.end_event());
+            let frames = sel[at..at + n]
+                .iter()
+                .map(|&id| (id as u64 - meta.first_event) as u32);
+            let w = &mut b.walk;
+            let spans_at = w.spans.len();
+            let walked = store.keep_frames(
+                seg_ix as u32,
+                frames,
+                self.window,
+                &mut w.buf,
+                &mut w.kept,
+                &mut w.spans,
+            );
+            if let Err(e) = walked {
+                w.spans.truncate(spans_at);
+                w.spans.resize(spans_at + n, Kept::LOST);
+                b.failed.push((seg_ix, Some(e)));
+            }
+            at += n;
+        }
+    }
+
+    /// The error that ends the cursor at `id`, whose frame is `kept`.
+    #[cold]
+    fn failure(&mut self, id: u32, kept: Kept) -> StoreError {
+        self.done = true;
+        let seg_ix = self.store.segment_of(id as u64);
+        let failed = self.batch.failed.iter_mut().find(|(s, _)| *s == seg_ix);
+        match failed.and_then(|(_, e)| e.take()) {
+            Some(e) => e,
+            None => {
+                let e = kept
+                    .body(&self.batch.walk.kept)
+                    .expect_err("a frame with no body");
+                self.store.frame_error(seg_ix as u32, e)
+            }
         }
     }
 }
@@ -771,14 +1282,28 @@ impl Iterator for EventCursor<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         while !self.done && self.pos < self.end {
-            let id = self.ids[self.pos] as u64;
+            if self.pos >= self.batch.end {
+                self.next_batch();
+            }
+            let id = self.ids[self.pos];
             self.pos += 1;
-            let (body, seg_ix) = match self.store.body_memo(id, &mut self.memo) {
-                Ok(found) => found,
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
+            let b = &mut self.batch;
+            let k = if b.ids.is_empty() {
+                self.pos - 1 - b.start
+            } else {
+                let k = match b.ids.get(b.hint) {
+                    Some(&hit) if hit == id => b.hint,
+                    _ => b.ids.binary_search(&id).expect("a batch holds its ids"),
+                };
+                b.hint = k + 1;
+                k
+            };
+            let kept = b.walk.spans[k];
+            if kept == Kept::SKIPPED {
+                continue;
+            }
+            let Ok(body) = kept.body(&b.walk.kept) else {
+                return Some(Err(self.failure(id, kept)));
             };
             if let Some((lo, hi)) = self.window {
                 // The span sits at a fixed place in the (checksummed)
@@ -795,6 +1320,7 @@ impl Iterator for EventCursor<'_> {
                             self.decoded += 1;
                         }
                         let e = decode_body(body).err()?;
+                        let seg_ix = self.store.segment_of(id as u64) as u32;
                         return Some(Err(self.store.frame_error(seg_ix, e)));
                     }
                     if t_end < lo {
@@ -808,6 +1334,7 @@ impl Iterator for EventCursor<'_> {
             }
             return Some(decode_body(body).map_err(|e| {
                 self.done = true;
+                let seg_ix = self.store.segment_of(id as u64) as u32;
                 self.store.frame_error(seg_ix, e)
             }));
         }
@@ -844,14 +1371,29 @@ impl TraceSource for DiskStore {
         Ok(Box::new(cur.map(|r| r.map_err(SourceError::from))))
     }
 
-    /// Everything, straight off the cursor into one allocation: what
-    /// `materialize` pays, without a boxed iterator and an error re-wrap
-    /// per event in between.
+    /// Everything, decoded straight out of the walk buffer into one
+    /// allocation of the final size: what `materialize` pays. A store in
+    /// canonical order (every store this crate writes) is walked segment
+    /// by segment with nothing held but the output and the buffer; any
+    /// other goes through the canonical list's cursor.
     fn events(&self) -> Result<Vec<TraceRecord>, SourceError> {
-        let cursor = self.cursor(Select::All)?;
-        let mut out = Vec::with_capacity(cursor.remaining_ids());
-        for rec in cursor {
-            out.push(rec?);
+        let mut walk = WalkBufs::default();
+        walk.ready();
+        if !self.canonical_is_arrival_order(&mut walk.buf) {
+            let cursor = self.cursor(Select::All)?;
+            let mut out = Vec::with_capacity(cursor.remaining_ids());
+            for rec in cursor {
+                out.push(rec?);
+            }
+            return Ok(out);
+        }
+        let mut out = Vec::with_capacity(self.n_events as usize);
+        for seg_ix in 0..self.segs.len() as u32 {
+            // A segment walked twice starts over at its first id.
+            self.each_frame(seg_ix, &mut walk, |id, rec| {
+                out.truncate(id as usize);
+                out.push(rec);
+            })?;
         }
         Ok(out)
     }

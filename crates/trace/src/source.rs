@@ -187,10 +187,11 @@ pub trait TraceSource {
     /// One rank's communication edges in program order: every `Send` and
     /// completed receive (`RecvDone`), projected to [`CommEdge`]s.
     ///
-    /// Streams the rank's cursor and keeps only the communication events,
-    /// so a disk-backed store answers from its rank index without
-    /// materializing the trace — the accessor the localize graph differ
-    /// is built on.
+    /// Streams the rank's cursor and keeps only the communication events.
+    /// A disk-backed store answers one call from its rank index without
+    /// materializing the trace, but each call walks every segment the
+    /// rank's events fall in: a caller that asks for every rank (the
+    /// localize graph differ) materializes the store once instead.
     fn comm_edges(&self, rank: Rank) -> Result<Vec<CommEdge>, SourceError> {
         let mut out = Vec::new();
         for rec in self.select(Select::Rank(rank))? {

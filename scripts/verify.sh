@@ -106,7 +106,7 @@ echo "==> lint smoke: seed workloads must be clean"
 ./target/release/tracedbg lint target/verify_ring.trc
 ./target/release/tracedbg lint script:examples/scripts/pingpong.script --procs 4
 
-echo "==> store smoke: ingest/query round-trip, run --store, corruption battery"
+echo "==> store smoke: ingest/query round-trip, run --store, corruption battery, wide-query memory ceiling"
 rm -rf target/verify_store target/verify_store_run
 ./target/release/tracedbg ingest target/verify_ring.trc --out target/verify_store >/dev/null
 # The store must render exactly the trace it was built from.
@@ -172,6 +172,19 @@ for f in "$big"/ingested/*.tds; do
   cmp -s "$f" "$big/again/$(basename "$f")" \
     || { echo "two ingests of one .tbin differ in $(basename "$f")" >&2; exit 1; }
 done
+# A selection holds its own frames, never a segment: over 862,208 events
+# in 14 segments (73 MB), a rank query answers under a 24 MiB
+# address-space ceiling (a reader that loads whole segments needs more
+# than 48 MiB there).
+wide=target/verify_store_wide
+rm -rf "$wide"
+./target/release/tracedbg run stencil --procs 16384 --store "$wide" >/dev/null
+wide_count=$( (ulimit -v 24576 && ./target/release/tracedbg query "$wide" --rank 7 --count) | tail -n 1)
+case "$wide_count" in
+  *"match(es)"*) ;;
+  *) echo "query --rank 7 over the 862k-event store failed under a 24 MiB ceiling: '$wide_count'" >&2; exit 1 ;;
+esac
+rm -rf "$wide"
 # Advisory, like the perf gate: the indexed plane should not lose to the
 # flat file it indexes (best of five walls each, ms).
 wall_ms() {

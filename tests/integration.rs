@@ -870,3 +870,54 @@ fn a_name_is_the_workload_whatever_the_cwd_holds() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `localize --trace` reports the same bytes from a recorded `.trc` and
+/// from the store directory ingested from it, at 64 ranks: the graph
+/// differ asks for every rank's edges, and the store plane answers it from
+/// one materialization, as the file plane does.
+#[test]
+fn localize_reports_the_same_from_a_trc_and_its_store_at_64_ranks() {
+    let dir = scratch_dir("localize-64");
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &[&str], want: i32| -> String {
+        let (code, out, err) = tracedbg_in(&dir, args);
+        assert_eq!(code, Some(want), "{args:?}: {err}");
+        out
+    };
+    // Exploration exits 1: it found the race and wrote its artifact.
+    run(
+        &[
+            "explore",
+            "sdl:racy-wildcard",
+            "--procs",
+            "64",
+            "--runs",
+            "50",
+            "--jobs",
+            "1",
+            "--seed",
+            "9",
+            "--out",
+            "art",
+        ],
+        1,
+    );
+    let art = "art/sdl-racy-wildcard-panic-0.sched.json";
+    let artifact = std::fs::read_to_string(dir.join(art)).unwrap();
+    assert!(artifact.contains("\"procs\":64"), "{artifact}");
+    run(&["replay", "--schedule", art, "--trace", "fail.trc"], 0);
+    run(&["ingest", "fail.trc", "--out", "fail-store"], 0);
+    let localize = |trace: &str| {
+        run(
+            &["localize", "--schedule", art, "--trace", trace, "--json"],
+            0,
+        )
+    };
+    let from_file = localize("fail.trc");
+    assert!(
+        from_file.contains("\"verdict\":\"localized\""),
+        "{from_file}"
+    );
+    assert_eq!(localize("fail-store"), from_file);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
