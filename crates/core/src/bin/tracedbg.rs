@@ -1,43 +1,11 @@
 //! `tracedbg` — command-line front end.
 //!
-//! ```text
-//! tracedbg run <workload> [--trace out.trc] [--store dir] [--seed N] [--procs N]
-//! tracedbg ingest <trace.trc | trace.tbin> --out <dir> [--segment-events N]
-//! tracedbg query <dir> [--rank N | --tag T | --kind CODE | --window lo:hi]
-//!                [--limit N] [--count] [--stats]
-//! tracedbg view <trace.trc | store-dir> [--width N] [--svg out.svg] [--window lo:hi]
-//! tracedbg analyze <trace.trc | script:path | sdl:name> [--procs N] [--json | --dot]
-//! tracedbg report <trace.trc> -o report.html
-//! tracedbg graph <trace.trc> --kind comm|call|trace [--format dot|vcg] [--rank N]
-//! tracedbg debug <workload> [--seed N] [--procs N] [--checkpoint-every N] [-e CMD]...
-//! tracedbg lint <trace.trc | script:path | sdl:name> [--procs N] [--json] [--rules SPEC]
-//!               [--script SPEC]
-//! tracedbg explore <workload> [--runs N] [--seed N] [--preemptions K] [--faults]
-//!                  [--strategy random|systematic|both] [--dpor] [--jobs N] [--out DIR]
-//!                  [--json] [--metrics [FILE]] [--progress]
-//! tracedbg replay --schedule <file.sched.json> [--from-checkpoint] [--to-suspect REPORT]
-//!                 [--to-critical-path REPORT] [--trace out.trc] [--json]
-//! tracedbg localize (--schedule <file.sched.json> | <workload>) [--runs N] [--seed N]
-//!                   [--jobs N] [--procs N] [--trace <trc|store-dir>] [--out FILE] [--json]
-//! tracedbg profile (<workload> | <trace.trc|trace.tbin|store-dir> | --schedule FILE)
-//!                  [--seed N] [--procs N] [--jobs N] [--out FILE] [--json]
-//!                  [--perfetto FILE]
-//! tracedbg stats <workload | trace.trc | store-dir> [--seed N] [--procs N]
-//!                [--metrics [FILE]]
-//! tracedbg bench [--quick] [--filter NAME] [--jobs N] [--out DIR]
-//! tracedbg workloads
-//! ```
-//!
-//! `tracedbg workloads` lists the workloads; the script-backed ones
-//! (`script:<path>`, `sdl:<name>`) are those `analyze`, `lint` and
-//! `explore --dpor` can reason about statically. What a positional
-//! argument means — workload or recorded trace — is decided in one place,
-//! [`input`].
-//!
-//! `debug` opens the p2d2-style command loop (`run`, `analyze`,
-//! `stopline t <ns>`, `replay`, `step <rank>`, `probe <rank> <label>`,
-//! `break <func|file:line>`, `watch <label> == <v>`, `undo`, ...); with
-//! `-e` commands it runs non-interactively.
+//! Every verb is one row of [`VERBS`] (name, synopsis, handler); `tracedbg
+//! --help` prints every synopsis. What a positional argument means —
+//! workload (`tracedbg workloads` lists them; `script:<path>`, `sdl:<name>`
+//! are those `analyze`, `lint` and `explore --dpor` reason about) or
+//! recorded trace — is decided in one place, [`input`]. `debug` opens the
+//! p2d2-style command loop (`help` lists its commands).
 
 #[path = "tracedbg/input.rs"]
 mod input;
@@ -50,48 +18,169 @@ use std::process::ExitCode;
 use tracedbg::prelude::*;
 use tracedbg::tracegraph::{ActionGraph, Profile};
 use tracedbg::viz::{dot, vcg};
-use tracedbg::workloads::{catalog, scripts, Workload};
+use tracedbg::workloads::{catalog, scripts, Script, Workload};
 
+/// A verb: its name, its synopsis and its handler. The synopsis is the
+/// declaration of the verb's flags ([`Verb::takes`]) as well as its usage
+/// line, so the two cannot drift apart.
+pub struct Verb {
+    name: &'static str,
+    synopsis: &'static str,
+    run: fn(&Opts) -> Result<ExitCode, String>,
+}
+
+/// Every verb, in the order `tracedbg --help` lists them.
+#[rustfmt::skip]
+const VERBS: &[Verb] = &[
+    Verb { name: "run", run: cmd_run, synopsis:
+        "<workload> [--seed N] [--procs N] [--trace FILE] [--store DIR] [--segment-events N]" },
+    Verb { name: "ingest", run: cmd_ingest, synopsis:
+        "<trace.trc | trace.tbin> --out DIR [--segment-events N]" },
+    Verb { name: "query", run: cmd_query, synopsis: "<store-dir> \
+        [--rank N | --tag T | --kind CODE | --window lo:hi] [--limit N] [--count] [--stats]" },
+    Verb { name: "view", run: cmd_view, synopsis:
+        "<trace.trc | trace.tbin | store-dir> [--width N] [--svg FILE] [--window lo:hi]" },
+    Verb { name: "analyze", run: cmd_analyze, synopsis:
+        "<trace.trc | trace.tbin | store-dir | script:path | sdl:name> [--procs N] [--json | --dot]" },
+    Verb { name: "report", run: cmd_report, synopsis:
+        "<trace.trc | trace.tbin | store-dir> [--out FILE]" },
+    Verb { name: "graph", run: cmd_graph, synopsis:
+        "<trace.trc | trace.tbin | store-dir> [--kind comm|call|trace] [--format dot|vcg] [--rank N]" },
+    Verb { name: "debug", run: cmd_debug, synopsis:
+        "<workload> [--seed N] [--procs N] [--checkpoint-every N] [-e CMD]..." },
+    Verb { name: "lint", run: cmd_lint, synopsis: "(rules | <trace.trc | trace.tbin | store-dir \
+        | script:path | sdl:name>) [--procs N] [--json] [--rules SPEC] [--script SPEC]" },
+    Verb { name: "explore", run: cmd_explore, synopsis: "<workload> [--runs N] [--seed N] \
+        [--procs N] [--preemptions K] [--faults] [--strategy random|systematic|both] [--dpor] \
+        [--jobs N] [--out DIR] [--json] [--metrics [FILE]] [--progress]" },
+    Verb { name: "localize", run: cmd_localize, synopsis: "(--schedule FILE | <workload>) \
+        [--runs N] [--seed N] [--jobs N] [--procs N] [--explore-runs N] \
+        [--trace <trace.trc | trace.tbin | store-dir>] [--out FILE] [--json]" },
+    Verb { name: "replay", run: replay::cmd_replay, synopsis: "--schedule FILE \
+        [--from-checkpoint] [--to-suspect REPORT] [--to-critical-path REPORT] [--trace FILE] [--json]" },
+    Verb { name: "profile", run: cmd_profile, synopsis: "(<workload> | <trace.trc | trace.tbin \
+        | store-dir> | --schedule FILE) [--seed N] [--procs N] [--jobs N] [--out FILE] [--json] \
+        [--perfetto FILE]" },
+    Verb { name: "stats", run: cmd_stats, synopsis:
+        "<workload | trace.trc | trace.tbin | store-dir> [--seed N] [--procs N] [--metrics [FILE]]" },
+    Verb { name: "bench", run: cmd_bench, synopsis:
+        "[--quick] [--filter NAME] [--jobs N] [--out DIR]" },
+    Verb { name: "workloads", run: |_| { print!("{}", catalog::listing()); Ok(ExitCode::SUCCESS) },
+        synopsis: "" },
+];
+
+/// What a declared flag takes after it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Takes {
+    /// `[--json]`: nothing; the next word is never its value.
+    Nothing,
+    /// `--out FILE`, `-e CMD` (which may repeat): the next word, unless
+    /// it is a long flag (`--rules -SDL104` is a value).
+    Value,
+    /// `[--metrics [FILE]]`: as `Value`, but the word may be absent.
+    MaybeValue,
+}
+
+/// The flag a command-line word names (`json` for `--json`, `e` for
+/// `-e`); `None` for any other word, a negative number included.
+fn flag_name(word: &str) -> Option<&str> {
+    let short = word
+        .strip_prefix('-')
+        .filter(|n| n.starts_with(char::is_alphabetic));
+    word.strip_prefix("--").or(short)
+}
+
+impl Verb {
+    fn usage(&self) -> String {
+        let usage = format!("usage: tracedbg {} {}", self.name, self.synopsis);
+        usage.trim_end().into()
+    }
+
+    /// What the synopsis declares the flag `name` takes; `None` if it is
+    /// not declared. A synopsis flag (`--name` or `-e`, maybe opened by
+    /// `[` or `(`) takes nothing when `]` or `)` closes it or the next
+    /// word is `|` or a flag, an optional value when the next word is
+    /// bracketed (`[FILE]`), and a value otherwise.
+    fn takes(&self, name: &str) -> Option<Takes> {
+        let words: Vec<&str> = self.synopsis.split_whitespace().collect();
+        let opened = |w: &'static str| w.trim_start_matches(['[', '(']);
+        words.iter().enumerate().find_map(|(i, &w)| {
+            let flag = opened(w).trim_end_matches([']', ')']);
+            if flag_name(flag)? != name {
+                return None;
+            }
+            Some(match words.get(i + 1).copied().unwrap_or("|") {
+                next if flag != opened(w) || next == "|" || flag_name(opened(next)).is_some() => {
+                    Takes::Nothing
+                }
+                next if next.starts_with('[') => Takes::MaybeValue,
+                _ => Takes::Value,
+            })
+        })
+    }
+}
+
+/// Every verb's usage line.
+fn help() -> String {
+    let lines: String = VERBS.iter().map(|v| v.usage() + "\n").collect();
+    lines + "`tracedbg workloads` lists the run targets\n"
+}
+
+/// A verb's command line, read against its synopsis.
 pub struct Opts {
-    positional: Vec<String>,
+    verb: &'static Verb,
+    /// The positional arguments, in order.
+    args: Vec<String>,
     flags: Vec<(String, Option<String>)>,
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Opts {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut it = args.iter().peekable();
-        while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = it
-                    .peek()
-                    .filter(|v| !v.starts_with("--") && !v.starts_with("-e"))
-                    .map(|v| (*v).clone());
-                if value.is_some() {
-                    it.next();
-                }
-                flags.push((name.to_string(), value));
-            } else if a == "-e" {
-                let cmd = it.next().cloned().unwrap_or_default();
-                flags.push(("e".into(), Some(cmd)));
-            } else {
-                positional.push(a.clone());
+    /// Read `words` against `verb`'s synopsis: an undeclared flag, or a
+    /// value flag with no value, is refused with the verb's usage line.
+    fn parse(verb: &'static Verb, words: &[String]) -> Result<Opts, String> {
+        let (mut args, mut flags) = (Vec::new(), Vec::new());
+        let mut it = words.iter().peekable();
+        while let Some(word) = it.next() {
+            let Some(name) = flag_name(word) else {
+                args.push(word.clone());
+                continue;
+            };
+            let refuse = |what| format!("{} {what} ({})", verb.name, verb.usage());
+            let takes = verb
+                .takes(name)
+                .ok_or_else(|| refuse(format!("takes no flag {word}")))?;
+            let value = match takes {
+                Takes::Nothing => None,
+                _ => it.next_if(|next| !next.starts_with("--")).cloned(),
+            };
+            if takes == Takes::Value && value.is_none() {
+                return Err(refuse(format!("{word} needs a value")));
             }
+            flags.push((name.to_string(), value));
         }
-        Opts { positional, flags }
+        Ok(Opts { verb, args, flags })
+    }
+
+    /// The first positional argument; its absence is the usage line.
+    fn arg(&self) -> Result<&String, String> {
+        self.args.first().ok_or_else(|| self.verb.usage())
+    }
+
+    /// The values given for the flag `name`, which the verb must declare.
+    fn read<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a Option<String>> {
+        debug_assert!(self.verb.takes(name).is_some(), "undeclared --{name}");
+        let name = name.to_string();
+        let given = self.flags.iter().filter(move |(n, _)| *n == name);
+        given.map(|(_, v)| v)
     }
 
     pub fn flag(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
+        self.read(name).find_map(|v| v.as_deref())
     }
 
     /// Was the flag given at all (with or without a value)?
     pub fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
+        self.read(name).next().is_some()
     }
 
     /// The flag's value parsed, `default` when the flag is absent. A
@@ -103,23 +192,30 @@ impl Opts {
         }
     }
 
+    /// `--window lo:hi`, `None` when absent; `lo > hi` is refused.
+    fn window(&self) -> Result<Option<(u64, u64)>, String> {
+        let Some(win) = self.flag("window") else {
+            return Ok(None);
+        };
+        let (lo, hi) = win
+            .split_once(':')
+            .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
+            .ok_or("bad --window, expected lo:hi")?;
+        if lo > hi {
+            return Err(format!("bad --window {win}: lo > hi"));
+        }
+        Ok(Some((lo, hi)))
+    }
+
     fn commands(&self) -> Vec<String> {
-        self.flags
-            .iter()
-            .filter(|(n, _)| n == "e")
-            .filter_map(|(_, v)| v.clone())
-            .collect()
+        self.read("e").filter_map(|v| v.clone()).collect()
     }
 }
 
 /// Exit status of the verbs whose status is a verdict (`lint`, `explore`,
-/// `replay`, `localize`).
+/// `replay`, `localize`): 0, else 1.
 pub fn success_if(ok: bool) -> ExitCode {
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    ExitCode::from(u8::from(!ok))
 }
 
 /// Run `f` with the simulated processes' panic backtraces kept off
@@ -130,6 +226,16 @@ pub fn quietly<T>(f: impl FnOnce() -> T) -> T {
     let out = f();
     tracedbg::mpsim::set_quiet_panics(false);
     out
+}
+
+/// Write a file the command line names and say so (`<what> written to
+/// <path>`), unless `--json` holds stdout.
+fn write_out(opts: &Opts, what: &str, path: &str, bytes: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
+    if opts.verb.takes("json").is_none() || !opts.has("json") {
+        println!("{what} written to {path}");
+    }
+    Ok(())
 }
 
 /// Print a sealed report — its JSON with `--json`, else its rendering —
@@ -147,19 +253,13 @@ fn emit_report(
     } else {
         print!("{}", render());
     }
-    if let Some(out) = out {
-        std::fs::write(out, &text).map_err(|e| format!("cannot write {out}: {e}"))?;
-        if !json {
-            println!("report written to {out}");
-        }
-    }
-    Ok(())
+    out.map_or(Ok(()), |out| write_out(opts, "report", out, &text))
 }
 
 /// The positional workload of `run`/`debug`/`explore`, resolved with the
 /// verb's `--seed` and `--procs`.
-fn workload_arg(opts: &Opts, usage: &str) -> Result<(String, u64, Workload), String> {
-    let name = opts.positional.first().ok_or(usage)?;
+fn workload_arg(opts: &Opts) -> Result<(String, u64, Workload), String> {
+    let name = opts.arg()?;
     let seed = opts.num("seed", 42u64)?;
     let workload = Input::workload(name, seed, opts.num("procs", 8usize)?)?;
     Ok((name.clone(), seed, workload))
@@ -178,22 +278,23 @@ fn run_metered(workload: &Workload) -> (Engine, RunOutcome) {
     (engine, outcome)
 }
 
+/// `--segment-events N` of `run --store` and `ingest`; the store's default
+/// when absent.
+fn store_options(opts: &Opts) -> Result<StoreOptions, String> {
+    let segment_events = opts.num("segment-events", StoreOptions::default().segment_events)?;
+    Ok(StoreOptions { segment_events })
+}
+
 fn cmd_run(opts: &Opts) -> Result<ExitCode, String> {
-    let (_, _, workload) = workload_arg(opts, "usage: tracedbg run <workload>")?;
+    let (_, _, workload) = workload_arg(opts)?;
     let mut session = Session::launch(SessionConfig::default(), workload.factory);
     // --store: the directory is reset before the run, so a bad path fails
     // before the debuggee runs; the store is written from the finished
     // trace, as --trace is.
     let store_dir = match opts.flag("store") {
         Some(dir) => {
-            let w = StoreWriter::create(
-                std::path::Path::new(dir),
-                StoreOptions {
-                    segment_events: opts.num("segment-events", 65536usize)?,
-                },
-            )
-            .map_err(|e| e.to_string())?;
-            Some((w, dir))
+            let w = StoreWriter::create(dir.as_ref(), store_options(opts)?);
+            Some((w.map_err(|e| e.to_string())?, dir))
         }
         None => None,
     };
@@ -220,25 +321,17 @@ fn cmd_run(opts: &Opts) -> Result<ExitCode, String> {
 }
 
 fn cmd_view(opts: &Opts) -> Result<ExitCode, String> {
-    let path = opts
-        .positional
-        .first()
-        .ok_or("usage: tracedbg view <trace.trc>")?;
+    let path = opts.arg()?;
     let store = Input::trace("view", path)?.into_store()?;
     let matching = MessageMatching::build(&store);
     let mut model = TimelineModel::build(&store, &matching, false);
-    if let Some(win) = opts.flag("window") {
-        let (lo, hi) = win
-            .split_once(':')
-            .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
-            .ok_or("bad --window, expected lo:hi")?;
+    if let Some((lo, hi)) = opts.window()? {
         model = model.window(lo, hi);
     }
     let width = opts.num("width", 120usize)?;
     println!("{}", render_ascii(&model, width));
     if let Some(svg_path) = opts.flag("svg") {
-        std::fs::write(svg_path, render_svg(&model, 1100.0)).map_err(|e| e.to_string())?;
-        println!("svg written to {svg_path}");
+        write_out(opts, "svg", svg_path, render_svg(&model, 1100.0))?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -253,7 +346,7 @@ fn script_of(
     verb: &str,
     spec: &str,
     workload: Workload,
-) -> Result<(tracedbg::workloads::Script, String, usize), String> {
+) -> Result<(Script, String, usize), String> {
     let (parsed, file) = workload.script.ok_or_else(|| {
         format!("{verb} takes {SCRIPT_OR_TRACE}, not the native workload {spec:?}")
     })?;
@@ -261,10 +354,7 @@ fn script_of(
 }
 
 fn cmd_analyze(opts: &Opts) -> Result<ExitCode, String> {
-    let path = opts.positional.first().ok_or(
-        "usage: tracedbg analyze <trace.trc | script:path | sdl:name> \
-         [--procs N] [--json | --dot]",
-    )?;
+    let path = opts.arg()?;
     // Script-backed specs get the static analysis; anything else is a
     // recorded trace and gets the history analyzer. Here (only) a bare
     // builtin-script name reads as that script: `ring` is `sdl:ring`.
@@ -301,53 +391,42 @@ fn cmd_analyze(opts: &Opts) -> Result<ExitCode, String> {
 }
 
 fn cmd_report(opts: &Opts) -> Result<ExitCode, String> {
-    let path = opts
-        .positional
-        .first()
-        .ok_or("usage: tracedbg report <trace.trc> [--o out.html]")?;
+    let path = opts.arg()?;
     let store = Input::trace("report", path)?.into_store()?;
     let (matching, hb) = causal_indexes(&store, path)?;
     let analysis = HistoryReport::from_indexes(&store, matching, &hb).to_string();
     let html = tracedbg::viz::render_html_report(&store, &analysis, path);
-    let out = opts.flag("o").unwrap_or("trace_report.html");
-    std::fs::write(out, html).map_err(|e| e.to_string())?;
-    println!("report written to {out}");
+    let out = opts.flag("out").unwrap_or("trace_report.html");
+    write_out(opts, "report", out, html)?;
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_graph(opts: &Opts) -> Result<ExitCode, String> {
-    let path = opts
-        .positional
-        .first()
-        .ok_or("usage: tracedbg graph <trace.trc> --kind comm|call|trace")?;
+    let path = opts.arg()?;
     let store = Input::trace("graph", path)?.into_store()?;
     let kind = opts.flag("kind").unwrap_or("comm");
     let format = opts.flag("format").unwrap_or("dot");
     let out = match (kind, format) {
-        ("comm", "dot") => {
-            let mm = MessageMatching::build(&store);
-            dot::comm_graph_dot(&CommGraph::build(&store, &mm))
-        }
-        ("comm", "vcg") => {
-            let mm = MessageMatching::build(&store);
-            vcg::comm_graph_vcg(&CommGraph::build(&store, &mm))
+        ("comm", "dot" | "vcg") => {
+            let cg = CommGraph::build(&store, &MessageMatching::build(&store));
+            match format {
+                "vcg" => vcg::comm_graph_vcg(&cg),
+                _ => dot::comm_graph_dot(&cg),
+            }
         }
         ("call", fmt) => {
             let rank = Rank(opts.num("rank", 0u32)?);
-            let tg = TraceGraph::build(&store);
-            let cg = CallGraph::project(&tg, rank);
-            if fmt == "vcg" {
-                vcg::call_graph_vcg(&cg, 4)
-            } else {
-                dot::call_graph_dot(&cg, 4)
+            let cg = CallGraph::project(&TraceGraph::build(&store), rank);
+            match fmt {
+                "vcg" => vcg::call_graph_vcg(&cg, 4),
+                _ => dot::call_graph_dot(&cg, 4),
             }
         }
         ("trace", fmt) => {
             let tg = TraceGraph::build(&store);
-            if fmt == "vcg" {
-                vcg::trace_graph_vcg(&tg)
-            } else {
-                dot::trace_graph_dot(&tg)
+            match fmt {
+                "vcg" => vcg::trace_graph_vcg(&tg),
+                _ => dot::trace_graph_dot(&tg),
             }
         }
         (k, f) => return Err(format!("unknown kind/format {k}/{f}")),
@@ -357,7 +436,7 @@ fn cmd_graph(opts: &Opts) -> Result<ExitCode, String> {
 }
 
 fn cmd_debug(opts: &Opts) -> Result<ExitCode, String> {
-    let (_, _, workload) = workload_arg(opts, "usage: tracedbg debug <workload>")?;
+    let (_, _, workload) = workload_arg(opts)?;
     let cfg = SessionConfig {
         // Checkpoint every Nth stop for O(delta) undo/replay; 0 disables
         // the cache and every replay re-executes from scratch.
@@ -379,12 +458,8 @@ fn cmd_debug(opts: &Opts) -> Result<ExitCode, String> {
         print!("(tracedbg) ");
         std::io::stdout().flush().ok();
         let mut line = String::new();
-        if stdin
-            .lock()
-            .read_line(&mut line)
-            .map_err(|e| e.to_string())?
-            == 0
-        {
+        let read = stdin.lock().read_line(&mut line);
+        if read.map_err(|e| e.to_string())? == 0 {
             break;
         }
         let line = line.trim();
@@ -412,32 +487,18 @@ fn cmd_debug(opts: &Opts) -> Result<ExitCode, String> {
 fn cmd_lint(opts: &Opts) -> Result<ExitCode, String> {
     use tracedbg::lint::{self, report};
 
-    let input = opts.positional.first().ok_or(
-        "usage: tracedbg lint <trace.trc | trace.tbin | script:path | sdl:name> \
-         [--procs N] [--json] [--rules SPEC] [--script SPEC]\n\
-         SPEC: comma-separated rule IDs to run, or -ID entries to skip \
-         (e.g. --rules TDL001,TDL005 or --rules -SDL105).\n\
-         --script: the script the trace was recorded from, enabling the \
-         analysis-divergence rule (TDL008).\n\
-         `tracedbg lint rules` lists the catalog.",
-    )?;
+    let input = opts.arg()?;
     if input == "rules" {
-        for info in lint::rule_catalog() {
-            println!(
-                "{}  {:<7}  {:<6}  {:<70}  {}",
-                info.id,
-                info.severity.to_string(),
-                info.front_end,
-                info.description,
-                info.id.docs_url()
-            );
+        for rule in lint::rule_catalog() {
+            let (id, severity, url) = (rule.id, rule.severity.to_string(), rule.id.docs_url());
+            let (front_end, description) = (rule.front_end, rule.description);
+            println!("{id}  {severity:<7}  {front_end:<6}  {description:<70}  {url}");
         }
         return Ok(ExitCode::SUCCESS);
     }
-    let cfg = match opts.flag("rules") {
-        Some(spec) => lint::LintConfig::from_spec(spec),
-        None => lint::LintConfig::default(),
-    };
+    let cfg = opts
+        .flag("rules")
+        .map_or_else(lint::LintConfig::default, lint::LintConfig::from_spec);
     let diags = match Input::resolve(input, 0, opts.num("procs", 8usize)?)? {
         Input::Workload(w) => {
             let (parsed, file, nprocs) = script_of("lint", input, w)?;
@@ -493,12 +554,7 @@ fn script_flag_spec(spec: &str) -> String {
 /// `tracedbg replay --schedule` re-executes deterministically. Exits
 /// non-zero when any violation was found, mirroring `lint`.
 fn cmd_explore(opts: &Opts) -> Result<ExitCode, String> {
-    let (name, seed, workload) = workload_arg(
-        opts,
-        "usage: tracedbg explore <workload> [--runs N] [--seed N] [--procs N] \
-         [--preemptions K] [--faults] [--strategy random|systematic|both] \
-         [--dpor] [--jobs N] [--out DIR] [--json] [--metrics [FILE]] [--progress]",
-    )?;
+    let (name, seed, workload) = workload_arg(opts)?;
     let runs = opts.num("runs", 64usize)?;
     // --dpor: prove rank independence statically and let the systematic
     // search skip interleavings that only permute commuting decisions.
@@ -547,11 +603,7 @@ fn cmd_explore(opts: &Opts) -> Result<ExitCode, String> {
                 format!("{out_dir}/metrics.json")
             }
         };
-        std::fs::write(&metrics_path, m.to_json())
-            .map_err(|e| format!("cannot write {metrics_path}: {e}"))?;
-        if !opts.has("json") {
-            println!("metrics written to {metrics_path}");
-        }
+        write_out(opts, "metrics", &metrics_path, m.to_json())?;
     }
     let found = !report.findings.is_empty();
     if found {
@@ -570,11 +622,7 @@ fn cmd_explore(opts: &Opts) -> Result<ExitCode, String> {
             let path = format!("{out_dir}/{safe}-{}-{i}.sched.json", f.class);
             let mut artifact = f.artifact.clone();
             artifact.meta = Some(meta.clone());
-            std::fs::write(&path, artifact.to_json())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            if !opts.has("json") {
-                println!("schedule written to {path}");
-            }
+            write_out(opts, "schedule", &path, artifact.to_json())?;
         }
     }
     Ok(success_if(!found))
@@ -593,9 +641,6 @@ fn cmd_explore(opts: &Opts) -> Result<ExitCode, String> {
 /// it is byte-identical for every `--jobs N` and every input plane that
 /// delivers the same records.
 fn cmd_profile(opts: &Opts) -> Result<ExitCode, String> {
-    const USAGE: &str = "usage: tracedbg profile (<workload> | <trace.trc|trace.tbin|store-dir> \
-         | --schedule <file.sched.json>) [--seed N] [--procs N] [--jobs N] [--out FILE] \
-         [--json] [--perfetto FILE]";
     // Accepted for CLI symmetry with explore/localize; the report never
     // depends on it.
     let _jobs = opts.num("jobs", 1usize)?;
@@ -607,7 +652,7 @@ fn cmd_profile(opts: &Opts) -> Result<ExitCode, String> {
             let (lost, store) = (session.engine().flight_dropped(), session.trace());
             ("schedule", a.workload, a.procs, a.seed, lost, store)
         } else {
-            let name = opts.positional.first().ok_or(USAGE)?;
+            let name = opts.arg()?;
             let seed = opts.num("seed", 42u64)?;
             match Input::resolve(name, seed, opts.num("procs", 8usize)?)? {
                 Input::Trace(trace) => {
@@ -640,11 +685,8 @@ fn cmd_profile(opts: &Opts) -> Result<ExitCode, String> {
         let matching = MessageMatching::build(&store);
         let waits = WaitAnalysis::build(&store, &matching);
         let path = CriticalPath::build(&store, &matching);
-        std::fs::write(out, perfetto_json(&store, &matching, &waits, &path))
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
-        if !opts.has("json") {
-            println!("perfetto trace written to {out}");
-        }
+        let json = perfetto_json(&store, &matching, &waits, &path);
+        write_out(opts, "perfetto trace", out, json)?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -654,10 +696,7 @@ fn cmd_profile(opts: &Opts) -> Result<ExitCode, String> {
 /// turns); `--metrics` additionally writes the machine-readable
 /// [`MetricsReport`] JSON.
 fn cmd_stats(opts: &Opts) -> Result<ExitCode, String> {
-    let name = opts.positional.first().ok_or(
-        "usage: tracedbg stats <workload | trace.trc | store-dir> \
-         [--seed N] [--procs N] [--metrics [FILE]]",
-    )?;
+    let name = opts.arg()?;
     let seed = opts.num("seed", 42u64)?;
     let workload = match Input::resolve(name, seed, opts.num("procs", 8usize)?)? {
         // Recorded-trace mode: stream the statistics off any trace plane
@@ -674,9 +713,7 @@ fn cmd_stats(opts: &Opts) -> Result<ExitCode, String> {
     let wall_ms = started.elapsed().as_millis() as u64;
     println!("outcome: {outcome:?}");
     let snapshot_ns = engine.snapshot_ns();
-    let m = engine
-        .take_metrics()
-        .expect("engine was launched with metrics on");
+    let m = engine.take_metrics().expect("a metered run");
     print!("{}", render_rank_profile(&m));
     if opts.has("metrics") {
         let nprocs = m.nprocs() as u64;
@@ -698,8 +735,7 @@ fn cmd_stats(opts: &Opts) -> Result<ExitCode, String> {
             },
         );
         let path = opts.flag("metrics").unwrap_or("metrics.json");
-        std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("metrics written to {path}");
+        write_out(opts, "metrics", path, report.to_json())?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -713,14 +749,11 @@ fn cmd_stats(opts: &Opts) -> Result<ExitCode, String> {
 /// store directory (materialized once: the differ reads every rank).
 /// Exits non-zero only when no passing reference could be found.
 fn cmd_localize(opts: &Opts) -> Result<ExitCode, String> {
-    const USAGE: &str = "usage: tracedbg localize (--schedule <file.sched.json> | <workload>) \
-         [--runs N] [--seed N] [--jobs N] [--procs N] [--explore-runs N] \
-         [--trace <trc|store-dir>] [--out FILE] [--json]";
     let (artifact, workload) = if let Some(path) = opts.flag("schedule") {
         load_artifact(path)?
     } else {
         // Workload mode: explore on the fly, localize the first finding.
-        let (name, seed, workload) = workload_arg(opts, USAGE)?;
+        let (name, seed, workload) = workload_arg(opts)?;
         let cfg = ExploreConfig {
             workload: name.clone(),
             seed,
@@ -753,19 +786,16 @@ fn cmd_localize(opts: &Opts) -> Result<ExitCode, String> {
         tracedbg::localize::localize_with_trace(&workload.factory, &artifact, &lcfg, failing_source)
     });
     emit_report(opts, || report.to_json(), || report.render())?;
-    Ok(success_if(
-        report.verdict != tracedbg::localize::VERDICT_NO_REFERENCE,
-    ))
+    let found_reference = report.verdict != tracedbg::localize::VERDICT_NO_REFERENCE;
+    Ok(success_if(found_reference))
 }
 
 /// `tracedbg ingest` — convert a recorded trace file into the indexed
 /// on-disk store format `tracedbg query` (and every trace-consuming
 /// command) reads.
 fn cmd_ingest(opts: &Opts) -> Result<ExitCode, String> {
-    let path = opts.positional.first().ok_or(
-        "usage: tracedbg ingest <trace.trc | trace.tbin> --out <dir> [--segment-events N]",
-    )?;
-    let out = opts.flag("out").ok_or("ingest needs --out <dir>")?;
+    let path = opts.arg()?;
+    let out = opts.flag("out").ok_or_else(|| opts.verb.usage())?;
     let store = Input::trace("ingest", path)?.into_store()?;
     let started = std::time::Instant::now();
     let summary = tracedbg::store::ingest_records(
@@ -773,9 +803,7 @@ fn cmd_ingest(opts: &Opts) -> Result<ExitCode, String> {
         store.sites(),
         store.n_ranks(),
         std::path::Path::new(out),
-        StoreOptions {
-            segment_events: opts.num("segment-events", 65536usize)?,
-        },
+        store_options(opts)?,
     )
     .map_err(|e| e.to_string())?;
     println!(
@@ -793,10 +821,7 @@ fn cmd_ingest(opts: &Opts) -> Result<ExitCode, String> {
 /// Events stream from the store's cursors; the trace is never
 /// materialized, so multi-million-event stores answer in milliseconds.
 fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
-    const USAGE: &str = "usage: tracedbg query <dir> \
-         [--rank N | --tag T | --kind CODE | --window lo:hi] \
-         [--limit N] [--count] [--stats]";
-    let dir = opts.positional.first().ok_or(USAGE)?;
+    let dir = opts.arg()?;
     let disk = Input::store("query", dir)?;
     if opts.has("stats") {
         // Streaming one-pass statistics through the TraceSource trait.
@@ -805,13 +830,11 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     let mut selectors = Vec::new();
-    if let Some(r) = opts.flag("rank") {
-        let r: u32 = r.parse().map_err(|_| format!("bad rank {r:?}"))?;
-        selectors.push(Select::Rank(Rank(r)));
+    if opts.has("rank") {
+        selectors.push(Select::Rank(Rank(opts.num("rank", 0)?)));
     }
-    if let Some(t) = opts.flag("tag") {
-        let t: i32 = t.parse().map_err(|_| format!("bad tag {t:?}"))?;
-        selectors.push(Select::Tag(Tag(t)));
+    if opts.has("tag") {
+        selectors.push(Select::Tag(Tag(opts.num("tag", 0)?)));
     }
     if let Some(code) = opts.flag("kind") {
         let kind = EventKind::all()
@@ -823,14 +846,7 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
             })?;
         selectors.push(Select::Kind(kind));
     }
-    if let Some(win) = opts.flag("window") {
-        let (lo, hi) = win
-            .split_once(':')
-            .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
-            .ok_or("bad --window, expected lo:hi")?;
-        if lo > hi {
-            return Err(format!("bad --window {win}: lo > hi"));
-        }
+    if let Some((lo, hi)) = opts.window()? {
         selectors.push(Select::TimeWindow(lo, hi));
     }
     if selectors.len() > 1 {
@@ -845,8 +861,7 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
     );
     let limit = opts.num("limit", 20usize)?;
     let count_only = opts.has("count");
-    let mut shown = 0usize;
-    let mut total = 0usize;
+    let (mut shown, mut total) = (0usize, 0usize);
     for rec in disk.select(sel).map_err(|e| e.to_string())? {
         let rec = rec.map_err(|e| e.to_string())?;
         total += 1;
@@ -928,35 +943,22 @@ fn main() -> ExitCode {
     die_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprintln!(
-            "usage: tracedbg <run|ingest|query|view|analyze|report|graph|debug|lint|explore|localize|replay|profile|stats|bench|workloads> ...\n\
-             see `tracedbg workloads` for available targets"
-        );
+        eprint!("{}", help());
         return ExitCode::FAILURE;
     };
-    let opts = Opts::parse(&args[1..]);
-    let result = match cmd.as_str() {
-        "run" => cmd_run(&opts),
-        "ingest" => cmd_ingest(&opts),
-        "query" => cmd_query(&opts),
-        "view" => cmd_view(&opts),
-        "analyze" => cmd_analyze(&opts),
-        "report" => cmd_report(&opts),
-        "graph" => cmd_graph(&opts),
-        "debug" => cmd_debug(&opts),
-        "lint" => cmd_lint(&opts),
-        "explore" => cmd_explore(&opts),
-        "localize" => cmd_localize(&opts),
-        "replay" => replay::cmd_replay(&opts),
-        "profile" => cmd_profile(&opts),
-        "stats" => cmd_stats(&opts),
-        "bench" => cmd_bench(&opts),
-        "workloads" => {
-            print!("{}", catalog::listing());
-            Ok(ExitCode::SUCCESS)
-        }
-        other => Err(format!("unknown command {other:?}")),
+    if cmd == "--help" {
+        print!("{}", help());
+        return ExitCode::SUCCESS;
+    }
+    let Some(verb) = VERBS.iter().find(|v| v.name == cmd) else {
+        eprintln!("error: unknown command {cmd:?}");
+        return ExitCode::FAILURE;
     };
+    if args.iter().any(|a| a == "--help") {
+        println!("{}", verb.usage());
+        return ExitCode::SUCCESS;
+    }
+    let result = Opts::parse(verb, &args[1..]).and_then(|opts| (verb.run)(&opts));
     result.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         ExitCode::FAILURE
@@ -967,21 +969,174 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn verb(name: &str) -> &'static Verb {
+        VERBS.iter().find(|v| v.name == name).expect(name)
+    }
+
+    fn parse(name: &str, args: &[&str]) -> Result<Opts, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Opts::parse(verb(name), &args)
+    }
+
     #[test]
     fn opts_parses_flags_values_and_positionals() {
-        let args = ["ring", "--seed", "7", "--json", "--procs", "4", "-e", "run"];
-        let o = Opts::parse(&args.map(String::from));
-        assert_eq!(o.positional, vec!["ring"]);
+        let args = [
+            "ring", "--seed", "7", "--procs", "4", "-e", "run", "-e", "step 1",
+        ];
+        let o = parse("debug", &args).unwrap();
+        assert_eq!(o.args, vec!["ring"]);
         assert_eq!(o.flag("seed"), Some("7"));
         assert_eq!(o.num("procs", 0usize), Ok(4));
-        assert!(o.has("json"));
-        assert_eq!(o.flag("json"), None, "bare flag carries no value");
-        assert_eq!(o.commands(), vec!["run"]);
-        assert!(!o.has("faults"));
-        assert_eq!(o.num("runs", 64usize), Ok(64), "missing flag falls back");
-        let bad = Opts::parse(&["--runs", "lots"].map(String::from));
+        assert_eq!(o.commands(), vec!["run", "step 1"], "-e repeats");
+        assert!(!o.has("checkpoint-every"));
+        assert_eq!(
+            o.num("checkpoint-every", 1usize),
+            Ok(1),
+            "missing flag falls back"
+        );
+        let bad = parse("explore", &["ring", "--runs", "lots"]).unwrap();
         let err = bad.num("runs", 64usize).unwrap_err();
         assert_eq!(err, "--runs: bad value \"lots\"", "never the default");
+        let negative = parse("stats", &["pool", "--seed", "-1"]).unwrap();
+        assert_eq!(negative.flag("seed"), Some("-1"), "a number is a value");
+        let skip = parse("lint", &["t.trc", "--rules", "-SDL104", "--json"]).unwrap();
+        assert_eq!(
+            (skip.flag("rules"), skip.has("json")),
+            (Some("-SDL104"), true)
+        );
+    }
+
+    /// What each flag takes is read off the synopsis.
+    #[test]
+    fn the_synopsis_declares_what_each_flag_takes() {
+        let takes = |name, flag| verb(name).takes(flag);
+        assert_eq!(takes("lint", "json"), Some(Takes::Nothing));
+        assert_eq!(
+            takes("analyze", "json"),
+            Some(Takes::Nothing),
+            "[--json | --dot]"
+        );
+        assert_eq!(takes("analyze", "dot"), Some(Takes::Nothing));
+        assert_eq!(takes("report", "out"), Some(Takes::Value));
+        assert_eq!(
+            takes("profile", "schedule"),
+            Some(Takes::Value),
+            "(... | --schedule FILE)"
+        );
+        assert_eq!(
+            takes("localize", "schedule"),
+            Some(Takes::Value),
+            "(--schedule FILE | ...)"
+        );
+        assert_eq!(takes("debug", "e"), Some(Takes::Value));
+        assert_eq!(takes("query", "window"), Some(Takes::Value));
+        assert_eq!(takes("stats", "metrics"), Some(Takes::MaybeValue));
+        assert_eq!(takes("explore", "metrics"), Some(Takes::MaybeValue));
+        assert_eq!(takes("run", "metrics"), None);
+        assert_eq!(takes("run", "porcs"), None);
+        assert_eq!(takes("workloads", "json"), None);
+        // The benchmark and verify.sh pass these.
+        assert_eq!(takes("explore", "dpor"), Some(Takes::Nothing));
+        assert_eq!(takes("profile", "jobs"), Some(Takes::Value));
+        assert_eq!(takes("debug", "checkpoint-every"), Some(Takes::Value));
+    }
+
+    #[test]
+    fn a_flag_the_verb_does_not_take_is_refused_with_its_usage() {
+        let usage = |name| verb(name).usage();
+        let err = |name, args: &[&str]| parse(name, args).err().expect(name);
+        let ring = ["ring", "--porcs", "4"];
+        assert_eq!(
+            err("run", &ring),
+            format!("run takes no flag --porcs ({})", usage("run"))
+        );
+        assert!(
+            err("run", &["stencil", "--metrics", "F"]).starts_with("run takes no flag --metrics")
+        );
+        assert!(err("report", &["r.trc", "-o", "x.html"]).starts_with("report takes no flag -o"));
+        assert!(err("report", &["r.trc", "--o", "x.html"]).starts_with("report takes no flag --o"));
+        assert!(err("bench", &["--frobnicate"]).starts_with("bench takes no flag --frobnicate"));
+        let no_value = format!("report --out needs a value ({})", usage("report"));
+        assert_eq!(err("report", &["r.trc", "--out"]), no_value);
+        assert!(err("run", &["ring", "--trace", "--procs", "4"]).starts_with("run --trace needs"));
+        assert_eq!(usage("workloads"), "usage: tracedbg workloads");
+    }
+
+    #[test]
+    fn a_boolean_flag_never_takes_the_next_word() {
+        let lint = parse("lint", &["--json", "r.trc"]).unwrap();
+        assert_eq!(
+            (lint.has("json"), lint.arg()),
+            (true, Ok(&"r.trc".to_string()))
+        );
+        let explore = parse("explore", &["--json", "planted-wildcard", "--runs", "4"]).unwrap();
+        assert_eq!(explore.args, vec!["planted-wildcard"]);
+        // An optional value is the next word unless that word is a flag.
+        let metrics = parse("stats", &["ring", "--metrics", "m.json"]).unwrap();
+        assert_eq!(metrics.flag("metrics"), Some("m.json"));
+        let bare = parse("explore", &["ring", "--metrics", "--json"]).unwrap();
+        assert_eq!((bare.has("metrics"), bare.flag("metrics")), (true, None));
+        assert!(bare.has("json"));
+    }
+
+    #[test]
+    fn a_missing_positional_is_the_usage_line() {
+        let stats = parse("stats", &["--procs", "4"]).unwrap();
+        assert_eq!(stats.arg(), Err(verb("stats").usage()));
+        assert!(verb("replay")
+            .usage()
+            .starts_with("usage: tracedbg replay --schedule FILE"));
+    }
+
+    #[test]
+    fn a_window_is_lo_colon_hi_with_lo_at_most_hi() {
+        let window = |w| parse("view", &["t.trc", "--window", w]).unwrap().window();
+        assert_eq!(window("5:5"), Ok(Some((5, 5))));
+        assert_eq!(
+            window("500000:1"),
+            Err("bad --window 500000:1: lo > hi".into())
+        );
+        assert_eq!(window("5"), Err("bad --window, expected lo:hi".into()));
+        assert_eq!(parse("query", &["st"]).unwrap().window(), Ok(None));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "undeclared --metrics")]
+    fn reading_an_undeclared_flag_is_a_bug() {
+        parse("run", &["ring"]).unwrap().has("metrics");
+    }
+
+    /// Every `tracedbg …` line in README.md's code blocks names a verb and
+    /// only flags it takes; nothing is run.
+    #[test]
+    fn every_readme_invocation_parses() {
+        let mut in_block = false;
+        let mut checked = 0;
+        for line in include_str!("../../../../README.md").lines() {
+            if line.trim_start().starts_with("```") {
+                in_block = !in_block;
+            }
+            let words: Vec<&str> = line
+                .split_whitespace()
+                .take_while(|w| !w.starts_with('#'))
+                .collect();
+            let Some(at) = words.iter().position(|w| *w == "tracedbg") else {
+                continue;
+            };
+            if !in_block || !matches!(words[..at], [] | ["$"] | [.., "--bin"]) {
+                continue;
+            }
+            let rest = &words[at + 1..];
+            let rest = rest.strip_prefix(&["--"][..]).unwrap_or(rest);
+            let (name, args) = rest.split_first().expect(line);
+            assert!(VERBS.iter().any(|v| v.name == *name), "{line}");
+            if let Err(e) = parse(name, args) {
+                panic!("README.md: {line}: {e}");
+            }
+            checked += 1;
+        }
+        assert!(checked >= 40, "only {checked} invocations found");
     }
 
     fn nprocs(spec: &str, procs: usize) -> usize {

@@ -14,9 +14,7 @@ use tracedbg::workloads::Workload;
 /// fault comes from the file, so the outcome is reproducible run-to-run.
 /// Exits zero iff the replay reproduced the artifact's recorded outcome.
 pub fn cmd_replay(opts: &Opts) -> Result<ExitCode, String> {
-    let path = opts
-        .flag("schedule")
-        .ok_or("usage: tracedbg replay --schedule <file.sched.json> [--trace out.trc] [--json]")?;
+    let path = opts.flag("schedule").ok_or_else(|| opts.verb.usage())?;
     let (artifact, Workload { factory, .. }) = load_artifact(path)?;
     if let Some(report_path) = opts.flag("to-suspect") {
         return replay_to_suspect(&artifact, factory, report_path, opts);

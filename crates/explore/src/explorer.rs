@@ -71,8 +71,6 @@ pub struct ExploreConfig {
     /// Generate fault plans on part of the random walk.
     pub inject_faults: bool,
     pub strategy: Strategy,
-    /// Run the trace lint as an oracle on completed runs.
-    pub lint_oracle: bool,
     /// Max predicate evaluations while shrinking one failure.
     pub shrink_budget: usize,
     /// Worker threads for exploration runs (`0` = available parallelism).
@@ -103,7 +101,6 @@ impl Default for ExploreConfig {
             preemptions: 2,
             inject_faults: false,
             strategy: Strategy::Both,
-            lint_oracle: true,
             shrink_budget: 128,
             jobs: 1,
             metrics: false,
@@ -650,7 +647,7 @@ impl Explorer {
             }
         }
         if self.digests.insert(res.digest) {
-            if let Some(v) = oracle::check(res, self.cfg.lint_oracle) {
+            if let Some(v) = oracle::check(res) {
                 if let Some(obs) = self.obs.as_mut() {
                     *obs.oracle_triggers
                         .entry(v.class().to_string())

@@ -55,7 +55,7 @@ fn error_rules() -> &'static LintConfig {
 /// Lint only runs on completed, fault-free runs: a crashed or hung process
 /// legitimately leaves unmatched sends and truncated histories behind, and
 /// flagging those would blame the injection rather than the program.
-pub fn check(run: &RunResult, lint_oracle: bool) -> Option<Violation> {
+pub fn check(run: &RunResult) -> Option<Violation> {
     match run.class {
         CLASS_DEADLOCK => {
             return Some(Violation::Deadlock {
@@ -70,7 +70,7 @@ pub fn check(run: &RunResult, lint_oracle: bool) -> Option<Violation> {
         }
         _ => {}
     }
-    if lint_oracle && run.class == crate::runner::CLASS_COMPLETED && !run.fault_fired {
+    if run.class == crate::runner::CLASS_COMPLETED && !run.fault_fired {
         let diags = lint_trace(&run.store, error_rules());
         let errors: Vec<_> = diags
             .iter()

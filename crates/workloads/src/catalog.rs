@@ -26,18 +26,26 @@ pub struct Workload {
 /// (the whole spec for a fixed name), `--seed` and `--procs`.
 type Build = fn(&str, u64, usize) -> Result<Workload, String>;
 
-/// The builder of a row whose config takes `--procs` clamped to a range
-/// and its defaults otherwise.
+/// The builder of a row whose config takes `--procs` raised to the row's
+/// minimum, refused above its maximum, and its defaults otherwise.
 macro_rules! sized {
     ($($config:ident)::+, $lo:expr, $hi:expr, $factory:path) => {
-        |_, _, procs| {
+        |name, _, procs| {
             let cfg = $($config)::+ {
-                nprocs: procs.clamp($lo, $hi),
+                nprocs: at_most(name, procs, $hi)?.max($lo),
                 ..Default::default()
             };
             native(cfg.nprocs, $factory(cfg))
         }
     };
+}
+
+/// `procs`, or the refusal of a count above what the workload `name` runs.
+fn at_most(name: &str, procs: usize, hi: usize) -> Result<usize, String> {
+    if procs > hi {
+        return Err(format!("{name} runs at most {hi} ranks, not {procs}"));
+    }
+    Ok(procs)
 }
 
 /// `(the row's line in `tracedbg workloads`, builder)`. The line's first
@@ -242,4 +250,32 @@ pub fn listing() -> String {
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::resolve;
+
+    #[test]
+    fn a_capped_workload_refuses_more_ranks_than_it_runs() {
+        for name in [
+            "racy-wildcard",
+            "racy-deadlock",
+            "planted-wildcard",
+            "planted-orphan",
+            "planted-pipeline",
+        ] {
+            let at = |procs| resolve(name, 1, procs).expect(name);
+            assert_eq!(at(16).map(|w| w.nprocs).ok(), Some(16), "{name}");
+            assert_eq!(
+                at(64).err().as_deref(),
+                Some(format!("{name} runs at most 16 ranks, not 64").as_str())
+            );
+        }
+        // An uncapped row takes any count.
+        assert_eq!(
+            resolve("ring", 1, 4096).unwrap().map(|w| w.nprocs).ok(),
+            Some(4096)
+        );
+    }
 }

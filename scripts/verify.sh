@@ -62,6 +62,22 @@ printf '%s' "$by_name" | grep -q '^outcome: Completed' \
 printf '%s' "$by_path" | grep -q '0 events, 0 ranks' \
   || { echo "'stats ./ring' did not read the file ./ring" >&2; exit 1; }
 expect_error 'view takes trace.trc | trace.tbin | store-dir, not the workload "ring"' view ring
+# A flag the verb's synopsis does not declare is refused, never ignored;
+# a count or a window a verb cannot honour is refused, never clamped ...
+expect_error 'run takes no flag --porcs (usage: tracedbg run ' run ring --porcs 4
+expect_error 'run takes no flag --metrics' run stencil --metrics F
+expect_error 'racy-wildcard runs at most 16 ranks, not 64' explore racy-wildcard --procs 64
+expect_error 'bad --window 5:1: lo > hi' view tests/golden/ring.trc --window 5:1
+# ... a boolean flag never takes the next word as its value ...
+"$bin" lint --json tests/golden/ring.trc >/dev/null
+# ... and `--help` or a refused flag runs no verb: `bench` in an empty
+# directory leaves it empty.
+empty=target/verify_cli/empty && mkdir -p "$empty"
+help=$(cd "$empty" && "$bin" bench --help)
+status=0; (cd "$empty" && "$bin" bench --frobnicate >/dev/null 2>&1) || status=$?
+{ [ "${help#usage: tracedbg bench }" != "$help" ] && [ "$status" -eq 1 ] \
+    && [ -z "$(ls -A "$empty")" ]; } \
+  || { echo "bench --help / --frobnicate: want usage + exit 0, exit 1, no file; got exit $status" >&2; exit 1; }
 
 echo "==> cargo test -q"
 cargo test --offline -q

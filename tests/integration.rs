@@ -740,8 +740,11 @@ fn non_causal_trace_is_a_typed_error_not_a_panic() {
         let out = Command::new(env!("CARGO_BIN_EXE_tracedbg"))
             .arg(verb)
             .arg(&path)
-            .arg("--o")
-            .arg(&html)
+            .args(if verb == "report" {
+                vec!["--out".as_ref(), html.as_os_str()]
+            } else {
+                vec![]
+            })
             .output()
             .expect("spawn tracedbg");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -774,6 +777,53 @@ fn tracedbg_in(cwd: &std::path::Path, args: &[&str]) -> (Option<i32>, String, St
         .expect("spawn tracedbg");
     let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
     (out.status.code(), text(&out.stdout), text(&out.stderr))
+}
+
+/// `report` writes where `--out` says, and nowhere else.
+#[test]
+fn report_writes_to_out_and_nowhere_else() {
+    let cwd = scratch_dir("report-out");
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(cwd.join("sub")).unwrap();
+    let trace = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/ring.trc");
+    let out = cwd.join("sub/mine.html");
+    let (code, stdout, stderr) =
+        tracedbg_in(&cwd, &["report", trace, "--out", out.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(stdout, format!("report written to {}\n", out.display()));
+    assert!(std::fs::read_to_string(&out).unwrap().contains("<html"));
+    let mut entries: Vec<_> = std::fs::read_dir(&cwd)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    entries.sort();
+    assert_eq!(entries, ["sub"], "nothing lands in the working directory");
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+/// `--help` prints the verb's usage line and an undeclared flag is refused,
+/// both before the verb runs: `bench` runs no suite and writes no
+/// `BENCH_*.json`.
+#[test]
+fn bench_help_and_an_undeclared_flag_run_nothing() {
+    let cwd = scratch_dir("bench-help");
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).unwrap();
+    let usage = "usage: tracedbg bench [--quick] [--filter NAME] [--jobs N] [--out DIR]";
+    let (code, stdout, stderr) = tracedbg_in(&cwd, &["bench", "--help"]);
+    assert_eq!(
+        (code, stdout, stderr),
+        (Some(0), format!("{usage}\n"), String::new())
+    );
+    let (code, stdout, stderr) = tracedbg_in(&cwd, &["bench", "--frobnicate"]);
+    let refusal = format!("error: bench takes no flag --frobnicate ({usage})\n");
+    assert_eq!((code, stdout, stderr), (Some(1), String::new(), refusal));
+    assert_eq!(
+        std::fs::read_dir(&cwd).unwrap().count(),
+        0,
+        "no file written"
+    );
+    let _ = std::fs::remove_dir_all(&cwd);
 }
 
 /// A flag value that does not parse is an error naming the flag — never
