@@ -21,8 +21,8 @@ use tracedbg::viz::{dot, vcg};
 use tracedbg::workloads::{catalog, scripts, Script, Workload};
 
 /// A verb: its name, its synopsis and its handler. The synopsis is the
-/// declaration of the verb's flags ([`Verb::takes`]) as well as its usage
-/// line, so the two cannot drift apart.
+/// verb's grammar ([`Grammar::read`]) as well as its usage line, so the
+/// two cannot drift apart.
 pub struct Verb {
     name: &'static str,
     synopsis: &'static str,
@@ -37,7 +37,8 @@ const VERBS: &[Verb] = &[
     Verb { name: "ingest", run: cmd_ingest, synopsis:
         "<trace.trc | trace.tbin> --out DIR [--segment-events N]" },
     Verb { name: "query", run: cmd_query, synopsis: "<store-dir> \
-        [--rank N | --tag T | --kind CODE | --window lo:hi] [--limit N] [--count] [--stats]" },
+        [--rank N | --tag T | --kind PS|PE|FE|FX|SN|RP|RD|CP|PR|CB|CC|CR|CA|CG|CS \
+        | --window lo:hi] [--limit N] [--count] [--stats]" },
     Verb { name: "view", run: cmd_view, synopsis:
         "<trace.trc | trace.tbin | store-dir> [--width N] [--svg FILE] [--window lo:hi]" },
     Verb { name: "analyze", run: cmd_analyze, synopsis:
@@ -59,7 +60,7 @@ const VERBS: &[Verb] = &[
     Verb { name: "replay", run: replay::cmd_replay, synopsis: "--schedule FILE \
         [--from-checkpoint] [--to-suspect REPORT] [--to-critical-path REPORT] [--trace FILE] [--json]" },
     Verb { name: "profile", run: cmd_profile, synopsis: "(<workload> | <trace.trc | trace.tbin \
-        | store-dir> | --schedule FILE) [--seed N] [--procs N] [--jobs N] [--out FILE] [--json] \
+        | store-dir> | --schedule FILE) [--seed N] [--procs N] [--out FILE] [--json] \
         [--perfetto FILE]" },
     Verb { name: "stats", run: cmd_stats, synopsis:
         "<workload | trace.trc | trace.tbin | store-dir> [--seed N] [--procs N] [--metrics [FILE]]" },
@@ -90,6 +91,93 @@ fn flag_name(word: &str) -> Option<&str> {
     word.strip_prefix("--").or(short)
 }
 
+/// A flag a synopsis declares (`word`: `--json`, `-e`), with the values
+/// it admits (`None`: any) and the bracket group it sits in (0: none).
+struct Flag {
+    word: &'static str,
+    takes: Takes,
+    set: Option<&'static str>,
+    group: usize,
+}
+
+/// A synopsis read as a grammar: its flags, the most positionals it
+/// takes, and the groups whose members exclude each other (`[-a | -b]`).
+struct Grammar {
+    flags: Vec<Flag>,
+    positionals: usize,
+    alternatives: Vec<usize>,
+}
+
+impl Grammar {
+    /// Read a synopsis. Brackets and `|` are words of their own, a `<…>`
+    /// is one word, and `...` (the group before it repeats) is skipped.
+    /// A flag takes the word after it as its value unless that word is a
+    /// flag, `|` or a bracket; `[FILE]` after it is an optional value, and
+    /// a value with a `|` in it (`dot|vcg`) is the set the flag admits.
+    /// Every other word is a positional, of which a bracket group has one
+    /// at most: `(rules | <trace>)` is one.
+    fn read(synopsis: &'static str) -> Grammar {
+        let (mut words, mut rest) = (Vec::new(), synopsis.trim_start());
+        while let Some(c) = rest.chars().next() {
+            let end = match c {
+                '[' | '(' | ']' | ')' => 1,
+                '<' => rest.find('>').map_or(rest.len(), |e| e + 1),
+                _ => rest.find([' ', '[', ']', '(', ')']).unwrap_or(rest.len()),
+            };
+            words.push(&rest[..end]);
+            rest = rest[end..].trim_start();
+        }
+        let plain = |w: &&str| !matches!(*w, "[" | "]" | "(" | ")" | "|") && flag_name(w).is_none();
+        let mut g = Grammar {
+            flags: Vec::new(),
+            positionals: 0,
+            alternatives: Vec::new(),
+        };
+        let (mut open, mut groups, mut counted) = (vec![0], 0, Vec::new());
+        let mut i = 0;
+        while let Some(&word) = words.get(i) {
+            let group = open[open.len() - 1];
+            let next = |k: usize| words.get(i + k).copied().filter(plain);
+            match word {
+                "[" | "(" => {
+                    groups += 1;
+                    open.push(groups);
+                }
+                "]" | ")" => drop(open.pop()),
+                "|" => g.alternatives.push(group),
+                "..." => {}
+                _ if flag_name(word).is_some() => {
+                    let (takes, set, skip) = match (next(1), words.get(i + 1), next(2)) {
+                        (Some(v), ..) => (Takes::Value, Some(v).filter(|v| v.contains('|')), 1),
+                        (None, Some(&"["), Some(_)) => (Takes::MaybeValue, None, 3),
+                        _ => (Takes::Nothing, None, 0),
+                    };
+                    let set = set.filter(|v| !v.starts_with('<'));
+                    g.flags.push(Flag {
+                        word,
+                        takes,
+                        set,
+                        group,
+                    });
+                    i += skip;
+                }
+                _ if group == 0 || !counted.contains(&group) => {
+                    counted.push(group);
+                    g.positionals += 1;
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        g
+    }
+
+    /// The declared flag `name` names (`json` for `--json`).
+    fn flag(&self, name: &str) -> Option<&Flag> {
+        self.flags.iter().find(|f| flag_name(f.word) == Some(name))
+    }
+}
+
 impl Verb {
     fn usage(&self) -> String {
         let usage = format!("usage: tracedbg {} {}", self.name, self.synopsis);
@@ -97,26 +185,9 @@ impl Verb {
     }
 
     /// What the synopsis declares the flag `name` takes; `None` if it is
-    /// not declared. A synopsis flag (`--name` or `-e`, maybe opened by
-    /// `[` or `(`) takes nothing when `]` or `)` closes it or the next
-    /// word is `|` or a flag, an optional value when the next word is
-    /// bracketed (`[FILE]`), and a value otherwise.
+    /// not declared.
     fn takes(&self, name: &str) -> Option<Takes> {
-        let words: Vec<&str> = self.synopsis.split_whitespace().collect();
-        let opened = |w: &'static str| w.trim_start_matches(['[', '(']);
-        words.iter().enumerate().find_map(|(i, &w)| {
-            let flag = opened(w).trim_end_matches([']', ')']);
-            if flag_name(flag)? != name {
-                return None;
-            }
-            Some(match words.get(i + 1).copied().unwrap_or("|") {
-                next if flag != opened(w) || next == "|" || flag_name(opened(next)).is_some() => {
-                    Takes::Nothing
-                }
-                next if next.starts_with('[') => Takes::MaybeValue,
-                _ => Takes::Value,
-            })
-        })
+        Grammar::read(self.synopsis).flag(name).map(|f| f.takes)
     }
 }
 
@@ -135,26 +206,46 @@ pub struct Opts {
 }
 
 impl Opts {
-    /// Read `words` against `verb`'s synopsis: an undeclared flag, or a
-    /// value flag with no value, is refused with the verb's usage line.
+    /// Read `words` against `verb`'s synopsis. Refused, with the verb's
+    /// usage line: a positional past those it takes, an undeclared flag,
+    /// a value flag with no value or with one outside its set, and two
+    /// flags of one alternative.
     fn parse(verb: &'static Verb, words: &[String]) -> Result<Opts, String> {
-        let (mut args, mut flags) = (Vec::new(), Vec::new());
+        let grammar = Grammar::read(verb.synopsis);
+        let refuse = |what| format!("{} {what} ({})", verb.name, verb.usage());
+        let (mut args, mut flags, mut given) = (Vec::new(), Vec::new(), Vec::<&Flag>::new());
         let mut it = words.iter().peekable();
         while let Some(word) = it.next() {
             let Some(name) = flag_name(word) else {
+                if args.len() == grammar.positionals {
+                    return Err(refuse(format!("takes no further argument {word:?}")));
+                }
                 args.push(word.clone());
                 continue;
             };
-            let refuse = |what| format!("{} {what} ({})", verb.name, verb.usage());
-            let takes = verb
-                .takes(name)
+            let flag = grammar
+                .flag(name)
                 .ok_or_else(|| refuse(format!("takes no flag {word}")))?;
-            let value = match takes {
+            let rival = given.iter().find(|g| {
+                g.word != flag.word
+                    && g.group == flag.group
+                    && grammar.alternatives.contains(&g.group)
+            });
+            if let Some(rival) = rival {
+                return Err(refuse(format!("takes {} or {word}, not both", rival.word)));
+            }
+            given.push(flag);
+            let value = match flag.takes {
                 Takes::Nothing => None,
                 _ => it.next_if(|next| !next.starts_with("--")).cloned(),
             };
-            if takes == Takes::Value && value.is_none() {
+            if flag.takes == Takes::Value && value.is_none() {
                 return Err(refuse(format!("{word} needs a value")));
+            }
+            if let (Some(set), Some(v)) = (flag.set, &value) {
+                if !set.split('|').any(|s| s == v) {
+                    return Err(refuse(format!("{word} takes {set}, not {v:?}")));
+                }
             }
             flags.push((name.to_string(), value));
         }
@@ -265,12 +356,12 @@ fn workload_arg(opts: &Opts) -> Result<(String, u64, Workload), String> {
     Ok((name.clone(), seed, workload))
 }
 
-/// Run a workload once under the full recorder with telemetry on (the
-/// `profile` and `stats` verbs).
-fn run_metered(workload: &Workload) -> (Engine, RunOutcome) {
+/// Run a workload once under the full recorder (the `profile` and
+/// `stats` verbs), with engine telemetry on if `metrics`.
+fn run_full(workload: &Workload, metrics: bool) -> (Engine, RunOutcome) {
     let cfg = EngineConfig {
         recorder: RecorderConfig::full(),
-        metrics: true,
+        metrics,
         ..Default::default()
     };
     let mut engine = Engine::launch(cfg, (workload.factory)());
@@ -287,7 +378,9 @@ fn store_options(opts: &Opts) -> Result<StoreOptions, String> {
 
 fn cmd_run(opts: &Opts) -> Result<ExitCode, String> {
     let (_, _, workload) = workload_arg(opts)?;
-    let mut session = Session::launch(SessionConfig::default(), workload.factory);
+    let mut engine = Engine::launch(EngineConfig::default(), (workload.factory)());
+    // A factory may hold every rank's plan, as big as the trace.
+    drop(workload);
     // --store: the directory is reset before the run, so a bad path fails
     // before the debuggee runs; the store is written from the finished
     // trace, as --trace is.
@@ -298,9 +391,9 @@ fn cmd_run(opts: &Opts) -> Result<ExitCode, String> {
         }
         None => None,
     };
-    let status = session.run();
+    let status = SessionStatus::from(engine.run());
     println!("outcome: {status:?}");
-    let store = session.into_trace();
+    let store = engine.into_trace_store();
     if let Some((w, dir)) = store_dir {
         let summary = w
             .write_records(store.records(), store.sites(), store.n_ranks())
@@ -404,32 +497,34 @@ fn cmd_report(opts: &Opts) -> Result<ExitCode, String> {
 fn cmd_graph(opts: &Opts) -> Result<ExitCode, String> {
     let path = opts.arg()?;
     let store = Input::trace("graph", path)?.into_store()?;
-    let kind = opts.flag("kind").unwrap_or("comm");
-    let format = opts.flag("format").unwrap_or("dot");
-    let out = match (kind, format) {
-        ("comm", "dot" | "vcg") => {
-            let cg = CommGraph::build(&store, &MessageMatching::build(&store));
-            match format {
-                "vcg" => vcg::comm_graph_vcg(&cg),
-                _ => dot::comm_graph_dot(&cg),
-            }
-        }
-        ("call", fmt) => {
+    // The synopsis admits `--kind comm|call|trace` and `--format dot|vcg`.
+    let as_vcg = opts.flag("format") == Some("vcg");
+    let out = match opts.flag("kind").unwrap_or("comm") {
+        "call" => {
             let rank = Rank(opts.num("rank", 0u32)?);
             let cg = CallGraph::project(&TraceGraph::build(&store), rank);
-            match fmt {
-                "vcg" => vcg::call_graph_vcg(&cg, 4),
-                _ => dot::call_graph_dot(&cg, 4),
+            if as_vcg {
+                vcg::call_graph_vcg(&cg, 4)
+            } else {
+                dot::call_graph_dot(&cg, 4)
             }
         }
-        ("trace", fmt) => {
+        "trace" => {
             let tg = TraceGraph::build(&store);
-            match fmt {
-                "vcg" => vcg::trace_graph_vcg(&tg),
-                _ => dot::trace_graph_dot(&tg),
+            if as_vcg {
+                vcg::trace_graph_vcg(&tg)
+            } else {
+                dot::trace_graph_dot(&tg)
             }
         }
-        (k, f) => return Err(format!("unknown kind/format {k}/{f}")),
+        _ => {
+            let cg = CommGraph::build(&store, &MessageMatching::build(&store));
+            if as_vcg {
+                vcg::comm_graph_vcg(&cg)
+            } else {
+                dot::comm_graph_dot(&cg)
+            }
+        }
     };
     println!("{out}");
     Ok(ExitCode::SUCCESS)
@@ -466,15 +561,6 @@ fn cmd_debug(opts: &Opts) -> Result<ExitCode, String> {
         match line {
             "" => continue,
             "quit" | "exit" | "q" => break,
-            "help" => println!(
-                "commands: run | continue | step [rank] | markers | where <rank> |\n\
-                 probe <rank> <label> | stopline t <ns> | stopline markers <m...> |\n\
-                 replay | undo | analyze | break <func|file:line> |\n\
-                 watch <label> (change | == v | != v) | delete breaks | why <rank> |\n\
-                 pending | view [width] | setdef <name> <spec> | sets |\n\
-                 step <set-spec> | find <send to N|recv on N|tag T|fn F|probe L> |\n\
-                 verify | restart | quit"
-            ),
             cmd => println!("{}", ci.execute(cmd)),
         }
     }
@@ -574,7 +660,12 @@ fn cmd_explore(opts: &Opts) -> Result<ExitCode, String> {
         runs,
         preemptions: opts.num("preemptions", 2usize)?,
         inject_faults: opts.has("faults"),
-        strategy: opts.flag("strategy").unwrap_or("both").parse()?,
+        // The synopsis admits `random|systematic|both`.
+        strategy: match opts.flag("strategy") {
+            Some("random") => ExploreStrategy::Random,
+            Some("systematic") => ExploreStrategy::Systematic,
+            _ => ExploreStrategy::Both,
+        },
         // 0 = one worker per available core; findings are identical for
         // every job count at a fixed seed.
         jobs: opts.num("jobs", 0usize)?,
@@ -629,8 +720,8 @@ fn cmd_explore(opts: &Opts) -> Result<ExitCode, String> {
 }
 
 /// `tracedbg profile` — critical-path profiling and wait-state analysis
-/// over any trace plane: a workload (run once under the full recorder
-/// with telemetry on), a recorded `.trc`/`.tbin` file or ingested store
+/// over any trace plane: a workload (run once under the full recorder),
+/// a recorded `.trc`/`.tbin` file or ingested store
 /// directory, or a failing explorer artifact (`--schedule`, replaying its
 /// recorded decisions and faults). Prints the wait/blame table, writes
 /// the sealed [`ProfileReport`] with `--out`, and with `--perfetto FILE`
@@ -638,38 +729,32 @@ fn cmd_explore(opts: &Opts) -> Result<ExitCode, String> {
 /// `ui.perfetto.dev` or `chrome://tracing`: one track per rank, wait
 /// slices with their causing rank, message-flow arrows, and a dedicated
 /// critical-path track). The report is a pure function of the trace, so
-/// it is byte-identical for every `--jobs N` and every input plane that
-/// delivers the same records.
+/// every input plane that delivers the same records gives one report but
+/// for the fields naming the input.
 fn cmd_profile(opts: &Opts) -> Result<ExitCode, String> {
-    // Accepted for CLI symmetry with explore/localize; the report never
-    // depends on it.
-    let _jobs = opts.num("jobs", 1usize)?;
-    let (source, workload, procs, seed, flight_dropped, store) =
-        if let Some(path) = opts.flag("schedule") {
-            let (a, w) = load_artifact(path)?;
-            let mut session = Session::launch(SessionConfig::for_artifact(&a), w.factory);
-            quietly(|| session.run());
-            let (lost, store) = (session.engine().flight_dropped(), session.trace());
-            ("schedule", a.workload, a.procs, a.seed, lost, store)
-        } else {
-            let name = opts.arg()?;
-            let seed = opts.num("seed", 42u64)?;
-            match Input::resolve(name, seed, opts.num("procs", 8usize)?)? {
-                Input::Trace(trace) => {
-                    let plane = match trace {
-                        TraceInput::Mem(_) => "trace",
-                        TraceInput::Disk(_) => "store",
-                    };
-                    let store = trace.into_store()?;
-                    (plane, name.clone(), store.n_ranks(), 0, 0, store)
-                }
-                Input::Workload(w) => {
-                    let (mut engine, _) = run_metered(&w);
-                    let (lost, store) = (engine.flight_dropped(), engine.trace_store());
-                    ("workload", name.clone(), store.n_ranks(), seed, lost, store)
-                }
+    let (source, workload, procs, seed, store) = if let Some(path) = opts.flag("schedule") {
+        let (a, w) = load_artifact(path)?;
+        let mut session = Session::launch(SessionConfig::for_artifact(&a), w.factory);
+        quietly(|| session.run());
+        ("schedule", a.workload, a.procs, a.seed, session.trace())
+    } else {
+        let name = opts.arg()?;
+        let seed = opts.num("seed", 42u64)?;
+        match Input::resolve(name, seed, opts.num("procs", 8usize)?)? {
+            Input::Trace(trace) => {
+                let plane = match trace {
+                    TraceInput::Mem(_) => "trace",
+                    TraceInput::Disk(_) => "store",
+                };
+                let store = trace.into_store()?;
+                (plane, name.clone(), store.n_ranks(), 0, store)
             }
-        };
+            Input::Workload(w) => {
+                let store = run_full(&w, false).0.into_trace_store();
+                ("workload", name.clone(), store.n_ranks(), seed, store)
+            }
+        }
+    };
     let report = ProfileReport::build(
         &store,
         ProfileInput {
@@ -677,7 +762,7 @@ fn cmd_profile(opts: &Opts) -> Result<ExitCode, String> {
             workload: &workload,
             procs,
             seed,
-            flight_dropped,
+            flight_dropped: 0,
         },
     );
     emit_report(opts, || report.to_json(), || report.render())?;
@@ -709,7 +794,7 @@ fn cmd_stats(opts: &Opts) -> Result<ExitCode, String> {
         Input::Workload(w) => w,
     };
     let started = std::time::Instant::now();
-    let (mut engine, outcome) = run_metered(&workload);
+    let (mut engine, outcome) = run_full(&workload, true);
     let wall_ms = started.elapsed().as_millis() as u64;
     println!("outcome: {outcome:?}");
     let snapshot_ns = engine.snapshot_ns();
@@ -829,30 +914,14 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
         print!("{stats}");
         return Ok(ExitCode::SUCCESS);
     }
-    let mut selectors = Vec::new();
-    if opts.has("rank") {
-        selectors.push(Select::Rank(Rank(opts.num("rank", 0)?)));
-    }
-    if opts.has("tag") {
-        selectors.push(Select::Tag(Tag(opts.num("tag", 0)?)));
-    }
-    if let Some(code) = opts.flag("kind") {
-        let kind = EventKind::all()
-            .into_iter()
-            .find(|k| k.code() == code)
-            .ok_or_else(|| {
-                let codes: Vec<&str> = EventKind::all().into_iter().map(|k| k.code()).collect();
-                format!("unknown kind {code:?} (one of: {})", codes.join(" "))
-            })?;
-        selectors.push(Select::Kind(kind));
-    }
-    if let Some((lo, hi)) = opts.window()? {
-        selectors.push(Select::TimeWindow(lo, hi));
-    }
-    if selectors.len() > 1 {
-        return Err("give at most one of --rank/--tag/--kind/--window".into());
-    }
-    let sel = selectors.pop().unwrap_or(Select::All);
+    // The synopsis admits one selector at most, and a kind by its code.
+    let sel = match (opts.flag("kind"), opts.window()?) {
+        (Some(code), _) => Select::Kind(EventKind::from_code(code).expect("a listed code")),
+        (_, Some((lo, hi))) => Select::TimeWindow(lo, hi),
+        _ if opts.has("rank") => Select::Rank(Rank(opts.num("rank", 0)?)),
+        _ if opts.has("tag") => Select::Tag(Tag(opts.num("tag", 0)?)),
+        _ => Select::All,
+    };
     let (t_lo, t_hi) = disk.time_bounds();
     println!(
         "{dir}: {} events, {} ranks, t=[{t_lo}, {t_hi}] — {sel}",
@@ -1037,7 +1106,11 @@ mod tests {
         assert_eq!(takes("workloads", "json"), None);
         // The benchmark and verify.sh pass these.
         assert_eq!(takes("explore", "dpor"), Some(Takes::Nothing));
-        assert_eq!(takes("profile", "jobs"), Some(Takes::Value));
+        assert_eq!(
+            takes("profile", "jobs"),
+            None,
+            "the report never depended on it"
+        );
         assert_eq!(takes("debug", "checkpoint-every"), Some(Takes::Value));
     }
 
@@ -1060,6 +1133,83 @@ mod tests {
         assert_eq!(err("report", &["r.trc", "--out"]), no_value);
         assert!(err("run", &["ring", "--trace", "--procs", "4"]).starts_with("run --trace needs"));
         assert_eq!(usage("workloads"), "usage: tracedbg workloads");
+    }
+
+    /// What the synopsis says beyond the flags' names is enforced too:
+    /// how many positionals a verb takes, which flags exclude each other
+    /// and which values a flag admits.
+    #[test]
+    fn the_synopsis_is_the_whole_grammar() {
+        let grammar = |name| Grammar::read(verb(name).synopsis);
+        let positionals: Vec<(&str, usize)> = VERBS
+            .iter()
+            .map(|v| (v.name, grammar(v.name).positionals))
+            .collect();
+        for (name, n) in positionals {
+            let none = ["replay", "bench", "workloads"].contains(&name);
+            assert_eq!(n, usize::from(!none), "{name}");
+        }
+        assert_eq!(
+            grammar("graph").flag("format").unwrap().set,
+            Some("dot|vcg")
+        );
+        let codes: Vec<&str> = EventKind::all().into_iter().map(|k| k.code()).collect();
+        assert_eq!(
+            grammar("query").flag("kind").unwrap().set,
+            Some(&*codes.join("|"))
+        );
+        assert_eq!(grammar("query").flag("window").unwrap().set, None, "lo:hi");
+        assert_eq!(
+            grammar("localize").flag("trace").unwrap().set,
+            None,
+            "<a | b>"
+        );
+
+        let err = |name, args: &[&str]| parse(name, args).err().expect(name);
+        let usage = |name| verb(name).usage();
+        assert_eq!(
+            err("view", &["a.trc", "b.trc"]),
+            format!(
+                "view takes no further argument \"b.trc\" ({})",
+                usage("view")
+            )
+        );
+        assert!(err("bench", &["x"]).starts_with("bench takes no further argument \"x\""));
+        assert!(err("localize", &["w", "x"]).starts_with("localize takes no further"));
+        assert!(err("lint", &["rules", "t.trc"]).starts_with("lint takes no further"));
+        assert!(parse("lint", &["rules"]).is_ok());
+        assert!(parse("replay", &["--schedule", "a.json"]).is_ok());
+
+        assert_eq!(
+            err("analyze", &["sdl:pairs", "--json", "--dot"]),
+            format!(
+                "analyze takes --json or --dot, not both ({})",
+                usage("analyze")
+            )
+        );
+        let two = ["st", "--rank", "1", "--window", "0:5"];
+        assert!(err("query", &two).starts_with("query takes --rank or --window, not both"));
+        assert!(parse("query", &["st", "--rank", "1", "--limit", "3", "--count"]).is_ok());
+        assert!(
+            parse("analyze", &["t.trc", "--json", "--json"]).is_ok(),
+            "one flag twice"
+        );
+
+        let xyz = ["t.trc", "--kind", "call", "--format", "xyz"];
+        assert_eq!(
+            err("graph", &xyz),
+            format!(
+                "graph --format takes dot|vcg, not \"xyz\" ({})",
+                usage("graph")
+            )
+        );
+        assert!(err("graph", &["t.trc", "--kind", "cal"]).starts_with("graph --kind takes"));
+        assert!(err("explore", &["ring", "--strategy", "dfs"]).starts_with("explore --strategy"));
+        let vcg = parse("graph", &["t.trc", "--kind", "trace", "--format", "vcg"]).unwrap();
+        assert_eq!(
+            (vcg.flag("kind"), vcg.flag("format")),
+            (Some("trace"), Some("vcg"))
+        );
     }
 
     #[test]
@@ -1225,7 +1375,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(dir.join("empty-dir")).unwrap();
         let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
-        let store = run_metered(&Input::workload("ring", 1, 2).unwrap())
+        let store = run_full(&Input::workload("ring", 1, 2).unwrap(), false)
             .0
             .trace_store();
         write_trace_file(&at("t.trc"), &store).unwrap();

@@ -95,9 +95,24 @@ impl CommandInterface {
         }
     }
 
+    /// Every command [`CommandInterface::execute`] answers, as `help` lists
+    /// them: `<x>` is an argument, `[x]` an optional one. Kept beside the
+    /// match that dispatches them; a test holds the two together.
+    #[rustfmt::skip]
+    pub const COMMANDS: &'static [&'static str] = &[
+        "run", "continue", "step [rank]", "step <set-spec>", "markers", "where <rank>",
+        "probe <rank> <label>", "stopline t <ns>", "stopline markers <m...>", "replay", "undo",
+        "analyze", "restart", "break <func|file:line>", "watch <label> change",
+        "watch <label> == <v>", "watch <label> != <v>", "delete breaks", "why <rank>",
+        "setdef <name> <spec>", "sets", "find send to <N>", "find send from <N>",
+        "find recv on <N>", "find tag <T>", "find fn <F>", "find probe <L>", "verify", "pending",
+        "view [width]", "stats", "help",
+    ];
+
     fn execute_inner(&mut self, cmd: &str) -> String {
         let parts: Vec<&str> = cmd.split_whitespace().collect();
         match parts.as_slice() {
+            ["help"] => format!("> help\n  {}", Self::COMMANDS.join("\n  ")),
             ["run"] => {
                 self.session.run();
                 format!("> run\n{}", self.status_line())
@@ -437,6 +452,30 @@ mod tests {
             },
             factory,
         ))
+    }
+
+    /// Every command `help` lists reaches an arm of the dispatch, with and
+    /// without its optional argument.
+    #[test]
+    fn every_listed_command_dispatches() {
+        let mut ci = iface();
+        let help = ci.execute("help");
+        for usage in CommandInterface::COMMANDS {
+            assert!(help.lines().any(|l| l.trim() == *usage), "{usage}: {help}");
+            let words: Vec<&str> = usage.split(' ').collect();
+            let given = |w: &&'static str| if w.starts_with(['<', '[']) { "x" } else { *w };
+            let full: Vec<&str> = words.iter().map(given).collect();
+            let bare: Vec<&str> = words
+                .iter()
+                .copied()
+                .filter(|w| !w.starts_with('['))
+                .collect();
+            for cmd in [full.join(" "), bare.join(" ")] {
+                let reply = ci.execute(&cmd);
+                assert!(!reply.contains("unknown command"), "{cmd}: {reply}");
+            }
+        }
+        assert!(ci.execute("help me").contains("unknown command"));
     }
 
     #[test]

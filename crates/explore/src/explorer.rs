@@ -1,5 +1,6 @@
 //! The exploration strategies, finding pipeline, and report.
 
+use crate::flight;
 use crate::oracle::{self, Violation};
 use crate::pool::{run_windowed, RunTask, WorkerPool};
 use crate::runner::{
@@ -39,20 +40,6 @@ impl Strategy {
             Strategy::Random => "random",
             Strategy::Systematic => "systematic",
             Strategy::Both => "both",
-        }
-    }
-}
-
-impl std::str::FromStr for Strategy {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "random" => Ok(Strategy::Random),
-            "systematic" => Ok(Strategy::Systematic),
-            "both" => Ok(Strategy::Both),
-            other => Err(format!(
-                "unknown strategy '{other}' (random|systematic|both)"
-            )),
         }
     }
 }
@@ -649,9 +636,7 @@ impl Explorer {
         if self.digests.insert(res.digest) {
             if let Some(v) = oracle::check(res) {
                 if let Some(obs) = self.obs.as_mut() {
-                    *obs.oracle_triggers
-                        .entry(v.class().to_string())
-                        .or_default() += 1;
+                    *obs.oracle_triggers.entry(v.class.to_string()).or_default() += 1;
                 }
                 self.handle_violation(res, faults, v, strategy);
             }
@@ -863,7 +848,7 @@ impl Explorer {
         v: Violation,
         strategy: &'static str,
     ) {
-        let class = v.class().to_string();
+        let class = v.class.to_string();
         // One finding per class keeps reports and artifact sets small; the
         // first exposure is also the cheapest to shrink.
         if !self.classes_found.insert(class.clone()) {
@@ -897,18 +882,8 @@ impl Explorer {
             }
         }
         // Confirm: two scripted re-executions agree with each other and
-        // with the failure class. The first confirm run of a deadlock or
-        // panic is metered so its flight-recorder dump — the last engine
-        // decisions before the failure — rides along in the artifact.
-        let meter_confirm = class == CLASS_DEADLOCK || class == CLASS_PANIC;
-        let c1 = execute_task(
-            &self.source,
-            &RunTask {
-                policy: SchedPolicy::Scripted(shrunk.clone()),
-                faults: kept.clone(),
-                metrics: meter_confirm,
-            },
-        );
+        // with the failure class.
+        let c1 = execute(&self.source, SchedPolicy::Scripted(shrunk.clone()), &kept);
         let c2 = execute(&self.source, SchedPolicy::Scripted(shrunk.clone()), &kept);
         aux += 2;
         let confirmed = c1.class == class && c2.class == class && c1.digest == c2.digest;
@@ -919,12 +894,14 @@ impl Explorer {
         artifact.faults = kept;
         artifact.decisions = shrunk;
         artifact.failure = Some(class.clone());
-        if c1.class == class {
-            artifact.flight = c1.flight.map(|ring| ring.dump());
+        // A deadlock or panic carries the last engine decisions before the
+        // failure, rendered from the first confirm run.
+        if c1.class == class && (class == CLASS_DEADLOCK || class == CLASS_PANIC) {
+            artifact.flight = Some(flight::render(&c1, &artifact.faults));
         }
         self.findings.push(Finding {
             class,
-            detail: v.detail().to_string(),
+            detail: v.detail,
             found_on_run: self.runs_executed,
             strategy: strategy.to_string(),
             decisions_recorded: recorded,

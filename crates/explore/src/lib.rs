@@ -35,6 +35,7 @@
 //! one-core box), so a sequential search keeps one run result alive.
 
 pub mod explorer;
+pub mod flight;
 pub mod oracle;
 pub mod pool;
 pub mod runner;

@@ -1,42 +1,15 @@
 //! Failure oracles: decide whether a run is a violation worth keeping.
 
-use crate::runner::{RunResult, CLASS_DEADLOCK, CLASS_LINT, CLASS_PANIC};
+use crate::runner::{RunResult, CLASS_COMPLETED, CLASS_DEADLOCK, CLASS_LINT, CLASS_PANIC};
 use std::sync::OnceLock;
 use tracedbg_lint::{lint_trace, trace_rules, LintConfig, Severity};
 
-/// A confirmed oracle violation.
+/// A confirmed oracle violation: its failure class (a `CLASS_*`, the
+/// artifact's `failure`) and what happened.
 #[derive(Clone, Debug)]
-pub enum Violation {
-    /// The run stalled — cyclic wait or starvation.
-    Deadlock { cyclic: bool, detail: String },
-    /// A simulated process panicked (assertion probes land here).
-    Panic { detail: String },
-    /// The trace-level lint found definite errors on a completed run.
-    LintError { rules: Vec<String>, detail: String },
-    /// A scripted re-execution failed to reproduce the original run —
-    /// an infrastructure bug in the replay machinery itself.
-    ReplayDivergence { detail: String },
-}
-
-impl Violation {
-    /// The artifact failure-class string.
-    pub fn class(&self) -> &'static str {
-        match self {
-            Violation::Deadlock { .. } => CLASS_DEADLOCK,
-            Violation::Panic { .. } => CLASS_PANIC,
-            Violation::LintError { .. } => CLASS_LINT,
-            Violation::ReplayDivergence { .. } => crate::runner::CLASS_DIVERGENCE,
-        }
-    }
-
-    pub fn detail(&self) -> &str {
-        match self {
-            Violation::Deadlock { detail, .. }
-            | Violation::Panic { detail }
-            | Violation::LintError { detail, .. }
-            | Violation::ReplayDivergence { detail } => detail,
-        }
-    }
+pub struct Violation {
+    pub class: &'static str,
+    pub detail: String,
 }
 
 /// The trace rules that can report an error: a rule reports at its own
@@ -56,34 +29,19 @@ fn error_rules() -> &'static LintConfig {
 /// legitimately leaves unmatched sends and truncated histories behind, and
 /// flagging those would blame the injection rather than the program.
 pub fn check(run: &RunResult) -> Option<Violation> {
-    match run.class {
-        CLASS_DEADLOCK => {
-            return Some(Violation::Deadlock {
-                cyclic: run.cyclic,
-                detail: run.detail.clone(),
-            });
-        }
-        CLASS_PANIC => {
-            return Some(Violation::Panic {
-                detail: run.detail.clone(),
-            });
-        }
-        _ => {}
+    let violation = |class, detail| Some(Violation { class, detail });
+    if run.class == CLASS_DEADLOCK || run.class == CLASS_PANIC {
+        return violation(run.class, run.detail.clone());
     }
-    if run.class == crate::runner::CLASS_COMPLETED && !run.fault_fired {
+    if run.class == CLASS_COMPLETED && run.faulted.is_empty() {
         let diags = lint_trace(&run.store, error_rules());
-        let errors: Vec<_> = diags
+        let errors: Vec<&str> = diags
             .iter()
             .filter(|d| d.severity == Severity::Error)
+            .map(|d| d.message.as_str())
             .collect();
         if !errors.is_empty() {
-            let rules: Vec<String> = errors.iter().map(|d| d.rule.to_string()).collect();
-            let detail = errors
-                .iter()
-                .map(|d| d.message.clone())
-                .collect::<Vec<_>>()
-                .join("; ");
-            return Some(Violation::LintError { rules, detail });
+            return violation(CLASS_LINT, errors.join("; "));
         }
     }
     None

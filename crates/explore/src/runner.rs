@@ -2,10 +2,9 @@
 
 use crate::pool::RunTask;
 use tracedbg_instrument::RecorderConfig;
-use tracedbg_mpsim::{Engine, EngineConfig, EngineMetrics, FaultPlan, SchedPolicy};
-use tracedbg_obs::FlightRecorder;
+use tracedbg_mpsim::{Engine, EngineConfig, EngineMetrics, FaultPlan, RunOutcome, SchedPolicy};
 use tracedbg_trace::schedule::{Decision, DecisionPoint, Fault};
-use tracedbg_trace::{trace_digest, TraceStore};
+use tracedbg_trace::{trace_digest, Rank, TraceStore};
 
 /// Recreates the target program for each run (the explorer executes it
 /// many times).
@@ -22,8 +21,6 @@ pub struct RunResult {
     pub class: &'static str,
     /// Human-readable outcome detail.
     pub detail: String,
-    /// Whether the deadlock (if any) was a genuine circular wait.
-    pub cyclic: bool,
     /// The decisions the run actually made.
     pub decisions: Vec<Decision>,
     /// Decisions with their alternatives — the branch structure.
@@ -34,13 +31,12 @@ pub struct RunResult {
     pub store: TraceStore,
     /// Did a scripted policy fail to apply at some point?
     pub diverged: bool,
-    /// Did any injected fault actually silence a process?
-    pub fault_fired: bool,
+    /// The ranks an injected fault silenced.
+    pub faulted: Vec<Rank>,
+    /// The rank whose panic ended the run, if one did.
+    pub panicked: Option<Rank>,
     /// Engine telemetry, when the run was metered (`RunTask::metrics`).
     pub metrics: Option<Box<EngineMetrics>>,
-    /// Flight recorder of the run's last decisions, unrendered
-    /// ([`FlightRecorder::dump`]); present when the run was metered.
-    pub flight: Option<FlightRecorder>,
 }
 
 /// Execute the program once under `policy` + `faults` and summarize.
@@ -70,11 +66,12 @@ pub fn execute_task(source: &ProgramSource, task: &RunTask) -> RunResult {
     );
     let outcome = engine.run();
     let diverged = engine.schedule_diverged();
-    let fault_fired = !engine.faulted().is_empty();
-    let (metrics, flight) = engine
-        .take_telemetry()
-        .map(|(metrics, flight)| (Box::new(metrics), flight))
-        .unzip();
+    let faulted = engine.faulted().into_iter().map(|(rank, _)| rank).collect();
+    let panicked = match outcome {
+        RunOutcome::Panicked { rank, .. } => Some(rank),
+        _ => None,
+    };
+    let metrics = engine.take_metrics().map(Box::new);
     // The engine is done: take its trace and decision log, don't copy them.
     let (store, points) = engine.into_trace_and_decisions();
     let decisions = points.iter().map(|p| p.chosen).collect();
@@ -82,14 +79,13 @@ pub fn execute_task(source: &ProgramSource, task: &RunTask) -> RunResult {
     RunResult {
         class: outcome.class(),
         detail: outcome.detail(),
-        cyclic: outcome.is_cyclic(),
         decisions,
         points,
         digest,
         store,
         diverged,
-        fault_fired,
+        faulted,
+        panicked,
         metrics,
-        flight,
     }
 }

@@ -24,7 +24,7 @@ use crate::sched::{SchedPolicy, Scheduler};
 use crate::task::{Prog, TaskEnv, TaskHarness, TaskInterp, TaskProgram};
 use std::sync::Arc;
 use tracedbg_instrument::{Armed, Recorder, RecorderConfig};
-use tracedbg_obs::{EngineMetrics, FlightRecorder, Span, SpanKind};
+use tracedbg_obs::EngineMetrics;
 use tracedbg_trace::schedule::{
     Alternatives, Decision, DecisionPoint, RankSet, ReadyChanges, ReadyDelta,
 };
@@ -51,10 +51,9 @@ pub struct EngineConfig {
     /// Allow [`EngineCheckpoint`]s to be taken of this run
     /// ([`Engine::snapshot`], [`Engine::set_snapshot_at`]). Off by default.
     pub checkpoints: bool,
-    /// Collect per-rank/per-channel [`EngineMetrics`] and a flight-recorder
-    /// span ring during the run. Off by default; when off the engine holds
-    /// no telemetry state and every collection site is a single
-    /// `Option` check.
+    /// Collect per-rank/per-channel [`EngineMetrics`] during the run. Off
+    /// by default; when off the engine holds no telemetry state and every
+    /// collection site is a single `Option` check.
     pub metrics: bool,
 }
 
@@ -128,11 +127,6 @@ impl RunOutcome {
         }
     }
 
-    /// Is this a deadlock with a genuine circular wait?
-    pub fn is_cyclic(&self) -> bool {
-        matches!(self, RunOutcome::Deadlock(rep) if rep.is_cyclic())
-    }
-
     pub fn is_completed(&self) -> bool {
         matches!(self, RunOutcome::Completed)
     }
@@ -191,13 +185,9 @@ pub(crate) enum ProcState {
 /// fact and is surfaced separately through [`Engine::snapshot_ns`].
 struct EngineObs {
     metrics: EngineMetrics,
-    flight: FlightRecorder,
-    /// `turn_count` at the moment each rank posted its pending receive —
-    /// the subtrahend of the match-latency computation.
+    /// `metrics.turns` at the moment each rank posted its pending receive
+    /// — the subtrahend of the match-latency computation.
     block_turn: Vec<Option<u64>>,
-    /// Scheduler turns granted so far (the logical clock blocked-turn
-    /// accounting runs on).
-    turn_count: u64,
     /// Wall-clock nanoseconds spent inside [`Engine::snapshot`].
     snapshot_ns: u64,
 }
@@ -206,9 +196,7 @@ impl EngineObs {
     fn new(n: usize) -> Box<Self> {
         Box::new(EngineObs {
             metrics: EngineMetrics::new(n),
-            flight: FlightRecorder::new(),
             block_turn: vec![None; n],
-            turn_count: 0,
             snapshot_ns: 0,
         })
     }
@@ -346,24 +334,6 @@ impl Engine {
         engine
     }
 
-    /// With telemetry on, record a flight span at the current decision
-    /// index and keep the exact overflow count visible in the metrics (so
-    /// `MetricsReport` consumers never have to parse the dump's "... N
-    /// earlier spans dropped" text note).
-    fn span(&mut self, kind: SpanKind, sim_time: u64, [a, b, c]: [u64; 3]) {
-        if let Some(o) = self.obs.as_mut() {
-            o.flight.record(Span {
-                decision: self.st.decision_log.len() as u64,
-                sim_time,
-                kind,
-                a,
-                b,
-                c,
-            });
-            o.metrics.flight_dropped = o.flight.dropped();
-        }
-    }
-
     /// Move `rank` to `state` — the one writer of `states` — and return
     /// the state it left.
     fn set_state(&mut self, rank: Rank, state: ProcState) -> ProcState {
@@ -462,10 +432,8 @@ impl Engine {
             }
             self.st.decision_log.push(point);
             if let Some(o) = self.obs.as_mut() {
-                o.turn_count += 1;
                 o.metrics.turns += 1;
             }
-            self.span(SpanKind::Turn, 0, [p.0 as u64, 0, 0]);
             let reply = match self.set_state(p, ProcState::Running) {
                 ProcState::Ready(r) => r,
                 other => unreachable!("granted non-ready process in state {other:?}"),
@@ -569,8 +537,6 @@ impl Engine {
                             o.metrics.recvs[rank.ix()] += 1;
                         }
                     }
-                    let ops = self.st.ops[rank.ix()];
-                    self.span(SpanKind::Fault, 0, [rank.0 as u64, ops, 0]);
                     return;
                 }
             }
@@ -631,15 +597,9 @@ impl Engine {
                 );
                 if let Some(o) = self.obs.as_mut() {
                     o.metrics.recvs[rank.ix()] += 1;
-                    o.block_turn[rank.ix()] = Some(o.turn_count);
+                    o.block_turn[rank.ix()] = Some(o.metrics.turns);
                 }
                 self.try_match(rank);
-                // Still blocked: log the wait the flight recorder will show
-                // if the run never delivers it (the deadlock picture).
-                if let ProcState::Blocked { spec, t_post, .. } = self.st.states[rank.ix()] {
-                    let from = spec.src.map_or(u64::MAX, |s| s.0 as u64);
-                    self.span(SpanKind::Block, t_post, [rank.0 as u64, from, 0]);
-                }
             }
             Request::Collective {
                 kind,
@@ -677,14 +637,12 @@ impl Engine {
             }
             Request::MarkerTrap { marker } => {
                 self.set_state(rank, ProcState::Trapped { marker });
-                self.span(SpanKind::Trap, 0, [rank.0 as u64, marker, 0]);
             }
             Request::Finished { .. } => {
                 self.set_state(rank, ProcState::Finished);
             }
             Request::Panicked { message } => {
                 self.set_state(rank, ProcState::Panicked(message));
-                self.span(SpanKind::Panic, 0, [rank.0 as u64, 0, 0]);
             }
         }
     }
@@ -733,14 +691,12 @@ impl Engine {
             // posted and matched within the same turn scores 0; the stamp
             // defaults to "now" for matches delivered by the post-restore
             // sweep, where no post was observed by this incarnation.
-            let posted = o.block_turn[dst.ix()].take().unwrap_or(o.turn_count);
-            let latency = o.turn_count - posted;
+            let turns = o.metrics.turns;
+            let latency = turns - o.block_turn[dst.ix()].take().unwrap_or(turns);
             o.metrics.matches += 1;
             o.metrics.blocked_turns[dst.ix()] += latency;
             o.metrics.match_latency.record(latency);
         }
-        let ids = [dst.0 as u64, env.src.0 as u64, env.seq];
-        self.span(SpanKind::Match, t_done, ids);
         // A synchronous sender rendezvouses here: it completes at the
         // same instant the receive does.
         if env.synchronous {
@@ -1186,21 +1142,7 @@ impl Engine {
 
     /// Detach the collected metrics, leaving telemetry disabled.
     pub fn take_metrics(&mut self) -> Option<EngineMetrics> {
-        self.take_telemetry().map(|(metrics, _)| metrics)
-    }
-
-    /// Detach the collected metrics and the flight recorder — the last
-    /// spans leading to the current state, unrendered
-    /// ([`FlightRecorder::dump`] renders them) — leaving telemetry
-    /// disabled.
-    pub fn take_telemetry(&mut self) -> Option<(EngineMetrics, FlightRecorder)> {
-        self.obs.take().map(|o| (o.metrics, o.flight))
-    }
-
-    /// Exact flight-recorder spans lost to ring overflow (0 when
-    /// telemetry is disabled).
-    pub fn flight_dropped(&self) -> u64 {
-        self.obs.as_deref().map_or(0, |o| o.flight.dropped())
+        self.obs.take().map(|o| o.metrics)
     }
 
     /// Wall-clock nanoseconds spent taking snapshots (0 when disabled).

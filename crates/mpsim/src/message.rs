@@ -1,4 +1,4 @@
-//! Messages in flight and receive match specifications.
+//! Messages in transit and receive match specifications.
 
 use crate::payload::Payload;
 use serde::{Deserialize, Serialize};

@@ -329,7 +329,7 @@ impl<S: Send + Sync + 'static> Prog<S> {
 enum Frame<S> {
     /// A `Seq` node with the index of the next child to enter.
     Seq { node: Prog<S>, idx: usize },
-    /// A counted loop mid-flight.
+    /// A counted loop part-way through.
     For { node: Prog<S>, cur: i64, end: i64 },
     /// A `While` node (condition re-checked each pass).
     While { node: Prog<S> },

@@ -1,17 +1,18 @@
 //! Bounded span ring-buffer — the "flight recorder".
 //!
 //! Keeps the last N engine-level spans (turn grants, matches, blocks,
-//! faults, traps, panics) as purely *numeric* records keyed by decision
-//! index and simulated time, never wall clock. Rendering to text happens
-//! only at [`FlightRecorder::dump`], so recording is a couple of array
-//! stores and the dump of a failing run is byte-identical no matter which
-//! worker or job count produced it.
+//! faults, panics) as purely *numeric* records keyed by decision
+//! index and simulated time, never wall clock. The engine records none:
+//! the explorer rebuilds a failing run's spans from its decision log and
+//! trace and feeds them through here, so the dump of a failing run is
+//! byte-identical no matter which worker or job count produced it.
+//! Rendering to text happens only at [`FlightRecorder::dump`].
 
-use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
-/// What a recorded span describes. Argument meaning per kind is fixed by
-/// the `Display`-style rendering in [`Span::render`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// What a recorded span describes, in the order one decision's lines go
+/// (its turn or match, then what followed). Arguments: [`Span::render`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpanKind {
     /// A rank was granted a turn: `a` = rank.
     Turn,
@@ -23,31 +24,15 @@ pub enum SpanKind {
     /// An injected fault fired: `a` = rank, `b` = op index, `c` = extra
     /// delay.
     Fault,
-    /// A marker threshold trap: `a` = rank, `b` = marker count.
-    Trap,
     /// A process panicked: `a` = rank.
     Panic,
 }
 
-impl SpanKind {
-    fn code(self) -> &'static str {
-        match self {
-            SpanKind::Turn => "turn",
-            SpanKind::Match => "match",
-            SpanKind::Block => "block",
-            SpanKind::Fault => "fault",
-            SpanKind::Trap => "trap",
-            SpanKind::Panic => "panic",
-        }
-    }
-}
-
-/// One flight-recorder entry. All-numeric so recording never allocates
-/// and the serialized form is deterministic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// One flight-recorder entry, all-numeric.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Span {
-    /// Decision-log length when the span was recorded (the logical clock
-    /// the replayer understands).
+    /// Decision-log length when the span happened (the logical clock the
+    /// replayer understands).
     pub decision: u64,
     /// Simulated time (ns).
     pub sim_time: u64,
@@ -60,25 +45,20 @@ pub struct Span {
 impl Span {
     /// Render one span as a stable text line.
     pub fn render(&self) -> String {
-        let head = format!(
-            "d{:<6} t{:<8} {:<5}",
-            self.decision,
-            self.sim_time,
-            self.kind.code()
-        );
+        let code = match self.kind {
+            SpanKind::Turn => "turn",
+            SpanKind::Match => "match",
+            SpanKind::Block => "block",
+            SpanKind::Fault => "fault",
+            SpanKind::Panic => "panic",
+        };
+        let head = format!("d{:<6} t{:<8} {code:<5}", self.decision, self.sim_time);
         match self.kind {
-            SpanKind::Turn => format!("{head} rank={}", self.a),
+            SpanKind::Turn | SpanKind::Panic => format!("{head} rank={}", self.a),
             SpanKind::Match => format!("{head} dst={} src={} seq={}", self.a, self.b, self.c),
-            SpanKind::Block => {
-                if self.b == u64::MAX {
-                    format!("{head} rank={} from=*", self.a)
-                } else {
-                    format!("{head} rank={} from={}", self.a, self.b)
-                }
-            }
+            SpanKind::Block if self.b == u64::MAX => format!("{head} rank={} from=*", self.a),
+            SpanKind::Block => format!("{head} rank={} from={}", self.a, self.b),
             SpanKind::Fault => format!("{head} rank={} op={} delay={}", self.a, self.b, self.c),
-            SpanKind::Trap => format!("{head} rank={} marker={}", self.a, self.b),
-            SpanKind::Panic => format!("{head} rank={}", self.a),
         }
     }
 }
@@ -89,10 +69,8 @@ pub const FLIGHT_CAP: usize = 64;
 /// Bounded ring of the most recent [`Span`]s.
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
-    ring: Vec<Span>,
+    ring: VecDeque<Span>,
     cap: usize,
-    /// Index of the oldest entry once the ring has wrapped.
-    head: usize,
     /// Total spans ever recorded (≥ `ring.len()`).
     total: u64,
 }
@@ -104,31 +82,25 @@ impl FlightRecorder {
 
     pub fn with_capacity(cap: usize) -> Self {
         let cap = cap.max(1);
+        let ring = VecDeque::with_capacity(cap);
         FlightRecorder {
-            ring: Vec::with_capacity(cap),
+            ring,
             cap,
-            head: 0,
             total: 0,
         }
     }
 
     pub fn record(&mut self, span: Span) {
-        if self.ring.len() < self.cap {
-            self.ring.push(span);
-        } else {
-            self.ring[self.head] = span;
-            self.head = (self.head + 1) % self.cap;
+        if self.ring.len() == self.cap {
+            self.ring.pop_front();
         }
+        self.ring.push_back(span);
         self.total += 1;
     }
 
     /// Spans currently retained, oldest first.
     pub fn spans(&self) -> Vec<Span> {
-        let mut out = Vec::with_capacity(self.ring.len());
-        for i in 0..self.ring.len() {
-            out.push(self.ring[(self.head + i) % self.ring.len()]);
-        }
-        out
+        self.ring.iter().copied().collect()
     }
 
     /// Total spans ever recorded (including evicted ones).
@@ -136,9 +108,7 @@ impl FlightRecorder {
         self.total
     }
 
-    /// Exact number of spans evicted by ring overflow. Zero until the
-    /// `cap+1`-th record; surfaced numerically in `MetricsReport` /
-    /// `ProfileReport` so consumers need not parse the dump's text note.
+    /// Exact number of spans evicted by ring overflow.
     pub fn dropped(&self) -> u64 {
         self.total - self.ring.len() as u64
     }
@@ -154,15 +124,11 @@ impl FlightRecorder {
     /// Render the retained spans as text lines, oldest first. The first
     /// line notes how many spans were dropped, if any.
     pub fn dump(&self) -> Vec<String> {
-        let mut out = Vec::with_capacity(self.ring.len() + 1);
         let dropped = self.dropped();
-        if dropped > 0 {
-            out.push(format!("... {dropped} earlier spans dropped"));
-        }
-        for s in self.spans() {
-            out.push(s.render());
-        }
-        out
+        let note = (dropped > 0).then(|| format!("... {dropped} earlier spans dropped"));
+        note.into_iter()
+            .chain(self.ring.iter().map(Span::render))
+            .collect()
     }
 }
 

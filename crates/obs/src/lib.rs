@@ -4,7 +4,8 @@
 //! blocking time, intrusion overhead — alongside the trace itself, and
 //! the NTV/VK views render them. This crate is that statistics plane:
 //! counters, high-water gauges, fixed log-2-bucket [`Histogram`]s, a
-//! bounded [`FlightRecorder`] span ring, the [`MetricsReport`] JSON
+//! bounded [`FlightRecorder`] span ring (what an explore finding's last
+//! decisions render through), the [`MetricsReport`] JSON
 //! schema every `tracedbg` surface exports through, and the [`sealed`]
 //! envelope every digest-sealed report is written and loaded through.
 //!

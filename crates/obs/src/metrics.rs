@@ -45,9 +45,6 @@ pub struct EngineMetrics {
     /// Distribution of replay-delta lengths (decisions re-executed per
     /// delta replay).
     pub replay_delta: Histogram,
-    /// Spans evicted from the bounded flight recorder by ring overflow —
-    /// exact, so consumers know how much of the span history is gone.
-    pub flight_dropped: u64,
 }
 
 impl EngineMetrics {
@@ -64,7 +61,6 @@ impl EngineMetrics {
             channels: vec![Vec::new(); nprocs],
             match_latency: Histogram::new(),
             replay_delta: Histogram::new(),
-            flight_dropped: 0,
         }
     }
 
@@ -111,7 +107,6 @@ impl EngineMetrics {
         }
         self.match_latency.merge(&other.match_latency);
         self.replay_delta.merge(&other.replay_delta);
-        self.flight_dropped += other.flight_dropped;
     }
 
     fn widen(&mut self, n: usize) {

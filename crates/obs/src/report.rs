@@ -20,10 +20,11 @@ use serde::{Deserialize, Serialize};
 pub const METRICS_VERSION: u32 = 1;
 
 /// Schema revision of the report *shape*. Bumped whenever fields are
-/// added or change form (3: `engine.channels` holds per-source rows of
-/// `[dst, msgs, bytes]` in place of two ranks × ranks matrices), so a
-/// consumer can tell which fields to expect.
-pub const METRICS_SCHEMA_VERSION: u32 = 3;
+/// added, removed or change form (3: `engine.channels` holds per-source
+/// rows of `[dst, msgs, bytes]` in place of two ranks × ranks matrices;
+/// 4: `engine.flight_dropped` is gone, the engine keeps no span ring), so
+/// a consumer can tell which fields to expect.
+pub const METRICS_SCHEMA_VERSION: u32 = 4;
 
 /// Top-level telemetry export. Write-only: nothing in the tree decodes a
 /// metrics report.
@@ -264,7 +265,7 @@ mod tests {
         }
         // The top-level keys, in the order consumers have always read.
         let head = format!(
-            "{{\"version\":1,\"schema_version\":3,\"source\":\"explore\",\"workload\":\"ring\",\
+            "{{\"version\":1,\"schema_version\":4,\"source\":\"explore\",\"workload\":\"ring\",\
              \"procs\":4,\"seed\":42,\"jobs\":4,\"event\":{}",
             serde_json::to_string(&report.event).unwrap()
         );

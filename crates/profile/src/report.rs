@@ -2,9 +2,9 @@
 //!
 //! Like `LocalizeReport`, everything in the report derives from the trace
 //! records alone — never from wall-clock time, worker identity, or job
-//! count — so `tracedbg profile --jobs N` is byte-identical for every `N`
-//! and for every input plane (`.trc` text, `.tbin`, DiskStore directory)
-//! that delivers the same records. The `digest` field (FNV-1a over the
+//! count — so `tracedbg profile` is byte-identical for every input plane
+//! (a workload run, `.trc` text, `.tbin`, DiskStore directory) that
+//! delivers the same records, but for the fields naming the input. The `digest` field (FNV-1a over the
 //! report serialized with `digest` zeroed, sealed and checked by
 //! `tracedbg_obs::sealed`) makes that contract checkable with a `grep`.
 //! The report deliberately has **no** `jobs` field.
@@ -111,8 +111,8 @@ pub struct ProfileReport {
     pub busy_total: u64,
     /// Σ per-rank wait, ns.
     pub wait_total: u64,
-    /// Flight-recorder records dropped by ring overflow during the run
-    /// that produced this trace (0 when profiling a stored trace).
+    /// Always 0 (the engine keeps no span ring); goes with the next
+    /// `PROFILE_VERSION` bump.
     pub flight_dropped: u64,
     pub ranks: Vec<RankProfile>,
     /// Per-kind totals over *all* waits, keyed by kind, sorted by kind.
@@ -144,6 +144,7 @@ pub struct ProfileInput<'a> {
     pub workload: &'a str,
     pub procs: usize,
     pub seed: u64,
+    /// Always 0 ([`ProfileReport::flight_dropped`]).
     pub flight_dropped: u64,
 }
 

@@ -49,12 +49,6 @@ impl ProfileReport {
             ns(self.busy_total),
             ns(self.wait_total)
         ));
-        if self.flight_dropped > 0 {
-            out.push_str(&format!(
-                "flight recorder dropped {} spans\n",
-                self.flight_dropped
-            ));
-        }
         if !self.wait_kinds.is_empty() {
             out.push_str("wait states:\n");
             for k in &self.wait_kinds {
@@ -140,7 +134,6 @@ mod tests {
             critical_path_len: 80_000,
             busy_total: 220_000,
             wait_total: 60_000,
-            flight_dropped: 3,
             ranks: vec![
                 rank_row(0, 70_000, 10_000, 40_000, 50_000),
                 rank_row(1, 50_000, 50_000, 0, 30_000),
@@ -165,7 +158,6 @@ mod tests {
         assert!(s.contains("profile ring:4 — 4 ranks, 40 events"), "{s}");
         assert!(s.contains("critical path 80.0us (80% of makespan)"), "{s}");
         assert!(s.contains("late-sender"), "{s}");
-        assert!(s.contains("flight recorder dropped 3 spans"), "{s}");
         // Rank 0 is most blamed: first row, full bar.
         let row0 = s.lines().find(|l| l.starts_with("P0")).unwrap();
         assert_eq!(row0.chars().filter(|&c| c == '#').count(), BAR_WIDTH);

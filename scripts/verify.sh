@@ -68,6 +68,18 @@ expect_error 'run takes no flag --porcs (usage: tracedbg run ' run ring --porcs 
 expect_error 'run takes no flag --metrics' run stencil --metrics F
 expect_error 'racy-wildcard runs at most 16 ranks, not 64' explore racy-wildcard --procs 64
 expect_error 'bad --window 5:1: lo > hi' view tests/golden/ring.trc --window 5:1
+# ... and so is what else the synopsis rules out: a surplus positional,
+# two flags of one [--a | --b] group, a value outside a declared set.
+expect_error 'view takes no further argument "tests/golden/nope.trc"' \
+  view tests/golden/ring.trc tests/golden/nope.trc
+expect_error 'bench takes no further argument "x"' bench x
+expect_error 'analyze takes --json or --dot, not both' analyze sdl:pairs --json --dot
+expect_error 'query takes --rank or --tag, not both' query tests/golden/store/lu --rank 1 --tag 2
+expect_error 'graph --format takes dot|vcg, not "xyz"' \
+  graph tests/golden/strassen.trc --kind call --format xyz
+expect_error 'explore --strategy takes random|systematic|both, not "dfs"' \
+  explore ring --strategy dfs
+expect_error 'profile takes no flag --jobs' profile ring --jobs 2
 # ... a boolean flag never takes the next word as its value ...
 "$bin" lint --json tests/golden/ring.trc >/dev/null
 # ... and `--help` or a refused flag runs no verb: `bench` in an empty
@@ -529,28 +541,28 @@ done
   | grep -q 'stopped at the divergence frontier' \
   || { echo "replay --to-suspect did not reach the frontier" >&2; exit 1; }
 
-echo "==> profile smoke: wait/blame report, --jobs identity, Perfetto export, frontier replay"
+echo "==> profile smoke: wait/blame report, rerun identity, Perfetto export, frontier replay"
 rm -rf target/verify_profile && mkdir -p target/verify_profile
 # Profile the planted-bug artifact the localize stage produced: the
-# planted rank must carry blame, and the report must be --jobs-invariant.
-for jobs in 1 4; do
-  ./target/release/tracedbg profile --schedule "$art" --jobs "$jobs" --json \
-    > "target/verify_profile/report_j${jobs}.json" \
-    || { echo "profile --jobs $jobs failed on $art" >&2; exit 1; }
+# planted rank must carry blame, and two runs must give one report.
+for pass in 1 2; do
+  ./target/release/tracedbg profile --schedule "$art" --json \
+    > "target/verify_profile/report_${pass}.json" \
+    || { echo "profile pass $pass failed on $art" >&2; exit 1; }
 done
-cmp -s target/verify_profile/report_j1.json target/verify_profile/report_j4.json \
-  || { echo "profile report diverged across --jobs" >&2; exit 1; }
+cmp -s target/verify_profile/report_1.json target/verify_profile/report_2.json \
+  || { echo "profile report diverged between two runs" >&2; exit 1; }
 # Schema and invariant checks on the sealed report.
 jq -e '.version and .makespan >= .critical_path_len
        and .busy_total + .wait_total >= .makespan
        and (.ranks | length) == .procs
        and (.blame | length) == .procs
        and (.frontier_markers | length) == .procs
-       and .digest > 0' target/verify_profile/report_j1.json >/dev/null \
+       and .digest > 0' target/verify_profile/report_1.json >/dev/null \
   || { echo "profile report failed the schema/invariant check" >&2; exit 1; }
 # The planted rank must rank in the top-2 of the blame vector.
 jq -e '[.ranks[] | {rank, blamed}] | sort_by(-.blamed) | .[0:2] | map(.rank) | index(2) != null' \
-    target/verify_profile/report_j1.json >/dev/null \
+    target/verify_profile/report_1.json >/dev/null \
   || { echo "planted rank 2 is not in the top-2 of the blame ranking" >&2; exit 1; }
 # A .trc trace and its ingested store directory must profile identically.
 ./target/release/tracedbg profile target/verify_localize/fail.trc --json \
@@ -591,7 +603,7 @@ echo "==> metrics smoke: schema keys, cross-jobs digest identity, disabled-path 
 rm -rf target/verify_metrics && mkdir -p target/verify_metrics
 ./target/release/tracedbg stats ring --procs 4 \
   --metrics target/verify_metrics/stats.json >/dev/null
-for key in '"version"' '"schema_version":3' '"source"' '"workload"' '"procs"' \
+for key in '"version"' '"schema_version":4' '"source"' '"workload"' '"procs"' \
     '"seed"' '"jobs"' '"event"' '"event_digest"' '"timing"' '"engine"' '"channels"' \
     '"wall_ms"'; do
   grep -q "$key" target/verify_metrics/stats.json \
@@ -675,7 +687,7 @@ cmp -s target/verify_wide/sa.trc target/verify_wide/sb.trc \
   || { echo "lint of a 1024-rank stencil trace does not fit in 128 MiB" >&2; exit 1; }
 # A metered run's channel counters cover the channels it used, and a
 # decision point stores what changed in the ready set, not the set: `run`
-# (a live session, always metered) of a 4096-rank stencil fits in 80 MiB
+# (one plain engine run) of a 4096-rank stencil fits in 80 MiB
 # (floor ≈ 52 MiB; with a ready set copied into every `Turn` point it
 # needed more than 112), `stats --metrics` of it in 128 MiB (with ranks ×
 # ranks counters both aborted at 256), and `run` of a 16384-rank stencil

@@ -971,3 +971,31 @@ fn localize_reports_the_same_from_a_trc_and_its_store_at_64_ranks() {
     assert_eq!(localize("fail-store"), from_file);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A profile is a function of the trace alone: profiling a workload and
+/// profiling that run's `.tbin` give one report but for the fields that
+/// name the input (`source`, `workload`, `seed`) and the digest that
+/// seals them. The engine once kept a span ring whose overflow count
+/// (2760 here) rode along in the report of the run but not of its file.
+#[test]
+fn a_profile_does_not_depend_on_its_input_plane() {
+    let dir = scratch_dir("profile-plane");
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &[&str]| -> String {
+        let (code, out, err) = tracedbg_in(&dir, args);
+        assert_eq!(code, Some(0), "{args:?}: {err}");
+        out
+    };
+    run(&["run", "stencil", "--procs", "64", "--trace", "s.tbin"]);
+    let report = |args: &[&str]| {
+        let mut r = ProfileReport::from_json(run(args).trim()).expect("a sealed report");
+        assert!(r.digest_ok(), "{args:?}");
+        (r.source, r.workload, r.seed, r.digest) = Default::default();
+        r
+    };
+    let from_run = report(&["profile", "stencil", "--procs", "64", "--json"]);
+    let from_file = report(&["profile", "s.tbin", "--json"]);
+    assert_eq!(from_run.procs, 64);
+    assert_eq!(from_run, from_file);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
