@@ -405,8 +405,9 @@ fn suite_engine(opts: &SuiteOptions) -> Suite {
     for (name, rcfg, metrics) in [
         ("ring_instr_off", RecorderConfig::off(), false),
         ("ring_instr_full", RecorderConfig::full(), false),
-        // The obs pair: same workload and recorder, telemetry toggled.
-        // DESIGN.md §10 quotes the delta; the contract is <5% on medians.
+        // The obs pair: same workload and recorder, the run's metrics
+        // derived after it or not. DESIGN.md §10 quotes the delta; the
+        // contract is <5% on medians.
         ("ring_metrics_off", RecorderConfig::full(), false),
         ("ring_metrics_on", RecorderConfig::full(), true),
     ] {
@@ -421,14 +422,13 @@ fn suite_engine(opts: &SuiteOptions) -> Suite {
         };
         records.push(measure(name, 1, p, || {
             let mut e = Engine::launch(
-                EngineConfig {
-                    recorder: rcfg.clone(),
-                    metrics,
-                    ..Default::default()
-                },
+                EngineConfig::with_recorder(rcfg.clone()),
                 ring::programs(&cfg),
             );
             assert!(e.run().is_completed());
+            if metrics {
+                std::hint::black_box(e.take_metrics());
+            }
         }));
     }
     // What the interpreter and the engine cost with no recording at all,
@@ -497,7 +497,8 @@ fn suite_engine(opts: &SuiteOptions) -> Suite {
         }));
     }
     // The obs pair at width: a 4096-rank stencil uses 4 channels per rank,
-    // so metering must cost per event, not per ranks² (DESIGN.md §10); at
+    // so deriving its metrics must cost per event, not per ranks²
+    // (DESIGN.md §10); at
     // 16384 ranks a run costs ~4x the 4096-rank one only while a decision
     // point stores what changed in the ready set, not the set.
     for (name, p, metrics) in [
@@ -512,14 +513,13 @@ fn suite_engine(opts: &SuiteOptions) -> Suite {
         let cfg = wide::StencilConfig { p, steps: 1 };
         records.push(measure(name, 1, wp, || {
             let mut e = Engine::launch(
-                EngineConfig {
-                    recorder: RecorderConfig::full(),
-                    metrics,
-                    ..Default::default()
-                },
+                EngineConfig::with_recorder(RecorderConfig::full()),
                 wide::stencil_programs(&cfg),
             );
             assert!(e.run().is_completed());
+            if metrics {
+                std::hint::black_box(e.take_metrics());
+            }
         }));
     }
     Suite {

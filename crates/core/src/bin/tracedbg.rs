@@ -58,7 +58,7 @@ const VERBS: &[Verb] = &[
         [--runs N] [--seed N] [--jobs N] [--procs N] [--explore-runs N] \
         [--trace <trace.trc | trace.tbin | store-dir>] [--out FILE] [--json]" },
     Verb { name: "replay", run: replay::cmd_replay, synopsis: "--schedule FILE \
-        [--from-checkpoint] [--to-suspect REPORT] [--to-critical-path REPORT] [--trace FILE] [--json]" },
+        [--from-checkpoint | --to-suspect REPORT | --to-critical-path REPORT] [--trace FILE] [--json]" },
     Verb { name: "profile", run: cmd_profile, synopsis: "(<workload> | <trace.trc | trace.tbin \
         | store-dir> | --schedule FILE) [--seed N] [--procs N] [--out FILE] [--json] \
         [--perfetto FILE]" },
@@ -357,13 +357,9 @@ fn workload_arg(opts: &Opts) -> Result<(String, u64, Workload), String> {
 }
 
 /// Run a workload once under the full recorder (the `profile` and
-/// `stats` verbs), with engine telemetry on if `metrics`.
-fn run_full(workload: &Workload, metrics: bool) -> (Engine, RunOutcome) {
-    let cfg = EngineConfig {
-        recorder: RecorderConfig::full(),
-        metrics,
-        ..Default::default()
-    };
+/// `stats` verbs).
+fn run_full(workload: &Workload) -> (Engine, RunOutcome) {
+    let cfg = EngineConfig::with_recorder(RecorderConfig::full());
     let mut engine = Engine::launch(cfg, (workload.factory)());
     let outcome = engine.run();
     (engine, outcome)
@@ -750,7 +746,7 @@ fn cmd_profile(opts: &Opts) -> Result<ExitCode, String> {
                 (plane, name.clone(), store.n_ranks(), 0, store)
             }
             Input::Workload(w) => {
-                let store = run_full(&w, false).0.into_trace_store();
+                let store = run_full(&w).0.into_trace_store();
                 ("workload", name.clone(), store.n_ranks(), seed, store)
             }
         }
@@ -776,14 +772,20 @@ fn cmd_profile(opts: &Opts) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `tracedbg stats` — run a workload once with engine telemetry on and
-/// show the AIMS-statistics-style per-rank profile (message volume, wait
-/// turns); `--metrics` additionally writes the machine-readable
-/// [`MetricsReport`] JSON.
+/// `tracedbg stats` — run a workload once and show the
+/// AIMS-statistics-style per-rank profile (message volume, wait turns)
+/// derived from its trace and decision log; `--metrics` additionally
+/// writes the machine-readable [`MetricsReport`] JSON.
 fn cmd_stats(opts: &Opts) -> Result<ExitCode, String> {
     let name = opts.arg()?;
     let seed = opts.num("seed", 42u64)?;
     let workload = match Input::resolve(name, seed, opts.num("procs", 8usize)?)? {
+        Input::Trace(_) if opts.has("metrics") => {
+            return Err(format!(
+                "stats --metrics needs a workload: a recorded trace has no decision log \
+                 to derive engine metrics from ({name} is a trace)"
+            ))
+        }
         // Recorded-trace mode: stream the statistics off any trace plane
         // through `TraceSource` — a store directory is never materialized.
         Input::Trace(trace) => {
@@ -794,11 +796,10 @@ fn cmd_stats(opts: &Opts) -> Result<ExitCode, String> {
         Input::Workload(w) => w,
     };
     let started = std::time::Instant::now();
-    let (mut engine, outcome) = run_full(&workload, true);
+    let (engine, outcome) = run_full(&workload);
     let wall_ms = started.elapsed().as_millis() as u64;
     println!("outcome: {outcome:?}");
-    let snapshot_ns = engine.snapshot_ns();
-    let m = engine.take_metrics().expect("a metered run");
+    let m = engine.take_metrics().expect("a run derives its metrics");
     print!("{}", render_rank_profile(&m));
     if opts.has("metrics") {
         let nprocs = m.nprocs() as u64;
@@ -815,7 +816,6 @@ fn cmd_stats(opts: &Opts) -> Result<ExitCode, String> {
             },
             tracedbg::obs::TimingMetrics {
                 wall_ms: wall_ms.max(1),
-                snapshot_ns,
                 ..Default::default()
             },
         );
@@ -1179,6 +1179,23 @@ mod tests {
         assert!(err("lint", &["rules", "t.trc"]).starts_with("lint takes no further"));
         assert!(parse("lint", &["rules"]).is_ok());
         assert!(parse("replay", &["--schedule", "a.json"]).is_ok());
+        let two_modes = [
+            "--schedule",
+            "a",
+            "--to-suspect",
+            "r",
+            "--to-critical-path",
+            "p",
+        ];
+        assert_eq!(
+            err("replay", &two_modes),
+            format!(
+                "replay takes --to-suspect or --to-critical-path, not both ({})",
+                usage("replay")
+            )
+        );
+        let checkpoint = ["--schedule", "a", "--from-checkpoint", "--to-suspect", "r"];
+        assert!(err("replay", &checkpoint).starts_with("replay takes --from-checkpoint or"));
 
         assert_eq!(
             err("analyze", &["sdl:pairs", "--json", "--dot"]),
@@ -1375,7 +1392,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(dir.join("empty-dir")).unwrap();
         let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
-        let store = run_full(&Input::workload("ring", 1, 2).unwrap(), false)
+        let store = run_full(&Input::workload("ring", 1, 2).unwrap())
             .0
             .trace_store();
         write_trace_file(&at("t.trc"), &store).unwrap();

@@ -47,6 +47,10 @@ pub(crate) struct Backlog {
     stop_count: usize,
     /// Survives [`Backlog::clear`]: the counters describe the session.
     pub(crate) stats: CacheLookupStats,
+    /// Snapshots taken, and their wall-clock nanoseconds; these survive
+    /// [`Backlog::clear`] too.
+    pub(crate) snapshots: u64,
+    pub(crate) snapshot_ns: u64,
 }
 
 impl Backlog {
@@ -70,15 +74,18 @@ impl Backlog {
         self.stop_count += usize::from(stopped);
         let due = stopped && self.every > 0 && self.stop_count % self.every == 0;
         let checkpoint = due.then(|| {
-            let mut held = self.restore_points();
-            match held.find_map(|s| s.checkpoint.as_ref().filter(|_| s.markers == markers)) {
-                Some(cp) => Arc::clone(cp),
-                None => {
-                    let cp = snapshot();
-                    debug_assert_eq!(cp.markers(), markers);
-                    Arc::new(cp)
-                }
-            }
+            let held = self
+                .restore_points()
+                .find_map(|s| s.checkpoint.as_ref().filter(|_| s.markers == markers))
+                .map(Arc::clone);
+            held.unwrap_or_else(|| {
+                let started = std::time::Instant::now();
+                let cp = snapshot();
+                self.snapshots += 1;
+                self.snapshot_ns += started.elapsed().as_nanos() as u64;
+                debug_assert_eq!(cp.markers(), markers);
+                Arc::new(cp)
+            })
         });
         if self.stops.last().map(|s| &s.markers) != Some(&markers) {
             self.undone = None;

@@ -64,8 +64,7 @@ impl SessionConfig {
 
     /// The engine configuration of one incarnation of the target. The
     /// session's `live` incarnations are checkpointable (per
-    /// `checkpoint_every`) and metered — telemetry feeds the `stats`
-    /// command and its cost is noise next to a human at the prompt.
+    /// `checkpoint_every`).
     fn engine(&self, sites: &SiteTable, live: bool) -> EngineConfig {
         EngineConfig {
             cost: self.cost,
@@ -75,7 +74,7 @@ impl SessionConfig {
             sites: Some(sites.clone()),
             faults: self.faults.clone(),
             checkpoints: live && self.checkpoint_every > 0,
-            metrics: live,
+            ..Default::default()
         }
     }
 }
@@ -143,15 +142,15 @@ pub struct Session {
     /// recording incarnation when its first replay is requested, shared
     /// with every engine and checkpoint since. `None` while recording.
     recorded_log: Option<Arc<ReplayLog>>,
-    /// Engine metrics folded in from retired incarnations (replay and
-    /// restart replace the engine; its telemetry is absorbed here first).
-    retired_metrics: EngineMetrics,
+    /// What the session adds to the live incarnation's metrics: those of
+    /// every retired incarnation (replay and restart replace the engine;
+    /// its metrics are derived and folded in here first), and the length
+    /// of every replay delta.
+    metrics: EngineMetrics,
     /// Checkpoint restores performed by `replay_to`.
     restores: u64,
     /// Wall-clock nanoseconds those restores took.
     restore_ns: u64,
-    /// Snapshot time folded in from retired incarnations.
-    retired_snapshot_ns: u64,
 }
 
 /// The session's telemetry snapshot: engine metrics summed over every
@@ -181,10 +180,9 @@ impl Session {
             engine,
             status: SessionStatus::Idle,
             recorded_log: None,
-            retired_metrics: EngineMetrics::new(n),
+            metrics: EngineMetrics::new(n),
             restores: 0,
             restore_ns: 0,
-            retired_snapshot_ns: 0,
         }
     }
 
@@ -370,17 +368,16 @@ impl Session {
                 self.engine = Engine::restore(&cp, Vec::new());
                 self.restores += 1;
                 self.restore_ns += t0.elapsed().as_nanos() as u64;
-                // A restored engine comes up with telemetry off, and with
-                // whatever was armed when the snapshot was taken; a fresh
-                // incarnation has neither.
-                self.engine.enable_metrics();
+                // A restored engine comes up with whatever was armed when
+                // the snapshot was taken; a fresh incarnation has nothing.
                 self.engine.clear_thresholds();
                 self.engine.clear_pauses();
                 self.engine.clear_breaks();
             }
             None => self.reincarnate(),
         }
-        self.engine.set_replay(log);
+        let ahead = self.engine.set_replay(log);
+        self.metrics.replay_delta.record(ahead as u64);
         // Ranks already at their target hold: an exact-hit restore is the
         // stop itself, no re-execution at all. The holds drop once the
         // stop is reached, so stepping/continuing from here behaves like
@@ -416,12 +413,11 @@ impl Session {
         }
     }
 
-    /// Fold the outgoing engine incarnation's telemetry into the
-    /// session-level accumulator (called before every engine replacement).
+    /// Fold the outgoing engine incarnation's metrics into the session's
+    /// (called before every engine replacement).
     fn retire_engine_metrics(&mut self) {
-        self.retired_snapshot_ns += self.engine.snapshot_ns();
         if let Some(m) = self.engine.take_metrics() {
-            self.retired_metrics.merge(&m);
+            self.metrics.merge(&m);
         }
     }
 
@@ -487,20 +483,24 @@ impl Session {
     }
 
     /// The session's telemetry: engine metrics summed across every
-    /// incarnation so far, plus checkpoint lookup and restore cost figures
-    /// (the replay-cost visibility §6's checkpointing asks for).
+    /// incarnation so far, plus checkpoint lookup, snapshot and restore
+    /// cost figures (the replay-cost visibility §6's checkpointing asks
+    /// for). An incarnation's metrics are derived from what it traced and
+    /// decided; a debugger trap breaks the turn-to-record pairing
+    /// `queue_hwm` rests on, so that field is approximate here.
     pub fn telemetry(&self) -> SessionTelemetry {
-        let mut engine = self.retired_metrics.clone();
-        if let Some(m) = self.engine.metrics() {
-            engine.merge(m);
+        let mut engine = self.metrics.clone();
+        if let Some(m) = self.engine.take_metrics() {
+            engine.merge(&m);
         }
+        engine.snapshots = self.backlog.snapshots;
         SessionTelemetry {
             engine,
             cache: self.backlog.stats,
             cache_len: self.backlog.checkpoints(),
             restores: self.restores,
             restore_ns: self.restore_ns,
-            snapshot_ns: self.retired_snapshot_ns + self.engine.snapshot_ns(),
+            snapshot_ns: self.backlog.snapshot_ns,
         }
     }
 

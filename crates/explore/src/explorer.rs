@@ -16,6 +16,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tracedbg_analysis::IndependenceFacts;
+use tracedbg_mpsim::metrics::of_run;
 use tracedbg_mpsim::{EngineMetrics, SchedPolicy};
 use tracedbg_obs::{
     ClassCount, EventMetrics, ExploreEvent, MetricsReport, TimingMetrics, WorkerStat,
@@ -216,9 +217,8 @@ pub struct Explorer {
 /// half (engine counters, prune/oracle counts) is fed exclusively from the
 /// deterministic absorb order; the timing half is the pool's worker load.
 struct ObsAcc {
-    /// Metered engine runs merged into `engine` (budgeted exploration
-    /// runs; shrink/confirm aux runs are not metered).
-    runs: u64,
+    /// The metrics of every budgeted run (shrink/confirm aux runs are not
+    /// counted), merged.
     engine: EngineMetrics,
     digest_pruned: u64,
     prefix_pruned: u64,
@@ -230,7 +230,6 @@ struct ObsAcc {
 impl ObsAcc {
     fn new(procs: usize) -> Box<Self> {
         Box::new(ObsAcc {
-            runs: 0,
             engine: EngineMetrics::new(procs),
             digest_pruned: 0,
             prefix_pruned: 0,
@@ -547,7 +546,7 @@ impl Explorer {
     /// wall-clock-shaped goes in `timing`.
     fn metrics_report(&self, acc: ObsAcc, pool: &WorkerPool, elapsed: Duration) -> MetricsReport {
         let event = EventMetrics {
-            runs: acc.runs,
+            runs: self.runs_executed as u64,
             engine: acc.engine,
             explore: Some(ExploreEvent {
                 runs_executed: self.runs_executed as u64,
@@ -573,8 +572,6 @@ impl Explorer {
         let timing = TimingMetrics {
             wall_ms,
             walks_per_sec: self.runs_executed as u64 * 1000 / wall_ms,
-            // Explored runs take no snapshots.
-            snapshot_ns: 0,
             workers: pool
                 .load()
                 .into_iter()
@@ -589,8 +586,8 @@ impl Explorer {
                     }
                 })
                 .collect(),
-            checkpoint_cache: None,
-            commands: Vec::new(),
+            // Snapshots, checkpoints and commands are a debug session's.
+            ..Default::default()
         };
         MetricsReport::new(
             "explore",
@@ -613,7 +610,6 @@ impl Explorer {
         let task = RunTask {
             policy,
             faults: faults.to_vec(),
-            metrics: self.cfg.metrics,
         };
         let res = execute_task(&self.source, &task);
         self.absorb(&res, faults, strategy);
@@ -623,15 +619,14 @@ impl Explorer {
     /// Account one finished run and feed it to the oracles. Every run —
     /// sequential or from a parallel batch — passes through here in
     /// deterministic task order, which is what keeps `jobs=N` findings
-    /// identical to `jobs=1`. Telemetry event counters are fed from the
-    /// same place, inheriting the same invariance.
+    /// identical to `jobs=1`. Telemetry event counters are derived from
+    /// the run's trace and decisions in the same place, inheriting the
+    /// same invariance.
     fn absorb(&mut self, res: &RunResult, faults: &[Fault], strategy: &'static str) {
         self.runs_executed += 1;
         if let Some(obs) = self.obs.as_mut() {
-            if let Some(m) = &res.metrics {
-                obs.runs += 1;
-                obs.engine.merge(m);
-            }
+            let m = of_run(res.store.records(), &res.decisions, self.procs);
+            obs.engine.merge(&m);
         }
         if self.digests.insert(res.digest) {
             if let Some(v) = oracle::check(res) {
@@ -752,7 +747,6 @@ impl Explorer {
                 tasks.push(RunTask {
                     policy: SchedPolicy::Scripted(entry.script),
                     faults: Vec::new(),
-                    metrics: self.cfg.metrics,
                 });
             }
             if tasks.is_empty() {
@@ -787,7 +781,7 @@ impl Explorer {
     fn random_walk(&mut self, pool: &WorkerPool) {
         let remaining = self.cfg.runs.saturating_sub(self.runs_executed) as u64;
         let (base_seed, procs) = (self.cfg.seed, self.procs);
-        let (inject_faults, metrics) = (self.cfg.inject_faults, self.cfg.metrics);
+        let inject_faults = self.cfg.inject_faults;
         let tasks = (1..=remaining).map(move |i| {
             let seed = splitmix64(base_seed.wrapping_add(i));
             let faults = if inject_faults && i.is_multiple_of(2) {
@@ -799,7 +793,6 @@ impl Explorer {
             RunTask {
                 policy: SchedPolicy::Seeded(seed),
                 faults,
-                metrics,
             }
         });
         run_windowed(pool, tasks, |_, task, res| {

@@ -26,8 +26,6 @@ use tracedbg_trace::schedule::Fault;
 pub struct RunTask {
     pub policy: SchedPolicy,
     pub faults: Vec<Fault>,
-    /// Collect engine telemetry for this run.
-    pub metrics: bool,
 }
 
 /// Per-executor share of the work: `(tasks executed, busy nanoseconds)`,
@@ -312,7 +310,6 @@ mod tests {
             .map(|i| RunTask {
                 policy: SchedPolicy::Seeded(i),
                 faults: Vec::new(),
-                metrics: false,
             })
             .collect()
     }
@@ -481,18 +478,14 @@ mod tests {
     #[test]
     fn metered_tasks_report_metrics_without_changing_content() {
         let source = pingpong_source();
-        let task = |metrics| RunTask {
+        let task = || RunTask {
             policy: SchedPolicy::RoundRobin,
             faults: Vec::new(),
-            metrics,
         };
-        let plain = run_on(1, &source, vec![task(false)]);
-        let metered = run_on(1, &source, vec![task(true)]);
-        assert!(plain[0].metrics.is_none());
-        let m = metered[0]
-            .metrics
-            .as_ref()
-            .expect("metered run has metrics");
+        let plain = run_on(1, &source, vec![task()]);
+        let metered = run_on(1, &source, vec![task()]);
+        let m =
+            tracedbg_mpsim::metrics::of_run(metered[0].store.records(), &metered[0].decisions, 2);
         assert_eq!(m.total_msgs(), 2, "pingpong sends two messages");
         assert_eq!(metered[0].digest, plain[0].digest, "telemetry is passive");
         assert_eq!(metered[0].decisions, plain[0].decisions);

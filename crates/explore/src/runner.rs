@@ -2,7 +2,7 @@
 
 use crate::pool::RunTask;
 use tracedbg_instrument::RecorderConfig;
-use tracedbg_mpsim::{Engine, EngineConfig, EngineMetrics, FaultPlan, RunOutcome, SchedPolicy};
+use tracedbg_mpsim::{Engine, EngineConfig, FaultPlan, RunOutcome, SchedPolicy};
 use tracedbg_trace::schedule::{Decision, DecisionPoint, Fault};
 use tracedbg_trace::{trace_digest, Rank, TraceStore};
 
@@ -35,8 +35,6 @@ pub struct RunResult {
     pub faulted: Vec<Rank>,
     /// The rank whose panic ended the run, if one did.
     pub panicked: Option<Rank>,
-    /// Engine telemetry, when the run was metered (`RunTask::metrics`).
-    pub metrics: Option<Box<EngineMetrics>>,
 }
 
 /// Execute the program once under `policy` + `faults` and summarize.
@@ -46,7 +44,6 @@ pub fn execute(source: &ProgramSource, policy: SchedPolicy, faults: &[Fault]) ->
         &RunTask {
             policy,
             faults: faults.to_vec(),
-            metrics: false,
         },
     )
 }
@@ -59,7 +56,6 @@ pub fn execute_task(source: &ProgramSource, task: &RunTask) -> RunResult {
             policy: task.policy.clone(),
             recorder: RecorderConfig::full(),
             faults: FaultPlan::new(task.faults.clone()),
-            metrics: task.metrics,
             ..Default::default()
         },
         source(),
@@ -71,7 +67,6 @@ pub fn execute_task(source: &ProgramSource, task: &RunTask) -> RunResult {
         RunOutcome::Panicked { rank, .. } => Some(rank),
         _ => None,
     };
-    let metrics = engine.take_metrics().map(Box::new);
     // The engine is done: take its trace and decision log, don't copy them.
     let (store, points) = engine.into_trace_and_decisions();
     let decisions = points.iter().map(|p| p.chosen).collect();
@@ -86,6 +81,5 @@ pub fn execute_task(source: &ProgramSource, task: &RunTask) -> RunResult {
         diverged,
         faulted,
         panicked,
-        metrics,
     }
 }

@@ -292,7 +292,6 @@ fn windows_are_absorbed_in_task_order_at_every_job_count() {
             .map(|i| RunTask {
                 policy: SchedPolicy::Seeded(i as u64),
                 faults: Vec::new(),
-                metrics: false,
             })
             .collect()
     };

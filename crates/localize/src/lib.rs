@@ -38,6 +38,7 @@ mod suspects;
 use std::collections::BTreeSet;
 use tracedbg_explore::pool::WorkerPool;
 use tracedbg_explore::{execute_task, run_windowed, ProgramSource, RunResult, RunTask};
+use tracedbg_mpsim::metrics::of_run;
 use tracedbg_mpsim::{Engine, EngineConfig, RecorderConfig, SchedPolicy};
 use tracedbg_obs::{mad_score, median, EngineMetrics};
 use tracedbg_trace::schedule::{Decision, ScheduleArtifact};
@@ -157,11 +158,10 @@ struct Harvest {
 impl Harvest {
     fn absorb(&mut self, failing: &[Decision], nprocs: usize, res: RunResult) {
         self.runs += 1;
-        if let Some(m) = res.metrics.as_deref() {
-            for (c, (_, get)) in COUNTERS.iter().enumerate() {
-                for r in 0..nprocs {
-                    self.samples[c * nprocs + r].push(get(m, r));
-                }
+        let m = of_run(res.store.records(), &res.decisions, nprocs);
+        for (c, (_, get)) in COUNTERS.iter().enumerate() {
+            for r in 0..nprocs {
+                self.samples[c * nprocs + r].push(get(&m, r));
             }
         }
         let prefix = common_prefix(failing, &res.decisions);
@@ -244,7 +244,6 @@ pub fn localize_with_trace(
         &RunTask {
             policy: EngineConfig::for_artifact(artifact).policy,
             faults: artifact.faults.clone(),
-            metrics: true,
         },
     );
     let failure = format!("{}: {}", failing.class, failing.detail);
@@ -267,16 +266,12 @@ pub fn localize_with_trace(
             RunTask {
                 policy,
                 faults: Vec::new(),
-                metrics: true,
             }
         })
         .collect();
     //    Only the first completed run of each trace digest counts, and
     //    of those only what the report reads outlives its window.
-    let nprocs = artifact
-        .procs
-        .max(failing.store.n_ranks())
-        .max(failing.metrics.as_ref().map_or(0, |m| m.nprocs()));
+    let nprocs = artifact.procs.max(failing.store.n_ranks());
     let mut harvest = Harvest {
         runs: 0,
         prefix: 0,
@@ -346,11 +341,11 @@ pub fn localize_with_trace(
     let channel_diffs = diff_channels(failing_src, &nearest.store).unwrap_or_default();
 
     // 5. Telemetry anomaly vs the passing sample.
-    let (mut mad_scores, mad_evidence) = match failing.metrics.as_deref() {
-        Some(fm) if harvest.samples.iter().any(|s| !s.is_empty()) => {
-            anomaly_scores(fm, &harvest.samples, nprocs)
-        }
-        _ => (vec![0; nprocs], vec![Vec::new(); nprocs]),
+    let (mut mad_scores, mad_evidence) = if harvest.samples.iter().any(|s| !s.is_empty()) {
+        let fm = of_run(failing.store.records(), &failing.decisions, nprocs);
+        anomaly_scores(&fm, &harvest.samples, nprocs)
+    } else {
+        (vec![0; nprocs], vec![Vec::new(); nprocs])
     };
 
     // 6. Wait-state blame: who *caused* the failing run's waiting. A

@@ -51,9 +51,9 @@ pub struct EngineConfig {
     /// Allow [`EngineCheckpoint`]s to be taken of this run
     /// ([`Engine::snapshot`], [`Engine::set_snapshot_at`]). Off by default.
     pub checkpoints: bool,
-    /// Collect per-rank/per-channel [`EngineMetrics`] during the run. Off
-    /// by default; when off the engine holds no telemetry state and every
-    /// collection site is a single `Option` check.
+    /// Ignored: the engine keeps no counters, and a run's
+    /// [`EngineMetrics`] are derived after it ([`Engine::take_metrics`]).
+    /// The field stays only because `benchmark/` compiles against it.
     pub metrics: bool,
 }
 
@@ -179,29 +179,6 @@ pub(crate) enum ProcState {
     Panicked(String),
 }
 
-/// The engine's telemetry plane (present only when
-/// `EngineConfig::metrics` is on). Everything in `metrics` derives from
-/// the executed event sequence alone; `snapshot_ns` is the one wall-clock
-/// fact and is surfaced separately through [`Engine::snapshot_ns`].
-struct EngineObs {
-    metrics: EngineMetrics,
-    /// `metrics.turns` at the moment each rank posted its pending receive
-    /// — the subtrahend of the match-latency computation.
-    block_turn: Vec<Option<u64>>,
-    /// Wall-clock nanoseconds spent inside [`Engine::snapshot`].
-    snapshot_ns: u64,
-}
-
-impl EngineObs {
-    fn new(n: usize) -> Box<Self> {
-        Box::new(EngineObs {
-            metrics: EngineMetrics::new(n),
-            block_turn: vec![None; n],
-            snapshot_ns: 0,
-        })
-    }
-}
-
 /// A rank's program: a [`Prog`] tree and its initial state, built with
 /// [`RankProgram::task`].
 pub struct RankProgram(Box<dyn TaskProgram>);
@@ -244,8 +221,9 @@ pub struct Engine {
     /// Take a snapshot when the decision log reaches this length.
     snapshot_at_decision: Option<usize>,
     pending_snapshot: Option<Box<EngineCheckpoint>>,
-    /// Telemetry plane; `None` unless metrics collection is on.
-    obs: Option<Box<EngineObs>>,
+    /// `(records, decisions)` logged when this incarnation was launched
+    /// or restored: where [`Engine::take_metrics`] starts counting.
+    origin: (usize, usize),
 }
 
 impl Engine {
@@ -290,7 +268,7 @@ impl Engine {
             checkpoints: config.checkpoints,
             snapshot_at_decision: None,
             pending_snapshot: None,
-            obs: config.metrics.then(|| EngineObs::new(n)),
+            origin: (0, 0),
         };
         if let Some(log) = config.replay {
             engine.set_replay(Arc::new(log));
@@ -325,10 +303,7 @@ impl Engine {
             checkpoints: true,
             snapshot_at_decision: None,
             pending_snapshot: None,
-            // Checkpoints carry no telemetry: a restored engine's metrics
-            // would cover only its own incarnation. Callers that want
-            // telemetry after a restore opt back in via `enable_metrics`.
-            obs: None,
+            origin: (cp.collected.len(), cp.decision_log.len()),
         };
         (engine.waiting, engine.ready) = engine.scan_ready();
         engine
@@ -431,9 +406,6 @@ impl Engine {
                 debug_assert_eq!(self.rebuilt.ready(), &self.ready, "the Turn deltas");
             }
             self.st.decision_log.push(point);
-            if let Some(o) = self.obs.as_mut() {
-                o.metrics.turns += 1;
-            }
             let reply = match self.set_state(p, ProcState::Running) {
                 ProcState::Ready(r) => r,
                 other => unreachable!("granted non-ready process in state {other:?}"),
@@ -526,17 +498,6 @@ impl Engine {
             if let Some((after_ops, kind)) = self.st.faults.silence_for(rank) {
                 if self.st.ops[rank.ix()] > after_ops {
                     self.set_state(rank, ProcState::Faulted(kind));
-                    if let Some(o) = self.obs.as_mut() {
-                        // The process already emitted its RecvPost trace
-                        // record before asking for service, so the swallowed
-                        // post still counts: metrics mirror the trace, not
-                        // the engine's private view. (A swallowed send left
-                        // no trace record — the Send record is written only
-                        // after SendDone — so sends need no such credit.)
-                        if matches!(req, Request::Recv { .. }) {
-                            o.metrics.recvs[rank.ix()] += 1;
-                        }
-                    }
                     return;
                 }
             }
@@ -554,7 +515,6 @@ impl Engine {
                 let mailbox = &mut self.st.ranks.get_mut(dst.ix()).make_mut().mailbox;
                 let seq = mailbox.next_seq(rank);
                 let t_done = self.st.cost.send_done(t0);
-                let bytes = payload.len() as u64;
                 let arrival = self.st.cost.arrival(t_done, payload.len())
                     + self.st.faults.delay(rank, dst, seq);
                 let env = Envelope {
@@ -569,12 +529,6 @@ impl Engine {
                     payload,
                 };
                 mailbox.push(env);
-                if let Some(o) = self.obs.as_mut() {
-                    let depth = mailbox.pending() as u64;
-                    o.metrics.count_send(rank.ix(), dst.0, bytes);
-                    let hwm = &mut o.metrics.queue_hwm[dst.ix()];
-                    *hwm = (*hwm).max(depth);
-                }
                 let state = match mode {
                     SendMode::Buffered => ProcState::Ready(Reply::SendDone { seq, t_done }),
                     SendMode::Synchronous => ProcState::BlockedSend {
@@ -595,10 +549,6 @@ impl Engine {
                         marker,
                     },
                 );
-                if let Some(o) = self.obs.as_mut() {
-                    o.metrics.recvs[rank.ix()] += 1;
-                    o.block_turn[rank.ix()] = Some(o.metrics.turns);
-                }
                 self.try_match(rank);
             }
             Request::Collective {
@@ -686,17 +636,6 @@ impl Engine {
             .take(candidates[pick]);
         self.st.matched[dst.ix()] += 1;
         let t_done = self.st.cost.recv_done(t_post, env.arrival);
-        if let Some(o) = self.obs.as_mut() {
-            // Latency in turns since the receive was posted. A receive
-            // posted and matched within the same turn scores 0; the stamp
-            // defaults to "now" for matches delivered by the post-restore
-            // sweep, where no post was observed by this incarnation.
-            let turns = o.metrics.turns;
-            let latency = turns - o.block_turn[dst.ix()].take().unwrap_or(turns);
-            o.metrics.matches += 1;
-            o.metrics.blocked_turns[dst.ix()] += latency;
-            o.metrics.match_latency.record(latency);
-        }
         // A synchronous sender rendezvouses here: it completes at the
         // same instant the receive does.
         if env.synchronous {
@@ -1011,22 +950,13 @@ impl Engine {
     /// engine (both are sealed first), so the copy is a pointer per block of
     /// ranks and per log chunk, and whatever the engine does next un-shares
     /// only what it writes.
-    ///
-    /// Checkpoints deliberately carry no telemetry: metrics describe one
-    /// engine incarnation, not a restored lineage.
     pub fn snapshot(&mut self) -> EngineCheckpoint {
         assert!(
             self.checkpoints,
             "snapshot() requires EngineConfig.checkpoints"
         );
-        let started = self.obs.is_some().then(std::time::Instant::now);
         self.st.share();
-        let cp = self.st.clone();
-        if let (Some(o), Some(t0)) = (self.obs.as_mut(), started) {
-            o.metrics.snapshots += 1;
-            o.snapshot_ns += t0.elapsed().as_nanos() as u64;
-        }
-        cp
+        self.st.clone()
     }
 
     /// Arrange for a snapshot to be taken automatically when the decision
@@ -1109,45 +1039,35 @@ impl Engine {
     /// replay). Valid at launch and on a restored engine: the log is
     /// indexed by the matches each rank has made, which the engine and its
     /// checkpoints carry, so whatever lies behind this state is skipped.
-    pub fn set_replay(&mut self, log: Arc<ReplayLog>) {
-        if let Some(o) = self.obs.as_mut() {
-            // Recorded matches still ahead of this state: the work the
-            // coming replay actually pins.
-            let ahead: usize = (0..self.st.n_ranks)
-                .map(|r| {
-                    log.len_for(Rank::from(r))
-                        .saturating_sub(self.st.matched[r] as usize)
-                })
-                .sum();
-            o.metrics.replay_delta.record(ahead as u64);
-        }
+    /// Returns the recorded matches still ahead of this state: the work
+    /// the coming replay actually pins.
+    pub fn set_replay(&mut self, log: Arc<ReplayLog>) -> usize {
+        let ahead = (0..self.st.n_ranks)
+            .map(|r| {
+                log.len_for(Rank::from(r))
+                    .saturating_sub(self.st.matched[r] as usize)
+            })
+            .sum();
         self.st.replay = Some(log);
+        ahead
     }
 
-    // ---- telemetry interface ----
-
-    /// Turn on metrics collection from this point (a restored engine comes
-    /// up with telemetry off; the debugger re-enables it here). No-op if
-    /// already collecting.
-    pub fn enable_metrics(&mut self) {
-        if self.obs.is_none() {
-            self.obs = Some(EngineObs::new(self.st.n_ranks));
-        }
-    }
-
-    /// Event-derived metrics collected so far (None when disabled).
-    pub fn metrics(&self) -> Option<&EngineMetrics> {
-        self.obs.as_deref().map(|o| &o.metrics)
-    }
-
-    /// Detach the collected metrics, leaving telemetry disabled.
-    pub fn take_metrics(&mut self) -> Option<EngineMetrics> {
-        self.obs.take().map(|o| o.metrics)
-    }
-
-    /// Wall-clock nanoseconds spent taking snapshots (0 when disabled).
-    pub fn snapshot_ns(&self) -> u64 {
-        self.obs.as_deref().map_or(0, |o| o.snapshot_ns)
+    /// The metrics of this incarnation — what it traced and decided since
+    /// it was launched or restored — derived by [`crate::metrics::of_run`],
+    /// whose doc says when they are exact. Always `Some`, and nothing is
+    /// detached; the `Option` stays only because `benchmark/` compiles
+    /// against it.
+    pub fn take_metrics(&self) -> Option<EngineMetrics> {
+        let (records, decisions) = self.origin;
+        Some(crate::metrics::of_run(
+            self.st.collected.iter().skip(records),
+            self.st
+                .decision_log
+                .iter()
+                .skip(decisions)
+                .map(|p| &p.chosen),
+            self.st.n_ranks,
+        ))
     }
 }
 

@@ -41,6 +41,7 @@ pub mod engine;
 pub mod fault;
 pub mod mailbox;
 pub mod message;
+pub mod metrics;
 pub mod ops;
 pub mod payload;
 pub mod record;

@@ -41,8 +41,6 @@ struct Channel {
 pub struct Mailbox {
     /// The channels that have carried a message, ascending by source.
     channels: Vec<Channel>,
-    /// Undelivered messages over all channels.
-    pending: usize,
 }
 
 impl Mailbox {
@@ -88,7 +86,6 @@ impl Mailbox {
     /// Deposit a sent message.
     pub fn push(&mut self, env: Envelope) {
         self.channel_mut(env.src).queue.push_back(env);
-        self.pending += 1;
     }
 
     /// All envelopes a spec could match right now: for each source, the
@@ -119,16 +116,10 @@ impl Mailbox {
 
     /// Remove and return the envelope at a candidate position.
     pub fn take(&mut self, c: Candidate) -> Envelope {
-        self.pending -= 1;
         self.channel_mut(c.src)
             .queue
             .remove(c.pos)
             .expect("candidate position vanished")
-    }
-
-    /// Number of undelivered messages.
-    pub fn pending(&self) -> usize {
-        self.pending
     }
 
     /// Snapshot of undelivered envelopes (for unmatched-send reports).
@@ -183,7 +174,7 @@ mod tests {
         assert_eq!(cs.len(), 1);
         assert_eq!(cs[0].seq, 1);
         mb.take(cs[0]);
-        assert_eq!(mb.pending(), 1);
+        assert_eq!(mb.undelivered().len(), 1);
     }
 
     #[test]
@@ -226,10 +217,9 @@ mod tests {
     #[test]
     fn pending_and_undelivered() {
         let mut mb = Mailbox::new();
-        assert_eq!(mb.pending(), 0);
+        assert!(mb.undelivered().is_empty());
         mb.push(env(0, 1, 0, 5));
         mb.push(env(1, 1, 0, 5));
-        assert_eq!(mb.pending(), 2);
         assert_eq!(mb.undelivered().len(), 2);
     }
 }

@@ -1,9 +1,9 @@
-//! Property tests for the telemetry plane: event-derived engine metrics
-//! must equal independent recounts from the artifacts the run already
-//! emits — the trace (sends, bytes, receive posts) and the schedule log
-//! (turns, matches, blocked-in-receive turns). Telemetry is a *view* of
-//! the event sequence, never a second source of truth; any divergence is
-//! a counting bug.
+//! Property tests for the telemetry plane: the metrics
+//! `Engine::take_metrics` derives must equal independent recounts from the
+//! artifacts the run emits — the trace (sends, bytes, receive posts) and
+//! the schedule log (turns, matches, blocked-in-receive turns). Telemetry
+//! is a *view* of the event sequence, never a second source of truth; any
+//! divergence is a counting bug.
 
 mod common;
 #[path = "../../../tests/oracle/faults.rs"]
@@ -31,14 +31,13 @@ proptest! {
                 policy: SchedPolicy::Seeded(seed),
                 recorder: RecorderConfig::full(),
                 faults: FaultPlan::new(faults),
-                metrics: true,
                 ..Default::default()
             },
             fanin_programs(rounds),
         );
         let _ = engine.run();
         let log = engine.schedule_log();
-        let m = engine.metrics().expect("metrics were enabled").clone();
+        let m = engine.take_metrics().expect("metrics are derived");
         let store = engine.trace_store();
 
         // --- recount from the trace: sends, bytes, receive posts ---

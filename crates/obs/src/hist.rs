@@ -40,6 +40,7 @@ impl Histogram {
     }
 
     /// The bucket index a value falls into.
+    #[inline]
     pub fn bucket_of(value: u64) -> usize {
         match value {
             0 => 0,
@@ -57,6 +58,7 @@ impl Histogram {
         }
     }
 
+    #[inline]
     pub fn record(&mut self, value: u64) {
         self.buckets[Self::bucket_of(value)] += 1;
         self.count += 1;

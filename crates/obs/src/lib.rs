@@ -16,8 +16,9 @@
 //!   [`EventMetrics`] derives from the executed event sequence alone and
 //!   is byte-identical across `--jobs`; wall-clock facts live in
 //!   [`TimingMetrics`], outside the digest.
-//! * **Near-zero cost when disabled** — collection lives behind an
-//!   `Option` checked at each call site; no metrics object, no work.
+//! * **No cost while a run executes** — the engine keeps no counters;
+//!   `tracedbg_mpsim::metrics::of_run` derives a run's metrics after it,
+//!   from its trace and decision log.
 
 pub mod flight;
 pub mod hist;

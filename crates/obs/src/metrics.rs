@@ -69,6 +69,7 @@ impl EngineMetrics {
     }
 
     /// Count one message of `bytes` payload bytes from `src` to `dst`.
+    #[inline]
     pub fn count_send(&mut self, src: usize, dst: u32, bytes: u64) {
         self.msgs_sent[src] += 1;
         self.bytes_sent[src] += bytes;

@@ -48,6 +48,10 @@ expect_error 'version 99 unsupported' replay --schedule "$cli_art" --to-suspect 
 expect_error 'nesting deeper than 128' replay --schedule target/verify_cli/deep.json
 expect_error 'nesting deeper than 128' replay --schedule "$cli_art" --to-suspect target/verify_cli/deep.json
 expect_error '32 markers given, 4 processes' replay --schedule "$cli_art" --to-critical-path target/verify_cli/ring32.json
+# Replay's three modes are one group: a second mode is refused, not dropped.
+expect_error 'replay takes --to-suspect or --to-critical-path, not both' \
+  replay --schedule "$cli_art" --to-suspect target/verify_cli/report.json \
+  --to-critical-path target/verify_cli/ring32.json
 # A flag value that does not parse is an error, not the default ...
 expect_error '--procs: bad value "abc"' run ring --procs abc
 expect_error '--runs: bad value "lots"' explore ring --runs lots
@@ -66,6 +70,12 @@ expect_error 'view takes trace.trc | trace.tbin | store-dir, not the workload "r
 # a count or a window a verb cannot honour is refused, never clamped ...
 expect_error 'run takes no flag --porcs (usage: tracedbg run ' run ring --porcs 4
 expect_error 'run takes no flag --metrics' run stencil --metrics F
+# A recorded trace has no decision log: `stats --metrics` of one writes
+# nothing and says so.
+expect_error 'stats --metrics needs a workload: a recorded trace has no decision log' \
+  stats tests/golden/ring.trc --metrics target/verify_cli/trace-metrics.json
+[ ! -e target/verify_cli/trace-metrics.json ] \
+  || { echo "stats <trace> --metrics wrote a metrics file" >&2; exit 1; }
 expect_error 'racy-wildcard runs at most 16 ranks, not 64' explore racy-wildcard --procs 64
 expect_error 'bad --window 5:1: lo > hi' view tests/golden/ring.trc --window 5:1
 # ... and so is what else the synopsis rules out: a surplus positional,
@@ -388,6 +398,11 @@ gate "report.rs files cloning self" \
 # table is built in the telemetry plane or the engine.
 gate "vec![vec![ in non-test crates/obs/src + crates/mpsim/src" \
   "$(nontest $(find crates/obs/src crates/mpsim/src -name '*.rs') | { grep -cF 'vec![vec![' || true; })" -eq 0
+# Metrics are a view of the run's record: the engine keeps no counters,
+# and a run's metrics are derived after it (`mpsim::metrics::of_run`).
+for gone in '\bEngineObs\b' '\bblock_turn\b' '\bself\.obs\b'; do
+  gate "$gone in crates/mpsim/src" "$(count "$gone" crates/mpsim/src)" -eq 0
+done
 # A trace record is `Copy`: its probe label is an interned `Label`, a
 # `TaskOp::Probe` carries one interned where its program was built, and
 # nothing is left that moves a label's allocation from record to record.

@@ -475,13 +475,9 @@ impl<'a> Run<'a> {
 
     fn metrics(&self) {
         let n = self.case.procs;
-        let metered = EngineConfig {
-            metrics: true,
-            ..self.case.config()
-        };
-        let mut engine = self.launch(metered);
-        self.reproduce(&mut engine, "metrics: metered run");
-        let m = engine.metrics().expect("metrics: enabled");
+        let mut engine = self.launch(self.case.config());
+        self.reproduce(&mut engine, "metrics: run");
+        let m = engine.take_metrics().expect("metrics: derived");
 
         // Recounts from the trace: sends and bytes per channel, then per
         // rank, and receive posts.

@@ -98,10 +98,10 @@ fn a_record_costs_the_same_at_1024_ranks_as_at_64() {
     );
 }
 
-/// A launch costs the ranks it creates: a session is always metered, and
-/// while its channel counters were ranks × ranks matrices (one in the
-/// engine, one for retired incarnations) a 4096-rank launch cost about 30×
-/// a 1024-rank one on a 2-CPU VM.
+/// A launch costs the ranks it creates: while a session's engine kept
+/// live metrics with ranks × ranks channel matrices (one in the engine,
+/// one for retired incarnations) a 4096-rank launch cost about 30× a
+/// 1024-rank one on a 2-CPU VM.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
 fn a_session_launch_grows_with_the_ranks_not_their_square() {
@@ -120,10 +120,10 @@ fn a_session_launch_grows_with_the_ranks_not_their_square() {
     );
 }
 
-/// Metering a run costs per event: the channel counters are bumped on the
-/// send path, and a run that uses 4 channels per rank does not pay for
-/// all ranks² of them (1.3–1.4× an unmetered run at 1024 ranks while it
-/// did, on a 2-CPU VM).
+/// Metering a run costs per event: its metrics are derived after it from
+/// its trace and decision log in one pass over each, and a run that uses 4
+/// channels per rank does not pay for all ranks² of them (1.3–1.4× an
+/// unmetered run at 1024 ranks while it did, on a 2-CPU VM).
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
 fn a_metered_run_costs_at_most_15_percent_more_at_1024_ranks() {
@@ -134,14 +134,13 @@ fn a_metered_run_costs_at_most_15_percent_more_at_1024_ranks() {
         timed(|| {
             for _ in 0..4 {
                 let mut engine = Engine::launch(
-                    EngineConfig {
-                        recorder: RecorderConfig::full(),
-                        metrics,
-                        ..Default::default()
-                    },
+                    EngineConfig::with_recorder(RecorderConfig::full()),
                     stencil(1024),
                 );
                 assert!(engine.run().is_completed());
+                if metrics {
+                    std::hint::black_box(engine.take_metrics());
+                }
             }
         }) / 4.0
     });
