@@ -32,6 +32,18 @@ pub struct BenchRecord {
     pub jobs: usize,
 }
 
+impl BenchRecord {
+    /// The record of an iteration that does `units` equal pieces of work,
+    /// timed per piece (ns per run, per record).
+    pub fn per(mut self, units: u64) -> Self {
+        let units = units.max(1);
+        self.median_ns /= units;
+        self.p10_ns /= units;
+        self.p90_ns /= units;
+        self
+    }
+}
+
 /// Fixed iteration plan for one benchmark.
 #[derive(Clone, Copy, Debug)]
 pub struct Plan {

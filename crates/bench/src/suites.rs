@@ -742,6 +742,32 @@ fn suite_explore(opts: &SuiteOptions) -> Suite {
     // re-execution (verify.sh gates it).
     let racy = tracedbg_workloads::scripts::builtin("racy-wildcard").expect("built-in script");
     let (racy_script, racy_file) = (racy.parse(), racy.file());
+    // The `hunt_script` search, `explore sdl:racy-wildcard --procs 8
+    // --runs 6000 --jobs 1 --dpor`, in ns per run: what one interpreted
+    // re-execution costs the explorer, digest pruning and oracles
+    // included (most of these runs are pruned).
+    let name = "explore_sdl_racy_wildcard_6000_jobs1";
+    if wants(opts, "explore", name) {
+        let runs = if opts.quick { 600 } else { 6000 };
+        let facts = tracedbg_analysis::analyze(&racy_script, 8, &racy_file).independence;
+        let record = measure(name, 1, plan(opts, 1, 5, 1), || {
+            let (script, file) = (racy_script.clone(), racy_file.clone());
+            let cfg = ExploreConfig {
+                workload: "sdl:racy-wildcard".to_string(),
+                seed: 7,
+                runs,
+                jobs: 1,
+                independence: Some(facts.clone()),
+                ..Default::default()
+            };
+            let source: tracedbg_explore::ProgramSource =
+                Box::new(move || tracedbg_workloads::script::programs(&script, 8, &file));
+            let report = Explorer::new(cfg, source).explore();
+            assert_eq!(report.runs_executed, runs);
+            assert!(report.findings.iter().any(|f| f.class == "panic"));
+        });
+        records.push(record.per(runs as u64));
+    }
     let native = wildcard_race_factory(RacyConfig {
         nprocs: 8,
         ..Default::default()
@@ -1209,12 +1235,12 @@ fn suite_localize(opts: &SuiteOptions) -> Suite {
         );
         let passing = tracedbg_explore::runner::execute(&source, SchedPolicy::RoundRobin, &[]);
         records.push(measure("graph_diff", 1, plan(opts, 2, 5, 20), || {
-            let ranks = diff_ranks(&failing.store, &passing.store).expect("in-memory diff");
+            let ranks = diff_ranks(failing.store(), passing.store()).expect("in-memory diff");
             assert!(
                 ranks.iter().any(|d| d.score() > 0),
                 "failing vs passing must differ"
             );
-            let channels = diff_channels(&failing.store, &passing.store).expect("in-memory diff");
+            let channels = diff_channels(failing.store(), passing.store()).expect("in-memory diff");
             assert!(!channels.is_empty());
         }));
     }

@@ -625,7 +625,7 @@ impl Explorer {
     fn absorb(&mut self, res: &RunResult, faults: &[Fault], strategy: &'static str) {
         self.runs_executed += 1;
         if let Some(obs) = self.obs.as_mut() {
-            let m = of_run(res.store.records(), &res.decisions, self.procs);
+            let m = of_run(res.log().iter(), &res.decisions, self.procs);
             obs.engine.merge(&m);
         }
         if self.digests.insert(res.digest) {

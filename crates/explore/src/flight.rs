@@ -15,12 +15,12 @@ use tracedbg_trace::{EventKind, Rank};
 /// no debugger stop returns). A receive blocked if its `Match` is not the
 /// point right after its rank's last `Turn`, or if it is never done.
 pub fn render(run: &RunResult, faults: &[Fault]) -> Vec<String> {
-    let n = run.store.n_ranks();
+    let n = run.n_ranks();
     // Each completed receive, by `(dst, src, seq)`, and each rank's open
     // one, as `(posted, named source)`: a rank's records are in program
-    // order in the canonical order.
+    // order in the run's log.
     let (mut done, mut open) = (HashMap::new(), vec![None; n]);
-    for rec in run.store.records() {
+    for rec in run.log().iter() {
         match (rec.kind, rec.msg) {
             (EventKind::RecvPost, _) => {
                 let from = u64::try_from(rec.args[0]).unwrap_or(u64::MAX);

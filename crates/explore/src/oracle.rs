@@ -34,7 +34,7 @@ pub fn check(run: &RunResult) -> Option<Violation> {
         return violation(run.class, run.detail.clone());
     }
     if run.class == CLASS_COMPLETED && run.faulted.is_empty() {
-        let diags = lint_trace(&run.store, error_rules());
+        let diags = lint_trace(run.store(), error_rules());
         let errors: Vec<&str> = diags
             .iter()
             .filter(|d| d.severity == Severity::Error)

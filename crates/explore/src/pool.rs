@@ -484,8 +484,7 @@ mod tests {
         };
         let plain = run_on(1, &source, vec![task()]);
         let metered = run_on(1, &source, vec![task()]);
-        let m =
-            tracedbg_mpsim::metrics::of_run(metered[0].store.records(), &metered[0].decisions, 2);
+        let m = tracedbg_mpsim::metrics::of_run(metered[0].log().iter(), &metered[0].decisions, 2);
         assert_eq!(m.total_msgs(), 2, "pingpong sends two messages");
         assert_eq!(metered[0].digest, plain[0].digest, "telemetry is passive");
         assert_eq!(metered[0].decisions, plain[0].decisions);

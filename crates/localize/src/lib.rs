@@ -158,7 +158,7 @@ struct Harvest {
 impl Harvest {
     fn absorb(&mut self, failing: &[Decision], nprocs: usize, res: RunResult) {
         self.runs += 1;
-        let m = of_run(res.store.records(), &res.decisions, nprocs);
+        let m = of_run(res.log().iter(), &res.decisions, nprocs);
         for (c, (_, get)) in COUNTERS.iter().enumerate() {
             for r in 0..nprocs {
                 self.samples[c * nprocs + r].push(get(&m, r));
@@ -271,7 +271,7 @@ pub fn localize_with_trace(
         .collect();
     //    Only the first completed run of each trace digest counts, and
     //    of those only what the report reads outlives its window.
-    let nprocs = artifact.procs.max(failing.store.n_ranks());
+    let nprocs = artifact.procs.max(failing.store().n_ranks());
     let mut harvest = Harvest {
         runs: 0,
         prefix: 0,
@@ -322,8 +322,8 @@ pub fn localize_with_trace(
     }
 
     // 4. Event-graph diff vs the nearest passing trace.
-    let failing_src: &dyn TraceSource = failing_trace.unwrap_or(&failing.store);
-    let rank_diffs = diff_ranks(failing_src, &nearest.store).unwrap_or_default();
+    let failing_src: &dyn TraceSource = failing_trace.unwrap_or(failing.store());
+    let rank_diffs = diff_ranks(failing_src, nearest.store()).unwrap_or_default();
     let mut graph_score: Vec<u64> = (0..nprocs)
         .map(|r| rank_diffs.get(r).map_or(0, |d| d.score()))
         .collect();
@@ -338,11 +338,11 @@ pub fn localize_with_trace(
             })
         })
         .collect();
-    let channel_diffs = diff_channels(failing_src, &nearest.store).unwrap_or_default();
+    let channel_diffs = diff_channels(failing_src, nearest.store()).unwrap_or_default();
 
     // 5. Telemetry anomaly vs the passing sample.
     let (mut mad_scores, mad_evidence) = if harvest.samples.iter().any(|s| !s.is_empty()) {
-        let fm = of_run(failing.store.records(), &failing.decisions, nprocs);
+        let fm = of_run(failing.log().iter(), &failing.decisions, nprocs);
         anomaly_scores(&fm, &harvest.samples, nprocs)
     } else {
         (vec![0; nprocs], vec![Vec::new(); nprocs])
@@ -351,7 +351,7 @@ pub fn localize_with_trace(
     // 6. Wait-state blame: who *caused* the failing run's waiting. A
     //    pure function of the failing trace, so `--jobs` and input-plane
     //    byte-identity are preserved for free.
-    let mut blame_ns = tracedbg_profile::blame_vector(&failing.store);
+    let mut blame_ns = tracedbg_profile::blame_vector(failing.store());
     blame_ns.resize(nprocs, 0);
     let mut blame_score = blame_ns.clone();
 

@@ -800,7 +800,7 @@ impl Engine {
 
     /// Everything traced so far, in the order it was recorded: the run's
     /// one log, which every kept record enters when it is recorded.
-    pub fn collect_trace(&mut self) -> &ChunkLog<TraceRecord> {
+    pub fn collect_trace(&self) -> &ChunkLog<TraceRecord> {
         &self.st.collected
     }
 
@@ -865,13 +865,22 @@ impl Engine {
     }
 
     /// Consume a finished engine into what an exploration run keeps of
-    /// it — the trace as [`Engine::into_trace_store`] builds it and the
-    /// decision log as [`Engine::decision_points`] shows it — moving both
-    /// out instead of cloning them, trimmed of their growth slack (a caller
-    /// that keeps thousands of these should keep `len`, not `capacity`).
-    pub fn into_trace_and_decisions(mut self) -> (TraceStore, Vec<DecisionPoint>) {
+    /// it: the log as [`Engine::collect_trace`] holds it (arrival order)
+    /// and the decision log as [`Engine::decision_points`] shows it,
+    /// trimmed of its growth slack (a caller that keeps thousands of these
+    /// should keep `len`, not `capacity`). Both are moved out, not cloned;
+    /// the rest of the engine is dropped on return.
+    pub fn into_log_and_decisions(mut self) -> (ChunkLog<TraceRecord>, Vec<DecisionPoint>) {
         let decisions = std::mem::take(&mut self.st.decision_log).into_vec();
-        (self.into_trace_store(), decisions)
+        (std::mem::take(&mut self.st.collected), decisions)
+    }
+
+    /// [`Engine::into_log_and_decisions`], the log put in canonical order
+    /// as [`Engine::into_trace_store`] puts it.
+    pub fn into_trace_and_decisions(self) -> (TraceStore, Vec<DecisionPoint>) {
+        let (sites, n_ranks) = (self.st.sites.clone(), self.st.n_ranks);
+        let (log, decisions) = self.into_log_and_decisions();
+        (TraceStore::from_owned_log(log, sites, n_ranks), decisions)
     }
 
     /// The receive-match history of this run, for replaying it later: the

@@ -69,5 +69,5 @@ pub use tracedbg_instrument::{Recorder, RecorderConfig, Strategy};
 pub use tracedbg_obs::EngineMetrics;
 pub use tracedbg_trace::{
     Decision, DecisionPoint, Fault, Label, Marker, MarkerVector, Rank, ScheduleArtifact, SiteId,
-    SiteTable, Tag, TraceRecord, TraceStore, ANY_SOURCE, ANY_TAG,
+    SiteKey, SiteTable, Tag, TraceRecord, TraceStore, ANY_SOURCE, ANY_TAG,
 };

@@ -29,8 +29,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use tracedbg_instrument::{Armed, Disposition, Recorder};
 use tracedbg_trace::{
-    ChunkLog, CollKind, EventKind, Label, MsgInfo, Rank, SiteId, SiteTable, Tag, TraceRecord,
-    TraceSink,
+    ChunkLog, CollKind, EventKind, Label, MsgInfo, Rank, SiteId, SiteKey, SiteTable, Tag,
+    TraceRecord, TraceSink,
 };
 
 // ---------------------------------------------------------------------------
@@ -135,7 +135,21 @@ pub struct TaskView<'a> {
 }
 
 impl TaskView<'_> {
-    /// Intern a source location (cache the id outside hot loops).
+    /// The run's id of a location interned where the program was built:
+    /// no string is hashed.
+    pub fn site_of(&self, key: SiteKey) -> SiteId {
+        self.sites.id(key)
+    }
+
+    /// The run's id of a script's site ([`SiteKey::scripted`]), the
+    /// script built under `file`: [`SiteTable::script_id`].
+    pub fn script_site(&self, file: &Arc<str>, key: SiteKey) -> SiteId {
+        self.sites.script_id(file, key)
+    }
+
+    /// Intern a source location and take its id: [`SiteKey::new`] then
+    /// [`TaskView::site_of`]. Hashes the strings on every call; a program
+    /// that runs many times interns its keys once instead.
     pub fn site(&self, file: &str, line: u32, func: &str) -> SiteId {
         self.sites.site(file, line, func)
     }

@@ -12,6 +12,7 @@
 use crate::path::CriticalPath;
 use crate::wait::WaitAnalysis;
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, HashMap};
 use tracedbg_causality::HbIndex;
 use tracedbg_obs::sealed::{self, Sealed};
 use tracedbg_trace::{SiteId, SiteTable, TraceStore};
@@ -148,10 +149,22 @@ pub struct ProfileInput<'a> {
     pub flight_dropped: u64,
 }
 
-fn site_name(sites: &SiteTable, id: SiteId) -> String {
-    match sites.resolve(id) {
-        Some(loc) => format!("{}:{} {}", loc.file, loc.line, loc.func),
-        None => "?".to_string(),
+/// `file:line func` of each site a report names, formatted the first
+/// time it is asked for.
+struct SiteNames<'a> {
+    sites: &'a SiteTable,
+    names: HashMap<SiteId, String>,
+}
+
+impl SiteNames<'_> {
+    fn get(&mut self, id: SiteId) -> &str {
+        let sites = self.sites;
+        self.names
+            .entry(id)
+            .or_insert_with(|| match sites.resolve(id) {
+                Some(loc) => format!("{}:{} {}", loc.file, loc.line, loc.func),
+                None => "?".to_string(),
+            })
     }
 }
 
@@ -160,7 +173,10 @@ impl ProfileReport {
     /// path, account per-rank time, and seal the digest.
     pub fn build(store: &TraceStore, input: ProfileInput<'_>) -> Self {
         let n = store.n_ranks();
-        let sites = store.sites();
+        let mut names = SiteNames {
+            sites: store.sites(),
+            names: HashMap::new(),
+        };
         let matching = MessageMatching::build(store);
         let waits = WaitAnalysis::build(store, &matching);
         let path = CriticalPath::build(store, &matching);
@@ -226,17 +242,20 @@ impl ProfileReport {
                     t_to: w.t_to,
                     cost: w.cost(),
                     cause_rank: w.cause_rank.0,
-                    cause_site: site_name(sites, w.cause_site),
+                    cause_site: names.get(w.cause_site).to_string(),
                 }
             })
             .collect();
 
         // Site shares over the whole path; the detailed step list keeps
         // the terminal end (the part a debugging session replays toward).
-        let mut share: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
+        let mut by_site: HashMap<SiteId, u64> = HashMap::new();
         for (i, &id) in path.steps.iter().enumerate() {
-            let rec = store.record(id);
-            *share.entry(site_name(sites, rec.site)).or_insert(0) += path.contributions[i];
+            *by_site.entry(store.record(id).site).or_insert(0) += path.contributions[i];
+        }
+        let mut share: BTreeMap<String, u64> = BTreeMap::new();
+        for (site, contribution) in by_site {
+            *share.entry(names.get(site).to_string()).or_insert(0) += contribution;
         }
         let mut path_sites: Vec<SiteShare> = share
             .into_iter()
@@ -265,7 +284,7 @@ impl ProfileReport {
                     rank: rec.rank.0,
                     marker: rec.marker,
                     kind: rec.kind.code().to_string(),
-                    site: site_name(sites, rec.site),
+                    site: names.get(rec.site).to_string(),
                     t_start: rec.t_start,
                     t_end: rec.t_end,
                     contribution: path.contributions[i],

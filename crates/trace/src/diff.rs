@@ -120,38 +120,72 @@ pub fn diff_traces(left: &TraceStore, right: &TraceStore, mode: DiffMode) -> Vec
 /// itself is written nowhere, so the mixing function is free to change;
 /// the set of hashed fields is not (`tests/golden.rs` pins it).
 pub fn trace_digest(records: &[TraceRecord]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fold(records.iter().fold(SEED, mix_record))
+}
+
+/// [`trace_digest`]'s classes, from a run's records in the order it
+/// recorded them: each rank's records, in marker order, are hashed into
+/// that rank's lane, and the lanes are folded in rank order. The
+/// canonical order is a function of the rank lanes and they of it (its
+/// key, `(t_start, rank, marker)`, is hashed), so two runs' `run_digest`s
+/// are equal exactly when the `trace_digest`s of their canonical traces
+/// are — and no record is sorted or copied to learn it. The two values
+/// differ; compare a `run_digest` only with another.
+pub fn run_digest<'a>(records: impl IntoIterator<Item = &'a TraceRecord>, n_ranks: usize) -> u64 {
+    let mut lanes = vec![(SEED, 0u64); n_ranks];
     for rec in records {
-        // Word 0 carries the kind code and which optional parts follow,
-        // so a record's word sequence is self-delimiting.
-        let code = rec.kind.code().as_bytes();
-        h = mix(
-            h,
-            code[0] as u64
-                | (code[1] as u64) << 8
-                | (rec.msg.is_some() as u64) << 16
-                | (rec.label.is_some() as u64) << 17
-                | (rec.rank.0 as u64) << 32,
-        );
-        h = mix(h, rec.marker);
-        h = mix(h, rec.t_start);
-        h = mix(h, rec.t_end);
-        if let Some(m) = &rec.msg {
-            h = mix(h, m.src.0 as u64 | (m.dst.0 as u64) << 32);
-            h = mix(h, m.tag.0 as u32 as u64);
-            h = mix(h, m.seq);
+        let rank = rec.rank.ix();
+        if rank >= lanes.len() {
+            lanes.resize(rank + 1, (SEED, 0));
         }
-        if let Some(label) = rec.label {
-            let label = label.as_str();
-            h = mix(h, label.len() as u64);
-            for chunk in label.as_bytes().chunks(8) {
-                let mut word = [0u8; 8];
-                word[..chunk.len()].copy_from_slice(chunk);
-                h = mix(h, u64::from_le_bytes(word));
-            }
+        let (h, n) = &mut lanes[rank];
+        (*h, *n) = (mix_record(*h, rec), *n + 1);
+    }
+    fold(
+        lanes
+            .iter()
+            .fold(SEED, |h, &(lane, n)| mix(mix(h, lane), n)),
+    )
+}
+
+const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Hash one record's digested fields into `h`.
+#[inline]
+fn mix_record(mut h: u64, rec: &TraceRecord) -> u64 {
+    // Word 0 carries the kind code and which optional parts follow, so a
+    // record's word sequence is self-delimiting.
+    let code = rec.kind.code().as_bytes();
+    h = mix(
+        h,
+        code[0] as u64
+            | (code[1] as u64) << 8
+            | (rec.msg.is_some() as u64) << 16
+            | (rec.label.is_some() as u64) << 17
+            | (rec.rank.0 as u64) << 32,
+    );
+    h = mix(h, rec.marker);
+    h = mix(h, rec.t_start);
+    h = mix(h, rec.t_end);
+    if let Some(m) = &rec.msg {
+        h = mix(h, m.src.0 as u64 | (m.dst.0 as u64) << 32);
+        h = mix(h, m.tag.0 as u32 as u64);
+        h = mix(h, m.seq);
+    }
+    if let Some(label) = rec.label {
+        let label = label.as_str();
+        h = mix(h, label.len() as u64);
+        for chunk in label.as_bytes().chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            h = mix(h, u64::from_le_bytes(word));
         }
     }
-    // The multiply only carries differences upward; fold them back down.
+    h
+}
+
+/// The multiply only carries differences upward; fold them back down.
+fn fold(h: u64) -> u64 {
     h ^ (h >> 32)
 }
 
@@ -249,6 +283,21 @@ mod tests {
         assert_eq!(trace_digest(&a), trace_digest(&b));
         assert_ne!(trace_digest(&a), trace_digest(&c));
         assert_ne!(trace_digest(&a), trace_digest(&a[..1]));
+    }
+
+    #[test]
+    fn run_digest_ignores_how_ranks_interleave() {
+        use EventKind::*;
+        let r0 = [(1, 0), (2, 10)].map(|(m, t)| TraceRecord::basic(0u32, Compute, m, t));
+        let r1 = [(1, 5), (2, 6)].map(|(m, t)| TraceRecord::basic(1u32, Send, m, t));
+        let one = [r0[0], r1[0], r0[1], r1[1]];
+        let other = [r1[0], r1[1], r0[0], r0[1]];
+        assert_eq!(run_digest(&one, 2), run_digest(&other, 2));
+        // A rank's own order is its program order: swapping two of its
+        // records is another run.
+        let swapped = [r0[0], r1[1], r0[1], r1[0]];
+        assert_ne!(run_digest(&one, 2), run_digest(&swapped, 2));
+        assert_ne!(run_digest(&one, 2), run_digest(&one[..3], 2));
     }
 
     #[test]

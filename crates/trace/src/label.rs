@@ -8,67 +8,30 @@
 //! and serde resolve it to its text, and `Label` has no order. Texts live
 //! as long as the process; there is one per distinct label it has seen.
 
+use crate::intern::Interner;
 use serde::{Deserialize, Error, Serialize, Value};
-use std::collections::HashMap;
 use std::fmt;
 use std::num::NonZeroU32;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 /// An interned probe label. Equal ids are equal texts.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Label(NonZeroU32);
 
-/// The table behind [`Label`]. Id `n` lives in block `ilog2(n)` at
-/// `n - 2^ilog2(n)`, so block `b` holds `2^b` slots. A block, once made,
-/// never moves and a slot, once set, never changes: resolving an id takes
-/// no lock, only interning does.
-struct Interner {
-    ids: Mutex<HashMap<&'static str, Label>>,
-    blocks: [OnceLock<Box<[OnceLock<&'static str>]>>; 32],
-}
-
-fn interner() -> &'static Interner {
-    static INTERNER: OnceLock<Interner> = OnceLock::new();
-    INTERNER.get_or_init(|| Interner {
-        ids: Mutex::default(),
-        blocks: std::array::from_fn(|_| OnceLock::new()),
-    })
-}
-
-/// The block and slot of id `n`.
-fn place(n: u32) -> (usize, usize) {
-    let block = n.ilog2();
-    (block as usize, (n - (1 << block)) as usize)
+fn interner() -> &'static Interner<&'static str> {
+    static INTERNER: OnceLock<Interner<&'static str>> = OnceLock::new();
+    INTERNER.get_or_init(Interner::new)
 }
 
 impl Label {
     /// The label with this text, interning it on first use.
     pub fn new(text: &str) -> Label {
-        let table = interner();
-        let mut ids = table.ids.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(&label) = ids.get(text) {
-            return label;
-        }
-        let n = u32::try_from(ids.len() + 1)
-            .ok()
-            .and_then(NonZeroU32::new)
-            .expect("fewer than 2^32 distinct labels");
-        let text: &'static str = Box::leak(text.into());
-        let (block, slot) = place(n.get());
-        let slots =
-            table.blocks[block].get_or_init(|| (0..1 << block).map(|_| OnceLock::new()).collect());
-        slots[slot].set(text).expect("an id is handed out once");
-        ids.insert(text, Label(n));
-        Label(n)
+        Label(interner().id(text, |text| Box::leak(text.into())))
     }
 
     /// The label's text.
     pub fn as_str(self) -> &'static str {
-        let (block, slot) = place(self.0.get());
-        interner().blocks[block]
-            .get()
-            .and_then(|slots| slots[slot].get())
-            .expect("a label's text is set before its id is handed out")
+        interner().get(self.0)
     }
 }
 
@@ -124,10 +87,6 @@ mod tests {
         for (text, label) in &labels {
             assert_eq!(label.as_str(), text);
         }
-        assert_eq!(place(1), (0, 0));
-        assert_eq!(place(2), (1, 0));
-        assert_eq!(place(3), (1, 1));
-        assert_eq!(place(u32::MAX), (31, (1 << 31) - 1));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! defines:
 //!
 //! * process [`Rank`]s, message [`Tag`]s and interned source locations
-//!   ([`SiteTable`]) — the identifiers every other crate speaks;
+//!   ([`SiteKey`], numbered per run by a [`SiteTable`]) — the identifiers
+//!   every other crate speaks;
 //! * [`Marker`]s — the paper's *execution markers* (§2): a per-process
 //!   counter value that names a unique state of the execution and that the
 //!   controlled-replay machinery tests against debugger-set thresholds;
@@ -31,6 +32,7 @@ pub mod event;
 pub mod file;
 pub mod history;
 pub mod ids;
+mod intern;
 pub mod label;
 pub mod loc;
 pub mod marker;
@@ -40,12 +42,12 @@ pub mod source;
 pub mod stats;
 
 pub use chunk_log::ChunkLog;
-pub use diff::{diff_traces, trace_digest, DiffMode, Divergence};
+pub use diff::{diff_traces, run_digest, trace_digest, DiffMode, Divergence};
 pub use event::{CollKind, EventKind, MsgInfo, TraceRecord};
 pub use history::{EventId, TraceStore};
 pub use ids::{ChannelId, Rank, SiteId, Tag, ANY_SOURCE, ANY_TAG};
 pub use label::Label;
-pub use loc::{SiteTable, SourceLoc};
+pub use loc::{SiteKey, SiteTable, SourceLoc};
 pub use marker::{Marker, MarkerVector};
 pub use query::EventQuery;
 pub use schedule::{

@@ -2,19 +2,22 @@
 //!
 //! Both trace visualizers in the paper "provide a way to relate constructs
 //! back to the source program" (§3.1): clicking a bar identifies the send or
-//! receive in the source. We keep that mapping as an interned table of
-//! `file:line function` triples; records carry only the compact [`SiteId`].
+//! receive in the source. A `file:line function` triple is interned once
+//! per process as a [`SiteKey`]; a run's [`SiteTable`] numbers the keys it
+//! uses in first-use order, and records carry only the compact [`SiteId`].
 
 use crate::ids::SiteId;
+use crate::intern::Interner;
+use crate::Label;
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::num::NonZeroU32;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A source location of an instrumented construct.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SourceLoc {
     pub file: String,
     pub line: u32,
@@ -44,73 +47,123 @@ impl fmt::Display for SourceLoc {
     }
 }
 
-/// A location as borrowed parts: what the index hashes and compares, so
-/// looking one up builds no `SourceLoc`.
-trait LocKey {
-    fn parts(&self) -> (&str, u32, &str);
+/// The parts of an interned location: its file (`None` in a script's
+/// key, see [`SiteKey::scripted`]), line and function. Equal parts are
+/// equal texts, so the table hashes three integers.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct Parts(Option<Label>, u32, Label);
+
+fn interner() -> &'static Interner<Parts> {
+    static INTERNER: OnceLock<Interner<Parts>> = OnceLock::new();
+    INTERNER.get_or_init(Interner::new)
 }
 
-impl LocKey for SourceLoc {
-    fn parts(&self) -> (&str, u32, &str) {
-        (&self.file, self.line, &self.func)
+/// A `(file, line, func)` interned once per process: a 4-byte key into
+/// one append-only table, like [`Label`] (the file and the function are
+/// labels).
+///
+/// A location is interned where a program is built or a trace is decoded
+/// (the only place a string is hashed or allocated); a run's
+/// [`SiteTable`] then maps keys to the run's [`SiteId`]s. A key means
+/// nothing outside the process that made it: traces carry `SiteId`s and
+/// their tables' locations, never keys.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SiteKey(NonZeroU32);
+
+impl SiteKey {
+    /// The key of `(file, line, func)`, interning it on first use.
+    pub fn new(file: &str, line: u32, func: &str) -> SiteKey {
+        SiteKey::intern(Some(file), line, func)
+    }
+
+    /// The key of `line` in `func` of a script, whose file is the one the
+    /// run's script was built under ([`SiteTable::script_id`]). A script
+    /// is parsed, and its sites interned, before anyone names its file;
+    /// one parse of a text interns what any other parse of it does.
+    pub fn scripted(line: u32, func: &str) -> SiteKey {
+        SiteKey::intern(None, line, func)
+    }
+
+    fn intern(file: Option<&str>, line: u32, func: &str) -> SiteKey {
+        let parts = Parts(file.map(Label::new), line, Label::new(func));
+        SiteKey(interner().id(&parts, |&parts| parts))
+    }
+
+    fn parts(self) -> Parts {
+        interner().get(self.0)
     }
 }
 
-impl LocKey for (&str, u32, &str) {
-    fn parts(&self) -> (&str, u32, &str) {
-        *self
+impl fmt::Debug for SiteKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Parts(file, line, func) = self.parts();
+        let file = file.map_or("<script>", Label::as_str);
+        write!(f, "{file}:{line} ({func})")
     }
 }
 
-impl<'a> Borrow<dyn LocKey + 'a> for SourceLoc {
-    fn borrow(&self) -> &(dyn LocKey + 'a) {
-        self
+/// Hashes a [`SiteKey`] by one multiply: keys are dense small integers.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b.into());
+        }
     }
-}
 
-impl Hash for dyn LocKey + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.parts().hash(state)
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     }
-}
 
-impl PartialEq for dyn LocKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.parts() == other.parts()
-    }
-}
-
-impl Eq for dyn LocKey + '_ {}
-
-// The same hash as the borrowed form, as `Borrow` requires.
-impl Hash for SourceLoc {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.parts().hash(state)
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
 #[derive(Default)]
 struct Inner {
-    sites: Vec<SourceLoc>,
-    index: HashMap<SourceLoc, SiteId>,
+    /// Each id's key: the sites in first-use order.
+    keys: Vec<SiteKey>,
+    ids: HashMap<SiteKey, SiteId, BuildHasherDefault<KeyHasher>>,
+    /// The file of the script the run's ranks run: the file of every
+    /// script key (see [`SiteKey::scripted`]).
+    script: Option<Arc<str>>,
 }
 
 impl Inner {
-    /// The id `(file, line, func)` was interned under, if it was.
-    fn get(&self, file: &str, line: u32, func: &str) -> Option<SiteId> {
-        self.index.get(&(file, line, func) as &dyn LocKey).copied()
+    /// The id of `key`, the next one if the table has none for it yet.
+    fn id(&mut self, key: SiteKey) -> SiteId {
+        let next = SiteId(self.keys.len() as u32);
+        let id = *self.ids.entry(key).or_insert(next);
+        if id == next {
+            self.keys.push(key);
+        }
+        id
     }
 
-    /// Give a location not yet in the table the next id.
-    fn insert(&mut self, loc: SourceLoc) -> SiteId {
-        let id = SiteId(self.sites.len() as u32);
-        self.sites.push(loc.clone());
-        self.index.insert(loc, id);
-        id
+    /// The `(file, line, func)` of the key at `id`.
+    fn parts(&self, id: SiteId) -> Option<(&str, u32, &'static str)> {
+        let Parts(file, line, func) = self.keys.get(id.ix())?.parts();
+        let file = match file {
+            Some(file) => file.as_str(),
+            None => self.script.as_deref().unwrap_or("?"),
+        };
+        Some((file, line, func.as_str()))
+    }
+
+    /// The ids whose location passes `keep`.
+    fn find(&self, keep: impl Fn((&str, u32, &str)) -> bool) -> Vec<SiteId> {
+        (0..self.keys.len() as u32)
+            .map(SiteId)
+            .filter(|&id| self.parts(id).is_some_and(&keep))
+            .collect()
     }
 }
 
-/// Thread-safe interner mapping [`SourceLoc`]s to dense [`SiteId`]s.
+/// Thread-safe table mapping [`SiteKey`]s to dense [`SiteId`]s in the
+/// order a run first uses them.
 ///
 /// Shared (via `Arc`) between the engine and every simulated process so a
 /// construct keeps one id across record, replay and analysis.
@@ -124,37 +177,61 @@ impl SiteTable {
         Self::default()
     }
 
-    /// Intern a location, returning its stable id.
-    pub fn intern(&self, loc: SourceLoc) -> SiteId {
-        let mut g = self.inner.lock().unwrap();
-        g.get(&loc.file, loc.line, &loc.func)
-            .unwrap_or_else(|| g.insert(loc))
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        (self.inner.lock()).expect("no thread panics while it holds a site table")
     }
 
-    /// Intern a `(file, line, func)` triple. Allocates only the first
-    /// time the triple is seen.
+    /// The id of an interned location: what a running program asks.
+    /// Hashes no string; allocates only when the table grows.
+    pub fn id(&self, key: SiteKey) -> SiteId {
+        self.lock().id(key)
+    }
+
+    /// The id of a script's site ([`SiteKey::scripted`]), the script
+    /// built under `file`. A run runs one script: the first rank to ask
+    /// names the file of every script key in the table, and a rank
+    /// naming another file panics. Compares the name, allocates nothing
+    /// but the table's growth.
+    pub fn script_id(&self, file: &Arc<str>, key: SiteKey) -> SiteId {
+        let mut inner = self.lock();
+        match &inner.script {
+            Some(named) => assert!(
+                Arc::ptr_eq(named, file) || named == file,
+                "one run runs one script: {named} and {file}"
+            ),
+            None => inner.script = Some(Arc::clone(file)),
+        }
+        inner.id(key)
+    }
+
+    /// Intern a location, returning its stable id.
+    pub fn intern(&self, loc: SourceLoc) -> SiteId {
+        self.site(&loc.file, loc.line, &loc.func)
+    }
+
+    /// Intern a `(file, line, func)` triple: [`SiteKey::new`], then
+    /// [`SiteTable::id`].
     pub fn site(&self, file: &str, line: u32, func: &str) -> SiteId {
-        let mut g = self.inner.lock().unwrap();
-        g.get(file, line, func)
-            .unwrap_or_else(|| g.insert(SourceLoc::new(file, line, func)))
+        self.id(SiteKey::new(file, line, func))
     }
 
     /// Resolve an id back to its location (None for [`SiteId::UNKNOWN`] or
     /// ids from another table).
     pub fn resolve(&self, id: SiteId) -> Option<SourceLoc> {
-        self.inner.lock().unwrap().sites.get(id.ix()).cloned()
+        let inner = self.lock();
+        let (file, line, func) = inner.parts(id)?;
+        Some(SourceLoc::new(file, line, func))
     }
 
     /// Name of the function at `id`, or `"?"`.
     pub fn func_name(&self, id: SiteId) -> String {
-        self.resolve(id)
-            .map(|l| l.func)
-            .unwrap_or_else(|| "?".into())
+        let inner = self.lock();
+        inner.parts(id).map_or("?", |(_, _, func)| func).to_string()
     }
 
     /// Number of interned sites.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().sites.len()
+        self.lock().keys.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -163,42 +240,33 @@ impl SiteTable {
 
     /// Snapshot of all interned locations, indexed by `SiteId`.
     pub fn snapshot(&self) -> Vec<SourceLoc> {
-        self.inner.lock().unwrap().sites.clone()
+        let inner = self.lock();
+        let ids = (0..inner.keys.len() as u32).map(SiteId);
+        ids.filter_map(|id| inner.parts(id))
+            .map(|(file, line, func)| SourceLoc::new(file, line, func))
+            .collect()
     }
 
     /// All sites belonging to a function name (breakpoint-by-function).
     pub fn find_function(&self, func: &str) -> Vec<SiteId> {
-        self.inner
-            .lock()
-            .unwrap()
-            .sites
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.func == func)
-            .map(|(i, _)| SiteId(i as u32))
-            .collect()
+        self.lock().find(|(_, _, f)| f == func)
     }
 
     /// All sites at a file:line (breakpoint-by-location).
     pub fn find_line(&self, file: &str, line: u32) -> Vec<SiteId> {
-        self.inner
-            .lock()
-            .unwrap()
-            .sites
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.file == file && l.line == line)
-            .map(|(i, _)| SiteId(i as u32))
-            .collect()
+        self.lock().find(|(f, l, _)| f == file && l == line)
     }
 
-    /// Rebuild a table from a snapshot (used when reading trace files).
+    /// Rebuild a table from a snapshot (used when reading trace files):
+    /// each location is interned here. A location listed twice keeps both
+    /// ids, and interning it again gives the later one.
     pub fn from_snapshot(sites: Vec<SourceLoc>) -> Self {
         let mut inner = Inner::default();
-        for (i, s) in sites.iter().enumerate() {
-            inner.index.insert(s.clone(), SiteId(i as u32));
+        for s in &sites {
+            let key = SiteKey::new(&s.file, s.line, &s.func);
+            inner.ids.insert(key, SiteId(inner.keys.len() as u32));
+            inner.keys.push(key);
         }
-        inner.sites = sites;
         SiteTable {
             inner: Arc::new(Mutex::new(inner)),
         }
@@ -254,6 +322,34 @@ mod tests {
         assert_eq!(t2.len(), 2);
         assert_eq!(t2.site("a.c", 1, "f"), SiteId(0));
         assert_eq!(t2.site("c.c", 3, "h"), SiteId(2));
+    }
+
+    #[test]
+    fn script_keys_take_the_runs_script_file() {
+        let (a, b) = (
+            SiteKey::scripted(3, "unit_f"),
+            SiteKey::scripted(3, "unit_f"),
+        );
+        assert_eq!(a, b);
+        assert_ne!(a, SiteKey::new("unit.script", 3, "unit_f"));
+        let t = SiteTable::new();
+        let file: Arc<str> = Arc::from("unit.script");
+        assert_eq!(t.script_id(&file, a), SiteId(0));
+        assert_eq!(t.script_id(&Arc::from("unit.script"), b), SiteId(0));
+        assert_eq!(
+            t.snapshot(),
+            vec![SourceLoc::new("unit.script", 3, "unit_f")]
+        );
+        assert_eq!(t.find_line("unit.script", 3), vec![SiteId(0)]);
+        assert_eq!(t.func_name(SiteId(0)), "unit_f");
+    }
+
+    #[test]
+    #[should_panic(expected = "one run runs one script")]
+    fn a_run_has_one_script_file() {
+        let t = SiteTable::new();
+        t.script_id(&Arc::from("a.script"), SiteKey::scripted(1, "main"));
+        t.script_id(&Arc::from("b.script"), SiteKey::scripted(2, "main"));
     }
 
     #[test]

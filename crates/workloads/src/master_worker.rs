@@ -8,7 +8,7 @@
 //! can compare orders across runs. Task-backed ([`RankProgram::task`]).
 
 use tracedbg_mpsim::task::TaskOp;
-use tracedbg_mpsim::{Payload, Prog, Rank, RankProgram, SendMode, SiteId, Tag};
+use tracedbg_mpsim::{Payload, Prog, Rank, RankProgram, SendMode, SiteId, SiteKey, Tag};
 use tracedbg_trace::Label;
 
 const TAG_WORK: Tag = Tag(30);
@@ -68,7 +68,10 @@ fn master_prog() -> Prog<PoolState> {
         }),
     ]);
     Prog::seq(vec![
-        Prog::act(|s: &mut PoolState, v| s.site = v.site("pool.c", 10, "master")),
+        Prog::act({
+            let key = SiteKey::new("pool.c", 10, "master");
+            move |s: &mut PoolState, v| s.site = v.site_of(key)
+        }),
         Prog::scope(
             |s: &mut PoolState, _| (s.site, [s.cfg.tasks as i64, 0]),
             Prog::seq(vec![
@@ -133,7 +136,10 @@ fn master_prog() -> Prog<PoolState> {
 
 fn worker_prog() -> Prog<PoolState> {
     Prog::seq(vec![
-        Prog::act(|s: &mut PoolState, v| s.site = v.site("pool.c", 40, "worker")),
+        Prog::act({
+            let key = SiteKey::new("pool.c", 40, "worker");
+            move |s: &mut PoolState, v| s.site = v.site_of(key)
+        }),
         Prog::scope(
             |s: &mut PoolState, _| (s.site, [s.rank as i64, 0]),
             Prog::while_loop(

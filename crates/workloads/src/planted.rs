@@ -29,7 +29,7 @@
 //! many exploratory re-runs never spawn per-rank threads.
 
 use tracedbg_mpsim::task::TaskOp;
-use tracedbg_mpsim::{Payload, Prog, Rank, RankProgram, SendMode, SiteId, Tag};
+use tracedbg_mpsim::{Payload, Prog, Rank, RankProgram, SendMode, SiteId, SiteKey, Tag};
 use tracedbg_trace::Label;
 
 pub const TAG_DATA: Tag = Tag(40);
@@ -106,7 +106,10 @@ fn state(cfg: &PlantedConfig, rank: usize) -> PState {
 /// `wsite`, matching the thread version's nested `reporting_worker`.
 fn reporting_body() -> Prog<PState> {
     Prog::seq(vec![
-        Prog::act(|s: &mut PState, v| s.wsite = v.site("planted.c", 40, "worker")),
+        Prog::act({
+            let key = SiteKey::new("planted.c", 40, "worker");
+            move |s: &mut PState, v| s.wsite = v.site_of(key)
+        }),
         Prog::op(|s: &mut PState, _| TaskOp::Compute {
             cost_ns: s.cfg.work * if s.rank == 1 { 1 } else { 4 },
             site: s.wsite,
@@ -140,7 +143,10 @@ pub fn planted_wildcard(cfg: &PlantedConfig) -> Vec<RankProgram> {
     let leader = Label::new("leader");
     cfg.check();
     let master = Prog::seq(vec![
-        Prog::act(|s: &mut PState, v| s.site = v.site("planted.c", 10, "master")),
+        Prog::act({
+            let key = SiteKey::new("planted.c", 10, "master");
+            move |s: &mut PState, v| s.site = v.site_of(key)
+        }),
         Prog::op_bind(
             |s: &mut PState, _| TaskOp::Recv {
                 src: None,
@@ -190,7 +196,10 @@ pub fn planted_orphan(cfg: &PlantedConfig) -> Vec<RankProgram> {
     let reporter = Label::new("reporter");
     cfg.check();
     let master = Prog::seq(vec![
-        Prog::act(|s: &mut PState, v| s.site = v.site("planted.c", 20, "master")),
+        Prog::act({
+            let key = SiteKey::new("planted.c", 20, "master");
+            move |s: &mut PState, v| s.site = v.site_of(key)
+        }),
         Prog::op_bind(
             |s: &mut PState, _| TaskOp::Recv {
                 src: None,
@@ -224,7 +233,10 @@ pub fn planted_orphan(cfg: &PlantedConfig) -> Vec<RankProgram> {
         drain_rest(),
     ]);
     let worker = Prog::seq(vec![
-        Prog::act(|s: &mut PState, v| s.site = v.site("planted.c", 30, "worker")),
+        Prog::act({
+            let key = SiteKey::new("planted.c", 30, "worker");
+            move |s: &mut PState, v| s.site = v.site_of(key)
+        }),
         reporting_body(),
         Prog::op(|s: &mut PState, _| TaskOp::Recv {
             src: Some(Rank(0)),
@@ -278,7 +290,10 @@ pub fn planted_pipeline(cfg: &PlantedConfig) -> Vec<RankProgram> {
     let total = nprods as u64 * PIPELINE_TOKENS;
     let step = cfg.work / 4;
     let producer = Prog::seq(vec![
-        Prog::act(|s: &mut PState, v| s.site = v.site("planted.c", 50, "producer")),
+        Prog::act({
+            let key = SiteKey::new("planted.c", 50, "producer");
+            move |s: &mut PState, v| s.site = v.site_of(key)
+        }),
         // Producer `p` owns token ids `p, p + nprods, ...`; the pacing
         // staggers emission so token `i` arrives at the merge stage at
         // roughly `i * step` — globally ordered across producers.
@@ -305,7 +320,10 @@ pub fn planted_pipeline(cfg: &PlantedConfig) -> Vec<RankProgram> {
         ),
     ]);
     let merge = Prog::seq(vec![
-        Prog::act(|s: &mut PState, v| s.site = v.site("planted.c", 60, "merge")),
+        Prog::act({
+            let key = SiteKey::new("planted.c", 60, "merge");
+            move |s: &mut PState, v| s.site = v.site_of(key)
+        }),
         Prog::for_range(
             move |_s: &PState, _| (0, total as i64),
             |_s: &mut PState, _| {},
@@ -332,7 +350,10 @@ pub fn planted_pipeline(cfg: &PlantedConfig) -> Vec<RankProgram> {
         ),
     ]);
     let relay = Prog::seq(vec![
-        Prog::act(|s: &mut PState, v| s.site = v.site("planted.c", 65, "relay")),
+        Prog::act({
+            let key = SiteKey::new("planted.c", 65, "relay");
+            move |s: &mut PState, v| s.site = v.site_of(key)
+        }),
         Prog::for_range(
             move |_s: &PState, _| (0, total as i64),
             |_s: &mut PState, _| {},
@@ -356,7 +377,10 @@ pub fn planted_pipeline(cfg: &PlantedConfig) -> Vec<RankProgram> {
         ),
     ]);
     let sink = Prog::seq(vec![
-        Prog::act(|s: &mut PState, v| s.site = v.site("planted.c", 70, "sink")),
+        Prog::act({
+            let key = SiteKey::new("planted.c", 70, "sink");
+            move |s: &mut PState, v| s.site = v.site_of(key)
+        }),
         Prog::for_range(
             move |_s: &PState, _| (0, total as i64),
             |s: &mut PState, k| s.k = k,

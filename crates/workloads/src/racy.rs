@@ -20,7 +20,7 @@
 //! instantiation thread-spawn-free.
 
 use tracedbg_mpsim::task::TaskOp;
-use tracedbg_mpsim::{Payload, Prog, Rank, RankProgram, SendMode, SiteId, Tag};
+use tracedbg_mpsim::{Payload, Prog, Rank, RankProgram, SendMode, SiteId, SiteKey, Tag};
 use tracedbg_trace::Label;
 
 const TAG_DATA: Tag = Tag(30);
@@ -71,7 +71,10 @@ fn state(cfg: &RacyConfig, rank: usize) -> RacyState {
 /// master, then `extra_sends` follow-ups.
 fn worker_prog(extra_sends: usize) -> Prog<RacyState> {
     Prog::seq(vec![
-        Prog::act(|s: &mut RacyState, v| s.site = v.site("racy.c", 40, "worker")),
+        Prog::act({
+            let key = SiteKey::new("racy.c", 40, "worker");
+            move |s: &mut RacyState, v| s.site = v.site_of(key)
+        }),
         Prog::op(|s: &mut RacyState, _| TaskOp::Compute {
             cost_ns: s.cfg.work * if s.rank == 1 { 1 } else { 4 },
             site: s.site,
@@ -118,7 +121,10 @@ pub fn wildcard_race(cfg: &RacyConfig) -> Vec<RankProgram> {
         "racy patterns need a master and 2+ workers"
     );
     let master = Prog::seq(vec![
-        Prog::act(|s: &mut RacyState, v| s.site = v.site("racy.c", 12, "master")),
+        Prog::act({
+            let key = SiteKey::new("racy.c", 12, "master");
+            move |s: &mut RacyState, v| s.site = v.site_of(key)
+        }),
         Prog::op_bind(
             |s: &mut RacyState, _| TaskOp::Recv {
                 src: None,
@@ -164,7 +170,10 @@ pub fn orphan_deadlock(cfg: &RacyConfig) -> Vec<RankProgram> {
         "racy patterns need a master and 2+ workers"
     );
     let master = Prog::seq(vec![
-        Prog::act(|s: &mut RacyState, v| s.site = v.site("racy.c", 24, "master")),
+        Prog::act({
+            let key = SiteKey::new("racy.c", 24, "master");
+            move |s: &mut RacyState, v| s.site = v.site_of(key)
+        }),
         Prog::op_bind(
             |s: &mut RacyState, _| TaskOp::Recv {
                 src: None,

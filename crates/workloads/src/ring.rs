@@ -1,7 +1,7 @@
 //! A token ring: deterministic pattern for replay/trace tests.
 
 use tracedbg_mpsim::task::TaskOp;
-use tracedbg_mpsim::{Payload, Prog, Rank, RankProgram, SendMode, SiteId, Tag};
+use tracedbg_mpsim::{Payload, Prog, Rank, RankProgram, SendMode, SiteId, SiteKey, Tag};
 
 const TAG_TOKEN: Tag = Tag(20);
 
@@ -59,7 +59,10 @@ impl RingState {
 
 fn node_prog() -> Prog<RingState> {
     Prog::seq(vec![
-        Prog::act(|s: &mut RingState, v| s.site = v.site("ring.c", 12, "ring")),
+        Prog::act({
+            let key = SiteKey::new("ring.c", 12, "ring");
+            move |s: &mut RingState, v| s.site = v.site_of(key)
+        }),
         Prog::scope(
             |s: &mut RingState, _| (s.site, [s.rank as i64, s.cfg.rounds as i64]),
             Prog::for_range(

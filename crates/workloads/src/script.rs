@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use tracedbg_mpsim::task::TaskOp;
-use tracedbg_mpsim::{Payload, Prog, Rank, RankProgram, SendMode, SiteId, Tag, TaskView};
+use tracedbg_mpsim::{Payload, Prog, Rank, RankProgram, SendMode, SiteId, SiteKey, Tag, TaskView};
 use tracedbg_trace::{CollKind, Label};
 
 /// Where the source-to-source pass inserts `trace` statements.
@@ -73,8 +73,9 @@ pub struct Stmt {
     pub line: u32,
     pub kind: StmtKind,
     /// First of the site slots the parser gave this statement (a `call`
-    /// owns two: itself and the callee's scope). Dense over the script, so
-    /// a rank caches the `SiteId`s it looked up in a flat table.
+    /// owns two: itself and the callee's scope; slot 0 is the root's).
+    /// Dense over the script, so the script holds one key per slot and a
+    /// rank caches the `SiteId`s it looked up in a flat table.
     slot: u32,
 }
 
@@ -126,8 +127,9 @@ pub enum StmtKind {
 #[derive(Clone)]
 pub struct Script {
     pub functions: Arc<BTreeMap<Arc<str>, Arc<[Stmt]>>>,
-    /// Site slots the parser handed out (see [`Stmt`]).
-    site_slots: u32,
+    /// Each site slot's key (see [`Stmt`]), interned when the script
+    /// was parsed; a build names the file ([`SiteKey::scripted`]).
+    keys: Arc<[SiteKey]>,
     /// Each rank's root: the scope of `main`.
     main: Prog<ScriptState>,
     /// The lowered body of each function, in `functions` order.
@@ -137,25 +139,29 @@ pub struct Script {
 impl Script {
     /// The script of `functions`, lowered: each function's body once,
     /// whoever calls it, and a root that enters `main` under the site
-    /// `(file, 0, "main")`.
+    /// `(file, 0, "main")`, slot 0.
     fn lower(functions: BTreeMap<Arc<str>, Arc<[Stmt]>>, site_slots: u32) -> Script {
         let bodies: Arc<[Prog<ScriptState>]> = functions
-            .iter()
-            .map(|(func, body)| Lowering(&functions, func).block(body))
+            .values()
+            .map(|body| Lowering(&functions).block(body))
             .collect();
         let main = match functions.keys().position(|f| &**f == "main") {
             Some(ix) => Prog::scope(
-                |st: &mut ScriptState, v| (v.site(&st.file, 0, "main"), [0, 0]),
+                |st: &mut ScriptState, v| (st.site(0, v), [0, 0]),
                 bodies[ix].clone(),
             ),
             None => Prog::act(|st: &mut ScriptState, v| {
-                v.site(&st.file, 0, "main");
+                st.site(0, v);
                 die(0, "unknown function \"main\"")
             }),
         };
+        let mut keys = vec![SiteKey::scripted(0, "main"); site_slots as usize];
+        for (func, body) in &functions {
+            slot_keys(body, func, &mut keys);
+        }
         Script {
             functions: Arc::new(functions),
-            site_slots,
+            keys: keys.into(),
             main,
             bodies,
         }
@@ -165,7 +171,7 @@ impl Script {
 impl Default for Script {
     /// The script with no functions; a rank of it dies looking for `main`.
     fn default() -> Self {
-        Script::lower(BTreeMap::new(), 0)
+        Script::lower(BTreeMap::new(), 1)
     }
 }
 
@@ -325,8 +331,7 @@ enum FrameKind {
 }
 
 /// The parser's open blocks, innermost last, and the site slots it has
-/// handed out.
-#[derive(Default)]
+/// handed out (slot 0, the root's, before any statement).
 struct Parser {
     stack: Vec<Frame>,
     site_slots: u32,
@@ -364,7 +369,10 @@ impl Parser {
 /// Parse a whole script.
 pub fn parse(src: &str) -> Result<Script, ScriptError> {
     let mut functions = BTreeMap::new();
-    let mut p = Parser::default();
+    let mut p = Parser {
+        stack: Vec::new(),
+        site_slots: 1,
+    };
     for (ix, raw) in src.lines().enumerate() {
         let lno = ix as u32 + 1;
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -619,14 +627,15 @@ impl<F: Fn(&str) -> Option<i64>> Scope<F> {
 
 /// One rank's state while it runs the lowered script: its variables, the
 /// `SiteId` it found for each site slot on its first visit (`UNKNOWN`
-/// until then), the file its sites are interned under, and the lowered
-/// body of every function. A node cannot hold the tree it is part of, so
-/// a `call` fetches its callee's body from here (the recursion idiom of
-/// `fib`).
+/// until then), each slot's key and the file the build named, and the
+/// lowered body of every function.
+/// A node cannot hold the tree it is part of, so a `call` fetches its
+/// callee's body from here (the recursion idiom of `fib`).
 #[derive(Clone)]
 struct ScriptState {
     vars: BTreeMap<String, i64>,
     sites: Vec<SiteId>,
+    keys: Arc<[SiteKey]>,
     file: Arc<str>,
     bodies: Arc<[Prog<ScriptState>]>,
 }
@@ -678,24 +687,43 @@ impl ScriptState {
         Rank(r as u32)
     }
 
-    /// The site of `line` in `func` under site slot `slot`: asked of the
-    /// shared table on this rank's first visit, read from its cache after.
-    fn site(&mut self, slot: u32, line: u32, func: &str, view: &TaskView<'_>) -> SiteId {
+    /// The site of slot `slot`: asked of the run's table on this rank's
+    /// first visit, read from its cache after.
+    fn site(&mut self, slot: u32, view: &TaskView<'_>) -> SiteId {
         let cached = &mut self.sites[slot as usize];
         if *cached == SiteId::UNKNOWN {
-            *cached = view.site(&self.file, line, func);
+            *cached = view.script_site(&self.file, self.keys[slot as usize]);
         }
         *cached
     }
 }
 
-/// Lowers the statements of one function (`.1`, of the script's function
-/// table `.0`) to the nodes that run them. Each statement first interns
-/// its own site, where a visit of the rank always has, so first-use
-/// interning order (which the golden traces pin) holds: a `let`, an `if`
-/// or a `loop` too, though they emit no record, and a `call` before its
-/// callee's scope site.
-struct Lowering<'a>(&'a BTreeMap<Arc<str>, Arc<[Stmt]>>, &'a Arc<str>);
+/// Intern the key of every slot the statements of `func` own, a
+/// `call`'s second slot under the callee's name.
+fn slot_keys(stmts: &[Stmt], func: &str, keys: &mut [SiteKey]) {
+    for s in stmts {
+        keys[s.slot as usize] = SiteKey::scripted(s.line, func);
+        match &s.kind {
+            StmtKind::Call { func: callee } => {
+                keys[s.slot as usize + 1] = SiteKey::scripted(s.line, callee);
+            }
+            StmtKind::Loop { body, .. } => slot_keys(body, func, keys),
+            StmtKind::If { then, els, .. } => {
+                slot_keys(then, func, keys);
+                slot_keys(els, func, keys);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Lowers the statements of a function of the script's function table
+/// (`.0`) to the nodes that run them. Each statement first takes its own
+/// site's id, where a visit of the rank always has, so first-use order
+/// (which the golden traces pin) holds: a `let`, an `if` or a `loop` too,
+/// though they emit no record, and a `call` before its callee's scope
+/// site.
+struct Lowering<'a>(&'a BTreeMap<Arc<str>, Arc<[Stmt]>>);
 
 impl Lowering<'_> {
     fn block(&self, stmts: &[Stmt]) -> Prog<ScriptState> {
@@ -708,8 +736,8 @@ impl Lowering<'_> {
 
     /// Append the nodes of `s` to those of its block.
     fn stmt(&self, s: &Stmt, nodes: &mut Vec<Prog<ScriptState>>) {
-        let (slot, line, func) = (s.slot, s.line, Arc::clone(self.1));
-        let site = move |st: &mut ScriptState, v: &TaskView<'_>| st.site(slot, line, &func, v);
+        let (slot, line) = (s.slot, s.line);
+        let site = move |st: &mut ScriptState, v: &TaskView<'_>| st.site(slot, v);
         match &s.kind {
             StmtKind::Let { var, value } => {
                 let (var, value) = (var.clone(), value.clone());
@@ -775,7 +803,7 @@ impl Lowering<'_> {
                     Some(ix) => Prog::scope(
                         move |st, v| {
                             site(st, v);
-                            (st.site(slot + 1, line, &callee, v), [0, 0])
+                            (st.site(slot + 1, v), [0, 0])
                         },
                         Prog::gen(move |st: &mut ScriptState, _| st.bodies[ix].clone()),
                     ),
@@ -828,14 +856,16 @@ impl Lowering<'_> {
 
 /// Build one engine program per rank, all running the same script (SPMD,
 /// like `mpirun`). Every rank starts at the root `parse` lowered, with no
-/// variables and an empty site cache; nothing is lowered here. Runtime
-/// errors panic the process (reported through the engine as a process
-/// panic).
+/// variables and an empty site cache; nothing is lowered or interned
+/// here: the script's sites were interned when it was parsed, and the
+/// run's site table takes `file` as their file. Runtime errors panic the
+/// process (reported through the engine as a process panic).
 pub fn programs(script: &Script, nprocs: usize, file: &str) -> Vec<RankProgram> {
     assert!(nprocs >= 1);
     let state = ScriptState {
         vars: BTreeMap::new(),
-        sites: vec![SiteId::UNKNOWN; script.site_slots as usize],
+        sites: vec![SiteId::UNKNOWN; script.keys.len()],
+        keys: Arc::clone(&script.keys),
         file: Arc::from(file),
         bodies: Arc::clone(&script.bodies),
     };
@@ -952,7 +982,8 @@ fn print_block(out: &mut String, stmts: &[Stmt], depth: usize) {
 }
 
 /// A `trace` statement the instrumenter inserts. What it builds is only
-/// ever printed, so its statements own no site slot.
+/// ever printed, so its statements own no site slot (they name the
+/// root's).
 fn probe(line: u32, label: String) -> Stmt {
     Stmt {
         line,
@@ -1005,7 +1036,9 @@ pub fn instrument_source(src: &str, level: InstrumentLevel) -> Result<String, Sc
         new_body.push(probe(0, format!("exit {name}")));
         functions.insert(name.clone(), new_body.into());
     }
-    Ok(print_script(&Script::lower(functions, 0)))
+    // The inserted probes own no slot of their own (see `probe`).
+    let slots = script.keys.len() as u32;
+    Ok(print_script(&Script::lower(functions, slots)))
 }
 
 #[cfg(test)]
@@ -1081,6 +1114,25 @@ end
         );
         drop(ranks);
         assert_eq!(Arc::strong_count(&script.bodies), before);
+    }
+
+    /// A site key is its text: parsing the same source again interns the
+    /// same keys, and the file is the run's, so one parse runs under any
+    /// name.
+    #[test]
+    fn parses_share_keys_and_builds_name_the_file() {
+        let (a, b) = (parse(PINGPONG).unwrap(), parse(PINGPONG).unwrap());
+        assert_eq!(a.keys, b.keys);
+        for file in ["one.script", "two.script"] {
+            let mut e = Engine::launch(
+                EngineConfig::with_recorder(RecorderConfig::full()),
+                programs(&a, 3, file),
+            );
+            assert!(e.run().is_completed());
+            let sites = e.sites().snapshot();
+            assert!(!sites.is_empty());
+            assert!(sites.iter().all(|loc| loc.file == file), "{sites:?}");
+        }
     }
 
     /// Sites are interned in first-use order across ranks, and a rank asks

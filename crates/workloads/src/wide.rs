@@ -15,7 +15,7 @@
 //!   sum (an allreduce without a root).
 
 use tracedbg_mpsim::task::TaskOp;
-use tracedbg_mpsim::{Payload, Prog, Rank, RankProgram, SendMode, SiteId, Tag};
+use tracedbg_mpsim::{Payload, Prog, Rank, RankProgram, SendMode, SiteId, SiteKey, Tag};
 use tracedbg_trace::Label;
 
 use crate::ring::{self, RingConfig};
@@ -108,7 +108,10 @@ fn stencil_neighbors(p: usize, rank: usize) -> Vec<Rank> {
 fn stencil_prog() -> Prog<StencilState> {
     let stencil_val = Label::new("stencil_val");
     Prog::seq(vec![
-        Prog::act(|s: &mut StencilState, v| s.site = v.site("stencil.c", 17, "halo_exchange")),
+        Prog::act({
+            let key = SiteKey::new("stencil.c", 17, "halo_exchange");
+            move |s: &mut StencilState, v| s.site = v.site_of(key)
+        }),
         Prog::scope(
             |s: &mut StencilState, _| (s.site, [s.rank as i64, s.cfg.steps as i64]),
             Prog::for_range(
@@ -232,7 +235,10 @@ impl BflyState {
 fn bfly_prog() -> Prog<BflyState> {
     let bfly_sum = Label::new("bfly_sum");
     Prog::seq(vec![
-        Prog::act(|s: &mut BflyState, v| s.site = v.site("butterfly.c", 9, "allreduce")),
+        Prog::act({
+            let key = SiteKey::new("butterfly.c", 9, "allreduce");
+            move |s: &mut BflyState, v| s.site = v.site_of(key)
+        }),
         Prog::scope(
             |s: &mut BflyState, _| (s.site, [s.rank as i64, s.nprocs.trailing_zeros() as i64]),
             Prog::for_range(

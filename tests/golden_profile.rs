@@ -73,7 +73,7 @@ fn profile_reports_match_the_committed_goldens() {
             &artifact.faults,
         );
         let report = ProfileReport::build(
-            &run.store,
+            run.store(),
             ProfileInput {
                 source: "schedule",
                 workload: name,

@@ -19,6 +19,7 @@
 //! | `hand-over` | a restored run hands over the trace, its checkpoint held or dropped |
 //! | `log` | the recorded match log decides the run under another seed, from launch and installed at a restored depth |
 //! | `metrics` | `EngineMetrics` equal recounts from the trace and the schedule log |
+//! | `digest` | over seeded schedules of the case, two runs' order-free `run_digest`s are equal exactly when the `trace_digest`s of their canonical traces are, and a run's digest is that of its canonical trace |
 //! | `explore` | reports at `jobs` 1 and 4 are byte-identical |
 //! | `may-match` | every dynamic match lies in the static `MayMatch` relation |
 //! | `profile` | critical path ≤ makespan ≤ busy + wait, per-rank shares sum, the sealed report round-trips, the path runs forward, every wait has a cause |
@@ -32,11 +33,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tracedbg::analysis::analyze;
+use tracedbg::explore::{execute_task, RunTask};
 use tracedbg::instrument::{Watch, WatchCond};
 use tracedbg::mpsim::{set_quiet_panics, FaultPlan, ReplayLog};
 use tracedbg::prelude::*;
 use tracedbg::store::{ingest_records, ingest_store};
-use tracedbg::trace::diff::trace_digest;
+use tracedbg::trace::diff::{run_digest, trace_digest};
 use tracedbg::trace::file::{read_binary, read_text, write_binary, write_text, TraceFile};
 use tracedbg::trace::schedule::{Alternatives, Decision, DecisionPoint};
 use tracedbg::trace::Select;
@@ -218,6 +220,7 @@ impl<'a> Run<'a> {
         let wide_snapshot = self.snapshot();
         self.log();
         self.metrics();
+        self.digest();
         self.explore();
         self.may_match();
         self.profile();
@@ -529,6 +532,30 @@ impl<'a> Run<'a> {
         let waited = blocked.iter().sum();
         let want = (turns, matches, &blocked, (matches, waited));
         assert_eq!(got, want, "metrics: turns, matches, blocked turns");
+    }
+
+    fn digest(&self) {
+        // A wide case's runs cost a hundred narrow ones in a debug build.
+        let schedules = if self.case.procs > BLOCK { 3 } else { 6 };
+        let source = self.factory();
+        let runs: Vec<(u64, u64)> = (0..schedules)
+            .map(|i| {
+                let task = RunTask {
+                    policy: SchedPolicy::Seeded(self.case.seed.wrapping_add(i / 2)),
+                    faults: self.case.faults.clone(),
+                };
+                let res = execute_task(&source, &task);
+                let store = res.store();
+                let canonical = run_digest(store.records(), store.n_ranks());
+                assert_eq!(res.digest, canonical, "digest: arrival vs canonical order");
+                (res.digest, trace_digest(store.records()))
+            })
+            .collect();
+        for a in &runs {
+            for b in &runs {
+                assert_eq!(a.0 == b.0, a.1 == b.1, "digest: partition of {runs:?}");
+            }
+        }
     }
 
     fn explore(&self) {
