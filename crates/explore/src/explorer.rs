@@ -4,7 +4,7 @@ use crate::flight;
 use crate::oracle::{self, Violation};
 use crate::pool::{run_windowed, RunTask, WorkerPool};
 use crate::runner::{
-    execute, execute_task, ProgramSource, RunResult, CLASS_COMPLETED, CLASS_DEADLOCK,
+    checkpoint, execute, execute_task, ProgramSource, RunResult, CLASS_COMPLETED, CLASS_DEADLOCK,
     CLASS_DIVERGENCE, CLASS_PANIC,
 };
 use crate::shrink::ddmin;
@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tracedbg_analysis::IndependenceFacts;
 use tracedbg_mpsim::metrics::of_run;
-use tracedbg_mpsim::{EngineMetrics, SchedPolicy};
+use tracedbg_mpsim::{EngineCheckpoint, EngineMetrics, SchedPolicy};
 use tracedbg_obs::{
     ClassCount, EventMetrics, ExploreEvent, MetricsReport, TimingMetrics, WorkerStat,
 };
@@ -209,6 +209,10 @@ pub struct Explorer {
     sleep_skipped: u64,
     /// Telemetry accumulator (`cfg.metrics`).
     obs: Option<Box<ObsAcc>>,
+    /// `(decisions restored, decisions)` over the systematic runs: the
+    /// share of their work that forking saved.
+    #[cfg(test)]
+    restored: (u64, u64),
     /// Last `--progress` heartbeat.
     last_progress: Instant,
 }
@@ -246,6 +250,13 @@ impl ObsAcc {
 /// absorbed run, not an entry per alternative (of which at most `runs`
 /// are ever dequeued). A `Turn` point's alternatives are rebuilt from the
 /// log's ready-set deltas by walking it forward ([`ReadySets`]).
+///
+/// An entry forks its parent run: each alternative's entry carries the
+/// run's checkpoint at (or a few decisions before) the branch point, so
+/// its run executes only what follows. The front run holds one
+/// checkpoint and makes the next by executing itself on from there to a
+/// later branch point ([`CHECKPOINT_GAP`]), so a run reaching the front
+/// is executed once more in all, a stretch at a time.
 struct Frontier {
     runs: VecDeque<Expansion>,
     /// The front run's ready sets, rebuilt from its first point as far as
@@ -273,6 +284,9 @@ struct Expansion {
     /// far (kept only with facts: they are what a child's sleep set
     /// inherits).
     explored: Vec<Decision>,
+    /// The run's latest checkpoint ([`Expansion::checkpoint`]); `None`
+    /// until its cursor is [`CHECKPOINT_GAP`] decisions in.
+    fork: Option<Arc<EngineCheckpoint>>,
 }
 
 /// A dequeued alternative: replay a run up to a branch point, then take
@@ -283,7 +297,22 @@ struct FrontierEntry {
     depth: usize,
     /// Decisions asleep at the end of the prefix (empty without facts).
     sleep: Vec<Decision>,
+    /// The parent run's checkpoint at or shortly before the branch
+    /// point, which the entry's run forks instead of replaying the whole
+    /// prefix (`None`: a branch point near launch, the run launches).
+    from: Option<Arc<EngineCheckpoint>>,
 }
+
+/// A front run is executed on to a branch point and checkpointed there
+/// only when its last checkpoint (or its launch) is at least this many
+/// decisions behind; an entry nearer forks that one (or launches) and
+/// replays the gap from its script. A step costs a restore, copies of
+/// the ranks it moves and a snapshot, about as much as a dozen decisions,
+/// so replaying a few is cheaper for the two or three siblings that
+/// share a branch point; 8 read faster still on the hunts and the small
+/// searches, but forked only 25 % and 34 % of their decisions (4: 28 %
+/// and 41 %; EXPERIMENTS.md §14).
+const CHECKPOINT_GAP: usize = 4;
 
 /// What the search remembers of a dequeued entry while its run executes.
 struct Dequeued {
@@ -368,16 +397,22 @@ impl Frontier {
             alt: 0,
             asleep: entry_sleep,
             explored: Vec::new(),
+            fork: None,
         });
         skipped
     }
 
     /// The next alternative in FIFO order, or `None` once every enqueued
-    /// run is exhausted.
-    fn pop(&mut self, facts: Option<&IndependenceFacts>) -> Option<FrontierEntry> {
+    /// run is exhausted. The front run's checkpoints are taken executing
+    /// it from `source`.
+    fn pop(
+        &mut self,
+        facts: Option<&IndependenceFacts>,
+        source: &ProgramSource,
+    ) -> Option<FrontierEntry> {
         loop {
             let run = self.runs.front_mut()?;
-            if let Some(entry) = run.next(facts, &mut self.front) {
+            if let Some(entry) = run.next(facts, &mut self.front, source) {
                 return Some(entry);
             }
             self.runs.pop_front();
@@ -387,6 +422,31 @@ impl Frontier {
 }
 
 impl Expansion {
+    /// The checkpoint an entry branching after the run's decisions
+    /// `prefix` forks: `held` (or none: a launch) while it is fewer than
+    /// [`CHECKPOINT_GAP`] decisions behind; else the run executed on to
+    /// the branch point — from `held`, or from launch — and checkpointed
+    /// there, the new checkpoint held instead. The run's own decisions
+    /// are the script, so the scheduler's cursor at the checkpoint is its
+    /// decision count, as in a launch of the script of any entry
+    /// branching at or after it.
+    fn checkpoint(
+        prefix: &[DecisionPoint],
+        held: &mut Option<Arc<EngineCheckpoint>>,
+        source: &ProgramSource,
+    ) -> Option<Arc<EngineCheckpoint>> {
+        let at = held.as_ref().map_or(0, |cp| cp.decision_len());
+        if prefix.len() >= at + CHECKPOINT_GAP {
+            let task = RunTask {
+                policy: SchedPolicy::Scripted(prefix.iter().map(|p| p.chosen).collect()),
+                faults: Vec::new(),
+                from: held.take(),
+            };
+            *held = checkpoint(source, &task, prefix.len());
+        }
+        held.clone()
+    }
+
     /// Advance the cursor to the next alternative [`Frontier::push`] did
     /// not count as skipped, and build its entry. `ready` has walked this
     /// run's points up to the cursor.
@@ -394,6 +454,7 @@ impl Expansion {
         &mut self,
         facts: Option<&IndependenceFacts>,
         ready: &mut ReadySets,
+        source: &ProgramSource,
     ) -> Option<FrontierEntry> {
         while let Some(p) = self.points.get(self.point) {
             ready.advance_through(&self.points, self.point);
@@ -424,13 +485,15 @@ impl Expansion {
                         }
                         None => Vec::new(),
                     };
-                    let mut script = Vec::with_capacity(self.point + 1);
-                    script.extend(self.points[..self.point].iter().map(|p| p.chosen));
+                    let prefix = &self.points[..self.point];
+                    let mut script = Vec::with_capacity(prefix.len() + 1);
+                    script.extend(prefix.iter().map(|p| p.chosen));
                     script.push(alt);
                     return Some(FrontierEntry {
                         script,
                         depth: self.depth + 1,
                         sleep,
+                        from: Self::checkpoint(prefix, &mut self.fork, source),
                     });
                 }
             }
@@ -477,6 +540,8 @@ impl Explorer {
             classes_found: HashSet::new(),
             sleep_skipped: 0,
             obs,
+            #[cfg(test)]
+            restored: (0, 0),
             last_progress: Instant::now(),
         }
     }
@@ -610,6 +675,7 @@ impl Explorer {
         let task = RunTask {
             policy,
             faults: faults.to_vec(),
+            from: None,
         };
         let res = execute_task(&self.source, &task);
         self.absorb(&res, faults, strategy);
@@ -727,7 +793,7 @@ impl Explorer {
             let mut tasks = Vec::with_capacity(window);
             let mut batch: Vec<Dequeued> = Vec::with_capacity(window);
             while tasks.len() < window && self.runs_executed + tasks.len() < self.cfg.runs {
-                let Some(entry) = frontier.pop(self.cfg.independence.as_ref()) else {
+                let Some(entry) = frontier.pop(self.cfg.independence.as_ref(), &self.source) else {
                     break;
                 };
                 // Prefix-level pruning: an already-visited substitution
@@ -747,12 +813,18 @@ impl Explorer {
                 tasks.push(RunTask {
                     policy: SchedPolicy::Scripted(entry.script),
                     faults: Vec::new(),
+                    from: entry.from,
                 });
             }
             if tasks.is_empty() {
                 break;
             }
             run_windowed(pool, tasks, |i, _task, res| {
+                #[cfg(test)]
+                {
+                    self.restored.0 += res.restored as u64;
+                    self.restored.1 += res.decisions.len() as u64;
+                }
                 self.absorb(&res, &[], "systematic");
                 // Only branch on decisions *after* the substitution:
                 // earlier alternatives are someone else's subtree (the
@@ -793,6 +865,7 @@ impl Explorer {
             RunTask {
                 policy: SchedPolicy::Seeded(seed),
                 faults,
+                from: None,
             }
         });
         run_windowed(pool, tasks, |_, task, res| {
@@ -974,9 +1047,11 @@ mod tests {
     /// two-preemption breadth-first search of `source` (no budget, no
     /// pruning), executing each of the first `limit` dequeued
     /// alternatives once and extending both queues with its run. Every
-    /// dequeued alternative and the final skip counts must agree. Returns
-    /// how many were compared, the largest depth and the largest sleep set
-    /// seen, and the skip count.
+    /// dequeued alternative and the final skip counts must agree, and
+    /// every lazy entry must carry a checkpoint fewer than
+    /// [`CHECKPOINT_GAP`] decisions before its branch point (the runs
+    /// here fork it). Returns how many were compared, the largest
+    /// depth and the largest sleep set seen, and the skip count.
     fn lockstep(
         source: &ProgramSource,
         facts: Option<&IndependenceFacts>,
@@ -1000,7 +1075,7 @@ mod tests {
         let (mut compared, mut deepest, mut widest) = (0, 0, 0);
         while compared < limit {
             let want = eager.pop_front();
-            let got = lazy.pop(facts);
+            let got = lazy.pop(facts, source);
             let Some((cut, alt, depth, sleep)) = want else {
                 assert!(got.is_none(), "the lazy frontier outlived the eager one");
                 break;
@@ -1010,11 +1085,23 @@ mod tests {
             assert_eq!(got.script[cut], alt, "entry {compared}: alternative");
             assert_eq!(got.depth, depth, "entry {compared}: depth");
             assert_eq!(got.sleep, sleep, "entry {compared}: sleep set");
+            let at = got.from.as_ref().map_or(0, |cp| cp.decision_len());
+            let near = at <= cut && cut < at + CHECKPOINT_GAP;
+            assert!(
+                near,
+                "entry {compared}: checkpoint at {at}, branch at {cut}"
+            );
+            assert!(got.from.is_some() || cut < CHECKPOINT_GAP);
             compared += 1;
             deepest = deepest.max(depth);
             widest = widest.max(sleep.len());
             if depth < 2 {
-                let res = execute(source, SchedPolicy::Scripted(got.script), &[]);
+                let task = RunTask {
+                    policy: SchedPolicy::Scripted(got.script),
+                    faults: Vec::new(),
+                    from: got.from,
+                };
+                let res = execute_task(source, &task);
                 if !res.diverged {
                     push_extensions(
                         n_ranks,
@@ -1089,6 +1176,59 @@ mod tests {
         assert!(
             widest > 0 && skipped > 0,
             "sleep sets were kept and skipped"
+        );
+    }
+
+    /// The share of its systematic runs' decisions that a systematic
+    /// search of `runs` runs of `source` restored from checkpoints
+    /// instead of executing.
+    fn restored_share(source: ProgramSource, facts: Option<IndependenceFacts>, runs: usize) -> f64 {
+        let cfg = ExploreConfig {
+            runs,
+            seed: 7,
+            strategy: Strategy::Systematic,
+            independence: facts,
+            ..Default::default()
+        };
+        tracedbg_mpsim::set_quiet_panics(true);
+        let mut explorer = Explorer::new(cfg, source);
+        let source = Arc::clone(&explorer.source);
+        std::thread::scope(|scope| {
+            let pool = WorkerPool::new(scope, 1, &source);
+            let base = explorer.run_and_check(SchedPolicy::RoundRobin, &[], "baseline");
+            explorer.systematic(&pool, base);
+        });
+        assert!(explorer.runs_executed >= 4000, "the search went deep");
+        let (restored, decisions) = std::mem::take(&mut explorer.restored);
+        restored as f64 / decisions as f64
+    }
+
+    /// Forking is the systematic search's path: over the hunts' searches
+    /// (4000 runs of the planted race; the racy script's 4790, where its
+    /// systematic search ends) a large share of the decisions the runs
+    /// log is a restored prefix, not executed again: 0.280 and 0.408
+    /// (0.305 and 0.457 if every branch point were checkpointed; 0 when
+    /// every entry launches fresh).
+    #[test]
+    fn systematic_runs_restore_their_prefix() {
+        let planted = Box::new(planted_wildcard_factory(PlantedConfig {
+            nprocs: 16,
+            ..Default::default()
+        }));
+        let share = restored_share(planted, None, 4000);
+        assert!(
+            share >= 0.25,
+            "planted-wildcard: {share:.3} of decisions restored"
+        );
+
+        let b = builtin("racy-wildcard").expect("built-in script");
+        let (script, file) = (b.parse(), b.file());
+        let facts = tracedbg_analysis::analyze(&script, 8, &file).independence;
+        let sdl: ProgramSource = Box::new(move || programs(&script, 8, &file));
+        let share = restored_share(sdl, Some(facts), 6000);
+        assert!(
+            share >= 0.40,
+            "sdl:racy-wildcard: {share:.3} of decisions restored"
         );
     }
 }

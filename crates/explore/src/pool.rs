@@ -19,13 +19,19 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Scope;
-use tracedbg_mpsim::SchedPolicy;
+use tracedbg_mpsim::{EngineCheckpoint, SchedPolicy};
 use tracedbg_trace::schedule::Fault;
 
-/// One unit of exploration work: a scheduling policy plus a fault plan.
+/// One unit of exploration work: a scheduling policy plus a fault plan,
+/// and optionally the checkpoint the run forks
+/// ([`crate::runner::execute_task`]).
 pub struct RunTask {
     pub policy: SchedPolicy,
     pub faults: Vec<Fault>,
+    /// A checkpoint of a run that made the first decisions of `policy`'s
+    /// script under `faults` ([`crate::runner::checkpoint`]): the run
+    /// starts there instead of at launch, and ends the same.
+    pub from: Option<Arc<EngineCheckpoint>>,
 }
 
 /// Per-executor share of the work: `(tasks executed, busy nanoseconds)`,
@@ -310,6 +316,7 @@ mod tests {
             .map(|i| RunTask {
                 policy: SchedPolicy::Seeded(i),
                 faults: Vec::new(),
+                from: None,
             })
             .collect()
     }
@@ -481,6 +488,7 @@ mod tests {
         let task = || RunTask {
             policy: SchedPolicy::RoundRobin,
             faults: Vec::new(),
+            from: None,
         };
         let plain = run_on(1, &source, vec![task()]);
         let metered = run_on(1, &source, vec![task()]);

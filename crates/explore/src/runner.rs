@@ -1,9 +1,9 @@
 //! One explored run: engine execution → compact result.
 
 use crate::pool::RunTask;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use tracedbg_instrument::RecorderConfig;
-use tracedbg_mpsim::{Engine, EngineConfig, FaultPlan, RunOutcome, SchedPolicy};
+use tracedbg_mpsim::{Engine, EngineCheckpoint, EngineConfig, FaultPlan, RunOutcome, SchedPolicy};
 use tracedbg_trace::schedule::{Decision, DecisionPoint, Fault};
 use tracedbg_trace::{run_digest, ChunkLog, Rank, SiteTable, TraceRecord, TraceStore};
 
@@ -38,6 +38,11 @@ pub struct RunResult {
     pub faulted: Vec<Rank>,
     /// The rank whose panic ended the run, if one did.
     pub panicked: Option<Rank>,
+    /// The decisions the run took over from its checkpoint instead of
+    /// making them (0 for a launched run): the witness that forks save
+    /// work, in no report.
+    #[cfg(test)]
+    pub(crate) restored: usize,
     /// The run's records in arrival order: each rank's in marker order.
     log: ChunkLog<TraceRecord>,
     sites: SiteTable,
@@ -72,22 +77,38 @@ pub fn execute(source: &ProgramSource, policy: SchedPolicy, faults: &[Fault]) ->
         &RunTask {
             policy,
             faults: faults.to_vec(),
+            from: None,
         },
     )
 }
 
-/// Execute one [`RunTask`] on a private engine launched from scratch —
-/// the one way the explorer, its shrinker and `localize` run a schedule.
+/// The engine a task runs on: its checkpoint forked, or a launch (with
+/// checkpoints on when `checkpoints`).
+fn engine(source: &ProgramSource, task: &RunTask, checkpoints: bool) -> Engine {
+    match (&task.from, &task.policy) {
+        (Some(cp), SchedPolicy::Scripted(script)) => Engine::fork(cp, script),
+        (Some(_), policy) => panic!("a fork follows a script, not {policy:?}"),
+        (None, policy) => Engine::launch(
+            EngineConfig {
+                policy: policy.clone(),
+                recorder: RecorderConfig::full(),
+                faults: FaultPlan::new(task.faults.clone()),
+                checkpoints,
+                ..Default::default()
+            },
+            source(),
+        ),
+    }
+}
+
+/// Execute one [`RunTask`] — the one way the explorer, its shrinker and
+/// `localize` run a schedule. A task with a checkpoint forks it
+/// ([`Engine::fork`]): the run starts at the decision the checkpoint was
+/// taken before and follows its scripted policy from there, and the
+/// result is the one a launch of the task without the checkpoint gives.
+/// Any other task launches a private engine from scratch.
 pub fn execute_task(source: &ProgramSource, task: &RunTask) -> RunResult {
-    let mut engine = Engine::launch(
-        EngineConfig {
-            policy: task.policy.clone(),
-            recorder: RecorderConfig::full(),
-            faults: FaultPlan::new(task.faults.clone()),
-            ..Default::default()
-        },
-        source(),
-    );
+    let mut engine = engine(source, task, false);
     let outcome = engine.run();
     let diverged = engine.schedule_diverged();
     let faulted = engine.faulted().into_iter().map(|(rank, _)| rank).collect();
@@ -108,9 +129,27 @@ pub fn execute_task(source: &ProgramSource, task: &RunTask) -> RunResult {
         diverged,
         faulted,
         panicked,
+        #[cfg(test)]
+        restored: task.from.as_ref().map_or(0, |cp| cp.decision_len()),
         log,
         sites,
         n_ranks,
         store: OnceLock::new(),
     }
+}
+
+/// Execute `task` as far as its decision `k` and checkpoint it there —
+/// the checkpoint a fork at that branch point starts from — or `None` if
+/// the run ends first. `task`'s policy must script at least its first `k`
+/// decisions (a fork's scheduler takes its script from the checkpoint's
+/// cursor on), and a task forked from the checkpoint must carry `task`'s
+/// fault plan.
+pub fn checkpoint(
+    source: &ProgramSource,
+    task: &RunTask,
+    k: usize,
+) -> Option<Arc<EngineCheckpoint>> {
+    let mut engine = engine(source, task, true);
+    engine.set_snapshot_at(k);
+    engine.run_to_snapshot().map(Arc::new)
 }

@@ -227,6 +227,7 @@ fn an_unread_run_builds_no_trace_store() {
     let task = RunTask {
         policy: SchedPolicy::Seeded(0),
         faults: Vec::new(),
+        from: None,
     };
     let engine_run = || {
         let cfg = EngineConfig {

@@ -117,9 +117,8 @@ fn divergence_markers(source: &ProgramSource, artifact: &ScheduleArtifact, k: us
         source(),
     );
     engine.set_snapshot_at(k);
-    let _ = engine.run();
     engine
-        .take_pending_snapshot()
+        .run_to_snapshot()
         .map(|cp| cp.markers().counts().to_vec())
         .unwrap_or_default()
 }
@@ -244,6 +243,7 @@ pub fn localize_with_trace(
         &RunTask {
             policy: EngineConfig::for_artifact(artifact).policy,
             faults: artifact.faults.clone(),
+            from: None,
         },
     );
     let failure = format!("{}: {}", failing.class, failing.detail);
@@ -266,6 +266,7 @@ pub fn localize_with_trace(
             RunTask {
                 policy,
                 faults: Vec::new(),
+                from: None,
             }
         })
         .collect();

@@ -182,6 +182,10 @@ pub struct EngineCheckpoint {
     pub(crate) matched: Vec<u32>,
     pub(crate) replay: Option<Arc<ReplayLog>>,
     pub(crate) sites: SiteTable,
+    /// The sites `sites` held when the checkpoint was taken: a fork's
+    /// table is their copy ([`crate::Engine::fork`]). The engine's own
+    /// state leaves it at 0.
+    pub(crate) sites_len: usize,
     pub(crate) cost: CostModel,
     pub(crate) pending_coll: Option<PendingCollective>,
     /// Every kept trace record, in the order the ranks recorded them; a

@@ -249,6 +249,7 @@ impl Engine {
             matched: vec![0; n],
             replay: None,
             sites: config.sites.unwrap_or_default(),
+            sites_len: 0,
             cost: config.cost,
             pending_coll: None,
             collected: ChunkLog::new(),
@@ -306,6 +307,32 @@ impl Engine {
             origin: (cp.collected.len(), cp.decision_log.len()),
         };
         (engine.waiting, engine.ready) = engine.scan_ready();
+        engine
+    }
+
+    /// Branch off the run `cp` was taken of: an engine restored from `cp`
+    /// whose scheduler takes `script`'s decisions from the one `cp` was
+    /// taken before, then falls back to round-robin, with a site table of
+    /// its own as `cp`'s stood when it was taken.
+    ///
+    /// When `cp` was taken `k` decisions into a run that followed a
+    /// script, and `script` begins with those `k` decisions, the fork is
+    /// the run a launch under `script` makes: the checkpoint is the state
+    /// of every run whose first `k` decisions are those, the scheduler
+    /// keeps its cursor (`k`) and last granted rank, and the fork numbers
+    /// the sites it first uses as a fresh run would, whatever the run `cp`
+    /// came from or a sibling fork interned since. The explorer runs its
+    /// sibling schedules this way, each from a checkpoint its parent took
+    /// at or shortly before the branch point, executing only the rest.
+    pub fn fork(cp: &EngineCheckpoint, script: &[Decision]) -> Self {
+        debug_assert_eq!(
+            cp.scheduler.cursor(),
+            cp.decision_len(),
+            "a fork continues a run that followed its script"
+        );
+        let mut engine = Engine::restore(cp, Vec::new());
+        engine.st.sites = cp.sites.prefix(cp.sites_len);
+        engine.st.scheduler.set_script(script);
         engine
     }
 
@@ -373,6 +400,13 @@ impl Engine {
 
     /// Run until completion, deadlock, panic, or a debugger stop.
     pub fn run(&mut self) -> RunOutcome {
+        self.drive(false)
+            .expect("only a run to a snapshot stops short of an outcome")
+    }
+
+    /// The turn loop of [`Engine::run`]; with `halt`, it stops (`None`) at
+    /// the first rest point after the armed snapshot was taken.
+    fn drive(&mut self, halt: bool) -> Option<RunOutcome> {
         // Re-deliver any receive that was mid-match when a checkpoint was
         // taken. Everywhere else the sweep would be a no-op — at every rest
         // point a blocked receive with candidates has already been
@@ -384,12 +418,15 @@ impl Engine {
         }
         debug_assert!(!self.has_deliverable_receive());
         loop {
+            if halt && self.pending_snapshot.is_some() {
+                return None;
+            }
             debug_assert_eq!(
                 self.scan_ready(),
                 (self.waiting.clone(), self.ready.clone())
             );
             if self.ready.is_empty() {
-                return self.stall_outcome();
+                return Some(self.stall_outcome());
             }
             self.maybe_snapshot();
             let p = self.st.scheduler.pick(&self.ready);
@@ -965,12 +1002,16 @@ impl Engine {
             "snapshot() requires EngineConfig.checkpoints"
         );
         self.st.share();
-        self.st.clone()
+        EngineCheckpoint {
+            sites_len: self.st.sites.len(),
+            ..self.st.clone()
+        }
     }
 
     /// Arrange for a snapshot to be taken automatically when the decision
     /// log reaches length `k` (the explorer checkpoints schedule prefixes
-    /// this way). Collected with [`Engine::take_pending_snapshot`].
+    /// this way). Collected with [`Engine::take_pending_snapshot`], or
+    /// returned by [`Engine::run_to_snapshot`].
     pub fn set_snapshot_at(&mut self, k: usize) {
         assert!(
             self.checkpoints,
@@ -983,6 +1024,16 @@ impl Engine {
     /// reached that decision depth.
     pub fn take_pending_snapshot(&mut self) -> Option<EngineCheckpoint> {
         self.pending_snapshot.take().map(|b| *b)
+    }
+
+    /// Run until the snapshot armed by [`Engine::set_snapshot_at`] is
+    /// taken, and return it; `None` if the run ended first. For a caller
+    /// that wants the snapshot and not the run: the engine stops at the
+    /// first rest point after it (a snapshot taken before a match makes
+    /// the match first), where [`Engine::run`] would go on.
+    pub fn run_to_snapshot(&mut self) -> Option<EngineCheckpoint> {
+        let _ = self.drive(true);
+        self.take_pending_snapshot()
     }
 
     fn maybe_snapshot(&mut self) {

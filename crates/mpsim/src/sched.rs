@@ -71,6 +71,14 @@ impl Scheduler {
         self.cursor
     }
 
+    /// Follow `script` from the cursor on. The cursor, the last rank
+    /// granted and the divergence flag stay as they are, so a scheduler
+    /// that has taken `script`'s first `cursor` decisions becomes the one
+    /// a launch under `script` has at that point.
+    pub fn set_script(&mut self, script: &[Decision]) {
+        self.script = Some(Arc::from(script));
+    }
+
     /// Next scripted decision, unless the script diverged or ran out.
     fn scripted_next(&self) -> Option<Decision> {
         if self.diverged {

@@ -131,7 +131,44 @@ pub fn trace_digest(records: &[TraceRecord]) -> u64 {
 /// are equal exactly when the `trace_digest`s of their canonical traces
 /// are — and no record is sorted or copied to learn it. The two values
 /// differ; compare a `run_digest` only with another.
+///
+/// A run's records come in stretches of one rank (a grant records until
+/// the rank's next request), so each stretch is folded in a register and
+/// its lane written back once.
 pub fn run_digest<'a>(records: impl IntoIterator<Item = &'a TraceRecord>, n_ranks: usize) -> u64 {
+    let mut lanes = vec![(SEED, 0u64); n_ranks];
+    // The stretch's rank (`usize::MAX` before the first) and its lane.
+    let (mut rank, mut h, mut n) = (usize::MAX, SEED, 0u64);
+    for rec in records {
+        let r = rec.rank.ix();
+        if r != rank {
+            if let Some(lane) = lanes.get_mut(rank) {
+                *lane = (h, n);
+            }
+            if r >= lanes.len() {
+                lanes.resize(r + 1, (SEED, 0));
+            }
+            (rank, (h, n)) = (r, lanes[r]);
+        }
+        (h, n) = (mix_record(h, rec), n + 1);
+    }
+    if let Some(lane) = lanes.get_mut(rank) {
+        *lane = (h, n);
+    }
+    fold(
+        lanes
+            .iter()
+            .fold(SEED, |h, &(lane, n)| mix(mix(h, lane), n)),
+    )
+}
+
+/// [`run_digest`] as it was first written, a lane read and written per
+/// record: the reference its register fold is pinned to.
+#[cfg(test)]
+fn run_digest_by_lanes<'a>(
+    records: impl IntoIterator<Item = &'a TraceRecord>,
+    n_ranks: usize,
+) -> u64 {
     let mut lanes = vec![(SEED, 0u64); n_ranks];
     for rec in records {
         let rank = rec.rank.ix();
@@ -207,6 +244,62 @@ mod tests {
             .map(|&(r, m, k, t)| TraceRecord::basic(r, k, m, t).with_span(t, t + 1))
             .collect();
         TraceStore::build(recs, SiteTable::new(), 0)
+    }
+
+    /// The register fold is the lane loop it replaced, bit for bit, on
+    /// every golden trace in three orders: canonical (short stretches),
+    /// rank by rank (one stretch a rank) and interleaved as a run records
+    /// (each rank's records in order, stretches of varying length). A
+    /// width below the highest rank, and an empty trace, too.
+    #[test]
+    fn the_register_fold_is_the_lane_loop() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
+        let mut traces = 0;
+        for entry in std::fs::read_dir(dir).expect("golden dir") {
+            let path = entry.expect("golden entry").path();
+            if path.extension() != Some("trc".as_ref()) {
+                continue;
+            }
+            let file = std::fs::File::open(&path).expect("golden trace");
+            let trace =
+                crate::file::read_text(std::io::BufReader::new(file)).expect("golden trace parses");
+            let (canonical, n) = (trace.records, trace.n_ranks);
+            let mut by_rank = canonical.clone();
+            by_rank.sort_by_key(|r| (r.rank, r.marker));
+            // Arrival-like: repeatedly take a stretch of 1 + (i % 4)
+            // records from the next rank that has any left.
+            let lanes = n.max(1);
+            let mut queues: Vec<std::collections::VecDeque<TraceRecord>> =
+                vec![Default::default(); lanes];
+            for r in &by_rank {
+                queues[r.rank.ix() % lanes].push_back(*r);
+            }
+            let mut arrival = Vec::new();
+            for i in 0.. {
+                if queues.iter().all(|q| q.is_empty()) {
+                    break;
+                }
+                let q = &mut queues[i % lanes];
+                let take = (1 + i % 4).min(q.len());
+                arrival.extend(q.drain(..take));
+            }
+            for (order, recs) in [("canonical", &canonical), ("by rank", &by_rank)]
+                .into_iter()
+                .chain([("arrival", &arrival)])
+            {
+                for width in [n, n / 2] {
+                    let (got, want) = (
+                        run_digest(recs.iter(), width),
+                        run_digest_by_lanes(recs.iter(), width),
+                    );
+                    assert_eq!(got, want, "{}: {order}, width {width}", path.display());
+                }
+            }
+            traces += 1;
+        }
+        assert!(traces >= 10, "only {traces} golden traces");
+        let none: [TraceRecord; 0] = [];
+        assert_eq!(run_digest(&none, 3), run_digest_by_lanes(&none, 3));
     }
 
     #[test]

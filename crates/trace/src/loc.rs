@@ -257,6 +257,23 @@ impl SiteTable {
         self.lock().find(|(f, l, _)| f == file && l == line)
     }
 
+    /// A table of its own holding this one's first `n` sites under the
+    /// same ids (all of them if it has fewer), and its script's file: the
+    /// table as it stood when it held `n` sites. A table only grows, so
+    /// this is what a run that shares a checkpoint's past starts from
+    /// while the run the checkpoint was taken of goes on interning.
+    pub fn prefix(&self, n: usize) -> SiteTable {
+        let inner = self.lock();
+        let keys = inner.keys[..n.min(inner.keys.len())].to_vec();
+        let ids = (keys.iter().enumerate())
+            .map(|(i, &key)| (key, SiteId(i as u32)))
+            .collect();
+        let script = inner.script.clone();
+        SiteTable {
+            inner: Arc::new(Mutex::new(Inner { keys, ids, script })),
+        }
+    }
+
     /// Rebuild a table from a snapshot (used when reading trace files):
     /// each location is interned here. A location listed twice keeps both
     /// ids, and interning it again gives the later one.

@@ -515,6 +515,24 @@ for jobs in 2 4; do
   cmp "$wdir/report1.json" "$wdir/report$jobs.json" \
     || { echo "explore planted-wildcard --runs 1000: --jobs $jobs diverged from --jobs 1" >&2; exit 1; }
 done
+# The script hunt's shape: 2000 runs of the 8-rank racy script with
+# sleep sets, each systematic run forking its parent's checkpoint, the
+# checkpoints crossing to worker threads at --jobs 2 and 4. Reports
+# cmp-equal but for the jobs field, and equal --metrics event sections.
+for jobs in 1 2 4; do
+  { ./target/release/tracedbg explore sdl:racy-wildcard --procs 8 --runs 2000 --dpor --seed 7 \
+      --jobs "$jobs" --json --metrics "$wdir/sdl_metrics$jobs.json" --out "$wdir/sdl_art$jobs" \
+      || true; } | sed 's/"jobs":[0-9]*/"jobs":0/' >"$wdir/sdl_report$jobs.json"
+  jq -S .event "$wdir/sdl_metrics$jobs.json" >"$wdir/sdl_event$jobs.json"
+done
+grep -q '"runs_executed":2000' "$wdir/sdl_report1.json" \
+  || { echo "explore sdl:racy-wildcard: no 2000-run report" >&2; exit 1; }
+for jobs in 2 4; do
+  cmp "$wdir/sdl_report1.json" "$wdir/sdl_report$jobs.json" \
+    || { echo "explore sdl:racy-wildcard --runs 2000: --jobs $jobs diverged from --jobs 1" >&2; exit 1; }
+  cmp "$wdir/sdl_event1.json" "$wdir/sdl_event$jobs.json" \
+    || { echo "explore sdl:racy-wildcard --runs 2000: --jobs $jobs event metrics diverged" >&2; exit 1; }
+done
 
 echo "==> localize smoke: explore -> localize -> replay-to-suspect, .trc and store-dir feeds"
 rm -rf target/verify_localize && mkdir -p target/verify_localize

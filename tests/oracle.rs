@@ -17,6 +17,7 @@
 //! | `replay` | `replay_schedule` of the run's artifact does not diverge |
 //! | `snapshot` | a snapshot at a random decision restores twice to the straight run's state digest (and decision log; the second restore follows the recorded match log), after a debugger drove a restored copy on (ranks stepped alone, a breakpoint and a watch armed and cleared); the snapshots the drive took restore to where the drive went |
 //! | `hand-over` | a restored run hands over the trace, its checkpoint held or dropped |
+//! | `fork` | the explorer's checkpoint at a random branch point, forked with each untaken alternative, gives field for field the run a launch of the prefix and the alternative gives, the case's faults included, on a pool at `jobs` 1 and 4 |
 //! | `log` | the recorded match log decides the run under another seed, from launch and installed at a restored depth |
 //! | `metrics` | `EngineMetrics` equal recounts from the trace and the schedule log |
 //! | `digest` | over seeded schedules of the case, two runs' order-free `run_digest`s are equal exactly when the `trace_digest`s of their canonical traces are, and a run's digest is that of its canonical trace |
@@ -33,14 +34,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tracedbg::analysis::analyze;
-use tracedbg::explore::{execute_task, RunTask};
+use tracedbg::explore::pool::WorkerPool;
+use tracedbg::explore::runner::checkpoint;
+use tracedbg::explore::{execute_task, RunResult, RunTask};
 use tracedbg::instrument::{Watch, WatchCond};
-use tracedbg::mpsim::{set_quiet_panics, FaultPlan, ReplayLog};
+use tracedbg::mpsim::{set_quiet_panics, EngineCheckpoint, FaultPlan, ReplayLog};
 use tracedbg::prelude::*;
 use tracedbg::store::{ingest_records, ingest_store};
 use tracedbg::trace::diff::{run_digest, trace_digest};
 use tracedbg::trace::file::{read_binary, read_text, write_binary, write_text, TraceFile};
-use tracedbg::trace::schedule::{Alternatives, Decision, DecisionPoint};
+use tracedbg::trace::schedule::{Alternatives, Decision, DecisionPoint, ReadySets};
 use tracedbg::trace::Select;
 use tracedbg::workloads::script::{self, Script};
 
@@ -140,9 +143,9 @@ fn selects(sel: Select, r: &TraceRecord) -> bool {
 
 /// What a case showed, for the mix the default case set must have: its
 /// outcome class, whether a wildcard receive had more than one message
-/// to take, and whether a checkpoint of more than one block of ranks was
-/// restored.
-type Seen = (&'static str, bool, bool);
+/// to take, whether a checkpoint of more than one block of ranks was
+/// restored, and whether one was forked.
+type Seen = (&'static str, bool, bool, bool);
 
 /// Run `case` every way and assert that they agree; a failure is re-raised
 /// with the case attached.
@@ -218,6 +221,7 @@ impl<'a> Run<'a> {
         self.store();
         self.replay();
         let wide_snapshot = self.snapshot();
+        let wide_fork = self.fork() && self.case.procs > BLOCK;
         self.log();
         self.metrics();
         self.digest();
@@ -226,7 +230,7 @@ impl<'a> Run<'a> {
         self.profile();
         let choice = |p: &DecisionPoint| matches!(p.alternatives, Alternatives::Matches(_));
         let branched = self.decisions.iter().any(|p| choice(p) && p.is_branch());
-        (self.class, branched, wide_snapshot)
+        (self.class, branched, wide_snapshot, wide_fork)
     }
 
     fn session(&self) {
@@ -456,6 +460,58 @@ impl<'a> Run<'a> {
         n > BLOCK
     }
 
+    /// Fork the explorer's checkpoint of the run at a random branch point
+    /// with each alternative untaken there (a few, on a wide case), on a
+    /// pool of one executor and of four, and compare each fork with a
+    /// launch of the same script. Whether there was a branch point.
+    fn fork(&mut self) -> bool {
+        let branches: Vec<usize> = (0..self.decisions.len())
+            .filter(|&i| self.decisions[i].is_branch())
+            .collect();
+        if branches.is_empty() {
+            return false;
+        }
+        let k = branches[self.pick(branches.len())];
+        let (source, faults) = (self.factory(), &self.case.faults);
+        let task = |script: Vec<Decision>, from| RunTask {
+            policy: SchedPolicy::Scripted(script),
+            faults: faults.clone(),
+            from,
+        };
+        let cp = checkpoint(&source, &task(self.schedule.clone(), None), k)
+            .expect("fork: the run reaches its branch point");
+        assert_eq!(cp.decision_len(), k, "fork: checkpoint depth");
+        let mut ready = ReadySets::new(self.case.procs);
+        ready.advance_through(&self.decisions, k);
+        let point = &self.decisions[k];
+        let mut alts: Vec<Decision> = (ready.alternatives(point))
+            .filter(|alt| *alt != point.chosen)
+            .collect();
+        if self.case.procs > BLOCK && alts.len() > 3 {
+            let first = self.pick(alts.len() - 2);
+            alts.drain(..first);
+            alts.truncate(3);
+        }
+        let tasks = |from: Option<&Arc<EngineCheckpoint>>| -> Vec<RunTask> {
+            let script = |alt| self.schedule[..k].iter().copied().chain([alt]).collect();
+            (alts.iter())
+                .map(|&alt| task(script(alt), from.cloned()))
+                .collect()
+        };
+        for jobs in [1, 4] {
+            std::thread::scope(|scope| {
+                let pool = WorkerPool::new(scope, jobs, &source);
+                let launched = pool.run(Arc::new(tasks(None)));
+                let forked = pool.run(Arc::new(tasks(Some(&cp))));
+                for (i, (got, want)) in forked.iter().zip(&launched).enumerate() {
+                    let leg = format!("fork: jobs {jobs}, decision {k}, alternative {i}");
+                    assert_same_run(got, want, &leg);
+                }
+            });
+        }
+        true
+    }
+
     /// The recorded match log decides the run under any schedule: from
     /// launch, and installed in an engine restored at a random depth.
     fn log(&mut self) {
@@ -543,6 +599,7 @@ impl<'a> Run<'a> {
                 let task = RunTask {
                     policy: SchedPolicy::Seeded(self.case.seed.wrapping_add(i / 2)),
                     faults: self.case.faults.clone(),
+                    from: None,
                 };
                 let res = execute_task(&source, &task);
                 let store = res.store();
@@ -639,6 +696,23 @@ impl<'a> Run<'a> {
     }
 }
 
+/// Two explored runs are the same run: every field of the result, every
+/// record with its site, and what the sites name.
+fn assert_same_run(got: &RunResult, want: &RunResult, leg: &str) {
+    assert_eq!(got.class, want.class, "{leg}: class");
+    assert_eq!(got.detail, want.detail, "{leg}: detail");
+    assert_eq!(got.decisions, want.decisions, "{leg}: decisions");
+    assert!(got.points == want.points, "{leg}: decision points");
+    assert_eq!(got.digest, want.digest, "{leg}: digest");
+    assert_eq!(got.diverged, want.diverged, "{leg}: diverged");
+    assert_eq!(got.faulted, want.faulted, "{leg}: faulted");
+    assert_eq!(got.panicked, want.panicked, "{leg}: panicked");
+    let records = |r: &RunResult| r.log().iter().copied().collect::<Vec<_>>();
+    assert_same_records(&records(got), &records(want), leg);
+    let sites = |r: &RunResult| r.store().sites().snapshot();
+    assert_eq!(sites(got), sites(want), "{leg}: sites");
+}
+
 /// The profile of a trace, which must not depend on the plane it came
 /// from (the `files` and `store` legs compare).
 fn profile(store: &TraceStore) -> ProfileReport {
@@ -692,4 +766,5 @@ fn random_cases_reproduce_on_every_path() {
     assert!(deadlocked >= 10, "{deadlocked}% of the cases deadlock");
     assert!(branched >= 20, "{branched}% choose among messages");
     assert!(seen.iter().any(|s| s.2), "no case snapshots across a block");
+    assert!(seen.iter().any(|s| s.3), "no case forks across a block");
 }
