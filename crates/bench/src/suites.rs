@@ -338,7 +338,6 @@ fn suite_replay(opts: &SuiteOptions) -> Suite {
             EngineConfig {
                 recorder: RecorderConfig::markers_only(),
                 replay: Some(log.clone()),
-                checkpoints: true,
                 ..Default::default()
             },
             ring::programs(&cfg),
@@ -543,7 +542,6 @@ fn suite_checkpoint(opts: &SuiteOptions) -> Suite {
         Engine::launch(
             EngineConfig {
                 recorder: RecorderConfig::markers_only(),
-                checkpoints: true,
                 ..Default::default()
             },
             ring::programs(&cfg),
@@ -600,13 +598,7 @@ fn suite_checkpoint(opts: &SuiteOptions) -> Suite {
     let stopped_mid = |programs: &dyn Fn() -> Vec<tracedbg_mpsim::RankProgram>| {
         let mut straight = Engine::launch(EngineConfig::default(), programs());
         assert!(straight.run().is_completed());
-        let mut e = Engine::launch(
-            EngineConfig {
-                checkpoints: true,
-                ..Default::default()
-            },
-            programs(),
-        );
+        let mut e = Engine::launch(EngineConfig::default(), programs());
         for m in straight.markers().iter() {
             e.set_threshold(m.rank, Some((m.count / 2).max(1)));
         }

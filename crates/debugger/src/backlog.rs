@@ -295,7 +295,6 @@ mod tests {
     fn checkpoint_at(threshold: u64) -> EngineCheckpoint {
         let mut e = Engine::launch(
             EngineConfig {
-                checkpoints: true,
                 recorder: RecorderConfig::full(),
                 ..Default::default()
             },

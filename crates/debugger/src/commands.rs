@@ -396,15 +396,15 @@ impl CommandInterface {
                     "\nrestores: {} ({} us), snapshots: {} ({} us)",
                     tel.restores,
                     tel.restore_ns / 1_000,
-                    tel.engine.snapshots,
+                    tel.snapshots,
                     tel.snapshot_ns / 1_000
                 ));
-                if !tel.engine.replay_delta.is_empty() {
+                if !tel.replay_delta.is_empty() {
                     out.push_str(&format!(
                         "\nreplay deltas: {} (mean {} decisions, max {})",
-                        tel.engine.replay_delta.count,
-                        tel.engine.replay_delta.mean(),
-                        tel.engine.replay_delta.max
+                        tel.replay_delta.count,
+                        tel.replay_delta.mean(),
+                        tel.replay_delta.max
                     ));
                 }
                 if self.timings.is_empty() {

@@ -61,8 +61,8 @@ pub fn replay_schedule(artifact: &ScheduleArtifact, factory: ProgramFactory) -> 
 }
 
 /// The result of a checkpointed artifact replay: the scripted run was
-/// snapshotted mid-schedule, then the suffix was re-executed from the
-/// restored snapshot and compared against the straight run.
+/// snapshotted mid-schedule and run on, then the suffix was re-executed
+/// from the restored snapshot and compared against the straight run.
 pub struct CheckpointReplay {
     /// Outcome class of the straight scripted run.
     pub class: String,
@@ -80,30 +80,32 @@ pub struct CheckpointReplay {
 
 /// Replay an artifact through a mid-schedule checkpoint.
 ///
-/// Runs the scripted schedule with a snapshot armed at half the decision
-/// depth, restores the snapshot into a second engine, runs the suffix, and
-/// checks the restored run reproduces the straight run's outcome class and
-/// trace byte-for-byte — the determinism contract `--from-checkpoint`
-/// verifies from the command line.
+/// Runs the scripted schedule to half its decision depth, snapshots it
+/// there and runs it on; restores the snapshot into a second engine, runs
+/// the suffix, and checks the restored run reproduces the straight run's
+/// outcome class and trace byte-for-byte — the determinism contract
+/// `--from-checkpoint` verifies from the command line.
 pub fn replay_schedule_from_checkpoint(
     artifact: &ScheduleArtifact,
     factory: ProgramFactory,
 ) -> CheckpointReplay {
     let cfg = EngineConfig {
         recorder: RecorderConfig::full(),
-        checkpoints: true,
         ..EngineConfig::for_artifact(artifact)
     };
     let mut engine = Engine::launch(cfg.clone(), factory());
-    engine.set_snapshot_at(artifact.decisions.len() / 2);
-    let outcome = engine.run();
-    let (class, detail) = (outcome.class().to_string(), outcome.detail());
     // A run that never reached the snapshot point falls back to a straight
     // re-execution, so the command still checks something.
-    let (mut second, snapshot_decisions) = match engine.take_pending_snapshot() {
-        Some(cp) => (Engine::restore(&cp, Vec::new()), Some(cp.decision_len())),
-        None => (Engine::launch(cfg, factory()), None),
-    };
+    let (outcome, mut second, snapshot_decisions) =
+        match engine.run_to_snapshot(artifact.decisions.len() / 2) {
+            Ok(cp) => (
+                engine.run(),
+                Engine::restore(&cp, Vec::new()),
+                Some(cp.decision_len()),
+            ),
+            Err(outcome) => (outcome, Engine::launch(cfg, factory()), None),
+        };
+    let (class, detail) = (outcome.class().to_string(), outcome.detail());
     let restored_class = second.run().class().to_string();
     let reproduced = restored_class == class
         && second.digest() == engine.digest()

@@ -13,8 +13,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use tracedbg_mpsim::DeadlockReport;
 use tracedbg_mpsim::{
-    CostModel, Engine, EngineCheckpoint, EngineConfig, EngineMetrics, FaultPlan, RecorderConfig,
-    ReplayLog, RunOutcome, SchedPolicy,
+    CostModel, Engine, EngineCheckpoint, EngineConfig, EngineMetrics, FaultPlan, Histogram,
+    RecorderConfig, ReplayLog, RunOutcome, SchedPolicy,
 };
 use tracedbg_trace::{Label, Marker, MarkerVector, Rank, ScheduleArtifact, SiteTable, TraceStore};
 
@@ -62,10 +62,8 @@ impl SessionConfig {
         }
     }
 
-    /// The engine configuration of one incarnation of the target. The
-    /// session's `live` incarnations are checkpointable (per
-    /// `checkpoint_every`).
-    fn engine(&self, sites: &SiteTable, live: bool) -> EngineConfig {
+    /// The engine configuration of one incarnation of the target.
+    fn engine(&self, sites: &SiteTable) -> EngineConfig {
         EngineConfig {
             cost: self.cost,
             policy: self.policy.clone(),
@@ -73,7 +71,6 @@ impl SessionConfig {
             replay: None,
             sites: Some(sites.clone()),
             faults: self.faults.clone(),
-            checkpoints: live && self.checkpoint_every > 0,
             ..Default::default()
         }
     }
@@ -144,9 +141,10 @@ pub struct Session {
     recorded_log: Option<Arc<ReplayLog>>,
     /// What the session adds to the live incarnation's metrics: those of
     /// every retired incarnation (replay and restart replace the engine;
-    /// its metrics are derived and folded in here first), and the length
-    /// of every replay delta.
+    /// its metrics are derived and folded in here first).
     metrics: EngineMetrics,
+    /// The length of every replay delta.
+    replay_delta: Histogram,
     /// Checkpoint restores performed by `replay_to`.
     restores: u64,
     /// Wall-clock nanoseconds those restores took.
@@ -154,7 +152,7 @@ pub struct Session {
 }
 
 /// The session's telemetry snapshot: engine metrics summed over every
-/// incarnation, plus checkpoint lookup and restore behaviour.
+/// incarnation, plus checkpoint lookup, snapshot and restore behaviour.
 #[derive(Clone, Debug)]
 pub struct SessionTelemetry {
     pub engine: EngineMetrics,
@@ -163,14 +161,19 @@ pub struct SessionTelemetry {
     pub cache_len: usize,
     pub restores: u64,
     pub restore_ns: u64,
+    /// Snapshots the backlog took, and the nanoseconds they took.
+    pub snapshots: u64,
     pub snapshot_ns: u64,
+    /// Distribution of replay-delta lengths: the recorded matches still
+    /// ahead of a replay's origin, per replay.
+    pub replay_delta: Histogram,
 }
 
 impl Session {
     /// Launch the target program (processes created, nothing run yet).
     pub fn launch(cfg: SessionConfig, factory: ProgramFactory) -> Self {
         let sites = SiteTable::new();
-        let engine = Engine::launch(cfg.engine(&sites, true), factory());
+        let engine = Engine::launch(cfg.engine(&sites), factory());
         let n = engine.n_ranks();
         Session {
             factory,
@@ -181,20 +184,21 @@ impl Session {
             status: SessionStatus::Idle,
             recorded_log: None,
             metrics: EngineMetrics::new(n),
+            replay_delta: Histogram::new(),
             restores: 0,
             restore_ns: 0,
         }
     }
 
     /// A fresh engine on the target program, from process creation.
-    fn incarnation(&self, live: bool) -> Engine {
-        Engine::launch(self.cfg.engine(&self.sites, live), (self.factory)())
+    fn incarnation(&self) -> Engine {
+        Engine::launch(self.cfg.engine(&self.sites), (self.factory)())
     }
 
     /// Replace the engine with a fresh live incarnation that records into
     /// the retired one's log buffers.
     fn reincarnate(&mut self) {
-        let fresh = self.incarnation(true);
+        let fresh = self.incarnation();
         let retired = std::mem::replace(&mut self.engine, fresh);
         self.engine.reuse_log_buffers(retired);
     }
@@ -310,7 +314,7 @@ impl Session {
     pub fn verify_replay(&mut self) -> Vec<tracedbg_trace::Divergence> {
         let mine = self.trace();
         let final_markers = mine.final_markers();
-        let mut other = self.incarnation(false);
+        let mut other = self.incarnation();
         other.set_replay(self.recorded_log());
         // Stop the verification run exactly where this session's history
         // ends, so partial histories (stopped sessions) compare cleanly.
@@ -377,7 +381,7 @@ impl Session {
             None => self.reincarnate(),
         }
         let ahead = self.engine.set_replay(log);
-        self.metrics.replay_delta.record(ahead as u64);
+        self.replay_delta.record(ahead as u64);
         // Ranks already at their target hold: an exact-hit restore is the
         // stop itself, no re-execution at all. The holds drop once the
         // stop is reached, so stepping/continuing from here behaves like
@@ -493,14 +497,15 @@ impl Session {
         if let Some(m) = self.engine.take_metrics() {
             engine.merge(&m);
         }
-        engine.snapshots = self.backlog.snapshots;
         SessionTelemetry {
             engine,
             cache: self.backlog.stats,
             cache_len: self.backlog.checkpoints(),
             restores: self.restores,
             restore_ns: self.restore_ns,
+            snapshots: self.backlog.snapshots,
             snapshot_ns: self.backlog.snapshot_ns,
+            replay_delta: self.replay_delta.clone(),
         }
     }
 
@@ -896,10 +901,10 @@ mod tests {
         // an exact hit (no re-execution, and no fresh snapshot of a stop
         // the backlog already holds), and the session reports the same
         // stopped state.
-        let snapshots = s.telemetry().engine.snapshots;
+        let snapshots = s.telemetry().snapshots;
         assert!(snapshots >= 2, "both steps were checkpointed");
         assert!(s.undo());
-        assert_eq!(s.telemetry().engine.snapshots, snapshots);
+        assert_eq!(s.telemetry().snapshots, snapshots);
         assert_eq!(s.markers(), at_step);
         assert!(s.status().is_stopped());
         // The restored incarnation keeps working: step again, finish.
@@ -928,7 +933,7 @@ mod tests {
             "replay",
             "undo",
         ]);
-        let snapshots = ci.session().telemetry().engine.snapshots;
+        let snapshots = ci.session().telemetry().snapshots;
         assert_eq!(snapshots, 2, "the stop undone to keeps its checkpoint");
         ci.execute("undo");
         let tel = ci.session().telemetry();
@@ -960,7 +965,7 @@ mod tests {
         assert!(tel.restores >= 1, "undo went through the restore path");
         assert!(tel.cache.hits >= 1);
         assert!(
-            tel.engine.replay_delta.count >= 1,
+            tel.replay_delta.count >= 1,
             "delta replay recorded its length"
         );
         assert!(tel.engine.msgs_sent.iter().sum::<u64>() >= 1);

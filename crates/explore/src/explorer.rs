@@ -4,7 +4,7 @@ use crate::flight;
 use crate::oracle::{self, Violation};
 use crate::pool::{run_windowed, RunTask, WorkerPool};
 use crate::runner::{
-    checkpoint, execute, execute_task, ProgramSource, RunResult, CLASS_COMPLETED, CLASS_DEADLOCK,
+    self, execute, execute_task, ProgramSource, RunResult, CLASS_COMPLETED, CLASS_DEADLOCK,
     CLASS_DIVERGENCE, CLASS_PANIC,
 };
 use crate::shrink::ddmin;
@@ -12,12 +12,11 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tracedbg_analysis::IndependenceFacts;
 use tracedbg_mpsim::metrics::of_run;
-use tracedbg_mpsim::{EngineCheckpoint, EngineMetrics, SchedPolicy};
+use tracedbg_mpsim::{Engine, EngineCheckpoint, EngineMetrics, SchedPolicy};
 use tracedbg_obs::{
     ClassCount, EventMetrics, ExploreEvent, MetricsReport, TimingMetrics, WorkerStat,
 };
@@ -202,7 +201,6 @@ pub struct Explorer {
     aux_runs: usize,
     pruned: usize,
     digests: HashSet<u64>,
-    prefixes: HashSet<u64>,
     findings: Vec<Finding>,
     classes_found: HashSet<String>,
     /// Alternatives skipped because they were asleep (sleep-set DPOR).
@@ -213,6 +211,9 @@ pub struct Explorer {
     /// share of their work that forking saved.
     #[cfg(test)]
     restored: (u64, u64),
+    /// Every script the systematic search dequeued, in order.
+    #[cfg(test)]
+    dequeued: Vec<Vec<Decision>>,
     /// Last `--progress` heartbeat.
     last_progress: Instant,
 }
@@ -225,7 +226,6 @@ struct ObsAcc {
     /// counted), merged.
     engine: EngineMetrics,
     digest_pruned: u64,
-    prefix_pruned: u64,
     /// Oracle verdicts per class, every trigger (not just first-per-class
     /// findings).
     oracle_triggers: BTreeMap<String, u64>,
@@ -236,7 +236,6 @@ impl ObsAcc {
         Box::new(ObsAcc {
             engine: EngineMetrics::new(procs),
             digest_pruned: 0,
-            prefix_pruned: 0,
             oracle_triggers: BTreeMap::new(),
         })
     }
@@ -253,15 +252,21 @@ impl ObsAcc {
 ///
 /// An entry forks its parent run: each alternative's entry carries the
 /// run's checkpoint at (or a few decisions before) the branch point, so
-/// its run executes only what follows. The front run holds one
-/// checkpoint and makes the next by executing itself on from there to a
-/// later branch point ([`CHECKPOINT_GAP`]), so a run reaching the front
-/// is executed once more in all, a stretch at a time.
+/// its run executes only what follows. The checkpoints come from the
+/// front run executed once more, one engine run on from branch point to
+/// branch point ([`FrontRun`]).
+///
+/// No script is dequeued twice, so none is looked up among those run. An
+/// entry's script is a run's decisions before a branch point at or past
+/// the end of that run's own script, then an alternative untaken there.
+/// Past its script a run schedules round-robin (systematic runs carry no
+/// faults), so two runs that share a prefix choose alike after it. By
+/// induction on the absorb order, two entries' scripts differ at the
+/// shorter one's branch point or before.
 struct Frontier {
     runs: VecDeque<Expansion>,
-    /// The front run's ready sets, rebuilt from its first point as far as
-    /// its cursor has gone: only the front run's cursor moves.
-    front: ReadySets,
+    /// Only the front run's cursor moves.
+    front: FrontRun,
     /// Reused by the skip count in [`Frontier::push`].
     scratch: Vec<Decision>,
     skip_walk: ReadySets,
@@ -284,9 +289,20 @@ struct Expansion {
     /// far (kept only with facts: they are what a child's sleep set
     /// inherits).
     explored: Vec<Decision>,
-    /// The run's latest checkpoint ([`Expansion::checkpoint`]); `None`
-    /// until its cursor is [`CHECKPOINT_GAP`] decisions in.
-    fork: Option<Arc<EngineCheckpoint>>,
+}
+
+/// The front [`Expansion`]'s run, executed once more as its cursor moves:
+/// one engine, launched when the cursor is first [`CHECKPOINT_GAP`]
+/// decisions in and run on to each later branch point that needs a
+/// checkpoint ([`tracedbg_mpsim::Engine::run_to_snapshot`]).
+struct FrontRun {
+    /// The run's ready sets, rebuilt from its first point as far as the
+    /// cursor has gone.
+    ready: ReadySets,
+    engine: Option<Engine>,
+    /// The latest checkpoint the engine took; `None` until the cursor is
+    /// [`CHECKPOINT_GAP`] decisions in.
+    held: Option<Arc<EngineCheckpoint>>,
 }
 
 /// A dequeued alternative: replay a run up to a branch point, then take
@@ -306,12 +322,13 @@ struct FrontierEntry {
 /// A front run is executed on to a branch point and checkpointed there
 /// only when its last checkpoint (or its launch) is at least this many
 /// decisions behind; an entry nearer forks that one (or launches) and
-/// replays the gap from its script. A step costs a restore, copies of
-/// the ranks it moves and a snapshot, about as much as a dozen decisions,
-/// so replaying a few is cheaper for the two or three siblings that
-/// share a branch point; 8 read faster still on the hunts and the small
-/// searches, but forked only 25 % and 34 % of their decisions (4: 28 %
-/// and 41 %; EXPERIMENTS.md §14).
+/// replays the gap from its script. A checkpoint costs a snapshot and
+/// the copies of the ranks the engine moves after it, so replaying a few
+/// decisions is cheaper for the two or three siblings that share a branch
+/// point; 8 read faster still on the hunts and the small searches, but
+/// forked only 25 % and 34 % of their decisions (4: 28 % and 41 %;
+/// EXPERIMENTS.md §14). More than 2: the engine stops up to two decisions
+/// past a checkpoint, and must not be past the next.
 const CHECKPOINT_GAP: usize = 4;
 
 /// What the search remembers of a dequeued entry while its run executes.
@@ -325,7 +342,11 @@ impl Frontier {
     fn new(n_ranks: usize) -> Self {
         Frontier {
             runs: VecDeque::new(),
-            front: ReadySets::new(n_ranks),
+            front: FrontRun {
+                ready: ReadySets::new(n_ranks),
+                engine: None,
+                held: None,
+            },
             scratch: Vec::new(),
             skip_walk: ReadySets::new(n_ranks),
         }
@@ -397,7 +418,6 @@ impl Frontier {
             alt: 0,
             asleep: entry_sleep,
             explored: Vec::new(),
-            fork: None,
         });
         skipped
     }
@@ -421,55 +441,69 @@ impl Frontier {
     }
 }
 
-impl Expansion {
-    /// The checkpoint an entry branching after the run's decisions
-    /// `prefix` forks: `held` (or none: a launch) while it is fewer than
-    /// [`CHECKPOINT_GAP`] decisions behind; else the run executed on to
-    /// the branch point — from `held`, or from launch — and checkpointed
-    /// there, the new checkpoint held instead. The run's own decisions
-    /// are the script, so the scheduler's cursor at the checkpoint is its
-    /// decision count, as in a launch of the script of any entry
-    /// branching at or after it.
-    fn checkpoint(
-        prefix: &[DecisionPoint],
-        held: &mut Option<Arc<EngineCheckpoint>>,
-        source: &ProgramSource,
-    ) -> Option<Arc<EngineCheckpoint>> {
-        let at = held.as_ref().map_or(0, |cp| cp.decision_len());
-        if prefix.len() >= at + CHECKPOINT_GAP {
-            let task = RunTask {
-                policy: SchedPolicy::Scripted(prefix.iter().map(|p| p.chosen).collect()),
-                faults: Vec::new(),
-                from: held.take(),
-            };
-            *held = checkpoint(source, &task, prefix.len());
-        }
-        held.clone()
+impl FrontRun {
+    /// Forget the run: the next front run starts from its first point.
+    fn reset(&mut self) {
+        self.ready.reset();
+        (self.engine, self.held) = (None, None);
     }
 
+    /// The checkpoint an entry branching after the first `k` of the run's
+    /// `points` forks: the held one (or none: a launch) while it is fewer
+    /// than [`CHECKPOINT_GAP`] decisions behind; else the engine's at `k`,
+    /// held instead. The engine follows the run's own decisions as its
+    /// script, so the scheduler's cursor at a checkpoint is its decision
+    /// count, as in a launch of the script of any entry branching at or
+    /// after it.
+    fn checkpoint(
+        &mut self,
+        points: &[DecisionPoint],
+        k: usize,
+        source: &ProgramSource,
+    ) -> Option<Arc<EngineCheckpoint>> {
+        let at = self.held.as_ref().map_or(0, |cp| cp.decision_len());
+        if k >= at + CHECKPOINT_GAP {
+            let engine = self.engine.get_or_insert_with(|| {
+                let task = RunTask {
+                    policy: SchedPolicy::Scripted(points.iter().map(|p| p.chosen).collect()),
+                    faults: Vec::new(),
+                    from: None,
+                };
+                runner::engine(source, &task)
+            });
+            let cp = engine
+                .run_to_snapshot(k)
+                .expect("a run reaches its own branch points");
+            self.held = Some(Arc::new(cp));
+        }
+        self.held.clone()
+    }
+}
+
+impl Expansion {
     /// Advance the cursor to the next alternative [`Frontier::push`] did
-    /// not count as skipped, and build its entry. `ready` has walked this
+    /// not count as skipped, and build its entry. `front` has walked this
     /// run's points up to the cursor.
     fn next(
         &mut self,
         facts: Option<&IndependenceFacts>,
-        ready: &mut ReadySets,
+        front: &mut FrontRun,
         source: &ProgramSource,
     ) -> Option<FrontierEntry> {
         while let Some(p) = self.points.get(self.point) {
-            ready.advance_through(&self.points, self.point);
+            front.ready.advance_through(&self.points, self.point);
             if p.is_branch() {
                 if self.alt == 0 && facts.is_some() {
                     self.explored.clear();
                     self.explored.push(p.chosen);
                 }
-                for (k, alt) in ready.alternatives(p).enumerate().skip(self.alt) {
-                    if alt == p.chosen
-                        || facts.is_some_and(|f| f.independent(&alt, &p.chosen))
-                        || self.asleep.contains(&alt)
-                    {
-                        continue;
-                    }
+                let untaken =
+                    (front.ready.alternatives(p).enumerate().skip(self.alt)).find(|(_, alt)| {
+                        *alt != p.chosen
+                            && !facts.is_some_and(|f| f.independent(alt, &p.chosen))
+                            && !self.asleep.contains(alt)
+                    });
+                if let Some((k, alt)) = untaken {
                     self.alt = k + 1;
                     let sleep = match facts {
                         Some(f) => {
@@ -493,7 +527,7 @@ impl Expansion {
                         script,
                         depth: self.depth + 1,
                         sleep,
-                        from: Self::checkpoint(prefix, &mut self.fork, source),
+                        from: front.checkpoint(&self.points, self.point, source),
                     });
                 }
             }
@@ -508,12 +542,6 @@ impl Expansion {
         }
         None
     }
-}
-
-fn hash_decisions(d: &[Decision]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    d.hash(&mut h);
-    h.finish()
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -535,13 +563,14 @@ impl Explorer {
             aux_runs: 0,
             pruned: 0,
             digests: HashSet::new(),
-            prefixes: HashSet::new(),
             findings: Vec::new(),
             classes_found: HashSet::new(),
             sleep_skipped: 0,
             obs,
             #[cfg(test)]
             restored: (0, 0),
+            #[cfg(test)]
+            dequeued: Vec::new(),
             last_progress: Instant::now(),
         }
     }
@@ -617,7 +646,6 @@ impl Explorer {
                 runs_executed: self.runs_executed as u64,
                 aux_runs: self.aux_runs as u64,
                 digest_pruned: acc.digest_pruned,
-                prefix_pruned: acc.prefix_pruned,
                 runs_skipped_by_sleep_sets: self.sleep_skipped,
                 independence_pairs: self
                     .cfg
@@ -769,8 +797,8 @@ impl Explorer {
     /// permuting the (usually equivalent) tail of the schedule.
     ///
     /// Parallel shape: the loop dequeues one window ([`WorkerPool::window`])
-    /// of entries — prefixes pruned and the budget accounted at dequeue
-    /// time, exactly where a one-run-at-a-time loop would — then runs it
+    /// of entries — the budget accounted at dequeue time, exactly where a
+    /// one-run-at-a-time loop would — then runs it
     /// and absorbs it in task order ([`run_windowed`]): oracles, digest
     /// pruning and queue extensions happen in task order, so extensions of
     /// item `k` enqueue before extensions of item `k+1`, and a run's trace
@@ -796,15 +824,8 @@ impl Explorer {
                 let Some(entry) = frontier.pop(self.cfg.independence.as_ref(), &self.source) else {
                     break;
                 };
-                // Prefix-level pruning: an already-visited substitution
-                // leads to an already-explored subtree.
-                if !self.prefixes.insert(hash_decisions(&entry.script)) {
-                    self.pruned += 1;
-                    if let Some(obs) = self.obs.as_mut() {
-                        obs.prefix_pruned += 1;
-                    }
-                    continue;
-                }
+                #[cfg(test)]
+                self.dequeued.push(entry.script.clone());
                 batch.push(Dequeued {
                     prefix_len: entry.script.len(),
                     depth: entry.depth,
@@ -1179,10 +1200,9 @@ mod tests {
         );
     }
 
-    /// The share of its systematic runs' decisions that a systematic
-    /// search of `runs` runs of `source` restored from checkpoints
-    /// instead of executing.
-    fn restored_share(source: ProgramSource, facts: Option<IndependenceFacts>, runs: usize) -> f64 {
+    /// The systematic search of `runs` runs of `source` at seed 7, on
+    /// one executor, after its baseline, as `explore` runs it.
+    fn search(source: ProgramSource, facts: Option<IndependenceFacts>, runs: usize) -> Explorer {
         let cfg = ExploreConfig {
             runs,
             seed: 7,
@@ -1199,36 +1219,50 @@ mod tests {
             explorer.systematic(&pool, base);
         });
         assert!(explorer.runs_executed >= 4000, "the search went deep");
-        let (restored, decisions) = std::mem::take(&mut explorer.restored);
-        restored as f64 / decisions as f64
+        explorer
     }
 
-    /// Forking is the systematic search's path: over the hunts' searches
-    /// (4000 runs of the planted race; the racy script's 4790, where its
-    /// systematic search ends) a large share of the decisions the runs
-    /// log is a restored prefix, not executed again: 0.280 and 0.408
-    /// (0.305 and 0.457 if every branch point were checkpointed; 0 when
-    /// every entry launches fresh).
-    #[test]
-    fn systematic_runs_restore_their_prefix() {
+    /// The hunts' searches: 4000 runs of the planted race, and the racy
+    /// script's 4790 with its `--dpor` facts (where its systematic search
+    /// ends, under a budget of 6000).
+    fn hunts() -> [(&'static str, Explorer); 2] {
         let planted = Box::new(planted_wildcard_factory(PlantedConfig {
             nprocs: 16,
             ..Default::default()
         }));
-        let share = restored_share(planted, None, 4000);
-        assert!(
-            share >= 0.25,
-            "planted-wildcard: {share:.3} of decisions restored"
-        );
-
         let b = builtin("racy-wildcard").expect("built-in script");
         let (script, file) = (b.parse(), b.file());
         let facts = tracedbg_analysis::analyze(&script, 8, &file).independence;
         let sdl: ProgramSource = Box::new(move || programs(&script, 8, &file));
-        let share = restored_share(sdl, Some(facts), 6000);
-        assert!(
-            share >= 0.40,
-            "sdl:racy-wildcard: {share:.3} of decisions restored"
-        );
+        [
+            ("planted-wildcard", search(planted, None, 4000)),
+            ("sdl:racy-wildcard", search(sdl, Some(facts), 6000)),
+        ]
+    }
+
+    /// Forking is the systematic search's path: over the hunts' searches a
+    /// large share of the decisions the runs log is a restored prefix, not
+    /// executed again: 0.280 and 0.408 (0.305 and 0.457 if every branch
+    /// point were checkpointed; 0 when every entry launches fresh).
+    #[test]
+    fn systematic_runs_restore_their_prefix() {
+        for ((name, explorer), floor) in hunts().into_iter().zip([0.25, 0.40]) {
+            let (restored, decisions) = explorer.restored;
+            let share = restored as f64 / decisions as f64;
+            assert!(share >= floor, "{name}: {share:.3} of decisions restored");
+        }
+    }
+
+    /// The search needs no lookup of the scripts it ran ([`Frontier`]):
+    /// over the hunts' searches no script is dequeued twice.
+    #[test]
+    fn no_script_is_dequeued_twice() {
+        for (name, explorer) in hunts() {
+            let mut seen = HashSet::new();
+            for (i, script) in explorer.dequeued.iter().enumerate() {
+                assert!(seen.insert(script), "{name}: entry {i} repeats a script");
+            }
+            assert!(seen.len() >= 3999, "{name}: {} scripts", seen.len());
+        }
     }
 }

@@ -1,12 +1,12 @@
 //! A finding's `flight` lines, rendered from what its run keeps (decision
-//! log, trace, outcome) through obs's [`FlightRecorder`]: one `turn` or
+//! log, trace, outcome) by obs's [`flight::dump`]: one `turn` or
 //! `match` per decision point, and after a rank's turn the `block`,
 //! `panic` or `fault` its request led to.
 
 use crate::runner::RunResult;
 use std::collections::HashMap;
 use tracedbg_mpsim::FaultPlan;
-use tracedbg_obs::{FlightRecorder, Span, SpanKind};
+use tracedbg_obs::{flight, Span, SpanKind};
 use tracedbg_trace::schedule::{Decision, Fault};
 use tracedbg_trace::{EventKind, Rank};
 
@@ -76,9 +76,7 @@ pub fn render(run: &RunResult, faults: &[Fault]) -> Vec<String> {
     // What followed a turn comes after its line: `Turn` and `Match` are
     // the first kinds declared.
     spans.sort_by_key(|s| (s.decision, s.kind as u8));
-    let mut ring = FlightRecorder::new();
-    spans.into_iter().for_each(|s| ring.record(s));
-    ring.dump()
+    flight::dump(&spans)
 }
 
 #[cfg(test)]

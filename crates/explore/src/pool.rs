@@ -29,8 +29,9 @@ pub struct RunTask {
     pub policy: SchedPolicy,
     pub faults: Vec<Fault>,
     /// A checkpoint of a run that made the first decisions of `policy`'s
-    /// script under `faults` ([`crate::runner::checkpoint`]): the run
-    /// starts there instead of at launch, and ends the same.
+    /// script under `faults` (the explorer's front run, halted there by
+    /// `Engine::run_to_snapshot`): the run starts there instead of at
+    /// launch, and ends the same.
     pub from: Option<Arc<EngineCheckpoint>>,
 }
 

@@ -1,9 +1,9 @@
 //! One explored run: engine execution → compact result.
 
 use crate::pool::RunTask;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use tracedbg_instrument::RecorderConfig;
-use tracedbg_mpsim::{Engine, EngineCheckpoint, EngineConfig, FaultPlan, RunOutcome, SchedPolicy};
+use tracedbg_mpsim::{Engine, EngineConfig, FaultPlan, RunOutcome, SchedPolicy};
 use tracedbg_trace::schedule::{Decision, DecisionPoint, Fault};
 use tracedbg_trace::{run_digest, ChunkLog, Rank, SiteTable, TraceRecord, TraceStore};
 
@@ -82,9 +82,10 @@ pub fn execute(source: &ProgramSource, policy: SchedPolicy, faults: &[Fault]) ->
     )
 }
 
-/// The engine a task runs on: its checkpoint forked, or a launch (with
-/// checkpoints on when `checkpoints`).
-fn engine(source: &ProgramSource, task: &RunTask, checkpoints: bool) -> Engine {
+/// The engine a task runs on: its checkpoint forked, or a launch. The
+/// explorer's front run is launched here too, so the recorder and fault
+/// plan its checkpoints hand their forks are a launched run's.
+pub fn engine(source: &ProgramSource, task: &RunTask) -> Engine {
     match (&task.from, &task.policy) {
         (Some(cp), SchedPolicy::Scripted(script)) => Engine::fork(cp, script),
         (Some(_), policy) => panic!("a fork follows a script, not {policy:?}"),
@@ -93,7 +94,6 @@ fn engine(source: &ProgramSource, task: &RunTask, checkpoints: bool) -> Engine {
                 policy: policy.clone(),
                 recorder: RecorderConfig::full(),
                 faults: FaultPlan::new(task.faults.clone()),
-                checkpoints,
                 ..Default::default()
             },
             source(),
@@ -108,7 +108,7 @@ fn engine(source: &ProgramSource, task: &RunTask, checkpoints: bool) -> Engine {
 /// result is the one a launch of the task without the checkpoint gives.
 /// Any other task launches a private engine from scratch.
 pub fn execute_task(source: &ProgramSource, task: &RunTask) -> RunResult {
-    let mut engine = engine(source, task, false);
+    let mut engine = engine(source, task);
     let outcome = engine.run();
     let diverged = engine.schedule_diverged();
     let faulted = engine.faulted().into_iter().map(|(rank, _)| rank).collect();
@@ -136,20 +136,4 @@ pub fn execute_task(source: &ProgramSource, task: &RunTask) -> RunResult {
         n_ranks,
         store: OnceLock::new(),
     }
-}
-
-/// Execute `task` as far as its decision `k` and checkpoint it there —
-/// the checkpoint a fork at that branch point starts from — or `None` if
-/// the run ends first. `task`'s policy must script at least its first `k`
-/// decisions (a fork's scheduler takes its script from the checkpoint's
-/// cursor on), and a task forked from the checkpoint must carry `task`'s
-/// fault plan.
-pub fn checkpoint(
-    source: &ProgramSource,
-    task: &RunTask,
-    k: usize,
-) -> Option<Arc<EngineCheckpoint>> {
-    let mut engine = engine(source, task, true);
-    engine.set_snapshot_at(k);
-    engine.run_to_snapshot().map(Arc::new)
 }

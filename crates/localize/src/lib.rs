@@ -106,19 +106,17 @@ fn common_prefix(a: &[Decision], b: &[Decision]) -> usize {
 }
 
 /// Marker frontier of the failing schedule at decision depth `k`,
-/// obtained by re-running the script with a snapshot armed at `k`.
+/// obtained by re-running the script to a snapshot at `k`.
 fn divergence_markers(source: &ProgramSource, artifact: &ScheduleArtifact, k: usize) -> Vec<u64> {
     let mut engine = Engine::launch(
         EngineConfig {
             recorder: RecorderConfig::full(),
-            checkpoints: true,
             ..EngineConfig::for_artifact(artifact)
         },
         source(),
     );
-    engine.set_snapshot_at(k);
     engine
-        .run_to_snapshot()
+        .run_to_snapshot(k)
         .map(|cp| cp.markers().counts().to_vec())
         .unwrap_or_default()
 }

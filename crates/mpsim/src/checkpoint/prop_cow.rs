@@ -334,12 +334,13 @@ fn drive(e: &mut Engine, steps: &[u32], later: usize) -> Driven {
     after.iter().for_each(|r| step(e, Rank(r % n)));
     e.clear_breaks();
     let _ = e.collect_trace();
-    e.set_snapshot_at(e.decision_points().len() + later);
-    let ending = finish(e);
+    e.clear_pauses();
+    e.resume_trapped();
+    let mid = e.run_to_snapshot(e.decision_points().len() + later).ok();
     Driven {
         armed,
-        mid: e.take_pending_snapshot(),
-        ending,
+        mid,
+        ending: finish(e),
     }
 }
 
@@ -373,7 +374,6 @@ fn isolated(
         policy: SchedPolicy::Seeded(seed),
         recorder: RecorderConfig::full(),
         faults: FaultPlan::new(faults.to_vec()),
-        checkpoints: true,
         ..Default::default()
     };
     let mut straight = Engine::launch(cfg(), programs());

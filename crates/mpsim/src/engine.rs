@@ -48,8 +48,9 @@ pub struct EngineConfig {
     pub sites: Option<SiteTable>,
     /// Faults to inject into this run (explorer fault plane).
     pub faults: FaultPlan,
-    /// Allow [`EngineCheckpoint`]s to be taken of this run
-    /// ([`Engine::snapshot`], [`Engine::set_snapshot_at`]). Off by default.
+    /// Ignored: every engine may be snapshotted ([`Engine::snapshot`],
+    /// [`Engine::run_to_snapshot`]). The field stays only because
+    /// `benchmark/` compiles against it.
     pub checkpoints: bool,
     /// Ignored: the engine keeps no counters, and a run's
     /// [`EngineMetrics`] are derived after it ([`Engine::take_metrics`]).
@@ -67,7 +68,7 @@ impl EngineConfig {
 
     /// Re-run a schedule artifact: the scheduler follows its recorded
     /// decisions and the engine injects its recorded faults. Everything
-    /// else (recorder, checkpoints, telemetry) is the caller's to set.
+    /// else (the recorder) is the caller's to set.
     pub fn for_artifact(artifact: &ScheduleArtifact) -> Self {
         EngineConfig {
             policy: SchedPolicy::Scripted(artifact.decisions.clone()),
@@ -149,6 +150,14 @@ pub struct StopReason {
     pub paused: Vec<Rank>,
 }
 
+/// The snapshot one [`Engine::drive`] takes: none, when the decision log
+/// reaches a length, or the one taken (the drive then stops).
+enum Halt {
+    Never,
+    At(usize),
+    Taken(Box<EngineCheckpoint>),
+}
+
 #[derive(Clone, Debug)]
 pub(crate) enum ProcState {
     /// Waiting for a turn; the reply to deliver when granted.
@@ -216,11 +225,6 @@ pub struct Engine {
     resweep: bool,
     /// Streaming sink that sees every record as it enters `collected`.
     tee: Option<Box<dyn TraceSink>>,
-    /// Checkpoint plane (all inert unless `checkpoints` is on).
-    checkpoints: bool,
-    /// Take a snapshot when the decision log reaches this length.
-    snapshot_at_decision: Option<usize>,
-    pending_snapshot: Option<Box<EngineCheckpoint>>,
     /// `(records, decisions)` logged when this incarnation was launched
     /// or restored: where [`Engine::take_metrics`] starts counting.
     origin: (usize, usize),
@@ -266,9 +270,6 @@ impl Engine {
             rebuilt: tracedbg_trace::ReadySets::new(n),
             resweep: false,
             tee: None,
-            checkpoints: config.checkpoints,
-            snapshot_at_decision: None,
-            pending_snapshot: None,
             origin: (0, 0),
         };
         if let Some(log) = config.replay {
@@ -283,8 +284,7 @@ impl Engine {
     /// a pointer per block of ranks and per log. `_programs` is ignored
     /// (the checkpoint *is* the program state), so pass `Vec::new()`
     /// rather than building programs to be dropped; the parameter stays
-    /// only because `benchmark/` compiles against this signature. Restored
-    /// engines keep checkpointing enabled, so checkpoints chain.
+    /// only because `benchmark/` compiles against this signature.
     pub fn restore(cp: &EngineCheckpoint, _programs: Vec<RankProgram>) -> Self {
         install_quiet_panic_hook();
         let mut engine = Engine {
@@ -301,9 +301,6 @@ impl Engine {
             // its decision being committed; the sweep re-delivers it.
             resweep: true,
             tee: None,
-            checkpoints: true,
-            snapshot_at_decision: None,
-            pending_snapshot: None,
             origin: (cp.collected.len(), cp.decision_log.len()),
         };
         (engine.waiting, engine.ready) = engine.scan_ready();
@@ -400,25 +397,26 @@ impl Engine {
 
     /// Run until completion, deadlock, panic, or a debugger stop.
     pub fn run(&mut self) -> RunOutcome {
-        self.drive(false)
+        self.drive(&mut Halt::Never)
             .expect("only a run to a snapshot stops short of an outcome")
     }
 
-    /// The turn loop of [`Engine::run`]; with `halt`, it stops (`None`) at
-    /// the first rest point after the armed snapshot was taken.
-    fn drive(&mut self, halt: bool) -> Option<RunOutcome> {
+    /// The turn loop of [`Engine::run`]. With [`Halt::At`], it snapshots
+    /// when the decision log reaches that length and stops (`None`) at the
+    /// first rest point after.
+    fn drive(&mut self, halt: &mut Halt) -> Option<RunOutcome> {
         // Re-deliver any receive that was mid-match when a checkpoint was
         // taken. Everywhere else the sweep would be a no-op — at every rest
         // point a blocked receive with candidates has already been
         // delivered — so a `step` in a wide session does not pay for it.
         if std::mem::take(&mut self.resweep) {
             for r in 0..self.st.n_ranks {
-                self.try_match(Rank(r as u32));
+                self.try_match(Rank(r as u32), halt);
             }
         }
         debug_assert!(!self.has_deliverable_receive());
         loop {
-            if halt && self.pending_snapshot.is_some() {
+            if matches!(halt, Halt::Taken(_)) {
                 return None;
             }
             debug_assert_eq!(
@@ -428,7 +426,7 @@ impl Engine {
             if self.ready.is_empty() {
                 return Some(self.stall_outcome());
             }
-            self.maybe_snapshot();
+            self.snapshot_if_due(halt);
             let p = self.st.scheduler.pick(&self.ready);
             let point = DecisionPoint {
                 chosen: Decision::Turn { rank: p },
@@ -465,7 +463,7 @@ impl Engine {
                     collected: &mut self.st.collected,
                 },
             );
-            self.service(p, req);
+            self.service(p, req, halt);
         }
     }
 
@@ -523,7 +521,7 @@ impl Engine {
         RunOutcome::Deadlock(DeadlockReport::analyze(&blocked))
     }
 
-    fn service(&mut self, rank: Rank, req: Request) {
+    fn service(&mut self, rank: Rank, req: Request, halt: &mut Halt) {
         // Fault plane: runtime operations count toward the process's
         // silence threshold; the operation that crosses it is swallowed and
         // the process never runs again. Peers observe only the silence.
@@ -574,7 +572,7 @@ impl Engine {
                     },
                 };
                 self.set_state(rank, state);
-                self.try_match(dst);
+                self.try_match(dst, halt);
             }
             Request::Recv { spec, t_post } => {
                 let marker = self.st.ranks[rank.ix()].recorder.marker();
@@ -586,7 +584,7 @@ impl Engine {
                         marker,
                     },
                 );
-                self.try_match(rank);
+                self.try_match(rank, halt);
             }
             Request::Collective {
                 kind,
@@ -635,7 +633,7 @@ impl Engine {
     }
 
     /// If `dst` is blocked in a receive that can now match, deliver.
-    fn try_match(&mut self, dst: Rank) {
+    fn try_match(&mut self, dst: Rank, halt: &mut Halt) {
         let (spec, t_post) = match &self.st.states[dst.ix()] {
             // Replay pinning: narrow this receive to the recorded match.
             ProcState::Blocked { spec, t_post, .. } => (self.pinned(dst, *spec), *t_post),
@@ -645,7 +643,7 @@ impl Engine {
         if candidates.is_empty() {
             return;
         }
-        self.maybe_snapshot();
+        self.snapshot_if_due(halt);
         let pick = self.st.scheduler.pick_candidate(dst, &candidates);
         self.st.decision_log.push(DecisionPoint {
             chosen: Decision::Match {
@@ -881,7 +879,7 @@ impl Engine {
     }
 
     /// The run's log, site table and width; the rest of the engine (ranks,
-    /// decision log, a pending snapshot) is dropped on return.
+    /// decision log) is dropped on return.
     fn into_log(mut self) -> (ChunkLog<TraceRecord>, SiteTable, usize) {
         drop(std::mem::take(&mut self.st.decision_log));
         let log = std::mem::take(&mut self.st.collected);
@@ -983,24 +981,15 @@ impl Engine {
 
     // ---- checkpoint interface ----
 
-    /// Was this engine launched (or restored) with checkpointing on?
-    pub fn checkpoints_enabled(&self) -> bool {
-        self.checkpoints
-    }
-
     /// Capture the full deterministic state of the run right now. Callable
     /// whenever the engine has control (between turns — i.e. whenever
-    /// `run` has returned). Requires `EngineConfig::checkpoints`.
+    /// `run` has returned).
     ///
     /// The checkpoint shares every rank and every log chunk with the
     /// engine (both are sealed first), so the copy is a pointer per block of
     /// ranks and per log chunk, and whatever the engine does next un-shares
     /// only what it writes.
     pub fn snapshot(&mut self) -> EngineCheckpoint {
-        assert!(
-            self.checkpoints,
-            "snapshot() requires EngineConfig.checkpoints"
-        );
         self.st.share();
         EngineCheckpoint {
             sites_len: self.st.sites.len(),
@@ -1008,39 +997,30 @@ impl Engine {
         }
     }
 
-    /// Arrange for a snapshot to be taken automatically when the decision
-    /// log reaches length `k` (the explorer checkpoints schedule prefixes
-    /// this way). Collected with [`Engine::take_pending_snapshot`], or
-    /// returned by [`Engine::run_to_snapshot`].
-    pub fn set_snapshot_at(&mut self, k: usize) {
-        assert!(
-            self.checkpoints,
-            "set_snapshot_at() requires EngineConfig.checkpoints"
-        );
-        self.snapshot_at_decision = Some(k);
+    /// Run until the decision log holds `k` decisions, snapshot there, and
+    /// stop at the first rest point after: the one way to checkpoint a run
+    /// part-way. A snapshot before a `Match` is taken inside the turn that
+    /// made the match possible, so the engine stops after that match, where
+    /// [`Engine::run`] (or a later call for a later `k`) goes on as if it
+    /// had never stopped. A run that ends first hands back its outcome.
+    /// Unless the engine was just restored (its first drive re-delivers
+    /// every receive a checkpoint left pending), it stops at most two
+    /// decisions past `k`: the `Turn` at `k` and a `Match` it made possible.
+    pub fn run_to_snapshot(&mut self, k: usize) -> Result<EngineCheckpoint, RunOutcome> {
+        let made = self.st.decision_log.len();
+        assert!(k >= made, "decision {k} is behind the run ({made} made)");
+        let mut halt = Halt::At(k);
+        match (self.drive(&mut halt), halt) {
+            (None, Halt::Taken(cp)) => Ok(*cp),
+            (Some(outcome), _) => Err(outcome),
+            (None, _) => unreachable!("a drive stops short only once it snapshotted"),
+        }
     }
 
-    /// The snapshot armed by [`Engine::set_snapshot_at`], if the run
-    /// reached that decision depth.
-    pub fn take_pending_snapshot(&mut self) -> Option<EngineCheckpoint> {
-        self.pending_snapshot.take().map(|b| *b)
-    }
-
-    /// Run until the snapshot armed by [`Engine::set_snapshot_at`] is
-    /// taken, and return it; `None` if the run ended first. For a caller
-    /// that wants the snapshot and not the run: the engine stops at the
-    /// first rest point after it (a snapshot taken before a match makes
-    /// the match first), where [`Engine::run`] would go on.
-    pub fn run_to_snapshot(&mut self) -> Option<EngineCheckpoint> {
-        let _ = self.drive(true);
-        self.take_pending_snapshot()
-    }
-
-    fn maybe_snapshot(&mut self) {
-        if let Some(k) = self.snapshot_at_decision {
-            if self.st.decision_log.len() == k && self.pending_snapshot.is_none() {
-                self.pending_snapshot = Some(Box::new(self.snapshot()));
-            }
+    /// Take the snapshot `halt` asks for if the decision log has reached it.
+    fn snapshot_if_due(&mut self, halt: &mut Halt) {
+        if matches!(*halt, Halt::At(k) if k == self.st.decision_log.len()) {
+            *halt = Halt::Taken(Box::new(self.snapshot()));
         }
     }
 
@@ -1723,25 +1703,17 @@ mod tests {
         }
     }
 
-    fn ckpt_cfg() -> EngineConfig {
-        EngineConfig {
-            checkpoints: true,
-            ..cfg()
-        }
-    }
-
     #[test]
     fn snapshot_mid_run_restore_and_continue_is_byte_identical() {
-        let mut straight = Engine::launch(ckpt_cfg(), wildcard_fanin());
+        let mut straight = Engine::launch(cfg(), wildcard_fanin());
         assert!(straight.run().is_completed());
         let want_digest = straight.digest();
         let want = straight.collect_trace();
-        // Same run, but snapshot when the decision log reaches depth 5.
-        let mut e = Engine::launch(ckpt_cfg(), wildcard_fanin());
-        e.set_snapshot_at(5);
-        assert!(e.run().is_completed());
-        let cp = e.take_pending_snapshot().expect("snapshot at decision 5");
+        // Same run, but halted at depth 5 to snapshot, then run on.
+        let mut e = Engine::launch(cfg(), wildcard_fanin());
+        let cp = e.run_to_snapshot(5).expect("snapshot at decision 5");
         assert_eq!(cp.decision_len(), 5);
+        assert!(e.run().is_completed());
         assert_eq!(e.collect_trace(), want, "snapshotting must not perturb");
         // Restore the prefix and run the rest: identical trace and state.
         let mut r = Engine::restore(&cp, Vec::new());
@@ -1752,7 +1724,7 @@ mod tests {
 
     #[test]
     fn snapshot_of_a_stop_restores_traps_and_continues_identically() {
-        let mut e = Engine::launch(ckpt_cfg(), ten_computes());
+        let mut e = Engine::launch(cfg(), ten_computes());
         e.set_threshold(Rank(0), Some(5));
         assert!(e.run().is_stopped());
         let cp = e.snapshot();
@@ -1778,12 +1750,11 @@ mod tests {
 
     #[test]
     fn restored_engine_chains_further_checkpoints() {
-        let mut e = Engine::launch(ckpt_cfg(), ten_computes());
+        let mut e = Engine::launch(cfg(), ten_computes());
         e.set_threshold(Rank(0), Some(3));
         assert!(e.run().is_stopped());
         let cp1 = e.snapshot();
         let mut r1 = Engine::restore(&cp1, Vec::new());
-        assert!(r1.checkpoints_enabled());
         r1.set_threshold(Rank(0), Some(7));
         r1.resume_trapped();
         assert!(r1.run().is_stopped());
@@ -1796,11 +1767,32 @@ mod tests {
         assert_eq!(r2.markers().get(Rank(0)), 12);
     }
 
+    /// One engine halted at several depths in turn snapshots each before
+    /// its decision, runs on as a straight run does, and hands back the
+    /// outcome of a run that ends before the depth asked for.
     #[test]
-    #[should_panic(expected = "requires EngineConfig.checkpoints")]
-    fn snapshot_requires_opt_in() {
-        let mut e = Engine::launch(cfg(), vec![rank(vec![compute(1)])]);
-        let _ = e.snapshot();
+    fn run_to_snapshot_goes_on_from_where_it_halted() {
+        let mut straight = Engine::launch(cfg(), wildcard_fanin());
+        assert!(straight.run().is_completed());
+        let want = straight.decision_points().clone();
+        let mut e = Engine::launch(cfg(), wildcard_fanin());
+        let mut halted = [0, 0];
+        for (k, p) in want.iter().enumerate() {
+            let before_match = matches!(p.chosen, Decision::Match { .. });
+            if k < e.decision_points().len() || !(before_match || k % 3 == 0) {
+                continue;
+            }
+            let cp = e.run_to_snapshot(k).expect("the run reaches it");
+            assert_eq!(cp.decision_len(), k);
+            let made = e.decision_points().len();
+            assert!(k < made && made <= k + 2, "halted at {made} for {k}");
+            halted[before_match as usize] += 1;
+        }
+        assert!(halted[0] > 0 && halted[1] > 0, "halts before {halted:?}");
+        let end = e.run_to_snapshot(want.len() + 1);
+        assert!(matches!(end, Err(o) if o.is_completed()), "the run's end");
+        assert!(e.decision_points() == &want, "the halts perturbed the run");
+        assert_eq!(e.digest(), straight.digest());
     }
 
     #[test]
@@ -1812,16 +1804,14 @@ mod tests {
             rank: Rank(2),
             after_ops: 0,
         }]);
-        let mut c = ckpt_cfg();
+        let mut c = cfg();
         c.faults = faults.clone();
         let mut straight = Engine::launch(c.clone(), wildcard_fanin());
         let straight_out = straight.run();
         let straight_faulted = straight.faulted();
         let want = straight.collect_trace();
         let mut e = Engine::launch(c, wildcard_fanin());
-        e.set_snapshot_at(4);
-        let _ = e.run();
-        let cp = e.take_pending_snapshot().expect("snapshot");
+        let cp = e.run_to_snapshot(4).expect("snapshot");
         let mut r = Engine::restore(&cp, Vec::new());
         let r_out = r.run();
         assert_eq!(

@@ -66,7 +66,7 @@ pub use task::{OpResult, Prog, TaskInterp, TaskOp, TaskView};
 
 // Re-export the vocabulary crates so workloads depend only on mpsim.
 pub use tracedbg_instrument::{Recorder, RecorderConfig, Strategy};
-pub use tracedbg_obs::EngineMetrics;
+pub use tracedbg_obs::{EngineMetrics, Histogram};
 pub use tracedbg_trace::{
     Decision, DecisionPoint, Fault, Label, Marker, MarkerVector, Rank, ScheduleArtifact, SiteId,
     SiteKey, SiteTable, Tag, TraceRecord, TraceStore, ANY_SOURCE, ANY_TAG,

@@ -18,9 +18,8 @@ use tracedbg_trace::{EventKind, TraceRecord};
 ///
 /// Exact when the run kept every communication record (full recorder,
 /// no synchronous send still waiting at its end) and no rank trapped:
-/// a trap is a turn that issued no request. `snapshots` and
-/// `replay_delta` stay zero; they describe a session. One pass over
-/// each input, which threads a list per rank through one array.
+/// a trap is a turn that issued no request. One pass over each input,
+/// which threads a list per rank through one array.
 pub fn of_run<'a>(
     records: impl IntoIterator<Item = &'a TraceRecord>,
     decisions: impl IntoIterator<Item = &'a Decision>,

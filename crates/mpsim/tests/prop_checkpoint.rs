@@ -37,7 +37,6 @@ proptest! {
             policy: SchedPolicy::Seeded(seed),
             recorder: RecorderConfig::full(),
             faults: FaultPlan::new(faults.clone()),
-            checkpoints: true,
             ..Default::default()
         };
         // The straight run: the byte-level ground truth.
@@ -45,15 +44,15 @@ proptest! {
         let s_out = format!("{:?}", straight.run());
         let s_digest = straight.digest();
         let s_trace = straight.collect_trace();
-        // The same run, snapshotting at decision depth `k` (the snapshot
-        // may never fire if the run ends first — then there is nothing to
-        // restore, but the run itself must still be unperturbed).
+        // The same run, halted at decision depth `k` to snapshot and run
+        // on (the run may end first — then there is nothing to restore,
+        // but the run itself must still be unperturbed).
         let mut snap = Engine::launch(cfg(), fanin_programs(rounds));
-        snap.set_snapshot_at(k);
+        let cp = snap.run_to_snapshot(k).ok();
         let n_out = format!("{:?}", snap.run());
         prop_assert_eq!(&n_out, &s_out, "snapshotting must not perturb the run");
         prop_assert_eq!(snap.digest(), s_digest, "snapshotting run digest");
-        if let Some(cp) = snap.take_pending_snapshot() {
+        if let Some(cp) = cp {
             let mut restored = Engine::restore(&cp, Vec::new());
             let r_out = format!("{:?}", restored.run());
             prop_assert_eq!(&r_out, &s_out, "restored run must end identically");
@@ -79,18 +78,17 @@ proptest! {
             policy: SchedPolicy::Seeded(seed),
             recorder: RecorderConfig::full(),
             faults: FaultPlan::new(faults.clone()),
-            checkpoints: true,
             ..Default::default()
         };
         let mut straight = Engine::launch(cfg(), fanin_programs(rounds));
         let _ = straight.run();
         let want = straight.into_trace_store();
         let mut snap = Engine::launch(cfg(), fanin_programs(rounds));
-        snap.set_snapshot_at(k);
+        let cp = snap.run_to_snapshot(k).ok();
         let _ = snap.run();
         // (No early `return` here: a proptest body runs inside the loop
         // over cases, so one would end the test at its first case.)
-        let Some(cp) = snap.take_pending_snapshot() else {
+        let Some(cp) = cp else {
             prop_assert_eq!(snap.into_trace_store().records(), want.records());
             continue;
         };
@@ -118,8 +116,7 @@ proptest! {
             let cfg = EngineConfig {
                 policy: SchedPolicy::Seeded(seed),
                 recorder: RecorderConfig::full(),
-                checkpoints: true,
-                ..Default::default()
+                    ..Default::default()
             };
             Engine::launch(cfg, fanin_programs(rounds))
         };
@@ -143,9 +140,7 @@ proptest! {
         if logged {
             snap.set_replay(log.clone());
         }
-        snap.set_snapshot_at(k);
-        let _ = snap.run();
-        if let Some(cp) = snap.take_pending_snapshot() {
+        if let Ok(cp) = snap.run_to_snapshot(k) {
             let mut restored = Engine::restore(&cp, Vec::new());
             restored.set_replay(log.clone());
             prop_assert_eq!(format!("{:?}", restored.run()), want_out);
@@ -211,7 +206,6 @@ proptest! {
         let n = [4u32, 70, 130][width];
         let cfg = || EngineConfig {
             policy: SchedPolicy::Seeded(seed),
-            checkpoints: true,
             ..Default::default()
         };
         let mut straight = Engine::launch(cfg(), wide_fanin(n, rounds));
@@ -220,9 +214,8 @@ proptest! {
         let want_alts = rebuilt(n as usize, &want);
         let k = want.len() * per_mille / 1000;
         let mut snap = Engine::launch(cfg(), wide_fanin(n, rounds));
-        snap.set_snapshot_at(k);
+        let cp = snap.run_to_snapshot(k).ok();
         prop_assert!(snap.run().is_completed());
-        let cp = snap.take_pending_snapshot();
         let (_, got) = snap.into_trace_and_decisions();
         prop_assert_eq!(rebuilt(n as usize, &got), want_alts.clone());
         let Some(cp) = cp else {
@@ -282,19 +275,17 @@ fn a_receive_blocked_at_the_checkpoint_is_pinned_by_a_log_installed_later() {
     let log = ReplayLog::from_decisions(3, &[matched(2), matched(1)]);
     let cfg = |replay| EngineConfig {
         recorder: RecorderConfig::full(),
-        checkpoints: true,
         replay,
         ..Default::default()
     };
     let mut free = Engine::launch(cfg(None), programs());
-    free.set_snapshot_at(1);
+    let cp = free.run_to_snapshot(1).expect("snapshot at depth 1");
     assert!(free.run().is_completed());
     assert_eq!(
         free.decision_points()[0].chosen,
         Decision::Turn { rank: Rank(0) }
     );
     assert_eq!(first_source(&mut free), 1, "the log must matter");
-    let cp = free.take_pending_snapshot().expect("snapshot at depth 1");
     let mut restored = Engine::restore(&cp, Vec::new());
     restored.set_replay(Arc::new(log.clone()));
     assert!(restored.run().is_completed());

@@ -1,14 +1,11 @@
-//! Bounded span ring-buffer — the "flight recorder".
+//! The "flight recorder": the last engine-level spans of a run (turn
+//! grants, matches, blocks, faults, panics) as text.
 //!
-//! Keeps the last N engine-level spans (turn grants, matches, blocks,
-//! faults, panics) as purely *numeric* records keyed by decision
-//! index and simulated time, never wall clock. The engine records none:
-//! the explorer rebuilds a failing run's spans from its decision log and
-//! trace and feeds them through here, so the dump of a failing run is
+//! A span is a purely *numeric* record keyed by decision index and
+//! simulated time, never wall clock. The engine records none: the
+//! explorer rebuilds a failing run's spans from its decision log and
+//! trace and hands them to [`dump`], so the dump of a failing run is
 //! byte-identical no matter which worker or job count produced it.
-//! Rendering to text happens only at [`FlightRecorder::dump`].
-
-use std::collections::VecDeque;
 
 /// What a recorded span describes, in the order one decision's lines go
 /// (its turn or match, then what followed). Arguments: [`Span::render`].
@@ -63,79 +60,19 @@ impl Span {
     }
 }
 
-/// Default number of spans retained.
+/// How many spans a [`dump`] keeps.
 pub const FLIGHT_CAP: usize = 64;
 
-/// Bounded ring of the most recent [`Span`]s.
-#[derive(Clone, Debug)]
-pub struct FlightRecorder {
-    ring: VecDeque<Span>,
-    cap: usize,
-    /// Total spans ever recorded (≥ `ring.len()`).
-    total: u64,
-}
-
-impl FlightRecorder {
-    pub fn new() -> Self {
-        Self::with_capacity(FLIGHT_CAP)
-    }
-
-    pub fn with_capacity(cap: usize) -> Self {
-        let cap = cap.max(1);
-        let ring = VecDeque::with_capacity(cap);
-        FlightRecorder {
-            ring,
-            cap,
-            total: 0,
-        }
-    }
-
-    pub fn record(&mut self, span: Span) {
-        if self.ring.len() == self.cap {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(span);
-        self.total += 1;
-    }
-
-    /// Spans currently retained, oldest first.
-    pub fn spans(&self) -> Vec<Span> {
-        self.ring.iter().copied().collect()
-    }
-
-    /// Total spans ever recorded (including evicted ones).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Exact number of spans evicted by ring overflow.
-    pub fn dropped(&self) -> u64 {
-        self.total - self.ring.len() as u64
-    }
-
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Render the retained spans as text lines, oldest first. The first
-    /// line notes how many spans were dropped, if any.
-    pub fn dump(&self) -> Vec<String> {
-        let dropped = self.dropped();
-        let note = (dropped > 0).then(|| format!("... {dropped} earlier spans dropped"));
-        note.into_iter()
-            .chain(self.ring.iter().map(Span::render))
-            .collect()
-    }
-}
-
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The last [`FLIGHT_CAP`] of `spans` rendered as text lines, oldest
+/// first; the first line notes how many earlier spans were dropped, if
+/// any.
+pub fn dump(spans: &[Span]) -> Vec<String> {
+    let kept = &spans[spans.len().saturating_sub(FLIGHT_CAP)..];
+    let dropped = spans.len() - kept.len();
+    let note = (dropped > 0).then(|| format!("... {dropped} earlier spans dropped"));
+    note.into_iter()
+        .chain(kept.iter().map(Span::render))
+        .collect()
 }
 
 #[cfg(test)]
@@ -153,30 +90,25 @@ mod tests {
         }
     }
 
+    /// `n` turn spans, decisions `0..n`.
+    fn turns(n: u64) -> Vec<Span> {
+        (0..n).map(|i| span(i, SpanKind::Turn, i)).collect()
+    }
+
     #[test]
     fn ring_keeps_the_newest_cap_spans() {
-        let mut fr = FlightRecorder::with_capacity(4);
-        for i in 0..10 {
-            fr.record(span(i, SpanKind::Turn, i));
-        }
-        let spans = fr.spans();
-        assert_eq!(spans.len(), 4);
-        assert_eq!(
-            spans.iter().map(|s| s.decision).collect::<Vec<_>>(),
-            vec![6, 7, 8, 9],
-            "oldest first"
-        );
-        assert_eq!(fr.total(), 10);
+        let dump = dump(&turns(FLIGHT_CAP as u64 + 6));
+        assert_eq!(dump.len(), 1 + FLIGHT_CAP);
+        let kept: Vec<String> = (6..FLIGHT_CAP as u64 + 6)
+            .map(|i| span(i, SpanKind::Turn, i).render())
+            .collect();
+        assert_eq!(dump[1..], kept, "the newest, oldest first");
     }
 
     #[test]
     fn dump_notes_dropped_spans() {
-        let mut fr = FlightRecorder::with_capacity(2);
-        for i in 0..5 {
-            fr.record(span(i, SpanKind::Turn, 0));
-        }
-        let dump = fr.dump();
-        assert_eq!(dump.len(), 3);
+        let dump = dump(&turns(FLIGHT_CAP as u64 + 3));
+        assert_eq!(dump.len(), 1 + FLIGHT_CAP);
         assert!(dump[0].contains("3 earlier spans dropped"), "{:?}", dump[0]);
     }
 
@@ -204,30 +136,22 @@ mod tests {
 
     #[test]
     fn dropped_counter_is_exact_across_the_capacity_edge() {
-        let mut fr = FlightRecorder::with_capacity(3);
-        assert_eq!(fr.dropped(), 0);
-        for i in 0..3 {
-            fr.record(span(i, SpanKind::Turn, i));
-            assert_eq!(fr.dropped(), 0, "no drop until the ring overflows");
+        let cap = FLIGHT_CAP as u64;
+        for n in 0..=cap {
+            let dump = dump(&turns(n));
+            assert_eq!(dump.len() as u64, n, "no drop line up to the cap");
         }
-        // The capacity edge: the very next record evicts exactly one.
-        fr.record(span(3, SpanKind::Turn, 3));
-        assert_eq!(fr.dropped(), 1);
-        for i in 4..103 {
-            fr.record(span(i, SpanKind::Turn, i));
-        }
-        assert_eq!(fr.dropped(), 100);
-        assert_eq!(fr.total(), 103);
-        assert_eq!(fr.len(), 3);
-        // The text note and the numeric counter agree.
-        assert!(fr.dump()[0].contains("100 earlier spans dropped"));
+        // The capacity edge: one span more drops exactly one.
+        assert!(dump(&turns(cap + 1))[0].starts_with("... 1 earlier spans dropped"));
+        let dump = dump(&turns(cap + 100));
+        assert_eq!(dump.len(), 1 + FLIGHT_CAP);
+        assert!(dump[0].contains("100 earlier spans dropped"));
+        assert!(dump[1].starts_with("d100 "), "{}", dump[1]);
     }
 
     #[test]
     fn under_capacity_dump_has_no_drop_line() {
-        let mut fr = FlightRecorder::new();
-        fr.record(span(0, SpanKind::Panic, 2));
-        let dump = fr.dump();
+        let dump = dump(&[span(0, SpanKind::Panic, 2)]);
         assert_eq!(dump.len(), 1);
         assert!(dump[0].contains("panic"));
     }

@@ -3,8 +3,8 @@
 //! The paper's AIMS monitors feed *statistics* — communication volume,
 //! blocking time, intrusion overhead — alongside the trace itself, and
 //! the NTV/VK views render them. This crate is that statistics plane:
-//! counters, high-water gauges, fixed log-2-bucket [`Histogram`]s, a
-//! bounded [`FlightRecorder`] span ring (what an explore finding's last
+//! counters, high-water gauges, fixed log-2-bucket [`Histogram`]s, the
+//! flight recorder's [`flight::dump`] (what an explore finding's last
 //! decisions render through), the [`MetricsReport`] JSON
 //! schema every `tracedbg` surface exports through, and the [`sealed`]
 //! envelope every digest-sealed report is written and loaded through.
@@ -27,7 +27,7 @@ pub mod metrics;
 pub mod report;
 pub mod sealed;
 
-pub use flight::{FlightRecorder, Span, SpanKind, FLIGHT_CAP};
+pub use flight::{Span, SpanKind, FLIGHT_CAP};
 pub use hist::{Histogram, HIST_BUCKETS};
 pub use mad::{mad, mad_score, median, SCORE_CAP};
 pub use metrics::EngineMetrics;

@@ -21,8 +21,6 @@ pub struct EngineMetrics {
     pub turns: u64,
     /// Messages matched (send paired with receive), total.
     pub matches: u64,
-    /// Snapshots taken.
-    pub snapshots: u64,
     /// Messages sent, per source rank.
     pub msgs_sent: Vec<u64>,
     /// Payload bytes sent, per source rank.
@@ -42,9 +40,6 @@ pub struct EngineMetrics {
     /// Distribution of match latency in turns (0 = message was already
     /// waiting when the receive was posted).
     pub match_latency: Histogram,
-    /// Distribution of replay-delta lengths (decisions re-executed per
-    /// delta replay).
-    pub replay_delta: Histogram,
 }
 
 impl EngineMetrics {
@@ -52,7 +47,6 @@ impl EngineMetrics {
         EngineMetrics {
             turns: 0,
             matches: 0,
-            snapshots: 0,
             msgs_sent: vec![0; nprocs],
             bytes_sent: vec![0; nprocs],
             recvs: vec![0; nprocs],
@@ -60,7 +54,6 @@ impl EngineMetrics {
             queue_hwm: vec![0; nprocs],
             channels: vec![Vec::new(); nprocs],
             match_latency: Histogram::new(),
-            replay_delta: Histogram::new(),
         }
     }
 
@@ -97,7 +90,6 @@ impl EngineMetrics {
         self.widen(n);
         self.turns += other.turns;
         self.matches += other.matches;
-        self.snapshots += other.snapshots;
         for r in 0..other.nprocs() {
             self.msgs_sent[r] += other.msgs_sent[r];
             self.bytes_sent[r] += other.bytes_sent[r];
@@ -107,7 +99,6 @@ impl EngineMetrics {
             merge_row(&mut self.channels[r], &other.channels[r]);
         }
         self.match_latency.merge(&other.match_latency);
-        self.replay_delta.merge(&other.replay_delta);
     }
 
     fn widen(&mut self, n: usize) {

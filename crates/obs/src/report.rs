@@ -22,9 +22,12 @@ pub const METRICS_VERSION: u32 = 1;
 /// Schema revision of the report *shape*. Bumped whenever fields are
 /// added, removed or change form (3: `engine.channels` holds per-source
 /// rows of `[dst, msgs, bytes]` in place of two ranks × ranks matrices;
-/// 4: `engine.flight_dropped` is gone, the engine keeps no span ring), so
-/// a consumer can tell which fields to expect.
-pub const METRICS_SCHEMA_VERSION: u32 = 4;
+/// 4: `engine.flight_dropped` is gone, the engine keeps no span ring;
+/// 5: `engine.snapshots` and `engine.replay_delta`, a debug session's
+/// figures, and the explorer's count of prefix-pruned schedules, which
+/// could not move, are gone), so a consumer can tell which fields to
+/// expect.
+pub const METRICS_SCHEMA_VERSION: u32 = 5;
 
 /// Top-level telemetry export. Write-only: nothing in the tree decodes a
 /// metrics report.
@@ -99,8 +102,6 @@ pub struct ExploreEvent {
     pub aux_runs: u64,
     /// Runs discarded as duplicate trace digests.
     pub digest_pruned: u64,
-    /// Sibling schedules skipped by prefix-hash pruning.
-    pub prefix_pruned: u64,
     /// Systematic alternatives never enqueued because a sleeping
     /// (independence-proven) decision covered them (DPOR sleep sets).
     pub runs_skipped_by_sleep_sets: u64,
@@ -230,7 +231,6 @@ mod tests {
                     runs_executed: 10,
                     aux_runs: 2,
                     digest_pruned: 3,
-                    prefix_pruned: 1,
                     runs_skipped_by_sleep_sets: 5,
                     independence_pairs: 4,
                     oracle_triggers: vec![ClassCount {
@@ -265,7 +265,7 @@ mod tests {
         }
         // The top-level keys, in the order consumers have always read.
         let head = format!(
-            "{{\"version\":1,\"schema_version\":4,\"source\":\"explore\",\"workload\":\"ring\",\
+            "{{\"version\":1,\"schema_version\":5,\"source\":\"explore\",\"workload\":\"ring\",\
              \"procs\":4,\"seed\":42,\"jobs\":4,\"event\":{}",
             serde_json::to_string(&report.event).unwrap()
         );

@@ -328,9 +328,13 @@ gate "StmtKind::Loop arms in lint + analysis" "$(count 'StmtKind::Loop' crates/l
 gate "private walks in script_rules.rs" "$(count 'summarize\(|tracedbg_analysis::analyze\(' crates/lint/src/script_rules.rs)" -eq 0
 gate "rem_euclid in lint + analysis" "$(count 'rem_euclid' crates/lint/src crates/analysis/src)" -eq 0
 gate "script_rules.rs lines" "$(wc -l < crates/lint/src/script_rules.rs)" -le 650
-# One record of a run's nondeterminism (the decision log) and one way a
-# trace record leaves its rank's buffer: the second copies stay deleted.
-for gone in MatchRecorder FlushHandle advance_to next_for set_replay_delta; do
+# One record of a run's nondeterminism (the decision log), one way a
+# trace record leaves its rank's buffer and one call that checkpoints a run
+# part-way (`run_to_snapshot`): the second copies stay deleted, and so do
+# the explorer's prefix pruning, which could not fire, and the span ring.
+for gone in MatchRecorder FlushHandle advance_to next_for set_replay_delta \
+    set_snapshot_at take_pending_snapshot checkpoints_enabled hash_decisions \
+    prefix_pruned FlightRecorder; do
   gate "$gone under crates/*/src" "$(count "\\b$gone\\b" "${src[@]}")" -eq 0
 done
 # An event pays for the monitor call and nothing beside it: no per-kind
@@ -636,7 +640,7 @@ echo "==> metrics smoke: schema keys, cross-jobs digest identity, disabled-path 
 rm -rf target/verify_metrics && mkdir -p target/verify_metrics
 ./target/release/tracedbg stats ring --procs 4 \
   --metrics target/verify_metrics/stats.json >/dev/null
-for key in '"version"' '"schema_version":4' '"source"' '"workload"' '"procs"' \
+for key in '"version"' '"schema_version":5' '"source"' '"workload"' '"procs"' \
     '"seed"' '"jobs"' '"event"' '"event_digest"' '"timing"' '"engine"' '"channels"' \
     '"wall_ms"'; do
   grep -q "$key" target/verify_metrics/stats.json \

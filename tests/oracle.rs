@@ -17,7 +17,8 @@
 //! | `replay` | `replay_schedule` of the run's artifact does not diverge |
 //! | `snapshot` | a snapshot at a random decision restores twice to the straight run's state digest (and decision log; the second restore follows the recorded match log), after a debugger drove a restored copy on (ranks stepped alone, a breakpoint and a watch armed and cleared); the snapshots the drive took restore to where the drive went |
 //! | `hand-over` | a restored run hands over the trace, its checkpoint held or dropped |
-//! | `fork` | the explorer's checkpoint at a random branch point, forked with each untaken alternative, gives field for field the run a launch of the prefix and the alternative gives, the case's faults included, on a pool at `jobs` 1 and 4 |
+//! | `halt` | a run halted by `run_to_snapshot` before a `Turn` and before a `Match`, then run on, is the run never halted: state digest, decision log and sites included |
+//! | `fork` | checkpoints at a few random branch points, taken by one engine run on from each to the next as the explorer's front run is, forked with each untaken alternative, give field for field the run a launch of the prefix and the alternative gives, the case's faults included, on a pool at `jobs` 1 and 4, and the recorder's recent-call rings a launch has |
 //! | `log` | the recorded match log decides the run under another seed, from launch and installed at a restored depth |
 //! | `metrics` | `EngineMetrics` equal recounts from the trace and the schedule log |
 //! | `digest` | over seeded schedules of the case, two runs' order-free `run_digest`s are equal exactly when the `trace_digest`s of their canonical traces are, and a run's digest is that of its canonical trace |
@@ -35,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tracedbg::analysis::analyze;
 use tracedbg::explore::pool::WorkerPool;
-use tracedbg::explore::runner::checkpoint;
+use tracedbg::explore::runner;
 use tracedbg::explore::{execute_task, RunResult, RunTask};
 use tracedbg::instrument::{Watch, WatchCond};
 use tracedbg::mpsim::{set_quiet_panics, EngineCheckpoint, FaultPlan, ReplayLog};
@@ -144,8 +145,9 @@ fn selects(sel: Select, r: &TraceRecord) -> bool {
 /// What a case showed, for the mix the default case set must have: its
 /// outcome class, whether a wildcard receive had more than one message
 /// to take, whether a checkpoint of more than one block of ranks was
-/// restored, and whether one was forked.
-type Seen = (&'static str, bool, bool, bool);
+/// restored, whether one was forked, and whether a run of more than one
+/// block was halted before a `Turn` and before a `Match`.
+type Seen = (&'static str, bool, bool, bool, bool);
 
 /// Run `case` every way and assert that they agree; a failure is re-raised
 /// with the case attached.
@@ -221,6 +223,7 @@ impl<'a> Run<'a> {
         self.store();
         self.replay();
         let wide_snapshot = self.snapshot();
+        let wide_halt = self.halt() == [true, true] && self.case.procs > BLOCK;
         let wide_fork = self.fork() && self.case.procs > BLOCK;
         self.log();
         self.metrics();
@@ -230,7 +233,7 @@ impl<'a> Run<'a> {
         self.profile();
         let choice = |p: &DecisionPoint| matches!(p.alternatives, Alternatives::Matches(_));
         let branched = self.decisions.iter().any(|p| choice(p) && p.is_branch());
-        (self.class, branched, wide_snapshot, wide_fork)
+        (self.class, branched, wide_snapshot, wide_fork, wide_halt)
     }
 
     fn session(&self) {
@@ -377,9 +380,9 @@ impl<'a> Run<'a> {
     fn snapshot(&mut self) -> bool {
         let (n, k) = (self.case.procs, self.pick(self.decisions.len()));
         let mut original = self.launch(self.case.config());
-        original.set_snapshot_at(k);
+        let cp = original.run_to_snapshot(k);
         self.reproduce(&mut original, "snapshot: snapshotting run");
-        let Some(cp) = original.take_pending_snapshot() else {
+        let Ok(cp) = cp else {
             assert!(self.decisions.is_empty(), "snapshot: no decision {k}");
             return false;
         };
@@ -406,10 +409,11 @@ impl<'a> Run<'a> {
             .for_each(|&r| step(&mut driven, Rank(r as u32)));
         let _ = driven.trace_store();
         driven.clear_breaks();
+        driven.clear_pauses();
+        driven.resume_trapped();
         let later = driven.decision_points().len() + self.pick(40);
-        driven.set_snapshot_at(later);
+        let mid = driven.run_to_snapshot(later).ok();
         let want_driven = finish(&mut driven);
-        let mid = driven.take_pending_snapshot();
         drop(driven);
 
         // The second restore is also handed the recorded log, which a state
@@ -460,10 +464,52 @@ impl<'a> Run<'a> {
         n > BLOCK
     }
 
-    /// Fork the explorer's checkpoint of the run at a random branch point
-    /// with each alternative untaken there (a few, on a wide case), on a
-    /// pool of one executor and of four, and compare each fork with a
-    /// launch of the same script. Whether there was a branch point.
+    /// Halt a launch of the case before a random `Turn` and before a
+    /// random `Match`, in their order, then run it on: it must end as the
+    /// run never halted did, field for field. Which of the two it halted
+    /// before (the second may lie behind where the first halt stopped).
+    fn halt(&mut self) -> [bool; 2] {
+        let is_match = |p: &DecisionPoint| matches!(p.chosen, Decision::Match { .. });
+        let kind = |m: bool| -> Vec<usize> {
+            (0..self.decisions.len())
+                .filter(|&k| is_match(&self.decisions[k]) == m)
+                .collect()
+        };
+        let (turns, matches) = (kind(false), kind(true));
+        let mut at: Vec<usize> = [turns, matches]
+            .iter()
+            .filter(|ks| !ks.is_empty())
+            .map(|ks| ks[self.pick(ks.len())])
+            .collect();
+        at.sort_unstable();
+        let mut e = self.launch(self.case.config());
+        let mut halted = [false; 2];
+        for k in at {
+            if k < e.decision_points().len() {
+                continue;
+            }
+            let leg = format!("halt: before decision {k}");
+            let cp = e
+                .run_to_snapshot(k)
+                .unwrap_or_else(|o| panic!("{leg}: ended {o:?}"));
+            assert_eq!(cp.decision_len(), k, "{leg}: checkpoint depth");
+            halted[is_match(&self.decisions[k]) as usize] = true;
+        }
+        self.reproduce(&mut e, "halt: run on");
+        assert_eq!(e.digest(), self.state, "halt: state digest");
+        let points = e.decision_points().clone().into_vec();
+        assert!(points == self.decisions, "halt: decision log");
+        let sites = e.sites().snapshot();
+        assert_eq!(sites, self.store.sites().snapshot(), "halt: sites");
+        halted
+    }
+
+    /// Take checkpoints at a few random branch points of the run from one
+    /// engine, run on from each to the next as the explorer's front run
+    /// is, and fork each with the alternatives untaken there (a few, on a
+    /// wide case), on a pool of one executor and of four: each fork must
+    /// be a launch of the same script, down to its recorder's recent-call
+    /// rings. Whether there was a branch point.
     fn fork(&mut self) -> bool {
         let branches: Vec<usize> = (0..self.decisions.len())
             .filter(|&i| self.decisions[i].is_branch())
@@ -471,43 +517,72 @@ impl<'a> Run<'a> {
         if branches.is_empty() {
             return false;
         }
-        let k = branches[self.pick(branches.len())];
         let (source, faults) = (self.factory(), &self.case.faults);
         let task = |script: Vec<Decision>, from| RunTask {
             policy: SchedPolicy::Scripted(script),
             faults: faults.clone(),
             from,
         };
-        let cp = checkpoint(&source, &task(self.schedule.clone(), None), k)
-            .expect("fork: the run reaches its branch point");
-        assert_eq!(cp.decision_len(), k, "fork: checkpoint depth");
-        let mut ready = ReadySets::new(self.case.procs);
-        ready.advance_through(&self.decisions, k);
-        let point = &self.decisions[k];
-        let mut alts: Vec<Decision> = (ready.alternatives(point))
-            .filter(|alt| *alt != point.chosen)
-            .collect();
-        if self.case.procs > BLOCK && alts.len() > 3 {
-            let first = self.pick(alts.len() - 2);
-            alts.drain(..first);
-            alts.truncate(3);
+        // The explorer's front run: launched as every explored run is, and
+        // halted at each checkpoint in turn.
+        let mut front = runner::engine(&source, &task(self.schedule.clone(), None));
+        let mut forks = Vec::new();
+        while forks.len() < 3 {
+            let made = front.decision_points().len();
+            let ahead = &branches[branches.partition_point(|&i| i < made)..];
+            if ahead.is_empty() {
+                break;
+            }
+            let k = ahead[self.pick(ahead.len().min(4))];
+            let cp = front
+                .run_to_snapshot(k)
+                .expect("fork: the run reaches its branch point");
+            assert_eq!(cp.decision_len(), k, "fork: checkpoint depth");
+            let mut ready = ReadySets::new(self.case.procs);
+            ready.advance_through(&self.decisions, k);
+            let point = &self.decisions[k];
+            let mut alts: Vec<Decision> = (ready.alternatives(point))
+                .filter(|alt| *alt != point.chosen)
+                .collect();
+            if self.case.procs > BLOCK && alts.len() > 3 {
+                let first = self.pick(alts.len() - 2);
+                alts.drain(..first);
+                alts.truncate(3);
+            }
+            forks.push((k, Arc::new(cp), alts));
         }
-        let tasks = |from: Option<&Arc<EngineCheckpoint>>| -> Vec<RunTask> {
+        let tasks = |k: usize, alts: &[Decision], from: Option<&Arc<EngineCheckpoint>>| {
             let script = |alt| self.schedule[..k].iter().copied().chain([alt]).collect();
             (alts.iter())
                 .map(|&alt| task(script(alt), from.cloned()))
-                .collect()
+                .collect::<Vec<RunTask>>()
         };
         for jobs in [1, 4] {
             std::thread::scope(|scope| {
                 let pool = WorkerPool::new(scope, jobs, &source);
-                let launched = pool.run(Arc::new(tasks(None)));
-                let forked = pool.run(Arc::new(tasks(Some(&cp))));
-                for (i, (got, want)) in forked.iter().zip(&launched).enumerate() {
-                    let leg = format!("fork: jobs {jobs}, decision {k}, alternative {i}");
-                    assert_same_run(got, want, &leg);
+                for (k, cp, alts) in &forks {
+                    let launched = pool.run(Arc::new(tasks(*k, alts, None)));
+                    let forked = pool.run(Arc::new(tasks(*k, alts, Some(cp))));
+                    for (i, (got, want)) in forked.iter().zip(&launched).enumerate() {
+                        let leg = format!("fork: jobs {jobs}, decision {k}, alternative {i}");
+                        assert_same_run(got, want, &leg);
+                    }
                 }
             });
+        }
+        // What a result does not show: the recorder a fork inherits from
+        // the front engine (its recent-call rings) is a launch's.
+        for (k, cp, alts) in &forks {
+            for t in tasks(*k, &alts[..alts.len().min(1)], Some(cp)) {
+                let mut forked = runner::engine(&source, &t);
+                let mut launched = runner::engine(&source, &RunTask { from: None, ..t });
+                let _ = (forked.run(), launched.run());
+                for r in 0..self.case.procs {
+                    let rank = Rank(r as u32);
+                    let same = forked.recent_calls(rank) == launched.recent_calls(rank);
+                    assert!(same, "fork: decision {k}: rank {r}'s recent calls");
+                }
+            }
         }
         true
     }
@@ -523,9 +598,9 @@ impl<'a> Run<'a> {
         let k = self.pick(self.decisions.len() + 1);
         let mut logged = self.launch(other);
         logged.set_replay(self.log.clone());
-        logged.set_snapshot_at(k);
+        let cp = logged.run_to_snapshot(k).ok();
         self.reproduce(&mut logged, "log: from launch");
-        if let Some(cp) = logged.take_pending_snapshot() {
+        if let Some(cp) = cp {
             let mut restored = Engine::restore(&cp, Vec::new());
             restored.set_replay(self.log.clone());
             self.reproduce(&mut restored, &format!("log: installed at {k}"));
@@ -767,4 +842,8 @@ fn random_cases_reproduce_on_every_path() {
     assert!(branched >= 20, "{branched}% choose among messages");
     assert!(seen.iter().any(|s| s.2), "no case snapshots across a block");
     assert!(seen.iter().any(|s| s.3), "no case forks across a block");
+    assert!(
+        seen.iter().any(|s| s.4),
+        "no wide case halts before both kinds"
+    );
 }

@@ -57,13 +57,12 @@ impl Case {
     }
 
     /// The case's engine configuration: its seed and faults, every event
-    /// recorded, checkpoints on.
+    /// recorded.
     pub fn config(&self) -> EngineConfig {
         EngineConfig {
             policy: SchedPolicy::Seeded(self.seed),
             recorder: RecorderConfig::full(),
             faults: FaultPlan::new(self.faults.clone()),
-            checkpoints: true,
             ..Default::default()
         }
     }

@@ -342,7 +342,6 @@ proptest! {
         };
         let ecfg = EngineConfig {
             recorder: RecorderConfig::markers_only(),
-            checkpoints: true,
             faults: FaultPlan::new(vec![fault]),
             ..Default::default()
         };
@@ -353,10 +352,8 @@ proptest! {
 
         // Same run, snapshotted mid-flight at a decision index.
         let mut snapped = Engine::launch(ecfg, butterfly_programs(&cfg));
-        snapped.set_snapshot_at(snap_at);
-        let _ = snapped.run();
-        let Some(cp) = snapped.take_pending_snapshot() else {
-            // The run ended before the snapshot point armed — nothing to
+        let Ok(cp) = snapped.run_to_snapshot(snap_at) else {
+            // The run ended before the snapshot point — nothing to
             // restore in this case.
             continue;
         };
@@ -386,7 +383,7 @@ proptest! {
     })]
 
     /// Run a script under a seeded schedule, then once more per decision
-    /// index with a snapshot armed there — inside loops, inside a callee,
+    /// index to a snapshot there — inside loops, inside a callee,
     /// between a `recv` post and its binding, wherever the schedule puts
     /// it — restore the snapshot and run it out: outcome and trace bytes
     /// equal the from-scratch run's.
@@ -407,7 +404,6 @@ proptest! {
                 EngineConfig {
                     policy: SchedPolicy::Seeded(sched),
                     recorder: RecorderConfig::full(),
-                    checkpoints: true,
                     ..Default::default()
                 },
                 script::programs(&parsed, nprocs, file),
@@ -427,11 +423,8 @@ proptest! {
         };
         let (outcome, bytes, decisions) = finish(launch());
         for k in 0..decisions {
-            let mut snapped = launch();
-            snapped.set_snapshot_at(k);
-            let _ = snapped.run();
-            let cp = snapped
-                .take_pending_snapshot()
+            let cp = launch()
+                .run_to_snapshot(k)
                 .expect("the same schedule reaches every decision index again");
             let (restored_outcome, restored_bytes, _) = finish(Engine::restore(&cp, Vec::new()));
             prop_assert_eq!(&restored_outcome, &outcome, "{} restored at {}", file, k);

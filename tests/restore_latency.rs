@@ -19,7 +19,6 @@ fn task_restore_continues_to_the_same_digest() {
         Engine::launch(
             EngineConfig {
                 recorder: RecorderConfig::markers_only(),
-                checkpoints: true,
                 ..Default::default()
             },
             ring::programs(&CFG),
