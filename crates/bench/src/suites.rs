@@ -37,17 +37,19 @@
 
 use crate::measure::{measure, measure_after, BenchRecord, Plan};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use tracedbg_debugger::{HistoryReport, Session, SessionConfig, Stopline};
 use tracedbg_explore::{ExploreConfig, Explorer, Strategy};
 use tracedbg_instrument::RecorderConfig;
 use tracedbg_localize::{diff_channels, diff_ranks, localize, LocalizeConfig, VERDICT_LOCALIZED};
 use tracedbg_mpsim::{Engine, EngineConfig, SchedPolicy};
 use tracedbg_profile::{perfetto_json, CriticalPath, ProfileInput, ProfileReport, WaitAnalysis};
-use tracedbg_store::{ingest_records, DiskStore, StoreOptions, StoreWriter};
+use tracedbg_store::{ingest_records, DiskStore, SharedWriter, StoreOptions, StoreWriter};
 use tracedbg_trace::file::{read_binary, read_text, write_binary, write_text, TraceFile};
 use tracedbg_trace::schedule::{Decision, ScheduleArtifact};
 use tracedbg_trace::{
-    materialize, trace_digest, EventQuery, MarkerVector, Rank, Tag, TraceSource, TraceStore,
+    materialize, trace_digest, EventQuery, MarkerVector, Rank, Tag, TraceSink, TraceSource,
+    TraceStore,
 };
 use tracedbg_tracegraph::MessageMatching;
 use tracedbg_workloads::fib;
@@ -282,19 +284,16 @@ fn suite_replay(opts: &SuiteOptions) -> Suite {
     );
     assert!(rec.run().is_completed());
     let target = rec.markers();
-    let log = rec.match_log();
+    let log = Arc::new(rec.match_log());
     let script = rec.schedule_log();
     let p = plan(opts, 2, 7, 4);
     if wants(opts, "replay", "matchlog_replay") {
         records.push(measure("matchlog_replay", 1, p, || {
             let mut e = Engine::launch(
-                EngineConfig {
-                    recorder: RecorderConfig::markers_only(),
-                    replay: Some(log.clone()),
-                    ..Default::default()
-                },
+                EngineConfig::with_recorder(RecorderConfig::markers_only()),
                 ring::programs(&cfg),
             );
+            e.set_replay(Arc::clone(&log));
             assert!(e.run().is_completed());
         }));
     }
@@ -315,13 +314,10 @@ fn suite_replay(opts: &SuiteOptions) -> Suite {
     if wants(opts, "replay", "replay_to_marker") {
         records.push(measure("replay_to_marker", 1, p, || {
             let mut e = Engine::launch(
-                EngineConfig {
-                    recorder: RecorderConfig::markers_only(),
-                    replay: Some(log.clone()),
-                    ..Default::default()
-                },
+                EngineConfig::with_recorder(RecorderConfig::markers_only()),
                 ring::programs(&cfg),
             );
+            e.set_replay(Arc::clone(&log));
             // Stop halfway through each rank's history (§6: replay cost
             // grows with history depth).
             for m in target.iter() {
@@ -335,13 +331,10 @@ fn suite_replay(opts: &SuiteOptions) -> Suite {
         // checkpoint taken 3/8 of the way in: only the 3/8→1/2 delta is
         // re-executed (the O(delta) undo/stopline path).
         let mut src = Engine::launch(
-            EngineConfig {
-                recorder: RecorderConfig::markers_only(),
-                replay: Some(log.clone()),
-                ..Default::default()
-            },
+            EngineConfig::with_recorder(RecorderConfig::markers_only()),
             ring::programs(&cfg),
         );
+        src.set_replay(Arc::clone(&log));
         for m in target.iter() {
             src.set_threshold(m.rank, Some((m.count * 3 / 8).max(1)));
         }
@@ -667,10 +660,12 @@ fn suite_checkpoint(opts: &SuiteOptions) -> Suite {
 fn suite_explore(opts: &SuiteOptions) -> Suite {
     let mut records = Vec::new();
     let runs = if opts.quick { 16 } else { 48 };
+    // One search takes under a millisecond: 50 samples cost little and
+    // resolve the 10-20 % moves these rows are compared on.
     let p = if opts.quick {
         Plan::new(1, 3, 1)
     } else {
-        Plan::new(1, 5, 1)
+        Plan::new(1, 50, 1)
     };
     let n_jobs = resolved_jobs(opts).max(2);
     for (name, jobs) in [("explore_jobs1", 1usize), ("explore_jobsN", n_jobs)] {
@@ -971,22 +966,23 @@ fn suite_store(opts: &SuiteOptions) -> Suite {
         .expect("bench store rebuild");
     }
     if wants(opts, "store", "push_80k") || wants(opts, "store", "finish_80k") {
-        // The collecting writer an engine tee pushes into: `push` copies
-        // each record, `finish` writes the collected slice in the one
-        // pass `ingest` and `run --store` make (canonical check, frames
-        // with their running checksum, index, manifest). Corpus: the
-        // benchmark's `deep_random` shape, 80,016 events in the default
-        // segment size, in its own directory.
+        // The collecting writer a session hands a detached sink's records
+        // to: `accept` copies each record, `finish` writes the collected
+        // slice in the one pass `ingest` and `run --store` make (canonical
+        // check, frames with their running checksum, index, manifest).
+        // Corpus: the benchmark's `deep_random` shape, 80,016 events in
+        // the default segment size, in its own directory.
         let big = recorded(random_comm::programs(
             &random_comm::generate(3, 8, 16_000),
             3,
         ));
         let big_dir = dir.with_extension("80k");
-        let create = || StoreWriter::create(&big_dir, StoreOptions::default()).expect("create");
-        let push_all = |mut w: StoreWriter| {
-            for r in big.records() {
-                w.push(r).expect("push");
-            }
+        let create = || {
+            let w = StoreWriter::create(&big_dir, StoreOptions::default()).expect("create");
+            SharedWriter::new(w)
+        };
+        let push_all = |mut w: SharedWriter| {
+            big.records().iter().for_each(|r| w.accept(r));
             w
         };
         let p = plan(opts, 1, 5, 2);

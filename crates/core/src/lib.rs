@@ -91,8 +91,8 @@ pub mod prelude {
     pub use tracedbg_lint::{lint_script, lint_trace, Diagnostic, LintConfig, Severity};
     pub use tracedbg_localize::{LocalizeConfig, LocalizeReport};
     pub use tracedbg_mpsim::{
-        CostModel, Engine, EngineConfig, EngineMetrics, Payload, Prog, RankProgram, RunOutcome,
-        SchedPolicy, SendMode, TaskOp,
+        Engine, EngineConfig, EngineMetrics, Payload, Prog, RankProgram, RunOutcome, SchedPolicy,
+        SendMode, TaskOp,
     };
     pub use tracedbg_obs::{EventMetrics, MetricsReport, TimingMetrics};
     pub use tracedbg_profile::{

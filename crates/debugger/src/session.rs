@@ -13,17 +13,18 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use tracedbg_mpsim::DeadlockReport;
 use tracedbg_mpsim::{
-    CostModel, Engine, EngineCheckpoint, EngineConfig, EngineMetrics, FaultPlan, Histogram,
-    RecorderConfig, ReplayLog, RunOutcome, SchedPolicy,
+    Engine, EngineCheckpoint, EngineConfig, EngineMetrics, FaultPlan, Histogram, RecorderConfig,
+    ReplayLog, RunOutcome, SchedPolicy,
 };
-use tracedbg_trace::{Label, Marker, MarkerVector, Rank, ScheduleArtifact, SiteTable, TraceStore};
+use tracedbg_trace::{
+    Label, Marker, MarkerVector, Rank, ScheduleArtifact, SiteTable, TraceSink, TraceStore,
+};
 
 pub use tracedbg_mpsim::ProgramFactory;
 
 /// Session construction parameters.
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
-    pub cost: CostModel,
     pub policy: SchedPolicy,
     pub recorder: RecorderConfig,
     /// Faults to inject into every incarnation of the target (explorer
@@ -41,7 +42,6 @@ pub struct SessionConfig {
 impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
-            cost: CostModel::default(),
             policy: SchedPolicy::default(),
             recorder: RecorderConfig::default(),
             faults: FaultPlan::default(),
@@ -65,10 +65,8 @@ impl SessionConfig {
     /// The engine configuration of one incarnation of the target.
     fn engine(&self, sites: &SiteTable) -> EngineConfig {
         EngineConfig {
-            cost: self.cost,
             policy: self.policy.clone(),
             recorder: self.recorder.clone(),
-            replay: None,
             sites: Some(sites.clone()),
             faults: self.faults.clone(),
             ..Default::default()
@@ -145,6 +143,9 @@ pub struct Session {
     metrics: EngineMetrics,
     /// The length of every replay delta.
     replay_delta: Histogram,
+    /// The sink [`Session::attach_trace_sink`] attached, and the records
+    /// the incarnation had logged then.
+    sink: Option<(Box<dyn TraceSink>, usize)>,
     /// Checkpoint restores performed by `replay_to`.
     restores: u64,
     /// Wall-clock nanoseconds those restores took.
@@ -185,6 +186,7 @@ impl Session {
             recorded_log: None,
             metrics: EngineMetrics::new(n),
             replay_delta: Histogram::new(),
+            sink: None,
             restores: 0,
             restore_ns: 0,
         }
@@ -215,17 +217,25 @@ impl Session {
         &self.engine
     }
 
-    /// Stream every trace record of the current engine incarnation into a
-    /// [`tracedbg_trace::TraceSink`] (e.g. an on-disk store writer) as the
-    /// run executes. Replay and restart replace the engine, so attach
-    /// before the first `run` of the incarnation you want persisted.
-    pub fn attach_trace_sink(&mut self, sink: Box<dyn tracedbg_trace::TraceSink>) {
-        self.engine.attach_trace_sink(sink);
+    /// Attach a [`TraceSink`] (e.g. an on-disk store writer) to the
+    /// current engine incarnation: [`Session::detach_trace_sink`] hands it
+    /// every record the incarnation logs from now on, in arrival order.
+    /// Replay and restart replace the incarnation: the records logged until
+    /// then reach the sink, and the session drops it. So attach before the
+    /// first `run` of the incarnation you want persisted, and detach before
+    /// the session is dropped. A sink attached already is detached first.
+    pub fn attach_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
+        self.detach_trace_sink();
+        self.sink = Some((sink, self.engine.collect_trace().len()));
     }
 
-    /// Detach the streaming sink so its owner can finish it.
-    pub fn detach_trace_sink(&mut self) -> Option<Box<dyn tracedbg_trace::TraceSink>> {
-        self.engine.detach_trace_sink()
+    /// Detach the sink, handing it the records logged since it was
+    /// attached, so its owner can finish it.
+    pub fn detach_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
+        let (mut sink, from) = self.sink.take()?;
+        let log = self.engine.collect_trace().iter().skip(from);
+        log.for_each(|rec| sink.accept(rec));
+        Some(sink)
     }
 
     /// Run until the next stop/completion/deadlock, recording the stop in
@@ -337,8 +347,10 @@ impl Session {
     /// [`Session::trace`] for a caller that is done with the session: the
     /// records move into the store and are reordered there instead of
     /// being cloned. The stops' checkpoints are dropped first, so the only
-    /// records copied are those a checkpoint held elsewhere still shares.
-    pub fn into_trace(self) -> TraceStore {
+    /// records copied are those a checkpoint held elsewhere still shares;
+    /// a sink still attached is handed its records before that.
+    pub fn into_trace(mut self) -> TraceStore {
+        self.detach_trace_sink();
         let Session {
             engine, backlog, ..
         } = self;
@@ -365,7 +377,7 @@ impl Session {
     ) -> &SessionStatus {
         let log = self.recorded_log();
         self.recorded_log = Some(Arc::clone(&log));
-        self.retire_engine_metrics();
+        self.retire_engine();
         match origin {
             Some(cp) => {
                 let t0 = std::time::Instant::now();
@@ -417,9 +429,11 @@ impl Session {
         }
     }
 
-    /// Fold the outgoing engine incarnation's metrics into the session's
-    /// (called before every engine replacement).
-    fn retire_engine_metrics(&mut self) {
+    /// Fold the outgoing engine incarnation's metrics into the session's,
+    /// and hand an attached sink its records and drop it (called before
+    /// every engine replacement).
+    fn retire_engine(&mut self) {
+        self.detach_trace_sink();
         if let Some(m) = self.engine.take_metrics() {
             self.metrics.merge(&m);
         }
@@ -444,7 +458,7 @@ impl Session {
     /// Restart the program from scratch *without* replay forcing (a fresh
     /// recording run).
     pub fn restart(&mut self) -> &SessionStatus {
-        self.retire_engine_metrics();
+        self.retire_engine();
         self.reincarnate();
         self.recorded_log = None;
         self.status = SessionStatus::Idle;
@@ -592,6 +606,57 @@ mod tests {
         assert_eq!(s.latest_probe(Rank(1), "got"), Some(99));
         assert_eq!(s.latest_probe(Rank(0), "i"), Some(4));
         assert_eq!(s.latest_probe(Rank(0), "nope"), None);
+    }
+
+    /// A sink that notes each record it is handed as `(rank, marker)`.
+    struct Seen(Arc<std::sync::Mutex<Vec<(u32, u64)>>>);
+    impl TraceSink for Seen {
+        fn accept(&mut self, rec: &tracedbg_trace::TraceRecord) {
+            self.0.lock().unwrap().push((rec.rank.0, rec.marker));
+        }
+    }
+
+    fn arrival(s: &Session) -> Vec<(u32, u64)> {
+        let log = s.engine().collect_trace().iter();
+        log.map(|r| (r.rank.0, r.marker)).collect()
+    }
+
+    #[test]
+    fn a_detached_sink_holds_the_incarnations_records_in_arrival_order() {
+        let mut s = session();
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        s.attach_trace_sink(Box::new(Seen(Arc::clone(&seen))));
+        assert!(s.step(Rank(0)).is_stopped());
+        assert!(seen.lock().unwrap().is_empty(), "nothing before the detach");
+        assert!(s.continue_all().is_completed());
+        assert!(s.detach_trace_sink().is_some());
+        let want = arrival(&s);
+        assert!(want.len() > 10, "{want:?}");
+        assert_eq!(
+            *seen.lock().unwrap(),
+            want,
+            "each record once, in arrival order"
+        );
+        assert!(s.detach_trace_sink().is_none(), "detached once");
+    }
+
+    #[test]
+    fn a_replay_hands_the_sink_what_was_logged_and_drops_it() {
+        let mut s = session();
+        assert!(s.step(Rank(0)).is_stopped());
+        // Attached at a stop: the sink gets what is logged from here on.
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        s.attach_trace_sink(Box::new(Seen(Arc::clone(&seen))));
+        let before = arrival(&s).len();
+        assert!(s.continue_all().is_completed());
+        let want = arrival(&s)[before..].to_vec();
+        assert!(!want.is_empty());
+        s.replay_to(&Stopline {
+            markers: MarkerVector::from_counts(vec![2, 1]),
+            origin: "test".into(),
+        });
+        assert_eq!(*seen.lock().unwrap(), want, "the retired incarnation's");
+        assert!(s.detach_trace_sink().is_none(), "the replay dropped it");
     }
 
     #[test]

@@ -219,13 +219,12 @@ pub struct Explorer {
 }
 
 /// Everything the explorer accumulates for a [`MetricsReport`]. The event
-/// half (engine counters, prune/oracle counts) is fed exclusively from the
+/// half (engine counters, oracle counts) is fed exclusively from the
 /// deterministic absorb order; the timing half is the pool's worker load.
 struct ObsAcc {
     /// The metrics of every budgeted run (shrink/confirm aux runs are not
     /// counted), merged.
     engine: EngineMetrics,
-    digest_pruned: u64,
     /// Oracle verdicts per class, every trigger (not just first-per-class
     /// findings).
     oracle_triggers: BTreeMap<String, u64>,
@@ -235,7 +234,6 @@ impl ObsAcc {
     fn new(procs: usize) -> Box<Self> {
         Box::new(ObsAcc {
             engine: EngineMetrics::new(procs),
-            digest_pruned: 0,
             oracle_triggers: BTreeMap::new(),
         })
     }
@@ -544,7 +542,9 @@ impl Expansion {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64's output function: a seed for run `i` of a search at
+/// `seed` is `splitmix64(seed + i)`.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -645,7 +645,7 @@ impl Explorer {
             explore: Some(ExploreEvent {
                 runs_executed: self.runs_executed as u64,
                 aux_runs: self.aux_runs as u64,
-                digest_pruned: acc.digest_pruned,
+                digest_pruned: self.pruned as u64,
                 runs_skipped_by_sleep_sets: self.sleep_skipped,
                 independence_pairs: self
                     .cfg
@@ -731,9 +731,6 @@ impl Explorer {
             }
         } else {
             self.pruned += 1;
-            if let Some(obs) = self.obs.as_mut() {
-                obs.digest_pruned += 1;
-            }
         }
         self.heartbeat();
     }

@@ -36,6 +36,7 @@ pub mod report;
 mod suspects;
 
 use std::collections::BTreeSet;
+use tracedbg_explore::explorer::splitmix64;
 use tracedbg_explore::pool::WorkerPool;
 use tracedbg_explore::{execute_task, run_windowed, ProgramSource, RunResult, RunTask};
 use tracedbg_mpsim::metrics::of_run;
@@ -80,13 +81,6 @@ impl Default for LocalizeConfig {
             jobs: 1,
         }
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 fn decision_ranks(d: &Decision) -> Vec<u32> {

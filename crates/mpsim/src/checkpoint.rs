@@ -28,7 +28,6 @@
 //! `prop_cow` suite pins that driving an engine on never writes through
 //! to a checkpoint it shares ranks and chunks with.
 
-use crate::clock::CostModel;
 use crate::collective::PendingCollective;
 use crate::engine::ProcState;
 use crate::fault::FaultPlan;
@@ -186,7 +185,6 @@ pub struct EngineCheckpoint {
     /// table is their copy ([`crate::Engine::fork`]). The engine's own
     /// state leaves it at 0.
     pub(crate) sites_len: usize,
-    pub(crate) cost: CostModel,
     pub(crate) pending_coll: Option<PendingCollective>,
     /// Every kept trace record, in the order the ranks recorded them; a
     /// rank's grant (`TaskHarness::after_observe`) is the one writer.

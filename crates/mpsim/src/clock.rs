@@ -1,82 +1,44 @@
 //! Simulated time.
 //!
-//! Each process carries a local clock (simulated nanoseconds) advanced by a
-//! [`CostModel`]. Message arrival is sender completion plus latency; a
+//! Each process carries a local clock (simulated nanoseconds) advanced by
+//! one fixed cost model, loosely a late-90s workstation cluster: ~50 µs
+//! latency, ~10 MB/s effective bandwidth (100 ns per byte), microsecond
+//! overheads. Message arrival is sender completion plus wire time; a
 //! receive completes at `max(post time, arrival) + overhead`. Timestamps
 //! therefore respect causality (no message is received before it is sent —
 //! the property §4.1 derives breakpoint consistency from) and are *schedule
 //! independent*: they depend only on local work and message matching, so a
 //! faithful replay reproduces the time-space diagram exactly.
 
-use serde::{Deserialize, Serialize};
+/// Fixed local cost of a send call.
+pub const SEND_OVERHEAD: u64 = 2_000;
+/// Fixed local cost of completing a receive.
+pub const RECV_OVERHEAD: u64 = 2_000;
+/// Network latency from send completion to availability at the
+/// destination; a collective completes this long after its last entry.
+pub const LATENCY: u64 = 50_000;
+/// Wire cost per byte, added to the latency.
+pub const NS_PER_BYTE: u64 = 100;
 
-/// Simulated durations of runtime operations, in nanoseconds.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CostModel {
-    /// Fixed local cost of a send call.
-    pub send_overhead: u64,
-    /// Fixed local cost of completing a receive.
-    pub recv_overhead: u64,
-    /// Network latency from send completion to availability at the
-    /// destination.
-    pub latency: u64,
-    /// Additional per-byte wire cost added to latency.
-    pub byte_cost_num: u64,
-    /// ... as `byte_cost_num / byte_cost_den` ns per byte.
-    pub byte_cost_den: u64,
-    /// Cost of one instrumentation event (models monitor overhead in the
-    /// simulated timeline; 0 = free instrumentation).
-    pub event_overhead: u64,
+/// Wire time for a message of `bytes` bytes.
+pub fn wire_time(bytes: usize) -> u64 {
+    LATENCY + bytes as u64 * NS_PER_BYTE
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        // Loosely modeled on a late-90s workstation cluster: ~50µs latency,
-        // ~10MB/s effective bandwidth (100ns/byte), microsecond overheads.
-        CostModel {
-            send_overhead: 2_000,
-            recv_overhead: 2_000,
-            latency: 50_000,
-            byte_cost_num: 100,
-            byte_cost_den: 1,
-            event_overhead: 0,
-        }
-    }
+/// Sender-side completion time of a send starting at `t`.
+pub fn send_done(t: u64) -> u64 {
+    t + SEND_OVERHEAD
 }
 
-impl CostModel {
-    /// A zero-cost model (pure causal ordering; useful in tests).
-    pub fn free() -> Self {
-        CostModel {
-            send_overhead: 0,
-            recv_overhead: 0,
-            latency: 0,
-            byte_cost_num: 0,
-            byte_cost_den: 1,
-            event_overhead: 0,
-        }
-    }
+/// Arrival time at the destination for a send completing at `t_done`.
+pub fn arrival(t_done: u64, bytes: usize) -> u64 {
+    t_done + wire_time(bytes)
+}
 
-    /// Wire time for a message of `bytes` bytes.
-    pub fn wire_time(&self, bytes: usize) -> u64 {
-        self.latency + (bytes as u64 * self.byte_cost_num) / self.byte_cost_den.max(1)
-    }
-
-    /// Sender-side completion time of a send starting at `t`.
-    pub fn send_done(&self, t: u64) -> u64 {
-        t + self.send_overhead
-    }
-
-    /// Arrival time at the destination for a send completing at `t_done`.
-    pub fn arrival(&self, t_done: u64, bytes: usize) -> u64 {
-        t_done + self.wire_time(bytes)
-    }
-
-    /// Completion time of a receive posted at `t_post` for a message
-    /// arriving at `arrival`.
-    pub fn recv_done(&self, t_post: u64, arrival: u64) -> u64 {
-        t_post.max(arrival) + self.recv_overhead
-    }
+/// Completion time of a receive posted at `t_post` for a message arriving
+/// at `arrival`.
+pub fn recv_done(t_post: u64, arrival: u64) -> u64 {
+    t_post.max(arrival) + RECV_OVERHEAD
 }
 
 #[cfg(test)]
@@ -85,26 +47,22 @@ mod tests {
 
     #[test]
     fn default_model_is_causal() {
-        let m = CostModel::default();
-        let t_send_done = m.send_done(1_000);
-        let arr = m.arrival(t_send_done, 1024);
-        let t_recv = m.recv_done(0, arr);
+        let t_send_done = send_done(1_000);
+        let arr = arrival(t_send_done, 1024);
+        let t_recv = recv_done(0, arr);
         assert!(t_recv > t_send_done, "recv must complete after send");
-        assert!(arr >= t_send_done + m.latency);
+        assert!(arr >= t_send_done + LATENCY);
     }
 
     #[test]
     fn recv_waits_for_late_message() {
-        let m = CostModel::free();
-        assert_eq!(m.recv_done(100, 50), 100);
-        assert_eq!(m.recv_done(50, 100), 100);
+        assert_eq!(recv_done(100_000, 50), 100_000 + RECV_OVERHEAD);
+        assert_eq!(recv_done(50, 100_000), 100_000 + RECV_OVERHEAD);
     }
 
     #[test]
     fn wire_time_scales_with_bytes() {
-        let m = CostModel::default();
-        assert!(m.wire_time(1 << 20) > m.wire_time(1));
-        let f = CostModel::free();
-        assert_eq!(f.wire_time(1 << 20), 0);
+        assert!(wire_time(1 << 20) > wire_time(1));
+        assert_eq!(wire_time(0), LATENCY);
     }
 }

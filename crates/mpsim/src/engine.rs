@@ -12,7 +12,7 @@
 //! *undo* operations.
 
 use crate::checkpoint::{EngineCheckpoint, RankCell, RankState, RankTable};
-use crate::clock::CostModel;
+use crate::clock;
 use crate::collective::{CollEntry, PendingCollective};
 use crate::deadlock::DeadlockReport;
 use crate::fault::{FaultKind, FaultPlan};
@@ -29,19 +29,14 @@ use tracedbg_trace::schedule::{
     Alternatives, Decision, DecisionPoint, RankSet, ReadyChanges, ReadyDelta,
 };
 use tracedbg_trace::{
-    ChunkLog, Marker, MarkerVector, Rank, ScheduleArtifact, SiteTable, TraceRecord, TraceSink,
-    TraceStore,
+    ChunkLog, Marker, MarkerVector, Rank, ScheduleArtifact, SiteTable, TraceRecord, TraceStore,
 };
 
 /// Engine construction parameters.
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
-    pub cost: CostModel,
     pub policy: SchedPolicy,
     pub recorder: RecorderConfig,
-    /// Force receive matches from a previous run (§4.2 replay): the log
-    /// [`Engine::set_replay`] is called with at launch.
-    pub replay: Option<ReplayLog>,
     /// Share a site table across engine incarnations so source-location
     /// ids stay stable between a recording run and its replays (the
     /// debugger's breakpoints and trace comparisons depend on this).
@@ -223,8 +218,6 @@ pub struct Engine {
     /// [`Engine::restore`], which can leave a deliverable receive
     /// undelivered).
     resweep: bool,
-    /// Streaming sink that sees every record as it enters `collected`.
-    tee: Option<Box<dyn TraceSink>>,
     /// `(records, decisions)` logged when this incarnation was launched
     /// or restored: where [`Engine::take_metrics`] starts counting.
     origin: (usize, usize),
@@ -254,7 +247,6 @@ impl Engine {
             replay: None,
             sites: config.sites.unwrap_or_default(),
             sites_len: 0,
-            cost: config.cost,
             pending_coll: None,
             collected: ChunkLog::new(),
             faults: config.faults,
@@ -262,20 +254,15 @@ impl Engine {
             decision_log: ChunkLog::new(),
             ready_changes: ReadyChanges::new(n),
         };
-        let mut engine = Engine {
+        Engine {
             st,
             waiting: RankSet::full(n),
             ready: RankSet::full(n),
             #[cfg(debug_assertions)]
             rebuilt: tracedbg_trace::ReadySets::new(n),
             resweep: false,
-            tee: None,
             origin: (0, 0),
-        };
-        if let Some(log) = config.replay {
-            engine.set_replay(Arc::new(log));
         }
-        engine
     }
 
     /// Rebuild a live engine from a checkpoint: every rank resumes from its
@@ -300,7 +287,6 @@ impl Engine {
             // A snapshot can land between a match becoming possible and
             // its decision being committed; the sweep re-delivers it.
             resweep: true,
-            tee: None,
             origin: (cp.collected.len(), cp.decision_log.len()),
         };
         (engine.waiting, engine.ready) = engine.scan_ready();
@@ -455,11 +441,9 @@ impl Engine {
                 &mut TaskEnv {
                     rank: p,
                     n_ranks: self.st.n_ranks,
-                    cost: self.st.cost,
                     sites: &self.st.sites,
                     recorder: &mut granted.recorder,
                     armed: &self.st.armed[p.ix()],
-                    tee: &mut self.tee,
                     collected: &mut self.st.collected,
                 },
             );
@@ -549,9 +533,9 @@ impl Engine {
             } => {
                 let mailbox = &mut self.st.ranks.get_mut(dst.ix()).make_mut().mailbox;
                 let seq = mailbox.next_seq(rank);
-                let t_done = self.st.cost.send_done(t0);
-                let arrival = self.st.cost.arrival(t_done, payload.len())
-                    + self.st.faults.delay(rank, dst, seq);
+                let t_done = clock::send_done(t0);
+                let arrival =
+                    clock::arrival(t_done, payload.len()) + self.st.faults.delay(rank, dst, seq);
                 let env = Envelope {
                     src: rank,
                     dst,
@@ -610,7 +594,7 @@ impl Engine {
                 self.set_state(rank, ProcState::InCollective);
                 if complete {
                     let pc = self.st.pending_coll.take().unwrap();
-                    let t_done = pc.completion_time(self.st.cost.latency);
+                    let t_done = pc.completion_time(clock::LATENCY);
                     let results = pc.results();
                     for (i, result) in results.into_iter().enumerate() {
                         self.set_state(
@@ -670,7 +654,7 @@ impl Engine {
             .mailbox
             .take(candidates[pick]);
         self.st.matched[dst.ix()] += 1;
-        let t_done = self.st.cost.recv_done(t_post, env.arrival);
+        let t_done = clock::recv_done(t_post, env.arrival);
         // A synchronous sender rendezvouses here: it completes at the
         // same instant the receive does.
         if env.synchronous {
@@ -847,19 +831,6 @@ impl Engine {
             .iter()
             .rev()
             .filter(move |r| r.rank == rank)
-    }
-
-    /// Attach a streaming trace sink: it sees every record from now on as
-    /// it is recorded, exactly once, in the order
-    /// [`Engine::collect_trace`] holds them; call
-    /// [`Engine::detach_trace_sink`] to get it back and finish it.
-    pub fn attach_trace_sink(&mut self, sink: Box<dyn tracedbg_trace::TraceSink>) {
-        self.tee = Some(sink);
-    }
-
-    /// Detach the streaming sink attached by [`Engine::attach_trace_sink`].
-    pub fn detach_trace_sink(&mut self) -> Option<Box<dyn tracedbg_trace::TraceSink>> {
-        self.tee.take()
     }
 
     /// Collected trace as a queryable store: the log gathered into
@@ -1344,8 +1315,8 @@ mod tests {
 
         let mut cfg2 = cfg();
         cfg2.policy = SchedPolicy::Seeded(999);
-        cfg2.replay = Some(log);
         let mut e2 = Engine::launch(cfg2, make());
+        e2.set_replay(Arc::new(log));
         assert!(e2.run().is_completed());
         let replayed = probes(&mut e2);
         assert_eq!(recorded, replayed, "replay must pin wildcard matches");

@@ -49,7 +49,6 @@ pub mod sched;
 pub mod task;
 
 pub use checkpoint::EngineCheckpoint;
-pub use clock::CostModel;
 pub use deadlock::{DeadlockReport, WaitForEdge};
 pub use engine::{
     set_quiet_panics, Engine, EngineConfig, ProgramFactory, RankProgram, RunOutcome, StopReason,

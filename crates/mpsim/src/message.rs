@@ -86,11 +86,6 @@ impl MatchSpec {
         Self::new(None, None)
     }
 
-    /// Is this receive nondeterministic (wildcard source)?
-    pub fn is_wildcard_src(&self) -> bool {
-        self.src.is_none()
-    }
-
     /// Does `env` satisfy the (src, tag, forced) constraints?
     pub fn admits(&self, env: &Envelope) -> bool {
         if let Some((fsrc, fseq)) = self.forced {
@@ -136,14 +131,12 @@ mod tests {
         assert!(s.admits(&env(2, 7, 0)));
         assert!(!s.admits(&env(1, 7, 0)));
         assert!(!s.admits(&env(2, 8, 0)));
-        assert!(!s.is_wildcard_src());
     }
 
     #[test]
     fn wildcards() {
         let any = MatchSpec::any();
         assert!(any.admits(&env(5, 99, 3)));
-        assert!(any.is_wildcard_src());
         let any_src = MatchSpec::new(None, Some(Tag(1)));
         assert!(any_src.admits(&env(9, 1, 0)));
         assert!(!any_src.admits(&env(9, 2, 0)));

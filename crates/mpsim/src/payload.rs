@@ -82,16 +82,6 @@ impl Payload {
         )
     }
 
-    // --- strings ---
-
-    pub fn from_str_(s: &str) -> Self {
-        Payload(s.as_bytes().to_vec())
-    }
-
-    pub fn to_string_(&self) -> Option<String> {
-        String::from_utf8(self.0.clone()).ok()
-    }
-
     /// Split into `n` equal chunks (scatter); panics if not divisible.
     pub fn split_n(&self, n: usize) -> Vec<Payload> {
         assert!(n > 0);
@@ -155,12 +145,6 @@ mod tests {
         assert!(Payload(vec![1, 2]).to_i64().is_none());
         let v = vec![1i64, -5, 7];
         assert_eq!(Payload::from_i64s(&v).to_i64s().unwrap(), v);
-    }
-
-    #[test]
-    fn string_roundtrip() {
-        let p = Payload::from_str_("hello world");
-        assert_eq!(p.to_string_().unwrap(), "hello world");
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! the user state `S`. Native workloads build their trees by hand; a
 //! script is lowered to one when it is parsed.
 
-use crate::clock::CostModel;
 use crate::collective::ReduceOp;
 use crate::message::{MatchSpec, Message};
 use crate::ops::{Reply, Request, SendMode};
@@ -30,7 +29,7 @@ use std::sync::Arc;
 use tracedbg_instrument::{Armed, Disposition, Recorder};
 use tracedbg_trace::{
     ChunkLog, CollKind, EventKind, Label, MsgInfo, Rank, SiteId, SiteKey, SiteTable, Tag,
-    TraceRecord, TraceSink,
+    TraceRecord,
 };
 
 // ---------------------------------------------------------------------------
@@ -594,18 +593,15 @@ pub(crate) fn in_task_step() -> bool {
 }
 
 /// What the engine lends a rank for the duration of one grant: its
-/// identity, the run-wide cost model and site table, the rank's
-/// instrumentation recorder and what the debugger armed on it, and the
-/// run's trace log and streaming sink, which see each kept record as it is
-/// recorded.
+/// identity, the run-wide site table, the rank's instrumentation recorder
+/// and what the debugger armed on it, and the run's trace log, which each
+/// kept record enters as it is recorded.
 pub(crate) struct TaskEnv<'a> {
     pub rank: Rank,
     pub n_ranks: usize,
-    pub cost: CostModel,
     pub sites: &'a SiteTable,
     pub recorder: &'a mut Recorder,
     pub armed: &'a Armed,
-    pub tee: &'a mut Option<Box<dyn TraceSink>>,
     pub collected: &'a mut ChunkLog<TraceRecord>,
 }
 
@@ -664,12 +660,8 @@ impl TaskHarness {
         }
         let (marker, disposition, kept) = env.recorder.observe(rec, env.armed);
         if let Some(rec) = kept {
-            if let Some(sink) = env.tee {
-                sink.accept(&rec);
-            }
             env.collected.push(rec);
         }
-        self.clock += env.cost.event_overhead;
         match disposition {
             Disposition::Trap => {
                 self.waiting = Await::Trap(then);

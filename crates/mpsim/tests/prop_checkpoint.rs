@@ -273,12 +273,8 @@ fn a_receive_blocked_at_the_checkpoint_is_pinned_by_a_log_installed_later() {
         }
     };
     let log = ReplayLog::from_decisions(3, &[matched(2), matched(1)]);
-    let cfg = |replay| EngineConfig {
-        recorder: RecorderConfig::full(),
-        replay,
-        ..Default::default()
-    };
-    let mut free = Engine::launch(cfg(None), programs());
+    let cfg = || EngineConfig::with_recorder(RecorderConfig::full());
+    let mut free = Engine::launch(cfg(), programs());
     let cp = free.run_to_snapshot(1).expect("snapshot at depth 1");
     assert!(free.run().is_completed());
     assert_eq!(
@@ -290,7 +286,8 @@ fn a_receive_blocked_at_the_checkpoint_is_pinned_by_a_log_installed_later() {
     restored.set_replay(Arc::new(log.clone()));
     assert!(restored.run().is_completed());
     assert_eq!(first_source(&mut restored), 2);
-    let mut from_launch = Engine::launch(cfg(Some(log)), programs());
+    let mut from_launch = Engine::launch(cfg(), programs());
+    from_launch.set_replay(Arc::new(log));
     assert!(from_launch.run().is_completed());
     assert_eq!(restored.collect_trace(), from_launch.collect_trace());
 }

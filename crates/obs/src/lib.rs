@@ -4,10 +4,9 @@
 //! blocking time, intrusion overhead — alongside the trace itself, and
 //! the NTV/VK views render them. This crate is that statistics plane:
 //! counters, high-water gauges, fixed log-2-bucket [`Histogram`]s, the
-//! flight recorder's [`flight::dump`] (what an explore finding's last
-//! decisions render through), the [`MetricsReport`] JSON
-//! schema every `tracedbg` surface exports through, and the [`sealed`]
-//! envelope every digest-sealed report is written and loaded through.
+//! [`MetricsReport`] JSON schema every `tracedbg` surface exports
+//! through, and the [`sealed`] envelope every digest-sealed report is
+//! written and loaded through.
 //!
 //! Design constraints (see DESIGN.md §10):
 //!
@@ -20,14 +19,12 @@
 //!   `tracedbg_mpsim::metrics::of_run` derives a run's metrics after it,
 //!   from its trace and decision log.
 
-pub mod flight;
 pub mod hist;
 pub mod mad;
 pub mod metrics;
 pub mod report;
 pub mod sealed;
 
-pub use flight::{Span, SpanKind, FLIGHT_CAP};
 pub use hist::{Histogram, HIST_BUCKETS};
 pub use mad::{mad, mad_score, median, SCORE_CAP};
 pub use metrics::EngineMetrics;

@@ -12,9 +12,10 @@
 //!
 //! * [`ingest_store`] / [`ingest_records`] / [`StoreWriter::write_records`]
 //!   — write a finished trace in one streaming pass, in canonical order,
-//!   so one trace always gives one store image; [`StoreWriter::push`] and
-//!   [`SharedWriter`] (an engine tee) collect records one at a time and
-//!   hand them to the same writer when they finish;
+//!   so one trace always gives one store image; a [`SharedWriter`] (the
+//!   sink a debugger session hands its records to when the sink is
+//!   detached) collects records one at a time and hands them to the same
+//!   writer when it finishes;
 //! * [`DiskStore`] — the reader: cheap [`DiskStore::open`], segments
 //!   streamed and CRC-verified as they are read (never held whole),
 //!   cursor-based queries, and a

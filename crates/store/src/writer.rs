@@ -20,8 +20,9 @@
 //! directory) are written last, in place, so no image of a file is
 //! assembled.
 //!
-//! [`StoreWriter`] and [`SharedWriter`] collect records pushed one at a
-//! time; their `finish` hands the collected slice to the same routine.
+//! A [`SharedWriter`] collects records one at a time into its
+//! [`StoreWriter`]; its `finish` hands the collected slice to the same
+//! routine.
 //!
 //! [`TraceStore`]: tracedbg_trace::TraceStore
 
@@ -74,16 +75,13 @@ const CHUNK: usize = 64 * 1024;
 
 /// A store directory, reset and ready to be written once.
 ///
-/// [`StoreWriter::write_records`] writes a finished trace; [`push`] and
-/// [`finish`] serve a caller that receives records one at a time, by
-/// collecting them (88 B each) and writing the collection at the end.
-///
-/// [`push`]: StoreWriter::push
-/// [`finish`]: StoreWriter::finish
+/// [`StoreWriter::write_records`] writes a finished trace;
+/// [`StoreWriter::finish`] writes the records a [`SharedWriter`] collected
+/// into it (88 B each) one at a time.
 pub struct StoreWriter {
     dir: PathBuf,
     opts: StoreOptions,
-    /// Records pushed so far, in arrival order.
+    /// Records collected so far, in arrival order.
     records: Vec<TraceRecord>,
 }
 
@@ -110,7 +108,7 @@ impl StoreWriter {
         })
     }
 
-    /// Number of events pushed so far.
+    /// Number of events collected so far.
     pub fn len(&self) -> u64 {
         self.records.len() as u64
     }
@@ -119,13 +117,7 @@ impl StoreWriter {
         self.records.is_empty()
     }
 
-    /// Collect one record (any order).
-    pub fn push(&mut self, rec: &TraceRecord) -> Result<(), StoreError> {
-        self.records.push(*rec);
-        Ok(())
-    }
-
-    /// Write the pushed records as the store.
+    /// Write the collected records as the store.
     ///
     /// `n_ranks` is the declared rank count (0 to infer); like
     /// `TraceStore::build`, the writer never records fewer ranks than the
@@ -135,7 +127,7 @@ impl StoreWriter {
     }
 
     /// Write `records` (any order) as the store. Nothing may have been
-    /// pushed: the store is one trace, not two.
+    /// collected: the store is one trace, not two.
     pub fn write_records(
         self,
         records: &[TraceRecord],
@@ -579,12 +571,14 @@ fn write_manifest(
     Ok(man.buf.len() as u64)
 }
 
-/// A cloneable, engine-attachable wrapper around [`StoreWriter`].
+/// A cloneable [`TraceSink`] around a [`StoreWriter`].
 ///
-/// The engine owns the attached sink for the duration of a run and pushes
-/// each record it flushes; the other handle calls
-/// [`SharedWriter::finish`] once the run is collected, which writes the
-/// store as [`StoreWriter::finish`] does.
+/// It writes nothing as records arrive: each goes into the writer's
+/// collection, in the order it is handed over. A debugger session hands
+/// an attached sink the records of its engine incarnation when the sink
+/// is detached (or the incarnation is replaced); the other handle then
+/// calls [`SharedWriter::finish`], which writes the store as
+/// [`StoreWriter::finish`] does.
 #[derive(Clone)]
 pub struct SharedWriter {
     inner: Arc<Mutex<Option<StoreWriter>>>,

@@ -5,7 +5,7 @@
 //! — `events`, `by_rank`, `by_tag`, `by_construct`, `by_time_window` —
 //! must return a sequence byte-identical to the same selection over the
 //! in-memory reference [`TraceStore`]. Every way of writing a store gives
-//! one image per trace: the records the engine tees into a
+//! one image per trace: the records a debugger session hands a detached
 //! [`SharedWriter`], the finished store through `ingest_store`, and any
 //! shuffle of its records through `ingest_records` are written byte for
 //! byte alike. A store an older writer left in arrival order (a committed
@@ -19,12 +19,14 @@ use cases::arb_case;
 use common::scratch_dir;
 use proptest::prelude::*;
 use std::path::Path;
+use tracedbg_debugger::{Session, SessionConfig};
 use tracedbg_mpsim::{Engine, Rank, Tag};
 use tracedbg_store::{
     ingest_records, ingest_store, DiskStore, SharedWriter, StoreOptions, StoreWriter,
 };
 use tracedbg_trace::file::read_text;
 use tracedbg_trace::{EventKind, Select, TraceRecord, TraceSource, TraceStore};
+use tracedbg_workloads::script;
 
 /// Every selection of `disk` equals the linear scan of `reference`.
 fn assert_equivalent(disk: &DiskStore, reference: &TraceStore, what: &str) {
@@ -132,15 +134,26 @@ proptest! {
         let opts = StoreOptions { segment_events };
         let what = format!("segments of {segment_events}, case {case}");
 
-        // The tee: the engine pushes each record it flushes, in arrival
-        // order; the store is written when the writer finishes.
+        // The tee: a session hands a detached sink each record its run
+        // logged, in arrival order; the store is written when the writer
+        // finishes.
         let stream_dir = scratch_dir("stream");
         let shared = SharedWriter::new(StoreWriter::create(&stream_dir, opts).unwrap());
-        let mut engine = Engine::launch(case.config(), case.programs());
-        engine.attach_trace_sink(Box::new(shared.clone()));
-        let _ = engine.run();
-        let reference = engine.trace_store();
-        engine.detach_trace_sink();
+        let run = case.config();
+        let cfg = SessionConfig {
+            policy: run.policy,
+            recorder: run.recorder,
+            faults: run.faults,
+            ..Default::default()
+        };
+        let parsed = script::parse(&case.source).expect("the case parses");
+        let (procs, file) = (case.procs, case.file.clone());
+        let factory = Box::new(move || script::programs(&parsed, procs, &file));
+        let mut session = Session::launch(cfg, factory);
+        session.attach_trace_sink(Box::new(shared.clone()));
+        session.run();
+        let reference = session.trace();
+        session.detach_trace_sink();
         shared.finish(reference.sites(), reference.n_ranks()).unwrap();
         let streamed = DiskStore::open(&stream_dir).unwrap();
         assert_equivalent(&streamed, &reference, &format!("tee, {what}"));

@@ -24,7 +24,6 @@ pub struct EventQuery {
     label: Option<Label>,
     t_min: Option<u64>,
     t_max: Option<u64>,
-    marker_min: Option<u64>,
 }
 
 impl EventQuery {
@@ -75,12 +74,6 @@ impl EventQuery {
         self
     }
 
-    /// Only events at or after this marker (search "from here forward").
-    pub fn after_marker(mut self, m: u64) -> Self {
-        self.marker_min = Some(m);
-        self
-    }
-
     /// Pre-resolve the function constraint to site ids — one table scan
     /// per `find`, not one string materialization per event. `None` means
     /// no function constraint; an empty set means the function never
@@ -108,11 +101,6 @@ impl EventQuery {
         }
         if let Some(r) = self.rank {
             if rec.rank != r {
-                return false;
-            }
-        }
-        if let Some(m) = self.marker_min {
-            if rec.marker < m {
                 return false;
             }
         }
@@ -290,13 +278,6 @@ mod tests {
         let q = EventQuery::new().tag(Tag(11));
         assert_eq!(q.count(&s), 2, "send + recv of the tagged message");
         assert_eq!(EventQuery::new().tag(Tag(99)).count(&s), 0);
-    }
-
-    #[test]
-    fn after_marker() {
-        let s = store();
-        let q = EventQuery::new().rank(0u32).after_marker(3);
-        assert_eq!(q.count(&s), 1);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! byte-identical sequences for every selection — an index, never a
 //! filter.
 //!
-//! [`TraceSink`] is the write-side counterpart: a streaming consumer the
-//! engine tees each record into as it is recorded, so a run can be
-//! persisted while it executes instead of being collected and dumped
-//! post-mortem.
+//! [`TraceSink`] is the write-side counterpart: a consumer a debugger
+//! session hands the records of a run when the sink is detached, so a
+//! session's run can be persisted through the same interface whatever
+//! stores it.
 //!
 //! Ordering contract, shared by every implementation:
 //!
@@ -229,11 +229,14 @@ fn collect(iter: EventIter<'_>) -> Result<Vec<TraceRecord>, SourceError> {
     Ok(out)
 }
 
-/// A streaming consumer of trace records (the write side of a store).
+/// A consumer of trace records (the write side of a store).
 ///
-/// The engine tees every record through the attached sink in the order
-/// the ranks record them; implementations must tolerate records arriving
-/// out of canonical order and establish their own order on finish.
+/// A debugger session hands an attached sink the records its engine
+/// incarnation logged since the attach, in the order the ranks recorded
+/// them, when the sink is detached or the incarnation is replaced; the
+/// engine itself tees nothing. Implementations must tolerate records
+/// arriving out of canonical order and establish their own order on
+/// finish.
 pub trait TraceSink: Send {
     fn accept(&mut self, rec: &TraceRecord);
 }

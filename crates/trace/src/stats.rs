@@ -4,7 +4,6 @@
 //! debugger's history reports.
 
 use crate::event::{EventKind, TraceRecord};
-use crate::ids::Rank;
 use crate::source::{Select, SourceError, TraceSource};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -124,22 +123,6 @@ impl TraceStats {
         }
         Ok(tally.seal())
     }
-
-    /// Messages delivered *to* a given rank.
-    pub fn received_by(records: &[TraceRecord], rank: Rank) -> usize {
-        records
-            .iter()
-            .filter(|r| r.kind == EventKind::RecvDone && r.rank == rank)
-            .count()
-    }
-
-    /// Messages sent *by* a given rank.
-    pub fn sent_by(records: &[TraceRecord], rank: Rank) -> usize {
-        records
-            .iter()
-            .filter(|r| r.kind == EventKind::Send && r.rank == rank)
-            .count()
-    }
 }
 
 impl fmt::Display for TraceStats {
@@ -196,9 +179,6 @@ mod tests {
         assert_eq!(s.bytes_sent, 100);
         assert_eq!(s.makespan, 40);
         assert_eq!(s.per_kind["SN"], 1);
-        assert_eq!(TraceStats::received_by(&recs, Rank(1)), 1);
-        assert_eq!(TraceStats::sent_by(&recs, Rank(0)), 1);
-        assert_eq!(TraceStats::sent_by(&recs, Rank(1)), 0);
     }
 
     #[test]

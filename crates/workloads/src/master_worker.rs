@@ -242,11 +242,13 @@ mod tests {
             EngineConfig {
                 policy,
                 recorder: RecorderConfig::full(),
-                replay,
                 ..Default::default()
             },
             programs(&cfg),
         );
+        if let Some(log) = replay {
+            e.set_replay(std::sync::Arc::new(log));
+        }
         assert!(e.run().is_completed());
         let store = e.trace_store();
         (completion_order(&store), e.match_log())

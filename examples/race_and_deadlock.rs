@@ -18,11 +18,13 @@ fn run_pool(
         EngineConfig {
             policy,
             recorder: RecorderConfig::full(),
-            replay,
             ..Default::default()
         },
         master_worker::programs(&cfg),
     );
+    if let Some(log) = replay {
+        engine.set_replay(std::sync::Arc::new(log));
+    }
     assert!(engine.run().is_completed());
     let store = engine.trace_store();
     let order = completion_order(&store);

@@ -331,11 +331,18 @@ gate "script_rules.rs lines" "$(wc -l < crates/lint/src/script_rules.rs)" -le 65
 # One record of a run's nondeterminism (the decision log), one way a
 # trace record leaves its rank's buffer and one call that checkpoints a run
 # part-way (`run_to_snapshot`): the second copies stay deleted, and so do
-# the explorer's prefix pruning, which could not fire, and the span ring.
+# the explorer's prefix pruning, which could not fire, the span ring, the
+# numeric spans a finding's flight lines went through and the cost model
+# no caller set.
 for gone in MatchRecorder FlushHandle advance_to next_for set_replay_delta \
     set_snapshot_at take_pending_snapshot checkpoints_enabled hash_decisions \
-    prefix_pruned FlightRecorder; do
+    prefix_pruned FlightRecorder SpanKind CostModel FLIGHT_CAP; do
   gate "$gone under crates/*/src" "$(count "\\b$gone\\b" "${src[@]}")" -eq 0
+done
+# The engine tees no record: a session hands an attached sink its records
+# when the sink is detached.
+for gone in attach_trace_sink tee; do
+  gate "$gone under crates/mpsim/src" "$(count "\\b$gone\\b" crates/mpsim/src)" -eq 0
 done
 # An event pays for the monitor call and nothing beside it: no per-kind
 # table behind `Recorder::observe`, and the rank interpreter walks its tree

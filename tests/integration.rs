@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: full debugging stories end to end.
 
 use std::io::Cursor;
+use std::sync::Arc;
 use tracedbg::causality::{cut_of_time, verify_cut, ConcurrencyRegion, Frontier, HbIndex};
 use tracedbg::prelude::*;
 use tracedbg::trace::file::{read_text, write_text, TraceFile};
@@ -225,16 +226,18 @@ fn frontier_stoplines_on_lu_are_consistent_and_replayable() {
 fn replay_reproduces_timestamps_exactly() {
     // Determinism: a replay regenerates the identical time-space diagram.
     let cfg = PoolConfig::default();
-    let run = |policy: SchedPolicy, replay| {
+    let run = |policy: SchedPolicy, replay: Option<tracedbg::mpsim::ReplayLog>| {
         let mut e = Engine::launch(
             EngineConfig {
                 policy,
                 recorder: RecorderConfig::full(),
-                replay,
                 ..Default::default()
             },
             master_worker::programs(&cfg),
         );
+        if let Some(log) = replay {
+            e.set_replay(Arc::new(log));
+        }
         assert!(e.run().is_completed());
         let store = e.trace_store();
         let recs: Vec<(u32, u64, u64, u64)> = store
@@ -301,16 +304,18 @@ fn wildcard_completion_order_is_pinned_by_replay() {
         tasks: 12,
         base_cost: 10_000,
     };
-    let run = |policy: SchedPolicy, replay| {
+    let run = |policy: SchedPolicy, replay: Option<tracedbg::mpsim::ReplayLog>| {
         let mut e = Engine::launch(
             EngineConfig {
                 policy,
                 recorder: RecorderConfig::full(),
-                replay,
                 ..Default::default()
             },
             master_worker::programs(&cfg),
         );
+        if let Some(log) = replay {
+            e.set_replay(Arc::new(log));
+        }
         assert!(e.run().is_completed());
         let s = e.trace_store();
         (completion_order(&s), e.match_log())
@@ -440,13 +445,8 @@ fn markers_only_strategy_supports_stopline_replay() {
     assert_eq!(stop_state.get(Rank(0)), half);
 
     // Replay to that exact state under forced matching.
-    let mut replay_engine = Engine::launch(
-        EngineConfig {
-            replay: Some(log),
-            ..run_cfg
-        },
-        ring::programs(&cfg),
-    );
+    let mut replay_engine = Engine::launch(run_cfg, ring::programs(&cfg));
+    replay_engine.set_replay(Arc::new(log));
     replay_engine.arm_stopline(&stop_state);
     let out = replay_engine.run();
     assert!(out.is_stopped(), "{out:?}");

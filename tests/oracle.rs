@@ -13,7 +13,7 @@
 //! | `engine` | the consuming hand-over (`into_trace_store`) is the gathered trace |
 //! | `session` | `Session::run`, its trace and its hand-over |
 //! | `files` | `.trc` and `.tbin` round trips keep ranks, sites and the profile |
-//! | `store` | every `DiskStore` query of `ingest_store`'s image equals a linear scan, `comm_edges` and `materialize` (and its profile) included; a shuffled `ingest_records` and an engine's tee write the same files |
+//! | `store` | every `DiskStore` query of `ingest_store`'s image equals a linear scan, `comm_edges` and `materialize` (and its profile) included; a shuffled `ingest_records` and a session's detached sink write the same files |
 //! | `replay` | `replay_schedule` of the run's artifact does not diverge |
 //! | `snapshot` | a snapshot at a random decision restores twice to the straight run's state digest (and decision log; the second restore follows the recorded match log), after a debugger drove a restored copy on (ranks stepped alone, a breakpoint and a watch armed and cleared); the snapshots the drive took restore to where the drive went |
 //! | `hand-over` | a restored run hands over the trace, its checkpoint held or dropped |
@@ -236,7 +236,9 @@ impl<'a> Run<'a> {
         (self.class, branched, wide_snapshot, wide_fork, wide_halt)
     }
 
-    fn session(&self) {
+    /// A session on the case with `sink` attached, run to its end, which
+    /// must be the engine run's.
+    fn run_session(&self, sink: Option<Box<dyn TraceSink>>, leg: &str) -> Session {
         let cfg = SessionConfig {
             policy: SchedPolicy::Seeded(self.case.seed),
             recorder: RecorderConfig::full(),
@@ -244,13 +246,21 @@ impl<'a> Run<'a> {
             ..Default::default()
         };
         let mut session = Session::launch(cfg, self.factory());
+        if let Some(sink) = sink {
+            session.attach_trace_sink(sink);
+        }
         let class = match session.run() {
             SessionStatus::Completed => "completed",
             SessionStatus::Deadlocked(_) => "deadlock",
             SessionStatus::Panicked { .. } => "panic",
-            other => panic!("session: stopped unasked: {other:?}"),
+            other => panic!("{leg}: stopped unasked: {other:?}"),
         };
-        assert_eq!(class, self.class, "session: outcome");
+        assert_eq!(class, self.class, "{leg}: outcome");
+        session
+    }
+
+    fn session(&self) {
+        let mut session = self.run_session(None, "session");
         let want = &self.want.records;
         assert_same_records(session.trace().records(), want, "session: trace");
         assert_same_records(session.into_trace().records(), want, "session: hand-over");
@@ -340,8 +350,8 @@ impl<'a> Run<'a> {
         }
         drop(disk);
 
-        // Any order of the records, and the order an engine tees them in,
-        // write the one image.
+        // Any order of the records, and the order a session hands a
+        // detached sink them in, write the one image.
         let mut shuffled = records.to_vec();
         for i in (1..shuffled.len()).rev() {
             shuffled.swap(i, self.rng.below(i as u64 + 1) as usize);
@@ -353,10 +363,9 @@ impl<'a> Run<'a> {
         assert!(image(&shuffled_dir) == want, "store: shuffle");
         let tee_dir = scratch_dir("tee");
         let tee = SharedWriter::new(StoreWriter::create(&tee_dir, opts).expect("store: tee"));
-        let mut engine = self.launch(self.case.config());
-        engine.attach_trace_sink(Box::new(tee.clone()));
-        self.reproduce(&mut engine, "store: teeing run");
-        engine.detach_trace_sink();
+        let sink = Box::new(tee.clone());
+        let mut session = self.run_session(Some(sink), "store: teeing session");
+        assert!(session.detach_trace_sink().is_some(), "store: tee detach");
         tee.finish(sites, ranks).expect("store: tee finish");
         assert!(image(&tee_dir) == want, "store: tee");
         for d in [dir, shuffled_dir, tee_dir] {

@@ -15,6 +15,7 @@
 //! * dissemination conserves primitive arcs.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use tracedbg::causality::{cut_of_time, verify_cut, ConcurrencyRegion, HbIndex};
 use tracedbg::lint::{lint_trace, LintConfig};
 use tracedbg::prelude::*;
@@ -38,11 +39,13 @@ fn run_pattern(
         EngineConfig {
             policy,
             recorder: RecorderConfig::full(),
-            replay,
             ..Default::default()
         },
         random_comm::programs(&pat, seed),
     );
+    if let Some(log) = replay {
+        e.set_replay(Arc::new(log));
+    }
     let out = e.run();
     assert!(out.is_completed(), "pattern must complete: {out:?}");
     (e.trace_store(), e.match_log())
