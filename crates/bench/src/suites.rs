@@ -967,7 +967,8 @@ fn suite_store(opts: &SuiteOptions) -> Suite {
     }
     if wants(opts, "store", "push_80k") || wants(opts, "store", "finish_80k") {
         // The collecting writer a session hands a detached sink's records
-        // to: `accept` copies each record, `finish` writes the collected
+        // to: `accept_batch` copies a chunk of the log under one lock (the
+        // corpus is one chunk), `finish` writes the collected
         // slice in the one pass `ingest` and `run --store` make (canonical
         // check, frames with their running checksum, index, manifest).
         // Corpus: the benchmark's `deep_random` shape, 80,016 events in
@@ -982,7 +983,7 @@ fn suite_store(opts: &SuiteOptions) -> Suite {
             SharedWriter::new(w)
         };
         let push_all = |mut w: SharedWriter| {
-            big.records().iter().for_each(|r| w.accept(r));
+            w.accept_batch(big.records());
             w
         };
         let p = plan(opts, 1, 5, 2);

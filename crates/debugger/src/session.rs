@@ -230,11 +230,12 @@ impl Session {
     }
 
     /// Detach the sink, handing it the records logged since it was
-    /// attached, so its owner can finish it.
+    /// attached, a chunk of the log at a time, so its owner can finish it.
     pub fn detach_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
         let (mut sink, from) = self.sink.take()?;
-        let log = self.engine.collect_trace().iter().skip(from);
-        log.for_each(|rec| sink.accept(rec));
+        let log = self.engine.collect_trace();
+        log.slices_from(from)
+            .for_each(|chunk| sink.accept_batch(chunk));
         Some(sink)
     }
 

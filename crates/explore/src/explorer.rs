@@ -21,7 +21,7 @@ use tracedbg_obs::{
     ClassCount, EventMetrics, ExploreEvent, MetricsReport, TimingMetrics, WorkerStat,
 };
 use tracedbg_trace::schedule::{Decision, DecisionPoint, Fault, ReadySets, ScheduleArtifact};
-use tracedbg_trace::Rank;
+use tracedbg_trace::{ChunkLog, Rank};
 
 /// Which part of the schedule space to search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -274,7 +274,7 @@ struct Frontier {
 struct Expansion {
     /// The run's decisions with their alternatives, moved out of its
     /// [`RunResult`].
-    points: Vec<DecisionPoint>,
+    points: ChunkLog<DecisionPoint>,
     /// Substitutions along the run's path; its alternatives add one.
     depth: usize,
     /// Cursor: the point to visit next and the index of its next
@@ -382,7 +382,7 @@ impl Frontier {
     /// reduces exactly to the full search.
     fn push(
         &mut self,
-        points: Vec<DecisionPoint>,
+        points: ChunkLog<DecisionPoint>,
         from: usize,
         depth: usize,
         entry_sleep: Vec<Decision>,
@@ -455,7 +455,7 @@ impl FrontRun {
     /// after it.
     fn checkpoint(
         &mut self,
-        points: &[DecisionPoint],
+        points: &ChunkLog<DecisionPoint>,
         k: usize,
         source: &ProgramSource,
     ) -> Option<Arc<EngineCheckpoint>> {
@@ -517,9 +517,8 @@ impl Expansion {
                         }
                         None => Vec::new(),
                     };
-                    let prefix = &self.points[..self.point];
-                    let mut script = Vec::with_capacity(prefix.len() + 1);
-                    script.extend(prefix.iter().map(|p| p.chosen));
+                    let mut script = Vec::with_capacity(self.point + 1);
+                    script.extend(self.points.iter().take(self.point).map(|p| p.chosen));
                     script.push(alt);
                     return Some(FrontierEntry {
                         script,
@@ -814,9 +813,10 @@ impl Explorer {
             Vec::new(),
             self.cfg.independence.as_ref(),
         );
+        let mut tasks = Vec::with_capacity(window);
+        let mut batch: Vec<Dequeued> = Vec::with_capacity(window);
         loop {
-            let mut tasks = Vec::with_capacity(window);
-            let mut batch: Vec<Dequeued> = Vec::with_capacity(window);
+            batch.clear();
             while tasks.len() < window && self.runs_executed + tasks.len() < self.cfg.runs {
                 let Some(entry) = frontier.pop(self.cfg.independence.as_ref(), &self.source) else {
                     break;
@@ -837,7 +837,7 @@ impl Explorer {
             if tasks.is_empty() {
                 break;
             }
-            run_windowed(pool, tasks, |i, _task, res| {
+            run_windowed(pool, tasks.drain(..), |i, _task, res| {
                 #[cfg(test)]
                 {
                     self.restored.0 += res.restored as u64;
@@ -1013,7 +1013,7 @@ mod tests {
     #[allow(clippy::too_many_arguments)]
     fn push_extensions(
         n_ranks: usize,
-        points: &[DecisionPoint],
+        points: &ChunkLog<DecisionPoint>,
         from: usize,
         depth: usize,
         entry_sleep: &[Decision],

@@ -58,13 +58,21 @@ pub const WINDOW: usize = 256;
 /// by value, in task order, with its task and the task's index in
 /// `tasks` — before the next window is pulled. What `absorb` does not
 /// keep is dropped there, so no more than one window of tasks and one of
-/// results is ever alive.
+/// results is ever alive. A pool without worker threads runs each task
+/// where it stands, handing nothing over.
 pub fn run_windowed(
     pool: &WorkerPool,
     tasks: impl IntoIterator<Item = RunTask>,
     mut absorb: impl FnMut(usize, &RunTask, RunResult),
 ) {
     let mut rest = tasks.into_iter();
+    if pool.threads == 0 {
+        for (i, task) in rest.enumerate() {
+            let res = pool.shared.execute(&task, 0);
+            absorb(i, &task, res.unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        return;
+    }
     let mut base = 0;
     loop {
         let window: Arc<Vec<RunTask>> = Arc::new(rest.by_ref().take(pool.window()).collect());
@@ -107,6 +115,20 @@ struct PoolShared<'a> {
 }
 
 impl PoolShared<'_> {
+    /// Execute one task on `executor`, accounting its load. A task that
+    /// unwinds (a factory `assert!`, an engine bug) is accounted like any
+    /// other, and its panic handed back.
+    fn execute(&self, task: &RunTask, executor: usize) -> std::thread::Result<RunResult> {
+        let t0 = std::time::Instant::now();
+        let res = catch_unwind(AssertUnwindSafe(|| execute_task(self.source, task)));
+        let mut l = self.loads[executor]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        l.0 += 1;
+        l.1 += t0.elapsed().as_nanos() as u64;
+        res
+    }
+
     /// Pull tasks off the batch cursor until it runs dry, executing each
     /// and parking the result in its slot.
     fn drain(&self, batch: &Batch, executor: usize) {
@@ -116,20 +138,10 @@ impl PoolShared<'_> {
             if i >= n {
                 return;
             }
-            let t0 = std::time::Instant::now();
-            // A task that unwinds (a factory `assert!`, an engine bug) is
-            // accounted like any other, or `open` would never reach 0 and
-            // `run` would wait forever; `run` re-raises it on its caller.
-            let res = catch_unwind(AssertUnwindSafe(|| {
-                execute_task(self.source, &batch.tasks[i])
-            }));
-            {
-                let mut l = self.loads[executor]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                l.0 += 1;
-                l.1 += t0.elapsed().as_nanos() as u64;
-            }
+            // A task that unwinds still fills its slot, or `open` would
+            // never reach 0 and `run` would wait forever; `run` re-raises
+            // it on its caller.
+            let res = self.execute(&batch.tasks[i], executor);
             *batch.slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
             let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
             g.open -= 1;

@@ -28,8 +28,9 @@ pub struct RunResult {
     pub detail: String,
     /// The decisions the run actually made.
     pub decisions: Vec<Decision>,
-    /// Decisions with their alternatives — the branch structure.
-    pub points: Vec<DecisionPoint>,
+    /// Decisions with their alternatives — the branch structure. A forked
+    /// run's first points are its checkpoint's, shared, not copied.
+    pub points: ChunkLog<DecisionPoint>,
     /// [`run_digest`] of the run's trace, for equivalence pruning.
     pub digest: u64,
     /// Did a scripted policy fail to apply at some point?
@@ -119,7 +120,8 @@ pub fn execute_task(source: &ProgramSource, task: &RunTask) -> RunResult {
     let (sites, n_ranks) = (engine.sites().clone(), engine.n_ranks());
     // The engine is done: take its logs, don't copy them.
     let (log, points) = engine.into_log_and_decisions();
-    let decisions = points.iter().map(|p| p.chosen).collect();
+    let mut decisions = Vec::with_capacity(points.len());
+    decisions.extend(points.iter().map(|p| p.chosen));
     RunResult {
         class: outcome.class(),
         detail: outcome.detail(),

@@ -13,6 +13,11 @@
 //! engine recorded it, so a run whose trace nobody reads (a digest-pruned
 //! one) never builds a `TraceStore`.
 //!
+//! A forked run allocates only what it keeps: copying a rank out of a
+//! checkpoint copies its program (a box and its frame stack), not its
+//! call ring or the messages queued for it, and a small message is held
+//! inline wherever it goes.
+//!
 //! Live heap bytes and allocation calls are counted per thread; at
 //! `jobs = 1` the pool spawns no thread, so the count is the whole
 //! exploration's.
@@ -22,7 +27,10 @@ use std::cell::Cell;
 use tracedbg_explore::{execute_task, ExploreConfig, Explorer, ProgramSource, RunTask};
 use tracedbg_instrument::RecorderConfig;
 use tracedbg_localize::{localize, LocalizeConfig, VERDICT_LOCALIZED};
-use tracedbg_mpsim::{Engine, EngineConfig, SchedPolicy};
+use tracedbg_mpsim::ops::Reply;
+use tracedbg_mpsim::{Engine, EngineConfig, Envelope, Message, Payload, SchedPolicy};
+use tracedbg_trace::schedule::Decision;
+use tracedbg_trace::{Rank, SiteId, Tag};
 use tracedbg_workloads::planted::{planted_wildcard_factory, PlantedConfig};
 use tracedbg_workloads::script;
 
@@ -110,14 +118,31 @@ fn explore_planted16() -> Explorer {
 
 const MIB: i64 = 1024 * 1024;
 
+/// Allocation calls per executed run of the 4000-run search below, at the
+/// commit before payloads went inline, the call ring went inline and a
+/// fork stopped copying mailboxes, tables and decision prefixes: 594,886
+/// calls for 4000 runs in a release build, 594,875 in a debug build.
+const CALLS_PER_RUN_BEFORE: f64 = 148.7;
+
 /// One test, so that nothing else runs in this process while it counts:
 /// `Explorer::explore` turns quiet panics off when it returns, and a
 /// panic message printed while `localize` runs would be counted against
 /// it.
+///
+/// The search makes at most half the allocation calls per run it made
+/// before a fork stopped copying what it does not change (64.5 after,
+/// in a release build).
 #[test]
 fn exploring_and_localizing_hold_one_window_of_work() {
-    let (report, growth) = peak_growth(|| explore_planted16().explore());
+    let ((report, growth), (made, _)) = calls(|| peak_growth(|| explore_planted16().explore()));
     assert_eq!(report.runs_executed, 4000);
+    let per_run = made as f64 / report.runs_executed as f64;
+    let bound = CALLS_PER_RUN_BEFORE / 2.0;
+    eprintln!("explore: {made} allocation calls, {per_run:.1} per run; bound {bound:.1}");
+    assert!(
+        per_run <= bound,
+        "exploring made {per_run:.1} allocation calls per run, more than {bound:.1}"
+    );
     let bound = 4 * MIB;
     eprintln!("explore: peak heap growth {growth} B; bound {bound} B");
     assert!(
@@ -253,4 +278,98 @@ fn an_unread_run_builds_no_trace_store() {
     let ((), (again, _)) = calls(|| assert!(!res.store().is_empty()));
     assert!(first > 16, "the store has a lane per rank: {first} calls");
     assert_eq!(again, 0, "a second read builds nothing");
+}
+
+/// What the master of the 16-rank planted search costs to copy out of a
+/// checkpoint with `k` reports queued for it. Every worker runs to its
+/// end first, so the master then has all 15 reports queued and takes them
+/// one match a turn, the only rank left to run. At each rest point the
+/// run is checkpointed, the checkpoint restored, the master's next event
+/// made a trap, and the allocation calls of the one turn that follows
+/// counted (the stop report that ends the run is counted apart and left
+/// out). The turn copies the master's rank — its program box and frame
+/// stack, 2 calls — and pays what a first turn of a restored engine pays:
+/// the list and the block of the state and rank tables it writes (4) and
+/// the first entries of the decision and trace logs (2). A copy of the
+/// call ring, of the mailbox's queues or of a payload per queued message
+/// (an 8-byte report each) grows the count with `k` and fails this.
+#[test]
+fn a_rank_copied_out_of_a_checkpoint_allocates_its_program_whatever_is_queued() {
+    const RANK_COPY: u64 = 2;
+    const FIRST_TURN: u64 = 6;
+    let master = Rank(0);
+    let source = planted16();
+    let workers_first = (1..16)
+        .flat_map(|r| [Decision::Turn { rank: Rank(r) }; 2])
+        .collect();
+    let mut front = Engine::launch(
+        EngineConfig {
+            policy: SchedPolicy::Scripted(workers_first),
+            recorder: RecorderConfig::full(),
+            ..Default::default()
+        },
+        source(),
+    );
+    let mut seen = std::collections::BTreeMap::new();
+    loop {
+        // A checkpoint at the rest point the front run stops at: no match
+        // is left pending for a restore to deliver.
+        let d = front.decision_points().len() + 1;
+        if front.run_to_snapshot(d).is_err() {
+            break;
+        }
+        let cp = front.snapshot();
+        let mut engine = Engine::restore(&cp, Vec::new());
+        let k = engine.undelivered()[master.ix()].1.len();
+        engine.set_threshold(master, Some(engine.markers().get(master) + 1));
+        let (outcome, (turn_and_stop, _)) = calls(|| engine.run());
+        if engine.trapped().is_empty() {
+            continue; // the master was not the one to run
+        }
+        assert!(outcome.is_stopped(), "{outcome:?}");
+        // Running on takes no turn and makes the same stop report.
+        let (again, (stop, _)) = calls(|| engine.run());
+        assert_eq!(format!("{again:?}"), format!("{outcome:?}"));
+        seen.insert(k, turn_and_stop - stop);
+    }
+    eprintln!("allocation calls of the master's first turn, by messages queued: {seen:?}");
+    assert!(seen.len() >= 14, "queue lengths reached: {:?}", seen.keys());
+    for (&k, &made) in &seen {
+        assert!(
+            made <= RANK_COPY + FIRST_TURN,
+            "copying the master out with {k} messages queued made {made} allocation calls"
+        );
+    }
+}
+
+/// An 8-byte payload — a send of `Payload::from_i64` — lives inline: the
+/// envelope a send deposits, a checkpoint's copy of it, the message it
+/// is delivered as and the reply that carries it allocate nothing.
+#[test]
+fn a_small_message_allocates_nothing_where_it_goes() {
+    let ((), (made, _)) = calls(|| {
+        let env = Envelope {
+            src: Rank(1),
+            dst: Rank(0),
+            tag: Tag(40),
+            seq: 3,
+            arrival: 10,
+            send_marker: 4,
+            send_site: SiteId::UNKNOWN,
+            synchronous: false,
+            payload: Payload::from_i64(-42),
+        };
+        let copied = env.clone();
+        let reply = Reply::RecvDone {
+            env: copied,
+            t_done: 12,
+        };
+        let Reply::RecvDone { env: kept, .. } = reply.clone() else {
+            unreachable!()
+        };
+        let message: Message = kept.into();
+        assert_eq!(message.payload.to_i64(), Some(-42));
+        std::hint::black_box((env, reply, message));
+    });
+    assert_eq!(made, 0, "a small message made {made} allocation calls");
 }

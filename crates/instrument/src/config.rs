@@ -90,7 +90,8 @@ impl ConstructFilter {
 pub struct RecorderConfig {
     pub strategy: Strategy,
     pub filter: ConstructFilter,
-    /// Capacity of the `UserMonitor` recent-call ring.
+    /// Capacity of the `UserMonitor` recent-call ring, at most
+    /// [`RING_MAX`](crate::RING_MAX) (0 is taken as 1).
     pub ring_capacity: usize,
 }
 
@@ -99,7 +100,7 @@ impl RecorderConfig {
         RecorderConfig {
             strategy: Strategy::Full,
             filter: ConstructFilter::all(),
-            ring_capacity: 16,
+            ring_capacity: crate::RING_MAX,
         }
     }
 

@@ -32,4 +32,4 @@ pub mod user_monitor;
 pub use breakpoints::{Armed, BreakSet, TrapCause, Watch, WatchCond};
 pub use config::{ConstructFilter, RecorderConfig, Strategy};
 pub use recorder::{Disposition, Recorder};
-pub use user_monitor::{CallRing, RingEntry, UserMonitor, NO_THRESHOLD};
+pub use user_monitor::{CallRing, RingEntry, UserMonitor, NO_THRESHOLD, RING_MAX};

@@ -33,6 +33,8 @@ pub struct Recorder {
 }
 
 impl Recorder {
+    /// A recorder for `rank`. Panics if `config.ring_capacity` is more
+    /// than [`RING_MAX`](crate::RING_MAX): the ring's slots are inline.
     pub fn new(rank: Rank, config: RecorderConfig) -> Self {
         let cap = config.ring_capacity.max(1);
         Recorder {

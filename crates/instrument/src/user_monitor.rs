@@ -26,13 +26,20 @@ pub struct RingEntry {
     pub marker: u64,
 }
 
+/// The most entries a [`CallRing`] holds.
+pub const RING_MAX: usize = 16;
+
 /// Fixed-size ring of the most recent monitor invocations, consulted by the
 /// debugger when a process stops ("where was I, and with what arguments?").
+/// The slots are inline: copying a ring, as copying a rank out of a
+/// checkpoint does, allocates nothing.
 #[derive(Clone, Debug)]
 pub struct CallRing {
-    /// Slots `..pos` hold pushed entries, and so does the rest once
-    /// `wrapped`; until then the rest is filler that is never read.
-    entries: Box<[RingEntry]>,
+    /// Slots `..pos` hold pushed entries, and so do the rest of the first
+    /// `capacity` once `wrapped`; until then the rest is filler that is
+    /// never read.
+    entries: [RingEntry; RING_MAX],
+    capacity: usize,
     pos: usize,
     wrapped: bool,
 }
@@ -40,13 +47,18 @@ pub struct CallRing {
 impl CallRing {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring capacity must be positive");
+        assert!(
+            capacity <= RING_MAX,
+            "ring capacity {capacity} is more than {RING_MAX}"
+        );
         let filler = RingEntry {
             site: SiteId(0),
             args: [0; 2],
             marker: 0,
         };
         CallRing {
-            entries: vec![filler; capacity].into_boxed_slice(),
+            entries: [filler; RING_MAX],
+            capacity,
             pos: 0,
             wrapped: false,
         }
@@ -56,7 +68,7 @@ impl CallRing {
     pub fn push(&mut self, e: RingEntry) {
         self.entries[self.pos] = e;
         self.pos += 1;
-        if self.pos == self.entries.len() {
+        if self.pos == self.capacity {
             self.pos = 0;
             self.wrapped = true;
         }
@@ -64,7 +76,7 @@ impl CallRing {
 
     /// Most recent entries, newest first.
     pub fn recent(&self) -> Vec<RingEntry> {
-        let (newer, older) = self.entries.split_at(self.pos);
+        let (newer, older) = self.entries[..self.capacity].split_at(self.pos);
         let older = if self.wrapped { older } else { &[] };
         newer
             .iter()
@@ -78,13 +90,13 @@ impl CallRing {
     pub fn last(&self) -> Option<RingEntry> {
         match self.pos.checked_sub(1) {
             Some(ix) => Some(self.entries[ix]),
-            None if self.wrapped => self.entries.last().copied(),
+            None if self.wrapped => Some(self.entries[self.capacity - 1]),
             None => None,
         }
     }
 
     pub fn capacity(&self) -> usize {
-        self.entries.len()
+        self.capacity
     }
 }
 
@@ -143,7 +155,7 @@ impl UserMonitor {
 
 impl Default for UserMonitor {
     fn default() -> Self {
-        UserMonitor::new(16)
+        UserMonitor::new(RING_MAX)
     }
 }
 
@@ -212,5 +224,23 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_ring_panics() {
         CallRing::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ring capacity 17 is more than 16")]
+    fn a_ring_past_its_inline_slots_is_refused() {
+        CallRing::new(RING_MAX + 1);
+    }
+
+    #[test]
+    fn a_full_size_ring_wraps_within_its_slots() {
+        let mut m = UserMonitor::new(RING_MAX);
+        for i in 0..RING_MAX as u32 + 3 {
+            m.invoke(SiteId(i), 0, 0, NO_THRESHOLD);
+        }
+        let sites: Vec<u32> = m.ring().recent().iter().map(|e| e.site.0).collect();
+        let want: Vec<u32> = (3..RING_MAX as u32 + 3).rev().collect();
+        assert_eq!(sites, want);
+        assert_eq!(m.ring().capacity(), RING_MAX);
     }
 }

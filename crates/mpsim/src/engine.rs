@@ -11,12 +11,12 @@
 //! same execution, which is the foundation of the paper's replay, stopline and
 //! *undo* operations.
 
-use crate::checkpoint::{EngineCheckpoint, RankCell, RankState, RankTable};
+use crate::checkpoint::{EngineCheckpoint, MailboxCell, Proc, RankCell, RankState, RankTable};
 use crate::clock;
 use crate::collective::{CollEntry, PendingCollective};
 use crate::deadlock::DeadlockReport;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::mailbox::Mailbox;
+use crate::mailbox::{Candidate, Mailbox};
 use crate::message::{Envelope, MatchSpec};
 use crate::ops::{Reply, Request, SendMode};
 use crate::record::ReplayLog;
@@ -29,7 +29,8 @@ use tracedbg_trace::schedule::{
     Alternatives, Decision, DecisionPoint, RankSet, ReadyChanges, ReadyDelta,
 };
 use tracedbg_trace::{
-    ChunkLog, Marker, MarkerVector, Rank, ScheduleArtifact, SiteTable, TraceRecord, TraceStore,
+    ChunkLog, Marker, MarkerVector, Rank, ScheduleArtifact, SitePrefix, SiteTable, TraceRecord,
+    TraceStore,
 };
 
 /// Engine construction parameters.
@@ -221,6 +222,9 @@ pub struct Engine {
     /// `(records, decisions)` logged when this incarnation was launched
     /// or restored: where [`Engine::take_metrics`] starts counting.
     origin: (usize, usize),
+    /// The candidates of the receive being matched, kept between matches
+    /// so a match allocates only its decision point's alternatives.
+    candidates: Vec<Candidate>,
 }
 
 impl Engine {
@@ -232,25 +236,27 @@ impl Engine {
         assert!(n > 0, "need at least one process");
         let st = EngineCheckpoint {
             n_ranks: n,
-            states: RankTable::new((0..n).map(|_| ProcState::Ready(Reply::Proceed))),
-            paused: vec![false; n],
+            states: RankTable::new((0..n).map(|_| Proc {
+                state: ProcState::Ready(Reply::Proceed),
+                matched: 0,
+                ops: 0,
+            })),
+            paused: RankTable::new((0..n).map(|_| false)),
             armed: RankTable::new((0..n).map(|_| Armed::default())),
             ranks: RankTable::new(programs.into_iter().enumerate().map(|(i, p)| {
                 RankCell::Own(RankState {
                     task: TaskHarness::new(p.0),
                     recorder: Recorder::new(Rank::from(i), config.recorder.clone()),
-                    mailbox: Mailbox::new(),
                 })
             })),
+            mailboxes: RankTable::new((0..n).map(|_| MailboxCell::Own(Mailbox::new()))),
             scheduler: Scheduler::new(&config.policy, n),
-            matched: vec![0; n],
             replay: None,
             sites: config.sites.unwrap_or_default(),
-            sites_len: 0,
+            sites_at: SitePrefix::default(),
             pending_coll: None,
             collected: ChunkLog::new(),
             faults: config.faults,
-            ops: vec![0; n],
             decision_log: ChunkLog::new(),
             ready_changes: ReadyChanges::new(n),
         };
@@ -262,6 +268,7 @@ impl Engine {
             rebuilt: tracedbg_trace::ReadySets::new(n),
             resweep: false,
             origin: (0, 0),
+            candidates: Vec::new(),
         }
     }
 
@@ -288,6 +295,7 @@ impl Engine {
             // its decision being committed; the sweep re-delivers it.
             resweep: true,
             origin: (cp.collected.len(), cp.decision_log.len()),
+            candidates: Vec::new(),
         };
         (engine.waiting, engine.ready) = engine.scan_ready();
         engine
@@ -314,7 +322,7 @@ impl Engine {
             "a fork continues a run that followed its script"
         );
         let mut engine = Engine::restore(cp, Vec::new());
-        engine.st.sites = cp.sites.prefix(cp.sites_len);
+        engine.st.sites = cp.sites_at.table();
         engine.st.scheduler.set_script(script);
         engine
     }
@@ -325,7 +333,7 @@ impl Engine {
         let waiting = matches!(state, ProcState::Ready(_));
         self.waiting.set(rank, waiting);
         self.set_ready(rank, waiting && !self.st.paused[rank.ix()]);
-        std::mem::replace(self.st.states.get_mut(rank.ix()), state)
+        std::mem::replace(&mut self.st.states.get_mut(rank.ix()).state, state)
     }
 
     /// Put `rank` in or out of `ready`, noting a change for the next
@@ -341,9 +349,9 @@ impl Engine {
     fn scan_ready(&self) -> (RankSet, RankSet) {
         let n = self.st.n_ranks;
         let (mut waiting, mut ready) = (RankSet::new(n), RankSet::new(n));
-        let states = self.st.states.iter().zip(&self.st.paused);
-        for (i, (s, &held)) in states.enumerate() {
-            if matches!(s, ProcState::Ready(_)) {
+        let states = self.st.states.iter().zip(self.st.paused.iter());
+        for (i, (p, &held)) in states.enumerate() {
+            if matches!(p.state, ProcState::Ready(_)) {
                 waiting.set(Rank::from(i), true);
                 ready.set(Rank::from(i), !held);
             }
@@ -354,7 +362,7 @@ impl Engine {
     /// `spec` as `rank`'s next match must satisfy it: narrowed to the
     /// recorded message while a replay log still covers that match.
     fn pinned(&self, rank: Rank, mut spec: MatchSpec) -> MatchSpec {
-        let made = self.st.matched[rank.ix()];
+        let made = self.st.states[rank.ix()].matched;
         if let Some(m) = self.st.replay.as_ref().and_then(|log| log.pin(rank, made)) {
             spec.forced = Some((m.src, m.seq));
         }
@@ -364,13 +372,19 @@ impl Engine {
     /// Does some blocked receive have a message it could match? Never at
     /// a rest point of a run that was not just restored.
     fn has_deliverable_receive(&self) -> bool {
-        self.st.states.iter().enumerate().any(|(i, s)| match s {
-            ProcState::Blocked { spec, .. } => {
-                let spec = self.pinned(Rank::from(i), *spec);
-                !self.st.ranks[i].mailbox.candidates(&spec).is_empty()
-            }
-            _ => false,
-        })
+        let mut candidates = Vec::new();
+        self.st
+            .states
+            .iter()
+            .enumerate()
+            .any(|(i, p)| match &p.state {
+                ProcState::Blocked { spec, .. } => {
+                    let spec = self.pinned(Rank::from(i), *spec);
+                    self.st.mailboxes[i].candidates(&spec, &mut candidates);
+                    !candidates.is_empty()
+                }
+                _ => false,
+            })
     }
 
     pub fn n_ranks(&self) -> usize {
@@ -456,8 +470,9 @@ impl Engine {
         // One pass over the processes: the first panic wins; a run whose
         // every process is gone completed; traps and pauses make a stop.
         let (mut traps, mut paused, mut gone) = (Vec::new(), Vec::new(), true);
-        for (i, (s, &held)) in self.st.states.iter().zip(&self.st.paused).enumerate() {
-            match s {
+        let states = self.st.states.iter().zip(self.st.paused.iter());
+        for (i, (p, &held)) in states.enumerate() {
+            match &p.state {
                 ProcState::Panicked(m) => {
                     return RunOutcome::Panicked {
                         rank: Rank::from(i),
@@ -487,7 +502,7 @@ impl Engine {
             .states
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| match s {
+            .filter_map(|(i, p)| match &p.state {
                 ProcState::Blocked { spec, marker, .. } => {
                     let rank = Rank(i as u32);
                     Some((rank, self.pinned(rank, *spec), *marker))
@@ -513,9 +528,11 @@ impl Engine {
             req,
             Request::Send { .. } | Request::Recv { .. } | Request::Collective { .. }
         ) {
-            self.st.ops[rank.ix()] += 1;
+            let ops = &mut self.st.states.get_mut(rank.ix()).ops;
+            *ops += 1;
+            let ops = *ops;
             if let Some((after_ops, kind)) = self.st.faults.silence_for(rank) {
-                if self.st.ops[rank.ix()] > after_ops {
+                if ops > after_ops {
                     self.set_state(rank, ProcState::Faulted(kind));
                     return;
                 }
@@ -531,7 +548,7 @@ impl Engine {
                 site,
                 mode,
             } => {
-                let mailbox = &mut self.st.ranks.get_mut(dst.ix()).make_mut().mailbox;
+                let mailbox = self.st.mailboxes.get_mut(dst.ix()).make_mut();
                 let seq = mailbox.next_seq(rank);
                 let t_done = clock::send_done(t0);
                 let arrival =
@@ -618,13 +635,15 @@ impl Engine {
 
     /// If `dst` is blocked in a receive that can now match, deliver.
     fn try_match(&mut self, dst: Rank, halt: &mut Halt) {
-        let (spec, t_post) = match &self.st.states[dst.ix()] {
+        let (spec, t_post) = match &self.st.states[dst.ix()].state {
             // Replay pinning: narrow this receive to the recorded match.
             ProcState::Blocked { spec, t_post, .. } => (self.pinned(dst, *spec), *t_post),
             _ => return,
         };
-        let candidates = self.st.ranks[dst.ix()].mailbox.candidates(&spec);
+        let mut candidates = std::mem::take(&mut self.candidates);
+        self.st.mailboxes[dst.ix()].candidates(&spec, &mut candidates);
         if candidates.is_empty() {
+            self.candidates = candidates;
             return;
         }
         self.snapshot_if_due(halt);
@@ -646,20 +665,18 @@ impl Engine {
                     .collect(),
             ),
         });
-        let env = self
-            .st
-            .ranks
-            .get_mut(dst.ix())
-            .make_mut()
-            .mailbox
-            .take(candidates[pick]);
-        self.st.matched[dst.ix()] += 1;
+        let env = (self.st.mailboxes.get_mut(dst.ix()).make_mut()).take(candidates[pick]);
+        self.candidates = candidates;
+        self.st.states.get_mut(dst.ix()).matched += 1;
         let t_done = clock::recv_done(t_post, env.arrival);
         // A synchronous sender rendezvouses here: it completes at the
         // same instant the receive does.
         if env.synchronous {
             let sender = env.src;
-            if matches!(self.st.states[sender.ix()], ProcState::BlockedSend { .. }) {
+            if matches!(
+                self.st.states[sender.ix()].state,
+                ProcState::BlockedSend { .. }
+            ) {
                 self.set_state(
                     sender,
                     ProcState::Ready(Reply::SendDone {
@@ -700,7 +717,11 @@ impl Engine {
 
     /// Clear every debugger pause.
     pub fn clear_pauses(&mut self) {
-        self.st.paused.fill(false);
+        for r in 0..self.st.n_ranks {
+            if self.st.paused[r] {
+                *self.st.paused.get_mut(r) = false;
+            }
+        }
         self.ready.clone_from(&self.waiting);
         self.st.ready_changes.push_all();
     }
@@ -712,7 +733,11 @@ impl Engine {
             .into_iter()
             .map(|r| (r, self.st.paused[r.ix()]))
             .collect();
-        self.st.paused.fill(true);
+        for r in 0..self.st.n_ranks {
+            if !self.st.paused[r] {
+                *self.st.paused.get_mut(r) = true;
+            }
+        }
         self.ready.clear();
         self.st.ready_changes.push_all();
         for (r, paused) in kept {
@@ -747,17 +772,19 @@ impl Engine {
 
     /// Is this process currently stopped at a trap?
     pub fn is_trapped(&self, rank: Rank) -> bool {
-        matches!(self.st.states[rank.ix()], ProcState::Trapped { .. })
+        matches!(self.st.states[rank.ix()].state, ProcState::Trapped { .. })
     }
 
     /// Has this process finished?
     pub fn is_finished(&self, rank: Rank) -> bool {
-        matches!(self.st.states[rank.ix()], ProcState::Finished)
+        matches!(self.st.states[rank.ix()].state, ProcState::Finished)
     }
 
     /// Pause / unpause a process (debugger-initiated, turn-level).
     pub fn set_paused(&mut self, rank: Rank, paused: bool) {
-        self.st.paused[rank.ix()] = paused;
+        if self.st.paused[rank.ix()] != paused {
+            *self.st.paused.get_mut(rank.ix()) = paused;
+        }
         self.set_ready(rank, self.waiting.contains(rank) && !paused);
     }
 
@@ -772,8 +799,8 @@ impl Engine {
             .states
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| match s {
-                ProcState::Trapped { marker } => Some(Marker::new(i as u32, *marker)),
+            .filter_map(|(i, p)| match p.state {
+                ProcState::Trapped { marker } => Some(Marker::new(i as u32, marker)),
                 _ => None,
             })
             .collect()
@@ -872,21 +899,25 @@ impl Engine {
 
     /// Consume a finished engine into what an exploration run keeps of
     /// it: the log as [`Engine::collect_trace`] holds it (arrival order)
-    /// and the decision log as [`Engine::decision_points`] shows it,
-    /// trimmed of its growth slack (a caller that keeps thousands of these
-    /// should keep `len`, not `capacity`). Both are moved out, not cloned;
-    /// the rest of the engine is dropped on return.
-    pub fn into_log_and_decisions(mut self) -> (ChunkLog<TraceRecord>, Vec<DecisionPoint>) {
-        let decisions = std::mem::take(&mut self.st.decision_log).into_vec();
+    /// and the decision log as [`Engine::decision_points`] shows it, its
+    /// open tail trimmed of its growth slack (a caller that keeps
+    /// thousands of these should keep `len`, not `capacity`). Both are
+    /// moved out, not cloned: a restored engine's logs still share the
+    /// checkpoint's chunks. The rest of the engine is dropped on return.
+    pub fn into_log_and_decisions(mut self) -> (ChunkLog<TraceRecord>, ChunkLog<DecisionPoint>) {
+        let mut decisions = std::mem::take(&mut self.st.decision_log);
+        decisions.shrink_to_fit();
         (std::mem::take(&mut self.st.collected), decisions)
     }
 
     /// [`Engine::into_log_and_decisions`], the log put in canonical order
-    /// as [`Engine::into_trace_store`] puts it.
+    /// as [`Engine::into_trace_store`] puts it and the decisions in one
+    /// `Vec`.
     pub fn into_trace_and_decisions(self) -> (TraceStore, Vec<DecisionPoint>) {
         let (sites, n_ranks) = (self.st.sites.clone(), self.st.n_ranks);
         let (log, decisions) = self.into_log_and_decisions();
-        (TraceStore::from_owned_log(log, sites, n_ranks), decisions)
+        let store = TraceStore::from_owned_log(log, sites, n_ranks);
+        (store, decisions.into_vec())
     }
 
     /// The receive-match history of this run, for replaying it later: the
@@ -898,13 +929,13 @@ impl Engine {
     /// Undelivered messages per destination (unmatched sends, §4.4).
     pub fn undelivered(&self) -> Vec<(Rank, Vec<Envelope>)> {
         self.st
-            .ranks
+            .mailboxes
             .iter()
             .enumerate()
-            .map(|(i, r)| {
+            .map(|(i, m)| {
                 (
                     Rank(i as u32),
-                    r.mailbox.undelivered().into_iter().cloned().collect(),
+                    m.undelivered().into_iter().cloned().collect(),
                 )
             })
             .collect()
@@ -943,8 +974,8 @@ impl Engine {
             .states
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| match s {
-                ProcState::Faulted(k) => Some((Rank(i as u32), *k)),
+            .filter_map(|(i, p)| match p.state {
+                ProcState::Faulted(k) => Some((Rank(i as u32), k)),
                 _ => None,
             })
             .collect()
@@ -963,7 +994,7 @@ impl Engine {
     pub fn snapshot(&mut self) -> EngineCheckpoint {
         self.st.share();
         EngineCheckpoint {
-            sites_len: self.st.sites.len(),
+            sites_at: self.st.sites.freeze(),
             ..self.st.clone()
         }
     }
@@ -1001,9 +1032,9 @@ impl Engine {
     pub fn digest(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        for (i, s) in self.st.states.iter().enumerate() {
-            (i as u64).hash(&mut h);
-            match s {
+        for (i, p) in self.st.states.iter().enumerate() {
+            (i as u64, p.ops, p.matched).hash(&mut h);
+            match &p.state {
                 ProcState::Ready(_) => 0u8.hash(&mut h),
                 ProcState::Running => 1u8.hash(&mut h),
                 ProcState::Blocked { marker, .. } => {
@@ -1032,17 +1063,15 @@ impl Engine {
             }
             self.st.ranks[i].recorder.marker().hash(&mut h);
         }
-        for (dst, rank) in self.st.ranks.iter().enumerate() {
-            for env in rank.mailbox.undelivered() {
+        for (dst, mailbox) in self.st.mailboxes.iter().enumerate() {
+            for env in mailbox.undelivered() {
                 (env.src.ix(), env.dst.ix(), env.tag.0, env.seq, env.arrival).hash(&mut h);
             }
-            for (src, sent) in rank.mailbox.sent_counts() {
+            for (src, sent) in mailbox.sent_counts() {
                 (src.ix(), dst, sent).hash(&mut h);
             }
         }
-        self.st.ops.hash(&mut h);
         self.st.decision_log.len().hash(&mut h);
-        self.st.matched.hash(&mut h);
         h.finish()
     }
 
@@ -1056,7 +1085,7 @@ impl Engine {
         let ahead = (0..self.st.n_ranks)
             .map(|r| {
                 log.len_for(Rank::from(r))
-                    .saturating_sub(self.st.matched[r] as usize)
+                    .saturating_sub(self.st.states[r].matched as usize)
             })
             .sum();
         self.st.replay = Some(log);
@@ -1494,6 +1523,92 @@ mod tests {
                 .count(),
             9
         );
+    }
+
+    /// Payloads past the 22 bytes a payload holds inline are shared, not
+    /// copied, on their way through a collective: every rank gets the bytes
+    /// the operation defines, and the trace records their lengths.
+    #[test]
+    fn collectives_carry_payloads_longer_than_inline() {
+        use crate::collective::ReduceOp;
+        use tracedbg_trace::CollKind;
+        type Check = fn(Rank, Payload);
+        let collective = |kind, payload: fn(Rank) -> Payload, op, expect: Check| {
+            Prog::op_bind(
+                move |_: &mut St, v| TaskOp::Collective {
+                    kind,
+                    root: Rank(0),
+                    payload: payload(v.rank),
+                    op,
+                    site: site(v),
+                },
+                move |_, r: OpResult, v| expect(v.rank, r.payload()),
+            )
+        };
+        fn root_only(r: Rank, p: Payload) -> Payload {
+            if r == Rank(0) {
+                p
+            } else {
+                Payload::empty()
+            }
+        }
+        let make = || {
+            rank(vec![
+                // 96 bytes scattered into three 32-byte parts.
+                collective(
+                    CollKind::Scatter,
+                    |r| root_only(r, Payload::from_i64s(&(0..12).collect::<Vec<_>>())),
+                    None,
+                    |r, part| {
+                        let first = 4 * r.0 as i64;
+                        assert_eq!(
+                            part.to_i64s().unwrap(),
+                            (first..first + 4).collect::<Vec<_>>()
+                        );
+                    },
+                ),
+                // Three 24-byte parts gathered into 72 bytes at the root.
+                collective(
+                    CollKind::Gather,
+                    |r| Payload::from_i64s(&[r.0 as i64; 3]),
+                    None,
+                    |r, all| {
+                        let want: Vec<i64> = (0..3).flat_map(|s| [s; 3]).collect();
+                        assert_eq!(all, root_only(r, Payload::from_i64s(&want)));
+                    },
+                ),
+                // Four f64s (32 bytes) summed at the root.
+                collective(
+                    CollKind::Reduce,
+                    |r| Payload::from_f64s(&[r.0 as f64, 1.0, 2.0, 3.0]),
+                    Some(ReduceOp::Sum),
+                    |r, sum| {
+                        let want = Payload::from_f64s(&[3.0, 3.0, 6.0, 9.0]);
+                        assert_eq!(sum, root_only(r, want));
+                    },
+                ),
+                // 40 bytes from the root to everyone.
+                collective(
+                    CollKind::Bcast,
+                    |r| root_only(r, Payload::from(vec![7u8; 40])),
+                    None,
+                    |_, got| assert_eq!(got.bytes(), &[7u8; 40][..]),
+                ),
+            ])
+        };
+        let mut e = Engine::launch(cfg(), vec![make(), make(), make()]);
+        let out = e.run();
+        assert!(out.is_completed(), "{out:?}");
+        let store = e.trace_store();
+        let bytes = |kind: CollKind| -> Vec<u32> {
+            let records = store.records().iter();
+            let of_kind = records.filter(|r| r.kind == EventKind::Collective(kind));
+            of_kind.map(|r| r.msg.unwrap().bytes).collect()
+        };
+        assert_eq!(bytes(CollKind::Scatter), [32, 32, 32]);
+        assert_eq!(bytes(CollKind::Gather), [72, 0, 0]);
+        assert_eq!(bytes(CollKind::Reduce), [32, 0, 0]);
+        assert_eq!(bytes(CollKind::Bcast), [40, 40, 40]);
     }
 
     #[test]

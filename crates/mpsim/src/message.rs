@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use tracedbg_trace::{MsgInfo, Rank, SiteId, Tag};
 
 /// A message sitting in a mailbox (sent but not yet received).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Envelope {
     pub src: Rank,
     pub dst: Rank,

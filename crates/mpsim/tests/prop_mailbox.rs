@@ -1,5 +1,7 @@
 //! Property tests: mailbox matching preserves the MPI non-overtaking
-//! invariant under arbitrary operation sequences.
+//! invariant under arbitrary operation sequences, and hands every
+//! message over with the bytes it was sent with, its payload held inline
+//! (up to 22 bytes) or shared (longer).
 
 use proptest::prelude::*;
 use tracedbg_mpsim::{Envelope, Mailbox, MatchSpec, Payload};
@@ -7,8 +9,8 @@ use tracedbg_trace::{Rank, SiteId, Tag};
 
 #[derive(Clone, Debug)]
 enum Op {
-    /// Deposit a message from `src` with `tag`.
-    Push { src: u32, tag: i32 },
+    /// Deposit a message of `len` bytes from `src` with `tag`.
+    Push { src: u32, tag: i32, len: usize },
     /// Attempt a receive with the given spec; deterministic candidate
     /// choice (earliest arrival, lowest source).
     Recv { src: Option<u32>, tag: Option<i32> },
@@ -16,13 +18,24 @@ enum Op {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u32..4, 0i32..3).prop_map(|(src, tag)| Op::Push { src, tag }),
+        (0u32..4, 0i32..3, prop_oneof![0usize..=22, 23usize..=64])
+            .prop_map(|(src, tag, len)| Op::Push { src, tag, len }),
         (
             prop_oneof![Just(None), (0u32..4).prop_map(Some)],
             prop_oneof![Just(None), (0i32..3).prop_map(Some)],
         )
             .prop_map(|(src, tag)| Op::Recv { src, tag }),
     ]
+}
+
+/// The payload of message `seq` from `src`: `len` bytes that tell it
+/// apart from every other message of the run.
+fn payload(src: u32, seq: u64, len: usize) -> Payload {
+    Payload::from(
+        (0..len)
+            .map(|i| (src as usize * 31 + seq as usize * 7 + i) as u8)
+            .collect::<Vec<u8>>(),
+    )
 }
 
 proptest! {
@@ -34,15 +47,18 @@ proptest! {
         let mut next_seq = [0u64; 4];
         let mut arrival = 0u64;
         let mut taken = 0u64;
+        let mut sent = std::collections::HashMap::new();
+        let mut cands = Vec::new();
         // Last delivered seq per (src, tag).
         let mut last_delivered: std::collections::HashMap<(u32, i32), u64> =
             Default::default();
         for op in &ops {
             match op {
-                Op::Push { src, tag } => {
+                Op::Push { src, tag, len } => {
                     arrival += 7;
                     let seq = next_seq[*src as usize];
                     next_seq[*src as usize] += 1;
+                    sent.insert((*src, seq), *len);
                     mb.push(Envelope {
                         src: Rank(*src),
                         dst: Rank(0),
@@ -52,12 +68,12 @@ proptest! {
                         send_marker: 0,
                         send_site: SiteId::UNKNOWN,
                         synchronous: false,
-                        payload: Payload::empty(),
+                        payload: payload(*src, seq, *len),
                     });
                 }
                 Op::Recv { src, tag } => {
                     let spec = MatchSpec::new(src.map(Rank), tag.map(Tag));
-                    let cands = mb.candidates(&spec);
+                    mb.candidates(&spec, &mut cands);
                     // At most one candidate per source.
                     let mut seen = std::collections::HashSet::new();
                     for c in &cands {
@@ -74,8 +90,12 @@ proptest! {
                                 "delivered {} after {} on {:?}", env.seq, prev, k);
                         }
                         last_delivered.insert(k, env.seq);
-                        // The spec admitted what we took.
+                        // The spec admitted what we took, and the bytes
+                        // are the ones sent.
                         prop_assert!(spec.admits(&env));
+                        let len = sent[&(env.src.0, env.seq)];
+                        prop_assert_eq!(&env.payload, &payload(env.src.0, env.seq, len));
+                        prop_assert_eq!(env.payload.len(), len);
                     }
                 }
             }
@@ -93,7 +113,7 @@ proptest! {
         let mut mb = Mailbox::new();
         let mut next_seq = [0u64; 4];
         for (i, op) in ops.iter().enumerate() {
-            if let Op::Push { src, tag } = op {
+            if let Op::Push { src, tag, len } = op {
                 let seq = next_seq[*src as usize];
                 next_seq[*src as usize] += 1;
                 mb.push(Envelope {
@@ -105,14 +125,15 @@ proptest! {
                     send_marker: 0,
                     send_site: SiteId::UNKNOWN,
                     synchronous: false,
-                    payload: Payload::empty(),
+                    payload: payload(*src, seq, *len),
                 });
             }
         }
         // Any message matchable by (src, ANY) is also matchable by
         // (ANY, ANY)'s candidate set for that source.
-        let specific = mb.candidates(&MatchSpec::new(Some(Rank(src)), None));
-        let wild = mb.candidates(&MatchSpec::any());
+        let (mut specific, mut wild) = (Vec::new(), Vec::new());
+        mb.candidates(&MatchSpec::new(Some(Rank(src)), None), &mut specific);
+        mb.candidates(&MatchSpec::any(), &mut wild);
         for c in &specific {
             prop_assert!(
                 wild.iter().any(|w| w.src == c.src && w.seq == c.seq),

@@ -603,8 +603,13 @@ impl SharedWriter {
 
 impl TraceSink for SharedWriter {
     fn accept(&mut self, rec: &TraceRecord) {
+        self.accept_batch(std::slice::from_ref(rec));
+    }
+
+    /// Takes the lock once for the batch.
+    fn accept_batch(&mut self, recs: &[TraceRecord]) {
         if let Some(w) = self.inner.lock().unwrap().as_mut() {
-            w.records.push(*rec);
+            w.records.extend_from_slice(recs);
         }
     }
 }

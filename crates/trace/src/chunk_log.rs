@@ -18,6 +18,9 @@ use std::fmt;
 use std::ops::Index;
 use std::sync::Arc;
 
+/// The entries an open tail holds once it has held any.
+const FIRST_TAIL: usize = 32;
+
 /// A sealed chunk and the number of entries up to and including it, so a
 /// lookup by index is a binary search over the chunk list.
 type Chunk<T> = (usize, Arc<Vec<T>>);
@@ -61,9 +64,14 @@ impl<T> ChunkLog<T> {
         self.sealed.as_deref().map_or(&[], Vec::as_slice)
     }
 
-    /// Append one entry.
+    /// Append one entry. An empty tail grows to `FIRST_TAIL` entries at
+    /// once, not by doubling from four: a log restored from a checkpoint
+    /// starts with an empty tail.
     #[inline]
     pub fn push(&mut self, entry: T) {
+        if self.tail.len() == self.tail.capacity() && self.tail.capacity() < FIRST_TAIL {
+            self.tail.reserve_exact(FIRST_TAIL - self.tail.len());
+        }
         self.tail.push(entry);
     }
 
@@ -98,10 +106,27 @@ impl<T> ChunkLog<T> {
         tail
     }
 
+    /// Give the open tail's growth slack back: a log kept long after it
+    /// stopped growing holds only its entries.
+    pub fn shrink_to_fit(&mut self) {
+        self.tail.shrink_to_fit();
+    }
+
     /// Entries oldest first.
     pub fn iter(&self) -> Iter<'_, T> {
         let chunk: fn(&Chunk<T>) -> &[T] = |(_, c)| c.as_slice();
         self.chunks().iter().flat_map(chunk).chain(self.tail.iter())
+    }
+
+    /// The entries from `from` on, oldest first, as the slices they are
+    /// stored in: each sealed chunk's, then the tail's.
+    pub fn slices_from(&self, from: usize) -> impl Iterator<Item = &[T]> {
+        let chunks = self.chunks().iter().map(|(end, c)| (*end, c.as_slice()));
+        let tail = std::iter::once((self.len(), self.tail.as_slice()));
+        chunks.chain(tail).filter_map(move |(end, slice)| {
+            let start = end - slice.len();
+            (end > from.max(start)).then(|| &slice[from.saturating_sub(start)..])
+        })
     }
 
     /// The entry at `index`: a binary search over the chunks' ends.
@@ -242,6 +267,24 @@ mod tests {
         }
         assert_eq!(log.get(3 * N + 7), None);
         assert_eq!(log.iter().next_back(), Some(&(3 * N + 6)));
+    }
+
+    #[test]
+    fn slices_from_cover_the_entries_from_an_index_on() {
+        let mut log = ChunkLog::new();
+        for i in 0..3 * N + 7 {
+            if i % N == 0 {
+                log.seal();
+            }
+            log.push(i);
+        }
+        for from in [0, 1, N - 1, N, N + 1, 3 * N, 3 * N + 6, 3 * N + 7, 4 * N] {
+            let got: Vec<usize> = log.slices_from(from).flatten().copied().collect();
+            let want: Vec<usize> = (from..3 * N + 7).collect();
+            assert_eq!(got, want, "from {from}");
+            assert!(log.slices_from(from).all(|s| !s.is_empty()), "from {from}");
+        }
+        assert_eq!(log.slices_from(0).count(), 4, "three chunks and the tail");
     }
 
     #[test]

@@ -134,9 +134,16 @@ pub fn trace_digest(records: &[TraceRecord]) -> u64 {
 ///
 /// A run's records come in stretches of one rank (a grant records until
 /// the rank's next request), so each stretch is folded in a register and
-/// its lane written back once.
+/// its lane written back once. The lanes live in a buffer each thread
+/// keeps between calls, so a digest allocates nothing once its thread
+/// has digested a run as wide.
 pub fn run_digest<'a>(records: impl IntoIterator<Item = &'a TraceRecord>, n_ranks: usize) -> u64 {
-    let mut lanes = vec![(SEED, 0u64); n_ranks];
+    thread_local! {
+        static LANES: std::cell::Cell<Vec<(u64, u64)>> = const { std::cell::Cell::new(Vec::new()) };
+    }
+    let mut lanes = LANES.take();
+    lanes.clear();
+    lanes.resize(n_ranks, (SEED, 0));
     // The stretch's rank (`usize::MAX` before the first) and its lane.
     let (mut rank, mut h, mut n) = (usize::MAX, SEED, 0u64);
     for rec in records {
@@ -155,11 +162,13 @@ pub fn run_digest<'a>(records: impl IntoIterator<Item = &'a TraceRecord>, n_rank
     if let Some(lane) = lanes.get_mut(rank) {
         *lane = (h, n);
     }
-    fold(
+    let digest = fold(
         lanes
             .iter()
             .fold(SEED, |h, &(lane, n)| mix(mix(h, lane), n)),
-    )
+    );
+    LANES.set(lanes);
+    digest
 }
 
 /// [`run_digest`] as it was first written, a lane read and written per

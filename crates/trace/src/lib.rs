@@ -47,7 +47,7 @@ pub use event::{CollKind, EventKind, MsgInfo, TraceRecord};
 pub use history::{EventId, TraceStore};
 pub use ids::{ChannelId, Rank, SiteId, Tag, ANY_SOURCE, ANY_TAG};
 pub use label::Label;
-pub use loc::{SiteKey, SiteTable, SourceLoc};
+pub use loc::{SiteKey, SitePrefix, SiteTable, SourceLoc};
 pub use marker::{Marker, MarkerVector};
 pub use query::EventQuery;
 pub use schedule::{

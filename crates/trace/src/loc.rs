@@ -122,30 +122,68 @@ impl Hasher for KeyHasher {
     }
 }
 
-#[derive(Default)]
-struct Inner {
-    /// Each id's key: the sites in first-use order.
+/// Sites numbered from some first id on: each one's key, and the id of
+/// each key.
+#[derive(Clone, Default)]
+struct Keys {
     keys: Vec<SiteKey>,
     ids: HashMap<SiteKey, SiteId, BuildHasherDefault<KeyHasher>>,
+}
+
+impl Keys {
+    fn push(&mut self, key: SiteKey, id: SiteId) {
+        self.ids.insert(key, id);
+        self.keys.push(key);
+    }
+}
+
+#[derive(Default)]
+struct Inner {
+    /// The table's first sites, frozen by [`SiteTable::freeze`]: shared,
+    /// never written again, with the tables of runs forked from it.
+    frozen: Option<Arc<Keys>>,
+    /// The sites interned since, numbered on from `frozen`'s. A key is in
+    /// one of the two.
+    own: Keys,
     /// The file of the script the run's ranks run: the file of every
     /// script key (see [`SiteKey::scripted`]).
     script: Option<Arc<str>>,
 }
 
 impl Inner {
+    fn frozen(&self) -> &[SiteKey] {
+        self.frozen.as_deref().map_or(&[], |f| &f.keys)
+    }
+
+    fn len(&self) -> usize {
+        self.frozen().len() + self.own.keys.len()
+    }
+
     /// The id of `key`, the next one if the table has none for it yet.
     fn id(&mut self, key: SiteKey) -> SiteId {
-        let next = SiteId(self.keys.len() as u32);
-        let id = *self.ids.entry(key).or_insert(next);
+        if let Some(&id) = self.frozen.as_ref().and_then(|f| f.ids.get(&key)) {
+            return id;
+        }
+        let next = SiteId(self.len() as u32);
+        let id = *self.own.ids.entry(key).or_insert(next);
         if id == next {
-            self.keys.push(key);
+            self.own.keys.push(key);
         }
         id
     }
 
+    /// The key at `id`.
+    fn key(&self, id: SiteId) -> Option<SiteKey> {
+        let frozen = self.frozen();
+        match id.ix().checked_sub(frozen.len()) {
+            None => Some(frozen[id.ix()]),
+            Some(own) => self.own.keys.get(own).copied(),
+        }
+    }
+
     /// The `(file, line, func)` of the key at `id`.
     fn parts(&self, id: SiteId) -> Option<(&str, u32, &'static str)> {
-        let Parts(file, line, func) = self.keys.get(id.ix())?.parts();
+        let Parts(file, line, func) = self.key(id)?.parts();
         let file = match file {
             Some(file) => file.as_str(),
             None => self.script.as_deref().unwrap_or("?"),
@@ -155,7 +193,7 @@ impl Inner {
 
     /// The ids whose location passes `keep`.
     fn find(&self, keep: impl Fn((&str, u32, &str)) -> bool) -> Vec<SiteId> {
-        (0..self.keys.len() as u32)
+        (0..self.len() as u32)
             .map(SiteId)
             .filter(|&id| self.parts(id).is_some_and(&keep))
             .collect()
@@ -231,7 +269,7 @@ impl SiteTable {
 
     /// Number of interned sites.
     pub fn len(&self) -> usize {
-        self.lock().keys.len()
+        self.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -241,7 +279,7 @@ impl SiteTable {
     /// Snapshot of all interned locations, indexed by `SiteId`.
     pub fn snapshot(&self) -> Vec<SourceLoc> {
         let inner = self.lock();
-        let ids = (0..inner.keys.len() as u32).map(SiteId);
+        let ids = (0..inner.len() as u32).map(SiteId);
         ids.filter_map(|id| inner.parts(id))
             .map(|(file, line, func)| SourceLoc::new(file, line, func))
             .collect()
@@ -257,20 +295,24 @@ impl SiteTable {
         self.lock().find(|(f, l, _)| f == file && l == line)
     }
 
-    /// A table of its own holding this one's first `n` sites under the
-    /// same ids (all of them if it has fewer), and its script's file: the
-    /// table as it stood when it held `n` sites. A table only grows, so
-    /// this is what a run that shares a checkpoint's past starts from
-    /// while the run the checkpoint was taken of goes on interning.
-    pub fn prefix(&self, n: usize) -> SiteTable {
-        let inner = self.lock();
-        let keys = inner.keys[..n.min(inner.keys.len())].to_vec();
-        let ids = (keys.iter().enumerate())
-            .map(|(i, &key)| (key, SiteId(i as u32)))
-            .collect();
-        let script = inner.script.clone();
-        SiteTable {
-            inner: Arc::new(Mutex::new(Inner { keys, ids, script })),
+    /// The table as it stands, to start tables of its own from
+    /// ([`SitePrefix::table`]) while this one goes on interning. The sites
+    /// interned since the last freeze join the frozen ones: in place when
+    /// no prefix still holds them, else in a copy. Freezing a table that
+    /// interned nothing since allocates nothing.
+    pub fn freeze(&self) -> SitePrefix {
+        let mut inner = self.lock();
+        let Inner { frozen, own, .. } = &mut *inner;
+        if !own.keys.is_empty() {
+            let frozen = Arc::make_mut(frozen.get_or_insert_with(Default::default));
+            for key in own.keys.drain(..) {
+                frozen.push(key, SiteId(frozen.keys.len() as u32));
+            }
+            own.ids.clear();
+        }
+        SitePrefix {
+            keys: inner.frozen.clone(),
+            script: inner.script.clone(),
         }
     }
 
@@ -281,11 +323,34 @@ impl SiteTable {
         let mut inner = Inner::default();
         for s in &sites {
             let key = SiteKey::new(&s.file, s.line, &s.func);
-            inner.ids.insert(key, SiteId(inner.keys.len() as u32));
-            inner.keys.push(key);
+            inner.own.push(key, SiteId(inner.own.keys.len() as u32));
         }
         SiteTable {
             inner: Arc::new(Mutex::new(inner)),
+        }
+    }
+}
+
+/// A [`SiteTable`]'s sites as they stood when it was frozen
+/// ([`SiteTable::freeze`]), and its script's file: shared, not copied.
+#[derive(Clone, Default)]
+pub struct SitePrefix {
+    keys: Option<Arc<Keys>>,
+    script: Option<Arc<str>>,
+}
+
+impl SitePrefix {
+    /// A table of its own holding the prefix's sites under the same ids,
+    /// which numbers the sites it interns next on from them: what a run
+    /// that shares a checkpoint's past starts from. Shares the sites
+    /// instead of copying them; allocates the table's one cell.
+    pub fn table(&self) -> SiteTable {
+        SiteTable {
+            inner: Arc::new(Mutex::new(Inner {
+                frozen: self.keys.clone(),
+                own: Keys::default(),
+                script: self.script.clone(),
+            })),
         }
     }
 }
@@ -367,6 +432,33 @@ mod tests {
         let t = SiteTable::new();
         t.script_id(&Arc::from("a.script"), SiteKey::scripted(1, "main"));
         t.script_id(&Arc::from("b.script"), SiteKey::scripted(2, "main"));
+    }
+
+    /// A table started from a frozen prefix numbers sites as the table it
+    /// was frozen from did, and its own on from there; the frozen table
+    /// goes on interning without moving what an earlier prefix holds.
+    #[test]
+    fn a_prefix_numbers_sites_as_its_table_did() {
+        let t = SiteTable::new();
+        let file: Arc<str> = Arc::from("unit.script");
+        let a = t.script_id(&file, SiteKey::scripted(1, "main"));
+        let prefix = t.freeze();
+        let b = t.site("b.c", 2, "g");
+        let fork = prefix.table();
+        assert_eq!(fork.len(), 1);
+        assert_eq!(fork.script_id(&file, SiteKey::scripted(1, "main")), a);
+        assert_eq!(fork.site("c.c", 3, "h"), b, "numbered on from the prefix");
+        assert_eq!(
+            fork.resolve(a),
+            Some(SourceLoc::new("unit.script", 1, "main"))
+        );
+        assert_eq!(fork.func_name(b), "h");
+        assert_eq!(t.func_name(b), "g");
+        let again = t.freeze();
+        assert_eq!(prefix.table().len(), 1, "an earlier prefix is unchanged");
+        assert_eq!(again.table().site("b.c", 2, "g"), b);
+        assert_eq!(t.site("d.c", 4, "k"), SiteId(2));
+        assert_eq!(t.find_line("b.c", 2), vec![b]);
     }
 
     #[test]

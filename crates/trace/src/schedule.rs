@@ -506,9 +506,12 @@ impl ReadySets {
 
     /// Advance past the points of `log` (whose first `walked` points it
     /// has advanced past already) up to and including point `i`.
-    pub fn advance_through(&mut self, log: &[DecisionPoint], i: usize) {
-        for p in &log[self.walked..=i] {
-            self.advance(p);
+    pub fn advance_through<L>(&mut self, log: &L, i: usize)
+    where
+        L: std::ops::Index<usize, Output = DecisionPoint> + ?Sized,
+    {
+        for j in self.walked..=i {
+            self.advance(&log[j]);
         }
     }
 

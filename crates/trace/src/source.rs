@@ -239,6 +239,13 @@ fn collect(iter: EventIter<'_>) -> Result<Vec<TraceRecord>, SourceError> {
 /// finish.
 pub trait TraceSink: Send {
     fn accept(&mut self, rec: &TraceRecord);
+
+    /// Accept `recs` in order: a session hands its log over a chunk at a
+    /// time. The default accepts them one by one; a sink that pays per
+    /// call (a lock, a syscall) pays once per batch by overriding it.
+    fn accept_batch(&mut self, recs: &[TraceRecord]) {
+        recs.iter().for_each(|rec| self.accept(rec));
+    }
 }
 
 /// Collect a source into the in-memory reference store.

@@ -120,17 +120,43 @@ fn a_session_launch_grows_with_the_ranks_not_their_square() {
     );
 }
 
+/// The median over `pairs` pairs of `sample(true) / sample(false)`, the
+/// pairs taken in ABBA order (false then true, then true then false, …),
+/// so neither cell is always the one sampled right after the other.
+fn paired_median_ratio(pairs: usize, mut sample: impl FnMut(bool) -> f64) -> f64 {
+    let mut ratios: Vec<f64> = (0..pairs)
+        .map(|i| {
+            let first = i % 2 == 1;
+            let a = sample(first);
+            let b = sample(!first);
+            let (off, on) = if first { (b, a) } else { (a, b) };
+            on / off
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let mid = pairs / 2;
+    if pairs % 2 == 1 {
+        ratios[mid]
+    } else {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    }
+}
+
 /// Metering a run costs per event: its metrics are derived after it from
 /// its trace and decision log in one pass over each, and a run that uses 4
 /// channels per rank does not pay for all ranks² of them (1.3–1.4× an
 /// unmetered run at 1024 ranks while it did, on a 2-CPU VM).
+///
+/// The bound is on the median of paired ratios: the best-of-five of each
+/// cell, the metered one always sampled right after the unmetered one,
+/// read over 1.15 about one run in ten on a 2-CPU VM whose median ratio
+/// was 1.08.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
 fn a_metered_run_costs_at_most_15_percent_more_at_1024_ranks() {
-    // A sample is four runs back to back: the margin is thinner than the
-    // other gates', and a longer sample averages out short bursts of a
-    // shared machine (five single runs failed about 1 time in 10).
-    let [off, on] = interleaved_best(&[false, true], |&metrics| {
+    // A sample is four runs back to back: a longer sample averages out
+    // short bursts of a shared machine.
+    let ratio = paired_median_ratio(20, |metrics| {
         timed(|| {
             for _ in 0..4 {
                 let mut engine = Engine::launch(
@@ -144,14 +170,10 @@ fn a_metered_run_costs_at_most_15_percent_more_at_1024_ranks() {
             }
         }) / 4.0
     });
-    eprintln!(
-        "metrics    ms off/on at 1024 ranks: {:.2} / {:.2}",
-        off / 1e6,
-        on / 1e6
-    );
+    eprintln!("metrics    on/off at 1024 ranks, median of 20 ABBA pairs: {ratio:.3}");
     assert!(
-        on <= 1.15 * off,
-        "a metered 1024-rank run costs {on:.0} ns against {off:.0} ns unmetered"
+        ratio <= 1.15,
+        "a metered 1024-rank run costs {ratio:.3}× an unmetered one (median of 20 pairs)"
     );
 }
 
