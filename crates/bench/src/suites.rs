@@ -196,10 +196,10 @@ fn suite_causality(opts: &SuiteOptions) -> Suite {
     // index: the 20x20 stencil of the `wide_stencil` benchmark workload
     // (~20k events, no wildcard receive, so nothing ever queries it).
     if wants(opts, "causality", "hb_index_stencil_400") {
-        let store = recorded(wide::stencil_programs(&wide::StencilConfig {
+        let store = recorded(wide::stencil_factory(wide::StencilConfig {
             p: 20,
             steps: 4,
-        }));
+        })());
         let matching = MessageMatching::build(&store);
         records.push(measure(
             "hb_index_stencil_400",
@@ -470,7 +470,7 @@ fn suite_engine(opts: &SuiteOptions) -> Suite {
                     recorder: RecorderConfig::markers_only(),
                     ..Default::default()
                 },
-                wide::stencil_programs(&cfg),
+                wide::stencil_factory(cfg)(),
             );
             assert!(e.run().is_completed());
         }));
@@ -483,7 +483,7 @@ fn suite_engine(opts: &SuiteOptions) -> Suite {
                     recorder: RecorderConfig::markers_only(),
                     ..Default::default()
                 },
-                wide::butterfly_programs(&cfg),
+                wide::butterfly_factory(cfg)(),
             );
             assert!(e.run().is_completed());
         }));
@@ -506,7 +506,7 @@ fn suite_engine(opts: &SuiteOptions) -> Suite {
         records.push(measure(name, 1, wp, || {
             let mut e = Engine::launch(
                 EngineConfig::with_recorder(RecorderConfig::full()),
-                wide::stencil_programs(&cfg),
+                wide::stencil_factory(cfg)(),
             );
             assert!(e.run().is_completed());
             if metrics {
@@ -598,7 +598,7 @@ fn suite_checkpoint(opts: &SuiteOptions) -> Suite {
         assert!(e.run().is_stopped());
         e
     };
-    let stencil400 = || wide::stencil_programs(&wide::StencilConfig { p: 20, steps: 4 });
+    let stencil400 = || wide::stencil_factory(wide::StencilConfig { p: 20, steps: 4 })();
     if wants(opts, "checkpoint", "snapshot_stencil400_mid")
         || wants(opts, "checkpoint", "restore_stencil400_mid")
     {

@@ -184,7 +184,7 @@ pub(crate) enum ProcState {
     Panicked(String),
 }
 
-/// A rank's program: a [`Prog`] tree and its initial state, built with
+/// A rank's program: a [`Prog`] and its initial state, built with
 /// [`RankProgram::task`].
 pub struct RankProgram(Box<dyn TaskProgram>);
 
@@ -193,7 +193,7 @@ pub struct RankProgram(Box<dyn TaskProgram>);
 pub type ProgramFactory = Box<dyn Fn() -> Vec<RankProgram> + Send + Sync>;
 
 impl RankProgram {
-    /// A rank from a [`Prog`] tree and its initial state.
+    /// A rank from a [`Prog`] and its initial state.
     pub fn task<S: Clone + Send + Sync + 'static>(state: S, prog: Prog<S>) -> Self {
         RankProgram(Box::new(TaskInterp::new(state, prog)))
     }

@@ -2,7 +2,7 @@
 //!
 //! `mpsim` plays the role of MPI/PVM plus the process-control half of p2d2
 //! in the paper's architecture. Simulated processes are resumable
-//! state-machine tasks ([`task::Prog`] trees run by [`task::TaskInterp`])
+//! state-machine tasks ([`task::Prog`] node tables run by [`task::TaskInterp`])
 //! that yield a [`task::TaskOp`] at every
 //! send/recv/collective boundary (an MPI-flavoured vocabulary: tagged
 //! sends, blocking receives with `ANY_SOURCE`/`ANY_TAG` wildcards,

@@ -13,12 +13,15 @@
 //! *before* the receive is submitted), the instrumentation-off
 //! short-circuits, and panic capture.
 //!
-//! Every program is a [`Prog`] syntax tree (sequence / act / op / scope /
-//! if / loops / dynamic generation) interpreted by [`TaskInterp`], whose
-//! explicit frame stack is what makes mid-program snapshots cheap: nodes
-//! are `Arc`-shared, so cloning an interpreter clones a few pointers plus
-//! the user state `S`. Native workloads build their trees by hand; a
-//! script is lowered to one when it is parsed.
+//! Every program is a [`Prog`] (sequence / act / op / scope / if / loops /
+//! calls into a function table fixed when it is built), held as one flat
+//! table of nodes that its constructors lower it to and that every rank
+//! running it shares. [`TaskInterp`] interprets it with an explicit stack
+//! of `Copy` frames, plain node indices, which is what makes mid-program
+//! snapshots cheap: copying an interpreter copies its frames, one table
+//! handle and the user state `S`. Native workloads build their programs
+//! by hand, once per program; a script is lowered to one when it is
+//! parsed.
 
 use crate::collective::ReduceOp;
 use crate::message::{MatchSpec, Message};
@@ -173,7 +176,7 @@ impl Clone for Box<dyn TaskProgram> {
 }
 
 // ---------------------------------------------------------------------------
-// Prog<S>: a resumable program syntax tree
+// Prog<S>: a resumable program, lowered to a flat node table
 // ---------------------------------------------------------------------------
 
 type ActFn<S> = Arc<dyn Fn(&mut S, &TaskView<'_>) + Send + Sync>;
@@ -183,50 +186,43 @@ type CondFn<S> = Arc<dyn Fn(&S, &TaskView<'_>) -> bool + Send + Sync>;
 type RangeFn<S> = Arc<dyn Fn(&S, &TaskView<'_>) -> (i64, i64) + Send + Sync>;
 type IndexFn<S> = Arc<dyn Fn(&mut S, i64) + Send + Sync>;
 type EnterFn<S> = Arc<dyn Fn(&mut S, &TaskView<'_>) -> (SiteId, [i64; 2]) + Send + Sync>;
-type GenFn<S> = Arc<dyn Fn(&mut S, &TaskView<'_>) -> Prog<S> + Send + Sync>;
 
+/// One entry of a program's table. A node's last child sits right before
+/// it; another child is named by how far before the node it sits, so a
+/// part's entries mean the same wherever a larger program appends them.
+#[derive(Clone)]
 enum Node<S> {
-    /// Run children in order.
-    Seq(Vec<Prog<S>>),
+    /// Run the child `.0` before, then the one right before: a sequence is
+    /// a chain of these.
+    Then(u32),
     /// Pure local mutation of the task state: no op, no trace record.
     Act(ActFn<S>),
-    /// Yield one op; `bind` consumes its result on resume.
-    Op {
-        emit: EmitFn<S>,
-        bind: Option<BindFn<S>>,
-    },
-    /// An instrumented function scope: FnEnter, body, FnExit.
-    Scope { enter: EnterFn<S>, body: Prog<S> },
-    /// Two-way branch.
-    If {
-        cond: CondFn<S>,
-        then: Prog<S>,
-        els: Prog<S>,
-    },
-    /// Counted loop over `start..end`; `at` publishes the index into `S`
-    /// before each iteration.
-    For {
-        range: RangeFn<S>,
-        at: IndexFn<S>,
-        body: Prog<S>,
-    },
+    /// Yield one op; the bind consumes its result on resume.
+    Op(EmitFn<S>, Option<BindFn<S>>),
+    /// An instrumented function scope over its child: FnEnter, child,
+    /// FnExit.
+    Scope(EnterFn<S>),
+    /// Two-way branch: the child `.1` before if the condition holds, else
+    /// the one right before.
+    If(CondFn<S>, u32),
+    /// Counted loop over `start..end`; the index fn publishes the index
+    /// into `S` before each turn of the child.
+    For(RangeFn<S>, IndexFn<S>),
     /// Condition-checked loop.
-    While { cond: CondFn<S>, body: Prog<S> },
-    /// Build a subtree at runtime from the current state — recursion and
-    /// data-dependent program shapes.
-    Gen(GenFn<S>),
+    While(CondFn<S>),
+    /// A call of function `.0`, until [`Prog::with_functions`] resolves it
+    /// to a `Jump`.
+    Call(u32),
+    /// Go on at the node this far before (wrapping: or after) this one.
+    Jump(u32),
 }
 
-/// What a [`Prog`] handle points at.
-struct Tree<S> {
-    node: Node<S>,
-    /// Most frames the interpreter stacks while running `node`, not
-    /// counting what a `Gen` inside it builds at run time.
-    depth: usize,
-}
-
-/// A shareable program tree node (cheap to clone: one `Arc`).
-pub struct Prog<S>(Arc<Tree<S>>);
+/// A program: one immutable table of nodes, each after its children (so
+/// the last is the root), shared by every rank and every launch that runs
+/// it (a clone is one `Arc`). Building is lowering: each constructor
+/// appends its parts' nodes and then its own, so nothing is lowered when a
+/// rank starts.
+pub struct Prog<S>(Arc<[Node<S>]>);
 
 impl<S> Clone for Prog<S> {
     fn clone(&self) -> Self {
@@ -234,35 +230,47 @@ impl<S> Clone for Prog<S> {
     }
 }
 
-impl<S> Prog<S> {
-    fn new(node: Node<S>) -> Self {
-        let depth = match &node {
-            Node::Act(_) | Node::Op { .. } | Node::Gen(_) => 0,
-            Node::Seq(items) => items.iter().map(|p| p.0.depth + 1).max().unwrap_or(0),
-            // `ScopeExit` under the pending body, then under its frames.
-            Node::Scope { body, .. } => 1 + body.0.depth.max(1),
-            Node::If { then, els, .. } => then.0.depth.max(els.0.depth),
-            Node::For { body, .. } | Node::While { body, .. } => 1 + body.0.depth,
-        };
-        Prog(Arc::new(Tree { node, depth }))
+impl<S: Clone + Send + Sync + 'static> Prog<S> {
+    /// The nodes of `parts` one after another, and where each root landed.
+    fn append(parts: Vec<Prog<S>>) -> (Vec<Node<S>>, Vec<u32>) {
+        let mut nodes = Vec::new();
+        let roots = parts.iter().map(|part| {
+            nodes.extend_from_slice(&part.0);
+            nodes.len() as u32 - 1
+        });
+        let roots = roots.collect();
+        (nodes, roots)
     }
-}
 
-impl<S: Send + Sync + 'static> Prog<S> {
+    /// The program of `node` over `parts`. Not inlined: it is the one copy
+    /// of the building code, whatever closure each constructor boxed.
+    #[inline(never)]
+    fn join(parts: Vec<Prog<S>>, node: Node<S>) -> Self {
+        let (mut nodes, _) = Self::append(parts);
+        nodes.push(node);
+        Prog(nodes.into())
+    }
+
+    /// Run `items` in order: a chain of `Then` nodes, the last item's
+    /// root before them. The empty sequence is an `act` that does nothing.
     pub fn seq(items: Vec<Prog<S>>) -> Self {
-        Prog::new(Node::Seq(items))
+        let (mut nodes, mut roots) = Self::append(items);
+        if roots.pop().is_none() {
+            return Prog::act(|_, _| {});
+        }
+        for first in roots.into_iter().rev() {
+            nodes.push(Node::Then(nodes.len() as u32 - first));
+        }
+        Prog(nodes.into())
     }
 
     pub fn act(f: impl Fn(&mut S, &TaskView<'_>) + Send + Sync + 'static) -> Self {
-        Prog::new(Node::Act(Arc::new(f)))
+        Prog::join(vec![], Node::Act(Arc::new(f)))
     }
 
     /// Yield the op computed by `emit`, discarding its result.
     pub fn op(f: impl Fn(&mut S, &TaskView<'_>) -> TaskOp + Send + Sync + 'static) -> Self {
-        Prog::new(Node::Op {
-            emit: Arc::new(f),
-            bind: None,
-        })
+        Prog::join(vec![], Node::Op(Arc::new(f), None))
     }
 
     /// Yield the op computed by `emit`; `bind` receives its result.
@@ -270,20 +278,14 @@ impl<S: Send + Sync + 'static> Prog<S> {
         emit: impl Fn(&mut S, &TaskView<'_>) -> TaskOp + Send + Sync + 'static,
         bind: impl Fn(&mut S, OpResult, &TaskView<'_>) + Send + Sync + 'static,
     ) -> Self {
-        Prog::new(Node::Op {
-            emit: Arc::new(emit),
-            bind: Some(Arc::new(bind)),
-        })
+        Prog::join(vec![], Node::Op(Arc::new(emit), Some(Arc::new(bind))))
     }
 
     pub fn scope(
         enter: impl Fn(&mut S, &TaskView<'_>) -> (SiteId, [i64; 2]) + Send + Sync + 'static,
         body: Prog<S>,
     ) -> Self {
-        Prog::new(Node::Scope {
-            enter: Arc::new(enter),
-            body,
-        })
+        Prog::join(vec![body], Node::Scope(Arc::new(enter)))
     }
 
     pub fn if_else(
@@ -291,11 +293,8 @@ impl<S: Send + Sync + 'static> Prog<S> {
         then: Prog<S>,
         els: Prog<S>,
     ) -> Self {
-        Prog::new(Node::If {
-            cond: Arc::new(cond),
-            then,
-            els,
-        })
+        let then_back = els.0.len() as u32 + 1;
+        Prog::join(vec![then, els], Node::If(Arc::new(cond), then_back))
     }
 
     pub fn when(
@@ -311,27 +310,35 @@ impl<S: Send + Sync + 'static> Prog<S> {
         at: impl Fn(&mut S, i64) + Send + Sync + 'static,
         body: Prog<S>,
     ) -> Self {
-        Prog::new(Node::For {
-            range: Arc::new(range),
-            at: Arc::new(at),
-            body,
-        })
+        Prog::join(vec![body], Node::For(Arc::new(range), Arc::new(at)))
     }
 
     pub fn while_loop(
         cond: impl Fn(&S, &TaskView<'_>) -> bool + Send + Sync + 'static,
         body: Prog<S>,
     ) -> Self {
-        Prog::new(Node::While {
-            cond: Arc::new(cond),
-            body,
-        })
+        Prog::join(vec![body], Node::While(Arc::new(cond)))
     }
 
-    /// Defer construction: `f` runs when execution reaches this node and
-    /// the subtree it returns is executed in place.
-    pub fn gen(f: impl Fn(&mut S, &TaskView<'_>) -> Prog<S> + Send + Sync + 'static) -> Self {
-        Prog::new(Node::Gen(Arc::new(f)))
+    /// Run function `f` of the table [`Prog::with_functions`] gives the
+    /// whole program: recursion, and one body shared by every caller.
+    pub fn call(f: usize) -> Self {
+        Prog::join(vec![], Node::Call(f as u32))
+    }
+
+    /// `main` over a function table: a [`Prog::call`]`(f)` in `main` or in
+    /// any function runs `functions[f]`.
+    pub fn with_functions(mut functions: Vec<Prog<S>>, main: Prog<S>) -> Self {
+        let n = functions.len();
+        functions.push(main);
+        let (mut nodes, roots) = Self::append(functions);
+        for (at, node) in (0u32..).zip(&mut nodes) {
+            if let Node::Call(f) = *node {
+                assert!((f as usize) < n, "a call of undefined function {f}");
+                *node = Node::Jump(at.wrapping_sub(roots[f as usize]));
+            }
+        }
+        Prog(nodes.into())
     }
 }
 
@@ -339,52 +346,78 @@ impl<S: Send + Sync + 'static> Prog<S> {
 // TaskInterp: the frame-stack interpreter
 // ---------------------------------------------------------------------------
 
-enum Frame<S> {
-    /// A `Seq` node with the index of the next child to enter.
-    Seq { node: Prog<S>, idx: usize },
-    /// A counted loop part-way through.
-    For { node: Prog<S>, cur: i64, end: i64 },
+/// Where a node part-way through stands; `node` is its table index.
+#[derive(Clone, Copy)]
+enum Frame {
+    /// A counted loop with the index of its next turn.
+    For { node: u32, cur: i64, end: i64 },
     /// A `While` node (condition re-checked each pass).
-    While { node: Prog<S> },
-    /// A node whose entry was deferred (body of a scope after its
-    /// `FnEnter` op, loop bodies).
-    Pending(Prog<S>),
+    While { node: u32 },
+    /// A node whose entry was deferred: the root, the rest of a sequence,
+    /// and the body of a scope after its `FnEnter` op.
+    Pending(u32),
     /// Emit `FnExit` for this site once the scope body is done.
     ScopeExit { site: SiteId },
 }
 
-impl<S> Clone for Frame<S> {
-    fn clone(&self) -> Self {
-        match self {
-            Frame::Seq { node, idx } => Frame::Seq {
-                node: node.clone(),
-                idx: *idx,
-            },
-            Frame::For { node, cur, end } => Frame::For {
-                node: node.clone(),
-                cur: *cur,
-                end: *end,
-            },
-            Frame::While { node } => Frame::While { node: node.clone() },
-            Frame::Pending(node) => Frame::Pending(node.clone()),
-            Frame::ScopeExit { site } => Frame::ScopeExit { site: *site },
+/// How many frames an interpreter holds in itself: as many as any
+/// built-in workload's program stacks (a heat rank 6, a stencil rank 5, an
+/// explored planted or script rank 2 or 3), so only a recursion puts
+/// frames on the heap. Each is 24 bytes in every rank and rank copy.
+const INLINE_FRAMES: usize = 6;
+
+/// The frame stack: the bottom [`INLINE_FRAMES`] inline, any above them
+/// spilled to the heap.
+#[derive(Clone)]
+struct Stack {
+    len: usize,
+    inline: [Frame; INLINE_FRAMES],
+    spill: Vec<Frame>,
+}
+
+impl Stack {
+    fn push(&mut self, frame: Frame) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => *slot = frame,
+            None => self.spill.push(frame),
         }
+        self.len += 1;
+    }
+
+    fn top(&mut self) -> Option<&mut Frame> {
+        match self.spill.last_mut() {
+            None => self.len.checked_sub(1).map(|i| &mut self.inline[i]),
+            top => top,
+        }
+    }
+
+    fn pop(&mut self) {
+        self.len -= 1;
+        self.spill.pop();
     }
 }
 
-/// Interprets a [`Prog`] tree as a rank the engine can poll. The whole
-/// execution point is `(stack, state, pending_bind)` — all cheap to clone.
+/// Interprets a [`Prog`] as a rank the engine can poll. The whole
+/// execution point is `(stack, state, pending_bind)`: frames are plain
+/// indices into the shared table, so a copy is a memcpy plus the user
+/// state `S`.
 pub struct TaskInterp<S> {
-    stack: Vec<Frame<S>>,
+    prog: Prog<S>,
+    stack: Stack,
     state: S,
-    pending_bind: Option<BindFn<S>>,
+    /// The `Op` node whose `bind` takes the next resume's result.
+    pending_bind: Option<u32>,
 }
 
 impl<S: Clone + Send + Sync + 'static> TaskInterp<S> {
     pub fn new(state: S, prog: Prog<S>) -> Self {
-        let mut stack = Vec::with_capacity(prog.0.depth.max(1));
-        stack.push(Frame::Pending(prog));
+        let stack = Stack {
+            len: 1,
+            inline: [Frame::Pending(prog.0.len() as u32 - 1); INLINE_FRAMES],
+            spill: Vec::new(),
+        };
         TaskInterp {
+            prog,
             stack,
             state,
             pending_bind: None,
@@ -393,69 +426,49 @@ impl<S: Clone + Send + Sync + 'static> TaskInterp<S> {
 
     /// Enter `node`, descending through control nodes until something
     /// yields an op (`Some`) or completes silently (`None`, with any
-    /// remaining work pushed as frames). The tree is walked by reference:
-    /// a handle is cloned only into a frame that is pushed.
-    fn enter(
-        stack: &mut Vec<Frame<S>>,
-        pending_bind: &mut Option<BindFn<S>>,
-        state: &mut S,
-        mut node: &Prog<S>,
-        view: &TaskView<'_>,
-    ) -> Option<TaskOp> {
+    /// remaining work pushed as frames).
+    fn enter(&mut self, mut node: u32, view: &TaskView<'_>) -> Option<TaskOp> {
+        let (stack, state) = (&mut self.stack, &mut self.state);
         loop {
-            match &node.0.node {
-                Node::Seq(items) => {
-                    // An empty sequence is done; the first child of any
-                    // other is entered here, over the frame for the rest.
-                    let (first, rest) = items.split_first()?;
-                    if !rest.is_empty() {
-                        stack.push(Frame::Seq {
-                            node: node.clone(),
-                            idx: 1,
-                        });
-                    }
-                    node = first;
+            match &self.prog.0[node as usize] {
+                Node::Then(first) => {
+                    stack.push(Frame::Pending(node - 1));
+                    node -= first;
                 }
                 Node::Act(f) => {
                     f(state, view);
                     return None;
                 }
-                Node::Op { emit, bind } => {
+                Node::Op(emit, bind) => {
                     let op = emit(state, view);
                     if matches!(op, TaskOp::Nop) {
                         return None;
                     }
-                    *pending_bind = bind.clone();
+                    self.pending_bind = bind.is_some().then_some(node);
                     return Some(op);
                 }
-                Node::Scope { enter, body } => {
+                Node::Scope(enter) => {
                     let (site, args) = enter(state, view);
                     stack.push(Frame::ScopeExit { site });
-                    stack.push(Frame::Pending(body.clone()));
+                    stack.push(Frame::Pending(node - 1));
                     return Some(TaskOp::Enter { site, args });
                 }
-                Node::If { cond, then, els } => {
-                    node = if cond(state, view) { then } else { els };
+                Node::If(cond, then) => {
+                    node -= if cond(state, view) { *then } else { 1 };
                 }
-                Node::For { range, .. } => {
-                    let (start, end) = range(state, view);
-                    if start < end {
-                        stack.push(Frame::For {
-                            node: node.clone(),
-                            cur: start,
-                            end,
-                        });
+                Node::For(range, _) => {
+                    let (cur, end) = range(state, view);
+                    if cur < end {
+                        stack.push(Frame::For { node, cur, end });
                     }
                     return None;
                 }
-                Node::While { .. } => {
-                    stack.push(Frame::While { node: node.clone() });
+                Node::While(_) => {
+                    stack.push(Frame::While { node });
                     return None;
                 }
-                Node::Gen(f) => {
-                    let made = f(state, view);
-                    return Self::enter(stack, pending_bind, state, &made, view);
-                }
+                Node::Call(f) => panic!("call of function {f} outside Prog::with_functions"),
+                Node::Jump(back) => node = node.wrapping_sub(*back),
             }
         }
     }
@@ -463,60 +476,50 @@ impl<S: Clone + Send + Sync + 'static> TaskInterp<S> {
 
 impl<S: Clone + Send + Sync + 'static> TaskProgram for TaskInterp<S> {
     fn next(&mut self, input: OpResult, view: &TaskView<'_>) -> TaskOp {
-        let TaskInterp {
-            stack,
-            state,
-            pending_bind,
-        } = self;
-        if let Some(bind) = pending_bind.take() {
-            bind(state, input, view);
+        let nodes = &self.prog.0;
+        if let Some(node) = self.pending_bind.take() {
+            if let Node::Op(_, Some(bind)) = &nodes[node as usize] {
+                bind(&mut self.state, input, view);
+            }
         }
         loop {
-            let Some(top) = stack.pop() else {
-                return TaskOp::Done;
-            };
-            // A frame's child is entered through the popped handle; the
-            // frame goes back under whatever the child pushed, and only
-            // while it has more to run (a frame on the stack is live).
-            let under = stack.len();
-            let op = match top {
-                Frame::Seq { node, idx } => {
-                    let Node::Seq(items) = &node.0.node else {
-                        unreachable!("Seq frame holds non-Seq node")
+            // The top frame advances in place, or is popped once it has
+            // nothing more to run, and its child is entered over it.
+            let nodes = &self.prog.0;
+            let child = match self.stack.top() {
+                None => return TaskOp::Done,
+                Some(Frame::For { node, cur, end }) => {
+                    let Node::For(_, at) = &nodes[*node as usize] else {
+                        unreachable!("For frame over a non-For node")
                     };
-                    let op = Self::enter(stack, pending_bind, state, &items[idx], view);
-                    if idx + 1 < items.len() {
-                        stack.insert(under, Frame::Seq { node, idx: idx + 1 });
+                    let (child, i) = (*node - 1, *cur);
+                    *cur += 1;
+                    if cur == end {
+                        self.stack.pop();
                     }
-                    op
+                    at(&mut self.state, i);
+                    child
                 }
-                Frame::For { node, cur, end } => {
-                    let Node::For { at, body, .. } = &node.0.node else {
-                        unreachable!("For frame holds non-For node")
+                Some(&mut Frame::While { node }) => {
+                    let Node::While(cond) = &nodes[node as usize] else {
+                        unreachable!("While frame over a non-While node")
                     };
-                    at(state, cur);
-                    let op = Self::enter(stack, pending_bind, state, body, view);
-                    if cur + 1 < end {
-                        let cur = cur + 1;
-                        stack.insert(under, Frame::For { node, cur, end });
-                    }
-                    op
-                }
-                Frame::While { node } => {
-                    let Node::While { cond, body } = &node.0.node else {
-                        unreachable!("While frame holds non-While node")
-                    };
-                    if !cond(state, view) {
+                    if !cond(&self.state, view) {
+                        self.stack.pop();
                         continue;
                     }
-                    let op = Self::enter(stack, pending_bind, state, body, view);
-                    stack.insert(under, Frame::While { node });
-                    op
+                    node - 1
                 }
-                Frame::Pending(node) => Self::enter(stack, pending_bind, state, &node, view),
-                Frame::ScopeExit { site } => return TaskOp::Exit { site },
+                Some(&mut Frame::Pending(node)) => {
+                    self.stack.pop();
+                    node
+                }
+                Some(&mut Frame::ScopeExit { site }) => {
+                    self.stack.pop();
+                    return TaskOp::Exit { site };
+                }
             };
-            if let Some(op) = op {
+            if let Some(op) = self.enter(child, view) {
                 return op;
             }
         }
@@ -524,9 +527,10 @@ impl<S: Clone + Send + Sync + 'static> TaskProgram for TaskInterp<S> {
 
     fn snapshot(&self) -> Box<dyn TaskProgram> {
         Box::new(TaskInterp {
+            prog: self.prog.clone(),
             stack: self.stack.clone(),
             state: self.state.clone(),
-            pending_bind: self.pending_bind.clone(),
+            pending_bind: self.pending_bind,
         })
     }
 }
@@ -981,24 +985,20 @@ mod tests {
     }
 
     #[test]
-    fn gen_recursion_descends() {
-        // Countdown via runtime-generated subtrees.
-        fn countdown() -> Prog<St> {
-            Prog::gen(|s: &mut St, _| {
-                if s.i <= 0 {
-                    Prog::seq(vec![])
-                } else {
-                    Prog::seq(vec![
-                        Prog::act(|s: &mut St, _| {
-                            s.log.push(s.i);
-                            s.i -= 1;
-                        }),
-                        countdown(),
-                    ])
-                }
-            })
-        }
-        let prog = Prog::seq(vec![Prog::act(|s: &mut St, _| s.i = 3), countdown()]);
+    fn call_recursion_descends() {
+        // Countdown by a function that calls itself.
+        let countdown = Prog::when(
+            |s: &St, _| s.i > 0,
+            Prog::seq(vec![
+                Prog::act(|s: &mut St, _| {
+                    s.log.push(s.i);
+                    s.i -= 1;
+                }),
+                Prog::call(0),
+            ]),
+        );
+        let main = Prog::seq(vec![Prog::act(|s: &mut St, _| s.i = 3), Prog::call(0)]);
+        let prog = Prog::with_functions(vec![countdown], main);
         assert_eq!(dummy_view_run(prog), vec![3, 2, 1]);
     }
 

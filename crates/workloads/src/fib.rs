@@ -6,9 +6,9 @@
 //! fib(35). The closed form for the number of calls is
 //! [`fib_call_count`].
 //!
-//! Task-backed: the call tree is built once and the recursion re-enters
-//! it through [`Prog::gen`], with explicit argument/value stacks in
-//! [`FibState`] standing in for the call stack — which is what lets a
+//! Task-backed: the call is function 0 of the program's function table and
+//! recurses through [`Prog::call`], with explicit argument/value stacks in
+//! [`FibState`] standing in for the call's locals — which is what lets a
 //! checkpoint capture a recursion mid-flight as plain data.
 
 use tracedbg_mpsim::task::TaskOp;
@@ -31,13 +31,11 @@ pub fn fib_call_count(n: u64) -> u64 {
     2 * fib_plain(n + 1) - 1
 }
 
-/// Task state: the instrumented site, the call tree the recursion
-/// re-enters, plus explicit arg/value stacks that stand in for a native
-/// call stack.
+/// Task state: the instrumented site plus explicit arg/value stacks that
+/// stand in for a native call's locals.
 #[derive(Clone)]
 struct FibState {
     site: SiteId,
-    call: Prog<FibState>,
     args: Vec<u64>,
     vals: Vec<u64>,
 }
@@ -45,10 +43,8 @@ struct FibState {
 /// One instrumented call: expects its argument on top of `args`, pops it
 /// and pushes `fib(n)` onto `vals`. Each call enters a function scope
 /// carrying `n` as the first monitored argument (the §2.2 contract).
-/// A node cannot hold a handle to the tree it is part of, so the two
-/// recursive calls fetch it from the state ([`FibState::call`]).
+/// It is function 0: the two recursive calls are `Prog::call(0)`.
 fn fib_call() -> Prog<FibState> {
-    let recurse = || Prog::gen(|s: &mut FibState, _| s.call.clone());
     Prog::scope(
         |s: &mut FibState, _| (s.site, [*s.args.last().unwrap() as i64, 0]),
         Prog::if_else(
@@ -62,12 +58,12 @@ fn fib_call() -> Prog<FibState> {
                     let n = *s.args.last().unwrap();
                     s.args.push(n - 1);
                 }),
-                recurse(),
+                Prog::call(0),
                 Prog::act(|s: &mut FibState, _| {
                     let n = *s.args.last().unwrap();
                     s.args.push(n - 2);
                 }),
-                recurse(),
+                Prog::call(0),
                 Prog::act(|s: &mut FibState, _| {
                     let b = s.vals.pop().unwrap();
                     let a = s.vals.pop().unwrap();
@@ -82,13 +78,12 @@ fn fib_call() -> Prog<FibState> {
 /// A single-process program computing `fib(n)` under instrumentation.
 pub fn program(n: u64) -> RankProgram {
     let fib_result = Label::new("fib_result");
-    let call = fib_call();
-    let prog = Prog::seq(vec![
+    let main = Prog::seq(vec![
         Prog::act(move |s: &mut FibState, v| {
             s.site = v.site("fib.c", 11, "fib");
             s.args.push(n);
         }),
-        call.clone(),
+        Prog::call(0),
         Prog::op(move |s: &mut FibState, v| {
             let check_site = v.site("fib.c", 30, "main");
             TaskOp::Probe {
@@ -101,11 +96,10 @@ pub fn program(n: u64) -> RankProgram {
     RankProgram::task(
         FibState {
             site: SiteId(0),
-            call,
             args: Vec::new(),
             vals: Vec::new(),
         },
-        prog,
+        Prog::with_functions(vec![fib_call()], main),
     )
 }
 

@@ -8,17 +8,17 @@
 //! planted rank at (or near) the top, and the accuracy tests in
 //! `crates/localize/tests/known_bugs.rs` pin exactly that.
 //!
-//! * [`planted_wildcard`] — the master treats whichever worker reports
+//! * [`planted_wildcard_factory`] — the master treats whichever worker reports
 //!   first as the "leader"; the planted rank's report is poison in that
 //!   role. Any schedule that lets the planted rank's send land first
 //!   panics the master — the racy-wildcard shape with a parameterized
 //!   culprit.
-//! * [`planted_orphan`] — after the first report the master requests an
+//! * [`planted_orphan_factory`] — after the first report the master requests an
 //!   acknowledgment from the reporting worker. The planted rank's reply
 //!   code is missing (it swallows the request), so a schedule where it
 //!   reports first orphans the master's directed receive: a non-cyclic
 //!   deadlock awaiting exactly the planted rank.
-//! * [`planted_pipeline`] — a fan-in merge pipeline whose planted stage
+//! * [`planted_pipeline_factory`] — a fan-in merge pipeline whose planted stage
 //!   merges its producers' streams with a full wildcard instead of
 //!   alternating directed receives. The merged order is then arrival
 //!   order; one delayed producer message reorders the stream and the
@@ -137,9 +137,18 @@ fn drain_rest() -> Prog<PState> {
     )
 }
 
+/// The ranks of `cfg`, rank `r` running `prog(r)`.
+fn ranks(cfg: &PlantedConfig, prog: impl Fn(usize) -> Prog<PState>) -> Vec<RankProgram> {
+    (0..cfg.nprocs)
+        .map(|r| RankProgram::task(state(cfg, r), prog(r)))
+        .collect()
+}
+
 /// Wildcard leader election with a poison candidate: panics at the master
-/// whenever the planted rank's report is matched first.
-pub fn planted_wildcard(cfg: &PlantedConfig) -> Vec<RankProgram> {
+/// whenever the planted rank's report is matched first. A reusable factory
+/// for sessions, the explorer, and the localizer: the programs are built
+/// once, with the factory, and every call shares them.
+pub fn planted_wildcard_factory(cfg: PlantedConfig) -> impl Fn() -> Vec<RankProgram> + Send + Sync {
     let leader = Label::new("leader");
     cfg.check();
     let master = Prog::seq(vec![
@@ -173,26 +182,13 @@ pub fn planted_wildcard(cfg: &PlantedConfig) -> Vec<RankProgram> {
         drain_rest(),
     ]);
     let worker = reporting_body();
-    (0..cfg.nprocs)
-        .map(|r| {
-            let prog = if r == 0 {
-                master.clone()
-            } else {
-                worker.clone()
-            };
-            RankProgram::task(state(cfg, r), prog)
-        })
-        .collect()
-}
-
-/// A reusable factory for sessions, the explorer, and the localizer.
-pub fn planted_wildcard_factory(cfg: PlantedConfig) -> impl Fn() -> Vec<RankProgram> + Send + Sync {
-    move || planted_wildcard(&cfg)
+    move || ranks(&cfg, |r| if r == 0 { &master } else { &worker }.clone())
 }
 
 /// Request/acknowledge handshake where the planted rank never replies:
-/// deadlocks (orphaned directed receive) whenever it reports first.
-pub fn planted_orphan(cfg: &PlantedConfig) -> Vec<RankProgram> {
+/// deadlocks (orphaned directed receive) whenever it reports first. The
+/// programs are built once, with the factory.
+pub fn planted_orphan_factory(cfg: PlantedConfig) -> impl Fn() -> Vec<RankProgram> + Send + Sync {
     let reporter = Label::new("reporter");
     cfg.check();
     let master = Prog::seq(vec![
@@ -255,21 +251,7 @@ pub fn planted_orphan(cfg: &PlantedConfig) -> Vec<RankProgram> {
             }),
         ),
     ]);
-    (0..cfg.nprocs)
-        .map(|r| {
-            let prog = if r == 0 {
-                master.clone()
-            } else {
-                worker.clone()
-            };
-            RankProgram::task(state(cfg, r), prog)
-        })
-        .collect()
-}
-
-/// A reusable factory for sessions, the explorer, and the localizer.
-pub fn planted_orphan_factory(cfg: PlantedConfig) -> impl Fn() -> Vec<RankProgram> + Send + Sync {
-    move || planted_orphan(&cfg)
+    move || ranks(&cfg, |r| if r == 0 { &master } else { &worker }.clone())
 }
 
 /// Fan-in merge pipeline with a wildcard-receiving planted stage: ranks
@@ -278,8 +260,9 @@ pub fn planted_orphan_factory(cfg: PlantedConfig) -> impl Fn() -> Vec<RankProgra
 /// asserts it arrives in token order. A correct merge would alternate
 /// directed receives across the producers; the planted wildcard instead
 /// takes whatever arrives first, so a delayed producer message reorders
-/// the stream and the sink panics ranks away from the bug.
-pub fn planted_pipeline(cfg: &PlantedConfig) -> Vec<RankProgram> {
+/// the stream and the sink panics ranks away from the bug. The programs
+/// are built once, with the factory.
+pub fn planted_pipeline_factory(cfg: PlantedConfig) -> impl Fn() -> Vec<RankProgram> + Send + Sync {
     cfg.check();
     let last = cfg.nprocs - 1;
     assert!(
@@ -397,25 +380,20 @@ pub fn planted_pipeline(cfg: &PlantedConfig) -> Vec<RankProgram> {
             ),
         ),
     ]);
-    (0..cfg.nprocs)
-        .map(|r| {
-            let prog = if r < nprods {
-                producer.clone()
+    move || {
+        ranks(&cfg, |r| {
+            if r < nprods {
+                &producer
             } else if r == nprods {
-                merge.clone()
+                &merge
             } else if r < last {
-                relay.clone()
+                &relay
             } else {
-                sink.clone()
-            };
-            RankProgram::task(state(cfg, r), prog)
+                &sink
+            }
+            .clone()
         })
-        .collect()
-}
-
-/// A reusable factory for sessions, the explorer, and the localizer.
-pub fn planted_pipeline_factory(cfg: PlantedConfig) -> impl Fn() -> Vec<RankProgram> + Send + Sync {
-    move || planted_pipeline(&cfg)
+    }
 }
 
 #[cfg(test)]
@@ -443,9 +421,9 @@ mod tests {
     fn all_three_complete_under_the_baseline_schedule() {
         let cfg = PlantedConfig::default();
         for progs in [
-            planted_wildcard(&cfg),
-            planted_orphan(&cfg),
-            planted_pipeline(&cfg),
+            planted_wildcard_factory(cfg)(),
+            planted_orphan_factory(cfg)(),
+            planted_pipeline_factory(cfg)(),
         ] {
             assert!(run(progs, SchedPolicy::RoundRobin, vec![]).is_completed());
         }
@@ -459,7 +437,7 @@ mod tests {
             rank: Rank(cfg.bug_rank),
         }];
         match run(
-            planted_wildcard(&cfg),
+            planted_wildcard_factory(cfg)(),
             SchedPolicy::Scripted(script),
             vec![],
         ) {
@@ -477,7 +455,11 @@ mod tests {
         let script = vec![Decision::Turn {
             rank: Rank(cfg.bug_rank),
         }];
-        match run(planted_orphan(&cfg), SchedPolicy::Scripted(script), vec![]) {
+        match run(
+            planted_orphan_factory(cfg)(),
+            SchedPolicy::Scripted(script),
+            vec![],
+        ) {
             RunOutcome::Deadlock(rep) => {
                 assert!(!rep.is_cyclic());
                 assert_eq!(rep.waits.len(), 1);
@@ -500,7 +482,11 @@ mod tests {
             nth: 1,
             extra_ns: cfg.work * 2,
         };
-        match run(planted_pipeline(&cfg), SchedPolicy::RoundRobin, vec![fault]) {
+        match run(
+            planted_pipeline_factory(cfg)(),
+            SchedPolicy::RoundRobin,
+            vec![fault],
+        ) {
             RunOutcome::Panicked { rank, message } => {
                 assert_eq!(rank, Rank((cfg.nprocs - 1) as u32), "fails at the sink");
                 assert!(message.contains("corrupted"), "{message}");
@@ -517,9 +503,9 @@ mod tests {
             ..Default::default()
         };
         for progs in [
-            planted_wildcard(&cfg),
-            planted_orphan(&cfg),
-            planted_pipeline(&cfg),
+            planted_wildcard_factory(cfg)(),
+            planted_orphan_factory(cfg)(),
+            planted_pipeline_factory(cfg)(),
         ] {
             assert!(run(progs, SchedPolicy::RoundRobin, vec![]).is_completed());
         }

@@ -5,11 +5,11 @@
 //! `tracedbg explore` must drive the runtime into the failing
 //! interleavings and hand back minimal replayable schedules.
 //!
-//! * [`wildcard_race`] — the master assumes its first `ANY_SOURCE` message
+//! * [`wildcard_race_factory`] — the master assumes its first `ANY_SOURCE` message
 //!   comes from worker 1 (who is "obviously" fastest). Any schedule that
 //!   lets another worker's send land first fires the assertion: a classic
 //!   wildcard-receive race ending in a panic.
-//! * [`orphan_deadlock`] — the master takes one wildcard message, then
+//! * [`orphan_deadlock_factory`] — the master takes one wildcard message, then
 //!   issues a *directed* receive for a follow-up from that same source.
 //!   Only worker 1 ever sends a follow-up; if the wildcard matches anyone
 //!   else, the directed receive waits forever — a schedule-dependent,
@@ -113,8 +113,17 @@ fn drain_rest() -> Prog<RacyState> {
     )
 }
 
-/// The wildcard-race pattern: assertion failure on "wrong" match order.
-pub fn wildcard_race(cfg: &RacyConfig) -> Vec<RankProgram> {
+/// The ranks of `cfg`, rank `r` running `prog(r)`.
+fn ranks(cfg: &RacyConfig, prog: impl Fn(usize) -> Prog<RacyState>) -> Vec<RankProgram> {
+    (0..cfg.nprocs)
+        .map(|r| RankProgram::task(state(cfg, r), prog(r)))
+        .collect()
+}
+
+/// The wildcard-race pattern: assertion failure on "wrong" match order. A
+/// reusable factory for sessions and the explorer: the programs are built
+/// once, with the factory, and every call shares them.
+pub fn wildcard_race_factory(cfg: RacyConfig) -> impl Fn() -> Vec<RankProgram> + Send + Sync {
     let first_src = Label::new("first_src");
     assert!(
         cfg.nprocs >= 3,
@@ -145,25 +154,12 @@ pub fn wildcard_race(cfg: &RacyConfig) -> Vec<RankProgram> {
         drain_rest(),
     ]);
     let worker = worker_prog(0);
-    (0..cfg.nprocs)
-        .map(|r| {
-            let prog = if r == 0 {
-                master.clone()
-            } else {
-                worker.clone()
-            };
-            RankProgram::task(state(cfg, r), prog)
-        })
-        .collect()
-}
-
-/// A reusable factory for sessions and the explorer.
-pub fn wildcard_race_factory(cfg: RacyConfig) -> impl Fn() -> Vec<RankProgram> + Send + Sync {
-    move || wildcard_race(&cfg)
+    move || ranks(&cfg, |r| if r == 0 { &master } else { &worker }.clone())
 }
 
 /// The orphaned-receive pattern: schedule-dependent non-cyclic deadlock.
-pub fn orphan_deadlock(cfg: &RacyConfig) -> Vec<RankProgram> {
+/// The programs are built once, with the factory.
+pub fn orphan_deadlock_factory(cfg: RacyConfig) -> impl Fn() -> Vec<RankProgram> + Send + Sync {
     let first_src = Label::new("first_src");
     assert!(
         cfg.nprocs >= 3,
@@ -196,21 +192,17 @@ pub fn orphan_deadlock(cfg: &RacyConfig) -> Vec<RankProgram> {
         }),
         drain_rest(),
     ]);
-    (0..cfg.nprocs)
-        .map(|r| {
-            let prog = if r == 0 {
-                master.clone()
-            } else {
-                worker_prog(if r == 1 { 1 } else { 0 })
-            };
-            RankProgram::task(state(cfg, r), prog)
+    let (first, rest) = (worker_prog(1), worker_prog(0));
+    move || {
+        ranks(&cfg, |r| {
+            match r {
+                0 => &master,
+                1 => &first,
+                _ => &rest,
+            }
+            .clone()
         })
-        .collect()
-}
-
-/// A reusable factory for sessions and the explorer.
-pub fn orphan_deadlock_factory(cfg: RacyConfig) -> impl Fn() -> Vec<RankProgram> + Send + Sync {
-    move || orphan_deadlock(&cfg)
+    }
 }
 
 #[cfg(test)]
@@ -233,7 +225,7 @@ mod tests {
     #[test]
     fn wildcard_race_completes_deterministically() {
         let cfg = RacyConfig::default();
-        assert!(run(wildcard_race(&cfg), SchedPolicy::RoundRobin).is_completed());
+        assert!(run(wildcard_race_factory(cfg)(), SchedPolicy::RoundRobin).is_completed());
     }
 
     #[test]
@@ -243,7 +235,7 @@ mod tests {
         // One scheduling decision is enough: give worker 2 the first turn,
         // so its message is already queued when the master's wildcard posts.
         let script = vec![Decision::Turn { rank: Rank(2) }];
-        match run(wildcard_race(&cfg), SchedPolicy::Scripted(script)) {
+        match run(wildcard_race_factory(cfg)(), SchedPolicy::Scripted(script)) {
             RunOutcome::Panicked { rank, message } => {
                 assert_eq!(rank, Rank(0));
                 assert!(message.contains("worker 1"), "{message}");
@@ -255,14 +247,17 @@ mod tests {
     #[test]
     fn orphan_deadlock_completes_deterministically() {
         let cfg = RacyConfig::default();
-        assert!(run(orphan_deadlock(&cfg), SchedPolicy::RoundRobin).is_completed());
+        assert!(run(orphan_deadlock_factory(cfg)(), SchedPolicy::RoundRobin).is_completed());
     }
 
     #[test]
     fn orphan_deadlock_stalls_when_worker2_goes_first() {
         let cfg = RacyConfig::default();
         let script = vec![Decision::Turn { rank: Rank(2) }];
-        match run(orphan_deadlock(&cfg), SchedPolicy::Scripted(script)) {
+        match run(
+            orphan_deadlock_factory(cfg)(),
+            SchedPolicy::Scripted(script),
+        ) {
             RunOutcome::Deadlock(rep) => {
                 assert!(!rep.is_cyclic(), "orphaned receive, not a cycle");
                 assert_eq!(rep.waits.len(), 1);
@@ -279,7 +274,7 @@ mod tests {
             nprocs: 6,
             ..Default::default()
         };
-        assert!(run(wildcard_race(&cfg), SchedPolicy::RoundRobin).is_completed());
-        assert!(run(orphan_deadlock(&cfg), SchedPolicy::RoundRobin).is_completed());
+        assert!(run(wildcard_race_factory(cfg)(), SchedPolicy::RoundRobin).is_completed());
+        assert!(run(orphan_deadlock_factory(cfg)(), SchedPolicy::RoundRobin).is_completed());
     }
 }

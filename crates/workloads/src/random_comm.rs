@@ -12,7 +12,7 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tracedbg_mpsim::task::TaskOp;
 use tracedbg_mpsim::{Payload, Prog, Rank, RankProgram, SendMode, SiteId, Tag};
 use tracedbg_trace::Label;
@@ -26,11 +26,14 @@ pub struct Transfer {
     pub value: i64,
 }
 
-/// A generated pattern.
+/// A generated pattern; every launch of it shares its parts.
 #[derive(Clone, Debug)]
 pub struct Pattern {
     pub nprocs: usize,
-    pub transfers: Vec<Transfer>,
+    pub transfers: Arc<[Transfer]>,
+    /// Rank `r`'s transfers (those it sends or receives), in pattern
+    /// order, as indices into `transfers`: lane `r`.
+    lanes: Arc<[Vec<u32>]>,
 }
 
 /// Generate a random pattern: `n_transfers` transfers between distinct
@@ -39,7 +42,7 @@ pub struct Pattern {
 pub fn generate(seed: u64, nprocs: usize, n_transfers: usize) -> Pattern {
     assert!(nprocs >= 2);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let transfers = (0..n_transfers)
+    let transfers: Arc<[Transfer]> = (0..n_transfers)
         .map(|i| {
             let src = rng.gen_range(0..nprocs as u32);
             let mut dst = rng.gen_range(0..nprocs as u32 - 1);
@@ -54,14 +57,31 @@ pub fn generate(seed: u64, nprocs: usize, n_transfers: usize) -> Pattern {
             }
         })
         .collect();
-    Pattern { nprocs, transfers }
+    // Each lane sized first, so the lanes take no more than they hold.
+    let mut sizes = vec![0; nprocs];
+    for t in transfers.iter() {
+        sizes[t.src as usize] += 1;
+        sizes[t.dst as usize] += 1;
+    }
+    let mut lanes: Vec<Vec<u32>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (i, t) in (0..).zip(transfers.iter()) {
+        lanes[t.src as usize].push(i);
+        lanes[t.dst as usize].push(i);
+    }
+    let lanes = lanes.into();
+    Pattern {
+        nprocs,
+        transfers,
+        lanes,
+    }
 }
 
-/// Per-rank task state: the shared pattern, a transfer cursor, the jitter
-/// RNG (cloned into snapshots mid-stream), and the last received value.
+/// Per-rank task state: the shared pattern, a cursor into the rank's
+/// lane, the jitter RNG (cloned into snapshots mid-stream), and the last
+/// received value.
 #[derive(Clone)]
 struct CommState {
-    pat: Arc<Pattern>,
+    pat: Pattern,
     rank: usize,
     site: SiteId,
     rng: ChaCha8Rng,
@@ -71,21 +91,25 @@ struct CommState {
 
 impl CommState {
     fn cur(&self) -> Transfer {
-        self.pat.transfers[self.i as usize]
+        self.pat.transfers[self.pat.lanes[self.rank][self.i as usize] as usize]
     }
 }
 
-fn pattern_prog() -> Prog<CommState> {
-    let got = Label::new("got");
-    Prog::seq(vec![
-        Prog::act(|s: &mut CommState, v| {
-            s.site = v.site("random.comm", s.rank as u32 + 1, "pattern")
-        }),
-        Prog::for_range(
-            |s: &CommState, _| (0, s.pat.transfers.len() as i64),
-            |s: &mut CommState, i| s.i = i,
-            Prog::seq(vec![
-                Prog::when(
+/// The program every rank of every pattern runs, built on first use.
+fn pattern_prog() -> &'static Prog<CommState> {
+    static PROG: OnceLock<Prog<CommState>> = OnceLock::new();
+    PROG.get_or_init(|| {
+        let got = Label::new("got");
+        Prog::seq(vec![
+            Prog::act(|s: &mut CommState, v| {
+                s.site = v.site("random.comm", s.rank as u32 + 1, "pattern")
+            }),
+            Prog::for_range(
+                |s: &CommState, _| (0, s.pat.lanes[s.rank].len() as i64),
+                |s: &mut CommState, i| s.i = i,
+                // A transfer of the lane is a send of this rank's or else a
+                // receive.
+                Prog::if_else(
                     |s: &CommState, _| s.cur().src as usize == s.rank,
                     Prog::seq(vec![
                         Prog::op(|s: &mut CommState, _| TaskOp::Compute {
@@ -100,9 +124,6 @@ fn pattern_prog() -> Prog<CommState> {
                             mode: SendMode::Buffered,
                         }),
                     ]),
-                ),
-                Prog::when(
-                    |s: &CommState, _| s.cur().dst as usize == s.rank,
                     Prog::seq(vec![
                         Prog::op_bind(
                             |s: &mut CommState, _| TaskOp::Recv {
@@ -122,27 +143,26 @@ fn pattern_prog() -> Prog<CommState> {
                         }),
                     ]),
                 ),
-            ]),
-        ),
-    ])
+            ),
+        ])
+    })
 }
 
-/// Build the per-rank programs executing a pattern.
+/// Build the per-rank programs executing a pattern: each rank holds the
+/// pattern's shared parts and its own cursor and RNG.
 pub fn programs(pattern: &Pattern, jitter_seed: u64) -> Vec<RankProgram> {
-    let pat = Arc::new(pattern.clone());
-    let prog = pattern_prog();
     (0..pattern.nprocs)
         .map(|r| {
             RankProgram::task(
                 CommState {
-                    pat: pat.clone(),
+                    pat: pattern.clone(),
                     rank: r,
                     site: SiteId(0),
                     rng: ChaCha8Rng::seed_from_u64(jitter_seed ^ r as u64),
                     i: 0,
                     got: 0,
                 },
-                prog.clone(),
+                pattern_prog().clone(),
             )
         })
         .collect()

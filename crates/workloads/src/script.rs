@@ -122,7 +122,7 @@ pub enum StmtKind {
 ///
 /// The function table and every statement body (a function's, a `loop`'s,
 /// an `if` branch) are shared and immutable once parsed, and so is the
-/// [`Prog`] tree `parse` lowers them to, which is what a rank runs:
+/// [`Prog`] table `parse` lowers them to, which is what a rank runs:
 /// cloning a script, or building its ranks, copies pointers.
 #[derive(Clone)]
 pub struct Script {
@@ -130,10 +130,9 @@ pub struct Script {
     /// Each site slot's key (see [`Stmt`]), interned when the script
     /// was parsed; a build names the file ([`SiteKey::scripted`]).
     keys: Arc<[SiteKey]>,
-    /// Each rank's root: the scope of `main`.
+    /// What each rank runs: the scope of `main`, over the function table
+    /// of every function's lowered body, in `functions` order.
     main: Prog<ScriptState>,
-    /// The lowered body of each function, in `functions` order.
-    bodies: Arc<[Prog<ScriptState>]>,
 }
 
 impl Script {
@@ -141,14 +140,14 @@ impl Script {
     /// whoever calls it, and a root that enters `main` under the site
     /// `(file, 0, "main")`, slot 0.
     fn lower(functions: BTreeMap<Arc<str>, Arc<[Stmt]>>, site_slots: u32) -> Script {
-        let bodies: Arc<[Prog<ScriptState>]> = functions
+        let bodies = functions
             .values()
             .map(|body| Lowering(&functions).block(body))
             .collect();
         let main = match functions.keys().position(|f| &**f == "main") {
             Some(ix) => Prog::scope(
                 |st: &mut ScriptState, v| (st.site(0, v), [0, 0]),
-                bodies[ix].clone(),
+                Prog::call(ix),
             ),
             None => Prog::act(|st: &mut ScriptState, v| {
                 st.site(0, v);
@@ -162,8 +161,7 @@ impl Script {
         Script {
             functions: Arc::new(functions),
             keys: keys.into(),
-            main,
-            bodies,
+            main: Prog::with_functions(bodies, main),
         }
     }
 }
@@ -627,17 +625,13 @@ impl<F: Fn(&str) -> Option<i64>> Scope<F> {
 
 /// One rank's state while it runs the lowered script: its variables, the
 /// `SiteId` it found for each site slot on its first visit (`UNKNOWN`
-/// until then), each slot's key and the file the build named, and the
-/// lowered body of every function.
-/// A node cannot hold the tree it is part of, so a `call` fetches its
-/// callee's body from here (the recursion idiom of `fib`).
+/// until then), and each slot's key and the file the build named.
 #[derive(Clone)]
 struct ScriptState {
     vars: BTreeMap<String, i64>,
     sites: Vec<SiteId>,
     keys: Arc<[SiteKey]>,
     file: Arc<str>,
-    bodies: Arc<[Prog<ScriptState>]>,
 }
 
 /// Bind `var`, overwriting in place when it already exists.
@@ -805,7 +799,7 @@ impl Lowering<'_> {
                             site(st, v);
                             (st.site(slot + 1, v), [0, 0])
                         },
-                        Prog::gen(move |st: &mut ScriptState, _| st.bodies[ix].clone()),
+                        Prog::call(ix),
                     ),
                     // Reaching the call kills the rank; parsing it does not.
                     None => Prog::act(move |st, v| {
@@ -867,7 +861,6 @@ pub fn programs(script: &Script, nprocs: usize, file: &str) -> Vec<RankProgram> 
         sites: vec![SiteId::UNKNOWN; script.keys.len()],
         keys: Arc::clone(&script.keys),
         file: Arc::from(file),
-        bodies: Arc::clone(&script.bodies),
     };
     (0..nprocs)
         .map(|_| RankProgram::task(state.clone(), script.main.clone()))
@@ -1095,25 +1088,25 @@ end
         assert_eq!(sorted, vec![22, 24, 26]);
     }
 
-    /// `parse` lowers a script once: a clone shares the parsed and the
-    /// lowered bodies, and `programs` builds no tree — every rank runs the
-    /// script's own lowered bodies.
+    /// `parse` lowers a script once: a clone shares the parsed bodies and
+    /// site keys, and `programs` only hands each rank the script's own
+    /// (that it builds no program, `tests/script_alloc.rs` counts).
     #[test]
     fn clones_and_programs_share_the_parsed_bodies() {
         let script = parse(PINGPONG).unwrap();
         let copy = script.clone();
         assert!(Arc::ptr_eq(&script.functions, &copy.functions));
-        assert!(Arc::ptr_eq(&script.bodies, &copy.bodies));
-        let before = Arc::strong_count(&script.bodies);
+        assert!(Arc::ptr_eq(&script.keys, &copy.keys));
+        let before = Arc::strong_count(&script.keys);
         let ranks = programs(&script, 4, "test.script");
-        assert_eq!(Arc::strong_count(&script.bodies), before + 4);
+        assert_eq!(Arc::strong_count(&script.keys), before + 4);
         assert_eq!(
             Arc::strong_count(&script.functions),
             2,
             "ranks hold no statement"
         );
         drop(ranks);
-        assert_eq!(Arc::strong_count(&script.bodies), before);
+        assert_eq!(Arc::strong_count(&script.keys), before);
     }
 
     /// A site key is its text: parsing the same source again interns the

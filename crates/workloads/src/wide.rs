@@ -167,35 +167,32 @@ fn stencil_prog() -> Prog<StencilState> {
     ])
 }
 
-/// Build the `p × p` stencil programs (task-backed).
-pub fn stencil_programs(cfg: &StencilConfig) -> Vec<RankProgram> {
+/// The `p × p` stencil programs (task-backed), from a factory that builds
+/// the program once.
+pub fn stencil_factory(cfg: StencilConfig) -> impl Fn() -> Vec<RankProgram> + Send + Sync {
     assert!(cfg.p >= 2, "stencil needs at least a 2x2 grid");
     let prog = stencil_prog();
-    let n = cfg.p * cfg.p;
-    (0..n)
-        .map(|r| {
-            RankProgram::task(
-                StencilState {
-                    cfg: *cfg,
-                    rank: r,
-                    site: SiteId(0),
-                    nbrs: stencil_neighbors(cfg.p, r),
-                    step: 0,
-                    ni: 0,
-                    // A corner spike so the relaxation has a gradient
-                    // to diffuse.
-                    val: if r == 0 { 1 << 20 } else { 0 },
-                    acc: 0,
-                },
-                prog.clone(),
-            )
-        })
-        .collect()
-}
-
-/// Factory for debugger sessions.
-pub fn stencil_factory(cfg: StencilConfig) -> impl Fn() -> Vec<RankProgram> + Send + Sync {
-    move || stencil_programs(&cfg)
+    move || {
+        (0..cfg.p * cfg.p)
+            .map(|r| {
+                RankProgram::task(
+                    StencilState {
+                        cfg,
+                        rank: r,
+                        site: SiteId(0),
+                        nbrs: stencil_neighbors(cfg.p, r),
+                        step: 0,
+                        ni: 0,
+                        // A corner spike so the relaxation has a gradient
+                        // to diffuse.
+                        val: if r == 0 { 1 << 20 } else { 0 },
+                        acc: 0,
+                    },
+                    prog.clone(),
+                )
+            })
+            .collect()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -278,31 +275,29 @@ fn bfly_prog() -> Prog<BflyState> {
 
 /// Build the butterfly programs (task-backed). Every rank starts with
 /// value `rank + 1`, so the reduced sum is `n * (n + 1) / 2`.
-pub fn butterfly_programs(cfg: &ButterflyConfig) -> Vec<RankProgram> {
+/// The factory builds the program once.
+pub fn butterfly_factory(cfg: ButterflyConfig) -> impl Fn() -> Vec<RankProgram> + Send + Sync {
     assert!(
         cfg.nprocs >= 2 && cfg.nprocs.is_power_of_two(),
         "butterfly needs a power-of-two rank count"
     );
     let prog = bfly_prog();
-    (0..cfg.nprocs)
-        .map(|r| {
-            RankProgram::task(
-                BflyState {
-                    nprocs: cfg.nprocs,
-                    rank: r,
-                    site: SiteId(0),
-                    stage: 0,
-                    acc: r as i64 + 1,
-                },
-                prog.clone(),
-            )
-        })
-        .collect()
-}
-
-/// Factory for debugger sessions.
-pub fn butterfly_factory(cfg: ButterflyConfig) -> impl Fn() -> Vec<RankProgram> + Send + Sync {
-    move || butterfly_programs(&cfg)
+    move || {
+        (0..cfg.nprocs)
+            .map(|r| {
+                RankProgram::task(
+                    BflyState {
+                        nprocs: cfg.nprocs,
+                        rank: r,
+                        site: SiteId(0),
+                        stage: 0,
+                        acc: r as i64 + 1,
+                    },
+                    prog.clone(),
+                )
+            })
+            .collect()
+    }
 }
 
 /// The global sum every rank must hold after the reduction.
@@ -328,7 +323,7 @@ mod tests {
     #[test]
     fn stencil_small_grid_is_deadlock_free() {
         let cfg = StencilConfig { p: 4, steps: 3 };
-        let store = run(stencil_programs(&cfg));
+        let store = run(stencil_factory(cfg)());
         // Every rank sends one halo per neighbour per step.
         let expected_sends: usize = (0..cfg.p * cfg.p)
             .map(|r| stencil_neighbors(cfg.p, r).len())
@@ -341,7 +336,7 @@ mod tests {
     #[test]
     fn stencil_diffuses_the_corner_spike() {
         let cfg = StencilConfig { p: 4, steps: 6 };
-        let store = run(stencil_programs(&cfg));
+        let store = run(stencil_factory(cfg)());
         let probes: Vec<i64> = store
             .records()
             .iter()
@@ -365,7 +360,7 @@ mod tests {
                     recorder: RecorderConfig::full(),
                     ..Default::default()
                 },
-                stencil_programs(&cfg),
+                stencil_factory(cfg)(),
             );
             assert!(e.run().is_completed());
             let store = e.trace_store();
@@ -384,7 +379,7 @@ mod tests {
     #[test]
     fn butterfly_every_rank_holds_global_sum() {
         let cfg = ButterflyConfig { nprocs: 16 };
-        let store = run(butterfly_programs(&cfg));
+        let store = run(butterfly_factory(cfg)());
         let expected = butterfly_expected_sum(cfg.nprocs);
         let probes: Vec<i64> = store
             .records()
@@ -399,7 +394,7 @@ mod tests {
     #[test]
     fn butterfly_256_ranks() {
         let cfg = ButterflyConfig { nprocs: 256 };
-        let store = run(butterfly_programs(&cfg));
+        let store = run(butterfly_factory(cfg)());
         let expected = butterfly_expected_sum(cfg.nprocs);
         assert!(store
             .records()
@@ -415,7 +410,7 @@ mod tests {
     #[test]
     fn wide_1024_rank_workloads_complete() {
         // 32x32 stencil, one step.
-        let store = run(stencil_programs(&StencilConfig { p: 32, steps: 1 }));
+        let store = run(stencil_factory(StencilConfig { p: 32, steps: 1 })());
         assert_eq!(
             store
                 .records()
@@ -425,7 +420,7 @@ mod tests {
             1024
         );
         // 1024-rank butterfly (10 stages).
-        let store = run(butterfly_programs(&ButterflyConfig { nprocs: 1024 }));
+        let store = run(butterfly_factory(ButterflyConfig { nprocs: 1024 })());
         let expected = butterfly_expected_sum(1024);
         assert!(store
             .records()

@@ -1,15 +1,17 @@
 //! A script is lowered once, when it is parsed; a rank executes the
-//! lowered tree and does not copy it. A statement the engine never sees
+//! lowered program and does not copy it. A statement the engine never sees
 //! (`let`, `if`, a loop turn) allocates nothing once its variables exist,
 //! building the ranks costs the same for a short script as for a long one,
 //! and building plus running the interpreted 8-rank `racy-wildcard` stays
 //! within a fixed count. Recording a probe allocates nothing of its own:
 //! its label was interned when the script was parsed.
 //!
-//! The same two budgets for native ranks (`Prog` trees under `TaskInterp`):
-//! a loop turn that yields nothing allocates nothing, and one explored run
-//! of `planted-wildcard` — what `explore` and `localize` repeat thousands
-//! of times per hunt — stays under a fixed count, so the next per-run
+//! The same budgets for native ranks (`Prog` tables under `TaskInterp`):
+//! a factory builds its programs once, so each call of it allocates the
+//! list and a program box per rank whatever the programs' length; a loop
+//! turn that yields nothing allocates nothing; and one explored run of
+//! `planted-wildcard` — what `explore` and `localize` repeat thousands of
+//! times per hunt — stays under a fixed count, so the next per-run
 //! allocation fails here instead of drifting a benchmark.
 //!
 //! Allocations are counted per thread, so the tests of this binary may run
@@ -19,10 +21,16 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tracedbg_instrument::RecorderConfig;
 use tracedbg_mpsim::task::TaskOp;
-use tracedbg_mpsim::{Engine, EngineConfig, Prog, RankProgram, SchedPolicy};
+use tracedbg_mpsim::{Engine, EngineConfig, Prog, ProgramFactory, RankProgram, SchedPolicy};
 use tracedbg_trace::SiteId;
-use tracedbg_workloads::planted::{planted_wildcard_factory, PlantedConfig};
-use tracedbg_workloads::{script, scripts};
+use tracedbg_workloads::planted::{
+    planted_orphan_factory, planted_pipeline_factory, planted_wildcard_factory, PlantedConfig,
+};
+use tracedbg_workloads::racy::{orphan_deadlock_factory, wildcard_race_factory, RacyConfig};
+use tracedbg_workloads::wide::{
+    butterfly_factory, stencil_factory, ButterflyConfig, StencilConfig,
+};
+use tracedbg_workloads::{random_comm, script, scripts};
 
 struct Counting;
 
@@ -136,6 +144,68 @@ fn an_interpreted_run_allocates_like_a_native_one() {
         built + ran <= 106,
         "programs allocated {built} times and Engine::run {ran}"
     );
+}
+
+/// The factories `explore` and `localize` call once per run build their
+/// programs when they are made: a call after the first allocates the list
+/// and one program box per rank (a stencil rank also its neighbour list),
+/// the same for the pipeline's four programs as for the wildcard's two.
+#[test]
+fn a_factory_call_builds_no_program() {
+    let planted = PlantedConfig {
+        nprocs: 8,
+        ..Default::default()
+    };
+    let racy = RacyConfig {
+        nprocs: 8,
+        ..Default::default()
+    };
+    let pattern = random_comm::generate(1, 8, 100);
+    let factories: [(&str, ProgramFactory, u64); 8] = [
+        (
+            "planted-wildcard",
+            Box::new(planted_wildcard_factory(planted)),
+            1,
+        ),
+        (
+            "planted-orphan",
+            Box::new(planted_orphan_factory(planted)),
+            1,
+        ),
+        (
+            "planted-pipeline",
+            Box::new(planted_pipeline_factory(planted)),
+            1,
+        ),
+        ("racy-wildcard", Box::new(wildcard_race_factory(racy)), 1),
+        ("racy-deadlock", Box::new(orphan_deadlock_factory(racy)), 1),
+        (
+            "random",
+            Box::new(move || random_comm::programs(&pattern, 1)),
+            1,
+        ),
+        (
+            "butterfly",
+            Box::new(butterfly_factory(ButterflyConfig { nprocs: 8 })),
+            1,
+        ),
+        (
+            "stencil",
+            Box::new(stencil_factory(StencilConfig { p: 3, steps: 1 })),
+            2,
+        ),
+    ];
+    for (name, factory, per_rank) in factories {
+        drop(factory());
+        let before = ALLOCS.with(Cell::get);
+        let ranks = factory();
+        let made = ALLOCS.with(Cell::get) - before;
+        let want = 1 + per_rank * ranks.len() as u64;
+        assert_eq!(
+            made, want,
+            "{name}: a call of the factory allocated {made} times"
+        );
+    }
 }
 
 #[test]

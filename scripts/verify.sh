@@ -345,13 +345,17 @@ for gone in attach_trace_sink tee; do
   gate "$gone under crates/mpsim/src" "$(count "\\b$gone\\b" crates/mpsim/src)" -eq 0
 done
 # An event pays for the monitor call and nothing beside it: no per-kind
-# table behind `Recorder::observe`, and the rank interpreter walks its tree
-# by reference (a `Prog` handle is cloned only into a frame it pushes).
+# table behind `Recorder::observe`, and the rank interpreter's frames are
+# plain node indices into the program's one shared table (no `Prog`
+# handle is cloned while it runs, no subtree is built at run time).
 gate "struct Accounting under crates/*/src" "$(count 'struct Accounting' "${src[@]}")" -eq 0
 interp=$(sed -n '/^    fn enter(/,/^    fn snapshot(/p' crates/mpsim/src/task.rs)
 [ -n "$interp" ] || { echo "semantics gate: TaskInterp::{enter, next} not found" >&2; exit 1; }
 gate "handle clones of a node being read in TaskInterp::{enter, next}" \
   "$(printf '%s' "$interp" | grep -c '\.0\.clone()' || true)" -eq 0
+for gone in 'fn gen\(' 'enum Frame<'; do
+  gate "$gone in crates/mpsim/src/task.rs" "$(count "$gone" crates/mpsim/src/task.rs)" -eq 0
+done
 # One rank interpreter: a script is lowered to a `Prog` tree when it is
 # parsed, so the second interpreter and the scope stack only it could read
 # stay deleted, and `TaskInterp` is the one `TaskProgram`.

@@ -138,7 +138,7 @@ fn golden_random() {
 fn golden_racy_wildcard() {
     check(
         "racy-wildcard",
-        racy::wildcard_race(&racy::RacyConfig::default()),
+        racy::wildcard_race_factory(racy::RacyConfig::default())(),
     );
 }
 
@@ -146,7 +146,7 @@ fn golden_racy_wildcard() {
 fn golden_racy_deadlock() {
     check(
         "racy-deadlock",
-        racy::orphan_deadlock(&racy::RacyConfig::default()),
+        racy::orphan_deadlock_factory(racy::RacyConfig::default())(),
     );
 }
 

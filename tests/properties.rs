@@ -328,7 +328,7 @@ proptest! {
     ) {
         use tracedbg::mpsim::FaultPlan;
         use tracedbg::trace::schedule::Fault;
-        use tracedbg::workloads::wide::{butterfly_programs, ButterflyConfig};
+        use tracedbg::workloads::wide::{butterfly_factory, ButterflyConfig};
 
         let cfg = ButterflyConfig { nprocs: 128 };
         let fault = match fault_sel {
@@ -350,11 +350,11 @@ proptest! {
         };
         // Ground truth: the straight faulted run (crash/hang starves the
         // butterfly into deadlock; delay-only runs still complete).
-        let mut straight = Engine::launch(ecfg.clone(), butterfly_programs(&cfg));
+        let mut straight = Engine::launch(ecfg.clone(), butterfly_factory(cfg)());
         let straight_out = straight.run();
 
         // Same run, snapshotted mid-flight at a decision index.
-        let mut snapped = Engine::launch(ecfg, butterfly_programs(&cfg));
+        let mut snapped = Engine::launch(ecfg, butterfly_factory(cfg)());
         let Ok(cp) = snapped.run_to_snapshot(snap_at) else {
             // The run ended before the snapshot point — nothing to
             // restore in this case.

@@ -69,7 +69,7 @@ fn record(programs: Vec<RankProgram>) -> TraceStore {
 
 fn stencil(n: usize) -> Vec<RankProgram> {
     let p = (n as f64).sqrt() as usize;
-    wide::stencil_programs(&StencilConfig { p, steps: 4 })
+    wide::stencil_factory(StencilConfig { p, steps: 4 })()
 }
 
 #[test]
@@ -89,7 +89,7 @@ fn a_record_costs_the_same_at_1024_ranks_as_at_64() {
     };
     row("ring", &|n| ring::programs(&wide::wide_ring_config(n, 1)));
     row("butterfly", &|n| {
-        wide::butterfly_programs(&ButterflyConfig { nprocs: n })
+        wide::butterfly_factory(ButterflyConfig { nprocs: n })()
     });
     let [narrow, _, wide] = row("stencil", &stencil);
     assert!(
